@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint eoslint lint-ssa lint-fixtures bench
+.PHONY: build test race lint eoslint lint-ssa lint-fixtures bench perf-counts
 
 build:
 	$(GO) build ./...
@@ -33,3 +33,8 @@ lint-fixtures:
 
 bench:
 	scripts/bench_regress.sh
+
+# Count gate: the end-to-end benchmark at the merge base against the
+# working tree, failing on any metric worse than its BENCHMARK.json bound.
+perf-counts:
+	scripts/perf_counts.sh

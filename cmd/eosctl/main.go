@@ -374,6 +374,11 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 		}
 		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes\n",
 			s.PageSize(), len(s.List()), free, s.LogTail())
+		// Since this command opened the store: recovery's own checkpoint
+		// accounts for the first compaction.
+		b := s.Stats().Barrier
+		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d log pages zeroed\n",
+			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.LogPagesZeroed)
 		return nil
 
 	case "cp":

@@ -53,13 +53,19 @@ var (
 	// ErrCorruptStore is returned when the store header or catalog fails
 	// validation.
 	ErrCorruptStore = errors.New("eos: corrupt store")
+	// ErrCatalogFull is returned by Commit, Abort and Checkpoint when the
+	// committed descriptors no longer fit in one catalog slot
+	// (Options.CatalogPages).  Nothing was written: the durable catalog
+	// still holds the previous barrier's state, the store stays usable,
+	// and destroying objects makes room.
+	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
 )
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 2 // v2: dual-slot catalog region, monotonic LSN base in header
+	storeVersion = 3 // v3: catalog slots are journals (base + delta records)
 )
 
 // Options configures a Store.  The zero value selects reasonable
@@ -101,7 +107,10 @@ type Options struct {
 	// index pages they touch (§4.5); on by default, required for
 	// transactional use.
 	DisableShadowing bool
-	// CatalogPages reserves room for object descriptors (default 4).
+	// CatalogPages reserves room for object descriptors (default 4): the
+	// size of each of the two catalog slots.  The full catalog image must
+	// fit in one slot; the rest of the slot is journal space for the
+	// per-barrier deltas, so a larger value also means rarer compactions.
 	CatalogPages int
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
@@ -229,7 +238,7 @@ type catEntry struct {
 	// its latch while WAITING for a barrier to release quarantined
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
-	// read in writeCatalog safe.
+	// read in catalogDelta safe.
 	stableDesc atomic.Pointer[[]byte]
 
 	// latch serializes physical access to the object's in-memory root
@@ -264,12 +273,12 @@ type Store struct {
 	// releases; volumes handed to Format/Open stay the caller's.
 	ownsVols bool
 	pool     *buffer.Pool
-	buddy  *buddy.Manager
-	lm     *lob.Manager
-	log    *wal.Log
-	locks  *txn.LockTable
-	epochs *txn.EpochManager
-	opts   Options
+	buddy    *buddy.Manager
+	lm       *lob.Manager
+	log      *wal.Log
+	locks    *txn.LockTable
+	epochs   *txn.EpochManager
+	opts     Options
 
 	mu       sync.Mutex
 	catalog  map[string]*catEntry
@@ -277,9 +286,21 @@ type Store struct {
 	nextID   uint64
 	nextTxn  uint64
 	liveTxns map[uint64]*Txn
-	// catSeq is the sequence number of the last catalog slot written
-	// (eos:guardedby mu); writeCatalog alternates slots on seq parity.
-	catSeq uint64
+	// The catalog journal's write position (eos:guardedby mu): catSeq is
+	// the sequence number of the newest record written, catSlot the slot
+	// holding it, and catNext the first page of that slot no record
+	// occupies — CatalogPages when the slot takes no more deltas, which
+	// is also how Open marks the slot it loaded.  catImage is what the
+	// journal replays to; writeCatalog appends its difference from the
+	// current committed descriptors.
+	catSeq   uint64
+	catSlot  int
+	catNext  int
+	catImage map[uint64]catRec
+	// hdrNextID and hdrLsnBase are the header fields as page 0 holds them
+	// (eos:guardedby mu); writeHeader skips the write when neither moved.
+	hdrNextID  uint64
+	hdrLsnBase uint64
 	// lsnBase mirrors the log's LSN epoch base into the store header
 	// (eos:guardedby mu).  The header's copy is what recovery trusts: a
 	// log record whose LSN predates the header's base belongs to an
@@ -300,13 +321,19 @@ type Store struct {
 	// spawn at most one.
 	barrierReq atomic.Bool
 
+	// Barrier cost counters (see BarrierStats).
+	catDeltaWrites  atomic.Int64
+	catCompactions  atomic.Int64
+	catPagesWritten atomic.Int64
+	headerWrites    atomic.Int64
+
 	// quarMu guards quar, the durability quarantine (leaf lock — never
 	// acquired while holding another store lock's critical section
 	// beyond s.mu).  Runs whose reader grace period has expired wait
 	// here, still absent from the buddy directories, until a catalog
 	// barrier that STARTED after they arrived completes — only then is
-	// every root the durable catalog can resolve to (the newest intact
-	// slot; a torn successor falls back no further than the last
+	// every root the durable catalog can resolve to (the journal's newest
+	// intact record; a torn successor falls back no further than the last
 	// completed barrier) guaranteed not to reference them, and only
 	// then do they return to the free space.  Without this gate a freed
 	// page could be reallocated and overwritten while the on-disk
@@ -353,6 +380,10 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		// No slot holds a record yet: treating slot 1 as full sends the
+		// first base to slot 0.
+		catSlot: 1,
+		catNext: opts.CatalogPages,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -372,12 +403,8 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	if err := s.writeHeader(); err != nil {
-		return nil, err
-	}
-	if err := s.writeCatalog(); err != nil {
-		return nil, err
-	}
+	// The first checkpoint writes the header and the (empty) catalog base
+	// behind the formatted space directories.
 	if err := s.Checkpoint(); err != nil {
 		return nil, err
 	}
@@ -553,8 +580,8 @@ func (s *Store) releaseRuns(runs []txn.Run) error {
 // commit point (non-transactional publish, transaction commit and
 // abort) refreshes stableDesc, so any barrier started after a run entered
 // quarantine wrote roots that exclude it; once that barrier's force
-// completes, no slot recovery can pick still references the run (a torn
-// later slot falls back exactly one barrier, never further).
+// completes, no journal state recovery can pick still references the run
+// (a torn later record falls back exactly one barrier, never further).
 func (s *Store) releaseQuarantined() error {
 	durable := s.barrierDurable.Load()
 	s.quarMu.Lock()
@@ -604,16 +631,18 @@ func (s *Store) BuddyManager() *buddy.Manager { return s.buddy }
 // LOBStats returns the large object manager's activity counters.
 func (s *Store) LOBStats() lob.Stats { return s.lm.Stats() }
 
-// writeHeader persists the store header on page 0.  Callers hold s.mu
-// — except Format, whose store has not been published yet.
+// writeHeader persists the store header on page 0, straight to the
+// device, if nextID or lsnBase moved since the last write (the geometry
+// fields never change after Format).  The write is volatile until the
+// caller forces page 0.  Callers hold s.mu — except Format, whose store
+// has not been published yet.
 //
 // eos:requires s.mu
 func (s *Store) writeHeader() error {
-	img, err := s.pool.FixNew(0)
-	if err != nil {
-		return err
+	if s.hdrNextID == s.nextID && s.hdrLsnBase == s.lsnBase {
+		return nil
 	}
-	defer s.pool.Unpin(0)
+	img := make([]byte, s.vol.PageSize())
 	binary.BigEndian.PutUint32(img[0:], storeMagic)
 	img[4] = storeVersion
 	binary.BigEndian.PutUint32(img[8:], uint32(s.opts.NumSpaces))
@@ -621,6 +650,11 @@ func (s *Store) writeHeader() error {
 	binary.BigEndian.PutUint32(img[16:], uint32(s.opts.CatalogPages))
 	binary.BigEndian.PutUint64(img[20:], s.nextID)
 	binary.BigEndian.PutUint64(img[28:], s.lsnBase)
+	if err := s.vol.WritePages(0, 1, img); err != nil {
+		return err
+	}
+	s.hdrNextID, s.hdrLsnBase = s.nextID, s.lsnBase
+	s.headerWrites.Add(1)
 	return nil
 }
 
@@ -638,23 +672,25 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Header.
-	img, err := pool.Fix(0)
+	// Header: read from the device, like the catalog — neither lives in
+	// the pool.
+	img, err := vol.Read(0, 1)
 	if err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint32(img[0:]) != storeMagic || img[4] != storeVersion {
-		_ = pool.Unpin(0) // the corrupt-header error takes precedence
+	if binary.BigEndian.Uint32(img[0:]) != storeMagic {
 		return nil, fmt.Errorf("%w: bad header", ErrCorruptStore)
+	}
+	if img[4] != storeVersion {
+		// Not corruption: an intact store of another format generation.
+		return nil, fmt.Errorf("eos: store format version %d, this build reads only version %d (no in-place upgrade: create a new store and copy the objects over)",
+			img[4], storeVersion)
 	}
 	opts.NumSpaces = int(binary.BigEndian.Uint32(img[8:]))
 	opts.SpaceCapacity = int(binary.BigEndian.Uint32(img[12:]))
 	opts.CatalogPages = int(binary.BigEndian.Uint32(img[16:]))
 	nextID := binary.BigEndian.Uint64(img[20:])
 	lsnBase := binary.BigEndian.Uint64(img[28:])
-	if err := pool.Unpin(0); err != nil {
-		return nil, err
-	}
 
 	// Spaces.
 	bm := buddy.NewManager(pool, !opts.DisableSuperdirectory)
@@ -681,6 +717,9 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
 		lsnBase:  lsnBase,
+
+		hdrNextID:  nextID,
+		hdrLsnBase: lsnBase,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -906,20 +945,9 @@ func (s *Store) checkpointLocked() error {
 	if err := s.vol.ForceAll(); err != nil {
 		return err
 	}
-	barrier := s.barrierStarted.Add(1)
-	if err := s.writeHeader(); err != nil {
+	if err := s.catalogBarrier(); err != nil {
 		return err
 	}
-	if err := s.writeCatalog(); err != nil {
-		return err
-	}
-	if err := s.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := s.vol.Force(0, 1+catalogRegionPages(s.opts)); err != nil {
-		return err
-	}
-	s.barrierDurable.Store(barrier)
 	if !resetLog {
 		return s.releaseQuarantined()
 	}
@@ -937,9 +965,6 @@ func (s *Store) checkpointLocked() error {
 		if err := s.writeHeader(); err != nil {
 			return err
 		}
-		if err := s.pool.FlushAll(); err != nil {
-			return err
-		}
 		if err := s.vol.Force(0, 1); err != nil {
 			return err
 		}
@@ -948,6 +973,28 @@ func (s *Store) checkpointLocked() error {
 		}
 	}
 	return s.releaseQuarantined()
+}
+
+// catalogBarrier is the second phase of every durable barrier: the header
+// and the catalog record, written only now that the caller has forced
+// everything they reference, then forced themselves.  A torn record is
+// caught by its CRC and recovery falls back to the journal's previous
+// record, whose pages the durability quarantine keeps intact.
+//
+// eos:requires s.mu
+func (s *Store) catalogBarrier() error {
+	barrier := s.barrierStarted.Add(1)
+	if err := s.writeHeader(); err != nil {
+		return err
+	}
+	if err := s.writeCatalog(); err != nil {
+		return err
+	}
+	if err := s.vol.Force(0, 1+catalogRegionPages(s.opts)); err != nil {
+		return err
+	}
+	s.barrierDurable.Store(barrier)
+	return nil
 }
 
 // Create makes a new empty object; threshold <= 0 uses the store default.
@@ -1075,15 +1122,35 @@ type SnapshotStats struct {
 	OldestEpochAge time.Duration
 }
 
+// BarrierStats attributes the cost of making commits, aborts and
+// checkpoints durable: what the catalog journal, the header and the log
+// truncation wrote, besides the data and log pages themselves.
+type BarrierStats struct {
+	// CatalogDeltaWrites counts barriers that appended a delta record to
+	// the current catalog slot; CatalogCompactions counts those that
+	// wrote the full image as the base of the other slot instead.
+	CatalogDeltaWrites int64
+	CatalogCompactions int64
+	// CatalogPagesWritten is the pages both kinds of record occupied.
+	CatalogPagesWritten int64
+	// HeaderWrites counts rewrites of the header page (only when nextID
+	// or the LSN epoch base moved).
+	HeaderWrites int64
+	// LogPagesZeroed is the log pages truncations cleared.
+	LogPagesZeroed int64
+}
+
 // Stats aggregates the store's activity counters across layers.
 type Stats struct {
-	Disk   disk.Stats
-	Pool   buffer.Stats
-	Buddy  buddy.ManagerStats
-	LOB    lob.Stats
-	WAL    wal.Stats
-	Snap   SnapshotStats
-	LogLen int64
+	Disk  disk.Stats
+	Pool  buffer.Stats
+	Buddy buddy.ManagerStats
+	LOB   lob.Stats
+	WAL   wal.Stats
+	Snap  SnapshotStats
+	// Barrier counts what catalog barriers and log truncations wrote.
+	Barrier BarrierStats
+	LogLen  int64
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1095,12 +1162,20 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	pool := s.pool.Stats()
 	lobStats := s.lm.Stats()
+	walStats := s.log.Stats()
 	return Stats{
 		Disk:  s.vol.Stats(),
 		Pool:  pool,
 		Buddy: s.buddy.Stats(),
 		LOB:   lobStats,
-		WAL:   s.log.Stats(),
+		WAL:   walStats,
+		Barrier: BarrierStats{
+			CatalogDeltaWrites:  s.catDeltaWrites.Load(),
+			CatalogCompactions:  s.catCompactions.Load(),
+			CatalogPagesWritten: s.catPagesWritten.Load(),
+			HeaderWrites:        s.headerWrites.Load(),
+			LogPagesZeroed:      walStats.PagesZeroed,
+		},
 		Snap: SnapshotStats{
 			SnapshotReads:  lobStats.SnapshotReads,
 			EpochAdvances:  s.epochs.Advances(),

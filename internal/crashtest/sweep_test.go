@@ -11,7 +11,7 @@ func sweepConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Seed:           42,
-		Workload:       WorkloadConfig{Seed: 42, Txns: 120},
+		Workload:       WorkloadConfig{Seed: 42, Txns: 130},
 		Opts:           eos.Options{Threshold: 4},
 		SubsetEvery:    6,
 		SubsetSamples:  2,
@@ -26,26 +26,40 @@ func sweepConfig(t *testing.T) Config {
 
 // TestCrashSweep is the tier-1 crash-consistency gate: enumerate crash
 // states of a mixed workload and require every recovery invariant to
-// hold on each.  Short mode runs a reduced but still multi-hundred-state
-// sweep.
+// hold on each.  It runs twice: with the default four-page catalog
+// slots, where a compaction into the other slot comes every few
+// barriers, and with slots large enough that the journal grows long
+// delta chains between compactions.  Short mode runs a reduced but still
+// multi-hundred-state sweep.
 func TestCrashSweep(t *testing.T) {
-	cfg := sweepConfig(t)
-	if testing.Short() {
-		cfg.Workload.Txns = 30
-		cfg.SubsetEvery = 12
-		cfg.SubsetSamples = 1
-		cfg.TornCap = 3
-		cfg.FileCheckEvery = 96
-		cfg.ReopenEvery = 32
-		cfg.RecrashEvery = 48
-	}
-	res, err := Sweep(cfg)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	report(t, res)
-	if !testing.Short() && res.States < 1000 {
-		t.Fatalf("sweep enumerated only %d distinct states, want >= 1000", res.States)
+	for _, tc := range []struct {
+		name         string
+		catalogPages int
+	}{
+		{"compacting", 0},
+		{"long-chains", 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sweepConfig(t)
+			cfg.Opts.CatalogPages = tc.catalogPages
+			if testing.Short() {
+				cfg.Workload.Txns = 30
+				cfg.SubsetEvery = 12
+				cfg.SubsetSamples = 1
+				cfg.TornCap = 3
+				cfg.FileCheckEvery = 96
+				cfg.ReopenEvery = 32
+				cfg.RecrashEvery = 48
+			}
+			res, err := Sweep(cfg)
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			report(t, res)
+			if !testing.Short() && res.States < 1550 {
+				t.Fatalf("sweep enumerated only %d distinct states, want >= 1550", res.States)
+			}
+		})
 	}
 }
 

@@ -127,7 +127,8 @@ type Stats struct {
 	ForceNoops   int64 // requests whose target was already durable on entry
 	Piggybacks   int64 // requests covered by another committer's force while queued
 	LeaderForces int64 // physical flush+force batches issued
-	FlushedBytes int64 // bytes written to the volume by batched flushes
+	FlushedBytes int64 // bytes of log records written to the volume
+	PagesZeroed  int64 // log pages cleared by Reset
 }
 
 // Log is an append-only write-ahead log over a dedicated volume.  It is
@@ -148,23 +149,37 @@ type Log struct {
 	// they acquire it.  Acquired before mu (rank 45 in the lattice).
 	forceMu sync.Mutex
 
-	mu       sync.Mutex
-	vol      disk.Device
-	ps       int
-	base     uint64 // eos:guardedby mu -- LSN of the epoch start; record at offset o has LSN base+o+1
-	grouped  bool   // eos:guardedby mu -- buffered appends + group commit (default); false = serial baseline
-	buf      []byte // eos:guardedby mu -- records appended but not yet written to the volume
-	bufStart int64  // eos:guardedby mu -- log byte offset of buf[0]; == bytes written to the volume
-	tail     int64  // eos:guardedby mu -- next append offset (bytes), including the buffer
+	mu      sync.Mutex
+	vol     disk.Device
+	ps      int
+	base    uint64 // eos:guardedby mu -- LSN of the epoch start; record at offset o has LSN base+o+1
+	grouped bool   // eos:guardedby mu -- buffered appends + group commit (default); false = serial baseline
+	// buf holds the log's bytes from offset bufStart to the tail.
+	// bufStart is always page-aligned: a flush drops only the whole pages
+	// it wrote and keeps the partial last page, so the next flush rewrites
+	// that page in full from memory — the log never reads its own tail
+	// back from the device.  The first flushed-bufStart bytes of buf are
+	// already on the volume; the rest are appended but not yet written.
+	buf      []byte // eos:guardedby mu
+	bufStart int64  // eos:guardedby mu -- log byte offset of buf[0]
+	flushed  int64  // eos:guardedby mu -- offset through which records are on the volume
+	tail     int64  // eos:guardedby mu -- next append offset (bytes) == bufStart+len(buf)
 	forced   int64  // eos:guardedby mu -- offset through which records are durable
-	stats    Stats  // eos:guardedby mu
+	// written bounds the bytes from the volume's start that may be
+	// non-zero: the whole volume until the first Reset, afterwards the
+	// furthest byte any write of the current epoch reached.  Reset zeroes
+	// exactly that much.
+	written int64 // eos:guardedby mu
+	stats   Stats // eos:guardedby mu
 }
 
 // New creates an empty log on vol.  base is the LSN epoch base the
 // store header records (0 for a fresh store); the first record gets
 // LSN base+1.
 func New(vol disk.Device, base uint64) *Log {
-	return &Log{vol: vol, ps: vol.PageSize(), base: base, grouped: true}
+	ps := vol.PageSize()
+	return &Log{vol: vol, ps: ps, base: base, grouped: true,
+		written: int64(vol.NumPages()) * int64(ps)}
 }
 
 // Base returns the current epoch base: every record in the log has
@@ -279,38 +294,44 @@ func (l *Log) Append(r *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	r.LSN = l.base + uint64(l.tail) + 1 // LSN 0 means "never logged"
-	buf := encode(r)
-	if l.tail+int64(len(buf)) > int64(l.vol.NumPages())*int64(l.ps) {
+	rec := encode(r)
+	end := l.tail + int64(len(rec))
+	if end > int64(l.vol.NumPages())*int64(l.ps) {
 		return 0, ErrLogFull
 	}
-	if l.grouped {
-		l.buf = append(l.buf, buf...)
-	} else {
-		if err := l.writeAt(l.tail, buf); err != nil {
+	l.buf = append(l.buf, rec...)
+	if !l.grouped {
+		l.written = max(l.written, end)
+		if err := l.writeFrom(l.bufStart, l.buf); err != nil {
+			l.buf = l.buf[:len(l.buf)-len(rec)]
 			return 0, err
 		}
-		l.bufStart = l.tail + int64(len(buf))
+		l.flushedTo(end)
 	}
-	l.tail += int64(len(buf))
+	l.tail = end
 	l.stats.Appends++
 	return r.LSN, nil
 }
 
-// writeAt writes raw bytes at a byte offset, read-modifying boundary
-// pages so earlier records on shared pages survive.
-func (l *Log) writeAt(off int64, data []byte) error {
-	ps := int64(l.ps)
-	first := off / ps
-	last := (off + int64(len(data)) - 1) / ps
-	npages := int(last - first + 1)
+// writeFrom writes data — the log's bytes from the page-aligned offset
+// start on — to the volume, zero-padded to whole pages.
+func (l *Log) writeFrom(start int64, data []byte) error {
+	npages := (len(data) + l.ps - 1) / l.ps
 	raw := make([]byte, npages*l.ps)
-	if off%ps != 0 {
-		if err := l.vol.ReadPages(disk.PageNum(first), 1, raw[:l.ps]); err != nil {
-			return err
-		}
-	}
-	copy(raw[off-first*ps:], data)
-	return l.vol.WritePages(disk.PageNum(first), npages, raw)
+	copy(raw, data)
+	return l.vol.WritePages(disk.PageNum(start/int64(l.ps)), npages, raw)
+}
+
+// flushedTo records that the volume holds the log through end and drops
+// from buf the whole pages below it.
+//
+// eos:requires l.mu
+func (l *Log) flushedTo(end int64) {
+	l.stats.FlushedBytes += end - l.flushed
+	l.flushed = end
+	drop := (end - l.bufStart) / int64(l.ps) * int64(l.ps)
+	l.buf = l.buf[drop:]
+	l.bufStart += drop
 }
 
 // Force makes every appended record durable.  When nothing has been
@@ -396,21 +417,21 @@ func (l *Log) leadForce() error {
 // holds forceMu.
 func (l *Log) flushHoldingForceMu() (int64, error) {
 	l.mu.Lock()
-	start := l.bufStart
+	start, done := l.bufStart, l.flushed
 	data := l.buf[:len(l.buf):len(l.buf)]
+	end := start + int64(len(data))
+	l.written = max(l.written, end)
 	l.mu.Unlock()
-	if len(data) == 0 {
-		return start, nil
+	if end == done {
+		return done, nil
 	}
-	if err := l.writeAt(start, data); err != nil {
+	if err := l.writeFrom(start, data); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
-	l.buf = l.buf[len(data):]
-	l.bufStart = start + int64(len(data))
-	l.stats.FlushedBytes += int64(len(data))
+	l.flushedTo(end)
 	l.mu.Unlock()
-	return start + int64(len(data)), nil
+	return end, nil
 }
 
 // Tail returns the log length in bytes.
@@ -494,17 +515,29 @@ func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
-	// The log is not yet shared, but take mu anyway so the positioning
-	// stores obey the same discipline as every other tail update.
-	l.mu.Lock()
+	var tail int64
 	if n := len(recs); n > 0 {
 		last := recs[n-1]
 		// Tail = last record's end offset.
-		l.tail = int64(last.LSN-base-1) +
+		tail = int64(last.LSN-base-1) +
 			int64(recHeaderSize+len(last.Data)+len(last.OldData)+len(last.Extents)*extentEncBytes)
 	}
-	l.forced = l.tail
-	l.bufStart = l.tail
+	// The one time the log reads its tail page: from here on buf carries
+	// the partial page the next flush completes.
+	bufStart := tail / int64(l.ps) * int64(l.ps)
+	var partial []byte
+	if tail > bufStart {
+		page, err := vol.Read(disk.PageNum(bufStart/int64(l.ps)), 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		partial = page[:tail-bufStart]
+	}
+	// The log is not yet shared, but take mu anyway so the positioning
+	// stores obey the same discipline as every other tail update.
+	l.mu.Lock()
+	l.tail, l.forced, l.flushed = tail, tail, tail
+	l.buf, l.bufStart = partial, bufStart
 	l.mu.Unlock()
 	return l, recs, nil
 }
@@ -513,11 +546,13 @@ func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
 // describes — including the new epoch base in the store header — fully
 // durable) and starts a new LSN epoch at newBase, which must be at
 // least Base()+Tail() so the new epoch's LSNs outrank every record the
-// old epoch issued.  The whole log volume is zeroed so that stale
-// records from before the checkpoint can never be mistaken for live
-// ones by a later recovery scan; should the zeroing itself be lost in
-// a crash, the old records' LSNs no longer match the header's base and
-// the recovery scan rejects them.
+// old epoch issued.  Every page the ending epoch may have written is
+// zeroed — the whole volume the first time after New or Recover, whose
+// contents are unknown — so that stale records from before the
+// checkpoint can never be mistaken for live ones by a later recovery
+// scan; should the zeroing itself be lost in a crash, the old records'
+// LSNs no longer match the header's base and the recovery scan rejects
+// them.
 func (l *Log) Reset(newBase uint64) error {
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()
@@ -527,17 +562,21 @@ func (l *Log) Reset(newBase uint64) error {
 		return fmt.Errorf("wal: reset base %d would rewind LSNs (epoch end %d)",
 			newBase, l.base+uint64(l.tail))
 	}
-	zero := make([]byte, int64(l.vol.NumPages())*int64(l.ps))
-	if err := l.vol.WritePages(0, int(l.vol.NumPages()), zero); err != nil {
-		return err
+	if n := int((l.written + int64(l.ps) - 1) / int64(l.ps)); n > 0 {
+		if err := l.vol.WritePages(0, n, make([]byte, n*l.ps)); err != nil {
+			return err
+		}
+		if err := l.vol.Force(0, n); err != nil {
+			return err
+		}
+		l.stats.PagesZeroed += int64(n)
 	}
-	if err := l.vol.Force(0, int(l.vol.NumPages())); err != nil {
-		return err
-	}
+	l.written = 0
 	l.base = newBase
 	l.tail = 0
 	l.forced = 0
 	l.buf = l.buf[:0]
 	l.bufStart = 0
+	l.flushed = 0
 	return nil
 }

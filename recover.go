@@ -17,9 +17,10 @@ import (
 //     and append shadow index pages and never overwrite live data pages,
 //     and catalog writes substitute the last committed descriptor for
 //     any transaction-dirty object.
-//   - Every volume force is accompanied by a catalog write (commits,
-//     aborts, checkpoints all go through the same path), so durable page
-//     content and the durable catalog always describe the same state.
+//   - Every volume force is followed by a catalog barrier (commits,
+//     aborts, checkpoints all go through the same path) that journals
+//     whichever descriptors changed, so durable page content and the
+//     durable catalog always describe the same state.
 //   - A force never includes pages another live transaction has written
 //     in place, so the only uncommitted in-place writes that can be
 //     durable are those of transactions still in flight at the crash —

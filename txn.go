@@ -634,24 +634,9 @@ func (s *Store) forceDurableLocked(t *Txn) error {
 	if err := s.vol.ForceAllExcept(skip); err != nil {
 		return err
 	}
-	// Catalog barrier: header and catalog slot, written only now that
-	// everything they reference is durable.  A torn slot write is
-	// caught by the slot CRC and recovery falls back to the previous
-	// slot, whose pages the durability quarantine keeps intact.
-	barrier := s.barrierStarted.Add(1)
-	if err := s.writeHeader(); err != nil {
+	if err := s.catalogBarrier(); err != nil {
 		return err
 	}
-	if err := s.writeCatalog(); err != nil {
-		return err
-	}
-	if err := s.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := s.vol.Force(0, 1+catalogRegionPages(s.opts)); err != nil {
-		return err
-	}
-	s.barrierDurable.Store(barrier)
 	return s.releaseQuarantined()
 }
 
