@@ -87,20 +87,23 @@ func (s *Store) catSlotStart(k int) disk.PageNum {
 //
 // What the catalog should hold for an object is its last committed
 // state — refreshed at every commit point, so for a clean entry it IS the
-// current state; a never-committed object is simply omitted.  The read
-// is deliberately latch-free: an operation stalled in allocation
-// backpressure holds its object's write latch while waiting for exactly
-// this barrier to complete, so taking latches here would deadlock.
+// current state; a never-committed object is simply omitted.  The walk is
+// over byID, not catalog: an object a live transaction has destroyed has
+// lost its name but stays in byID until that transaction commits, and
+// until then the catalog must keep it.  The read is deliberately
+// latch-free: an operation stalled in allocation backpressure holds its
+// object's write latch while waiting for exactly this barrier to
+// complete, so taking latches here would deadlock.
 //
 // eos:requires s.mu
 func (s *Store) catalogDelta(prev map[uint64]catRec) (ups []catRec, tombs []uint64) {
-	for name, e := range s.catalog {
+	for _, e := range s.byID {
 		desc := e.loadStableDesc()
 		if desc == nil {
 			continue
 		}
-		if old, ok := prev[e.id]; !ok || old.name != name || !bytes.Equal(old.desc, desc) {
-			ups = append(ups, catRec{id: e.id, name: name, desc: desc})
+		if old, ok := prev[e.id]; !ok || old.name != e.name || !bytes.Equal(old.desc, desc) {
+			ups = append(ups, catRec{id: e.id, name: e.name, desc: desc})
 		}
 	}
 	for id := range prev {

@@ -243,10 +243,11 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 
 // TestCatalogOperationsPersistThroughJournal takes every operation that
 // moves a catalog entry — transactional create, plain create, Rename, a
-// transactional destroy caught in flight by a checkpoint (tombstone)
-// and then aborted (re-upsert), a committed destroy — through a crash
-// after each, once with slots so large every barrier is a delta and
-// once with slots so small every barrier is a compaction.
+// transactional destroy caught in flight by a checkpoint (the entry must
+// stay: no tombstone before the destroy commits), the same aborted, a
+// committed destroy — through a crash after each, once with slots so
+// large every barrier is a delta and once with slots so small every
+// barrier is a compaction.
 func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -260,24 +261,27 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 			s, vol, logVol := newJournalStore(t, Options{CatalogPages: tc.catalogPages})
 			want := map[string][]byte{}
 			// step runs one mutation (which must end in a barrier), checks
-			// which kind of record the barrier wrote, and crashes.
-			step := func(what string, records int64, mutate func()) {
+			// which records its barriers wrote — wantDeltas with large
+			// slots, where a barrier that changes nothing writes nothing;
+			// wantBases with one-page slots, where every barrier compacts —
+			// and crashes.
+			step := func(what string, wantDeltas, wantBases int64, mutate func()) {
 				t.Helper()
 				before := s.Stats().Barrier
 				mutate()
 				after := s.Stats().Barrier
 				deltas := after.CatalogDeltaWrites - before.CatalogDeltaWrites
 				bases := after.CatalogCompactions - before.CatalogCompactions
-				if tc.compacting && (deltas != 0 || bases != records) {
-					t.Fatalf("%s: %d deltas, %d compactions; want %d compactions", what, deltas, bases, records)
+				if tc.compacting && (deltas != 0 || bases != wantBases) {
+					t.Fatalf("%s: %d deltas, %d compactions; want %d compactions", what, deltas, bases, wantBases)
 				}
-				if !tc.compacting && (deltas != records || bases != 0) {
-					t.Fatalf("%s: %d deltas, %d compactions; want %d deltas", what, deltas, bases, records)
+				if !tc.compacting && (deltas != wantDeltas || bases != 0) {
+					t.Fatalf("%s: %d deltas, %d compactions; want %d deltas", what, deltas, bases, wantDeltas)
 				}
 				s = crashReopen(t, vol, logVol)
 				expectObjects(t, s, want)
 			}
-			step("txn create", 1, func() {
+			step("txn create", 1, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Create("a", 0); err != nil {
 					t.Fatal(err)
@@ -290,7 +294,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			step("create", 1, func() {
+			step("create", 1, 1, func() {
 				o, err := s.Create("b", 0)
 				if err != nil {
 					t.Fatal(err)
@@ -303,7 +307,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			step("rename", 1, func() {
+			step("rename", 1, 1, func() {
 				if err := s.Rename("b", "c"); err != nil {
 					t.Fatal(err)
 				}
@@ -313,7 +317,9 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			step("txn destroy, checkpoint, abort", 2, func() {
+			// The crash that ends this step finds the destroy still in
+			// flight: a must come back.
+			step("txn destroy, checkpoint", 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("a"); err != nil {
 					t.Fatal(err)
@@ -321,17 +327,26 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 				if err := s.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				if got := journalNames(t, s); fmt.Sprint(got) != "[c]" {
-					t.Fatalf("journal holds %v while the destroy is in flight, want [c]", got)
+				if got := journalNames(t, s); fmt.Sprint(got) != "[a c]" {
+					t.Fatalf("journal holds %v while the destroy is in flight, want [a c]", got)
+				}
+			})
+			step("txn destroy, checkpoint, abort", 0, 2, func() {
+				tx, _ := s.Begin()
+				if err := tx.Destroy("a"); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
 				}
 				if err := tx.Abort(); err != nil {
 					t.Fatal(err)
 				}
 				if got := journalNames(t, s); fmt.Sprint(got) != "[a c]" {
-					t.Fatalf("journal holds %v after the abort resurrected a, want [a c]", got)
+					t.Fatalf("journal holds %v after the abort, want [a c]", got)
 				}
 			})
-			step("txn destroy", 1, func() {
+			step("txn destroy", 1, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("c"); err != nil {
 					t.Fatal(err)

@@ -376,9 +376,12 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			s.PageSize(), len(s.List()), free, s.LogTail())
 		// Since this command opened the store: recovery's own checkpoint
 		// accounts for the first compaction.
-		b := s.Stats().Barrier
-		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d log pages zeroed\n",
-			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.LogPagesZeroed)
+		st := s.Stats()
+		b := st.Barrier
+		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d log pages zeroed, %d directory pages skipped\n",
+			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.LogPagesZeroed, b.DirPagesSkipped)
+		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early\n",
+			st.DeferredReplaces, st.EarlyReplaceApplies)
 		return nil
 
 	case "cp":

@@ -99,7 +99,8 @@ func testCtlEndToEnd(t *testing.T, backend string) {
 	if out := must("stat", "doc"); !strings.Contains(out, "size:") {
 		t.Errorf("stat: %q", out)
 	}
-	if out := must("stat"); !strings.Contains(out, "free data pages") {
+	if out := must("stat"); !strings.Contains(out, "free data pages") ||
+		!strings.Contains(out, "directory pages skipped") || !strings.Contains(out, "applied early") {
 		t.Errorf("store stat: %q", out)
 	}
 	if out := must("fsck"); !strings.Contains(out, "OK") {

@@ -247,6 +247,12 @@ type catEntry struct {
 	// duration of one operation, never to transaction end (§3.3's
 	// short-duration lock).
 	latch sync.RWMutex
+
+	// inPlace serializes the in-place writers that share the read latch
+	// — non-transactional replaces, and transactional ones under range
+	// locking: two of them may own different bytes of one page, and each
+	// rewrites that page whole.  Held for one read-modify-write.
+	inPlace sync.Mutex
 }
 
 // setStableDesc records desc as the last committed descriptor.  Callers
@@ -321,11 +327,20 @@ type Store struct {
 	// spawn at most one.
 	barrierReq atomic.Bool
 
+	// dirPages is the set of buddy directory pages, one per space; fixed
+	// by the geometry, never modified after Format/Open build it.
+	dirPages map[disk.PageNum]bool
+
 	// Barrier cost counters (see BarrierStats).
 	catDeltaWrites  atomic.Int64
 	catCompactions  atomic.Int64
 	catPagesWritten atomic.Int64
 	headerWrites    atomic.Int64
+	dirPagesSkipped atomic.Int64
+
+	// Deferred-replace counters (see Stats).
+	deferredReplaces    atomic.Int64
+	earlyReplaceApplies atomic.Int64
 
 	// quarMu guards quar, the durability quarantine (leaf lock — never
 	// acquired while holding another store lock's critical section
@@ -380,6 +395,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		dirPages: spaceDirPages(bm),
 		// No slot holds a record yet: treating slot 1 as full sends the
 		// first base to slot 0.
 		catSlot: 1,
@@ -409,6 +425,15 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// spaceDirPages returns the directory page of every buddy space.
+func spaceDirPages(bm *buddy.Manager) map[disk.PageNum]bool {
+	dirs := make(map[disk.PageNum]bool)
+	for _, sp := range bm.Spaces() {
+		dirs[sp.DirPage()] = true
+	}
+	return dirs
 }
 
 func (s *Store) lobConfig() lob.Config {
@@ -716,6 +741,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   nextID,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		dirPages: spaceDirPages(bm),
 		lsnBase:  lsnBase,
 
 		hdrNextID:  nextID,
@@ -1138,6 +1164,11 @@ type BarrierStats struct {
 	HeaderWrites int64
 	// LogPagesZeroed is the log pages truncations cleared.
 	LogPagesZeroed int64
+	// DirPagesSkipped counts the dirty buddy directory frames commit and
+	// abort barriers left in the pool instead of writing: the directories
+	// are rebuilt by every Open, so only eviction, Checkpoint and Close
+	// write them.
+	DirPagesSkipped int64
 }
 
 // Stats aggregates the store's activity counters across layers.
@@ -1150,7 +1181,13 @@ type Stats struct {
 	Snap  SnapshotStats
 	// Barrier counts what catalog barriers and log truncations wrote.
 	Barrier BarrierStats
-	LogLen  int64
+	// DeferredReplaces counts transactional replaces whose in-place write
+	// waited for a later log force; EarlyReplaceApplies counts those of
+	// them a later operation of the same transaction on the same object
+	// made pay a force of their own after all.
+	DeferredReplaces    int64
+	EarlyReplaceApplies int64
+	LogLen              int64
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1175,7 +1212,10 @@ func (s *Store) Stats() Stats {
 			CatalogPagesWritten: s.catPagesWritten.Load(),
 			HeaderWrites:        s.headerWrites.Load(),
 			LogPagesZeroed:      walStats.PagesZeroed,
+			DirPagesSkipped:     s.dirPagesSkipped.Load(),
 		},
+		DeferredReplaces:    s.deferredReplaces.Load(),
+		EarlyReplaceApplies: s.earlyReplaceApplies.Load(),
 		Snap: SnapshotStats{
 			SnapshotReads:  lobStats.SnapshotReads,
 			EpochAdvances:  s.epochs.Advances(),
@@ -1267,7 +1307,11 @@ type Object struct {
 }
 
 // Name returns the object's name.
-func (o *Object) Name() string { return o.e.name }
+func (o *Object) Name() string {
+	o.s.mu.Lock() // Rename writes it under the same lock
+	defer o.s.mu.Unlock()
+	return o.e.name
+}
 
 // mutate runs one structural update under the object latch and inside
 // an epoch mutation scope: superseded pages the operation frees are
@@ -1367,6 +1411,8 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 func (o *Object) Replace(off int64, data []byte) error {
 	o.e.latch.RLock()
 	defer o.e.latch.RUnlock()
+	o.e.inPlace.Lock()
+	defer o.e.inPlace.Unlock()
 	return o.e.obj.Replace(off, data)
 }
 

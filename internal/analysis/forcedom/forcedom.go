@@ -9,7 +9,8 @@
 // sweep.  Five contracts are checked:
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
-//     (lob Object.Replace) is dominated by a WAL force — the pre-image
+//     (lob Object.Replace, or ReplacePlan.Apply for a replace whose
+//     write was deferred) is dominated by a WAL force — the pre-image
 //     record must be durable before it is the only copy of the old
 //     bytes.
 //  2. Two-phase checkpoint: header/catalog writes ((*Store).writeHeader
@@ -104,7 +105,7 @@ const (
 
 // Dominance-rule indices.
 const (
-	rReplace = iota // force-ahead: WAL force before Object.Replace
+	rReplace = iota // force-ahead: WAL force before Object.Replace / ReplacePlan.Apply
 	rMeta           // two-phase checkpoint: device force before meta write
 	rAbort          // abort ordering: device force before RecAbort literal
 	rFree           // quarantine: barrier stamp before Manager.Free
@@ -355,6 +356,8 @@ func (c *checker) eventRule(in *ssa.Instr) int {
 		if in.MutName == "Object.Replace" {
 			return rReplace
 		}
+	case ssa.KHomeWrite:
+		return rReplace
 	case ssa.KMetaWrite:
 		return rMeta
 	case ssa.KAbortRec:

@@ -6,6 +6,7 @@
 //	rank 10  Store.mu           (store manager: catalog, txn table)
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
+//	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
 //	rank 30  Txn.wmu            (transaction write set)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)

@@ -68,6 +68,7 @@ func LockRanks() map[string]int {
 		"Store.mu":         10,
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,
+		"catEntry.inPlace": 25, // one in-place read-modify-write, under the shared latch
 		"Txn.wmu":          30,
 		"deferredAlloc.mu": 30,
 		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it
@@ -184,6 +185,13 @@ const (
 	// KBarrierStamp reads or publishes the quarantine barrier stamp
 	// (Load/Store on a field named barrierDurable).
 	KBarrierStamp
+	// KHomeWrite writes a prepared in-place replace to its home pages
+	// ((*lob.ReplacePlan).Apply or ApplyShared): the deferred form of
+	// Object.Replace's overwrite, and like it subject to the §8.1
+	// force-ahead rule.  Not a KMutate: the record was appended when the
+	// plan was prepared, in an earlier call, so log-before-mutate is not
+	// checkable at the write.
+	KHomeWrite
 )
 
 // Instr is one classified instruction, in source order within its
@@ -213,8 +221,9 @@ type Instr struct {
 	LockToken string
 
 	// KMutate: the "Object.Method" label for diagnostics.  Also set for
-	// KMetaWrite ("Store.writeHeader") and KDevForce ("Volume.ForceAll")
-	// so the forcedom pass can name the event without re-resolving.
+	// KMetaWrite ("Store.writeHeader"), KDevForce ("Volume.ForceAll") and
+	// KHomeWrite ("ReplacePlan.Apply") so the forcedom pass can name the
+	// event without re-resolving.
 	MutName string
 }
 
@@ -406,9 +415,10 @@ func (pr *Program) classify(call *ast.CallExpr, deferred bool, out *[]Instr) {
 var devForceTypes = []string{"Device", "Volume", "FileVolume"}
 
 // durabilityEvent classifies the forcedom event vocabulary: log and
-// device forces, directory syncs, renames, header/catalog writes, and
-// quarantine-gated extent frees.  Matching follows the eosutil
-// convention (package name + type name) so fixture stand-ins work.
+// device forces, directory syncs, renames, header/catalog writes,
+// quarantine-gated extent frees, and deferred in-place home writes.
+// Matching follows the eosutil convention (package name + type name) so
+// fixture stand-ins work.
 func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	info := pr.Pass.TypesInfo
 	if m, ok := eosutil.IsMethodCall(info, call, "wal", "Log", "Force", "ForceLSN"); ok {
@@ -438,6 +448,9 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	}
 	if ok := isBarrierStamp(call); ok {
 		return KBarrierStamp, "barrierDurable", true
+	}
+	if m, ok := eosutil.IsMethodCall(info, call, "lob", "ReplacePlan", "Apply", "ApplyShared"); ok {
+		return KHomeWrite, "ReplacePlan." + m, true
 	}
 	return 0, "", false
 }

@@ -128,6 +128,7 @@ func TestProgramIR(t *testing.T) {
 				ssa.KBarrierStamp: 2, // Store + Load
 				ssa.KAbortRec:     1, // RecCommit literal stays unclassified
 				ssa.KWALAppend:    1,
+				ssa.KHomeWrite:    1,
 			}
 			for k, n := range want {
 				if counts[k] != n {
@@ -136,7 +137,8 @@ func TestProgramIR(t *testing.T) {
 				}
 			}
 			for _, lbl := range []string{"Log.Force", "Log.ForceLSN", "FileVolume.ForceAll",
-				"Device.Force", "Store.writeHeader", "Store.writeCatalog", "Manager.Free"} {
+				"Device.Force", "Store.writeHeader", "Store.writeCatalog", "Manager.Free",
+				"ReplacePlan.Apply"} {
 				found := false
 				for _, ls := range labels {
 					for _, l := range ls {

@@ -6,6 +6,7 @@ import (
 
 	"buddy"
 	"disk"
+	"lob"
 	"wal"
 )
 
@@ -21,7 +22,7 @@ func (s *Store) writeCatalog() error { return nil }
 
 // durability exercises every v4 durability-event kind in one function;
 // the ssa probe asserts each classification.
-func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *Store) {
+func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *Store, plan *lob.ReplacePlan) {
 	t.log.Force()
 	t.log.ForceLSN(7)
 	v.ForceAll()
@@ -36,4 +37,5 @@ func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *
 	rec := wal.Record{Type: wal.RecAbort}
 	t.log.Append(rec)
 	_ = wal.Record{Type: wal.RecCommit} // not an abort record: stays unclassified
+	plan.Apply()
 }

@@ -30,6 +30,9 @@ type Txn struct {
 	log *wal.Log
 	obj *lob.Object
 	s   *Store
+
+	pending    *lob.ReplacePlan
+	pendingLSN int64
 }
 
 // Replace is shape 1 (PR 8: unforced pre-images): the update record is
@@ -66,6 +69,22 @@ func (t *Txn) ReplaceMaybe(off int64, p []byte, fast bool) error {
 		}
 	}
 	return t.obj.Replace(off, p) // want "in-place overwrite Object.Replace is not dominated by a WAL force"
+}
+
+// Read is shape 1 for a deferred replace: the operation that settles
+// the pending plan reaches its home write through a helper that lost its
+// force, so nothing guarantees the pre-image record is durable yet.
+func (t *Txn) Read(off int64, p []byte) (int, error) {
+	if err := t.settle(); err != nil { // want "call can overwrite previously-forced object state in place before a WAL force .*settle → ReplacePlan.Apply"
+		return 0, err
+	}
+	return t.obj.Read(off, p)
+}
+
+func (t *Txn) settle() error {
+	plan := t.pending
+	t.pending = nil
+	return plan.Apply()
 }
 
 // Checkpoint is shape 2 (PR 8: checkpoint ordering): the header and

@@ -35,6 +35,9 @@ type Txn struct {
 	log *wal.Log
 	obj *lob.Object
 	s   *Store
+
+	pending    *lob.ReplacePlan
+	pendingLSN int64
 }
 
 // Replace forces the pre-image record before the in-place overwrite
@@ -67,6 +70,52 @@ func (t *Txn) forceTail() error { return t.log.Force() }
 
 func (t *Txn) applyReplace(off int64, p []byte) error {
 	return t.obj.Replace(off, p)
+}
+
+// ReplaceDeferred logs the replace and leaves the home write pending;
+// Read and Commit reach it only through applyPending, which keeps the
+// force next to the write, so every path to Apply passes a force.
+func (t *Txn) ReplaceDeferred(off int64, p []byte) error {
+	plan, err := t.obj.PrepareReplace(off, p)
+	if err != nil {
+		return err
+	}
+	lsn, err := t.log.Append(wal.Record{Type: wal.RecUpdate})
+	if err != nil {
+		return err
+	}
+	t.pending, t.pendingLSN = plan, lsn
+	return nil
+}
+
+func (t *Txn) Read(off int64, p []byte) (int, error) {
+	if err := t.applyPending(); err != nil {
+		return 0, err
+	}
+	return t.obj.Read(off, p)
+}
+
+func (t *Txn) Commit() error {
+	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
+	if err != nil {
+		return err
+	}
+	if err := t.log.ForceLSN(lsn); err != nil {
+		return err
+	}
+	return t.applyPending()
+}
+
+func (t *Txn) applyPending() error {
+	if t.pending == nil {
+		return nil
+	}
+	if err := t.log.ForceLSN(t.pendingLSN); err != nil {
+		return err
+	}
+	plan := t.pending
+	t.pending = nil
+	return plan.Apply()
 }
 
 // Checkpoint is the two-phase barrier: force data pages, write the

@@ -16,6 +16,15 @@ func (o *Object) Compact() error                        { return nil }
 func (o *Object) Read(off int64, b []byte) (int, error) { return 0, nil }
 func (o *Object) Size() int64                           { return 0 }
 
+// ReplacePlan is the stand-in prepared replace: Apply is the in-place
+// home write forcedom's force-ahead rule anchors on.
+type ReplacePlan struct{}
+
+func (o *Object) PrepareReplace(off int64, b []byte) (*ReplacePlan, error) {
+	return &ReplacePlan{}, nil
+}
+func (p *ReplacePlan) Apply() error { return nil }
+
 // PageNum numbers a page.
 type PageNum int64
 

@@ -472,44 +472,58 @@ func (p *Pool) FlushPage(pg disk.PageNum) error {
 // truncated while anything is pinned (quiescent checkpoints have no
 // live transactions and therefore no pins).
 func (p *Pool) FlushAll() error {
+	_, err := p.FlushAllExcept(nil)
+	return err
+}
+
+// FlushAllExcept is FlushAll for every page but those in keep, which stay
+// dirty in the pool until an eviction or a later flush writes them.  It
+// reports how many dirty frames it left behind for that reason.  For
+// pages whose durable image nobody reads back (the buddy directories,
+// rebuilt by every Open), so that a barrier need not write them.
+func (p *Pool) FlushAllExcept(keep map[disk.PageNum]bool) (kept int, err error) {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	if len(p.shards) == 1 {
-		return p.flushShard(p.shards[0])
+		return p.flushShard(p.shards[0], keep)
 	}
 	errs := make([]error, len(p.shards))
+	kepts := make([]int, len(p.shards))
 	var wg sync.WaitGroup
 	for i, sh := range p.shards {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			errs[i] = p.flushShard(sh)
+			kepts[i], errs[i] = p.flushShard(sh, keep)
 		}(i, sh)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return kept, err
 		}
+		kept += kepts[i]
 	}
-	return nil
+	return kept, nil
 }
 
-// flushShard writes back every dirty unpinned frame of one shard, in
-// page order, coalescing adjacent pages into vectored runs.  The shard
-// mutex is held for the duration: concurrent fixes of this shard's pages
-// wait out the flush, which is what makes reading the frame images safe
-// — a frame's image is only ever mutated while pinned, pinned frames are
-// skipped, and pin transitions happen under this same mutex.  Dirty bits
-// are cleared only after their run's write succeeds, so a failed
-// write-back leaves the frame dirty for the next attempt.
-func (p *Pool) flushShard(sh *shard) error {
+// flushShard writes back every dirty unpinned frame of one shard that is
+// not in keep, in page order, coalescing adjacent pages into vectored
+// runs.  The shard mutex is held for the duration: concurrent fixes of
+// this shard's pages wait out the flush, which is what makes reading the
+// frame images safe — a frame's image is only ever mutated while pinned,
+// pinned frames are skipped, and pin transitions happen under this same
+// mutex.  Dirty bits are cleared only after their run's write succeeds,
+// so a failed write-back leaves the frame dirty for the next attempt.
+func (p *Pool) flushShard(sh *shard, keep map[disk.PageNum]bool) (kept int, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var dirty []*frame
 	for _, f := range sh.frames {
 		switch {
 		case !f.dirty:
+		case keep[f.page]:
+			kept++
 		case f.pins > 0:
 			sh.flushSkips.Add(1)
 		default:
@@ -517,11 +531,11 @@ func (p *Pool) flushShard(sh *shard) error {
 		}
 	}
 	if len(dirty) == 0 {
-		return nil
+		return kept, nil
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].page < dirty[j].page })
 	if p.disp != nil {
-		return p.flushRunsAsync(sh, dirty)
+		return kept, p.flushRunsAsync(sh, dirty)
 	}
 	for i := 0; i < len(dirty); {
 		j := i + 1
@@ -533,7 +547,7 @@ func (p *Pool) flushShard(sh *shard) error {
 			run = append(run, f.data)
 		}
 		if err := p.vol.WriteRun(dirty[i].page, run); err != nil {
-			return err
+			return kept, err
 		}
 		for _, f := range dirty[i:j] {
 			f.dirty = false
@@ -541,7 +555,7 @@ func (p *Pool) flushShard(sh *shard) error {
 		}
 		i = j
 	}
-	return nil
+	return kept, nil
 }
 
 // flushRunsAsync submits one shard's coalesced runs through the

@@ -11,7 +11,7 @@ func sweepConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Seed:           42,
-		Workload:       WorkloadConfig{Seed: 42, Txns: 130},
+		Workload:       WorkloadConfig{Seed: 42, Txns: 170},
 		Opts:           eos.Options{Threshold: 4},
 		SubsetEvery:    6,
 		SubsetSamples:  2,

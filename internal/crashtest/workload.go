@@ -1,8 +1,11 @@
 package crashtest
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"github.com/eosdb/eos"
 )
@@ -87,11 +90,27 @@ func mapsEqual(a, b map[string]uint64) bool {
 	return true
 }
 
+// Trace formats of the workload's events.  A Trace function can tell
+// them apart by comparing the format it is handed.
+const (
+	traceBegin  = "seq %d: txn %d begins"
+	traceOp     = "        txn %d: %s on %s (len was %d)"
+	traceCommit = "seq %d-%d: txn %d committed (force=%v)"
+	traceAbort  = "seq %d: txn %d aborted"
+)
+
+// errStaleRead fails the workload: a transaction's read did not return
+// the bytes the transaction itself had written.
+var errStaleRead = errors.New("crashtest: transaction read does not see its own writes")
+
+// loserTxn is the number the trace gives the transaction left in flight.
+const loserTxn = -1
+
 // WorkloadConfig tunes the seeded churn the sweep traces.
 type WorkloadConfig struct {
 	// Trace, when set, receives a line per workload action with the
 	// clock position, for debugging sweep violations.
-	Trace func(format string, args ...any)
+	Trace       func(format string, args ...any)
 	Seed        int64
 	Txns        int // committed-or-aborted transactions to attempt
 	Objects     int // object-name pool size (default 6)
@@ -142,12 +161,17 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 		if err != nil {
 			return nil, fmt.Errorf("begin txn %d: %w", i, err)
 		}
-		cfg.Trace("seq %d: txn %d begins", clock.Seq(), i)
+		cfg.Trace(traceBegin, clock.Seq(), i)
 		staged := map[string]*[]byte{} // nil pointer = destroyed in this txn
 		nOps := 1 + rng.Intn(3)
 		opErr := error(nil)
+		prev := ""
 		for j := 0; j < nOps && opErr == nil; j++ {
-			opErr = randomOp(tx, rng, cfg, model, staged)
+			prev, opErr = randomOp(tx, i, prev, rng, cfg, model, staged)
+		}
+		if errors.Is(opErr, errStaleRead) {
+			_ = tx.Abort() // the stale read is the error to report
+			return nil, opErr
 		}
 		if opErr != nil {
 			// Space or log pressure: abort, checkpoint to drain, go on.
@@ -164,7 +188,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			if err := tx.Abort(); err != nil {
 				return nil, fmt.Errorf("abort txn %d: %w", i, err)
 			}
-			cfg.Trace("seq %d: txn %d aborted", clock.Seq(), i)
+			cfg.Trace(traceAbort, clock.Seq(), i)
 		default:
 			force := rng.Intn(100) < 70
 			beginSeq := clock.Seq()
@@ -177,7 +201,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 				return nil, fmt.Errorf("commit txn %d: %w", i, err)
 			}
 			retSeq := clock.Seq()
-			cfg.Trace("seq %d-%d: txn %d committed (force=%v)", beginSeq, retSeq, i, force)
+			cfg.Trace(traceCommit, beginSeq, retSeq, i, force)
 			applyStaged(model, staged)
 			sizes := make(map[string]int, len(model))
 			for n, c := range model {
@@ -209,9 +233,21 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 		return nil, fmt.Errorf("begin loser: %w", err)
 	}
 	staged := map[string]*[]byte{}
+	prev := ""
 	for j := 0; j < 2; j++ {
-		if err := randomOp(loser, rng, cfg, model, staged); err != nil {
+		if prev, err = randomOp(loser, loserTxn, prev, rng, cfg, model, staged); err != nil {
 			break // pressure errors are fine here; the point is open records
+		}
+	}
+	// The loser also destroys a committed object it has not touched: the
+	// checkpoint below must not journal a tombstone for it.
+	for _, name := range sortedNames(model) {
+		if _, touched := staged[name]; !touched {
+			if err := loser.Destroy(name); err != nil {
+				return nil, fmt.Errorf("loser destroy: %w", err)
+			}
+			cfg.Trace(traceOp, loserTxn, "destroy", name, len(model[name]))
+			break
 		}
 	}
 	// Push the loser's dirty pages toward the device without committing:
@@ -222,15 +258,22 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	return oracle, nil
 }
 
-// randomOp performs one mutating operation on tx, keeping model/staged
-// bookkeeping in sync.  Errors are returned for the caller to abort on.
-func randomOp(tx *eos.Txn, rng *rand.Rand, cfg WorkloadConfig, model map[string][]byte, staged map[string]*[]byte) error {
+// randomOp performs one operation on tx, keeping model/staged
+// bookkeeping in sync, and returns the object it picked.  Half the time
+// that is prev, the object of the transaction's previous operation, so
+// that sequences on one object — a replace followed by a read, by a
+// structural operation, or by nothing but the commit or abort — are
+// common.  Errors are returned for the caller to abort on.
+func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadConfig, model map[string][]byte, staged map[string]*[]byte) (string, error) {
 	name := fmt.Sprintf("o%d", rng.Intn(cfg.Objects))
+	if prev != "" && rng.Intn(2) == 0 {
+		name = prev
+	}
 	cur, exists := stagedValue(model, staged, name)
 
 	if !exists {
 		if err := tx.Create(name, 0); err != nil {
-			return err
+			return name, err
 		}
 		v := []byte{}
 		staged[name] = &v
@@ -248,47 +291,48 @@ func randomOp(tx *eos.Txn, rng *rand.Rand, cfg WorkloadConfig, model map[string]
 
 	roll := rng.Intn(100)
 	big := len(cur) >= cfg.MaxObjBytes
-	defer func() { cfg.Trace("        op on %s done (len was %d)", name, len(cur)) }()
+	trace := func(kind string) { cfg.Trace(traceOp, txn, kind, name, len(cur)) }
 	switch {
-	case roll < 8 && exists: // destroy
+	case roll < 6 && exists: // destroy
+		trace("destroy")
 		if err := tx.Destroy(name); err != nil {
-			return err
+			return name, err
 		}
 		staged[name] = nil
-		return nil
-	case roll < 40 && !big: // append
+	case roll < 34 && !big: // append
+		trace("append")
 		d := data(1 + rng.Intn(cfg.MaxWrite))
 		if err := tx.Append(name, d); err != nil {
-			return err
+			return name, err
 		}
 		nv := append(append([]byte{}, cur...), d...)
 		staged[name] = &nv
-		return nil
-	case roll < 55 && !big: // insert
+	case roll < 47 && !big: // insert
+		trace("insert")
 		off := int64(0)
 		if len(cur) > 0 {
 			off = int64(rng.Intn(len(cur) + 1))
 		}
 		d := data(1 + rng.Intn(cfg.MaxWrite))
 		if err := tx.Insert(name, off, d); err != nil {
-			return err
+			return name, err
 		}
 		nv := make([]byte, 0, len(cur)+len(d))
 		nv = append(nv, cur[:off]...)
 		nv = append(nv, d...)
 		nv = append(nv, cur[off:]...)
 		staged[name] = &nv
-		return nil
-	case roll < 70 && len(cur) > 0: // delete a range
+	case roll < 60 && len(cur) > 0: // delete a range
+		trace("delete")
 		off := int64(rng.Intn(len(cur)))
 		n := int64(1 + rng.Intn(len(cur)-int(off)))
 		if err := tx.Delete(name, off, n); err != nil {
-			return err
+			return name, err
 		}
 		nv := append(append([]byte{}, cur[:off]...), cur[off+n:]...)
 		staged[name] = &nv
-		return nil
-	case roll < 90 && len(cur) > 0: // replace in place
+	case roll < 82 && len(cur) > 0: // replace in place
+		trace("replace")
 		off := int64(rng.Intn(len(cur)))
 		max := len(cur) - int(off)
 		if max > cfg.MaxWrite {
@@ -296,29 +340,49 @@ func randomOp(tx *eos.Txn, rng *rand.Rand, cfg WorkloadConfig, model map[string]
 		}
 		d := data(1 + rng.Intn(max))
 		if err := tx.Replace(name, off, d); err != nil {
-			return err
+			return name, err
 		}
 		nv := append([]byte{}, cur...)
 		copy(nv[off:], d)
 		staged[name] = &nv
-		return nil
+	case roll < 92 && len(cur) > 0: // read back through the transaction
+		trace("read")
+		off := int64(rng.Intn(len(cur)))
+		n := int64(1 + rng.Intn(len(cur)-int(off)))
+		got, err := tx.Read(name, off, n)
+		if err != nil {
+			return name, err
+		}
+		if !bytes.Equal(got, cur[off:off+n]) {
+			return name, fmt.Errorf("%w: txn %d, %s [%d,%d)", errStaleRead, txn, name, off, off+n)
+		}
 	case len(cur) > 0: // truncate
+		trace("truncate")
 		newSize := int64(rng.Intn(len(cur)))
 		if err := tx.Truncate(name, newSize); err != nil {
-			return err
+			return name, err
 		}
 		nv := append([]byte{}, cur[:newSize]...)
 		staged[name] = &nv
-		return nil
 	default: // empty object: append something small
+		trace("append")
 		d := data(1 + rng.Intn(64))
 		if err := tx.Append(name, d); err != nil {
-			return err
+			return name, err
 		}
 		nv := append(append([]byte{}, cur...), d...)
 		staged[name] = &nv
-		return nil
 	}
+	return name, nil
+}
+
+func sortedNames(model map[string][]byte) []string {
+	names := make([]string, 0, len(model))
+	for n := range model {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // stagedValue reads name through the transaction's staging overlay.

@@ -41,3 +41,67 @@ func TestWorkloadModelMatchesStore(t *testing.T) {
 	t.Logf("final oracle state: %v", want)
 	t.Errorf("model diverges from store")
 }
+
+// TestWorkloadCoversReplaceShapes checks that the sweep's workload drives
+// every fate a transactional replace can meet: written home by the commit
+// force, settled early by a read or by a structural operation on the same
+// object, dropped by an abort — and that the loser destroys an object.
+func TestWorkloadCoversReplaceShapes(t *testing.T) {
+	cfg := sweepConfig(t)
+	clock := &Clock{}
+	dataDev := NewDevice(disk.MustNewVolume(512, 4096, disk.DefaultCostModel()), clock, 0)
+	logDev := NewDevice(disk.MustNewVolume(512, 1024, disk.DefaultCostModel()), clock, 1)
+	st, err := eos.Format(dataDev, logDev, cfg.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type op struct{ kind, obj string }
+	ops := map[int][]op{}
+	shapes := map[string]int{}
+	// end classifies each replace of a finished transaction by the next
+	// operation on its object that is not a plain append, or by how the
+	// transaction ended.
+	end := func(txn int, how string) {
+		for i, o := range ops[txn] {
+			if o.kind != "replace" {
+				continue
+			}
+			fate := how
+			for _, later := range ops[txn][i+1:] {
+				if later.obj == o.obj && later.kind != "append" {
+					fate = later.kind
+					break
+				}
+			}
+			shapes["replace, "+fate]++
+		}
+	}
+	wl := cfg.Workload
+	wl.Trace = func(format string, args ...any) {
+		switch format {
+		case traceOp:
+			txn := args[0].(int)
+			ops[txn] = append(ops[txn], op{args[1].(string), args[2].(string)})
+		case traceCommit:
+			end(args[2].(int), "commit")
+		case traceAbort:
+			end(args[1].(int), "abort")
+		}
+	}
+	if _, err := RunWorkload(st, clock, wl); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("replace shapes: %v", shapes)
+	for _, want := range []string{
+		"replace, commit", "replace, abort", "replace, read",
+		"replace, insert", "replace, delete", "replace, truncate", "replace, replace",
+	} {
+		if shapes[want] == 0 {
+			t.Errorf("workload never produces %q", want)
+		}
+	}
+	loser := ops[loserTxn]
+	if len(loser) == 0 || loser[len(loser)-1].kind != "destroy" {
+		t.Errorf("the loser's operations %v do not end in a destroy", loser)
+	}
+}

@@ -217,3 +217,11 @@ func (o *Object) writeTail(tailLen int64, data []byte) error {
 	}
 	return m.vol.WritePages(o.tailStart+disk.PageNum(first), npages, raw)
 }
+
+// AppendRewrites reports whether the next append may read or rewrite
+// pages the object already owns: an untrimmed tail segment is filled in
+// place, and the adaptive threshold may compact existing segments.
+// Otherwise an append only writes pages it has just allocated.
+func (o *Object) AppendRewrites() bool {
+	return o.tailAlloc > 0 || o.m.cfg.AdaptiveThreshold
+}

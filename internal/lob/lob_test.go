@@ -277,6 +277,103 @@ func TestReplaceInPlace(t *testing.T) {
 	}
 }
 
+// TestReplacePlan: a plan reads each touched page run exactly once and
+// yields the pre-image and its physical extents; nothing is written
+// until Apply, which reads nothing and leaves what Replace would have.
+// ApplyShared leaves the same bytes but keeps what a neighbour wrote
+// around the range in the boundary pages since the plan was prepared.
+func TestReplacePlan(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
+		o := e.m.NewObject(0)
+		model := pattern(4, 1337)
+		if err := o.Append(model); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := o.Segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 2 {
+			t.Fatalf("object has %d segments, want several", len(segs))
+		}
+		for _, c := range []struct {
+			off int64
+			n   int
+		}{
+			{0, 1}, {50, 200}, {99, 2}, {550, 100}, {0, 1337},
+		} {
+			// One request per segment the range overlaps.
+			pieces := int64(0)
+			for _, sg := range segs {
+				if sg.LogicalOff < c.off+int64(c.n) && c.off < sg.LogicalOff+sg.Bytes {
+					pieces++
+				}
+			}
+			repl := pattern(int(c.off)+77, c.n)
+			before := e.vol.Stats()
+			plan, err := o.PrepareReplace(c.off, repl)
+			if err != nil {
+				t.Fatalf("PrepareReplace(%d,%d): %v", c.off, c.n, err)
+			}
+			mid := e.vol.Stats()
+			if got := mid.Reads - before.Reads; got != pieces || mid.Writes != before.Writes {
+				t.Errorf("PrepareReplace(%d,%d): %d reads, %d writes; want %d, 0",
+					c.off, c.n, got, mid.Writes-before.Writes, pieces)
+			}
+			if !bytes.Equal(plan.Old(), model[c.off:c.off+int64(c.n)]) {
+				t.Errorf("PrepareReplace(%d,%d): wrong pre-image", c.off, c.n)
+			}
+			// The extents locate the pre-image on the volume, in order.
+			var at []byte
+			for _, x := range plan.Extents() {
+				page, err := e.vol.Read(x.Page, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = append(at, page[x.Off:x.Off+x.Len]...)
+			}
+			if !bytes.Equal(at, plan.Old()) {
+				t.Errorf("PrepareReplace(%d,%d): extents do not hold the pre-image", c.off, c.n)
+			}
+			mustContent(t, o, model)
+			if plan.Applied() {
+				t.Error("plan applied before Apply")
+			}
+
+			before = e.vol.Stats()
+			if shared {
+				// A neighbour rewrites the byte just past the range.
+				if end := c.off + int64(c.n); end < int64(len(model)) {
+					model[end] ^= 0xff
+					if err := o.Replace(end, model[end:end+1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				err = plan.ApplyShared()
+			} else {
+				err = plan.Apply()
+				if after := e.vol.Stats(); after.Reads != before.Reads || after.Writes-before.Writes != pieces {
+					t.Errorf("Apply(%d,%d): %d reads, %d writes; want 0, %d",
+						c.off, c.n, after.Reads-before.Reads, after.Writes-before.Writes, pieces)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(model[c.off:], repl)
+			mustContent(t, o, model)
+			if !plan.Applied() {
+				t.Error("plan not marked applied")
+			}
+		}
+		if _, err := o.PrepareReplace(1330, pattern(0, 8)); !errors.Is(err, ErrOutOfBounds) {
+			t.Errorf("overlong plan: err = %v", err)
+		}
+		mustCheck(t, o)
+	}
+}
+
 func TestReplaceTouchesNoIndexPages(t *testing.T) {
 	// §4.5: replace "modifies the leaf pages without affecting the
 	// internal nodes of the tree".

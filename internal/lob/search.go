@@ -191,31 +191,120 @@ type Extent struct {
 	Len  int
 }
 
-// RangeExtents maps the logical byte range [off, off+n) to its physical
-// page extents, in order.  The transaction layer logs a replace's
-// extents so that recovery can physically undo uncommitted in-place
-// writes that reached the disk.
-func (o *Object) RangeExtents(off, n int64) ([]Extent, error) {
-	if err := o.checkRange(off, n); err != nil {
+// ReplacePlan is an in-place replace prepared but not yet written: the
+// pre-image and physical extents the transaction layer logs, and the
+// post-image of every page the replace touches.  PrepareReplace reads
+// each touched page run once; Apply reads nothing, so the write can wait
+// for the log force that covers the pre-image.  A plan stays correct only
+// while nothing else reads, rewrites or moves the pages it covers — the
+// caller applies it before any such operation.
+type ReplacePlan struct {
+	o       *Object
+	old     []byte
+	exts    []Extent
+	runs    []planRun
+	applied bool
+}
+
+// planRun is one segment's share of a plan: whole-page images to be
+// written from page start on, of which raw[in:in+n] are the new bytes.
+type planRun struct {
+	start disk.PageNum
+	raw   []byte
+	in, n int64
+}
+
+// PrepareReplace plans overwriting len(data) bytes at off with data: one
+// tree walk, and per segment piece one read of the whole page run the
+// piece touches (the non-transactional Replace reads only the boundary
+// pages, but it needs no pre-image).
+func (o *Object) PrepareReplace(off int64, data []byte) (*ReplacePlan, error) {
+	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
 	}
-	ps := int64(o.m.vol.PageSize())
-	var out []Extent
-	err := o.m.walkRange(o.root, off, n, func(seg entry, segOff, take int64) error {
-		for take > 0 {
-			page := seg.ptr + disk.PageNum(segOff/ps)
-			inPage := segOff % ps
-			l := ps - inPage
-			if l > take {
-				l = take
+	m := o.m
+	ps := int64(m.vol.PageSize())
+	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data))}
+	pos := int64(0)
+	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
+		first := segOff / ps
+		npages := int((segOff+n-1)/ps - first + 1)
+		in := segOff - first*ps
+		run := planRun{start: seg.ptr + disk.PageNum(first), raw: make([]byte, npages*int(ps)), in: in, n: n}
+		if err := m.vol.ReadPages(run.start, npages, run.raw); err != nil {
+			return err
+		}
+		p.old = append(p.old, run.raw[in:in+n]...)
+		copy(run.raw[in:], data[pos:pos+n])
+		pos += n
+		p.runs = append(p.runs, run)
+		for page := run.start; n > 0; page++ {
+			l := ps - in
+			if l > n {
+				l = n
 			}
-			out = append(out, Extent{Page: page, Off: int(inPage), Len: int(l)})
-			segOff += l
-			take -= l
+			p.exts = append(p.exts, Extent{Page: page, Off: int(in), Len: int(l)})
+			in, n = 0, n-l
 		}
 		return nil
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Old returns the bytes the replace overwrites.
+func (p *ReplacePlan) Old() []byte { return p.old }
+
+// Extents returns the physical location of Old, page by page in logical
+// order: what recovery needs to undo the write if its transaction loses.
+func (p *ReplacePlan) Extents() []Extent { return p.exts }
+
+// Applied reports whether Apply has started writing.
+func (p *ReplacePlan) Applied() bool { return p.applied }
+
+// Apply writes the planned page images home, one contiguous request per
+// segment piece.  Like Replace it touches no index node.  It is for a
+// caller that has kept every other writer off the object since
+// PrepareReplace: the images include the bytes around the range in its
+// first and last page as they were then.
+func (p *ReplacePlan) Apply() error {
+	m := p.begin()
+	ps := m.vol.PageSize()
+	for _, run := range p.runs {
+		npages := len(run.raw) / ps
+		if m.cfg.OnDataWrite != nil {
+			m.cfg.OnDataWrite(run.start, npages)
+		}
+		if err := m.vol.WritePages(run.start, npages, run.raw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ApplyShared is Apply for a caller that owns only the replaced range
+// (byte-range locking): another writer may since have changed the bytes
+// around it in its boundary pages, so those pages are read again and only
+// the new bytes laid over them.  The caller serializes the in-place
+// writers of one object for the duration.
+func (p *ReplacePlan) ApplyShared() error {
+	m := p.begin()
+	for _, run := range p.runs {
+		if err := m.replaceInSegment(entry{ptr: run.start}, run.in, run.raw[run.in:run.in+run.n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// begin marks the plan applied and counts the replace.
+func (p *ReplacePlan) begin() *Manager {
+	p.applied = true
+	p.o.bumpVersion()
+	p.o.m.st.replaces.Add(1)
+	return p.o.m
 }
 
 // replaceInSegment rewrites bytes [segOff, segOff+len(data)) of one

@@ -16,16 +16,27 @@ import (
 //   - Uncommitted STRUCTURAL work never becomes durable: insert, delete
 //     and append shadow index pages and never overwrite live data pages,
 //     and catalog writes substitute the last committed descriptor for
-//     any transaction-dirty object.
+//     any transaction-dirty object — and keep the record of an object a
+//     live transaction has destroyed.
 //   - Every volume force is followed by a catalog barrier (commits,
 //     aborts, checkpoints all go through the same path) that journals
 //     whichever descriptors changed, so durable page content and the
 //     durable catalog always describe the same state.
+//   - An in-place write reaches the device only behind a force of the
+//     log record holding its pre-image.  A replace whose write is
+//     deferred to commit is written behind the commit record's force, so
+//     it can be durable only for a committed transaction; a crash before
+//     the write leaves a committed record redo applies.
 //   - A force never includes pages another live transaction has written
-//     in place, so the only uncommitted in-place writes that can be
-//     durable are those of transactions still in flight at the crash —
-//     whose locks were never released and whose logged physical extents
-//     are therefore still accurate.
+//     in place, and a transaction stops being live in the same critical
+//     section that hands its new roots to the catalog.  So the only
+//     uncommitted in-place writes that can be durable are those of
+//     transactions still in flight at the crash — whose locks were never
+//     released and whose logged physical extents are therefore still
+//     accurate — and a durable root never references a page its own
+//     barrier skipped.
+//   - The buddy directories carry no durable information: step 3 below
+//     rebuilds them on every open, and commit barriers do not write them.
 //
 // The recovery procedure:
 //

@@ -185,10 +185,14 @@ func TestAbortRecordWrittenAfterCompensations(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// In-flight replace: the WAL record goes ahead of the in-place
-		// write, the post-image lives dirty in the buffer pool.
+		// In-flight replace.  The read-back settles it: the pre-image
+		// record is forced and the post-image written in place, so the
+		// abort below has something on the device to compensate.
 		tx, _ := s.Begin()
 		if err := tx.Replace("x", 100, pat(99, 700)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read("x", 100, 700); err != nil {
 			t.Fatal(err)
 		}
 		// A checkpoint flushes the loser's in-place page to the device
@@ -240,5 +244,42 @@ func TestAbortRecordWrittenAfterCompensations(t *testing.T) {
 		if err := s2.Check(); err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
+	}
+}
+
+// TestCrashBetweenCommitForceAndHomeWriteIsRedone cuts the power after a
+// commit's log force and before its deferred replace is written home: the
+// commit record is durable, the data volume holds none of the new bytes,
+// and redo must put them there.
+func TestCrashBetweenCommitForceAndHomeWriteIsRedone(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	tx, _ := s.Begin()
+	repl, tail := pat(56, 1500), pat(57, 400)
+	if err := tx.Replace("x", 2000, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", tail); err != nil {
+		t.Fatal(err)
+	}
+	// The log volume stays healthy, so the commit force succeeds; the
+	// first data-volume request after it is the home write.
+	boom := errors.New("boom")
+	vol.FailAfter(0, boom)
+	err := tx.Commit()
+	vol.ClearFault()
+	if !errors.Is(err, boom) {
+		t.Fatalf("commit over a dead data volume: %v", err)
+	}
+	s = crashReopen(t, vol, logVol)
+	want := append(append([]byte{}, base...), tail...)
+	copy(want[2000:], repl)
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("committed replace + append not redone")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
 	}
 }

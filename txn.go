@@ -82,11 +82,12 @@ type txnOp struct {
 	entry    *catEntry
 	off      int64
 	n        int64
-	old      []byte // pre-images for replace/delete undo
+	old      []byte // pre-image for delete undo
 	oldSize  int64  // for append undo
 	freeLo   int
 	freeHi   int
-	snapshot []byte // descriptor snapshot for destroy undo
+	snapshot []byte           // descriptor snapshot for destroy undo
+	plan     *lob.ReplacePlan // replace: its pre-image, and whether it was written home
 }
 
 // Txn is one transaction over the store: strict two-phase object locks,
@@ -138,6 +139,11 @@ type txnObj struct {
 	entry   *catEntry
 	prevLSN uint64
 	created bool
+	// pending is the object's deferred replace, logged at pendingLSN but
+	// not yet written home (at most one: the next operation that could
+	// read or move its pages settles it first); nil when there is none.
+	pending    *lob.ReplacePlan
+	pendingLSN uint64
 }
 
 // Begin starts a transaction.
@@ -294,6 +300,9 @@ func (t *Txn) Destroy(name string) error {
 	if err != nil {
 		return err
 	}
+	if err := t.settleReplace(e); err != nil {
+		return err
+	}
 	op := txnOp{typ: wal.RecDestroy, entry: e, snapshot: e.obj.EncodeDescriptor(), freeLo: t.alloc.mark()}
 	if _, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDestroy, Object: e.id}); err != nil {
 		return err
@@ -305,9 +314,12 @@ func (t *Txn) Destroy(name string) error {
 		return err
 	}
 	op.freeHi = t.alloc.mark()
+	// Only the name goes now.  The entry stays in byID, and so in every
+	// catalog barrier with its last committed descriptor, until the
+	// destroy commits: somebody else's barrier must not journal a
+	// tombstone for an object whose destroy may still abort or crash.
 	t.s.mu.Lock()
 	delete(t.s.catalog, e.name)
-	delete(t.s.byID, e.id)
 	t.s.mu.Unlock()
 	t.journal = append(t.journal, op)
 	return nil
@@ -327,6 +339,13 @@ func (t *Txn) Append(name string, data []byte) error {
 	e, err := t.touch(name, lockStructural, curSize, 0)
 	if err != nil {
 		return err
+	}
+	// An append that only writes fresh pages leaves a deferred replace
+	// where it is.
+	if e.obj.AppendRewrites() {
+		if err := t.settleReplace(e); err != nil {
+			return err
+		}
 	}
 	oldSize := e.obj.Size()
 	op := txnOp{typ: wal.RecAppend, entry: e, oldSize: oldSize, freeLo: t.alloc.mark()}
@@ -355,6 +374,9 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := t.settleReplace(e); err != nil {
+		return err
+	}
 	op := txnOp{typ: wal.RecInsert, entry: e, off: off, n: int64(len(data)), freeLo: t.alloc.mark()}
 	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecInsert, Object: e.id, Off: off, Data: data})
 	if err != nil {
@@ -379,6 +401,9 @@ func (t *Txn) Delete(name string, off, n int64) error {
 	}
 	e, err := t.touch(name, lockStructural, off, 0)
 	if err != nil {
+		return err
+	}
+	if err := t.settleReplace(e); err != nil {
 		return err
 	}
 	old, err := e.obj.Read(off, n)
@@ -423,7 +448,20 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 
 // Replace overwrites bytes of the named object in place; the old and new
 // values are logged (§4.5: replace is the logged update, the other three
-// shadow).
+// shadow).  The record carries the physical extents with the pre-image:
+// an uncommitted replace page may reach the disk when another
+// transaction's barrier forces the volume, so recovery must be able to
+// physically undo it.
+//
+// Under whole-object locking the in-place write is deferred: nobody else
+// can see the object before the transaction ends, so the write waits for
+// the commit force to cover its pre-image (one log force per transaction)
+// and an abort simply drops it.  A later operation of the same
+// transaction that could read or move the covered pages settles it first
+// (settleReplace).  Under Options.RangeLocking another transaction may
+// restructure the suffix behind this range as soon as the latch drops,
+// which would leave the plan's page images stale, so there the write
+// stays immediate.
 func (t *Txn) Replace(name string, off int64, data []byte) error {
 	if err := t.check(); err != nil {
 		return err
@@ -432,50 +470,72 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := t.settleReplace(e); err != nil {
+		return err
+	}
 	e.latch.RLock()
-	old, err := e.obj.Read(off, int64(len(data)))
+	defer e.latch.RUnlock()
+	plan, err := e.obj.PrepareReplace(off, data)
 	if err != nil {
-		e.latch.RUnlock()
 		return err
 	}
-	// Log the physical extents with the pre-image: replace is the one
-	// in-place update, and an uncommitted replace page may reach the
-	// disk when another transaction's commit forces the volume, so
-	// recovery must be able to physically undo it.
-	exts, err := e.obj.RangeExtents(off, int64(len(data)))
-	if err != nil {
-		e.latch.RUnlock()
-		return err
-	}
+	exts := plan.Extents()
 	wexts := make([]wal.Extent, len(exts))
 	for i, x := range exts {
 		wexts[i] = wal.Extent{Page: int64(x.Page), Off: int32(x.Off), Len: int32(x.Len)}
 	}
-	op := txnOp{typ: wal.RecReplace, entry: e, off: off, n: int64(len(data)), old: old, freeLo: t.alloc.mark()}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: old, Extents: wexts})
-	if err != nil {
-		e.latch.RUnlock()
-		return err
-	}
-	// WAL rule: the pre-image record must be durable BEFORE the in-place
-	// write below reaches the device (data pages are write-through, so
-	// the overwrite happens inside obj.Replace, not at some later
-	// flush).  Skipping this force opens a crash window in which the old
-	// bytes are gone from the disk but the log record that could restore
-	// them is still sitting in the volatile tail buffer.
-	if err := t.s.log.ForceLSN(lsn); err != nil {
-		e.latch.RUnlock()
-		return err
-	}
-	err = e.obj.Replace(off, data)
-	e.latch.RUnlock()
+	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts})
 	if err != nil {
 		return err
 	}
-	op.freeHi = t.alloc.mark()
+	to := t.touched[e.id]
+	to.pending, to.pendingLSN = plan, lsn
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, op)
+	t.journal = append(t.journal, txnOp{typ: wal.RecReplace, entry: e, off: off, n: int64(len(data)), plan: plan})
+	if t.s.opts.RangeLocking {
+		return t.applyReplace(to)
+	}
+	t.s.deferredReplaces.Add(1)
 	return nil
+}
+
+// applyReplace writes to's pending replace home.  WAL rule: the pre-image
+// record must be durable BEFORE the in-place write reaches the device
+// (data pages are write-through, so the overwrite happens inside Apply,
+// not at some later flush) — otherwise a crash could find the old bytes
+// gone from the disk while the record that could restore them still sat
+// in the volatile log tail.  The force lives here, next to the write, so
+// every path to the write passes it; at commit the commit record's force
+// has already covered the LSN and this one returns without I/O.  Caller
+// holds the object's latch (shared).
+func (t *Txn) applyReplace(to *txnObj) error {
+	if err := t.s.log.ForceLSN(to.pendingLSN); err != nil {
+		return err
+	}
+	plan := to.pending
+	to.pending = nil
+	if t.s.opts.RangeLocking {
+		// Other transactions may own the bytes around this range in its
+		// boundary pages, and share the latch.
+		to.entry.inPlace.Lock()
+		defer to.entry.inPlace.Unlock()
+		return plan.ApplyShared()
+	}
+	return plan.Apply()
+}
+
+// settleReplace writes e's deferred replace home, if it has one, ahead of
+// an operation of this transaction that could read or move the pages it
+// covers.
+func (t *Txn) settleReplace(e *catEntry) error {
+	to := t.touched[e.id]
+	if to == nil || to.pending == nil {
+		return nil
+	}
+	t.s.earlyReplaceApplies.Add(1)
+	e.latch.RLock()
+	defer e.latch.RUnlock()
+	return t.applyReplace(to)
 }
 
 // Read returns n bytes at byte off of the named object under a shared
@@ -486,6 +546,9 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	}
 	e, err := t.touch(name, lockRead, off, n)
 	if err != nil {
+		return nil, err
+	}
+	if err := t.settleReplace(e); err != nil {
 		return nil, err
 	}
 	e.latch.RLock()
@@ -508,8 +571,9 @@ func (t *Txn) Size(name string) (int64, error) {
 }
 
 // Commit makes the transaction durable: the commit record is forced to
-// the log, the deferred frees are applied, dirty pages are flushed and
-// forced, and the catalog is updated with the new descriptors.
+// the log, deferred replaces are written home behind that force, the
+// deferred frees are applied, dirty pages (bar the space directories) are
+// flushed and forced, and the catalog is updated with the new descriptors.
 func (t *Txn) Commit() error { return t.commit(true) }
 
 // CommitNoForce is the fast commit path: the commit record is appended
@@ -526,29 +590,56 @@ func (t *Txn) commit(force bool) error {
 	if err := t.check(); err != nil {
 		return err
 	}
+	readOnly, err := t.commitLog()
+	if err != nil {
+		return err
+	}
+	return t.commitBarrier(force && !readOnly)
+}
+
+// commitLog is the first half of a commit: from the moment it returns,
+// the transaction is committed — its commit record is durable, its
+// in-place writes are on the device, and any catalog barrier persists its
+// new roots and forces its pages.  It reports whether the transaction
+// performed no mutating operation.
+func (t *Txn) commitLog() (readOnly bool, err error) {
 	t.done = true
 	// A transaction that performed no mutating operation has nothing to
 	// make durable: its commit record can stay in the log buffer (the
 	// next leader force or checkpoint carries it), and there is no data
 	// page or catalog state of its own to force.
-	readOnly := len(t.journal) == 0
+	readOnly = len(t.journal) == 0
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
 	if _, err := t.s.log.Append(rec); err != nil {
-		return err
+		return readOnly, err
 	}
 	if !readOnly {
 		// Group commit: block until some leader's force covers our
 		// commit record — one batched log write per concurrent batch of
 		// committers instead of one force per transaction.
 		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
-			return err
+			return readOnly, err
+		}
+	}
+	// That force covered every pre-image record too: write the deferred
+	// replaces home, in log order.  A crash from here on redoes whichever
+	// of them the device lost.
+	for _, op := range t.journal {
+		if to := t.touched[op.entry.id]; op.plan != nil && to.pending == op.plan {
+			op.entry.latch.RLock()
+			err := t.applyReplace(to)
+			op.entry.latch.RUnlock()
+			if err != nil {
+				return readOnly, err
+			}
 		}
 	}
 	t.s.mu.Lock()
 	for _, to := range t.touched {
-		if to.entry.txnDirty == t.id {
-			to.entry.txnDirty = 0
-			to.entry.obj.Rebind(t.s.lm)
+		e := to.entry
+		if e.txnDirty == t.id {
+			e.txnDirty = 0
+			e.obj.Rebind(t.s.lm)
 			// Refresh the fallback descriptor NOW: a catalog barrier
 			// that runs while the next transaction holds this object
 			// dirty persists stableDesc, and the durability quarantine
@@ -557,28 +648,44 @@ func (t *Txn) commit(force bool) error {
 			// pre-commit image here would break that — a freed run
 			// could be released while the durable catalog still held a
 			// root that references it.
-			to.entry.setStableDesc(to.entry.obj.EncodeDescriptor())
+			e.setStableDesc(e.obj.EncodeDescriptor())
+		}
+		if t.s.catalog[e.name] != e {
+			delete(t.s.byID, e.id) // destroyed by this transaction
 		}
 	}
+	// Leave liveTxns in the SAME critical section that refreshes
+	// stableDesc.  A barrier persists stableDesc and skips live
+	// transactions' write sets, so a window between the two would let
+	// another transaction's barrier make these roots durable without the
+	// pages they reference — and redo, seeing the roots' LSNs, would not
+	// repair them after a crash.
+	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
+	return readOnly, nil
+}
+
+// commitBarrier is the second half of a commit: publish to snapshot
+// readers, release the superseded pages, and (with force) make data and
+// catalog durable before the locks go.
+func (t *Txn) commitBarrier(force bool) error {
 	// Publish the committed roots BEFORE applying the deferred frees:
 	// the frees retire the superseded pages into the current epoch, and
 	// the epoch-reclamation invariant requires every retired batch's
 	// replacement root to be visible to snapshot readers before the
 	// epoch that holds the batch can advance.
 	t.publishTouched()
-	// Apply the deferred frees; their directory updates ride along with
-	// the data force below (or are reconstructed by recovery).
+	// Apply the deferred frees.  The directory pages they dirty stay in
+	// the pool: every Open rebuilds the directories from the catalog.
 	if err := t.alloc.apply(); err != nil {
 		return err
 	}
-	t.s.mu.Lock()
-	delete(t.s.liveTxns, t.id)
 	var err error
-	if force && !readOnly {
+	if force {
+		t.s.mu.Lock()
 		err = t.s.forceDurableLocked(t)
+		t.s.mu.Unlock()
 	}
-	t.s.mu.Unlock()
 	t.s.locks.ReleaseAll(t.id)
 	if rerr := t.s.epochs.Reclaim(); err == nil {
 		err = rerr
@@ -610,12 +717,15 @@ func (t *Txn) publishTouched() {
 // any t also wrote).  The order is load-bearing: the data barrier
 // (index and data pages) completes BEFORE the catalog that references
 // those pages is written, so no crash state can hold a durable catalog
-// root pointing at a page the device never received.  Caller holds
-// s.mu; t may be nil (checkpoint-style force).
+// root pointing at a page the device never received.  The space
+// directories stay dirty in the pool: they are soft state no recovery
+// reads.  Caller holds s.mu; t may be nil (checkpoint-style force).
 //
 // eos:requires s.mu
 func (s *Store) forceDurableLocked(t *Txn) error {
-	if err := s.pool.FlushAll(); err != nil {
+	kept, err := s.pool.FlushAllExcept(s.dirPages)
+	s.dirPagesSkipped.Add(int64(kept))
+	if err != nil {
 		return err
 	}
 	skip := make(map[disk.PageNum]bool)
@@ -671,8 +781,11 @@ func (t *Txn) Abort() error {
 		case wal.RecDelete:
 			err = o.Insert(op.off, op.old)
 		case wal.RecReplace:
+			if !op.plan.Applied() {
+				break // never written home: nothing to compensate
+			}
 			//eoslint:ignore forcedom -- undo replays the pre-image the forward Replace already logged and forced; recovery re-runs the same idempotent compensation
-			err = o.Replace(op.off, op.old)
+			err = o.Replace(op.off, op.plan.Old())
 		case wal.RecCreate:
 			err = o.Destroy()
 			if err == nil {
@@ -692,7 +805,6 @@ func (t *Txn) Abort() error {
 				op.entry.obj = obj
 				t.s.mu.Lock()
 				t.s.catalog[op.entry.name] = op.entry
-				t.s.byID[op.entry.id] = op.entry
 				t.s.mu.Unlock()
 			}
 		}
@@ -713,6 +825,10 @@ func (t *Txn) Abort() error {
 		// — must be what the next catalog barrier persists.
 		to.entry.setStableDesc(to.entry.obj.EncodeDescriptor())
 	}
+	// Same critical section as the stableDesc refresh, for the reason
+	// commitLog gives: the compensations wrote fresh segments these roots
+	// reference, and a barrier skips a live transaction's write set.
+	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
 	// The logical undos rebuilt the touched trees out of fresh pages, so
 	// the surviving deferred frees include pages the last published
@@ -723,7 +839,6 @@ func (t *Txn) Abort() error {
 		return err
 	}
 	t.s.mu.Lock()
-	delete(t.s.liveTxns, t.id)
 	// An abort must leave the durable state self-consistent: its
 	// compensations were written in place, its frees may let pages be
 	// reused, and neither may become durable without the catalog that

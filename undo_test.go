@@ -24,12 +24,16 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Loser: replaces in place, never commits.
+	// Loser: replaces in place — the read-back makes it write home
+	// instead of waiting for a commit — and never commits.
 	loser, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := loser.Replace("victim", 3000, pat(62, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loser.Read("victim", 3000, 500); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,6 +111,9 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := loser.Replace("victim", 5000, pat(67, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loser.Read("victim", 5000, 400); err != nil {
 		t.Fatal(err)
 	}
 
