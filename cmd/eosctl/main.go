@@ -382,6 +382,8 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.LogPagesZeroed, b.DirPagesSkipped)
 		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early\n",
 			st.DeferredReplaces, st.EarlyReplaceApplies)
+		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
+			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
 		return nil
 
 	case "cp":

@@ -100,7 +100,8 @@ func testCtlEndToEnd(t *testing.T, backend string) {
 		t.Errorf("stat: %q", out)
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
-		!strings.Contains(out, "directory pages skipped") || !strings.Contains(out, "applied early") {
+		!strings.Contains(out, "directory pages skipped") || !strings.Contains(out, "applied early") ||
+		!strings.Contains(out, "bridged reads:") {
 		t.Errorf("store stat: %q", out)
 	}
 	if out := must("fsck"); !strings.Contains(out, "OK") {

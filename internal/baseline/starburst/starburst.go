@@ -139,41 +139,27 @@ func (f *LongField) trim() error {
 	return nil
 }
 
-// writeAt writes data at byte offset off within one segment.
+// writeAt writes data at byte offset off within one segment.  The bytes
+// the first and last page keep come from disk.Gather, the request-shaping
+// rule EOS's own replace uses, so the comparison stays like for like.
 func (f *LongField) writeAt(s *segment, off int64, data []byte) error {
-	ps := int64(f.vol.PageSize())
-	first := off / ps
-	last := (off + int64(len(data)) - 1) / ps
-	npages := int(last - first + 1)
-	raw := make([]byte, npages*int(ps))
-	// Preserve surrounding bytes on partially overwritten boundary pages.
-	headPartial := off%ps != 0
-	tailPartial := (off+int64(len(data)))%ps != 0
-	if headPartial || (tailPartial && last == first) {
-		if err := f.vol.ReadPages(s.start+disk.PageNum(first), 1, raw[:ps]); err != nil {
-			return err
-		}
+	head, tail, first := disk.Around(s.start, off, int64(len(data)), f.vol.PageSize())
+	raw, _, err := disk.Gather(f.vol, head, int64(len(data)), tail)
+	if err != nil {
+		return err
 	}
-	if tailPartial && last != first {
-		if err := f.vol.ReadPages(s.start+disk.PageNum(last), 1, raw[(npages-1)*int(ps):]); err != nil {
-			return err
-		}
-	}
-	copy(raw[off-first*ps:], data)
-	return f.vol.WritePages(s.start+disk.PageNum(first), npages, raw)
+	copy(raw[head.N:], data)
+	return f.vol.WritePages(s.start+first, len(raw)/f.vol.PageSize(), raw)
 }
 
 // readAt reads n bytes at byte offset off within one segment.
 func (f *LongField) readAt(s *segment, off int64, buf []byte) error {
-	ps := int64(f.vol.PageSize())
-	first := off / ps
-	last := (off + int64(len(buf)) - 1) / ps
-	npages := int(last - first + 1)
-	raw := make([]byte, npages*int(ps))
-	if err := f.vol.ReadPages(s.start+disk.PageNum(first), npages, raw); err != nil {
+	first, npages, in := disk.PageSpan(off, int64(len(buf)), f.vol.PageSize())
+	raw := make([]byte, npages*f.vol.PageSize())
+	if err := f.vol.ReadPages(s.start+first, npages, raw); err != nil {
 		return err
 	}
-	copy(buf, raw[off-first*ps:])
+	copy(buf, raw[in:])
 	return nil
 }
 

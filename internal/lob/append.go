@@ -108,6 +108,12 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 	return start, e.bytes, nil
 }
 
+// appendBytes appends data, all of it or none.  Everything that can run
+// out of space or fail on the device — filling the untrimmed tail's free
+// room, allocating and writing new tail segments — happens on pages the
+// tree does not name yet; one splice then publishes the lot.  A failure
+// gives back what this call allocated and leaves the object, its tail and
+// its growth schedule as they were.
 func (o *Object) appendBytes(data []byte, sizeHint int64) error {
 	if len(data) == 0 {
 		return nil
@@ -118,104 +124,86 @@ func (o *Object) appendBytes(data []byte, sizeHint int64) error {
 	ps := m.vol.PageSize()
 	maxSeg := m.alloc.MaxSegmentPages()
 
+	// repl replaces the last leaf entry: itself, grown by what fits in its
+	// untrimmed room, followed by the new segments.
+	repl := make([]entry, 0, 2)
+	var tailStartByte int64
 	remaining := data
-	for len(remaining) > 0 {
-		// Fill free room in the untrimmed tail segment first.
-		if o.tailAlloc > 0 {
-			tailStartByte, tailLen, err := o.tailEntry()
-			if err != nil {
+	hasTail := len(o.root.entries) > 0
+	if hasTail {
+		tail, start, _, err := o.findSegment(o.size)
+		if err != nil {
+			return err
+		}
+		tailStartByte = start
+		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
+			if err := o.writeTail(tail.bytes, data[:w]); err != nil {
 				return err
 			}
-			room := int64(o.tailAlloc)*int64(ps) - tailLen
-			if room > 0 {
-				w := room
-				if int64(len(remaining)) < w {
-					w = int64(len(remaining))
-				}
-				if err := o.writeTail(tailLen, remaining[:w]); err != nil {
-					return err
-				}
-				repl := []entry{{bytes: tailLen + w, ptr: o.tailStart}}
-				if err := o.spliceLeafRange(tailStartByte, o.size, repl, true, true); err != nil {
-					return err
-				}
-				remaining = remaining[w:]
-				continue
-			}
+			tail.bytes += w
+			remaining = data[w:]
 		}
+		repl = append(repl, tail)
+	}
 
-		// Allocate a new tail segment: hint-sized when the size is known,
-		// else the doubling schedule.
-		want := o.nextGrow
+	// New tail segments: hint-sized when the size is known, else the
+	// doubling schedule.
+	grow := o.nextGrow
+	var runBuf [2]PageRun
+	runs := runBuf[:0] // what this call allocates, whole
+	for len(remaining) > 0 {
+		want := grow
 		if sizeHint > 0 {
 			if hinted := pagesFor(sizeHint-int64(len(data)-len(remaining)), ps); hinted > 0 {
 				want = hinted
 			}
 		}
-		if want > maxSeg {
-			want = maxSeg
-		}
-		if want < 1 {
-			want = 1
-		}
-		start, got, err := m.alloc.AllocUpTo(want)
+		start, got, err := m.alloc.AllocUpTo(max(1, min(want, maxSeg)))
 		if err != nil {
-			return err
+			return m.giveBack(runs, err)
 		}
-		m.st.segmentsAllocated.Add(1)
-		o.nextGrow = got * 2
-		if o.nextGrow > maxSeg {
-			o.nextGrow = maxSeg
-		}
-		w := int64(got) * int64(ps)
-		if int64(len(remaining)) < w {
-			w = int64(len(remaining))
-		}
+		runs = append(runs, PageRun{Start: start, Pages: got})
+		grow = min(got*2, maxSeg)
+		w := min(int64(got)*int64(ps), int64(len(remaining)))
 		if err := m.writeSegment(start, remaining[:w]); err != nil {
-			return err
+			return m.giveBack(runs, err)
 		}
-		newTail := entry{bytes: w, ptr: start}
-		if o.size == 0 && len(o.root.entries) == 0 {
-			if err := o.spliceLeafRange(0, 0, []entry{newTail}, false, false); err != nil {
-				return err
-			}
-		} else {
-			prevTail, tailStartByte, _, err := o.findSegment(o.size)
-			if err != nil {
-				return err
-			}
-			repl := []entry{prevTail, newTail}
-			if err := o.spliceLeafRange(tailStartByte, o.size, repl, true, true); err != nil {
-				return err
-			}
-		}
-		o.tailStart = start
-		o.tailAlloc = got
+		repl = append(repl, entry{bytes: w, ptr: start})
 		remaining = remaining[w:]
+	}
+
+	var err error
+	if hasTail {
+		err = o.spliceLeafRange(tailStartByte, o.size, repl, true, true)
+	} else {
+		err = o.spliceLeafRange(0, 0, repl, false, false)
+	}
+	if err != nil {
+		if o.root.size() == o.size {
+			return m.giveBack(runs, err) // the root never came to name the new segments
+		}
+		return err
+	}
+	if n := len(runs); n > 0 {
+		m.st.segmentsAllocated.Add(int64(n))
+		o.nextGrow = grow
+		o.tailStart, o.tailAlloc = runs[n-1].Start, runs[n-1].Pages
 	}
 	return nil
 }
 
-// writeTail appends w bytes at byte offset tailLen of the tail segment.
+// writeTail appends data at byte offset tailLen of the tail segment.
 // Only the partial last page (if any) is read back; the affected page run
 // is written in one contiguous request.
 func (o *Object) writeTail(tailLen int64, data []byte) error {
 	m := o.m
-	ps := int64(m.vol.PageSize())
-	first := tailLen / ps
-	last := (tailLen + int64(len(data)) - 1) / ps
-	npages := int(last - first + 1)
-	raw := make([]byte, npages*int(ps))
-	if tailLen%ps != 0 {
-		if err := m.vol.ReadPages(o.tailStart+disk.PageNum(first), 1, raw[:ps]); err != nil {
-			return err
-		}
+	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), m.vol.PageSize())
+	raw, err := m.gather(head, int64(len(data)), disk.ByteRange{})
+	if err != nil {
+		return err
 	}
-	copy(raw[tailLen-first*ps:], data)
-	if m.cfg.OnDataWrite != nil {
-		m.cfg.OnDataWrite(o.tailStart+disk.PageNum(first), npages)
-	}
-	return m.vol.WritePages(o.tailStart+disk.PageNum(first), npages, raw)
+	copy(raw[head.N:], data)
+	return m.writeImage(o.tailStart+first, raw)
 }
 
 // AppendRewrites reports whether the next append may read or rewrite

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"github.com/eosdb/eos/internal/buddy"
 )
 
 func TestAppenderIsAWriter(t *testing.T) {
@@ -114,14 +116,104 @@ func TestAppendSpillsAcrossSpaces(t *testing.T) {
 
 func TestAppendOutOfSpace(t *testing.T) {
 	e := newEnv(t, 100, 1, 64, Config{Threshold: 1})
+	base := e.freePages(t)
 	o := e.m.NewObject(0)
 	// 64 data pages available; ask for far more.
 	err := o.AppendWithHint(pattern(45, 20000), 20000)
-	if err == nil {
-		t.Fatal("append beyond volume capacity succeeded")
+	if !errors.Is(err, buddy.ErrNoSpace) {
+		t.Fatalf("append beyond volume capacity: err = %v, want ErrNoSpace", err)
 	}
-	// The object remains internally consistent (partial append applied).
+	// Nothing of it was applied, nothing of it is still allocated.
+	mustContent(t, o, nil)
 	mustCheck(t, o)
+	if free := e.freePages(t); free != base {
+		t.Errorf("free pages %d after the failed append, %d before", free, base)
+	}
+}
+
+// reachablePlusFree is every page the object owns plus every free page:
+// constant unless something leaked or was freed twice.
+func reachablePlusFree(t *testing.T, e *env, o *Object) int {
+	t.Helper()
+	runs, err := o.ReachablePages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := e.freePages(t)
+	for _, r := range runs {
+		total += r.Pages
+	}
+	return total
+}
+
+// TestFailedAppendIsAtomic: an append that fails in a later step — the
+// tail's free room already filled, some segments already written — leaves
+// the object's size, bytes, tail room and growth schedule and the free
+// space as they were, and the next append carries on from there.
+func TestFailedAppendIsAtomic(t *testing.T) {
+	boom := errors.New("boom")
+	// An open append sequence: segments of 1, 2 and 4 pages, the last
+	// holding 10 of its 400 bytes.
+	open := func(t *testing.T) (*env, *Object, []byte, *Appender) {
+		e := newEnv(t, 100, 1, 64, Config{Threshold: 1})
+		o := e.m.NewObject(0)
+		model := pattern(60, 310)
+		a := o.OpenAppender(0)
+		if _, err := a.Write(model); err != nil {
+			t.Fatal(err)
+		}
+		return e, o, model, a
+	}
+	check := func(t *testing.T, e *env, o *Object, model []byte, a *Appender, pages int) {
+		t.Helper()
+		mustContent(t, o, model)
+		mustCheck(t, o)
+		if got := reachablePlusFree(t, e, o); got != pages {
+			t.Errorf("reachable + free = %d pages, %d before the failed append", got, pages)
+		}
+		// The sequence continues where it was: the room is still there and
+		// the next new segment is still the 8-page one.
+		more := pattern(61, 1000)
+		if _, err := a.Write(more); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mustContent(t, o, append(model, more...))
+		if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[1 2 4 7]" {
+			t.Errorf("segments %v after resuming, want [1 2 4 7]", got)
+		}
+		if got := reachablePlusFree(t, e, o); got != pages {
+			t.Errorf("reachable + free = %d pages at the end, want %d", got, pages)
+		}
+	}
+
+	t.Run("out of space", func(t *testing.T) {
+		e, o, model, a := open(t)
+		pages := reachablePlusFree(t, e, o)
+		// Fills the room, takes the 8-, 16- and 32-page segments, then
+		// finds the space exhausted.
+		if _, err := a.Write(pattern(62, 9000)); !errors.Is(err, buddy.ErrNoSpace) {
+			t.Fatalf("err = %v, want ErrNoSpace", err)
+		}
+		check(t, e, o, model, a, pages)
+	})
+	for after := int64(0); after < 4; after++ {
+		t.Run(fmt.Sprintf("device error after %d requests", after), func(t *testing.T) {
+			e, o, model, a := open(t)
+			pages := reachablePlusFree(t, e, o)
+			// Requests: read the tail's partial page, write its room, write
+			// the 8-page segment, write the 16-page segment.
+			e.vol.FailAfter(after, boom)
+			_, err := a.Write(pattern(63, 390+800+1))
+			e.vol.ClearFault()
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the injected error", err)
+			}
+			check(t, e, o, model, a, pages)
+		})
+	}
 }
 
 func TestReachablePagesCoversEverything(t *testing.T) {

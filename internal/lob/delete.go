@@ -74,33 +74,27 @@ func (o *Object) Delete(off, n int64) error {
 		m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
 	}
 
-	// Step 4: materialize N (one read from S' covering Q's suffix plus
-	// R's migrated prefix — contiguous — and, if bytes migrate from L, a
-	// second read from S).
+	// Step 4: materialize N from L's migrated tail (in S) and Q's suffix
+	// plus R's migrated prefix (contiguous, in S').  When S = S' and the
+	// deleted pages between the two cost less to transfer than a
+	// reposition, one request fetches both; otherwise each is one read.
 	var newSegs []entry
 	if res.nc > 0 {
-		nbuf := make([]byte, 0, res.nc)
-		if res.moveL > 0 {
-			part := make([]byte, res.moveL)
-			if err := m.readSegRange(sl.ptr, lc-res.moveL, part); err != nil {
-				return err
-			}
-			nbuf = append(nbuf, part...)
-		}
-		baseLen := qc - (qb + 1)
-		part := make([]byte, baseLen+res.moveR)
-		if err := m.readSegRange(sr.ptr, q*ps+qb+1, part); err != nil {
+		tail := qc - (qb + 1) + res.moveR
+		img, err := m.gather(
+			disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}, 0,
+			disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail})
+		if err != nil {
 			return err
 		}
-		nbuf = append(nbuf, part...)
-		if int64(len(nbuf)) != res.nc {
-			return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", len(nbuf), res.nc)
+		if res.moveL+tail != res.nc {
+			return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", res.moveL+tail, res.nc)
 		}
 		newSegs, err = m.allocSegments(res.nc)
 		if err != nil {
 			return err
 		}
-		if err := o.writeNewSegments(newSegs, nbuf); err != nil {
+		if err := o.writeNewSegments(newSegs, img); err != nil {
 			return err
 		}
 	}

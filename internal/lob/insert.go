@@ -38,7 +38,7 @@ func (o *Object) Insert(off int64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := o.writeNewSegments(segs, data); err != nil {
+		if err := o.writeNewSegments(segs, m.pageImage(data)); err != nil {
 			return err
 		}
 		return o.spliceLeafRange(0, 0, segs, false, false)
@@ -74,29 +74,26 @@ func (o *Object) Insert(off int64, data []byte) error {
 	m.st.bytesReshuffled.Add(res.moveL + res.moveR)
 	m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
 
-	// Step 4: materialize N.  The source bytes — L's migrated tail, the
-	// split page's suffix, and R's migrated prefix — are physically
-	// contiguous in S, so one multi-page read suffices (the paper's
-	// "one or two pages" plus reshuffled pages, with no extra seeks).
-	srcLen := res.moveL + (pc - pb) + res.moveR
-	src := make([]byte, srcLen)
-	if srcLen > 0 {
-		if err := m.readSegRange(S.ptr, rel-res.moveL, src); err != nil {
-			return err
-		}
+	// Step 4: materialize N in one buffer — L's migrated tail, room for
+	// the inserted bytes, the split page's suffix and R's migrated prefix.
+	// The old bytes are physically contiguous in S, so one multi-page read
+	// fetches them (the paper's "one or two pages" plus reshuffled pages,
+	// with no extra seeks).
+	img, err := m.gather(
+		disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}, int64(len(data)),
+		disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR})
+	if err != nil {
+		return err
 	}
-	nbuf := make([]byte, 0, res.nc)
-	nbuf = append(nbuf, src[:res.moveL]...)
-	nbuf = append(nbuf, data...)
-	nbuf = append(nbuf, src[res.moveL:]...)
-	if int64(len(nbuf)) != res.nc {
-		return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", len(nbuf), res.nc)
+	if n := res.moveL + int64(len(data)) + pc - pb + res.moveR; n != res.nc {
+		return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", n, res.nc)
 	}
+	copy(img[res.moveL:], data)
 	newSegs, err := m.allocSegments(res.nc)
 	if err != nil {
 		return err
 	}
-	if err := o.writeNewSegments(newSegs, nbuf); err != nil {
+	if err := o.writeNewSegments(newSegs, img); err != nil {
 		return err
 	}
 
@@ -127,14 +124,16 @@ func (o *Object) Insert(off int64, data []byte) error {
 	return o.spliceLeafRange(segStart, segStart+sc, repl, true, true)
 }
 
-// writeNewSegments distributes data across freshly allocated segments.
-func (o *Object) writeNewSegments(segs []entry, data []byte) error {
-	var off int64
+// writeNewSegments distributes the whole-page image img across freshly
+// allocated segments; every segment but the last fills its pages.
+func (o *Object) writeNewSegments(segs []entry, img []byte) error {
+	ps := o.m.vol.PageSize()
 	for _, se := range segs {
-		if err := o.m.writeSegment(se.ptr, data[off:off+se.bytes]); err != nil {
+		n := pagesFor(se.bytes, ps) * ps
+		if err := o.m.writeImage(se.ptr, img[:n]); err != nil {
 			return err
 		}
-		off += se.bytes
+		img = img[n:]
 	}
 	return nil
 }

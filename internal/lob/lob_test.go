@@ -25,9 +25,15 @@ type env struct {
 // capacity each.
 func newEnv(t testing.TB, pageSize, numSpaces, capacity int, cfg Config) *env {
 	t.Helper()
+	return newEnvFrames(t, pageSize, numSpaces, capacity, 64, cfg)
+}
+
+// newEnvFrames is newEnv with a buffer pool of the given size.
+func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg Config) *env {
+	t.Helper()
 	pages := disk.PageNum(1 + numSpaces*(capacity+1))
 	vol := disk.MustNewVolume(pageSize, pages, disk.DefaultCostModel())
-	pool := buffer.MustNewPool(vol, 64)
+	pool := buffer.MustNewPool(vol, frames)
 	bm, err := buddy.FormatVolume(pool, vol, 1, numSpaces, capacity, true)
 	if err != nil {
 		t.Fatalf("FormatVolume: %v", err)
@@ -1046,13 +1052,6 @@ func TestPagesFor(t *testing.T) {
 			t.Errorf("pagesFor(%d,%d) = %d, want %d", c.b, c.ps, got, c.want)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestQuickDescriptorRoundTrip: arbitrary valid objects survive the

@@ -85,6 +85,8 @@ type Stats struct {
 	SegmentsCompacted  int64
 	ShadowedIndexPages int64
 	SnapshotReads      int64 // reads served through published snapshot roots
+	BridgedReads       int64 // requests that fetched two separate byte ranges of a segment at once (one request saved each)
+	BridgedGapPages    int64 // unwanted pages between the two ranges those requests transferred
 }
 
 // stats is the manager's live counter set.  Every counter is atomic so
@@ -106,6 +108,8 @@ type stats struct {
 	segmentsCompacted  atomic.Int64
 	shadowedIndexPages atomic.Int64
 	snapshotReads      atomic.Int64
+	bridgedReads       atomic.Int64
+	bridgedGapPages    atomic.Int64
 }
 
 // Manager provides large object storage over a volume, a buffer pool for
@@ -171,6 +175,8 @@ func (m *Manager) Stats() Stats {
 		SegmentsCompacted:  m.st.segmentsCompacted.Load(),
 		ShadowedIndexPages: m.st.shadowedIndexPages.Load(),
 		SnapshotReads:      m.st.snapshotReads.Load(),
+		BridgedReads:       m.st.bridgedReads.Load(),
+		BridgedGapPages:    m.st.bridgedGapPages.Load(),
 	}
 }
 
@@ -239,33 +245,54 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte) error 
 	if len(buf) == 0 {
 		return nil
 	}
-	ps := int64(m.vol.PageSize())
-	firstPage := off / ps
-	lastPage := (off + int64(len(buf)) - 1) / ps
-	npages := int(lastPage - firstPage + 1)
-	raw := make([]byte, npages*m.vol.PageSize())
-	if err := m.vol.ReadPages(start+disk.PageNum(firstPage), npages, raw); err != nil {
+	ps := m.vol.PageSize()
+	first, npages, in := disk.PageSpan(off, int64(len(buf)), ps)
+	raw := make([]byte, npages*ps)
+	if err := m.vol.ReadPages(start+first, npages, raw); err != nil {
 		return err
 	}
-	copy(buf, raw[off-firstPage*ps:])
+	copy(buf, raw[in:])
 	return nil
+}
+
+// gather is disk.Gather on the manager's volume — the one way an update
+// reads old bytes it is about to rewrite, in as few requests as the cost
+// model allows — with the bridged requests counted.
+func (m *Manager) gather(a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte, error) {
+	img, gap, err := disk.Gather(m.vol, a, hole, b)
+	if gap >= 0 {
+		m.st.bridgedReads.Add(1)
+		m.st.bridgedGapPages.Add(int64(gap))
+	}
+	return img, err
+}
+
+// writeImage writes whole-page images to the pages from start on, in one
+// request, telling the write observer first.
+func (m *Manager) writeImage(start disk.PageNum, img []byte) error {
+	npages := len(img) / m.vol.PageSize()
+	if npages == 0 {
+		return nil
+	}
+	if m.cfg.OnDataWrite != nil {
+		m.cfg.OnDataWrite(start, npages)
+	}
+	return m.vol.WritePages(start, npages, img)
 }
 
 // writeSegment writes data as a fresh segment starting at page start,
 // zero-padding the final partial page.  Fresh segments are written whole,
 // never read first.
 func (m *Manager) writeSegment(start disk.PageNum, data []byte) error {
+	return m.writeImage(start, m.pageImage(data))
+}
+
+// pageImage copies data into a fresh zero-padded whole-page buffer.
+func (m *Manager) pageImage(data []byte) []byte {
 	ps := m.vol.PageSize()
-	npages := pagesFor(int64(len(data)), ps)
-	if npages == 0 {
-		return nil
-	}
-	raw := make([]byte, npages*ps)
-	copy(raw, data)
-	if m.cfg.OnDataWrite != nil {
-		m.cfg.OnDataWrite(start, npages)
-	}
-	return m.vol.WritePages(start, npages, raw)
+	img := make([]byte, pagesFor(int64(len(data)), ps)*ps)
+	copy(img, data)
+	return img
 }
 
 // allocSegments allocates segments to hold total bytes, preferring a
@@ -303,6 +330,15 @@ func (m *Manager) allocSegments(total int64) ([]entry, error) {
 		m.st.segmentsAllocated.Add(1)
 	}
 	return out, nil
+}
+
+// giveBack frees runs an operation allocated and then could not use, and
+// returns err: the failure that made them useless is the one to report.
+func (m *Manager) giveBack(runs []PageRun, err error) error {
+	for _, r := range runs {
+		_ = m.alloc.Free(r.Start, r.Pages)
+	}
+	return err
 }
 
 // freeSegment returns a whole segment's pages.

@@ -227,10 +227,8 @@ func (o *Object) PrepareReplace(off int64, data []byte) (*ReplacePlan, error) {
 	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data))}
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
-		first := segOff / ps
-		npages := int((segOff+n-1)/ps - first + 1)
-		in := segOff - first*ps
-		run := planRun{start: seg.ptr + disk.PageNum(first), raw: make([]byte, npages*int(ps)), in: in, n: n}
+		first, npages, in := disk.PageSpan(segOff, n, int(ps))
+		run := planRun{start: seg.ptr + first, raw: make([]byte, npages*int(ps)), in: in, n: n}
 		if err := m.vol.ReadPages(run.start, npages, run.raw); err != nil {
 			return err
 		}
@@ -271,13 +269,8 @@ func (p *ReplacePlan) Applied() bool { return p.applied }
 // first and last page as they were then.
 func (p *ReplacePlan) Apply() error {
 	m := p.begin()
-	ps := m.vol.PageSize()
 	for _, run := range p.runs {
-		npages := len(run.raw) / ps
-		if m.cfg.OnDataWrite != nil {
-			m.cfg.OnDataWrite(run.start, npages)
-		}
-		if err := m.vol.WritePages(run.start, npages, run.raw); err != nil {
+		if err := m.writeImage(run.start, run.raw); err != nil {
 			return err
 		}
 	}
@@ -308,31 +301,17 @@ func (p *ReplacePlan) begin() *Manager {
 }
 
 // replaceInSegment rewrites bytes [segOff, segOff+len(data)) of one
-// segment: boundary pages are read-modified, interior pages overwritten
-// outright, and the whole affected page run is written back in a single
-// contiguous request.
+// segment: the bytes its first and last page keep are read — in one
+// request unless the pages between them would cost more to transfer than
+// a second reposition — the pages between are overwritten outright, and
+// the whole affected page run is written back in a single contiguous
+// request.
 func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
-	ps := int64(m.vol.PageSize())
-	first := segOff / ps
-	last := (segOff + int64(len(data)) - 1) / ps
-	npages := int(last - first + 1)
-	raw := make([]byte, npages*int(ps))
-
-	headPartial := segOff%ps != 0
-	tailPartial := (segOff+int64(len(data)))%ps != 0
-	if headPartial || (tailPartial && last == first) {
-		if err := m.vol.ReadPages(seg.ptr+disk.PageNum(first), 1, raw[:ps]); err != nil {
-			return err
-		}
+	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), m.vol.PageSize())
+	raw, err := m.gather(head, int64(len(data)), tail)
+	if err != nil {
+		return err
 	}
-	if tailPartial && last != first {
-		if err := m.vol.ReadPages(seg.ptr+disk.PageNum(last), 1, raw[(npages-1)*int(ps):]); err != nil {
-			return err
-		}
-	}
-	copy(raw[segOff-first*ps:], data)
-	if m.cfg.OnDataWrite != nil {
-		m.cfg.OnDataWrite(seg.ptr+disk.PageNum(first), npages)
-	}
-	return m.vol.WritePages(seg.ptr+disk.PageNum(first), npages, raw)
+	copy(raw[head.N:], data)
+	return m.writeImage(seg.ptr+first, raw)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eosdb/eos/internal/buddy"
 	"github.com/eosdb/eos/internal/disk"
 )
 
@@ -47,6 +48,42 @@ func TestCheckNoLeaksAcrossLifecycle(t *testing.T) {
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatalf("after destroy: %v", err)
+	}
+}
+
+// TestFailedAppendLeavesStoreUnchanged: an append that runs out of space
+// part-way — the ROADMAP's "a failed append leaves the object one page
+// longer" — changes neither the object nor the page accounting.
+func TestFailedAppendLeavesStoreUnchanged(t *testing.T) {
+	s, _, _ := newStore(t, Options{})
+	o, _ := s.Create("a", 0)
+	data := pat(7, 70000)
+	if err := o.Append(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil { // the first append's trimmed pages leave quarantine
+		t.Fatal(err)
+	}
+	free, _ := s.FreePages()
+	// More than the volume holds, with no hint: the doubling schedule
+	// takes what runs there are before it finds the space exhausted.
+	if err := o.Append(pat(8, 4096*s.PageSize())); !errors.Is(err, buddy.ErrNoSpace) {
+		t.Fatalf("append beyond the volume's capacity: err = %v, want ErrNoSpace", err)
+	}
+	if got, err := o.Read(0, o.Size()); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("after the failed append: %d bytes (err %v), want the %d appended before", len(got), err, len(data))
+	}
+	if err := s.Check(); err != nil {
+		t.Error(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Error(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := s.FreePages(); after != free {
+		t.Errorf("free pages %d once the failed append's pages are out of quarantine, %d before it", after, free)
 	}
 }
 
