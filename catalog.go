@@ -317,6 +317,10 @@ func (s *Store) readCatalog() error {
 		if err != nil {
 			return fmt.Errorf("object %q: %w", r.name, err)
 		}
+		// An append sequence open at the barrier left its untrimmed tail
+		// in the descriptor.  Trimming it since was not a published change
+		// (FreeUnpublished), so those pages may be someone else's now.
+		obj.ForgetTail()
 		e := &catEntry{id: r.id, name: r.name, obj: obj}
 		e.setStableDesc(desc)
 		s.catalog[r.name] = e

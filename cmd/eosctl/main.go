@@ -378,10 +378,10 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 		// accounts for the first compaction.
 		st := s.Stats()
 		b := st.Barrier
-		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d log pages zeroed, %d directory pages skipped\n",
-			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.LogPagesZeroed, b.DirPagesSkipped)
-		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early\n",
-			st.DeferredReplaces, st.EarlyReplaceApplies)
+		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d directory pages skipped\n",
+			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.DirPagesSkipped)
+		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early, %d page runs taken from the read before\n",
+			st.DeferredReplaces, st.EarlyReplaceApplies, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
 		return nil

@@ -11,6 +11,8 @@ type fakeAlloc struct {
 	freed []pageRun
 }
 
+func (f *fakeAlloc) FreeUnpublished(p disk.PageNum, n int) error { return f.Free(p, n) }
+
 func (f *fakeAlloc) Alloc(n int) (disk.PageNum, error)          { return 1, nil }
 func (f *fakeAlloc) AllocUpTo(n int) (disk.PageNum, int, error) { return 1, n, nil }
 func (f *fakeAlloc) MaxSegmentPages() int                       { return 1 << 12 }
@@ -31,6 +33,14 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 	if len(inner.freed) != 0 {
 		t.Fatal("free applied eagerly")
 	}
+	// Pages no descriptor ever named have nothing to wait for.
+	if err := d.FreeUnpublished(30, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(inner.freed) != 1 || inner.freed[0] != (pageRun{30, 3}) {
+		t.Fatalf("unpublished free not passed on at once: %v", inner.freed)
+	}
+	inner.freed = nil
 	if err := d.apply(); err != nil {
 		t.Fatal(err)
 	}

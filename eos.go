@@ -10,7 +10,7 @@
 // supports the paper's full operation set with costs proportional to the
 // bytes touched:
 //
-//	obj.Append(data)          // grows by doubling, trimmed at the end
+//	obj.Append(data)          // one segment sized to data; streams (OpenAppender) grow by doubling
 //	obj.Read(off, n)          // multi-page contiguous transfers
 //	obj.Replace(off, data)    // in place, logged
 //	obj.Insert(off, data)     // splits a segment into L, N, R
@@ -311,8 +311,8 @@ type Store struct {
 	// (eos:guardedby mu).  The header's copy is what recovery trusts: a
 	// log record whose LSN predates the header's base belongs to an
 	// epoch that was truncated — everything it describes is already
-	// durable — and is ignored even if the truncation's zeroing write
-	// was itself lost in the crash.
+	// durable — and is ignored.  Truncation erases nothing, so this check
+	// is all that keeps such records out.
 	lsnBase uint64
 
 	// barrierStarted counts catalog barriers begun; barrierDurable is
@@ -341,6 +341,7 @@ type Store struct {
 	// Deferred-replace counters (see Stats).
 	deferredReplaces    atomic.Int64
 	earlyReplaceApplies atomic.Int64
+	replaceReadsSaved   atomic.Int64
 
 	// quarMu guards quar, the durability quarantine (leaf lock — never
 	// acquired while holding another store lock's critical section
@@ -568,6 +569,15 @@ func (a *epochAlloc) MaxSegmentPages() int { return a.s.buddy.MaxSegmentPages() 
 func (a *epochAlloc) Free(p disk.PageNum, n int) error {
 	a.s.epochs.Retire([]txn.Run{{Start: p, Pages: n}})
 	return nil
+}
+
+// FreeUnpublished skips both waits Free imposes.  The reader grace period
+// and the durability quarantine each protect someone who can still reach
+// the pages through a root — a snapshot, or recovery through the durable
+// catalog — and these were never in one (a catalog load forgets untrimmed
+// tails, see readCatalog), so they return to the buddy system now.
+func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
+	return a.s.buddy.FreeUnpublished(p, n)
 }
 
 // releaseRuns is the epoch manager's free routine: retired runs whose
@@ -983,9 +993,10 @@ func (s *Store) checkpointLocked() error {
 	// durable, any leftover old-epoch records fail the recovery scan's
 	// LSN check (everything they describe became durable in phase 1);
 	// until it is durable, the old log is still intact and replayable.
-	// Only after both the header and the zeroed log are durable is it
-	// safe to reuse quarantined pages: no durable catalog root and no
-	// log record can reach them anymore.
+	// Only after the header is durable is it safe to reuse quarantined
+	// pages: no durable catalog root and no log record recovery accepts
+	// can reach them anymore.  The truncation itself is bookkeeping in
+	// memory — it writes nothing.
 	if newBase := s.log.Base() + uint64(s.log.Tail()); newBase != s.lsnBase {
 		s.lsnBase = newBase
 		if err := s.writeHeader(); err != nil {
@@ -1149,8 +1160,8 @@ type SnapshotStats struct {
 }
 
 // BarrierStats attributes the cost of making commits, aborts and
-// checkpoints durable: what the catalog journal, the header and the log
-// truncation wrote, besides the data and log pages themselves.
+// checkpoints durable: what the catalog journal and the header wrote,
+// besides the data and log pages themselves.
 type BarrierStats struct {
 	// CatalogDeltaWrites counts barriers that appended a delta record to
 	// the current catalog slot; CatalogCompactions counts those that
@@ -1162,8 +1173,6 @@ type BarrierStats struct {
 	// HeaderWrites counts rewrites of the header page (only when nextID
 	// or the LSN epoch base moved).
 	HeaderWrites int64
-	// LogPagesZeroed is the log pages truncations cleared.
-	LogPagesZeroed int64
 	// DirPagesSkipped counts the dirty buddy directory frames commit and
 	// abort barriers left in the pool instead of writing: the directories
 	// are rebuilt by every Open, so only eviction, Checkpoint and Close
@@ -1179,7 +1188,7 @@ type Stats struct {
 	LOB   lob.Stats
 	WAL   wal.Stats
 	Snap  SnapshotStats
-	// Barrier counts what catalog barriers and log truncations wrote.
+	// Barrier counts what catalog barriers wrote.
 	Barrier BarrierStats
 	// DeferredReplaces counts transactional replaces whose in-place write
 	// waited for a later log force; EarlyReplaceApplies counts those of
@@ -1187,7 +1196,11 @@ type Stats struct {
 	// made pay a force of their own after all.
 	DeferredReplaces    int64
 	EarlyReplaceApplies int64
-	LogLen              int64
+	// ReplaceReadsSaved counts the page runs transactional replaces took
+	// from the images their transaction's preceding Read had transferred,
+	// instead of reading them from the device again.
+	ReplaceReadsSaved int64
+	LogLen            int64
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1211,11 +1224,11 @@ func (s *Store) Stats() Stats {
 			CatalogCompactions:  s.catCompactions.Load(),
 			CatalogPagesWritten: s.catPagesWritten.Load(),
 			HeaderWrites:        s.headerWrites.Load(),
-			LogPagesZeroed:      walStats.PagesZeroed,
 			DirPagesSkipped:     s.dirPagesSkipped.Load(),
 		},
 		DeferredReplaces:    s.deferredReplaces.Load(),
 		EarlyReplaceApplies: s.earlyReplaceApplies.Load(),
+		ReplaceReadsSaved:   s.replaceReadsSaved.Load(),
 		Snap: SnapshotStats{
 			SnapshotReads:  lobStats.SnapshotReads,
 			EpochAdvances:  s.epochs.Advances(),

@@ -23,7 +23,9 @@
 //     from the store layer) is dominated by a barrierDurable stamp
 //     (Load before gating, Store after phase two).  The rule is active
 //     only in packages that operate the barrier — a package with no
-//     barrierDurable stamps has no quarantine to violate.
+//     barrierDurable stamps has no quarantine to violate.  Pages no root
+//     ever named go back through (*buddy.Manager).FreeUnpublished, which
+//     is outside the contract: no catalog, durable or not, can reach them.
 //  5. Rename atomicity: every os.Rename is followed on all success
 //     paths by a disk.SyncDir of the owning directory, else the new
 //     name may not survive a crash.

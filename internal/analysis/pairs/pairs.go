@@ -11,7 +11,7 @@
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
 //	txn      eos.Store.Begin               → Commit/CommitNoForce/Abort
 //	epoch    txn.EpochManager.Enter        → EpochGuard.Exit (all paths)
-//	alloc    buddy Alloc/AllocUpTo         → Free            (error paths)
+//	alloc    buddy Alloc/AllocUpTo         → Free/FreeUnpublished (error paths)
 //	iosubmit disk.Batch.Submit             → Batch.Wait      (all paths)
 //	filevol  disk.Create/OpenFileVolume    → Close           (error paths)
 //
@@ -209,8 +209,8 @@ func defaultSpecs() []*Spec {
 				{"lob", "Allocator", []string{"Alloc", "AllocUpTo"}},
 			},
 			Release: []matcher{
-				{"buddy", "Manager", []string{"Free"}},
-				{"lob", "Allocator", []string{"Free"}},
+				{"buddy", "Manager", []string{"Free", "FreeUnpublished"}},
+				{"lob", "Allocator", []string{"Free", "FreeUnpublished"}},
 			},
 			AcquireKey:     KeyResult0,
 			ReleaseKey:     KeyArg0,

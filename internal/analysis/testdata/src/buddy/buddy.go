@@ -16,3 +16,6 @@ func (m *Manager) AllocUpTo(n int) (PageNum, int, error) { return 0, n, nil }
 
 // Free returns previously allocated pages.
 func (m *Manager) Free(p PageNum, n int) error { return nil }
+
+// FreeUnpublished returns pages no root ever named.
+func (m *Manager) FreeUnpublished(p PageNum, n int) error { return nil }

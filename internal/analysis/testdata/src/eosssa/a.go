@@ -55,6 +55,7 @@ type fakeAlloc struct{}
 func (fakeAlloc) Alloc(n int) (lob.PageNum, error)          { return 0, nil }
 func (fakeAlloc) AllocUpTo(n int) (lob.PageNum, int, error) { return 0, n, nil }
 func (fakeAlloc) Free(p lob.PageNum, n int) error           { return nil }
+func (fakeAlloc) FreeUnpublished(lob.PageNum, int) error    { return nil }
 func (fakeAlloc) MaxSegmentPages() int                      { return 16 }
 
 func callAlloc(a lob.Allocator) {

@@ -76,7 +76,7 @@ func (t *Txn) applyReplace(off int64, p []byte) error {
 // Read and Commit reach it only through applyPending, which keeps the
 // force next to the write, so every path to Apply passes a force.
 func (t *Txn) ReplaceDeferred(off int64, p []byte) error {
-	plan, err := t.obj.PrepareReplace(off, p)
+	plan, err := t.obj.PrepareReplace(off, p, nil)
 	if err != nil {
 		return err
 	}

@@ -20,9 +20,13 @@ func (o *Object) Size() int64                           { return 0 }
 // home write forcedom's force-ahead rule anchors on.
 type ReplacePlan struct{}
 
-func (o *Object) PrepareReplace(off int64, b []byte) (*ReplacePlan, error) {
+func (o *Object) PrepareReplace(off int64, b []byte, have *PageImages) (*ReplacePlan, error) {
 	return &ReplacePlan{}, nil
 }
+
+// PageImages is the stand-in for what a read transferred.
+type PageImages struct{}
+
 func (p *ReplacePlan) Apply() error { return nil }
 
 // PageNum numbers a page.
@@ -35,5 +39,6 @@ type Allocator interface {
 	Alloc(n int) (PageNum, error)
 	AllocUpTo(n int) (PageNum, int, error)
 	Free(p PageNum, n int) error
+	FreeUnpublished(p PageNum, n int) error
 	MaxSegmentPages() int
 }

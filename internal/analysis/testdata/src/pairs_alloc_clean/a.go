@@ -69,5 +69,19 @@ func viaHelper(a lob.Allocator, ready bool) error {
 	return record(a, pg, n)
 }
 
+// givesBackUnpublished returns a run the failed operation never linked
+// into any root: the unpublished free is a release like any other.
+func givesBackUnpublished(a lob.Allocator, ready bool) error {
+	pg, n, err := a.AllocUpTo(8)
+	if err != nil {
+		return err
+	}
+	if !ready {
+		_ = a.FreeUnpublished(pg, n)
+		return errors.New("not ready")
+	}
+	return record(a, pg, n)
+}
+
 // record consumes the run.
 func record(a lob.Allocator, pg lob.PageNum, n int) error { return nil }

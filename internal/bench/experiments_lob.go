@@ -212,7 +212,9 @@ func E10AdaptiveT() (*Table, error) {
 }
 
 // E11AppendGrowth contrasts the §4.1 growth policies: a known final size
-// allocates one right-sized segment; an unknown size doubles and trims.
+// allocates one right-sized segment; an unknown size — a stream — doubles
+// and trims; and the same bytes as one Append call per chunk, each of which
+// knows its own size and nothing about the rest.
 func E11AppendGrowth() (*Table, error) {
 	t := &Table{
 		ID:      "E11",
@@ -246,7 +248,7 @@ func E11AppendGrowth() (*Table, error) {
 			}
 			return a.Close()
 		}},
-		{"unknown, trim every call", func(o *lob.Object) error {
+		{"one Append call per chunk", func(o *lob.Object) error {
 			for w := 0; w < size; w += len(chunk) {
 				if err := o.Append(chunk); err != nil {
 					return err

@@ -209,6 +209,15 @@ func (m *Manager) Free(p disk.PageNum, n int) error {
 	return nil
 }
 
+// FreeUnpublished is Free for pages no root ever named (lob.Allocator).
+// The buddy system itself never delays a free, so the two do the same
+// thing; the separate entry point is for what is layered above.  It makes
+// the manager a lob.Allocator by itself, and it is the one way the store
+// returns pages without a catalog barrier in between — forcedom's
+// durability-quarantine contract covers Free, the release of pages a
+// durable root may still name, and has nothing to say about this one.
+func (m *Manager) FreeUnpublished(p disk.PageNum, n int) error { return m.Free(p, n) }
+
 // owner finds the space containing volume page p.
 func (m *Manager) owner(p disk.PageNum) *Space {
 	m.mu.Lock()

@@ -56,8 +56,13 @@ func TestCrashSweep(t *testing.T) {
 				t.Fatalf("sweep: %v", err)
 			}
 			report(t, res)
-			if !testing.Short() && res.States < 1550 {
-				t.Fatalf("sweep enumerated only %d distinct states, want >= 1550", res.States)
+			// The floor guards against a sweep that silently enumerates less.
+			// It was 1550 while every log truncation zeroed the pages its
+			// epoch had written (1663 / 1606 states); truncation now issues no
+			// request, so the trace has no zeroing writes and forces to crash
+			// between, and the same 170 transactions give 1534 / 1495.
+			if !testing.Short() && res.States < 1450 {
+				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
 		})
 	}

@@ -263,7 +263,9 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 // that is prev, the object of the transaction's previous operation, so
 // that sequences on one object — a replace followed by a read, by a
 // structural operation, or by nothing but the commit or abort — are
-// common.  Errors are returned for the caller to abort on.
+// common.  One kind is itself a sequence: a read and a replace of the
+// same range, the read-modify-write whose replace is planned on the
+// read's page images.  Errors are returned for the caller to abort on.
 func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadConfig, model map[string][]byte, staged map[string]*[]byte) (string, error) {
 	name := fmt.Sprintf("o%d", rng.Intn(cfg.Objects))
 	if prev != "" && rng.Intn(2) == 0 {
@@ -331,14 +333,28 @@ func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadCon
 		}
 		nv := append(append([]byte{}, cur[:off]...), cur[off+n:]...)
 		staged[name] = &nv
-	case roll < 82 && len(cur) > 0: // replace in place
-		trace("replace")
+	case roll < 82 && len(cur) > 0: // replace in place, one time in three right behind a read of the same range
+		readFirst := roll >= 74
+		if readFirst {
+			trace("read-replace")
+		} else {
+			trace("replace")
+		}
 		off := int64(rng.Intn(len(cur)))
 		max := len(cur) - int(off)
 		if max > cfg.MaxWrite {
 			max = cfg.MaxWrite
 		}
 		d := data(1 + rng.Intn(max))
+		if readFirst {
+			got, err := tx.Read(name, off, int64(len(d)))
+			if err != nil {
+				return name, err
+			}
+			if !bytes.Equal(got, cur[off:off+int64(len(d))]) {
+				return name, fmt.Errorf("%w: txn %d, %s [%d,%d)", errStaleRead, txn, name, off, off+int64(len(d)))
+			}
+		}
 		if err := tx.Replace(name, off, d); err != nil {
 			return name, err
 		}

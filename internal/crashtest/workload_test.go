@@ -45,7 +45,9 @@ func TestWorkloadModelMatchesStore(t *testing.T) {
 // TestWorkloadCoversReplaceShapes checks that the sweep's workload drives
 // every fate a transactional replace can meet: written home by the commit
 // force, settled early by a read or by a structural operation on the same
-// object, dropped by an abort — and that the loser destroys an object.
+// object, dropped by an abort — each also for a replace planned on the page
+// images of the read just before it (read-replace) — and that the loser
+// destroys an object.
 func TestWorkloadCoversReplaceShapes(t *testing.T) {
 	cfg := sweepConfig(t)
 	clock := &Clock{}
@@ -63,7 +65,7 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 	// transaction ended.
 	end := func(txn int, how string) {
 		for i, o := range ops[txn] {
-			if o.kind != "replace" {
+			if o.kind != "replace" && o.kind != "read-replace" {
 				continue
 			}
 			fate := how
@@ -73,7 +75,7 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 					break
 				}
 			}
-			shapes["replace, "+fate]++
+			shapes[o.kind+", "+fate]++
 		}
 	}
 	wl := cfg.Workload
@@ -95,6 +97,7 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 	for _, want := range []string{
 		"replace, commit", "replace, abort", "replace, read",
 		"replace, insert", "replace, delete", "replace, truncate", "replace, replace",
+		"read-replace, commit", "read-replace, abort",
 	} {
 		if shapes[want] == 0 {
 			t.Errorf("workload never produces %q", want)

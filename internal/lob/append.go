@@ -14,6 +14,10 @@ import (
 // segment is trimmed — its unused pages at the right end are given back
 // to the free space, which is trivial because the buddy system frees with
 // one-page precision.
+//
+// "Unknown" is a property of a stream, which is what an open Appender is.
+// A single Append call holds all its bytes: it is an append whose size is
+// known, and allocates what it writes.
 
 // Appender streams bytes onto the end of an object.  Close trims the
 // tail segment.  It implements io.Writer.
@@ -51,9 +55,14 @@ func (a *Appender) Close() error {
 	return a.o.Trim()
 }
 
-// Append appends data in one step (open, write, trim).
+// Append appends data in one step (open, write, trim), sizing the segment
+// from the bytes in hand — unless SetGrowthHint has fixed the next
+// segment's size, which then wins.
 func (o *Object) Append(data []byte) error {
-	return o.AppendWithHint(data, 0)
+	if o.growFixed {
+		return o.AppendWithHint(data, 0)
+	}
+	return o.AppendWithHint(data, int64(len(data)))
 }
 
 // AppendWithHint appends data, using sizeHint (total bytes expected to
@@ -66,9 +75,10 @@ func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
 }
 
 // SetGrowthHint overrides the doubling schedule: the next segment
-// allocated by an append without a size hint will request the given
-// number of pages.  Applications with knowledge of their chunk sizes can
-// use this to lay out exact segment patterns.
+// allocated by an append without a size hint — an Appender opened with
+// none, or the next Append call — will request the given number of pages.
+// Applications with knowledge of their chunk sizes can use this to lay
+// out exact segment patterns.
 func (o *Object) SetGrowthHint(pages int) {
 	if pages < 1 {
 		pages = 1
@@ -77,10 +87,16 @@ func (o *Object) SetGrowthHint(pages int) {
 		pages = max
 	}
 	o.nextGrow = pages
+	o.growFixed = true
 }
 
-// Trim frees the unused pages at the right end of the tail segment.
-func (o *Object) Trim() error {
+// Trim frees the unused pages at the right end of the tail segment.  An
+// entry names a segment's first page and its byte count, nothing beyond,
+// so no root has ever named those pages and they go back unpublished.
+func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished) }
+
+// trim gives the tail segment's unused pages to free.
+func (o *Object) trim(free func(disk.PageNum, int) error) error {
 	if o.tailAlloc == 0 {
 		return nil
 	}
@@ -90,7 +106,7 @@ func (o *Object) Trim() error {
 	}
 	used := pagesFor(tailLen, o.m.vol.PageSize())
 	if used < o.tailAlloc {
-		if err := o.m.alloc.Free(o.tailStart+disk.PageNum(used), o.tailAlloc-used); err != nil {
+		if err := free(o.tailStart+disk.PageNum(used), o.tailAlloc-used); err != nil {
 			return err
 		}
 	}
@@ -98,6 +114,13 @@ func (o *Object) Trim() error {
 	o.tailStart = 0
 	return nil
 }
+
+// ForgetTail makes the object trimmed without freeing anything.  It is for
+// a loader that rebuilds the free space from ReachablePages: a durable
+// descriptor may say the tail segment is allocated beyond its bytes, but
+// the Trim that followed it gave those pages back unpublished — to anyone,
+// at once — so only what the entries name still belongs to the object.
+func (o *Object) ForgetTail() { o.tailStart, o.tailAlloc = 0, 0 }
 
 // tailEntry returns the last leaf entry's start byte offset and length.
 func (o *Object) tailEntry() (startByte, length int64, err error) {
@@ -186,7 +209,7 @@ func (o *Object) appendBytes(data []byte, sizeHint int64) error {
 	}
 	if n := len(runs); n > 0 {
 		m.st.segmentsAllocated.Add(int64(n))
-		o.nextGrow = grow
+		o.nextGrow, o.growFixed = grow, false
 		o.tailStart, o.tailAlloc = runs[n-1].Start, runs[n-1].Pages
 	}
 	return nil

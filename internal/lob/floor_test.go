@@ -99,6 +99,8 @@ type floorGeom struct {
 	t      int
 	maxSeg int64 // bytes
 	bridge int
+	// read-replace only: the byte range read before the replace.
+	keepOff, keepN int64
 }
 
 func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
@@ -204,6 +206,29 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// run whole for the pre-image; ApplyShared then is a replace.
 		return append(g.floorRequests("read", off, n), g.floorRequests("replace", off, n)...)
 
+	case "read-replace":
+		// A transaction's read-modify-write: the read of [keepOff,
+		// keepOff+keepN) is §4.2's; the replace that follows needs the whole
+		// page run of each of its pieces for the pre-image, and reads only
+		// those the read did not already transfer whole; Apply then writes
+		// each run in place without reading.
+		kept := g.runs(g.keepOff, g.keepN)
+		out := g.reads(kept)
+		pieces := g.runs(off, n)
+		for _, r := range pieces {
+			covered := false
+			for _, k := range kept {
+				covered = covered || (k.seg == r.seg && k.lo <= r.lo && r.hi <= k.hi)
+			}
+			if !covered {
+				out = append(out, g.reads([]pageRun{r})...)
+			}
+		}
+		for _, r := range pieces {
+			out = append(out, floorReq{write: true, start: g.segs[r.seg].StartPage + disk.PageNum(r.lo), pages: int(r.hi - r.lo + 1)})
+		}
+		return out
+
 	case "insert":
 		// §4.3.1: S splits at page P into L | N | R; N takes the new bytes
 		// and P's suffix, reshuffling adds L's tail and R's head.  Those
@@ -240,7 +265,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 
 // runTraced performs op on o and on model, and returns the model and what
 // the data volume saw: the requests in order and their counts.
-func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int64, data []byte) ([]byte, []disk.TraceEvent, disk.Stats) {
+func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int64, data []byte, keep [2]int64) ([]byte, []disk.TraceEvent, disk.Stats) {
 	t.Helper()
 	n := int64(len(data))
 	var traced []disk.TraceEvent
@@ -261,8 +286,25 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 		copy(model[off:], data)
 	case "replace-shared":
 		var plan *ReplacePlan
-		if plan, err = o.PrepareReplace(off, data); err == nil {
+		if plan, err = o.PrepareReplace(off, data, nil); err == nil {
 			err = plan.ApplyShared()
+		}
+		copy(model[off:], data)
+	case "read-replace":
+		var kept PageImages
+		var got []byte
+		if got, err = o.ReadKeeping(keep[0], keep[1], &kept); err == nil && !bytes.Equal(got, model[keep[0]:keep[0]+keep[1]]) {
+			t.Errorf("read(%d,%d) returned the wrong bytes", keep[0], keep[1])
+		}
+		var plan *ReplacePlan
+		if err == nil {
+			plan, err = o.PrepareReplace(off, data, &kept)
+		}
+		if err == nil {
+			if !bytes.Equal(plan.Old(), model[off:off+n]) {
+				t.Errorf("replace(%d,%d) after read(%d,%d): wrong pre-image", off, n, keep[0], keep[1])
+			}
+			err = plan.Apply()
 		}
 		copy(model[off:], data)
 	case "insert":
@@ -283,7 +325,7 @@ type floorRow struct {
 	name   string
 	segs   []int64 // layout: bytes per segment, each laid down by one sized append
 	t      int     // segment size threshold T, pages
-	op     string  // read, append, replace, replace-shared, insert, delete
+	op     string  // read, append, replace, replace-shared, read-replace, insert, delete
 	off, n int64
 	want   ioCount
 }
@@ -330,46 +372,66 @@ var floorTable = []floorRow{
 	{"delete, T=4: L falls under T and moves into N whole", []int64{6400}, 4, "delete", 530, 100, ioCount{1, 7, 1, 6, 2}},
 }
 
+// A transaction's read, then its replace with the read's page images: only
+// pieces the read did not transfer whole are read again.  keep is the
+// offset and length of the read.
+var readReplaceTable = []struct {
+	floorRow
+	keep [2]int64
+}{
+	{floorRow{"read, replace the same bytes", []int64{6400}, 1, "read-replace", 350, 400, ioCount{1, 5, 1, 5, 2}}, [2]int64{350, 400}},
+	{floorRow{"read, replace inside it", []int64{6400}, 1, "read-replace", 350, 400, ioCount{1, 10, 1, 5, 2}}, [2]int64{250, 900}},
+	{floorRow{"read, replace one page wider each side", []int64{6400}, 1, "read-replace", 250, 600, ioCount{2, 12, 1, 7, 3}}, [2]int64{350, 400}},
+	{floorRow{"read, replace shifted over a segment boundary: one piece covered", []int64{800, 330, 800}, 1, "read-replace", 780, 320, ioCount{3, 6, 2, 4, 3}}, [2]int64{750, 200}},
+	{floorRow{"read, replace somewhere else", []int64{6400}, 1, "read-replace", 3350, 100, ioCount{2, 7, 1, 2, 3}}, [2]int64{350, 400}},
+}
+
 func TestOpFloor(t *testing.T) {
-	const ps = 100
 	for _, row := range floorTable {
-		t.Run(row.name, func(t *testing.T) {
-			e := newEnv(t, ps, 8, 256, Config{Threshold: row.t})
-			o := e.m.NewObject(0)
-			var model []byte
-			for i, n := range row.segs {
-				part := pattern(i+1, int(n))
-				if err := o.AppendWithHint(part, n); err != nil {
-					t.Fatal(err)
-				}
-				model = append(model, part...)
-			}
-			segs, err := o.Segments()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) != len(row.segs) {
-				t.Fatalf("layout has %d segments, want %d", len(segs), len(row.segs))
-			}
-			g := newFloorGeom(e, segs, row.t)
-
-			floor := g.floorRequests(row.op, row.off, row.n)
-			if got := countRequests(floor); got != row.want {
-				t.Fatalf("floor formula gives %v, the table says %v", got, row.want)
-			}
-
-			model, traced, st := runTraced(t, e, o, model, row.op, row.off, pattern(99, int(row.n)))
-			got := ioCount{st.Reads, st.PagesRead, st.Writes, st.PagesWritten, st.Seeks}
-			if got != row.want {
-				t.Errorf("measured %v, floor %v", got, row.want)
-			}
-			if split, err := matchFloor(traced, floor); err != nil || split != 0 {
-				t.Errorf("%d split segment writes, %v", split, err)
-			}
-			mustContent(t, o, model)
-			mustCheck(t, o)
-		})
+		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row, [2]int64{}) })
 	}
+	for _, row := range readReplaceTable {
+		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row.floorRow, row.keep) })
+	}
+}
+
+func testFloorRow(t *testing.T, row floorRow, keep [2]int64) {
+	const ps = 100
+	e := newEnv(t, ps, 8, 256, Config{Threshold: row.t})
+	o := e.m.NewObject(0)
+	var model []byte
+	for i, n := range row.segs {
+		part := pattern(i+1, int(n))
+		if err := o.AppendWithHint(part, n); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, part...)
+	}
+	segs, err := o.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != len(row.segs) {
+		t.Fatalf("layout has %d segments, want %d", len(segs), len(row.segs))
+	}
+	g := newFloorGeom(e, segs, row.t)
+	g.keepOff, g.keepN = keep[0], keep[1]
+
+	floor := g.floorRequests(row.op, row.off, row.n)
+	if got := countRequests(floor); got != row.want {
+		t.Fatalf("floor formula gives %v, the table says %v", got, row.want)
+	}
+
+	model, traced, st := runTraced(t, e, o, model, row.op, row.off, pattern(99, int(row.n)), keep)
+	got := ioCount{st.Reads, st.PagesRead, st.Writes, st.PagesWritten, st.Seeks}
+	if got != row.want {
+		t.Errorf("measured %v, floor %v", got, row.want)
+	}
+	if split, err := matchFloor(traced, floor); err != nil || split != 0 {
+		t.Errorf("%d split segment writes, %v", split, err)
+	}
+	mustContent(t, o, model)
+	mustCheck(t, o)
 }
 
 // TestOpFloorRandomMix holds the paper's operation mix (40 % read, 20 %
@@ -421,7 +483,7 @@ func TestOpFloorRandomMix(t *testing.T) {
 
 		var traced []disk.TraceEvent
 		var st disk.Stats
-		model, traced, st = runTraced(t, e, o, model, op, off, data)
+		model, traced, st = runTraced(t, e, o, model, op, off, data, [2]int64{})
 		split, err := matchFloor(traced, floor)
 		if err != nil {
 			t.Fatalf("op %d: %s(%d,%d): %v", i, op, off, n, err)

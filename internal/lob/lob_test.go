@@ -293,7 +293,11 @@ func TestReplacePlan(t *testing.T) {
 		e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
 		o := e.m.NewObject(0)
 		model := pattern(4, 1337)
-		if err := o.Append(model); err != nil {
+		a := o.OpenAppender(0) // size unknown: segments of 1, 2, 4 and 7 pages
+		if _, err := a.Write(model); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
 		segs, err := o.Segments()
@@ -318,7 +322,7 @@ func TestReplacePlan(t *testing.T) {
 			}
 			repl := pattern(int(c.off)+77, c.n)
 			before := e.vol.Stats()
-			plan, err := o.PrepareReplace(c.off, repl)
+			plan, err := o.PrepareReplace(c.off, repl, nil)
 			if err != nil {
 				t.Fatalf("PrepareReplace(%d,%d): %v", c.off, c.n, err)
 			}
@@ -373,7 +377,7 @@ func TestReplacePlan(t *testing.T) {
 				t.Error("plan not marked applied")
 			}
 		}
-		if _, err := o.PrepareReplace(1330, pattern(0, 8)); !errors.Is(err, ErrOutOfBounds) {
+		if _, err := o.PrepareReplace(1330, pattern(0, 8), nil); !errors.Is(err, ErrOutOfBounds) {
 			t.Errorf("overlong plan: err = %v", err)
 		}
 		mustCheck(t, o)
@@ -930,7 +934,7 @@ func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
 	var off int64
 	for _, en := range nd.entries {
 		buf := make([]byte, en.bytes)
-		if err := m.readSegRange(en.ptr, 0, buf); err != nil {
+		if _, err := m.readSegRange(en.ptr, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, buf...)

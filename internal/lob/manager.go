@@ -20,6 +20,12 @@ type Allocator interface {
 	AllocUpTo(n int) (disk.PageNum, int, error)
 	// Free returns any sub-range of previously allocated pages.
 	Free(p disk.PageNum, n int) error
+	// FreeUnpublished returns pages no root — durable, published or held
+	// by a transaction — has ever named: the unused end of a run, or runs
+	// an operation allocated and then could not use.  Nobody can be
+	// reading them and no recovery can reach them, so an allocator that
+	// delays Free for either reason may hand them out again at once.
+	FreeUnpublished(p disk.PageNum, n int) error
 	// MaxSegmentPages reports the largest possible single allocation.
 	MaxSegmentPages() int
 }
@@ -240,19 +246,20 @@ func (m *Manager) freeNodePage(p disk.PageNum) error {
 // ---- segment I/O ----
 
 // readSegRange reads bytes [off, off+n) of the segment whose data pages
-// start at page start, in a single multi-page request.
-func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte) error {
+// start at page start, in a single multi-page request, and returns the
+// page run it transferred.
+func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte) (pageImage, error) {
 	if len(buf) == 0 {
-		return nil
+		return pageImage{}, nil
 	}
 	ps := m.vol.PageSize()
 	first, npages, in := disk.PageSpan(off, int64(len(buf)), ps)
-	raw := make([]byte, npages*ps)
-	if err := m.vol.ReadPages(start+first, npages, raw); err != nil {
-		return err
+	img := pageImage{start: start + first, raw: make([]byte, npages*ps)}
+	if err := m.vol.ReadPages(img.start, npages, img.raw); err != nil {
+		return pageImage{}, err
 	}
-	copy(buf, raw[in:])
-	return nil
+	copy(buf, img.raw[in:])
+	return img, nil
 }
 
 // gather is disk.Gather on the manager's volume — the one way an update
@@ -332,11 +339,12 @@ func (m *Manager) allocSegments(total int64) ([]entry, error) {
 	return out, nil
 }
 
-// giveBack frees runs an operation allocated and then could not use, and
-// returns err: the failure that made them useless is the one to report.
+// giveBack frees runs an operation allocated and then could not use —
+// no root came to name them — and returns err: the failure that made them
+// useless is the one to report.
 func (m *Manager) giveBack(runs []PageRun, err error) error {
 	for _, r := range runs {
-		_ = m.alloc.Free(r.Start, r.Pages)
+		_ = m.alloc.FreeUnpublished(r.Start, r.Pages)
 	}
 	return err
 }

@@ -23,6 +23,9 @@ type Object struct {
 	// Append growth state (§4.1): the next segment to allocate when the
 	// eventual size is unknown doubles until the maximum segment size.
 	nextGrow int // eos:guardedby catEntry.latch
+	// growFixed marks nextGrow as set by SetGrowthHint rather than by the
+	// schedule; the next allocation consumes it.
+	growFixed bool // eos:guardedby catEntry.latch
 	// The last segment may be allocated beyond its trimmed length while
 	// an append sequence is in progress.
 	tailStart disk.PageNum // eos:guardedby catEntry.latch
@@ -107,7 +110,10 @@ func (o *Object) SetLSN(lsn uint64) { o.lsn.Store(lsn) }
 // page to the free space without reading a single data page.
 func (o *Object) Destroy() error {
 	o.bumpVersion()
-	if err := o.Trim(); err != nil {
+	// The tail's unused pages go the way of the rest: a transaction that
+	// destroys the object restores it on abort from a descriptor that says
+	// they are the object's, so they must not be reusable before then.
+	if err := o.trim(o.m.alloc.Free); err != nil {
 		return err
 	}
 	for _, e := range o.root.entries {
@@ -117,7 +123,7 @@ func (o *Object) Destroy() error {
 	}
 	o.root = &node{level: 1}
 	o.size = 0
-	o.nextGrow = 1
+	o.nextGrow, o.growFixed = 1, false
 	o.tailStart, o.tailAlloc = 0, 0
 	return nil
 }

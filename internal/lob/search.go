@@ -51,6 +51,47 @@ func (m *Manager) walkRange(nd *node, off, n int64, visit segmentVisitor) error 
 	return nil
 }
 
+// PageImages is what one read transferred from the data volume: the
+// whole-page run of every segment piece it touched, as the device returned
+// it.  Leaf segments bypass the buffer pool, so a caller that will rewrite
+// the bytes it has just read keeps these and hands them to PrepareReplace
+// instead of paying the device a second time.  They are the device's
+// bytes only while nothing writes those pages: whoever keeps them
+// guarantees that (the transaction layer by its object lock) and drops
+// them before anything else.
+type PageImages struct {
+	runs []pageImage
+}
+
+// pageImage is whole pages from page start on.
+type pageImage struct {
+	start disk.PageNum
+	raw   []byte
+}
+
+// Pages is the number of pages held.
+func (p *PageImages) Pages(pageSize int) int {
+	n := 0
+	for _, r := range p.runs {
+		n += len(r.raw) / pageSize
+	}
+	return n
+}
+
+// take returns the images of pages [start, start+npages) if one kept run
+// holds them all, else nil.
+func (p *PageImages) take(start disk.PageNum, npages, pageSize int) []byte {
+	if p == nil {
+		return nil
+	}
+	for _, r := range p.runs {
+		if lo := int(start - r.start); start >= r.start && (lo+npages)*pageSize <= len(r.raw) {
+			return r.raw[lo*pageSize : (lo+npages)*pageSize]
+		}
+	}
+	return nil
+}
+
 // ReadAt reads len(buf) bytes starting at byte off into buf.
 //
 // With Config.ReadWorkers > 1 a range spanning several segments fans its
@@ -63,21 +104,26 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 		return err
 	}
 	o.m.st.reads.Add(1)
-	return o.m.readRange(o.root, buf, off)
+	return o.m.readRange(o.root, buf, off, nil)
 }
 
-// readRange reads len(buf) bytes starting at byte off of root's subtree.
+// readRange reads len(buf) bytes starting at byte off of root's subtree,
+// reporting the page runs it transferred to keep when that is not nil.
 // It is shared by the live read path (under the object latch) and the
 // snapshot read path (over an immutable published root, no locks): the
 // walk itself only ever descends committed index pages.
-func (m *Manager) readRange(root *node, buf []byte, off int64) error {
+func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages) error {
 	if m.readSem != nil {
-		return m.readRangeFanOut(root, buf, off)
+		return m.readRangeFanOut(root, buf, off, keep)
 	}
 	pos := 0
 	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
-		if err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)]); err != nil {
+		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)])
+		if err != nil {
 			return err
+		}
+		if keep != nil {
+			keep.runs = append(keep.runs, img)
 		}
 		pos += int(n)
 		return nil
@@ -86,21 +132,23 @@ func (m *Manager) readRange(root *node, buf []byte, off int64) error {
 
 // segSpan is one segment's share of a read: n bytes starting segOff
 // bytes into the segment whose data pages begin at ptr, destined for
-// buf[pos:pos+n].
+// buf[pos:pos+n]; img is the page run its transfer filled.
 type segSpan struct {
 	ptr    disk.PageNum
 	segOff int64
 	pos    int
 	n      int
+	img    pageImage
 }
 
 // readRangeFanOut overlaps a multi-segment read's data transfers.  The
 // index walk stays sequential — node reads go through the buffer pool
 // and are usually hits — collecting the segment spans; the spans are
 // then dispatched concurrently, at most ReadWorkers in flight across
-// the whole manager.  Each span writes a disjoint slice of buf, so the
-// workers need no coordination beyond the first-error capture.
-func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64) error {
+// the whole manager.  Each worker writes a disjoint slice of buf and its
+// own span, so the workers need no coordination beyond the first-error
+// capture.
+func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageImages) error {
 	var spans []segSpan
 	pos := 0
 	if err := m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
@@ -110,33 +158,40 @@ func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64) error {
 	}); err != nil {
 		return err
 	}
-	if len(spans) == 0 {
-		return nil
+	read := func(s *segSpan) (err error) {
+		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n])
+		return err
 	}
+	var firstErr error
 	if len(spans) == 1 {
-		s := spans[0]
-		return m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n])
+		firstErr = read(&spans[0])
+	} else {
+		var (
+			wg      sync.WaitGroup
+			errOnce sync.Once
+		)
+		for i := range spans {
+			m.readSem <- struct{}{}
+			wg.Add(1)
+			go func(s *segSpan) {
+				defer func() {
+					<-m.readSem
+					wg.Done()
+				}()
+				if err := read(s); err != nil {
+					errOnce.Do(func() { firstErr = err })
+				}
+			}(&spans[i])
+		}
+		wg.Wait()
 	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
+	if firstErr != nil || keep == nil {
+		return firstErr
+	}
 	for _, s := range spans {
-		m.readSem <- struct{}{}
-		wg.Add(1)
-		go func(s segSpan) {
-			defer func() {
-				<-m.readSem
-				wg.Done()
-			}()
-			if err := m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n]); err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
-		}(s)
+		keep.runs = append(keep.runs, s.img)
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // SegmentRangeAt reports the logical byte range [start, start+n) of the
@@ -155,12 +210,18 @@ func (o *Object) SegmentRangeAt(off int64) (start, n int64, err error) {
 }
 
 // Read returns n bytes starting at off.
-func (o *Object) Read(off, n int64) ([]byte, error) {
+func (o *Object) Read(off, n int64) ([]byte, error) { return o.ReadKeeping(off, n, nil) }
+
+// ReadKeeping is Read that also reports, in keep when it is not nil, the
+// page runs the read transferred (see PageImages for what the caller takes
+// on by keeping them).
+func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 	if err := o.checkRange(off, n); err != nil {
 		return nil, err
 	}
+	o.m.st.reads.Add(1)
 	buf := make([]byte, n)
-	if err := o.ReadAt(buf, off); err != nil {
+	if err := o.m.readRange(o.root, buf, off, keep); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -203,6 +264,7 @@ type ReplacePlan struct {
 	old     []byte
 	exts    []Extent
 	runs    []planRun
+	saved   int
 	applied bool
 }
 
@@ -217,8 +279,10 @@ type planRun struct {
 // PrepareReplace plans overwriting len(data) bytes at off with data: one
 // tree walk, and per segment piece one read of the whole page run the
 // piece touches (the non-transactional Replace reads only the boundary
-// pages, but it needs no pre-image).
-func (o *Object) PrepareReplace(off int64, data []byte) (*ReplacePlan, error) {
+// pages, but it needs no pre-image).  A piece whose page run have holds —
+// have may be nil — is taken from there instead of the device; the plan
+// then owns those images and writes into them, so have is spent.
+func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
 	}
@@ -228,9 +292,14 @@ func (o *Object) PrepareReplace(off int64, data []byte) (*ReplacePlan, error) {
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, int(ps))
-		run := planRun{start: seg.ptr + first, raw: make([]byte, npages*int(ps)), in: in, n: n}
-		if err := m.vol.ReadPages(run.start, npages, run.raw); err != nil {
-			return err
+		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, int(ps)), in: in, n: n}
+		if run.raw != nil {
+			p.saved++
+		} else {
+			run.raw = make([]byte, npages*int(ps))
+			if err := m.vol.ReadPages(run.start, npages, run.raw); err != nil {
+				return err
+			}
 		}
 		p.old = append(p.old, run.raw[in:in+n]...)
 		copy(run.raw[in:], data[pos:pos+n])
@@ -258,6 +327,10 @@ func (p *ReplacePlan) Old() []byte { return p.old }
 // Extents returns the physical location of Old, page by page in logical
 // order: what recovery needs to undo the write if its transaction loses.
 func (p *ReplacePlan) Extents() []Extent { return p.exts }
+
+// ReadsSaved is the number of segment pieces whose page run came from the
+// images PrepareReplace was handed rather than from the device.
+func (p *ReplacePlan) ReadsSaved() int { return p.saved }
 
 // Applied reports whether Apply has started writing.
 func (p *ReplacePlan) Applied() bool { return p.applied }

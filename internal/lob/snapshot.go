@@ -82,7 +82,7 @@ func (v *RootVersion) ReadAt(buf []byte, off int64) error {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(buf)), v.size)
 	}
 	v.m.st.snapshotReads.Add(1)
-	return v.m.readRange(v.root, buf, off)
+	return v.m.readRange(v.root, buf, off, nil)
 }
 
 // Read returns n bytes starting at off of the version.

@@ -398,7 +398,7 @@ func (m *Manager) compactLeafNode(nd *node, threshold int) error {
 		buf := make([]byte, 0, runBytes)
 		for k := i; k < j; k++ {
 			part := make([]byte, nd.entries[k].bytes)
-			if err := m.readSegRange(nd.entries[k].ptr, 0, part); err != nil {
+			if _, err := m.readSegRange(nd.entries[k].ptr, 0, part); err != nil {
 				return err
 			}
 			buf = append(buf, part...)

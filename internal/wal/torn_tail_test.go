@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -48,6 +49,13 @@ func tornTailCorpus() []tornCase {
 			for i := off; i < off+size; i++ {
 				img[i] = 0xA5
 			}
+		}},
+		{"garbage-length", func(img []byte, off, size, _, _ int) {
+			// The header landed but for its length field, which still holds
+			// whatever was there: larger than the record, inside the volume.
+			// The LSN is right, so the scan does read that much; the
+			// checksum, which covers the length, must reject it.
+			binary.BigEndian.PutUint32(img[off+4:], uint32(size+4000))
 		}},
 		{"stale-epoch-record", func(img []byte, off, size, firstOff, firstSize int) {
 			// A fully intact record from another position (as a reused
@@ -205,105 +213,168 @@ func fillEpoch(t *testing.T, l *Log, n int, txn uint64) []uint64 {
 	return lsns
 }
 
-// TestResetZeroesOnlyTheEndingEpoch: once one Reset has cleared the
-// whole volume, later Resets clear just the pages their epoch wrote, the
-// volume still reads all-zero afterwards, and stale-epoch records a lost
-// zeroing leaves behind — intact, beyond a partially zeroed region — are
-// rejected by the scan's LSN check.
-func TestResetZeroesOnlyTheEndingEpoch(t *testing.T) {
+// TestResetWritesNothing: a truncation costs no device request and leaves
+// the ending epoch's records where they were; the new epoch's recovery
+// still returns only its own, and a scan that lands exactly ON an intact
+// old record rejects it.
+func TestResetWritesNothing(t *testing.T) {
 	l, vol := newLog(t, 64)
 	ps := int64(vol.PageSize())
-	fillEpoch(t, l, 3, 1)
-	if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Stats().PagesZeroed; got != int64(vol.NumPages()) {
-		t.Fatalf("first reset after New zeroed %d pages, want the whole volume (%d)", got, vol.NumPages())
-	}
-
-	// Second epoch: 20 records spanning several pages.
-	base2 := l.Base()
-	lsns := fillEpoch(t, l, 20, 2)
+	base1 := l.Base()
+	lsns := fillEpoch(t, l, 20, 1)
 	epochPages := (l.Tail() + ps - 1) / ps
 	if epochPages < 4 {
 		t.Fatalf("epoch spans only %d pages", epochPages)
 	}
-	stale, err := vol.Read(0, int(epochPages))
+	image, err := vol.Read(0, int(vol.NumPages()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := vol.Stats().PagesWritten
-	base3 := base2 + uint64(l.Tail())
-	if err := l.Reset(base3); err != nil {
+	before := vol.Stats()
+	base2 := base1 + uint64(l.Tail())
+	if err := l.Reset(base2); err != nil {
 		t.Fatal(err)
 	}
-	if got := vol.Stats().PagesWritten - before; got != epochPages {
-		t.Errorf("second reset wrote %d pages, want the epoch's %d", got, epochPages)
+	if after := vol.Stats(); after.Writes != before.Writes || after.PagesWritten != before.PagesWritten || after.Syncs != before.Syncs {
+		t.Errorf("Reset touched the device: %+v -> %+v", before, after)
 	}
-	img, err := vol.Read(0, int(vol.NumPages()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, make([]byte, len(img))) {
-		t.Error("volume not all-zero after a bounded reset")
+	if now, err := vol.Read(0, int(vol.NumPages())); err != nil || !bytes.Equal(now, image) {
+		t.Errorf("Reset changed the volume's bytes (err %v)", err)
 	}
 
-	// The crash swallowed the zeroing of every page but the first two:
-	// the old epoch's records further on are intact again.  One record
-	// of the new epoch sits on page 0.
-	if err := vol.WritePages(2, int(epochPages)-2, stale[2*ps:]); err != nil {
-		t.Fatal(err)
-	}
-	fresh := fillEpoch(t, l, 1, 3)
-	if err := vol.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
+	// One record of the new epoch on page 0; the old epoch's records
+	// further on are intact.
+	fresh := fillEpoch(t, l, 1, 2)
 	vol.Crash()
-	l3, recs, err := Recover(vol, base3)
+	l2, recs, err := Recover(vol, base2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].LSN != fresh[0] {
 		t.Fatalf("recovered %d records, want only the new epoch's one", len(recs))
 	}
-	// A scan that lands exactly ON an intact stale record — as it would
-	// once the new epoch grows up to it — still rejects it: its CRC
-	// passes, its LSN belongs to the old base.
+	checked := 0
 	for _, lsn := range lsns {
-		off := int64(lsn - base2 - 1)
-		if off < 2*ps {
-			continue
+		off := int64(lsn - base1 - 1)
+		if off < ps {
+			continue // page 0 was rewritten by the new epoch
 		}
 		n := 0
-		if err := l3.Scan(off, func(*Record) error { n++; return nil }); err != nil {
+		if err := l2.Scan(off, func(*Record) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
-			t.Fatalf("scan from the stale record at offset %d accepted %d records", off, n)
+			t.Fatalf("scan from the old record at offset %d accepted %d records", off, n)
 		}
 		// Under its own base the same bytes are a valid record: the
 		// rejection above is the epoch check, not damage.
-		if err := New(vol, base2).Scan(off, func(*Record) error { n++; return nil }); err != nil {
+		if err := New(vol, base1).Scan(off, func(*Record) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 {
-			t.Fatalf("stale record at offset %d is not intact; the test proves nothing", off)
+			t.Fatalf("old record at offset %d is not intact; the test proves nothing", off)
 		}
-		return
+		checked++
 	}
-	t.Fatal("no stale record starts beyond the zeroed pages")
+	if checked == 0 {
+		t.Fatal("no old record starts beyond page 0")
+	}
 }
 
-// TestFirstResetAfterRecoverZeroesWholeVolume: a recovered log knows
-// nothing about the pages past its tail (a lost zeroing may have left
-// stale records anywhere), so its first Reset clears everything; only
-// the next one is bounded.
-func TestFirstResetAfterRecoverZeroesWholeVolume(t *testing.T) {
+// onePageRecord is a record whose encoding fills exactly one log page.
+func onePageRecord(txn uint64, ps int) *Record {
+	return &Record{Txn: txn, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{byte(txn)}, ps-recHeaderSize)}
+}
+
+// TestOldRecordAtNewTailNeverSurfaces: two epochs that begin with records
+// of the same sizes put an intact old record — valid CRC — exactly at the
+// new epoch's tail, on a page the new epoch has not written.  Nothing
+// erased it; only its LSN says it is old.  Recovery must stop in front of
+// it, and the log must go on from there.
+func TestOldRecordAtNewTailNeverSurfaces(t *testing.T) {
+	l, vol := newLog(t, 64)
+	ps := vol.PageSize()
+	base1 := l.Base()
+	for txn := uint64(1); txn <= 3; txn++ {
+		if _, err := l.Append(onePageRecord(txn, ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	base2 := base1 + uint64(l.Tail())
+	if err := l.Reset(base2); err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.Append(onePageRecord(7, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Tail() != int64(ps) {
+		t.Fatalf("new epoch's tail at %d, want the page boundary %d", l.Tail(), ps)
+	}
+	vol.Crash()
+
+	n := 0
+	if err := New(vol, base1).Scan(int64(ps), func(*Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("%d intact old records at the new tail, want 2; the test proves nothing", n)
+	}
+	l2, recs, err := Recover(vol, base2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].LSN != first || recs[0].Txn != 7 {
+		t.Fatalf("recovered %d records, want only the new epoch's one", len(recs))
+	}
+	if l2.Tail() != int64(ps) {
+		t.Errorf("recovered tail at %d, want %d", l2.Tail(), ps)
+	}
+	// The next record overwrites the old one and survives.
+	second, err := l2.Append(onePageRecord(8, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Force(); err != nil {
+		t.Fatal(err)
+	}
+	vol.Crash()
+	_, recs, err = Recover(vol, base2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[1].LSN != second || recs[1].Txn != 8 {
+		t.Fatalf("after the overwrite recovered %d records, want the new epoch's two", len(recs))
+	}
+}
+
+// TestJunkPastRecoveredTailNeverSurfaces: a recovered log knows nothing
+// about the pages past its tail — junk, or records of the epoch the crash
+// ended — and nothing clears them.  They stay out of every later scan,
+// also once the epoch after the recovery has grown up to them.
+func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 	l, vol := newLog(t, 32)
-	fillEpoch(t, l, 2, 1)
-	// Junk far past the tail, as a lost zeroing would leave.
-	junk := bytes.Repeat([]byte{0xEE}, vol.PageSize())
-	if err := vol.WritePages(20, 1, junk); err != nil {
+	ps := vol.PageSize()
+	for txn := uint64(1); txn <= 4; txn++ {
+		if _, err := l.Append(onePageRecord(txn, ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	// The crash tore the third record; the fourth is intact behind it, and
+	// there is junk far past the tail.
+	if err := vol.WritePages(2, 1, bytes.Repeat([]byte{0xA5}, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.WritePages(20, 1, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
 		t.Fatal(err)
 	}
 	if err := vol.ForceAll(); err != nil {
@@ -314,28 +385,68 @@ func TestFirstResetAfterRecoverZeroesWholeVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(recs))
+	if len(recs) != 2 || l2.Tail() != int64(2*ps) {
+		t.Fatalf("recovered %d records, tail %d; want 2 and %d", len(recs), l2.Tail(), 2*ps)
 	}
-	if err := l2.Reset(l2.Base() + uint64(l2.Tail())); err != nil {
+	// Recovery's checkpoint starts a new epoch behind what it found.
+	base2 := l2.Base() + uint64(l2.Tail())
+	if err := l2.Reset(base2); err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.Stats().PagesZeroed; got != int64(vol.NumPages()) {
-		t.Errorf("first reset after Recover zeroed %d pages, want all %d", got, vol.NumPages())
+	// The new epoch grows to exactly where the intact fourth record sits,
+	// then across the junk page.
+	want := 0
+	for _, upTo := range []int{3, 22} {
+		for ; want < upTo; want++ {
+			if _, err := l2.Append(onePageRecord(uint64(10+want), ps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l2.Force(); err != nil {
+			t.Fatal(err)
+		}
+		vol.Crash()
+		var recs []*Record
+		l2, recs, err = Recover(vol, base2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != want {
+			t.Fatalf("recovered %d records, want the new epoch's %d", len(recs), want)
+		}
+		for i, r := range recs {
+			if r.Txn != uint64(10+i) {
+				t.Fatalf("record %d belongs to txn %d: an old record surfaced", i, r.Txn)
+			}
+		}
 	}
-	page, err := vol.Read(20, 1)
+}
+
+// TestScanTestsLSNBeforeLength: an old record's length field may claim
+// most of the volume.  The scan reads its header, sees the LSN is not this
+// epoch's, and stops — it never transfers (or allocates) what the length
+// asks for.
+func TestScanTestsLSNBeforeLength(t *testing.T) {
+	l, vol := newLog(t, 4096)
+	ps := int64(vol.PageSize())
+	total := ps * int64(vol.NumPages())
+	if _, err := l.Append(&Record{Txn: 1, Type: RecAppend, Data: bytes.Repeat([]byte{1}, int(total)-2*recHeaderSize)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	base2 := l.Base() + uint64(l.Tail())
+	vol.ResetStats()
+	_, recs, err := Recover(vol, base2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(page, make([]byte, len(page))) {
-		t.Error("junk past the recovered tail survived the first reset")
+	if len(recs) != 0 {
+		t.Fatalf("recovered %d records from the old epoch", len(recs))
 	}
-	fillEpoch(t, l2, 1, 2)
-	if err := l2.Reset(l2.Base() + uint64(l2.Tail())); err != nil {
-		t.Fatal(err)
-	}
-	if got := l2.Stats().PagesZeroed - int64(vol.NumPages()); got != 1 {
-		t.Errorf("second reset zeroed %d pages, want the one the epoch wrote", got)
+	if got := vol.Stats().PagesRead; got > 2 {
+		t.Errorf("scan read %d pages of a %d-page old record, want its header only", got, total/ps)
 	}
 }
 

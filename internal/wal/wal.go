@@ -16,9 +16,9 @@
 // base, and a record's LSN is base + its byte offset + 1.  Truncation
 // advances the base past every LSN the old epoch issued, so the LSN
 // guard in object roots stays valid without ever rewinding — and a
-// recovery scan can recognize (and ignore) records from a stale epoch
-// whose zeroing write was lost in a crash, because their LSNs do not
-// match the base the store header says is current.
+// truncation writes nothing: the old epoch's records stay on the volume
+// until new ones overwrite them, and a recovery scan ignores them because
+// their LSNs do not match the base the store header says is current.
 package wal
 
 import (
@@ -128,7 +128,6 @@ type Stats struct {
 	Piggybacks   int64 // requests covered by another committer's force while queued
 	LeaderForces int64 // physical flush+force batches issued
 	FlushedBytes int64 // bytes of log records written to the volume
-	PagesZeroed  int64 // log pages cleared by Reset
 }
 
 // Log is an append-only write-ahead log over a dedicated volume.  It is
@@ -165,21 +164,14 @@ type Log struct {
 	flushed  int64  // eos:guardedby mu -- offset through which records are on the volume
 	tail     int64  // eos:guardedby mu -- next append offset (bytes) == bufStart+len(buf)
 	forced   int64  // eos:guardedby mu -- offset through which records are durable
-	// written bounds the bytes from the volume's start that may be
-	// non-zero: the whole volume until the first Reset, afterwards the
-	// furthest byte any write of the current epoch reached.  Reset zeroes
-	// exactly that much.
-	written int64 // eos:guardedby mu
-	stats   Stats // eos:guardedby mu
+	stats    Stats  // eos:guardedby mu
 }
 
 // New creates an empty log on vol.  base is the LSN epoch base the
 // store header records (0 for a fresh store); the first record gets
 // LSN base+1.
 func New(vol disk.Device, base uint64) *Log {
-	ps := vol.PageSize()
-	return &Log{vol: vol, ps: ps, base: base, grouped: true,
-		written: int64(vol.NumPages()) * int64(ps)}
+	return &Log{vol: vol, ps: vol.PageSize(), base: base, grouped: true}
 }
 
 // Base returns the current epoch base: every record in the log has
@@ -301,7 +293,6 @@ func (l *Log) Append(r *Record) (uint64, error) {
 	}
 	l.buf = append(l.buf, rec...)
 	if !l.grouped {
-		l.written = max(l.written, end)
 		if err := l.writeFrom(l.bufStart, l.buf); err != nil {
 			l.buf = l.buf[:len(l.buf)-len(rec)]
 			return 0, err
@@ -420,7 +411,6 @@ func (l *Log) flushHoldingForceMu() (int64, error) {
 	start, done := l.bufStart, l.flushed
 	data := l.buf[:len(l.buf):len(l.buf)]
 	end := start + int64(len(data))
-	l.written = max(l.written, end)
 	l.mu.Unlock()
 	if end == done {
 		return done, nil
@@ -442,13 +432,15 @@ func (l *Log) Tail() int64 {
 }
 
 // Scan reads every intact record from byte offset start, invoking fn in
-// order.  Scanning stops cleanly at the first torn or zero record — the
-// crash-truncated tail — and at the first record whose LSN does not
-// match the current epoch base (a leftover from before a truncation
-// whose zeroing write the crash swallowed; everything such a record
-// describes was durable before the truncation began, so skipping it is
-// exactly right).  Buffered records are part of the log's logical
-// contents, so Scan writes them out first (without forcing).
+// order.  Scanning stops cleanly at the first header that does not carry
+// the LSN the current epoch gives its offset — zeroes, the crash-truncated
+// tail, or a leftover from before a truncation (Reset erases nothing;
+// everything such a record describes was durable before the truncation
+// began, so skipping it is exactly right) — and at the first torn record.
+// The LSN is tested before the length field is believed: a stale or
+// garbage length must not size a buffer.  Buffered records are part of
+// the log's logical contents, so Scan writes them out first (without
+// forcing).
 func (l *Log) Scan(start int64, fn func(*Record) error) error {
 	l.forceMu.Lock()
 	_, err := l.flushHoldingForceMu()
@@ -460,10 +452,13 @@ func (l *Log) Scan(start int64, fn func(*Record) error) error {
 	total := int64(l.vol.NumPages()) * int64(l.ps)
 	off := start
 	for off+int64(recHeaderSize) <= total {
-		// Read the header area (up to two pages) to learn the size.
+		// Read the header area (up to two pages) to learn LSN and size.
 		head := make([]byte, recHeaderSize)
 		if err := l.readAt(off, head); err != nil {
 			return err
+		}
+		if binary.BigEndian.Uint64(head[8:]) != base+uint64(off)+1 {
+			return nil // not a record of this epoch at this offset
 		}
 		size := int(binary.BigEndian.Uint32(head[4:]))
 		if size < recHeaderSize || off+int64(size) > total {
@@ -476,9 +471,6 @@ func (l *Log) Scan(start int64, fn func(*Record) error) error {
 		r, n, err := decode(buf)
 		if err != nil {
 			return nil // torn record: stop
-		}
-		if r.LSN != base+uint64(off)+1 {
-			return nil // stale epoch: record predates the last truncation
 		}
 		if err := fn(r); err != nil {
 			return err
@@ -546,13 +538,10 @@ func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
 // describes — including the new epoch base in the store header — fully
 // durable) and starts a new LSN epoch at newBase, which must be at
 // least Base()+Tail() so the new epoch's LSNs outrank every record the
-// old epoch issued.  Every page the ending epoch may have written is
-// zeroed — the whole volume the first time after New or Recover, whose
-// contents are unknown — so that stale records from before the
-// checkpoint can never be mistaken for live ones by a later recovery
-// scan; should the zeroing itself be lost in a crash, the old records'
-// LSNs no longer match the header's base and the recovery scan rejects
-// them.
+// old epoch issued.  It touches no page: the old records stay where they
+// are until the new epoch overwrites them, and no scan under the new base
+// accepts one, because a record at offset o must carry LSN newBase+o+1
+// and every record of an epoch with a smaller base carries less.
 func (l *Log) Reset(newBase uint64) error {
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()
@@ -562,16 +551,6 @@ func (l *Log) Reset(newBase uint64) error {
 		return fmt.Errorf("wal: reset base %d would rewind LSNs (epoch end %d)",
 			newBase, l.base+uint64(l.tail))
 	}
-	if n := int((l.written + int64(l.ps) - 1) / int64(l.ps)); n > 0 {
-		if err := l.vol.WritePages(0, n, make([]byte, n*l.ps)); err != nil {
-			return err
-		}
-		if err := l.vol.Force(0, n); err != nil {
-			return err
-		}
-		l.stats.PagesZeroed += int64(n)
-	}
-	l.written = 0
 	l.base = newBase
 	l.tail = 0
 	l.forced = 0

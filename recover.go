@@ -57,7 +57,9 @@ import (
 //     the base the store header records, so a root's LSN always ranks
 //     correctly against every record of every epoch and is never
 //     zeroed.)
-//  5. Take a checkpoint and truncate the log.
+//  5. Take a checkpoint and truncate the log — always into a new LSN
+//     epoch, which is what puts everything the scan stopped in front of
+//     out of every later scan's reach (the log is never erased).
 
 func (s *Store) recover() error {
 	log, recs, err := wal.Recover(s.logVol, s.lsnBase)
@@ -123,6 +125,17 @@ func (s *Store) recover() error {
 		}
 	}
 
+	// The checkpoint below must end the epoch just scanned even when the
+	// scan found no record in it.  Nothing erases what lies past the tail,
+	// and that may include intact records of this same epoch behind a torn
+	// first page; their LSNs would fit again once new records of the same
+	// sizes had grown up to them.  A checkpoint starts a new epoch only
+	// behind a non-empty log, so give it one record.
+	if s.log.Tail() == 0 {
+		if _, err := s.log.Append(&wal.Record{Type: wal.RecCheckpoint}); err != nil {
+			return err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkpointLocked()

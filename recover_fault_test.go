@@ -86,72 +86,156 @@ func TestRecoverySurvivesRepeatedCrashes(t *testing.T) {
 	}
 }
 
-// TestCheckpointCrashBetweenDataForceAndLogReset crashes in a
-// checkpoint's window between the data-volume barrier and the log
-// Reset: the durable catalog already reflects the checkpoint while the
-// old log — commit records included — is still intact.  Recovery then
-// replays those commits a second time; the LSN each object root carries
-// must make that replay a no-op rather than a double apply.
+// TestCheckpointCrashBetweenDataForceAndLogReset crashes a checkpoint at
+// every request it issues to the data volume — in particular in the window
+// between the catalog barrier and the header write that moves the LSN
+// epoch base, where the durable catalog already reflects the checkpoint
+// while the old log, commit records included, is still what recovery
+// replays (truncating the log is not I/O and cannot fail; the header write
+// that precedes it can).  Recovery then replays those commits a second
+// time; the LSN each object root carries must make that replay a no-op
+// rather than a double apply.
 func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
+	boom := errors.New("boom")
+	inWindow := 0
+	for n := int64(0); ; n++ {
+		vol := newTestDevice(t, 512, 4096)
+		logVol := newTestDevice(t, 512, 1024)
+		s, err := Format(vol, logVol, Options{Threshold: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _ := s.Create("x", 0)
+		base := pat(70, 5000)
+		if err := o.Append(base); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// One committed (forced) append the old log still describes.
+		tx, _ := s.Begin()
+		extra := pat(71, 1000)
+		if err := tx.Append("x", extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model := append(append([]byte{}, base...), extra...)
+
+		// Checkpoint, failing the data volume at its n-th request.
+		durable := s.barrierDurable.Load()
+		vol.FailAfter(n, boom)
+		err = s.Checkpoint()
+		vol.ClearFault()
+		if err == nil {
+			break // the checkpoint issues fewer than n requests: every one tried
+		}
+		if s.barrierDurable.Load() > durable && s.LogTail() > 0 {
+			inWindow++
+		}
+
+		if err := vol.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if err := logVol.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(vol, logVol, Options{Threshold: 4})
+		if err != nil {
+			t.Fatalf("fault at request %d: recovery: %v", n, err)
+		}
+		o2, err := s2.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o2.Read(0, o2.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model) {
+			t.Fatalf("fault at request %d: recovered %d bytes, want %d (committed append redone twice?)", n, len(got), len(model))
+		}
+		if err := s2.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inWindow == 0 {
+		t.Fatal("no fault landed between the catalog barrier and the log truncation")
+	}
+}
+
+// TestSameEpochRecordBehindTornHeadNeverSurfaces: the log is never erased,
+// so a crash that tears the first page of an epoch's first flush but lets
+// a later page through leaves an intact record of the CURRENT epoch past
+// the recovered (empty) tail.  Here that record is a commit.  The next
+// incarnation numbers its transactions from 1 again and writes records of
+// the same sizes; once they have grown up to the leftover commit it must
+// not be read as theirs.  It is not, because recovery always ends the
+// epoch it scanned: under the new base the leftover's LSN is wrong.
+func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 	vol := newTestDevice(t, 512, 4096)
 	logVol := newTestDevice(t, 512, 1024)
-	s, err := Format(vol, logVol, Options{Threshold: 4})
+	s, err := Format(vol, logVol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o, _ := s.Create("x", 0)
-	base := pat(70, 5000)
+	base := pat(72, 3000)
 	if err := o.Append(base); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// One committed (forced) append the old log still describes.
-	tx, _ := s.Begin()
-	extra := pat(71, 1000)
-	if err := tx.Append("x", extra); err != nil {
+	// beginAndAppend's two records fill log page 0 exactly, so the next
+	// record — the commit — starts page 1.
+	beginAndAppend := func(s *Store) *Txn {
+		t.Helper()
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Append("x", pat(73, 512-int(s.LogTail())*2)); err != nil {
+			t.Fatal(err)
+		}
+		if s.LogTail() != 512 {
+			t.Fatalf("log tail at %d after begin + append, want the page boundary", s.LogTail())
+		}
+		return tx
+	}
+	tx := beginAndAppend(s)
+	if err := tx.CommitNoForce(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	// The crash state of that commit's flush in which page 1 reached the
+	// device and page 0 did not.
+	if err := logVol.WritePages(0, 1, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	model := append(append([]byte{}, base...), extra...)
+	if err := logVol.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), base) {
+		t.Fatal("a transaction whose log head was torn is visible")
+	}
 
-	// Checkpoint, but fail the log volume before Reset can clear it:
-	// the data side of the checkpoint completes, the log keeps its
-	// records.
-	boom := errors.New("boom")
-	logVol.FailAfter(0, boom)
-	if err := s.Checkpoint(); err == nil {
-		t.Fatal("checkpoint unexpectedly survived the log fault")
-	}
-	logVol.ClearFault()
-
-	if err := vol.Crash(); err != nil {
+	// Same shape again, never committed; a soft checkpoint pushes its two
+	// records to the device, right up to the leftover commit.
+	tx = beginAndAppend(s)
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := logVol.Crash(); err != nil {
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), base) {
+		t.Fatal("an uncommitted append was redone: recovery took the previous incarnation's commit record for its own")
+	}
+	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(vol, logVol, Options{Threshold: 4})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	o2, err := s2.Open("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := o2.Read(0, o2.Size())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, model) {
-		t.Fatalf("recovered %d bytes, want %d (committed append redone twice?)", len(got), len(model))
-	}
-	if err := s2.Check(); err != nil {
-		t.Fatal(err)
-	}
+	_ = tx
 }
 
 // TestAbortRecordWrittenAfterCompensations pins the ordering inside

@@ -42,6 +42,12 @@ func (d *deferredAlloc) Free(p disk.PageNum, n int) error {
 	return nil
 }
 
+// FreeUnpublished is not deferred: no descriptor an abort could restore
+// names the pages.
+func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
+	return d.inner.FreeUnpublished(p, n)
+}
+
 // mark returns the current length of the deferred list, so an operation's
 // frees can be identified (and cancelled when undoing a destroy).
 func (d *deferredAlloc) mark() int {
@@ -109,11 +115,36 @@ type Txn struct {
 	lm      *lob.Manager
 	touched map[uint64]*txnObj
 	journal []txnOp
+	kept    keptRead
 	done    bool
 
 	wmu      sync.Mutex
 	writeSet map[disk.PageNum]bool
 }
+
+// keptRead is the transaction's one-slot memory of what its last Read
+// transferred: the page runs of entry's segments, for a Replace of the
+// same bytes that comes next (read-modify-write is what Replace exists
+// for, and leaf pages are in no pool: without this the device is paid
+// twice).  entry is nil when nothing is kept.
+//
+// The images are the device's bytes for as long as nobody writes those
+// pages — the argument ReplacePlan already rests on.  Other transactions
+// cannot: the Read's object lock is held to the end.  This transaction's
+// own writes clear the slot: every operation but Replace forgets it on
+// entry (begin), settleReplace forgets it when it writes a deferred
+// replace home, and Replace forgets it whether or not it used it.  Under
+// Options.RangeLocking a read lock covers bytes, not the pages around
+// them, so nothing is kept.
+type keptRead struct {
+	entry *catEntry
+	imgs  lob.PageImages
+}
+
+// keptReadMaxPages bounds what a Read may leave in the slot, so that a
+// transaction which reads 16 MB and then thinks for a minute does not pin
+// 16 MB for that minute.
+const keptReadMaxPages = 256
 
 // recordWrite adds a data-page run to the transaction's write set.
 func (t *Txn) recordWrite(start disk.PageNum, pages int) {
@@ -187,6 +218,14 @@ func (t *Txn) check() error {
 		return ErrTxnDone
 	}
 	return nil
+}
+
+// begin is check for every operation but Replace: whatever the operation
+// does, the read before it is no longer the last thing that happened to
+// its pages.
+func (t *Txn) begin() error {
+	t.kept = keptRead{}
+	return t.check()
 }
 
 // lockKind classifies an operation for lock granularity purposes.
@@ -263,7 +302,7 @@ func (t *Txn) touch(name string, kind lockKind, off, n int64) (*catEntry, error)
 
 // Create makes a new object inside the transaction.
 func (t *Txn) Create(name string, threshold int) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	t.s.mu.Lock()
@@ -293,7 +332,7 @@ func (t *Txn) Create(name string, threshold int) error {
 // intact (frees are deferred), so an abort restores it from the
 // descriptor snapshot.
 func (t *Txn) Destroy(name string) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	e, err := t.touch(name, lockStructural, 0, 0)
@@ -327,7 +366,7 @@ func (t *Txn) Destroy(name string) error {
 
 // Append appends data at the end of the named object.
 func (t *Txn) Append(name string, data []byte) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	t.s.mu.Lock()
@@ -367,7 +406,7 @@ func (t *Txn) Append(name string, data []byte) error {
 
 // Insert inserts data at byte off of the named object.
 func (t *Txn) Insert(name string, off int64, data []byte) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	e, err := t.touch(name, lockStructural, off, 0)
@@ -396,7 +435,7 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 
 // Delete removes n bytes at byte off of the named object.
 func (t *Txn) Delete(name string, off, n int64) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	e, err := t.touch(name, lockStructural, off, 0)
@@ -430,7 +469,7 @@ func (t *Txn) Delete(name string, off, n int64) error {
 // Truncate shortens the named object to newSize bytes (a tail delete;
 // with newSize 0 it empties the object without reading any data page).
 func (t *Txn) Truncate(name string, newSize int64) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	size, err := t.Size(name)
@@ -463,6 +502,7 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 // which would leave the plan's page images stale, so there the write
 // stays immediate.
 func (t *Txn) Replace(name string, off int64, data []byte) error {
+	defer func() { t.kept = keptRead{} }() // used below or not, it does not outlive this call
 	if err := t.check(); err != nil {
 		return err
 	}
@@ -475,10 +515,15 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	}
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	plan, err := e.obj.PrepareReplace(off, data)
+	var have *lob.PageImages
+	if t.kept.entry == e {
+		have = &t.kept.imgs
+	}
+	plan, err := e.obj.PrepareReplace(off, data, have)
 	if err != nil {
 		return err
 	}
+	t.s.replaceReadsSaved.Add(int64(plan.ReadsSaved()))
 	exts := plan.Extents()
 	wexts := make([]wal.Extent, len(exts))
 	for i, x := range exts {
@@ -533,6 +578,7 @@ func (t *Txn) settleReplace(e *catEntry) error {
 		return nil
 	}
 	t.s.earlyReplaceApplies.Add(1)
+	t.kept = keptRead{} // the write below changes pages it may hold
 	e.latch.RLock()
 	defer e.latch.RUnlock()
 	return t.applyReplace(to)
@@ -540,8 +586,12 @@ func (t *Txn) settleReplace(e *catEntry) error {
 
 // Read returns n bytes at byte off of the named object under a shared
 // lock (whole-object by default, byte-range with Options.RangeLocking).
+//
+// The page runs a read of at most keptReadMaxPages pages transferred stay
+// with the transaction until its next operation: a Replace of the same
+// bytes takes them instead of reading the pages again (see keptRead).
 func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return nil, err
 	}
 	e, err := t.touch(name, lockRead, off, n)
@@ -553,12 +603,21 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	}
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	return e.obj.Read(off, n)
+	if t.s.opts.RangeLocking {
+		return e.obj.Read(off, n)
+	}
+	data, err := e.obj.ReadKeeping(off, n, &t.kept.imgs)
+	if err == nil && t.kept.imgs.Pages(t.s.vol.PageSize()) <= keptReadMaxPages {
+		t.kept.entry = e
+	} else {
+		t.kept = keptRead{}
+	}
+	return data, err
 }
 
 // Size returns the named object's length.
 func (t *Txn) Size(name string) (int64, error) {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return 0, err
 	}
 	t.s.mu.Lock()
@@ -587,7 +646,7 @@ func (t *Txn) Commit() error { return t.commit(true) }
 func (t *Txn) CommitNoForce() error { return t.commit(false) }
 
 func (t *Txn) commit(force bool) error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	readOnly, err := t.commitLog()
@@ -765,7 +824,7 @@ func (s *Store) forceDurableLocked(t *Txn) error {
 //
 //eoslint:ignore walfirst -- logical undo: every compensation replays a
 func (t *Txn) Abort() error {
-	if err := t.check(); err != nil {
+	if err := t.begin(); err != nil {
 		return err
 	}
 	t.done = true

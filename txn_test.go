@@ -253,8 +253,9 @@ func TestRangeLockingReplaceStaysImmediate(t *testing.T) {
 	}
 }
 
-// TestCommitPathCounters covers the three counters that make the commit
-// path's savings visible: a commit whose append dirtied a space directory
+// TestCommitPathCounters covers the counters that make the commit path's
+// savings visible: a replace right behind a read of its bytes plans on the
+// read's page images, a commit whose append dirtied a space directory
 // leaves that page in the pool (the device image moves only at the next
 // checkpoint), a replace that waits for the commit force counts as
 // deferred, and one a later operation settles counts as an early apply
@@ -274,6 +275,9 @@ func TestCommitPathCounters(t *testing.T) {
 	}
 	before := dirImages()
 	tx, _ := s.Begin()
+	if _, err := tx.Read("x", 0, 100); err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Replace("x", 0, pat(49, 100)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +293,9 @@ func TestCommitPathCounters(t *testing.T) {
 	st := s.Stats()
 	if st.DeferredReplaces != 2 || st.EarlyReplaceApplies != 1 {
 		t.Fatalf("%d deferred, %d early applies; want 2, 1", st.DeferredReplaces, st.EarlyReplaceApplies)
+	}
+	if st.ReplaceReadsSaved != 1 {
+		t.Fatalf("%d page runs taken from a kept read, want 1: the first replace follows a read of its bytes, the second an append", st.ReplaceReadsSaved)
 	}
 	if st.Barrier.DirPagesSkipped != 1 {
 		t.Fatalf("the commit barrier skipped %d directory pages, want 1", st.Barrier.DirPagesSkipped)
@@ -356,4 +363,362 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// handoffStore returns a store holding two checkpointed objects of three
+// 5000-byte segments each, "m" and "other", and their contents.
+func handoffStore(t *testing.T, opts Options) (*Store, disk.Device, disk.Device, []byte, []byte) {
+	t.Helper()
+	s, vol, logVol := newStore(t, opts)
+	build := func(name string, seed int) []byte {
+		o, err := s.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model []byte
+		for i := 0; i < 3; i++ {
+			part := pat(seed+i, 5000)
+			if err := o.Append(part); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model, part...)
+		}
+		if u, err := o.Usage(); err != nil || u.SegmentCount != 3 {
+			t.Fatalf("%q has %d segments (err %v), want 3", name, u.SegmentCount, err)
+		}
+		return model
+	}
+	m, other := build("m", 60), build("other", 80)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return s, vol, logVol, m, other
+}
+
+// replaceCost runs tx.Replace and returns the data-volume reads it issued
+// and the page runs it took from the transaction's kept read.
+func replaceCost(t *testing.T, s *Store, vol disk.Device, tx *Txn, name string, off int64, data []byte) (reads, saved int64) {
+	t.Helper()
+	r0, s0 := vol.Stats().Reads, s.Stats().ReplaceReadsSaved
+	if err := tx.Replace(name, off, data); err != nil {
+		t.Fatal(err)
+	}
+	return vol.Stats().Reads - r0, s.Stats().ReplaceReadsSaved - s0
+}
+
+// TestReadHandsPagesToReplace: a Replace right behind a Read of the same
+// bytes issues no data read — it plans on the page runs the Read
+// transferred — and the bytes it logs as pre-image are the device's: the
+// content is right after commit, after abort, and after a crash that
+// finds the transaction in flight with its write already on the device.
+func TestReadHandsPagesToReplace(t *testing.T) {
+	// [4600, 6400) crosses the first segment boundary: two pieces.
+	const off, n = 4600, 1800
+	repl := pat(90, n)
+	for _, end := range []string{"commit", "abort", "crash in flight"} {
+		t.Run(end, func(t *testing.T) {
+			s, vol, logVol, model, _ := handoffStore(t, Options{})
+			tx, _ := s.Begin()
+			got, err := tx.Read("m", off, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, model[off:off+n]) {
+				t.Fatal("read returned the wrong bytes")
+			}
+			if reads, saved := replaceCost(t, s, vol, tx, "m", off, repl); reads != 0 || saved != 2 {
+				t.Fatalf("replace behind the read: %d data reads, %d runs taken; want 0, 2", reads, saved)
+			}
+			want := append([]byte{}, model...)
+			copy(want[off:], repl)
+			switch end {
+			case "commit":
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			case "abort":
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				want = model
+			case "crash in flight":
+				// Reading it back forces the pre-image record and writes the
+				// replace home; the soft checkpoint makes that write durable.
+				// Recovery can only restore the old bytes from the record.
+				if got, err := tx.Read("m", 0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("transaction does not see its own replace (err %v)", err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				want = model
+			}
+			if end != "crash in flight" && !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("content wrong after the transaction ended")
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReplaceReadsOnlyWhatTheReadDidNotCover: the hand-off is per segment
+// piece — a piece whose page run the read transferred whole is taken, any
+// other is read as before.  Segments are 5000 bytes, pages 512.
+func TestReplaceReadsOnlyWhatTheReadDidNotCover(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		readOff, rdN int64
+		off, n       int64
+		reads, saved int64
+	}{
+		{"narrower than the read", 4000, 3000, 4600, 1800, 0, 2},
+		{"same pages, fewer bytes", 5200, 600, 5300, 100, 0, 1},
+		{"one page wider", 5700, 400, 5600, 1100, 1, 0},
+		{"shifted: first piece covered, second not", 4000, 2000, 4600, 2000, 1, 1},
+		{"shifted the other way: second piece covered", 4600, 2400, 4000, 2400, 1, 1},
+		{"elsewhere in the object", 100, 500, 12000, 500, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, model, _ := handoffStore(t, Options{})
+			tx, _ := s.Begin()
+			if _, err := tx.Read("m", tc.readOff, tc.rdN); err != nil {
+				t.Fatal(err)
+			}
+			repl := pat(91, int(tc.n))
+			if reads, saved := replaceCost(t, s, vol, tx, "m", tc.off, repl); reads != tc.reads || saved != tc.saved {
+				t.Fatalf("%d data reads, %d runs taken; want %d, %d", reads, saved, tc.reads, tc.saved)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[tc.off:], repl)
+			if !bytes.Equal(readObject(t, s, "m"), model) {
+				t.Fatal("committed content wrong")
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "m"), model) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+		})
+	}
+}
+
+// TestKeptReadDoesNotOutliveTheNextOperation: only a Replace that comes
+// directly behind the Read may use its pages.  Each operation in between
+// here leaves the read range where it was — so a slot that survived it
+// would be taken, and counted — and the content must come out right.
+func TestKeptReadDoesNotOutliveTheNextOperation(t *testing.T) {
+	const off, n = 4600, 1800
+	repl := pat(92, n)
+	for _, tc := range []struct {
+		name  string
+		op    func(tx *Txn) error
+		model func(m []byte) []byte
+	}{
+		{"insert", func(tx *Txn) error { return tx.Insert("m", 9000, pat(93, 300)) },
+			func(m []byte) []byte {
+				return append(append(append([]byte{}, m[:9000]...), pat(93, 300)...), m[9000:]...)
+			}},
+		{"delete", func(tx *Txn) error { return tx.Delete("m", 9000, 300) },
+			func(m []byte) []byte { return append(append([]byte{}, m[:9000]...), m[9300:]...) }},
+		{"append", func(tx *Txn) error { return tx.Append("m", pat(94, 700)) },
+			func(m []byte) []byte { return append(append([]byte{}, m...), pat(94, 700)...) }},
+		{"truncate", func(tx *Txn) error { return tx.Truncate("m", 12000) },
+			func(m []byte) []byte { return m[:12000] }},
+		{"read of another object", func(tx *Txn) error { _, err := tx.Read("other", off, n); return err },
+			func(m []byte) []byte { return m }},
+		{"size", func(tx *Txn) error { _, err := tx.Size("m"); return err },
+			func(m []byte) []byte { return m }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, model, _ := handoffStore(t, Options{})
+			tx, _ := s.Begin()
+			if _, err := tx.Read("m", off, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.op(tx); err != nil {
+				t.Fatal(err)
+			}
+			if reads, saved := replaceCost(t, s, vol, tx, "m", off, repl); reads != 2 || saved != 0 {
+				t.Fatalf("replace behind read + %s: %d data reads, %d runs taken; want 2, 0", tc.name, reads, saved)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.model(model)
+			copy(want[off:], repl)
+			if !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("committed content wrong")
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+		})
+	}
+
+	// A read of one object is nothing to a replace of another, although the
+	// two ranges are the same numbers.
+	t.Run("replace of another object", func(t *testing.T) {
+		s, vol, _, model, other := handoffStore(t, Options{})
+		tx, _ := s.Begin()
+		if _, err := tx.Read("m", off, n); err != nil {
+			t.Fatal(err)
+		}
+		if reads, saved := replaceCost(t, s, vol, tx, "other", off, repl); reads != 2 || saved != 0 {
+			t.Fatalf("%d data reads, %d runs taken; want 2, 0", reads, saved)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		copy(other[off:], repl)
+		if !bytes.Equal(readObject(t, s, "other"), other) || !bytes.Equal(readObject(t, s, "m"), model) {
+			t.Fatal("committed content wrong")
+		}
+	})
+}
+
+// TestReplaceReadReplace: the read between two replaces of overlapping
+// bytes settles the first, returns its bytes, and keeps page images that
+// hold them; the second replace is planned on those.  Commit leaves both,
+// abort neither, and so does a crash that finds both written home.
+func TestReplaceReadReplace(t *testing.T) {
+	first, second := pat(95, 1000), pat(96, 1000)
+	for _, end := range []string{"commit", "abort", "crash in flight"} {
+		t.Run(end, func(t *testing.T) {
+			s, vol, logVol, model, _ := handoffStore(t, Options{})
+			tx, _ := s.Begin()
+			if err := tx.Replace("m", 1000, first); err != nil {
+				t.Fatal(err)
+			}
+			want := append([]byte{}, model...)
+			copy(want[1000:], first)
+			got, err := tx.Read("m", 900, 1700)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[900:2600]) {
+				t.Fatal("the read does not see the first replace")
+			}
+			if s.Stats().EarlyReplaceApplies != 1 {
+				t.Fatal("the read did not settle the first replace")
+			}
+			if reads, saved := replaceCost(t, s, vol, tx, "m", 1500, second); reads != 0 || saved != 1 {
+				t.Fatalf("second replace: %d data reads, %d runs taken; want 0, 1", reads, saved)
+			}
+			copy(want[1500:], second)
+			switch end {
+			case "commit":
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			case "abort":
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				want = model
+			case "crash in flight":
+				if got, err := tx.Read("m", 0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("transaction does not see both replaces (err %v)", err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				want = model
+			}
+			if end != "crash in flight" && !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("content wrong after the transaction ended")
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "m"), want) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+		})
+	}
+}
+
+// TestKeptReadLimits: byte-range locks cover bytes, not the pages around
+// them, so under Options.RangeLocking a read keeps nothing; a read of more
+// than keptReadMaxPages pages is not held on to; a read whose segment
+// transfers were fanned out is kept like any other.
+func TestKeptReadLimits(t *testing.T) {
+	t.Run("range locking", func(t *testing.T) {
+		s, vol, _, model, _ := handoffStore(t, Options{RangeLocking: true})
+		tx, _ := s.Begin()
+		if _, err := tx.Read("m", 4600, 1800); err != nil {
+			t.Fatal(err)
+		}
+		repl := pat(97, 1800)
+		if reads, saved := replaceCost(t, s, vol, tx, "m", 4600, repl); reads < 2 || saved != 0 {
+			t.Fatalf("%d data reads, %d runs taken; want at least 2, and 0", reads, saved)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		copy(model[4600:], repl)
+		if !bytes.Equal(readObject(t, s, "m"), model) {
+			t.Fatal("committed content wrong")
+		}
+	})
+	// Options.ReadConcurrency: the segments' transfers run in parallel
+	// and are still kept in order.
+	t.Run("fanned-out read", func(t *testing.T) {
+		s, vol, _, model, _ := handoffStore(t, Options{ReadConcurrency: 4})
+		tx, _ := s.Begin()
+		if got, err := tx.Read("m", 4000, 7000); err != nil || !bytes.Equal(got, model[4000:11000]) {
+			t.Fatalf("read across three segments wrong (err %v)", err)
+		}
+		repl := pat(97, 6000)
+		if reads, saved := replaceCost(t, s, vol, tx, "m", 4500, repl); reads != 0 || saved != 3 {
+			t.Fatalf("%d data reads, %d runs taken; want 0, 3", reads, saved)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		copy(model[4500:], repl)
+		if !bytes.Equal(readObject(t, s, "m"), model) {
+			t.Fatal("committed content wrong")
+		}
+	})
+	t.Run("page cap", func(t *testing.T) {
+		s, vol, _ := newStore(t, Options{})
+		o, err := s.Create("big", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := (keptReadMaxPages + 8) * s.PageSize()
+		model := pat(98, size)
+		if err := o.AppendWithHint(model, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		tx, _ := s.Begin()
+		if _, err := tx.Read("big", 0, int64(size)); err != nil {
+			t.Fatal(err)
+		}
+		repl := pat(99, 1000)
+		if reads, saved := replaceCost(t, s, vol, tx, "big", 0, repl); reads != 1 || saved != 0 {
+			t.Fatalf("behind a read above the cap: %d data reads, %d runs taken; want 1, 0", reads, saved)
+		}
+		// At the cap it is kept.
+		if _, err := tx.Read("big", 0, int64(keptReadMaxPages*s.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+		if reads, saved := replaceCost(t, s, vol, tx, "big", 2000, repl); reads != 0 || saved != 1 {
+			t.Fatalf("behind a read at the cap: %d data reads, %d runs taken; want 0, 1", reads, saved)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		copy(model[0:], repl)
+		copy(model[2000:], repl)
+		if !bytes.Equal(readObject(t, s, "big"), model) {
+			t.Fatal("committed content wrong")
+		}
+	})
 }
