@@ -137,6 +137,9 @@ func journalNames(t *testing.T, s *Store) []string {
 
 // appendAll appends a few bytes to every object (a new root each, so a
 // new descriptor each) and keeps want in step.
+// appendAll adds one segment to every object: the append is hinted, so it
+// neither leaves the tail open nor continues one (a plain Append would grow
+// the last entry in place and the descriptors would stay one entry long).
 func appendAll(t *testing.T, s *Store, want map[string][]byte, seed int) {
 	t.Helper()
 	for n := range want {
@@ -145,7 +148,7 @@ func appendAll(t *testing.T, s *Store, want map[string][]byte, seed int) {
 			t.Fatal(err)
 		}
 		extra := pat(seed+len(n), 40)
-		if err := o.Append(extra); err != nil {
+		if err := o.AppendWithHint(extra, int64(len(extra))); err != nil {
 			t.Fatal(err)
 		}
 		want[n] = append(want[n], extra...)
@@ -401,12 +404,13 @@ func TestCatalogTornBaseFallsBackToOldSlot(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// One-object deltas until the next one no longer fits.
+	// One-object deltas, a segment more each (hinted appends), until the
+	// next one no longer fits: the base that follows is several pages long.
 	ps := s.PageSize()
 	for round := 0; ; round++ {
 		o, _ := s.Open("obj-00")
 		extra := pat(50+round, 60)
-		if err := o.Append(extra); err != nil {
+		if err := o.AppendWithHint(extra, int64(len(extra))); err != nil {
 			t.Fatal(err)
 		}
 		s.mu.Lock()

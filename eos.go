@@ -10,7 +10,7 @@
 // supports the paper's full operation set with costs proportional to the
 // bytes touched:
 //
-//	obj.Append(data)          // one segment sized to data; streams (OpenAppender) grow by doubling
+//	obj.Append(data)          // continues the open tail segment, or starts one of T pages or more; streams (OpenAppender) grow by doubling
 //	obj.Read(off, n)          // multi-page contiguous transfers
 //	obj.Replace(off, data)    // in place, logged
 //	obj.Insert(off, data)     // splits a segment into L, N, R
@@ -448,6 +448,9 @@ func (s *Store) lobConfig() lob.Config {
 		// until the epoch manager actually releases them — a published
 		// snapshot root may still name them.
 		RetainFreedPages: true,
+		// Under byte-range locking other transactions write into a tail's
+		// last page under the shared latch, where nothing tells the object.
+		NoTailImage: s.opts.RangeLocking,
 	}
 }
 
@@ -951,6 +954,17 @@ func (s *Store) checkpointLocked() error {
 	// reader exits.
 	if err := s.epochs.Drain(); err != nil {
 		return err
+	}
+	// A checkpoint is also where the page images open tails keep for their
+	// next append (lob.Object.Append) are let go, so that they never add up
+	// to more than the appends since the last one left.  An object whose
+	// latch is taken is skipped, not waited for: its holder may be stalled
+	// in allocation backpressure waiting for this very barrier.
+	for _, e := range s.byID {
+		if e.latch.TryLock() {
+			e.obj.ForgetTailImage()
+			e.latch.Unlock()
+		}
 	}
 	// The log can be truncated only at quiescence: live transactions'
 	// records (needed to undo their in-place writes, which the ForceAll

@@ -95,6 +95,7 @@ func mapsEqual(a, b map[string]uint64) bool {
 const (
 	traceBegin  = "seq %d: txn %d begins"
 	traceOp     = "        txn %d: %s on %s (len was %d)"
+	traceFill   = "        txn %d: the append on %s continued its tail in place"
 	traceCommit = "seq %d-%d: txn %d committed (force=%v)"
 	traceAbort  = "seq %d: txn %d aborted"
 )
@@ -167,7 +168,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 		opErr := error(nil)
 		prev := ""
 		for j := 0; j < nOps && opErr == nil; j++ {
-			prev, opErr = randomOp(tx, i, prev, rng, cfg, model, staged)
+			prev, opErr = randomOp(st, tx, i, prev, rng, cfg, model, staged)
 		}
 		if errors.Is(opErr, errStaleRead) {
 			_ = tx.Abort() // the stale read is the error to report
@@ -235,19 +236,56 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	staged := map[string]*[]byte{}
 	prev := ""
 	for j := 0; j < 2; j++ {
-		if prev, err = randomOp(loser, loserTxn, prev, rng, cfg, model, staged); err != nil {
+		if prev, err = randomOp(st, loser, loserTxn, prev, rng, cfg, model, staged); err != nil {
 			break // pressure errors are fine here; the point is open records
 		}
 	}
-	// The loser also destroys a committed object it has not touched: the
-	// checkpoint below must not journal a tombstone for it.
-	for _, name := range sortedNames(model) {
-		if _, touched := staged[name]; !touched {
-			if err := loser.Destroy(name); err != nil {
-				return nil, fmt.Errorf("loser destroy: %w", err)
+	// Then, each on a committed object it has not touched yet:
+	//   - it continues an open tail in place, so that its bytes sit in the
+	//     slack of a page the durable root names when the checkpoint below
+	//     forces the volume;
+	//   - it cuts a tail and appends: whatever that append writes must stay
+	//     clear of the bytes it cut, which the durable root still names;
+	//   - it destroys an object: the checkpoint must not journal a
+	//     tombstone for it.
+	script := []func(name string) (bool, error){
+		func(name string) (bool, error) {
+			if !hasOpenTail(st, name) {
+				return false, nil
 			}
+			return true, appendOp(st, loser, loserTxn, name, model[name], randBytes(rng, 1+rng.Intn(64)), cfg, staged)
+		},
+		func(name string) (bool, error) {
+			if len(model[name]) < 2 {
+				return false, nil
+			}
+			cfg.Trace(traceOp, loserTxn, "truncate", name, len(model[name]))
+			cut := model[name][:len(model[name])/2]
+			if err := loser.Truncate(name, int64(len(cut))); err != nil {
+				return true, err
+			}
+			return true, appendOp(st, loser, loserTxn, name, cut, randBytes(rng, 1+rng.Intn(cfg.MaxWrite)), cfg, staged)
+		},
+		func(name string) (bool, error) {
 			cfg.Trace(traceOp, loserTxn, "destroy", name, len(model[name]))
-			break
+			return true, loser.Destroy(name)
+		},
+	}
+	for _, step := range script {
+		for _, name := range sortedNames(model) {
+			if _, touched := staged[name]; touched {
+				continue
+			}
+			done, err := step(name)
+			if err != nil {
+				return nil, fmt.Errorf("loser's scripted operation on %s: %w", name, err)
+			}
+			if done {
+				if _, ok := staged[name]; !ok {
+					staged[name] = nil
+				}
+				break
+			}
 		}
 	}
 	// Push the loser's dirty pages toward the device without committing:
@@ -263,10 +301,12 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 // that is prev, the object of the transaction's previous operation, so
 // that sequences on one object — a replace followed by a read, by a
 // structural operation, or by nothing but the commit or abort — are
-// common.  One kind is itself a sequence: a read and a replace of the
+// common.  Two kinds are themselves sequences: a read and a replace of the
 // same range, the read-modify-write whose replace is planned on the
-// read's page images.  Errors are returned for the caller to abort on.
-func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadConfig, model map[string][]byte, staged map[string]*[]byte) (string, error) {
+// read's page images; and a truncate with an append behind the cut, which
+// must not land on the bytes just cut.  Errors are returned for the caller
+// to abort on.
+func randomOp(st *eos.Store, tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadConfig, model map[string][]byte, staged map[string]*[]byte) (string, error) {
 	name := fmt.Sprintf("o%d", rng.Intn(cfg.Objects))
 	if prev != "" && rng.Intn(2) == 0 {
 		name = prev
@@ -283,13 +323,7 @@ func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadCon
 		// fall through to also write into the fresh object
 	}
 
-	data := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		return b
-	}
+	data := func(n int) []byte { return randBytes(rng, n) }
 
 	roll := rng.Intn(100)
 	big := len(cur) >= cfg.MaxObjBytes
@@ -302,13 +336,9 @@ func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadCon
 		}
 		staged[name] = nil
 	case roll < 34 && !big: // append
-		trace("append")
-		d := data(1 + rng.Intn(cfg.MaxWrite))
-		if err := tx.Append(name, d); err != nil {
+		if err := appendOp(st, tx, txn, name, cur, data(1+rng.Intn(cfg.MaxWrite)), cfg, staged); err != nil {
 			return name, err
 		}
-		nv := append(append([]byte{}, cur...), d...)
-		staged[name] = &nv
 	case roll < 47 && !big: // insert
 		trace("insert")
 		off := int64(0)
@@ -372,7 +402,7 @@ func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadCon
 		if !bytes.Equal(got, cur[off:off+n]) {
 			return name, fmt.Errorf("%w: txn %d, %s [%d,%d)", errStaleRead, txn, name, off, off+n)
 		}
-	case len(cur) > 0: // truncate
+	case len(cur) > 0: // truncate, one time in two with an append right behind the cut
 		trace("truncate")
 		newSize := int64(rng.Intn(len(cur)))
 		if err := tx.Truncate(name, newSize); err != nil {
@@ -380,16 +410,63 @@ func randomOp(tx *eos.Txn, txn int, prev string, rng *rand.Rand, cfg WorkloadCon
 		}
 		nv := append([]byte{}, cur[:newSize]...)
 		staged[name] = &nv
+		if roll%2 == 0 && !big {
+			if err := appendOp(st, tx, txn, name, nv, data(1+rng.Intn(cfg.MaxWrite)), cfg, staged); err != nil {
+				return name, err
+			}
+		}
 	default: // empty object: append something small
-		trace("append")
-		d := data(1 + rng.Intn(64))
-		if err := tx.Append(name, d); err != nil {
+		if err := appendOp(st, tx, txn, name, cur, data(1+rng.Intn(64)), cfg, staged); err != nil {
 			return name, err
 		}
-		nv := append(append([]byte{}, cur...), d...)
-		staged[name] = &nv
 	}
 	return name, nil
+}
+
+func randBytes(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.Intn(256))
+	}
+	return b
+}
+
+// appendOp appends d to name, whose content in tx is cur, and tells the
+// trace when the append made no new segment: it went on in the tail the
+// append before it had left open.
+func appendOp(st *eos.Store, tx *eos.Txn, txn int, name string, cur, d []byte, cfg WorkloadConfig, staged map[string]*[]byte) error {
+	cfg.Trace(traceOp, txn, "append", name, len(cur))
+	before, _ := layout(st, name)
+	if err := tx.Append(name, d); err != nil {
+		return err
+	}
+	if after, _ := layout(st, name); before > 0 && after == before {
+		cfg.Trace(traceFill, txn, name)
+	}
+	nv := append(append([]byte{}, cur...), d...)
+	staged[name] = &nv
+	return nil
+}
+
+// layout is name's segment count and the allocated bytes of its segments
+// that hold no data; zeros when they cannot be had.
+func layout(st *eos.Store, name string) (segments int, unused int64) {
+	o, err := st.Open(name)
+	if err != nil {
+		return 0, 0
+	}
+	u, err := o.Usage()
+	if err != nil {
+		return 0, 0
+	}
+	return u.SegmentCount, u.WastedBytes
+}
+
+// hasOpenTail reports whether name's last segment has whole pages of room
+// behind its bytes: a plain append left it open.
+func hasOpenTail(st *eos.Store, name string) bool {
+	_, unused := layout(st, name)
+	return unused >= int64(st.PageSize())
 }
 
 func sortedNames(model map[string][]byte) []string {

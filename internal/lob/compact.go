@@ -51,7 +51,6 @@ func (o *Object) Compact() error {
 		return err
 	}
 	o.size = o.root.size()
-	o.tailStart, o.tailAlloc = 0, 0
 	o.nextGrow = 1
 	return nil
 }

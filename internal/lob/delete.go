@@ -25,9 +25,6 @@ func (o *Object) Delete(off, n int64) error {
 	}
 	o.bumpVersion()
 	o.m.st.deletes.Add(1)
-	if err := o.Trim(); err != nil {
-		return err
-	}
 	m := o.m
 	ps := int64(m.vol.PageSize())
 	maxSegBytes := int64(m.alloc.MaxSegmentPages()) * ps
@@ -40,6 +37,9 @@ func (o *Object) Delete(off, n int64) error {
 	}
 	sr, startR, _, err := o.findSegment(hi - 1)
 	if err != nil {
+		return err
+	}
+	if err := o.trimTail(sr); err != nil {
 		return err
 	}
 	same := startL == startR

@@ -101,6 +101,17 @@ type floorGeom struct {
 	bridge int
 	// read-replace only: the byte range read before the replace.
 	keepOff, keepN int64
+	// append only: the pages the last segment is allocated while a plain
+	// Append has left it open (0 once trimmed), and whether the object
+	// remembers the bytes of its partial last page.
+	tailPages int
+	tailImage bool
+}
+
+// withTail adds what an append's floor depends on beyond the layout.
+func (g floorGeom) withTail(o *Object) floorGeom {
+	g.tailPages, g.tailImage = o.tailAlloc, len(o.tailImg) > 0
+	return g
 }
 
 func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
@@ -177,10 +188,28 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// §4.2: one multi-page request per segment touched.
 		return g.reads(g.runs(off, n))
 
-	case "append":
-		// §4.1 with the size known and the tail trimmed: the bytes go to a
-		// segment of their own, written once, nothing read.
-		return []floorReq{g.newSegment(n)}
+	case "append", "append-plain":
+		// §4.1.  On a trimmed tail the bytes go to a segment of their own,
+		// written once, nothing read.  The room of a tail a plain Append left
+		// open is filled first, in place, by one write from its partial page
+		// on — that page's old bytes come from the image the last append
+		// left, or are read back.
+		var out []floorReq
+		if last := g.segs[len(g.segs)-1]; g.tailPages > 0 {
+			if w := min(int64(g.tailPages)*g.ps-last.Bytes, n); w > 0 {
+				lo, hi := last.Bytes/g.ps, (last.Bytes+w-1)/g.ps
+				at := last.StartPage + disk.PageNum(lo)
+				if last.Bytes%g.ps != 0 && !g.tailImage {
+					out = append(out, floorReq{start: at, pages: 1})
+				}
+				out = append(out, floorReq{write: true, start: at, pages: int(hi - lo + 1)})
+				n -= w
+			}
+		}
+		if n > 0 {
+			out = append(out, g.newSegment(n))
+		}
+		return out
 
 	case "replace":
 		// §4.5: per segment piece, the bytes the piece's first and last
@@ -281,6 +310,9 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 	case "append":
 		err = o.AppendWithHint(data, n)
 		model = append(model, data...)
+	case "append-plain":
+		err = o.Append(data)
+		model = append(model, data...)
 	case "replace":
 		err = o.Replace(off, data)
 		copy(model[off:], data)
@@ -325,9 +357,26 @@ type floorRow struct {
 	name   string
 	segs   []int64 // layout: bytes per segment, each laid down by one sized append
 	t      int     // segment size threshold T, pages
-	op     string  // read, append, replace, replace-shared, read-replace, insert, delete
+	op     string  // read, append, append-plain, replace, replace-shared, read-replace, insert, delete
 	off, n int64
 	want   ioCount
+}
+
+// tailRow is a floor row whose layout ends with a plain Append of open
+// bytes, which leaves the tail segment open to T pages, and then — when cut
+// is not 0 — a truncate to cut bytes, the tail edit that closes it again.
+type tailRow struct {
+	floorRow
+	open, cut int64
+}
+
+// §4.1, a stream of Append calls on one object.
+var tailTable = []tailRow{
+	{floorRow{"append into reserved tail", []int64{800}, 4, "append-plain", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 0},
+	{floorRow{"append into reserved tail, within the partial page", []int64{800}, 4, "append-plain", 0, 50, ioCount{0, 0, 1, 1, 1}}, 130, 0},
+	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{0, 0, 2, 4, 2}}, 130, 0},
+	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 0},
+	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 850},
 }
 
 // The page size is 100 bytes, so byte offsets read as page.byte; the
@@ -388,14 +437,17 @@ var readReplaceTable = []struct {
 
 func TestOpFloor(t *testing.T) {
 	for _, row := range floorTable {
-		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row, [2]int64{}) })
+		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row, [2]int64{}, 0, 0) })
 	}
 	for _, row := range readReplaceTable {
-		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row.floorRow, row.keep) })
+		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row.floorRow, row.keep, 0, 0) })
+	}
+	for _, row := range tailTable {
+		t.Run(row.name, func(t *testing.T) { testFloorRow(t, row.floorRow, [2]int64{}, row.open, row.cut) })
 	}
 }
 
-func testFloorRow(t *testing.T, row floorRow, keep [2]int64) {
+func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 	const ps = 100
 	e := newEnv(t, ps, 8, 256, Config{Threshold: row.t})
 	o := e.m.NewObject(0)
@@ -407,14 +459,35 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64) {
 		}
 		model = append(model, part...)
 	}
+	want := len(row.segs)
+	if open > 0 {
+		part := pattern(50, int(open))
+		if err := o.Append(part); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, part...)
+		want++
+		// Take the page behind the open tail, so that the segment an append
+		// starts next repositions the head, as the floor assumes of every
+		// new segment.
+		if _, err := e.bm.Alloc(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cut > 0 {
+		if err := o.Truncate(cut); err != nil {
+			t.Fatal(err)
+		}
+		model = model[:cut]
+	}
 	segs, err := o.Segments()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != len(row.segs) {
-		t.Fatalf("layout has %d segments, want %d", len(segs), len(row.segs))
+	if len(segs) != want {
+		t.Fatalf("layout has %d segments, want %d", len(segs), want)
 	}
-	g := newFloorGeom(e, segs, row.t)
+	g := newFloorGeom(e, segs, row.t).withTail(o)
 	g.keepOff, g.keepN = keep[0], keep[1]
 
 	floor := g.floorRequests(row.op, row.off, row.n)
@@ -435,8 +508,8 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64) {
 }
 
 // TestOpFloorRandomMix holds the paper's operation mix (40 % read, 20 %
-// insert, 20 % delete, 10 % replace, 10 % append; lengths on both sides of
-// the bridge) to the same formula on whatever layout the churn has
+// insert, 20 % delete, 10 % replace, 10 % append, half of those plain Append
+// calls that leave the tail open; lengths on both sides of the bridge) to the same formula on whatever layout the churn has
 // produced: every operation's traced requests are its floor, so
 // measured ÷ floor is 1 for each operation kind over the whole run.
 func TestOpFloorRandomMix(t *testing.T) {
@@ -462,7 +535,7 @@ func TestOpFloorRandomMix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := newFloorGeom(e, segs, threshold)
+		g := newFloorGeom(e, segs, threshold).withTail(o)
 		n := min(int64(1+rng.Intn(2000)), o.Size())
 		off := rng.Int63n(o.Size() - n + 1)
 		data := pattern(i, int(n))
@@ -476,8 +549,10 @@ func TestOpFloorRandomMix(t *testing.T) {
 			op = "delete"
 		case p < 90:
 			op = "replace"
-		default:
+		case p < 95:
 			op, off = "append", 0
+		default:
+			op, off = "append-plain", 0
 		}
 		floor := g.floorRequests(op, off, n)
 

@@ -25,9 +25,6 @@ func (o *Object) Insert(off int64, data []byte) error {
 	}
 	o.bumpVersion()
 	o.m.st.inserts.Add(1)
-	if err := o.Trim(); err != nil {
-		return err
-	}
 	m := o.m
 	ps := int64(m.vol.PageSize())
 	maxSegBytes := int64(m.alloc.MaxSegmentPages()) * ps
@@ -47,6 +44,9 @@ func (o *Object) Insert(off int64, data []byte) error {
 	// Step 1-2: locate S and compute the split geometry.
 	S, segStart, parentN, err := o.findSegment(off)
 	if err != nil {
+		return err
+	}
+	if err := o.trimTail(S); err != nil {
 		return err
 	}
 	t := o.effectiveThreshold(parentN)

@@ -72,6 +72,11 @@ type Config struct {
 	// performs the eventual free is then responsible for discarding the
 	// frames.
 	RetainFreedPages bool
+	// NoTailImage makes a plain Append read the partial last page of an
+	// open tail back instead of remembering it.  Set when writers that
+	// share the object latch (in-place replaces under byte-range locking)
+	// may change that page without the object noticing.
+	NoTailImage bool
 }
 
 // Stats counts manager activity for the experiments.

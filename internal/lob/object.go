@@ -30,6 +30,14 @@ type Object struct {
 	// an append sequence is in progress.
 	tailStart disk.PageNum // eos:guardedby catEntry.latch
 	tailAlloc int          // eos:guardedby catEntry.latch -- pages allocated to the tail segment; 0 = trimmed
+	// tailImg is the bytes of the untrimmed tail's partial last page as
+	// this process's last plain Append wrote them (at most one page; empty
+	// when there are none or they are not known), so that the next one
+	// continues the page without reading it.  Soft state like the tail's
+	// room: whatever else writes that page, or trims the tail, drops it.
+	// In-place writers drop it under the shared latch; the latch keeps
+	// them apart from the appends that read it.
+	tailImg []byte // eos:guardedby catEntry.latch
 
 	// lsn is the log sequence number of the last logged update, stored in
 	// the root so updates can be undone/redone idempotently (§4.5).
@@ -113,7 +121,7 @@ func (o *Object) Destroy() error {
 	// The tail's unused pages go the way of the rest: a transaction that
 	// destroys the object restores it on abort from a descriptor that says
 	// they are the object's, so they must not be reusable before then.
-	if err := o.trim(o.m.alloc.Free); err != nil {
+	if err := o.trim(o.m.alloc.Free, 0); err != nil {
 		return err
 	}
 	for _, e := range o.root.entries {
@@ -124,7 +132,7 @@ func (o *Object) Destroy() error {
 	o.root = &node{level: 1}
 	o.size = 0
 	o.nextGrow, o.growFixed = 1, false
-	o.tailStart, o.tailAlloc = 0, 0
+	o.ForgetTail()
 	return nil
 }
 

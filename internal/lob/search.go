@@ -236,6 +236,7 @@ func (o *Object) Replace(off int64, data []byte) error {
 	}
 	o.bumpVersion()
 	o.m.st.replaces.Add(1)
+	o.replacedTo(off + int64(len(data)))
 	pos := int64(0)
 	return o.m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
@@ -266,6 +267,7 @@ type ReplacePlan struct {
 	runs    []planRun
 	saved   int
 	applied bool
+	end     int64 // logical offset one past the last byte replaced
 }
 
 // planRun is one segment's share of a plan: whole-page images to be
@@ -288,7 +290,7 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	}
 	m := o.m
 	ps := int64(m.vol.PageSize())
-	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data))}
+	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data)), end: off + int64(len(data))}
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, int(ps))
@@ -370,6 +372,7 @@ func (p *ReplacePlan) begin() *Manager {
 	p.applied = true
 	p.o.bumpVersion()
 	p.o.m.st.replaces.Add(1)
+	p.o.replacedTo(p.end)
 	return p.o.m
 }
 

@@ -43,9 +43,9 @@ const (
 	RecDestroy  // object destroyed
 	RecAppend   // Data appended at the end
 	RecInsert   // Data inserted at Off
-	RecDelete   // N bytes deleted at Off; OldData holds them for undo
+	RecDelete   // N bytes deleted at Off; structural, so shadowed: no bytes logged
 	RecReplace  // Data written at Off; OldData holds the previous bytes
-	RecTruncate // object truncated to Off; OldData holds the cut tail
+	RecTruncate // object truncated to Off (reserved: Txn.Truncate logs a RecDelete)
 	RecCheckpoint
 )
 
@@ -89,7 +89,9 @@ type Extent struct {
 }
 
 // Record is one log entry.  Data and OldData carry the operation's bytes:
-// Data is what redo needs, OldData what undo needs.
+// Data is what redo needs, OldData what the undo pass needs — which is the
+// pre-image of a replace, the one update written in place (§4.5); an abort
+// undoes everything else from the transaction's journal in memory.
 type Record struct {
 	LSN     uint64 // assigned by Append; byte offset in the log
 	Txn     uint64

@@ -194,6 +194,16 @@ func (s *Store) redo(r *wal.Record) error {
 			return nil // create already durable
 		}
 		s.mu.Lock()
+		if cur := s.catalog[string(r.Data)]; cur != nil && cur.id > r.Object {
+			// The name already belongs to an object created later, whose
+			// creation is durable.  A name has one holder at a time, so this
+			// object's destroy came before that and is durable too: creating
+			// it again would take the name from its successor, and redoing
+			// its destroy would then leave the name to nobody.  The records
+			// that follow for it find no entry and are skipped.
+			s.mu.Unlock()
+			return nil
+		}
 		e = &catEntry{id: r.Object, name: string(r.Data), obj: s.lm.NewObject(int(r.N))}
 		s.catalog[e.name] = e
 		s.byID[e.id] = e

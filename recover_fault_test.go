@@ -367,3 +367,55 @@ func TestCrashBetweenCommitForceAndHomeWriteIsRedone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRedoOfACreateDoesNotTakeTheNameBack: a name passes from one object to
+// the next — destroy and create in one transaction — twice, and only the
+// second hand-over is followed by a barrier.  The durable catalog then holds
+// the third object while the log still holds the second one's whole life.
+// Redo must leave that life alone: re-creating the second object would take
+// the name from the third, and redoing its destroy would then leave the name
+// to nobody (found by the crash sweep once its workload re-created names
+// often enough).
+func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
+	s, vol, logVol := newStore(t, Options{})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(pat(90, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i, commit := range []func(*Txn) error{(*Txn).CommitNoForce, (*Txn).Commit} {
+		tx, _ := s.Begin()
+		if err := tx.Destroy("x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Create("x", 0); err != nil {
+			t.Fatal(err)
+		}
+		want = pat(91+i, 700+i)
+		if err := tx.Append("x", want); err != nil {
+			t.Fatal(err)
+		}
+		if err := commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re := crashReopen(t, vol, logVol)
+	if got := re.List(); len(got) != 1 || got[0] != "x" {
+		t.Fatalf("recovered objects %v, want [x]", got)
+	}
+	if !bytes.Equal(readObject(t, re, "x"), want) {
+		t.Fatal("recovered x is not the last one created")
+	}
+	if err := re.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -379,9 +379,13 @@ func (t *Txn) Append(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	// An append that only writes fresh pages leaves a deferred replace
-	// where it is.
-	if e.obj.AppendRewrites() {
+	// An append leaves a deferred replace where it is, unless it is about
+	// to write — continuing the tail in place — a page the replace has an
+	// image of.
+	e.latch.RLock()
+	rewrites := e.obj.AppendRewrites(t.touched[e.id].pending)
+	e.latch.RUnlock()
+	if rewrites {
 		if err := t.settleReplace(e); err != nil {
 			return err
 		}
@@ -450,7 +454,10 @@ func (t *Txn) Delete(name string, off, n int64) error {
 		return err
 	}
 	op := txnOp{typ: wal.RecDelete, entry: e, off: off, n: n, old: old, freeLo: t.alloc.mark()}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDelete, Object: e.id, Off: off, N: n, OldData: old})
+	// The deleted bytes stay in the journal for abort; nothing reads them
+	// from the log (redo deletes by Off and N, the undo pass handles only
+	// replaces), so the record does not carry them.
+	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDelete, Object: e.id, Off: off, N: n})
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package eos
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -721,4 +722,260 @@ func TestKeptReadLimits(t *testing.T) {
 			t.Fatal("committed content wrong")
 		}
 	})
+}
+
+// openTailStore returns replaceStore's object "x" with a committed plain
+// append of 700 bytes behind it: its tail segment is open (8 pages, 188
+// bytes in the second one) and remembered.
+func openTailStore(t *testing.T, opts Options) (*Store, disk.Device, disk.Device, []byte) {
+	t.Helper()
+	s, vol, logVol, base := replaceStore(t, opts)
+	tx, _ := s.Begin()
+	more := pat(70, 700)
+	if err := tx.Append("x", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return s, vol, logVol, append(base, more...)
+}
+
+// TestSmallTxnContinuesTheTail is the small transaction of commit_small —
+// read, replace those bytes, append — on an object whose tail the last
+// append left open.  The append goes on in that tail with one write and no
+// read, and it leaves the deferred replace alone: one log force, no early
+// apply.  Only a replace that covers the very page the append writes again
+// is settled first, and then the append reads that page back.
+func TestSmallTxnContinuesTheTail(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		off                 int64
+		early, forces, read int64
+	}{
+		{"replace elsewhere", 1000, 0, 1, 0},
+		{"replace in the tail segment, another page", 6100, 0, 1, 0},
+		{"replace covering the partial last page", 6400, 1, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, model := openTailStore(t, Options{})
+			x, _ := s.Open("x")
+			u0, _ := x.Usage()
+			st0 := s.Stats()
+			tx, _ := s.Begin()
+			if _, err := tx.Read("x", tc.off, 200); err != nil {
+				t.Fatal(err)
+			}
+			repl, more := pat(71, 200), pat(72, 900)
+			if err := tx.Replace("x", tc.off, repl); err != nil {
+				t.Fatal(err)
+			}
+			d0 := vol.Stats()
+			if err := tx.Append("x", more); err != nil {
+				t.Fatal(err)
+			}
+			d1 := vol.Stats()
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			copy(model[tc.off:], repl)
+			model = append(model, more...)
+			st := s.Stats()
+			if got := st.EarlyReplaceApplies - st0.EarlyReplaceApplies; got != tc.early {
+				t.Errorf("%d early applies, want %d", got, tc.early)
+			}
+			if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != tc.forces {
+				t.Errorf("%d leader forces, want %d", got, tc.forces)
+			}
+			// The append: one write from the partial page on (188 + 900 bytes:
+			// 3 pages), plus the settled replace's page when there was one.
+			if reads, writes := d1.Reads-d0.Reads, d1.Writes-d0.Writes; reads != tc.read || writes != 1+tc.early {
+				t.Errorf("the append issued %d reads and %d writes, want %d and %d", reads, writes, tc.read, 1+tc.early)
+			}
+			if u, _ := x.Usage(); u.SegmentCount != u0.SegmentCount || u.SegmentPages != u0.SegmentPages {
+				t.Errorf("the append changed the layout: %d segments on %d pages, were %d on %d", u.SegmentCount, u.SegmentPages, u0.SegmentCount, u0.SegmentPages)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("content wrong after commit")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+			// And from the log alone: the store is cut off before any
+			// checkpoint, redo continues a tail of its own.
+			re := crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, re, "x"), model) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+			if err := re.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAbortedFillLeavesNoTrace: a transaction continues the open tail in
+// place and aborts.  The bytes it put into the slack of the partial page
+// are outside every root; the pages it grew into go back to the free space;
+// and the next append does not trust what is on that page any more — it
+// starts a tail of its own.
+func TestAbortedFillLeavesNoTrace(t *testing.T) {
+	s, vol, logVol, model := openTailStore(t, Options{})
+	x, _ := s.Open("x")
+	tx, _ := s.Begin()
+	if err := tx.Append("x", pat(73, 900)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("content wrong after abort")
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	u0, _ := x.Usage()
+	more := pat(74, 100)
+	if err := x.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	model = append(model, more...)
+	if u, _ := x.Usage(); u.SegmentCount != u0.SegmentCount+1 {
+		t.Fatalf("the append after the abort made %d segments of %d, want a new one", u.SegmentCount, u0.SegmentCount)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re := crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, re, "x"), model) {
+		t.Fatal("content wrong after crash and recovery")
+	}
+	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointDropsTailImages: the page images open tails keep are
+// bounded by the appends since the last checkpoint.  After one, every
+// object's next append reads its partial page back — once — and remembers
+// it again.
+func TestCheckpointDropsTailImages(t *testing.T) {
+	s, vol, _ := newStore(t, Options{})
+	const n = 12
+	objs := make([]*Object, n)
+	for i := range objs {
+		o, err := s.Create(fmt.Sprintf("o%d", i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Append(pat(i, 300)); err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = o
+	}
+	appendAll := func() int64 {
+		r0 := vol.Stats().Reads
+		for i, o := range objs {
+			if err := o.Append(pat(100+i, 50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vol.Stats().Reads - r0
+	}
+	if got := appendAll(); got != 0 {
+		t.Fatalf("%d reads while the images are held, want 0", got)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := appendAll(); got != n {
+		t.Fatalf("%d reads after the checkpoint, want %d: one partial page an object", got, n)
+	}
+	if got := appendAll(); got != 0 {
+		t.Fatalf("%d reads on the round after, want 0", got)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRangeLockingKeepsNoTailImage: under byte-range locking another
+// transaction may replace bytes of the tail's last page while sharing the
+// latch, so the continuation reads the page it rewrites.
+func TestRangeLockingKeepsNoTailImage(t *testing.T) {
+	s, vol, _, model := openTailStore(t, Options{RangeLocking: true})
+	other, _ := s.Begin()
+	repl := pat(75, 50)
+	if err := other.Replace("x", 6600, repl); err != nil { // the partial last page
+		t.Fatal(err)
+	}
+	tx, _ := s.Begin()
+	more := pat(76, 100)
+	r0 := vol.Stats().Reads
+	if err := tx.Append("x", more); err != nil {
+		t.Fatal(err)
+	}
+	if got := vol.Stats().Reads - r0; got != 1 {
+		t.Fatalf("the append read %d times, want 1", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	copy(model[6600:], repl)
+	if !bytes.Equal(readObject(t, s, "x"), append(model, more...)) {
+		t.Fatal("content wrong")
+	}
+}
+
+// TestDeleteRecordCarriesNoBytes: a delete is shadowed, not logged — redo
+// deletes by offset and length and an abort re-inserts from the journal in
+// memory — so its record is a header, and a crash that finds the deleter
+// committed or in flight recovers either way.
+func TestDeleteRecordCarriesNoBytes(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
+			s, vol, logVol, base := replaceStore(t, Options{})
+			tail0 := s.LogTail()
+			tx, _ := s.Begin()
+			if err := tx.Delete("x", 1000, 3000); err != nil {
+				t.Fatal(err)
+			}
+			if grew := s.LogTail() - tail0; grew >= 3000 {
+				t.Fatalf("begin + delete records take %d bytes of log: the deleted bytes are in there", grew)
+			}
+			want := base
+			if commit {
+				if err := tx.CommitNoForce(); err != nil { // the data volume never hears of it
+					t.Fatal(err)
+				}
+				want = append(append([]byte{}, base[:1000]...), base[4000:]...)
+			} else {
+				// In flight, but on the log device: another commit's force.
+				w, _ := s.Begin()
+				if err := w.Create("y", 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re := crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, re, "x"), want) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+			if err := re.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
