@@ -33,7 +33,9 @@ import (
 //   - Every record starts on a page boundary and is written to pages no
 //     durable record occupies: a torn write damages the record in flight
 //     and nothing else.  (That is why deltas are page-aligned — a delta
-//     sharing a page with its predecessor would have to rewrite it.)
+//     sharing a page with its predecessor would have to rewrite it.  The
+//     write-ahead log lays out its forces by the same rule; it is stated
+//     for both in package wal and DESIGN.md §8.1.)
 //   - Every record carries a store-wide monotonic sequence number and a
 //     CRC.  Recovery replays, per slot, the base and then the deltas whose
 //     seq is exactly one past their predecessor's; the chain ends at the

@@ -372,11 +372,11 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 		if err != nil {
 			return err
 		}
-		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes\n",
-			s.PageSize(), len(s.List()), free, s.LogTail())
-		// Since this command opened the store: recovery's own checkpoint
-		// accounts for the first compaction.
+		// Counters are since this command opened the store: recovery's own
+		// checkpoint accounts for the first compaction and one padded log page.
 		st := s.Stats()
+		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes (%d bytes of padding written)\n",
+			s.PageSize(), len(s.List()), free, s.LogTail(), st.WAL.PadBytes)
 		b := st.Barrier
 		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d header writes, %d directory pages skipped\n",
 			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, b.DirPagesSkipped)

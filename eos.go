@@ -415,11 +415,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SerialWAL {
-		if err := s.log.SetGroupCommit(false); err != nil {
-			return nil, err
-		}
-	}
+	s.log.SetGroupCommit(!opts.SerialWAL)
 	// The first checkpoint writes the header and the (empty) catalog base
 	// behind the formatted space directories.
 	if err := s.Checkpoint(); err != nil {
@@ -1214,7 +1210,7 @@ type Stats struct {
 	// from the images their transaction's preceding Read had transferred,
 	// instead of reading them from the device again.
 	ReplaceReadsSaved int64
-	LogLen            int64
+	LogLen            int64 // LogTail: log length in bytes, padding included
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1272,7 +1268,9 @@ func (s *Store) List() []string {
 func (s *Store) FreePages() (int, error) { return s.buddy.FreePages() }
 
 // LogTail reports the write-ahead log length in bytes (zero right after
-// a checkpoint).
+// a checkpoint): the records and, since every log force ends on a page
+// boundary, the padding behind each force's last record.  Record bytes
+// alone are Stats().WAL.FlushedBytes, padding Stats().WAL.PadBytes.
 func (s *Store) LogTail() int64 { return s.log.Tail() }
 
 // Check validates the buddy directories and every object tree.

@@ -68,7 +68,9 @@ func E12Recovery() (*Table, error) {
 		{"append", func(tx *eos.Txn) error { return tx.Append("obj", Pattern(4, opBytes)) }},
 	}
 	for _, op := range ops {
-		logBefore := s.LogTail()
+		// Record bytes, not log length: the length also counts the padding
+		// each force ends its last page with.
+		logBefore := s.Stats().WAL.FlushedBytes
 		tx, err := s.Begin()
 		if err != nil {
 			return nil, err
@@ -84,7 +86,7 @@ func E12Recovery() (*Table, error) {
 		}
 		commitIO := vol.Stats()
 		t.AddRow(op.name, fmt.Sprint(opBytes),
-			fmtI(s.LogTail()-logBefore),
+			fmtI(s.Stats().WAL.FlushedBytes-logBefore),
 			fmtI(shadowed),
 			fmtI(commitIO.PagesWritten))
 	}

@@ -59,12 +59,20 @@ func TestCrashSweep(t *testing.T) {
 			// The floor guards against a sweep that silently enumerates less.
 			// It was 1550 while every log truncation zeroed the pages its
 			// epoch had written (1663 / 1606 states), then 1450 once truncation
-			// issued no request (1534 / 1495).  The workload has since gained
-			// the append shapes TestWorkloadCoversAppendShapes pins — a truncate
+			// issued no request (1534 / 1495).  The workload then gained the
+			// append shapes TestWorkloadCoversAppendShapes pins — a truncate
 			// with an append behind it, a loser that continues a tail in place
-			// and cuts another — and its 170 transactions give 1604 / 1576.
-			if !testing.Short() && res.States < 1520 {
-				t.Fatalf("sweep enumerated only %d distinct states, want >= 1520", res.States)
+			// and cuts another — and its 170 transactions gave 1604 / 1576.
+			// Since every log force starts on a fresh page they give
+			// 1520 / 1491: fewer, because no log page has two versions any
+			// more — the partial last page a force left used to be written
+			// again, longer, by the next one, and "old version kept, new one
+			// lost" was a state of its own.  (With zero padding it would be
+			// 1519 / 1490: one force's last page holds nothing but the zero
+			// tail of a commit record, and only the 0xFF padding behind it
+			// tells that page from one never written.)
+			if !testing.Short() && res.States < 1450 {
+				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
 		})
 	}

@@ -12,55 +12,58 @@ import (
 // partially-written state — header torn mid-write, payload torn,
 // arbitrary garbage, or stale bytes from a previous log epoch sitting
 // at the write position.  In every case Recover must treat the damage
-// as end-of-log: return exactly the intact prefix, position the tail at
-// its end, and leave the log appendable (new records overwrite the torn
-// region and survive a second recovery).
+// as end-of-log: return exactly the intact prefix, position the tail on
+// the page boundary behind it, and leave the log appendable (new records
+// start on that page and survive a second recovery).
 
 // tornCase mutates the raw volume image in place.  lastOff/lastSize
 // delimit the final (victim) record; firstOff/firstSize the first one.
+// keepsHeader says the victim's header still carries its LSN: that one
+// would end every later scan where it sits, in front of anything appended
+// after the recovery, so Recover pads over it — its only write.
 type tornCase struct {
-	name string
-	mut  func(img []byte, lastOff, lastSize, firstOff, firstSize int)
+	name        string
+	keepsHeader bool
+	mut         func(img []byte, lastOff, lastSize, firstOff, firstSize int)
 }
 
 func tornTailCorpus() []tornCase {
 	return []tornCase{
-		{"zeroed-record", func(img []byte, off, size, _, _ int) {
-			// The write never reached the device at all: the size field
-			// reads 0 < recHeaderSize, which Scan treats as a clean end.
+		{"zeroed-record", false, func(img []byte, off, size, _, _ int) {
+			// The write never reached the device at all.
 			for i := off; i < off+size; i++ {
 				img[i] = 0
 			}
 		}},
-		{"torn-mid-header", func(img []byte, off, size, _, _ int) {
+		{"torn-mid-header", false, func(img []byte, off, size, _, _ int) {
 			// CRC and size landed, the rest of the header did not.
 			for i := off + 8; i < off+size; i++ {
 				img[i] = 0
 			}
 		}},
-		{"torn-mid-payload", func(img []byte, off, size, _, _ int) {
+		{"torn-mid-payload", true, func(img []byte, off, size, _, _ int) {
 			// Header intact, payload bytes lost: checksum must catch it.
 			for i := off + recHeaderSize; i < off+size; i++ {
 				img[i] ^= 0x5A
 			}
 		}},
-		{"garbage-tail", func(img []byte, off, size, _, _ int) {
-			// Arbitrary junk: the size field decodes to nonsense.
+		{"garbage-tail", false, func(img []byte, off, size, _, _ int) {
+			// Arbitrary junk: nothing decodes.
 			for i := off; i < off+size; i++ {
 				img[i] = 0xA5
 			}
 		}},
-		{"garbage-length", func(img []byte, off, size, _, _ int) {
+		{"garbage-length", true, func(img []byte, off, size, _, _ int) {
 			// The header landed but for its length field, which still holds
 			// whatever was there: larger than the record, inside the volume.
 			// The LSN is right, so the scan does read that much; the
 			// checksum, which covers the length, must reject it.
 			binary.BigEndian.PutUint32(img[off+4:], uint32(size+4000))
 		}},
-		{"stale-epoch-record", func(img []byte, off, size, firstOff, firstSize int) {
+		{"stale-epoch-record", false, func(img []byte, off, size, firstOff, firstSize int) {
 			// A fully intact record from another position (as a reused
 			// log region would contain): CRC passes, but its LSN does
-			// not match base+off+1, so Scan must still stop.
+			// not match base+off+1, so no scan takes it.
 			if firstSize > size {
 				firstSize = size
 			}
@@ -69,36 +72,129 @@ func tornTailCorpus() []tornCase {
 	}
 }
 
-// buildTornLog appends a prefix of records plus one victim record,
-// forces everything, and returns the volume along with the victim's
-// byte offset/size and the first record's offset/size.
-func buildTornLog(t *testing.T, victim *Record) (vol *disk.Volume, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
+// pageUp rounds a log offset up to the page boundary a flush would end on.
+func pageUp(off, ps int) int { return (off + ps - 1) / ps * ps }
+
+// rewrite applies mut to the whole volume image and makes the result durable.
+func rewrite(t *testing.T, vol *disk.Volume, mut func(img []byte)) {
 	t.Helper()
-	l, v := newLog(t, 64)
-	prefix := []*Record{
-		{Txn: 1, Type: RecBegin},
-		{Txn: 1, Type: RecInsert, Object: 3, Off: 0, Data: []byte("durable payload")},
-		{Txn: 1, Type: RecCommit},
+	img, err := vol.Read(0, int(vol.NumPages()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range prefix {
+	mut(img)
+	if err := vol.WritePages(0, int(vol.NumPages()), img); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendAll appends recs and returns their LSNs.
+func appendAll(t *testing.T, l *Log, recs ...*Record) []uint64 {
+	t.Helper()
+	var lsns []uint64
+	for _, r := range recs {
 		lsn, err := l.Append(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prefixLSNs = append(prefixLSNs, lsn)
+		lsns = append(lsns, lsn)
 	}
+	return lsns
+}
+
+// expectLSNs checks that recs are exactly the records with the given LSNs.
+func expectLSNs(t *testing.T, recs []*Record, want []uint64) {
+	t.Helper()
+	if len(recs) != len(want) {
+		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
+	}
+	for i, r := range recs {
+		if r.LSN != want[i] {
+			t.Errorf("record %d: LSN %d, want %d", i, r.LSN, want[i])
+		}
+	}
+}
+
+// buildTornLog appends a prefix of records plus one victim record,
+// forces everything in one flush, and returns the volume along with the
+// victim's byte offset/size and the first record's offset/size.
+func buildTornLog(t *testing.T, victim *Record) (vol *disk.Volume, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
+	t.Helper()
+	l, v := newLog(t, 64)
+	prefixLSNs = appendAll(t, l,
+		&Record{Txn: 1, Type: RecBegin},
+		&Record{Txn: 1, Type: RecInsert, Object: 3, Off: 0, Data: []byte("durable payload")},
+		&Record{Txn: 1, Type: RecCommit})
 	firstOff = int(prefixLSNs[0]) - 1
 	firstSize = int(prefixLSNs[1]) - 1 - firstOff
-	lsn, err := l.Append(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lsn := appendAll(t, l, victim)[0]
+	lastOff = int(lsn) - 1
+	lastSize = int(l.Tail()) - lastOff
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	lastOff = int(lsn) - 1
-	lastSize = int(l.Tail()) - lastOff
 	return v, prefixLSNs, lastOff, lastSize, firstOff, firstSize
+}
+
+// recoverTorn recovers a log whose victim record at lastOff (not on a page
+// boundary) is damaged, checks that exactly the prefix comes back, the tail
+// sits on the next boundary and Recover wrote only what it had to, then
+// appends behind the tear and checks the fresh record survives too.
+func recoverTorn(t *testing.T, vol *disk.Volume, prefixLSNs []uint64, lastOff int, keepsHeader bool) {
+	t.Helper()
+	ps := vol.PageSize()
+	boundary := pageUp(lastOff, ps)
+	if boundary == lastOff {
+		t.Fatal("the victim starts a page; the case needs it behind other records")
+	}
+	vol.ResetStats()
+	l2, recs, err := Recover(vol, 0)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	expectLSNs(t, recs, prefixLSNs)
+	if got := l2.Tail(); got != int64(boundary) {
+		t.Errorf("tail at %d, want the page boundary %d behind the intact prefix", got, boundary)
+	}
+	wantWrites := int64(0)
+	if keepsHeader {
+		wantWrites = 1
+	}
+	if st := vol.Stats(); st.Writes != wantWrites || st.PagesWritten != wantWrites {
+		t.Errorf("Recover issued %d writes of %d pages, want %d of one page", st.Writes, st.PagesWritten, wantWrites)
+	}
+	if keepsHeader {
+		page, err := vol.Read(disk.PageNum(lastOff/ps), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rest := page[lastOff%ps:]; !bytes.Equal(rest, bytes.Repeat([]byte{padByte}, len(rest))) {
+			t.Errorf("the torn record's header is still there after Recover")
+		}
+	}
+
+	// The log must remain usable: a fresh append starts the next page and
+	// survives another recovery, whatever the tear left in front of it.
+	fresh := &Record{Txn: 9, Type: RecAppend, Object: 3, Data: []byte("after the tear")}
+	lsn := appendAll(t, l2, fresh)[0]
+	if lsn != uint64(boundary)+1 {
+		t.Errorf("fresh record at LSN %d, want %d (the page behind the tear)", lsn, boundary+1)
+	}
+	if err := l2.Force(); err != nil {
+		t.Fatal(err)
+	}
+	vol.Crash()
+	_, recs2, err := Recover(vol, 0)
+	if err != nil {
+		t.Fatalf("second Recover: %v", err)
+	}
+	expectLSNs(t, recs2, append(append([]uint64{}, prefixLSNs...), lsn))
+	if last := recs2[len(recs2)-1]; !bytes.Equal(last.Data, fresh.Data) {
+		t.Errorf("fresh record did not round-trip: %+v", last)
+	}
 }
 
 func TestRecoverTornTailCorpus(t *testing.T) {
@@ -106,94 +202,184 @@ func TestRecoverTornTailCorpus(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			victim := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: []byte("torn away")}
 			vol, prefixLSNs, lastOff, lastSize, firstOff, firstSize := buildTornLog(t, victim)
-
-			img, err := vol.Read(0, int(vol.NumPages()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.mut(img, lastOff, lastSize, firstOff, firstSize)
-			if err := vol.WritePages(0, int(vol.NumPages()), img); err != nil {
-				t.Fatal(err)
-			}
-
-			l2, recs, err := Recover(vol, 0)
-			if err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
-			if len(recs) != len(prefixLSNs) {
-				t.Fatalf("recovered %d records, want intact prefix of %d", len(recs), len(prefixLSNs))
-			}
-			for i, r := range recs {
-				if r.LSN != prefixLSNs[i] {
-					t.Errorf("record %d: LSN %d, want %d", i, r.LSN, prefixLSNs[i])
-				}
-			}
-			if got := l2.Tail(); got != int64(lastOff) {
-				t.Errorf("tail at %d, want end of intact prefix %d", got, lastOff)
-			}
-
-			// The log must remain usable: a fresh append lands where the
-			// torn record was and survives another recovery.
-			fresh := &Record{Txn: 9, Type: RecAppend, Object: 3, Data: []byte("after the tear")}
-			lsn, err := l2.Append(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lsn != uint64(lastOff)+1 {
-				t.Errorf("fresh record at LSN %d, want %d (overwriting the tear)", lsn, lastOff+1)
-			}
-			if err := l2.Force(); err != nil {
-				t.Fatal(err)
-			}
-			_, recs2, err := Recover(vol, 0)
-			if err != nil {
-				t.Fatalf("second Recover: %v", err)
-			}
-			if len(recs2) != len(prefixLSNs)+1 {
-				t.Fatalf("after re-append recovered %d records, want %d", len(recs2), len(prefixLSNs)+1)
-			}
-			last := recs2[len(recs2)-1]
-			if last.LSN != lsn || !bytes.Equal(last.Data, fresh.Data) {
-				t.Errorf("fresh record did not round-trip: %+v", last)
-			}
+			rewrite(t, vol, func(img []byte) { tc.mut(img, lastOff, lastSize, firstOff, firstSize) })
+			recoverTorn(t, vol, prefixLSNs, lastOff, tc.keepsHeader)
 		})
 	}
 }
 
 // TestRecoverTornMultiPageRecord tears a record that spans pages at the
 // page boundary: the first page of the record is durable, the rest is
-// not — the shape a real partial flush produces.
+// not — the shape a real partial flush produces.  Its header survives
+// behind the intact records that share its first page.
 func TestRecoverTornMultiPageRecord(t *testing.T) {
 	big := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{0xCD}, 700)}
 	vol, prefixLSNs, lastOff, lastSize, _, _ := buildTornLog(t, big)
-	if lastSize <= 256 {
+	ps := vol.PageSize()
+	if lastSize <= ps {
 		t.Fatalf("victim record must span pages, got %d bytes", lastSize)
 	}
-
-	img, err := vol.Read(0, int(vol.NumPages()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Zero every page of the record after the first.
-	ps := 256
-	secondPage := (lastOff/ps + 1) * ps
-	for i := secondPage; i < lastOff+lastSize; i++ {
-		img[i] = 0
+	rewrite(t, vol, func(img []byte) {
+		for i := pageUp(lastOff, ps); i < lastOff+lastSize; i++ {
+			img[i] = 0
+		}
+	})
+	recoverTorn(t, vol, prefixLSNs, lastOff, true)
+}
+
+// TestPaddingOfEveryLengthIsSteppedOver: a force may end any number of
+// bytes short of its page's end — fewer than a header holds, so that the
+// header read at its end runs into the next force's first page, or none at
+// all.  The next force's records come back either way.
+func TestPaddingOfEveryLengthIsSteppedOver(t *testing.T) {
+	for pad := 0; pad <= recHeaderSize; pad++ {
+		l, vol := newLog(t, 8)
+		ps := vol.PageSize()
+		first := &Record{Txn: 1, Type: RecAppend, Data: bytes.Repeat([]byte{7}, ps-pad-recHeaderSize)}
+		want := appendAll(t, l, first)
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().PadBytes; got != int64(pad) {
+			t.Fatalf("pad %d: PadBytes = %d", pad, got)
+		}
+		want = append(want, appendAll(t, l, &Record{Txn: 2, Type: RecBegin}, &Record{Txn: 2, Type: RecCommit})...)
+		if want[1] != uint64(ps)+1 {
+			t.Fatalf("pad %d: second force begins at LSN %d, want %d", pad, want[1], ps+1)
+		}
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+		vol.Crash()
+		l2, recs, err := Recover(vol, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectLSNs(t, recs, want)
+		if l2.Tail() != int64(2*ps) {
+			t.Fatalf("pad %d: recovered tail %d, want %d", pad, l2.Tail(), 2*ps)
+		}
 	}
-	if err := vol.WritePages(0, int(vol.NumPages()), img); err != nil {
+}
+
+// TestLostFirstPageHidesTheWholeForce: the crash kept a later page of the
+// force in flight and lost its first.  A record begins exactly on the kept
+// page — right LSN, right checksum — and must not surface: nothing in front
+// of it says a force of this epoch ever began on the lost page.
+func TestLostFirstPageHidesTheWholeForce(t *testing.T) {
+	l, vol := newLog(t, 16)
+	ps := vol.PageSize()
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
+	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-
+	lost := appendAll(t, l, onePageRecord(2, ps), &Record{Txn: 2, Type: RecCommit})
+	if lost[0] != uint64(ps)+1 || lost[1] != uint64(2*ps)+1 {
+		t.Fatalf("second force's records at LSNs %v, want one on each page boundary", lost)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.WritePages(1, 1, make([]byte, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := New(vol, 0).Scan(int64(2*ps), func(*Record) error { n++; return nil }); err != nil || n != 1 {
+		t.Fatalf("the commit on the kept page is not intact (%d records, err %v); the test proves nothing", n, err)
+	}
 	l2, recs, err := Recover(vol, 0)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatal(err)
 	}
-	if len(recs) != len(prefixLSNs) {
-		t.Fatalf("recovered %d records, want intact prefix of %d", len(recs), len(prefixLSNs))
+	expectLSNs(t, recs, want)
+	if l2.Tail() != int64(ps) {
+		t.Errorf("recovered tail %d, want the lost page's boundary %d", l2.Tail(), ps)
 	}
-	if got := l2.Tail(); got != int64(lastOff) {
-		t.Errorf("tail at %d, want %d", got, lastOff)
+}
+
+// TestForgedHeaderBehindTornRecordNeverSurfaces: a torn record ends the
+// scan where it stands.  Stepping to the next page boundary, as the scan
+// does behind padding, would land in the torn record's own payload — bytes
+// a client chose, here a commit record with the LSN and checksum that
+// boundary calls for.
+func TestForgedHeaderBehindTornRecordNeverSurfaces(t *testing.T) {
+	l, vol := newLog(t, 16)
+	ps := vol.PageSize()
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
+	victimOff := int(l.Tail())
+	forged := encode(&Record{LSN: uint64(ps) + 1, Txn: 1, Type: RecCommit})
+	payload := bytes.Repeat([]byte{0x11}, 3*ps)
+	copy(payload[ps-victimOff-recHeaderSize:], forged)
+	appendAll(t, l, &Record{Txn: 1, Type: RecAppend, Data: payload})
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
 	}
+	// The crash lost the third page of the flush.
+	if err := vol.WritePages(2, 1, make([]byte, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := New(vol, 0).Scan(int64(ps), func(r *Record) error {
+		if r.Type == RecCommit && r.LSN == uint64(ps)+1 {
+			n++
+		}
+		return nil
+	}); err != nil || n != 1 {
+		t.Fatalf("the forged commit does not decode at the boundary (%d, err %v); the test proves nothing", n, err)
+	}
+	_, recs, err := Recover(vol, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLSNs(t, recs, want)
+}
+
+// TestUnpaddedLogStillScansWhole: a log written by a build that packed its
+// forces back to back — records contiguous across page boundaries, the tail
+// in the middle of a page — recovers whole, and goes on from the next page.
+func TestUnpaddedLogStillScansWhole(t *testing.T) {
+	vol := disk.MustNewVolume(256, 16, disk.CostModel{})
+	var img []byte
+	var want []uint64
+	for i := 0; i < 9; i++ {
+		r := &Record{LSN: uint64(len(img)) + 1, Txn: uint64(i), Type: RecAppend, Data: bytes.Repeat([]byte{byte(i)}, 40+i)}
+		want = append(want, r.LSN)
+		img = append(img, encode(r)...)
+	}
+	ps := vol.PageSize()
+	end := len(img)
+	if end < 3*ps || end%ps == 0 {
+		t.Fatalf("image of %d bytes: want several pages and a tail inside one", end)
+	}
+	img = append(img, make([]byte, pageUp(end, ps)-end)...)
+	if err := vol.WritePages(0, len(img)/ps, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := Recover(vol, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLSNs(t, recs, want)
+	if l.Tail() != int64(pageUp(end, ps)) {
+		t.Fatalf("tail %d, want %d", l.Tail(), pageUp(end, ps))
+	}
+	want = append(want, fillEpoch(t, l, 1, 77)...)
+	vol.Crash()
+	_, recs, err = Recover(vol, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLSNs(t, recs, want)
 }
 
 // fillEpoch appends n records, forces them, and returns their LSNs.
@@ -450,46 +636,110 @@ func TestScanTestsLSNBeforeLength(t *testing.T) {
 	}
 }
 
-// TestFlushNeverReadsItsOwnTail: flushes that start mid-page complete
-// the boundary page from memory, across a recovery too, and the records
-// sharing that page survive.
-func TestFlushNeverReadsItsOwnTail(t *testing.T) {
-	l, vol := newLog(t, 32)
+// TestNoLogPageIsWrittenTwice: every flush starts on the page behind the
+// last one's — also the first flush after a recovery — so no flush writes a
+// page an earlier one wrote, none reads, and only the first of a process
+// (the head is wherever the recovery scan left it) repositions the head.
+func TestNoLogPageIsWrittenTwice(t *testing.T) {
+	l, vol := newLog(t, 64)
+	written := map[disk.PageNum]bool{}
+	next, first := disk.PageNum(0), true
+	vol.SetTracer(func(ev disk.TraceEvent) {
+		if !ev.Write {
+			return
+		}
+		if ev.Start != next || ev.Seek && !first {
+			t.Errorf("write of pages %d..%d (seek %v), want it to continue at page %d", ev.Start, int(ev.Start)+ev.Pages-1, ev.Seek, next)
+		}
+		for p := ev.Start; p < ev.Start+disk.PageNum(ev.Pages); p++ {
+			if written[p] {
+				t.Errorf("log page %d written a second time", p)
+			}
+			written[p] = true
+		}
+		next, first = ev.Start+disk.PageNum(ev.Pages), false
+	})
 	var want []uint64
 	for i := 0; i < 6; i++ {
-		want = append(want, fillEpoch(t, l, 1, uint64(i+1))...)
+		want = append(want, fillEpoch(t, l, 1+i%3, uint64(i+1))...)
 	}
 	if got := vol.Stats().Reads; got != 0 {
-		t.Errorf("%d device reads during 6 mid-page flushes, want 0", got)
+		t.Errorf("%d device reads during 6 flushes, want 0", got)
 	}
 	vol.Crash()
 	l2, recs, err := Recover(vol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Tail()%int64(vol.PageSize()) == 0 {
-		t.Fatal("tail is page-aligned; the test needs a mid-page frontier")
-	}
+	expectLSNs(t, recs, want)
 	vol.ResetStats()
+	first = true
 	for i := 0; i < 3; i++ {
-		want = append(want, fillEpoch(t, l2, 1, uint64(i+7))...)
+		want = append(want, fillEpoch(t, l2, 2, uint64(i+7))...)
 	}
 	if got := vol.Stats().Reads; got != 0 {
 		t.Errorf("%d device reads flushing after Recover, want 0", got)
 	}
-	if len(recs) != 6 {
-		t.Fatalf("recovered %d records, want 6", len(recs))
+	if len(written) != int(l2.Tail())/vol.PageSize() {
+		t.Errorf("%d pages written for a log of %d", len(written), l2.Tail())
 	}
 	_, recs, err = Recover(vol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
-	}
-	for i, r := range recs {
-		if r.LSN != want[i] {
-			t.Errorf("record %d: LSN %d, want %d", i, r.LSN, want[i])
+	expectLSNs(t, recs, want)
+}
+
+// gatedVolume holds every write until the test lets it go.
+type gatedVolume struct {
+	*disk.Volume
+	entered, release chan struct{}
+}
+
+func (g *gatedVolume) WritePages(start disk.PageNum, n int, buf []byte) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Volume.WritePages(start, n, buf)
+}
+
+// TestAppendsDuringAFlushLandBehindIt: the leader seals the tail before it
+// writes, so a record appended while that write is in flight begins the next
+// page — and the flush that carries it writes none of the leader's pages.
+func TestAppendsDuringAFlushLandBehindIt(t *testing.T) {
+	vol := disk.MustNewVolume(256, 64, disk.CostModel{})
+	g := &gatedVolume{Volume: vol, entered: make(chan struct{}), release: make(chan struct{})}
+	l := New(g, 0)
+	var writes []disk.TraceEvent
+	vol.SetTracer(func(ev disk.TraceEvent) {
+		if ev.Write {
+			writes = append(writes, ev)
 		}
+	})
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
+	led := make(chan error, 1)
+	go func() { led <- l.ForceLSN(want[1]) }()
+	<-g.entered
+	ps := vol.PageSize()
+	racing := appendAll(t, l, &Record{Txn: 2, Type: RecBegin}, &Record{Txn: 2, Type: RecCommit})
+	if racing[0] != uint64(ps)+1 {
+		t.Errorf("record appended during the leader's write has LSN %d, want %d: the first byte of the next page", racing[0], ps+1)
 	}
+	g.release <- struct{}{}
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
+	go func() { <-g.entered; g.release <- struct{}{} }()
+	if err := l.ForceLSN(racing[1]); err != nil {
+		t.Fatal(err)
+	}
+	if len(writes) != 2 || writes[0].Start != 0 || writes[0].Pages != 1 ||
+		writes[1] != (disk.TraceEvent{Write: true, Start: 1, Pages: 1}) {
+		t.Errorf("log writes %+v, want page 0, then page 1 without a seek", writes)
+	}
+	vol.Crash()
+	_, recs, err := Recover(vol, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLSNs(t, recs, append(want, racing...))
 }

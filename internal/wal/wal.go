@@ -10,15 +10,24 @@
 // object to ensure that the update can be undone or redone idempotently."
 //
 // The log lives on its own volume (a separate log disk, as is
-// conventional) and is an append-only sequence of length-prefixed,
-// checksummed records.  LSNs are monotonic across the store's whole
-// life: each log epoch (the records between two truncations) has a
-// base, and a record's LSN is base + its byte offset + 1.  Truncation
-// advances the base past every LSN the old epoch issued, so the LSN
-// guard in object roots stays valid without ever rewinding — and a
-// truncation writes nothing: the old epoch's records stay on the volume
-// until new ones overwrite them, and a recovery scan ignores them because
-// their LSNs do not match the base the store header says is current.
+// conventional) and is a sequence of length-prefixed, checksummed
+// records.  LSNs are monotonic across the store's whole life: each log
+// epoch (the records between two truncations) has a base, and a record's
+// LSN is base + its byte offset + 1.  Truncation advances the base past
+// every LSN the old epoch issued, so the LSN guard in object roots stays
+// valid without ever rewinding — and a truncation writes nothing: the old
+// epoch's records stay on the volume until new ones overwrite them, and a
+// recovery scan ignores them because their LSNs do not match the base the
+// store header says is current.
+//
+// The unit of layout is the force: the records buffered since the last one,
+// back to back, written once as whole pages that begin behind that one's
+// last page; the rest of the last page is padding, which byte offsets and so
+// LSNs skip.  The log is thus written strictly forward and — the rule the
+// catalog journal (catalog.go) shares — NO PAGE THAT HOLDS A DURABLE RECORD
+// IS EVER WRITTEN AGAIN: a torn write damages the force in flight, nothing
+// acknowledged before it.  The price is log space: the pages in use between
+// two truncations are the sum of ceil(force bytes / page size).
 package wal
 
 import (
@@ -116,6 +125,10 @@ var (
 const (
 	recHeaderSize  = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 2 // crc,len,lsn,txn,type,obj,off,n,dlen,olen,extents
 	extentEncBytes = 8 + 4 + 4
+	// padByte fills a force's last page behind its records.  Not zero: a
+	// header read that begins in padding and runs into the next page must
+	// never carry the LSN of its offset, and an LSN's high bytes are zero.
+	padByte = 0xFF
 )
 
 // Stats counts log activity.  Snapshot with Log.Stats; the group-commit
@@ -130,6 +143,7 @@ type Stats struct {
 	Piggybacks   int64 // requests covered by another committer's force while queued
 	LeaderForces int64 // physical flush+force batches issued
 	FlushedBytes int64 // bytes of log records written to the volume
+	PadBytes     int64 // bytes of padding written behind them, to the page boundary each force ends on
 }
 
 // Log is an append-only write-ahead log over a dedicated volume.  It is
@@ -139,11 +153,12 @@ type Stats struct {
 // buffer reaches the log volume only when a force flushes it, so a
 // transaction's worth of records costs zero log I/O until commit.
 // Forces use leader/follower group commit: concurrent committers queue
-// on forceMu, the first (the leader) writes the whole buffered tail in
-// one positional write — one seek however many records the batch holds
-// — and forces it; the followers wake to find their commit LSNs already
-// durable and return without touching the device.  A force whose target
-// is already durable returns immediately without any lock but mu.
+// on forceMu, the first (the leader) writes the whole buffered tail in one
+// request that continues where the last force's ended — no seek however
+// many records the batch holds — and forces it; the followers wake to find
+// their commit LSNs already durable and return without touching the device.
+// A force whose target is already durable returns immediately without any
+// lock but mu.
 type Log struct {
 	// forceMu serializes the flush+force I/O of group-commit leaders.
 	// Followers queue on it and usually find their records durable once
@@ -155,18 +170,14 @@ type Log struct {
 	ps      int
 	base    uint64 // eos:guardedby mu -- LSN of the epoch start; record at offset o has LSN base+o+1
 	grouped bool   // eos:guardedby mu -- buffered appends + group commit (default); false = serial baseline
-	// buf holds the log's bytes from offset bufStart to the tail.
-	// bufStart is always page-aligned: a flush drops only the whole pages
-	// it wrote and keeps the partial last page, so the next flush rewrites
-	// that page in full from memory — the log never reads its own tail
-	// back from the device.  The first flushed-bufStart bytes of buf are
-	// already on the volume; the rest are appended but not yet written.
-	buf      []byte // eos:guardedby mu
-	bufStart int64  // eos:guardedby mu -- log byte offset of buf[0]
-	flushed  int64  // eos:guardedby mu -- offset through which records are on the volume
-	tail     int64  // eos:guardedby mu -- next append offset (bytes) == bufStart+len(buf)
-	forced   int64  // eos:guardedby mu -- offset through which records are durable
-	stats    Stats  // eos:guardedby mu
+	// buf holds the log's bytes that are not on the volume yet, up to the
+	// tail: records, and the padding of forces sealed but not written.  It
+	// begins on a page boundary; a flush drops what it wrote, all of it.
+	buf    []byte // eos:guardedby mu
+	pad    int64  // eos:guardedby mu -- bytes of buf that are padding
+	tail   int64  // eos:guardedby mu -- next append offset (bytes)
+	forced int64  // eos:guardedby mu -- page-aligned offset through which the log is durable
+	stats  Stats  // eos:guardedby mu
 }
 
 // New creates an empty log on vol.  base is the LSN epoch base the
@@ -185,20 +196,13 @@ func (l *Log) Base() uint64 {
 }
 
 // SetGroupCommit enables (the default) or disables the buffered tail
-// and group commit.  Disabled, the log reproduces the original serial
-// write path — every Append issues its own positional write and every
-// force leads — which the write-path benchmarks use as their baseline.
-// Disabling flushes any buffered records first.
-func (l *Log) SetGroupCommit(on bool) error {
-	l.forceMu.Lock()
-	defer l.forceMu.Unlock()
-	if _, err := l.flushHoldingForceMu(); err != nil {
-		return err
-	}
+// and group commit.  Disabled, every Append is a flush of its own — one
+// page-aligned write per record — and every force leads, which the
+// write-path benchmarks use as their baseline.
+func (l *Log) SetGroupCommit(on bool) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.grouped = on
-	l.mu.Unlock()
-	return nil
 }
 
 // Stats returns a snapshot of the log activity counters.
@@ -284,58 +288,75 @@ func decode(buf []byte) (*Record, int, error) {
 // it.  The record is not durable until a force covers it; in grouped
 // mode (the default) it is not even written to the volume until then —
 // the bytes land in the in-memory tail buffer, so Append does no I/O.
+// A record that does not fit behind the tail — which every flush moves to
+// a page boundary — gets ErrLogFull and leaves nothing.  A write error of
+// the serial baseline leaves the record buffered for the next flush, LSN and
+// all, as a failed force leaves a commit record.
 func (l *Log) Append(r *Record) (uint64, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	r.LSN = l.base + uint64(l.tail) + 1 // LSN 0 means "never logged"
 	rec := encode(r)
-	end := l.tail + int64(len(rec))
-	if end > int64(l.vol.NumPages())*int64(l.ps) {
+	if l.tail+int64(len(rec)) > int64(l.vol.NumPages())*int64(l.ps) {
+		l.mu.Unlock()
 		return 0, ErrLogFull
 	}
 	l.buf = append(l.buf, rec...)
-	if !l.grouped {
-		if err := l.writeFrom(l.bufStart, l.buf); err != nil {
-			l.buf = l.buf[:len(l.buf)-len(rec)]
+	l.tail += int64(len(rec))
+	l.stats.Appends++
+	serial := !l.grouped
+	l.mu.Unlock()
+	if serial {
+		l.forceMu.Lock()
+		defer l.forceMu.Unlock()
+		if _, err := l.flush(); err != nil {
 			return 0, err
 		}
-		l.flushedTo(end)
 	}
-	l.tail = end
-	l.stats.Appends++
 	return r.LSN, nil
 }
 
-// writeFrom writes data — the log's bytes from the page-aligned offset
-// start on — to the volume, zero-padded to whole pages.
-func (l *Log) writeFrom(start int64, data []byte) error {
-	npages := (len(data) + l.ps - 1) / l.ps
-	raw := make([]byte, npages*l.ps)
-	copy(raw, data)
-	return l.vol.WritePages(disk.PageNum(start/int64(l.ps)), npages, raw)
+// fillPad makes b padding, doubling what it has filled.
+func fillPad(b []byte) {
+	for n := copy(b, []byte{padByte}); 0 < n && n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
-// flushedTo records that the volume holds the log through end and drops
-// from buf the whole pages below it.
-//
-// eos:requires l.mu
-func (l *Log) flushedTo(end int64) {
-	l.stats.FlushedBytes += end - l.flushed
-	l.flushed = end
-	drop := (end - l.bufStart) / int64(l.ps) * int64(l.ps)
-	l.buf = l.buf[drop:]
-	l.bufStart += drop
+// flush seals the buffered tail — pads it to the page boundary under mu, so
+// that records appended while the write is in flight already lie on the next
+// flush's pages — writes it (no force) and returns the offset through which
+// the volume now holds the log.  After a failed write everything stays
+// buffered and the next flush writes it to the same pages, none of which
+// holds an acknowledged record.  Caller holds forceMu.
+func (l *Log) flush() (int64, error) {
+	l.mu.Lock()
+	if fill := (l.ps - int(l.tail%int64(l.ps))) % l.ps; fill != 0 {
+		l.buf = append(l.buf, make([]byte, fill)...)
+		fillPad(l.buf[len(l.buf)-fill:])
+		l.pad += int64(fill)
+		l.tail += int64(fill)
+	}
+	data, pad, end := l.buf[:len(l.buf):len(l.buf)], l.pad, l.tail
+	l.mu.Unlock()
+	if len(data) == 0 {
+		return end, nil
+	}
+	first := disk.PageNum((end - int64(len(data))) / int64(l.ps))
+	if err := l.vol.WritePages(first, len(data)/l.ps, data); err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
+	l.buf = l.buf[len(data):]
+	l.pad -= pad
+	l.stats.FlushedBytes += int64(len(data)) - pad
+	l.stats.PadBytes += pad
+	l.mu.Unlock()
+	return end, nil
 }
 
 // Force makes every appended record durable.  When nothing has been
-// appended since the last force it returns immediately without touching
-// the volume (the historical implementation forced the file anyway).
-func (l *Log) Force() error {
-	l.mu.Lock()
-	target := l.tail
-	l.mu.Unlock()
-	return l.forceTo(target)
-}
+// appended since the last force it returns without touching the volume.
+func (l *Log) Force() error { return l.forceTo(l.Tail()) }
 
 // ForceLSN makes the record with the given LSN — and every record
 // before it — durable.  This is the group-commit entry point: the
@@ -348,9 +369,9 @@ func (l *Log) ForceLSN(lsn uint64) error {
 	return l.forceTo(int64(lsn - l.Base()))
 }
 
-// forceTo makes the log durable through byte offset target.  Because
-// forces always advance `forced` to a record boundary past the target
-// record's start, forced >= target implies the whole record is durable.
+// forceTo makes the log durable through byte offset target.  Forces only
+// ever advance `forced` to the sealed end of whole records, so forced >=
+// target (a record's start + 1) implies the whole record is durable.
 func (l *Log) forceTo(target int64) error {
 	l.mu.Lock()
 	l.stats.Forces++
@@ -370,63 +391,27 @@ func (l *Log) forceTo(target int64) error {
 		l.mu.Unlock()
 		return nil
 	}
+	forced := l.forced
 	l.mu.Unlock()
-	return l.leadForce()
-}
-
-// leadForce flushes the buffered tail in one positional write and
-// forces every log page not yet durable.  Caller holds forceMu.
-func (l *Log) leadForce() error {
-	l.mu.Lock()
-	forcedBefore := l.forced
-	l.mu.Unlock()
-	end, err := l.flushHoldingForceMu()
+	// Lead: flush, then force every page written since the last force.
+	end, err := l.flush()
 	if err != nil {
 		return err
 	}
-	if end > 0 {
-		// Only the pages written since the last force can be non-durable;
-		// the page holding the forced boundary may have been extended.
-		firstPage := forcedBefore / int64(l.ps)
-		lastPage := (end + int64(l.ps) - 1) / int64(l.ps)
-		if lastPage > firstPage {
-			if err := l.vol.Force(disk.PageNum(firstPage), int(lastPage-firstPage)); err != nil {
-				return err
-			}
+	if end > forced {
+		ps := int64(l.ps)
+		if err := l.vol.Force(disk.PageNum(forced/ps), int((end-forced)/ps)); err != nil {
+			return err
 		}
 	}
 	l.mu.Lock()
-	if end > l.forced {
-		l.forced = end
-	}
+	l.forced = end
 	l.stats.LeaderForces++
 	l.mu.Unlock()
 	return nil
 }
 
-// flushHoldingForceMu writes the buffered records to the volume (no
-// force) and returns the flushed end offset.  Records appended while
-// the write is in flight stay buffered for the next flush.  Caller
-// holds forceMu.
-func (l *Log) flushHoldingForceMu() (int64, error) {
-	l.mu.Lock()
-	start, done := l.bufStart, l.flushed
-	data := l.buf[:len(l.buf):len(l.buf)]
-	end := start + int64(len(data))
-	l.mu.Unlock()
-	if end == done {
-		return done, nil
-	}
-	if err := l.writeFrom(start, data); err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	l.flushedTo(end)
-	l.mu.Unlock()
-	return end, nil
-}
-
-// Tail returns the log length in bytes.
+// Tail returns the log length in bytes, padding included.
 func (l *Log) Tail() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -434,52 +419,68 @@ func (l *Log) Tail() int64 {
 }
 
 // Scan reads every intact record from byte offset start, invoking fn in
-// order.  Scanning stops cleanly at the first header that does not carry
-// the LSN the current epoch gives its offset — zeroes, the crash-truncated
-// tail, or a leftover from before a truncation (Reset erases nothing;
-// everything such a record describes was durable before the truncation
-// began, so skipping it is exactly right) — and at the first torn record.
-// The LSN is tested before the length field is believed: a stale or
-// garbage length must not size a buffer.  Buffered records are part of
-// the log's logical contents, so Scan writes them out first (without
-// forcing).
+// order.  A header that does not carry the LSN the current epoch gives its
+// offset — padding, zeroes, the crash-truncated tail, or a leftover from
+// before a truncation (Reset erases nothing; everything such a record
+// describes was durable before the truncation began) — means the force
+// ended: the scan goes on at the next page boundary, where the next one
+// began, and ends when no record begins there either (so a log written
+// without padding scans whole).  A record with the right LSN that fails its
+// length or checksum test always ends the scan: the page boundaries behind
+// it lie in its payload, bytes a client chose, never to be read as a header.
+// The LSN is tested before the length field is believed: a stale or garbage
+// length must not size a buffer.  Buffered records are part of the log's
+// logical contents, so Scan flushes them first (without forcing).
 func (l *Log) Scan(start int64, fn func(*Record) error) error {
 	l.forceMu.Lock()
-	_, err := l.flushHoldingForceMu()
+	_, err := l.flush()
 	l.forceMu.Unlock()
 	if err != nil {
 		return err
 	}
+	_, _, err = l.scan(start, fn)
+	return err
+}
+
+// scan is Scan without the flush.  It also reports where the records end:
+// at a torn record's offset, or else behind the last intact record.
+func (l *Log) scan(start int64, fn func(*Record) error) (end int64, torn bool, err error) {
 	base := l.Base()
-	total := int64(l.vol.NumPages()) * int64(l.ps)
-	off := start
-	for off+int64(recHeaderSize) <= total {
+	ps := int64(l.ps)
+	total := int64(l.vol.NumPages()) * ps
+	end = start
+	for off := start; off+int64(recHeaderSize) <= total; {
 		// Read the header area (up to two pages) to learn LSN and size.
 		head := make([]byte, recHeaderSize)
 		if err := l.readAt(off, head); err != nil {
-			return err
+			return end, false, err
 		}
 		if binary.BigEndian.Uint64(head[8:]) != base+uint64(off)+1 {
-			return nil // not a record of this epoch at this offset
+			if off%ps == 0 {
+				return end, false, nil // no force begins here: the log ends
+			}
+			off += ps - off%ps
+			continue
 		}
 		size := int(binary.BigEndian.Uint32(head[4:]))
 		if size < recHeaderSize || off+int64(size) > total {
-			return nil // truncated tail
+			return off, true, nil
 		}
 		buf := make([]byte, size)
 		if err := l.readAt(off, buf); err != nil {
-			return err
+			return end, false, err
 		}
 		r, n, err := decode(buf)
 		if err != nil {
-			return nil // torn record: stop
+			return off, true, nil
 		}
 		if err := fn(r); err != nil {
-			return err
+			return end, false, err
 		}
 		off += int64(n)
+		end = off
 	}
-	return nil
+	return end, false, nil
 }
 
 // readAt reads raw bytes at a byte offset.
@@ -497,41 +498,44 @@ func (l *Log) readAt(off int64, buf []byte) error {
 }
 
 // Recover reattaches a log after a crash: it scans from byte 0 to find
-// the durable tail and positions appends there.  base is the epoch base
-// the store header recorded; records whose LSNs belong to an earlier
-// epoch are ignored.  It returns the records found.
+// the records that survived and positions appends on the page boundary
+// behind the last of them.  base is the epoch base the store header
+// recorded; records whose LSNs belong to an earlier epoch are ignored.  It
+// returns the records found.
+//
+// A later scan steps over whatever lies in front of that boundary as
+// padding — except the intact header of a torn record, which would end it
+// before anything appended from now on.  That one is padded over here: the
+// one second write of a log page, and of a page only the torn force wrote.
 func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
 	l := New(vol, base)
 	var recs []*Record
-	if err := l.Scan(0, func(r *Record) error {
+	end, torn, err := l.scan(0, func(r *Record) error {
 		recs = append(recs, r)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	var tail int64
-	if n := len(recs); n > 0 {
-		last := recs[n-1]
-		// Tail = last record's end offset.
-		tail = int64(last.LSN-base-1) +
-			int64(recHeaderSize+len(last.Data)+len(last.OldData)+len(last.Extents)*extentEncBytes)
-	}
-	// The one time the log reads its tail page: from here on buf carries
-	// the partial page the next flush completes.
-	bufStart := tail / int64(l.ps) * int64(l.ps)
-	var partial []byte
-	if tail > bufStart {
-		page, err := vol.Read(disk.PageNum(bufStart/int64(l.ps)), 1)
+	ps := int64(l.ps)
+	tail := (end + ps - 1) / ps * ps
+	if torn && end < tail {
+		pn := disk.PageNum(end / ps)
+		page, err := vol.Read(pn, 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		partial = page[:tail-bufStart]
+		fillPad(page[end%ps:])
+		if err := vol.WritePages(pn, 1, page); err != nil {
+			return nil, nil, err
+		}
+		if err := vol.Force(pn, 1); err != nil {
+			return nil, nil, err
+		}
 	}
-	// The log is not yet shared, but take mu anyway so the positioning
-	// stores obey the same discipline as every other tail update.
+	// Not shared yet; mu is taken for the discipline of every tail update.
 	l.mu.Lock()
-	l.tail, l.forced, l.flushed = tail, tail, tail
-	l.buf, l.bufStart = partial, bufStart
+	l.tail, l.forced = tail, tail
 	l.mu.Unlock()
 	return l, recs, nil
 }
@@ -554,10 +558,6 @@ func (l *Log) Reset(newBase uint64) error {
 			newBase, l.base+uint64(l.tail))
 	}
 	l.base = newBase
-	l.tail = 0
-	l.forced = 0
-	l.buf = l.buf[:0]
-	l.bufStart = 0
-	l.flushed = 0
+	l.buf, l.pad, l.tail, l.forced = l.buf[:0], 0, 0, 0
 	return nil
 }

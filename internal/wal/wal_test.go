@@ -129,6 +129,45 @@ func TestLogFull(t *testing.T) {
 	}
 }
 
+// TestLogFullBehindASealedPage: room is counted from the tail, and a flush
+// leaves the tail on a page boundary.  A record that would fit only by
+// sharing the flushed page is refused whole; one that fits behind it is
+// not, and a truncation gives the refused one its room.
+func TestLogFullBehindASealedPage(t *testing.T) {
+	l, vol := newLog(t, 2)
+	ps := vol.PageSize()
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	before := vol.Stats()
+	tooBig := &Record{Txn: 1, Type: RecAppend, Data: make([]byte, ps+1-recHeaderSize)}
+	if 2*ps-recHeaderSize < recHeaderSize+len(tooBig.Data) {
+		t.Fatal("the record does not even fit an unpadded log; the test proves nothing")
+	}
+	if _, err := l.Append(tooBig); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("err = %v, want ErrLogFull for a record one byte longer than the page left", err)
+	}
+	if l.Tail() != int64(ps) || l.Stats().Appends != 1 || vol.Stats() != before {
+		t.Fatalf("the refused append left a trace: tail %d, stats %+v", l.Tail(), l.Stats())
+	}
+	want = append(want, appendAll(t, l, onePageRecord(1, ps))...)
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	var got []*Record
+	if err := l.Scan(0, func(r *Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	expectLSNs(t, got, want)
+	if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(tooBig); err != nil {
+		t.Fatalf("after the truncation: %v", err)
+	}
+}
+
 func TestResetClearsEverything(t *testing.T) {
 	l, vol := newLog(t, 16)
 	for i := 0; i < 5; i++ {
@@ -334,9 +373,7 @@ func TestForceNoopWhenNothingAppended(t *testing.T) {
 
 func TestSerialModeAppendsWriteThrough(t *testing.T) {
 	l, vol := newLog(t, 64)
-	if err := l.SetGroupCommit(false); err != nil {
-		t.Fatal(err)
-	}
+	l.SetGroupCommit(false)
 	if _, err := l.Append(&Record{Txn: 1, Type: RecBegin}); err != nil {
 		t.Fatal(err)
 	}
@@ -446,23 +483,33 @@ func TestForcedPrefixSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Recovery yields a contiguous prefix...
+	// Recovery yields the log's prefix in LSN order: each record begins
+	// where the one before it ended, or — when a force ended there — on the
+	// next page boundary, behind nothing but padding...
+	img, err := vol.Read(0, int(vol.NumPages()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := int64(vol.PageSize())
 	var end int64
 	for _, r := range recs {
-		if int64(r.LSN) != end+1 {
-			t.Fatalf("recovered records are not a contiguous prefix: LSN %d after end %d", r.LSN, end)
+		off := int64(r.LSN - 1)
+		if off != end {
+			gap := img[end:off]
+			if off != (end+ps-1)/ps*ps || !bytes.Equal(gap, bytes.Repeat([]byte{padByte}, len(gap))) {
+				t.Fatalf("record at offset %d after one ending at %d: the gap is not a force's padding", off, end)
+			}
 		}
-		end = int64(r.LSN-1) +
-			int64(recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
+		end = off + int64(recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
 	}
 	// ...that covers every acknowledged commit.
-	if int64(ackedThrough) > end+1 {
+	if int64(ackedThrough) > end {
 		t.Fatalf("acked LSN %d lost: recovered prefix ends at %d", ackedThrough, end)
 	}
 	if ackedThrough == 0 {
 		t.Fatal("test armed the fault too early: nothing was ever acked")
 	}
-	if rl.Tail() != end {
-		t.Fatalf("recovered tail %d, want %d", rl.Tail(), end)
+	if want := (end + ps - 1) / ps * ps; rl.Tail() != want {
+		t.Fatalf("recovered tail %d, want %d", rl.Tail(), want)
 	}
 }

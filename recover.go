@@ -66,11 +66,7 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	if s.opts.SerialWAL {
-		if err := log.SetGroupCommit(false); err != nil {
-			return err
-		}
-	}
+	log.SetGroupCommit(!s.opts.SerialWAL)
 	s.log = log
 
 	committed := make(map[uint64]bool)

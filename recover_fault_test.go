@@ -169,73 +169,92 @@ func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
 // TestSameEpochRecordBehindTornHeadNeverSurfaces: the log is never erased,
 // so a crash that tears the first page of an epoch's first flush but lets
 // a later page through leaves an intact record of the CURRENT epoch past
-// the recovered (empty) tail.  Here that record is a commit.  The next
-// incarnation numbers its transactions from 1 again and writes records of
-// the same sizes; once they have grown up to the leftover commit it must
-// not be read as theirs.  It is not, because recovery always ends the
-// epoch it scanned: under the new base the leftover's LSN is wrong.
+// the recovered (empty) tail.  Here that record is a commit, and it begins
+// its page: exactly where a force would.  The next incarnation numbers its
+// transactions from 1 again; once its log has grown up to the leftover
+// commit — one flush, whose records end on that page boundary or short of
+// it, followed by padding the scan steps over — the commit must not be read
+// as theirs.  It is not, because recovery always ends the epoch it scanned:
+// under the new base the leftover's LSN is wrong.
 func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
-	vol := newTestDevice(t, 512, 4096)
-	logVol := newTestDevice(t, 512, 1024)
-	s, err := Format(vol, logVol, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, _ := s.Create("x", 0)
-	base := pat(72, 3000)
-	if err := o.Append(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// beginAndAppend's two records fill log page 0 exactly, so the next
-	// record — the commit — starts page 1.
-	beginAndAppend := func(s *Store) *Txn {
-		t.Helper()
-		tx, err := s.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Append("x", pat(73, 512-int(s.LogTail())*2)); err != nil {
-			t.Fatal(err)
-		}
-		if s.LogTail() != 512 {
-			t.Fatalf("log tail at %d after begin + append, want the page boundary", s.LogTail())
-		}
-		return tx
-	}
-	tx := beginAndAppend(s)
-	if err := tx.CommitNoForce(); err != nil {
-		t.Fatal(err)
-	}
-	// The crash state of that commit's flush in which page 1 reached the
-	// device and page 0 did not.
-	if err := logVol.WritePages(0, 1, make([]byte, 512)); err != nil {
-		t.Fatal(err)
-	}
-	if err := logVol.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	s = crashReopen(t, vol, logVol)
-	if !bytes.Equal(readObject(t, s, "x"), base) {
-		t.Fatal("a transaction whose log head was torn is visible")
-	}
+	for _, tc := range []struct {
+		name  string
+		short int // bytes the second incarnation's flush ends before the leftover's page
+	}{
+		{"the next flush fills the page in front of it", 0},
+		{"the next flush ends in padding in front of it", 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vol := newTestDevice(t, 512, 4096)
+			logVol := newTestDevice(t, 512, 1024)
+			s, err := Format(vol, logVol, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, _ := s.Create("x", 0)
+			base := pat(72, 3000)
+			if err := o.Append(base); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// beginAndAppend's two records end short bytes before the end of
+			// log page 0: with short = 0 the next record of the same flush —
+			// the commit — starts page 1.
+			beginAndAppend := func(s *Store, short int) *Txn {
+				t.Helper()
+				tx, err := s.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Append("x", pat(73, 512-short-int(s.LogTail())*2)); err != nil {
+					t.Fatal(err)
+				}
+				if s.LogTail() != int64(512-short) {
+					t.Fatalf("log tail at %d after begin + append, want %d", s.LogTail(), 512-short)
+				}
+				return tx
+			}
+			tx := beginAndAppend(s, 0)
+			if err := tx.CommitNoForce(); err != nil {
+				t.Fatal(err)
+			}
+			if s.LogTail() != 2*512 || s.Stats().WAL.LeaderForces != 1 {
+				t.Fatalf("log tail at %d after %d forces, want one two-page flush", s.LogTail(), s.Stats().WAL.LeaderForces)
+			}
+			// The crash state of that commit's flush in which page 1 reached the
+			// device and page 0 did not.
+			if err := logVol.WritePages(0, 1, make([]byte, 512)); err != nil {
+				t.Fatal(err)
+			}
+			if err := logVol.ForceAll(); err != nil {
+				t.Fatal(err)
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), base) {
+				t.Fatal("a transaction whose log head was torn is visible")
+			}
 
-	// Same shape again, never committed; a soft checkpoint pushes its two
-	// records to the device, right up to the leftover commit.
-	tx = beginAndAppend(s)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+			// Same shape again, never committed; a soft checkpoint pushes its two
+			// records to the device: one page, right up to the leftover commit.
+			tx = beginAndAppend(s, tc.short)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if s.LogTail() != 512 {
+				t.Fatalf("log tail at %d after the soft checkpoint, want the leftover's page boundary", s.LogTail())
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), base) {
+				t.Fatal("an uncommitted append was redone: recovery took the previous incarnation's commit record for its own")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			_ = tx
+		})
 	}
-	s = crashReopen(t, vol, logVol)
-	if !bytes.Equal(readObject(t, s, "x"), base) {
-		t.Fatal("an uncommitted append was redone: recovery took the previous incarnation's commit record for its own")
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-	_ = tx
 }
 
 // TestAbortRecordWrittenAfterCompensations pins the ordering inside

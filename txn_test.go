@@ -2,11 +2,13 @@ package eos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // replaceStore returns a store holding one checkpointed 6000-byte object
@@ -977,5 +979,92 @@ func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestLogFullBehindASealedForce: every log force ends on a page boundary,
+// and room is counted from there.  A record that an unpadded log would
+// still have held is refused whole — ErrLogFull, nothing of the operation
+// done or logged — the store stays readable, and a quiescent checkpoint
+// gives the log back.
+func TestLogFullBehindASealedForce(t *testing.T) {
+	vol := newTestDevice(t, 512, 4096)
+	logVol := newTestDevice(t, 512, 4)
+	s, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("x", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var model []byte
+	for i := 0; i < 3; i++ {
+		tx, _ := s.Begin()
+		more := pat(80+i, 100)
+		if err := tx.Append("x", more); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, more...)
+	}
+	st := s.Stats()
+	if s.LogTail() != 3*512 {
+		t.Fatalf("log tail at %d after three one-page commits, want %d", s.LogTail(), 3*512)
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := int(s.LogTail()) - 3*512  // a record without payload: the begin record
+	room := 4*512 - int(s.LogTail()) // what is left of the last page
+	big := pat(90, room-hdr+1)       // its record is one byte longer than that
+	if int(st.WAL.FlushedBytes)+3*hdr+len(big) > 4*512 {
+		t.Fatal("the transaction would not fit an unpadded log either; the test proves nothing")
+	}
+	before := s.LogTail()
+	if err := tx.Append("x", big); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("append of a record one byte longer than the last log page has room: %v, want ErrLogFull", err)
+	}
+	if s.LogTail() != before {
+		t.Fatalf("the refused record moved the log tail from %d to %d", before, s.LogTail())
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("the refused append left a trace in the object")
+	}
+	if _, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("Begin on the full log: %v, want ErrLogFull", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LogTail() != 0 {
+		t.Fatalf("log tail at %d after a quiescent checkpoint", s.LogTail())
+	}
+	tx, err = s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", big); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), append(model, big...)) {
+		t.Fatal("content wrong after the log was freed")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
 	}
 }
