@@ -22,7 +22,7 @@ lint:
 eoslint:
 	scripts/lint.sh eoslint
 
-# Just the whole-program passes (deadlock, walfirstip, leaksip,
+# Just the whole-program passes (lockorder, walfirst, leaksip,
 # forcedom, racecheck).
 lint-ssa:
 	scripts/lint.sh --ssa

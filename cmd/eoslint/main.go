@@ -1,8 +1,7 @@
 // Command eoslint runs the storage engine's custom static analyzers
-// (pairs, lockorder, atomicfield, walfirst, errwrap, useafterunpin,
-// guardedby, the whole-program passes deadlock, walfirstip, leaksip,
-// forcedom and racecheck, and the unusedignore audit) over Go
-// packages.
+// (pairs, atomicfield, errwrap, useafterunpin, guardedby, the
+// whole-program passes lockorder, walfirst, leaksip, forcedom and
+// racecheck, and the unusedignore audit) over Go packages.
 //
 // Usage:
 //
@@ -31,11 +30,11 @@
 // GitHub code-scanning upload; the exit code is 1 when any result is
 // present, as with -json.
 //
-// With -ssa, only the SSA-based whole-program passes (deadlock,
-// walfirstip, leaksip, forcedom, racecheck) report: the flag forwards
+// With -ssa, only the SSA-based whole-program passes (lockorder,
+// walfirst, leaksip, forcedom, racecheck) report: the flag forwards
 // the corresponding analyzer-selection flags to go vet.  Useful for
 // iterating on the interprocedural suite without the noise (or cost)
-// of re-verifying the intraprocedural invariants.
+// of re-verifying the per-function invariants.
 package main
 
 import (
@@ -88,7 +87,7 @@ func main() {
 	if ssaOnly {
 		// Analyzer-selection flags: with any set, only the named
 		// analyzers report (their prerequisites still run for facts).
-		args = append(args, "-deadlock", "-walfirstip", "-leaksip", "-forcedom", "-racecheck")
+		args = append(args, "-lockorder", "-walfirst", "-leaksip", "-forcedom", "-racecheck")
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

@@ -10,7 +10,7 @@ import (
 const vetStream = `# github.com/eosdb/eos/internal/wal
 {
 	"github.com/eosdb/eos/internal/wal": {
-		"deadlock": [
+		"lockorder": [
 			{
 				"posn": "/src/eos/internal/wal/log.go:42:2",
 				"message": "interprocedural lock order inversion: call chain a → b"
@@ -58,15 +58,15 @@ func TestCollectDiagnostics(t *testing.T) {
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer] = d
 	}
-	d, ok := byAnalyzer["deadlock"]
+	d, ok := byAnalyzer["lockorder"]
 	if !ok {
-		t.Fatalf("no deadlock diagnostic in %+v", diags)
+		t.Fatalf("no lockorder diagnostic in %+v", diags)
 	}
 	if d.File != "/src/eos/internal/wal/log.go" || d.Line != 42 || d.Column != 2 {
-		t.Errorf("deadlock posn parsed as %q:%d:%d", d.File, d.Line, d.Column)
+		t.Errorf("lockorder posn parsed as %q:%d:%d", d.File, d.Line, d.Column)
 	}
 	if !strings.Contains(d.Message, "lock order inversion") {
-		t.Errorf("deadlock message = %q", d.Message)
+		t.Errorf("lockorder message = %q", d.Message)
 	}
 	if _, ok := byAnalyzer["leaksip"]; !ok {
 		t.Errorf("no leaksip diagnostic in %+v", diags)
@@ -132,8 +132,9 @@ func TestWriteSARIF(t *testing.T) {
 	if run.Tool.Driver.Name != "eoslint" {
 		t.Errorf("driver name = %q", run.Tool.Driver.Name)
 	}
-	// The rule inventory covers the whole suite, including the three
-	// whole-program passes, regardless of which analyzers fired.
+	// The rule inventory covers the whole suite, including the
+	// whole-program passes, regardless of which analyzers fired; each
+	// invariant has one rule.
 	ruleIDs := map[string]bool{}
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
@@ -141,10 +142,13 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("rule %s shortDescription = %q", r.ID, r.ShortDesc.Text)
 		}
 	}
-	for _, want := range []string{"pairs", "lockorder", "deadlock", "walfirstip", "leaksip", "forcedom", "racecheck", "unusedignore"} {
+	for _, want := range []string{"pairs", "lockorder", "walfirst", "leaksip", "forcedom", "racecheck", "unusedignore"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule inventory missing %q (have %v)", want, ruleIDs)
 		}
+	}
+	if len(run.Tool.Driver.Rules) != 11 {
+		t.Errorf("rule inventory has %d rules, want 11", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(run.Results))

@@ -66,6 +66,13 @@ var (
 const (
 	storeMagic   = 0xE0557011
 	storeVersion = 3 // v3: catalog slots are journals (base + delta records)
+
+	// snapshotHistory is how many superseded committed root versions each
+	// object retains alongside the newest one.  A snapshot reader holding
+	// an epoch pin can step across the retained versions published since
+	// its pin, so long scans survive multiple overwrites without ever
+	// taking a lock.
+	snapshotHistory = 4
 )
 
 // Options configures a Store.  The zero value selects reasonable
@@ -100,13 +107,6 @@ type Options struct {
 	Threshold int
 	// AdaptiveThreshold enables the [Bili91a] fan-out-driven T.
 	AdaptiveThreshold bool
-	// Superdirectory enables the in-memory buddy superdirectory (§3.3);
-	// on by default (disable only for the ablation experiment).
-	DisableSuperdirectory bool
-	// ShadowIndexPages makes insert/delete/append updates shadow the
-	// index pages they touch (§4.5); on by default, required for
-	// transactional use.
-	DisableShadowing bool
 	// CatalogPages reserves room for object descriptors (default 4): the
 	// size of each of the two catalog slots.  The full catalog image must
 	// fit in one slot; the rest of the slot is journal space for the
@@ -130,12 +130,6 @@ type Options struct {
 	// log itself.  The write-path benchmarks use it as their baseline;
 	// durability semantics are identical either way.
 	SerialWAL bool
-	// SnapshotHistory is how many superseded committed root versions
-	// each object retains alongside the newest one (default 4).  A
-	// snapshot reader holding an epoch pin can step across the retained
-	// versions published since its pin, so long scans survive multiple
-	// overwrites without ever taking a lock.
-	SnapshotHistory int
 	// Backend selects the volume implementation CreateAt/OpenAt build:
 	// BackendSim (the default) is the in-memory simulator with modelled
 	// costs; BackendFile keeps pages in real files under the store
@@ -186,9 +180,6 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 	}
 	if o.LockTimeout == 0 {
 		o.LockTimeout = 2 * time.Second
-	}
-	if o.SnapshotHistory == 0 {
-		o.SnapshotHistory = 4
 	}
 	_, maxCap, err := buddy.Layout(vol.PageSize())
 	if err != nil {
@@ -259,6 +250,16 @@ type catEntry struct {
 // hold the object's write latch or the owning transaction's exclusive
 // lock, which serializes stores per object.
 func (e *catEntry) setStableDesc(desc []byte) { e.stableDesc.Store(&desc) }
+
+// rebind points the object's allocation at m under the write latch: a
+// transaction reading another byte range under range locking may be
+// walking the tree.  The latch ranks below Store.mu, so callers must not
+// hold s.mu.
+func (e *catEntry) rebind(m *lob.Manager) {
+	e.latch.Lock()
+	e.obj.Rebind(m)
+	e.latch.Unlock()
+}
 
 // loadStableDesc returns the last committed descriptor, or nil if the
 // object has never committed.  Safe without the object latch.
@@ -379,7 +380,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	firstSpacePage := disk.PageNum(1 + catalogRegionPages(opts))
-	bm, err := buddy.FormatVolume(pool, vol, firstSpacePage, opts.NumSpaces, opts.SpaceCapacity, !opts.DisableSuperdirectory)
+	bm, err := buddy.FormatVolume(pool, vol, firstSpacePage, opts.NumSpaces, opts.SpaceCapacity, true)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +438,7 @@ func (s *Store) lobConfig() lob.Config {
 	return lob.Config{
 		Threshold:         s.opts.Threshold,
 		MaxRootEntries:    s.opts.MaxRootEntries,
-		ShadowIndexPages:  !s.opts.DisableShadowing,
+		ShadowIndexPages:  true,
 		AdaptiveThreshold: s.opts.AdaptiveThreshold,
 		ReadWorkers:       s.opts.ReadConcurrency,
 		// Freed index pages stay readable (including their pool frames)
@@ -727,7 +728,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	lsnBase := binary.BigEndian.Uint64(img[28:])
 
 	// Spaces.
-	bm := buddy.NewManager(pool, !opts.DisableSuperdirectory)
+	bm := buddy.NewManager(pool, true)
 	page := disk.PageNum(1 + catalogRegionPages(opts))
 	for i := 0; i < opts.NumSpaces; i++ {
 		sp, err := buddy.OpenSpace(pool, page)
@@ -781,7 +782,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	s.mu.Lock()
 	for _, e := range s.catalog {
 		e.latch.Lock()
-		e.obj.Publish(s.opts.SnapshotHistory)
+		e.obj.Publish(snapshotHistory)
 		e.latch.Unlock()
 	}
 	s.mu.Unlock()
@@ -1055,7 +1056,7 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.nextID++
 	s.catalog[name] = e
 	s.byID[e.id] = e
-	e.obj.Publish(s.opts.SnapshotHistory)
+	e.obj.Publish(snapshotHistory)
 	e.setStableDesc(e.obj.EncodeDescriptor())
 	return &Object{s: s, e: e}, nil
 }
@@ -1089,7 +1090,7 @@ func (s *Store) Destroy(name string) error {
 	e.latch.Lock()
 	err := e.obj.Destroy()
 	if err == nil {
-		e.obj.Publish(s.opts.SnapshotHistory)
+		e.obj.Publish(snapshotHistory)
 	}
 	e.latch.Unlock()
 	s.epochs.EndMutation(scope)
@@ -1354,7 +1355,7 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	scope := o.s.epochs.BeginMutation()
 	o.e.latch.Lock()
 	err := op(o.e.obj)
-	o.e.obj.Publish(o.s.opts.SnapshotHistory)
+	o.e.obj.Publish(snapshotHistory)
 	// Publish is this mode's commit point: refresh the catalog-visible
 	// descriptor before the latch drops, while still inside the epoch
 	// scope — pages this op freed cannot mature into the durability

@@ -1,14 +1,13 @@
 // Package analysis collects the eoslint analyzer suite: the custom
 // go/analysis checkers that machine-enforce the storage engine's
-// concurrency and recovery invariants (acquire/release pairing, latch
-// order, guarded-field locking, pin lifetimes, atomics discipline,
-// the §4.5 write-ahead rule, and error wrapping), their whole-program
-// extensions built on the internal ssa facility (deadlock, walfirstip,
-// leaksip, forcedom, racecheck — interprocedural latch-lattice
-// verification, cross-function write-ahead dominance, context-sensitive
-// resource-leak propagation, §8.1 force-ordering dominance, and the
-// Eraser lockset rule), plus the audit that keeps the //eoslint:ignore
-// exception inventory honest.
+// concurrency and recovery invariants (acquire/release pairing,
+// guarded-field locking, pin lifetimes, atomics discipline, and error
+// wrapping), the whole-program passes built on the internal ssa
+// facility (lockorder, walfirst, leaksip, forcedom, racecheck — the
+// latch lattice across call chains, §4.5 write-ahead dominance across
+// helpers, context-sensitive resource-leak propagation, §8.1
+// force-ordering dominance, and the Eraser lockset rule), plus the
+// audit that keeps the //eoslint:ignore exception inventory honest.
 //
 // The suite runs under `go vet` via cmd/eoslint and in CI via
 // scripts/lint.sh; see the "Static analysis" section of README.md and
@@ -19,7 +18,6 @@ import (
 	goanalysis "golang.org/x/tools/go/analysis"
 
 	"github.com/eosdb/eos/internal/analysis/atomicfield"
-	"github.com/eosdb/eos/internal/analysis/deadlock"
 	"github.com/eosdb/eos/internal/analysis/errwrap"
 	"github.com/eosdb/eos/internal/analysis/forcedom"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
@@ -30,7 +28,6 @@ import (
 	"github.com/eosdb/eos/internal/analysis/unusedignore"
 	"github.com/eosdb/eos/internal/analysis/useafterunpin"
 	"github.com/eosdb/eos/internal/analysis/walfirst"
-	"github.com/eosdb/eos/internal/analysis/walfirstip"
 )
 
 // Analyzers returns the eoslint suite.  unusedignore must come after
@@ -45,8 +42,6 @@ func Analyzers() []*goanalysis.Analyzer {
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,
-		deadlock.Analyzer,
-		walfirstip.Analyzer,
 		leaksip.Analyzer,
 		forcedom.Analyzer,
 		racecheck.Analyzer,

@@ -11,8 +11,8 @@ import (
 // documented, runnable, and one registry entry per analyzer package.
 func TestRegistry(t *testing.T) {
 	as := eosanalysis.Analyzers()
-	if len(as) != 13 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 13", len(as))
+	if len(as) != 11 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 11", len(as))
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {
@@ -29,8 +29,8 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, name := range []string{
 		"pairs", "lockorder", "atomicfield", "walfirst", "errwrap",
-		"useafterunpin", "guardedby", "deadlock", "walfirstip",
-		"leaksip", "forcedom", "racecheck", "unusedignore",
+		"useafterunpin", "guardedby", "leaksip", "forcedom", "racecheck",
+		"unusedignore",
 	} {
 		if !seen[name] {
 			t.Errorf("registry is missing %s", name)

@@ -22,14 +22,12 @@ var badFixtures = map[string][]string{
 		"pairs_alloc_bad", "pairs_epoch_bad", "pairs_iosubmit_bad",
 		"pairs_filevol_bad",
 	},
-	"lockorder":     {"lockorder_bad"},
+	"lockorder":     {"lockorder_bad", "deadlock_bad"},
 	"atomicfield":   {"atomicfield_bad"},
-	"walfirst":      {"walfirst_bad"},
+	"walfirst":      {"walfirst_bad", "walfirstip_bad"},
 	"errwrap":       {"errwrap_bad"},
 	"useafterunpin": {"useafterunpin_bad"},
 	"guardedby":     {"guardedby_bad"},
-	"deadlock":      {"deadlock_bad"},
-	"walfirstip":    {"walfirstip_bad"},
 	"leaksip":       {"leaksip_bad"},
 	"forcedom":      {"forcedom_bad"},
 	"racecheck":     {"racecheck_bad"},

@@ -1,7 +1,7 @@
 // Package forcedom defines the whole-program crash-consistency check:
 // the DESIGN.md §8.1 force-ordering contracts verified as dominance
 // properties over the ssa IR, lifted across function boundaries the
-// same way walfirstip lifts the §4.5 write-ahead rule.
+// same way walfirst lifts the §4.5 write-ahead rule.
 //
 // PR 8's crash-point sweep found these orderings dynamically, by
 // enumerating crash states; this analyzer proves them statically, so a
@@ -32,12 +32,12 @@
 //
 // Rules 1–4 are backward (dominance) properties: a forward all-paths
 // dataflow tracks "discharged on every path reaching here" per rule,
-// exactly like walfirstip's logged-state analysis.  Rule 5 is a
+// exactly like walfirst's logged-state analysis.  Rule 5 is a
 // forward may-property: pending renames accumulate (union at joins)
 // and must be cleared by a directory sync before any success exit;
 // error exits (the rename itself failed) are exempt.
 //
-// Interprocedural propagation follows the walfirstip pattern:
+// Interprocedural propagation follows the walfirst pattern:
 // per-function ForceFact summaries — may-discharge bits and per-rule
 // exposure bits with witness chains — computed bottom-up in SCC order
 // and exported as object facts.  Discharge through a callee is a MAY

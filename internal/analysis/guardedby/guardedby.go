@@ -52,6 +52,10 @@
 // a literal that runs under a caller-held lock needs an
 // //eoslint:ignore with its justification (the lock relationship is
 // not expressible across the closure boundary).
+//
+// The dataflow itself (Lockset) is exported: the racecheck analyzer
+// runs the same must-hold analysis under its own lock naming and
+// write-target rule.
 package guardedby
 
 import (
@@ -100,20 +104,20 @@ type fieldInfo struct {
 	exempt     bool   // sync/atomic-typed field: hardware-ordered
 }
 
-// mode is how strongly a lock is held.
-type mode int
+// Mode is how strongly a lock is held.
+type Mode int
 
 const (
-	held     mode = 1 // shared (RLock)
-	heldExcl mode = 2 // exclusive (Lock)
+	Held     Mode = 1 // shared (RLock)
+	HeldExcl Mode = 2 // exclusive (Lock)
 )
 
-// lockState maps held lock tokens ("sh.mu") to their mode.  A nil map
+// LockState maps held lock tokens ("sh.mu") to their mode.  A nil map
 // is the dataflow top (point not yet reached).
-type lockState map[string]mode
+type LockState map[string]Mode
 
-func clone(s lockState) lockState {
-	out := make(lockState, len(s))
+func clone(s LockState) LockState {
+	out := make(LockState, len(s))
 	for k, v := range s {
 		out[k] = v
 	}
@@ -121,8 +125,8 @@ func clone(s lockState) lockState {
 }
 
 // intersect narrows a to the locks also held in b (weakest mode wins).
-func intersect(a, b lockState) lockState {
-	out := make(lockState)
+func intersect(a, b LockState) LockState {
+	out := make(LockState)
 	for k, v := range a {
 		if w, ok := b[k]; ok {
 			if w < v {
@@ -134,7 +138,7 @@ func intersect(a, b lockState) lockState {
 	return out
 }
 
-func equal(a, b lockState) bool {
+func equal(a, b LockState) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -166,26 +170,31 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil, nil
 	}
 
+	ls := &Lockset{
+		Info:   pass.TypesInfo,
+		Canon:  types.ExprString,
+		Target: func(e ast.Expr) ast.Expr { return e },
+	}
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
 		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
 			return
 		}
 		var g *cfg.CFG
-		var seed lockState
+		var seed LockState
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body == nil {
 				return
 			}
 			g = cfgs.FuncDecl(fn)
-			seed = parseRequires(fn.Doc)
+			seed = ParseRequires(fn.Doc)
 		case *ast.FuncLit:
 			g = cfgs.FuncLit(fn)
-			seed = lockState{}
+			seed = LockState{}
 		}
 		if g != nil {
-			c.checkFunc(g, seed)
+			ls.Run(g, seed, c.checkAccess)
 		}
 	})
 	return nil, nil
@@ -227,11 +236,18 @@ func (c *checker) collectAnnotations(insp *inspector.Inspector) {
 					fieldName:  nm.Name,
 					mutex:      guard,
 					external:   external,
-					exempt:     isAtomicType(obj.Type()),
+					exempt:     IsAtomicType(obj.Type()),
 				}
 			}
 		}
 	})
+}
+
+// Annotated reports whether a struct field carries an eos:guardedby
+// annotation.
+func Annotated(f *ast.Field) bool {
+	_, _, ok := guardOf(f)
+	return ok
 }
 
 // guardOf extracts the eos:guardedby target from a field's doc or
@@ -242,56 +258,52 @@ func guardOf(f *ast.Field) (string, token.Pos, bool) {
 			continue
 		}
 		for _, cm := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-			if !strings.HasPrefix(text, guardPrefix) {
-				continue
+			if fields := directive(cm.Text, guardPrefix); len(fields) > 0 {
+				return fields[0], cm.Pos(), true
 			}
-			rest := strings.TrimPrefix(text, guardPrefix)
-			if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-				continue
-			}
-			fields := strings.Fields(rest)
-			if len(fields) == 0 {
-				continue
-			}
-			return fields[0], cm.Pos(), true
 		}
 	}
 	return "", token.NoPos, false
 }
 
-// parseRequires builds the entry lock set from eos:requires lines in a
-// function's doc comment.
-func parseRequires(doc *ast.CommentGroup) lockState {
-	seed := lockState{}
+// directive returns the words after prefix when the comment text is
+// that directive, or nil.
+func directive(text, prefix string) []string {
+	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
+	if !strings.HasPrefix(text, prefix) {
+		return nil
+	}
+	rest := strings.TrimPrefix(text, prefix)
+	if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
+		return nil
+	}
+	return strings.Fields(rest)
+}
+
+// ParseRequires builds the entry lock set from the eos:requires lines
+// in a function's doc comment, keyed by the tokens as written ("sh.mu").
+func ParseRequires(doc *ast.CommentGroup) LockState {
+	seed := LockState{}
 	if doc == nil {
 		return seed
 	}
 	for _, cm := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-		if !strings.HasPrefix(text, requiresPrefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(text, requiresPrefix)
-		if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		fields := strings.Fields(rest)
+		fields := directive(cm.Text, requiresPrefix)
 		if len(fields) == 0 {
 			continue
 		}
-		m := heldExcl
+		m := HeldExcl
 		if len(fields) > 1 && strings.HasPrefix(fields[1], "(shared") {
-			m = held
+			m = Held
 		}
 		seed[fields[0]] = m
 	}
 	return seed
 }
 
-// isAtomicType reports whether t (unwrapping pointers) is declared in
+// IsAtomicType reports whether t (unwrapping pointers) is declared in
 // sync/atomic.
-func isAtomicType(t types.Type) bool {
+func IsAtomicType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -303,9 +315,9 @@ func isAtomicType(t types.Type) bool {
 	return pkg != nil && pkg.Path() == "sync/atomic"
 }
 
-// isMutexType reports whether t (unwrapping pointers) is sync.Mutex or
+// IsMutexType reports whether t (unwrapping pointers) is sync.Mutex or
 // sync.RWMutex.
-func isMutexType(t types.Type) bool {
+func IsMutexType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -320,8 +332,59 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// checkFunc runs the must-hold fixpoint over g and then reports.
-func (c *checker) checkFunc(g *cfg.CFG, seed lockState) {
+// checkAccess reports sel if it touches an annotated field without the
+// required lock strength.
+func (c *checker) checkAccess(sel *ast.SelectorExpr, st LockState, write bool) {
+	fieldObj, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+	if !ok {
+		return
+	}
+	info, ok := c.fields[fieldObj]
+	if !ok || info.external || info.exempt {
+		return
+	}
+	tok := types.ExprString(sel.X) + "." + info.mutex
+	got := st[tok]
+	switch {
+	case write && got < HeldExcl:
+		if got == Held {
+			c.ig.Report(sel.Pos(),
+				"write to %s.%s with only a read lock on %s (eos:guardedby %s)",
+				info.structName, info.fieldName, tok, info.mutex)
+		} else {
+			c.ig.Report(sel.Pos(),
+				"write to %s.%s without holding %s (eos:guardedby %s)",
+				info.structName, info.fieldName, tok, info.mutex)
+		}
+	case !write && got < Held:
+		c.ig.Report(sel.Pos(),
+			"read of %s.%s without holding %s (eos:guardedby %s)",
+			info.structName, info.fieldName, tok, info.mutex)
+	}
+}
+
+// Lockset is the must-hold lock dataflow: the set of lock tokens
+// certainly held at each point of a function, starting from a seed,
+// adding at Lock/RLock on a sync mutex, removing at Unlock/RUnlock, and
+// intersecting at join points.  A deferred unlock removes nothing — it
+// runs at function exit.  Function literals are not entered; each is a
+// function of its own.
+type Lockset struct {
+	Info *types.Info
+	// Canon names the mutex expression of a lock call: the token the
+	// state records.
+	Canon func(mutex ast.Expr) string
+	// Target maps a store-context expression — an assignment target, a
+	// ++/-- operand, an &-taken operand — to the expression it writes,
+	// or nil when it writes none.
+	Target func(ast.Expr) ast.Expr
+}
+
+// Run solves the dataflow over g from seed, then calls visit for every
+// selector expression of each reached block, in source order, with the
+// locks held at that point and whether the selector lies inside a
+// written expression.
+func (l *Lockset) Run(g *cfg.CFG, seed LockState, visit func(sel *ast.SelectorExpr, st LockState, write bool)) {
 	blocks := g.Blocks
 	if len(blocks) == 0 {
 		return
@@ -338,8 +401,8 @@ func (c *checker) checkFunc(g *cfg.CFG, seed lockState) {
 			preds[j] = append(preds[j], i)
 		}
 	}
-	in := make([]lockState, n)
-	out := make([]lockState, n)
+	in := make([]LockState, n)
+	out := make([]LockState, n)
 
 	work := []int{0}
 	in[0] = clone(seed)
@@ -351,7 +414,7 @@ func (c *checker) checkFunc(g *cfg.CFG, seed lockState) {
 		}
 		st := clone(in[i])
 		for _, node := range blocks[i].Nodes {
-			c.scanNode(node, st, false)
+			l.scan(node, st, nil)
 		}
 		if equal(st, out[i]) && out[i] != nil {
 			continue
@@ -359,7 +422,7 @@ func (c *checker) checkFunc(g *cfg.CFG, seed lockState) {
 		out[i] = st
 		for _, s := range blocks[i].Succs {
 			j := idx[s]
-			var merged lockState
+			var merged LockState
 			for _, p := range preds[j] {
 				if out[p] == nil {
 					continue
@@ -377,22 +440,25 @@ func (c *checker) checkFunc(g *cfg.CFG, seed lockState) {
 		}
 	}
 
-	// Report pass: replay each reached block with its final entry state.
+	// Visit pass: replay each reached block with its final entry state.
 	for i, b := range blocks {
 		if !b.Live || in[i] == nil {
 			continue
 		}
 		st := clone(in[i])
 		for _, node := range b.Nodes {
-			c.scanNode(node, st, true)
+			l.scan(node, st, visit)
 		}
 	}
 }
 
-// scanNode applies node's lock events to st in source order and, when
-// report is set, checks every annotated-field access against st.
-func (c *checker) scanNode(node ast.Node, st lockState, report bool) {
-	writes := writeRoots(node)
+// scan applies node's lock events to st in source order and, when
+// visit is set, hands it every selector with the state at that point.
+func (l *Lockset) scan(node ast.Node, st LockState, visit func(*ast.SelectorExpr, LockState, bool)) {
+	var writes []ast.Node
+	if visit != nil {
+		writes = l.writeRoots(node)
+	}
 	ast.Inspect(node, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
@@ -400,13 +466,11 @@ func (c *checker) scanNode(node ast.Node, st lockState, report bool) {
 		case *ast.DeferStmt:
 			return false // deferred unlocks run at exit; locks in defers are not ours
 		case *ast.CallExpr:
-			c.applyLockCall(m, st)
-			return true
+			l.applyLockCall(m, st)
 		case *ast.SelectorExpr:
-			if report {
-				c.checkAccess(m, st, within(m, writes))
+			if visit != nil {
+				visit(m, st, within(m, writes))
 			}
-			return true
 		}
 		return true
 	})
@@ -414,84 +478,55 @@ func (c *checker) scanNode(node ast.Node, st lockState, report bool) {
 
 // applyLockCall updates st for a Lock/RLock/Unlock/RUnlock call on a
 // sync mutex.
-func (c *checker) applyLockCall(call *ast.CallExpr, st lockState) {
+func (l *Lockset) applyLockCall(call *ast.CallExpr, st LockState) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	var m mode
-	var release bool
+	var m Mode // zero: a release
 	switch sel.Sel.Name {
 	case "Lock":
-		m = heldExcl
+		m = HeldExcl
 	case "RLock":
-		m = held
+		m = Held
 	case "Unlock", "RUnlock":
-		release = true
 	default:
 		return
 	}
-	tv, ok := c.pass.TypesInfo.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
+	tv, ok := l.Info.Types[sel.X]
+	if !ok || !IsMutexType(tv.Type) {
 		return
 	}
-	tok := types.ExprString(sel.X)
-	if release {
+	tok := l.Canon(sel.X)
+	if m == 0 {
 		delete(st, tok)
 	} else {
 		st[tok] = m
 	}
 }
 
-// checkAccess reports sel if it touches an annotated field without the
-// required lock strength.
-func (c *checker) checkAccess(sel *ast.SelectorExpr, st lockState, write bool) {
-	fieldObj, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
-	if !ok {
-		return
-	}
-	info, ok := c.fields[fieldObj]
-	if !ok || info.external || info.exempt {
-		return
-	}
-	tok := types.ExprString(sel.X) + "." + info.mutex
-	got := st[tok]
-	switch {
-	case write && got < heldExcl:
-		if got == held {
-			c.ig.Report(sel.Pos(),
-				"write to %s.%s with only a read lock on %s (eos:guardedby %s)",
-				info.structName, info.fieldName, tok, info.mutex)
-		} else {
-			c.ig.Report(sel.Pos(),
-				"write to %s.%s without holding %s (eos:guardedby %s)",
-				info.structName, info.fieldName, tok, info.mutex)
-		}
-	case !write && got < held:
-		c.ig.Report(sel.Pos(),
-			"read of %s.%s without holding %s (eos:guardedby %s)",
-			info.structName, info.fieldName, tok, info.mutex)
-	}
-}
-
-// writeRoots collects the store-context expressions of node:
-// assignment targets, ++/-- operands, and &-taken operands.  An
+// writeRoots collects the expressions node writes, per Target: an
 // annotated selector inside any of them is a write.
-func writeRoots(node ast.Node) []ast.Node {
+func (l *Lockset) writeRoots(node ast.Node) []ast.Node {
 	var roots []ast.Node
+	add := func(e ast.Expr) {
+		if t := l.Target(e); t != nil {
+			roots = append(roots, t)
+		}
+	}
 	ast.Inspect(node, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.AssignStmt:
 			for _, lhs := range m.Lhs {
-				roots = append(roots, lhs)
+				add(lhs)
 			}
 		case *ast.IncDecStmt:
-			roots = append(roots, m.X)
+			add(m.X)
 		case *ast.UnaryExpr:
 			if m.Op == token.AND {
-				roots = append(roots, m.X)
+				add(m.X)
 			}
 		}
 		return true

@@ -96,9 +96,9 @@ func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"//eoslint:ignore pairs -- reason",
 		"// eoslint:ignore pairs,guardedby,useafterunpin -- multi list",
-		"//eoslint:ignore deadlock -- interprocedural pass name",
-		"//eoslint:ignore walfirstip,leaksip -- whole-program pair",
-		"//eoslint:ignore deadlock,walfirstip,leaksip -- full ssa suite",
+		"//eoslint:ignore lockorder -- interprocedural pass name",
+		"//eoslint:ignore walfirst,leaksip -- whole-program pair",
+		"//eoslint:ignore lockorder,walfirst,leaksip -- full ssa suite",
 		"//eoslint:ignore forcedom -- crash-ordering dominance pass name",
 		"//eoslint:ignore racecheck -- lockset pass name",
 		"//eoslint:ignore forcedom,racecheck -- v4 whole-program pair",

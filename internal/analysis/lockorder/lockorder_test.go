@@ -8,5 +8,6 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	analyzertest.Run(t, "../testdata", lockorder.Analyzer, "lockorder_bad", "lockorder_clean")
+	analyzertest.Run(t, "../testdata", lockorder.Analyzer,
+		"lockorder_bad", "lockorder_clean", "deadlock_bad", "deadlock_clean")
 }

@@ -150,8 +150,8 @@ type Spec struct {
 
 // rankedMutexes is the lockorder lattice's key set: the engine mutexes
 // whose Lock must pair with an Unlock on every path.  Derived from the
-// canonical table in the ssa facility so the pairing, ordering, and
-// whole-program deadlock checks share one lattice.
+// canonical table in the ssa facility so the pairing and ordering
+// checks share one lattice.
 var rankedMutexes = func() map[string]bool {
 	m := make(map[string]bool)
 	for k := range ssa.LockRanks() {

@@ -66,6 +66,7 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/cfg"
 
+	"github.com/eosdb/eos/internal/analysis/guardedby"
 	"github.com/eosdb/eos/internal/analysis/ignore"
 	"github.com/eosdb/eos/internal/analysis/ssa"
 )
@@ -153,6 +154,7 @@ type checker struct {
 	pass       *analysis.Pass
 	ig         *ignore.Reporter
 	pr         *ssa.Program
+	ls         *guardedby.Lockset
 	fields     map[*types.Var]*candidate
 	owners     map[string]bool // struct type names that have candidates
 	units      []*unit
@@ -166,9 +168,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	c := &checker{
-		pass:       pass,
-		ig:         ignore.For(pass),
-		pr:         pass.ResultOf[ssa.Analyzer].(*ssa.Program),
+		pass: pass,
+		ig:   ignore.For(pass),
+		pr:   pass.ResultOf[ssa.Analyzer].(*ssa.Program),
+		ls: &guardedby.Lockset{
+			Info:   pass.TypesInfo,
+			Canon:  func(mutex ast.Expr) string { return canonicalLock(pass.TypesInfo, mutex) },
+			Target: writeTarget,
+		},
 		fields:     make(map[*types.Var]*candidate),
 		owners:     make(map[string]bool),
 		accesses:   make(map[*types.Var][]access),
@@ -196,7 +203,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if lit, ok := m.(*ast.FuncLit); ok {
 				lu := &unit{lit: lit, parent: obj, spawned: c.spawnedLit[lit]}
 				c.units = append(c.units, lu)
-				c.analyzeUnit(lu, len(c.units)-1, cfgs.FuncLit(lit), lockState{})
+				c.analyzeUnit(lu, len(c.units)-1, cfgs.FuncLit(lit), guardedby.LockState{})
 				return false
 			}
 			return true
@@ -237,7 +244,7 @@ func (c *checker) collectStruct(spec *ast.TypeSpec, doc *ast.CommentGroup) {
 	hasMutex := false
 	for _, f := range st.Fields.List {
 		for _, nm := range f.Names {
-			if obj, ok := c.pass.TypesInfo.Defs[nm].(*types.Var); ok && isMutexType(obj.Type()) {
+			if obj, ok := c.pass.TypesInfo.Defs[nm].(*types.Var); ok && guardedby.IsMutexType(obj.Type()) {
 				hasMutex = true
 			}
 		}
@@ -246,7 +253,7 @@ func (c *checker) collectStruct(spec *ast.TypeSpec, doc *ast.CommentGroup) {
 		return
 	}
 	for _, f := range st.Fields.List {
-		if annotated(f) {
+		if guardedby.Annotated(f) {
 			continue // guardedby enforces the declared contract
 		}
 		for _, nm := range f.Names {
@@ -278,7 +285,7 @@ func confined(doc *ast.CommentGroup) bool {
 // plainShared reports whether a field of type t is an unsynchronized
 // shared variable: not a lock, not hardware-ordered, not a channel.
 func plainShared(t types.Type) bool {
-	if isMutexType(t) || isAtomicType(t) || isSyncType(t) {
+	if guardedby.IsAtomicType(t) || isSyncType(t) {
 		return false
 	}
 	u := t.Underlying()
@@ -289,22 +296,6 @@ func plainShared(t types.Type) bool {
 	}
 	_, isChan := u.(*types.Chan)
 	return !isChan
-}
-
-// annotated reports whether the field carries an eos:guardedby comment.
-func annotated(f *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, cm := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-			if strings.HasPrefix(text, "eos:guardedby") {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // collectRoots finds every go statement, marks spawned literals, and
@@ -449,8 +440,8 @@ func (c *checker) inSharedPhase(u *unit) bool {
 
 // seed canonicalizes a declaration's eos:requires tokens: "sh.mu"
 // resolves sh against the receiver and parameters to "shard.mu".
-func (c *checker) seed(decl *ast.FuncDecl) lockState {
-	raw := parseRequires(decl.Doc)
+func (c *checker) seed(decl *ast.FuncDecl) guardedby.LockState {
+	raw := guardedby.ParseRequires(decl.Doc)
 	if len(raw) == 0 {
 		return raw
 	}
@@ -471,7 +462,7 @@ func (c *checker) seed(decl *ast.FuncDecl) lockState {
 	if decl.Type.Params != nil {
 		collect(decl.Type.Params)
 	}
-	out := lockState{}
+	out := guardedby.LockState{}
 	for tok, m := range raw {
 		if base, field, ok := strings.Cut(tok, "."); ok {
 			if t, found := byName[base]; found {
@@ -488,73 +479,15 @@ func (c *checker) seed(decl *ast.FuncDecl) lockState {
 
 // analyzeUnit runs the must-hold dataflow over one body and records
 // candidate-field accesses with their locksets.
-func (c *checker) analyzeUnit(u *unit, idx int, g *cfg.CFG, seed lockState) {
-	if g == nil || len(g.Blocks) == 0 || !c.inSharedPhase(u) {
+func (c *checker) analyzeUnit(u *unit, idx int, g *cfg.CFG, seed guardedby.LockState) {
+	if g == nil || !c.inSharedPhase(u) {
 		return
 	}
 	fresh := freshLocals(u.body(), c.pass.TypesInfo)
 	concurrent := u.spawned || (u.obj != nil && c.reachable[u.obj])
-
-	blocks := g.Blocks
-	n := len(blocks)
-	bidx := make(map[*cfg.Block]int, n)
-	for i, b := range blocks {
-		bidx[b] = i
-	}
-	preds := make([][]int, n)
-	for i, b := range blocks {
-		for _, s := range b.Succs {
-			preds[bidx[s]] = append(preds[bidx[s]], i)
-		}
-	}
-	in := make([]lockState, n)
-	out := make([]lockState, n)
-	work := []int{0}
-	in[0] = clone(seed)
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
-		if in[i] == nil {
-			continue
-		}
-		st := clone(in[i])
-		for _, node := range blocks[i].Nodes {
-			c.scanNode(node, st, idx, fresh, concurrent, false)
-		}
-		if equal(st, out[i]) && out[i] != nil {
-			continue
-		}
-		out[i] = st
-		for _, s := range blocks[i].Succs {
-			j := bidx[s]
-			var merged lockState
-			for _, p := range preds[j] {
-				if out[p] == nil {
-					continue
-				}
-				if merged == nil {
-					merged = clone(out[p])
-				} else {
-					merged = intersect(merged, out[p])
-				}
-			}
-			if merged != nil && (in[j] == nil || !equal(merged, in[j])) {
-				in[j] = merged
-				work = append(work, j)
-			}
-		}
-	}
-
-	// Collection pass with the converged entry states.
-	for i, b := range blocks {
-		if !b.Live || in[i] == nil {
-			continue
-		}
-		st := clone(in[i])
-		for _, node := range b.Nodes {
-			c.scanNode(node, st, idx, fresh, concurrent, true)
-		}
-	}
+	c.ls.Run(g, seed, func(sel *ast.SelectorExpr, st guardedby.LockState, write bool) {
+		c.recordAccess(sel, st, idx, fresh, concurrent, write)
+	})
 }
 
 func (u *unit) body() *ast.BlockStmt {
@@ -562,60 +495,6 @@ func (u *unit) body() *ast.BlockStmt {
 		return u.decl.Body
 	}
 	return u.lit.Body
-}
-
-// scanNode applies lock events to st in source order and, when collect
-// is set, records candidate accesses.
-func (c *checker) scanNode(node ast.Node, st lockState, uidx int, fresh map[types.Object]bool, concurrent, collect bool) {
-	writes := writeRoots(node)
-	ast.Inspect(node, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false // its own unit
-		case *ast.DeferStmt:
-			return false // deferred unlocks run at exit
-		case *ast.CallExpr:
-			c.applyLockCall(m, st)
-			return true
-		case *ast.SelectorExpr:
-			if collect {
-				c.recordAccess(m, st, uidx, fresh, concurrent, within(m, writes))
-			}
-			return true
-		}
-		return true
-	})
-}
-
-// applyLockCall updates st for Lock/RLock/Unlock/RUnlock on any sync
-// mutex, under the canonical "Type.field" token.
-func (c *checker) applyLockCall(call *ast.CallExpr, st lockState) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	var m mode
-	var release bool
-	switch sel.Sel.Name {
-	case "Lock":
-		m = heldExcl
-	case "RLock":
-		m = held
-	case "Unlock", "RUnlock":
-		release = true
-	default:
-		return
-	}
-	tv, ok := c.pass.TypesInfo.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
-		return
-	}
-	tok := canonicalLock(c.pass.TypesInfo, sel.X)
-	if release {
-		delete(st, tok)
-	} else {
-		st[tok] = m
-	}
 }
 
 // canonicalLock names a mutex expression by its owner type and field
@@ -636,7 +515,7 @@ func canonicalLock(info *types.Info, mutexExpr ast.Expr) string {
 
 // recordAccess registers sel if it touches a candidate field (local or
 // fact-carrying imported) outside a fresh allocation.
-func (c *checker) recordAccess(sel *ast.SelectorExpr, st lockState, uidx int, fresh map[types.Object]bool, concurrent, write bool) {
+func (c *checker) recordAccess(sel *ast.SelectorExpr, st guardedby.LockState, uidx int, fresh map[types.Object]bool, concurrent, write bool) {
 	fieldObj, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
 	if !ok || !fieldObj.IsField() {
 		return
@@ -839,107 +718,6 @@ func intersectSorted(a, b []string) []string {
 	return out
 }
 
-// ---- shared vocabulary (mirrors guardedby) ----
-
-// mode is how strongly a lock is held.
-type mode int
-
-const (
-	held     mode = 1 // shared (RLock)
-	heldExcl mode = 2 // exclusive (Lock)
-)
-
-// lockState maps held canonical lock tokens to their mode.
-type lockState map[string]mode
-
-func clone(s lockState) lockState {
-	out := make(lockState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func intersect(a, b lockState) lockState {
-	out := make(lockState)
-	for k, v := range a {
-		if w, ok := b[k]; ok {
-			if w < v {
-				v = w
-			}
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equal(a, b lockState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// parseRequires builds the entry lock set from eos:requires lines.
-func parseRequires(doc *ast.CommentGroup) lockState {
-	seed := lockState{}
-	if doc == nil {
-		return seed
-	}
-	for _, cm := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-		if !strings.HasPrefix(text, "eos:requires") {
-			continue
-		}
-		rest := strings.TrimPrefix(text, "eos:requires")
-		if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		fs := strings.Fields(rest)
-		if len(fs) == 0 {
-			continue
-		}
-		m := heldExcl
-		if len(fs) > 1 && strings.HasPrefix(fs[1], "(shared") {
-			m = held
-		}
-		seed[fs[0]] = m
-	}
-	return seed
-}
-
-func isAtomicType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Path() == "sync/atomic"
-}
-
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
 // isSyncType reports whether t is any other sync package type
 // (WaitGroup, Once, Cond, Map, Pool): synchronization state, not a
 // shared plain field.
@@ -965,35 +743,9 @@ func ownerTypeName(t types.Type) string {
 	return ""
 }
 
-func writeRoots(node ast.Node) []ast.Node {
-	var roots []ast.Node
-	ast.Inspect(node, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				roots = append(roots, writeTarget(lhs))
-			}
-		case *ast.IncDecStmt:
-			roots = append(roots, writeTarget(m.X))
-		case *ast.UnaryExpr:
-			// Taking a field's address escapes it for writing; the
-			// address of a composite literal does not write the fields
-			// read inside the literal.
-			if m.Op == token.AND {
-				if _, lit := m.X.(*ast.CompositeLit); !lit {
-					roots = append(roots, m.X)
-				}
-			}
-		}
-		return true
-	})
-	return roots
-}
-
-// writeTarget strips index positions off an assignment target:
-// m[k] = v writes m, while k is only read.
+// writeTarget strips index positions off a store target: m[k] = v
+// writes m, while k is only read.  Taking the address of a composite
+// literal writes nothing: the fields read inside it stay reads.
 func writeTarget(e ast.Expr) ast.Expr {
 	for {
 		switch v := e.(type) {
@@ -1003,17 +755,10 @@ func writeTarget(e ast.Expr) ast.Expr {
 			e = v.X
 		case *ast.StarExpr:
 			e = v.X
+		case *ast.CompositeLit:
+			return nil
 		default:
 			return e
 		}
 	}
-}
-
-func within(sel ast.Node, roots []ast.Node) bool {
-	for _, r := range roots {
-		if sel.Pos() >= r.Pos() && sel.End() <= r.End() {
-			return true
-		}
-	}
-	return false
 }

@@ -17,17 +17,17 @@
 // slice of it the whole-program passes need natively: it does not
 // insert φ-nodes or rename every local, but it gives each pass the
 // same dominance, ordering, and call-resolution queries the go/ssa +
-// go/callgraph pair would.  The interprocedural passes (deadlock,
-// walfirstip, leaksip) each layer their own per-function summaries —
-// propagated across packages through go/analysis object facts — on top
-// of this IR.
+// go/callgraph pair would.  The interprocedural passes (lockorder,
+// walfirst, leaksip, forcedom) each layer their own per-function
+// summaries — propagated across packages through go/analysis object
+// facts — on top of this IR.
 //
 // Function literals are deliberately not modeled as separate functions:
 // a closure may run on another goroutine (where the enclosing lock and
 // logging context does not apply), so instruction extraction skips
-// them, exactly as the v1/v2 intraprocedural analyzers do.  Calls
-// inside a deferred statement (including inside an immediately-deferred
-// literal) are marked Deferred: they run at function exit.
+// them.  Calls inside a deferred statement (including inside an
+// immediately-deferred literal) are marked Deferred: they run at
+// function exit.
 package ssa
 
 import (
@@ -51,18 +51,18 @@ import (
 // nothing itself.
 var Analyzer = &analysis.Analyzer{
 	Name:       "eosssa",
-	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to deadlock, walfirstip, leaksip, forcedom, and racecheck.",
+	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to lockorder, walfirst, leaksip, forcedom, and racecheck.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:        run,
 	ResultType: reflect.TypeOf((*Program)(nil)),
 }
 
 // LockRanks returns the engine's canonical latch lattice, keyed by
-// "Type.field" of the mutex field and valued by rank.  The lockorder
-// analyzer seeds its intraprocedural lattice from the same table, so
-// the two checks cannot drift.  Matching is by type and field name
-// (not import path) so analyzertest fixtures can declare stand-in
-// types.
+// "Type.field" of the mutex field and valued by rank.  The pairs
+// analyzer takes its ranked-mutex set from the same table, so the
+// pairing and ordering checks cannot drift.  Matching is by type and
+// field name (not import path) so analyzertest fixtures can declare
+// stand-in types.
 func LockRanks() map[string]int {
 	return map[string]int{
 		"Store.mu":         10,
@@ -86,10 +86,9 @@ func LockRanks() map[string]int {
 	}
 }
 
-// Mutators lists the lob.Object methods that change object state —
-// the mutation events of the §4.5 write-ahead rule.  Shared with the
-// intraprocedural walfirst analyzer.
-var Mutators = []string{
+// mutators lists the lob.Object methods that change object state —
+// the mutation events of the §4.5 write-ahead rule.
+var mutators = []string{
 	"Append", "AppendWithHint", "Insert", "Delete", "Replace",
 	"Destroy", "Truncate", "Compact",
 }
@@ -394,7 +393,7 @@ func (pr *Program) classify(call *ast.CallExpr, deferred bool, out *[]Instr) {
 		*out = append(*out, in)
 		return
 	}
-	if m, ok := eosutil.IsMethodCallAny(info, call, "lob", "Object", Mutators...); ok {
+	if m, ok := eosutil.IsMethodCallAny(info, call, "lob", "Object", mutators...); ok {
 		in.Kind = KMutate
 		in.MutName = "Object." + m
 		*out = append(*out, in)
@@ -559,8 +558,7 @@ func FuncLabel(from *types.Package, fn *types.Func) string {
 	return b.String()
 }
 
-// RankName labels the lattice levels for diagnostics, mirroring the
-// lockorder analyzer's vocabulary.
+// RankName labels the lattice levels for diagnostics.
 func RankName(r int) string {
 	switch {
 	case r < 15:

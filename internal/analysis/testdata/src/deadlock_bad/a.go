@@ -37,6 +37,18 @@ func invertViaChain(s *Store, sh *shard) {
 	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
 }
 
+// invertOnElsePath holds the shard latch to function exit on the else
+// branch only, then calls the chain that takes the store latch.
+func invertOnElsePath(s *Store, sh *shard, c bool) {
+	if c {
+		lockStore(s)
+	} else {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
+}
+
 // lockDeferred and lockWriteSet are the two halves of a same-rank
 // cycle: Txn.wmu and deferredAlloc.mu share rank 30, so neither
 // nesting inverts the lattice — but the opposite orders below deadlock

@@ -31,6 +31,20 @@ func invertedPair(s *Store, sh *shard) {
 	sh.mu.Unlock()
 }
 
+// heldOnElsePath holds the shard latch to function exit on the else
+// branch only; that path reaches the store latch with it held.
+func heldOnElsePath(s *Store, sh *shard, c bool) {
+	if c {
+		s.mu.Lock()
+		s.mu.Unlock()
+	} else {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding shard.mu"
+	s.mu.Unlock()
+}
+
 // invertedUnderDefer holds the WAL latch to function exit via defer and
 // then reaches down for an object latch.
 func invertedUnderDefer(l *Log, e *catEntry) {

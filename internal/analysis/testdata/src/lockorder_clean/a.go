@@ -44,6 +44,19 @@ func releasedBeforeDescent(e *catEntry, sh *shard) {
 	e.latch.Unlock()
 }
 
+// deferredOnOtherPath holds the shard latch to function exit only on a
+// branch that returns: the path that reaches the store latch holds
+// nothing.
+func deferredOnOtherPath(s *Store, sh *shard, c bool) {
+	if c {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return
+	}
+	s.mu.Lock()
+	s.mu.Unlock()
+}
+
 // closureIsSeparate: a goroutine body is its own acquisition context;
 // the enclosing function's held set does not apply to it.
 func closureIsSeparate(l *Log, s *Store) {

@@ -37,6 +37,21 @@ func (t *Txn) BranchesBothLogged(off int64, b []byte, replace bool) error {
 	return t.obj.Append(b)
 }
 
+// logRecord appends the operation's record on every path through it.
+func (t *Txn) logRecord(b []byte) error {
+	_, err := t.log.Append(wal.Record{Type: 3, Payload: b})
+	return err
+}
+
+// LogViaHelper logs through the self-logging helper and then mutates
+// directly: every path to the mutation has appended the record.
+func (t *Txn) LogViaHelper(b []byte) error {
+	if err := t.logRecord(b); err != nil {
+		return err
+	}
+	return t.obj.Append(b)
+}
+
 // ReadOnly never mutates, so nothing needs logging.
 func (t *Txn) ReadOnly(off int64, b []byte) (int, error) {
 	return t.obj.Read(off, b)

@@ -8,5 +8,6 @@ import (
 )
 
 func TestWalfirst(t *testing.T) {
-	analyzertest.Run(t, "../testdata", walfirst.Analyzer, "walfirst_bad", "walfirst_clean")
+	analyzertest.Run(t, "../testdata", walfirst.Analyzer,
+		"walfirst_bad", "walfirst_clean", "walfirstip_bad", "walfirstip_clean")
 }

@@ -433,32 +433,6 @@ func (p *Pool) Unpin(pg disk.PageNum) error {
 	return nil
 }
 
-// FlushPage writes pg back to disk if it is resident, dirty, and
-// unpinned.  A clean frame is skipped instead of rewritten (a concurrent
-// flush may have cleaned it first), and a pinned frame is skipped because
-// its holder may be mid-mutation — its update is retried by the next
-// flush, and until then the write-ahead log retains its redo.  Skips are
-// counted in Stats.FlushSkips.
-func (p *Pool) FlushPage(pg disk.PageNum) error {
-	sh := p.shardFor(pg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, ok := sh.frames[pg]
-	if !ok {
-		return nil
-	}
-	if !f.dirty || f.pins > 0 {
-		sh.flushSkips.Add(1)
-		return nil
-	}
-	if err := p.vol.WriteRun(f.page, [][]byte{f.data}); err != nil {
-		return err
-	}
-	f.dirty = false
-	sh.flushes.Add(1)
-	return nil
-}
-
 // FlushAll writes every dirty unpinned frame back to disk.  Shards flush
 // in parallel — one goroutine per shard, each holding only its own shard
 // mutex — and within a shard the dirty pages are written in ascending

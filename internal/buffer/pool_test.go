@@ -177,27 +177,21 @@ func TestFlushPageAndAll(t *testing.T) {
 		pool.MarkDirty(pg)
 		pool.Unpin(pg)
 	}
-	if err := pool.FlushPage(0); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := vol.Read(0, 1)
-	if got[0] != 10 {
-		t.Error("FlushPage did not persist page 0")
-	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = vol.Read(1, 1)
-	if got[0] != 11 {
-		t.Error("FlushAll did not persist page 1")
+	for _, pg := range []disk.PageNum{0, 1} {
+		if got, _ := vol.Read(pg, 1); got[0] != byte(10+pg) {
+			t.Errorf("FlushAll did not persist page %d", pg)
+		}
 	}
-	// Flushing a clean page is a no-op.
+	// Flushing clean pages is a no-op.
 	f := pool.Stats().Flushes
-	if err := pool.FlushPage(0); err != nil {
+	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Stats().Flushes != f {
-		t.Error("flushing clean page counted a flush")
+		t.Error("flushing clean pages counted a flush")
 	}
 }
 

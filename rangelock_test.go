@@ -2,6 +2,7 @@ package eos
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,91 @@ func TestRangeLockConcurrentThroughput(t *testing.T) {
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRangeLockWritersLatchTheTree ends structural operations beside a
+// reader of a disjoint range, by abort and by commit.  The reader holds the
+// object's shared latch only, so the abort's compensations and every
+// rebind of the tree's allocator must take the write latch; under -race a
+// missing latch shows as a report.
+func TestRangeLockWritersLatchTheTree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(tx *Txn) error
+	}{
+		{"abort", func(tx *Txn) error { return tx.Abort() }},
+		{"commit", func(tx *Txn) error {
+			if err := tx.Delete("doc", 100000, 3000); err != nil {
+				return err
+			}
+			return tx.Commit()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, _ := newStore(t, Options{RangeLocking: true, LockTimeout: 5 * time.Second})
+			o, _ := s.Create("doc", 0)
+			base := pat(94, 110000)
+			if err := o.Append(base); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			readErr := make(chan error, 1)
+			go func() {
+				defer close(readErr)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					tx, err := s.Begin()
+					if err != nil {
+						readErr <- err
+						return
+					}
+					got, err := tx.Read("doc", 0, 4096)
+					if err == nil && !bytes.Equal(got, base[:4096]) {
+						err = errors.New("reader saw a changed prefix")
+					}
+					if aerr := tx.Abort(); err == nil {
+						err = aerr
+					}
+					if err != nil {
+						readErr <- err
+						return
+					}
+				}
+			}()
+			var werr error
+			for i := 0; i < 30 && werr == nil; i++ {
+				var tx *Txn
+				if tx, werr = s.Begin(); werr != nil {
+					break
+				}
+				if werr = tx.Insert("doc", 100000, pat(95+i, 3000)); werr != nil {
+					break
+				}
+				werr = tc.end(tx)
+			}
+			close(done)
+			if err := <-readErr; err != nil {
+				t.Fatal(err)
+			}
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			got, err := o.Read(0, o.Size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, base) {
+				t.Error("the writer's transactions left the object changed")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

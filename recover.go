@@ -266,7 +266,7 @@ func (s *Store) rebuildFreeSpace() error {
 	s.quarMu.Lock()
 	s.quar = nil
 	s.quarMu.Unlock()
-	bm := buddy.NewManager(s.pool, !s.opts.DisableSuperdirectory)
+	bm := buddy.NewManager(s.pool, true)
 	page := disk.PageNum(1 + catalogRegionPages(s.opts))
 	for i := 0; i < s.opts.NumSpaces; i++ {
 		sp, err := buddy.FormatSpace(s.pool, page, page+1, s.opts.SpaceCapacity, s.vol)

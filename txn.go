@@ -286,18 +286,31 @@ func (t *Txn) touch(name string, kind lockKind, off, n int64) (*catEntry, error)
 	if _, seen := t.touched[e.id]; !seen {
 		t.touched[e.id] = &txnObj{entry: e, prevLSN: e.obj.LSN()}
 		if needsRebind {
-			e.obj.Rebind(t.lm)
-			t.s.mu.Lock()
-			e.txnDirty = t.id
-			t.s.mu.Unlock()
+			t.markDirty(e)
 		}
 	} else if needsRebind && e.txnDirty != t.id {
-		e.obj.Rebind(t.lm)
-		t.s.mu.Lock()
-		e.txnDirty = t.id
-		t.s.mu.Unlock()
+		t.markDirty(e)
 	}
 	return e, nil
+}
+
+// unbindTouched routes the allocation of every object t holds dirty back
+// to the store's allocator.  Caller does not hold s.mu.
+func (t *Txn) unbindTouched() {
+	for _, to := range t.touched {
+		if to.entry.txnDirty == t.id {
+			to.entry.rebind(t.s.lm)
+		}
+	}
+}
+
+// markDirty routes e's allocation through the transaction's deferred
+// allocator and records t as the transaction holding it dirty.
+func (t *Txn) markDirty(e *catEntry) {
+	e.rebind(t.lm)
+	t.s.mu.Lock()
+	e.txnDirty = t.id
+	t.s.mu.Unlock()
 }
 
 // Create makes a new object inside the transaction.
@@ -700,12 +713,12 @@ func (t *Txn) commitLog() (readOnly bool, err error) {
 			}
 		}
 	}
+	t.unbindTouched()
 	t.s.mu.Lock()
 	for _, to := range t.touched {
 		e := to.entry
 		if e.txnDirty == t.id {
 			e.txnDirty = 0
-			e.obj.Rebind(t.s.lm)
 			// Refresh the fallback descriptor NOW: a catalog barrier
 			// that runs while the next transaction holds this object
 			// dirty persists stableDesc, and the durability quarantine
@@ -773,7 +786,7 @@ func (t *Txn) publishTouched() {
 			continue
 		}
 		to.entry.latch.Lock()
-		to.entry.obj.Publish(t.s.opts.SnapshotHistory)
+		to.entry.obj.Publish(snapshotHistory)
 		to.entry.latch.Unlock()
 	}
 }
@@ -825,11 +838,11 @@ func (s *Store) forceDurableLocked(t *Txn) error {
 // "ended" classification at recovery always means the rollback is fully
 // on disk.
 //
-// pre-image the forward operation already logged, and the abort record
-// is forced only after the rollback is durable, so write-ahead
-// coverage is provided by the forward records.
+// Each compensation runs under the object's write latch, which a reader
+// of another byte range under range locking shares; the latch is dropped
+// before the catalog edits under Store.mu, which ranks above it.
 //
-//eoslint:ignore walfirst -- logical undo: every compensation replays a
+//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and the abort record is forced only after the rollback is durable, so the forward records provide write-ahead coverage
 func (t *Txn) Abort() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -837,8 +850,10 @@ func (t *Txn) Abort() error {
 	t.done = true
 	for i := len(t.journal) - 1; i >= 0; i-- {
 		op := t.journal[i]
-		o := op.entry.obj
+		e := op.entry
+		o := e.obj
 		var err error
+		e.latch.Lock()
 		switch op.typ {
 		case wal.RecAppend:
 			err = o.Truncate(op.oldSize)
@@ -854,12 +869,6 @@ func (t *Txn) Abort() error {
 			err = o.Replace(op.off, op.plan.Old())
 		case wal.RecCreate:
 			err = o.Destroy()
-			if err == nil {
-				t.s.mu.Lock()
-				delete(t.s.catalog, op.entry.name)
-				delete(t.s.byID, op.entry.id)
-				t.s.mu.Unlock()
-			}
 		case wal.RecDestroy:
 			// The destroyed object's pages are intact: its frees were
 			// deferred.  Cancel them and restore the descriptor.
@@ -868,21 +877,30 @@ func (t *Txn) Abort() error {
 			obj, err = t.lm.OpenDescriptor(op.snapshot)
 			if err == nil {
 				//eoslint:ignore racecheck -- the aborting txn still holds this object's exclusive lock-table lock, so no other txn can reach entry.obj; snapshot readers swap roots under epoch protection
-				op.entry.obj = obj
-				t.s.mu.Lock()
-				t.s.catalog[op.entry.name] = op.entry
-				t.s.mu.Unlock()
+				e.obj = obj
 			}
 		}
+		e.latch.Unlock()
 		if err != nil {
 			return fmt.Errorf("eos: abort undo failed: %w", err)
 		}
+		switch op.typ {
+		case wal.RecCreate:
+			t.s.mu.Lock()
+			delete(t.s.catalog, e.name)
+			delete(t.s.byID, e.id)
+			t.s.mu.Unlock()
+		case wal.RecDestroy:
+			t.s.mu.Lock()
+			t.s.catalog[e.name] = e
+			t.s.mu.Unlock()
+		}
 	}
+	t.unbindTouched()
 	t.s.mu.Lock()
 	for _, to := range t.touched {
 		if to.entry.txnDirty == t.id {
 			to.entry.txnDirty = 0
-			to.entry.obj.Rebind(t.s.lm)
 		}
 		to.entry.obj.SetLSN(to.prevLSN)
 		// The compensations may have rebuilt the tree into a different
