@@ -9,5 +9,12 @@ import (
 
 func TestLockorder(t *testing.T) {
 	analyzertest.Run(t, "../testdata", lockorder.Analyzer,
-		"lockorder_bad", "lockorder_clean", "deadlock_bad", "deadlock_clean")
+		"lockorder_bad", "lockorder_clean")
+}
+
+// TestDeadlock covers the cross-call half of the analyzer: inversions,
+// same-rank cycles and re-acquisitions reached through helper calls.
+func TestDeadlock(t *testing.T) {
+	analyzertest.Run(t, "../testdata", lockorder.Analyzer,
+		"deadlock_bad", "deadlock_clean")
 }
