@@ -9,26 +9,49 @@ import (
 	"slices"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // The catalog holds every object's descriptor — id, name, threshold,
 // growth state, root node, and the LSN of its last logged update.  EOS
 // proper leaves descriptor placement to the client (§4: a catalog page,
 // or a field of a small record to implement long fields); the Store keeps
-// them on a small run of reserved pages after the header.
+// them in two places: the write-ahead log and a small run of reserved
+// pages after the header.
 //
-// A catalog barrier must make the roots that CHANGED durable behind their
-// data (§4.5), not every root, so the region is a journal: TWO slots of
-// CatalogPages pages each, and each slot a small log.  A slot starts with
-// one BASE record — the full image — followed by DELTA records: the
+// A barrier must make the roots that CHANGED durable behind their data
+// (§4.5), not every root.  A commit or abort barrier does it in the log:
+// once the data force is done it appends one RecCatalog record — the
 // descriptors whose committed state or name changed since the previous
-// barrier, plus the ids of objects that went away.  A barrier appends one
-// delta to the current slot; when the delta does not fit in what is left
-// of the slot, the full image is written as the base of the OTHER slot
-// and the roles swap.
+// catalog record, the ids of objects that went away, and nextID — and does
+// not force it.  The next log force carries it: another transaction's
+// commit, or the one every Checkpoint and Close begins with.  A commit
+// thus issues no data-volume request for the catalog, and no log request
+// of its own for it either.  (The durability quarantine counts such a
+// barrier complete only once a force has covered its record: see
+// stampLoggedBarrier.)
+//
+// A checkpoint writes the image to the reserved region, and that is where
+// recovery starts: the log cannot hold the image alone, because a
+// quiescent checkpoint truncates it and the next epoch starts again at
+// offset 0.  The region is a journal of TWO slots of CatalogPages pages
+// each, and each slot a small log.  A slot starts with one BASE record —
+// the full image — followed by DELTA records: the descriptors whose
+// committed state or name changed since the slot's previous record, plus
+// the ids of objects that went away.  A checkpoint appends one delta to the
+// current slot; when the delta does not fit in what is left of the slot,
+// the full image is written as the base of the OTHER slot and the roles
+// swap.  Every slot record carries the log position it covers — the LSN
+// every catalog record in the log so far lies at or below — and recovery
+// loads the slot, then applies the RecCatalog records above that stamp in
+// log order.  A record at or below it is older than the slot: replaying it
+// would undo whatever the slot caught since, a non-transactional update
+// for one.  A RecCatalog that never became durable loses nothing: the
+// commit record it followed was forced first, and redo re-executes that
+// commit from the older roots, whose pages the quarantine kept intact.
 //
 // A power cut preserves an arbitrary subset of outstanding page writes,
-// so three rules keep every crash state loadable:
+// so three rules keep every crash state of the slots loadable:
 //
 //   - Every record starts on a page boundary and is written to pages no
 //     durable record occupies: a torn write damages the record in flight
@@ -41,25 +64,27 @@ import (
 //     seq is exactly one past their predecessor's; the chain ends at the
 //     first record that is torn, stale (left over from the slot's earlier
 //     life — its seq is lower) or absent.  The slot whose chain ends at
-//     the highest seq is the catalog.
-//   - The first barrier after Open writes a base into the slot that was
+//     the highest seq is the checkpointed catalog.
+//   - The first checkpoint after Open writes a base into the slot that was
 //     NOT loaded, never onto the tail of the loaded one, where a torn
 //     record may sit.
 //
-// A torn barrier therefore loses exactly that barrier: recovery falls
-// back to the state of the one before it, whose index pages the
-// durability quarantine keeps intact.  Records go to the device directly
-// — one vectored write per barrier — not through the buffer pool.
+// A torn slot record therefore loses exactly that checkpoint's record:
+// recovery falls back to the record before it and the log's catalog
+// records above that one's stamp, whose index pages the durability
+// quarantine keeps intact.  Slot records go to the device directly — one
+// vectored write per checkpoint — not through the buffer pool.
 //
-// Record layout: magic u32, seq u64, kind u8, 3 reserved bytes,
-// payloadLen u32, crc u32 (over seq..payloadLen and the payload), then
-// the payload: upserts u32, per upsert id u64, nameLen u16, descLen u32,
-// name, descriptor bytes; tombstones u32, per tombstone id u64.  A base
-// is a record that starts from the empty catalog and has no tombstones.
+// Slot record layout: magic u32, seq u64, stamp u64 (the LSN covered), kind
+// u8, 3 reserved bytes, payloadLen u32, crc u32 (over seq..payloadLen and
+// the payload), then the payload: upserts u32, per upsert id u64, nameLen
+// u16, descLen u32, name, descriptor bytes; tombstones u32, per tombstone id
+// u64.  A base is a record that starts from the empty catalog and has no
+// tombstones.  A RecCatalog's Data is the same payload.
 
 const (
 	catalogMagic  = 0xE05CA7A2
-	catRecHdrSize = 4 + 8 + 1 + 3 + 4 + 4
+	catRecHdrSize = 4 + 8 + 8 + 1 + 3 + 4 + 4
 	catEntHdrSize = 8 + 2 + 4
 
 	catKindBase  = 1
@@ -85,7 +110,8 @@ func (s *Store) catSlotStart(k int) disk.PageNum {
 
 // catalogDelta returns what separates the descriptors the catalog should
 // hold from the image prev: the entries to upsert, in id order, and the
-// ids to drop.  Against a nil prev that is the full image.
+// ids to drop.  Against a nil prev that is the full image.  full is the
+// size of a slot record holding the full image, whatever prev is.
 //
 // What the catalog should hold for an object is its last committed
 // state — refreshed at every commit point, so for a clean entry it IS the
@@ -98,12 +124,14 @@ func (s *Store) catSlotStart(k int) disk.PageNum {
 // complete, so taking latches here would deadlock.
 //
 // eos:requires s.mu
-func (s *Store) catalogDelta(prev map[uint64]catRec) (ups []catRec, tombs []uint64) {
+func (s *Store) catalogDelta(prev map[uint64]catRec) (ups []catRec, tombs []uint64, full int) {
+	full = catRecordSize(nil, nil)
 	for _, e := range s.byID {
 		desc := e.loadStableDesc()
 		if desc == nil {
 			continue
 		}
+		full += catEntHdrSize + len(e.name) + len(desc)
 		if old, ok := prev[e.id]; !ok || old.name != e.name || !bytes.Equal(old.desc, desc) {
 			ups = append(ups, catRec{id: e.id, name: e.name, desc: desc})
 		}
@@ -113,24 +141,75 @@ func (s *Store) catalogDelta(prev map[uint64]catRec) (ups []catRec, tombs []uint
 			tombs = append(tombs, id)
 		}
 	}
+	sortDelta(ups, tombs)
+	return ups, tombs, full
+}
+
+func sortDelta(ups []catRec, tombs []uint64) {
 	slices.SortFunc(ups, func(a, b catRec) int { return cmp.Compare(a.id, b.id) })
 	slices.Sort(tombs)
+}
+
+// slotDelta widens ups and tombs, the changes no catalog record holds yet,
+// to what the slot lacks: also every entry the log's catalog records
+// changed since the slot's newest record, as it stands now.
+//
+// eos:requires s.mu
+func (s *Store) slotDelta(ups []catRec, tombs []uint64) ([]catRec, []uint64) {
+	next := make(map[uint64]*catRec, len(s.slotDirty)+len(ups)+len(tombs))
+	for id := range s.slotDirty {
+		if r, ok := s.catImage[id]; ok {
+			next[id] = &r
+		} else {
+			next[id] = nil
+		}
+	}
+	for i := range ups {
+		next[ups[i].id] = &ups[i]
+	}
+	for _, id := range tombs {
+		next[id] = nil
+	}
+	ups, tombs = nil, nil
+	for id, r := range next {
+		if r != nil {
+			ups = append(ups, *r)
+		} else {
+			tombs = append(tombs, id)
+		}
+	}
+	sortDelta(ups, tombs)
 	return ups, tombs
 }
 
-// catRecordSize is the encoded size of a record holding ups and tombs.
-func catRecordSize(ups []catRec, tombs []uint64) int {
-	n := catRecHdrSize + 4 + 4 + 8*len(tombs)
+// catalogFits refuses an image of full bytes that one slot cannot hold.
+// Every barrier asks before it writes anything — a commit's too, although
+// only a checkpoint writes the image — so the durable catalog still
+// replays to the previous barrier and the store stays usable.
+func (s *Store) catalogFits(full int) error {
+	if room := s.opts.CatalogPages * s.vol.PageSize(); full > room {
+		return fmt.Errorf("%w: the descriptors need %d bytes, %d pages per slot reserved",
+			ErrCatalogFull, full, s.opts.CatalogPages)
+	}
+	return nil
+}
+
+// catPayloadSize is the encoded size of the payload holding ups and tombs;
+// catRecordSize adds the slot record's header.
+func catPayloadSize(ups []catRec, tombs []uint64) int {
+	n := 4 + 4 + 8*len(tombs)
 	for _, r := range ups {
 		n += catEntHdrSize + len(r.name) + len(r.desc)
 	}
 	return n
 }
 
-// encodeCatRecord serializes one journal record into whole pages.
-func encodeCatRecord(kind byte, seq uint64, ups []catRec, tombs []uint64, pageSize int) []byte {
-	size := catRecordSize(ups, tombs)
-	buf := make([]byte, catRecHdrSize, (size+pageSize-1)/pageSize*pageSize)
+func catRecordSize(ups []catRec, tombs []uint64) int {
+	return catRecHdrSize + catPayloadSize(ups, tombs)
+}
+
+// appendCatPayload appends the payload encoding of ups and tombs to buf.
+func appendCatPayload(buf []byte, ups []catRec, tombs []uint64) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ups)))
 	for _, r := range ups {
 		buf = binary.BigEndian.AppendUint64(buf, r.id)
@@ -143,46 +222,70 @@ func encodeCatRecord(kind byte, seq uint64, ups []catRec, tombs []uint64, pageSi
 	for _, id := range tombs {
 		buf = binary.BigEndian.AppendUint64(buf, id)
 	}
+	return buf
+}
+
+// encodeCatRecord serializes one slot record, stamped with the log LSN it
+// covers, into whole pages.
+func encodeCatRecord(kind byte, seq, stamp uint64, ups []catRec, tombs []uint64, pageSize int) []byte {
+	size := catRecordSize(ups, tombs)
+	buf := appendCatPayload(make([]byte, catRecHdrSize, (size+pageSize-1)/pageSize*pageSize), ups, tombs)
 	binary.BigEndian.PutUint32(buf[0:], catalogMagic)
 	binary.BigEndian.PutUint64(buf[4:], seq)
-	buf[12] = kind
-	binary.BigEndian.PutUint32(buf[16:], uint32(size-catRecHdrSize))
-	binary.BigEndian.PutUint32(buf[20:], catRecCRC(buf[:catRecHdrSize], buf[catRecHdrSize:]))
+	binary.BigEndian.PutUint64(buf[12:], stamp)
+	buf[20] = kind
+	binary.BigEndian.PutUint32(buf[24:], uint32(size-catRecHdrSize))
+	binary.BigEndian.PutUint32(buf[28:], catRecCRC(buf[:catRecHdrSize], buf[catRecHdrSize:]))
 	return buf[:cap(buf)]
 }
 
 // catRecCRC covers everything in a record after its magic, bar the CRC
 // field itself.
 func catRecCRC(hdr, payload []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(hdr[4:20]), crc32.IEEETable, payload)
+	return crc32.Update(crc32.ChecksumIEEE(hdr[4:28]), crc32.IEEETable, payload)
 }
 
-// writeCatalog makes the on-disk catalog replay to the current committed
-// descriptors: one delta record appended to the current slot, or — when
-// the slot has no room for it — the full image as the base of the other
-// slot.  Nothing is written when nothing changed.  The write is volatile
+// applyCatDelta applies ups and tombs to img.
+func applyCatDelta(img map[uint64]catRec, ups []catRec, tombs []uint64) {
+	for _, r := range ups {
+		img[r.id] = r
+	}
+	for _, id := range tombs {
+		delete(img, id)
+	}
+}
+
+// writeCatalog makes the checkpointed catalog replay to the current
+// committed descriptors: one delta record appended to the current slot,
+// or — when the slot has no room for it — the full image as the base of
+// the other slot.  Nothing is written when nothing changed since the
+// slot's newest record, in the log or elsewhere.  The write is volatile
 // until the caller forces the region.  Caller holds s.mu.
 //
 // eos:requires s.mu
 func (s *Store) writeCatalog() error {
 	ps := s.vol.PageSize()
 	slotPages := s.opts.CatalogPages
-	ups, tombs := s.catalogDelta(s.catImage)
-	if len(ups)+len(tombs) == 0 && s.catNext < slotPages {
+	ups, tombs, full := s.catalogDelta(s.catImage)
+	if err := s.catalogFits(full); err != nil {
+		return err
+	}
+	recUps, recTombs := ups, tombs
+	if len(s.slotDirty) > 0 {
+		recUps, recTombs = s.slotDelta(ups, tombs)
+	}
+	if len(recUps)+len(recTombs) == 0 && s.catNext < slotPages {
 		return nil
 	}
 	kind, slot, page := byte(catKindDelta), s.catSlot, s.catNext
-	if need := (catRecordSize(ups, tombs) + ps - 1) / ps; page+need > slotPages {
+	if need := (catRecordSize(recUps, recTombs) + ps - 1) / ps; page+need > slotPages {
 		kind, slot, page = catKindBase, 1-s.catSlot, 0
-		ups, tombs = s.catalogDelta(nil)
-		// Refused before any page is written: the journal still replays
-		// to the previous barrier and the store stays usable.
-		if size := catRecordSize(ups, tombs); size > slotPages*ps {
-			return fmt.Errorf("%w: %d objects need %d bytes, %d pages per slot reserved",
-				ErrCatalogFull, len(ups), size, slotPages)
-		}
+		recUps, recTombs, _ = s.catalogDelta(nil)
 	}
-	buf := encodeCatRecord(kind, s.catSeq+1, ups, tombs, ps)
+	// Every catalog record in the log was appended under s.mu, as this one
+	// is written, so all of them lie at or below the log's end.
+	stamp := s.log.Base() + uint64(s.log.Tail())
+	buf := encodeCatRecord(kind, s.catSeq+1, stamp, recUps, recTombs, ps)
 	run := make([][]byte, len(buf)/ps)
 	for i := range run {
 		run[i] = buf[i*ps : (i+1)*ps]
@@ -195,43 +298,97 @@ func (s *Store) writeCatalog() error {
 	s.catSeq++
 	s.catSlot, s.catNext = slot, page+len(run)
 	if kind == catKindBase {
-		s.catImage = make(map[uint64]catRec, len(ups))
+		// The base is the whole image; a fresh map sheds the room of the
+		// entries gone since the last one.
+		s.catImage = make(map[uint64]catRec, len(recUps))
+		ups, tombs = recUps, nil
 		s.catCompactions.Add(1)
 	} else {
 		s.catDeltaWrites.Add(1)
 	}
-	for _, r := range ups {
-		s.catImage[r.id] = r
-	}
-	for _, id := range tombs {
-		delete(s.catImage, id)
-	}
+	applyCatDelta(s.catImage, ups, tombs)
+	clear(s.slotDirty)
 	s.catPagesWritten.Add(int64(len(run)))
 	return nil
 }
 
-// parseCatRecord validates the record at the start of buf and returns
-// its seq, kind and payload; ok is false for anything that is not one
-// whole, intact record.
-func parseCatRecord(buf []byte) (seq uint64, kind byte, payload []byte, ok bool) {
-	if len(buf) < catRecHdrSize || binary.BigEndian.Uint32(buf[0:]) != catalogMagic {
-		return 0, 0, nil, false
+// logCatalog is the metadata half of a commit or abort barrier: the
+// descriptors that changed since the newest catalog record, slot or log,
+// appended to the log as one RecCatalog record with nextID, unforced.  The
+// caller has forced the data they reference.  A barrier that changes
+// nothing appends nothing; it is complete as soon as the newest record is
+// durable.  Caller holds s.mu.
+//
+// eos:requires s.mu
+func (s *Store) logCatalog() error {
+	s.stampLoggedBarrier() // a force since the last barrier may have carried its record
+	barrier := s.barrierStarted.Add(1)
+	ups, tombs, full := s.catalogDelta(s.catImage)
+	if err := s.catalogFits(full); err != nil {
+		return err
 	}
-	plen := int(binary.BigEndian.Uint32(buf[16:]))
+	if len(ups)+len(tombs) > 0 {
+		rec := &wal.Record{Type: wal.RecCatalog, N: int64(s.nextID),
+			Data: appendCatPayload(make([]byte, 0, catPayloadSize(ups, tombs)), ups, tombs)}
+		lsn, err := s.log.Append(rec)
+		if err != nil {
+			return err
+		}
+		applyCatDelta(s.catImage, ups, tombs)
+		for _, r := range ups {
+			s.slotDirty[r.id] = true
+		}
+		for _, id := range tombs {
+			s.slotDirty[id] = true
+		}
+		s.catLSN = lsn
+		s.catLogRecords.Add(1)
+		s.catLogBytes.Add(int64(rec.Size()))
+	}
+	s.pendBarrier = barrier
+	s.stampLoggedBarrier()
+	return nil
+}
+
+// stampLoggedBarrier completes the newest commit or abort barrier for the
+// durability quarantine once a log force has covered the newest catalog
+// record: until then the durable catalog may still hold the roots it
+// replaced.  Every barrier calls it before the quarantine releases
+// anything.  Caller holds s.mu.
+//
+// eos:requires s.mu
+func (s *Store) stampLoggedBarrier() {
+	if s.pendBarrier != 0 && s.log.Durable(s.catLSN) {
+		s.barrierDurable.Store(s.pendBarrier)
+		s.pendBarrier = 0
+	}
+}
+
+// parseCatRecord validates the slot record at the start of buf and returns
+// its seq, stamp, kind and payload; ok is false for anything that is not
+// one whole, intact record.
+func parseCatRecord(buf []byte) (seq, stamp uint64, kind byte, payload []byte, ok bool) {
+	if len(buf) < catRecHdrSize || binary.BigEndian.Uint32(buf[0:]) != catalogMagic {
+		return 0, 0, 0, nil, false
+	}
+	plen := int(binary.BigEndian.Uint32(buf[24:]))
 	if plen < 8 || plen > len(buf)-catRecHdrSize {
-		return 0, 0, nil, false
+		return 0, 0, 0, nil, false
 	}
 	payload = buf[catRecHdrSize : catRecHdrSize+plen]
-	if catRecCRC(buf, payload) != binary.BigEndian.Uint32(buf[20:]) {
-		return 0, 0, nil, false
+	if catRecCRC(buf, payload) != binary.BigEndian.Uint32(buf[28:]) {
+		return 0, 0, 0, nil, false
 	}
-	return binary.BigEndian.Uint64(buf[4:]), buf[12], payload, true
+	return binary.BigEndian.Uint64(buf[4:]), binary.BigEndian.Uint64(buf[12:]), buf[20], payload, true
 }
 
 // applyCatPayload replays one record's payload onto img.  The payload
 // passed its CRC, so a malformed one is a bug or a foreign format.
 func applyCatPayload(img map[uint64]catRec, payload []byte) error {
 	bad := fmt.Errorf("%w: malformed catalog record", ErrCorruptStore)
+	if len(payload) < 4 {
+		return bad
+	}
 	nUps := int(binary.BigEndian.Uint32(payload))
 	off := 4
 	for i := 0; i < nUps; i++ {
@@ -263,17 +420,18 @@ func applyCatPayload(img map[uint64]catRec, payload []byte) error {
 }
 
 // replayCatalogSlot reads slot k and replays its journal: the base, then
-// every delta whose seq continues the chain.  It returns the image and
-// the seq of the last record replayed; img is nil when the slot holds no
-// intact base.  Descriptors in img alias the read buffer.
-func (s *Store) replayCatalogSlot(k int) (img map[uint64]catRec, seq uint64, err error) {
+// every delta whose seq continues the chain.  It returns the image, the
+// seq of the last record replayed and the log LSN that record covers; img
+// is nil when the slot holds no intact base.  Descriptors in img alias the
+// read buffer.
+func (s *Store) replayCatalogSlot(k int) (img map[uint64]catRec, seq, stamp uint64, err error) {
 	ps := s.vol.PageSize()
 	buf := make([]byte, s.opts.CatalogPages*ps)
 	if err := s.vol.ReadPages(s.catSlotStart(k), s.opts.CatalogPages, buf); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	for off := 0; off < len(buf); {
-		recSeq, kind, payload, ok := parseCatRecord(buf[off:])
+		recSeq, recStamp, kind, payload, ok := parseCatRecord(buf[off:])
 		if !ok {
 			break
 		}
@@ -286,33 +444,40 @@ func (s *Store) replayCatalogSlot(k int) (img map[uint64]catRec, seq uint64, err
 			break
 		}
 		if err := applyCatPayload(img, payload); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		seq = recSeq
+		seq, stamp = recSeq, recStamp
 		off += (catRecHdrSize + len(payload) + ps - 1) / ps * ps
 	}
-	return img, seq, nil
+	return img, seq, stamp, nil
 }
 
-// readCatalog loads every descriptor from the catalog slot whose journal
-// ends at the highest seq.  Caller holds no locks (called during Open).
-func (s *Store) readCatalog() error {
-	var img map[uint64]catRec
+// readCatalog returns the image of the catalog slot whose journal ends at
+// the highest seq, and the log LSN it covers: recovery applies the log's
+// catalog records above that before loadCatalog.  Caller holds no locks
+// (called during Open).
+func (s *Store) readCatalog() (img map[uint64]catRec, stamp uint64, err error) {
 	for k := 0; k < 2; k++ {
-		slotImg, seq, err := s.replayCatalogSlot(k)
+		slotImg, seq, slotStamp, err := s.replayCatalogSlot(k)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if slotImg != nil && (img == nil || seq > s.catSeq) {
-			img, s.catSeq, s.catSlot = slotImg, seq, k
+			img, stamp, s.catSeq, s.catSlot = slotImg, slotStamp, seq, k
 		}
 	}
 	if img == nil {
-		return fmt.Errorf("%w: no intact catalog slot", ErrCorruptStore)
+		return nil, 0, fmt.Errorf("%w: no intact catalog slot", ErrCorruptStore)
 	}
 	// The loaded slot takes no more records: its tail may hold a torn
-	// one, so the first barrier compacts into the other slot.
+	// one, so the first checkpoint compacts into the other slot.
 	s.catNext = s.opts.CatalogPages
+	return img, stamp, nil
+}
+
+// loadCatalog makes the recovered image the store's catalog.  Caller holds
+// no locks (called during Open).
+func (s *Store) loadCatalog(img map[uint64]catRec) error {
 	for _, r := range img {
 		desc := append([]byte{}, r.desc...)
 		obj, err := s.lm.OpenDescriptor(desc)

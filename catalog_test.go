@@ -120,7 +120,7 @@ func expectObjects(t *testing.T, s *Store, want map[string][]byte) {
 // names it yields, checking the replay reaches the newest record.
 func journalNames(t *testing.T, s *Store) []string {
 	t.Helper()
-	img, seq, err := s.replayCatalogSlot(s.catSlot)
+	img, seq, _, err := s.replayCatalogSlot(s.catSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +197,12 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want["obj-00"] = append(want["obj-00"], pat(9, 50)...)
+	// The commit's catalog record waits in the log buffer for the next
+	// force, which the checkpoint would issue; issue it first, so that what
+	// follows measures the truncation alone.
+	if err := s.log.Force(); err != nil {
+		t.Fatal(err)
+	}
 	logBefore := logVol.Stats()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -254,8 +260,10 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 // transactional destroy caught in flight by a checkpoint (the entry must
 // stay: no tombstone before the destroy commits), the same aborted, a
 // committed destroy — through a crash after each, once with slots so
-// large every barrier is a delta and once with slots so small every
-// barrier is a compaction.
+// large every checkpoint writes a delta and once with slots so small every
+// checkpoint compacts.  Commits and aborts write no slot record: their
+// catalog records go to the log, and the crash that follows a commit finds
+// its record unforced, so recovery redoes the commit.
 func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -269,11 +277,13 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 			s, vol, logVol := newJournalStore(t, Options{CatalogPages: tc.catalogPages})
 			want := map[string][]byte{}
 			// step runs one mutation (which must end in a barrier), checks
-			// which records its barriers wrote — wantDeltas with large
-			// slots, where a barrier that changes nothing writes nothing;
-			// wantBases with one-page slots, where every barrier compacts —
-			// and crashes.
-			step := func(what string, wantDeltas, wantBases int64, mutate func()) {
+			// which records its barriers wrote — wantDeltas slot deltas
+			// with large slots, where a checkpoint that changes nothing
+			// writes nothing; wantBases with one-page slots, where every
+			// checkpoint compacts; wantLogged catalog records in the log,
+			// one per commit or abort that changed a descriptor — and
+			// crashes.
+			step := func(what string, wantDeltas, wantBases, wantLogged int64, mutate func()) {
 				t.Helper()
 				before := s.Stats().Barrier
 				mutate()
@@ -286,10 +296,13 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 				if !tc.compacting && (deltas != wantDeltas || bases != 0) {
 					t.Fatalf("%s: %d deltas, %d compactions; want %d deltas", what, deltas, bases, wantDeltas)
 				}
+				if logged := after.CatalogLogRecords - before.CatalogLogRecords; logged != wantLogged {
+					t.Fatalf("%s: %d catalog records logged, want %d", what, logged, wantLogged)
+				}
 				s = crashReopen(t, vol, logVol)
 				expectObjects(t, s, want)
 			}
-			step("txn create", 1, 1, func() {
+			step("txn create", 0, 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Create("a", 0); err != nil {
 					t.Fatal(err)
@@ -302,7 +315,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			step("create", 1, 1, func() {
+			step("create", 1, 1, 0, func() {
 				o, err := s.Create("b", 0)
 				if err != nil {
 					t.Fatal(err)
@@ -315,7 +328,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			step("rename", 1, 1, func() {
+			step("rename", 1, 1, 0, func() {
 				if err := s.Rename("b", "c"); err != nil {
 					t.Fatal(err)
 				}
@@ -327,7 +340,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 			})
 			// The crash that ends this step finds the destroy still in
 			// flight: a must come back.
-			step("txn destroy, checkpoint", 0, 1, func() {
+			step("txn destroy, checkpoint", 0, 1, 0, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("a"); err != nil {
 					t.Fatal(err)
@@ -339,7 +352,9 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("journal holds %v while the destroy is in flight, want [a c]", got)
 				}
 			})
-			step("txn destroy, checkpoint, abort", 0, 2, func() {
+			// The abort restores a's descriptor byte for byte: its barrier
+			// logs nothing.
+			step("txn destroy, checkpoint, abort", 0, 1, 0, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("a"); err != nil {
 					t.Fatal(err)
@@ -354,7 +369,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("journal holds %v after the abort, want [a c]", got)
 				}
 			})
-			step("txn destroy", 1, 1, func() {
+			step("txn destroy", 0, 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("c"); err != nil {
 					t.Fatal(err)
@@ -414,7 +429,7 @@ func TestCatalogTornBaseFallsBackToOldSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.mu.Lock()
-		ups, tombs := s.catalogDelta(s.catImage)
+		ups, tombs, _ := s.catalogDelta(s.catImage)
 		fits := s.catNext+(catRecordSize(ups, tombs)+ps-1)/ps <= s.opts.CatalogPages
 		s.mu.Unlock()
 		if !fits {
@@ -439,7 +454,7 @@ func TestCatalogTornBaseFallsBackToOldSlot(t *testing.T) {
 	}
 	// The tear put a base header with the newest seq on the other slot's
 	// first page; its CRC must disqualify it.
-	if img, _, err := s.replayCatalogSlot(1 - oldSlot); err != nil || img != nil {
+	if img, _, _, err := s.replayCatalogSlot(1 - oldSlot); err != nil || img != nil {
 		t.Fatalf("torn base replays (image %v, err %v)", img != nil, err)
 	}
 	re := crashReopen(t, vol, logVol)
@@ -473,7 +488,7 @@ func TestCatalogStaleRecordsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staleSeq, kind, _, ok := parseCatRecord(page[:ps])
+	staleSeq, _, kind, _, ok := parseCatRecord(page[:ps])
 	if !ok || kind != catKindDelta || staleSeq >= s.catSeq {
 		t.Fatalf("page 2 of the slot holds no stale delta (ok %v, kind %d, seq %d, newest %d)", ok, kind, staleSeq, s.catSeq)
 	}
@@ -632,4 +647,49 @@ func TestCatalogFull(t *testing.T) {
 		_, vol, logVol, _, durable := fill(t)
 		expectObjects(t, crashReopen(t, vol, logVol), durable)
 	})
+}
+
+// TestFormatClearsAnEarlierStoresCatalog: Format on a data volume that held
+// a store must not let that store's catalog slots pass for its own.  The
+// earlier store checkpointed often, so both its slots hold chains whose
+// seqs run past anything the new one writes before its own checkpoints do.
+func TestFormatClearsAnEarlierStoresCatalog(t *testing.T) {
+	vol := newTestDevice(t, 512, 4096)
+	old, err := Format(vol, newTestDevice(t, 512, 1024), Options{CatalogPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := old.Create("old", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := o.AppendWithHint(pat(i, 40), 40); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	logVol := newTestDevice(t, 512, 1024)
+	s, err := Format(vol, logVol, Options{CatalogPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"new": pat(99, 500)}
+	tx, _ := s.Begin()
+	if err := tx.Create("new", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("new", want["new"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	expectObjects(t, crashReopen(t, vol, logVol), want)
 }

@@ -13,11 +13,13 @@ import (
 // internal/lob/floor_test.go: the small transaction of commit_small — read,
 // replace those bytes, append, commit — on a warmed object must issue
 // exactly the device requests recovery can use.  Data volume: the read, the
-// append's one write into the open tail, the replace's in-place write, the
-// catalog delta.  Log volume: ONE write, of ceil(record bytes / page) pages,
-// that continues where the previous commit's force ended — no reposition,
-// and no page an earlier force wrote.  A request more on either volume
-// fails here before it reaches the benchmark.
+// append's one write into the open tail, the replace's in-place write —
+// nothing in the catalog region, since the commit's catalog delta rides the
+// log.  Log volume: ONE write, of ceil(record bytes / page) pages, that
+// continues where the previous commit's force ended — no reposition, and no
+// page an earlier force wrote — and carries the previous commit's catalog
+// record with this commit's records.  A request more on either volume fails
+// here before it reaches the benchmark.
 
 // gatedLog is a simulated log volume whose writes can be held: while armed,
 // a write announces itself on entered and waits for release.
@@ -124,16 +126,21 @@ func TestCommitFloor(t *testing.T) {
 	warm := len(*log)
 	st0 := s.Stats()
 	tailBytes := int64(len(model["x"])) % ps
+	carried := s.catLSN // the warm-up commit's catalog record, not forced yet
+	if carried == 0 || s.log.Durable(carried) || st0.Barrier.CatalogLogRecords != 1 {
+		t.Fatalf("the warm-up logged %d catalog records, the last (lsn %d) durable %v; want 1, waiting for a force",
+			st0.Barrier.CatalogLogRecords, carried, s.log.Durable(carried))
+	}
 	if err := smallTxn(t, s, "x", model, 70).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 
-	// Data volume: read, append, in-place replace, catalog delta — in that
-	// order, the last inside the catalog region.
+	// Data volume: read, append, in-place replace — in that order, and none
+	// of them in the header or the catalog region.
 	d := *data
-	if len(d) != 4 || d[0].Write || !d[1].Write || !d[2].Write || !d[3].Write {
-		t.Fatalf("data requests %+v, want one read and three writes", d)
+	if len(d) != 3 || d[0].Write || !d[1].Write || !d[2].Write {
+		t.Fatalf("data requests %+v, want one read and two writes", d)
 	}
 	if d[0].Pages != 1 || d[2].Start != d[0].Start || d[2].Pages != 1 {
 		t.Errorf("read %+v and in-place write %+v, want the one page that holds bytes 1100..1299", d[0], d[2])
@@ -141,15 +148,28 @@ func TestCommitFloor(t *testing.T) {
 	if want := (tailBytes + 700 + ps - 1) / ps; int64(d[1].Pages) != want {
 		t.Errorf("append wrote %d pages, want %d: the open tail's partial page of %d bytes on, 700 more", d[1].Pages, want, tailBytes)
 	}
-	if first := disk.PageNum(1); d[3].Start < first || d[3].Start >= first+disk.PageNum(catalogRegionPages(s.opts)) || d[3].Pages != 1 {
-		t.Errorf("last data write %+v, want a one-page catalog delta", d[3])
+	for _, ev := range d {
+		if ev.Start <= disk.PageNum(catalogRegionPages(s.opts)) {
+			t.Errorf("data request %+v lands in the header or the catalog region", ev)
+		}
 	}
-	if got := st.Barrier.CatalogDeltaWrites - st0.Barrier.CatalogDeltaWrites; got != 1 {
-		t.Errorf("%d catalog deltas, want 1", got)
+	b, b0 := st.Barrier, st0.Barrier
+	if b.CatalogDeltaWrites != b0.CatalogDeltaWrites || b.CatalogCompactions != b0.CatalogCompactions || b.HeaderWrites != b0.HeaderWrites {
+		t.Errorf("the commit wrote %d slot deltas, %d bases and %d headers, want none",
+			b.CatalogDeltaWrites-b0.CatalogDeltaWrites, b.CatalogCompactions-b0.CatalogCompactions, b.HeaderWrites-b0.HeaderWrites)
+	}
+	if got := b.CatalogLogRecords - b0.CatalogLogRecords; got != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
+		t.Errorf("%d catalog records (%d bytes) logged, want 1", got, b.CatalogLogBytes-b0.CatalogLogBytes)
+	}
+	// The commit force carried the warm-up's catalog record; this commit's
+	// own waits for the next one.
+	if !s.log.Durable(carried) || s.catLSN <= carried || s.log.Durable(s.catLSN) {
+		t.Errorf("catalog records: the carried one durable %v, the new one (lsn %d after %d) durable %v; want true, false",
+			s.log.Durable(carried), s.catLSN, carried, s.log.Durable(s.catLSN))
 	}
 
 	// Log volume: one write behind the warm-up commit's, sized by the
-	// records alone.
+	// records alone — the carried catalog record among them.
 	pages := checkLogWrites(t, *log)
 	if len(pages) != warm+1 {
 		t.Fatalf("%d log writes for one commit, want 1: %+v", len(pages)-warm, (*log)[warm:])
@@ -157,6 +177,9 @@ func TestCommitFloor(t *testing.T) {
 	recBytes := st.WAL.FlushedBytes - st0.WAL.FlushedBytes
 	if want := (recBytes + ps - 1) / ps; int64(pages[warm]) != want {
 		t.Errorf("the commit wrote %d log pages for %d bytes of records, want %d", pages[warm], recBytes, want)
+	}
+	if carriedBytes := b0.CatalogLogBytes; recBytes <= carriedBytes {
+		t.Errorf("the commit force flushed %d record bytes, not more than the %d of the carried catalog record", recBytes, carriedBytes)
 	}
 	if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != 1 {
 		t.Errorf("%d leader forces, want 1", got)

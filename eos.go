@@ -55,9 +55,10 @@ var (
 	ErrCorruptStore = errors.New("eos: corrupt store")
 	// ErrCatalogFull is returned by Commit, Abort and Checkpoint when the
 	// committed descriptors no longer fit in one catalog slot
-	// (Options.CatalogPages).  Nothing was written: the durable catalog
-	// still holds the previous barrier's state, the store stays usable,
-	// and destroying objects makes room.
+	// (Options.CatalogPages).  No catalog record was written: the durable
+	// catalog still holds the previous barrier's state (a commit is
+	// durable all the same, through its log records), the store stays
+	// usable, and destroying objects makes room.
 	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
@@ -65,7 +66,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 3 // v3: catalog slots are journals (base + delta records)
+	storeVersion = 4 // v4: catalog slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding
@@ -110,7 +111,8 @@ type Options struct {
 	// CatalogPages reserves room for object descriptors (default 4): the
 	// size of each of the two catalog slots.  The full catalog image must
 	// fit in one slot; the rest of the slot is journal space for the
-	// per-barrier deltas, so a larger value also means rarer compactions.
+	// per-checkpoint deltas, so a larger value also means rarer
+	// compactions.
 	CatalogPages int
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
@@ -294,16 +296,24 @@ type Store struct {
 	nextTxn  uint64
 	liveTxns map[uint64]*Txn
 	// The catalog journal's write position (eos:guardedby mu): catSeq is
-	// the sequence number of the newest record written, catSlot the slot
-	// holding it, and catNext the first page of that slot no record
+	// the sequence number of the newest slot record written, catSlot the
+	// slot holding it, and catNext the first page of that slot no record
 	// occupies — CatalogPages when the slot takes no more deltas, which
 	// is also how Open marks the slot it loaded.  catImage is what the
-	// journal replays to; writeCatalog appends its difference from the
-	// current committed descriptors.
-	catSeq   uint64
-	catSlot  int
-	catNext  int
-	catImage map[uint64]catRec
+	// slot and the log's catalog records above its stamp replay to: both
+	// writeCatalog and logCatalog record its difference from the current
+	// committed descriptors.  slotDirty holds the ids the log's records
+	// changed since the slot's newest record, which the next slot record
+	// must carry too; catLSN is the LSN of the newest catalog record
+	// logged, and pendBarrier the newest commit or abort barrier not yet
+	// counted durable (0 when there is none).
+	catSeq      uint64
+	catSlot     int
+	catNext     int
+	catImage    map[uint64]catRec
+	slotDirty   map[uint64]bool
+	catLSN      uint64
+	pendBarrier uint64
 	// hdrNextID and hdrLsnBase are the header fields as page 0 holds them
 	// (eos:guardedby mu); writeHeader skips the write when neither moved.
 	hdrNextID  uint64
@@ -317,9 +327,11 @@ type Store struct {
 	lsnBase uint64
 
 	// barrierStarted counts catalog barriers begun; barrierDurable is
-	// the index of the last one whose force completed.  Barriers are
-	// serialized under s.mu, but releaseRuns stamps quarantine entries
-	// without holding it, hence atomics.
+	// the index of the last one known durable: a checkpoint's once its
+	// slot record is forced, a commit's or abort's once a log force has
+	// covered its catalog record.  Barriers are serialized under s.mu, but
+	// releaseRuns stamps quarantine entries without holding it, hence
+	// atomics.
 	barrierStarted atomic.Uint64
 	barrierDurable atomic.Uint64
 
@@ -336,8 +348,14 @@ type Store struct {
 	catDeltaWrites  atomic.Int64
 	catCompactions  atomic.Int64
 	catPagesWritten atomic.Int64
+	catLogRecords   atomic.Int64
+	catLogBytes     atomic.Int64
 	headerWrites    atomic.Int64
 	dirPagesSkipped atomic.Int64
+
+	// recovered describes what the Open that built this Store found in the
+	// log; written only before Open returns.
+	recovered RecoveryStats
 
 	// Deferred-replace counters (see Stats).
 	deferredReplaces    atomic.Int64
@@ -400,8 +418,9 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		dirPages: spaceDirPages(bm),
 		// No slot holds a record yet: treating slot 1 as full sends the
 		// first base to slot 0.
-		catSlot: 1,
-		catNext: opts.CatalogPages,
+		catSlot:   1,
+		catNext:   opts.CatalogPages,
+		slotDirty: make(map[uint64]bool),
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -417,6 +436,14 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.log.SetGroupCommit(!opts.SerialWAL)
+	// A volume that held a store before may still hold its catalog slots,
+	// and their records could pass for this store's: between checkpoints,
+	// a slot this store has not written yet would be loaded for the higher
+	// seq it holds.  The region starts out blank.
+	region := catalogRegionPages(opts)
+	if err := vol.WritePages(1, region, make([]byte, region*vol.PageSize())); err != nil {
+		return nil, err
+	}
 	// The first checkpoint writes the header and the (empty) catalog base
 	// behind the formatted space directories.
 	if err := s.Checkpoint(); err != nil {
@@ -754,6 +781,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 		dirPages: spaceDirPages(bm),
 		lsnBase:  lsnBase,
 
+		slotDirty:  make(map[uint64]bool),
 		hdrNextID:  nextID,
 		hdrLsnBase: lsnBase,
 	}
@@ -770,10 +798,11 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.readCatalog(); err != nil {
+	catImg, stamp, err := s.readCatalog()
+	if err != nil {
 		return nil, err
 	}
-	if err := s.recover(); err != nil {
+	if err := s.recover(catImg, stamp); err != nil {
 		return nil, err
 	}
 	// Publish every recovered object's root so snapshot readers can
@@ -978,6 +1007,7 @@ func (s *Store) checkpointLocked() error {
 		if err := s.log.Force(); err != nil {
 			return err
 		}
+		s.stampLoggedBarrier()
 	}
 	// Phase 1: make the store state durable under the CURRENT LSN epoch,
 	// data barrier first, catalog barrier second (see forceDurableLocked
@@ -1023,11 +1053,12 @@ func (s *Store) checkpointLocked() error {
 	return s.releaseQuarantined()
 }
 
-// catalogBarrier is the second phase of every durable barrier: the header
-// and the catalog record, written only now that the caller has forced
+// catalogBarrier is the second phase of a checkpoint: the header and the
+// catalog slot record, written only now that the caller has forced
 // everything they reference, then forced themselves.  A torn record is
 // caught by its CRC and recovery falls back to the journal's previous
-// record, whose pages the durability quarantine keeps intact.
+// record, whose pages the durability quarantine keeps intact.  (Commits
+// and aborts log their catalog records instead: logCatalog.)
 //
 // eos:requires s.mu
 func (s *Store) catalogBarrier() error {
@@ -1174,13 +1205,18 @@ type SnapshotStats struct {
 // checkpoints durable: what the catalog journal and the header wrote,
 // besides the data and log pages themselves.
 type BarrierStats struct {
-	// CatalogDeltaWrites counts barriers that appended a delta record to
-	// the current catalog slot; CatalogCompactions counts those that
+	// CatalogDeltaWrites counts checkpoints that appended a delta record
+	// to the current catalog slot; CatalogCompactions counts those that
 	// wrote the full image as the base of the other slot instead.
 	CatalogDeltaWrites int64
 	CatalogCompactions int64
 	// CatalogPagesWritten is the pages both kinds of record occupied.
 	CatalogPagesWritten int64
+	// CatalogLogRecords counts the commit and abort barriers that appended
+	// a catalog record to the log; CatalogLogBytes is the log bytes those
+	// records took, headers included.
+	CatalogLogRecords int64
+	CatalogLogBytes   int64
 	// HeaderWrites counts rewrites of the header page (only when nextID
 	// or the LSN epoch base moved).
 	HeaderWrites int64
@@ -1189,6 +1225,16 @@ type BarrierStats struct {
 	// are rebuilt by every Open, so only eviction, Checkpoint and Close
 	// write them.
 	DirPagesSkipped int64
+}
+
+// RecoveryStats describes what recovery did when Open built the Store.
+type RecoveryStats struct {
+	// CatalogRecords counts the log's catalog records newer than the
+	// loaded slot record, which recovery applied before redo.
+	CatalogRecords int64
+	// Redone counts the committed operations redo re-executed: those
+	// whose effect the recovered catalog's roots did not show.
+	Redone int64
 }
 
 // Stats aggregates the store's activity counters across layers.
@@ -1201,6 +1247,9 @@ type Stats struct {
 	Snap  SnapshotStats
 	// Barrier counts what catalog barriers wrote.
 	Barrier BarrierStats
+	// Recovery is what the Open that built the Store recovered (zero after
+	// Format).
+	Recovery RecoveryStats
 	// DeferredReplaces counts transactional replaces whose in-place write
 	// waited for a later log force; EarlyReplaceApplies counts those of
 	// them a later operation of the same transaction on the same object
@@ -1234,9 +1283,12 @@ func (s *Store) Stats() Stats {
 			CatalogDeltaWrites:  s.catDeltaWrites.Load(),
 			CatalogCompactions:  s.catCompactions.Load(),
 			CatalogPagesWritten: s.catPagesWritten.Load(),
+			CatalogLogRecords:   s.catLogRecords.Load(),
+			CatalogLogBytes:     s.catLogBytes.Load(),
 			HeaderWrites:        s.headerWrites.Load(),
 			DirPagesSkipped:     s.dirPagesSkipped.Load(),
 		},
+		Recovery:            s.recovered,
 		DeferredReplaces:    s.deferredReplaces.Load(),
 		EarlyReplaceApplies: s.earlyReplaceApplies.Load(),
 		ReplaceReadsSaved:   s.replaceReadsSaved.Load(),

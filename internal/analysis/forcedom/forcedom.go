@@ -13,9 +13,10 @@
 //     write was deferred) is dominated by a WAL force — the pre-image
 //     record must be durable before it is the only copy of the old
 //     bytes.
-//  2. Two-phase checkpoint: header/catalog writes ((*Store).writeHeader
-//     / writeCatalog) are dominated by a device force of the data pages
-//     they index.
+//  2. Two-phase barrier: header/catalog writes ((*Store).writeHeader
+//     / writeCatalog) and a commit's catalog record appended to the log
+//     ((*Store).logCatalog) are dominated by a device force of the data
+//     pages they index.
 //  3. Abort ordering: the abort record (wal.Record{Type: RecAbort}) is
 //     constructed only after a device force makes the compensations it
 //     acknowledges durable.

@@ -169,9 +169,10 @@ const (
 	// KRename renames a file (os.Rename) — volatile until the owning
 	// directory is synced.
 	KRename
-	// KMetaWrite writes the store header or catalog region
-	// ((*Store).writeHeader / writeCatalog): the metadata half of the
-	// two-phase checkpoint barrier.
+	// KMetaWrite writes the store header or catalog region, or appends a
+	// commit's catalog record to the log ((*Store).writeHeader /
+	// writeCatalog / logCatalog): the metadata half of the two-phase
+	// barrier.
 	KMetaWrite
 	// KAbortRec constructs a wal.Record with Type RecAbort — the abort
 	// record that must not be appended before compensations are durable.
@@ -434,7 +435,7 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	if eosutil.IsPkgFunc(info, call, "os", "Rename") {
 		return KRename, "os.Rename", true
 	}
-	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "writeHeader", "writeCatalog"); ok {
+	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "writeHeader", "writeCatalog", "logCatalog"); ok {
 		return KMetaWrite, "Store." + m, true
 	}
 	// Extent reallocation: only calls from outside the allocator itself

@@ -11,14 +11,15 @@ import (
 )
 
 // Store mirrors the engine root type so the meta-write classification
-// (unexported writeHeader/writeCatalog on a type named Store, same
-// package) has a subject.
+// (unexported writeHeader/writeCatalog/logCatalog on a type named Store,
+// same package) has a subject.
 type Store struct {
 	barrierDurable atomic.Uint64
 }
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
+func (s *Store) logCatalog() error   { return nil }
 
 // durability exercises every v4 durability-event kind in one function;
 // the ssa probe asserts each classification.
@@ -31,6 +32,7 @@ func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *
 	os.Rename("a", "b")
 	s.writeHeader()
 	s.writeCatalog()
+	s.logCatalog()
 	m.Free(0, 1)
 	s.barrierDurable.Store(1)
 	_ = s.barrierDurable.Load()

@@ -24,6 +24,7 @@ type Store struct {
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
+func (s *Store) logCatalog() error   { return nil }
 
 // Txn mirrors the transaction type the -recv flag roots rule 1 on.
 type Txn struct {
@@ -97,6 +98,16 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	return s.vol.ForceAll()
+}
+
+// CommitBarrier is shape 2 on the commit path: the commit's catalog record
+// is appended to the log before the data pages its roots name are forced,
+// so any later log force can make the roots durable ahead of their pages.
+func (s *Store) CommitBarrier() error {
+	if err := s.logCatalog(); err != nil { // want "checkpoint metadata write Store.logCatalog is not dominated by a device force"
+		return err
+	}
+	return s.vol.ForceAllExcept(nil)
 }
 
 // Abort is shape 3 (PR 8: abort-before-compensation): the abort record

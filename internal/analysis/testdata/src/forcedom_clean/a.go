@@ -23,6 +23,7 @@ type Store struct {
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
+func (s *Store) logCatalog() error   { return nil }
 
 // forceDurable is the force helper: callers discharge their device
 // obligations through its may-force summary.
@@ -135,6 +136,16 @@ func (s *Store) Checkpoint() error {
 	}
 	s.barrierDurable.Store(1)
 	return nil
+}
+
+// CommitBarrier forces the data pages first, then appends the catalog
+// record that names them to the log, unforced: the next log force carries
+// it.
+func (s *Store) CommitBarrier() error {
+	if err := s.forceDurable(); err != nil {
+		return err
+	}
+	return s.logCatalog()
 }
 
 // Abort makes compensations durable through the force helper before

@@ -11,7 +11,7 @@ func sweepConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Seed:           42,
-		Workload:       WorkloadConfig{Seed: 42, Txns: 170},
+		Workload:       WorkloadConfig{Seed: 42, Txns: 186},
 		Opts:           eos.Options{Threshold: 4},
 		SubsetEvery:    6,
 		SubsetSamples:  2,
@@ -28,9 +28,10 @@ func sweepConfig(t *testing.T) Config {
 // states of a mixed workload and require every recovery invariant to
 // hold on each.  It runs twice: with the default four-page catalog
 // slots, where a compaction into the other slot comes every few
-// barriers, and with slots large enough that the journal grows long
-// delta chains between compactions.  Short mode runs a reduced but still
-// multi-hundred-state sweep.
+// checkpoints, and with slots large enough that the journal grows long
+// delta chains between compactions (commits and aborts write no slot
+// record: their catalog records ride the log).  Short mode runs a
+// reduced but still multi-hundred-state sweep.
 func TestCrashSweep(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -70,9 +71,21 @@ func TestCrashSweep(t *testing.T) {
 			// lost" was a state of its own.  (With zero padding it would be
 			// 1519 / 1490: one force's last page holds nothing but the zero
 			// tail of a commit record, and only the 0xFF padding behind it
-			// tells that page from one never written.)
+			// tells that page from one never written.)  Since a commit's
+			// catalog delta rides the log, a commit issues one data-volume
+			// write and one force fewer, and 170 transactions gave only
+			// 1437 / 1437.  The workload runs 186 (1554 / 1554): a margin
+			// above the floor, at a count whose final state still gives the
+			// loser an open tail to continue (TestWorkloadCoversAppendShapes;
+			// 180 does not).
 			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
+			}
+			// Commits log their catalog records unforced: the sweep must
+			// reach both outcomes, a record the next force carried and one
+			// it did not, whose commit redo re-executes.
+			if res.Adopted == 0 || res.Redone == 0 {
+				t.Fatalf("%d states adopted a logged catalog record and %d redid committed operations, want both > 0", res.Adopted, res.Redone)
 			}
 		})
 	}
@@ -105,8 +118,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d adopted a logged catalog record, %d redid commits), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.Adopted, res.Redone, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

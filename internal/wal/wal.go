@@ -56,6 +56,7 @@ const (
 	RecReplace  // Data written at Off; OldData holds the previous bytes
 	RecTruncate // object truncated to Off (reserved: Txn.Truncate logs a RecDelete)
 	RecCheckpoint
+	RecCatalog // catalog delta of a commit or abort barrier: Data is the payload, N the next object id
 )
 
 func (t RecType) String() string {
@@ -82,6 +83,8 @@ func (t RecType) String() string {
 		return "truncate"
 	case RecCheckpoint:
 		return "checkpoint"
+	case RecCatalog:
+		return "catalog"
 	}
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
@@ -212,9 +215,14 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
+// Size is the number of log bytes r occupies.
+func (r *Record) Size() int {
+	return recHeaderSize + len(r.Data) + len(r.OldData) + len(r.Extents)*extentEncBytes
+}
+
 // encode serializes r (LSN must already be set).
 func encode(r *Record) []byte {
-	buf := make([]byte, recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
+	buf := make([]byte, r.Size())
 	binary.BigEndian.PutUint32(buf[4:], uint32(len(buf)))
 	binary.BigEndian.PutUint64(buf[8:], r.LSN)
 	binary.BigEndian.PutUint64(buf[16:], r.Txn)
@@ -409,6 +417,15 @@ func (l *Log) forceTo(target int64) error {
 	l.stats.LeaderForces++
 	l.mu.Unlock()
 	return nil
+}
+
+// Durable reports whether a force has covered the record with the given
+// LSN.  Records of earlier epochs are durable: truncation follows a
+// checkpoint that made everything they describe durable.
+func (l *Log) Durable(lsn uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return lsn <= l.base+uint64(l.forced)
 }
 
 // Tail returns the log length in bytes, padding included.

@@ -18,10 +18,14 @@ import (
 //     and catalog writes substitute the last committed descriptor for
 //     any transaction-dirty object — and keep the record of an object a
 //     live transaction has destroyed.
-//   - Every volume force is followed by a catalog barrier (commits,
-//     aborts, checkpoints all go through the same path) that journals
-//     whichever descriptors changed, so durable page content and the
-//     durable catalog always describe the same state.
+//   - Every volume force is followed by a catalog barrier that journals
+//     whichever descriptors changed — in the log for commits and aborts
+//     (one unforced RecCatalog record, durable with the next log force),
+//     in a catalog slot for checkpoints — so the durable catalog never
+//     names a page the device does not hold.  It may lag the data: a
+//     commit whose catalog record was lost is redone from older roots,
+//     which the durability quarantine keeps intact until a force covers
+//     the record.
 //   - An in-place write reaches the device only behind a force of the
 //     log record holding its pre-image.  A replace whose write is
 //     deferred to commit is written behind the commit record's force, so
@@ -41,7 +45,8 @@ import (
 // The recovery procedure:
 //
 //  1. Scan the log; classify transactions as committed, aborted, or in
-//     flight.
+//     flight.  Apply the catalog records above the loaded slot's stamp to
+//     its image, in log order, and load the result.
 //  2. UNDO pass: for in-flight transactions' replace records, in reverse
 //     log order, restore the logged pre-image at each physical extent
 //     where the post-image is present (replace is the only in-place
@@ -61,13 +66,31 @@ import (
 //     epoch, which is what puts everything the scan stopped in front of
 //     out of every later scan's reach (the log is never erased).
 
-func (s *Store) recover() error {
+// recover runs the procedure above over img, the image of the catalog
+// slot Open loaded, which covers the log through LSN stamp.
+func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 	log, recs, err := wal.Recover(s.logVol, s.lsnBase)
 	if err != nil {
 		return err
 	}
 	log.SetGroupCommit(!s.opts.SerialWAL)
 	s.log = log
+
+	// A catalog record at or below the stamp is older than the slot, which
+	// may have caught later changes no record carries.
+	for _, r := range recs {
+		if r.Type != wal.RecCatalog || r.LSN <= stamp {
+			continue
+		}
+		if err := applyCatPayload(img, r.Data); err != nil {
+			return err
+		}
+		s.nextID = max(s.nextID, uint64(r.N))
+		s.recovered.CatalogRecords++
+	}
+	if err := s.loadCatalog(img); err != nil {
+		return err
+	}
 
 	committed := make(map[uint64]bool)
 	ended := make(map[uint64]bool)
@@ -116,8 +139,12 @@ func (s *Store) recover() error {
 		if !committed[r.Txn] {
 			continue
 		}
-		if err := s.redo(r); err != nil {
+		redone, err := s.redo(r)
+		if err != nil {
 			return fmt.Errorf("eos: redo of %s (lsn %d): %w", r.Type, r.LSN, err)
+		}
+		if redone {
+			s.recovered.Redone++
 		}
 	}
 
@@ -178,8 +205,9 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
-// redo re-executes one committed operation if the object has not seen it.
-func (s *Store) redo(r *wal.Record) error {
+// redo re-executes one committed operation if the object has not seen it,
+// and reports whether it did.
+func (s *Store) redo(r *wal.Record) (bool, error) {
 	s.mu.Lock()
 	e := s.byID[r.Object]
 	s.mu.Unlock()
@@ -187,7 +215,7 @@ func (s *Store) redo(r *wal.Record) error {
 	switch r.Type {
 	case wal.RecCreate:
 		if e != nil {
-			return nil // create already durable
+			return false, nil // create already durable
 		}
 		s.mu.Lock()
 		if cur := s.catalog[string(r.Data)]; cur != nil && cur.id > r.Object {
@@ -198,7 +226,7 @@ func (s *Store) redo(r *wal.Record) error {
 			// its destroy would then leave the name to nobody.  The records
 			// that follow for it find no entry and are skipped.
 			s.mu.Unlock()
-			return nil
+			return false, nil
 		}
 		e = &catEntry{id: r.Object, name: string(r.Data), obj: s.lm.NewObject(int(r.N))}
 		s.catalog[e.name] = e
@@ -209,27 +237,27 @@ func (s *Store) redo(r *wal.Record) error {
 		s.mu.Unlock()
 		e.obj.SetLSN(r.LSN)
 		e.setStableDesc(e.obj.EncodeDescriptor())
-		return nil
+		return true, nil
 	case wal.RecDestroy:
 		if e == nil {
-			return nil // destroy already durable
+			return false, nil // destroy already durable
 		}
 		if err := e.obj.Destroy(); err != nil {
-			return err
+			return false, err
 		}
 		s.mu.Lock()
 		delete(s.catalog, e.name)
 		delete(s.byID, e.id)
 		s.mu.Unlock()
-		return nil
+		return true, nil
 	case wal.RecAppend, wal.RecInsert, wal.RecDelete, wal.RecReplace:
 		if e == nil {
 			// Object destroyed by a later committed operation; the
 			// destroy's redo (or durable state) governs.
-			return nil
+			return false, nil
 		}
 		if e.obj.LSN() >= r.LSN {
-			return nil // effect already durable: idempotent skip
+			return false, nil // effect already durable: idempotent skip
 		}
 		var err error
 		switch r.Type {
@@ -243,7 +271,7 @@ func (s *Store) redo(r *wal.Record) error {
 			err = e.obj.Replace(r.Off, r.Data)
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		e.obj.SetLSN(r.LSN)
 		// The re-executed operation is committed state: the checkpoint
@@ -251,9 +279,9 @@ func (s *Store) redo(r *wal.Record) error {
 		// post-redo root or the redone update would be lost when the
 		// log truncates.
 		e.setStableDesc(e.obj.EncodeDescriptor())
-		return nil
+		return true, nil
 	}
-	return nil // control records
+	return false, nil // control and catalog records
 }
 
 // rebuildFreeSpace reformats every buddy space and reserves the pages

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"github.com/eosdb/eos/internal/disk"
 )
 
 // TestRecoverysSurviveRepeatedCrashes re-crashes the store in the middle
@@ -435,6 +437,214 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// loggedDeltaStore returns a checkpointed store holding "x" (6000 bytes) and
+// "y" (3000 bytes), and a transaction on x — replace, append — committed
+// right after it, so that the commit's catalog record waits in the log
+// buffer for the next force.  want holds the committed contents.
+func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map[string][]byte) {
+	t.Helper()
+	s, vol, logVol, base := replaceStore(t, Options{})
+	y, err := s.Create("y", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = map[string][]byte{"x": base, "y": pat(61, 3000)}
+	if err := y.Append(want["y"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := s.Begin()
+	repl, more := pat(62, 300), pat(63, 900)
+	if err := tx.Replace("x", 1000, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want["x"] = append(append([]byte{}, base...), more...)
+	copy(want["x"][1000:], repl)
+	if s.catLSN == 0 || s.log.Durable(s.catLSN) {
+		t.Fatalf("the commit left no catalog record waiting for a force (lsn %d)", s.catLSN)
+	}
+	return s, vol, logVol, want
+}
+
+// TestLoggedCatalogRecordLostBeforeTheNextForce cuts the power after a
+// commit's force and before any other: the commit's catalog record was
+// never written, so recovery loads the older roots and redoes the commit
+// from its log records.
+func TestLoggedCatalogRecordLostBeforeTheNextForce(t *testing.T) {
+	_, vol, logVol, want := loggedDeltaStore(t)
+	s := crashReopen(t, vol, logVol)
+	expectObjects(t, s, want)
+	if rs := s.Stats().Recovery; rs.CatalogRecords != 0 || rs.Redone != 2 {
+		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 0 and 2 (the replace and the append)", rs.CatalogRecords, rs.Redone)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoggedCatalogRecordAdoptedAfterTheNextForce: the next commit's force
+// carries the catalog record, so recovery takes x's new root from it and
+// redoes none of x's operations — only the append of the second commit,
+// whose own record was still waiting.
+func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
+	s, vol, logVol, want := loggedDeltaStore(t)
+	carried := s.catLSN
+	tx, _ := s.Begin()
+	more := pat(64, 400)
+	if err := tx.Append("y", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want["y"] = append(want["y"], more...)
+	if !s.log.Durable(carried) {
+		t.Fatal("the second commit's force did not carry the first commit's catalog record")
+	}
+	s = crashReopen(t, vol, logVol)
+	expectObjects(t, s, want)
+	if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 1 {
+		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 1 (y's append)", rs.CatalogRecords, rs.Redone)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatalogSlotStampHidesOlderLogRecords: a non-transactional append
+// follows a commit on the same object, and a soft checkpoint (another
+// transaction is live, so the log stays) writes the slot with the append
+// in it.  The commit's catalog record lies below the slot's stamp and must
+// not be replayed: it holds the root from before the append.
+func TestCatalogSlotStampHidesOlderLogRecords(t *testing.T) {
+	s, vol, logVol, want := loggedDeltaStore(t)
+	x, _ := s.Open("x")
+	more := pat(65, 700)
+	if err := x.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	want["x"] = append(want["x"], more...)
+	live, _ := s.Begin()
+	if err := live.Append("y", pat(66, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LogTail() == 0 {
+		t.Fatal("the checkpoint truncated the log with a transaction live")
+	}
+	s = crashReopen(t, vol, logVol)
+	expectObjects(t, s, want)
+	if rs := s.Stats().Recovery; rs.CatalogRecords != 0 {
+		t.Fatalf("recovery applied %d catalog records older than the slot", rs.CatalogRecords)
+	}
+}
+
+// TestQuarantineWaitsForTheLoggedCatalogRecord: a committed Delete frees a
+// segment, and until a log force covers the commit's catalog record the
+// durable catalog still names it — so no barrier may let it out of the
+// durability quarantine before that.  An aborting transaction's barrier
+// runs before its abort record's force; failing that force leaves the
+// record unwritten behind a completed barrier.
+func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
+	s, _, logVol, _, _ := handoffStore(t, Options{})
+	reachable := func() map[disk.PageNum]bool {
+		s.mu.Lock()
+		e := s.catalog["m"]
+		s.mu.Unlock()
+		runs, err := e.obj.ReachablePages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[disk.PageNum]bool{}
+		for _, r := range runs {
+			for i := 0; i < r.Pages; i++ {
+				out[r.Start+disk.PageNum(i)] = true
+			}
+		}
+		return out
+	}
+	quarantined := func(p disk.PageNum) bool {
+		s.quarMu.Lock()
+		defer s.quarMu.Unlock()
+		for _, q := range s.quar {
+			if p >= q.run.Start && p < q.run.Start+disk.PageNum(q.run.Pages) {
+				return true
+			}
+		}
+		return false
+	}
+	before := reachable()
+	tx, _ := s.Begin()
+	if err := tx.Delete("m", 5000, 5000); err != nil { // the middle segment, whole
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	record := s.catLSN
+	after := reachable()
+	var freed []disk.PageNum
+	for p := range before {
+		if !after[p] {
+			freed = append(freed, p)
+		}
+	}
+	if len(freed) == 0 {
+		t.Fatal("the delete freed no page")
+	}
+	check := func(when string, want bool) {
+		t.Helper()
+		for _, p := range freed {
+			if quarantined(p) != want {
+				t.Fatalf("%s: freed page %d quarantined = %v, want %v (catalog record durable: %v)", when, p, !want, want, s.log.Durable(record))
+			}
+		}
+	}
+	check("after the commit", true)
+
+	boom := errors.New("boom")
+	abort, _ := s.Begin()
+	if err := abort.Append("other", pat(67, 600)); err != nil {
+		t.Fatal(err)
+	}
+	logVol.FailAfter(0, boom)
+	err := abort.Abort()
+	logVol.ClearFault()
+	if !errors.Is(err, boom) {
+		t.Fatalf("abort over a failing log volume: %v", err)
+	}
+	if s.log.Durable(record) {
+		t.Fatal("the delete's catalog record became durable although every log write failed")
+	}
+	check("after a barrier whose log force failed", true)
+
+	// A force, then the next barrier: now the record is durable.
+	next, _ := s.Begin()
+	if err := next.Append("other", pat(68, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.log.Durable(record) {
+		t.Fatal("a commit force did not carry the delete's catalog record")
+	}
+	check("after the next commit", false)
+	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

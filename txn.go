@@ -652,7 +652,9 @@ func (t *Txn) Size(name string) (int64, error) {
 // Commit makes the transaction durable: the commit record is forced to
 // the log, deferred replaces are written home behind that force, the
 // deferred frees are applied, dirty pages (bar the space directories) are
-// flushed and forced, and the catalog is updated with the new descriptors.
+// flushed and forced, and the new descriptors are appended to the log as
+// a catalog record that the next log force carries — until then recovery
+// redoes the transaction from its log records.
 func (t *Txn) Commit() error { return t.commit(true) }
 
 // CommitNoForce is the fast commit path: the commit record is appended
@@ -678,9 +680,10 @@ func (t *Txn) commit(force bool) error {
 
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
-// in-place writes are on the device, and any catalog barrier persists its
-// new roots and forces its pages.  It reports whether the transaction
-// performed no mutating operation.
+// in-place writes are on the device, and any catalog barrier forces its
+// pages and then records its new roots (in the log, or in a checkpoint's
+// catalog slot).  It reports whether the transaction performed no
+// mutating operation.
 func (t *Txn) commitLog() (readOnly bool, err error) {
 	t.done = true
 	// A transaction that performed no mutating operation has nothing to
@@ -794,11 +797,14 @@ func (t *Txn) publishTouched() {
 // forceDurableLocked makes the committed state durable in two barriers,
 // skipping pages other live transactions have written in place (minus
 // any t also wrote).  The order is load-bearing: the data barrier
-// (index and data pages) completes BEFORE the catalog that references
-// those pages is written, so no crash state can hold a durable catalog
-// root pointing at a page the device never received.  The space
-// directories stay dirty in the pool: they are soft state no recovery
-// reads.  Caller holds s.mu; t may be nil (checkpoint-style force).
+// (index and data pages) completes BEFORE the catalog record that
+// references those pages is appended to the log, so no crash state can
+// hold a durable catalog root pointing at a page the device never
+// received.  The record is not forced here: the next log force carries
+// it, and until then the barrier does not count as complete for the
+// durability quarantine.  The space directories stay dirty in the pool:
+// they are soft state no recovery reads.  Caller holds s.mu; t may be nil
+// (checkpoint-style force).
 //
 // eos:requires s.mu
 func (s *Store) forceDurableLocked(t *Txn) error {
@@ -823,7 +829,7 @@ func (s *Store) forceDurableLocked(t *Txn) error {
 	if err := s.vol.ForceAllExcept(skip); err != nil {
 		return err
 	}
-	if err := s.catalogBarrier(); err != nil {
+	if err := s.logCatalog(); err != nil {
 		return err
 	}
 	return s.releaseQuarantined()
@@ -834,9 +840,9 @@ func (s *Store) forceDurableLocked(t *Txn) error {
 // logged pre-image undoes replace, truncation undoes append, the
 // descriptor snapshot resurrects a destroyed object), surviving deferred
 // frees are applied, and locks are released.  The abort record reaches
-// the log only after the compensations and catalog are durable, so an
-// "ended" classification at recovery always means the rollback is fully
-// on disk.
+// the log only after the compensations are durable, and behind the
+// barrier's catalog record, so an "ended" classification at recovery
+// always means the rollback is fully on disk.
 //
 // Each compensation runs under the object's write latch, which a reader
 // of another byte range under range locking shares; the latch is dropped
@@ -929,12 +935,13 @@ func (t *Txn) Abort() error {
 	// describes them.  So an abort forces exactly like a durable commit.
 	err := t.s.forceDurableLocked(t)
 	t.s.mu.Unlock()
-	// The abort record is written only AFTER the compensations and the
-	// catalog are durable.  Order is load-bearing: recovery does not
-	// undo an ended transaction's replaces, so if the abort record
-	// could become durable while a compensation write was still
-	// volatile, a crash in between would leave the forward replace's
-	// post-image in the recovered state with nothing to erase it.
+	// The abort record is written only AFTER the compensations are durable
+	// and behind the catalog record, which its force carries.  Order is
+	// load-bearing: recovery does not undo an ended transaction's
+	// replaces, so if the abort record could become durable while a
+	// compensation write was still volatile, a crash in between would
+	// leave the forward replace's post-image in the recovered state with
+	// nothing to erase it.
 	// Written this late, a crash before the record classifies the
 	// transaction as in flight and the forward records' pre-images undo
 	// it (idempotently: extents whose compensation did reach the disk

@@ -260,7 +260,8 @@ func TestRangeLockingReplaceStaysImmediate(t *testing.T) {
 // savings visible: a replace right behind a read of its bytes plans on the
 // read's page images, a commit whose append dirtied a space directory
 // leaves that page in the pool (the device image moves only at the next
-// checkpoint), a replace that waits for the commit force counts as
+// checkpoint), the commit's catalog delta is one record in the log and no
+// catalog page, a replace that waits for the commit force counts as
 // deferred, and one a later operation settles counts as an early apply
 // too.
 func TestCommitPathCounters(t *testing.T) {
@@ -277,6 +278,7 @@ func TestCommitPathCounters(t *testing.T) {
 		return out
 	}
 	before := dirImages()
+	st0 := s.Stats()
 	tx, _ := s.Begin()
 	if _, err := tx.Read("x", 0, 100); err != nil {
 		t.Fatal(err)
@@ -303,6 +305,13 @@ func TestCommitPathCounters(t *testing.T) {
 	if st.Barrier.DirPagesSkipped != 1 {
 		t.Fatalf("the commit barrier skipped %d directory pages, want 1", st.Barrier.DirPagesSkipped)
 	}
+	b, b0 := st.Barrier, st0.Barrier
+	if b.CatalogLogRecords-b0.CatalogLogRecords != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
+		t.Fatalf("the commit logged %d catalog records (%d bytes), want 1", b.CatalogLogRecords-b0.CatalogLogRecords, b.CatalogLogBytes-b0.CatalogLogBytes)
+	}
+	if b.CatalogDeltaWrites != b0.CatalogDeltaWrites || b.CatalogCompactions != b0.CatalogCompactions || b.CatalogPagesWritten != b0.CatalogPagesWritten {
+		t.Fatalf("the commit wrote %d catalog pages, want none: its catalog record rides the log", b.CatalogPagesWritten-b0.CatalogPagesWritten)
+	}
 	if !reflect.DeepEqual(dirImages(), before) {
 		t.Fatal("the commit barrier wrote the space directory")
 	}
@@ -321,7 +330,8 @@ func TestCommitPathCounters(t *testing.T) {
 // T1's new root, whose LSN tells redo that T1 is already applied.  That
 // barrier must therefore have forced T1's in-place pages, which it does
 // only if T1 stopped counting as live in the same critical section that
-// refreshed the root.
+// refreshed the root.  (T2's catalog record waits for the next log force;
+// the test issues one before the crash, so that recovery adopts it.)
 func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	y, err := s.Create("y", 0)
@@ -354,8 +364,14 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.log.Force(); err != nil {
+		t.Fatal(err)
+	}
 
 	s = crashReopen(t, vol, logVol)
+	if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 0 {
+		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 0", rs.CatalogRecords, rs.Redone)
+	}
 	want := append(append([]byte{}, base...), tail...)
 	copy(want[1000:], repl)
 	got := readObject(t, s, "x")
@@ -1001,7 +1017,9 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var model []byte
+	var logged int64 // catalog record bytes before the last commit
 	for i := 0; i < 3; i++ {
+		logged = s.Stats().Barrier.CatalogLogBytes
 		tx, _ := s.Begin()
 		more := pat(80+i, 100)
 		if err := tx.Append("x", more); err != nil {
@@ -1013,17 +1031,20 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 		model = append(model, more...)
 	}
 	st := s.Stats()
-	if s.LogTail() != 3*512 {
-		t.Fatalf("log tail at %d after three one-page commits, want %d", s.LogTail(), 3*512)
+	// Each commit force carried the catalog record of the commit before;
+	// the third's waits in the buffer.
+	pending := int(st.Barrier.CatalogLogBytes - logged)
+	if s.LogTail() != int64(3*512+pending) {
+		t.Fatalf("log tail at %d after three one-page commits and a %d-byte catalog record, want %d", s.LogTail(), pending, 3*512+pending)
 	}
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := int(s.LogTail()) - 3*512  // a record without payload: the begin record
-	room := 4*512 - int(s.LogTail()) // what is left of the last page
-	big := pat(90, room-hdr+1)       // its record is one byte longer than that
-	if int(st.WAL.FlushedBytes)+3*hdr+len(big) > 4*512 {
+	hdr := int(s.LogTail()) - 3*512 - pending // a record without payload: the begin record
+	room := 4*512 - int(s.LogTail())          // what is left of the last page
+	big := pat(90, room-hdr+1)                // its record is one byte longer than that
+	if int(st.WAL.FlushedBytes)+pending+3*hdr+len(big) > 4*512 {
 		t.Fatal("the transaction would not fit an unpadded log either; the test proves nothing")
 	}
 	before := s.LogTail()
