@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	eosctl -store dir [-backend img|file] init [-pages N] [-pagesize N] [-threshold T] [-direct]
+//	eosctl -store dir init [-pages N] [-pagesize N] [-threshold T] [-direct]
 //	eosctl -store dir ls
 //	eosctl -store dir put <object>            # bytes from stdin
 //	eosctl -store dir get <object>            # bytes to stdout
@@ -15,22 +15,19 @@
 //	eosctl -store dir stat [object]
 //	eosctl -store dir dump <object>           # physical segment map
 //	eosctl -store dir fsck
-//	eosctl -store dir migrate img|file        # convert between backends
 //
-// Two persistence backends exist.  The default, img, keeps the store as
-// simulator volume images (data.img, log.img): every command loads the
-// images, performs the operation inside a transaction, checkpoints, and
-// saves the images back.  The file backend keeps real page files
-// (data.eos, log.eos) that the engine reads and writes in place with
-// pread/pwrite and fdatasync — no load/save step, and crash recovery
-// replays the write-ahead log on open.  "migrate" converts a store from
-// one backend to the other in the same directory.
+// The store is two page files (data.eos, log.eos) that the engine reads
+// and writes in place with pread/pwrite and fdatasync.  Every command
+// opens the store, which replays the write-ahead log after a crash, and
+// a command that changes it checkpoints before it exits.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -41,11 +38,10 @@ import (
 
 func main() {
 	storeDir := flag.String("store", "", "store directory")
-	backend := flag.String("backend", "img", "persistence backend: img (simulator images) or file (real page files)")
 	pages := flag.Int("pages", 65536, "init: data volume size in pages")
 	pageSize := flag.Int("pagesize", 4096, "init: page size in bytes")
 	threshold := flag.Int("threshold", 8, "init: default segment size threshold T")
-	direct := flag.Bool("direct", false, "file backend: open volumes with O_DIRECT")
+	direct := flag.Bool("direct", false, "open the page files with O_DIRECT")
 	flag.Parse()
 
 	if *storeDir == "" || flag.NArg() < 1 {
@@ -54,177 +50,50 @@ func main() {
 	}
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
-	if err := run(*storeDir, *backend, cmd, args, *pages, *pageSize, *threshold, *direct); err != nil {
+	if err := run(*storeDir, cmd, args, *pages, *pageSize, *threshold, *direct); err != nil {
 		fmt.Fprintf(os.Stderr, "eosctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func dataPath(dir string) string { return filepath.Join(dir, "data.img") }
-func logPath(dir string) string  { return filepath.Join(dir, "log.img") }
-
-// filePaths are the file-backend volume names (matching eos.CreateAt).
-func fileDataPath(dir string) string { return filepath.Join(dir, "data.eos") }
-func fileLogPath(dir string) string  { return filepath.Join(dir, "log.eos") }
-
-// openStore loads the store for one command and returns it with a save
-// function the mutating commands call: the img backend checkpoints and
-// writes the images back, the file backend checkpoints in place (the
-// page files are already the store).
-func openStore(dir, backend string, direct bool) (*eos.Store, func() error, error) {
-	switch backend {
-	case "img":
-		vol, err := disk.LoadVolume(dataPath(dir), disk.DefaultCostModel())
-		if err != nil {
-			return nil, nil, err
+// openStore opens the store in dir.  A directory that holds only the
+// volume images older releases kept is named as such: this build no
+// longer reads them.
+func openStore(dir string, direct bool) (*eos.Store, error) {
+	s, err := eos.OpenAt(dir, eos.Options{DirectIO: direct})
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, ierr := os.Stat(filepath.Join(dir, "data.img")); ierr == nil {
+			return nil, fmt.Errorf("%s holds volume images (data.img, log.img) and no data.eos: "+
+				"convert them with the previous release's \"eosctl -store %s migrate file\"", dir, dir)
 		}
-		logVol, err := disk.LoadVolume(logPath(dir), disk.DefaultCostModel())
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := eos.Open(vol, logVol, eos.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func() error {
-			if err := s.Checkpoint(); err != nil {
-				return err
-			}
-			if err := vol.SaveFile(dataPath(dir)); err != nil {
-				return err
-			}
-			return logVol.SaveFile(logPath(dir))
-		}
-		return s, save, nil
-	case "file":
-		s, err := eos.OpenAt(dir, eos.Options{Backend: eos.BackendFile, DirectIO: direct})
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, s.Checkpoint, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown backend %q (want img or file)", backend)
 	}
+	return s, err
 }
 
-func initStore(dir, backend string, pages, pageSize, threshold int, direct bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func initStore(dir string, pages, pageSize, threshold int, direct bool) error {
+	s, err := eos.CreateAt(dir, eos.Options{
+		PageSize:  pageSize,
+		DataPages: disk.PageNum(pages),
+		LogPages:  disk.PageNum(pages/8 + 64),
+		DirectIO:  direct,
+		Threshold: threshold,
+	})
+	if err != nil {
 		return err
 	}
-	logPages := pages/8 + 64
-	switch backend {
-	case "img":
-		vol, err := disk.NewVolume(pageSize, disk.PageNum(pages), disk.DefaultCostModel())
-		if err != nil {
-			return err
-		}
-		logVol, err := disk.NewVolume(pageSize, disk.PageNum(logPages), disk.DefaultCostModel())
-		if err != nil {
-			return err
-		}
-		s, err := eos.Format(vol, logVol, eos.Options{Threshold: threshold})
-		if err != nil {
-			return err
-		}
-		if err := s.Checkpoint(); err != nil {
-			return err
-		}
-		if err := vol.SaveFile(dataPath(dir)); err != nil {
-			return err
-		}
-		if err := logVol.SaveFile(logPath(dir)); err != nil {
-			return err
-		}
-		free, _ := s.FreePages()
-		fmt.Printf("initialized store: %d pages of %d bytes, %d free data pages\n", pages, pageSize, free)
-		return nil
-	case "file":
-		s, err := eos.CreateAt(dir, eos.Options{
-			Backend:   eos.BackendFile,
-			PageSize:  pageSize,
-			DataPages: disk.PageNum(pages),
-			LogPages:  disk.PageNum(logPages),
-			DirectIO:  direct,
-			Threshold: threshold,
-		})
-		if err != nil {
-			return err
-		}
-		free, _ := s.FreePages()
-		if err := s.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("initialized file-backed store: %d pages of %d bytes, %d free data pages\n", pages, pageSize, free)
-		return nil
-	default:
-		return fmt.Errorf("unknown backend %q (want img or file)", backend)
+	free, _ := s.FreePages()
+	if err := s.Close(); err != nil {
+		return err
 	}
+	fmt.Printf("initialized store: %d pages of %d bytes, %d free data pages\n", pages, pageSize, free)
+	return nil
 }
 
-// migrate converts the store in dir between the two backends by copying
-// pages through the disk.Device interface.
-func migrate(dir, target string, direct bool) error {
-	switch target {
-	case "file":
-		for _, pair := range [][2]string{
-			{dataPath(dir), fileDataPath(dir)},
-			{logPath(dir), fileLogPath(dir)},
-		} {
-			src, err := disk.LoadVolume(pair[0], disk.DefaultCostModel())
-			if err != nil {
-				return err
-			}
-			fv, err := disk.MigrateToFile(src, pair[1], disk.FileOptions{Direct: direct})
-			if err != nil {
-				return err
-			}
-			if err := fv.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("migrated %s -> %s\n", pair[0], pair[1])
-		}
-		return nil
-	case "img":
-		for _, pair := range [][2]string{
-			{fileDataPath(dir), dataPath(dir)},
-			{fileLogPath(dir), logPath(dir)},
-		} {
-			src, err := disk.OpenFileVolume(pair[0], disk.FileOptions{})
-			if err != nil {
-				return err
-			}
-			sim, err := disk.MigrateToSim(src, disk.DefaultCostModel())
-			if err != nil {
-				_ = src.Close()
-				return err
-			}
-			if err := src.Close(); err != nil {
-				return err
-			}
-			if err := sim.SaveFile(pair[1]); err != nil {
-				return err
-			}
-			fmt.Printf("migrated %s -> %s\n", pair[0], pair[1])
-		}
-		return nil
-	default:
-		return fmt.Errorf("usage: migrate img|file")
-	}
-}
-
-func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int, direct bool) error {
+func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct bool) error {
 	if cmd == "init" {
-		return initStore(dir, backend, pages, pageSize, threshold, direct)
+		return initStore(dir, pages, pageSize, threshold, direct)
 	}
-	if cmd == "migrate" {
-		target, err := oneArg(args, "migrate img|file")
-		if err != nil {
-			return err
-		}
-		return migrate(dir, target, direct)
-	}
-
-	s, save, err := openStore(dir, backend, direct)
+	s, err := openStore(dir, direct)
 	if err != nil {
 		return err
 	}
@@ -257,7 +126,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("stored %q: %d bytes\n", name, len(data))
-		return save()
+		return s.Checkpoint()
 
 	case "get":
 		name, err := oneArg(args, "get <object>")
@@ -292,7 +161,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("appended %d bytes to %q (now %d)\n", len(data), name, o.Size())
-		return save()
+		return s.Checkpoint()
 
 	case "insert":
 		if len(args) != 2 {
@@ -314,7 +183,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("inserted %d bytes at %d of %q (now %d)\n", len(data), off, args[0], o.Size())
-		return save()
+		return s.Checkpoint()
 
 	case "delete":
 		if len(args) != 3 {
@@ -336,7 +205,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("deleted %d bytes at %d of %q (now %d)\n", n, off, args[0], o.Size())
-		return save()
+		return s.Checkpoint()
 
 	case "rm":
 		name, err := oneArg(args, "rm <object>")
@@ -347,7 +216,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("destroyed %q\n", name)
-		return save()
+		return s.Checkpoint()
 
 	case "stat":
 		if len(args) == 1 {
@@ -394,7 +263,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 			return err
 		}
 		fmt.Printf("copied %q to %q\n", args[0], args[1])
-		return save()
+		return s.Checkpoint()
 
 	case "compact":
 		name, err := oneArg(args, "compact <object>")
@@ -418,7 +287,7 @@ func run(dir, backend, cmd string, args []string, pages, pageSize, threshold int
 		}
 		fmt.Printf("compacted %q: %d -> %d segments, %d -> %d index pages\n",
 			name, before.SegmentCount, after.SegmentCount, before.IndexPages, after.IndexPages)
-		return save()
+		return s.Checkpoint()
 
 	case "dump":
 		name, err := oneArg(args, "dump <object>")

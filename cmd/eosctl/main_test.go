@@ -48,18 +48,12 @@ func captureStdout(t *testing.T, fn func()) string {
 }
 
 func TestCtlEndToEnd(t *testing.T) {
-	for _, backend := range []string{"img", "file"} {
-		t.Run(backend, func(t *testing.T) { testCtlEndToEnd(t, backend) })
-	}
-}
-
-func testCtlEndToEnd(t *testing.T, backend string) {
 	dir := t.TempDir()
 	must := func(cmd string, args ...string) string {
 		t.Helper()
 		var out string
 		out = captureStdout(t, func() {
-			if err := run(dir, backend, cmd, args, 4096, 512, 8, false); err != nil {
+			if err := run(dir, cmd, args, 4096, 512, 8, false); err != nil {
 				t.Fatalf("%s %v: %v", cmd, args, err)
 			}
 		})
@@ -119,61 +113,34 @@ func testCtlEndToEnd(t *testing.T, backend string) {
 
 func TestCtlErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, "img", "ls", nil, 1024, 512, 8, false); err == nil {
+	if err := run(dir, "ls", nil, 1024, 512, 8, false); err == nil {
 		t.Error("ls on uninitialized store succeeded")
 	}
-	if err := run(dir, "img", "init", nil, 4096, 512, 8, false); err != nil {
+	// A store older releases kept as volume images is named, with the way
+	// to convert it.
+	old := t.TempDir()
+	for _, name := range []string{"data.img", "log.img"} {
+		if err := os.WriteFile(filepath.Join(old, name), []byte("image"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run(old, "ls", nil, 0, 0, 0, false); err == nil ||
+		!strings.Contains(err.Error(), "data.img") || !strings.Contains(err.Error(), "migrate file") {
+		t.Errorf("ls on an image store: %v, want an error naming the images and migrate file", err)
+	}
+	if err := run(dir, "init", nil, 4096, 512, 8, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, "img", "get", []string{"missing"}, 0, 0, 0, false); err == nil {
+	if err := run(dir, "get", []string{"missing"}, 0, 0, 0, false); err == nil {
 		t.Error("get of missing object succeeded")
 	}
-	if err := run(dir, "img", "bogus", nil, 0, 0, 0, false); err == nil {
+	if err := run(dir, "bogus", nil, 0, 0, 0, false); err == nil {
 		t.Error("unknown command succeeded")
 	}
-	if err := run(dir, "img", "insert", []string{"x"}, 0, 0, 0, false); err == nil {
+	if err := run(dir, "insert", []string{"x"}, 0, 0, 0, false); err == nil {
 		t.Error("insert with bad arity succeeded")
 	}
-	if err := run(dir, "img", "delete", []string{"x", "nan", "1"}, 0, 0, 0, false); err == nil {
+	if err := run(dir, "delete", []string{"x", "nan", "1"}, 0, 0, 0, false); err == nil {
 		t.Error("delete with bad offset succeeded")
-	}
-	if err := run(dir, "tape", "ls", nil, 0, 0, 0, false); err == nil {
-		t.Error("unknown backend succeeded")
-	}
-}
-
-// TestCtlMigrate initializes an image store, writes an object, migrates
-// it to the file backend, reads it back there, then migrates back to
-// images and verifies again — the full round trip of the conversion
-// path.
-func TestCtlMigrate(t *testing.T) {
-	dir := t.TempDir()
-	do := func(backend, cmd string, args ...string) string {
-		t.Helper()
-		var out string
-		out = captureStdout(t, func() {
-			if err := run(dir, backend, cmd, args, 2048, 512, 8, false); err != nil {
-				t.Fatalf("[%s] %s %v: %v", backend, cmd, args, err)
-			}
-		})
-		return out
-	}
-	do("img", "init")
-	payload := []byte("migration payload that must survive both directions")
-	withStdin(t, payload, func() { do("img", "put", "doc") })
-
-	do("img", "migrate", "file")
-	if out := do("file", "get", "doc"); out != string(payload) {
-		t.Errorf("get after migrate to file = %q", out)
-	}
-	if out := do("file", "fsck"); !strings.Contains(out, "OK") {
-		t.Errorf("fsck on migrated store: %q", out)
-	}
-	// Mutate on the file backend, then migrate back and verify the
-	// mutation travelled.
-	withStdin(t, []byte("!"), func() { do("file", "append", "doc") })
-	do("file", "migrate", "img")
-	if out := do("img", "get", "doc"); out != string(payload)+"!" {
-		t.Errorf("get after migrate back = %q", out)
 	}
 }

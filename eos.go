@@ -132,15 +132,10 @@ type Options struct {
 	// log itself.  The write-path benchmarks use it as their baseline;
 	// durability semantics are identical either way.
 	SerialWAL bool
-	// Backend selects the volume implementation CreateAt/OpenAt build:
-	// BackendSim (the default) is the in-memory simulator with modelled
-	// costs; BackendFile keeps pages in real files under the store
-	// directory, with pread/pwrite transfers and fdatasync durability.
-	// Format/Open ignore it — they take the volumes you built.
-	Backend Backend
-	// PageSize, DataPages and LogPages set the geometry CreateAt
-	// formats (defaults 512 bytes, 4096 data pages, 1024 log pages).
-	// OpenAt reads the geometry from the existing volumes instead.
+	// PageSize, DataPages and LogPages set the geometry of the page
+	// files CreateAt formats (defaults 512 bytes, 4096 data pages, 1024
+	// log pages).  OpenAt reads the geometry from the files instead, and
+	// Format/Open take the volumes they are given.
 	PageSize  int
 	DataPages disk.PageNum
 	LogPages  disk.PageNum
@@ -148,27 +143,7 @@ type Options struct {
 	// page size must be a multiple of 512), bypassing the OS page
 	// cache so benchmarks measure the device rather than RAM.
 	DirectIO bool
-	// CrashShadow enables the file backend's crash simulation: pre-
-	// images of unforced pages are tracked so Device.Crash reverts
-	// them.  Costs one extra read per first write after a force; meant
-	// for recovery tests, not production or benchmarks.
-	CrashShadow bool
-	// IODepth > 0 routes buffer-pool write-back through the async I/O
-	// dispatcher with that many workers and queue slots, overlapping a
-	// checkpoint's coalesced runs in flight instead of issuing them one
-	// blocking call at a time.  0 keeps write-back synchronous.
-	IODepth int
 }
-
-// Backend names a volume implementation for CreateAt/OpenAt.
-type Backend string
-
-const (
-	// BackendSim is the cost-modelled in-memory simulator (default).
-	BackendSim Backend = "sim"
-	// BackendFile is the real-I/O file backend (disk.FileVolume).
-	BackendFile Backend = "file"
-)
 
 func (o Options) withDefaults(vol disk.Device) (Options, error) {
 	if o.PoolFrames == 0 {
@@ -277,7 +252,6 @@ func (e *catEntry) loadStableDesc() []byte {
 type Store struct {
 	vol    disk.Device
 	logVol disk.Device
-	disp   *disk.Dispatcher // async write-back dispatcher; nil when IODepth == 0
 	// ownsVols marks volumes built by CreateAt/OpenAt, which Close
 	// releases; volumes handed to Format/Open stay the caller's.
 	ownsVols bool
@@ -430,7 +404,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.attachDispatcher()
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	if err != nil {
 		return nil, err
@@ -793,7 +766,6 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.attachDispatcher()
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	if err != nil {
 		return nil, err
@@ -818,19 +790,9 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// attachDispatcher wires the async write-back dispatcher when IODepth
-// asks for one; the store owns its lifetime.
-func (s *Store) attachDispatcher() {
-	if s.opts.IODepth > 0 {
-		s.disp = disk.NewDispatcher(s.vol, s.opts.IODepth, s.opts.IODepth)
-		s.pool.SetDispatcher(s.disp)
-	}
-}
-
-// Close checkpoints the store, rejects further transactions, and shuts
-// down the async dispatcher.  Volumes built by CreateAt/OpenAt are
-// closed; volumes handed to Format/Open remain the caller's to save or
-// discard.
+// Close checkpoints the store and rejects further transactions.  Volumes
+// built by CreateAt/OpenAt are closed; volumes handed to Format/Open
+// remain the caller's.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if n := len(s.liveTxns); n > 0 {
@@ -843,11 +805,6 @@ func (s *Store) Close() error {
 	}
 	if err := s.Checkpoint(); err != nil {
 		return err
-	}
-	if s.disp != nil {
-		s.pool.SetDispatcher(nil) // later flushes fall back to synchronous
-		s.disp.Close()
-		s.disp = nil
 	}
 	if s.ownsVols {
 		if err := s.vol.Close(); err != nil {
@@ -886,41 +843,23 @@ func (o Options) geometry() (int, disk.PageNum, disk.PageNum) {
 	return ps, dp, lp
 }
 
-func (o Options) fileOptions() disk.FileOptions {
-	return disk.FileOptions{Direct: o.DirectIO, CrashShadow: o.CrashShadow}
-}
-
-// CreateAt formats a fresh store under dir using the backend named in
-// opts.Backend: BackendFile lays out real page files (data.eos,
-// log.eos) in dir, BackendSim builds in-memory simulator volumes (dir
-// is then only created, not written).  The store owns the volumes —
-// Close releases them.
+// CreateAt formats a fresh store in real page files (data.eos, log.eos)
+// under dir, creating dir if needed.  The store owns the volumes — Close
+// releases them.  An in-memory store is Format over disk.NewVolume.
 func CreateAt(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ps, dp, lp := opts.geometry()
-	var vol, logVol disk.Device
-	switch opts.Backend {
-	case BackendSim, "":
-		var err error
-		if vol, err = disk.NewVolume(ps, dp, disk.DefaultCostModel()); err != nil {
-			return nil, err
-		}
-		if logVol, err = disk.NewVolume(ps, lp, disk.DefaultCostModel()); err != nil {
-			return nil, err
-		}
-	case BackendFile:
-		var err error
-		if vol, err = disk.CreateFileVolume(filepath.Join(dir, dataFileName), ps, dp, opts.fileOptions()); err != nil {
-			return nil, err
-		}
-		if logVol, err = disk.CreateFileVolume(filepath.Join(dir, logFileName), ps, lp, opts.fileOptions()); err != nil {
-			_ = vol.Close()
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("eos: unknown backend %q", opts.Backend)
+	fo := disk.FileOptions{Direct: opts.DirectIO}
+	vol, err := disk.CreateFileVolume(filepath.Join(dir, dataFileName), ps, dp, fo)
+	if err != nil {
+		return nil, err
+	}
+	logVol, err := disk.CreateFileVolume(filepath.Join(dir, logFileName), ps, lp, fo)
+	if err != nil {
+		_ = vol.Close()
+		return nil, err
 	}
 	s, err := Format(vol, logVol, opts)
 	if err != nil {
@@ -932,20 +871,15 @@ func CreateAt(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// OpenAt opens (with crash recovery) a file-backed store previously
-// created by CreateAt with BackendFile; the geometry comes from the
-// volume headers.  Simulator volumes live in memory and cannot be
-// reopened from a directory — keep the *disk.Volume and use Open, or
-// migrate an image with the eosctl tool.
+// OpenAt opens (with crash recovery) a store previously created by
+// CreateAt under dir; the geometry comes from the volume headers.
 func OpenAt(dir string, opts Options) (*Store, error) {
-	if opts.Backend != BackendFile {
-		return nil, fmt.Errorf("eos: OpenAt requires Backend: BackendFile (got %q)", opts.Backend)
-	}
-	vol, err := disk.OpenFileVolume(filepath.Join(dir, dataFileName), opts.fileOptions())
+	fo := disk.FileOptions{Direct: opts.DirectIO}
+	vol, err := disk.OpenFileVolume(filepath.Join(dir, dataFileName), fo)
 	if err != nil {
 		return nil, err
 	}
-	logVol, err := disk.OpenFileVolume(filepath.Join(dir, logFileName), opts.fileOptions())
+	logVol, err := disk.OpenFileVolume(filepath.Join(dir, logFileName), fo)
 	if err != nil {
 		_ = vol.Close()
 		return nil, err

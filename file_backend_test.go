@@ -13,7 +13,7 @@ import (
 // content — then once more to prove reopen is repeatable.
 func TestCreateAtOpenAtRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Backend: BackendFile, DataPages: 2048, LogPages: 512}
+	opts := Options{DataPages: 2048, LogPages: 512}
 	s, err := CreateAt(dir, opts)
 	if err != nil {
 		t.Fatalf("CreateAt: %v", err)
@@ -56,88 +56,5 @@ func TestCreateAtOpenAtRoundTrip(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close round %d: %v", round, err)
 		}
-	}
-}
-
-// TestCreateAtSimBackend checks the default backend builds an
-// in-memory store and that OpenAt refuses it (nothing on disk to
-// reopen).
-func TestCreateAtSimBackend(t *testing.T) {
-	dir := t.TempDir()
-	s, err := CreateAt(dir, Options{})
-	if err != nil {
-		t.Fatalf("CreateAt: %v", err)
-	}
-	if _, err := s.Create("x", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenAt(dir, Options{}); err == nil {
-		t.Error("OpenAt accepted the sim backend")
-	}
-	if _, err := CreateAt(t.TempDir(), Options{Backend: "tape"}); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
-// TestStoreAsyncDispatcher runs a write-heavy store with IODepth set,
-// so checkpoint write-back flows through the async dispatcher, and
-// verifies durability plus a clean dispatcher shutdown.  Runs on both
-// backends via EOS_TEST_BACKEND.
-func TestStoreAsyncDispatcher(t *testing.T) {
-	s, vol, logVol := newStore(t, Options{IODepth: 4, Threshold: 4})
-	want := make(map[string][]byte)
-	for i := 0; i < 8; i++ {
-		name := string(rune('a' + i))
-		data := pat(i, 20000)
-		o, err := s.Create(name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Append(data); err != nil {
-			t.Fatal(err)
-		}
-		want[name] = data
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if st := vol.Stats(); st.RunWrites == 0 {
-		t.Error("dispatcher checkpoint issued no vectored runs")
-	}
-	// The checkpointed state must survive a crash: everything the
-	// dispatcher wrote was forced.
-	if err := vol.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := logVol.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(vol, logVol, Options{IODepth: 4, Threshold: 4})
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
-	for name, data := range want {
-		o, err := re.Open(name)
-		if err != nil {
-			t.Fatalf("Open(%q): %v", name, err)
-		}
-		got, err := o.Read(0, o.Size())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Errorf("object %q content mismatch after dispatched checkpoint + crash", name)
-		}
-	}
-	if err := re.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// The first store's dispatcher is still running; Close shuts it
-	// down and later checkpoints must fall back to synchronous writes.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 var badFixtures = map[string][]string{
 	"pairs": {
 		"pairs_pin_bad", "pairs_mutex_bad", "pairs_txn_bad",
-		"pairs_alloc_bad", "pairs_epoch_bad", "pairs_iosubmit_bad",
+		"pairs_alloc_bad", "pairs_epoch_bad",
 		"pairs_filevol_bad",
 	},
 	"lockorder":     {"lockorder_bad", "deadlock_bad"},

@@ -17,12 +17,9 @@
 //	rank 40  shard.mu           (buffer pool shard)
 //	rank 45  Log.forceMu        (group-commit leader force)
 //	rank 50  Log.mu             (write-ahead log buffer + tail state)
-//	rank 56  Dispatcher.mu      (async I/O close gate)
-//	rank 57  Batch.mu           (per-submitter completion state)
 //	rank 60  Volume.mu          (disk volume image)
 //	rank 62  FileVolume.mu      (file backend crash-shadow map)
-//	rank 70  Volume.accMu       (disk access-time accounting)
-//	rank 72  FileVolume.accMu   (file backend accounting + fault state)
+//	rank 70  account.mu         (both volumes' accounting core: counters, faults, tracer)
 //
 // Acquiring a lock whose rank is lower than one already held inverts
 // the lattice; two goroutines taking the same pair in opposite orders
@@ -161,18 +158,16 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 // self-deadlock.  Per-instance locks (object latches, pool shards,
 // per-transaction mutexes) may nest across instances and are excluded.
 var singletonKeys = map[string]bool{
-	"Store.mu":         true,
-	"LockTable.mu":     true,
-	"EpochManager.mu":  true,
-	"Manager.mu":       true,
-	"Pool.flushMu":     true,
-	"Log.forceMu":      true,
-	"Log.mu":           true,
-	"Dispatcher.mu":    true,
-	"Volume.mu":        true,
-	"FileVolume.mu":    true,
-	"Volume.accMu":     true,
-	"FileVolume.accMu": true,
+	"Store.mu":        true,
+	"LockTable.mu":    true,
+	"EpochManager.mu": true,
+	"Manager.mu":      true,
+	"Pool.flushMu":    true,
+	"Log.forceMu":     true,
+	"Log.mu":          true,
+	"Volume.mu":       true,
+	"FileVolume.mu":   true,
+	"account.mu":      true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -4,15 +4,14 @@
 // a Spec naming its acquire calls, its release calls, how the resource
 // token is identified at each site, and which paths must release.
 //
-// The default table covers the five disciplines the storage engine
-// depends on:
+// The default table covers the disciplines the storage engine depends
+// on:
 //
 //	pin      buffer.Pool.Fix/FixNew        → Unpin/Discard   (all paths)
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
 //	txn      eos.Store.Begin               → Commit/CommitNoForce/Abort
 //	epoch    txn.EpochManager.Enter        → EpochGuard.Exit (all paths)
 //	alloc    buddy Alloc/AllocUpTo         → Free/FreeUnpublished (error paths)
-//	iosubmit disk.Batch.Submit             → Batch.Wait      (all paths)
 //	filevol  disk.Create/OpenFileVolume    → Close           (error paths)
 //
 // A leaked pin makes a frame permanently unevictable; a leaked latch
@@ -20,10 +19,8 @@
 // two-phase locks forever; a leaked epoch guard pins its epoch and
 // blocks page reclamation for the life of the process; and pages
 // allocated on a failed operation path leak from the buddy space
-// unless freed before the error return.  A submitted I/O request whose
-// completion is never harvested leaves its buffers owned by the
-// dispatcher, and a file volume opened on a failed setup path leaks
-// its descriptor and keeps the page file pinned.  The epoch spec stops
+// unless freed before the error return.  A file volume opened on a
+// failed setup path leaks its descriptor and keeps the page file pinned.  The epoch spec stops
 // tracking a guard at its first other use (stored into a snapshot
 // structure, handed to a callee) — ownership transferred, and the new
 // owner's Close path carries the Exit.  The alloc spec checks only error-returning exits — on
@@ -218,15 +215,6 @@ func defaultSpecs() []*Spec {
 			ErrorPathsOnly: true,
 			TransferOnUse:  true,
 			Hint:           "free the pages (or hand them off) before returning the error",
-		},
-		{
-			Name:       "iosubmit",
-			Acquire:    []matcher{{"disk", "Batch", []string{"Submit"}}},
-			Release:    []matcher{{"disk", "Batch", []string{"Wait"}}},
-			AcquireKey: KeyRecv,
-			ReleaseKey: KeyRecv,
-			ErrGuarded: true,
-			Hint:       "Wait on the batch on every path after a successful Submit; unharvested completions leave request buffers in use",
 		},
 		{
 			Name: "filevol",

@@ -27,10 +27,6 @@ func TestAlloc(t *testing.T) {
 	analyzertest.Run(t, "../testdata", pairs.Analyzer, "pairs_alloc_bad", "pairs_alloc_clean")
 }
 
-func TestIOSubmit(t *testing.T) {
-	analyzertest.Run(t, "../testdata", pairs.Analyzer, "pairs_iosubmit_bad", "pairs_iosubmit_clean")
-}
-
 func TestFileVol(t *testing.T) {
 	analyzertest.Run(t, "../testdata", pairs.Analyzer, "pairs_filevol_bad", "pairs_filevol_clean")
 }

@@ -46,8 +46,8 @@
 // A field is reported only when the evidence is complete: at least
 // two distinct functions access it, at least one access is a write,
 // at least one access is reachable from a concurrency root — a go
-// statement in the package (the Dispatcher's workers, the checkpoint
-// barrier goroutine), traversed through the ssa CHA call graph — and
+// statement in the package (the buffer pool's shard flushers, the
+// checkpoint barrier goroutine), traversed through the ssa CHA call graph — and
 // the intersection of all access locksets is empty.  The diagnostic
 // carries a related position naming a second, lockset-disjoint access
 // (surfaced as SARIF relatedLocations).

@@ -77,12 +77,9 @@ func LockRanks() map[string]int {
 		"shard.mu":         40,
 		"Log.forceMu":      45, // group-commit leader force; before Log.mu
 		"Log.mu":           50,
-		"Dispatcher.mu":    56, // async I/O close gate; held across the queue send, never I/O
-		"Batch.mu":         57, // per-submitter completion state; never held across I/O
 		"Volume.mu":        60,
 		"FileVolume.mu":    62, // crash-shadow map of the file backend
-		"Volume.accMu":     70,
-		"FileVolume.accMu": 72, // file-backend accounting and fault state
+		"account.mu":       70, // both volumes' accounting core; never held across a transfer
 	}
 }
 

@@ -1,37 +1,10 @@
 // Package disk is a stand-in for the engine's disk backend with the
-// shapes the analyzers match on: the Batch submit/wait discipline of
-// the async dispatcher and the FileVolume open→close lifecycle.
+// shapes the analyzers match on: the FileVolume open→close lifecycle
+// and the durability surface.
 package disk
 
 // PageNum indexes a page within a volume.
 type PageNum int64
-
-// SQE is a submission-queue entry.
-type SQE struct {
-	Start PageNum
-	Buf   []byte
-}
-
-// CQE is a completion-queue entry.
-type CQE struct {
-	SQE SQE
-	Err error
-}
-
-// Dispatcher hands out batches.
-type Dispatcher struct{}
-
-// NewBatch opens a completion context.
-func (d *Dispatcher) NewBatch() *Batch { return &Batch{} }
-
-// Batch tracks one submitter's in-flight requests.
-type Batch struct{}
-
-// Submit enqueues one request.
-func (b *Batch) Submit(sqe SQE) error { return nil }
-
-// Wait harvests every outstanding completion.
-func (b *Batch) Wait() ([]CQE, error) { return nil, nil }
 
 // FileOptions configures a file volume.
 type FileOptions struct {

@@ -135,7 +135,7 @@ func (s *Store) ReleaseStamped(start buddy.PageNum, n int) error {
 	return s.buddy.Free(start, n)
 }
 
-// Save is shape 5 (SaveFile atomicity): the rename reaches a success
+// Save is shape 5 (rename atomicity): the rename reaches a success
 // exit with no owning-directory sync.
 func Save(tmp, path string) error {
 	if err := os.Rename(tmp, path); err != nil { // want "renamed file can vanish on crash"

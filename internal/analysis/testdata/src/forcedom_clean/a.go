@@ -180,7 +180,7 @@ func (s *Store) Release(start buddy.PageNum, n int) error {
 	return s.buddy.Free(start, n)
 }
 
-// Save is the temp+rename+dirsync pattern of disk.SaveFile: the
+// Save is the temp+rename+dirsync pattern of an atomic save: the
 // directory sync covers the success exit, and the failure return is
 // exempt.
 func Save(tmp, path string) error {

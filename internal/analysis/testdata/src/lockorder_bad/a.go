@@ -18,9 +18,11 @@ type Log struct {
 
 type Pool struct{ flushMu sync.Mutex }
 
+type account struct{ mu sync.Mutex }
+
 type Volume struct {
-	mu    sync.Mutex
-	accMu sync.Mutex
+	account
+	mu sync.Mutex
 }
 
 // invertedPair takes the pool shard before the store manager.
@@ -72,11 +74,11 @@ func invertedFlush(p *Pool, sh *shard) {
 	p.flushMu.Unlock()
 }
 
-// invertedWithinVolume takes the access-time accounting lock before the
+// invertedWithinVolume takes the accounting core's lock before the
 // volume image lock.
 func invertedWithinVolume(v *Volume) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
+	v.account.mu.Lock()
+	defer v.account.mu.Unlock()
 	v.mu.Lock() // want "lock order inversion: acquiring Volume.mu"
 	v.mu.Unlock()
 }

@@ -95,9 +95,11 @@ func unranked(l *Log) {
 	l.mu.Unlock()
 }
 
+type account struct{ mu sync.Mutex }
+
 type Volume struct {
-	mu    sync.RWMutex
-	accMu sync.Mutex
+	account
+	mu sync.RWMutex
 }
 
 // volumeDescent mirrors the disk I/O path: the page-data latch
@@ -106,6 +108,6 @@ type Volume struct {
 func volumeDescent(v *Volume) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	v.accMu.Lock()
-	v.accMu.Unlock()
+	v.account.mu.Lock()
+	v.account.mu.Unlock()
 }

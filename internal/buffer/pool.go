@@ -113,11 +113,6 @@ type Pool struct {
 	shards   []*shard
 	shift    uint // 64 - log2(len(shards)); selects high hash bits
 	pinWait  time.Duration
-
-	// disp, when set, carries write-back runs through the async I/O
-	// dispatcher: flushShard submits every coalesced run and overlaps
-	// their writes instead of issuing them one blocking call at a time.
-	disp *disk.Dispatcher
 }
 
 // defaultPinWait bounds how long a Fix waits for a pinned frame to be
@@ -199,15 +194,6 @@ func MustNewPool(vol disk.Device, capacity int) *Pool {
 
 // Shards reports the number of lock shards.
 func (p *Pool) Shards() int { return len(p.shards) }
-
-// SetDispatcher routes write-back runs through d so a shard's runs
-// overlap in flight instead of completing one blocking call at a time;
-// nil restores synchronous write-back.  The caller owns d's lifetime
-// and must not Close it before the pool's last flush.  Not safe to
-// change concurrently with flushes — set it at store construction.
-//
-//eoslint:ignore racecheck -- construction-time setter by documented contract; no flush is in flight when disp changes
-func (p *Pool) SetDispatcher(d *disk.Dispatcher) { p.disp = d }
 
 // SetPinWait bounds how long a Fix blocks waiting for a transiently
 // pinned frame before returning ErrNoFrames (default 250ms; 0 fails
@@ -508,9 +494,6 @@ func (p *Pool) flushShard(sh *shard, keep map[disk.PageNum]bool) (kept int, err 
 		return kept, nil
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].page < dirty[j].page })
-	if p.disp != nil {
-		return kept, p.flushRunsAsync(sh, dirty)
-	}
 	for i := 0; i < len(dirty); {
 		j := i + 1
 		for j < len(dirty) && dirty[j].page == dirty[j-1].page+1 {
@@ -530,48 +513,6 @@ func (p *Pool) flushShard(sh *shard, keep map[disk.PageNum]bool) (kept int, err 
 		i = j
 	}
 	return kept, nil
-}
-
-// flushRunsAsync submits one shard's coalesced runs through the
-// dispatcher and harvests their completions, so the runs are in flight
-// concurrently.  Called with the shard mutex held (like the
-// synchronous path); the frame images are safe to read because pinned
-// frames were excluded and pin transitions need this same mutex.
-// Dirty bits clear only for runs whose write completed successfully.
-func (p *Pool) flushRunsAsync(sh *shard, dirty []*frame) error {
-	b := p.disp.NewBatch()
-	var submitErr error
-	for i := 0; i < len(dirty); {
-		j := i + 1
-		for j < len(dirty) && dirty[j].page == dirty[j-1].page+1 {
-			j++
-		}
-		run := make([][]byte, 0, j-i)
-		for _, f := range dirty[i:j] {
-			run = append(run, f.data)
-		}
-		sqe := disk.SQE{Op: disk.OpWriteRun, Start: dirty[i].page, Pages: run, Tag: dirty[i:j]}
-		if err := b.Submit(sqe); err != nil {
-			// Keep draining what was already submitted below.
-			submitErr = err
-			break
-		}
-		i = j
-	}
-	cqes, waitErr := b.Wait()
-	for _, cqe := range cqes {
-		if cqe.Err != nil {
-			continue
-		}
-		for _, f := range cqe.SQE.Tag.([]*frame) {
-			f.dirty = false
-			sh.flushes.Add(1)
-		}
-	}
-	if submitErr == nil {
-		submitErr = waitErr
-	}
-	return submitErr
 }
 
 // Discard drops pg from the pool without writing it back, regardless of

@@ -472,9 +472,7 @@ func (sw *sweeper) verifyFile(dataImg, logImg []byte, want map[string]uint64, p 
 		sw.violate(p, label, "file-diff", "materialize log: %v", err)
 		return
 	}
-	opts := sw.cfg.Opts
-	opts.Backend = eos.BackendFile
-	st, err := eos.OpenAt(dir, opts)
+	st, err := eos.OpenAt(dir, sw.cfg.Opts)
 	if err != nil {
 		sw.violate(p, label, "file-diff", "OpenAt recovery failed: %v", err)
 		return

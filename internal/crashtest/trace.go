@@ -166,17 +166,11 @@ func (d *Device) ForceAllExcept(skip map[disk.PageNum]bool) error {
 	return d.inner.ForceAllExcept(skip)
 }
 
-// DirtyPages passes through to the wrapped device.
-func (d *Device) DirtyPages() int { return d.inner.DirtyPages() }
-
 // Stats passes through to the wrapped device.
 func (d *Device) Stats() disk.Stats { return d.inner.Stats() }
 
 // ResetStats passes through to the wrapped device.
 func (d *Device) ResetStats() { d.inner.ResetStats() }
-
-// SetTracer passes through to the wrapped device.
-func (d *Device) SetTracer(fn func(disk.TraceEvent)) { d.inner.SetTracer(fn) }
 
 // FailAfter passes through to the wrapped device.
 func (d *Device) FailAfter(n int64, err error) { d.inner.FailAfter(n, err) }

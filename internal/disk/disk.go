@@ -122,28 +122,15 @@ type PageNum int64
 // A Volume is safe for concurrent use; each request is atomic, and read
 // requests overlap each other.
 type Volume struct {
-	mu       sync.RWMutex // guards data, durable, dirty
-	pageSize int
-	numPages PageNum
-	data     []byte           // eos:guardedby mu -- numPages * pageSize
-	durable  []byte           // eos:guardedby mu -- last forced image of every page (crash survivors)
-	dirty    map[PageNum]bool // eos:guardedby mu
+	// account is taken while holding mu (shared or exclusive) and only
+	// for the counter updates, so concurrent multi-page reads serialize
+	// on it briefly but overlap their copies.
+	account
 
-	// accMu guards the accounting state below.  It is always acquired
-	// while holding mu (shared or exclusive) and held only for the few
-	// counter updates, so concurrent multi-page reads serialize on it
-	// briefly but overlap their copies.
-	accMu   sync.Mutex
-	model   CostModel // eos:guardedby accMu
-	stats   Stats     // eos:guardedby accMu
-	headPos PageNum   // eos:guardedby accMu -- page following the last transferred page; -1 unknown
-
-	// Fault injection: when faultAfter reaches zero, every subsequent
-	// request fails with faultErr until ClearFault.
-	faultAfter int64 // eos:guardedby accMu
-	faultErr   error // eos:guardedby accMu
-
-	tracer func(TraceEvent)
+	mu      sync.RWMutex     // guards data, durable, dirty
+	data    []byte           // eos:guardedby mu -- numPages * pageSize
+	durable []byte           // eos:guardedby mu -- last forced image of every page (crash survivors)
+	dirty   map[PageNum]bool // eos:guardedby mu
 
 	// Latency simulation (SetLatency): every request sleeps its modelled
 	// duration; latSem bounds the number of outstanding requests.
@@ -155,21 +142,17 @@ type Volume struct {
 // using the supplied cost model.  pageSize must be positive; numPages must
 // be positive.
 func NewVolume(pageSize int, numPages PageNum, model CostModel) (*Volume, error) {
-	if pageSize <= 0 {
-		return nil, fmt.Errorf("disk: invalid page size %d", pageSize)
+	if err := checkGeometry(pageSize, numPages); err != nil {
+		return nil, err
 	}
-	if numPages <= 0 {
-		return nil, fmt.Errorf("disk: invalid volume size %d pages", numPages)
+	v := &Volume{
+		account: account{pageSize: pageSize, numPages: numPages, model: model, headPos: -1},
+		data:    make([]byte, int64(numPages)*int64(pageSize)),
+		durable: make([]byte, int64(numPages)*int64(pageSize)),
+		dirty:   make(map[PageNum]bool),
 	}
-	return &Volume{
-		pageSize: pageSize,
-		numPages: numPages,
-		data:     make([]byte, int64(numPages)*int64(pageSize)),
-		durable:  make([]byte, int64(numPages)*int64(pageSize)),
-		dirty:    make(map[PageNum]bool),
-		model:    model,
-		headPos:  -1,
-	}, nil
+	v.readPages = v.ReadPages
+	return v, nil
 }
 
 // MustNewVolume is NewVolume that panics on error, for tests and examples
@@ -182,28 +165,6 @@ func MustNewVolume(pageSize int, numPages PageNum, model CostModel) *Volume {
 	return v
 }
 
-// PageSize reports the volume's page size in bytes.
-func (v *Volume) PageSize() int { return v.pageSize }
-
-// NumPages reports the volume's capacity in pages.
-func (v *Volume) NumPages() PageNum { return v.numPages }
-
-// Stats returns a snapshot of the accumulated I/O statistics.
-func (v *Volume) Stats() Stats {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	return v.stats
-}
-
-// ResetStats zeroes the statistics counters and forgets the head position
-// so the next request is charged a seek.
-func (v *Volume) ResetStats() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.stats = Stats{}
-	v.headPos = -1
-}
-
 // SetLatency enables or disables latency simulation.  When enabled, every
 // read and write request sleeps its modelled duration (the same
 // microseconds charged to Stats.Micros), and at most parallelism requests
@@ -211,96 +172,12 @@ func (v *Volume) ResetStats() {
 // fully serialized transfer path a global volume mutex used to enforce —
 // while higher values model a device with internal parallelism.  Must not
 // be toggled while requests are in flight.
-//
-//eoslint:ignore racecheck -- quiescent-point setter by documented contract; no request is in flight when latOn changes
 func (v *Volume) SetLatency(enabled bool, parallelism int) {
 	v.latOn = enabled
 	v.latSem = nil
 	if enabled && parallelism > 0 {
 		v.latSem = make(chan struct{}, parallelism)
 	}
-}
-
-// TraceEvent describes one I/O request, emitted to the tracer if one is
-// installed.  Tooling uses traces to visualize access patterns — e.g.
-// confirming that a sequential object scan issues a handful of large
-// contiguous requests rather than per-page seeks.
-type TraceEvent struct {
-	Write bool
-	Start PageNum
-	Pages int
-	Seek  bool // the request repositioned the head
-}
-
-// SetTracer installs fn to observe every read and write; nil disables
-// tracing.  The tracer is invoked synchronously with the accounting lock
-// held, so it must be fast and must not call back into the volume.
-func (v *Volume) SetTracer(fn func(TraceEvent)) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.tracer = fn
-}
-
-// FailAfter arms fault injection: after n more successful requests,
-// every read and write fails with err until ClearFault.  Tests use this
-// to verify that I/O errors propagate cleanly through every layer.
-func (v *Volume) FailAfter(n int64, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultAfter = n
-	v.faultErr = err
-}
-
-// ClearFault disarms fault injection.
-func (v *Volume) ClearFault() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultErr = nil
-}
-
-// faultCheck consumes one request against the fault budget.  Caller
-// holds v.accMu.
-//
-// eos:requires v.accMu
-func (v *Volume) faultCheck() error {
-	if v.faultErr == nil {
-		return nil
-	}
-	if v.faultAfter > 0 {
-		v.faultAfter--
-		return nil
-	}
-	return v.faultErr
-}
-
-func (v *Volume) checkRange(start PageNum, n int) error {
-	if n < 0 || start < 0 || PageNum(int64(start)+int64(n)) > v.numPages {
-		return fmt.Errorf("%w: pages [%d,%d) of %d", ErrOutOfRange, start, int64(start)+int64(n), v.numPages)
-	}
-	return nil
-}
-
-// charge accounts one request and returns its modelled duration in
-// microseconds.  Caller holds v.accMu.
-//
-// eos:requires v.accMu
-func (v *Volume) charge(start PageNum, n int, write bool) int64 {
-	if n == 0 {
-		return 0
-	}
-	var micros int64
-	seek := v.headPos != start
-	if seek {
-		v.stats.Seeks++
-		micros += v.model.SeekMicros + v.model.RotationalMicros
-	}
-	micros += int64(n) * v.model.TransferMicrosPerPage
-	v.stats.Micros += micros
-	v.headPos = start + PageNum(n)
-	if v.tracer != nil {
-		v.tracer(TraceEvent{Write: write, Start: start, Pages: n, Seek: seek})
-	}
-	return micros
 }
 
 // admit blocks until the latency-mode device accepts another outstanding
@@ -329,80 +206,31 @@ func (v *Volume) admit() func(micros int64) {
 // segment design exists to exploit.  Concurrent reads overlap: only the
 // brief accounting update is serialized.
 func (v *Volume) ReadPages(start PageNum, n int, buf []byte) error {
-	if len(buf) != n*v.pageSize {
-		return fmt.Errorf("%w: got %d bytes for %d pages", ErrBadLength, len(buf), n)
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.check(start, n, buf); err != nil {
 		return err
 	}
 	done := v.admit()
 	v.mu.RLock()
-	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.RUnlock()
-		if done != nil {
-			done(0)
-		}
-		return err
+	micros, err := v.begin(start, n, false, false)
+	if err == nil {
+		off := int64(start) * int64(v.pageSize)
+		copy(buf, v.data[off:off+int64(n)*int64(v.pageSize)])
 	}
-	v.stats.Reads++
-	v.stats.PagesRead += int64(n)
-	micros := v.charge(start, n, false)
-	v.accMu.Unlock()
-	off := int64(start) * int64(v.pageSize)
-	copy(buf, v.data[off:off+int64(n)*int64(v.pageSize)])
 	v.mu.RUnlock()
 	if done != nil {
 		done(micros)
 	}
-	return nil
-}
-
-// Read allocates and returns the content of n contiguous pages.
-func (v *Volume) Read(start PageNum, n int) ([]byte, error) {
-	buf := make([]byte, n*v.pageSize)
-	if err := v.ReadPages(start, n, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return err
 }
 
 // WritePages writes n physically contiguous pages starting at page start.
-// buf must be exactly n*PageSize bytes.  The write is volatile until the
-// pages are forced (Force/ForceAll) or until Settle is called.
+// buf must be exactly n*PageSize bytes.  The write is volatile until a
+// Force, ForceAll or ForceAllExcept covers the pages.
 func (v *Volume) WritePages(start PageNum, n int, buf []byte) error {
-	if len(buf) != n*v.pageSize {
-		return fmt.Errorf("%w: got %d bytes for %d pages", ErrBadLength, len(buf), n)
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.check(start, n, buf); err != nil {
 		return err
 	}
-	done := v.admit()
-	v.mu.Lock()
-	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.Unlock()
-		if done != nil {
-			done(0)
-		}
-		return err
-	}
-	v.stats.Writes++
-	v.stats.PagesWritten += int64(n)
-	micros := v.charge(start, n, true)
-	v.accMu.Unlock()
-	off := int64(start) * int64(v.pageSize)
-	copy(v.data[off:], buf)
-	for i := 0; i < n; i++ {
-		v.dirty[start+PageNum(i)] = true
-	}
-	v.mu.Unlock()
-	if done != nil {
-		done(micros)
-	}
-	return nil
+	return v.write(start, n, false, buf, nil)
 }
 
 // WriteRun gather-writes len(pages) physically contiguous pages starting
@@ -412,42 +240,33 @@ func (v *Volume) WritePages(start PageNum, n int, buf []byte) error {
 // adjacent dirty pages: n single-page WritePages calls cost up to n
 // seeks, one WriteRun costs one.
 func (v *Volume) WriteRun(start PageNum, pages [][]byte) error {
-	n := len(pages)
-	for i, p := range pages {
-		if len(p) != v.pageSize {
-			return fmt.Errorf("%w: run page %d has %d bytes, want %d", ErrBadLength, i, len(p), v.pageSize)
-		}
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.checkRun(start, pages); err != nil {
 		return err
 	}
+	return v.write(start, len(pages), true, nil, pages)
+}
+
+// write accounts one write request of n pages at start and copies buf,
+// then each of pages, into the image behind it.
+func (v *Volume) write(start PageNum, n int, run bool, buf []byte, pages [][]byte) error {
 	done := v.admit()
 	v.mu.Lock()
-	v.accMu.Lock()
-	if err := v.faultCheck(); err != nil {
-		v.accMu.Unlock()
-		v.mu.Unlock()
-		if done != nil {
-			done(0)
+	micros, err := v.begin(start, n, true, run)
+	if err == nil {
+		off := int64(start) * int64(v.pageSize)
+		off += int64(copy(v.data[off:], buf))
+		for _, p := range pages {
+			off += int64(copy(v.data[off:], p))
 		}
-		return err
-	}
-	v.stats.Writes++
-	v.stats.PagesWritten += int64(n)
-	v.stats.RunWrites++
-	v.stats.CoalescedPages += int64(n - 1)
-	micros := v.charge(start, n, true)
-	v.accMu.Unlock()
-	for i, p := range pages {
-		off := (int64(start) + int64(i)) * int64(v.pageSize)
-		copy(v.data[off:], p)
-		v.dirty[start+PageNum(i)] = true
+		for i := 0; i < n; i++ {
+			v.dirty[start+PageNum(i)] = true
+		}
 	}
 	v.mu.Unlock()
 	if done != nil {
 		done(micros)
 	}
-	return nil
+	return err
 }
 
 // Force makes the current contents of n pages starting at start durable:
@@ -511,10 +330,7 @@ func (v *Volume) Crash() error {
 	defer v.mu.Unlock()
 	copy(v.data, v.durable)
 	v.dirty = make(map[PageNum]bool)
-	v.accMu.Lock()
-	v.stats = Stats{}
-	v.headPos = -1
-	v.accMu.Unlock()
+	v.ResetStats()
 	return nil
 }
 

@@ -294,41 +294,6 @@ func TestQuickCrashDurability(t *testing.T) {
 	}
 }
 
-func TestTracerObservesRequests(t *testing.T) {
-	v := testVolume(t, 64, 64)
-	var events []TraceEvent
-	v.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
-	buf := make([]byte, 64)
-	if err := v.WritePages(3, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.ReadPages(4, 1, buf); err != nil { // sequential: no seek
-		t.Fatal(err)
-	}
-	if err := v.ReadPages(40, 1, buf); err != nil { // seek
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
-	}
-	if !events[0].Write || !events[0].Seek || events[0].Start != 3 {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Write || events[1].Seek {
-		t.Errorf("event 1 = %+v (sequential read, no seek)", events[1])
-	}
-	if !events[2].Seek {
-		t.Errorf("event 2 = %+v (random read, seek)", events[2])
-	}
-	v.SetTracer(nil)
-	if err := v.ReadPages(0, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Error("tracer fired after being removed")
-	}
-}
-
 func TestWriteRunCoalescing(t *testing.T) {
 	m := CostModel{SeekMicros: 100, RotationalMicros: 10, TransferMicrosPerPage: 3}
 	v := MustNewVolume(64, 32, m)
@@ -391,5 +356,162 @@ func TestWriteRunVolatileUntilForce(t *testing.T) {
 	}
 	if got[0] != 0 {
 		t.Fatal("unforced WriteRun survived a crash")
+	}
+}
+
+// tracedDevice is a Device that also takes a tracer, as both backends do.
+type tracedDevice interface {
+	Device
+	SetTracer(fn func(TraceEvent))
+}
+
+// TestAccounting holds both backends to the one accounting core: the seek
+// rule, the counters, zero-page requests, the fault budget and the tracer.
+// Each step's counters are a delta; Micros is left out (modelled on one
+// backend, measured on the other) and Syncs counts barriers only where a
+// barrier is a real sync.
+func TestAccounting(t *testing.T) {
+	boom := errors.New("boom")
+	const ps = 64
+	read := func(p PageNum, n int) func(tracedDevice) error {
+		return func(v tracedDevice) error { return v.ReadPages(p, n, make([]byte, n*ps)) }
+	}
+	write := func(p PageNum, n int) func(tracedDevice) error {
+		return func(v tracedDevice) error { return v.WritePages(p, n, make([]byte, n*ps)) }
+	}
+	run := func(p PageNum, n int) func(tracedDevice) error {
+		return func(v tracedDevice) error {
+			pages := make([][]byte, n)
+			for i := range pages {
+				pages[i] = make([]byte, ps)
+			}
+			return v.WriteRun(p, pages)
+		}
+	}
+	then := func(first func(tracedDevice), next func(tracedDevice) error) func(tracedDevice) error {
+		return func(v tracedDevice) error { first(v); return next(v) }
+	}
+	all := func(reqs ...func(tracedDevice) error) func(tracedDevice) error {
+		return func(v tracedDevice) error {
+			for _, r := range reqs {
+				if err := r(v); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	// writeEach writes one page at each of pages; writeEvents is what the
+	// tracer sees for it, the head starting elsewhere.
+	writeEach := func(pages ...PageNum) func(tracedDevice) error {
+		reqs := make([]func(tracedDevice) error, len(pages))
+		for i, p := range pages {
+			reqs[i] = write(p, 1)
+		}
+		return all(reqs...)
+	}
+	writeEvents := func(pages ...PageNum) []TraceEvent {
+		evs := make([]TraceEvent, len(pages))
+		for i, p := range pages {
+			evs[i] = TraceEvent{Write: true, Start: p, Pages: 1, Seek: i == 0 || p != pages[i-1]+1}
+		}
+		return evs
+	}
+	seq := []PageNum{50, 51, 52, 53, 54, 55, 56, 57, 58, 59}
+	scattered := []PageNum{0, 7, 14, 21, 28, 35, 42, 49, 56, 63}
+
+	steps := []struct {
+		name   string
+		reset  bool // ResetStats before the step
+		do     func(tracedDevice) error
+		err    error
+		delta  Stats
+		events []TraceEvent
+	}{
+		{name: "first request seeks", do: write(3, 1),
+			delta:  Stats{Writes: 1, PagesWritten: 1, Seeks: 1},
+			events: []TraceEvent{{Write: true, Start: 3, Pages: 1, Seek: true}}},
+		{name: "request continuing from the head does not", do: read(4, 1),
+			delta:  Stats{Reads: 1, PagesRead: 1},
+			events: []TraceEvent{{Start: 4, Pages: 1}}},
+		{name: "request elsewhere seeks", do: read(40, 1),
+			delta:  Stats{Reads: 1, PagesRead: 1, Seeks: 1},
+			events: []TraceEvent{{Start: 40, Pages: 1, Seek: true}}},
+		{name: "run is one request", do: run(41, 3),
+			delta:  Stats{Writes: 1, PagesWritten: 3, RunWrites: 1, CoalescedPages: 2},
+			events: []TraceEvent{{Write: true, Start: 41, Pages: 3}}},
+		{name: "zero-page requests count but neither seek nor trace", do: all(read(0, 0), write(90, 0), run(7, 0)),
+			delta: Stats{Reads: 1, Writes: 2, RunWrites: 1}},
+		{name: "and leave the head where it was", do: read(44, 2),
+			delta:  Stats{Reads: 1, PagesRead: 2},
+			events: []TraceEvent{{Start: 44, Pages: 2}}},
+		{name: "sequential writes seek once", do: writeEach(seq...),
+			delta:  Stats{Writes: 10, PagesWritten: 10, Seeks: 1},
+			events: writeEvents(seq...)},
+		{name: "ResetStats forgets the head", reset: true, do: read(60, 1),
+			delta:  Stats{Reads: 1, PagesRead: 1, Seeks: 1},
+			events: []TraceEvent{{Start: 60, Pages: 1, Seek: true}}},
+		{name: "scattered writes seek every time", do: writeEach(scattered...),
+			delta:  Stats{Writes: 10, PagesWritten: 10, Seeks: 10},
+			events: writeEvents(scattered...)},
+		{name: "fault budget admits a read", do: then(func(v tracedDevice) { v.FailAfter(2, boom) }, read(0, 1)),
+			delta:  Stats{Reads: 1, PagesRead: 1, Seeks: 1},
+			events: []TraceEvent{{Start: 0, Pages: 1, Seek: true}}},
+		{name: "and a write", do: write(1, 1),
+			delta:  Stats{Writes: 1, PagesWritten: 1},
+			events: []TraceEvent{{Write: true, Start: 1, Pages: 1}}},
+		{name: "then reads fail", do: read(2, 1), err: boom},
+		{name: "and writes", do: write(2, 1), err: boom},
+		{name: "and runs", do: run(2, 2), err: boom},
+		{name: "and zero-page requests", do: read(2, 0), err: boom},
+		{name: "ClearFault; failed requests left the head", do: then(func(v tracedDevice) { v.ClearFault() }, read(2, 1)),
+			delta:  Stats{Reads: 1, PagesRead: 1},
+			events: []TraceEvent{{Start: 2, Pages: 1}}},
+		{name: "a nil tracer sees nothing", do: then(func(v tracedDevice) { v.SetTracer(nil) }, read(3, 1)),
+			delta: Stats{Reads: 1, PagesRead: 1}},
+		{name: "ForceAll is one barrier", do: func(v tracedDevice) error { return v.ForceAll() },
+			delta: Stats{Syncs: 1}},
+	}
+
+	backends := []struct {
+		name  string
+		open  func(t *testing.T) tracedDevice
+		syncs int64 // Syncs per barrier
+	}{
+		{"sim", func(t *testing.T) tracedDevice { return testVolume(t, ps, 100) }, 0},
+		{"file", func(t *testing.T) tracedDevice { return testFileVolume(t, ps, 100, FileOptions{}) }, 1},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			v := b.open(t)
+			var events []TraceEvent
+			v.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+			for _, st := range steps {
+				if st.reset {
+					v.ResetStats()
+				}
+				before := v.Stats()
+				events = events[:0]
+				if err := st.do(v); !errors.Is(err, st.err) {
+					t.Fatalf("%s: err = %v, want %v", st.name, err, st.err)
+				}
+				got := v.Stats().Sub(before)
+				got.Micros = 0
+				want := st.delta
+				want.Syncs *= b.syncs
+				if got != want {
+					t.Errorf("%s: counters moved by %#v, want %#v", st.name, got, want)
+				}
+				if len(events) != len(st.events) {
+					t.Errorf("%s: %d trace events %+v, want %+v", st.name, len(events), events, st.events)
+					continue
+				}
+				for i := range events {
+					if events[i] != st.events[i] {
+						t.Errorf("%s: event %d = %+v, want %+v", st.name, i, events[i], st.events[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -14,10 +14,10 @@ import (
 // file and every request is a positional system call — pread/pwrite at
 // page offsets (os.File.ReadAt/WriteAt), a vectored pwritev for
 // WriteRun on Linux (with a portable sequential-write fallback), and
-// fdatasync for Force.  Stats mirror the simulator's accounting, except
-// that Micros records *measured* wall-clock time instead of modelled
-// time, and Syncs counts the fdatasync calls the durability boundary
-// actually issued.
+// fdatasync for Force.  The accounting core is the simulator's, with a
+// zero cost model: Micros records *measured* wall-clock time instead of
+// modelled time, and Syncs counts the fdatasync calls the durability
+// boundary actually issued.
 //
 // The file starts with one page-sized header block (geometry and
 // flags); data page p lives at byte offset (p+1)*PageSize, so every
@@ -33,38 +33,28 @@ import (
 //
 // A FileVolume is safe for concurrent use: reads and writes are
 // positional (the kernel serializes overlapping extents), the shadow
-// map sits under mu, and the accounting under accMu.  Neither lock is
-// ever held across a data transfer, so concurrent requests overlap in
-// the kernel.
+// map sits under mu, and the accounting in the embedded core.  No data
+// transfer happens under the core's lock, so concurrent requests
+// overlap in the kernel.
 type FileVolume struct {
-	f        *os.File
-	path     string
-	pageSize int
-	numPages PageNum
-	direct   bool
+	account
 
-	// mu guards the crash-shadow map and the closed flag.  Rank 62 in
-	// the lattice: taken after any engine latch, before accMu.
+	f      *os.File
+	path   string
+	direct bool
+
+	// mu guards the crash-shadow map, the torn-write injection and the
+	// closed flag.  Rank 62 in the lattice: taken after any engine latch,
+	// before the accounting core's lock.
 	mu       sync.Mutex
 	shadowOn bool
 	shadow   map[PageNum][]byte // eos:guardedby mu -- pre-images of unforced pages
 	closed   bool               // eos:guardedby mu
-
-	// accMu guards the accounting and fault state, exactly like the
-	// simulator's.  Held only for counter updates, never across I/O.
-	accMu   sync.Mutex
-	stats   Stats   // eos:guardedby accMu
-	headPos PageNum // eos:guardedby accMu -- page following the last transfer; -1 unknown
-
-	faultAfter int64 // eos:guardedby accMu
-	faultErr   error // eos:guardedby accMu
 	// tornPages >= 0 arms torn-write injection: the next WriteRun
 	// writes only its first tornPages pages, then fails with tornErr —
 	// a partial writev, as a real crash mid-vector would leave it.
-	tornPages int64 // eos:guardedby accMu
-	tornErr   error // eos:guardedby accMu
-
-	tracer func(TraceEvent) // eos:guardedby accMu
+	tornPages int   // eos:guardedby mu
+	tornErr   error // eos:guardedby mu
 }
 
 // FileOptions configures a FileVolume.
@@ -98,11 +88,8 @@ const (
 // pages — so writes never extend it and pwritev needs no append
 // handling; unwritten pages read back as zeroes through the hole.
 func CreateFileVolume(path string, pageSize int, numPages PageNum, opts FileOptions) (*FileVolume, error) {
-	if pageSize <= 0 {
-		return nil, fmt.Errorf("disk: invalid page size %d", pageSize)
-	}
-	if numPages <= 0 {
-		return nil, fmt.Errorf("disk: invalid volume size %d pages", numPages)
+	if err := checkGeometry(pageSize, numPages); err != nil {
+		return nil, err
 	}
 	if opts.Direct && pageSize%512 != 0 {
 		return nil, fmt.Errorf("disk: O_DIRECT requires a page size that is a multiple of 512, got %d", pageSize)
@@ -213,72 +200,31 @@ func newFileVolume(f *os.File, path string, pageSize int, numPages PageNum, opts
 	if opts.CrashShadow {
 		shadow = make(map[PageNum][]byte)
 	}
-	return &FileVolume{
+	v := &FileVolume{
+		account:   account{pageSize: pageSize, numPages: numPages, headPos: -1},
 		f:         f,
 		path:      path,
-		pageSize:  pageSize,
-		numPages:  numPages,
 		direct:    opts.Direct,
 		shadowOn:  opts.CrashShadow,
 		shadow:    shadow,
-		headPos:   -1,
 		tornPages: -1,
 	}
+	v.readPages = v.ReadPages
+	return v
 }
 
 // Path reports the backing file's path.
 func (v *FileVolume) Path() string { return v.path }
 
-// PageSize reports the volume's page size in bytes.
-func (v *FileVolume) PageSize() int { return v.pageSize }
-
-// NumPages reports the volume's capacity in pages.
-func (v *FileVolume) NumPages() PageNum { return v.numPages }
-
 // DirectIO reports whether the volume bypasses the OS page cache.
 func (v *FileVolume) DirectIO() bool { return v.direct }
 
-// Stats returns a snapshot of the accumulated I/O statistics.
-func (v *FileVolume) Stats() Stats {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	return v.stats
-}
-
-// ResetStats zeroes the statistics counters and forgets the head
-// position so the next request is charged a seek.
-func (v *FileVolume) ResetStats() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.stats = Stats{}
-	v.headPos = -1
-}
-
-// SetTracer installs fn to observe every read and write; nil disables
-// tracing.  Invoked with the accounting lock held; it must be fast and
-// must not call back into the volume.
-func (v *FileVolume) SetTracer(fn func(TraceEvent)) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.tracer = fn
-}
-
-// FailAfter arms fault injection: after n more successful requests,
-// every read and write fails with err until ClearFault.
-func (v *FileVolume) FailAfter(n int64, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultAfter = n
-	v.faultErr = err
-}
-
-// ClearFault disarms fault injection (both FailAfter and FailWriteRun).
+// ClearFault disarms fault injection, FailWriteRun's included.
 func (v *FileVolume) ClearFault() {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.faultErr = nil
-	v.tornPages = -1
-	v.tornErr = nil
+	v.account.ClearFault()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.tornPages, v.tornErr = -1, nil
 }
 
 // FailWriteRun arms torn-write injection: the next WriteRun writes only
@@ -286,10 +232,9 @@ func (v *FileVolume) ClearFault() {
 // crash mid-pwritev leaves behind.  Single-page writes are unaffected.
 // Disarmed by ClearFault or by firing once.
 func (v *FileVolume) FailWriteRun(pages int, err error) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	v.tornPages = int64(pages)
-	v.tornErr = err
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.tornPages, v.tornErr = pages, err
 }
 
 // off returns the byte offset of page p (the header occupies the first
@@ -298,63 +243,14 @@ func (v *FileVolume) off(p PageNum) int64 {
 	return (int64(p) + 1) * int64(v.pageSize)
 }
 
-func (v *FileVolume) checkRange(start PageNum, n int) error {
-	if n < 0 || start < 0 || PageNum(int64(start)+int64(n)) > v.numPages {
-		return fmt.Errorf("%w: pages [%d,%d) of %d", ErrOutOfRange, start, int64(start)+int64(n), v.numPages)
-	}
-	return nil
-}
-
-// begin accounts one request: fault budget, counters, seek detection,
-// tracing.  Wall-clock time is added separately by endTimed.
-func (v *FileVolume) begin(start PageNum, n int, write, run bool) error {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
-	if v.faultErr != nil {
-		if v.faultAfter > 0 {
-			v.faultAfter--
-		} else {
-			return v.faultErr
-		}
-	}
-	if write {
-		v.stats.Writes++
-		v.stats.PagesWritten += int64(n)
-		if run {
-			v.stats.RunWrites++
-			v.stats.CoalescedPages += int64(n - 1)
-		}
-	} else {
-		v.stats.Reads++
-		v.stats.PagesRead += int64(n)
-	}
-	seek := v.headPos != start
-	if seek {
-		v.stats.Seeks++
-	}
-	v.headPos = start + PageNum(n)
-	if v.tracer != nil {
-		v.tracer(TraceEvent{Write: write, Start: start, Pages: n, Seek: seek})
-	}
-	return nil
-}
-
-// endTimed adds the measured duration of one request to the stats.
-func (v *FileVolume) endTimed(began time.Time) {
-	micros := time.Since(began).Microseconds()
-	v.accMu.Lock()
-	v.stats.Micros += micros
-	v.accMu.Unlock()
-}
-
 // takeTorn consumes an armed torn-write injection, if any.
 func (v *FileVolume) takeTorn() (int, error, bool) {
-	v.accMu.Lock()
-	defer v.accMu.Unlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.tornPages < 0 {
 		return 0, nil, false
 	}
-	k, err := int(v.tornPages), v.tornErr
+	k, err := v.tornPages, v.tornErr
 	v.tornPages, v.tornErr = -1, nil
 	return k, err, true
 }
@@ -379,20 +275,13 @@ func alignedBlock(n int) []byte {
 // ReadPages reads n physically contiguous pages starting at page start
 // into buf (exactly n*PageSize bytes) with one pread.
 func (v *FileVolume) ReadPages(start PageNum, n int, buf []byte) error {
-	if len(buf) != n*v.pageSize {
-		return fmt.Errorf("%w: got %d bytes for %d pages", ErrBadLength, len(buf), n)
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.check(start, n, buf); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, false, false); err != nil {
+	if _, err := v.begin(start, n, false, false); err != nil || n == 0 {
 		return err
 	}
-	if n == 0 {
-		return nil
-	}
-	began := time.Now()
-	defer v.endTimed(began)
+	defer v.measured(time.Now(), false)
 	if v.direct {
 		bounce := alignedBlock(len(buf))
 		if _, err := v.f.ReadAt(bounce, v.off(start)); err != nil {
@@ -405,15 +294,6 @@ func (v *FileVolume) ReadPages(start PageNum, n int, buf []byte) error {
 		return fmt.Errorf("disk: pread %s: %w", v.path, err)
 	}
 	return nil
-}
-
-// Read allocates and returns the content of n contiguous pages.
-func (v *FileVolume) Read(start PageNum, n int) ([]byte, error) {
-	buf := make([]byte, n*v.pageSize)
-	if err := v.ReadPages(start, n, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // shadowSave snapshots the pre-image of every not-yet-shadowed page in
@@ -444,23 +324,16 @@ func (v *FileVolume) shadowSave(start PageNum, n int) error {
 // start with one pwrite.  The write is volatile until a Force covers
 // it.
 func (v *FileVolume) WritePages(start PageNum, n int, buf []byte) error {
-	if len(buf) != n*v.pageSize {
-		return fmt.Errorf("%w: got %d bytes for %d pages", ErrBadLength, len(buf), n)
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.check(start, n, buf); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, true, false); err != nil {
+	if _, err := v.begin(start, n, true, false); err != nil || n == 0 {
 		return err
-	}
-	if n == 0 {
-		return nil
 	}
 	if err := v.shadowSave(start, n); err != nil {
 		return err
 	}
-	began := time.Now()
-	defer v.endTimed(began)
+	defer v.measured(time.Now(), false)
 	if v.direct {
 		bounce := alignedBlock(len(buf))
 		copy(bounce, buf)
@@ -478,19 +351,11 @@ func (v *FileVolume) WritePages(start PageNum, n int, buf []byte) error {
 // be exactly one page.
 func (v *FileVolume) WriteRun(start PageNum, pages [][]byte) error {
 	n := len(pages)
-	for i, p := range pages {
-		if len(p) != v.pageSize {
-			return fmt.Errorf("%w: run page %d has %d bytes, want %d", ErrBadLength, i, len(p), v.pageSize)
-		}
-	}
-	if err := v.checkRange(start, n); err != nil {
+	if err := v.checkRun(start, pages); err != nil {
 		return err
 	}
-	if err := v.begin(start, n, true, true); err != nil {
+	if _, err := v.begin(start, n, true, true); err != nil || n == 0 {
 		return err
-	}
-	if n == 0 {
-		return nil
 	}
 	if err := v.shadowSave(start, n); err != nil {
 		return err
@@ -506,8 +371,7 @@ func (v *FileVolume) WriteRun(start PageNum, pages [][]byte) error {
 		}
 		return terr
 	}
-	began := time.Now()
-	defer v.endTimed(began)
+	defer v.measured(time.Now(), false)
 	return v.writeRunPages(start, pages)
 }
 
@@ -585,10 +449,7 @@ func (v *FileVolume) ForceAllExcept(skip map[PageNum]bool) error {
 func (v *FileVolume) sync() error {
 	began := time.Now()
 	err := fdatasyncFile(v.f)
-	v.accMu.Lock()
-	v.stats.Syncs++
-	v.stats.Micros += time.Since(began).Microseconds()
-	v.accMu.Unlock()
+	v.measured(began, true)
 	if err != nil {
 		return fmt.Errorf("disk: fdatasync %s: %w", v.path, err)
 	}
@@ -622,10 +483,7 @@ func (v *FileVolume) Crash() error {
 	if err := v.sync(); err != nil {
 		return err
 	}
-	v.accMu.Lock()
-	v.stats = Stats{}
-	v.headPos = -1
-	v.accMu.Unlock()
+	v.ResetStats()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -192,11 +193,13 @@ func TestFileVolumeReopen(t *testing.T) {
 
 func TestFileVolumeOpenRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "img")
-	v := testVolume(t, 64, 8)
-	if err := v.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	// A volume image of an older release is not a file volume: different
+	// magic.
+	img := make([]byte, 20+8*64)
+	binary.BigEndian.PutUint32(img, 0xE05F11E1)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// A volume *image* is not a file volume: different magic.
 	if _, err := OpenFileVolume(path, FileOptions{}); err == nil {
 		t.Error("image accepted as file volume")
 	}
@@ -275,26 +278,6 @@ func TestFileVolumeForceAllExcept(t *testing.T) {
 	}
 }
 
-func TestFileVolumeFaultInjection(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{})
-	boom := errors.New("boom")
-	v.FailAfter(1, boom)
-	buf := make([]byte, 64)
-	if err := v.WritePages(0, 1, buf); err != nil {
-		t.Fatalf("budgeted write failed: %v", err)
-	}
-	if err := v.WritePages(1, 1, buf); !errors.Is(err, boom) {
-		t.Fatalf("fault not injected: %v", err)
-	}
-	if err := v.ReadPages(0, 1, buf); !errors.Is(err, boom) {
-		t.Fatalf("read fault not injected: %v", err)
-	}
-	v.ClearFault()
-	if err := v.ReadPages(0, 1, buf); err != nil {
-		t.Fatalf("fault not cleared: %v", err)
-	}
-}
-
 func TestFileVolumeTornWriteRun(t *testing.T) {
 	v := testFileVolume(t, 64, 16, FileOptions{CrashShadow: true})
 	boom := errors.New("torn")
@@ -332,64 +315,6 @@ func TestFileVolumeTornWriteRun(t *testing.T) {
 	// The injection disarms after firing once.
 	if err := v.WriteRun(4, pages); err != nil {
 		t.Fatalf("WriteRun after tear: %v", err)
-	}
-}
-
-func TestFileVolumeStatsAndSeeks(t *testing.T) {
-	v := testFileVolume(t, 64, 100, FileOptions{})
-	buf := make([]byte, 64)
-	for i := 0; i < 10; i++ {
-		if err := v.WritePages(PageNum(i), 1, buf); err != nil {
-			t.Fatalf("WritePages: %v", err)
-		}
-	}
-	seq := v.Stats()
-	if seq.Seeks != 1 {
-		t.Errorf("sequential writes: %d seeks, want 1", seq.Seeks)
-	}
-	if seq.Writes != 10 || seq.PagesWritten != 10 {
-		t.Errorf("stats = %+v", seq)
-	}
-	v.ResetStats()
-	for i := 0; i < 10; i++ {
-		if err := v.WritePages(PageNum(i*7%100), 1, buf); err != nil {
-			t.Fatalf("WritePages: %v", err)
-		}
-	}
-	if got := v.Stats().Seeks; got != 10 {
-		t.Errorf("random writes: %d seeks, want 10", got)
-	}
-	if err := v.ForceAll(); err != nil {
-		t.Fatalf("ForceAll: %v", err)
-	}
-	if got := v.Stats().Syncs; got != 1 {
-		t.Errorf("Syncs = %d, want 1", got)
-	}
-}
-
-func TestFileVolumeTracer(t *testing.T) {
-	v := testFileVolume(t, 64, 16, FileOptions{})
-	var events []TraceEvent
-	v.SetTracer(func(e TraceEvent) { events = append(events, e) })
-	buf := make([]byte, 64)
-	if err := v.WritePages(2, 1, buf); err != nil {
-		t.Fatalf("WritePages: %v", err)
-	}
-	if err := v.ReadPages(2, 1, buf); err != nil {
-		t.Fatalf("ReadPages: %v", err)
-	}
-	v.SetTracer(nil)
-	if err := v.ReadPages(2, 1, buf); err != nil {
-		t.Fatalf("ReadPages: %v", err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d trace events, want 2", len(events))
-	}
-	if !events[0].Write || events[0].Start != 2 || events[0].Pages != 1 {
-		t.Errorf("write event = %+v", events[0])
-	}
-	if events[1].Write {
-		t.Errorf("read event marked as write: %+v", events[1])
 	}
 }
 
@@ -435,62 +360,6 @@ func TestAlignedBlock(t *testing.T) {
 		if len(b) != n {
 			t.Fatalf("alignedBlock(%d) has len %d", n, len(b))
 		}
-	}
-}
-
-func TestMigrateRoundTrip(t *testing.T) {
-	// sim -> file -> sim must be byte-identical.
-	src := testVolume(t, 128, 40)
-	for p := PageNum(0); p < 40; p += 3 {
-		if err := src.WritePages(p, 1, bytes.Repeat([]byte{byte(p + 1)}, 128)); err != nil {
-			t.Fatalf("WritePages: %v", err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "migrated.eos")
-	fv, err := MigrateToFile(src, path, FileOptions{})
-	if err != nil {
-		t.Fatalf("MigrateToFile: %v", err)
-	}
-	defer fv.Close()
-	back, err := MigrateToSim(fv, DefaultCostModel())
-	if err != nil {
-		t.Fatalf("MigrateToSim: %v", err)
-	}
-	for p := PageNum(0); p < 40; p++ {
-		want, err := src.Read(p, 1)
-		if err != nil {
-			t.Fatalf("src read: %v", err)
-		}
-		got, err := back.Read(p, 1)
-		if err != nil {
-			t.Fatalf("back read: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("page %d differs after round trip", p)
-		}
-	}
-	// Migration forces: the file copy must survive a crash.
-	if err := fv.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	got, err := fv.Read(3, 1)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, bytes.Repeat([]byte{4}, 128)) {
-		t.Error("migrated page lost in crash — migration did not force")
-	}
-}
-
-func TestMigrateGeometryMismatch(t *testing.T) {
-	a := testVolume(t, 64, 8)
-	b := testVolume(t, 64, 9)
-	if err := CopyDevice(b, a); err == nil {
-		t.Error("geometry mismatch accepted")
-	}
-	c := testVolume(t, 128, 8)
-	if err := CopyDevice(c, a); err == nil {
-		t.Error("page size mismatch accepted")
 	}
 }
 
@@ -552,5 +421,14 @@ func TestFileVolumeCrashPreservesHeaderAndSize(t *testing.T) {
 	defer v2.Close()
 	if v2.PageSize() != ps || v2.NumPages() != np {
 		t.Fatalf("geometry after crash = %dx%d, want %dx%d", v2.NumPages(), v2.PageSize(), np, ps)
+	}
+}
+
+func TestSyncDir(t *testing.T) {
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatalf("SyncDir on a real directory: %v", err)
+	}
+	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("SyncDir on a missing directory succeeded")
 	}
 }

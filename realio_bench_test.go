@@ -2,13 +2,11 @@ package eos_test
 
 // Real-I/O benchmarks: the same storage engine running on file-backed
 // volumes (pread/pwrite/pwritev/fdatasync against temp-dir page files)
-// instead of the cost-modelled simulator.  Four aspects of the file
+// instead of the cost-modelled simulator.  Three aspects of the file
 // backend are measured:
 //
 //   - BenchmarkRealIOWriteRun: one vectored pwritev submission of a
 //     64-page dirty run vs 64 page-at-a-time pwrite calls.
-//   - BenchmarkRealIODispatch: 16 independent dirty runs issued inline
-//     vs overlapped through the async dispatcher's worker pool.
 //   - BenchmarkRealIOCommit4KB: the durable commit path — WAL append
 //     plus a real fdatasync per transaction.
 //   - BenchmarkRealIORead64KB: 64 KB object reads through the buffer
@@ -44,7 +42,6 @@ func realVolume(b *testing.B, pages disk.PageNum) *disk.FileVolume {
 
 func realStore(b *testing.B, opts eos.Options) *eos.Store {
 	b.Helper()
-	opts.Backend = eos.BackendFile
 	opts.PageSize = realPage
 	opts.DataPages = 8192
 	opts.LogPages = 2048
@@ -95,51 +92,6 @@ func BenchmarkRealIOWriteRun(b *testing.B) {
 				if err := v.WritePages(disk.PageNum(p), 1, flat[:realPage]); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-	})
-}
-
-// BenchmarkRealIODispatch writes 16 independent 16-page runs (1 MB
-// total) per iteration: inline issues them sequentially from one
-// goroutine, async overlaps them through an 8-worker dispatcher — the
-// checkpoint write-back shape with IODepth set.
-func BenchmarkRealIODispatch(b *testing.B) {
-	const runs, runPages = 16, 16
-	pages := realRunPages(runs * runPages)
-	b.Run("inline", func(b *testing.B) {
-		v := realVolume(b, 4096)
-		b.SetBytes(runs * runPages * realPage)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < runs; r++ {
-				start := disk.PageNum(r * runPages)
-				if err := v.WriteRun(start, pages[r*runPages:(r+1)*runPages]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("async8", func(b *testing.B) {
-		v := realVolume(b, 4096)
-		d := disk.NewDispatcher(v, 8, 2*runs)
-		b.Cleanup(d.Close)
-		batch := d.NewBatch()
-		b.SetBytes(runs * runPages * realPage)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < runs; r++ {
-				sqe := disk.SQE{
-					Op:    disk.OpWriteRun,
-					Start: disk.PageNum(r * runPages),
-					Pages: pages[r*runPages : (r+1)*runPages],
-				}
-				if err := batch.Submit(sqe); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := batch.Wait(); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

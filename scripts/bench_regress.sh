@@ -29,8 +29,7 @@
 #           scan throughput (BENCH_snapshot_scan.json records the
 #           accepted numbers).
 #   realio — BenchmarkRealIO* (file-backed volumes: pwritev runs,
-#           dispatcher write-back, durable commits, pool reads on
-#           real page files).  allocs/op rows gate like the *Mem
+#           durable commits, pool reads on real page files).  allocs/op rows gate like the *Mem
 #           pass; ns/op depends on the runner's filesystem and is
 #           informational (BENCH_real_io.json records accepted
 #           numbers and the vectored-vs-pagewise ratio).
