@@ -47,7 +47,13 @@ func captureStdout(t *testing.T, fn func()) string {
 	return <-done
 }
 
+// TestCtlEndToEnd drives every subcommand against a store kept in page
+// files, the one backend eosctl has.
 func TestCtlEndToEnd(t *testing.T) {
+	t.Run("file", testCtlEndToEnd)
+}
+
+func testCtlEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	must := func(cmd string, args ...string) string {
 		t.Helper()

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -897,7 +898,14 @@ func OpenAt(dir string, opts Options) (*Store, error) {
 // Checkpoint makes the current state durable: descriptors are written to
 // the catalog, every dirty page is flushed and forced, and the log is
 // truncated.
+//
+// It yields the processor before it starts.  A checkpoint holds s.mu
+// through a whole flush, and on an in-memory volume nothing in it blocks,
+// so a goroutine its caller has just started (a snapshot reader, say)
+// would otherwise wait for another OS thread to be scheduled before it
+// ran at all.
 func (s *Store) Checkpoint() error {
+	runtime.Gosched()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkpointLocked()

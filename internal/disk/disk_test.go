@@ -359,6 +359,65 @@ func TestWriteRunVolatileUntilForce(t *testing.T) {
 	}
 }
 
+func TestFaultInjection(t *testing.T) {
+	v := MustNewVolume(64, 8, CostModel{})
+	boom := errors.New("boom")
+	buf := make([]byte, 64)
+
+	v.FailAfter(2, boom)
+	if err := v.ReadPages(0, 1, buf); err != nil {
+		t.Fatalf("request 1: %v", err)
+	}
+	if err := v.WritePages(0, 1, buf); err != nil {
+		t.Fatalf("request 2: %v", err)
+	}
+	if err := v.ReadPages(0, 1, buf); !errors.Is(err, boom) {
+		t.Fatalf("request 3: err = %v, want boom", err)
+	}
+	if err := v.WritePages(0, 1, buf); !errors.Is(err, boom) {
+		t.Fatalf("request 4: err = %v, want boom", err)
+	}
+	v.ClearFault()
+	if err := v.ReadPages(0, 1, buf); err != nil {
+		t.Fatalf("after clear: %v", err)
+	}
+}
+
+func TestTracerObservesRequests(t *testing.T) {
+	v := testVolume(t, 64, 64)
+	var events []TraceEvent
+	v.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	buf := make([]byte, 64)
+	if err := v.WritePages(3, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.ReadPages(4, 1, buf); err != nil { // sequential: no seek
+		t.Fatal(err)
+	}
+	if err := v.ReadPages(40, 1, buf); err != nil { // seek
+		t.Fatal(err)
+	}
+	if len(events) != 3 {
+		t.Fatalf("events = %d, want 3", len(events))
+	}
+	if !events[0].Write || !events[0].Seek || events[0].Start != 3 {
+		t.Errorf("event 0 = %+v", events[0])
+	}
+	if events[1].Write || events[1].Seek {
+		t.Errorf("event 1 = %+v (sequential read, no seek)", events[1])
+	}
+	if !events[2].Seek {
+		t.Errorf("event 2 = %+v (random read, seek)", events[2])
+	}
+	v.SetTracer(nil)
+	if err := v.ReadPages(0, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 {
+		t.Error("tracer fired after being removed")
+	}
+}
+
 // tracedDevice is a Device that also takes a tracer, as both backends do.
 type tracedDevice interface {
 	Device

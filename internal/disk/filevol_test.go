@@ -278,6 +278,26 @@ func TestFileVolumeForceAllExcept(t *testing.T) {
 	}
 }
 
+func TestFileVolumeFaultInjection(t *testing.T) {
+	v := testFileVolume(t, 64, 16, FileOptions{})
+	boom := errors.New("boom")
+	v.FailAfter(1, boom)
+	buf := make([]byte, 64)
+	if err := v.WritePages(0, 1, buf); err != nil {
+		t.Fatalf("budgeted write failed: %v", err)
+	}
+	if err := v.WritePages(1, 1, buf); !errors.Is(err, boom) {
+		t.Fatalf("fault not injected: %v", err)
+	}
+	if err := v.ReadPages(0, 1, buf); !errors.Is(err, boom) {
+		t.Fatalf("read fault not injected: %v", err)
+	}
+	v.ClearFault()
+	if err := v.ReadPages(0, 1, buf); err != nil {
+		t.Fatalf("fault not cleared: %v", err)
+	}
+}
+
 func TestFileVolumeTornWriteRun(t *testing.T) {
 	v := testFileVolume(t, 64, 16, FileOptions{CrashShadow: true})
 	boom := errors.New("torn")
@@ -315,6 +335,64 @@ func TestFileVolumeTornWriteRun(t *testing.T) {
 	// The injection disarms after firing once.
 	if err := v.WriteRun(4, pages); err != nil {
 		t.Fatalf("WriteRun after tear: %v", err)
+	}
+}
+
+func TestFileVolumeStatsAndSeeks(t *testing.T) {
+	v := testFileVolume(t, 64, 100, FileOptions{})
+	buf := make([]byte, 64)
+	for i := 0; i < 10; i++ {
+		if err := v.WritePages(PageNum(i), 1, buf); err != nil {
+			t.Fatalf("WritePages: %v", err)
+		}
+	}
+	seq := v.Stats()
+	if seq.Seeks != 1 {
+		t.Errorf("sequential writes: %d seeks, want 1", seq.Seeks)
+	}
+	if seq.Writes != 10 || seq.PagesWritten != 10 {
+		t.Errorf("stats = %+v", seq)
+	}
+	v.ResetStats()
+	for i := 0; i < 10; i++ {
+		if err := v.WritePages(PageNum(i*7%100), 1, buf); err != nil {
+			t.Fatalf("WritePages: %v", err)
+		}
+	}
+	if got := v.Stats().Seeks; got != 10 {
+		t.Errorf("random writes: %d seeks, want 10", got)
+	}
+	if err := v.ForceAll(); err != nil {
+		t.Fatalf("ForceAll: %v", err)
+	}
+	if got := v.Stats().Syncs; got != 1 {
+		t.Errorf("Syncs = %d, want 1", got)
+	}
+}
+
+func TestFileVolumeTracer(t *testing.T) {
+	v := testFileVolume(t, 64, 16, FileOptions{})
+	var events []TraceEvent
+	v.SetTracer(func(e TraceEvent) { events = append(events, e) })
+	buf := make([]byte, 64)
+	if err := v.WritePages(2, 1, buf); err != nil {
+		t.Fatalf("WritePages: %v", err)
+	}
+	if err := v.ReadPages(2, 1, buf); err != nil {
+		t.Fatalf("ReadPages: %v", err)
+	}
+	v.SetTracer(nil)
+	if err := v.ReadPages(2, 1, buf); err != nil {
+		t.Fatalf("ReadPages: %v", err)
+	}
+	if len(events) != 2 {
+		t.Fatalf("got %d trace events, want 2", len(events))
+	}
+	if !events[0].Write || events[0].Start != 2 || events[0].Pages != 1 {
+		t.Errorf("write event = %+v", events[0])
+	}
+	if events[1].Write {
+		t.Errorf("read event marked as write: %+v", events[1])
 	}
 }
 
