@@ -20,16 +20,16 @@ import (
 // pages after the header.
 //
 // A barrier must make the roots that CHANGED durable behind their data
-// (§4.5), not every root.  A commit or abort barrier does it in the log:
-// once the data force is done it appends one RecCatalog record — the
-// descriptors whose committed state or name changed since the previous
-// catalog record, the ids of objects that went away, and nextID — and does
-// not force it.  The next log force carries it: another transaction's
-// commit, or the one every Checkpoint and Close begins with.  A commit
-// thus issues no data-volume request for the catalog, and no log request
-// of its own for it either.  (The durability quarantine counts such a
-// barrier complete only once a force has covered its record: see
-// stampLoggedBarrier.)
+// (§4.5), not every root.  A commit is no barrier: it is durable at its
+// log force, and recovery redoes it from its log records until a barrier
+// has persisted its roots.  Checkpoints and aborts are the catalog's
+// writers.  An abort barrier writes in the log: once the data force is
+// done it appends one RecCatalog record — the descriptors whose committed
+// state or name changed since the previous catalog record, the ids of
+// objects that went away, and nextID — and does not force it.  The next
+// log force carries it: the abort record's own, right behind it.  (The
+// durability quarantine counts such a barrier complete only once a force
+// has covered its record: see stampLoggedBarrier.)
 //
 // A checkpoint writes the image to the reserved region, and that is where
 // recovery starts: the log cannot hold the image alone, because a
@@ -46,9 +46,9 @@ import (
 // loads the slot, then applies the RecCatalog records above that stamp in
 // log order.  A record at or below it is older than the slot: replaying it
 // would undo whatever the slot caught since, a non-transactional update
-// for one.  A RecCatalog that never became durable loses nothing: the
-// commit record it followed was forced first, and redo re-executes that
-// commit from the older roots, whose pages the quarantine kept intact.
+// for one.  A RecCatalog that never became durable loses nothing: every
+// commit it covers was forced first, and redo re-executes those commits
+// from the older roots, whose pages the quarantine kept intact.
 //
 // A power cut preserves an arbitrary subset of outstanding page writes,
 // so three rules keep every crash state of the slots loadable:
@@ -183,7 +183,7 @@ func (s *Store) slotDelta(ups []catRec, tombs []uint64) ([]catRec, []uint64) {
 }
 
 // catalogFits refuses an image of full bytes that one slot cannot hold.
-// Every barrier asks before it writes anything — a commit's too, although
+// Every barrier asks before it writes anything — an abort's too, although
 // only a checkpoint writes the image — so the durable catalog still
 // replays to the previous barrier and the store stays usable.
 func (s *Store) catalogFits(full int) error {
@@ -312,7 +312,7 @@ func (s *Store) writeCatalog() error {
 	return nil
 }
 
-// logCatalog is the metadata half of a commit or abort barrier: the
+// logCatalog is the metadata half of an abort barrier: the
 // descriptors that changed since the newest catalog record, slot or log,
 // appended to the log as one RecCatalog record with nextID, unforced.  The
 // caller has forced the data they reference.  A barrier that changes
@@ -350,7 +350,7 @@ func (s *Store) logCatalog() error {
 	return nil
 }
 
-// stampLoggedBarrier completes the newest commit or abort barrier for the
+// stampLoggedBarrier completes the newest abort barrier for the
 // durability quarantine once a log force has covered the newest catalog
 // record: until then the durable catalog may still hold the roots it
 // replaced.  Every barrier calls it before the quarantine releases

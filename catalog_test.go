@@ -197,12 +197,6 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want["obj-00"] = append(want["obj-00"], pat(9, 50)...)
-	// The commit's catalog record waits in the log buffer for the next
-	// force, which the checkpoint would issue; issue it first, so that what
-	// follows measures the truncation alone.
-	if err := s.log.Force(); err != nil {
-		t.Fatal(err)
-	}
 	logBefore := logVol.Stats()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -261,9 +255,10 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 // stay: no tombstone before the destroy commits), the same aborted, a
 // committed destroy — through a crash after each, once with slots so
 // large every checkpoint writes a delta and once with slots so small every
-// checkpoint compacts.  Commits and aborts write no slot record: their
-// catalog records go to the log, and the crash that follows a commit finds
-// its record unforced, so recovery redoes the commit.
+// checkpoint compacts.  A commit writes no catalog record at all; the
+// abort that follows each committed step is the barrier, and it writes no
+// slot record either: its catalog record goes to the log, where its abort
+// record's force makes it durable, so recovery adopts it.
 func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -281,8 +276,8 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 			// with large slots, where a checkpoint that changes nothing
 			// writes nothing; wantBases with one-page slots, where every
 			// checkpoint compacts; wantLogged catalog records in the log,
-			// one per commit or abort that changed a descriptor — and
-			// crashes.
+			// one per abort that changed a descriptor — and crashes.
+			// Recovery must have applied the logged records.
 			step := func(what string, wantDeltas, wantBases, wantLogged int64, mutate func()) {
 				t.Helper()
 				before := s.Stats().Barrier
@@ -300,9 +295,12 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("%s: %d catalog records logged, want %d", what, logged, wantLogged)
 				}
 				s = crashReopen(t, vol, logVol)
+				if got := s.Stats().Recovery.CatalogRecords; got != wantLogged {
+					t.Fatalf("%s: recovery applied %d catalog records, want %d", what, got, wantLogged)
+				}
 				expectObjects(t, s, want)
 			}
-			step("txn create", 0, 0, 1, func() {
+			step("txn create, abort", 0, 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Create("a", 0); err != nil {
 					t.Fatal(err)
@@ -314,6 +312,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 				if err := tx.Commit(); err != nil {
 					t.Fatal(err)
 				}
+				abortBarrier(t, s)
 			})
 			step("create", 1, 1, 0, func() {
 				o, err := s.Create("b", 0)
@@ -369,7 +368,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("journal holds %v after the abort, want [a c]", got)
 				}
 			})
-			step("txn destroy", 0, 0, 1, func() {
+			step("txn destroy, abort", 0, 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("c"); err != nil {
 					t.Fatal(err)
@@ -378,6 +377,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(want, "c")
+				abortBarrier(t, s)
 			})
 		})
 	}
@@ -587,8 +587,9 @@ func TestOpenRejectsOldFormatVersion(t *testing.T) {
 
 // TestCatalogFull: when the full image outgrows a slot the barrier
 // fails with ErrCatalogFull before writing anything — the store stays
-// usable, the last durable catalog state survives a crash, and
-// destroying an object lets the next barrier through.
+// usable (a commit, which is no barrier, goes through), the last durable
+// catalog state survives a crash, and destroying an object lets the next
+// barrier through.
 func TestCatalogFull(t *testing.T) {
 	fill := func(t *testing.T) (*Store, *catDevice, disk.Device, map[string][]byte, map[string][]byte) {
 		s, vol, logVol := newJournalStore(t, Options{CatalogPages: 1})
@@ -629,10 +630,14 @@ func TestCatalogFull(t *testing.T) {
 		if err := tx.Append("obj-00", []byte("still writable")); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Commit(); !errors.Is(err, ErrCatalogFull) {
+		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit with the catalog still overfull: %v", err)
 		}
 		want["obj-00"] = append(want["obj-00"], "still writable"...)
+		expectObjects(t, s, want)
+		if err := s.Checkpoint(); !errors.Is(err, ErrCatalogFull) {
+			t.Fatalf("checkpoint with the catalog still overfull: %v", err)
+		}
 		expectObjects(t, s, want)
 		if err := s.Destroy("obj-01"); err != nil {
 			t.Fatal(err)

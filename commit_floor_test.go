@@ -14,12 +14,12 @@ import (
 // replace those bytes, append, commit — on a warmed object must issue
 // exactly the device requests recovery can use.  Data volume: the read, the
 // append's one write into the open tail, the replace's in-place write —
-// nothing in the catalog region, since the commit's catalog delta rides the
-// log.  Log volume: ONE write, of ceil(record bytes / page) pages, that
+// no index page from the pool, nothing in the catalog region and no force:
+// a commit is durable at its log force, and redo recovers it until the next
+// barrier.  Log volume: ONE write, of ceil(record bytes / page) pages, that
 // continues where the previous commit's force ended — no reposition, and no
-// page an earlier force wrote — and carries the previous commit's catalog
-// record with this commit's records.  A request more on either volume fails
-// here before it reaches the benchmark.
+// page an earlier force wrote — and carries no catalog record.  A request
+// more on either volume fails here before it reaches the benchmark.
 
 // gatedLog is a simulated log volume whose writes can be held: while armed,
 // a write announces itself on entered and waits for release.
@@ -126,18 +126,13 @@ func TestCommitFloor(t *testing.T) {
 	warm := len(*log)
 	st0 := s.Stats()
 	tailBytes := int64(len(model["x"])) % ps
-	carried := s.catLSN // the warm-up commit's catalog record, not forced yet
-	if carried == 0 || s.log.Durable(carried) || st0.Barrier.CatalogLogRecords != 1 {
-		t.Fatalf("the warm-up logged %d catalog records, the last (lsn %d) durable %v; want 1, waiting for a force",
-			st0.Barrier.CatalogLogRecords, carried, s.log.Durable(carried))
-	}
 	if err := smallTxn(t, s, "x", model, 70).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 
-	// Data volume: read, append, in-place replace — in that order, and none
-	// of them in the header or the catalog region.
+	// Data volume: read, append, in-place replace — in that order, none of
+	// them in the header or the catalog region, and no force.
 	d := *data
 	if len(d) != 3 || d[0].Write || !d[1].Write || !d[2].Write {
 		t.Fatalf("data requests %+v, want one read and two writes", d)
@@ -153,23 +148,18 @@ func TestCommitFloor(t *testing.T) {
 			t.Errorf("data request %+v lands in the header or the catalog region", ev)
 		}
 	}
-	b, b0 := st.Barrier, st0.Barrier
-	if b.CatalogDeltaWrites != b0.CatalogDeltaWrites || b.CatalogCompactions != b0.CatalogCompactions || b.HeaderWrites != b0.HeaderWrites {
-		t.Errorf("the commit wrote %d slot deltas, %d bases and %d headers, want none",
-			b.CatalogDeltaWrites-b0.CatalogDeltaWrites, b.CatalogCompactions-b0.CatalogCompactions, b.HeaderWrites-b0.HeaderWrites)
+	if got := st.Pool.Flushes - st0.Pool.Flushes; got != 0 {
+		t.Errorf("the commit wrote %d pages from the pool, want none", got)
 	}
-	if got := b.CatalogLogRecords - b0.CatalogLogRecords; got != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
-		t.Errorf("%d catalog records (%d bytes) logged, want 1", got, b.CatalogLogBytes-b0.CatalogLogBytes)
+	if got := st.Disk.Syncs - st0.Disk.Syncs; got != 0 {
+		t.Errorf("the commit forced the data volume %d times, want never", got)
 	}
-	// The commit force carried the warm-up's catalog record; this commit's
-	// own waits for the next one.
-	if !s.log.Durable(carried) || s.catLSN <= carried || s.log.Durable(s.catLSN) {
-		t.Errorf("catalog records: the carried one durable %v, the new one (lsn %d after %d) durable %v; want true, false",
-			s.log.Durable(carried), s.catLSN, carried, s.log.Durable(s.catLSN))
+	if st.Barrier != st0.Barrier {
+		t.Errorf("the commit moved the barrier counters: %+v -> %+v", st0.Barrier, st.Barrier)
 	}
 
 	// Log volume: one write behind the warm-up commit's, sized by the
-	// records alone — the carried catalog record among them.
+	// commit's records.
 	pages := checkLogWrites(t, *log)
 	if len(pages) != warm+1 {
 		t.Fatalf("%d log writes for one commit, want 1: %+v", len(pages)-warm, (*log)[warm:])
@@ -178,9 +168,6 @@ func TestCommitFloor(t *testing.T) {
 	if want := (recBytes + ps - 1) / ps; int64(pages[warm]) != want {
 		t.Errorf("the commit wrote %d log pages for %d bytes of records, want %d", pages[warm], recBytes, want)
 	}
-	if carriedBytes := b0.CatalogLogBytes; recBytes <= carriedBytes {
-		t.Errorf("the commit force flushed %d record bytes, not more than the %d of the carried catalog record", recBytes, carriedBytes)
-	}
 	if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != 1 {
 		t.Errorf("%d leader forces, want 1", got)
 	}
@@ -188,6 +175,112 @@ func TestCommitFloor(t *testing.T) {
 		t.Errorf("log tail grew by %d bytes, records and padding written are %d, pages written %d", grew, wrote, pages[warm])
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+		t.Fatal("content wrong after commit")
+	}
+}
+
+// TestCommitFloorLeavesIndexPagesInThePool: an insert into an object whose
+// tree has an index level shadows the index node above the leaf it splits.
+// The commit writes none of the new index pages — they stay dirty in the
+// pool — and the next checkpoint writes every one of them.
+func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
+	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
+	s, err := Format(vol, disk.MustNewVolume(512, 1024, disk.DefaultCostModel()), Options{MaxRootEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 12; i++ {
+		part := pat(80+i, 600)
+		if err := o.AppendWithHint(part, int64(len(part))); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, part...)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if u, err := o.Usage(); err != nil || u.TreeHeight != 2 {
+		t.Fatalf("tree height %d (err %v), want 2: a root over index pages", u.TreeHeight, err)
+	}
+	indexPages := func() map[disk.PageNum]bool {
+		s.mu.Lock()
+		e := s.catalog["x"]
+		s.mu.Unlock()
+		runs, err := e.obj.ReachablePages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := e.obj.Segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[disk.PageNum]bool{}
+		for _, r := range runs {
+			for i := 0; i < r.Pages; i++ {
+				out[r.Start+disk.PageNum(i)] = true
+			}
+		}
+		for _, sg := range segs {
+			for i := 0; i < sg.Pages; i++ {
+				delete(out, sg.StartPage+disk.PageNum(i))
+			}
+		}
+		return out
+	}
+	before := indexPages()
+	var writes []disk.TraceEvent
+	vol.SetTracer(func(ev disk.TraceEvent) {
+		if ev.Write {
+			writes = append(writes, ev)
+		}
+	})
+	written := func(p disk.PageNum) bool {
+		for _, ev := range writes {
+			if p >= ev.Start && p < ev.Start+disk.PageNum(ev.Pages) {
+				return true
+			}
+		}
+		return false
+	}
+
+	tx, _ := s.Begin()
+	ins := pat(99, 300)
+	if err := tx.Insert("x", 3000, ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want[:3000:3000], append(append([]byte{}, ins...), want[3000:]...)...)
+	var shadowed []disk.PageNum
+	for p := range indexPages() {
+		if !before[p] {
+			shadowed = append(shadowed, p)
+		}
+	}
+	if len(shadowed) == 0 {
+		t.Fatal("the insert shadowed no index page")
+	}
+	for _, p := range shadowed {
+		if written(p) {
+			t.Errorf("the commit wrote index page %d", p)
+		}
+	}
+	writes = nil
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range shadowed {
+		if !written(p) {
+			t.Errorf("the checkpoint did not write index page %d", p)
+		}
+	}
+	if !bytes.Equal(readObject(t, s, "x"), want) {
 		t.Fatal("content wrong after commit")
 	}
 }

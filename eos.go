@@ -54,12 +54,13 @@ var (
 	// ErrCorruptStore is returned when the store header or catalog fails
 	// validation.
 	ErrCorruptStore = errors.New("eos: corrupt store")
-	// ErrCatalogFull is returned by Commit, Abort and Checkpoint when the
+	// ErrCatalogFull is returned by Abort and Checkpoint when the
 	// committed descriptors no longer fit in one catalog slot
 	// (Options.CatalogPages).  No catalog record was written: the durable
-	// catalog still holds the previous barrier's state (a commit is
-	// durable all the same, through its log records), the store stays
-	// usable, and destroying objects makes room.
+	// catalog still holds the previous barrier's state (the commits since
+	// are durable all the same, through their log records), the store
+	// stays usable, and destroying objects makes room.  Commit never
+	// returns it: a commit writes no catalog record.
 	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
@@ -186,9 +187,9 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 // catEntry is one live catalog entry.  While a transaction has the
 // object dirty, catalog writes use the last committed descriptor
 // (stableDesc) so that uncommitted structural state never becomes
-// durable; uncommitted in-place replaces can still reach the disk when
-// another transaction's commit forces the volume, which is why replace
-// records log their physical extents for recovery-time undo.
+// durable; uncommitted in-place replaces can still reach the disk when a
+// checkpoint or another transaction's abort forces the volume, which is
+// why replace records log their physical extents for recovery-time undo.
 type catEntry struct {
 	id       uint64
 	name     string
@@ -280,8 +281,8 @@ type Store struct {
 	// committed descriptors.  slotDirty holds the ids the log's records
 	// changed since the slot's newest record, which the next slot record
 	// must carry too; catLSN is the LSN of the newest catalog record
-	// logged, and pendBarrier the newest commit or abort barrier not yet
-	// counted durable (0 when there is none).
+	// logged, and pendBarrier the newest abort barrier not yet counted
+	// durable (0 when there is none).
 	catSeq      uint64
 	catSlot     int
 	catNext     int
@@ -303,8 +304,8 @@ type Store struct {
 
 	// barrierStarted counts catalog barriers begun; barrierDurable is
 	// the index of the last one known durable: a checkpoint's once its
-	// slot record is forced, a commit's or abort's once a log force has
-	// covered its catalog record.  Barriers are serialized under s.mu, but
+	// slot record is forced, an abort's once a log force has covered its
+	// catalog record.  Barriers are serialized under s.mu, but
 	// releaseRuns stamps quarantine entries without holding it, hence
 	// atomics.
 	barrierStarted atomic.Uint64
@@ -535,8 +536,8 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 		return true, rerr
 	}
 	// Reclaimed runs land in the durability quarantine, not the free
-	// space, and only a completed catalog barrier lets them out.  With
-	// no transaction commits or checkpoints running, no barrier would
+	// space, and only a completed catalog barrier lets them out.  Commits
+	// are no barriers: with no checkpoint or abort running, none would
 	// ever come — and this caller cannot run one itself (it holds its
 	// object's latch, and barriers take s.mu, which ranks before
 	// latches) — so request one from a clean stack and keep polling.
@@ -999,8 +1000,8 @@ func (s *Store) checkpointLocked() error {
 // catalog slot record, written only now that the caller has forced
 // everything they reference, then forced themselves.  A torn record is
 // caught by its CRC and recovery falls back to the journal's previous
-// record, whose pages the durability quarantine keeps intact.  (Commits
-// and aborts log their catalog records instead: logCatalog.)
+// record, whose pages the durability quarantine keeps intact.  (Aborts
+// log their catalog records instead: logCatalog.)
 //
 // eos:requires s.mu
 func (s *Store) catalogBarrier() error {
@@ -1102,7 +1103,7 @@ func (s *Store) CopyObject(src, dst string) error {
 }
 
 // Rename changes an object's name.  Persisted at the next checkpoint or
-// durable commit.
+// abort.
 func (s *Store) Rename(oldName, newName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1143,9 +1144,9 @@ type SnapshotStats struct {
 	OldestEpochAge time.Duration
 }
 
-// BarrierStats attributes the cost of making commits, aborts and
-// checkpoints durable: what the catalog journal and the header wrote,
-// besides the data and log pages themselves.
+// BarrierStats attributes the cost of the catalog barriers — aborts and
+// checkpoints; a commit is none — what the catalog journal and the header
+// wrote, besides the data and log pages themselves.
 type BarrierStats struct {
 	// CatalogDeltaWrites counts checkpoints that appended a delta record
 	// to the current catalog slot; CatalogCompactions counts those that
@@ -1154,18 +1155,18 @@ type BarrierStats struct {
 	CatalogCompactions int64
 	// CatalogPagesWritten is the pages both kinds of record occupied.
 	CatalogPagesWritten int64
-	// CatalogLogRecords counts the commit and abort barriers that appended
-	// a catalog record to the log; CatalogLogBytes is the log bytes those
-	// records took, headers included.
+	// CatalogLogRecords counts the abort barriers that appended a catalog
+	// record to the log; CatalogLogBytes is the log bytes those records
+	// took, headers included.
 	CatalogLogRecords int64
 	CatalogLogBytes   int64
 	// HeaderWrites counts rewrites of the header page (only when nextID
 	// or the LSN epoch base moved).
 	HeaderWrites int64
-	// DirPagesSkipped counts the dirty buddy directory frames commit and
-	// abort barriers left in the pool instead of writing: the directories
-	// are rebuilt by every Open, so only eviction, Checkpoint and Close
-	// write them.
+	// DirPagesSkipped counts the dirty buddy directory frames abort
+	// barriers left in the pool instead of writing: the directories are
+	// rebuilt by every Open, so only eviction, Checkpoint and Close write
+	// them.
 	DirPagesSkipped int64
 }
 

@@ -108,7 +108,7 @@ func objName(w int) string {
 }
 
 // TestGroupCommitCrashDurability is the §4.5 durability proof at the
-// store level: a CommitNoForce acknowledgement means the commit record
+// store level: a Commit acknowledgement means the commit record
 // was covered by a successful leader force, so after a crash recovery
 // replays AT LEAST every acknowledged transaction — and what it replays
 // is a contiguous per-object prefix (no torn or reordered commits).
@@ -154,7 +154,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 					}
 					return
 				}
-				if err := tx.CommitNoForce(); err != nil {
+				if err := tx.Commit(); err != nil {
 					if !errors.Is(err, boom) {
 						mu.Lock()
 						fatal = err
@@ -215,13 +215,13 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	}
 }
 
-// TestCommitNoForcePiggyback exercises the satellite-documented
-// CommitNoForce contract: the commit record enters the group-commit
-// buffer and is made durable by a leader force that usually belongs to
-// another committer.  With the log device serialized to one outstanding
-// request, concurrent committers must batch: the number of physical
-// leader forces stays well below the number of force requests.
-func TestCommitNoForcePiggyback(t *testing.T) {
+// TestCommitPiggyback exercises the Commit contract: the commit record
+// enters the group-commit buffer and is made durable by a leader force
+// that usually belongs to another committer.  With the log device
+// serialized to one outstanding request, concurrent committers must
+// batch: the number of physical leader forces stays well below the number
+// of force requests.
+func TestCommitPiggyback(t *testing.T) {
 	s, _, logVol := newStore(t, Options{Threshold: 4})
 	const committers = 8
 	const rounds = 6
@@ -263,7 +263,7 @@ func TestCommitNoForcePiggyback(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if err := tx.CommitNoForce(); err != nil {
+				if err := tx.Commit(); err != nil {
 					errCh <- err
 					return
 				}

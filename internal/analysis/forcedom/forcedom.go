@@ -14,7 +14,7 @@
 //     record must be durable before it is the only copy of the old
 //     bytes.
 //  2. Two-phase barrier: header/catalog writes ((*Store).writeHeader
-//     / writeCatalog) and a commit's catalog record appended to the log
+//     / writeCatalog) and an abort's catalog record appended to the log
 //     ((*Store).logCatalog) are dominated by a device force of the data
 //     pages they index.
 //  3. Abort ordering: the abort record (wal.Record{Type: RecAbort}) is

@@ -9,7 +9,7 @@
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
 //	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
-//	rank 30  Txn.wmu            (transaction write set)
+//	rank 30  Txn.wmu            (no engine mutex: the deadlock fixture's same-rank pair)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
 //	rank 35  Manager.mu         (buddy superdirectory latch)

@@ -9,7 +9,7 @@
 //
 //	pin      buffer.Pool.Fix/FixNew        → Unpin/Discard   (all paths)
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
-//	txn      eos.Store.Begin               → Commit/CommitNoForce/Abort
+//	txn      eos.Store.Begin               → Commit/Abort
 //	epoch    txn.EpochManager.Enter        → EpochGuard.Exit (all paths)
 //	alloc    buddy Alloc/AllocUpTo         → Free/FreeUnpublished (error paths)
 //	filevol  disk.Create/OpenFileVolume    → Close           (error paths)
@@ -184,7 +184,7 @@ func defaultSpecs() []*Spec {
 		{
 			Name:       "txn",
 			Acquire:    []matcher{{"eos", "Store", []string{"Begin"}}},
-			Release:    []matcher{{"eos", "Txn", []string{"Commit", "CommitNoForce", "Abort"}}},
+			Release:    []matcher{{"eos", "Txn", []string{"Commit", "Abort"}}},
 			AcquireKey: KeyResult0,
 			ReleaseKey: KeyRecv,
 			ErrGuarded: true,

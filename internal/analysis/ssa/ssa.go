@@ -167,7 +167,7 @@ const (
 	// directory is synced.
 	KRename
 	// KMetaWrite writes the store header or catalog region, or appends a
-	// commit's catalog record to the log ((*Store).writeHeader /
+	// abort's catalog record to the log ((*Store).writeHeader /
 	// writeCatalog / logCatalog): the metadata half of the two-phase
 	// barrier.
 	KMetaWrite

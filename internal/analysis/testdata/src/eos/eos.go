@@ -12,6 +12,5 @@ func (s *Store) Begin() (*Txn, error) { return &Txn{}, nil }
 type Txn struct{}
 
 func (t *Txn) Commit() error                    { return nil }
-func (t *Txn) CommitNoForce() error             { return nil }
 func (t *Txn) Abort() error                     { return nil }
 func (t *Txn) Append(id uint64, b []byte) error { return nil }

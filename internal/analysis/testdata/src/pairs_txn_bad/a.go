@@ -8,7 +8,7 @@ import "eos"
 // leakOnMidError returns a mid-transaction error without aborting, so
 // the transaction's two-phase locks are never released.
 func leakOnMidError(s *eos.Store, data []byte) error {
-	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/CommitNoForce/Abort\\(t\\)"
+	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/Abort\\(t\\)"
 	if err != nil {
 		return err
 	}
@@ -20,7 +20,7 @@ func leakOnMidError(s *eos.Store, data []byte) error {
 
 // neverFinished starts a transaction and forgets it entirely.
 func neverFinished(s *eos.Store, data []byte) {
-	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/CommitNoForce/Abort\\(t\\)"
+	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/Abort\\(t\\)"
 	if err != nil {
 		return
 	}
@@ -29,7 +29,7 @@ func neverFinished(s *eos.Store, data []byte) {
 
 // commitSkippedOnBranch finishes only one branch.
 func commitSkippedOnBranch(s *eos.Store, data []byte, publish bool) error {
-	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/CommitNoForce/Abort\\(t\\)"
+	t, err := s.Begin() // want "txn leak: Begin\\(t\\) can reach a function exit without Commit/Abort\\(t\\)"
 	if err != nil {
 		return err
 	}

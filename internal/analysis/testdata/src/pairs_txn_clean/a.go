@@ -32,19 +32,6 @@ func deferAbort(s *eos.Store, data []byte) error {
 	return t.Commit()
 }
 
-// noForce finishes through the group-commit variant.
-func noForce(s *eos.Store, data []byte) error {
-	t, err := s.Begin()
-	if err != nil {
-		return err
-	}
-	if err := t.Append(1, data); err != nil {
-		_ = t.Abort()
-		return err
-	}
-	return t.CommitNoForce()
-}
-
 // finish is a helper that always completes the transaction it is
 // handed: pairs exports a release fact for it.
 func finish(t *eos.Txn, err error) error {

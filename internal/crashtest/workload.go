@@ -14,8 +14,9 @@ import (
 // BeginSeq and returned at RetSeq, leaving the committed store content
 // described by State (object name -> content hash).
 //
-// Both Commit and CommitNoForce force the log before returning, so for
-// a crash at trace position P:
+// Commit forces the log before returning (and nothing else: the data
+// volume is forced by checkpoints and aborts), so for a crash at trace
+// position P:
 //
 //   - every commit with RetSeq <= P is durably in the log (its commit
 //     record was covered by a returned force) and MUST be visible;
@@ -96,7 +97,7 @@ const (
 	traceBegin  = "seq %d: txn %d begins"
 	traceOp     = "        txn %d: %s on %s (len was %d)"
 	traceFill   = "        txn %d: the append on %s continued its tail in place"
-	traceCommit = "seq %d-%d: txn %d committed (force=%v)"
+	traceCommit = "seq %d-%d: txn %d committed"
 	traceAbort  = "seq %d: txn %d aborted"
 )
 
@@ -191,18 +192,12 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			}
 			cfg.Trace(traceAbort, clock.Seq(), i)
 		default:
-			force := rng.Intn(100) < 70
 			beginSeq := clock.Seq()
-			if force {
-				err = tx.Commit()
-			} else {
-				err = tx.CommitNoForce()
-			}
-			if err != nil {
+			if err := tx.Commit(); err != nil {
 				return nil, fmt.Errorf("commit txn %d: %w", i, err)
 			}
 			retSeq := clock.Seq()
-			cfg.Trace(traceCommit, beginSeq, retSeq, i, force)
+			cfg.Trace(traceCommit, beginSeq, retSeq, i)
 			applyStaged(model, staged)
 			sizes := make(map[string]int, len(model))
 			for n, c := range model {

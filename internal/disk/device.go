@@ -54,7 +54,8 @@ type Device interface {
 	// ForceAll makes every written page durable.
 	ForceAll() error
 	// ForceAllExcept makes every written page durable except those in
-	// skip, which stay volatile (see the transaction layer for why).
+	// skip, which stay volatile.  The store's barriers force every page
+	// and do not call it.
 	ForceAllExcept(skip map[PageNum]bool) error
 
 	// Stats returns a snapshot of the accumulated I/O statistics.

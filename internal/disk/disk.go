@@ -304,10 +304,7 @@ func (v *Volume) ForceAll() error {
 }
 
 // ForceAllExcept makes every written page durable except those in skip,
-// which stay volatile.  The transaction layer uses it so that one
-// transaction's commit never forces another live transaction's in-place
-// writes to disk (the steal it cannot undo without that transaction's
-// log records being final).
+// which stay volatile.
 func (v *Volume) ForceAllExcept(skip map[PageNum]bool) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -428,9 +428,7 @@ func (v *FileVolume) ForceAll() error {
 // ForceAllExcept makes every written page durable except those in
 // skip, which stay volatile.  Physically fdatasync makes everything
 // durable — "volatile" here means the skipped pages' shadow pre-images
-// are retained, so a simulated Crash still reverts them; that is
-// exactly the contract the transaction layer needs (one transaction's
-// commit must not make another's in-place writes survive a crash).
+// are retained, so a simulated Crash still reverts them.
 func (v *FileVolume) ForceAllExcept(skip map[PageNum]bool) error {
 	v.mu.Lock()
 	if v.shadowOn {

@@ -50,11 +50,6 @@ type Config struct {
 	// a nearly full parent compacts its unsafe adjacent segments instead
 	// of splitting.
 	AdaptiveThreshold bool
-	// OnDataWrite, when set, observes every direct data-page write the
-	// manager performs (segment writes, tail appends, in-place
-	// replacements).  The transaction layer installs it to track each
-	// transaction's write set for targeted forcing at commit and abort.
-	OnDataWrite func(start disk.PageNum, pages int)
 	// ReadWorkers bounds the worker pool that fans out multi-segment
 	// reads: a read spanning K segments dispatches its K multi-page
 	// transfers concurrently (at most ReadWorkers in flight across the
@@ -280,14 +275,11 @@ func (m *Manager) gather(a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte
 }
 
 // writeImage writes whole-page images to the pages from start on, in one
-// request, telling the write observer first.
+// request.
 func (m *Manager) writeImage(start disk.PageNum, img []byte) error {
 	npages := len(img) / m.vol.PageSize()
 	if npages == 0 {
 		return nil
-	}
-	if m.cfg.OnDataWrite != nil {
-		m.cfg.OnDataWrite(start, npages)
 	}
 	return m.vol.WritePages(start, npages, img)
 }

@@ -56,7 +56,7 @@ const (
 	RecReplace  // Data written at Off; OldData holds the previous bytes
 	RecTruncate // object truncated to Off (reserved: Txn.Truncate logs a RecDelete)
 	RecCheckpoint
-	RecCatalog // catalog delta of a commit or abort barrier: Data is the payload, N the next object id
+	RecCatalog // catalog delta of an abort barrier: Data is the payload, N the next object id
 )
 
 func (t RecType) String() string {

@@ -18,29 +18,29 @@ import (
 //     and catalog writes substitute the last committed descriptor for
 //     any transaction-dirty object — and keep the record of an object a
 //     live transaction has destroyed.
-//   - Every volume force is followed by a catalog barrier that journals
-//     whichever descriptors changed — in the log for commits and aborts
-//     (one unforced RecCatalog record, durable with the next log force),
-//     in a catalog slot for checkpoints — so the durable catalog never
-//     names a page the device does not hold.  It may lag the data: a
-//     commit whose catalog record was lost is redone from older roots,
-//     which the durability quarantine keeps intact until a force covers
-//     the record.
+//   - A commit is durable at its log force and writes no catalog record.
+//     The catalog lags the commits: each is redone from older roots until
+//     a barrier persists its own, and the durability quarantine keeps the
+//     older roots' pages intact until then.
+//   - Only barriers write the catalog: a checkpoint into a catalog slot,
+//     an abort into the log (one unforced RecCatalog record, durable with
+//     the abort record's force).  Each forces the whole data volume
+//     first, so the durable catalog never names a page the device does
+//     not hold.
 //   - An in-place write reaches the device only behind a force of the
 //     log record holding its pre-image.  A replace whose write is
 //     deferred to commit is written behind the commit record's force, so
 //     it can be durable only for a committed transaction; a crash before
-//     the write leaves a committed record redo applies.
-//   - A force never includes pages another live transaction has written
-//     in place, and a transaction stops being live in the same critical
-//     section that hands its new roots to the catalog.  So the only
-//     uncommitted in-place writes that can be durable are those of
-//     transactions still in flight at the crash — whose locks were never
-//     released and whose logged physical extents are therefore still
-//     accurate — and a durable root never references a page its own
-//     barrier skipped.
+//     the write leaves a committed record redo applies.  An uncommitted
+//     replace a barrier made durable belongs to a transaction that is
+//     either still in flight at the crash — its locks never released, its
+//     logged physical extents still accurate — or ended since: committed,
+//     or aborted behind the forced compensations its abort record attests.
+//   - A transaction stops being live in the same critical section that
+//     hands its new roots to the catalog, so a checkpoint that truncates
+//     the log (only with no transaction live) persists those roots.
 //   - The buddy directories carry no durable information: step 3 below
-//     rebuilds them on every open, and commit barriers do not write them.
+//     rebuilds them on every open, and abort barriers do not write them.
 //
 // The recovery procedure:
 //
@@ -62,7 +62,9 @@ import (
 //     the base the store header records, so a root's LSN always ranks
 //     correctly against every record of every epoch and is never
 //     zeroed.)
-//  5. Take a checkpoint and truncate the log — always into a new LSN
+//  5. Trim the tails redo's appends left open: nothing continues them
+//     (every open forgets tails), so their room would only sit reserved.
+//  6. Take a checkpoint and truncate the log — always into a new LSN
 //     epoch, which is what puts everything the scan stopped in front of
 //     out of every later scan's reach (the log is never erased).
 
@@ -161,6 +163,17 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, e := range s.catalog {
+		// No root has named the room (lob.Object.Trim), so it goes back
+		// through FreeUnpublished, at once.
+		e.latch.Lock()
+		err := e.obj.Trim()
+		e.setStableDesc(e.obj.EncodeDescriptor())
+		e.latch.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 	return s.checkpointLocked()
 }
 

@@ -28,7 +28,7 @@ func TestRecoverySurvivesRepeatedCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := append([]byte{}, base...)
-	// A chain of fast-committed updates that recovery must redo.
+	// A chain of committed updates that recovery must redo.
 	for i := 0; i < 5; i++ {
 		tx, _ := s.Begin()
 		data := pat(71+i, 1200)
@@ -36,7 +36,7 @@ func TestRecoverySurvivesRepeatedCrashes(t *testing.T) {
 		if err := tx.Insert("x", off, data); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.CommitNoForce(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model[:off:off], append(append([]byte{}, data...), model[off:]...)...)
@@ -115,7 +115,7 @@ func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		// One committed (forced) append the old log still describes.
+		// One committed append the old log still describes.
 		tx, _ := s.Begin()
 		extra := pat(71, 1000)
 		if err := tx.Append("x", extra); err != nil {
@@ -219,7 +219,7 @@ func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 				return tx
 			}
 			tx := beginAndAppend(s, 0)
-			if err := tx.CommitNoForce(); err != nil {
+			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			if s.LogTail() != 2*512 || s.Stats().WAL.LeaderForces != 1 {
@@ -410,7 +410,7 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []byte
-	for i, commit := range []func(*Txn) error{(*Txn).CommitNoForce, (*Txn).Commit} {
+	for i := 0; i < 2; i++ {
 		tx, _ := s.Begin()
 		if err := tx.Destroy("x"); err != nil {
 			t.Fatal(err)
@@ -422,11 +422,15 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 		if err := tx.Append("x", want); err != nil {
 			t.Fatal(err)
 		}
-		if err := commit(tx); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	abortBarrier(t, s)
 	re := crashReopen(t, vol, logVol)
+	if rs := re.Stats().Recovery; rs.CatalogRecords != 1 {
+		t.Fatalf("recovery applied %d catalog records, want the abort's", rs.CatalogRecords)
+	}
 	if got := re.List(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("recovered objects %v, want [x]", got)
 	}
@@ -441,10 +445,27 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 	}
 }
 
+// abortBarrier begins a transaction and aborts it: the one barrier a
+// transaction can cause.  Its catalog record carries every descriptor
+// committed since the last barrier, and the abort record's force makes it
+// durable.
+func abortBarrier(t *testing.T, s *Store) {
+	t.Helper()
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // loggedDeltaStore returns a checkpointed store holding "x" (6000 bytes) and
-// "y" (3000 bytes), and a transaction on x — replace, append — committed
-// right after it, so that the commit's catalog record waits in the log
-// buffer for the next force.  want holds the committed contents.
+// "y" (3000 bytes), a transaction on x — replace, append — committed right
+// after it, and behind that an aborted append to y whose abort record's
+// force failed: the abort barrier's catalog record, which carries x's new
+// root, waits in the log buffer for the next force.  want holds the
+// committed contents.
 func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map[string][]byte) {
 	t.Helper()
 	s, vol, logVol, base := replaceStore(t, Options{})
@@ -472,14 +493,28 @@ func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map
 	}
 	want["x"] = append(append([]byte{}, base...), more...)
 	copy(want["x"][1000:], repl)
+	if s.Stats().Barrier.CatalogLogRecords != 0 {
+		t.Fatal("the commit logged a catalog record")
+	}
+	abort, _ := s.Begin()
+	if err := abort.Append("y", pat(69, 500)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	logVol.FailAfter(0, boom)
+	err = abort.Abort()
+	logVol.ClearFault()
+	if !errors.Is(err, boom) {
+		t.Fatalf("abort over a failing log volume: %v", err)
+	}
 	if s.catLSN == 0 || s.log.Durable(s.catLSN) {
-		t.Fatalf("the commit left no catalog record waiting for a force (lsn %d)", s.catLSN)
+		t.Fatalf("the abort left no catalog record waiting for a force (lsn %d)", s.catLSN)
 	}
 	return s, vol, logVol, want
 }
 
-// TestLoggedCatalogRecordLostBeforeTheNextForce cuts the power after a
-// commit's force and before any other: the commit's catalog record was
+// TestLoggedCatalogRecordLostBeforeTheNextForce cuts the power after an
+// abort barrier whose log force failed: the barrier's catalog record was
 // never written, so recovery loads the older roots and redoes the commit
 // from its log records.
 func TestLoggedCatalogRecordLostBeforeTheNextForce(t *testing.T) {
@@ -495,9 +530,9 @@ func TestLoggedCatalogRecordLostBeforeTheNextForce(t *testing.T) {
 }
 
 // TestLoggedCatalogRecordAdoptedAfterTheNextForce: the next commit's force
-// carries the catalog record, so recovery takes x's new root from it and
-// redoes none of x's operations — only the append of the second commit,
-// whose own record was still waiting.
+// carries the abort barrier's catalog record, so recovery takes x's new root
+// from it and redoes none of x's operations — only the append of that
+// commit, which no barrier followed.
 func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
 	s, vol, logVol, want := loggedDeltaStore(t)
 	carried := s.catLSN
@@ -511,7 +546,7 @@ func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
 	}
 	want["y"] = append(want["y"], more...)
 	if !s.log.Durable(carried) {
-		t.Fatal("the second commit's force did not carry the first commit's catalog record")
+		t.Fatal("the commit's force did not carry the abort barrier's catalog record")
 	}
 	s = crashReopen(t, vol, logVol)
 	expectObjects(t, s, want)
@@ -524,10 +559,11 @@ func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
 }
 
 // TestCatalogSlotStampHidesOlderLogRecords: a non-transactional append
-// follows a commit on the same object, and a soft checkpoint (another
-// transaction is live, so the log stays) writes the slot with the append
-// in it.  The commit's catalog record lies below the slot's stamp and must
-// not be replayed: it holds the root from before the append.
+// follows a commit on the same object and an abort barrier that logged the
+// commit's root, and a soft checkpoint (another transaction is live, so the
+// log stays) writes the slot with the append in it.  The abort's catalog
+// record lies below the slot's stamp and must not be replayed: it holds the
+// root from before the append.
 func TestCatalogSlotStampHidesOlderLogRecords(t *testing.T) {
 	s, vol, logVol, want := loggedDeltaStore(t)
 	x, _ := s.Open("x")
@@ -554,11 +590,13 @@ func TestCatalogSlotStampHidesOlderLogRecords(t *testing.T) {
 }
 
 // TestQuarantineWaitsForTheLoggedCatalogRecord: a committed Delete frees a
-// segment, and until a log force covers the commit's catalog record the
-// durable catalog still names it — so no barrier may let it out of the
-// durability quarantine before that.  An aborting transaction's barrier
-// runs before its abort record's force; failing that force leaves the
-// record unwritten behind a completed barrier.
+// segment, and until a barrier's catalog record holding the new root is
+// durable the durable catalog still names it — so nothing may let it out
+// of the durability quarantine before that.  A commit is no barrier at
+// all.  An aborting transaction's barrier runs before its abort record's
+// force; failing that force leaves the record unwritten behind a completed
+// barrier.  A commit's force then carries the record, and the next barrier
+// releases the segment.
 func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	s, _, logVol, _, _ := handoffStore(t, Options{})
 	reachable := func() map[disk.PageNum]bool {
@@ -595,7 +633,6 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	record := s.catLSN
 	after := reachable()
 	var freed []disk.PageNum
 	for p := range before {
@@ -606,11 +643,12 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	if len(freed) == 0 {
 		t.Fatal("the delete freed no page")
 	}
+	var record uint64 // the abort barrier's catalog record
 	check := func(when string, want bool) {
 		t.Helper()
 		for _, p := range freed {
 			if quarantined(p) != want {
-				t.Fatalf("%s: freed page %d quarantined = %v, want %v (catalog record durable: %v)", when, p, !want, want, s.log.Durable(record))
+				t.Fatalf("%s: freed page %d quarantined = %v, want %v (catalog record durable: %v)", when, p, !want, want, record != 0 && s.log.Durable(record))
 			}
 		}
 	}
@@ -627,12 +665,14 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("abort over a failing log volume: %v", err)
 	}
-	if s.log.Durable(record) {
-		t.Fatal("the delete's catalog record became durable although every log write failed")
+	record = s.catLSN
+	if record == 0 || s.log.Durable(record) {
+		t.Fatalf("the abort barrier's catalog record (lsn %d) became durable although every log write failed", record)
 	}
 	check("after a barrier whose log force failed", true)
 
-	// A force, then the next barrier: now the record is durable.
+	// A commit's force makes the record durable, but only a barrier
+	// releases anything.
 	next, _ := s.Begin()
 	if err := next.Append("other", pat(68, 200)); err != nil {
 		t.Fatal(err)
@@ -641,9 +681,11 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.log.Durable(record) {
-		t.Fatal("a commit force did not carry the delete's catalog record")
+		t.Fatal("a commit force did not carry the abort barrier's catalog record")
 	}
-	check("after the next commit", false)
+	check("after the next commit", true)
+	abortBarrier(t, s)
+	check("after the next abort", false)
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestReproSoak2 distills the soak failure: fast-committed delete on one
+// TestReproSoak2 distills the soak failure: a committed delete on one
 // object inside a multi-object transaction, then an aborted insert, then
 // a crash.
 func TestReproSoak2(t *testing.T) {
@@ -34,8 +34,8 @@ func TestReproSoak2(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		switch commit {
-		case "fast":
-			if err := tx.CommitNoForce(); err != nil {
+		case "commit":
+			if err := tx.Commit(); err != nil {
 				t.Fatalf("%s commit: %v", label, err)
 			}
 		case "abort":
@@ -45,9 +45,9 @@ func TestReproSoak2(t *testing.T) {
 		}
 	}
 
-	// Fast-committed insert (like r6), then crash+recover.
+	// Committed insert (like r6), then crash+recover.
 	ins1 := pat(7, 568)
-	step("insert1", func(tx *Txn) error { return tx.Insert("A", 928, ins1) }, "fast")
+	step("insert1", func(tx *Txn) error { return tx.Insert("A", 928, ins1) }, "commit")
 	model = append(model[:928:928], append(append([]byte{}, ins1...), model[928:]...)...)
 	vol.Crash()
 	logVol.Crash()
@@ -78,16 +78,16 @@ func TestReproSoak2(t *testing.T) {
 	}
 	check("after first recovery")
 
-	// Fast-committed delete (like r8).
-	step("delete", func(tx *Txn) error { return tx.Delete("A", 194, 1339) }, "fast")
+	// Committed delete (like r8).
+	step("delete", func(tx *Txn) error { return tx.Delete("A", 194, 1339) }, "commit")
 	model = append(model[:194:194], model[194+1339:]...)
-	check("after fast delete")
+	check("after the delete")
 
 	// Aborted insert (like r9).
 	step("insert-abort", func(tx *Txn) error { return tx.Insert("A", 2019, pat(9, 475)) }, "abort")
 	check("after abort")
 
-	// Crash and recover: the fast-committed delete must be redone.
+	// Crash and recover: the committed delete must survive.
 	vol.Crash()
 	logVol.Crash()
 	s, err = Open(vol, logVol, Options{Threshold: 4})

@@ -501,7 +501,7 @@ func TestSnapshotRecoveryPublishes(t *testing.T) {
 	if err := tx.Append("rec", pat(10, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitNoForce(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -193,14 +193,9 @@ func soakRun(t *testing.T, seed int64, opts Options) {
 			t.Logf("round %d: ops=%d outcome=%d", round, ops, outcome)
 		}
 		switch outcome {
-		case 0: // durable commit
+		case 0, 1, 2:
 			if err := tx.Commit(); err != nil {
 				t.Fatalf("round %d commit: %v", round, err)
-			}
-			model = work
-		case 1, 2: // fast commit
-			if err := tx.CommitNoForce(); err != nil {
-				t.Fatalf("round %d fast commit: %v", round, err)
 			}
 			model = work
 		case 3: // abort

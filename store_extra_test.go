@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -152,7 +153,7 @@ func TestCheckNoLeaksAfterRecovery(t *testing.T) {
 	if err := tx.Insert("r", 100, pat(5, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitNoForce(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	vol.Crash()
@@ -163,6 +164,121 @@ func TestCheckNoLeaksAfterRecovery(t *testing.T) {
 	}
 	if err := s2.CheckNoLeaks(); err != nil {
 		t.Fatalf("after redo recovery: %v", err)
+	}
+}
+
+// TestRecoveryTrimsTheTailsRedoOpened: redo re-executes committed appends
+// with the plain Append, which leaves each tail open for a next append
+// that never comes — every open forgets tails.  Recovery trims them before
+// its checkpoint, so no object keeps the room reserved.
+func TestRecoveryTrimsTheTailsRedoOpened(t *testing.T) {
+	s, vol, logVol := newStore(t, Options{})
+	want := map[string][]byte{}
+	for i, name := range []string{"a", "b", "c"} {
+		o, err := s.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = pat(100+i, 5000)
+		if err := o.Append(want[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		tx, _ := s.Begin()
+		for i, name := range []string{"a", "b", "c"} {
+			more := pat(110+3*round+i, 300)
+			if err := tx.Append(name, more); err != nil {
+				t.Fatal(err)
+			}
+			want[name] = append(want[name], more...)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re := crashReopen(t, vol, logVol)
+	if got := re.Stats().Recovery.Redone; got != 6 {
+		t.Fatalf("recovery redid %d appends, want 6", got)
+	}
+	expectObjects(t, re, want)
+	for name := range want {
+		// A trimmed segment wastes less than its last page.
+		o, _ := re.Open(name)
+		if u, err := o.Usage(); err != nil || u.WastedBytes >= int64(u.SegmentCount*re.PageSize()) {
+			t.Errorf("%s: %d segments keep %d bytes of room behind their bytes (err %v): an open tail", name, u.SegmentCount, u.WastedBytes, err)
+		}
+	}
+	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnChurnWithoutCheckpoints: transactional inserts and deletes on a
+// small volume, with no Checkpoint call, free more pages over the run than
+// the volume holds.  A commit is no barrier, so the pages wait in the
+// durability quarantine until a failed allocation asks for a checkpoint
+// (spaceWaiter, requestBarrier); no operation may fail for want of space.
+func TestTxnChurnWithoutCheckpoints(t *testing.T) {
+	vol := newTestDevice(t, 512, 1024)
+	logVol := newTestDevice(t, 512, 8192)
+	s, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := pat(1, 100000)
+	if err := o.Append(model); err != nil {
+		t.Fatal(err)
+	}
+	total := uint64(s.opts.NumSpaces * s.opts.SpaceCapacity)
+	barriers := func() int64 {
+		b := s.Stats().Barrier
+		return b.CatalogDeltaWrites + b.CatalogCompactions
+	}
+	before := barriers()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; s.Stats().Snap.RetiredPages < 2*total; i++ {
+		if i == 2000 {
+			t.Fatalf("%d pages freed after %d rounds, want %d", s.Stats().Snap.RetiredPages, i, 2*total)
+		}
+		data := pat(i, 3000)
+		off := int64(rng.Intn(len(model) + 1))
+		tx, _ := s.Begin()
+		if err := tx.Insert("x", off, data); err != nil {
+			t.Fatalf("round %d, insert: %v", i, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model[:off:off], append(append([]byte{}, data...), model[off:]...)...)
+		off = int64(rng.Intn(len(model) - len(data) + 1))
+		tx, _ = s.Begin()
+		if err := tx.Delete("x", off, int64(len(data))); err != nil {
+			t.Fatalf("round %d, delete: %v", i, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model[:off:off], model[off+int64(len(data)):]...)
+	}
+	if barriers() == before {
+		t.Fatal("no checkpoint ran: the churn never ran short of space")
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("content wrong after the churn")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -239,9 +239,8 @@ func TestTxnRedoFromLogOnly(t *testing.T) {
 	if err := tx.Append("redo", pat(9, 700)); err != nil {
 		t.Fatal(err)
 	}
-	// Fast commit: the commit record is forced to the log, data pages
-	// are not forced.
-	if err := tx.CommitNoForce(); err != nil {
+	// The commit record is forced to the log, data pages are not forced.
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	vol.Crash()
@@ -432,9 +431,8 @@ func TestTxnCreateCommittedSurvivesCrash(t *testing.T) {
 	if err := tx.Append("born", pat(19, 1500)); err != nil {
 		t.Fatal(err)
 	}
-	// Log-only commit, then crash: recovery must redo the create and the
-	// append.
-	if err := tx.CommitNoForce(); err != nil {
+	// Commit, then crash: recovery must redo the create and the append.
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	vol.Crash()
@@ -467,12 +465,21 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err := tx.Insert("idem", 500, pat(21, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil { // fully durable commit
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Force the log to still contain the records (Commit does not reset
-	// the log), then crash: recovery sees a committed txn whose effects
-	// are already durable and must not double-apply.
+	// A soft checkpoint — another transaction is live, so the log keeps
+	// the records — then a crash: recovery sees a committed txn whose
+	// effects are already durable and must not double-apply.
+	if _, err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LogTail() == 0 {
+		t.Fatal("the checkpoint truncated the log with a transaction live")
+	}
 	vol.Crash()
 	logVol.Crash()
 	s2, err := Open(vol, logVol, Options{})
@@ -597,15 +604,14 @@ func TestRecoveryAfterManyCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := pat(30, 2000)
-	// Several committed txns, each log-only (crash loses all data
-	// forces).
+	// Several committed txns, none of them forcing the data volume.
 	for i := 0; i < 5; i++ {
 		tx, _ := s.Begin()
 		data := pat(31+i, 400)
 		if err := tx.Append("multi", data); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.CommitNoForce(); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, data...)

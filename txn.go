@@ -100,14 +100,13 @@ type txnOp struct {
 // write-ahead logging, shadowed index updates with deferred frees, and
 // logical undo on abort.
 //
-// Every direct data-page write the transaction performs is recorded in
-// its write set.  A commit forces the volume EXCEPT other live
-// transactions' write sets, so no commit ever makes a concurrent
-// transaction's in-place writes durable; an abort forces its own write
-// set so its compensations are durable before its pages become
-// reusable.  The only in-place writes recovery must undo are therefore
-// those of transactions still in flight at the crash — whose locks were
-// never released, so their logged extents are still accurate.
+// A commit is durable at its log force: it writes its deferred replaces
+// home and leaves everything else — index pages in the pool, the new
+// descriptors, the data volume's force — to the next barrier (a
+// checkpoint, or another transaction's abort); until then recovery redoes
+// it from its log records.  An abort forces the volume so that its
+// compensations are durable before its abort record is written and its
+// pages become reusable.
 type Txn struct {
 	s       *Store
 	id      uint64
@@ -117,9 +116,6 @@ type Txn struct {
 	journal []txnOp
 	kept    keptRead
 	done    bool
-
-	wmu      sync.Mutex
-	writeSet map[disk.PageNum]bool
 }
 
 // keptRead is the transaction's one-slot memory of what its last Read
@@ -146,26 +142,6 @@ type keptRead struct {
 // 16 MB for that minute.
 const keptReadMaxPages = 256
 
-// recordWrite adds a data-page run to the transaction's write set.
-func (t *Txn) recordWrite(start disk.PageNum, pages int) {
-	t.wmu.Lock()
-	for i := 0; i < pages; i++ {
-		t.writeSet[start+disk.PageNum(i)] = true
-	}
-	t.wmu.Unlock()
-}
-
-// writePages snapshots the write set.
-func (t *Txn) writePages() []disk.PageNum {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	out := make([]disk.PageNum, 0, len(t.writeSet))
-	for p := range t.writeSet {
-		out = append(out, p)
-	}
-	return out
-}
-
 type txnObj struct {
 	entry   *catEntry
 	prevLSN uint64
@@ -184,16 +160,13 @@ func (s *Store) Begin() (*Txn, error) {
 	s.nextTxn++
 	s.mu.Unlock()
 	t := &Txn{
-		s:        s,
-		id:       id,
-		alloc:    &deferredAlloc{inner: &epochAlloc{s: s}},
-		touched:  make(map[uint64]*txnObj),
-		writeSet: make(map[disk.PageNum]bool),
+		s:       s,
+		id:      id,
+		alloc:   &deferredAlloc{inner: &epochAlloc{s: s}},
+		touched: make(map[uint64]*txnObj),
 	}
-	cfg := s.lobConfig()
-	cfg.OnDataWrite = t.recordWrite
 	var err error
-	t.lm, err = lob.NewManager(s.vol, s.pool, t.alloc, cfg)
+	t.lm, err = lob.NewManager(s.vol, s.pool, t.alloc, s.lobConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -649,58 +622,46 @@ func (t *Txn) Size(name string) (int64, error) {
 	return e.obj.Size(), nil
 }
 
-// Commit makes the transaction durable: the commit record is forced to
-// the log, deferred replaces are written home behind that force, the
-// deferred frees are applied, dirty pages (bar the space directories) are
-// flushed and forced, and the new descriptors are appended to the log as
-// a catalog record that the next log force carries — until then recovery
-// redoes the transaction from its log records.
-func (t *Txn) Commit() error { return t.commit(true) }
-
-// CommitNoForce is the fast commit path: the commit record is appended
-// to the group-commit buffer and made durable by a log force covering
-// its LSN — usually another committer's batch (the piggyback case) or,
-// with no concurrent commit traffic, a force this call leads itself.
-// Data pages and the catalog stay volatile; if the system crashes,
-// recovery re-executes the logged operations (redo), so durability is
-// preserved at a fraction of the commit I/O — a later Commit or
-// Checkpoint migrates everything to the data volume.
-func (t *Txn) CommitNoForce() error { return t.commit(false) }
-
-func (t *Txn) commit(force bool) error {
+// Commit makes the transaction durable at its log force: the commit
+// record is appended to the group-commit buffer and made durable by a
+// force covering its LSN — usually another committer's batch (the
+// piggyback case) or, with no concurrent commit traffic, a force this
+// call leads itself.  The deferred replaces are written home behind that
+// force and the deferred frees are applied.  Nothing else reaches the
+// data volume: index pages stay in the pool until eviction or a barrier
+// writes them, and the new descriptors reach the catalog at the next
+// checkpoint or abort.  Until then a crash recovers the transaction by
+// redoing its log records from the older roots, which the durability
+// quarantine keeps intact.
+func (t *Txn) Commit() error {
 	if err := t.begin(); err != nil {
 		return err
 	}
-	readOnly, err := t.commitLog()
-	if err != nil {
+	if err := t.commitLog(); err != nil {
 		return err
 	}
-	return t.commitBarrier(force && !readOnly)
+	return t.commitBarrier()
 }
 
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
 // in-place writes are on the device, and any catalog barrier forces its
 // pages and then records its new roots (in the log, or in a checkpoint's
-// catalog slot).  It reports whether the transaction performed no
-// mutating operation.
-func (t *Txn) commitLog() (readOnly bool, err error) {
+// catalog slot).
+func (t *Txn) commitLog() error {
 	t.done = true
-	// A transaction that performed no mutating operation has nothing to
-	// make durable: its commit record can stay in the log buffer (the
-	// next leader force or checkpoint carries it), and there is no data
-	// page or catalog state of its own to force.
-	readOnly = len(t.journal) == 0
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
 	if _, err := t.s.log.Append(rec); err != nil {
-		return readOnly, err
+		return err
 	}
-	if !readOnly {
-		// Group commit: block until some leader's force covers our
-		// commit record — one batched log write per concurrent batch of
-		// committers instead of one force per transaction.
+	// A transaction that performed no mutating operation has nothing to
+	// make durable: its commit record can stay in the log buffer for the
+	// next leader force or checkpoint.  Any other blocks until some
+	// leader's force covers its commit record — one batched log write per
+	// concurrent batch of committers instead of one force per transaction.
+	if len(t.journal) > 0 {
 		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
-			return readOnly, err
+			return err
 		}
 	}
 	// That force covered every pre-image record too: write the deferred
@@ -712,7 +673,7 @@ func (t *Txn) commitLog() (readOnly bool, err error) {
 			err := t.applyReplace(to)
 			op.entry.latch.RUnlock()
 			if err != nil {
-				return readOnly, err
+				return err
 			}
 		}
 	}
@@ -737,42 +698,34 @@ func (t *Txn) commitLog() (readOnly bool, err error) {
 		}
 	}
 	// Leave liveTxns in the SAME critical section that refreshes
-	// stableDesc.  A barrier persists stableDesc and skips live
-	// transactions' write sets, so a window between the two would let
-	// another transaction's barrier make these roots durable without the
-	// pages they reference — and redo, seeing the roots' LSNs, would not
-	// repair them after a crash.
+	// stableDesc.  A checkpoint that finds no live transaction persists
+	// stableDesc and truncates the log, so a window between the two would
+	// let it drop this commit's records while persisting the roots from
+	// before it.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
-	return readOnly, nil
+	return nil
 }
 
 // commitBarrier is the second half of a commit: publish to snapshot
-// readers, release the superseded pages, and (with force) make data and
-// catalog durable before the locks go.
-func (t *Txn) commitBarrier(force bool) error {
+// readers, hand the superseded pages to epoch reclamation, and release
+// the locks.  It makes nothing durable: the commit record's force did.
+func (t *Txn) commitBarrier() error {
 	// Publish the committed roots BEFORE applying the deferred frees:
 	// the frees retire the superseded pages into the current epoch, and
 	// the epoch-reclamation invariant requires every retired batch's
 	// replacement root to be visible to snapshot readers before the
 	// epoch that holds the batch can advance.
 	t.publishTouched()
-	// Apply the deferred frees.  The directory pages they dirty stay in
-	// the pool: every Open rebuilds the directories from the catalog.
+	// Apply the deferred frees.  The pages go through the durability
+	// quarantine, which only a later barrier lets out: until one has
+	// persisted these roots, recovery redoes this commit from the roots
+	// that still name them.
 	if err := t.alloc.apply(); err != nil {
 		return err
 	}
-	var err error
-	if force {
-		t.s.mu.Lock()
-		err = t.s.forceDurableLocked(t)
-		t.s.mu.Unlock()
-	}
 	t.s.locks.ReleaseAll(t.id)
-	if rerr := t.s.epochs.Reclaim(); err == nil {
-		err = rerr
-	}
-	return err
+	return t.s.epochs.Reclaim()
 }
 
 // publishTouched installs each touched object's current root as its
@@ -794,39 +747,34 @@ func (t *Txn) publishTouched() {
 	}
 }
 
-// forceDurableLocked makes the committed state durable in two barriers,
-// skipping pages other live transactions have written in place (minus
-// any t also wrote).  The order is load-bearing: the data barrier
+// forceDurableLocked is an abort's barrier: it makes the committed state
+// durable in two steps.  The order is load-bearing: the data barrier
 // (index and data pages) completes BEFORE the catalog record that
 // references those pages is appended to the log, so no crash state can
 // hold a durable catalog root pointing at a page the device never
 // received.  The record is not forced here: the next log force carries
 // it, and until then the barrier does not count as complete for the
 // durability quarantine.  The space directories stay dirty in the pool:
-// they are soft state no recovery reads.  Caller holds s.mu; t may be nil
-// (checkpoint-style force).
+// they are soft state no recovery reads.  Caller holds s.mu.
+//
+// The data barrier forces the whole volume, live transactions' writes
+// included.  A page a committed transaction wrote is forced by no commit,
+// and a live transaction may have written it again since — continuing a
+// tail in place, or replacing other bytes of the same page — while the
+// record below names the committed bytes in it.  Forcing a live
+// transaction's write is what a soft checkpoint has always done: a
+// replace writes home only behind the force of its pre-image, and a
+// continued tail leaves the bytes any root names unchanged, so recovery's
+// undo pass covers whatever of it a crash leaves behind.
 //
 // eos:requires s.mu
-func (s *Store) forceDurableLocked(t *Txn) error {
+func (s *Store) forceDurableLocked() error {
 	kept, err := s.pool.FlushAllExcept(s.dirPages)
 	s.dirPagesSkipped.Add(int64(kept))
 	if err != nil {
 		return err
 	}
-	skip := make(map[disk.PageNum]bool)
-	for _, other := range s.liveTxns {
-		for _, p := range other.writePages() {
-			skip[p] = true
-		}
-	}
-	if t != nil {
-		t.wmu.Lock()
-		for p := range t.writeSet {
-			delete(skip, p)
-		}
-		t.wmu.Unlock()
-	}
-	if err := s.vol.ForceAllExcept(skip); err != nil {
+	if err := s.vol.ForceAll(); err != nil {
 		return err
 	}
 	if err := s.logCatalog(); err != nil {
@@ -915,9 +863,8 @@ func (t *Txn) Abort() error {
 		// — must be what the next catalog barrier persists.
 		to.entry.setStableDesc(to.entry.obj.EncodeDescriptor())
 	}
-	// Same critical section as the stableDesc refresh, for the reason
-	// commitLog gives: the compensations wrote fresh segments these roots
-	// reference, and a barrier skips a live transaction's write set.
+	// Same critical section as the stableDesc refresh, as in commitLog: a
+	// checkpoint that finds the transaction gone persists these roots.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
 	// The logical undos rebuilt the touched trees out of fresh pages, so
@@ -932,8 +879,8 @@ func (t *Txn) Abort() error {
 	// An abort must leave the durable state self-consistent: its
 	// compensations were written in place, its frees may let pages be
 	// reused, and neither may become durable without the catalog that
-	// describes them.  So an abort forces exactly like a durable commit.
-	err := t.s.forceDurableLocked(t)
+	// describes them.  So an abort is a barrier, as a checkpoint is.
+	err := t.s.forceDurableLocked()
 	t.s.mu.Unlock()
 	// The abort record is written only AFTER the compensations are durable
 	// and behind the catalog record, which its force carries.  Order is

@@ -258,12 +258,13 @@ func TestRangeLockingReplaceStaysImmediate(t *testing.T) {
 
 // TestCommitPathCounters covers the counters that make the commit path's
 // savings visible: a replace right behind a read of its bytes plans on the
-// read's page images, a commit whose append dirtied a space directory
-// leaves that page in the pool (the device image moves only at the next
-// checkpoint), the commit's catalog delta is one record in the log and no
-// catalog page, a replace that waits for the commit force counts as
+// read's page images, a replace that waits for the commit force counts as
 // deferred, and one a later operation settles counts as an early apply
-// too.
+// too.  The commit itself is no barrier: it logs no catalog record, writes
+// no catalog page and leaves the space directory its append dirtied in the
+// pool.  The next abort is one: it logs the commit's descriptor and skips
+// that directory page, whose device image moves only at the next
+// checkpoint.
 func TestCommitPathCounters(t *testing.T) {
 	s, vol, _, _ := replaceStore(t, Options{})
 	dirImages := func() map[disk.PageNum]string {
@@ -302,18 +303,26 @@ func TestCommitPathCounters(t *testing.T) {
 	if st.ReplaceReadsSaved != 1 {
 		t.Fatalf("%d page runs taken from a kept read, want 1: the first replace follows a read of its bytes, the second an append", st.ReplaceReadsSaved)
 	}
-	if st.Barrier.DirPagesSkipped != 1 {
-		t.Fatalf("the commit barrier skipped %d directory pages, want 1", st.Barrier.DirPagesSkipped)
-	}
-	b, b0 := st.Barrier, st0.Barrier
-	if b.CatalogLogRecords-b0.CatalogLogRecords != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
-		t.Fatalf("the commit logged %d catalog records (%d bytes), want 1", b.CatalogLogRecords-b0.CatalogLogRecords, b.CatalogLogBytes-b0.CatalogLogBytes)
-	}
-	if b.CatalogDeltaWrites != b0.CatalogDeltaWrites || b.CatalogCompactions != b0.CatalogCompactions || b.CatalogPagesWritten != b0.CatalogPagesWritten {
-		t.Fatalf("the commit wrote %d catalog pages, want none: its catalog record rides the log", b.CatalogPagesWritten-b0.CatalogPagesWritten)
+	if st.Barrier != st0.Barrier {
+		t.Fatalf("the commit moved the barrier counters: %+v -> %+v", st0.Barrier, st.Barrier)
 	}
 	if !reflect.DeepEqual(dirImages(), before) {
-		t.Fatal("the commit barrier wrote the space directory")
+		t.Fatal("the commit wrote the space directory")
+	}
+
+	abortBarrier(t, s)
+	b, b0 := s.Stats().Barrier, st.Barrier
+	if b.CatalogLogRecords-b0.CatalogLogRecords != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
+		t.Fatalf("the abort logged %d catalog records (%d bytes), want 1", b.CatalogLogRecords-b0.CatalogLogRecords, b.CatalogLogBytes-b0.CatalogLogBytes)
+	}
+	if b.CatalogPagesWritten != b0.CatalogPagesWritten {
+		t.Fatalf("the abort wrote %d catalog pages, want none: its catalog record rides the log", b.CatalogPagesWritten-b0.CatalogPagesWritten)
+	}
+	if b.DirPagesSkipped-b0.DirPagesSkipped != 1 {
+		t.Fatalf("the abort barrier skipped %d directory pages, want 1", b.DirPagesSkipped-b0.DirPagesSkipped)
+	}
+	if !reflect.DeepEqual(dirImages(), before) {
+		t.Fatal("the abort barrier wrote the space directory")
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -323,64 +332,144 @@ func TestCommitPathCounters(t *testing.T) {
 	}
 }
 
-// TestBarrierInsideCommitKeepsItWhole runs another transaction's full
-// Commit between the two halves of T1's commit and then cuts the power.
-// T1's commit record is durable, so recovery must show all of T1 — and
-// here it can only do so from the data volume: T2's barrier journaled
-// T1's new root, whose LSN tells redo that T1 is already applied.  That
-// barrier must therefore have forced T1's in-place pages, which it does
-// only if T1 stopped counting as live in the same critical section that
-// refreshed the root.  (T2's catalog record waits for the next log force;
-// the test issues one before the crash, so that recovery adopts it.)
+// TestBarrierInsideCommitKeepsItWhole runs another transaction between the
+// two halves of T1's commit and then cuts the power.  T1's commit record is
+// durable, so recovery must show all of T1.  When T2 commits, no barrier
+// ran and redo recovers T1 from its log records.  When T2 aborts, its
+// barrier journaled T1's new root, whose LSN tells redo that T1 is already
+// applied, so recovery can only show T1 from the data volume: that barrier
+// must have forced T1's pages.
 func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
-	s, vol, logVol, base := replaceStore(t, Options{})
-	y, err := s.Create("y", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := y.Append(pat(52, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		end            string
+		catRecs, redos int64
+	}{
+		{"commit", 0, 3}, // T1's replace and append, T2's append
+		{"abort", 1, 0},
+	} {
+		t.Run(tc.end, func(t *testing.T) {
+			s, vol, logVol, base := replaceStore(t, Options{})
+			y, err := s.Create("y", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := y.Append(pat(52, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 
-	t1, _ := s.Begin()
-	repl, tail := pat(53, 1800), pat(54, 700)
-	if err := t1.Replace("x", 1000, repl); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Append("x", tail); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t1.commitLog(); err != nil {
-		t.Fatal(err)
-	}
+			t1, _ := s.Begin()
+			repl, tail := pat(53, 1800), pat(54, 700)
+			if err := t1.Replace("x", 1000, repl); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Append("x", tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.commitLog(); err != nil {
+				t.Fatal(err)
+			}
 
-	t2, _ := s.Begin()
-	if err := t2.Append("y", pat(55, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.log.Force(); err != nil {
-		t.Fatal(err)
-	}
+			t2, _ := s.Begin()
+			if err := t2.Append("y", pat(55, 300)); err != nil {
+				t.Fatal(err)
+			}
+			end := t2.Commit
+			if tc.end == "abort" {
+				end = t2.Abort
+			}
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
 
-	s = crashReopen(t, vol, logVol)
-	if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 0 {
-		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 0", rs.CatalogRecords, rs.Redone)
+			s = crashReopen(t, vol, logVol)
+			if rs := s.Stats().Recovery; rs.CatalogRecords != tc.catRecs || rs.Redone != tc.redos {
+				t.Fatalf("recovery applied %d catalog records and redid %d operations, want %d and %d", rs.CatalogRecords, rs.Redone, tc.catRecs, tc.redos)
+			}
+			want := append(append([]byte{}, base...), tail...)
+			copy(want[1000:], repl)
+			got := readObject(t, s, "x")
+			if !bytes.Equal(got, want) {
+				t.Fatalf("committed transaction recovered in part: size %d (want %d), replace present=%v",
+					len(got), len(want), len(got) >= 2800 && bytes.Equal(got[1000:2800], repl))
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	want := append(append([]byte{}, base...), tail...)
-	copy(want[1000:], repl)
-	got := readObject(t, s, "x")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("committed transaction recovered in part: size %d (want %d), replace present=%v",
-			len(got), len(want), len(got) >= 2800 && bytes.Equal(got[1000:2800], repl))
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
+}
+
+// TestAbortBarrierForcesPagesALiveTxnRewrote: T1 commits a write to a page
+// of x, which no commit forces; live T3 then writes that page again; T2's
+// abort barrier journals x's root from T1's commit and the power fails.
+// The journaled root's LSN tells redo that T1 is applied, so the barrier
+// must have forced the page although a live transaction wrote it last.
+// A barrier that skipped live transactions' pages lost T1's bytes.
+func TestAbortBarrierForcesPagesALiveTxnRewrote(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		t1, t3 func(tx *Txn) error
+		change func(b []byte) []byte // T1's effect on x
+	}{
+		{"tail continued in place",
+			func(tx *Txn) error { return tx.Append("x", pat(53, 300)) },
+			func(tx *Txn) error { return tx.Append("x", pat(54, 200)) },
+			func(b []byte) []byte { return append(b, pat(53, 300)...) }},
+		{"replace in the same page",
+			func(tx *Txn) error { return tx.Replace("x", 1000, pat(53, 100)) },
+			func(tx *Txn) error {
+				if err := tx.Replace("x", 1200, pat(54, 100)); err != nil {
+					return err
+				}
+				_, err := tx.Read("x", 1200, 100) // writes it home
+				return err
+			},
+			func(b []byte) []byte { copy(b[1000:], pat(53, 100)); return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, base := replaceStore(t, Options{})
+			y, err := s.Create("y", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := y.Append(pat(52, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			t1, _ := s.Begin()
+			if err := tc.t1(t1); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			t3, _ := s.Begin()
+			if err := tc.t3(t3); err != nil {
+				t.Fatal(err)
+			}
+			t2, _ := s.Begin()
+			if err := t2.Append("y", pat(55, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := t2.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			s = crashReopen(t, vol, logVol)
+			if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 0 {
+				t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 0", rs.CatalogRecords, rs.Redone)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), tc.change(append([]byte{}, base...))) {
+				t.Fatal("T1's committed write lost")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -970,7 +1059,7 @@ func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 			}
 			want := base
 			if commit {
-				if err := tx.CommitNoForce(); err != nil { // the data volume never hears of it
+				if err := tx.Commit(); err != nil {
 					t.Fatal(err)
 				}
 				want = append(append([]byte{}, base[:1000]...), base[4000:]...)

@@ -7,8 +7,8 @@ import (
 
 // TestLoserReplaceUndoneAfterCrash exercises the steal hazard: an
 // uncommitted transaction's in-place replace reaches the disk because a
-// different transaction's commit forces the whole volume; after a crash,
-// recovery must physically restore the pre-image from the log.
+// barrier — another transaction's abort — forces the whole volume; after a
+// crash, recovery must physically restore the pre-image from the log.
 func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	s, vol, logVol := newStore(t, Options{})
 	a, _ := s.Create("victim", 0)
@@ -37,8 +37,8 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Winner: commits on another object, forcing the volume — including
-	// the loser's dirtied page.
+	// Winner: commits on another object, and an abort behind it forces the
+	// volume — including the loser's dirtied page.
 	winner, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +49,7 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	if err := winner.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	abortBarrier(t, s)
 
 	vol.Crash()
 	logVol.Crash()
@@ -124,6 +125,7 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 	if err := winner.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	abortBarrier(t, s)
 
 	vol.Crash()
 	logVol.Crash()
@@ -160,7 +162,7 @@ func TestCommittedReplaceStillRedone(t *testing.T) {
 	if err := tx.Replace("v", 100, pat(70, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitNoForce(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	vol.Crash()
