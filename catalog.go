@@ -9,46 +9,34 @@ import (
 	"slices"
 
 	"github.com/eosdb/eos/internal/disk"
-	"github.com/eosdb/eos/internal/wal"
 )
 
 // The catalog holds every object's descriptor — id, name, threshold,
 // growth state, root node, and the LSN of its last logged update.  EOS
 // proper leaves descriptor placement to the client (§4: a catalog page,
 // or a field of a small record to implement long fields); the Store keeps
-// them in two places: the write-ahead log and a small run of reserved
-// pages after the header.
+// them on a small run of reserved pages after the header.
 //
 // A barrier must make the roots that CHANGED durable behind their data
-// (§4.5), not every root.  A commit is no barrier: it is durable at its
-// log force, and recovery redoes it from its log records until a barrier
-// has persisted its roots.  Checkpoints and aborts are the catalog's
-// writers.  An abort barrier writes in the log: once the data force is
-// done it appends one RecCatalog record — the descriptors whose committed
-// state or name changed since the previous catalog record, the ids of
-// objects that went away, and nextID — and does not force it.  The next
-// log force carries it: the abort record's own, right behind it.  (The
-// durability quarantine counts such a barrier complete only once a force
-// has covered its record: see stampLoggedBarrier.)
+// (§4.5), not every root.  Commits and aborts are no barriers: each is
+// durable at its log force, and recovery redoes a commit, or undoes an
+// abort's replaces, from the log until a checkpoint has persisted the
+// roots that followed it.  The checkpoint is the catalog's only writer.
 //
-// A checkpoint writes the image to the reserved region, and that is where
-// recovery starts: the log cannot hold the image alone, because a
-// quiescent checkpoint truncates it and the next epoch starts again at
-// offset 0.  The region is a journal of TWO slots of CatalogPages pages
-// each, and each slot a small log.  A slot starts with one BASE record —
-// the full image — followed by DELTA records: the descriptors whose
-// committed state or name changed since the slot's previous record, plus
-// the ids of objects that went away.  A checkpoint appends one delta to the
-// current slot; when the delta does not fit in what is left of the slot,
-// the full image is written as the base of the OTHER slot and the roles
-// swap.  Every slot record carries the log position it covers — the LSN
-// every catalog record in the log so far lies at or below — and recovery
-// loads the slot, then applies the RecCatalog records above that stamp in
-// log order.  A record at or below it is older than the slot: replaying it
-// would undo whatever the slot caught since, a non-transactional update
-// for one.  A RecCatalog that never became durable loses nothing: every
-// commit it covers was forced first, and redo re-executes those commits
-// from the older roots, whose pages the quarantine kept intact.
+// It writes the reserved region, and that is where recovery starts: the
+// log cannot hold the image, because a quiescent checkpoint truncates it
+// and the next epoch starts again at offset 0.  The region is a journal of
+// TWO slots of CatalogPages pages each, and each slot a small log.  A slot
+// starts with one BASE record — the full image — followed by DELTA
+// records: the descriptors whose committed state or name changed since the
+// slot's previous record, plus the ids of objects that went away.  A
+// checkpoint appends one delta to the current slot; when the delta does
+// not fit in what is left of the slot, the full image is written as the
+// base of the OTHER slot and the roles swap.  Every slot record carries
+// the log position its checkpoint took right after its log force and
+// before its data force.  An abort record at or below that stamp belongs
+// to a rollback the checkpoint forced, so recovery leaves that
+// transaction's replaces alone (see checkpointLocked).
 //
 // A power cut preserves an arbitrary subset of outstanding page writes,
 // so three rules keep every crash state of the slots loadable:
@@ -70,17 +58,17 @@ import (
 //     record may sit.
 //
 // A torn slot record therefore loses exactly that checkpoint's record:
-// recovery falls back to the record before it and the log's catalog
-// records above that one's stamp, whose index pages the durability
-// quarantine keeps intact.  Slot records go to the device directly — one
-// vectored write per checkpoint — not through the buffer pool.
+// recovery falls back to the record before it, whose index pages the
+// durability quarantine keeps intact.  Slot records go to the device
+// directly — one vectored write per checkpoint — not through the buffer
+// pool.
 //
-// Slot record layout: magic u32, seq u64, stamp u64 (the LSN covered), kind
-// u8, 3 reserved bytes, payloadLen u32, crc u32 (over seq..payloadLen and
-// the payload), then the payload: upserts u32, per upsert id u64, nameLen
-// u16, descLen u32, name, descriptor bytes; tombstones u32, per tombstone id
-// u64.  A base is a record that starts from the empty catalog and has no
-// tombstones.  A RecCatalog's Data is the same payload.
+// Slot record layout: magic u32, seq u64, stamp u64 (the log position
+// taken before the data force), kind u8, 3 reserved bytes, payloadLen u32,
+// crc u32 (over seq..payloadLen and the payload), then the payload:
+// upserts u32, per upsert id u64, nameLen u16, descLen u32, name,
+// descriptor bytes; tombstones u32, per tombstone id u64.  A base is a
+// record that starts from the empty catalog and has no tombstones.
 
 const (
 	catalogMagic  = 0xE05CA7A2
@@ -141,51 +129,14 @@ func (s *Store) catalogDelta(prev map[uint64]catRec) (ups []catRec, tombs []uint
 			tombs = append(tombs, id)
 		}
 	}
-	sortDelta(ups, tombs)
+	slices.SortFunc(ups, func(a, b catRec) int { return cmp.Compare(a.id, b.id) })
+	slices.Sort(tombs)
 	return ups, tombs, full
 }
 
-func sortDelta(ups []catRec, tombs []uint64) {
-	slices.SortFunc(ups, func(a, b catRec) int { return cmp.Compare(a.id, b.id) })
-	slices.Sort(tombs)
-}
-
-// slotDelta widens ups and tombs, the changes no catalog record holds yet,
-// to what the slot lacks: also every entry the log's catalog records
-// changed since the slot's newest record, as it stands now.
-//
-// eos:requires s.mu
-func (s *Store) slotDelta(ups []catRec, tombs []uint64) ([]catRec, []uint64) {
-	next := make(map[uint64]*catRec, len(s.slotDirty)+len(ups)+len(tombs))
-	for id := range s.slotDirty {
-		if r, ok := s.catImage[id]; ok {
-			next[id] = &r
-		} else {
-			next[id] = nil
-		}
-	}
-	for i := range ups {
-		next[ups[i].id] = &ups[i]
-	}
-	for _, id := range tombs {
-		next[id] = nil
-	}
-	ups, tombs = nil, nil
-	for id, r := range next {
-		if r != nil {
-			ups = append(ups, *r)
-		} else {
-			tombs = append(tombs, id)
-		}
-	}
-	sortDelta(ups, tombs)
-	return ups, tombs
-}
-
 // catalogFits refuses an image of full bytes that one slot cannot hold.
-// Every barrier asks before it writes anything — an abort's too, although
-// only a checkpoint writes the image — so the durable catalog still
-// replays to the previous barrier and the store stays usable.
+// A checkpoint asks before it writes anything, so the durable catalog
+// still replays to the previous checkpoint and the store stays usable.
 func (s *Store) catalogFits(full int) error {
 	if room := s.opts.CatalogPages * s.vol.PageSize(); full > room {
 		return fmt.Errorf("%w: the descriptors need %d bytes, %d pages per slot reserved",
@@ -194,22 +145,20 @@ func (s *Store) catalogFits(full int) error {
 	return nil
 }
 
-// catPayloadSize is the encoded size of the payload holding ups and tombs;
-// catRecordSize adds the slot record's header.
-func catPayloadSize(ups []catRec, tombs []uint64) int {
-	n := 4 + 4 + 8*len(tombs)
+// catRecordSize is the encoded size of a slot record holding ups and tombs.
+func catRecordSize(ups []catRec, tombs []uint64) int {
+	n := catRecHdrSize + 4 + 4 + 8*len(tombs)
 	for _, r := range ups {
 		n += catEntHdrSize + len(r.name) + len(r.desc)
 	}
 	return n
 }
 
-func catRecordSize(ups []catRec, tombs []uint64) int {
-	return catRecHdrSize + catPayloadSize(ups, tombs)
-}
-
-// appendCatPayload appends the payload encoding of ups and tombs to buf.
-func appendCatPayload(buf []byte, ups []catRec, tombs []uint64) []byte {
+// encodeCatRecord serializes one slot record, stamped with a log position,
+// into whole pages.
+func encodeCatRecord(kind byte, seq, stamp uint64, ups []catRec, tombs []uint64, pageSize int) []byte {
+	size := catRecordSize(ups, tombs)
+	buf := make([]byte, catRecHdrSize, (size+pageSize-1)/pageSize*pageSize)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ups)))
 	for _, r := range ups {
 		buf = binary.BigEndian.AppendUint64(buf, r.id)
@@ -222,14 +171,6 @@ func appendCatPayload(buf []byte, ups []catRec, tombs []uint64) []byte {
 	for _, id := range tombs {
 		buf = binary.BigEndian.AppendUint64(buf, id)
 	}
-	return buf
-}
-
-// encodeCatRecord serializes one slot record, stamped with the log LSN it
-// covers, into whole pages.
-func encodeCatRecord(kind byte, seq, stamp uint64, ups []catRec, tombs []uint64, pageSize int) []byte {
-	size := catRecordSize(ups, tombs)
-	buf := appendCatPayload(make([]byte, catRecHdrSize, (size+pageSize-1)/pageSize*pageSize), ups, tombs)
 	binary.BigEndian.PutUint32(buf[0:], catalogMagic)
 	binary.BigEndian.PutUint64(buf[4:], seq)
 	binary.BigEndian.PutUint64(buf[12:], stamp)
@@ -245,47 +186,30 @@ func catRecCRC(hdr, payload []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(hdr[4:28]), crc32.IEEETable, payload)
 }
 
-// applyCatDelta applies ups and tombs to img.
-func applyCatDelta(img map[uint64]catRec, ups []catRec, tombs []uint64) {
-	for _, r := range ups {
-		img[r.id] = r
-	}
-	for _, id := range tombs {
-		delete(img, id)
-	}
-}
-
 // writeCatalog makes the checkpointed catalog replay to the current
 // committed descriptors: one delta record appended to the current slot,
 // or — when the slot has no room for it — the full image as the base of
-// the other slot.  Nothing is written when nothing changed since the
-// slot's newest record, in the log or elsewhere.  The write is volatile
-// until the caller forces the region.  Caller holds s.mu.
+// the other slot, stamped with the log position stamp.  Nothing is
+// written when nothing changed since the slot's newest record.  The write
+// is volatile until the caller forces the region.  Caller holds s.mu.
 //
 // eos:requires s.mu
-func (s *Store) writeCatalog() error {
+func (s *Store) writeCatalog(stamp uint64) error {
 	ps := s.vol.PageSize()
 	slotPages := s.opts.CatalogPages
 	ups, tombs, full := s.catalogDelta(s.catImage)
 	if err := s.catalogFits(full); err != nil {
 		return err
 	}
-	recUps, recTombs := ups, tombs
-	if len(s.slotDirty) > 0 {
-		recUps, recTombs = s.slotDelta(ups, tombs)
-	}
-	if len(recUps)+len(recTombs) == 0 && s.catNext < slotPages {
+	if len(ups)+len(tombs) == 0 && s.catNext < slotPages {
 		return nil
 	}
 	kind, slot, page := byte(catKindDelta), s.catSlot, s.catNext
-	if need := (catRecordSize(recUps, recTombs) + ps - 1) / ps; page+need > slotPages {
+	if need := (catRecordSize(ups, tombs) + ps - 1) / ps; page+need > slotPages {
 		kind, slot, page = catKindBase, 1-s.catSlot, 0
-		recUps, recTombs, _ = s.catalogDelta(nil)
+		ups, tombs, _ = s.catalogDelta(nil)
 	}
-	// Every catalog record in the log was appended under s.mu, as this one
-	// is written, so all of them lie at or below the log's end.
-	stamp := s.log.Base() + uint64(s.log.Tail())
-	buf := encodeCatRecord(kind, s.catSeq+1, stamp, recUps, recTombs, ps)
+	buf := encodeCatRecord(kind, s.catSeq+1, stamp, ups, tombs, ps)
 	run := make([][]byte, len(buf)/ps)
 	for i := range run {
 		run[i] = buf[i*ps : (i+1)*ps]
@@ -300,68 +224,19 @@ func (s *Store) writeCatalog() error {
 	if kind == catKindBase {
 		// The base is the whole image; a fresh map sheds the room of the
 		// entries gone since the last one.
-		s.catImage = make(map[uint64]catRec, len(recUps))
-		ups, tombs = recUps, nil
+		s.catImage = make(map[uint64]catRec, len(ups))
 		s.catCompactions.Add(1)
 	} else {
 		s.catDeltaWrites.Add(1)
 	}
-	applyCatDelta(s.catImage, ups, tombs)
-	clear(s.slotDirty)
+	for _, r := range ups {
+		s.catImage[r.id] = r
+	}
+	for _, id := range tombs {
+		delete(s.catImage, id)
+	}
 	s.catPagesWritten.Add(int64(len(run)))
 	return nil
-}
-
-// logCatalog is the metadata half of an abort barrier: the
-// descriptors that changed since the newest catalog record, slot or log,
-// appended to the log as one RecCatalog record with nextID, unforced.  The
-// caller has forced the data they reference.  A barrier that changes
-// nothing appends nothing; it is complete as soon as the newest record is
-// durable.  Caller holds s.mu.
-//
-// eos:requires s.mu
-func (s *Store) logCatalog() error {
-	s.stampLoggedBarrier() // a force since the last barrier may have carried its record
-	barrier := s.barrierStarted.Add(1)
-	ups, tombs, full := s.catalogDelta(s.catImage)
-	if err := s.catalogFits(full); err != nil {
-		return err
-	}
-	if len(ups)+len(tombs) > 0 {
-		rec := &wal.Record{Type: wal.RecCatalog, N: int64(s.nextID),
-			Data: appendCatPayload(make([]byte, 0, catPayloadSize(ups, tombs)), ups, tombs)}
-		lsn, err := s.log.Append(rec)
-		if err != nil {
-			return err
-		}
-		applyCatDelta(s.catImage, ups, tombs)
-		for _, r := range ups {
-			s.slotDirty[r.id] = true
-		}
-		for _, id := range tombs {
-			s.slotDirty[id] = true
-		}
-		s.catLSN = lsn
-		s.catLogRecords.Add(1)
-		s.catLogBytes.Add(int64(rec.Size()))
-	}
-	s.pendBarrier = barrier
-	s.stampLoggedBarrier()
-	return nil
-}
-
-// stampLoggedBarrier completes the newest abort barrier for the
-// durability quarantine once a log force has covered the newest catalog
-// record: until then the durable catalog may still hold the roots it
-// replaced.  Every barrier calls it before the quarantine releases
-// anything.  Caller holds s.mu.
-//
-// eos:requires s.mu
-func (s *Store) stampLoggedBarrier() {
-	if s.pendBarrier != 0 && s.log.Durable(s.catLSN) {
-		s.barrierDurable.Store(s.pendBarrier)
-		s.pendBarrier = 0
-	}
 }
 
 // parseCatRecord validates the slot record at the start of buf and returns
@@ -421,7 +296,7 @@ func applyCatPayload(img map[uint64]catRec, payload []byte) error {
 
 // replayCatalogSlot reads slot k and replays its journal: the base, then
 // every delta whose seq continues the chain.  It returns the image, the
-// seq of the last record replayed and the log LSN that record covers; img
+// seq of the last record replayed and that record's stamp; img
 // is nil when the slot holds no intact base.  Descriptors in img alias the
 // read buffer.
 func (s *Store) replayCatalogSlot(k int) (img map[uint64]catRec, seq, stamp uint64, err error) {
@@ -453,9 +328,9 @@ func (s *Store) replayCatalogSlot(k int) (img map[uint64]catRec, seq, stamp uint
 }
 
 // readCatalog returns the image of the catalog slot whose journal ends at
-// the highest seq, and the log LSN it covers: recovery applies the log's
-// catalog records above that before loadCatalog.  Caller holds no locks
-// (called during Open).
+// the highest seq, and the log position its checkpoint stamped it with:
+// recovery undoes no abort at or below it.  Caller holds no locks (called
+// during Open).
 func (s *Store) readCatalog() (img map[uint64]catRec, stamp uint64, err error) {
 	for k := 0; k < 2; k++ {
 		slotImg, seq, slotStamp, err := s.replayCatalogSlot(k)

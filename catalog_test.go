@@ -255,10 +255,8 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 // stay: no tombstone before the destroy commits), the same aborted, a
 // committed destroy — through a crash after each, once with slots so
 // large every checkpoint writes a delta and once with slots so small every
-// checkpoint compacts.  A commit writes no catalog record at all; the
-// abort that follows each committed step is the barrier, and it writes no
-// slot record either: its catalog record goes to the log, where its abort
-// record's force makes it durable, so recovery adopts it.
+// checkpoint compacts.  A commit writes no catalog record at all: after a
+// committed step recovery redoes the transaction from the log.
 func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -271,14 +269,13 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, vol, logVol := newJournalStore(t, Options{CatalogPages: tc.catalogPages})
 			want := map[string][]byte{}
-			// step runs one mutation (which must end in a barrier), checks
-			// which records its barriers wrote — wantDeltas slot deltas
-			// with large slots, where a checkpoint that changes nothing
-			// writes nothing; wantBases with one-page slots, where every
-			// checkpoint compacts; wantLogged catalog records in the log,
-			// one per abort that changed a descriptor — and crashes.
-			// Recovery must have applied the logged records.
-			step := func(what string, wantDeltas, wantBases, wantLogged int64, mutate func()) {
+			// step runs one mutation, checks which records its checkpoints
+			// wrote — wantDeltas slot deltas with large slots, where a
+			// checkpoint that changes nothing writes nothing; wantBases
+			// with one-page slots, where every checkpoint compacts — and
+			// crashes.  Recovery must have redone wantRedone operations:
+			// those of a commit no checkpoint followed.
+			step := func(what string, wantDeltas, wantBases, wantRedone int64, mutate func()) {
 				t.Helper()
 				before := s.Stats().Barrier
 				mutate()
@@ -291,16 +288,13 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 				if !tc.compacting && (deltas != wantDeltas || bases != 0) {
 					t.Fatalf("%s: %d deltas, %d compactions; want %d deltas", what, deltas, bases, wantDeltas)
 				}
-				if logged := after.CatalogLogRecords - before.CatalogLogRecords; logged != wantLogged {
-					t.Fatalf("%s: %d catalog records logged, want %d", what, logged, wantLogged)
-				}
 				s = crashReopen(t, vol, logVol)
-				if got := s.Stats().Recovery.CatalogRecords; got != wantLogged {
-					t.Fatalf("%s: recovery applied %d catalog records, want %d", what, got, wantLogged)
+				if got := s.Stats().Recovery.Redone; got != wantRedone {
+					t.Fatalf("%s: recovery redid %d operations, want %d", what, got, wantRedone)
 				}
 				expectObjects(t, s, want)
 			}
-			step("txn create, abort", 0, 0, 1, func() {
+			step("txn create", 0, 0, 2, func() {
 				tx, _ := s.Begin()
 				if err := tx.Create("a", 0); err != nil {
 					t.Fatal(err)
@@ -312,7 +306,6 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 				if err := tx.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				abortBarrier(t, s)
 			})
 			step("create", 1, 1, 0, func() {
 				o, err := s.Create("b", 0)
@@ -351,8 +344,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("journal holds %v while the destroy is in flight, want [a c]", got)
 				}
 			})
-			// The abort restores a's descriptor byte for byte: its barrier
-			// logs nothing.
+			// The abort restores a's descriptor byte for byte.
 			step("txn destroy, checkpoint, abort", 0, 1, 0, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("a"); err != nil {
@@ -368,7 +360,7 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatalf("journal holds %v after the abort, want [a c]", got)
 				}
 			})
-			step("txn destroy, abort", 0, 0, 1, func() {
+			step("txn destroy", 0, 0, 1, func() {
 				tx, _ := s.Begin()
 				if err := tx.Destroy("c"); err != nil {
 					t.Fatal(err)
@@ -377,7 +369,6 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(want, "c")
-				abortBarrier(t, s)
 			})
 		})
 	}
@@ -561,27 +552,32 @@ func TestCatalogDurableRecordPagesNeverRewritten(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOldFormatVersion: a store of the previous format
+// TestOpenRejectsOldFormatVersion: a store of an earlier format
 // generation is refused by name, not misread and not called corrupt.
 func TestOpenRejectsOldFormatVersion(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := vol.Read(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr[4] = storeVersion - 1
-	if err := vol.WritePages(0, 1, hdr); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(vol, logVol, Options{})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", storeVersion-1)) {
-		t.Fatalf("open of an old-format store: %v", err)
-	}
-	if errors.Is(err, ErrCorruptStore) {
-		t.Errorf("old format reported as corruption: %v", err)
+	// v4 logs may hold catalog records this build no longer reads, and v3
+	// slot records carry no stamp: both must be refused, not misread.
+	for _, old := range []byte{storeVersion - 2, storeVersion - 1} {
+		s, vol, logVol := newJournalStore(t, Options{})
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hdr, err := vol.Read(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr[4] = old
+		if err := vol.WritePages(0, 1, hdr); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(vol, logVol, Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", old)) ||
+			!strings.Contains(err.Error(), "no in-place upgrade") {
+			t.Fatalf("open of a version %d store: %v", old, err)
+		}
+		if errors.Is(err, ErrCorruptStore) {
+			t.Errorf("old format %d reported as corruption: %v", old, err)
+		}
 	}
 }
 

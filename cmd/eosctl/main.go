@@ -247,8 +247,9 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes (%d bytes of padding written)\n",
 			s.PageSize(), len(s.List()), free, s.LogTail(), st.WAL.PadBytes)
 		b := st.Barrier
-		fmt.Printf("barriers: %d catalog deltas, %d compactions, %d catalog pages, %d catalog records logged (%d bytes), %d header writes, %d directory pages skipped\n",
-			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.CatalogLogRecords, b.CatalogLogBytes, b.HeaderWrites, b.DirPagesSkipped)
+		r := st.Recovery
+		fmt.Printf("checkpoints: %d catalog deltas, %d compactions, %d catalog pages, %d header writes; open redid %d operations, undid %d aborts\n",
+			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, r.Redone, r.UndoneAborts)
 		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early, %d page runs taken from the read before\n",
 			st.DeferredReplaces, st.EarlyReplaceApplies, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",

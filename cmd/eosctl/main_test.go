@@ -100,7 +100,7 @@ func testCtlEndToEnd(t *testing.T) {
 		t.Errorf("stat: %q", out)
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
-		!strings.Contains(out, "directory pages skipped") || !strings.Contains(out, "applied early") ||
+		!strings.Contains(out, "undid 0 aborts") || !strings.Contains(out, "applied early") ||
 		!strings.Contains(out, "bridged reads:") {
 		t.Errorf("store stat: %q", out)
 	}

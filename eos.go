@@ -54,13 +54,13 @@ var (
 	// ErrCorruptStore is returned when the store header or catalog fails
 	// validation.
 	ErrCorruptStore = errors.New("eos: corrupt store")
-	// ErrCatalogFull is returned by Abort and Checkpoint when the
+	// ErrCatalogFull is returned by Checkpoint (and Close) when the
 	// committed descriptors no longer fit in one catalog slot
 	// (Options.CatalogPages).  No catalog record was written: the durable
-	// catalog still holds the previous barrier's state (the commits since
-	// are durable all the same, through their log records), the store
-	// stays usable, and destroying objects makes room.  Commit never
-	// returns it: a commit writes no catalog record.
+	// catalog still holds the previous checkpoint's state (the commits and
+	// aborts since are durable all the same, through their log records),
+	// the store stays usable, and destroying objects makes room.  Commit
+	// and Abort never return it: neither writes a catalog record.
 	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
@@ -68,7 +68,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 4 // v4: catalog slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 5 // v5: the slot stamp is taken before the data force, and the log holds no catalog records; v4: slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding
@@ -188,8 +188,8 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 // object dirty, catalog writes use the last committed descriptor
 // (stableDesc) so that uncommitted structural state never becomes
 // durable; uncommitted in-place replaces can still reach the disk when a
-// checkpoint or another transaction's abort forces the volume, which is
-// why replace records log their physical extents for recovery-time undo.
+// checkpoint forces the volume, which is why replace records log their
+// physical extents for recovery-time undo.
 type catEntry struct {
 	id       uint64
 	name     string
@@ -276,20 +276,12 @@ type Store struct {
 	// slot holding it, and catNext the first page of that slot no record
 	// occupies — CatalogPages when the slot takes no more deltas, which
 	// is also how Open marks the slot it loaded.  catImage is what the
-	// slot and the log's catalog records above its stamp replay to: both
-	// writeCatalog and logCatalog record its difference from the current
-	// committed descriptors.  slotDirty holds the ids the log's records
-	// changed since the slot's newest record, which the next slot record
-	// must carry too; catLSN is the LSN of the newest catalog record
-	// logged, and pendBarrier the newest abort barrier not yet counted
-	// durable (0 when there is none).
-	catSeq      uint64
-	catSlot     int
-	catNext     int
-	catImage    map[uint64]catRec
-	slotDirty   map[uint64]bool
-	catLSN      uint64
-	pendBarrier uint64
+	// slot replays to: writeCatalog records its difference from the
+	// current committed descriptors.
+	catSeq   uint64
+	catSlot  int
+	catNext  int
+	catImage map[uint64]catRec
 	// hdrNextID and hdrLsnBase are the header fields as page 0 holds them
 	// (eos:guardedby mu); writeHeader skips the write when neither moved.
 	hdrNextID  uint64
@@ -302,12 +294,10 @@ type Store struct {
 	// is all that keeps such records out.
 	lsnBase uint64
 
-	// barrierStarted counts catalog barriers begun; barrierDurable is
-	// the index of the last one known durable: a checkpoint's once its
-	// slot record is forced, an abort's once a log force has covered its
-	// catalog record.  Barriers are serialized under s.mu, but
-	// releaseRuns stamps quarantine entries without holding it, hence
-	// atomics.
+	// barrierStarted counts checkpoints begun; barrierDurable is the index
+	// of the last one whose slot record is forced.  Checkpoints are
+	// serialized under s.mu, but releaseRuns stamps quarantine entries
+	// without holding it, hence atomics.
 	barrierStarted atomic.Uint64
 	barrierDurable atomic.Uint64
 
@@ -316,18 +306,11 @@ type Store struct {
 	// spawn at most one.
 	barrierReq atomic.Bool
 
-	// dirPages is the set of buddy directory pages, one per space; fixed
-	// by the geometry, never modified after Format/Open build it.
-	dirPages map[disk.PageNum]bool
-
 	// Barrier cost counters (see BarrierStats).
 	catDeltaWrites  atomic.Int64
 	catCompactions  atomic.Int64
 	catPagesWritten atomic.Int64
-	catLogRecords   atomic.Int64
-	catLogBytes     atomic.Int64
 	headerWrites    atomic.Int64
-	dirPagesSkipped atomic.Int64
 
 	// recovered describes what the Open that built this Store found in the
 	// log; written only before Open returns.
@@ -391,12 +374,10 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
-		dirPages: spaceDirPages(bm),
 		// No slot holds a record yet: treating slot 1 as full sends the
 		// first base to slot 0.
-		catSlot:   1,
-		catNext:   opts.CatalogPages,
-		slotDirty: make(map[uint64]bool),
+		catSlot: 1,
+		catNext: opts.CatalogPages,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -425,15 +406,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// spaceDirPages returns the directory page of every buddy space.
-func spaceDirPages(bm *buddy.Manager) map[disk.PageNum]bool {
-	dirs := make(map[disk.PageNum]bool)
-	for _, sp := range bm.Spaces() {
-		dirs[sp.DirPage()] = true
-	}
-	return dirs
 }
 
 func (s *Store) lobConfig() lob.Config {
@@ -536,11 +508,11 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 		return true, rerr
 	}
 	// Reclaimed runs land in the durability quarantine, not the free
-	// space, and only a completed catalog barrier lets them out.  Commits
-	// are no barriers: with no checkpoint or abort running, none would
-	// ever come — and this caller cannot run one itself (it holds its
-	// object's latch, and barriers take s.mu, which ranks before
-	// latches) — so request one from a clean stack and keep polling.
+	// space, and only a completed checkpoint lets them out.  Commits and
+	// aborts are no barriers: with no checkpoint running, none would ever
+	// come — and this caller cannot run one itself (it holds its object's
+	// latch, and checkpoints take s.mu, which ranks before latches) — so
+	// request one from a clean stack and keep polling.
 	if s.quarantinedPages() > 0 {
 		s.requestBarrier()
 	}
@@ -550,7 +522,8 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 // requestBarrier runs a checkpoint on a fresh goroutine so that a
 // caller holding an object latch (allocation backpressure fires
 // mid-operation) can get a catalog barrier — and with it the release of
-// quarantined free space — without acquiring s.mu out of rank order.
+// quarantined free space — without acquiring s.mu out of rank order; a
+// checkpoint is the only catalog barrier there is.
 // writeCatalog reads committed descriptors latch-free (see
 // catEntry.stableDesc), so the checkpoint cannot block on the stalled
 // operation's latch.  At most one request runs at a time; the error is
@@ -613,12 +586,12 @@ func (s *Store) releaseRuns(runs []txn.Run) error {
 }
 
 // releaseQuarantined returns to the buddy system every quarantined run
-// whose stamp precedes the last completed catalog barrier.  Every
-// commit point (non-transactional publish, transaction commit and
-// abort) refreshes stableDesc, so any barrier started after a run entered
-// quarantine wrote roots that exclude it; once that barrier's force
-// completes, no journal state recovery can pick still references the run
-// (a torn later record falls back exactly one barrier, never further).
+// whose stamp precedes the last completed checkpoint.  Every commit point
+// (non-transactional publish, transaction commit and abort) refreshes
+// stableDesc, so any checkpoint started after a run entered quarantine
+// wrote roots that exclude it; once that checkpoint's force completes, no
+// journal state recovery can pick still references the run (a torn later
+// record falls back exactly one checkpoint, never further).
 func (s *Store) releaseQuarantined() error {
 	durable := s.barrierDurable.Load()
 	s.quarMu.Lock()
@@ -753,10 +726,8 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   nextID,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
-		dirPages: spaceDirPages(bm),
 		lsnBase:  lsnBase,
 
-		slotDirty:  make(map[uint64]bool),
 		hdrNextID:  nextID,
 		hdrLsnBase: lsnBase,
 	}
@@ -940,32 +911,42 @@ func (s *Store) checkpointLocked() error {
 	// below may make durable) must survive.  With transactions in flight
 	// this is a "soft" checkpoint: everything is durable, but the log
 	// keeps growing until a quiescent checkpoint.
-	resetLog := s.log != nil && len(s.liveTxns) == 0
+	resetLog := len(s.liveTxns) == 0
 	// WAL-first: a soft checkpoint (live transactions) forces the data
 	// volume below while the log keeps growing, so any buffered log
 	// records — including live transactions' replace pre-images, which
 	// recovery needs to undo the in-place writes this force makes
 	// durable — must reach the log device first.
-	if s.log != nil {
-		if err := s.log.Force(); err != nil {
-			return err
-		}
-		s.stampLoggedBarrier()
+	if err := s.log.Force(); err != nil {
+		return err
 	}
+	// The barrier starts here, before the data force, and so does the log
+	// position its slot record will carry.  An abort appends its record
+	// outside Store.mu but after the Store.mu section that follows its
+	// compensations, so a record at or below the stamp belongs to a
+	// rollback the force below covers: recovery must not undo that
+	// transaction's replaces, whose bytes a later commit may have written
+	// again.  A record appended from here on lies above the stamp; the
+	// abort's frees enter the quarantine behind it, so the barrier that
+	// lets them out starts, and takes its stamp, later still.
+	barrier := s.barrierStarted.Add(1)
+	stamp := s.log.Base() + uint64(s.log.Tail())
 	// Phase 1: make the store state durable under the CURRENT LSN epoch,
-	// data barrier first, catalog barrier second (see forceDurableLocked
-	// for why the order is load-bearing).  A crash anywhere in here
-	// recovers by replaying the intact log; the object roots carry their
-	// true LSNs (they are never zeroed — LSNs are monotonic across log
-	// truncations), so redo of an already-durable update is skipped by
-	// the idempotence guard rather than applied twice.
+	// data first, catalog second: the slot record is written only after
+	// the force of every page it references, so no crash state holds a
+	// durable root pointing at a page the device never received.  A crash
+	// anywhere in here recovers by replaying the intact log; the object
+	// roots carry their true LSNs (they are never zeroed — LSNs are
+	// monotonic across log truncations), so redo of an already-durable
+	// update is skipped by the idempotence guard rather than applied
+	// twice.
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
 	if err := s.vol.ForceAll(); err != nil {
 		return err
 	}
-	if err := s.catalogBarrier(); err != nil {
+	if err := s.catalogBarrier(barrier, stamp); err != nil {
 		return err
 	}
 	if !resetLog {
@@ -997,19 +978,18 @@ func (s *Store) checkpointLocked() error {
 }
 
 // catalogBarrier is the second phase of a checkpoint: the header and the
-// catalog slot record, written only now that the caller has forced
+// catalog slot record, stamped with the log position the checkpoint took
+// before its data force, written only now that the caller has forced
 // everything they reference, then forced themselves.  A torn record is
 // caught by its CRC and recovery falls back to the journal's previous
-// record, whose pages the durability quarantine keeps intact.  (Aborts
-// log their catalog records instead: logCatalog.)
+// record, whose pages the durability quarantine keeps intact.
 //
 // eos:requires s.mu
-func (s *Store) catalogBarrier() error {
-	barrier := s.barrierStarted.Add(1)
+func (s *Store) catalogBarrier(barrier, stamp uint64) error {
 	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	if err := s.writeCatalog(); err != nil {
+	if err := s.writeCatalog(stamp); err != nil {
 		return err
 	}
 	if err := s.vol.Force(0, 1+catalogRegionPages(s.opts)); err != nil {
@@ -1102,8 +1082,7 @@ func (s *Store) CopyObject(src, dst string) error {
 	return nil
 }
 
-// Rename changes an object's name.  Persisted at the next checkpoint or
-// abort.
+// Rename changes an object's name.  Persisted at the next checkpoint.
 func (s *Store) Rename(oldName, newName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1144,8 +1123,8 @@ type SnapshotStats struct {
 	OldestEpochAge time.Duration
 }
 
-// BarrierStats attributes the cost of the catalog barriers — aborts and
-// checkpoints; a commit is none — what the catalog journal and the header
+// BarrierStats attributes the cost of the catalog barriers — checkpoints;
+// a commit or abort is none — what the catalog journal and the header
 // wrote, besides the data and log pages themselves.
 type BarrierStats struct {
 	// CatalogDeltaWrites counts checkpoints that appended a delta record
@@ -1155,26 +1134,16 @@ type BarrierStats struct {
 	CatalogCompactions int64
 	// CatalogPagesWritten is the pages both kinds of record occupied.
 	CatalogPagesWritten int64
-	// CatalogLogRecords counts the abort barriers that appended a catalog
-	// record to the log; CatalogLogBytes is the log bytes those records
-	// took, headers included.
-	CatalogLogRecords int64
-	CatalogLogBytes   int64
 	// HeaderWrites counts rewrites of the header page (only when nextID
 	// or the LSN epoch base moved).
 	HeaderWrites int64
-	// DirPagesSkipped counts the dirty buddy directory frames abort
-	// barriers left in the pool instead of writing: the directories are
-	// rebuilt by every Open, so only eviction, Checkpoint and Close write
-	// them.
-	DirPagesSkipped int64
 }
 
 // RecoveryStats describes what recovery did when Open built the Store.
 type RecoveryStats struct {
-	// CatalogRecords counts the log's catalog records newer than the
-	// loaded slot record, which recovery applied before redo.
-	CatalogRecords int64
+	// UndoneAborts counts the aborted transactions whose replace recovery
+	// undid: a crash lost the compensation, which no checkpoint had forced.
+	UndoneAborts int64
 	// Redone counts the committed operations redo re-executed: those
 	// whose effect the recovered catalog's roots did not show.
 	Redone int64
@@ -1226,10 +1195,7 @@ func (s *Store) Stats() Stats {
 			CatalogDeltaWrites:  s.catDeltaWrites.Load(),
 			CatalogCompactions:  s.catCompactions.Load(),
 			CatalogPagesWritten: s.catPagesWritten.Load(),
-			CatalogLogRecords:   s.catLogRecords.Load(),
-			CatalogLogBytes:     s.catLogBytes.Load(),
 			HeaderWrites:        s.headerWrites.Load(),
-			DirPagesSkipped:     s.dirPagesSkipped.Load(),
 		},
 		Recovery:            s.recovered,
 		DeferredReplaces:    s.deferredReplaces.Load(),

@@ -6,7 +6,7 @@
 // PR 8's crash-point sweep found these orderings dynamically, by
 // enumerating crash states; this analyzer proves them statically, so a
 // reordering regression fails the build instead of (maybe) a nightly
-// sweep.  Five contracts are checked:
+// sweep.  Four contracts are checked:
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
 //     (lob Object.Replace, or ReplacePlan.Apply for a replace whose
@@ -14,26 +14,22 @@
 //     record must be durable before it is the only copy of the old
 //     bytes.
 //  2. Two-phase barrier: header/catalog writes ((*Store).writeHeader
-//     / writeCatalog) and an abort's catalog record appended to the log
-//     ((*Store).logCatalog) are dominated by a device force of the data
-//     pages they index.
-//  3. Abort ordering: the abort record (wal.Record{Type: RecAbort}) is
-//     constructed only after a device force makes the compensations it
-//     acknowledges durable.
-//  4. Durability quarantine: freed-extent reuse ((*buddy.Manager).Free
+//     / writeCatalog) are dominated by a device force of the data pages
+//     they index.
+//  3. Durability quarantine: freed-extent reuse ((*buddy.Manager).Free
 //     from the store layer) is dominated by a barrierDurable stamp
 //     (Load before gating, Store after phase two).  The rule is active
 //     only in packages that operate the barrier — a package with no
 //     barrierDurable stamps has no quarantine to violate.  Pages no root
 //     ever named go back through (*buddy.Manager).FreeUnpublished, which
 //     is outside the contract: no catalog, durable or not, can reach them.
-//  5. Rename atomicity: every os.Rename is followed on all success
+//  4. Rename atomicity: every os.Rename is followed on all success
 //     paths by a disk.SyncDir of the owning directory, else the new
 //     name may not survive a crash.
 //
-// Rules 1–4 are backward (dominance) properties: a forward all-paths
+// Rules 1–3 are backward (dominance) properties: a forward all-paths
 // dataflow tracks "discharged on every path reaching here" per rule,
-// exactly like walfirst's logged-state analysis.  Rule 5 is a
+// exactly like walfirst's logged-state analysis.  Rule 4 is a
 // forward may-property: pending renames accumulate (union at joins)
 // and must be cleared by a directory sync before any success exit;
 // error exits (the rename itself failed) are exempt.
@@ -43,7 +39,7 @@
 // exposure bits with witness chains — computed bottom-up in SCC order
 // and exported as object facts.  Discharge through a callee is a MAY
 // property (the callee forces on some path): the engine's force
-// helpers (forceDurableLocked, checkpointLocked) return early on I/O
+// helpers (checkpointLocked) return early on I/O
 // errors, and on those paths the caller's subsequent writes never
 // execute either, so treating the call as discharging is sound for
 // the orderings checked here and avoids error-path false positives.
@@ -51,7 +47,7 @@
 //
 // Rule 1 roots are the exported methods of the transaction type
 // (-recv, default "Txn"), where the force-ahead obligation starts;
-// rules 2–5 root at every exported function.  Unexported helpers are
+// rules 2–4 root at every exported function.  Unexported helpers are
 // summarized, not reported.  Where a report fires, the dominator tree
 // supplies evidence: if a discharging instruction exists but fails to
 // dominate the event, the diagnostic carries a related position
@@ -74,8 +70,8 @@ const doc = `check §8.1 force-ordering contracts by dominance (whole-program)
 
 Crash consistency is an ordering property: the WAL record before the
 in-place write it protects, the data force before the checkpoint
-header, the compensation force before the abort record, the quarantine
-stamp before freed-extent reuse, the directory sync after the rename.
+header, the quarantine stamp before freed-extent reuse, the directory
+sync after the rename.
 Each is verified on the dominator tree with interprocedural
 may-force/exposure summaries propagated via analysis facts, so the
 orderings PR 8's crash sweep found dynamically are machine-checked on
@@ -110,12 +106,11 @@ const (
 const (
 	rReplace = iota // force-ahead: WAL force before Object.Replace / ReplacePlan.Apply
 	rMeta           // two-phase checkpoint: device force before meta write
-	rAbort          // abort ordering: device force before RecAbort literal
 	rFree           // quarantine: barrier stamp before Manager.Free
 	nDomRules
 )
 
-// domRules declares the four dominance contracts.  txnOnly restricts
+// domRules declares the three dominance contracts.  txnOnly restricts
 // roots to the -recv transaction methods; the others root at every
 // exported function.
 var domRules = [nDomRules]struct {
@@ -132,9 +127,6 @@ var domRules = [nDomRules]struct {
 	rMeta: {dDevForce, false,
 		"checkpoint metadata write", "write checkpoint metadata",
 		"a device force of the data pages it indexes", "§8.1 two-phase checkpoint"},
-	rAbort: {dDevForce, false,
-		"abort-record construction", "construct the abort record",
-		"a device force of its compensations", "§8.1 abort ordering"},
 	rFree: {dStamp, false,
 		"freed-extent release", "return freed extents to the allocator",
 		"a barrierDurable quarantine stamp", "§8.1 durability quarantine"},
@@ -166,7 +158,7 @@ func (f *ForceFact) String() string {
 			parts = append(parts, "may-"+names)
 		}
 	}
-	for i, names := range [nDomRules]string{"replace", "meta", "abort", "free"} {
+	for i, names := range [nDomRules]string{"replace", "meta", "free"} {
 		if f.Exposed[i] {
 			parts = append(parts, "exposed-"+names)
 		}
@@ -228,7 +220,7 @@ type checker struct {
 	ig        *ignore.Reporter
 	summaries map[*ssa.Func]*ForceFact
 	// quarantined: the package operates the durability-quarantine
-	// barrier, activating rule 4.
+	// barrier, activating rule 3.
 	quarantined bool
 }
 
@@ -363,8 +355,6 @@ func (c *checker) eventRule(in *ssa.Instr) int {
 		return rReplace
 	case ssa.KMetaWrite:
 		return rMeta
-	case ssa.KAbortRec:
-		return rAbort
 	case ssa.KBuddyFree:
 		if c.quarantined {
 			return rFree
@@ -530,7 +520,7 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 	return sum
 }
 
-// renameFlow is the forward may-analysis of rule 5: pending renames
+// renameFlow is the forward may-analysis of rule 4: pending renames
 // union at joins and must be cleared by a directory sync before any
 // success exit.
 func (c *checker) renameFlow(f *ssa.Func, preds [][]*ssa.Block, exits []*ssa.Block, sum *ForceFact, report *[]finding) {
@@ -638,9 +628,6 @@ func (c *checker) errorExit(b *ssa.Block) bool {
 func eventLabel(in *ssa.Instr) string {
 	if in.MutName != "" {
 		return in.MutName
-	}
-	if in.Kind == ssa.KAbortRec {
-		return "wal.Record{Type: RecAbort}"
 	}
 	return "event"
 }

@@ -9,8 +9,8 @@
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
 //	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
-//	rank 30  Txn.wmu            (no engine mutex: the deadlock fixture's same-rank pair)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
+//	rank 30  Store.quarMu       (durability quarantine; a leaf)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
 //	rank 35  Manager.mu         (buddy superdirectory latch)
 //	rank 38  Pool.flushMu       (buffer pool whole-pool write-back)
@@ -52,11 +52,11 @@
 //     cycle among same-rank locks (which the rank check alone admits)
 //     is reported with the full edge list.
 //
-// Per-instance locks (catEntry.latch, shard.mu, Txn.wmu,
-// deferredAlloc.mu) are exempt from the self-deadlock check: two
-// instances of the same field (the source and destination latches of a
-// copy, two pool shards) may legitimately nest, and summaries track
-// lock identity by lattice key, not by instance.  Function literals are
+// Per-instance locks (catEntry.latch, shard.mu, deferredAlloc.mu) are
+// exempt from the self-deadlock check: two instances of the same field
+// (the source and destination latches of a copy, two pool shards) may
+// legitimately nest, and summaries track lock identity by lattice key,
+// not by instance.  Function literals are
 // not analyzed (a goroutine body is its own acquisition context, and
 // the ssa IR does not model closures), and dynamic calls that resolve
 // to nothing (func values) are ignored — the conservative direction
@@ -159,6 +159,7 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 // per-transaction mutexes) may nest across instances and are excluded.
 var singletonKeys = map[string]bool{
 	"Store.mu":        true,
+	"Store.quarMu":    true,
 	"LockTable.mu":    true,
 	"EpochManager.mu": true,
 	"Manager.mu":      true,
@@ -482,7 +483,7 @@ func (c *checker) exportFacts() {
 
 // checkCycles looks for cycles among same-rank edges of the merged
 // graph.  Rank-inverting orderings are already diagnosed pairwise; a
-// same-rank cycle (wmu → deferredAlloc.mu somewhere, the reverse
+// same-rank cycle (quarMu → deferredAlloc.mu somewhere, the reverse
 // elsewhere) is the case the lattice admits silently.
 func (c *checker) checkCycles() {
 	adj := make(map[string][]int)

@@ -69,8 +69,8 @@ func LockRanks() map[string]int {
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,
 		"catEntry.inPlace": 25, // one in-place read-modify-write, under the shared latch
-		"Txn.wmu":          30,
 		"deferredAlloc.mu": 30,
+		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
 		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it
 		"Manager.mu":       35, // buddy superdirectory latch
 		"Pool.flushMu":     38, // whole-pool write-back; before any shard.mu
@@ -166,15 +166,10 @@ const (
 	// KRename renames a file (os.Rename) — volatile until the owning
 	// directory is synced.
 	KRename
-	// KMetaWrite writes the store header or catalog region, or appends a
-	// abort's catalog record to the log ((*Store).writeHeader /
-	// writeCatalog / logCatalog): the metadata half of the two-phase
-	// barrier.
+	// KMetaWrite writes the store header or catalog region
+	// ((*Store).writeHeader / writeCatalog): the metadata half of the
+	// two-phase checkpoint barrier.
 	KMetaWrite
-	// KAbortRec constructs a wal.Record with Type RecAbort — the abort
-	// record that must not be appended before compensations are durable.
-	// Instr.Lit holds the literal; Call is nil.
-	KAbortRec
 	// KBuddyFree returns an extent to the buddy allocator
 	// ((*buddy.Manager).Free called from outside the allocator itself) —
 	// the reallocation event the durability quarantine gates.
@@ -196,9 +191,6 @@ const (
 type Instr struct {
 	Kind Kind
 	Call *ast.CallExpr
-	// Lit is the composite literal of a KAbortRec instruction (the only
-	// kind not rooted at a call expression); nil otherwise.
-	Lit *ast.CompositeLit
 	// Deferred marks calls that run at function exit (defer f(),
 	// or any call inside an immediately-deferred function literal).
 	Deferred bool
@@ -224,18 +216,9 @@ type Instr struct {
 	MutName string
 }
 
-// Pos returns the source position anchoring the instruction: the call
-// expression for call-rooted kinds, the composite literal for
-// KAbortRec.
-func (in *Instr) Pos() token.Pos {
-	if in.Call != nil {
-		return in.Call.Pos()
-	}
-	if in.Lit != nil {
-		return in.Lit.Pos()
-	}
-	return token.NoPos
-}
+// Pos returns the source position anchoring the instruction: its call
+// expression.
+func (in *Instr) Pos() token.Pos { return in.Call.Pos() }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -318,54 +301,9 @@ func (pr *Program) scanNode(n ast.Node, deferred bool, out *[]Instr) {
 			// Arguments are scanned by the enclosing Inspect walk; only
 			// classify the call itself here.
 			pr.classify(m, deferred, out)
-		case *ast.CompositeLit:
-			// Abort-record literals are durability events even before
-			// they reach an Append call; elements are still walked.
-			pr.classifyLit(m, deferred, out)
 		}
 		return true
 	})
-}
-
-// classifyLit appends a KAbortRec instruction when lit constructs a
-// wal.Record whose Type field is RecAbort.  Matching is by package and
-// type name (fixtures fake package wal) and by the constant's name: the
-// engine has a single abort-record construction site, and the literal —
-// not the later Append — is the event the §8.1 abort-ordering rule
-// anchors on, so no value tracking is needed.
-func (pr *Program) classifyLit(lit *ast.CompositeLit, deferred bool, out *[]Instr) {
-	tv, ok := pr.Pass.TypesInfo.Types[lit]
-	if !ok {
-		return
-	}
-	if ownerTypeName(tv.Type) != "Record" {
-		return
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != "wal" {
-		return
-	}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "Type" {
-			continue
-		}
-		name := ""
-		switch v := kv.Value.(type) {
-		case *ast.Ident:
-			name = v.Name
-		case *ast.SelectorExpr:
-			name = v.Sel.Name
-		}
-		if name == "RecAbort" {
-			*out = append(*out, Instr{Kind: KAbortRec, Lit: lit, Deferred: deferred})
-			return
-		}
-	}
 }
 
 // classify appends the instruction for one call expression.
@@ -432,7 +370,7 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	if eosutil.IsPkgFunc(info, call, "os", "Rename") {
 		return KRename, "os.Rename", true
 	}
-	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "writeHeader", "writeCatalog", "logCatalog"); ok {
+	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "writeHeader", "writeCatalog"); ok {
 		return KMetaWrite, "Store." + m, true
 	}
 	// Extent reallocation: only calls from outside the allocator itself

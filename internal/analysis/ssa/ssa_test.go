@@ -104,7 +104,7 @@ func TestProgramIR(t *testing.T) {
 
 			// Durability-event classification (eoslint v4): the
 			// durability fixture function holds exactly one instruction
-			// of each new kind, except the three meta writes.
+			// of each new kind, except the two meta writes.
 			dur := byName["durability"]
 			if dur == nil {
 				t.Fatalf("Program is missing func durability")
@@ -123,10 +123,9 @@ func TestProgramIR(t *testing.T) {
 				ssa.KDevForce:     2, // FileVolume.ForceAll + Device.Force
 				ssa.KSyncDir:      1,
 				ssa.KRename:       1,
-				ssa.KMetaWrite:    3, // writeHeader + writeCatalog + logCatalog
+				ssa.KMetaWrite:    2, // writeHeader + writeCatalog
 				ssa.KBuddyFree:    1,
 				ssa.KBarrierStamp: 2, // Store + Load
-				ssa.KAbortRec:     1, // RecCommit literal stays unclassified
 				ssa.KWALAppend:    1,
 				ssa.KHomeWrite:    1,
 			}
@@ -137,7 +136,7 @@ func TestProgramIR(t *testing.T) {
 				}
 			}
 			for _, lbl := range []string{"Log.Force", "Log.ForceLSN", "FileVolume.ForceAll",
-				"Device.Force", "Store.writeHeader", "Store.writeCatalog", "Store.logCatalog", "Manager.Free",
+				"Device.Force", "Store.writeHeader", "Store.writeCatalog", "Manager.Free",
 				"ReplacePlan.Apply"} {
 				found := false
 				for _, ls := range labels {

@@ -7,9 +7,7 @@ package deadlock_bad
 
 import "sync"
 
-type Store struct{ mu sync.Mutex }
-
-type Txn struct{ wmu sync.Mutex }
+type Store struct{ mu, quarMu sync.Mutex }
 
 type deferredAlloc struct{ mu sync.Mutex }
 
@@ -49,8 +47,8 @@ func invertOnElsePath(s *Store, sh *shard, c bool) {
 	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
 }
 
-// lockDeferred and lockWriteSet are the two halves of a same-rank
-// cycle: Txn.wmu and deferredAlloc.mu share rank 30, so neither
+// lockDeferred and lockQuarantine are the two halves of a same-rank
+// cycle: Store.quarMu and deferredAlloc.mu share rank 30, so neither
 // nesting inverts the lattice — but the opposite orders below deadlock
 // against each other.
 func lockDeferred(d *deferredAlloc) {
@@ -58,24 +56,24 @@ func lockDeferred(d *deferredAlloc) {
 	d.mu.Unlock()
 }
 
-func lockWriteSet(t *Txn) {
-	t.wmu.Lock()
-	t.wmu.Unlock()
+func lockQuarantine(s *Store) {
+	s.quarMu.Lock()
+	s.quarMu.Unlock()
 }
 
-// reserveThenDefer nests wmu → deferredAlloc.mu.
-func reserveThenDefer(t *Txn, d *deferredAlloc) {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	lockDeferred(d) // want "deadlock cycle among same-rank locks: Txn.wmu → deferredAlloc.mu"
+// quarantineThenDefer nests quarMu → deferredAlloc.mu.
+func quarantineThenDefer(s *Store, d *deferredAlloc) {
+	s.quarMu.Lock()
+	defer s.quarMu.Unlock()
+	lockDeferred(d) // want "deadlock cycle among same-rank locks: Store.quarMu → deferredAlloc.mu"
 }
 
-// freeThenReserve nests deferredAlloc.mu → wmu: the other half of the
-// cycle.
-func freeThenReserve(t *Txn, d *deferredAlloc) {
+// deferThenQuarantine nests deferredAlloc.mu → quarMu: the other half of
+// the cycle.
+func deferThenQuarantine(s *Store, d *deferredAlloc) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	lockWriteSet(t)
+	lockQuarantine(s)
 }
 
 // appendRecord takes the WAL latch directly.

@@ -11,7 +11,7 @@ import (
 )
 
 // Store mirrors the engine root type so the meta-write classification
-// (unexported writeHeader/writeCatalog/logCatalog on a type named Store,
+// (unexported writeHeader/writeCatalog on a type named Store,
 // same package) has a subject.
 type Store struct {
 	barrierDurable atomic.Uint64
@@ -19,7 +19,6 @@ type Store struct {
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
-func (s *Store) logCatalog() error   { return nil }
 
 // durability exercises every v4 durability-event kind in one function;
 // the ssa probe asserts each classification.
@@ -32,12 +31,9 @@ func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *
 	os.Rename("a", "b")
 	s.writeHeader()
 	s.writeCatalog()
-	s.logCatalog()
 	m.Free(0, 1)
 	s.barrierDurable.Store(1)
 	_ = s.barrierDurable.Load()
-	rec := wal.Record{Type: wal.RecAbort}
-	t.log.Append(rec)
-	_ = wal.Record{Type: wal.RecCommit} // not an abort record: stays unclassified
+	t.log.Append(wal.Record{Type: wal.RecCommit})
 	plan.Apply()
 }

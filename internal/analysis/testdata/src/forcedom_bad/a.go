@@ -1,4 +1,4 @@
-// Package forcedom_bad seeds the five crash-ordering bug shapes PR 8's
+// Package forcedom_bad seeds the four crash-ordering bug shapes PR 8's
 // crash-point sweep found dynamically, one per §8.1 contract, plus an
 // interprocedural and a skipped-force variant.  Every shape must be
 // reported.
@@ -24,7 +24,6 @@ type Store struct {
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
-func (s *Store) logCatalog() error   { return nil }
 
 // Txn mirrors the transaction type the -recv flag roots rule 1 on.
 type Txn struct {
@@ -100,33 +99,13 @@ func (s *Store) Checkpoint() error {
 	return s.vol.ForceAll()
 }
 
-// CommitBarrier is shape 2 on the commit path: the commit's catalog record
-// is appended to the log before the data pages its roots name are forced,
-// so any later log force can make the roots durable ahead of their pages.
-func (s *Store) CommitBarrier() error {
-	if err := s.logCatalog(); err != nil { // want "checkpoint metadata write Store.logCatalog is not dominated by a device force"
-		return err
-	}
-	return s.vol.ForceAllExcept(nil)
-}
-
-// Abort is shape 3 (PR 8: abort-before-compensation): the abort record
-// is constructed and appended before compensations are durable.
-func (t *Txn) Abort() error {
-	rec := wal.Record{Type: wal.RecAbort} // want "abort-record construction .* is not dominated by a device force"
-	if _, err := t.log.Append(rec); err != nil {
-		return err
-	}
-	return t.s.vol.ForceAll()
-}
-
-// Release is shape 4 (PR 8: freed-extent reuse): extents return to the
+// Release is shape 3 (PR 8: freed-extent reuse): extents return to the
 // allocator without consulting the quarantine barrier.
 func (s *Store) Release(start buddy.PageNum, n int) error {
 	return s.buddy.Free(start, n) // want "freed-extent release Manager.Free is not dominated by a barrierDurable quarantine stamp"
 }
 
-// ReleaseStamped keeps the package quarantine-aware (rule 4 activates
+// ReleaseStamped keeps the package quarantine-aware (rule 3 activates
 // only where the barrier is operated) and shows the discharged shape.
 func (s *Store) ReleaseStamped(start buddy.PageNum, n int) error {
 	if s.barrierDurable.Load() == 0 {
@@ -135,7 +114,7 @@ func (s *Store) ReleaseStamped(start buddy.PageNum, n int) error {
 	return s.buddy.Free(start, n)
 }
 
-// Save is shape 5 (rename atomicity): the rename reaches a success
+// Save is shape 4 (rename atomicity): the rename reaches a success
 // exit with no owning-directory sync.
 func Save(tmp, path string) error {
 	if err := os.Rename(tmp, path); err != nil { // want "renamed file can vanish on crash"

@@ -23,13 +23,6 @@ type Store struct {
 
 func (s *Store) writeHeader() error  { return nil }
 func (s *Store) writeCatalog() error { return nil }
-func (s *Store) logCatalog() error   { return nil }
-
-// forceDurable is the force helper: callers discharge their device
-// obligations through its may-force summary.
-func (s *Store) forceDurable() error {
-	return s.vol.ForceAllExcept(nil)
-}
 
 // Txn mirrors the transaction type.
 type Txn struct {
@@ -138,26 +131,12 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// CommitBarrier forces the data pages first, then appends the catalog
-// record that names them to the log, unforced: the next log force carries
-// it.
-func (s *Store) CommitBarrier() error {
-	if err := s.forceDurable(); err != nil {
-		return err
-	}
-	return s.logCatalog()
-}
-
-// Abort makes compensations durable through the force helper before
-// the abort record exists.  The undo itself replays pre-images whose
-// own records were forced when they were written, which rule 1 cannot
-// see — the justified ignore stops the exposure at its source instead
-// of propagating it to every caller.
+// Abort compensates and then forces its abort record, and nothing else.
+// The undo replays pre-images whose own records were forced when they
+// were written, which rule 1 cannot see — the justified ignore stops the
+// exposure at its source instead of propagating it to every caller.
 func (t *Txn) Abort() error {
 	if err := t.undo(); err != nil {
-		return err
-	}
-	if err := t.s.forceDurable(); err != nil {
 		return err
 	}
 	rec := wal.Record{Type: wal.RecAbort}

@@ -14,8 +14,7 @@ type Log struct{}
 // Append appends a record and returns its LSN.
 func (l *Log) Append(rec Record) (int64, error) { return 0, nil }
 
-// Record types, mirroring the engine's vocabulary: forcedom anchors
-// its abort-ordering rule on RecAbort literals.
+// Record types, mirroring the engine's vocabulary.
 const (
 	RecUpdate = 1
 	RecCommit = 2

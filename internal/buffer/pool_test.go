@@ -195,10 +195,10 @@ func TestFlushPageAndAll(t *testing.T) {
 	}
 }
 
-// TestFlushAllExceptKeepsPagesDirty: the excepted pages are counted, stay
-// dirty in the pool, and reach the disk with the next plain FlushAll (or
-// an eviction) — on a single-shard and on a sharded pool.
-func TestFlushAllExceptKeepsPagesDirty(t *testing.T) {
+// TestFlushAllWritesEveryShard: one FlushAll persists every dirty frame,
+// counts one flush per page, and leaves nothing dirty behind — on a
+// single-shard and on a sharded pool.
+func TestFlushAllWritesEveryShard(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		vol := disk.MustNewVolume(64, 32, disk.DefaultCostModel())
 		pool, err := NewPoolShards(vol, 16, shards)
@@ -214,31 +214,22 @@ func TestFlushAllExceptKeepsPagesDirty(t *testing.T) {
 			pool.MarkDirty(pg)
 			pool.Unpin(pg)
 		}
-		keep := map[disk.PageNum]bool{1: true, 4: true, 20: true} // 20 is not resident
-		kept, err := pool.FlushAllExcept(keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kept != 2 {
-			t.Errorf("%d shards: %d frames kept, want 2", shards, kept)
-		}
-		for pg := disk.PageNum(0); pg < 6; pg++ {
-			got, _ := vol.Read(pg, 1)
-			if flushed := got[0] == byte(10+pg); flushed == keep[pg] {
-				t.Errorf("%d shards: page %d flushed=%v", shards, pg, flushed)
-			}
-		}
-		// A clean excepted frame is not counted.
 		if err := pool.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		for pg := range keep {
-			if got, _ := vol.Read(pg, 1); pg < 6 && got[0] != byte(10+pg) {
-				t.Errorf("%d shards: FlushAll did not persist kept page %d", shards, pg)
+		for pg := disk.PageNum(0); pg < 6; pg++ {
+			if got, _ := vol.Read(pg, 1); got[0] != byte(10+pg) {
+				t.Errorf("%d shards: FlushAll did not persist page %d", shards, pg)
 			}
 		}
-		if kept, _ := pool.FlushAllExcept(keep); kept != 0 {
-			t.Errorf("%d shards: %d clean frames counted as kept", shards, kept)
+		if got := pool.Stats().Flushes; got != 6 {
+			t.Errorf("%d shards: %d flushes, want 6", shards, got)
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pool.Stats().Flushes; got != 6 {
+			t.Errorf("%d shards: a second FlushAll flushed %d more pages", shards, got-6)
 		}
 	}
 }

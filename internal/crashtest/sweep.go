@@ -87,15 +87,15 @@ type Result struct {
 	Candidates int // states considered before deduplication
 	States     int // distinct states recovered on the simulator
 	FileStates int // states additionally recovered on the file backend
-	// Adopted counts the states whose recovery applied a commit's or
-	// abort's catalog record from the log; Redone those whose recovery
-	// re-executed committed operations the recovered roots did not show —
-	// a commit whose catalog record was lost, or one committed without a
-	// barrier.
-	Adopted    int
-	Redone     int
-	Recrashes  int // re-crash-during-recovery probes run
-	Violations []Violation
+	// UndoneAborts counts the states whose recovery undid an aborted
+	// transaction's replace — the crash kept the forward write and lost
+	// the compensation; Redone those whose recovery re-executed committed
+	// operations the recovered roots did not show — a commit no checkpoint
+	// followed.
+	UndoneAborts int
+	Redone       int
+	Recrashes    int // re-crash-during-recovery probes run
+	Violations   []Violation
 }
 
 type sweeper struct {
@@ -310,10 +310,11 @@ func (sw *sweeper) verifySim(dataImg, logImg []byte, p int, label string) (map[s
 		sw.violate(p, label, "open", "recovery failed: %v", err)
 		return nil, false
 	}
-	if rs := st.Stats().Recovery; rs.CatalogRecords > 0 {
-		sw.res.Adopted++
+	rs := st.Stats().Recovery
+	if rs.UndoneAborts > 0 {
+		sw.res.UndoneAborts++
 	}
-	if rs := st.Stats().Recovery; rs.Redone > 0 {
+	if rs.Redone > 0 {
 		sw.res.Redone++
 	}
 	got, err := readAll(st)

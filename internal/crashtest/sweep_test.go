@@ -29,8 +29,8 @@ func sweepConfig(t *testing.T) Config {
 // hold on each.  It runs twice: with the default four-page catalog
 // slots, where a compaction into the other slot comes every few
 // checkpoints, and with slots large enough that the journal grows long
-// delta chains between compactions (commits write no catalog record, and
-// aborts write theirs to the log, not a slot).  Short mode runs a
+// delta chains between compactions (commits and aborts write no catalog
+// record; only checkpoints do).  Short mode runs a
 // reduced but still multi-hundred-state sweep.
 func TestCrashSweep(t *testing.T) {
 	for _, tc := range []struct {
@@ -80,16 +80,18 @@ func TestCrashSweep(t *testing.T) {
 			// the seeded operations, and under 214 transactions some run
 			// lacks a shape TestWorkloadCoversReplaceShapes requires (a
 			// replace settled by an insert).  The workload runs 216
-			// (1989 / 1987).
+			// (1989 / 1987).  Since an abort forces only its record, the
+			// writes an abort barrier used to force stay outstanding longer
+			// and the same workload gives 2016 / 2014.
 			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
-			// Aborts log their catalog records unforced, ahead of the abort
-			// record's force: the sweep must reach both outcomes, a record
-			// a force carried and a commit no barrier followed, which redo
-			// re-executes.
-			if res.Adopted == 0 || res.Redone == 0 {
-				t.Fatalf("%d states adopted a logged catalog record and %d redid committed operations, want both > 0", res.Adopted, res.Redone)
+			// Commits and aborts force only the log: the sweep must reach
+			// both outcomes, an abort whose compensation the crash lost,
+			// which undo rolls back, and a commit no checkpoint followed,
+			// which redo re-executes.
+			if res.UndoneAborts == 0 || res.Redone == 0 {
+				t.Fatalf("%d states undid an aborted replace and %d redid committed operations, want both > 0", res.UndoneAborts, res.Redone)
 			}
 		})
 	}
@@ -122,8 +124,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d adopted a logged catalog record, %d redid commits), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.Adopted, res.Redone, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d undid an aborted replace, %d redid commits), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.UndoneAborts, res.Redone, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

@@ -14,8 +14,8 @@ import (
 // BeginSeq and returned at RetSeq, leaving the committed store content
 // described by State (object name -> content hash).
 //
-// Commit forces the log before returning (and nothing else: the data
-// volume is forced by checkpoints and aborts), so for a crash at trace
+// Commit forces the log before returning (and nothing else: only
+// checkpoints force the data volume), so for a crash at trace
 // position P:
 //
 //   - every commit with RetSeq <= P is durably in the log (its commit

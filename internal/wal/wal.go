@@ -56,7 +56,6 @@ const (
 	RecReplace  // Data written at Off; OldData holds the previous bytes
 	RecTruncate // object truncated to Off (reserved: Txn.Truncate logs a RecDelete)
 	RecCheckpoint
-	RecCatalog // catalog delta of an abort barrier: Data is the payload, N the next object id
 )
 
 func (t RecType) String() string {
@@ -83,8 +82,6 @@ func (t RecType) String() string {
 		return "truncate"
 	case RecCheckpoint:
 		return "checkpoint"
-	case RecCatalog:
-		return "catalog"
 	}
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
@@ -215,14 +212,9 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Size is the number of log bytes r occupies.
-func (r *Record) Size() int {
-	return recHeaderSize + len(r.Data) + len(r.OldData) + len(r.Extents)*extentEncBytes
-}
-
 // encode serializes r (LSN must already be set).
 func encode(r *Record) []byte {
-	buf := make([]byte, r.Size())
+	buf := make([]byte, recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
 	binary.BigEndian.PutUint32(buf[4:], uint32(len(buf)))
 	binary.BigEndian.PutUint64(buf[8:], r.LSN)
 	binary.BigEndian.PutUint64(buf[16:], r.Txn)
@@ -417,15 +409,6 @@ func (l *Log) forceTo(target int64) error {
 	l.stats.LeaderForces++
 	l.mu.Unlock()
 	return nil
-}
-
-// Durable reports whether a force has covered the record with the given
-// LSN.  Records of earlier epochs are durable: truncation follows a
-// checkpoint that made everything they describe durable.
-func (l *Log) Durable(lsn uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return lsn <= l.base+uint64(l.forced)
 }
 
 // Tail returns the log length in bytes, padding included.

@@ -208,7 +208,7 @@ func TestResetClearsEverything(t *testing.T) {
 
 func TestRecTypeStrings(t *testing.T) {
 	for _, rt := range []RecType{RecBegin, RecCommit, RecAbort, RecCreate, RecDestroy,
-		RecAppend, RecInsert, RecDelete, RecReplace, RecTruncate, RecCheckpoint, RecCatalog} {
+		RecAppend, RecInsert, RecDelete, RecReplace, RecTruncate, RecCheckpoint} {
 		if rt.String() == "" || rt.String()[0] == 'r' && rt.String() != "replace" {
 			t.Errorf("missing String for %d", rt)
 		}
@@ -368,35 +368,6 @@ func TestForceNoopWhenNothingAppended(t *testing.T) {
 	}
 	if st := l.Stats(); st.ForceNoops != 1 {
 		t.Fatalf("ForceNoops = %d, want 1 (stats %+v)", st.ForceNoops, st)
-	}
-}
-
-// TestDurableFollowsTheForce: a record is durable once a force covers it,
-// not when it is appended; after a truncation every LSN of the old epoch is.
-func TestDurableFollowsTheForce(t *testing.T) {
-	l, _ := newLog(t, 64)
-	a, err := l.Append(&Record{Txn: 1, Type: RecCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Durable(a) {
-		t.Fatal("an appended record is durable before any force")
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := l.Append(&Record{Type: RecCatalog, N: 7, Data: make([]byte, 300)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.Durable(a) || l.Durable(b) {
-		t.Fatalf("after one force: first record durable %v, second %v; want true, false", l.Durable(a), l.Durable(b))
-	}
-	if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
-		t.Fatal(err)
-	}
-	if !l.Durable(b) {
-		t.Fatal("a record of the truncated epoch is not durable")
 	}
 }
 

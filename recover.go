@@ -18,39 +18,42 @@ import (
 //     and catalog writes substitute the last committed descriptor for
 //     any transaction-dirty object — and keep the record of an object a
 //     live transaction has destroyed.
-//   - A commit is durable at its log force and writes no catalog record.
-//     The catalog lags the commits: each is redone from older roots until
-//     a barrier persists its own, and the durability quarantine keeps the
-//     older roots' pages intact until then.
-//   - Only barriers write the catalog: a checkpoint into a catalog slot,
-//     an abort into the log (one unforced RecCatalog record, durable with
-//     the abort record's force).  Each forces the whole data volume
-//     first, so the durable catalog never names a page the device does
-//     not hold.
+//   - A commit or an abort is durable at its log force and writes no
+//     catalog record.  The catalog lags them: a commit is redone, and an
+//     abort's replaces undone, from the older roots until a checkpoint
+//     persists the roots that followed, and the durability quarantine
+//     keeps the older roots' pages intact until then.
+//   - Only the checkpoint writes the catalog.  It forces the whole data
+//     volume first, so the durable catalog never names a page the device
+//     does not hold, and its slot record carries the log position it took
+//     before that force: an abort record at or below the stamp belongs to
+//     a rollback the force made durable.
 //   - An in-place write reaches the device only behind a force of the
 //     log record holding its pre-image.  A replace whose write is
 //     deferred to commit is written behind the commit record's force, so
 //     it can be durable only for a committed transaction; a crash before
 //     the write leaves a committed record redo applies.  An uncommitted
-//     replace a barrier made durable belongs to a transaction that is
-//     either still in flight at the crash — its locks never released, its
-//     logged physical extents still accurate — or ended since: committed,
-//     or aborted behind the forced compensations its abort record attests.
+//     replace a checkpoint made durable belongs to a transaction that is
+//     still in flight at the crash — its locks never released, its logged
+//     physical extents still accurate —, committed since, or aborted: an
+//     abort's compensations are forced by no one but a checkpoint, so a
+//     crash may keep the forward write and lose its compensation.
 //   - A transaction stops being live in the same critical section that
 //     hands its new roots to the catalog, so a checkpoint that truncates
 //     the log (only with no transaction live) persists those roots.
 //   - The buddy directories carry no durable information: step 3 below
-//     rebuilds them on every open, and abort barriers do not write them.
+//     rebuilds them on every open.
 //
 // The recovery procedure:
 //
-//  1. Scan the log; classify transactions as committed, aborted, or in
-//     flight.  Apply the catalog records above the loaded slot's stamp to
-//     its image, in log order, and load the result.
-//  2. UNDO pass: for in-flight transactions' replace records, in reverse
-//     log order, restore the logged pre-image at each physical extent
-//     where the post-image is present (replace is the only in-place
-//     update; §4.5 makes it the logged one for exactly this reason).
+//  1. Load the catalog slot.  Scan the log; classify transactions as
+//     committed, aborted, or in flight.
+//  2. UNDO pass: for the replace records of every transaction without a
+//     commit record — bar those whose abort record lies at or below the
+//     slot's stamp — in reverse log order, restore the logged pre-image at
+//     each physical extent where the post-image is present (replace is the
+//     only in-place update; §4.5 makes it the logged one for exactly this
+//     reason).
 //  3. Rebuild the buddy directories from scratch: reformat every space,
 //     then reserve exactly the pages reachable from the catalog's
 //     descriptors.  This both reclaims pages leaked by half-finished
@@ -69,7 +72,8 @@ import (
 //     out of every later scan's reach (the log is never erased).
 
 // recover runs the procedure above over img, the image of the catalog
-// slot Open loaded, which covers the log through LSN stamp.
+// slot Open loaded, whose checkpoint took the log position stamp before
+// its data force.
 func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 	log, recs, err := wal.Recover(s.logVol, s.lsnBase)
 	if err != nil {
@@ -77,33 +81,24 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 	}
 	log.SetGroupCommit(!s.opts.SerialWAL)
 	s.log = log
-
-	// A catalog record at or below the stamp is older than the slot, which
-	// may have caught later changes no record carries.
-	for _, r := range recs {
-		if r.Type != wal.RecCatalog || r.LSN <= stamp {
-			continue
-		}
-		if err := applyCatPayload(img, r.Data); err != nil {
-			return err
-		}
-		s.nextID = max(s.nextID, uint64(r.N))
-		s.recovered.CatalogRecords++
-	}
 	if err := s.loadCatalog(img); err != nil {
 		return err
 	}
 
+	// An abort record at or below the stamp belongs to a rollback the
+	// slot's checkpoint forced; aborted holds the others.
 	committed := make(map[uint64]bool)
-	ended := make(map[uint64]bool)
+	forcedAbort := make(map[uint64]bool)
+	aborted := make(map[uint64]bool)
 	maxTxn := uint64(0)
 	for _, r := range recs {
-		switch r.Type {
-		case wal.RecCommit:
+		switch {
+		case r.Type == wal.RecCommit:
 			committed[r.Txn] = true
-			ended[r.Txn] = true
-		case wal.RecAbort:
-			ended[r.Txn] = true
+		case r.Type == wal.RecAbort && r.LSN <= stamp:
+			forcedAbort[r.Txn] = true
+		case r.Type == wal.RecAbort:
+			aborted[r.Txn] = true
 		}
 		if r.Txn > maxTxn {
 			maxTxn = r.Txn
@@ -111,25 +106,33 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 	}
 	s.nextTxn = maxTxn + 1
 
-	// Undo pass: physically restore the pre-images of replaces by
-	// transactions that were IN FLIGHT at the crash, in reverse log
-	// order.  Replace is the only in-place update; a checkpoint or
-	// another transaction's commit may have forced an in-flight
-	// transaction's page, and the logged extents point at exactly the
-	// bytes to put back.  (The extents are still accurate: an in-flight
-	// transaction never released its locks or applied its deferred
-	// frees, so its pages cannot have been restructured or reused.
-	// Ended transactions never need this: a commit's replaces are
-	// re-applied by redo if lost, and an abort writes its record only
-	// AFTER its compensations are durably forced — an abort record in
-	// the log proves the rollback is fully on disk.)
+	// Undo pass: physically restore the pre-images of replaces by every
+	// transaction that did not commit, in reverse log order.  Replace is
+	// the only in-place update.  A checkpoint may have forced an in-flight
+	// transaction's page, and an abort forces nothing but its record, so a
+	// crash can keep an aborted replace's write and lose the compensation
+	// that followed it; the logged extents point at exactly the bytes to
+	// put back.  (The extents are still accurate: an in-flight transaction
+	// never released its locks or applied its deferred frees, so its pages
+	// cannot have been restructured or reused, and an aborted transaction
+	// applies its deferred frees only behind its abort record, so they
+	// return to the free space only through a checkpoint whose stamp lies
+	// above that record.  Below the stamp the undo is wrong, not just
+	// unneeded: the checkpoint forced the rollback, and a later commit may
+	// have written the post-image's bytes again where no redo will restore
+	// them.)
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
-		if r.Type != wal.RecReplace || ended[r.Txn] {
+		if r.Type != wal.RecReplace || committed[r.Txn] || forcedAbort[r.Txn] {
 			continue
 		}
-		if err := s.undoReplace(r); err != nil {
+		undone, err := s.undoReplace(r)
+		if err != nil {
 			return fmt.Errorf("eos: undo of replace (lsn %d): %w", r.LSN, err)
+		}
+		if undone && aborted[r.Txn] {
+			s.recovered.UndoneAborts++
+			delete(aborted, r.Txn) // count each transaction once
 		}
 	}
 
@@ -179,31 +182,32 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 
 // undoReplace writes a replace record's pre-image back to its physical
 // extents — but only where the record's post-image is actually present,
-// i.e. where the loser's in-place write reached the disk.  Extents whose
-// durable content is something else (the write was never forced, or the
-// page had been legitimately reused and captured by a newer catalog
-// force) are left alone.  Idempotent: re-running finds the pre-image in
-// place and skips.
-func (s *Store) undoReplace(r *wal.Record) error {
+// i.e. where the loser's in-place write reached the disk and nothing
+// since put other bytes there.  Extents whose durable content is
+// something else (the write was never forced, or its compensation was)
+// are left alone.  It reports whether it wrote anything.  Idempotent:
+// re-running finds the pre-image in place and skips.
+func (s *Store) undoReplace(r *wal.Record) (bool, error) {
 	ps := int64(s.vol.PageSize())
-	pos := 0
+	pos, undone := 0, false
 	for _, x := range r.Extents {
 		if int64(x.Off)+int64(x.Len) > ps || pos+int(x.Len) > len(r.OldData) || pos+int(x.Len) > len(r.Data) {
-			return fmt.Errorf("%w: bad extent in replace record", ErrCorruptStore)
+			return undone, fmt.Errorf("%w: bad extent in replace record", ErrCorruptStore)
 		}
 		raw := make([]byte, ps)
 		if err := s.vol.ReadPages(disk.PageNum(x.Page), 1, raw); err != nil {
-			return err
+			return undone, err
 		}
 		if bytesEqual(raw[x.Off:int(x.Off)+int(x.Len)], r.Data[pos:pos+int(x.Len)]) {
 			copy(raw[x.Off:], r.OldData[pos:pos+int(x.Len)])
 			if err := s.vol.WritePages(disk.PageNum(x.Page), 1, raw); err != nil {
-				return err
+				return undone, err
 			}
+			undone = true
 		}
 		pos += int(x.Len)
 	}
-	return nil
+	return undone, nil
 }
 
 func bytesEqual(a, b []byte) bool {
@@ -294,7 +298,7 @@ func (s *Store) redo(r *wal.Record) (bool, error) {
 		e.setStableDesc(e.obj.EncodeDescriptor())
 		return true, nil
 	}
-	return false, nil // control and catalog records
+	return false, nil // control records
 }
 
 // rebuildFreeSpace reformats every buddy space and reserves the pages

@@ -259,96 +259,80 @@ func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 	}
 }
 
-// TestAbortRecordWrittenAfterCompensations pins the ordering inside
-// Abort: the abort record may reach the log only AFTER the compensating
-// writes are durably forced.  Recovery trusts an abort record as proof
-// the rollback is fully on disk and skips the undo pass for that
-// transaction — so if the record were forced first and the crash landed
-// between record and compensation, the loser's in-place replace would
-// leak into the recovered state (found by the crash-state sweep).
-//
-// The test makes the uncommitted post-image durable (modeling the drive
-// draining its cache), then crashes Abort at every possible data-volume
-// fault depth.  With the record-first ordering, depths that land after
-// the logical undo but before the compensation force leave a durable
-// abort record alongside a durable post-image — recovery then skips the
-// undo pass and the aborted replace survives.
-func TestAbortRecordWrittenAfterCompensations(t *testing.T) {
-	for depth := int64(0); ; depth++ {
-		vol := newTestDevice(t, 512, 4096)
-		logVol := newTestDevice(t, 512, 1024)
-		s, err := Format(vol, logVol, Options{Threshold: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, _ := s.Create("x", 0)
-		committed := pat(70, 5000)
-		if err := o.Append(committed); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+// TestAbortRecoversTheCommittedStateAtEveryFaultDepth crashes Abort at
+// every data-volume and every log-volume fault depth, and after an abort
+// that succeeded.  A soft checkpoint has made the aborted replace's
+// post-image durable first, and an abort forces nothing but its record, so
+// whether the crash keeps the compensation, the record, both or neither,
+// recovery must come back with the committed bytes: the undo pass restores
+// the pre-image wherever the post-image survived.
+func TestAbortRecoversTheCommittedStateAtEveryFaultDepth(t *testing.T) {
+	for _, faulty := range []string{"data", "log"} {
+		t.Run(faulty, func(t *testing.T) {
+			for depth := int64(0); ; depth++ {
+				vol := newTestDevice(t, 512, 4096)
+				logVol := newTestDevice(t, 512, 1024)
+				s, err := Format(vol, logVol, Options{Threshold: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, _ := s.Create("x", 0)
+				committed := pat(70, 5000)
+				if err := o.Append(committed); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 
-		// In-flight replace.  The read-back settles it: the pre-image
-		// record is forced and the post-image written in place, so the
-		// abort below has something on the device to compensate.
-		tx, _ := s.Begin()
-		if err := tx.Replace("x", 100, pat(99, 700)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Read("x", 100, 700); err != nil {
-			t.Fatal(err)
-		}
-		// A checkpoint flushes the loser's in-place page to the device
-		// without forcing it (live-transaction pages are excluded from
-		// the barrier); a direct ForceAll then models the drive draining
-		// its cache on its own, making the uncommitted post-image
-		// durable.
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := vol.ForceAll(); err != nil {
-			t.Fatal(err)
-		}
+				// In-flight replace.  The read-back settles it: the pre-image
+				// record is forced and the post-image written in place, and
+				// the soft checkpoint (the transaction is live) forces it.
+				tx, _ := s.Begin()
+				if err := tx.Replace("x", 100, pat(99, 700)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Read("x", 100, 700); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 
-		boom := errors.New("boom")
-		vol.FailAfter(depth, boom)
-		aerr := tx.Abort()
-		vol.ClearFault()
-		if aerr == nil {
-			// The fault budget outlasted the whole abort; every crash
-			// depth inside it has been covered.
-			if depth == 0 {
-				t.Fatal("abort performed no data-volume I/O; fault depths never bit")
+				dev := vol
+				if faulty == "log" {
+					dev = logVol
+				}
+				dev.FailAfter(depth, errors.New("boom"))
+				aerr := tx.Abort()
+				dev.ClearFault()
+
+				if err := vol.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				if err := logVol.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				s2, err := Open(vol, logVol, Options{Threshold: 4})
+				if err != nil {
+					t.Fatalf("depth %d: recovery: %v", depth, err)
+				}
+				if !bytes.Equal(readObject(t, s2, "x"), committed) {
+					t.Fatalf("depth %d (abort: %v): aborted transaction's replace leaked into the recovered state", depth, aerr)
+				}
+				if err := s2.Check(); err != nil {
+					t.Fatalf("depth %d: %v", depth, err)
+				}
+				if aerr == nil {
+					// The fault budget outlasted the whole abort; every crash
+					// depth inside it has been covered.
+					if depth == 0 {
+						t.Fatalf("abort performed no %s-volume I/O; fault depths never bit", faulty)
+					}
+					return
+				}
 			}
-			return
-		}
-
-		if err := vol.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		if err := logVol.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Open(vol, logVol, Options{Threshold: 4})
-		if err != nil {
-			t.Fatalf("depth %d: recovery: %v", depth, err)
-		}
-		o2, err := s2.Open("x")
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		got, err := o2.Read(0, o2.Size())
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if !bytes.Equal(got, committed) {
-			t.Fatalf("depth %d: aborted transaction's replace leaked into the recovered state", depth)
-		}
-		if err := s2.Check(); err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
+		})
 	}
 }
 
@@ -391,7 +375,8 @@ func TestCrashBetweenCommitForceAndHomeWriteIsRedone(t *testing.T) {
 
 // TestRedoOfACreateDoesNotTakeTheNameBack: a name passes from one object to
 // the next — destroy and create in one transaction — twice, and only the
-// second hand-over is followed by a barrier.  The durable catalog then holds
+// second hand-over is followed by a checkpoint, a soft one that keeps the
+// log.  The durable catalog then holds
 // the third object while the log still holds the second one's whole life.
 // Redo must leave that life alone: re-creating the second object would take
 // the name from the third, and redoing its destroy would then leave the name
@@ -426,10 +411,15 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	abortBarrier(t, s)
+	if _, err := s.Begin(); err != nil { // live, so the log stays
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	re := crashReopen(t, vol, logVol)
-	if rs := re.Stats().Recovery; rs.CatalogRecords != 1 {
-		t.Fatalf("recovery applied %d catalog records, want the abort's", rs.CatalogRecords)
+	if rs := re.Stats().Recovery; rs.Redone != 0 {
+		t.Fatalf("recovery redid %d operations, want none: the slot holds every commit", rs.Redone)
 	}
 	if got := re.List(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("recovered objects %v, want [x]", got)
@@ -445,28 +435,11 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 	}
 }
 
-// abortBarrier begins a transaction and aborts it: the one barrier a
-// transaction can cause.  Its catalog record carries every descriptor
-// committed since the last barrier, and the abort record's force makes it
-// durable.
-func abortBarrier(t *testing.T, s *Store) {
-	t.Helper()
-	tx, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// loggedDeltaStore returns a checkpointed store holding "x" (6000 bytes) and
-// "y" (3000 bytes), a transaction on x — replace, append — committed right
-// after it, and behind that an aborted append to y whose abort record's
-// force failed: the abort barrier's catalog record, which carries x's new
-// root, waits in the log buffer for the next force.  want holds the
-// committed contents.
-func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map[string][]byte) {
+// failedAbortStore returns a checkpointed store holding "x" (6000 bytes)
+// and "y" (3000 bytes), a transaction on x — replace, append — committed
+// right after it, and behind that an aborted append to y whose abort
+// record's force failed.  want holds the committed contents.
+func failedAbortStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map[string][]byte) {
 	t.Helper()
 	s, vol, logVol, base := replaceStore(t, Options{})
 	y, err := s.Create("y", 0)
@@ -493,9 +466,6 @@ func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map
 	}
 	want["x"] = append(append([]byte{}, base...), more...)
 	copy(want["x"][1000:], repl)
-	if s.Stats().Barrier.CatalogLogRecords != 0 {
-		t.Fatal("the commit logged a catalog record")
-	}
 	abort, _ := s.Begin()
 	if err := abort.Append("y", pat(69, 500)); err != nil {
 		t.Fatal(err)
@@ -507,35 +477,29 @@ func loggedDeltaStore(t *testing.T) (s *Store, vol, logVol disk.Device, want map
 	if !errors.Is(err, boom) {
 		t.Fatalf("abort over a failing log volume: %v", err)
 	}
-	if s.catLSN == 0 || s.log.Durable(s.catLSN) {
-		t.Fatalf("the abort left no catalog record waiting for a force (lsn %d)", s.catLSN)
-	}
 	return s, vol, logVol, want
 }
 
-// TestLoggedCatalogRecordLostBeforeTheNextForce cuts the power after an
-// abort barrier whose log force failed: the barrier's catalog record was
-// never written, so recovery loads the older roots and redoes the commit
-// from its log records.
-func TestLoggedCatalogRecordLostBeforeTheNextForce(t *testing.T) {
-	_, vol, logVol, want := loggedDeltaStore(t)
+// TestFailedAbortLeavesTheCommitBeforeItToRedo cuts the power after an
+// abort whose log force failed.  The abort wrote nothing else: recovery
+// loads the older roots and redoes the commit from its log records.
+func TestFailedAbortLeavesTheCommitBeforeItToRedo(t *testing.T) {
+	_, vol, logVol, want := failedAbortStore(t)
 	s := crashReopen(t, vol, logVol)
 	expectObjects(t, s, want)
-	if rs := s.Stats().Recovery; rs.CatalogRecords != 0 || rs.Redone != 2 {
-		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 0 and 2 (the replace and the append)", rs.CatalogRecords, rs.Redone)
+	if rs := s.Stats().Recovery; rs.Redone != 2 || rs.UndoneAborts != 0 {
+		t.Fatalf("recovery redid %d operations and undid %d aborts, want 2 (the replace and the append) and 0", rs.Redone, rs.UndoneAborts)
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLoggedCatalogRecordAdoptedAfterTheNextForce: the next commit's force
-// carries the abort barrier's catalog record, so recovery takes x's new root
-// from it and redoes none of x's operations — only the append of that
-// commit, which no barrier followed.
-func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
-	s, vol, logVol, want := loggedDeltaStore(t)
-	carried := s.catLSN
+// TestCommitAfterAFailedAbortIsRedone: the next commit's force carries the
+// failed abort's record, and no checkpoint follows: recovery redoes both
+// commits — x's replace and append, y's append — and none of the abort.
+func TestCommitAfterAFailedAbortIsRedone(t *testing.T) {
+	s, vol, logVol, want := failedAbortStore(t)
 	tx, _ := s.Begin()
 	more := pat(64, 400)
 	if err := tx.Append("y", more); err != nil {
@@ -545,27 +509,23 @@ func TestLoggedCatalogRecordAdoptedAfterTheNextForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want["y"] = append(want["y"], more...)
-	if !s.log.Durable(carried) {
-		t.Fatal("the commit's force did not carry the abort barrier's catalog record")
-	}
 	s = crashReopen(t, vol, logVol)
 	expectObjects(t, s, want)
-	if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 1 {
-		t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 1 (y's append)", rs.CatalogRecords, rs.Redone)
+	if rs := s.Stats().Recovery; rs.Redone != 3 {
+		t.Fatalf("recovery redid %d operations, want 3", rs.Redone)
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCatalogSlotStampHidesOlderLogRecords: a non-transactional append
-// follows a commit on the same object and an abort barrier that logged the
-// commit's root, and a soft checkpoint (another transaction is live, so the
-// log stays) writes the slot with the append in it.  The abort's catalog
-// record lies below the slot's stamp and must not be replayed: it holds the
-// root from before the append.
-func TestCatalogSlotStampHidesOlderLogRecords(t *testing.T) {
-	s, vol, logVol, want := loggedDeltaStore(t)
+// TestSoftCheckpointHidesOlderCommitsFromRedo: a non-transactional append
+// follows a commit on the same object, and a soft checkpoint (another
+// transaction is live, so the log stays) writes the slot with the append
+// in it.  The commit's records are still in the log, and its root LSN in
+// the slot must keep redo from replaying them over the append.
+func TestSoftCheckpointHidesOlderCommitsFromRedo(t *testing.T) {
+	s, vol, logVol, want := failedAbortStore(t)
 	x, _ := s.Open("x")
 	more := pat(65, 700)
 	if err := x.Append(more); err != nil {
@@ -584,21 +544,18 @@ func TestCatalogSlotStampHidesOlderLogRecords(t *testing.T) {
 	}
 	s = crashReopen(t, vol, logVol)
 	expectObjects(t, s, want)
-	if rs := s.Stats().Recovery; rs.CatalogRecords != 0 {
-		t.Fatalf("recovery applied %d catalog records older than the slot", rs.CatalogRecords)
+	if rs := s.Stats().Recovery; rs.Redone != 0 {
+		t.Fatalf("recovery redid %d operations older than the slot", rs.Redone)
 	}
 }
 
-// TestQuarantineWaitsForTheLoggedCatalogRecord: a committed Delete frees a
-// segment, and until a barrier's catalog record holding the new root is
-// durable the durable catalog still names it — so nothing may let it out
-// of the durability quarantine before that.  A commit is no barrier at
-// all.  An aborting transaction's barrier runs before its abort record's
-// force; failing that force leaves the record unwritten behind a completed
-// barrier.  A commit's force then carries the record, and the next barrier
-// releases the segment.
-func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
-	s, _, logVol, _, _ := handoffStore(t, Options{})
+// TestQuarantineWaitsForACheckpoint: a committed Delete frees a segment,
+// and until a checkpoint's slot record holding the new root is durable the
+// durable catalog still names it — so nothing may let it out of the
+// durability quarantine before that.  Neither a commit nor an abort is a
+// barrier; the next checkpoint releases the segment.
+func TestQuarantineWaitsForACheckpoint(t *testing.T) {
+	s, _, _, _, _ := handoffStore(t, Options{})
 	reachable := func() map[disk.PageNum]bool {
 		s.mu.Lock()
 		e := s.catalog["m"]
@@ -643,36 +600,24 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	if len(freed) == 0 {
 		t.Fatal("the delete freed no page")
 	}
-	var record uint64 // the abort barrier's catalog record
 	check := func(when string, want bool) {
 		t.Helper()
 		for _, p := range freed {
 			if quarantined(p) != want {
-				t.Fatalf("%s: freed page %d quarantined = %v, want %v (catalog record durable: %v)", when, p, !want, want, record != 0 && s.log.Durable(record))
+				t.Fatalf("%s: freed page %d quarantined = %v, want %v", when, p, !want, want)
 			}
 		}
 	}
 	check("after the commit", true)
 
-	boom := errors.New("boom")
 	abort, _ := s.Begin()
 	if err := abort.Append("other", pat(67, 600)); err != nil {
 		t.Fatal(err)
 	}
-	logVol.FailAfter(0, boom)
-	err := abort.Abort()
-	logVol.ClearFault()
-	if !errors.Is(err, boom) {
-		t.Fatalf("abort over a failing log volume: %v", err)
+	if err := abort.Abort(); err != nil {
+		t.Fatal(err)
 	}
-	record = s.catLSN
-	if record == 0 || s.log.Durable(record) {
-		t.Fatalf("the abort barrier's catalog record (lsn %d) became durable although every log write failed", record)
-	}
-	check("after a barrier whose log force failed", true)
-
-	// A commit's force makes the record durable, but only a barrier
-	// releases anything.
+	check("after an abort", true)
 	next, _ := s.Begin()
 	if err := next.Append("other", pat(68, 200)); err != nil {
 		t.Fatal(err)
@@ -680,12 +625,11 @@ func TestQuarantineWaitsForTheLoggedCatalogRecord(t *testing.T) {
 	if err := next.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.log.Durable(record) {
-		t.Fatal("a commit force did not carry the abort barrier's catalog record")
-	}
 	check("after the next commit", true)
-	abortBarrier(t, s)
-	check("after the next abort", false)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a checkpoint", false)
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -219,66 +219,82 @@ func TestRecoveryTrimsTheTailsRedoOpened(t *testing.T) {
 
 // TestTxnChurnWithoutCheckpoints: transactional inserts and deletes on a
 // small volume, with no Checkpoint call, free more pages over the run than
-// the volume holds.  A commit is no barrier, so the pages wait in the
-// durability quarantine until a failed allocation asks for a checkpoint
-// (spaceWaiter, requestBarrier); no operation may fail for want of space.
+// the volume holds — committed, or aborted (the abort frees what its undo
+// superseded).  Neither a commit nor an abort is a barrier, so the pages
+// wait in the durability quarantine until a failed allocation asks for a
+// checkpoint (spaceWaiter, requestBarrier); no operation may fail for want
+// of space.
 func TestTxnChurnWithoutCheckpoints(t *testing.T) {
-	vol := newTestDevice(t, 512, 1024)
-	logVol := newTestDevice(t, 512, 8192)
-	s, err := Format(vol, logVol, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := s.Create("x", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := pat(1, 100000)
-	if err := o.Append(model); err != nil {
-		t.Fatal(err)
-	}
-	total := uint64(s.opts.NumSpaces * s.opts.SpaceCapacity)
-	barriers := func() int64 {
-		b := s.Stats().Barrier
-		return b.CatalogDeltaWrites + b.CatalogCompactions
-	}
-	before := barriers()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; s.Stats().Snap.RetiredPages < 2*total; i++ {
-		if i == 2000 {
-			t.Fatalf("%d pages freed after %d rounds, want %d", s.Stats().Snap.RetiredPages, i, 2*total)
-		}
-		data := pat(i, 3000)
-		off := int64(rng.Intn(len(model) + 1))
-		tx, _ := s.Begin()
-		if err := tx.Insert("x", off, data); err != nil {
-			t.Fatalf("round %d, insert: %v", i, err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		model = append(model[:off:off], append(append([]byte{}, data...), model[off:]...)...)
-		off = int64(rng.Intn(len(model) - len(data) + 1))
-		tx, _ = s.Begin()
-		if err := tx.Delete("x", off, int64(len(data))); err != nil {
-			t.Fatalf("round %d, delete: %v", i, err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		model = append(model[:off:off], model[off+int64(len(data)):]...)
-	}
-	if barriers() == before {
-		t.Fatal("no checkpoint ran: the churn never ran short of space")
-	}
-	if !bytes.Equal(readObject(t, s, "x"), model) {
-		t.Fatal("content wrong after the churn")
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckNoLeaks(); err != nil {
-		t.Fatal(err)
+	for _, abort := range []bool{false, true} {
+		t.Run(fmt.Sprintf("abort=%v", abort), func(t *testing.T) {
+			vol := newTestDevice(t, 512, 1024)
+			logVol := newTestDevice(t, 512, 8192)
+			s, err := Format(vol, logVol, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := s.Create("x", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := pat(1, 100000)
+			if err := o.Append(model); err != nil {
+				t.Fatal(err)
+			}
+			total := uint64(s.opts.NumSpaces * s.opts.SpaceCapacity)
+			barriers := func() int64 {
+				b := s.Stats().Barrier
+				return b.CatalogDeltaWrites + b.CatalogCompactions
+			}
+			end := func(tx *Txn) {
+				t.Helper()
+				finish := tx.Commit
+				if abort {
+					finish = tx.Abort
+				}
+				if err := finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := barriers()
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; s.Stats().Snap.RetiredPages < 2*total; i++ {
+				if i == 2000 {
+					t.Fatalf("%d pages freed after %d rounds, want %d", s.Stats().Snap.RetiredPages, i, 2*total)
+				}
+				data := pat(i, 3000)
+				off := int64(rng.Intn(len(model) + 1))
+				tx, _ := s.Begin()
+				if err := tx.Insert("x", off, data); err != nil {
+					t.Fatalf("round %d, insert: %v", i, err)
+				}
+				end(tx)
+				if !abort {
+					model = append(model[:off:off], append(append([]byte{}, data...), model[off:]...)...)
+				}
+				off = int64(rng.Intn(len(model) - len(data) + 1))
+				tx, _ = s.Begin()
+				if err := tx.Delete("x", off, int64(len(data))); err != nil {
+					t.Fatalf("round %d, delete: %v", i, err)
+				}
+				end(tx)
+				if !abort {
+					model = append(model[:off:off], model[off+int64(len(data)):]...)
+				}
+			}
+			if barriers() == before {
+				t.Fatal("no checkpoint ran: the churn never ran short of space")
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("content wrong after the churn")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

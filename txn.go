@@ -102,11 +102,11 @@ type txnOp struct {
 //
 // A commit is durable at its log force: it writes its deferred replaces
 // home and leaves everything else — index pages in the pool, the new
-// descriptors, the data volume's force — to the next barrier (a
-// checkpoint, or another transaction's abort); until then recovery redoes
-// it from its log records.  An abort forces the volume so that its
-// compensations are durable before its abort record is written and its
-// pages become reusable.
+// descriptors, the data volume's force — to the next checkpoint; until
+// then recovery redoes it from its log records.  An abort is durable at
+// its log force too: its compensations wait for the next checkpoint, and
+// until then recovery undoes the transaction's replaces from their logged
+// pre-images.
 type Txn struct {
 	s       *Store
 	id      uint64
@@ -340,9 +340,9 @@ func (t *Txn) Destroy(name string) error {
 	}
 	op.freeHi = t.alloc.mark()
 	// Only the name goes now.  The entry stays in byID, and so in every
-	// catalog barrier with its last committed descriptor, until the
-	// destroy commits: somebody else's barrier must not journal a
-	// tombstone for an object whose destroy may still abort or crash.
+	// checkpoint with its last committed descriptor, until the destroy
+	// commits: a checkpoint must not journal a tombstone for an object
+	// whose destroy may still abort or crash.
 	t.s.mu.Lock()
 	delete(t.s.catalog, e.name)
 	t.s.mu.Unlock()
@@ -481,9 +481,9 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 // Replace overwrites bytes of the named object in place; the old and new
 // values are logged (§4.5: replace is the logged update, the other three
 // shadow).  The record carries the physical extents with the pre-image:
-// an uncommitted replace page may reach the disk when another
-// transaction's barrier forces the volume, so recovery must be able to
-// physically undo it.
+// an uncommitted replace page may reach the disk when a checkpoint forces
+// the volume, and an aborted one may stay there when a crash loses its
+// compensation, so recovery must be able to physically undo it.
 //
 // Under whole-object locking the in-place write is deferred: nobody else
 // can see the object before the transaction ends, so the write waits for
@@ -628,11 +628,11 @@ func (t *Txn) Size(name string) (int64, error) {
 // piggyback case) or, with no concurrent commit traffic, a force this
 // call leads itself.  The deferred replaces are written home behind that
 // force and the deferred frees are applied.  Nothing else reaches the
-// data volume: index pages stay in the pool until eviction or a barrier
+// data volume: index pages stay in the pool until eviction or a checkpoint
 // writes them, and the new descriptors reach the catalog at the next
-// checkpoint or abort.  Until then a crash recovers the transaction by
-// redoing its log records from the older roots, which the durability
-// quarantine keeps intact.
+// checkpoint.  Until then a crash recovers the transaction by redoing its
+// log records from the older roots, which the durability quarantine keeps
+// intact.
 func (t *Txn) Commit() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -645,9 +645,8 @@ func (t *Txn) Commit() error {
 
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
-// in-place writes are on the device, and any catalog barrier forces its
-// pages and then records its new roots (in the log, or in a checkpoint's
-// catalog slot).
+// in-place writes are on the device, and any checkpoint forces its pages
+// and then records its new roots in its catalog slot.
 func (t *Txn) commitLog() error {
 	t.done = true
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
@@ -718,7 +717,7 @@ func (t *Txn) commitBarrier() error {
 	// epoch that holds the batch can advance.
 	t.publishTouched()
 	// Apply the deferred frees.  The pages go through the durability
-	// quarantine, which only a later barrier lets out: until one has
+	// quarantine, which only a later checkpoint lets out: until one has
 	// persisted these roots, recovery redoes this commit from the roots
 	// that still name them.
 	if err := t.alloc.apply(); err != nil {
@@ -747,56 +746,21 @@ func (t *Txn) publishTouched() {
 	}
 }
 
-// forceDurableLocked is an abort's barrier: it makes the committed state
-// durable in two steps.  The order is load-bearing: the data barrier
-// (index and data pages) completes BEFORE the catalog record that
-// references those pages is appended to the log, so no crash state can
-// hold a durable catalog root pointing at a page the device never
-// received.  The record is not forced here: the next log force carries
-// it, and until then the barrier does not count as complete for the
-// durability quarantine.  The space directories stay dirty in the pool:
-// they are soft state no recovery reads.  Caller holds s.mu.
-//
-// The data barrier forces the whole volume, live transactions' writes
-// included.  A page a committed transaction wrote is forced by no commit,
-// and a live transaction may have written it again since — continuing a
-// tail in place, or replacing other bytes of the same page — while the
-// record below names the committed bytes in it.  Forcing a live
-// transaction's write is what a soft checkpoint has always done: a
-// replace writes home only behind the force of its pre-image, and a
-// continued tail leaves the bytes any root names unchanged, so recovery's
-// undo pass covers whatever of it a crash leaves behind.
-//
-// eos:requires s.mu
-func (s *Store) forceDurableLocked() error {
-	kept, err := s.pool.FlushAllExcept(s.dirPages)
-	s.dirPagesSkipped.Add(int64(kept))
-	if err != nil {
-		return err
-	}
-	if err := s.vol.ForceAll(); err != nil {
-		return err
-	}
-	if err := s.logCatalog(); err != nil {
-		return err
-	}
-	return s.releaseQuarantined()
-}
-
 // Abort rolls the transaction back: operations are undone logically in
 // reverse order (delete undoes insert, re-insertion undoes delete, the
 // logged pre-image undoes replace, truncation undoes append, the
-// descriptor snapshot resurrects a destroyed object), surviving deferred
-// frees are applied, and locks are released.  The abort record reaches
-// the log only after the compensations are durable, and behind the
-// barrier's catalog record, so an "ended" classification at recovery
-// always means the rollback is fully on disk.
+// descriptor snapshot resurrects a destroyed object), the abort record is
+// appended and forced, surviving deferred frees are applied, and locks
+// are released.  Like a commit, an abort is durable at its log force and
+// forces no data: the compensations reach the disk with the next
+// checkpoint, and a crash before it leaves recovery to undo the
+// transaction's replaces from their logged pre-images.
 //
 // Each compensation runs under the object's write latch, which a reader
 // of another byte range under range locking shares; the latch is dropped
 // before the catalog edits under Store.mu, which ranks above it.
 //
-//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and the abort record is forced only after the rollback is durable, so the forward records provide write-ahead coverage
+//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and the undo pass re-derives the compensation of a replace from that record, so the forward records provide write-ahead coverage
 func (t *Txn) Abort() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -819,7 +783,7 @@ func (t *Txn) Abort() error {
 			if !op.plan.Applied() {
 				break // never written home: nothing to compensate
 			}
-			//eoslint:ignore forcedom -- undo replays the pre-image the forward Replace already logged and forced; recovery re-runs the same idempotent compensation
+			//eoslint:ignore forcedom -- undo replays the pre-image the forward Replace already logged and forced; if a crash loses this write, recovery's undo pass writes the same pre-image from that record
 			err = o.Replace(op.off, op.plan.Old())
 		case wal.RecCreate:
 			err = o.Destroy()
@@ -860,7 +824,7 @@ func (t *Txn) Abort() error {
 		// The compensations may have rebuilt the tree into a different
 		// (logically equal) shape whose old nodes are now retired, so
 		// the restored root — not the pre-transaction stableDesc image
-		// — must be what the next catalog barrier persists.
+		// — must be what the next checkpoint persists.
 		to.entry.setStableDesc(to.entry.obj.EncodeDescriptor())
 	}
 	// Same critical section as the stableDesc refresh, as in commitLog: a
@@ -872,34 +836,20 @@ func (t *Txn) Abort() error {
 	// (pre-transaction) roots still name.  Republish the restored roots
 	// before applying the frees — same invariant as commit.
 	t.publishTouched()
-	if err := t.alloc.apply(); err != nil {
-		return err
-	}
-	t.s.mu.Lock()
-	// An abort must leave the durable state self-consistent: its
-	// compensations were written in place, its frees may let pages be
-	// reused, and neither may become durable without the catalog that
-	// describes them.  So an abort is a barrier, as a checkpoint is.
-	err := t.s.forceDurableLocked()
-	t.s.mu.Unlock()
-	// The abort record is written only AFTER the compensations are durable
-	// and behind the catalog record, which its force carries.  Order is
-	// load-bearing: recovery does not undo an ended transaction's
-	// replaces, so if the abort record could become durable while a
-	// compensation write was still volatile, a crash in between would
-	// leave the forward replace's post-image in the recovered state with
-	// nothing to erase it.
-	// Written this late, a crash before the record classifies the
-	// transaction as in flight and the forward records' pre-images undo
-	// it (idempotently: extents whose compensation did reach the disk
-	// fail the post-image check and are left alone).
+	// The abort record goes to the log before the frees and the lock
+	// release, and is forced like a commit record: Abort returns nil only
+	// once the outcome is durable.  Recovery undoes this transaction's
+	// replaces until a checkpoint stamps its slot above the record; the
+	// frees reach the quarantine only after the record, so the checkpoint
+	// that lets their pages be reused is such a checkpoint.  And nobody
+	// else can touch these objects before the record is durable.
+	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
+	_, err := t.s.log.Append(rec)
 	if err == nil {
-		rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
-		if _, aerr := t.s.log.Append(rec); aerr != nil {
-			err = aerr
-		} else if ferr := t.s.log.ForceLSN(rec.LSN); ferr != nil {
-			err = ferr
-		}
+		err = t.s.log.ForceLSN(rec.LSN)
+	}
+	if ferr := t.alloc.apply(); err == nil {
+		err = ferr
 	}
 	t.s.locks.ReleaseAll(t.id)
 	if rerr := t.s.epochs.Reclaim(); err == nil {

@@ -260,16 +260,15 @@ func TestRangeLockingReplaceStaysImmediate(t *testing.T) {
 // savings visible: a replace right behind a read of its bytes plans on the
 // read's page images, a replace that waits for the commit force counts as
 // deferred, and one a later operation settles counts as an early apply
-// too.  The commit itself is no barrier: it logs no catalog record, writes
-// no catalog page and leaves the space directory its append dirtied in the
-// pool.  The next abort is one: it logs the commit's descriptor and skips
-// that directory page, whose device image moves only at the next
-// checkpoint.
+// too.  The commit itself is no barrier: it writes no catalog page and
+// leaves the space directory its append dirtied in the pool, whose device
+// image moves only at the next checkpoint.
 func TestCommitPathCounters(t *testing.T) {
 	s, vol, _, _ := replaceStore(t, Options{})
 	dirImages := func() map[disk.PageNum]string {
 		out := map[disk.PageNum]string{}
-		for p := range s.dirPages {
+		for _, sp := range s.buddy.Spaces() {
+			p := sp.DirPage()
 			img, err := vol.Read(p, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -309,21 +308,6 @@ func TestCommitPathCounters(t *testing.T) {
 	if !reflect.DeepEqual(dirImages(), before) {
 		t.Fatal("the commit wrote the space directory")
 	}
-
-	abortBarrier(t, s)
-	b, b0 := s.Stats().Barrier, st.Barrier
-	if b.CatalogLogRecords-b0.CatalogLogRecords != 1 || b.CatalogLogBytes <= b0.CatalogLogBytes {
-		t.Fatalf("the abort logged %d catalog records (%d bytes), want 1", b.CatalogLogRecords-b0.CatalogLogRecords, b.CatalogLogBytes-b0.CatalogLogBytes)
-	}
-	if b.CatalogPagesWritten != b0.CatalogPagesWritten {
-		t.Fatalf("the abort wrote %d catalog pages, want none: its catalog record rides the log", b.CatalogPagesWritten-b0.CatalogPagesWritten)
-	}
-	if b.DirPagesSkipped-b0.DirPagesSkipped != 1 {
-		t.Fatalf("the abort barrier skipped %d directory pages, want 1", b.DirPagesSkipped-b0.DirPagesSkipped)
-	}
-	if !reflect.DeepEqual(dirImages(), before) {
-		t.Fatal("the abort barrier wrote the space directory")
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,18 +318,16 @@ func TestCommitPathCounters(t *testing.T) {
 
 // TestBarrierInsideCommitKeepsItWhole runs another transaction between the
 // two halves of T1's commit and then cuts the power.  T1's commit record is
-// durable, so recovery must show all of T1.  When T2 commits, no barrier
-// ran and redo recovers T1 from its log records.  When T2 aborts, its
-// barrier journaled T1's new root, whose LSN tells redo that T1 is already
-// applied, so recovery can only show T1 from the data volume: that barrier
-// must have forced T1's pages.
+// durable, so recovery must show all of T1.  Whether T2 commits or aborts,
+// no barrier ran — each forces only its log record — and redo recovers T1
+// from its log records, on top of whatever of T1's pages reached the disk.
 func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 	for _, tc := range []struct {
-		end            string
-		catRecs, redos int64
+		end   string
+		redos int64
 	}{
-		{"commit", 0, 3}, // T1's replace and append, T2's append
-		{"abort", 1, 0},
+		{"commit", 3}, // T1's replace and append, T2's append
+		{"abort", 2},  // T1's replace and append
 	} {
 		t.Run(tc.end, func(t *testing.T) {
 			s, vol, logVol, base := replaceStore(t, Options{})
@@ -385,8 +367,8 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 			}
 
 			s = crashReopen(t, vol, logVol)
-			if rs := s.Stats().Recovery; rs.CatalogRecords != tc.catRecs || rs.Redone != tc.redos {
-				t.Fatalf("recovery applied %d catalog records and redid %d operations, want %d and %d", rs.CatalogRecords, rs.Redone, tc.catRecs, tc.redos)
+			if rs := s.Stats().Recovery; rs.Redone != tc.redos {
+				t.Fatalf("recovery redid %d operations, want %d", rs.Redone, tc.redos)
 			}
 			want := append(append([]byte{}, base...), tail...)
 			copy(want[1000:], repl)
@@ -403,11 +385,11 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 }
 
 // TestAbortBarrierForcesPagesALiveTxnRewrote: T1 commits a write to a page
-// of x, which no commit forces; live T3 then writes that page again; T2's
-// abort barrier journals x's root from T1's commit and the power fails.
-// The journaled root's LSN tells redo that T1 is applied, so the barrier
-// must have forced the page although a live transaction wrote it last.
-// A barrier that skipped live transactions' pages lost T1's bytes.
+// of x, which no commit forces; live T3 then writes that page again; T2
+// aborts and the power fails.  An abort is no barrier: the catalog still
+// holds x's root from before T1, so recovery undoes whatever of T3 reached
+// the page and redoes T1's write, which must come back whole although a
+// live transaction wrote the page last.
 func TestAbortBarrierForcesPagesALiveTxnRewrote(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -460,8 +442,8 @@ func TestAbortBarrierForcesPagesALiveTxnRewrote(t *testing.T) {
 				t.Fatal(err)
 			}
 			s = crashReopen(t, vol, logVol)
-			if rs := s.Stats().Recovery; rs.CatalogRecords != 1 || rs.Redone != 0 {
-				t.Fatalf("recovery applied %d catalog records and redid %d operations, want 1 and 0", rs.CatalogRecords, rs.Redone)
+			if rs := s.Stats().Recovery; rs.Redone != 1 {
+				t.Fatalf("recovery redid %d operations, want 1 (T1's)", rs.Redone)
 			}
 			if !bytes.Equal(readObject(t, s, "x"), tc.change(append([]byte{}, base...))) {
 				t.Fatal("T1's committed write lost")
@@ -1106,9 +1088,7 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var model []byte
-	var logged int64 // catalog record bytes before the last commit
 	for i := 0; i < 3; i++ {
-		logged = s.Stats().Barrier.CatalogLogBytes
 		tx, _ := s.Begin()
 		more := pat(80+i, 100)
 		if err := tx.Append("x", more); err != nil {
@@ -1120,20 +1100,17 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 		model = append(model, more...)
 	}
 	st := s.Stats()
-	// Each commit force carried the catalog record of the commit before;
-	// the third's waits in the buffer.
-	pending := int(st.Barrier.CatalogLogBytes - logged)
-	if s.LogTail() != int64(3*512+pending) {
-		t.Fatalf("log tail at %d after three one-page commits and a %d-byte catalog record, want %d", s.LogTail(), pending, 3*512+pending)
+	if s.LogTail() != 3*512 {
+		t.Fatalf("log tail at %d after three one-page commits, want %d", s.LogTail(), 3*512)
 	}
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := int(s.LogTail()) - 3*512 - pending // a record without payload: the begin record
-	room := 4*512 - int(s.LogTail())          // what is left of the last page
-	big := pat(90, room-hdr+1)                // its record is one byte longer than that
-	if int(st.WAL.FlushedBytes)+pending+3*hdr+len(big) > 4*512 {
+	hdr := int(s.LogTail()) - 3*512  // a record without payload: the begin record
+	room := 4*512 - int(s.LogTail()) // what is left of the last page
+	big := pat(90, room-hdr+1)       // its record is one byte longer than that
+	if int(st.WAL.FlushedBytes)+3*hdr+len(big) > 4*512 {
 		t.Fatal("the transaction would not fit an unpadded log either; the test proves nothing")
 	}
 	before := s.LogTail()

@@ -7,8 +7,9 @@ import (
 
 // TestLoserReplaceUndoneAfterCrash exercises the steal hazard: an
 // uncommitted transaction's in-place replace reaches the disk because a
-// barrier — another transaction's abort — forces the whole volume; after a
-// crash, recovery must physically restore the pre-image from the log.
+// soft checkpoint (the loser is live, so the log stays) forces the whole
+// volume; after a crash, recovery must physically restore the pre-image
+// from the log.
 func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	s, vol, logVol := newStore(t, Options{})
 	a, _ := s.Create("victim", 0)
@@ -37,8 +38,8 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Winner: commits on another object, and an abort behind it forces the
-	// volume — including the loser's dirtied page.
+	// Winner: commits on another object, and a checkpoint behind it forces
+	// the volume — including the loser's dirtied page.
 	winner, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,9 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	if err := winner.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	abortBarrier(t, s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	vol.Crash()
 	logVol.Crash()
@@ -125,7 +128,9 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 	if err := winner.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	abortBarrier(t, s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	vol.Crash()
 	logVol.Crash()
@@ -177,5 +182,88 @@ func TestCommittedReplaceStillRedone(t *testing.T) {
 	got, _ := v.Read(0, v.Size())
 	if !bytes.Equal(got, want) {
 		t.Error("committed replace lost or mangled by undo pass")
+	}
+}
+
+// TestAbortIsDurableAtItsLogForce: an abort forces its record and nothing
+// else.  A settled replace is made durable by a soft checkpoint, the
+// transaction aborts, and the crash drops the compensation the data volume
+// never forced: recovery must put the committed bytes back from the
+// replace record's pre-image, and say it undid the abort.
+func TestAbortIsDurableAtItsLogForce(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	tx, _ := s.Begin()
+	if err := tx.Replace("x", 2000, pat(71, 600)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Read("x", 2000, 600); err != nil { // settles it: written home
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil { // soft: tx is live
+		t.Fatal(err)
+	}
+	syncs := vol.Stats().Syncs
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := vol.Stats().Syncs - syncs; got != 0 {
+		t.Fatalf("the abort forced the data volume %d times, want none", got)
+	}
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), base) {
+		t.Fatal("the aborted replace survived the crash")
+	}
+	if rs := s.Stats().Recovery; rs.UndoneAborts != 1 {
+		t.Fatalf("recovery undid %d aborts, want 1", rs.UndoneAborts)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbortBelowTheSlotStampIsNotUndone: A aborts a settled replace, then
+// B commits the same bytes at the same offset, and a soft checkpoint
+// (another transaction is live, so the log stays) persists B's root.  A's
+// abort record lies below the slot's stamp: the checkpoint forced the
+// rollback, and undoing A's replace now would find its post-image — B's
+// bytes — and put the old bytes back where the slot's root LSN keeps redo
+// from restoring B's.
+func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	repl := pat(72, 600)
+	a, _ := s.Begin()
+	if err := a.Replace("x", 2000, repl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Read("x", 2000, 600); err != nil { // settles it: written home
+		t.Fatal(err)
+	}
+	if err := a.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := s.Begin()
+	if err := b.Replace("x", 2000, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Begin(); err != nil { // live, so the log stays
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s = crashReopen(t, vol, logVol)
+	want := append([]byte{}, base...)
+	copy(want[2000:], repl)
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("B's committed replace was lost to the undo of A's")
+	}
+	if rs := s.Stats().Recovery; rs.UndoneAborts != 0 || rs.Redone != 0 {
+		t.Fatalf("recovery undid %d aborts and redid %d operations, want 0 and 0", rs.UndoneAborts, rs.Redone)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
 	}
 }
