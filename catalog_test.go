@@ -2,6 +2,7 @@ package eos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -9,60 +10,64 @@ import (
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
-// Tests of the catalog journal (catalog.go): base + delta replay, the
-// operations that move catalog entries, torn records, stale records,
-// slot alternation and overflow.  They run on both backends through
-// newTestDevice (EOS_TEST_BACKEND).
+// Tests of the catalog's durable form (catalog.go): the image each
+// checkpoint logs, the two master copies naming it, torn images and torn
+// master copies, a log that goes round over earlier images, and an image
+// the log cannot hold.  They run on both backends through newTestDevice
+// (EOS_TEST_BACKEND).
 
-var errTorn = errors.New("injected torn catalog write")
+var errTorn = errors.New("injected torn write")
 
-// catDevice wraps a journal test's data volume.  It reports every write
-// to onWrite, and can tear the next multi-page write into the catalog
-// region: only the first tearKeep pages reach the device — durably, so
-// the tear survives Crash — and the call fails.
-type catDevice struct {
+// tearDevice wraps a volume.  It reports every write to onWrite, and can
+// tear the next write that touches pages [lo, hi): of a multi-page write
+// only the first page reaches the device, of a one-page write only its
+// first 40 bytes, over the old ones — durably, so the tear survives Crash —
+// and the call fails.
+type tearDevice struct {
 	disk.Device
-	onWrite   func(start disk.PageNum, n int)
-	tearKeep  int
-	tearBelow disk.PageNum // only writes starting below this page are torn
+	onWrite func(start disk.PageNum, n int)
+	armed   bool
+	lo, hi  disk.PageNum
 }
 
-func (d *catDevice) WritePages(start disk.PageNum, n int, buf []byte) error {
+func (d *tearDevice) WritePages(start disk.PageNum, n int, buf []byte) error {
 	if d.onWrite != nil {
 		d.onWrite(start, n)
 	}
-	return d.Device.WritePages(start, n, buf)
-}
-
-func (d *catDevice) WriteRun(start disk.PageNum, pages [][]byte) error {
-	if d.onWrite != nil {
-		d.onWrite(start, len(pages))
+	if !d.armed || start >= d.hi || start+disk.PageNum(n) <= d.lo {
+		return d.Device.WritePages(start, n, buf)
 	}
-	if k := d.tearKeep; k > 0 && start < d.tearBelow && len(pages) > k {
-		d.tearKeep = 0
-		if err := d.Device.WriteRun(start, pages[:k]); err != nil {
+	d.armed = false
+	ps := d.PageSize()
+	page := buf[:ps]
+	if n == 1 {
+		old, err := d.Read(start, 1)
+		if err != nil {
 			return err
 		}
-		if err := d.Device.Force(start, k); err != nil {
-			return err
-		}
-		return errTorn
+		page = append(buf[:40:40], old[40:]...)
 	}
-	return d.Device.WriteRun(start, pages)
+	if err := d.Device.WritePages(start, 1, page); err != nil {
+		return err
+	}
+	if err := d.Force(start, 1); err != nil {
+		return err
+	}
+	return errTorn
 }
 
-// tearNextCatalogWrite arms the tear for the next multi-page record.
-func (d *catDevice) tearNextCatalogWrite(s *Store, keep int) {
-	d.tearKeep = keep
-	d.tearBelow = disk.PageNum(1 + catalogRegionPages(s.opts))
-}
+// tearNext arms the tear for the next write touching pages [lo, hi).
+func (d *tearDevice) tearNext(lo, hi disk.PageNum) { d.armed, d.lo, d.hi = true, lo, hi }
 
-func newJournalStore(t *testing.T, opts Options) (*Store, *catDevice, disk.Device) {
+// newJournalStore formats a store over torn-able data and log volumes of
+// 4096 and logPages pages.
+func newJournalStore(t *testing.T, logPages disk.PageNum, opts Options) (*Store, *tearDevice, *tearDevice) {
 	t.Helper()
-	vol := &catDevice{Device: newTestDevice(t, 512, 4096)}
-	logVol := newTestDevice(t, 512, 1024)
+	vol := &tearDevice{Device: newTestDevice(t, 512, 4096)}
+	logVol := &tearDevice{Device: newTestDevice(t, 512, logPages)}
 	s, err := Format(vol, logVol, opts)
 	if err != nil {
 		t.Fatalf("Format: %v", err)
@@ -116,27 +121,37 @@ func expectObjects(t *testing.T, s *Store, want map[string][]byte) {
 	}
 }
 
-// journalNames replays the slot the store is writing and returns the
-// names it yields, checking the replay reaches the newest record.
-func journalNames(t *testing.T, s *Store) []string {
+// durableNames reads the master copy recovery would load and returns the
+// names in the image it names.
+func durableNames(t *testing.T, s *Store) []string {
 	t.Helper()
-	img, seq, _, err := s.replayCatalogSlot(s.catSlot)
+	m, err := readMaster(s.vol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img == nil || seq != s.catSeq {
-		t.Fatalf("slot %d replays to seq %d (image %v), newest record is %d", s.catSlot, seq, img != nil, s.catSeq)
-	}
 	var names []string
-	for _, r := range img {
-		names = append(names, r.name)
+	found := false
+	if err := s.log.Scan(m.image, func(r *wal.Record) error {
+		if r.LSN != m.image {
+			return nil
+		}
+		found = true
+		img := r.Data
+		off := 4
+		for i := binary.BigEndian.Uint32(img); i > 0; i-- {
+			nameLen := int(binary.BigEndian.Uint16(img[off+8:]))
+			descLen := int(binary.BigEndian.Uint32(img[off+10:]))
+			names = append(names, string(img[off+catEntHdr:off+catEntHdr+nameLen]))
+			off += catEntHdr + nameLen + descLen
+		}
+		return nil
+	}); err != nil || !found {
+		t.Fatalf("the master's image at LSN %d is not in the log (err %v)", m.image, err)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// appendAll appends a few bytes to every object (a new root each, so a
-// new descriptor each) and keeps want in step.
 // appendAll adds one segment to every object: the append is hinted, so it
 // neither leaves the tail open nor continues one (a plain Append would grow
 // the last entry in place and the descriptors would stay one entry long).
@@ -180,13 +195,12 @@ func clone(m map[string][]byte) map[string][]byte {
 	return out
 }
 
-// TestCatalogDeltaChainReplaysAcrossReopen drives checkpoints that each
-// change one descriptor: each must append one delta (no compaction), the
-// counters must say so, and — the log being empty after every quiescent
-// checkpoint — a crash must recover the final state from base + deltas
-// alone.
-func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{CatalogPages: 16})
+// TestCatalogImageReplaysAcrossReopen drives checkpoints that each change
+// one descriptor: each logs one image — one log write, one log force — and
+// writes one master copy, after which the log holds nothing but that image;
+// and a crash must recover the final state from the image alone.
+func TestCatalogImageReplaysAcrossReopen(t *testing.T) {
+	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 4)
 	// One logged update, so the checkpoint has a log to truncate.
 	tx, _ := s.Begin()
@@ -197,18 +211,6 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want["obj-00"] = append(want["obj-00"], pat(9, 50)...)
-	logBefore := logVol.Stats()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if logAfter := logVol.Stats(); logAfter.Writes != logBefore.Writes || logAfter.Syncs != logBefore.Syncs {
-		t.Errorf("truncating the log cost %d writes and %d forces of the log volume, want none",
-			logAfter.Writes-logBefore.Writes, logAfter.Syncs-logBefore.Syncs)
-	}
-	if s.LogTail() != 0 {
-		t.Fatalf("log not truncated by a quiescent checkpoint (%d bytes)", s.LogTail())
-	}
-	before := s.Stats().Barrier
 	const rounds = 8
 	for i := 0; i < rounds; i++ {
 		name := fmt.Sprintf("obj-%02d", i%4)
@@ -218,253 +220,216 @@ func TestCatalogDeltaChainReplaysAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[name] = append(want[name], extra...)
+		before, logBefore := s.Stats(), logVol.Stats()
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		after, logAfter := s.Stats(), logVol.Stats()
+		if got := after.Barrier.MasterWrites - before.Barrier.MasterWrites; got != 1 {
+			t.Errorf("round %d: %d master writes, want 1", i, got)
+		}
+		image := after.Barrier.ImageBytes - before.Barrier.ImageBytes
+		pages := (image + 511 + 59) / 512 // the record's header, then padding to the page
+		writes, forces := logAfter.Writes-logBefore.Writes, after.WAL.LeaderForces-before.WAL.LeaderForces
+		if writes != 1 || forces != 1 || logAfter.PagesWritten-logBefore.PagesWritten != pages {
+			t.Errorf("round %d: the checkpoint wrote %d pages in %d log writes and %d forces, want the %d-byte image's %d pages in one of each",
+				i, logAfter.PagesWritten-logBefore.PagesWritten, writes, forces, image, pages)
+		}
+		if s.LogTail() != pages*512 {
+			t.Fatalf("round %d: %d bytes of log in use after a quiescent checkpoint, want the image's %d pages", i, s.LogTail(), pages)
+		}
 	}
-	// A checkpoint with nothing to say writes nothing.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats().Barrier
-	if got := after.CatalogDeltaWrites - before.CatalogDeltaWrites; got != rounds {
-		t.Errorf("%d delta writes for %d one-object checkpoints", got, rounds)
-	}
-	if after.CatalogCompactions != before.CatalogCompactions {
-		t.Errorf("compactions moved %d -> %d with room left in the slot", before.CatalogCompactions, after.CatalogCompactions)
-	}
-	if got := after.CatalogPagesWritten - before.CatalogPagesWritten; got != rounds {
-		t.Errorf("%d catalog pages for %d one-descriptor deltas, want one page each", got, rounds)
-	}
-	if after.HeaderWrites != before.HeaderWrites {
-		t.Errorf("header rewritten %d times though neither nextID nor the LSN base moved", after.HeaderWrites-before.HeaderWrites)
-	}
-	if s.LogTail() != 0 {
-		t.Fatalf("log not empty after quiescent checkpoint (%d bytes)", s.LogTail())
-	}
-	if got := journalNames(t, s); len(got) != 4 {
-		t.Fatalf("journal replays to %v", got)
+	if got := durableNames(t, s); len(got) != 4 {
+		t.Fatalf("the durable image holds %v", got)
 	}
 	re := crashReopen(t, vol, logVol)
+	if rs := re.Stats().Recovery; rs.Redone != 0 {
+		t.Errorf("recovery redid %d operations, want none: the image holds every one", rs.Redone)
+	}
 	expectObjects(t, re, want)
 }
 
 // TestCatalogOperationsPersistThroughJournal takes every operation that
 // moves a catalog entry — transactional create, plain create, Rename, a
 // transactional destroy caught in flight by a checkpoint (the entry must
-// stay: no tombstone before the destroy commits), the same aborted, a
-// committed destroy — through a crash after each, once with slots so
-// large every checkpoint writes a delta and once with slots so small every
-// checkpoint compacts.  A commit writes no catalog record at all: after a
-// committed step recovery redoes the transaction from the log.
+// stay: the image keeps an object until its destroy commits), the same
+// aborted, a committed destroy — through a crash after each.  A commit
+// logs no image at all: after a committed step recovery redoes the
+// transaction from the log.
 func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		catalogPages int
-		compacting   bool
-	}{
-		{"delta", 16, false},
-		{"compaction", 1, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, vol, logVol := newJournalStore(t, Options{CatalogPages: tc.catalogPages})
-			want := map[string][]byte{}
-			// step runs one mutation, checks which records its checkpoints
-			// wrote — wantDeltas slot deltas with large slots, where a
-			// checkpoint that changes nothing writes nothing; wantBases
-			// with one-page slots, where every checkpoint compacts — and
-			// crashes.  Recovery must have redone wantRedone operations:
-			// those of a commit no checkpoint followed.
-			step := func(what string, wantDeltas, wantBases, wantRedone int64, mutate func()) {
-				t.Helper()
-				before := s.Stats().Barrier
-				mutate()
-				after := s.Stats().Barrier
-				deltas := after.CatalogDeltaWrites - before.CatalogDeltaWrites
-				bases := after.CatalogCompactions - before.CatalogCompactions
-				if tc.compacting && (deltas != 0 || bases != wantBases) {
-					t.Fatalf("%s: %d deltas, %d compactions; want %d compactions", what, deltas, bases, wantBases)
-				}
-				if !tc.compacting && (deltas != wantDeltas || bases != 0) {
-					t.Fatalf("%s: %d deltas, %d compactions; want %d deltas", what, deltas, bases, wantDeltas)
-				}
-				s = crashReopen(t, vol, logVol)
-				if got := s.Stats().Recovery.Redone; got != wantRedone {
-					t.Fatalf("%s: recovery redid %d operations, want %d", what, got, wantRedone)
-				}
-				expectObjects(t, s, want)
-			}
-			step("txn create", 0, 0, 2, func() {
-				tx, _ := s.Begin()
-				if err := tx.Create("a", 0); err != nil {
-					t.Fatal(err)
-				}
-				want["a"] = pat(1, 900)
-				if err := tx.Append("a", want["a"]); err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			step("create", 1, 1, 0, func() {
-				o, err := s.Create("b", 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want["b"] = pat(2, 1200)
-				if err := o.Append(want["b"]); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			step("rename", 1, 1, 0, func() {
-				if err := s.Rename("b", "c"); err != nil {
-					t.Fatal(err)
-				}
-				want["c"] = want["b"]
-				delete(want, "b")
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			// The crash that ends this step finds the destroy still in
-			// flight: a must come back.
-			step("txn destroy, checkpoint", 0, 1, 0, func() {
-				tx, _ := s.Begin()
-				if err := tx.Destroy("a"); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				if got := journalNames(t, s); fmt.Sprint(got) != "[a c]" {
-					t.Fatalf("journal holds %v while the destroy is in flight, want [a c]", got)
-				}
-			})
-			// The abort restores a's descriptor byte for byte.
-			step("txn destroy, checkpoint, abort", 0, 1, 0, func() {
-				tx, _ := s.Begin()
-				if err := tx.Destroy("a"); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Abort(); err != nil {
-					t.Fatal(err)
-				}
-				if got := journalNames(t, s); fmt.Sprint(got) != "[a c]" {
-					t.Fatalf("journal holds %v after the abort, want [a c]", got)
-				}
-			})
-			step("txn destroy", 0, 0, 1, func() {
-				tx, _ := s.Begin()
-				if err := tx.Destroy("c"); err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				delete(want, "c")
-			})
-		})
+	s, vol, logVol := newJournalStore(t, 1024, Options{})
+	want := map[string][]byte{}
+	// step runs one mutation, checks how many master copies its
+	// checkpoints wrote, and crashes.  Recovery must have redone
+	// wantRedone operations: those of a commit no checkpoint followed.
+	step := func(what string, wantMasters, wantRedone int64, mutate func()) {
+		t.Helper()
+		before := s.Stats().Barrier
+		mutate()
+		if got := s.Stats().Barrier.MasterWrites - before.MasterWrites; got != wantMasters {
+			t.Fatalf("%s: %d master writes, want %d", what, got, wantMasters)
+		}
+		s = crashReopen(t, vol, logVol)
+		if got := s.Stats().Recovery.Redone; got != wantRedone {
+			t.Fatalf("%s: recovery redid %d operations, want %d", what, got, wantRedone)
+		}
+		expectObjects(t, s, want)
 	}
+	step("txn create", 0, 2, func() {
+		tx, _ := s.Begin()
+		if err := tx.Create("a", 0); err != nil {
+			t.Fatal(err)
+		}
+		want["a"] = pat(1, 900)
+		if err := tx.Append("a", want["a"]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("create", 1, 0, func() {
+		o, err := s.Create("b", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want["b"] = pat(2, 1200)
+		if err := o.Append(want["b"]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("rename", 1, 0, func() {
+		if err := s.Rename("b", "c"); err != nil {
+			t.Fatal(err)
+		}
+		want["c"] = want["b"]
+		delete(want, "b")
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The crash that ends this step finds the destroy still in flight: a
+	// must come back.
+	step("txn destroy, checkpoint", 1, 0, func() {
+		tx, _ := s.Begin()
+		if err := tx.Destroy("a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := durableNames(t, s); fmt.Sprint(got) != "[a c]" {
+			t.Fatalf("the image holds %v while the destroy is in flight, want [a c]", got)
+		}
+	})
+	// The abort restores a's descriptor byte for byte.
+	step("txn destroy, checkpoint, abort", 1, 0, func() {
+		tx, _ := s.Begin()
+		if err := tx.Destroy("a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if got := durableNames(t, s); fmt.Sprint(got) != "[a c]" {
+			t.Fatalf("the image holds %v after the abort, want [a c]", got)
+		}
+	})
+	step("txn destroy", 0, 1, func() {
+		tx, _ := s.Begin()
+		if err := tx.Destroy("c"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, "c")
+	})
 }
 
-// TestCatalogTornDeltaFallsBackOneBarrier tears a multi-page delta after
-// its first page: recovery must come back with exactly the state of the
-// barrier before it.
-func TestCatalogTornDeltaFallsBackOneBarrier(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{CatalogPages: 16})
+// TestCatalogTornImageFallsBackOneBarrier tears a multi-page image after
+// its first page: the checkpoint fails before any master copy names it,
+// and recovery must come back with exactly the state of the barrier
+// before it.
+func TestCatalogTornImageFallsBackOneBarrier(t *testing.T) {
+	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 6)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, s, want, 1)
+	for i := 1; i <= 8; i++ {
+		appendAll(t, s, want, i)
+	}
+	before := s.Stats().Barrier.ImageBytes
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if image := s.Stats().Barrier.ImageBytes - before; image < 512 {
+		t.Fatalf("an image of %d bytes: the tear needs one of several pages", image)
+	}
 	durable := clone(want)
 
-	appendAll(t, s, want, 2)
-	compactions := s.Stats().Barrier.CatalogCompactions
-	vol.tearNextCatalogWrite(s, 1)
+	appendAll(t, s, want, 5)
+	masters := s.Stats().Barrier.MasterWrites
+	logVol.tearNext(0, logVol.NumPages())
 	if err := s.Checkpoint(); !errors.Is(err, errTorn) {
-		t.Fatalf("checkpoint over a torn delta: %v", err)
+		t.Fatalf("checkpoint over a torn image: %v", err)
 	}
-	if s.Stats().Barrier.CatalogCompactions != compactions {
-		t.Fatal("the torn record was a base, not a delta")
+	if s.Stats().Barrier.MasterWrites != masters {
+		t.Fatal("a master copy was written over a torn image")
 	}
 	re := crashReopen(t, vol, logVol)
 	expectObjects(t, re, durable)
 }
 
-// TestCatalogTornBaseFallsBackToOldSlot tears the compaction's base in
-// the other slot: recovery must load the old slot, base and every delta.
-func TestCatalogTornBaseFallsBackToOldSlot(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{CatalogPages: 6})
+// TestCatalogTornMasterFallsBackToOlderCopy tears the master copy a
+// checkpoint writes: its CRC must disqualify it, and recovery must load the
+// other copy — whose image the log still holds, since the checkpoint that
+// failed truncated nothing — and come back with its state.
+func TestCatalogTornMasterFallsBackToOlderCopy(t *testing.T) {
+	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 6)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// One-object deltas, a segment more each (hinted appends), until the
-	// next one no longer fits: the base that follows is several pages long.
-	ps := s.PageSize()
-	for round := 0; ; round++ {
-		o, _ := s.Open("obj-00")
-		extra := pat(50+round, 60)
-		if err := o.AppendWithHint(extra, int64(len(extra))); err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		ups, tombs, _ := s.catalogDelta(s.catImage)
-		fits := s.catNext+(catRecordSize(ups, tombs)+ps-1)/ps <= s.opts.CatalogPages
-		s.mu.Unlock()
-		if !fits {
-			break
-		}
-		want["obj-00"] = append(want["obj-00"], extra...)
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats().Barrier
-	if st.CatalogDeltaWrites < 2 {
-		t.Fatalf("old slot holds only %d deltas", st.CatalogDeltaWrites)
-	}
-	oldSlot := s.catSlot
-	vol.tearNextCatalogWrite(s, 1)
+	durable := clone(want)
+	older := s.masterSeq
+	appendAll(t, s, want, 1)
+	vol.tearNext(0, masterPages)
 	if err := s.Checkpoint(); !errors.Is(err, errTorn) {
-		t.Fatalf("checkpoint over a torn base: %v", err)
+		t.Fatalf("checkpoint over a torn master copy: %v", err)
 	}
-	if s.catSlot != oldSlot {
-		t.Fatal("journal position moved although the write failed")
+	if s.masterSeq != older {
+		t.Fatal("the master seq moved although the write failed")
 	}
-	// The tear put a base header with the newest seq on the other slot's
-	// first page; its CRC must disqualify it.
-	if img, _, _, err := s.replayCatalogSlot(1 - oldSlot); err != nil || img != nil {
-		t.Fatalf("torn base replays (image %v, err %v)", img != nil, err)
+	if page, err := vol.Read(disk.PageNum((older+1)%masterPages), 1); err != nil || binary.BigEndian.Uint32(page) != storeMagic {
+		t.Fatalf("the torn copy lost even its magic (err %v); the test proves nothing", err)
+	}
+	if m, err := readMaster(vol); err != nil || m.seq != older {
+		t.Fatalf("master record read as seq %d (err %v), want the older copy's %d", m.seq, err, older)
 	}
 	re := crashReopen(t, vol, logVol)
-	expectObjects(t, re, want)
+	expectObjects(t, re, durable)
 }
 
-// TestCatalogStaleRecordsIgnored reuses a slot: behind the records of its
-// new life sit intact deltas of its earlier one.  Replay must stop at
-// the chain's end and not wander into them.
+// TestCatalogStaleRecordsIgnored runs checkpoints until the log has gone
+// round its volume several times: behind the newest image lie intact
+// images of earlier laps, at the offsets a scan would reach.  Recovery
+// must load the one the master names and not wander into them.
 func TestCatalogStaleRecordsIgnored(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{CatalogPages: 6})
+	s, vol, logVol := newJournalStore(t, 32, Options{})
 	o, err := s.Create("x", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []byte
-	// Each checkpoint changes x's one-page descriptor: one record a
-	// barrier.  Stop in slot 0's second life, two records in.
-	for s.Stats().Barrier.CatalogCompactions < 3 || s.catNext != 2 {
+	for s.Stats().WAL.Wraps < 3 {
 		extra := pat(len(want), 30)
 		if err := o.Append(extra); err != nil {
 			t.Fatal(err)
@@ -474,27 +439,27 @@ func TestCatalogStaleRecordsIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps := s.PageSize()
-	page, err := vol.Read(s.catSlotStart(s.catSlot)+2, 1)
+	// Past the tail lie the previous lap's bytes.
+	ps := uint64(logVol.PageSize())
+	page, err := logVol.Read(disk.PageNum(s.log.Tail()%(uint64(logVol.NumPages())*ps)/ps), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staleSeq, _, kind, _, ok := parseCatRecord(page[:ps])
-	if !ok || kind != catKindDelta || staleSeq >= s.catSeq {
-		t.Fatalf("page 2 of the slot holds no stale delta (ok %v, kind %d, seq %d, newest %d)", ok, kind, staleSeq, s.catSeq)
+	if bytes.Equal(page, make([]byte, ps)) {
+		t.Fatal("the page behind the tail was never written; the test proves nothing")
 	}
-	if got := journalNames(t, s); fmt.Sprint(got) != "[x]" {
-		t.Fatalf("journal replays to %v", got)
+	if got := durableNames(t, s); fmt.Sprint(got) != "[x]" {
+		t.Fatalf("the durable image holds %v", got)
 	}
 	re := crashReopen(t, vol, logVol)
 	expectObjects(t, re, map[string][]byte{"x": want})
 }
 
 // TestCatalogFirstBarrierAfterOpenSparesLoadedSlot: recovery's own
-// checkpoint — the first barrier of the reopened store — must write a
-// base into the slot it did not load and nothing into the one it did.
+// checkpoint — the first barrier of the reopened store — must write the
+// master copy it did not load, and nothing over the one it did.
 func TestCatalogFirstBarrierAfterOpenSparesLoadedSlot(t *testing.T) {
-	s, vol, logVol := newJournalStore(t, Options{CatalogPages: 8})
+	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 3)
 	for i := 0; i < 3; i++ {
 		appendAll(t, s, want, i)
@@ -502,63 +467,81 @@ func TestCatalogFirstBarrierAfterOpenSparesLoadedSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded := s.catSlot
-	lo := s.catSlotStart(loaded)
-	hi := lo + disk.PageNum(s.opts.CatalogPages)
+	loaded := s.masterSeq
 	vol.onWrite = func(start disk.PageNum, n int) {
-		if start < hi && start+disk.PageNum(n) > lo {
-			t.Errorf("write of %d pages at %d lands in the loaded slot [%d,%d)", n, start, lo, hi)
+		if p := disk.PageNum(loaded % masterPages); start <= p && p < start+disk.PageNum(n) {
+			t.Errorf("write of %d pages at %d lands on the loaded master copy, page %d", n, start, p)
 		}
 	}
 	re := crashReopen(t, vol, logVol)
 	vol.onWrite = nil
-	if re.catSlot != 1-loaded || re.Stats().Barrier.CatalogCompactions != 1 {
-		t.Errorf("after Open the journal sits in slot %d (loaded %d) after %d compactions",
-			re.catSlot, loaded, re.Stats().Barrier.CatalogCompactions)
+	if re.masterSeq != loaded+1 || re.Stats().Barrier.MasterWrites != 1 {
+		t.Errorf("after Open the master is at seq %d (loaded %d) after %d writes", re.masterSeq, loaded, re.Stats().Barrier.MasterWrites)
 	}
 	expectObjects(t, re, want)
 }
 
-// TestCatalogDurableRecordPagesNeverRewritten traces every data-volume
-// write across several compactions: none may touch a page of the chain
-// the last completed barrier made durable.
+// TestCatalogDurableRecordPagesNeverRewritten traces every write of both
+// volumes across checkpoints that take the log round its volume: none may
+// touch the master copy the last completed barrier made durable, or the
+// log pages from its start through its image.
 func TestCatalogDurableRecordPagesNeverRewritten(t *testing.T) {
-	s, vol, _ := newJournalStore(t, Options{CatalogPages: 4})
+	s, vol, logVol := newJournalStore(t, 48, Options{})
 	want := createObjects(t, s, 3)
-	var lo, hi disk.PageNum // pages of the durable chain
-	vol.onWrite = func(start disk.PageNum, n int) {
-		if start < hi && start+disk.PageNum(n) > lo {
-			t.Errorf("write of %d pages at %d hits the durable journal chain [%d,%d)", n, start, lo, hi)
+	m, err := readMaster(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := disk.PageNum(m.seq % masterPages)
+	var lo, n uint64 // the durable log: its first page, and its pages
+	vol.onWrite = func(start disk.PageNum, pages int) {
+		if start <= master && master < start+disk.PageNum(pages) {
+			t.Errorf("write of %d pages at %d hits the durable master copy", pages, start)
 		}
 	}
-	for i := 0; i < 30; i++ {
+	logPages := uint64(logVol.NumPages())
+	logVol.onWrite = func(start disk.PageNum, pages int) {
+		for p := uint64(start); p < uint64(start)+uint64(pages); p++ {
+			if (p+logPages-lo)%logPages < n {
+				t.Errorf("write of %d log pages at %d hits the durable log [%d, +%d)", pages, start, lo, n)
+			}
+		}
+	}
+	for i := 0; s.Stats().WAL.Wraps < 3; i++ {
 		if i%3 == 0 {
 			appendAll(t, s, want, i)
 		} else {
-			o, _ := s.Open("obj-01")
-			if err := o.Append(pat(i, 25)); err != nil {
+			tx, _ := s.Begin()
+			if err := tx.Append("obj-01", pat(i, 25)); err != nil {
 				t.Fatal(err)
 			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want["obj-01"] = append(want["obj-01"], pat(i, 25)...)
 		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		lo = s.catSlotStart(s.catSlot)
-		hi = lo + disk.PageNum(s.catNext)
+		if m, err = readMaster(vol); err != nil {
+			t.Fatal(err)
+		}
+		master = disk.PageNum(m.seq % masterPages)
+		ps := uint64(logVol.PageSize())
+		first, last := (m.start-1)/ps, (s.log.Tail()-1)/ps
+		lo, n = first%logPages, last-first+1
 	}
-	st := s.Stats().Barrier
-	if st.CatalogCompactions < 4 || st.CatalogDeltaWrites == 0 {
-		t.Fatalf("trace covered %d compactions and %d deltas", st.CatalogCompactions, st.CatalogDeltaWrites)
-	}
+	expectObjects(t, crashReopen(t, vol, logVol), want)
 }
 
 // TestOpenRejectsOldFormatVersion: a store of an earlier format
 // generation is refused by name, not misread and not called corrupt.
 func TestOpenRejectsOldFormatVersion(t *testing.T) {
-	// v4 logs may hold catalog records this build no longer reads, and v3
-	// slot records carry no stamp: both must be refused, not misread.
-	for _, old := range []byte{storeVersion - 2, storeVersion - 1} {
-		s, vol, logVol := newJournalStore(t, Options{})
+	// v5 kept its catalog in slots this build no longer reads, v4 logs may
+	// hold catalog records, and v3 slot records carry no stamp: all must be
+	// refused, not misread.
+	for _, old := range []byte{storeVersion - 3, storeVersion - 2, storeVersion - 1} {
+		s, vol, logVol := newJournalStore(t, 1024, Options{})
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -581,21 +564,21 @@ func TestOpenRejectsOldFormatVersion(t *testing.T) {
 	}
 }
 
-// TestCatalogFull: when the full image outgrows a slot the barrier
-// fails with ErrCatalogFull before writing anything — the store stays
-// usable (a commit, which is no barrier, goes through), the last durable
-// catalog state survives a crash, and destroying an object lets the next
-// barrier through.
+// TestCatalogFull: when the image outgrows what the log can hold the
+// checkpoint fails with wal.ErrLogFull before writing anything — the
+// store stays readable and writable outside transactions, the last
+// durable catalog state survives a crash, and destroying an object lets
+// the next checkpoint through.
 func TestCatalogFull(t *testing.T) {
-	fill := func(t *testing.T) (*Store, *catDevice, disk.Device, map[string][]byte, map[string][]byte) {
-		s, vol, logVol := newJournalStore(t, Options{CatalogPages: 1})
+	fill := func(t *testing.T) (*Store, *tearDevice, *tearDevice, map[string][]byte, map[string][]byte) {
+		s, vol, logVol := newJournalStore(t, 24, Options{})
 		want := map[string][]byte{}
 		var durable map[string][]byte
 		for i := 0; ; i++ {
-			if i > 100 {
-				t.Fatal("catalog never filled")
+			if i > 300 {
+				t.Fatal("the image never outgrew the log")
 			}
-			name := fmt.Sprintf("obj-%02d", i)
+			name := fmt.Sprintf("obj-%03d", i)
 			o, err := s.Create(name, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -604,17 +587,17 @@ func TestCatalogFull(t *testing.T) {
 			if err := o.Append(want[name]); err != nil {
 				t.Fatal(err)
 			}
-			pages := s.Stats().Barrier.CatalogPagesWritten
+			masters := s.Stats().Barrier.MasterWrites
 			err = s.Checkpoint()
 			if err == nil {
 				durable = clone(want)
 				continue
 			}
-			if !errors.Is(err, ErrCatalogFull) || errors.Is(err, ErrCorruptStore) {
-				t.Fatalf("checkpoint of an overfull catalog: %v", err)
+			if !errors.Is(err, wal.ErrLogFull) || errors.Is(err, ErrCorruptStore) {
+				t.Fatalf("checkpoint of an image the log cannot hold: %v", err)
 			}
-			if s.Stats().Barrier.CatalogPagesWritten != pages {
-				t.Fatal("catalog pages written despite ErrCatalogFull")
+			if s.Stats().Barrier.MasterWrites != masters {
+				t.Fatal("a master copy was written despite ErrLogFull")
 			}
 			return s, vol, logVol, want, durable
 		}
@@ -622,23 +605,21 @@ func TestCatalogFull(t *testing.T) {
 	t.Run("usable-then-destroy", func(t *testing.T) {
 		s, vol, logVol, want, _ := fill(t)
 		expectObjects(t, s, want)
-		tx, _ := s.Begin()
-		if err := tx.Append("obj-00", []byte("still writable")); err != nil {
-			t.Fatal(err)
+		o, _ := s.Open("obj-000")
+		if err := o.Append([]byte("still writable")); err != nil {
+			t.Fatalf("append with the image still too big: %v", err)
 		}
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("commit with the catalog still overfull: %v", err)
-		}
-		want["obj-00"] = append(want["obj-00"], "still writable"...)
+		want["obj-000"] = append(want["obj-000"], "still writable"...)
 		expectObjects(t, s, want)
-		if err := s.Checkpoint(); !errors.Is(err, ErrCatalogFull) {
-			t.Fatalf("checkpoint with the catalog still overfull: %v", err)
+		if err := s.Checkpoint(); !errors.Is(err, wal.ErrLogFull) {
+			t.Fatalf("checkpoint with the image still too big: %v", err)
 		}
-		expectObjects(t, s, want)
-		if err := s.Destroy("obj-01"); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"obj-001", "obj-002", "obj-003"} {
+			if err := s.Destroy(name); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, name)
 		}
-		delete(want, "obj-01")
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint after making room: %v", err)
 		}
@@ -651,12 +632,12 @@ func TestCatalogFull(t *testing.T) {
 }
 
 // TestFormatClearsAnEarlierStoresCatalog: Format on a data volume that held
-// a store must not let that store's catalog slots pass for its own.  The
-// earlier store checkpointed often, so both its slots hold chains whose
-// seqs run past anything the new one writes before its own checkpoints do.
+// a store must not let that store's master copies pass for its own.  The
+// earlier store checkpointed often, so both its copies hold seqs that run
+// past anything the new one writes before its own checkpoints do.
 func TestFormatClearsAnEarlierStoresCatalog(t *testing.T) {
 	vol := newTestDevice(t, 512, 4096)
-	old, err := Format(vol, newTestDevice(t, 512, 1024), Options{CatalogPages: 2})
+	old, err := Format(vol, newTestDevice(t, 512, 1024), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,12 +658,61 @@ func TestFormatClearsAnEarlierStoresCatalog(t *testing.T) {
 	}
 
 	logVol := newTestDevice(t, 512, 1024)
-	s, err := Format(vol, logVol, Options{CatalogPages: 2})
+	s, err := Format(vol, logVol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][]byte{"new": pat(99, 500)}
 	tx, _ := s.Begin()
+	if err := tx.Create("new", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("new", want["new"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	expectObjects(t, crashReopen(t, vol, logVol), want)
+}
+
+// TestFormatOnAReusedLogVolumeAdoptsNothing: a store that ran committed
+// transactions on both volumes and closed, then Format of a new one over
+// the same two.  The old store's records lie all over the log volume,
+// intact; the new store's recovery must not take any of them for its own —
+// here they would recreate the old objects.
+func TestFormatOnAReusedLogVolumeAdoptsNothing(t *testing.T) {
+	vol := newTestDevice(t, 512, 4096)
+	logVol := newTestDevice(t, 512, 1024)
+	a, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("old-%02d", i%5)
+		tx, _ := a.Begin()
+		if i < 5 {
+			if err := tx.Create(name, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Append(name, pat(i, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"new": pat(77, 600)}
+	tx, _ := b.Begin()
 	if err := tx.Create("new", 0); err != nil {
 		t.Fatal(err)
 	}

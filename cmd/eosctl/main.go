@@ -242,14 +242,15 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 			return err
 		}
 		// Counters are since this command opened the store: recovery's own
-		// checkpoint accounts for the first compaction and one padded log page.
+		// checkpoint accounts for the first master write and image, and for
+		// the padding of its log pages.
 		st := s.Stats()
-		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes (%d bytes of padding written)\n",
+		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes in use (%d bytes of padding written)\n",
 			s.PageSize(), len(s.List()), free, s.LogTail(), st.WAL.PadBytes)
 		b := st.Barrier
 		r := st.Recovery
-		fmt.Printf("checkpoints: %d catalog deltas, %d compactions, %d catalog pages, %d header writes; open redid %d operations, undid %d aborts\n",
-			b.CatalogDeltaWrites, b.CatalogCompactions, b.CatalogPagesWritten, b.HeaderWrites, r.Redone, r.UndoneAborts)
+		fmt.Printf("checkpoints: %d master writes, %d bytes of catalog image logged; open redid %d operations, undid %d aborts\n",
+			b.MasterWrites, b.ImageBytes, r.Redone, r.UndoneAborts)
 		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early, %d page runs taken from the read before\n",
 			st.DeferredReplaces, st.EarlyReplaceApplies, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",

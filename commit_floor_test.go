@@ -132,7 +132,7 @@ func TestCommitFloor(t *testing.T) {
 	st := s.Stats()
 
 	// Data volume: read, append, in-place replace — in that order, none of
-	// them in the header or the catalog region, and no force.
+	// them on a master copy, and no force.
 	d := *data
 	if len(d) != 3 || d[0].Write || !d[1].Write || !d[2].Write {
 		t.Fatalf("data requests %+v, want one read and two writes", d)
@@ -144,8 +144,8 @@ func TestCommitFloor(t *testing.T) {
 		t.Errorf("append wrote %d pages, want %d: the open tail's partial page of %d bytes on, 700 more", d[1].Pages, want, tailBytes)
 	}
 	for _, ev := range d {
-		if ev.Start <= disk.PageNum(catalogRegionPages(s.opts)) {
-			t.Errorf("data request %+v lands in the header or the catalog region", ev)
+		if ev.Start < masterPages {
+			t.Errorf("data request %+v lands on a master copy", ev)
 		}
 	}
 	if got := st.Pool.Flushes - st0.Pool.Flushes; got != 0 {

@@ -26,9 +26,9 @@
 package eos
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,24 +51,16 @@ var (
 	ErrExists = errors.New("eos: object already exists")
 	// ErrNotFound is returned for unknown object names.
 	ErrNotFound = errors.New("eos: object not found")
-	// ErrCorruptStore is returned when the store header or catalog fails
-	// validation.
+	// ErrCorruptStore is returned when the master record or the catalog
+	// image fails validation.
 	ErrCorruptStore = errors.New("eos: corrupt store")
-	// ErrCatalogFull is returned by Checkpoint (and Close) when the
-	// committed descriptors no longer fit in one catalog slot
-	// (Options.CatalogPages).  No catalog record was written: the durable
-	// catalog still holds the previous checkpoint's state (the commits and
-	// aborts since are durable all the same, through their log records),
-	// the store stays usable, and destroying objects makes room.  Commit
-	// and Abort never return it: neither writes a catalog record.
-	ErrCatalogFull = errors.New("eos: catalog full")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
 )
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 5 // v5: the slot stamp is taken before the data force, and the log holds no catalog records; v4: slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 6 // v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding
@@ -110,11 +102,9 @@ type Options struct {
 	Threshold int
 	// AdaptiveThreshold enables the [Bili91a] fan-out-driven T.
 	AdaptiveThreshold bool
-	// CatalogPages reserves room for object descriptors (default 4): the
-	// size of each of the two catalog slots.  The full catalog image must
-	// fit in one slot; the rest of the slot is journal space for the
-	// per-checkpoint deltas, so a larger value also means rarer
-	// compactions.
+	// CatalogPages is read nowhere: the catalog image lives in the log.
+	//
+	// Deprecated: ignored since format v6.
 	CatalogPages int
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
@@ -154,9 +144,6 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 	if o.Threshold == 0 {
 		o.Threshold = 8
 	}
-	if o.CatalogPages == 0 {
-		o.CatalogPages = 4
-	}
 	if o.LockTimeout == 0 {
 		o.LockTimeout = 2 * time.Second
 	}
@@ -164,7 +151,7 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 	if err != nil {
 		return o, err
 	}
-	avail := int(vol.NumPages()) - 1 - catalogRegionPages(o)
+	avail := int(vol.NumPages()) - masterPages
 	if o.SpaceCapacity == 0 {
 		o.SpaceCapacity = maxCap
 		if o.SpaceCapacity > avail-1 {
@@ -185,7 +172,7 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 }
 
 // catEntry is one live catalog entry.  While a transaction has the
-// object dirty, catalog writes use the last committed descriptor
+// object dirty, catalog images use the last committed descriptor
 // (stableDesc) so that uncommitted structural state never becomes
 // durable; uncommitted in-place replaces can still reach the disk when a
 // checkpoint forces the volume, which is why replace records log their
@@ -208,7 +195,7 @@ type catEntry struct {
 	// its latch while WAITING for a barrier to release quarantined
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
-	// read in catalogDelta safe.
+	// read in appendImage safe.
 	stableDesc atomic.Pointer[[]byte]
 
 	// latch serializes physical access to the object's in-memory root
@@ -271,31 +258,12 @@ type Store struct {
 	nextID   uint64
 	nextTxn  uint64
 	liveTxns map[uint64]*Txn
-	// The catalog journal's write position (eos:guardedby mu): catSeq is
-	// the sequence number of the newest slot record written, catSlot the
-	// slot holding it, and catNext the first page of that slot no record
-	// occupies — CatalogPages when the slot takes no more deltas, which
-	// is also how Open marks the slot it loaded.  catImage is what the
-	// slot replays to: writeCatalog records its difference from the
-	// current committed descriptors.
-	catSeq   uint64
-	catSlot  int
-	catNext  int
-	catImage map[uint64]catRec
-	// hdrNextID and hdrLsnBase are the header fields as page 0 holds them
-	// (eos:guardedby mu); writeHeader skips the write when neither moved.
-	hdrNextID  uint64
-	hdrLsnBase uint64
-	// lsnBase mirrors the log's LSN epoch base into the store header
-	// (eos:guardedby mu).  The header's copy is what recovery trusts: a
-	// log record whose LSN predates the header's base belongs to an
-	// epoch that was truncated — everything it describes is already
-	// durable — and is ignored.  Truncation erases nothing, so this check
-	// is all that keeps such records out.
-	lsnBase uint64
+	// masterSeq is the seq of the newest master copy (eos:guardedby mu);
+	// the next checkpoint writes masterSeq+1 over the other copy.
+	masterSeq uint64
 
 	// barrierStarted counts checkpoints begun; barrierDurable is the index
-	// of the last one whose slot record is forced.  Checkpoints are
+	// of the last one whose master copy is forced.  Checkpoints are
 	// serialized under s.mu, but releaseRuns stamps quarantine entries
 	// without holding it, hence atomics.
 	barrierStarted atomic.Uint64
@@ -307,10 +275,8 @@ type Store struct {
 	barrierReq atomic.Bool
 
 	// Barrier cost counters (see BarrierStats).
-	catDeltaWrites  atomic.Int64
-	catCompactions  atomic.Int64
-	catPagesWritten atomic.Int64
-	headerWrites    atomic.Int64
+	imageBytes   atomic.Int64
+	masterWrites atomic.Int64
 
 	// recovered describes what the Open that built this Store found in the
 	// log; written only before Open returns.
@@ -326,9 +292,9 @@ type Store struct {
 	// beyond s.mu).  Runs whose reader grace period has expired wait
 	// here, still absent from the buddy directories, until a catalog
 	// barrier that STARTED after they arrived completes — only then is
-	// every root the durable catalog can resolve to (the journal's newest
-	// intact record; a torn successor falls back no further than the last
-	// completed barrier) guaranteed not to reference them, and only
+	// every root the durable catalog can resolve to (the image the newest
+	// intact master copy names; a torn successor falls back no further than
+	// the last completed barrier) guaranteed not to reference them, and only
 	// then do they return to the free space.  Without this gate a freed
 	// page could be reallocated and overwritten while the on-disk
 	// catalog still referenced its old contents — recovery would then
@@ -352,12 +318,41 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := assemble(vol, logVol, opts, func(pool *buffer.Pool) (*buddy.Manager, error) {
+		return buddy.FormatVolume(pool, vol, masterPages, opts.NumSpaces, opts.SpaceCapacity, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A log volume that held a store before still holds its records, and
+	// where one carries the LSN this store's log gives its offset, a scan
+	// would take it for this store's.  So the log starts on a lap chosen at
+	// random — out of 2^62 positions' worth — rather than at LSN 1, which
+	// every store would share.
+	lap := uint64(logVol.NumPages()) * uint64(logVol.PageSize())
+	s.log = wal.New(logVol, rand.Uint64N(1<<62/lap)*lap)
+	s.log.SetGroupCommit(!opts.SerialWAL)
+	// A data volume that held a store before still holds its master copies,
+	// and the higher seq would win over this store's.  They start out blank.
+	if err := vol.WritePages(0, masterPages, make([]byte, masterPages*vol.PageSize())); err != nil {
+		return nil, err
+	}
+	// The first checkpoint logs the (empty) catalog image and writes the
+	// master record behind the formatted space directories.
+	if err := s.Checkpoint(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// assemble builds the parts Format and Open share over the buddy spaces
+// spaces lays out; they attach the log.
+func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (*buddy.Manager, error)) (*Store, error) {
 	pool, err := buffer.NewPoolShards(vol, opts.PoolFrames, opts.PoolShards)
 	if err != nil {
 		return nil, err
 	}
-	firstSpacePage := disk.PageNum(1 + catalogRegionPages(opts))
-	bm, err := buddy.FormatVolume(pool, vol, firstSpacePage, opts.NumSpaces, opts.SpaceCapacity, true)
+	bm, err := spaces(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +361,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		logVol:   logVol,
 		pool:     pool,
 		buddy:    bm,
-		log:      wal.New(logVol, 0),
 		locks:    txn.NewLockTable(opts.LockTimeout),
 		opts:     opts,
 		catalog:  make(map[string]*catEntry),
@@ -374,10 +368,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
-		// No slot holds a record yet: treating slot 1 as full sends the
-		// first base to slot 0.
-		catSlot: 1,
-		catNext: opts.CatalogPages,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -388,24 +378,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
-	if err != nil {
-		return nil, err
-	}
-	s.log.SetGroupCommit(!opts.SerialWAL)
-	// A volume that held a store before may still hold its catalog slots,
-	// and their records could pass for this store's: between checkpoints,
-	// a slot this store has not written yet would be loaded for the higher
-	// seq it holds.  The region starts out blank.
-	region := catalogRegionPages(opts)
-	if err := vol.WritePages(1, region, make([]byte, region*vol.PageSize())); err != nil {
-		return nil, err
-	}
-	// The first checkpoint writes the header and the (empty) catalog base
-	// behind the formatted space directories.
-	if err := s.Checkpoint(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s, err
 }
 
 func (s *Store) lobConfig() lob.Config {
@@ -524,7 +497,7 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 // mid-operation) can get a catalog barrier — and with it the release of
 // quarantined free space — without acquiring s.mu out of rank order; a
 // checkpoint is the only catalog barrier there is.
-// writeCatalog reads committed descriptors latch-free (see
+// appendImage reads committed descriptors latch-free (see
 // catEntry.stableDesc), so the checkpoint cannot block on the stalled
 // operation's latch.  At most one request runs at a time; the error is
 // dropped because the requester retries its allocation regardless and
@@ -550,7 +523,7 @@ func (a *epochAlloc) Free(p disk.PageNum, n int) error {
 // and the durability quarantine each protect someone who can still reach
 // the pages through a root — a snapshot, or recovery through the durable
 // catalog — and these were never in one (a catalog load forgets untrimmed
-// tails, see readCatalog), so they return to the buddy system now.
+// tails, see loadCatalog), so they return to the buddy system now.
 func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	return a.s.buddy.FreeUnpublished(p, n)
 }
@@ -589,9 +562,9 @@ func (s *Store) releaseRuns(runs []txn.Run) error {
 // whose stamp precedes the last completed checkpoint.  Every commit point
 // (non-transactional publish, transaction commit and abort) refreshes
 // stableDesc, so any checkpoint started after a run entered quarantine
-// wrote roots that exclude it; once that checkpoint's force completes, no
-// journal state recovery can pick still references the run (a torn later
-// record falls back exactly one checkpoint, never further).
+// wrote roots that exclude it; once that checkpoint's master copy is
+// durable, no image recovery can load still references the run (a torn
+// later copy falls back exactly one checkpoint, never further).
 func (s *Store) releaseQuarantined() error {
 	durable := s.barrierDurable.Load()
 	s.quarMu.Lock()
@@ -641,33 +614,6 @@ func (s *Store) BuddyManager() *buddy.Manager { return s.buddy }
 // LOBStats returns the large object manager's activity counters.
 func (s *Store) LOBStats() lob.Stats { return s.lm.Stats() }
 
-// writeHeader persists the store header on page 0, straight to the
-// device, if nextID or lsnBase moved since the last write (the geometry
-// fields never change after Format).  The write is volatile until the
-// caller forces page 0.  Callers hold s.mu — except Format, whose store
-// has not been published yet.
-//
-// eos:requires s.mu
-func (s *Store) writeHeader() error {
-	if s.hdrNextID == s.nextID && s.hdrLsnBase == s.lsnBase {
-		return nil
-	}
-	img := make([]byte, s.vol.PageSize())
-	binary.BigEndian.PutUint32(img[0:], storeMagic)
-	img[4] = storeVersion
-	binary.BigEndian.PutUint32(img[8:], uint32(s.opts.NumSpaces))
-	binary.BigEndian.PutUint32(img[12:], uint32(s.opts.SpaceCapacity))
-	binary.BigEndian.PutUint32(img[16:], uint32(s.opts.CatalogPages))
-	binary.BigEndian.PutUint64(img[20:], s.nextID)
-	binary.BigEndian.PutUint64(img[28:], s.lsnBase)
-	if err := s.vol.WritePages(0, 1, img); err != nil {
-		return err
-	}
-	s.hdrNextID, s.hdrLsnBase = s.nextID, s.lsnBase
-	s.headerWrites.Add(1)
-	return nil
-}
-
 // Open loads an existing store and performs crash recovery: the log is
 // scanned, committed operations whose effects were lost are redone
 // (guarded by the LSN each object root carries, §4.5), the free space
@@ -678,76 +624,28 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := buffer.NewPoolShards(vol, opts.PoolFrames, opts.PoolShards)
+	// The master record is read from the device — it lives in no pool.
+	m, err := readMaster(vol)
 	if err != nil {
 		return nil, err
 	}
-	// Header: read from the device, like the catalog — neither lives in
-	// the pool.
-	img, err := vol.Read(0, 1)
-	if err != nil {
-		return nil, err
-	}
-	if binary.BigEndian.Uint32(img[0:]) != storeMagic {
-		return nil, fmt.Errorf("%w: bad header", ErrCorruptStore)
-	}
-	if img[4] != storeVersion {
-		// Not corruption: an intact store of another format generation.
-		return nil, fmt.Errorf("eos: store format version %d, this build reads only version %d (no in-place upgrade: create a new store and copy the objects over)",
-			img[4], storeVersion)
-	}
-	opts.NumSpaces = int(binary.BigEndian.Uint32(img[8:]))
-	opts.SpaceCapacity = int(binary.BigEndian.Uint32(img[12:]))
-	opts.CatalogPages = int(binary.BigEndian.Uint32(img[16:]))
-	nextID := binary.BigEndian.Uint64(img[20:])
-	lsnBase := binary.BigEndian.Uint64(img[28:])
-
-	// Spaces.
-	bm := buddy.NewManager(pool, true)
-	page := disk.PageNum(1 + catalogRegionPages(opts))
-	for i := 0; i < opts.NumSpaces; i++ {
-		sp, err := buddy.OpenSpace(pool, page)
-		if err != nil {
-			return nil, err
+	opts.NumSpaces, opts.SpaceCapacity = m.spaces, m.spaceCapacity
+	s, err := assemble(vol, logVol, opts, func(pool *buffer.Pool) (*buddy.Manager, error) {
+		bm := buddy.NewManager(pool, true)
+		for i := 0; i < opts.NumSpaces; i++ {
+			sp, err := buddy.OpenSpace(pool, disk.PageNum(masterPages+i*(opts.SpaceCapacity+1)))
+			if err != nil {
+				return nil, err
+			}
+			bm.AddSpace(sp)
 		}
-		bm.AddSpace(sp)
-		page += disk.PageNum(opts.SpaceCapacity + 1)
-	}
-
-	s := &Store{
-		vol:      vol,
-		logVol:   logVol,
-		pool:     pool,
-		buddy:    bm,
-		locks:    txn.NewLockTable(opts.LockTimeout),
-		opts:     opts,
-		catalog:  make(map[string]*catEntry),
-		byID:     make(map[uint64]*catEntry),
-		nextID:   nextID,
-		nextTxn:  1,
-		liveTxns: make(map[uint64]*Txn),
-		lsnBase:  lsnBase,
-
-		hdrNextID:  nextID,
-		hdrLsnBase: lsnBase,
-	}
-	s.epochs = txn.NewEpochManager(s.releaseRuns)
-	// Admission control: throttle mutators once a quarter of the volume
-	// sits retired awaiting reader grace periods.  Shadowing retires far
-	// more pages than stay live (every update supersedes whole runs), so
-	// under a write storm with concurrent snapshot scans the backlog
-	// grows at retire-rate × scan-duration; unbounded, it can transiently
-	// exhaust a small volume that is almost entirely free space.
-	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
+		return bm, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	catImg, stamp, err := s.readCatalog()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.recover(catImg, stamp); err != nil {
+	s.nextID, s.masterSeq = m.nextID, m.seq
+	if err := s.recover(m); err != nil {
 		return nil, err
 	}
 	// Publish every recovered object's root so snapshot readers can
@@ -867,9 +765,10 @@ func OpenAt(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Checkpoint makes the current state durable: descriptors are written to
-// the catalog, every dirty page is flushed and forced, and the log is
-// truncated.
+// Checkpoint makes the current state durable: every dirty page is flushed
+// and forced, the catalog image is logged and the master record pointed at
+// it, and the log is truncated behind the image and every live
+// transaction's first record.
 //
 // It yields the processor before it starts.  A checkpoint holds s.mu
 // through a whole flush, and on an in-memory volume nothing in it blocks,
@@ -906,22 +805,14 @@ func (s *Store) checkpointLocked() error {
 			e.latch.Unlock()
 		}
 	}
-	// The log can be truncated only at quiescence: live transactions'
-	// records (needed to undo their in-place writes, which the ForceAll
-	// below may make durable) must survive.  With transactions in flight
-	// this is a "soft" checkpoint: everything is durable, but the log
-	// keeps growing until a quiescent checkpoint.
-	resetLog := len(s.liveTxns) == 0
-	// WAL-first: a soft checkpoint (live transactions) forces the data
-	// volume below while the log keeps growing, so any buffered log
-	// records — including live transactions' replace pre-images, which
-	// recovery needs to undo the in-place writes this force makes
-	// durable — must reach the log device first.
+	// 1. WAL-first: the data force below may make live transactions'
+	// in-place writes durable, so the records recovery needs to undo them —
+	// their pre-images — must reach the log device first.
 	if err := s.log.Force(); err != nil {
 		return err
 	}
 	// The barrier starts here, before the data force, and so does the log
-	// position its slot record will carry.  An abort appends its record
+	// position its master copy will carry.  An abort appends its record
 	// outside Store.mu but after the Store.mu section that follows its
 	// compensations, so a record at or below the stamp belongs to a
 	// rollback the force below covers: recovery must not undo that
@@ -930,73 +821,51 @@ func (s *Store) checkpointLocked() error {
 	// abort's frees enter the quarantine behind it, so the barrier that
 	// lets them out starts, and takes its stamp, later still.
 	barrier := s.barrierStarted.Add(1)
-	stamp := s.log.Base() + uint64(s.log.Tail())
-	// Phase 1: make the store state durable under the CURRENT LSN epoch,
-	// data first, catalog second: the slot record is written only after
-	// the force of every page it references, so no crash state holds a
-	// durable root pointing at a page the device never received.  A crash
-	// anywhere in here recovers by replaying the intact log; the object
-	// roots carry their true LSNs (they are never zeroed — LSNs are
-	// monotonic across log truncations), so redo of an already-durable
-	// update is skipped by the idempotence guard rather than applied
-	// twice.
+	stamp := s.log.Tail()
+	// 2. Data: the image names no page the device does not hold.  A crash
+	// from here on recovers from the previous master copy by replaying the
+	// intact log; the object roots carry their true LSNs, so redo of an
+	// already-durable update is skipped by the idempotence guard rather
+	// than applied twice.
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
 	if err := s.vol.ForceAll(); err != nil {
 		return err
 	}
-	if err := s.catalogBarrier(barrier, stamp); err != nil {
+	// 3. The image, forced.  An image the log has no room for fails here,
+	// with nothing named: the store stays usable, and the previous master
+	// copy still names an image the log holds.
+	image, err := s.appendImage()
+	if err != nil {
 		return err
 	}
-	if !resetLog {
-		return s.releaseQuarantined()
-	}
-	// Phase 2 (quiescent only): truncate the log.  The new epoch base —
-	// one past the last LSN the old epoch issued — goes into the header
-	// first, alone on page 0, so its write is atomic: once it is
-	// durable, any leftover old-epoch records fail the recovery scan's
-	// LSN check (everything they describe became durable in phase 1);
-	// until it is durable, the old log is still intact and replayable.
-	// Only after the header is durable is it safe to reuse quarantined
-	// pages: no durable catalog root and no log record recovery accepts
-	// can reach them anymore.  The truncation itself is bookkeeping in
-	// memory — it writes nothing.
-	if newBase := s.log.Base() + uint64(s.log.Tail()); newBase != s.lsnBase {
-		s.lsnBase = newBase
-		if err := s.writeHeader(); err != nil {
-			return err
-		}
-		if err := s.vol.Force(0, 1); err != nil {
-			return err
-		}
-		if err := s.log.Reset(newBase); err != nil {
-			return err
-		}
-	}
-	return s.releaseQuarantined()
-}
-
-// catalogBarrier is the second phase of a checkpoint: the header and the
-// catalog slot record, stamped with the log position the checkpoint took
-// before its data force, written only now that the caller has forced
-// everything they reference, then forced themselves.  A torn record is
-// caught by its CRC and recovery falls back to the journal's previous
-// record, whose pages the durability quarantine keeps intact.
-//
-// eos:requires s.mu
-func (s *Store) catalogBarrier(barrier, stamp uint64) error {
-	if err := s.writeHeader(); err != nil {
+	if err := s.log.ForceLSN(image); err != nil {
 		return err
 	}
-	if err := s.writeCatalog(stamp); err != nil {
+	// 4. The master copy, over the older one, forced.  Recovery's scan
+	// starts at the image, or at the first record of a transaction still
+	// live — it may commit, and it may need its replaces undone.  Its
+	// first LSN is a lower bound taken before it logged anything.
+	start := image
+	for _, t := range s.liveTxns {
+		start = min(start, t.firstLSN)
+	}
+	m := master{seq: s.masterSeq + 1, nextID: s.nextID, start: start, image: image, stamp: stamp,
+		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
+	if err := s.writeMaster(m); err != nil {
 		return err
 	}
-	if err := s.vol.Force(0, 1+catalogRegionPages(s.opts)); err != nil {
+	if err := s.vol.Force(disk.PageNum(m.seq%masterPages), 1); err != nil {
 		return err
 	}
+	s.masterSeq = m.seq
 	s.barrierDurable.Store(barrier)
-	return nil
+	// 5. Only now may the log go round over what lies in front of the new
+	// start: no master copy recovery can load names it any more.  Nor can
+	// it reach the quarantined pages.
+	s.log.Truncate(start)
+	return s.releaseQuarantined()
 }
 
 // Create makes a new empty object; threshold <= 0 uses the store default.
@@ -1124,19 +993,12 @@ type SnapshotStats struct {
 }
 
 // BarrierStats attributes the cost of the catalog barriers — checkpoints;
-// a commit or abort is none — what the catalog journal and the header
-// wrote, besides the data and log pages themselves.
+// a commit or abort is none — besides the data pages they force.
 type BarrierStats struct {
-	// CatalogDeltaWrites counts checkpoints that appended a delta record
-	// to the current catalog slot; CatalogCompactions counts those that
-	// wrote the full image as the base of the other slot instead.
-	CatalogDeltaWrites int64
-	CatalogCompactions int64
-	// CatalogPagesWritten is the pages both kinds of record occupied.
-	CatalogPagesWritten int64
-	// HeaderWrites counts rewrites of the header page (only when nextID
-	// or the LSN epoch base moved).
-	HeaderWrites int64
+	// ImageBytes is the catalog image the checkpoints logged, in bytes.
+	ImageBytes int64
+	// MasterWrites counts the master copies written, one per checkpoint.
+	MasterWrites int64
 }
 
 // RecoveryStats describes what recovery did when Open built the Store.
@@ -1172,7 +1034,7 @@ type Stats struct {
 	// from the images their transaction's preceding Read had transferred,
 	// instead of reading them from the device again.
 	ReplaceReadsSaved int64
-	LogLen            int64 // LogTail: log length in bytes, padding included
+	LogLen            int64 // LogTail: log bytes in use, padding included
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1192,10 +1054,8 @@ func (s *Store) Stats() Stats {
 		LOB:   lobStats,
 		WAL:   walStats,
 		Barrier: BarrierStats{
-			CatalogDeltaWrites:  s.catDeltaWrites.Load(),
-			CatalogCompactions:  s.catCompactions.Load(),
-			CatalogPagesWritten: s.catPagesWritten.Load(),
-			HeaderWrites:        s.headerWrites.Load(),
+			ImageBytes:   s.imageBytes.Load(),
+			MasterWrites: s.masterWrites.Load(),
 		},
 		Recovery:            s.recovered,
 		DeferredReplaces:    s.deferredReplaces.Load(),
@@ -1209,7 +1069,7 @@ func (s *Store) Stats() Stats {
 			OpenSnapshots:  s.epochs.Pinned(),
 			OldestEpochAge: s.epochs.OldestAge(),
 		},
-		LogLen:      s.log.Tail(),
+		LogLen:      s.log.Used(),
 		PoolHitRate: pool.HitRate(),
 	}
 }
@@ -1229,11 +1089,13 @@ func (s *Store) List() []string {
 // FreePages reports the free data pages across all buddy spaces.
 func (s *Store) FreePages() (int, error) { return s.buddy.FreePages() }
 
-// LogTail reports the write-ahead log length in bytes (zero right after
-// a checkpoint): the records and, since every log force ends on a page
-// boundary, the padding behind each force's last record.  Record bytes
-// alone are Stats().WAL.FlushedBytes, padding Stats().WAL.PadBytes.
-func (s *Store) LogTail() int64 { return s.log.Tail() }
+// LogTail reports the write-ahead log bytes in use: from the oldest record
+// recovery would read — the last checkpoint's image, or the first record
+// of a transaction live at it — to the tail.  That counts the records and,
+// since every log force ends on a page boundary, the padding behind each
+// force's last record.  Record bytes alone are Stats().WAL.FlushedBytes,
+// padding Stats().WAL.PadBytes.
+func (s *Store) LogTail() int64 { return s.log.Used() }
 
 // Check validates the buddy directories and every object tree.
 func (s *Store) Check() error {

@@ -76,7 +76,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("ingested 5 drafts, a commit each (log tail %d bytes)\n", store.LogTail())
+	fmt.Printf("ingested 5 drafts, a commit each (%d bytes of log in use)\n", store.LogTail())
 
 	// Power failure!  Everything volatile is lost; the write-ahead log
 	// replays the commits.

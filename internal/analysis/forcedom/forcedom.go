@@ -13,9 +13,13 @@
 //     write was deferred) is dominated by a WAL force — the pre-image
 //     record must be durable before it is the only copy of the old
 //     bytes.
-//  2. Two-phase barrier: header/catalog writes ((*Store).writeHeader
-//     / writeCatalog) are dominated by a device force of the data pages
-//     they index.
+//  2. Two-phase checkpoint: the catalog image's append to the log and
+//     the master record's write ((*Store).appendImage / writeMaster) are
+//     dominated by a device force of the data pages they index, and the
+//     master write also by a WAL force that follows the image append — the
+//     master copy must never name an image the log may not hold.  The
+//     append resets that half; it is checked within one function, which
+//     is how the checkpoint issues both.
 //  3. Durability quarantine: freed-extent reuse ((*buddy.Manager).Free
 //     from the store layer) is dominated by a barrierDurable stamp
 //     (Load before gating, Store after phase two).  The rule is active
@@ -69,9 +73,9 @@ import (
 const doc = `check §8.1 force-ordering contracts by dominance (whole-program)
 
 Crash consistency is an ordering property: the WAL record before the
-in-place write it protects, the data force before the checkpoint
-header, the quarantine stamp before freed-extent reuse, the directory
-sync after the rename.
+in-place write it protects, the data force and the image's log force
+before the checkpoint's master record, the quarantine stamp before
+freed-extent reuse, the directory sync after the rename.
 Each is verified on the dominator tree with interprocedural
 may-force/exposure summaries propagated via analysis facts, so the
 orderings PR 8's crash sweep found dynamically are machine-checked on
@@ -106,11 +110,12 @@ const (
 const (
 	rReplace = iota // force-ahead: WAL force before Object.Replace / ReplacePlan.Apply
 	rMeta           // two-phase checkpoint: device force before meta write
+	rMaster         // two-phase checkpoint: WAL force of the image before the master write
 	rFree           // quarantine: barrier stamp before Manager.Free
 	nDomRules
 )
 
-// domRules declares the three dominance contracts.  txnOnly restricts
+// domRules declares the dominance rules of contracts 1–3.  txnOnly restricts
 // roots to the -recv transaction methods; the others root at every
 // exported function.
 var domRules = [nDomRules]struct {
@@ -127,6 +132,9 @@ var domRules = [nDomRules]struct {
 	rMeta: {dDevForce, false,
 		"checkpoint metadata write", "write checkpoint metadata",
 		"a device force of the data pages it indexes", "§8.1 two-phase checkpoint"},
+	rMaster: {dWALForce, false,
+		"master record write", "write the master record",
+		"a WAL force behind the image append", "§8.1 two-phase checkpoint"},
 	rFree: {dStamp, false,
 		"freed-extent release", "return freed extents to the allocator",
 		"a barrierDurable quarantine stamp", "§8.1 durability quarantine"},
@@ -158,7 +166,7 @@ func (f *ForceFact) String() string {
 			parts = append(parts, "may-"+names)
 		}
 	}
-	for i, names := range [nDomRules]string{"replace", "meta", "free"} {
+	for i, names := range [nDomRules]string{"replace", "meta", "master", "free"} {
 		if f.Exposed[i] {
 			parts = append(parts, "exposed-"+names)
 		}
@@ -343,24 +351,32 @@ type finding struct {
 
 const rRename = nDomRules
 
-// eventRule classifies in as a dominance-rule event, returning the
-// rule index or -1.
-func (c *checker) eventRule(in *ssa.Instr) int {
+// eventRules classifies in as an event of the dominance rules it returns.
+func (c *checker) eventRules(in *ssa.Instr) []int {
 	switch in.Kind {
 	case ssa.KMutate:
 		if in.MutName == "Object.Replace" {
-			return rReplace
+			return []int{rReplace}
 		}
 	case ssa.KHomeWrite:
-		return rReplace
+		return []int{rReplace}
 	case ssa.KMetaWrite:
-		return rMeta
+		if in.MutName == "Store.writeMaster" {
+			return []int{rMeta, rMaster}
+		}
+		return []int{rMeta}
 	case ssa.KBuddyFree:
 		if c.quarantined {
-			return rFree
+			return []int{rFree}
 		}
 	}
-	return -1
+	return nil
+}
+
+// imageAppend reports whether in appends the catalog image: the WAL
+// forces before it no longer cover what the master record will name.
+func imageAppend(in *ssa.Instr) bool {
+	return in.Kind == ssa.KMetaWrite && in.MutName == "Store.appendImage"
 }
 
 // dischargeOf maps an instruction kind to the discharge class it
@@ -424,6 +440,9 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 				}
 				continue
 			}
+			if imageAppend(in) {
+				st[rMaster] = false
+			}
 			if in.Kind == ssa.KCall {
 				cs := c.calleeSummary(in)
 				for r := 0; r < nDomRules; r++ {
@@ -479,7 +498,10 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 				}
 				continue
 			}
-			if r := c.eventRule(in); r >= 0 && !st[r] {
+			for _, r := range c.eventRules(in) {
+				if st[r] {
+					continue
+				}
 				// A justified eoslint:ignore at the event stops exposure
 				// here: the exception covers every caller, not just the
 				// enclosing function's own report.
@@ -491,6 +513,9 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 					*report = append(*report, finding{rule: r, in: in, block: b, direct: true,
 						witness: []string{eventLabel(in)}})
 				}
+			}
+			if imageAppend(in) {
+				st[rMaster] = false
 			}
 			if in.Kind == ssa.KCall {
 				cs := c.calleeSummary(in)

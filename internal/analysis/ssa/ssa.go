@@ -166,8 +166,8 @@ const (
 	// KRename renames a file (os.Rename) — volatile until the owning
 	// directory is synced.
 	KRename
-	// KMetaWrite writes the store header or catalog region
-	// ((*Store).writeHeader / writeCatalog): the metadata half of the
+	// KMetaWrite appends the catalog image to the log or writes the master
+	// record ((*Store).appendImage / writeMaster): the metadata half of the
 	// two-phase checkpoint barrier.
 	KMetaWrite
 	// KBuddyFree returns an extent to the buddy allocator
@@ -210,7 +210,7 @@ type Instr struct {
 	LockToken string
 
 	// KMutate: the "Object.Method" label for diagnostics.  Also set for
-	// KMetaWrite ("Store.writeHeader"), KDevForce ("Volume.ForceAll") and
+	// KMetaWrite ("Store.writeMaster"), KDevForce ("Volume.ForceAll") and
 	// KHomeWrite ("ReplacePlan.Apply") so the forcedom pass can name the
 	// event without re-resolving.
 	MutName string
@@ -350,7 +350,7 @@ func (pr *Program) classify(call *ast.CallExpr, deferred bool, out *[]Instr) {
 var devForceTypes = []string{"Device", "Volume", "FileVolume"}
 
 // durabilityEvent classifies the forcedom event vocabulary: log and
-// device forces, directory syncs, renames, header/catalog writes,
+// device forces, directory syncs, renames, image and master writes,
 // quarantine-gated extent frees, and deferred in-place home writes.
 // Matching follows the eosutil convention (package name + type name) so
 // fixture stand-ins work.
@@ -370,7 +370,7 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	if eosutil.IsPkgFunc(info, call, "os", "Rename") {
 		return KRename, "os.Rename", true
 	}
-	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "writeHeader", "writeCatalog"); ok {
+	if m, ok := eosutil.IsMethodCall(info, call, pr.Pass.Pkg.Name(), "Store", "appendImage", "writeMaster"); ok {
 		return KMetaWrite, "Store." + m, true
 	}
 	// Extent reallocation: only calls from outside the allocator itself

@@ -123,7 +123,7 @@ func TestProgramIR(t *testing.T) {
 				ssa.KDevForce:     2, // FileVolume.ForceAll + Device.Force
 				ssa.KSyncDir:      1,
 				ssa.KRename:       1,
-				ssa.KMetaWrite:    2, // writeHeader + writeCatalog
+				ssa.KMetaWrite:    2, // appendImage + writeMaster
 				ssa.KBuddyFree:    1,
 				ssa.KBarrierStamp: 2, // Store + Load
 				ssa.KWALAppend:    1,
@@ -136,7 +136,7 @@ func TestProgramIR(t *testing.T) {
 				}
 			}
 			for _, lbl := range []string{"Log.Force", "Log.ForceLSN", "FileVolume.ForceAll",
-				"Device.Force", "Store.writeHeader", "Store.writeCatalog", "Manager.Free",
+				"Device.Force", "Store.appendImage", "Store.writeMaster", "Manager.Free",
 				"ReplacePlan.Apply"} {
 				found := false
 				for _, ls := range labels {

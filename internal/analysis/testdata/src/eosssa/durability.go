@@ -11,14 +11,14 @@ import (
 )
 
 // Store mirrors the engine root type so the meta-write classification
-// (unexported writeHeader/writeCatalog on a type named Store,
+// (unexported appendImage/writeMaster on a type named Store,
 // same package) has a subject.
 type Store struct {
 	barrierDurable atomic.Uint64
 }
 
-func (s *Store) writeHeader() error  { return nil }
-func (s *Store) writeCatalog() error { return nil }
+func (s *Store) appendImage() (int64, error) { return 0, nil }
+func (s *Store) writeMaster() error          { return nil }
 
 // durability exercises every v4 durability-event kind in one function;
 // the ssa probe asserts each classification.
@@ -29,8 +29,8 @@ func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *
 	d.Force(0, 1)
 	disk.SyncDir(".")
 	os.Rename("a", "b")
-	s.writeHeader()
-	s.writeCatalog()
+	s.appendImage()
+	s.writeMaster()
 	m.Free(0, 1)
 	s.barrierDurable.Store(1)
 	_ = s.barrierDurable.Load()

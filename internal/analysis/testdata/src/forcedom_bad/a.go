@@ -1,7 +1,7 @@
 // Package forcedom_bad seeds the four crash-ordering bug shapes PR 8's
 // crash-point sweep found dynamically, one per §8.1 contract, plus an
-// interprocedural and a skipped-force variant.  Every shape must be
-// reported.
+// interprocedural and a skipped-force variant and the unforced image of a
+// master record.  Every shape must be reported.
 package forcedom_bad
 
 import (
@@ -15,15 +15,16 @@ import (
 )
 
 // Store mirrors the engine root: checkpoint meta writers, the backing
-// volume, and the quarantine barrier stamp.
+// volume and log, and the quarantine barrier stamp.
 type Store struct {
 	vol            *disk.FileVolume
+	log            *wal.Log
 	buddy          *buddy.Manager
 	barrierDurable atomic.Uint64
 }
 
-func (s *Store) writeHeader() error  { return nil }
-func (s *Store) writeCatalog() error { return nil }
+func (s *Store) appendImage() (int64, error) { return 0, nil }
+func (s *Store) writeMaster() error          { return nil }
 
 // Txn mirrors the transaction type the -recv flag roots rule 1 on.
 type Txn struct {
@@ -87,16 +88,35 @@ func (t *Txn) settle() error {
 	return plan.Apply()
 }
 
-// Checkpoint is shape 2 (PR 8: checkpoint ordering): the header and
-// catalog reach disk before the data pages they index are forced.
+// Checkpoint is shape 2 (checkpoint ordering): the image and the
+// master record go out before the data pages they index are forced.
 func (s *Store) Checkpoint() error {
-	if err := s.writeHeader(); err != nil { // want "checkpoint metadata write Store.writeHeader is not dominated by a device force"
+	if err := s.log.Force(); err != nil {
 		return err
 	}
-	if err := s.writeCatalog(); err != nil { // want "checkpoint metadata write Store.writeCatalog is not dominated by a device force"
+	if _, err := s.appendImage(); err != nil { // want "checkpoint metadata write Store.appendImage is not dominated by a device force"
+		return err
+	}
+	if err := s.writeMaster(); err != nil { // want "checkpoint metadata write Store.writeMaster is not dominated by a device force" "master record write Store.writeMaster is not dominated by a WAL force behind the image append"
 		return err
 	}
 	return s.vol.ForceAll()
+}
+
+// CheckpointUnforcedImage is shape 2's other half: the data is forced, and
+// the log before the image, but the master record names an image no force
+// has made durable.
+func (s *Store) CheckpointUnforcedImage() error {
+	if err := s.log.Force(); err != nil {
+		return err
+	}
+	if err := s.vol.ForceAll(); err != nil {
+		return err
+	}
+	if _, err := s.appendImage(); err != nil {
+		return err
+	}
+	return s.writeMaster() // want "master record write Store.writeMaster is not dominated by a WAL force behind the image append"
 }
 
 // Release is shape 3 (PR 8: freed-extent reuse): extents return to the

@@ -14,15 +14,16 @@ import (
 )
 
 // Store mirrors the engine root: checkpoint meta writers, the backing
-// volume, and the quarantine barrier stamp.
+// volume and log, and the quarantine barrier stamp.
 type Store struct {
 	vol            *disk.FileVolume
+	log            *wal.Log
 	buddy          *buddy.Manager
 	barrierDurable atomic.Uint64
 }
 
-func (s *Store) writeHeader() error  { return nil }
-func (s *Store) writeCatalog() error { return nil }
+func (s *Store) appendImage() (int64, error) { return 0, nil }
+func (s *Store) writeMaster() error          { return nil }
 
 // Txn mirrors the transaction type.
 type Txn struct {
@@ -112,16 +113,21 @@ func (t *Txn) applyPending() error {
 	return plan.Apply()
 }
 
-// Checkpoint is the two-phase barrier: force data pages, write the
-// header and catalog, force them, then publish the quarantine stamp.
+// Checkpoint is the two-phase barrier: force data pages, log the image
+// and force it, write the master record and force it, then publish the
+// quarantine stamp.
 func (s *Store) Checkpoint() error {
 	if err := s.vol.ForceAllExcept(nil); err != nil {
 		return err
 	}
-	if err := s.writeHeader(); err != nil {
+	lsn, err := s.appendImage()
+	if err != nil {
 		return err
 	}
-	if err := s.writeCatalog(); err != nil {
+	if err := s.log.ForceLSN(lsn); err != nil {
+		return err
+	}
+	if err := s.writeMaster(); err != nil {
 		return err
 	}
 	if err := s.vol.Force(0, 1); err != nil {

@@ -428,9 +428,8 @@ func (p *Pool) Unpin(pg disk.PageNum) error {
 //
 // Pinned dirty frames are skipped (counted in Stats.FlushSkips): their
 // holders may be mutating the image, and every mutation a skip leaves
-// volatile is still covered by the write-ahead log, which is never
-// truncated while anything is pinned (quiescent checkpoints have no
-// live transactions and therefore no pins).
+// volatile is still covered by the write-ahead log, which a checkpoint
+// never truncates past a live transaction's first record.
 func (p *Pool) FlushAll() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()

@@ -94,7 +94,13 @@ type Result struct {
 	// followed.
 	UndoneAborts int
 	Redone       int
-	Recrashes    int // re-crash-during-recovery probes run
+	// ImageStates and MasterStates count the states whose crash falls inside
+	// a checkpoint's image write or master-copy write: torn, or issued and
+	// not yet forced.
+	ImageStates  int
+	MasterStates int
+	Wraps        int64 // times the traced workload's log went round its volume
+	Recrashes    int   // re-crash-during-recovery probes run
 	Violations   []Violation
 }
 
@@ -102,7 +108,10 @@ type sweeper struct {
 	cfg    Config
 	oracle *Oracle
 	events []Event
-	seen   map[uint64]bool
+	// inImage and inMaster mark the trace positions inside a checkpoint's
+	// image write and master-copy write (see windows).
+	inImage, inMaster map[int]bool
+	seen              map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -141,6 +150,8 @@ func Sweep(cfg Config) (*Result, error) {
 	sw.oracle = oracle
 	sw.events = clock.Events()
 	sw.res.Events = len(sw.events)
+	sw.res.Wraps = st.Stats().WAL.Wraps
+	sw.inImage, sw.inMaster = windows(sw.events)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
@@ -186,6 +197,36 @@ func Sweep(cfg Config) (*Result, error) {
 		models[ev.Dev].apply(ev)
 	}
 	return sw.res, nil
+}
+
+// windows finds each checkpoint's master-copy write — a one-page write to
+// data page 0 or 1 — and its image write — the last log write before it —
+// and returns the trace positions at which each is issued and not yet
+// forced: from the one behind the write through its force.  A torn split of
+// the write lies at the write's own position, the window's first minus one.
+func windows(events []Event) (inImage, inMaster map[int]bool) {
+	inImage, inMaster = map[int]bool{}, map[int]bool{}
+	mark := func(in map[int]bool, w int) {
+		for p := w + 1; p < len(events); p++ {
+			in[p] = true
+			if ev := events[p]; ev.Dev == events[w].Dev && (ev.Kind == KindForceAll || ev.Kind == KindForce && ev.Start <= events[w].Start && events[w].Start < ev.Start+disk.PageNum(ev.N)) {
+				return
+			}
+		}
+	}
+	lastLog := -1
+	for i, ev := range events {
+		if ev.Kind != KindWrite && ev.Kind != KindWriteRun {
+			continue
+		}
+		if ev.Dev == 1 {
+			lastLog = i
+		} else if ev.N == 1 && ev.Start < 2 && lastLog >= 0 {
+			mark(inMaster, i)
+			mark(inImage, lastLog)
+		}
+	}
+	return inImage, inMaster
 }
 
 // torn overlays the first k pages of a multi-page write onto a state.
@@ -241,6 +282,12 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	sw.seen[key] = true
 	sw.res.States++
+	if sw.inImage[p] || tr != nil && sw.inImage[tr.ev.Seq+1] {
+		sw.res.ImageStates++
+	}
+	if sw.inMaster[p] {
+		sw.res.MasterStates++
+	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)
 	logImg := materialize(scratch[1], sw.cfg.PageSize)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/eosdb/eos"
+	"github.com/eosdb/eos/internal/disk"
 )
 
 func sweepConfig(t *testing.T) Config {
@@ -26,23 +27,21 @@ func sweepConfig(t *testing.T) Config {
 
 // TestCrashSweep is the tier-1 crash-consistency gate: enumerate crash
 // states of a mixed workload and require every recovery invariant to
-// hold on each.  It runs twice: with the default four-page catalog
-// slots, where a compaction into the other slot comes every few
-// checkpoints, and with slots large enough that the journal grows long
-// delta chains between compactions (commits and aborts write no catalog
-// record; only checkpoints do).  Short mode runs a
-// reduced but still multi-hundred-state sweep.
+// hold on each.  It runs twice: on the default log volume, and on one so
+// small that the log goes round it several times, so that crashes land on
+// records, images and master copies written over earlier laps.  Short mode
+// runs a reduced but still multi-hundred-state sweep.
 func TestCrashSweep(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		catalogPages int
+		name     string
+		logPages disk.PageNum
 	}{
-		{"compacting", 0},
-		{"long-chains", 32},
+		{"default", 0},
+		{"wrapping", 96},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sweepConfig(t)
-			cfg.Opts.CatalogPages = tc.catalogPages
+			cfg.LogPages = tc.logPages
 			if testing.Short() {
 				cfg.Workload.Txns = 30
 				cfg.SubsetEvery = 12
@@ -57,6 +56,9 @@ func TestCrashSweep(t *testing.T) {
 				t.Fatalf("sweep: %v", err)
 			}
 			report(t, res)
+			if testing.Short() {
+				return
+			}
 			// The floor guards against a sweep that silently enumerates less.
 			// It was 1550 while every log truncation zeroed the pages its
 			// epoch had written (1663 / 1606 states), then 1450 once truncation
@@ -83,7 +85,7 @@ func TestCrashSweep(t *testing.T) {
 			// (1989 / 1987).  Since an abort forces only its record, the
 			// writes an abort barrier used to force stay outstanding longer
 			// and the same workload gives 2016 / 2014.
-			if !testing.Short() && res.States < 1450 {
+			if res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
 			// Commits and aborts force only the log: the sweep must reach
@@ -92,6 +94,14 @@ func TestCrashSweep(t *testing.T) {
 			// which redo re-executes.
 			if res.UndoneAborts == 0 || res.Redone == 0 {
 				t.Fatalf("%d states undid an aborted replace and %d redid committed operations, want both > 0", res.UndoneAborts, res.Redone)
+			}
+			// A checkpoint's two durable writes: the image in the log, then
+			// the master copy naming it.  Crashes must land inside both.
+			if res.ImageStates == 0 || res.MasterStates == 0 {
+				t.Fatalf("%d states inside an image write and %d inside a master-copy write, want both > 0", res.ImageStates, res.MasterStates)
+			}
+			if tc.logPages != 0 && res.Wraps < 3 {
+				t.Fatalf("the log went round its volume %d times, want >= 3", res.Wraps)
 			}
 		})
 	}
@@ -124,8 +134,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d undid an aborted replace, %d redid commits), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.UndoneAborts, res.Redone, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d undid an aborted replace, %d redid commits; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.UndoneAborts, res.Redone, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

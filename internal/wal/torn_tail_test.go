@@ -10,11 +10,12 @@ import (
 
 // Torn-tail corpus: a crash can leave the final log record in any
 // partially-written state — header torn mid-write, payload torn,
-// arbitrary garbage, or stale bytes from a previous log epoch sitting
-// at the write position.  In every case Recover must treat the damage
-// as end-of-log: return exactly the intact prefix, position the tail on
-// the page boundary behind it, and leave the log appendable (new records
-// start on that page and survive a second recovery).
+// arbitrary garbage, or stale bytes from a previous lap sitting at the
+// write position.  In every case Recover must treat the damage as
+// end-of-log: return exactly the intact prefix, position the tail on the
+// page boundary behind it, and leave the log appendable (new records start
+// on that page and survive a second recovery).  Every case runs twice: at
+// the start of the volume, and with the records going round its end.
 
 // tornCase mutates the raw volume image in place.  lastOff/lastSize
 // delimit the final (victim) record; firstOff/firstSize the first one.
@@ -62,8 +63,8 @@ func tornTailCorpus() []tornCase {
 		}},
 		{"stale-epoch-record", false, func(img []byte, off, size, firstOff, firstSize int) {
 			// A fully intact record from another position (as a reused
-			// log region would contain): CRC passes, but its LSN does
-			// not match base+off+1, so no scan takes it.
+			// log region would contain): CRC passes, but its LSN is not
+			// the one its position calls for, so no scan takes it.
 			if firstSize > size {
 				firstSize = size
 			}
@@ -72,8 +73,31 @@ func tornTailCorpus() []tornCase {
 	}
 }
 
-// pageUp rounds a log offset up to the page boundary a flush would end on.
-func pageUp(off, ps int) int { return (off + ps - 1) / ps * ps }
+// pageUp rounds a log position up to the page boundary a flush would end on.
+func pageUp(pos uint64, ps int) uint64 { return (pos + uint64(ps) - 1) / uint64(ps) * uint64(ps) }
+
+// laps are the two places the scenarios below run: at the start of a fresh
+// volume, and so that the log goes past the volume's end within them.
+var laps = []struct {
+	name string
+	wrap bool
+}{{"first-lap", false}, {"across-the-wrap", true}}
+
+// lapBase is where a scenario's first record goes: at 0, or — to go round
+// the end — back pages before the end of a volume of size bytes.
+func lapBase(wrap bool, size uint64, back int) uint64 {
+	if !wrap {
+		return 0
+	}
+	return size - uint64(back*256)
+}
+
+// newLogAt is newLog whose first record lies at position base.
+func newLogAt(t testing.TB, pages disk.PageNum, base uint64) (*Log, *disk.Volume) {
+	t.Helper()
+	vol := disk.MustNewVolume(256, pages, disk.CostModel{})
+	return New(vol, base), vol
+}
 
 // rewrite applies mut to the whole volume image and makes the result durable.
 func rewrite(t *testing.T, vol *disk.Volume, mut func(img []byte)) {
@@ -118,21 +142,24 @@ func expectLSNs(t *testing.T, recs []*Record, want []uint64) {
 	}
 }
 
-// buildTornLog appends a prefix of records plus one victim record,
-// forces everything in one flush, and returns the volume along with the
-// victim's byte offset/size and the first record's offset/size.
-func buildTornLog(t *testing.T, victim *Record) (vol *disk.Volume, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
+// buildTornLog appends a prefix of records plus one victim record from
+// position base, forces everything in one flush, and returns the volume
+// along with the victim's byte offset/size and the first record's
+// offset/size.  The prefix's second record is too long for the rest of a
+// page, so from the volume's last page it goes round the end.
+func buildTornLog(t *testing.T, base uint64, victim *Record) (vol *disk.Volume, prefixLSNs []uint64, lastOff, lastSize, firstOff, firstSize int) {
 	t.Helper()
-	l, v := newLog(t, 64)
+	l, v := newLogAt(t, 64, base)
 	prefixLSNs = appendAll(t, l,
 		&Record{Txn: 1, Type: RecBegin},
-		&Record{Txn: 1, Type: RecInsert, Object: 3, Off: 0, Data: []byte("durable payload")},
+		&Record{Txn: 1, Type: RecInsert, Object: 3, Off: 0, Data: bytes.Repeat([]byte("durable payload "), 10)},
 		&Record{Txn: 1, Type: RecCommit})
-	firstOff = int(prefixLSNs[0]) - 1
-	firstSize = int(prefixLSNs[1]) - 1 - firstOff
+	size := l.size
+	firstOff = int((prefixLSNs[0] - 1) % size)
+	firstSize = recHeaderSize
 	lsn := appendAll(t, l, victim)[0]
-	lastOff = int(lsn) - 1
-	lastSize = int(l.Tail()) - lastOff
+	lastOff = int((lsn - 1) % size)
+	lastSize = encodedSize(victim)
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +173,18 @@ func buildTornLog(t *testing.T, victim *Record) (vol *disk.Volume, prefixLSNs []
 func recoverTorn(t *testing.T, vol *disk.Volume, prefixLSNs []uint64, lastOff int, keepsHeader bool) {
 	t.Helper()
 	ps := vol.PageSize()
-	boundary := pageUp(lastOff, ps)
-	if boundary == lastOff {
+	if lastOff%ps == 0 {
 		t.Fatal("the victim starts a page; the case needs it behind other records")
 	}
+	// The victim follows the prefix's last record, a commit, directly.
+	boundary := pageUp(prefixLSNs[len(prefixLSNs)-1]-1+recHeaderSize, ps)
 	vol.ResetStats()
-	l2, recs, err := Recover(vol, 0)
+	l2, recs, err := Recover(vol, prefixLSNs[0])
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	expectLSNs(t, recs, prefixLSNs)
-	if got := l2.Tail(); got != int64(boundary) {
+	if got := l2.Tail(); got != boundary {
 		t.Errorf("tail at %d, want the page boundary %d behind the intact prefix", got, boundary)
 	}
 	wantWrites := int64(0)
@@ -180,14 +208,14 @@ func recoverTorn(t *testing.T, vol *disk.Volume, prefixLSNs []uint64, lastOff in
 	// survives another recovery, whatever the tear left in front of it.
 	fresh := &Record{Txn: 9, Type: RecAppend, Object: 3, Data: []byte("after the tear")}
 	lsn := appendAll(t, l2, fresh)[0]
-	if lsn != uint64(boundary)+1 {
+	if lsn != boundary+1 {
 		t.Errorf("fresh record at LSN %d, want %d (the page behind the tear)", lsn, boundary+1)
 	}
 	if err := l2.Force(); err != nil {
 		t.Fatal(err)
 	}
 	vol.Crash()
-	_, recs2, err := Recover(vol, 0)
+	_, recs2, err := Recover(vol, prefixLSNs[0])
 	if err != nil {
 		t.Fatalf("second Recover: %v", err)
 	}
@@ -198,14 +226,18 @@ func recoverTorn(t *testing.T, vol *disk.Volume, prefixLSNs []uint64, lastOff in
 }
 
 func TestRecoverTornTailCorpus(t *testing.T) {
-	for _, tc := range tornTailCorpus() {
-		t.Run(tc.name, func(t *testing.T) {
-			victim := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: []byte("torn away")}
-			vol, prefixLSNs, lastOff, lastSize, firstOff, firstSize := buildTornLog(t, victim)
-			rewrite(t, vol, func(img []byte) { tc.mut(img, lastOff, lastSize, firstOff, firstSize) })
-			recoverTorn(t, vol, prefixLSNs, lastOff, tc.keepsHeader)
-		})
+	corpus := func(t *testing.T, wrap bool) {
+		for _, tc := range tornTailCorpus() {
+			t.Run(tc.name, func(t *testing.T) {
+				victim := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: []byte("torn away")}
+				vol, prefixLSNs, lastOff, lastSize, firstOff, firstSize := buildTornLog(t, lapBase(wrap, 64*256, 1), victim)
+				rewrite(t, vol, func(img []byte) { tc.mut(img, lastOff, lastSize, firstOff, firstSize) })
+				recoverTorn(t, vol, prefixLSNs, lastOff, tc.keepsHeader)
+			})
+		}
 	}
+	corpus(t, false)
+	t.Run("across-the-wrap", func(t *testing.T) { corpus(t, true) })
 }
 
 // TestRecoverTornMultiPageRecord tears a record that spans pages at the
@@ -213,19 +245,23 @@ func TestRecoverTornTailCorpus(t *testing.T) {
 // not — the shape a real partial flush produces.  Its header survives
 // behind the intact records that share its first page.
 func TestRecoverTornMultiPageRecord(t *testing.T) {
-	big := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{0xCD}, 700)}
-	vol, prefixLSNs, lastOff, lastSize, _, _ := buildTornLog(t, big)
-	ps := vol.PageSize()
-	if lastSize <= ps {
-		t.Fatalf("victim record must span pages, got %d bytes", lastSize)
+	for _, lap := range laps {
+		t.Run(lap.name, func(t *testing.T) {
+			big := &Record{Txn: 2, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{0xCD}, 700)}
+			vol, prefixLSNs, lastOff, lastSize, _, _ := buildTornLog(t, lapBase(lap.wrap, 64*256, 1), big)
+			ps := vol.PageSize()
+			if lastSize <= ps {
+				t.Fatalf("victim record must span pages, got %d bytes", lastSize)
+			}
+			// Zero every page of the record after the first.
+			rewrite(t, vol, func(img []byte) {
+				for i := int(pageUp(uint64(lastOff), ps)); i < lastOff+lastSize; i++ {
+					img[i] = 0
+				}
+			})
+			recoverTorn(t, vol, prefixLSNs, lastOff, true)
+		})
 	}
-	// Zero every page of the record after the first.
-	rewrite(t, vol, func(img []byte) {
-		for i := pageUp(lastOff, ps); i < lastOff+lastSize; i++ {
-			img[i] = 0
-		}
-	})
-	recoverTorn(t, vol, prefixLSNs, lastOff, true)
 }
 
 // TestPaddingOfEveryLengthIsSteppedOver: a force may end any number of
@@ -252,12 +288,12 @@ func TestPaddingOfEveryLengthIsSteppedOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		vol.Crash()
-		l2, recs, err := Recover(vol, 0)
+		l2, recs, err := Recover(vol, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		expectLSNs(t, recs, want)
-		if l2.Tail() != int64(2*ps) {
+		if l2.Tail() != uint64(2*ps) {
 			t.Fatalf("pad %d: recovered tail %d, want %d", pad, l2.Tail(), 2*ps)
 		}
 	}
@@ -266,38 +302,45 @@ func TestPaddingOfEveryLengthIsSteppedOver(t *testing.T) {
 // TestLostFirstPageHidesTheWholeForce: the crash kept a later page of the
 // force in flight and lost its first.  A record begins exactly on the kept
 // page — right LSN, right checksum — and must not surface: nothing in front
-// of it says a force of this epoch ever began on the lost page.
+// of it says a force of this lap ever began on the lost page.  Across the
+// wrap, the lost page is the volume's last and the kept one its first.
 func TestLostFirstPageHidesTheWholeForce(t *testing.T) {
-	l, vol := newLog(t, 16)
-	ps := vol.PageSize()
-	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	lost := appendAll(t, l, onePageRecord(2, ps), &Record{Txn: 2, Type: RecCommit})
-	if lost[0] != uint64(ps)+1 || lost[1] != uint64(2*ps)+1 {
-		t.Fatalf("second force's records at LSNs %v, want one on each page boundary", lost)
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if err := vol.WritePages(1, 1, make([]byte, ps)); err != nil {
-		t.Fatal(err)
-	}
-	if err := vol.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := New(vol, 0).Scan(int64(2*ps), func(*Record) error { n++; return nil }); err != nil || n != 1 {
-		t.Fatalf("the commit on the kept page is not intact (%d records, err %v); the test proves nothing", n, err)
-	}
-	l2, recs, err := Recover(vol, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectLSNs(t, recs, want)
-	if l2.Tail() != int64(ps) {
-		t.Errorf("recovered tail %d, want the lost page's boundary %d", l2.Tail(), ps)
+	for _, lap := range laps {
+		t.Run(lap.name, func(t *testing.T) {
+			ps := 256
+			base := lapBase(lap.wrap, 16*256, 2) // the first force's page, then the lost one
+			l, vol := newLogAt(t, 16, base)
+			want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
+			if err := l.Force(); err != nil {
+				t.Fatal(err)
+			}
+			lost := appendAll(t, l, onePageRecord(2, ps), &Record{Txn: 2, Type: RecCommit})
+			if lost[0] != base+uint64(ps)+1 || lost[1] != base+uint64(2*ps)+1 {
+				t.Fatalf("second force's records at LSNs %v, want one on each page boundary", lost)
+			}
+			if err := l.Force(); err != nil {
+				t.Fatal(err)
+			}
+			lostPage := disk.PageNum((lost[0] - 1) % l.size / uint64(ps))
+			if err := vol.WritePages(lostPage, 1, make([]byte, ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := vol.ForceAll(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := New(vol, 0).Scan(lost[1], func(*Record) error { n++; return nil }); err != nil || n != 1 {
+				t.Fatalf("the commit on the kept page is not intact (%d records, err %v); the test proves nothing", n, err)
+			}
+			l2, recs, err := Recover(vol, want[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectLSNs(t, recs, want)
+			if l2.Tail() != lost[0]-1 {
+				t.Errorf("recovered tail %d, want the lost page's boundary %d", l2.Tail(), lost[0]-1)
+			}
+		})
 	}
 }
 
@@ -305,40 +348,51 @@ func TestLostFirstPageHidesTheWholeForce(t *testing.T) {
 // scan where it stands.  Stepping to the next page boundary, as the scan
 // does behind padding, would land in the torn record's own payload — bytes
 // a client chose, here a commit record with the LSN and checksum that
-// boundary calls for.
+// boundary calls for.  Across the wrap, the torn record is the first of a
+// lap: a skip record leads to it from the volume's last page.
 func TestForgedHeaderBehindTornRecordNeverSurfaces(t *testing.T) {
-	l, vol := newLog(t, 16)
-	ps := vol.PageSize()
-	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
-	victimOff := int(l.Tail())
-	forged := encode(&Record{LSN: uint64(ps) + 1, Txn: 1, Type: RecCommit})
-	payload := bytes.Repeat([]byte{0x11}, 3*ps)
-	copy(payload[ps-victimOff-recHeaderSize:], forged)
-	appendAll(t, l, &Record{Txn: 1, Type: RecAppend, Data: payload})
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
+	for _, lap := range laps {
+		t.Run(lap.name, func(t *testing.T) {
+			l, vol := newLogAt(t, 16, lapBase(lap.wrap, 16*256, 1))
+			ps := uint64(vol.PageSize())
+			want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
+			payload := bytes.Repeat([]byte{0x11}, int(3*ps))
+			victim := l.Tail()
+			if victim%l.size+uint64(encodedSize(&Record{Data: payload})) > l.size {
+				victim += l.size - victim%l.size
+			}
+			boundary := pageUp(victim+1, int(ps))
+			forged := encode(&Record{LSN: boundary + 1, Txn: 1, Type: RecCommit})
+			copy(payload[boundary-victim-recHeaderSize:], forged)
+			if got := appendAll(t, l, &Record{Txn: 1, Type: RecAppend, Data: payload})[0]; got != victim+1 {
+				t.Fatalf("the torn record's LSN is %d, want %d", got, victim+1)
+			}
+			if err := l.Force(); err != nil {
+				t.Fatal(err)
+			}
+			// The crash lost the record's third page.
+			if err := vol.WritePages(disk.PageNum(boundary%l.size/ps+1), 1, make([]byte, ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := vol.ForceAll(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := New(vol, 0).Scan(boundary+1, func(r *Record) error {
+				if r.Type == RecCommit && r.LSN == boundary+1 {
+					n++
+				}
+				return nil
+			}); err != nil || n != 1 {
+				t.Fatalf("the forged commit does not decode at the boundary (%d, err %v); the test proves nothing", n, err)
+			}
+			_, recs, err := Recover(vol, want[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectLSNs(t, recs, want)
+		})
 	}
-	// The crash lost the third page of the flush.
-	if err := vol.WritePages(2, 1, make([]byte, ps)); err != nil {
-		t.Fatal(err)
-	}
-	if err := vol.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := New(vol, 0).Scan(int64(ps), func(r *Record) error {
-		if r.Type == RecCommit && r.LSN == uint64(ps)+1 {
-			n++
-		}
-		return nil
-	}); err != nil || n != 1 {
-		t.Fatalf("the forged commit does not decode at the boundary (%d, err %v); the test proves nothing", n, err)
-	}
-	_, recs, err := Recover(vol, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectLSNs(t, recs, want)
 }
 
 // TestUnpaddedLogStillScansWhole: a log written by a build that packed its
@@ -358,32 +412,32 @@ func TestUnpaddedLogStillScansWhole(t *testing.T) {
 	if end < 3*ps || end%ps == 0 {
 		t.Fatalf("image of %d bytes: want several pages and a tail inside one", end)
 	}
-	img = append(img, make([]byte, pageUp(end, ps)-end)...)
+	img = append(img, make([]byte, int(pageUp(uint64(end), ps))-end)...)
 	if err := vol.WritePages(0, len(img)/ps, img); err != nil {
 		t.Fatal(err)
 	}
 	if err := vol.ForceAll(); err != nil {
 		t.Fatal(err)
 	}
-	l, recs, err := Recover(vol, 0)
+	l, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectLSNs(t, recs, want)
-	if l.Tail() != int64(pageUp(end, ps)) {
-		t.Fatalf("tail %d, want %d", l.Tail(), pageUp(end, ps))
+	if l.Tail() != pageUp(uint64(end), ps) {
+		t.Fatalf("tail %d, want %d", l.Tail(), pageUp(uint64(end), ps))
 	}
-	want = append(want, fillEpoch(t, l, 1, 77)...)
+	want = append(want, fill(t, l, 1, 77)...)
 	vol.Crash()
-	_, recs, err = Recover(vol, 0)
+	_, recs, err = Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectLSNs(t, recs, want)
 }
 
-// fillEpoch appends n records, forces them, and returns their LSNs.
-func fillEpoch(t *testing.T, l *Log, n int, txn uint64) []uint64 {
+// fill appends n records, forces them, and returns their LSNs.
+func fill(t *testing.T, l *Log, n int, txn uint64) []uint64 {
 	t.Helper()
 	var lsns []uint64
 	for i := 0; i < n; i++ {
@@ -399,71 +453,56 @@ func fillEpoch(t *testing.T, l *Log, n int, txn uint64) []uint64 {
 	return lsns
 }
 
-// TestResetWritesNothing: a truncation costs no device request and leaves
-// the ending epoch's records where they were; the new epoch's recovery
-// still returns only its own, and a scan that lands exactly ON an intact
-// old record rejects it.
-func TestResetWritesNothing(t *testing.T) {
+// TestTruncateWritesNothing: a truncation costs no device request and
+// leaves the records in front of the new start where they were.  A
+// recovery from the new start returns only what follows it, and a scan
+// that lands on an intact old record a lap later — where the log will come
+// round to it — rejects it.
+func TestTruncateWritesNothing(t *testing.T) {
 	l, vol := newLog(t, 64)
-	ps := int64(vol.PageSize())
-	base1 := l.Base()
-	lsns := fillEpoch(t, l, 20, 1)
-	epochPages := (l.Tail() + ps - 1) / ps
-	if epochPages < 4 {
-		t.Fatalf("epoch spans only %d pages", epochPages)
+	lsns := fill(t, l, 20, 1)
+	if pages := l.Used() / int64(vol.PageSize()); pages < 4 {
+		t.Fatalf("the records span only %d pages", pages)
 	}
 	image, err := vol.Read(0, int(vol.NumPages()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := vol.Stats()
-	base2 := base1 + uint64(l.Tail())
-	if err := l.Reset(base2); err != nil {
-		t.Fatal(err)
-	}
+	start := l.Tail() + 1
+	l.Truncate(start)
 	if after := vol.Stats(); after.Writes != before.Writes || after.PagesWritten != before.PagesWritten || after.Syncs != before.Syncs {
-		t.Errorf("Reset touched the device: %+v -> %+v", before, after)
+		t.Errorf("Truncate touched the device: %+v -> %+v", before, after)
 	}
 	if now, err := vol.Read(0, int(vol.NumPages())); err != nil || !bytes.Equal(now, image) {
-		t.Errorf("Reset changed the volume's bytes (err %v)", err)
+		t.Errorf("Truncate changed the volume's bytes (err %v)", err)
 	}
 
-	// One record of the new epoch on page 0; the old epoch's records
-	// further on are intact.
-	fresh := fillEpoch(t, l, 1, 2)
+	fresh := fill(t, l, 1, 2)
 	vol.Crash()
-	l2, recs, err := Recover(vol, base2)
+	l2, recs, err := Recover(vol, start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].LSN != fresh[0] {
-		t.Fatalf("recovered %d records, want only the new epoch's one", len(recs))
+		t.Fatalf("recovered %d records, want only the one behind the start", len(recs))
 	}
-	checked := 0
 	for _, lsn := range lsns {
-		off := int64(lsn - base1 - 1)
-		if off < ps {
-			continue // page 0 was rewritten by the new epoch
-		}
 		n := 0
-		if err := l2.Scan(off, func(*Record) error { n++; return nil }); err != nil {
+		if err := l2.Scan(lsn+l2.size, func(*Record) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n != 0 {
-			t.Fatalf("scan from the old record at offset %d accepted %d records", off, n)
+			t.Fatalf("scan from the old record at LSN %d, a lap on, accepted %d records", lsn, n)
 		}
-		// Under its own base the same bytes are a valid record: the
-		// rejection above is the epoch check, not damage.
-		if err := New(vol, base1).Scan(off, func(*Record) error { n++; return nil }); err != nil {
+		// At its own LSN the same bytes are a valid record: the rejection
+		// above is the lap check, not damage.
+		if err := l2.Scan(lsn, func(*Record) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 {
-			t.Fatalf("old record at offset %d is not intact; the test proves nothing", off)
+			t.Fatalf("old record at LSN %d is not intact; the test proves nothing", lsn)
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no old record starts beyond page 0")
 	}
 }
 
@@ -472,58 +511,59 @@ func onePageRecord(txn uint64, ps int) *Record {
 	return &Record{Txn: txn, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{byte(txn)}, ps-recHeaderSize)}
 }
 
-// TestOldRecordAtNewTailNeverSurfaces: two epochs that begin with records
-// of the same sizes put an intact old record — valid CRC — exactly at the
-// new epoch's tail, on a page the new epoch has not written.  Nothing
-// erased it; only its LSN says it is old.  Recovery must stop in front of
-// it, and the log must go on from there.
+// TestOldRecordAtNewTailNeverSurfaces: a log goes round its volume with
+// records of one size, so that when the second lap's first record is
+// durable, an intact record of the first lap — valid CRC — sits exactly at
+// the tail, on a page the second lap has not written.  Nothing erased it;
+// only its LSN says it is old.  Recovery must stop in front of it, and the
+// log must go on from there.
 func TestOldRecordAtNewTailNeverSurfaces(t *testing.T) {
-	l, vol := newLog(t, 64)
+	const pages = 8
+	l, vol := newLog(t, pages)
 	ps := vol.PageSize()
-	base1 := l.Base()
-	for txn := uint64(1); txn <= 3; txn++ {
-		if _, err := l.Append(onePageRecord(txn, ps)); err != nil {
+	var old []uint64
+	for txn := uint64(1); txn <= pages; txn++ {
+		lsn, err := l.Append(onePageRecord(txn, ps))
+		if err != nil {
 			t.Fatal(err)
 		}
+		old = append(old, lsn)
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+		l.Truncate(lsn)
 	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	base2 := base1 + uint64(l.Tail())
-	if err := l.Reset(base2); err != nil {
-		t.Fatal(err)
-	}
-	first, err := l.Append(onePageRecord(7, ps))
+	first, err := l.Append(onePageRecord(9, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Tail() != int64(ps) {
-		t.Fatalf("new epoch's tail at %d, want the page boundary %d", l.Tail(), ps)
+	if first != l.size+1 || l.Tail() != l.size+uint64(ps) {
+		t.Fatalf("the second lap's first record at LSN %d, tail %d: want the volume's first page", first, l.Tail())
 	}
 	vol.Crash()
 
 	n := 0
-	if err := New(vol, base1).Scan(int64(ps), func(*Record) error { n++; return nil }); err != nil {
+	if err := New(vol, 0).Scan(old[1], func(*Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("%d intact old records at the new tail, want 2; the test proves nothing", n)
+	if n != pages {
+		t.Fatalf("%d records from the old one at the new tail on, want its %d and the new lap's first; the test proves nothing", n, pages)
 	}
-	l2, recs, err := Recover(vol, base2)
+	l2, recs, err := Recover(vol, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].LSN != first || recs[0].Txn != 7 {
-		t.Fatalf("recovered %d records, want only the new epoch's one", len(recs))
+	if len(recs) != 1 || recs[0].LSN != first || recs[0].Txn != 9 {
+		t.Fatalf("recovered %d records, want only the second lap's one", len(recs))
 	}
-	if l2.Tail() != int64(ps) {
-		t.Errorf("recovered tail at %d, want %d", l2.Tail(), ps)
+	if l2.Tail() != first-1+uint64(ps) {
+		t.Errorf("recovered tail at %d, want %d", l2.Tail(), first-1+uint64(ps))
 	}
 	// The next record overwrites the old one and survives.
-	second, err := l2.Append(onePageRecord(8, ps))
+	second, err := l2.Append(onePageRecord(10, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,19 +571,21 @@ func TestOldRecordAtNewTailNeverSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol.Crash()
-	_, recs, err = Recover(vol, base2)
+	_, recs, err = Recover(vol, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].LSN != second || recs[1].Txn != 8 {
-		t.Fatalf("after the overwrite recovered %d records, want the new epoch's two", len(recs))
+	if len(recs) != 2 || recs[1].LSN != second || recs[1].Txn != 10 {
+		t.Fatalf("after the overwrite recovered %d records, want the second lap's two", len(recs))
 	}
 }
 
 // TestJunkPastRecoveredTailNeverSurfaces: a recovered log knows nothing
-// about the pages past its tail — junk, or records of the epoch the crash
-// ended — and nothing clears them.  They stay out of every later scan,
-// also once the epoch after the recovery has grown up to them.
+// about the pages past its tail — junk, or records of the lap the crash
+// ended — and nothing clears them.  The recovery moves the log onto a new
+// lap, and they stay out of every later scan from the old start — which
+// follows the lap's skip record — also once the new lap has grown up to
+// them and past them.
 func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 	l, vol := newLog(t, 32)
 	ps := vol.PageSize()
@@ -567,22 +609,20 @@ func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol.Crash()
-	l2, recs, err := Recover(vol, 0)
+	l2, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || l2.Tail() != int64(2*ps) {
+	if len(recs) != 2 || l2.Tail() != uint64(2*ps) {
 		t.Fatalf("recovered %d records, tail %d; want 2 and %d", len(recs), l2.Tail(), 2*ps)
 	}
-	// Recovery's checkpoint starts a new epoch behind what it found.
-	base2 := l2.Base() + uint64(l2.Tail())
-	if err := l2.Reset(base2); err != nil {
+	if err := l2.NewLap(); err != nil {
 		t.Fatal(err)
 	}
-	// The new epoch grows to exactly where the intact fourth record sits,
-	// then across the junk page.
+	// The skip record takes page 2; the new lap begins exactly where the
+	// intact fourth record sits, then grows across the junk page.
 	want := 0
-	for _, upTo := range []int{3, 22} {
+	for _, upTo := range []int{0, 19} {
 		for ; want < upTo; want++ {
 			if _, err := l2.Append(onePageRecord(uint64(10+want), ps)); err != nil {
 				t.Fatal(err)
@@ -593,14 +633,14 @@ func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 		}
 		vol.Crash()
 		var recs []*Record
-		l2, recs, err = Recover(vol, base2)
+		l2, recs, err = Recover(vol, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != want {
-			t.Fatalf("recovered %d records, want the new epoch's %d", len(recs), want)
+		if len(recs) != 2+want {
+			t.Fatalf("recovered %d records, want the 2 in front of the tear and the new lap's %d", len(recs), want)
 		}
-		for i, r := range recs {
+		for i, r := range recs[2:] {
 			if r.Txn != uint64(10+i) {
 				t.Fatalf("record %d belongs to txn %d: an old record surfaced", i, r.Txn)
 			}
@@ -609,9 +649,9 @@ func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 }
 
 // TestScanTestsLSNBeforeLength: an old record's length field may claim
-// most of the volume.  The scan reads its header, sees the LSN is not this
-// epoch's, and stops — it never transfers (or allocates) what the length
-// asks for.
+// most of the volume.  A scan a lap later reads its header, sees the LSN
+// is not the one its position calls for, and stops — it never transfers
+// (or allocates) what the length asks for.
 func TestScanTestsLSNBeforeLength(t *testing.T) {
 	l, vol := newLog(t, 4096)
 	ps := int64(vol.PageSize())
@@ -622,14 +662,13 @@ func TestScanTestsLSNBeforeLength(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	base2 := l.Base() + uint64(l.Tail())
 	vol.ResetStats()
-	_, recs, err := Recover(vol, base2)
+	_, recs, err := Recover(vol, l.size+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
-		t.Fatalf("recovered %d records from the old epoch", len(recs))
+		t.Fatalf("recovered %d records of the previous lap", len(recs))
 	}
 	if got := vol.Stats().PagesRead; got > 2 {
 		t.Errorf("scan read %d pages of a %d-page old record, want its header only", got, total/ps)
@@ -661,13 +700,13 @@ func TestNoLogPageIsWrittenTwice(t *testing.T) {
 	})
 	var want []uint64
 	for i := 0; i < 6; i++ {
-		want = append(want, fillEpoch(t, l, 1+i%3, uint64(i+1))...)
+		want = append(want, fill(t, l, 1+i%3, uint64(i+1))...)
 	}
 	if got := vol.Stats().Reads; got != 0 {
 		t.Errorf("%d device reads during 6 flushes, want 0", got)
 	}
 	vol.Crash()
-	l2, recs, err := Recover(vol, 0)
+	l2, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +714,7 @@ func TestNoLogPageIsWrittenTwice(t *testing.T) {
 	vol.ResetStats()
 	first = true
 	for i := 0; i < 3; i++ {
-		want = append(want, fillEpoch(t, l2, 2, uint64(i+7))...)
+		want = append(want, fill(t, l2, 2, uint64(i+7))...)
 	}
 	if got := vol.Stats().Reads; got != 0 {
 		t.Errorf("%d device reads flushing after Recover, want 0", got)
@@ -683,7 +722,7 @@ func TestNoLogPageIsWrittenTwice(t *testing.T) {
 	if len(written) != int(l2.Tail())/vol.PageSize() {
 		t.Errorf("%d pages written for a log of %d", len(written), l2.Tail())
 	}
-	_, recs, err = Recover(vol, 0)
+	_, recs, err = Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,7 +776,7 @@ func TestAppendsDuringAFlushLandBehindIt(t *testing.T) {
 		t.Errorf("log writes %+v, want page 0, then page 1 without a seek", writes)
 	}
 	vol.Crash()
-	_, recs, err := Recover(vol, 0)
+	_, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,23 +11,34 @@
 //
 // The log lives on its own volume (a separate log disk, as is
 // conventional) and is a sequence of length-prefixed, checksummed
-// records.  LSNs are monotonic across the store's whole life: each log
-// epoch (the records between two truncations) has a base, and a record's
-// LSN is base + its byte offset + 1.  Truncation advances the base past
-// every LSN the old epoch issued, so the LSN guard in object roots stays
-// valid without ever rewinding — and a truncation writes nothing: the old
-// epoch's records stay on the volume until new ones overwrite them, and a
-// recovery scan ignores them because their LSNs do not match the base the
-// store header says is current.
+// records, written forward around the volume: circular.  Every byte the
+// log addresses has a position that never restarts; the record at
+// position p has LSN p+1 and lies at byte offset p mod the volume's
+// capacity (pages × page size).  A lap is one pass over the volume, so a
+// page holds, at different times, records of laps 0, 1, 2, … whose LSNs
+// differ by multiples of the capacity; a scan accepts a record only where
+// it carries the LSN its position calls for, so what an earlier lap left
+// behind never surfaces.  No record straddles the volume's end: the room
+// in front of it goes to a skip record (or, when less than a header, to
+// padding) and the record begins the next lap at offset 0.
+//
+// The log keeps everything from its start (the oldest record the client
+// still needs) to its tail.  Truncate advances the start and writes
+// nothing; an append that would reach the page holding the start gets
+// ErrLogFull, so that page is never written while the start is on it.
+// Ordinary records also leave the room the client's next checkpoint record
+// (RecCheckpoint) is expected to need, and a checkpoint record leaves room
+// for a recovery to write one like it, so that a log full of ordinary
+// records can always be checkpointed, and recovered.
 //
 // The unit of layout is the force: the records buffered since the last one,
 // back to back, written once as whole pages that begin behind that one's
-// last page; the rest of the last page is padding, which byte offsets and so
-// LSNs skip.  The log is thus written strictly forward and — the rule the
-// catalog journal (catalog.go) shares — NO PAGE THAT HOLDS A DURABLE RECORD
-// IS EVER WRITTEN AGAIN: a torn write damages the force in flight, nothing
-// acknowledged before it.  The price is log space: the pages in use between
-// two truncations are the sum of ceil(force bytes / page size).
+// last page; the rest of the last page is padding, which positions and so
+// LSNs skip.  The log is thus written strictly forward and NO PAGE THAT
+// HOLDS A DURABLE RECORD IS WRITTEN AGAIN WHILE THE RECORD IS NEEDED: a torn
+// write damages the force in flight, nothing acknowledged before it.  The
+// price is log space: the pages in use are the sum of ceil(force bytes /
+// page size) since the start.
 package wal
 
 import (
@@ -43,19 +54,25 @@ import (
 // RecType identifies a log record.
 type RecType uint8
 
-// Log record types: transaction control plus one per logical operation.
+// Log record types: transaction control, one per logical operation, the
+// client's checkpoint image, and the log's own skip record.
 const (
 	RecBegin RecType = iota + 1
 	RecCommit
 	RecAbort
-	RecCreate   // object created
-	RecDestroy  // object destroyed
-	RecAppend   // Data appended at the end
-	RecInsert   // Data inserted at Off
-	RecDelete   // N bytes deleted at Off; structural, so shadowed: no bytes logged
-	RecReplace  // Data written at Off; OldData holds the previous bytes
-	RecTruncate // object truncated to Off (reserved: Txn.Truncate logs a RecDelete)
+	RecCreate  // object created
+	RecDestroy // object destroyed
+	RecAppend  // Data appended at the end
+	RecInsert  // Data inserted at Off
+	RecDelete  // N bytes deleted at Off; structural, so shadowed: no bytes logged
+	RecReplace // Data written at Off; OldData holds the previous bytes
+	// RecCheckpoint carries a checkpoint's image of the client's catalog in
+	// Data.  It may use the room ordinary records leave free.
 	RecCheckpoint
+	// RecSkip says the log goes on N positions behind the record's end:
+	// the room in front of the volume's end, or a whole lap (NewLap).  The
+	// log writes it itself, and scans do not hand it out.
+	RecSkip
 )
 
 func (t RecType) String() string {
@@ -78,10 +95,10 @@ func (t RecType) String() string {
 		return "delete"
 	case RecReplace:
 		return "replace"
-	case RecTruncate:
-		return "truncate"
 	case RecCheckpoint:
 		return "checkpoint"
+	case RecSkip:
+		return "skip"
 	}
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
@@ -102,7 +119,7 @@ type Extent struct {
 // pre-image of a replace, the one update written in place (§4.5); an abort
 // undoes everything else from the transaction's journal in memory.
 type Record struct {
-	LSN     uint64 // assigned by Append; byte offset in the log
+	LSN     uint64 // assigned by Append: the record's position + 1
 	Txn     uint64
 	Type    RecType
 	Object  uint64
@@ -137,13 +154,14 @@ const (
 // the force requests that were satisfied without issuing any I/O of
 // their own.
 type Stats struct {
-	Appends      int64 // records appended
+	Appends      int64 // records appended, checkpoint and skip records aside
 	Forces       int64 // Force/ForceLSN requests
 	ForceNoops   int64 // requests whose target was already durable on entry
 	Piggybacks   int64 // requests covered by another committer's force while queued
 	LeaderForces int64 // physical flush+force batches issued
-	FlushedBytes int64 // bytes of log records written to the volume
+	FlushedBytes int64 // bytes of those records written to the volume
 	PadBytes     int64 // bytes of padding written behind them, to the page boundary each force ends on
+	Wraps        int64 // flushes that reached the volume's end: the log went on at offset 0
 }
 
 // Log is an append-only write-ahead log over a dedicated volume.  It is
@@ -167,32 +185,37 @@ type Log struct {
 
 	mu      sync.Mutex
 	vol     disk.Device
-	ps      int
-	base    uint64 // eos:guardedby mu -- LSN of the epoch start; record at offset o has LSN base+o+1
+	ps      uint64
+	size    uint64 // capacity in bytes: the volume's pages × page size
 	grouped bool   // eos:guardedby mu -- buffered appends + group commit (default); false = serial baseline
 	// buf holds the log's bytes that are not on the volume yet, up to the
 	// tail: records, and the padding of forces sealed but not written.  It
 	// begins on a page boundary; a flush drops what it wrote, all of it.
-	buf    []byte // eos:guardedby mu
-	pad    int64  // eos:guardedby mu -- bytes of buf that are padding
-	tail   int64  // eos:guardedby mu -- next append offset (bytes)
-	forced int64  // eos:guardedby mu -- page-aligned offset through which the log is durable
-	stats  Stats  // eos:guardedby mu
+	buf   []byte // eos:guardedby mu
+	pad   int64  // eos:guardedby mu -- bytes of buf that are padding
+	own   int64  // eos:guardedby mu -- bytes of buf that are checkpoint and skip records
+	start uint64 // eos:guardedby mu -- position of the oldest byte kept: the page holding it is never written
+	tail  uint64 // eos:guardedby mu -- position the next record gets unless it wraps
+	// forced is the page-aligned position through which the log is durable.
+	forced uint64 // eos:guardedby mu
+	// reserve is the room ordinary records leave for the checkpoint after
+	// the last one: twice its slack (see slack).
+	reserve uint64 // eos:guardedby mu
+	// lapped is set by NewLap until the next checkpoint record, which may
+	// then take all the room there is: a recovery's.
+	lapped bool // eos:guardedby mu
+	// unforced counts the bytes flushes wrote since the last force, which
+	// begin at the volume offset of forced.
+	unforced uint64 // eos:guardedby mu
+	stats    Stats  // eos:guardedby mu
 }
 
-// New creates an empty log on vol.  base is the LSN epoch base the
-// store header records (0 for a fresh store); the first record gets
-// LSN base+1.
+// New creates an empty log on vol whose first record gets LSN base+1, at
+// byte offset base mod the volume's capacity.  base must be page-aligned.
 func New(vol disk.Device, base uint64) *Log {
-	return &Log{vol: vol, ps: vol.PageSize(), base: base, grouped: true}
-}
-
-// Base returns the current epoch base: every record in the log has
-// LSN > Base(), and every record of earlier epochs had LSN <= Base().
-func (l *Log) Base() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
+	ps := uint64(vol.PageSize())
+	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps, grouped: true,
+		start: base, tail: base, forced: base}
 }
 
 // SetGroupCommit enables (the default) or disables the buffered tail
@@ -212,9 +235,14 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
+// encodedSize is the size of r's encoding.
+func encodedSize(r *Record) int {
+	return recHeaderSize + len(r.Data) + len(r.OldData) + len(r.Extents)*extentEncBytes
+}
+
 // encode serializes r (LSN must already be set).
 func encode(r *Record) []byte {
-	buf := make([]byte, recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
+	buf := make([]byte, encodedSize(r))
 	binary.BigEndian.PutUint32(buf[4:], uint32(len(buf)))
 	binary.BigEndian.PutUint64(buf[8:], r.LSN)
 	binary.BigEndian.PutUint64(buf[16:], r.Txn)
@@ -294,17 +322,12 @@ func decode(buf []byte) (*Record, int, error) {
 // all, as a failed force leaves a commit record.
 func (l *Log) Append(r *Record) (uint64, error) {
 	l.mu.Lock()
-	r.LSN = l.base + uint64(l.tail) + 1 // LSN 0 means "never logged"
-	rec := encode(r)
-	if l.tail+int64(len(rec)) > int64(l.vol.NumPages())*int64(l.ps) {
-		l.mu.Unlock()
-		return 0, ErrLogFull
-	}
-	l.buf = append(l.buf, rec...)
-	l.tail += int64(len(rec))
-	l.stats.Appends++
+	lsn, err := l.put(r)
 	serial := !l.grouped
 	l.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if serial {
 		l.forceMu.Lock()
 		defer l.forceMu.Unlock()
@@ -312,7 +335,92 @@ func (l *Log) Append(r *Record) (uint64, error) {
 			return 0, err
 		}
 	}
+	return lsn, nil
+}
+
+// put buffers r at the tail.  A record that would straddle the volume's end
+// begins the next lap instead, behind a skip record over the room in front
+// of the end (padding, when that is less than a header: it then lies inside
+// the last page, which a scan steps over).  Caller holds mu.
+//
+// eos:requires l.mu
+func (l *Log) put(r *Record) (uint64, error) {
+	n := uint64(encodedSize(r))
+	var gap uint64
+	if off := l.tail % l.size; off+n > l.size {
+		gap = l.size - off
+	}
+	room := l.start - l.start%l.ps + l.size // no byte at or past this position: it is on the start's page
+	switch {
+	case r.Type == RecCheckpoint && !l.lapped:
+		room -= min(l.slack(n), room)
+	case r.Type != RecCheckpoint && r.Type != RecSkip:
+		room -= min(l.reserve, room)
+	}
+	if l.tail+gap+n > room {
+		return 0, ErrLogFull
+	}
+	if gap >= recHeaderSize {
+		l.buf = append(l.buf, encode(&Record{LSN: l.tail + 1, Type: RecSkip, N: int64(gap - recHeaderSize)})...)
+		l.own += recHeaderSize
+		l.padTo(gap - recHeaderSize)
+	} else if gap > 0 {
+		l.padTo(gap)
+	}
+	l.tail += gap
+	r.LSN = l.tail + 1 // LSN 0 means "never logged"
+	l.buf = append(l.buf, encode(r)...)
+	l.tail += n
+	switch r.Type {
+	case RecCheckpoint:
+		l.reserve, l.lapped = 2*l.slack(n), false
+		fallthrough
+	case RecSkip:
+		l.own += int64(n)
+	default:
+		l.stats.Appends++
+	}
 	return r.LSN, nil
+}
+
+// slack is the room a checkpoint record of n bytes leaves behind it: should
+// a crash keep it but not the client's pointer to it, the recovery needs a
+// page for NewLap's skip record and room for an image of the same size,
+// with the padding in front of the volume's end it may need.  Ordinary
+// records leave twice that: room for the next checkpoint record and its
+// own slack.
+func (l *Log) slack(n uint64) uint64 { return 2*((n+l.ps-1)/l.ps*l.ps) + 2*l.ps }
+
+// padTo appends n bytes of padding to the buffer.  The caller advances
+// the tail.
+//
+// eos:requires l.mu
+func (l *Log) padTo(n uint64) {
+	l.buf = append(l.buf, make([]byte, n)...)
+	fillPad(l.buf[uint64(len(l.buf))-n:])
+	l.pad += int64(n)
+}
+
+// NewLap moves the log onto the next lap, forced: the tail keeps its
+// offset, and the LSNs from here on exceed by a whole capacity those the
+// same bytes would have had.  A recovery calls it before it writes
+// anything: whatever lies past the recovered tail — intact records of a
+// force whose first page the crash lost, say — carries LSNs of the old
+// lap, which no later scan accepts at those offsets.  The skip record it
+// writes leads a scan from an older start across the jump.
+func (l *Log) NewLap() error {
+	l.mu.Lock()
+	lsn, err := l.put(&Record{Type: RecSkip, N: int64(l.size)})
+	if err == nil {
+		l.tail += l.size
+		l.start += l.size // the same page, a lap on: the room stays as it was
+		l.lapped = true
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.ForceLSN(lsn)
 }
 
 // fillPad makes b padding, doubling what it has filled.
@@ -324,34 +432,60 @@ func fillPad(b []byte) {
 
 // flush seals the buffered tail — pads it to the page boundary under mu, so
 // that records appended while the write is in flight already lie on the next
-// flush's pages — writes it (no force) and returns the offset through which
-// the volume now holds the log.  After a failed write everything stays
+// flush's pages — writes it (no force) and returns the position through
+// which the volume now holds the log.  After a failed write everything stays
 // buffered and the next flush writes it to the same pages, none of which
 // holds an acknowledged record.  Caller holds forceMu.
-func (l *Log) flush() (int64, error) {
+func (l *Log) flush() (uint64, error) {
 	l.mu.Lock()
-	if fill := (l.ps - int(l.tail%int64(l.ps))) % l.ps; fill != 0 {
-		l.buf = append(l.buf, make([]byte, fill)...)
-		fillPad(l.buf[len(l.buf)-fill:])
-		l.pad += int64(fill)
-		l.tail += int64(fill)
+	if fill := (l.ps - l.tail%l.ps) % l.ps; fill != 0 {
+		l.padTo(fill)
+		l.tail += fill
 	}
-	data, pad, end := l.buf[:len(l.buf):len(l.buf)], l.pad, l.tail
+	data, pad, own, end := l.buf[:len(l.buf):len(l.buf)], l.pad, l.own, l.tail
 	l.mu.Unlock()
 	if len(data) == 0 {
 		return end, nil
 	}
-	first := disk.PageNum((end - int64(len(data))) / int64(l.ps))
-	if err := l.vol.WritePages(first, len(data)/l.ps, data); err != nil {
+	// buf ends at the tail, and a lap is a whole number of pages: its
+	// first byte's offset follows, whatever laps NewLap skipped.
+	if err := l.pages(end-uint64(len(data)), uint64(len(data)), func(pn disk.PageNum, from, n uint64) error {
+		return l.vol.WritePages(pn, int(n/l.ps), data[from:from+n])
+	}); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
-	l.buf = l.buf[len(data):]
+	if end%l.size <= (end-uint64(len(data)))%l.size {
+		l.stats.Wraps++ // the write reached the volume's end
+	}
+	// A drained buffer lets its array go: a checkpoint's image grows it to
+	// the catalog's size, which nothing needs again before the next one.
+	if l.buf = l.buf[len(data):]; len(l.buf) == 0 {
+		l.buf = nil
+	}
 	l.pad -= pad
-	l.stats.FlushedBytes += int64(len(data)) - pad
+	l.own -= own
+	l.unforced += uint64(len(data))
+	l.stats.FlushedBytes += int64(len(data)) - pad - own
 	l.stats.PadBytes += pad
 	l.mu.Unlock()
 	return end, nil
+}
+
+// pages calls fn for the page runs that hold n bytes from position pos —
+// one run, or two when they go past the volume's end — with each run's
+// first page, its distance from pos and its length.  pos and n are
+// page-aligned.
+func (l *Log) pages(pos, n uint64, fn func(pn disk.PageNum, from, n uint64) error) error {
+	off := pos % l.size
+	first := min(n, l.size-off)
+	if n == 0 {
+		return nil
+	}
+	if err := fn(disk.PageNum(off/l.ps), 0, first); err != nil || first == n {
+		return err
+	}
+	return fn(0, first, n-first)
 }
 
 // Force makes every appended record durable.  When nothing has been
@@ -365,14 +499,12 @@ func (l *Log) Force() error { return l.forceTo(l.Tail()) }
 // caller is never released successfully unless a force covering its
 // LSN actually succeeded; when the leader's I/O fails, each queued
 // follower retries as leader and surfaces its own error.
-func (l *Log) ForceLSN(lsn uint64) error {
-	return l.forceTo(int64(lsn - l.Base()))
-}
+func (l *Log) ForceLSN(lsn uint64) error { return l.forceTo(lsn) }
 
-// forceTo makes the log durable through byte offset target.  Forces only
+// forceTo makes the log durable through position target.  Forces only
 // ever advance `forced` to the sealed end of whole records, so forced >=
 // target (a record's start + 1) implies the whole record is durable.
-func (l *Log) forceTo(target int64) error {
+func (l *Log) forceTo(target uint64) error {
 	l.mu.Lock()
 	l.stats.Forces++
 	if l.grouped && l.forced >= target {
@@ -391,141 +523,166 @@ func (l *Log) forceTo(target int64) error {
 		l.mu.Unlock()
 		return nil
 	}
-	forced := l.forced
 	l.mu.Unlock()
 	// Lead: flush, then force every page written since the last force.
 	end, err := l.flush()
 	if err != nil {
 		return err
 	}
-	if end > forced {
-		ps := int64(l.ps)
-		if err := l.vol.Force(disk.PageNum(forced/ps), int((end-forced)/ps)); err != nil {
-			return err
-		}
+	l.mu.Lock()
+	forced, n := l.forced, l.unforced
+	l.mu.Unlock()
+	if err := l.pages(forced, n, func(pn disk.PageNum, _, n uint64) error {
+		return l.vol.Force(pn, int(n/l.ps))
+	}); err != nil {
+		return err
 	}
 	l.mu.Lock()
-	l.forced = end
+	l.forced, l.unforced = end, 0
 	l.stats.LeaderForces++
 	l.mu.Unlock()
 	return nil
 }
 
-// Tail returns the log length in bytes, padding included.
-func (l *Log) Tail() int64 {
+// Tail returns the log's end: every record appended so far has an LSN at
+// or below it, every later one an LSN above it.
+func (l *Log) Tail() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.tail
 }
 
-// Scan reads every intact record from byte offset start, invoking fn in
-// order.  A header that does not carry the LSN the current epoch gives its
-// offset — padding, zeroes, the crash-truncated tail, or a leftover from
-// before a truncation (Reset erases nothing; everything such a record
-// describes was durable before the truncation began) — means the force
-// ended: the scan goes on at the next page boundary, where the next one
-// began, and ends when no record begins there either (so a log written
-// without padding scans whole).  A record with the right LSN that fails its
-// length or checksum test always ends the scan: the page boundaries behind
-// it lie in its payload, bytes a client chose, never to be read as a header.
-// The LSN is tested before the length field is believed: a stale or garbage
-// length must not size a buffer.  Buffered records are part of the log's
-// logical contents, so Scan flushes them first (without forcing).
-func (l *Log) Scan(start int64, fn func(*Record) error) error {
+// Used returns the bytes of log in use: from the start to the tail,
+// padding included.
+func (l *Log) Used() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int64(l.tail - l.start)
+}
+
+// Truncate drops everything in front of the record with LSN lsn: its room
+// may be written again.  It writes nothing — the records stay where they
+// are until the log comes round to them, and no scan accepts them then.
+// The caller makes sure no recovery still starts in front of lsn.
+func (l *Log) Truncate(lsn uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if pos := lsn - 1; pos > l.start && pos <= l.tail {
+		l.start = pos
+	}
+}
+
+// Scan reads every intact record from the one with LSN from, invoking fn
+// in order.  A header that does not carry the LSN its position calls for —
+// padding, zeroes, the crash-truncated tail, or a leftover from an earlier
+// lap — means the force ended: the scan goes on at the next page boundary,
+// where the next one began, and ends when no record begins there either
+// (so a log written without padding scans whole).  A record with the right
+// LSN that fails its length or checksum test always ends the scan: the page
+// boundaries behind it lie in its payload, bytes a client chose, never to be
+// read as a header.  The LSN is tested before the length field is believed:
+// a stale or garbage length must not size a buffer.  Buffered records are
+// part of the log's logical contents, so Scan flushes them first (without
+// forcing).
+func (l *Log) Scan(from uint64, fn func(*Record) error) error {
 	l.forceMu.Lock()
 	_, err := l.flush()
 	l.forceMu.Unlock()
 	if err != nil {
 		return err
 	}
-	_, _, err = l.scan(start, fn)
+	_, _, _, err = l.scan(from, fn)
 	return err
 }
 
 // scan is Scan without the flush.  It also reports where the records end:
-// at a torn record's offset, or else behind the last intact record.
-func (l *Log) scan(start int64, fn func(*Record) error) (end int64, torn bool, err error) {
-	base := l.Base()
-	ps := int64(l.ps)
-	total := int64(l.vol.NumPages()) * ps
-	end = start
-	for off := start; off+int64(recHeaderSize) <= total; {
-		// Read the header area (up to two pages) to learn LSN and size.
-		head := make([]byte, recHeaderSize)
-		if err := l.readAt(off, head); err != nil {
-			return end, false, err
-		}
-		if binary.BigEndian.Uint64(head[8:]) != base+uint64(off)+1 {
-			if off%ps == 0 {
-				return end, false, nil // no force begins here: the log ends
+// at a torn record's position, or else behind the last intact record, and
+// how many positions the NewLap skip records it crossed jumped.  It reads
+// at most one lap of the volume.
+func (l *Log) scan(from uint64, fn func(*Record) error) (end, jumped uint64, torn bool, err error) {
+	pos := from - 1
+	end = pos
+	head := make([]byte, recHeaderSize)
+	for read := uint64(0); read < l.size; {
+		off := pos % l.size
+		if off+recHeaderSize <= l.size {
+			if err := l.readAt(off, head); err != nil {
+				return end, jumped, false, err
 			}
-			off += ps - off%ps
+		}
+		if off+recHeaderSize > l.size || binary.BigEndian.Uint64(head[8:]) != pos+1 {
+			if off%l.ps == 0 {
+				return end, jumped, false, nil // no force begins here: the log ends
+			}
+			step := l.ps - off%l.ps
+			pos, read = pos+step, read+step
 			continue
 		}
-		size := int(binary.BigEndian.Uint32(head[4:]))
-		if size < recHeaderSize || off+int64(size) > total {
-			return off, true, nil
+		size := uint64(binary.BigEndian.Uint32(head[4:]))
+		if size < recHeaderSize || off+size > l.size {
+			return pos, jumped, true, nil
 		}
 		buf := make([]byte, size)
 		if err := l.readAt(off, buf); err != nil {
-			return end, false, err
+			return end, jumped, false, err
 		}
-		r, n, err := decode(buf)
+		r, _, err := decode(buf)
 		if err != nil {
-			return off, true, nil
+			return pos, jumped, true, nil
 		}
-		if err := fn(r); err != nil {
-			return end, false, err
+		pos, read = pos+size, read+size
+		if r.Type == RecSkip {
+			pos += uint64(r.N)
+			read += uint64(r.N) % l.size
+			jumped += uint64(r.N) - uint64(r.N)%l.size
+		} else if err := fn(r); err != nil {
+			return end, jumped, false, err
 		}
-		off += int64(n)
-		end = off
+		end = pos
 	}
-	return end, false, nil
+	return end, jumped, false, nil
 }
 
-// readAt reads raw bytes at a byte offset.
-func (l *Log) readAt(off int64, buf []byte) error {
-	ps := int64(l.ps)
-	first := off / ps
-	last := (off + int64(len(buf)) - 1) / ps
+// readAt reads raw bytes at a byte offset of the volume.
+func (l *Log) readAt(off uint64, buf []byte) error {
+	first := off / l.ps
+	last := (off + uint64(len(buf)) - 1) / l.ps
 	npages := int(last - first + 1)
-	raw := make([]byte, npages*l.ps)
+	raw := make([]byte, npages*int(l.ps))
 	if err := l.vol.ReadPages(disk.PageNum(first), npages, raw); err != nil {
 		return err
 	}
-	copy(buf, raw[off-first*ps:])
+	copy(buf, raw[off-first*l.ps:])
 	return nil
 }
 
-// Recover reattaches a log after a crash: it scans from byte 0 to find
-// the records that survived and positions appends on the page boundary
-// behind the last of them.  base is the epoch base the store header
-// recorded; records whose LSNs belong to an earlier epoch are ignored.  It
-// returns the records found.
+// Recover reattaches a log after a crash: it scans from the record with
+// LSN from — the start the client recorded — to find the records that
+// survived, and positions appends on the page boundary behind the last of
+// them.  It returns the records found.
 //
 // A later scan steps over whatever lies in front of that boundary as
 // padding — except the intact header of a torn record, which would end it
 // before anything appended from now on.  That one is padded over here: the
 // one second write of a log page, and of a page only the torn force wrote.
-func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
-	l := New(vol, base)
+func Recover(vol disk.Device, from uint64) (*Log, []*Record, error) {
+	l := New(vol, 0)
 	var recs []*Record
-	end, torn, err := l.scan(0, func(r *Record) error {
+	end, jumped, torn, err := l.scan(from, func(r *Record) error {
 		recs = append(recs, r)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ps := int64(l.ps)
-	tail := (end + ps - 1) / ps * ps
+	tail := (end + l.ps - 1) / l.ps * l.ps
 	if torn && end < tail {
-		pn := disk.PageNum(end / ps)
+		pn := disk.PageNum(end % l.size / l.ps)
 		page, err := vol.Read(pn, 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		fillPad(page[end%ps:])
+		fillPad(page[end%l.ps:])
 		if err := vol.WritePages(pn, 1, page); err != nil {
 			return nil, nil, err
 		}
@@ -533,31 +690,16 @@ func Recover(vol disk.Device, base uint64) (*Log, []*Record, error) {
 			return nil, nil, err
 		}
 	}
-	// Not shared yet; mu is taken for the discipline of every tail update.
+	// Not shared yet; mu is taken for the discipline of every field update.
+	// The start moves with the laps jumped, as NewLap moved it: the same
+	// page, and the room in front of the tail as it was.
 	l.mu.Lock()
-	l.tail, l.forced = tail, tail
+	l.start, l.tail, l.forced = from-1+jumped, tail, tail
+	for _, r := range recs {
+		if r.Type == RecCheckpoint {
+			l.reserve = max(l.reserve, 2*l.slack(uint64(encodedSize(r))))
+		}
+	}
 	l.mu.Unlock()
 	return l, recs, nil
-}
-
-// Reset truncates the log (after a checkpoint has made everything it
-// describes — including the new epoch base in the store header — fully
-// durable) and starts a new LSN epoch at newBase, which must be at
-// least Base()+Tail() so the new epoch's LSNs outrank every record the
-// old epoch issued.  It touches no page: the old records stay where they
-// are until the new epoch overwrites them, and no scan under the new base
-// accepts one, because a record at offset o must carry LSN newBase+o+1
-// and every record of an epoch with a smaller base carries less.
-func (l *Log) Reset(newBase uint64) error {
-	l.forceMu.Lock()
-	defer l.forceMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if newBase < l.base+uint64(l.tail) {
-		return fmt.Errorf("wal: reset base %d would rewind LSNs (epoch end %d)",
-			newBase, l.base+uint64(l.tail))
-	}
-	l.base = newBase
-	l.buf, l.pad, l.tail, l.forced = l.buf[:0], 0, 0, 0
-	return nil
 }

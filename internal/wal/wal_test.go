@@ -36,7 +36,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 		}
 	}
 	var got []*Record
-	if err := l.Scan(0, func(r *Record) error {
+	if err := l.Scan(1, func(r *Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
@@ -72,7 +72,7 @@ func TestCrashDropsUnforcedRecords(t *testing.T) {
 	// The commit record was never forced.
 	vol.Crash()
 
-	l2, recs, err := Recover(vol, 0)
+	l2, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCrashDropsUnforcedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count int
-	l2.Scan(0, func(*Record) error { count++; return nil })
+	l2.Scan(1, func(*Record) error { count++; return nil })
 	if count != 3 {
 		t.Errorf("records after resumed append = %d, want 3", count)
 	}
@@ -109,7 +109,7 @@ func TestMultiPageRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol.Crash()
-	_, recs, err := Recover(vol, 0)
+	_, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLogFullBehindASealedPage(t *testing.T) {
 	if _, err := l.Append(tooBig); !errors.Is(err, ErrLogFull) {
 		t.Fatalf("err = %v, want ErrLogFull for a record one byte longer than the page left", err)
 	}
-	if l.Tail() != int64(ps) || l.Stats().Appends != 1 || vol.Stats() != before {
+	if l.Tail() != uint64(ps) || l.Stats().Appends != 1 || vol.Stats() != before {
 		t.Fatalf("the refused append left a trace: tail %d, stats %+v", l.Tail(), l.Stats())
 	}
 	want = append(want, appendAll(t, l, onePageRecord(1, ps))...)
@@ -156,19 +156,20 @@ func TestLogFullBehindASealedPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*Record
-	if err := l.Scan(0, func(r *Record) error { got = append(got, r); return nil }); err != nil {
+	if err := l.Scan(1, func(r *Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	expectLSNs(t, got, want)
-	if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
-		t.Fatal(err)
-	}
+	l.Truncate(l.Tail() + 1)
 	if _, err := l.Append(tooBig); err != nil {
 		t.Fatalf("after the truncation: %v", err)
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
+// TestTruncateKeepsNothingInFront: behind a truncation the log holds no
+// byte in use, and a recovery from the new start sees exactly the records
+// appended since — none of the ones in front of it.
+func TestTruncateKeepsNothingInFront(t *testing.T) {
 	l, vol := newLog(t, 16)
 	for i := 0; i < 5; i++ {
 		if _, err := l.Append(&Record{Txn: uint64(i), Type: RecBegin}); err != nil {
@@ -178,18 +179,11 @@ func TestResetClearsEverything(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	newBase := l.Base() + uint64(l.Tail())
-	if err := l.Reset(newBase); err != nil {
-		t.Fatal(err)
+	start := l.Tail() + 1
+	l.Truncate(start)
+	if l.Used() != 0 {
+		t.Errorf("%d bytes in use after the truncation", l.Used())
 	}
-	if l.Tail() != 0 {
-		t.Errorf("tail = %d after reset", l.Tail())
-	}
-	if l.Base() != newBase {
-		t.Errorf("base = %d after reset, want %d", l.Base(), newBase)
-	}
-	// A single new record, then crash: recovery must see exactly one —
-	// no phantom pre-reset records.
 	if _, err := l.Append(&Record{Txn: 9, Type: RecBegin}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +191,7 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol.Crash()
-	_, recs, err := Recover(vol, newBase)
+	_, recs, err := Recover(vol, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +202,7 @@ func TestResetClearsEverything(t *testing.T) {
 
 func TestRecTypeStrings(t *testing.T) {
 	for _, rt := range []RecType{RecBegin, RecCommit, RecAbort, RecCreate, RecDestroy,
-		RecAppend, RecInsert, RecDelete, RecReplace, RecTruncate, RecCheckpoint} {
+		RecAppend, RecInsert, RecDelete, RecReplace, RecCheckpoint, RecSkip} {
 		if rt.String() == "" || rt.String()[0] == 'r' && rt.String() != "replace" {
 			t.Errorf("missing String for %d", rt)
 		}
@@ -237,7 +231,7 @@ func TestCorruptRecordStopsScan(t *testing.T) {
 	vol.WritePages(0, 1, raw)
 
 	var count int
-	if err := l.Scan(0, func(*Record) error { count++; return nil }); err != nil {
+	if err := l.Scan(1, func(*Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -272,7 +266,7 @@ func TestConcurrentAppends(t *testing.T) {
 	// Every record intact, LSNs strictly increasing.
 	var prev uint64
 	count := 0
-	if err := l.Scan(0, func(r *Record) error {
+	if err := l.Scan(1, func(r *Record) error {
 		if r.LSN <= prev {
 			t.Errorf("LSN order violated: %d after %d", r.LSN, prev)
 		}
@@ -297,9 +291,10 @@ func BenchmarkAppendRecord(b *testing.B) {
 		if _, err := l.Append(&Record{Txn: 1, Type: RecInsert, Off: int64(i), Data: payload}); err != nil {
 			if errors.Is(err, ErrLogFull) {
 				b.StopTimer()
-				if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
+				if err := l.Force(); err != nil {
 					b.Fatal(err)
 				}
+				l.Truncate(l.Tail() + 1)
 				b.StartTimer()
 				continue
 			}
@@ -316,9 +311,7 @@ func BenchmarkForce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Append(&Record{Txn: 1, Type: RecCommit, Data: payload}); err != nil {
 			b.StopTimer()
-			if err := l.Reset(l.Base() + uint64(l.Tail())); err != nil {
-				b.Fatal(err)
-			}
+			l.Truncate(l.Tail() + 1)
 			b.StartTimer()
 			continue
 		}
@@ -394,7 +387,7 @@ func TestSerialModeAppendsWriteThrough(t *testing.T) {
 		t.Fatalf("serial force stats: %+v", st)
 	}
 	var count int
-	if err := l.Scan(0, func(*Record) error { count++; return nil }); err != nil {
+	if err := l.Scan(1, func(*Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 2 {
@@ -479,7 +472,7 @@ func TestForcedPrefixSurvivesCrash(t *testing.T) {
 	vol.ClearFault()
 	vol.Crash()
 
-	rl, recs, err := Recover(vol, 0)
+	rl, recs, err := Recover(vol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,20 +483,20 @@ func TestForcedPrefixSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := int64(vol.PageSize())
-	var end int64
+	ps := uint64(vol.PageSize())
+	var end uint64
 	for _, r := range recs {
-		off := int64(r.LSN - 1)
+		off := r.LSN - 1
 		if off != end {
 			gap := img[end:off]
 			if off != (end+ps-1)/ps*ps || !bytes.Equal(gap, bytes.Repeat([]byte{padByte}, len(gap))) {
 				t.Fatalf("record at offset %d after one ending at %d: the gap is not a force's padding", off, end)
 			}
 		}
-		end = off + int64(recHeaderSize+len(r.Data)+len(r.OldData)+len(r.Extents)*extentEncBytes)
+		end = off + uint64(encodedSize(r))
 	}
 	// ...that covers every acknowledged commit.
-	if int64(ackedThrough) > end {
+	if ackedThrough > end {
 		t.Fatalf("acked LSN %d lost: recovered prefix ends at %d", ackedThrough, end)
 	}
 	if ackedThrough == 0 {

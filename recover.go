@@ -1,6 +1,7 @@
 package eos
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/eosdb/eos/internal/buddy"
@@ -15,19 +16,20 @@ import (
 //
 //   - Uncommitted STRUCTURAL work never becomes durable: insert, delete
 //     and append shadow index pages and never overwrite live data pages,
-//     and catalog writes substitute the last committed descriptor for
+//     and catalog images substitute the last committed descriptor for
 //     any transaction-dirty object — and keep the record of an object a
 //     live transaction has destroyed.
 //   - A commit or an abort is durable at its log force and writes no
-//     catalog record.  The catalog lags them: a commit is redone, and an
+//     catalog image.  The catalog lags them: a commit is redone, and an
 //     abort's replaces undone, from the older roots until a checkpoint
 //     persists the roots that followed, and the durability quarantine
 //     keeps the older roots' pages intact until then.
 //   - Only the checkpoint writes the catalog.  It forces the whole data
-//     volume first, so the durable catalog never names a page the device
-//     does not hold, and its slot record carries the log position it took
-//     before that force: an abort record at or below the stamp belongs to
-//     a rollback the force made durable.
+//     volume first, so the durable image never names a page the device
+//     does not hold, then forces the image, then the master copy naming
+//     it; the master copy carries the log position the checkpoint took
+//     before its data force: an abort record at or below the stamp belongs
+//     to a rollback the force made durable.
 //   - An in-place write reaches the device only behind a force of the
 //     log record holding its pre-image.  A replace whose write is
 //     deferred to commit is written behind the commit record's force, so
@@ -38,55 +40,68 @@ import (
 //     physical extents still accurate —, committed since, or aborted: an
 //     abort's compensations are forced by no one but a checkpoint, so a
 //     crash may keep the forward write and lose its compensation.
-//   - A transaction stops being live in the same critical section that
-//     hands its new roots to the catalog, so a checkpoint that truncates
-//     the log (only with no transaction live) persists those roots.
-//   - The buddy directories carry no durable information: step 3 below
+//   - A transaction is live from before its first record until the
+//     critical section that hands its new roots to the catalog, and the
+//     log is truncated only behind the image and every live transaction's
+//     first record — after the master copy naming that start is durable.
+//     So the scan from the master's start sees every record of every
+//     transaction the image does not account for.
+//   - The buddy directories carry no durable information: step 4 below
 //     rebuilds them on every open.
 //
 // The recovery procedure:
 //
-//  1. Load the catalog slot.  Scan the log; classify transactions as
+//  1. Load the master copy with the higher seq (Open).  Scan the log from
+//     its start; load the image at its image LSN; classify transactions as
 //     committed, aborted, or in flight.
-//  2. UNDO pass: for the replace records of every transaction without a
+//  2. Move the log onto a new lap before anything is written: whatever lies
+//     past the recovered tail carries the old lap's LSNs, which no later
+//     scan accepts there (the log is never erased).
+//  3. UNDO pass: for the replace records of every transaction without a
 //     commit record — bar those whose abort record lies at or below the
-//     slot's stamp — in reverse log order, restore the logged pre-image at
-//     each physical extent where the post-image is present (replace is the
-//     only in-place update; §4.5 makes it the logged one for exactly this
-//     reason).
-//  3. Rebuild the buddy directories from scratch: reformat every space,
+//     master's stamp — in reverse log order, restore the logged pre-image
+//     at each physical extent where the post-image is present (replace is
+//     the only in-place update; §4.5 makes it the logged one for exactly
+//     this reason).
+//  4. Rebuild the buddy directories from scratch: reformat every space,
 //     then reserve exactly the pages reachable from the catalog's
 //     descriptors.  This both reclaims pages leaked by half-finished
 //     commits and protects every live page before redo allocates.
-//  4. REDO pass: re-execute, in log order, each committed operation the
+//  5. REDO pass: re-execute, in log order, each committed operation the
 //     catalog state has not seen — the LSN each object root carries
-//     makes this idempotent, exactly as the paper requires.  (LSNs are
-//     monotonic across log truncations: each epoch's records start at
-//     the base the store header records, so a root's LSN always ranks
-//     correctly against every record of every epoch and is never
-//     zeroed.)
-//  5. Trim the tails redo's appends left open: nothing continues them
+//     makes this idempotent, exactly as the paper requires.  (LSNs never
+//     restart, so a root's LSN ranks correctly against every record.)
+//  6. Trim the tails redo's appends left open: nothing continues them
 //     (every open forgets tails), so their room would only sit reserved.
-//  6. Take a checkpoint and truncate the log — always into a new LSN
-//     epoch, which is what puts everything the scan stopped in front of
-//     out of every later scan's reach (the log is never erased).
+//  7. Take a checkpoint: a new image, a new master copy, and a log
+//     truncated behind them.
 
-// recover runs the procedure above over img, the image of the catalog
-// slot Open loaded, whose checkpoint took the log position stamp before
-// its data force.
-func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
-	log, recs, err := wal.Recover(s.logVol, s.lsnBase)
+// recover runs the procedure above from the master copy m.
+func (s *Store) recover(m master) error {
+	log, recs, err := wal.Recover(s.logVol, m.start)
 	if err != nil {
 		return err
 	}
 	log.SetGroupCommit(!s.opts.SerialWAL)
 	s.log = log
-	if err := s.loadCatalog(img); err != nil {
+	loaded := false
+	for _, r := range recs {
+		if r.LSN == m.image && r.Type == wal.RecCheckpoint {
+			if err := s.loadCatalog(r.Data); err != nil {
+				return err
+			}
+			loaded = true
+		}
+	}
+	if !loaded {
+		return fmt.Errorf("%w: the log holds no image at the master record's LSN %d", ErrCorruptStore, m.image)
+	}
+	if err := log.NewLap(); err != nil {
 		return err
 	}
 
 	// An abort record at or below the stamp belongs to a rollback the
-	// slot's checkpoint forced; aborted holds the others.
+	// checkpoint forced; aborted holds the others.
 	committed := make(map[uint64]bool)
 	forcedAbort := make(map[uint64]bool)
 	aborted := make(map[uint64]bool)
@@ -95,7 +110,7 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 		switch {
 		case r.Type == wal.RecCommit:
 			committed[r.Txn] = true
-		case r.Type == wal.RecAbort && r.LSN <= stamp:
+		case r.Type == wal.RecAbort && r.LSN <= m.stamp:
 			forcedAbort[r.Txn] = true
 		case r.Type == wal.RecAbort:
 			aborted[r.Txn] = true
@@ -153,17 +168,6 @@ func (s *Store) recover(img map[uint64]catRec, stamp uint64) error {
 		}
 	}
 
-	// The checkpoint below must end the epoch just scanned even when the
-	// scan found no record in it.  Nothing erases what lies past the tail,
-	// and that may include intact records of this same epoch behind a torn
-	// first page; their LSNs would fit again once new records of the same
-	// sizes had grown up to them.  A checkpoint starts a new epoch only
-	// behind a non-empty log, so give it one record.
-	if s.log.Tail() == 0 {
-		if _, err := s.log.Append(&wal.Record{Type: wal.RecCheckpoint}); err != nil {
-			return err
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.catalog {
@@ -198,7 +202,7 @@ func (s *Store) undoReplace(r *wal.Record) (bool, error) {
 		if err := s.vol.ReadPages(disk.PageNum(x.Page), 1, raw); err != nil {
 			return undone, err
 		}
-		if bytesEqual(raw[x.Off:int(x.Off)+int(x.Len)], r.Data[pos:pos+int(x.Len)]) {
+		if bytes.Equal(raw[x.Off:int(x.Off)+int(x.Len)], r.Data[pos:pos+int(x.Len)]) {
 			copy(raw[x.Off:], r.OldData[pos:pos+int(x.Len)])
 			if err := s.vol.WritePages(disk.PageNum(x.Page), 1, raw); err != nil {
 				return undone, err
@@ -208,18 +212,6 @@ func (s *Store) undoReplace(r *wal.Record) (bool, error) {
 		pos += int(x.Len)
 	}
 	return undone, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // redo re-executes one committed operation if the object has not seen it,
@@ -312,7 +304,7 @@ func (s *Store) rebuildFreeSpace() error {
 	s.quar = nil
 	s.quarMu.Unlock()
 	bm := buddy.NewManager(s.pool, true)
-	page := disk.PageNum(1 + catalogRegionPages(s.opts))
+	page := disk.PageNum(masterPages)
 	for i := 0; i < s.opts.NumSpaces; i++ {
 		sp, err := buddy.FormatSpace(s.pool, page, page+1, s.opts.SpaceCapacity, s.vol)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // TestRecoverysSurviveRepeatedCrashes re-crashes the store in the middle
@@ -90,13 +91,14 @@ func TestRecoverySurvivesRepeatedCrashes(t *testing.T) {
 
 // TestCheckpointCrashBetweenDataForceAndLogReset crashes a checkpoint at
 // every request it issues to the data volume — in particular in the window
-// between the catalog barrier and the header write that moves the LSN
-// epoch base, where the durable catalog already reflects the checkpoint
-// while the old log, commit records included, is still what recovery
-// replays (truncating the log is not I/O and cannot fail; the header write
-// that precedes it can).  Recovery then replays those commits a second
-// time; the LSN each object root carries must make that replay a no-op
-// rather than a double apply.
+// between its data force and the truncation of the log, where the data
+// volume already holds the pages the new image names while the old master
+// copy, and the old log behind it, commit records included, is still what
+// recovery loads (truncating the log is not I/O and cannot fail; the
+// master write and its force that precede it can).  Recovery then replays
+// those commits over pages that may hold their effects; the LSN each
+// object root carries must make that replay a no-op rather than a double
+// apply.
 func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
 	boom := errors.New("boom")
 	inWindow := 0
@@ -127,15 +129,15 @@ func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
 		model := append(append([]byte{}, base...), extra...)
 
 		// Checkpoint, failing the data volume at its n-th request.
-		durable := s.barrierDurable.Load()
+		images := s.Stats().Barrier.ImageBytes
 		vol.FailAfter(n, boom)
 		err = s.Checkpoint()
 		vol.ClearFault()
 		if err == nil {
 			break // the checkpoint issues fewer than n requests: every one tried
 		}
-		if s.barrierDurable.Load() > durable && s.LogTail() > 0 {
-			inWindow++
+		if s.Stats().Barrier.ImageBytes > images {
+			inWindow++ // the image is logged: the data force is behind it
 		}
 
 		if err := vol.Crash(); err != nil {
@@ -164,98 +166,240 @@ func TestCheckpointCrashBetweenDataForceAndLogReset(t *testing.T) {
 		}
 	}
 	if inWindow == 0 {
-		t.Fatal("no fault landed between the catalog barrier and the log truncation")
+		t.Fatal("no fault landed between the data force and the log truncation")
+	}
+}
+
+// failingDevice fails every write and force from its n-th on while armed
+// (n >= 0).  A volume's FailAfter fails reads and writes, never a force.
+type failingDevice struct {
+	disk.Device
+	n int64
+}
+
+var errFailing = errors.New("injected write or force failure")
+
+func (d *failingDevice) fails() bool {
+	if d.n < 0 {
+		return false
+	}
+	d.n--
+	return d.n < 0
+}
+
+func (d *failingDevice) WritePages(start disk.PageNum, n int, buf []byte) error {
+	if d.fails() {
+		return errFailing
+	}
+	return d.Device.WritePages(start, n, buf)
+}
+
+func (d *failingDevice) WriteRun(start disk.PageNum, pages [][]byte) error {
+	if d.fails() {
+		return errFailing
+	}
+	return d.Device.WriteRun(start, pages)
+}
+
+func (d *failingDevice) Force(start disk.PageNum, n int) error {
+	if d.fails() {
+		return errFailing
+	}
+	return d.Device.Force(start, n)
+}
+
+func (d *failingDevice) ForceAll() error {
+	if d.fails() {
+		return errFailing
+	}
+	return d.Device.ForceAll()
+}
+
+// TestCheckpointKeepsTheLogUntilItsMasterIsDurable fails a checkpoint at
+// every write and force it issues to the data volume, the master copy's
+// write and its force among them, then goes on committing until the log is
+// full, and crashes.  Whatever failed, the master copy recovery loads names
+// an image and records the checkpoint must not have let go of: a truncation
+// ahead of the master copy's force would let those commits overwrite them.
+func TestCheckpointKeepsTheLogUntilItsMasterIsDurable(t *testing.T) {
+	for n := int64(0); ; n++ {
+		vol := &failingDevice{Device: newTestDevice(t, 512, 4096), n: -1}
+		logVol := newTestDevice(t, 512, 24)
+		s, err := Format(vol, logVol, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _ := s.Create("x", 0)
+		model := pat(70, 3000)
+		if err := o.Append(model); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		commit := func(i int) error {
+			tx, err := s.Begin()
+			if err != nil {
+				return err
+			}
+			more := pat(i, 300)
+			if err := tx.Append("x", more); err != nil {
+				_ = tx.Abort()
+				return err
+			}
+			if err := tx.Commit(); err != nil {
+				return err
+			}
+			model = append(model, more...)
+			return nil
+		}
+		// Commits until the log is full, so that the older image lies as
+		// far behind the checkpoint's as it can; and again behind the failed
+		// checkpoint, so that they would reach it.
+		fill := func() {
+			t.Helper()
+			for i := 0; ; i++ {
+				if err := commit(i); errors.Is(err, wal.ErrLogFull) {
+					return
+				} else if err != nil {
+					t.Fatalf("fault at request %d, commit %d: %v", n, i, err)
+				}
+				if i > 1000 {
+					t.Fatalf("fault at request %d: the log never filled", n)
+				}
+			}
+		}
+		fill()
+		vol.n = n
+		err = s.Checkpoint()
+		vol.n = -1
+		if err == nil {
+			if n == 0 {
+				t.Fatal("the checkpoint issued no data-volume request")
+			}
+			return // every request of the checkpoint has failed once
+		}
+		fill()
+		s = crashReopen(t, vol, logVol)
+		if !bytes.Equal(readObject(t, s, "x"), model) {
+			t.Fatalf("fault at request %d: recovered %d bytes, want the %d committed", n, len(readObject(t, s, "x")), len(model))
+		}
 	}
 }
 
 // TestSameEpochRecordBehindTornHeadNeverSurfaces: the log is never erased,
-// so a crash that tears the first page of an epoch's first flush but lets
-// a later page through leaves an intact record of the CURRENT epoch past
-// the recovered (empty) tail.  Here that record is a commit, and it begins
-// its page: exactly where a force would.  The next incarnation numbers its
-// transactions from 1 again; once its log has grown up to the leftover
-// commit — one flush, whose records end on that page boundary or short of
-// it, followed by padding the scan steps over — the commit must not be read
-// as theirs.  It is not, because recovery always ends the epoch it scanned:
-// under the new base the leftover's LSN is wrong.
+// so a crash that tears the first page of a force but lets its later pages
+// through leaves intact records of the CURRENT lap past the recovered
+// tail.  Here the last of them is a commit, and it begins its page: exactly
+// where a force would.  The next incarnation numbers its transactions from
+// the same id again; once its log has grown up to the leftover commit —
+// one flush, whose records end on that page boundary or short of it,
+// followed by padding the scan steps over — the commit must not be read as
+// theirs.  It is not, because recovery moves the log onto a new lap: there
+// the leftover's LSN is wrong.  The scenario runs at the start of the log
+// volume, and with the torn force going round its end.
 func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		short int // bytes the second incarnation's flush ends before the leftover's page
-	}{
-		{"the next flush fills the page in front of it", 0},
-		{"the next flush ends in padding in front of it", 100},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vol := newTestDevice(t, 512, 4096)
-			logVol := newTestDevice(t, 512, 1024)
-			s, err := Format(vol, logVol, Options{})
-			if err != nil {
-				t.Fatal(err)
+	for _, wrap := range []bool{false, true} {
+		for _, tc := range []struct {
+			name  string
+			short int // bytes the second incarnation's flush ends before the leftover's page
+		}{
+			{"the next flush fills the page in front of it", 0},
+			{"the next flush ends in padding in front of it", 100},
+		} {
+			name := tc.name
+			if wrap {
+				name = "across the wrap, " + name
 			}
-			o, _ := s.Create("x", 0)
-			base := pat(72, 3000)
-			if err := o.Append(base); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			// beginAndAppend's two records end short bytes before the end of
-			// log page 0: with short = 0 the next record of the same flush —
-			// the commit — starts page 1.
-			beginAndAppend := func(s *Store, short int) *Txn {
-				t.Helper()
-				tx, err := s.Begin()
+			t.Run(name, func(t *testing.T) {
+				vol := newTestDevice(t, 512, 4096)
+				logVol := newTestDevice(t, 512, 32)
+				s, err := Format(vol, logVol, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.Append("x", pat(73, 512-short-int(s.LogTail())*2)); err != nil {
+				o, _ := s.Create("x", 0)
+				base := pat(72, 3000)
+				if err := o.Append(base); err != nil {
 					t.Fatal(err)
 				}
-				if s.LogTail() != int64(512-short) {
-					t.Fatalf("log tail at %d after begin + append, want %d", s.LogTail(), 512-short)
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
 				}
-				return tx
-			}
-			tx := beginAndAppend(s, 0)
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if s.LogTail() != 2*512 || s.Stats().WAL.LeaderForces != 1 {
-				t.Fatalf("log tail at %d after %d forces, want one two-page flush", s.LogTail(), s.Stats().WAL.LeaderForces)
-			}
-			// The crash state of that commit's flush in which page 1 reached the
-			// device and page 0 did not.
-			if err := logVol.WritePages(0, 1, make([]byte, 512)); err != nil {
-				t.Fatal(err)
-			}
-			if err := logVol.ForceAll(); err != nil {
-				t.Fatal(err)
-			}
-			s = crashReopen(t, vol, logVol)
-			if !bytes.Equal(readObject(t, s, "x"), base) {
-				t.Fatal("a transaction whose log head was torn is visible")
-			}
+				size := uint64(32 * 512) // the log volume's: a lap
+				// Across the wrap, the torn force begins on the volume's last
+				// page: each checkpoint logs a one-page image.
+				for wrap && s.log.Tail()%size != size-512 {
+					if err := s.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// One force of four pages: begin and a first append fill the
+				// first, a second append the next two, and the commit begins the
+				// fourth.  Records never straddle the volume's end, and these
+				// end on page boundaries, so the layout is the same across it.
+				tx, _ := s.Begin()
+				for _, n := range []int{512 - 2*59, 1024 - 59} {
+					if err := tx.Append("x", pat(73, n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lost, forces := s.log.Tail()-3*512, s.Stats().WAL.LeaderForces
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				leftover := lost + 3*512
+				if forces = s.Stats().WAL.LeaderForces - forces; s.log.Tail() != leftover+512 || forces != 1 {
+					t.Fatalf("log tail at %d after %d forces, want one four-page flush ending at %d", s.log.Tail(), forces, leftover+512)
+				}
+				// The crash state of that commit's flush in which its later pages
+				// reached the device and its first did not.
+				if err := logVol.WritePages(disk.PageNum(lost%size/512), 1, make([]byte, 512)); err != nil {
+					t.Fatal(err)
+				}
+				if err := logVol.ForceAll(); err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				if err := wal.New(logVol, 0).Scan(leftover+1, func(r *wal.Record) error {
+					if r.Type == wal.RecCommit && r.Txn == tx.ID() {
+						n++
+					}
+					return nil
+				}); err != nil || n != 1 {
+					t.Fatalf("the leftover commit is not intact (%d, err %v); the test proves nothing", n, err)
+				}
+				s = crashReopen(t, vol, logVol)
+				if !bytes.Equal(readObject(t, s, "x"), base) {
+					t.Fatal("a transaction whose log head was torn is visible")
+				}
 
-			// Same shape again, never committed; a soft checkpoint pushes its two
-			// records to the device: one page, right up to the leftover commit.
-			tx = beginAndAppend(s, tc.short)
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if s.LogTail() != 512 {
-				t.Fatalf("log tail at %d after the soft checkpoint, want the leftover's page boundary", s.LogTail())
-			}
-			s = crashReopen(t, vol, logVol)
-			if !bytes.Equal(readObject(t, s, "x"), base) {
-				t.Fatal("an uncommitted append was redone: recovery took the previous incarnation's commit record for its own")
-			}
-			if err := s.Check(); err != nil {
-				t.Fatal(err)
-			}
-			_ = tx
-		})
+				// Same shape again, never committed, numbered as the first: a
+				// log force pushes its two records to the device, right up to
+				// the leftover commit.
+				dist := int((leftover%size + size - s.log.Tail()%size) % size)
+				tx, _ = s.Begin()
+				if tx.ID() != 1 || dist > 1024 {
+					t.Fatalf("txn %d, %d bytes to the leftover: not the shape the test needs", tx.ID(), dist)
+				}
+				if err := tx.Append("x", pat(74, dist-tc.short-2*59)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.log.Force(); err != nil {
+					t.Fatal(err)
+				}
+				if s.log.Tail()%size != leftover%size {
+					t.Fatalf("log tail at offset %d after the force, want the leftover's page boundary %d", s.log.Tail()%size, leftover%size)
+				}
+				s = crashReopen(t, vol, logVol)
+				if !bytes.Equal(readObject(t, s, "x"), base) {
+					t.Fatal("an uncommitted append was redone: recovery took the previous incarnation's commit record for its own")
+				}
+				if err := s.Check(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -376,7 +520,8 @@ func TestCrashBetweenCommitForceAndHomeWriteIsRedone(t *testing.T) {
 // TestRedoOfACreateDoesNotTakeTheNameBack: a name passes from one object to
 // the next — destroy and create in one transaction — twice, and only the
 // second hand-over is followed by a checkpoint, a soft one that keeps the
-// log.  The durable catalog then holds
+// log: a transaction live since before the first hand-over holds it.  The
+// durable catalog then holds
 // the third object while the log still holds the second one's whole life.
 // Redo must leave that life alone: re-creating the second object would take
 // the name from the third, and redoing its destroy would then leave the name
@@ -392,6 +537,9 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Begin(); err != nil { // live, so the log stays
 		t.Fatal(err)
 	}
 	var want []byte
@@ -411,15 +559,12 @@ func TestRedoOfACreateDoesNotTakeTheNameBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Begin(); err != nil { // live, so the log stays
-		t.Fatal(err)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	re := crashReopen(t, vol, logVol)
 	if rs := re.Stats().Recovery; rs.Redone != 0 {
-		t.Fatalf("recovery redid %d operations, want none: the slot holds every commit", rs.Redone)
+		t.Fatalf("recovery redid %d operations, want none: the image holds every commit", rs.Redone)
 	}
 	if got := re.List(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("recovered objects %v, want [x]", got)
@@ -520,37 +665,51 @@ func TestCommitAfterAFailedAbortIsRedone(t *testing.T) {
 }
 
 // TestSoftCheckpointHidesOlderCommitsFromRedo: a non-transactional append
-// follows a commit on the same object, and a soft checkpoint (another
-// transaction is live, so the log stays) writes the slot with the append
-// in it.  The commit's records are still in the log, and its root LSN in
-// the slot must keep redo from replaying them over the append.
+// follows a commit on the same object, and a soft checkpoint — another
+// transaction is live since before the commit, so the log keeps the
+// commit's records — logs an image with the append in it.  The commit's
+// records are still in the log, and its root LSN in the image must keep
+// redo from replaying them over the append.
 func TestSoftCheckpointHidesOlderCommitsFromRedo(t *testing.T) {
-	s, vol, logVol, want := failedAbortStore(t)
+	s, vol, logVol, base := replaceStore(t, Options{})
+	live, _ := s.Begin()
+	tx, _ := s.Begin()
+	repl, more := pat(62, 300), pat(63, 900)
+	if err := tx.Replace("x", 1000, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte{}, base...), more...)
+	copy(want[1000:], repl)
 	x, _ := s.Open("x")
-	more := pat(65, 700)
+	more = pat(65, 700)
 	if err := x.Append(more); err != nil {
 		t.Fatal(err)
 	}
-	want["x"] = append(want["x"], more...)
-	live, _ := s.Begin()
-	if err := live.Append("y", pat(66, 500)); err != nil {
+	want = append(want, more...)
+	if err := live.Create("y", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LogTail() == 0 {
-		t.Fatal("the checkpoint truncated the log with a transaction live")
+	if m, err := readMaster(vol); err != nil || m.start > tx.firstLSN {
+		t.Fatalf("recovery starts at LSN %d (err %v), behind the commit's first record %d", m.start, err, tx.firstLSN)
 	}
 	s = crashReopen(t, vol, logVol)
-	expectObjects(t, s, want)
+	expectObjects(t, s, map[string][]byte{"x": want})
 	if rs := s.Stats().Recovery; rs.Redone != 0 {
-		t.Fatalf("recovery redid %d operations older than the slot", rs.Redone)
+		t.Fatalf("recovery redid %d operations older than the image", rs.Redone)
 	}
 }
 
 // TestQuarantineWaitsForACheckpoint: a committed Delete frees a segment,
-// and until a checkpoint's slot record holding the new root is durable the
+// and until a checkpoint's master copy naming the new root is durable the
 // durable catalog still names it — so nothing may let it out of the
 // durability quarantine before that.  Neither a commit nor an abort is a
 // barrier; the next checkpoint releases the segment.

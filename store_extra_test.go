@@ -242,10 +242,7 @@ func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := uint64(s.opts.NumSpaces * s.opts.SpaceCapacity)
-			barriers := func() int64 {
-				b := s.Stats().Barrier
-				return b.CatalogDeltaWrites + b.CatalogCompactions
-			}
+			barriers := func() int64 { return s.Stats().Barrier.MasterWrites }
 			end := func(tx *Txn) {
 				t.Helper()
 				finish := tx.Commit

@@ -108,14 +108,15 @@ type txnOp struct {
 // until then recovery undoes the transaction's replaces from their logged
 // pre-images.
 type Txn struct {
-	s       *Store
-	id      uint64
-	alloc   *deferredAlloc
-	lm      *lob.Manager
-	touched map[uint64]*txnObj
-	journal []txnOp
-	kept    keptRead
-	done    bool
+	s        *Store
+	id       uint64
+	firstLSN uint64 // no record of the transaction has a lower LSN
+	alloc    *deferredAlloc
+	lm       *lob.Manager
+	touched  map[uint64]*txnObj
+	journal  []txnOp
+	kept     keptRead
+	done     bool
 }
 
 // keptRead is the transaction's one-slot memory of what its last Read
@@ -153,15 +154,12 @@ type txnObj struct {
 	pendingLSN uint64
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction.  It is live before it logs anything: a
+// checkpoint keeps the log from the transaction's firstLSN on, and no
+// record of it can have a lower LSN.
 func (s *Store) Begin() (*Txn, error) {
-	s.mu.Lock()
-	id := s.nextTxn
-	s.nextTxn++
-	s.mu.Unlock()
 	t := &Txn{
 		s:       s,
-		id:      id,
 		alloc:   &deferredAlloc{inner: &epochAlloc{s: s}},
 		touched: make(map[uint64]*txnObj),
 	}
@@ -170,12 +168,17 @@ func (s *Store) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.log.Append(&wal.Record{Txn: id, Type: wal.RecBegin}); err != nil {
+	s.mu.Lock()
+	t.id, t.firstLSN = s.nextTxn, s.log.Tail()+1
+	s.nextTxn++
+	s.liveTxns[t.id] = t
+	s.mu.Unlock()
+	if _, err := s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecBegin}); err != nil {
+		s.mu.Lock()
+		delete(s.liveTxns, t.id)
+		s.mu.Unlock()
 		return nil, err
 	}
-	s.mu.Lock()
-	s.liveTxns[id] = t
-	s.mu.Unlock()
 	return t, nil
 }
 
@@ -341,8 +344,8 @@ func (t *Txn) Destroy(name string) error {
 	op.freeHi = t.alloc.mark()
 	// Only the name goes now.  The entry stays in byID, and so in every
 	// checkpoint with its last committed descriptor, until the destroy
-	// commits: a checkpoint must not journal a tombstone for an object
-	// whose destroy may still abort or crash.
+	// commits: a checkpoint's image must not drop an object whose destroy
+	// may still abort or crash.
 	t.s.mu.Lock()
 	delete(t.s.catalog, e.name)
 	t.s.mu.Unlock()
@@ -646,7 +649,7 @@ func (t *Txn) Commit() error {
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
 // in-place writes are on the device, and any checkpoint forces its pages
-// and then records its new roots in its catalog slot.
+// and then logs its new roots in its catalog image.
 func (t *Txn) commitLog() error {
 	t.done = true
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
@@ -839,7 +842,7 @@ func (t *Txn) Abort() error {
 	// The abort record goes to the log before the frees and the lock
 	// release, and is forced like a commit record: Abort returns nil only
 	// once the outcome is durable.  Recovery undoes this transaction's
-	// replaces until a checkpoint stamps its slot above the record; the
+	// replaces until a checkpoint stamps its master copy above the record; the
 	// frees reach the quarantine only after the record, so the checkpoint
 	// that lets their pages be reused is such a checkpoint.  And nobody
 	// else can touch these objects before the record is durable.

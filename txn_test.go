@@ -1072,11 +1072,14 @@ func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 // TestLogFullBehindASealedForce: every log force ends on a page boundary,
 // and room is counted from there.  A record that an unpadded log would
 // still have held is refused whole — ErrLogFull, nothing of the operation
-// done or logged — the store stays readable, and a quiescent checkpoint
-// gives the log back.
+// done or logged — the store stays readable, and a checkpoint gives the log
+// back: the log always keeps the room for one.
 func TestLogFullBehindASealedForce(t *testing.T) {
 	vol := newTestDevice(t, 512, 4096)
-	logVol := newTestDevice(t, 512, 4)
+	// Thirteen pages: the image's, four for transactions, and the eight
+	// the log keeps for the next checkpoint's image (and for a recovery
+	// behind it).
+	logVol := newTestDevice(t, 512, 13)
 	s, err := Format(vol, logVol, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -1087,6 +1090,10 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if s.LogTail() != 512 {
+		t.Fatalf("%d bytes of log in use after the checkpoint, want its image's page", s.LogTail())
+	}
+	st0 := s.Stats()
 	var model []byte
 	for i := 0; i < 3; i++ {
 		tx, _ := s.Begin()
@@ -1099,19 +1106,18 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 		}
 		model = append(model, more...)
 	}
-	st := s.Stats()
-	if s.LogTail() != 3*512 {
-		t.Fatalf("log tail at %d after three one-page commits, want %d", s.LogTail(), 3*512)
+	if s.LogTail() != 4*512 {
+		t.Fatalf("%d bytes of log in use after three one-page commits, want %d", s.LogTail(), 4*512)
 	}
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := int(s.LogTail()) - 3*512  // a record without payload: the begin record
-	room := 4*512 - int(s.LogTail()) // what is left of the last page
+	hdr := int(s.LogTail()) - 4*512  // a record without payload: the begin record
+	room := 5*512 - int(s.LogTail()) // what is left of the last page
 	big := pat(90, room-hdr+1)       // its record is one byte longer than that
-	if int(st.WAL.FlushedBytes)+3*hdr+len(big) > 4*512 {
-		t.Fatal("the transaction would not fit an unpadded log either; the test proves nothing")
+	if pad := s.Stats().WAL.PadBytes - st0.WAL.PadBytes; pad < int64(1+hdr) {
+		t.Fatalf("the commits left %d bytes of padding: the transaction would not fit an unpadded log either; the test proves nothing", pad)
 	}
 	before := s.LogTail()
 	if err := tx.Append("x", big); !errors.Is(err, wal.ErrLogFull) {
@@ -1132,8 +1138,8 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LogTail() != 0 {
-		t.Fatalf("log tail at %d after a quiescent checkpoint", s.LogTail())
+	if s.LogTail() != 512 {
+		t.Fatalf("%d bytes of log in use after a quiescent checkpoint, want its image's page", s.LogTail())
 	}
 	tx, err = s.Begin()
 	if err != nil {
@@ -1154,4 +1160,82 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBoundedLogUnderOverlappingTransactions: two clients whose
+// transactions overlap, so that every checkpoint finds one of them live,
+// write ten times the log's capacity in records.  Each checkpoint truncates
+// behind the image and the live transaction's first record, so the log
+// never fills, and what it keeps stays within a constant of those two: four
+// times, since every force pads its last page.
+func TestBoundedLogUnderOverlappingTransactions(t *testing.T) {
+	vol := newTestDevice(t, 512, 4096)
+	logVol := newTestDevice(t, 512, 64)
+	capacity := int64(logVol.NumPages()) * int64(logVol.PageSize())
+	s, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := [2]string{"a", "b"}
+	model := map[string][]byte{}
+	for _, n := range names {
+		o, err := s.Create(n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[n] = pat(len(n), 2000)
+		if err := o.Append(model[n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const every = 3 // commits between checkpoints
+	var live [2]*Txn
+	var staged [2][]byte
+	begin := func(k, i int) {
+		t.Helper()
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatalf("round %d: begin: %v", i, err)
+		}
+		data := pat(i, 200+i%300)
+		if err := tx.Append(names[k], data); err != nil {
+			t.Fatalf("round %d: append: %v", i, err)
+		}
+		live[k], staged[k] = tx, data
+	}
+	begin(0, 0)
+	checkpoints := 0
+	var over error // the first checkpoint that kept too much, reported once the log has gone round
+	for i := 1; s.Stats().WAL.FlushedBytes < 10*capacity; i++ {
+		k := i % 2
+		begin(k, i) // while the other client's transaction is live
+		if err := live[1-k].Commit(); err != nil {
+			t.Fatalf("round %d: commit: %v", i, err)
+		}
+		model[names[1-k]] = append(model[names[1-k]], staged[1-k]...)
+		if i%every != 0 {
+			continue
+		}
+		image := s.Stats().Barrier.ImageBytes
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("round %d: checkpoint with transaction %d live: %v", i, live[k].ID(), err)
+		}
+		checkpoints++
+		image = s.Stats().Barrier.ImageBytes - image + 59
+		kept := int64(59 + 59 + len(staged[k])) // the live transaction's begin and append
+		if used := s.LogTail(); used > 4*(image+kept) && over == nil {
+			over = fmt.Errorf("round %d: %d bytes of log in use, want at most 4 × (%d bytes of image + %d of the live transaction's records)", i, used, image, kept)
+		}
+	}
+	if over != nil {
+		t.Fatal(over)
+	}
+	if err := live[0].Commit(); err != nil {
+		t.Fatal(err)
+	}
+	model[names[0]] = append(model[names[0]], staged[0]...)
+	if checkpoints < 20 {
+		t.Fatalf("only %d checkpoints", checkpoints)
+	}
+	expectObjects(t, crashReopen(t, vol, logVol), model)
 }

@@ -223,14 +223,17 @@ func TestAbortIsDurableAtItsLogForce(t *testing.T) {
 
 // TestAbortBelowTheSlotStampIsNotUndone: A aborts a settled replace, then
 // B commits the same bytes at the same offset, and a soft checkpoint
-// (another transaction is live, so the log stays) persists B's root.  A's
-// abort record lies below the slot's stamp: the checkpoint forced the
-// rollback, and undoing A's replace now would find its post-image — B's
-// bytes — and put the old bytes back where the slot's root LSN keeps redo
-// from restoring B's.
+// (another transaction is live since before A, so the log keeps A's
+// records) persists B's root.  A's abort record lies below the master
+// record's stamp: the checkpoint forced the rollback, and undoing A's
+// replace now would find its post-image — B's bytes — and put the old bytes
+// back where the image's root LSN keeps redo from restoring B's.
 func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	repl := pat(72, 600)
+	if _, err := s.Begin(); err != nil { // live, so the log stays
+		t.Fatal(err)
+	}
 	a, _ := s.Begin()
 	if err := a.Replace("x", 2000, repl); err != nil {
 		t.Fatal(err)
@@ -246,9 +249,6 @@ func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Begin(); err != nil { // live, so the log stays
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
