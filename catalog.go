@@ -54,6 +54,7 @@ import (
 const (
 	masterPages = 2  // the two master copies: data pages 0 and 1
 	masterCRC   = 56 // the master copy's CRC, over the bytes in front of it
+	catCount    = 4  // the image's entry count
 	catEntHdr   = 8 + 2 + 4
 )
 
@@ -156,7 +157,7 @@ type catRec struct {
 // eos:requires s.mu
 func (s *Store) appendImage() (uint64, error) {
 	var recs []catRec
-	n := 4
+	n := catCount
 	for _, e := range s.byID {
 		if desc := e.loadStableDesc(); desc != nil {
 			recs = append(recs, catRec{id: e.id, name: e.name, desc: desc})
@@ -179,15 +180,34 @@ func (s *Store) appendImage() (uint64, error) {
 	return lsn, err
 }
 
+// measure records that e's descriptor takes n bytes in the image the next
+// checkpoint logs — e takes none once it has left byID — and has the log
+// keep room for that image (wal.Log.Reserve).  A change to the catalog is
+// measured before the log takes any record that follows it: a transaction
+// measures the object it creates before its create record, and the roots it
+// commits before its commit record, so the log never holds more than leaves
+// room for the image.
+//
+// eos:requires s.mu
+func (s *Store) measure(e *catEntry, n int) {
+	size := 0
+	if s.byID[e.id] == e {
+		size = catEntHdr + len(e.name) + n
+	}
+	s.catBytes += size - e.catBytes
+	e.catBytes = size
+	s.log.Reserve(s.catBytes)
+}
+
 // loadCatalog makes the image the store's catalog.  The record passed
 // the log's CRC, so a malformed image is a bug or a foreign format.
 // Caller holds no locks (called during Open).
 func (s *Store) loadCatalog(img []byte) error {
 	bad := fmt.Errorf("%w: malformed catalog image", ErrCorruptStore)
-	if len(img) < 4 {
+	if len(img) < catCount {
 		return bad
 	}
-	off := 4
+	off := catCount
 	for i := binary.BigEndian.Uint32(img); i > 0; i-- {
 		if off+catEntHdr > len(img) {
 			return bad

@@ -631,6 +631,69 @@ func TestCatalogFull(t *testing.T) {
 	})
 }
 
+// TestCatalogGrownByTransactionsStillCheckpoints: transactions that create
+// objects between checkpoints grow the image the next checkpoint logs, and
+// the log keeps room for that image as it grows, not for the one the last
+// checkpoint logged.  Filled with such transactions until it refuses one,
+// the log still takes a checkpoint, and a crash behind it recovers every
+// committed object — as does a crash that tears the checkpoint's master
+// copy, whose recovery needs room for an image of its own behind the one the
+// checkpoint logged.
+func TestCatalogGrownByTransactionsStillCheckpoints(t *testing.T) {
+	s, vol, logVol := newJournalStore(t, 64, Options{})
+	create := func(s *Store, name string, data []byte) error {
+		tx, err := s.Begin()
+		if err != nil {
+			return err
+		}
+		err = tx.Create(name, 0)
+		if err == nil {
+			err = tx.Append(name, data)
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		if err != nil {
+			_ = tx.Abort() // its record may not fit either
+		}
+		return err
+	}
+	want := map[string][]byte{}
+	for i := 0; ; i++ {
+		if i > 200 {
+			t.Fatal("the log never filled")
+		}
+		name := fmt.Sprintf("obj-%03d", i)
+		err := create(s, name, pat(i, 100))
+		if errors.Is(err, wal.ErrLogFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = pat(i, 100)
+	}
+	// Format logged an image of one page; the one due now takes several.
+	if len(want) < 25 {
+		t.Fatalf("the log refused a transaction after %d: the image never grew much", len(want))
+	}
+	expectObjects(t, s, want)
+	vol.tearNext(0, masterPages)
+	if err := s.Checkpoint(); !errors.Is(err, errTorn) {
+		t.Fatalf("checkpoint of a log full of transactions, master copy torn: %v", err)
+	}
+	s = crashReopen(t, vol, logVol)
+	expectObjects(t, s, want)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the recovery: %v", err)
+	}
+	if err := create(s, "after", pat(999, 100)); err != nil {
+		t.Fatalf("transaction after the checkpoint: %v", err)
+	}
+	want["after"] = pat(999, 100)
+	expectObjects(t, crashReopen(t, vol, logVol), want)
+}
+
 // TestFormatClearsAnEarlierStoresCatalog: Format on a data volume that held
 // a store must not let that store's master copies pass for its own.  The
 // earlier store checkpointed often, so both its copies hold seqs that run

@@ -182,6 +182,7 @@ type catEntry struct {
 	name     string
 	obj      *lob.Object
 	txnDirty uint64 // id of the transaction holding it dirty, or 0
+	catBytes int    // what it adds to the next checkpoint's image, as measured (Store.measure); under Store.mu
 
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
@@ -261,6 +262,9 @@ type Store struct {
 	// masterSeq is the seq of the newest master copy (eos:guardedby mu);
 	// the next checkpoint writes masterSeq+1 over the other copy.
 	masterSeq uint64
+	// catBytes is the size of the image the next checkpoint logs, or more:
+	// the sum of the entries' measures (eos:guardedby mu; see measure).
+	catBytes int
 
 	// barrierStarted counts checkpoints begun; barrierDurable is the index
 	// of the last one whose master copy is forced.  Checkpoints are
@@ -287,9 +291,10 @@ type Store struct {
 	earlyReplaceApplies atomic.Int64
 	replaceReadsSaved   atomic.Int64
 
-	// quarMu guards quar, the durability quarantine (leaf lock — never
-	// acquired while holding another store lock's critical section
-	// beyond s.mu).  Runs whose reader grace period has expired wait
+	// quarMu guards quar, the durability quarantine (never acquired while
+	// holding another store lock's critical section beyond s.mu; a run
+	// leaves quar only once it is back in the buddy system, which
+	// releaseQuarantined does under it).  Runs whose reader grace period has expired wait
 	// here, still absent from the buddy directories, until a catalog
 	// barrier that STARTED after they arrived completes — only then is
 	// every root the durable catalog can resolve to (the image the newest
@@ -332,6 +337,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	lap := uint64(logVol.NumPages()) * uint64(logVol.PageSize())
 	s.log = wal.New(logVol, rand.Uint64N(1<<62/lap)*lap)
 	s.log.SetGroupCommit(!opts.SerialWAL)
+	s.log.Reserve(catCount) // the image of an empty catalog
 	// A data volume that held a store before still holds its master copies,
 	// and the higher seq would win over this store's.  They start out blank.
 	if err := vol.WritePages(0, masterPages, make([]byte, masterPages*vol.PageSize())); err != nil {
@@ -368,6 +374,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		catBytes: catCount,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
 	// Admission control: throttle mutators once a quarter of the volume
@@ -462,7 +469,13 @@ const (
 // caps the epoch advance one past its begin), and snapshot readers
 // take no latches, so the pins being waited out always drain — but
 // see EpochManager.Admit for why this path is the last resort.
-type spaceWaiter struct{ deadline time.Time }
+type spaceWaiter struct {
+	deadline time.Time
+	// drained: nothing was left to reclaim before the last retry.  Only a
+	// retry that failed after that is final — a checkpoint running
+	// concurrently may have given the pages back since the one before.
+	drained bool
+}
 
 func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 	if !errors.Is(err, buddy.ErrNoSpace) {
@@ -472,11 +485,12 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 	switch {
 	case w.deadline.IsZero():
 		w.deadline = time.Now().Add(allocBackpressureWait)
-	case time.Now().After(w.deadline), drained:
+	case time.Now().After(w.deadline), w.drained:
 		return false, nil
-	default:
+	case !drained:
 		time.Sleep(allocBackpressurePoll)
 	}
+	w.drained = drained
 	if rerr := s.epochs.Reclaim(); rerr != nil {
 		return true, rerr
 	}
@@ -568,27 +582,19 @@ func (s *Store) releaseRuns(runs []txn.Run) error {
 func (s *Store) releaseQuarantined() error {
 	durable := s.barrierDurable.Load()
 	s.quarMu.Lock()
-	var rel []quarRun
+	defer s.quarMu.Unlock()
 	keep := s.quar[:0]
+	var err error
 	for _, q := range s.quar {
-		if q.stamp < durable {
-			rel = append(rel, q)
-		} else {
-			keep = append(keep, q)
+		if err == nil && q.stamp < durable {
+			if err = s.buddy.Free(q.run.Start, q.run.Pages); err == nil {
+				continue
+			}
 		}
+		keep = append(keep, q) // not releasable yet, or kept rather than leaked
 	}
 	s.quar = keep
-	s.quarMu.Unlock()
-	for i, q := range rel {
-		if err := s.buddy.Free(q.run.Start, q.run.Pages); err != nil {
-			// Re-stash what could not be freed rather than leaking it.
-			s.quarMu.Lock()
-			s.quar = append(s.quar, rel[i:]...)
-			s.quarMu.Unlock()
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // quarantinedPages counts pages awaiting their release barrier.
@@ -880,7 +886,9 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.catalog[name] = e
 	s.byID[e.id] = e
 	e.obj.Publish(snapshotHistory)
-	e.setStableDesc(e.obj.EncodeDescriptor())
+	desc := e.obj.EncodeDescriptor()
+	e.setStableDesc(desc)
+	s.measure(e, len(desc))
 	return &Object{s: s, e: e}, nil
 }
 
@@ -923,6 +931,7 @@ func (s *Store) Destroy(name string) error {
 	}
 	delete(s.catalog, name)
 	delete(s.byID, e.id)
+	s.measure(e, 0)
 	s.mu.Unlock()
 	return s.epochs.Reclaim()
 }
@@ -968,6 +977,7 @@ func (s *Store) Rename(oldName, newName string) error {
 	delete(s.catalog, oldName)
 	e.name = newName
 	s.catalog[newName] = e
+	s.measure(e, len(e.loadStableDesc()))
 	return nil
 }
 
@@ -1187,6 +1197,9 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.e.setStableDesc(o.e.obj.EncodeDescriptor())
 	o.e.latch.Unlock()
 	o.s.epochs.EndMutation(scope)
+	o.s.mu.Lock()
+	o.s.measure(o.e, len(o.e.loadStableDesc()))
+	o.s.mu.Unlock()
 	if rerr := o.s.epochs.Reclaim(); err == nil {
 		err = rerr
 	}

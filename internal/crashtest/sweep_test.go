@@ -56,9 +56,6 @@ func TestCrashSweep(t *testing.T) {
 				t.Fatalf("sweep: %v", err)
 			}
 			report(t, res)
-			if testing.Short() {
-				return
-			}
 			// The floor guards against a sweep that silently enumerates less.
 			// It was 1550 while every log truncation zeroed the pages its
 			// epoch had written (1663 / 1606 states), then 1450 once truncation
@@ -85,7 +82,7 @@ func TestCrashSweep(t *testing.T) {
 			// (1989 / 1987).  Since an abort forces only its record, the
 			// writes an abort barrier used to force stay outstanding longer
 			// and the same workload gives 2016 / 2014.
-			if res.States < 1450 {
+			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
 			// Commits and aborts force only the log: the sweep must reach
@@ -97,10 +94,10 @@ func TestCrashSweep(t *testing.T) {
 			}
 			// A checkpoint's two durable writes: the image in the log, then
 			// the master copy naming it.  Crashes must land inside both.
-			if res.ImageStates == 0 || res.MasterStates == 0 {
+			if !testing.Short() && (res.ImageStates == 0 || res.MasterStates == 0) {
 				t.Fatalf("%d states inside an image write and %d inside a master-copy write, want both > 0", res.ImageStates, res.MasterStates)
 			}
-			if tc.logPages != 0 && res.Wraps < 3 {
+			if !testing.Short() && tc.logPages != 0 && res.Wraps < 3 {
 				t.Fatalf("the log went round its volume %d times, want >= 3", res.Wraps)
 			}
 		})

@@ -410,6 +410,9 @@ func (o *Object) EncodeDescriptor() []byte {
 	return buf
 }
 
+// DescriptorSize is the length of the descriptor EncodeDescriptor returns.
+func (o *Object) DescriptorSize() int { return descHeaderSize + len(o.root.entries)*entrySize }
+
 // OpenDescriptor reconstructs an object handle from a descriptor.
 func (m *Manager) OpenDescriptor(data []byte) (*Object, error) {
 	if len(data) < descHeaderSize || binary.BigEndian.Uint32(data[0:]) != descMagic {

@@ -26,10 +26,10 @@
 // still needs) to its tail.  Truncate advances the start and writes
 // nothing; an append that would reach the page holding the start gets
 // ErrLogFull, so that page is never written while the start is on it.
-// Ordinary records also leave the room the client's next checkpoint record
-// (RecCheckpoint) is expected to need, and a checkpoint record leaves room
-// for a recovery to write one like it, so that a log full of ordinary
-// records can always be checkpointed, and recovered.
+// The client says how large its checkpoint records (RecCheckpoint) are
+// (Reserve): ordinary records leave room for two, a checkpoint record for
+// one, so that a log full of ordinary records can always be checkpointed,
+// and a crash before the client records the checkpoint still recovered.
 //
 // The unit of layout is the force: the records buffered since the last one,
 // back to back, written once as whole pages that begin behind that one's
@@ -67,7 +67,7 @@ const (
 	RecDelete  // N bytes deleted at Off; structural, so shadowed: no bytes logged
 	RecReplace // Data written at Off; OldData holds the previous bytes
 	// RecCheckpoint carries a checkpoint's image of the client's catalog in
-	// Data.  It may use the room ordinary records leave free.
+	// Data.  It may use half the room ordinary records leave free (Reserve).
 	RecCheckpoint
 	// RecSkip says the log goes on N positions behind the record's end:
 	// the room in front of the volume's end, or a whole lap (NewLap).  The
@@ -198,12 +198,8 @@ type Log struct {
 	tail  uint64 // eos:guardedby mu -- position the next record gets unless it wraps
 	// forced is the page-aligned position through which the log is durable.
 	forced uint64 // eos:guardedby mu
-	// reserve is the room ordinary records leave for the checkpoint after
-	// the last one: twice its slack (see slack).
+	// reserve is the room one of the client's checkpoints takes (Reserve).
 	reserve uint64 // eos:guardedby mu
-	// lapped is set by NewLap until the next checkpoint record, which may
-	// then take all the room there is: a recovery's.
-	lapped bool // eos:guardedby mu
 	// unforced counts the bytes flushes wrote since the last force, which
 	// begin at the volume offset of forced.
 	unforced uint64 // eos:guardedby mu
@@ -351,11 +347,12 @@ func (l *Log) put(r *Record) (uint64, error) {
 		gap = l.size - off
 	}
 	room := l.start - l.start%l.ps + l.size // no byte at or past this position: it is on the start's page
-	switch {
-	case r.Type == RecCheckpoint && !l.lapped:
-		room -= min(l.slack(n), room)
-	case r.Type != RecCheckpoint && r.Type != RecSkip:
+	switch r.Type {
+	case RecCheckpoint:
 		room -= min(l.reserve, room)
+	case RecSkip:
+	default:
+		room -= min(2*l.reserve, room)
 	}
 	if l.tail+gap+n > room {
 		return 0, ErrLogFull
@@ -371,25 +368,32 @@ func (l *Log) put(r *Record) (uint64, error) {
 	r.LSN = l.tail + 1 // LSN 0 means "never logged"
 	l.buf = append(l.buf, encode(r)...)
 	l.tail += n
-	switch r.Type {
-	case RecCheckpoint:
-		l.reserve, l.lapped = 2*l.slack(n), false
-		fallthrough
-	case RecSkip:
+	if r.Type == RecCheckpoint || r.Type == RecSkip {
 		l.own += int64(n)
-	default:
+	} else {
 		l.stats.Appends++
 	}
 	return r.LSN, nil
 }
 
-// slack is the room a checkpoint record of n bytes leaves behind it: should
-// a crash keep it but not the client's pointer to it, the recovery needs a
-// page for NewLap's skip record and room for an image of the same size,
-// with the padding in front of the volume's end it may need.  Ordinary
-// records leave twice that: room for the next checkpoint record and its
-// own slack.
-func (l *Log) slack(n uint64) uint64 { return 2*((n+l.ps-1)/l.ps*l.ps) + 2*l.ps }
+// Reserve says that the client's checkpoints log a RecCheckpoint record
+// carrying n bytes.  From now on ordinary records leave room for two
+// checkpoints, and a checkpoint record for one more: should a crash keep it
+// but not the client's pointer to it, the recovery writes NewLap's skip
+// record and a checkpoint record of its own.  A log that keeps no room (the
+// client has not called Reserve) lets a checkpoint record take all there
+// is, as a recovery's must.
+func (l *Log) Reserve(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reserve = l.room(recHeaderSize+n) + l.room(recHeaderSize)
+}
+
+// room is the most log a record of n bytes can take, in whole pages: the
+// skip record or padding in front of the volume's end, which is shorter than
+// the record, the record, and the padding behind it to its force's page
+// boundary.
+func (l *Log) room(n int) uint64 { return (2*uint64(n) + 2*l.ps - 3) / l.ps * l.ps }
 
 // padTo appends n bytes of padding to the buffer.  The caller advances
 // the tail.
@@ -414,7 +418,6 @@ func (l *Log) NewLap() error {
 	if err == nil {
 		l.tail += l.size
 		l.start += l.size // the same page, a lap on: the room stays as it was
-		l.lapped = true
 	}
 	l.mu.Unlock()
 	if err != nil {
@@ -695,11 +698,6 @@ func Recover(vol disk.Device, from uint64) (*Log, []*Record, error) {
 	// page, and the room in front of the tail as it was.
 	l.mu.Lock()
 	l.start, l.tail, l.forced = from-1+jumped, tail, tail
-	for _, r := range recs {
-		if r.Type == RecCheckpoint {
-			l.reserve = max(l.reserve, 2*l.slack(uint64(encodedSize(r))))
-		}
-	}
 	l.mu.Unlock()
 	return l, recs, nil
 }

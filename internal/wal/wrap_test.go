@@ -85,6 +85,74 @@ func TestNoRecordStraddlesTheEnd(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsRoomForACheckpointAndItsRecovery: ordinary records
+// forced until the log refuses one leave room for a checkpoint record of
+// the reserved size, and checkpoint records leave a recovery room for
+// NewLap and a checkpoint record of its own, should a crash keep them but
+// nothing naming them — wherever the filling meets the volume's end.
+func TestReserveKeepsRoomForACheckpointAndItsRecovery(t *testing.T) {
+	for c := 0; c < 40; c++ {
+		l, vol := newLog(t, 48)
+		rng := rand.New(rand.NewSource(int64(c)))
+		image := make([]byte, 100+rng.Intn(400))
+		// Start the log somewhere else on the volume each time.
+		if _, err := l.Append(&Record{Type: RecBegin, Data: make([]byte, rng.Intn(int(l.size)/2))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+		l.Reserve(len(image))
+		start, err := l.Append(&Record{Type: RecCheckpoint, Data: image})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Truncate(start)
+		for {
+			_, err := l.Append(&Record{Type: RecAppend, Data: make([]byte, rng.Intn(300))})
+			if errors.Is(err, ErrLogFull) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				if err := l.Force(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Checkpoints while a transaction holds the start truncate nothing:
+		// their records pile up until the log refuses one.
+		for n := 0; ; n++ {
+			_, err := l.Append(&Record{Type: RecCheckpoint, Data: image})
+			if errors.Is(err, ErrLogFull) && n > 0 {
+				break
+			}
+			if err != nil {
+				t.Fatalf("case %d: checkpoint record on a log full of ordinary records: %v", c, err)
+			}
+			if err := l.Force(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vol.Crash()
+		l, _, err = Recover(vol, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.NewLap(); err != nil {
+			t.Fatalf("case %d: recovery's NewLap: %v", c, err)
+		}
+		if _, err := l.Append(&Record{Type: RecCheckpoint, Data: image}); err != nil {
+			t.Fatalf("case %d: recovery's checkpoint record: %v", c, err)
+		}
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestStartPageIsNeverWritten: no write reaches the page that holds the
 // log's start a lap on, however the log comes round to it — an append that
 // would fails with ErrLogFull instead, and a truncation lets it go on.

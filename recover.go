@@ -74,7 +74,9 @@ import (
 //  6. Trim the tails redo's appends left open: nothing continues them
 //     (every open forgets tails), so their room would only sit reserved.
 //  7. Take a checkpoint: a new image, a new master copy, and a log
-//     truncated behind them.
+//     truncated behind them.  Ordinary records left room for it (see
+//     Store.measure), and it may take all the room there is; only then does
+//     the log keep room for the catalog's next checkpoint again.
 
 // recover runs the procedure above from the master copy m.
 func (s *Store) recover(m master) error {
@@ -181,7 +183,17 @@ func (s *Store) recover(m master) error {
 			return err
 		}
 	}
-	return s.checkpointLocked()
+	// The recovered log keeps no room yet, so this checkpoint may take all
+	// there is: it is the recovery the room is kept for.  From here on the
+	// log keeps room for the catalog's.
+	if err := s.checkpointLocked(); err != nil {
+		return err
+	}
+	for _, e := range s.byID {
+		s.measure(e, len(e.loadStableDesc()))
+	}
+	s.log.Reserve(s.catBytes)
+	return nil
 }
 
 // undoReplace writes a replace record's pre-image back to its physical

@@ -303,13 +303,22 @@ func (t *Txn) Create(name string, threshold int) error {
 	t.s.nextID++
 	t.s.catalog[name] = e
 	t.s.byID[e.id] = e
+	t.s.measure(e, e.obj.DescriptorSize())
 	t.s.mu.Unlock()
-	if err := t.s.locks.LockObject(t.id, e.id, txn.Exclusive); err != nil {
-		return err
+	err := t.s.locks.LockObject(t.id, e.id, txn.Exclusive)
+	var lsn uint64
+	if err == nil {
+		t.touched[e.id] = &txnObj{entry: e, created: true}
+		lsn, err = t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
 	}
-	t.touched[e.id] = &txnObj{entry: e, created: true}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
 	if err != nil {
+		// Nothing logged, nothing journaled: the name is free again.
+		delete(t.touched, e.id)
+		t.s.mu.Lock()
+		delete(t.s.catalog, name)
+		delete(t.s.byID, e.id)
+		t.s.measure(e, 0)
+		t.s.mu.Unlock()
 		return err
 	}
 	e.obj.SetLSN(lsn)
@@ -651,11 +660,21 @@ func (t *Txn) Commit() error {
 // in-place writes are on the device, and any checkpoint forces its pages
 // and then logs its new roots in its catalog image.
 func (t *Txn) commitLog() error {
-	t.done = true
+	// The roots this commit hands the catalog go into the next checkpoint's
+	// image: the log must keep room for them before it takes the commit
+	// record.  A commit the full log refuses leaves the transaction to abort.
+	t.s.mu.Lock()
+	for _, to := range t.touched {
+		if e := to.entry; e.txnDirty == t.id {
+			t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
+		}
+	}
+	t.s.mu.Unlock()
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
 	if _, err := t.s.log.Append(rec); err != nil {
 		return err
 	}
+	t.done = true
 	// A transaction that performed no mutating operation has nothing to
 	// make durable: its commit record can stay in the log buffer for the
 	// next leader force or checkpoint.  Any other blocks until some
@@ -698,6 +717,7 @@ func (t *Txn) commitLog() error {
 		if t.s.catalog[e.name] != e {
 			delete(t.s.byID, e.id) // destroyed by this transaction
 		}
+		t.s.measure(e, len(e.loadStableDesc()))
 	}
 	// Leave liveTxns in the SAME critical section that refreshes
 	// stableDesc.  A checkpoint that finds no live transaction persists
@@ -828,7 +848,9 @@ func (t *Txn) Abort() error {
 		// (logically equal) shape whose old nodes are now retired, so
 		// the restored root — not the pre-transaction stableDesc image
 		// — must be what the next checkpoint persists.
-		to.entry.setStableDesc(to.entry.obj.EncodeDescriptor())
+		desc := to.entry.obj.EncodeDescriptor()
+		to.entry.setStableDesc(desc)
+		t.s.measure(to.entry, len(desc)) // before the abort record
 	}
 	// Same critical section as the stableDesc refresh, as in commitLog: a
 	// checkpoint that finds the transaction gone persists these roots.
