@@ -22,7 +22,7 @@ lint:
 eoslint:
 	scripts/lint.sh eoslint
 
-# Just the whole-program passes (lockorder, walfirst, leaksip,
+# Just the whole-program passes (pairs, lockorder, walfirst,
 # forcedom, racecheck).
 lint-ssa:
 	scripts/lint.sh --ssa

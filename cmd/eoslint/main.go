@@ -1,7 +1,7 @@
 // Command eoslint runs the storage engine's custom static analyzers
-// (pairs, atomicfield, errwrap, useafterunpin, guardedby, the
-// whole-program passes lockorder, walfirst, leaksip, forcedom and
-// racecheck, and the unusedignore audit) over Go packages.
+// (atomicfield, errwrap, useafterunpin, guardedby, the whole-program
+// passes pairs, lockorder, walfirst, forcedom and racecheck, and the
+// unusedignore audit) over Go packages.
 //
 // Usage:
 //
@@ -30,8 +30,8 @@
 // GitHub code-scanning upload; the exit code is 1 when any result is
 // present, as with -json.
 //
-// With -ssa, only the SSA-based whole-program passes (lockorder,
-// walfirst, leaksip, forcedom, racecheck) report: the flag forwards
+// With -ssa, only the SSA-based whole-program passes (pairs, lockorder,
+// walfirst, forcedom, racecheck) report: the flag forwards
 // the corresponding analyzer-selection flags to go vet.  Useful for
 // iterating on the interprocedural suite without the noise (or cost)
 // of re-verifying the per-function invariants.
@@ -87,7 +87,7 @@ func main() {
 	if ssaOnly {
 		// Analyzer-selection flags: with any set, only the named
 		// analyzers report (their prerequisites still run for facts).
-		args = append(args, "-lockorder", "-walfirst", "-leaksip", "-forcedom", "-racecheck")
+		args = append(args, "-pairs", "-lockorder", "-walfirst", "-forcedom", "-racecheck")
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

@@ -22,7 +22,7 @@ const vetStream = `# github.com/eosdb/eos/internal/wal
 # github.com/eosdb/eos/internal/buffer
 {
 	"github.com/eosdb/eos/internal/buffer": {
-		"leaksip": [
+		"pairs": [
 			{
 				"posn": "/src/eos/internal/buffer/pool.go:7:10",
 				"message": "interprocedural pin leak: call chain pinPage acquires pg"
@@ -68,8 +68,8 @@ func TestCollectDiagnostics(t *testing.T) {
 	if !strings.Contains(d.Message, "lock order inversion") {
 		t.Errorf("lockorder message = %q", d.Message)
 	}
-	if _, ok := byAnalyzer["leaksip"]; !ok {
-		t.Errorf("no leaksip diagnostic in %+v", diags)
+	if _, ok := byAnalyzer["pairs"]; !ok {
+		t.Errorf("no pairs diagnostic in %+v", diags)
 	}
 	fd, ok := byAnalyzer["forcedom"]
 	if !ok {
@@ -142,13 +142,13 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("rule %s shortDescription = %q", r.ID, r.ShortDesc.Text)
 		}
 	}
-	for _, want := range []string{"pairs", "lockorder", "walfirst", "leaksip", "forcedom", "racecheck", "unusedignore"} {
+	for _, want := range []string{"pairs", "lockorder", "walfirst", "forcedom", "racecheck", "unusedignore"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule inventory missing %q (have %v)", want, ruleIDs)
 		}
 	}
-	if len(run.Tool.Driver.Rules) != 11 {
-		t.Errorf("rule inventory has %d rules, want 11", len(run.Tool.Driver.Rules))
+	if len(run.Tool.Driver.Rules) != 10 {
+		t.Errorf("rule inventory has %d rules, want 10", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(run.Results))

@@ -667,9 +667,10 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Close checkpoints the store and rejects further transactions.  Volumes
-// built by CreateAt/OpenAt are closed; volumes handed to Format/Open
-// remain the caller's.
+// Close fails while transactions are live or snapshots are open.
+// Otherwise it checkpoints the store and closes the volumes CreateAt
+// and OpenAt built; volumes handed to Format/Open remain the caller's.
+// Close sets no closed state, so nothing rejects a later Begin.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if n := len(s.liveTxns); n > 0 {

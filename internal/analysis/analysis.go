@@ -1,13 +1,13 @@
 // Package analysis collects the eoslint analyzer suite: the custom
 // go/analysis checkers that machine-enforce the storage engine's
-// concurrency and recovery invariants (acquire/release pairing,
-// guarded-field locking, pin lifetimes, atomics discipline, and error
-// wrapping), the whole-program passes built on the internal ssa
-// facility (lockorder, walfirst, leaksip, forcedom, racecheck — the
-// latch lattice across call chains, §4.5 write-ahead dominance across
-// helpers, context-sensitive resource-leak propagation, §8.1
-// force-ordering dominance, and the Eraser lockset rule), plus the
-// audit that keeps the //eoslint:ignore exception inventory honest.
+// concurrency and recovery invariants (guarded-field locking, pin
+// lifetimes, atomics discipline, and error wrapping), the
+// whole-program passes built on the internal ssa facility (pairs,
+// lockorder, walfirst, forcedom, racecheck — acquire/release pairing
+// through helpers and wrappers, the latch lattice across call chains,
+// §4.5 write-ahead dominance across helpers, §8.1 force-ordering
+// dominance, and the Eraser lockset rule), plus the audit that keeps
+// the //eoslint:ignore exception inventory honest.
 //
 // The suite runs under `go vet` via cmd/eoslint and in CI via
 // scripts/lint.sh; see the "Static analysis" section of README.md and
@@ -21,7 +21,6 @@ import (
 	"github.com/eosdb/eos/internal/analysis/errwrap"
 	"github.com/eosdb/eos/internal/analysis/forcedom"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
-	"github.com/eosdb/eos/internal/analysis/leaksip"
 	"github.com/eosdb/eos/internal/analysis/lockorder"
 	"github.com/eosdb/eos/internal/analysis/pairs"
 	"github.com/eosdb/eos/internal/analysis/racecheck"
@@ -42,7 +41,6 @@ func Analyzers() []*goanalysis.Analyzer {
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,
-		leaksip.Analyzer,
 		forcedom.Analyzer,
 		racecheck.Analyzer,
 		unusedignore.Analyzer,

@@ -11,8 +11,8 @@ import (
 // documented, runnable, and one registry entry per analyzer package.
 func TestRegistry(t *testing.T) {
 	as := eosanalysis.Analyzers()
-	if len(as) != 11 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 11", len(as))
+	if len(as) != 10 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 10", len(as))
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {
@@ -29,7 +29,7 @@ func TestRegistry(t *testing.T) {
 	}
 	for _, name := range []string{
 		"pairs", "lockorder", "atomicfield", "walfirst", "errwrap",
-		"useafterunpin", "guardedby", "leaksip", "forcedom", "racecheck",
+		"useafterunpin", "guardedby", "forcedom", "racecheck",
 		"unusedignore",
 	} {
 		if !seen[name] {

@@ -20,7 +20,7 @@ var badFixtures = map[string][]string{
 	"pairs": {
 		"pairs_pin_bad", "pairs_mutex_bad", "pairs_txn_bad",
 		"pairs_alloc_bad", "pairs_epoch_bad",
-		"pairs_filevol_bad",
+		"pairs_filevol_bad", "leaksip_bad",
 	},
 	"lockorder":     {"lockorder_bad", "deadlock_bad"},
 	"atomicfield":   {"atomicfield_bad"},
@@ -28,7 +28,6 @@ var badFixtures = map[string][]string{
 	"errwrap":       {"errwrap_bad"},
 	"useafterunpin": {"useafterunpin_bad"},
 	"guardedby":     {"guardedby_bad"},
-	"leaksip":       {"leaksip_bad"},
 	"forcedom":      {"forcedom_bad"},
 	"racecheck":     {"racecheck_bad"},
 	"unusedignore":  {"unusedignore_bad"},

@@ -1,11 +1,10 @@
 // Package pairs defines an Analyzer that enforces the engine's
 // acquire/release disciplines through one table-driven pairing engine.
 // It generalizes the original pinpair checker: every resource class is
-// a Spec naming its acquire calls, its release calls, how the resource
+// a spec naming its acquire calls, its release calls, how the resource
 // token is identified at each site, and which paths must release.
 //
-// The default table covers the disciplines the storage engine depends
-// on:
+// The table covers the disciplines the storage engine depends on:
 //
 //	pin      buffer.Pool.Fix/FixNew        → Unpin/Discard   (all paths)
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
@@ -29,32 +28,40 @@
 // a callee or stored into a structure).
 //
 // Pairing is checked along the control-flow graph from each acquire
-// site, exactly as pinpair did: a diagnostic means some path reaches a
-// function exit holding the resource.  The error-check branch guarding
-// a fallible acquire is exempt (a failed acquire acquires nothing),
-// and a deferred release covers every exit.
+// site: a diagnostic means some path reaches a function exit holding
+// the resource.  The error check guarding a fallible acquire is exempt
+// (a failed acquire acquires nothing): a test of its error variable
+// reached on a path that has not written the variable since the
+// acquire.  A deferred release covers every exit.
 //
-// The check extends across unexported helpers through analysis facts:
-// a function that releases a resource received as a parameter (or
-// receiver) exports a ReleasesFact, and a call to it counts as a
-// release of the corresponding argument at every call site, including
-// call sites in other packages.  A helper that releases only on some
-// of its own paths is still treated as a releaser at call sites; the
-// helper's own body is where the partial release is visible.
+// The check follows resources through helpers, within the package and
+// across packages, by one summary per function (ResFact) computed to a
+// fixed point bottom-up over the ssa call graph:
 //
-// The -extra flag appends simple specs of the pin shape
-// ("name=pkg.Type.Acq1|Acq2->pkg.Type.Rel1|Rel2", semicolon-
-// separated, first-argument-keyed, error-guarded) so new paired APIs
-// can be enforced without recompiling the analyzer.
+//   - Releases: parameters whose resource the function releases.  A
+//     call to it releases the matching argument.  A helper that
+//     releases only on some of its own paths is still a releaser at call
+//     sites; the helper's own body is where the partial release shows.
+//   - Acquires: parameters whose resource the function acquires and
+//     never releases (lockShard(sh) leaves sh.mu held).
+//   - Returns: a freshly acquired resource carried by the first result
+//     (openTxn(s) hands its caller a transaction to finish).
+//
+// In a function declaration, every call to a function with an Acquires
+// or Returns entry is an acquire site too, checked by the same path
+// engine and reported with the acquiring call chain.  Context
+// sensitivity is by propagation: when such a site's token is the
+// enclosing function's own parameter, or a variable it returns, the
+// enclosing function inherits the entry and each of its callers is
+// checked against its own exits.  A returned resource that is
+// discarded outright is reported at the call.
 //
 // Test files are exempt: tests hold pins, latches, and transactions
 // across assertions deliberately.
 package pairs
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -71,36 +78,38 @@ import (
 
 const doc = `check that paired acquire/release calls balance on every path
 
-Each resource class (buffer pins, ranked latches, transactions, buddy
-allocations) pairs an acquire call with a release call.  A path from an
-acquire to a function exit that misses the release leaks the resource:
-frames stay unevictable, latches deadlock their next acquirer,
-transactions hold their locks forever, allocations leak pages.  The
-table is extensible with -extra; helpers that release a parameter are
-recognized across function and package boundaries via analysis facts.`
+Each resource class (buffer pins, ranked latches, transactions, epoch
+guards, buddy allocations, file volumes) pairs an acquire call with a
+release call.  A path from an acquire to a function exit that misses
+the release leaks the resource: frames stay unevictable, latches
+deadlock their next acquirer, transactions hold their locks forever,
+allocations leak pages.  Function summaries (releases,
+acquires-and-holds, returns-acquired) propagate bottom-up over the call
+graph and across packages, so helpers that release a parameter and
+wrappers that acquire for their caller are checked at every call.`
 
 // Analyzer is the pairs analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "pairs",
 	Doc:       doc,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer, ignore.Analyzer},
+	Requires:  []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer, ssa.Analyzer, ignore.Analyzer},
 	Run:       run,
-	FactTypes: []analysis.Fact{new(ReleasesFact)},
+	FactTypes: []analysis.Fact{new(ResFact)},
 }
 
-// KeyFrom says where a site's resource token is read.
-type KeyFrom int
+// keyFrom says where a site's resource token is read.
+type keyFrom int
 
 const (
-	// KeyArg0 keys the resource by the call's first argument (the page
+	// keyArg0 keys the resource by the call's first argument (the page
 	// of Fix(pg) and Unpin(pg)).
-	KeyArg0 KeyFrom = iota
-	// KeyRecv keys the resource by the method receiver (the t of
+	keyArg0 keyFrom = iota
+	// keyRecv keys the resource by the method receiver (the t of
 	// t.Commit()).
-	KeyRecv
-	// KeyResult0 keys the resource by the variable the call's first
+	keyRecv
+	// keyResult0 keys the resource by the variable the call's first
 	// result is assigned to (the t of t, err := s.Begin()).
-	KeyResult0
+	keyResult0
 )
 
 // matcher selects method calls by package name, receiver type name
@@ -112,17 +121,17 @@ type matcher struct {
 	methods  []string
 }
 
-// Spec describes one acquire/release discipline.
-type Spec struct {
-	// Name labels the resource in diagnostics, facts, and -extra
-	// entries ("pin", "latch", "txn", "alloc").
+// spec describes one acquire/release discipline.
+type spec struct {
+	// Name labels the resource in diagnostics and summaries ("pin",
+	// "latch", "txn", "alloc").
 	Name string
 
 	// Acquire and Release match the paired calls.  Unused for the
 	// mutex kind.
 	Acquire, Release []matcher
 	// AcquireKey and ReleaseKey locate the resource token at each site.
-	AcquireKey, ReleaseKey KeyFrom
+	AcquireKey, ReleaseKey keyFrom
 
 	// ErrGuarded marks acquires whose last result is an error: the
 	// branch testing that error right after the call acquired nothing.
@@ -157,405 +166,235 @@ var rankedMutexes = func() map[string]bool {
 	return m
 }()
 
-// DefaultSpecs returns the engine's pairing table.  The leaksip
-// analyzer shares it so the whole-program extension can never disagree
-// with this analyzer about what pairs with what.
-func DefaultSpecs() []*Spec {
-	return defaultSpecs()
-}
-
-// defaultSpecs returns the engine's pairing table.
-func defaultSpecs() []*Spec {
-	return []*Spec{
-		{
-			Name:       "pin",
-			Acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixNew"}}},
-			Release:    []matcher{{"buffer", "Pool", []string{"Unpin", "Discard"}}},
-			AcquireKey: KeyArg0,
-			ReleaseKey: KeyArg0,
-			ErrGuarded: true,
-			Hint:       "add defer Unpin after the error check",
-		},
-		{
-			Name:        "latch",
-			MutexFields: rankedMutexes,
-			Hint:        "unlock on every path, or defer the unlock",
-		},
-		{
-			Name:       "txn",
-			Acquire:    []matcher{{"eos", "Store", []string{"Begin"}}},
-			Release:    []matcher{{"eos", "Txn", []string{"Commit", "Abort"}}},
-			AcquireKey: KeyResult0,
-			ReleaseKey: KeyRecv,
-			ErrGuarded: true,
-			Hint:       "commit or abort on every path; an unfinished transaction holds its locks forever",
-		},
-		{
-			Name:          "epoch",
-			Acquire:       []matcher{{"txn", "EpochManager", []string{"Enter"}}},
-			Release:       []matcher{{"txn", "EpochGuard", []string{"Exit"}}},
-			AcquireKey:    KeyResult0,
-			ReleaseKey:    KeyRecv,
-			TransferOnUse: true,
-			Hint:          "Exit the guard on every path (or hand it off); a leaked pin blocks epoch reclamation forever",
-		},
-		{
-			Name: "alloc",
-			Acquire: []matcher{
-				{"buddy", "Manager", []string{"Alloc", "AllocUpTo"}},
-				{"lob", "Allocator", []string{"Alloc", "AllocUpTo"}},
-			},
-			Release: []matcher{
-				{"buddy", "Manager", []string{"Free", "FreeUnpublished"}},
-				{"lob", "Allocator", []string{"Free", "FreeUnpublished"}},
-			},
-			AcquireKey:     KeyResult0,
-			ReleaseKey:     KeyArg0,
-			ErrGuarded:     true,
-			ErrorPathsOnly: true,
-			TransferOnUse:  true,
-			Hint:           "free the pages (or hand them off) before returning the error",
-		},
-		{
-			Name: "filevol",
-			Acquire: []matcher{
-				{"disk", "", []string{"CreateFileVolume", "OpenFileVolume"}},
-			},
-			Release:        []matcher{{"disk", "FileVolume", []string{"Close"}}},
-			AcquireKey:     KeyResult0,
-			ReleaseKey:     KeyRecv,
-			ErrGuarded:     true,
-			ErrorPathsOnly: true,
-			TransferOnUse:  true,
-			Hint:           "close the volume (or hand it off) before returning the error; a leaked descriptor pins the page file",
-		},
-	}
-}
-
-var extraFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&extraFlag, "extra", "",
-		`extra specs, semicolon-separated "name=pkg.Type.Acq1|Acq2->pkg.Type.Rel1|Rel2" (arg0-keyed, error-guarded)`)
-}
-
-// parseExtra parses one -extra entry.
-func parseExtra(ent string) (*Spec, error) {
-	bad := func() error { return fmt.Errorf("pairs: bad -extra entry %q", ent) }
-	name, rest, ok := strings.Cut(ent, "=")
-	if !ok || name == "" {
-		return nil, bad()
-	}
-	acq, rel, ok := strings.Cut(rest, "->")
-	if !ok {
-		return nil, bad()
-	}
-	parse := func(s string) (matcher, error) {
-		parts := strings.SplitN(s, ".", 3)
-		if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
-			return matcher{}, bad()
-		}
-		return matcher{pkg: parts[0], typ: parts[1], methods: strings.Split(parts[2], "|")}, nil
-	}
-	am, err := parse(strings.TrimSpace(acq))
-	if err != nil {
-		return nil, err
-	}
-	rm, err := parse(strings.TrimSpace(rel))
-	if err != nil {
-		return nil, err
-	}
-	return &Spec{
-		Name:       name,
-		Acquire:    []matcher{am},
-		Release:    []matcher{rm},
-		AcquireKey: KeyArg0,
-		ReleaseKey: KeyArg0,
+// specs is the engine's pairing table.
+var specs = []*spec{
+	{
+		Name:       "pin",
+		Acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixNew"}}},
+		Release:    []matcher{{"buffer", "Pool", []string{"Unpin", "Discard"}}},
+		AcquireKey: keyArg0,
+		ReleaseKey: keyArg0,
 		ErrGuarded: true,
-	}, nil
+		Hint:       "add defer Unpin after the error check",
+	},
+	{
+		Name:        "latch",
+		MutexFields: rankedMutexes,
+		Hint:        "unlock on every path, or defer the unlock",
+	},
+	{
+		Name:       "txn",
+		Acquire:    []matcher{{"eos", "Store", []string{"Begin"}}},
+		Release:    []matcher{{"eos", "Txn", []string{"Commit", "Abort"}}},
+		AcquireKey: keyResult0,
+		ReleaseKey: keyRecv,
+		ErrGuarded: true,
+		Hint:       "commit or abort on every path; an unfinished transaction holds its locks forever",
+	},
+	{
+		Name:          "epoch",
+		Acquire:       []matcher{{"txn", "EpochManager", []string{"Enter"}}},
+		Release:       []matcher{{"txn", "EpochGuard", []string{"Exit"}}},
+		AcquireKey:    keyResult0,
+		ReleaseKey:    keyRecv,
+		TransferOnUse: true,
+		Hint:          "Exit the guard on every path (or hand it off); a leaked pin blocks epoch reclamation forever",
+	},
+	{
+		Name: "alloc",
+		Acquire: []matcher{
+			{"buddy", "Manager", []string{"Alloc", "AllocUpTo"}},
+			{"lob", "Allocator", []string{"Alloc", "AllocUpTo"}},
+		},
+		Release: []matcher{
+			{"buddy", "Manager", []string{"Free", "FreeUnpublished"}},
+			{"lob", "Allocator", []string{"Free", "FreeUnpublished"}},
+		},
+		AcquireKey:     keyResult0,
+		ReleaseKey:     keyArg0,
+		ErrGuarded:     true,
+		ErrorPathsOnly: true,
+		TransferOnUse:  true,
+		Hint:           "free the pages (or hand them off) before returning the error",
+	},
+	{
+		Name: "filevol",
+		Acquire: []matcher{
+			{"disk", "", []string{"CreateFileVolume", "OpenFileVolume"}},
+		},
+		Release:        []matcher{{"disk", "FileVolume", []string{"Close"}}},
+		AcquireKey:     keyResult0,
+		ReleaseKey:     keyRecv,
+		ErrGuarded:     true,
+		ErrorPathsOnly: true,
+		TransferOnUse:  true,
+		Hint:           "close the volume (or hand it off) before returning the error; a leaked descriptor pins the page file",
+	},
 }
 
-// ReleasesFact marks a function that releases resources received as
-// parameters: calling it releases the corresponding arguments.
-type ReleasesFact struct {
-	Params []ParamRelease
+// specNamed returns the table entry called name.
+func specNamed(name string) *spec {
+	for _, sp := range specs {
+		if sp.Name == name {
+			return sp
+		}
+	}
+	return nil
 }
 
-// ParamRelease is one released parameter: the Spec name, the
-// parameter index (-1 for the receiver), and a token suffix for mutex
-// resources (".mu" when the function unlocks param.mu).
-type ParamRelease struct {
+// ResFact is a function's resource summary, exported so that callers
+// in other packages are checked against it.
+type ResFact struct {
+	// Releases lists parameters whose resource the function releases.
+	Releases []Res
+	// Acquires lists parameters whose resource the function acquires
+	// and leaves held when it returns.
+	Acquires []Res
+	// Returns lists specs whose resource the function's first result
+	// carries, freshly acquired.
+	Returns []Res
+}
+
+// Res is one resource of a summary: the spec name, the parameter index
+// (-1 for the receiver; unused in Returns), a token suffix for mutex
+// resources (".mu" when the function locks or unlocks param.mu), and,
+// for Acquires and Returns, the call chain below the function that
+// performs the acquisition.
+type Res struct {
 	Spec   string
 	Param  int
 	Suffix string
+	Chain  []string
 }
 
-// AFact marks ReleasesFact as an analysis fact.
-func (*ReleasesFact) AFact() {}
+// AFact marks ResFact as an analysis fact.
+func (*ResFact) AFact() {}
 
-func (f *ReleasesFact) String() string {
-	var parts []string
-	for _, p := range f.Params {
-		parts = append(parts, fmt.Sprintf("%s:%d%s", p.Spec, p.Param, p.Suffix))
-	}
-	return "releases(" + strings.Join(parts, ",") + ")"
-}
+// maxChain bounds recorded acquisition chains.
+const maxChain = 8
 
-// ReleaseHook recognizes releasing calls beyond the spec's own release
-// matchers.  pairs plugs in its single-hop ReleasesFact lookup; the
-// leaksip analyzer plugs in its transitively propagated summaries.
-// The hook must be self-contained: when non-nil it fully replaces the
-// fact lookup (an analyzer can only read facts of types it declares).
-type ReleaseHook func(call *ast.CallExpr, sp *Spec, token string) bool
-
-// Obligation is an externally derived acquire site: a call that
-// transitively acquires a resource the caller must release.  The
-// leaksip analyzer builds these from its whole-program summaries and
-// checks them with the same path engine this analyzer uses for literal
-// acquire calls.
-type Obligation struct {
-	Spec     *Spec
-	Call     *ast.CallExpr
-	Method   string // acquiring callee, for diagnostics
-	Token    string // expression string identifying the resource
-	TokenObj types.Object
-	ErrVar   types.Object // error variable guarding the acquire, if any
-}
-
-// LeaksOn reports whether some path from ob's call to an exit of g
-// misses the release, consulting hook for call-based releases.
-func LeaksOn(pass *analysis.Pass, g *cfg.CFG, ob *Obligation, hook ReleaseHook) bool {
-	s := &site{
-		spec:     ob.Spec,
-		call:     ob.Call,
-		method:   ob.Method,
-		token:    ob.Token,
-		tokenObj: ob.TokenObj,
-		errVar:   ob.ErrVar,
-	}
-	return leaks(pass, g, s, hook)
-}
-
-// ReleaseTokenOf reports whether call is one of sp's release calls,
-// and the token it releases.
-func (sp *Spec) ReleaseTokenOf(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	return releaseToken(pass, sp, call)
-}
-
-// AcquireSite reports whether call is one of sp's acquire calls.  The
-// returned token identifies the resource for arg0-, receiver-, and
-// mutex-keyed specs; result-keyed specs return an empty token (the
-// caller resolves it from the enclosing assignment).
-func (sp *Spec) AcquireSite(pass *analysis.Pass, call *ast.CallExpr) (method, token string, ok bool) {
-	if sp.MutexFields != nil {
-		_, m, tok, isLock := mutexEvent(pass, sp, call)
-		if !isLock || (m != "Lock" && m != "RLock") {
-			return "", "", false
-		}
-		return m, tok, true
-	}
-	m, matched := matchAny(pass, sp.Acquire, call)
-	if !matched {
-		return "", "", false
-	}
-	switch sp.AcquireKey {
-	case KeyArg0:
-		if len(call.Args) < 1 {
-			return "", "", false
-		}
-		return m, types.ExprString(call.Args[0]), true
-	case KeyRecv:
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel {
-			return "", "", false
-		}
-		return m, types.ExprString(sel.X), true
-	}
-	return m, "", true
-}
-
-// ReleaseTokenAt resolves the token a releaser-fact entry releases at
-// a concrete call site.
-func ReleaseTokenAt(pass *analysis.Pass, call *ast.CallExpr, pr ParamRelease) (string, bool) {
-	return releaseTokenAt(pass, call, pr)
+type checker struct {
+	pass *analysis.Pass
+	pr   *ssa.Program
+	sums map[*ssa.Func]*ResFact
 }
 
 // site is one acquire call under check.
 type site struct {
-	spec     *Spec
+	spec     *spec
 	call     *ast.CallExpr
-	method   string
+	method   string       // the acquire method of a literal site
 	token    string       // expression string identifying the resource
-	tokenObj types.Object // variable object for KeyResult0 tokens
+	tokenObj types.Object // variable object for result-keyed tokens
 	errVar   types.Object // error variable guarding the acquire
-	// guardIf is the `if errVar != nil` statement that actually guards
-	// this acquire: the first test of errVar after the call and before
-	// errVar is overwritten.  Later tests of a reused err variable
-	// belong to other calls and exempt nothing.
-	guardIf *ast.IfStmt
+	// chain is the acquiring call chain of a site derived from a
+	// callee's summary; nil for a literal acquire call.
+	chain []string
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	specs := defaultSpecs()
-	if extraFlag != "" {
-		for _, ent := range strings.Split(extraFlag, ";") {
-			s, err := parseExtra(strings.TrimSpace(ent))
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, s)
-		}
+	pr := pass.ResultOf[ssa.Analyzer].(*ssa.Program)
+	c := &checker{pass: pass, pr: pr, sums: make(map[*ssa.Func]*ResFact, len(pr.Funcs))}
+	for _, f := range pr.Funcs {
+		c.sums[f] = new(ResFact)
 	}
-	byName := make(map[string]*Spec, len(specs))
-	for _, s := range specs {
-		byName[s.Name] = s
+	// Releases feed the Acquires computation (a resource released in
+	// the body is not held on return), so each SCC converges them first;
+	// callee SCCs come earlier and are final by then.
+	for _, scc := range pr.SCCs {
+		converge(scc, c.updateReleases)
+		converge(scc, c.updateAcquires)
+	}
+	for f, sum := range c.sums {
+		if len(sum.Releases) > 0 || len(sum.Acquires) > 0 || len(sum.Returns) > 0 {
+			pass.ExportObjectFact(f.Obj, sum)
+		}
 	}
 
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	ig := ignore.For(pass)
-
-	exportReleaserFacts(pass, insp, specs, byName)
-
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
 		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
 			return
 		}
-		var body *ast.BlockStmt
-		var g *cfg.CFG
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			if fn.Body == nil {
-				return
+			if fn.Body != nil {
+				c.checkBody(ig, fn.Body, cfgs.FuncDecl(fn), fn)
 			}
-			body = fn.Body
-			g = cfgs.FuncDecl(fn)
 		case *ast.FuncLit:
-			body = fn.Body
-			g = cfgs.FuncLit(fn)
+			c.checkBody(ig, fn.Body, cfgs.FuncLit(fn), nil)
 		}
-		if g == nil {
-			return
-		}
-		checkFunc(pass, ig, byName, specs, body, g)
 	})
 	return nil, nil
 }
 
-// exportReleaserFacts scans every function for releases of its own
-// parameters (or receiver) and exports a ReleasesFact.  The scan
-// iterates to a small fixpoint so a helper that releases through
-// another helper is recognized too.
-func exportReleaserFacts(pass *analysis.Pass, insp *inspector.Inspector, specs []*Spec, byName map[string]*Spec) {
-	type fnInfo struct {
-		obj  *types.Func
-		decl *ast.FuncDecl
-	}
-	var fns []fnInfo
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil {
-			return
-		}
-		if strings.HasSuffix(pass.Fset.Position(decl.Pos()).Filename, "_test.go") {
-			return
-		}
-		obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		fns = append(fns, fnInfo{obj, decl})
-	})
-
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, fn := range fns {
-			var have ReleasesFact
-			pass.ImportObjectFact(fn.obj, &have)
-			got := releasedParams(pass, byName, specs, fn.decl)
-			if len(got) > len(have.Params) {
-				pass.ExportObjectFact(fn.obj, &ReleasesFact{Params: got})
+// converge reruns update over one SCC until nothing changes.  Summary
+// entries only accumulate, so it terminates.
+func converge(scc []*ssa.Func, update func(*ssa.Func) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, f := range scc {
+			if update(f) {
 				changed = true
 			}
-		}
-		if !changed {
-			break
 		}
 	}
 }
 
-// releasedParams lists the parameter releases performed by decl's
-// body: a release call (direct or deferred, not inside a non-deferred
-// literal) whose token names a parameter or the receiver.
-func releasedParams(pass *analysis.Pass, byName map[string]*Spec, specs []*Spec, decl *ast.FuncDecl) []ParamRelease {
-	// Parameter name → index; receiver → -1.
-	params := make(map[string]int)
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		for _, nm := range decl.Recv.List[0].Names {
-			params[nm.Name] = -1
-		}
+// summaryOf returns the summary of call's callee — the in-package one
+// (possibly still converging) or the fact its own package exported —
+// and the callee, or nil.
+func (c *checker) summaryOf(call *ast.CallExpr) (*ResFact, *types.Func) {
+	fn := eosutil.CalleeAny(c.pass.TypesInfo, call)
+	if fn == nil {
+		return nil, nil
 	}
-	idx := 0
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			for _, nm := range field.Names {
-				params[nm.Name] = idx
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
+	if f, ok := c.pr.ByObj[fn]; ok {
+		return c.sums[f], fn
 	}
-	if len(params) == 0 {
-		return nil
+	var imported ResFact
+	if c.pass.ImportObjectFact(fn, &imported) {
+		return &imported, fn
 	}
+	return nil, nil
+}
 
-	var out []ParamRelease
-	seen := make(map[ParamRelease]bool)
-	add := func(spec, token, suffix string) {
-		base := strings.TrimSuffix(token, suffix)
-		if i, ok := params[base]; ok {
-			pr := ParamRelease{Spec: spec, Param: i, Suffix: suffix}
-			if !seen[pr] {
-				seen[pr] = true
-				out = append(out, pr)
+// relKey identifies one released resource within a body.
+type relKey struct{ spec, token string }
+
+// releases lists what call releases: as one of a spec's release calls,
+// or through its callee's Releases summary.
+func (c *checker) releases(call *ast.CallExpr) []relKey {
+	var out []relKey
+	for _, sp := range specs {
+		if tok, ok := releaseToken(c.pass, sp, call); ok {
+			out = append(out, relKey{sp.Name, tok})
+		}
+	}
+	if sum, _ := c.summaryOf(call); sum != nil {
+		for _, r := range sum.Releases {
+			if tok, ok := argToken(call, r); ok {
+				out = append(out, relKey{r.Spec, tok})
 			}
 		}
 	}
+	return out
+}
+
+// releasedIn collects every resource released anywhere in body.
+// Deferred releases count; releases inside non-deferred function
+// literals do not (the literal may never run here).
+func (c *checker) releasedIn(body *ast.BlockStmt) map[relKey]bool {
+	out := make(map[relKey]bool)
 	scan := func(call *ast.CallExpr) {
-		for _, sp := range specs {
-			if sp.MutexFields != nil {
-				if key, method, token, ok := mutexEvent(pass, sp, call); ok &&
-					(method == "Unlock" || method == "RUnlock") {
-					_ = key
-					if i := strings.LastIndex(token, "."); i > 0 {
-						add(sp.Name, token, token[i:])
-					}
-				}
-				continue
-			}
-			if token, ok := releaseToken(pass, sp, call); ok {
-				add(sp.Name, token, "")
-			}
-		}
-		// A call to a known releaser releases its matching arguments.
-		if fn := eosutil.CalleeAny(pass.TypesInfo, call); fn != nil {
-			var fact ReleasesFact
-			if pass.ImportObjectFact(fn, &fact) {
-				for _, pr := range fact.Params {
-					if _, ok := byName[pr.Spec]; !ok {
-						continue
-					}
-					if tok, ok := releaseTokenAt(pass, call, pr); ok {
-						add(pr.Spec, tok, pr.Suffix)
-					}
-				}
-			}
+		for _, k := range c.releases(call) {
+			out[k] = true
 		}
 	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -578,37 +417,133 @@ func releasedParams(pass *analysis.Pass, byName map[string]*Spec, specs []*Spec,
 	return out
 }
 
-// checkFunc checks every acquire site of one function body.
-func checkFunc(pass *analysis.Pass, ig *ignore.Reporter, byName map[string]*Spec, specs []*Spec, body *ast.BlockStmt, g *cfg.CFG) {
-	sites := collectSites(pass, specs, body)
-	for _, s := range sites {
+// addRes appends r to *list unless the list already names the same
+// resource, reporting whether it did.
+func addRes(list *[]Res, r Res) bool {
+	for _, have := range *list {
+		if have.Spec == r.Spec && have.Param == r.Param && have.Suffix == r.Suffix {
+			return false
+		}
+	}
+	*list = append(*list, r)
+	return true
+}
+
+func (c *checker) updateReleases(f *ssa.Func) bool {
+	params := paramIndex(f.Decl)
+	changed := false
+	for k := range c.releasedIn(f.Decl.Body) {
+		base, suffix := splitSuffix(specNamed(k.spec), k.token)
+		if i, ok := params[base]; ok && addRes(&c.sums[f].Releases, Res{Spec: k.spec, Param: i, Suffix: suffix}) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// updateAcquires derives f's Acquires and Returns entries from its
+// acquire sites, literal and derived.  A site whose token is released
+// somewhere in the body is balanced and contributes nothing; a
+// parameter-keyed one leaves the parameter held on return; a
+// result-keyed one whose result is returned makes f a producer.
+func (c *checker) updateAcquires(f *ssa.Func) bool {
+	body := f.Decl.Body
+	params := paramIndex(f.Decl)
+	released := c.releasedIn(body)
+	returned := returnedObjs(c.pass, body)
+	sum := c.sums[f]
+	changed := false
+	for _, s := range c.collectSites(body, true) {
+		rel := released[relKey{s.spec.Name, s.token}]
+		if s.spec.AcquireKey == keyResult0 {
+			// f produces the resource when it returns the call, or the
+			// unreleased variable holding its result.  A TransferOnUse
+			// token used before it is returned was handed off (the rule
+			// the path engine applies).
+			produced := isReturnedCall(body, s.call)
+			if s.tokenObj != nil {
+				produced = !rel && returned[s.tokenObj] &&
+					!(s.spec.TransferOnUse && usedOutsideReturn(c.pass, body, s.tokenObj, s.call))
+			}
+			if produced && addRes(&sum.Returns, Res{Spec: s.spec.Name, Chain: s.chain}) {
+				changed = true
+			}
+			continue
+		}
+		base, suffix := splitSuffix(s.spec, s.token)
+		if i, ok := params[base]; ok && !rel &&
+			addRes(&sum.Acquires, Res{Spec: s.spec.Name, Param: i, Suffix: suffix, Chain: s.chain}) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// checkBody checks every acquire site of one function body.  decl is
+// nil for a function literal, whose derived sites are not checked.
+func (c *checker) checkBody(ig *ignore.Reporter, body *ast.BlockStmt, g *cfg.CFG, decl *ast.FuncDecl) {
+	if g == nil {
+		return
+	}
+	for _, s := range c.collectSites(body, decl != nil) {
+		if s.spec.AcquireKey == keyResult0 && s.tokenObj == nil {
+			// No variable holds the result: a literal site has no token
+			// to track; a derived one passes to the caller when returned
+			// and is lost otherwise.
+			if s.chain != nil && !isReturnedCall(body, s.call) {
+				ig.Report(s.call.Pos(),
+					"interprocedural %s leak: %s returns an acquired %s that is discarded (%s)",
+					s.spec.Name, strings.Join(s.chain, " → "), s.spec.Name, s.spec.Hint)
+			}
+			continue
+		}
+		if s.chain != nil && inherited(c.pass, decl, s) {
+			continue
+		}
 		// A release deferred before the acquire (defer b.Wait() ahead of
 		// the submit loop) covers every exit but sits on no CFG path
 		// from the acquire; recognize it lexically.
-		if deferredReleaseBefore(pass, body, s) {
+		if c.deferredReleaseBefore(body, s) || !c.leaks(g, s) {
 			continue
 		}
-		if leaks(pass, g, s, nil) {
-			relNames := releaseNames(s.spec)
-			switch {
-			case s.spec.ErrorPathsOnly:
-				ig.Report(s.call.Pos(),
-					"%s leak: the resource from %s(...) in %q is not released on an error-return path (%s)",
-					s.spec.Name, s.method, s.token, s.spec.Hint)
-			default:
-				ig.Report(s.call.Pos(),
-					"%s leak: %s(%s) can reach a function exit without %s(%s) (%s)",
-					s.spec.Name, s.method, s.token, relNames, s.token, s.spec.Hint)
-			}
+		switch {
+		case s.chain != nil && s.tokenObj != nil:
+			ig.Report(s.call.Pos(),
+				"interprocedural %s leak: %q acquired by call chain %s can reach a function exit without release (%s)",
+				s.spec.Name, s.token, strings.Join(s.chain, " → "), s.spec.Hint)
+		case s.chain != nil:
+			ig.Report(s.call.Pos(),
+				"interprocedural %s leak: call chain %s acquires %s and no subsequent path releases it before exit (%s)",
+				s.spec.Name, strings.Join(s.chain, " → "), s.token, s.spec.Hint)
+		case s.spec.ErrorPathsOnly:
+			ig.Report(s.call.Pos(),
+				"%s leak: the resource from %s(...) in %q is not released on an error-return path (%s)",
+				s.spec.Name, s.method, s.token, s.spec.Hint)
+		default:
+			ig.Report(s.call.Pos(),
+				"%s leak: %s(%s) can reach a function exit without %s(%s) (%s)",
+				s.spec.Name, s.method, s.token, releaseNames(s.spec), s.token, s.spec.Hint)
 		}
 	}
+}
+
+// inherited reports whether derived site s is for decl's callers to
+// check: its token is one of decl's parameters, or a variable decl
+// returns.  decl's own summary carries the site up.
+func inherited(pass *analysis.Pass, decl *ast.FuncDecl, s *site) bool {
+	if s.tokenObj != nil {
+		return returnedObjs(pass, decl.Body)[s.tokenObj]
+	}
+	base, _ := splitSuffix(s.spec, s.token)
+	_, isParam := paramIndex(decl)[base]
+	return isParam
 }
 
 // deferredReleaseBefore reports whether body registers a deferred
 // release of s's resource lexically before the acquire call (and not
 // inside a nested function literal).  Such a defer runs at every
 // function exit, so the acquire cannot leak.
-func deferredReleaseBefore(pass *analysis.Pass, body *ast.BlockStmt, s *site) bool {
+func (c *checker) deferredReleaseBefore(body *ast.BlockStmt, s *site) bool {
 	covered := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if covered {
@@ -618,7 +553,7 @@ func deferredReleaseBefore(pass *analysis.Pass, body *ast.BlockStmt, s *site) bo
 		case *ast.FuncLit:
 			return false
 		case *ast.DeferStmt:
-			if n.Pos() < s.call.Pos() && nodeEffect(pass, n, s, nil) == effectRelease {
+			if n.Pos() < s.call.Pos() && c.nodeEffect(n, s) == effectRelease {
 				covered = true
 			}
 			return false
@@ -628,7 +563,7 @@ func deferredReleaseBefore(pass *analysis.Pass, body *ast.BlockStmt, s *site) bo
 	return covered
 }
 
-func releaseNames(sp *Spec) string {
+func releaseNames(sp *spec) string {
 	if sp.MutexFields != nil {
 		return "Unlock"
 	}
@@ -646,8 +581,11 @@ func releaseNames(sp *Spec) string {
 }
 
 // collectSites finds the acquire calls lexically inside body but not
-// inside a nested function literal.
-func collectSites(pass *analysis.Pass, specs []*Spec, body *ast.BlockStmt) []*site {
+// inside a nested function literal: the spec's own acquire calls and,
+// when derived is set, calls to functions whose summary acquires or
+// returns a resource.  A result-keyed site whose result is not bound to
+// a variable keeps a nil tokenObj.
+func (c *checker) collectSites(body *ast.BlockStmt, derived bool) []*site {
 	var sites []*site
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -658,34 +596,25 @@ func collectSites(pass *analysis.Pass, specs []*Spec, body *ast.BlockStmt) []*si
 			return true
 		}
 		for _, sp := range specs {
-			if sp.MutexFields != nil {
-				_, method, token, ok := mutexEvent(pass, sp, call)
-				if ok && (method == "Lock" || method == "RLock") {
-					sites = append(sites, &site{spec: sp, call: call, method: method, token: token})
-				}
-				continue
+			if method, token, ok := acquireCall(c.pass, sp, call); ok {
+				sites = append(sites, &site{spec: sp, call: call, method: method, token: token})
 			}
-			m, ok := matchAny(pass, sp.Acquire, call)
-			if !ok {
-				continue
+		}
+		if !derived {
+			return true
+		}
+		sum, fn := c.summaryOf(call)
+		if sum == nil {
+			return true
+		}
+		label := ssa.FuncLabel(c.pass.Pkg, fn)
+		for _, r := range sum.Acquires {
+			if tok, ok := argToken(call, r); ok {
+				sites = append(sites, &site{spec: specNamed(r.Spec), call: call, token: tok, chain: capChain(label, r.Chain)})
 			}
-			s := &site{spec: sp, call: call, method: m}
-			switch sp.AcquireKey {
-			case KeyArg0:
-				if len(call.Args) < 1 {
-					continue
-				}
-				s.token = types.ExprString(call.Args[0])
-			case KeyRecv:
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				s.token = types.ExprString(sel.X)
-			case KeyResult0:
-				// Resolved from the enclosing assignment below.
-			}
-			sites = append(sites, s)
+		}
+		for _, r := range sum.Returns {
+			sites = append(sites, &site{spec: specNamed(r.Spec), call: call, chain: capChain(label, r.Chain)})
 		}
 		return true
 	})
@@ -711,75 +640,87 @@ func collectSites(pass *analysis.Pass, specs []*Spec, body *ast.BlockStmt) []*si
 				// The error is the last result — which may be the only
 				// one (err := b.Submit(sqe)).
 				if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok && id.Name != "_" {
-					if obj := pass.TypesInfo.ObjectOf(id); obj != nil && eosutil.IsErrorType(obj.Type()) {
+					if obj := c.pass.TypesInfo.ObjectOf(id); obj != nil && eosutil.IsErrorType(obj.Type()) {
 						s.errVar = obj
 					}
 				}
 			}
-			if s.spec.AcquireKey == KeyResult0 {
+			if s.spec.AcquireKey == keyResult0 {
 				if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 					s.token = id.Name
-					s.tokenObj = pass.TypesInfo.ObjectOf(id)
+					s.tokenObj = c.pass.TypesInfo.ObjectOf(id)
 				}
 			}
 		}
 		return true
 	})
-	// Result-keyed sites whose result was discarded have no token to
-	// track; drop them.
-	kept := sites[:0]
-	for _, s := range sites {
-		if s.spec.AcquireKey == KeyResult0 && s.tokenObj == nil {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	for _, s := range kept {
-		attachGuard(pass, body, s)
-	}
-	return kept
+	return sites
 }
 
-// attachGuard locates the `if errVar != nil` statement that guards s:
-// the first test of s.errVar after the acquire call and before the
-// variable is written again.  A reused err variable makes every later
-// `if err != nil` look like a guard; only the one before the next
-// write belongs to this acquire.
-func attachGuard(pass *analysis.Pass, body *ast.BlockStmt, s *site) {
-	if s.errVar == nil {
-		return
+// capChain prefixes a callee's acquisition chain with its label,
+// bounded to maxChain entries.
+func capChain(label string, below []string) []string {
+	chain := append([]string{label}, below...)
+	if len(chain) > maxChain {
+		return chain[:maxChain]
 	}
-	// First write to errVar strictly after the acquire (the acquire's
-	// own assignment contains the call and is skipped by position).
-	var nextWrite token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Pos() <= s.call.End() {
-			return true
+	return chain
+}
+
+// acquireCall reports whether call is one of sp's acquire calls.  The
+// returned token identifies the resource for arg0-, receiver-, and
+// mutex-keyed specs; result-keyed specs return an empty token (the
+// caller resolves it from the enclosing assignment).
+func acquireCall(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (method, token string, ok bool) {
+	if sp.MutexFields != nil {
+		_, m, tok, isLock := mutexEvent(pass, sp, call)
+		if !isLock || (m != "Lock" && m != "RLock") {
+			return "", "", false
 		}
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == s.errVar {
-				if nextWrite == token.NoPos || as.Pos() < nextWrite {
-					nextWrite = as.Pos()
+		return m, tok, true
+	}
+	m, matched := matchAny(pass, sp.Acquire, call)
+	if !matched {
+		return "", "", false
+	}
+	switch sp.AcquireKey {
+	case keyArg0:
+		if len(call.Args) < 1 {
+			return "", "", false
+		}
+		return m, types.ExprString(call.Args[0]), true
+	case keyRecv:
+		sel, isSel := call.Fun.(*ast.SelectorExpr)
+		if !isSel {
+			return "", "", false
+		}
+		return m, types.ExprString(sel.X), true
+	}
+	return m, "", true
+}
+
+// isErrGuard reports whether b is the then-branch of an `if` testing
+// s's error variable: while the variable still holds the acquire's
+// error, that branch runs only when nothing was acquired.
+func isErrGuard(pass *analysis.Pass, b *cfg.Block, s *site) bool {
+	ifs, ok := b.Stmt.(*ast.IfStmt)
+	return ok && s.errVar != nil && b.Kind == cfg.KindIfThen && condTestsVar(pass, ifs.Cond, s.errVar)
+}
+
+// writes reports whether CFG node n assigns obj.
+func writes(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
+	found := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if as, ok := m.(*ast.AssignStmt); ok {
+			for _, lhs := range as.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
+					found = true
 				}
 			}
 		}
-		return true
+		return !found
 	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !condTestsVar(pass, ifs.Cond, s.errVar) {
-			return true
-		}
-		pos := ifs.Cond.Pos()
-		if pos <= s.call.End() || (nextWrite != token.NoPos && pos >= nextWrite) {
-			return true
-		}
-		if s.guardIf == nil || pos < s.guardIf.Cond.Pos() {
-			s.guardIf = ifs
-		}
-		return true
-	})
+	return found
 }
 
 // condTestsVar reports whether cond is a binary comparison mentioning
@@ -837,7 +778,7 @@ func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkg string, funcs []str
 // mutexEvent classifies call as Lock/RLock/Unlock/RUnlock on one of
 // the spec's ranked mutex fields, returning the "Type.field" key, the
 // method, and the owner token ("sh.mu").
-func mutexEvent(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (key, method, token string, ok bool) {
+func mutexEvent(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (key, method, token string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", "", false
@@ -885,7 +826,7 @@ func ownerTypeName(t types.Type) string {
 
 // releaseToken reports whether call is a release call of sp, and the
 // token it releases.
-func releaseToken(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (string, bool) {
+func releaseToken(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (string, bool) {
 	if sp.MutexFields != nil {
 		_, method, token, ok := mutexEvent(pass, sp, call)
 		if !ok || (method != "Unlock" && method != "RUnlock") {
@@ -897,12 +838,12 @@ func releaseToken(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (string, bo
 		return "", false
 	}
 	switch sp.ReleaseKey {
-	case KeyArg0:
+	case keyArg0:
 		if len(call.Args) < 1 {
 			return "", false
 		}
 		return types.ExprString(call.Args[0]), true
-	case KeyRecv:
+	case keyRecv:
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return "", false
@@ -912,71 +853,170 @@ func releaseToken(pass *analysis.Pass, sp *Spec, call *ast.CallExpr) (string, bo
 	return "", false
 }
 
-// releaseTokenAt resolves the token a releaser-fact entry releases at
-// a concrete call site.
-func releaseTokenAt(pass *analysis.Pass, call *ast.CallExpr, pr ParamRelease) (string, bool) {
-	if pr.Param == -1 {
+// argToken resolves the token a summary entry names at a concrete call
+// site: the matching argument (or receiver) plus the entry's suffix.
+func argToken(call *ast.CallExpr, r Res) (string, bool) {
+	if r.Param == -1 {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return "", false
 		}
-		return types.ExprString(sel.X) + pr.Suffix, true
+		return types.ExprString(sel.X) + r.Suffix, true
 	}
-	if pr.Param >= len(call.Args) {
+	if r.Param >= len(call.Args) {
 		return "", false
 	}
-	return types.ExprString(call.Args[pr.Param]) + pr.Suffix, true
+	return types.ExprString(call.Args[r.Param]) + r.Suffix, true
+}
+
+// paramIndex maps a function's parameter (and receiver) names to their
+// summary indices: receiver -1, parameters 0..n-1.
+func paramIndex(decl *ast.FuncDecl) map[string]int {
+	params := make(map[string]int)
+	if decl.Recv != nil && len(decl.Recv.List) == 1 {
+		for _, nm := range decl.Recv.List[0].Names {
+			params[nm.Name] = -1
+		}
+	}
+	idx := 0
+	if decl.Type.Params != nil {
+		for _, field := range decl.Type.Params.List {
+			for _, nm := range field.Names {
+				params[nm.Name] = idx
+				idx++
+			}
+			if len(field.Names) == 0 {
+				idx++
+			}
+		}
+	}
+	return params
+}
+
+// splitSuffix splits a mutex token ("sh.mu") into its base and field
+// suffix; other tokens pass through whole.
+func splitSuffix(sp *spec, token string) (base, suffix string) {
+	if sp.MutexFields != nil {
+		if i := strings.LastIndex(token, "."); i > 0 {
+			return token[:i], token[i:]
+		}
+	}
+	return token, ""
+}
+
+// returnedObjs collects the objects of identifiers appearing in return
+// statements of body (outside function literals).
+func returnedObjs(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if id, ok := res.(*ast.Ident); ok {
+					if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+						out[obj] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// usedOutsideReturn reports whether tokenObj is used after the acquire
+// call anywhere but a return statement.
+func usedOutsideReturn(pass *analysis.Pass, body *ast.BlockStmt, tokenObj types.Object, call *ast.CallExpr) bool {
+	used := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if used {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			return false
+		case *ast.Ident:
+			if n.Pos() > call.End() && pass.TypesInfo.ObjectOf(n) == tokenObj {
+				used = true
+			}
+		}
+		return !used
+	})
+	return used
+}
+
+// isReturnedCall reports whether call appears directly as a return
+// result (`return openTxn(s)`).
+func isReturnedCall(body *ast.BlockStmt, call *ast.CallExpr) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, res := range ret.Results {
+				if res == call {
+					found = true
+				}
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // leaks reports whether some path from s's acquire to a function exit
-// misses the release.  A nil hook means this analyzer's own
-// ReleasesFact lookup recognizes releaser calls.
-func leaks(pass *analysis.Pass, g *cfg.CFG, s *site, hook ReleaseHook) bool {
+// misses the release.  The walk tracks whether the path has written
+// the acquire's error variable: until it has, a test of the variable
+// is the acquire's own error check; after, a reused err belongs to
+// another call and its tests exempt nothing.
+func (c *checker) leaks(g *cfg.CFG, s *site) bool {
 	start, startIdx := findNode(g, s.call)
 	if start == nil {
 		return false // CFG elided the call (dead code)
 	}
-	seen := map[*cfg.Block]bool{start: true}
-	var visit func(b *cfg.Block, from int) bool
-	visit = func(b *cfg.Block, from int) bool {
-		if b != start || from == 0 {
-			if b != start {
-				if seen[b] {
-					return false
-				}
-				seen[b] = true
-			} else if seen[start] {
-				return false // looped back to the acquire block
+	type state struct {
+		b       *cfg.Block
+		written bool
+	}
+	seen := make(map[state]bool)
+	var visit func(b *cfg.Block, from int, written bool) bool
+	visit = func(b *cfg.Block, from int, written bool) bool {
+		if from == 0 {
+			if b == start || seen[state{b, written}] {
+				return false // looped back to the acquire block, or walked
 			}
-			// The then-branch of the acquire's own error check runs
-			// only when nothing was acquired.
-			if isErrGuard(pass, b, s) {
+			seen[state{b, written}] = true
+			if !written && isErrGuard(c.pass, b, s) {
 				return false
 			}
 		}
 		for i := from; i < len(b.Nodes); i++ {
-			switch nodeEffect(pass, b.Nodes[i], s, hook) {
+			switch c.nodeEffect(b.Nodes[i], s) {
 			case effectRelease, effectTransfer:
 				return false
 			}
+			written = written || s.errVar != nil && writes(c.pass, b.Nodes[i], s.errVar)
 		}
 		if len(b.Succs) == 0 {
 			if b.Kind == cfg.KindUnreachable {
 				return false
 			}
 			if s.spec.ErrorPathsOnly {
-				return isErrorReturn(pass, b)
+				return isErrorReturn(c.pass, b)
 			}
 			return true
 		}
 		for _, succ := range b.Succs {
-			if visit(succ, 0) {
+			if visit(succ, 0, written) {
 				return true
 			}
 		}
 		return false
 	}
-	return visit(start, startIdx+1)
+	return visit(start, startIdx+1, false)
 }
 
 // findNode returns the live block containing n and its node index.
@@ -999,24 +1039,6 @@ func findNode(g *cfg.CFG, target ast.Node) (*cfg.Block, int) {
 		}
 	}
 	return nil, 0
-}
-
-// isErrGuard reports whether b is the then-branch of the `if err != nil`
-// statement guarding this acquire.  Literal sites carry the precise
-// guard statement found by attachGuard; obligation sites from leaksip
-// fall back to matching any test of the error variable.
-func isErrGuard(pass *analysis.Pass, b *cfg.Block, s *site) bool {
-	if s.errVar == nil || b.Kind != cfg.KindIfThen {
-		return false
-	}
-	ifStmt, ok := b.Stmt.(*ast.IfStmt)
-	if !ok {
-		return false
-	}
-	if s.guardIf != nil {
-		return ifStmt == s.guardIf
-	}
-	return condTestsVar(pass, ifStmt.Cond, s.errVar)
 }
 
 // isErrorReturn reports whether exit block b returns a non-nil error
@@ -1048,9 +1070,9 @@ const (
 )
 
 // nodeEffect classifies CFG node n's effect on s's resource: a release
-// (direct, deferred, or via a releaser-fact call), an ownership
+// (direct, deferred, or through a releaser's summary), an ownership
 // transfer (TransferOnUse specs), or nothing.
-func nodeEffect(pass *analysis.Pass, n ast.Node, s *site, hook ReleaseHook) effect {
+func (c *checker) nodeEffect(n ast.Node, s *site) effect {
 	released := false
 	scanCalls := func(root ast.Node, includeLits bool) {
 		ast.Inspect(root, func(m ast.Node) bool {
@@ -1064,7 +1086,7 @@ func nodeEffect(pass *analysis.Pass, n ast.Node, s *site, hook ReleaseHook) effe
 			if !ok {
 				return true
 			}
-			if callReleases(pass, call, s, hook) {
+			if c.callReleases(call, s) {
 				released = true
 				return false
 			}
@@ -1073,7 +1095,7 @@ func nodeEffect(pass *analysis.Pass, n ast.Node, s *site, hook ReleaseHook) effe
 	}
 	switch n := n.(type) {
 	case *ast.DeferStmt:
-		if callReleases(pass, n.Call, s, hook) {
+		if c.callReleases(n.Call, s) {
 			return effectRelease
 		}
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
@@ -1093,36 +1115,17 @@ func nodeEffect(pass *analysis.Pass, n ast.Node, s *site, hook ReleaseHook) effe
 		// which appears in the CFG as a bare expression node — keeps the
 		// resource tracked.
 		if _, isStmt := n.(ast.Stmt); isStmt &&
-			s.spec.TransferOnUse && s.tokenObj != nil && usesToken(pass, n, s) {
+			s.spec.TransferOnUse && s.tokenObj != nil && usesToken(c.pass, n, s) {
 			return effectTransfer
 		}
 		return effectNone
 	}
 }
 
-// callReleases reports whether call releases s's resource: a matching
-// release call on the same token, or a releaser call recognized by the
-// hook (when set) or this analyzer's own ReleasesFact (when not).
-func callReleases(pass *analysis.Pass, call *ast.CallExpr, s *site, hook ReleaseHook) bool {
-	if tok, ok := releaseToken(pass, s.spec, call); ok && tok == s.token {
-		return true
-	}
-	if hook != nil {
-		return hook(call, s.spec, s.token)
-	}
-	fn := eosutil.CalleeAny(pass.TypesInfo, call)
-	if fn == nil {
-		return false
-	}
-	var fact ReleasesFact
-	if !pass.ImportObjectFact(fn, &fact) {
-		return false
-	}
-	for _, pr := range fact.Params {
-		if pr.Spec != s.spec.Name {
-			continue
-		}
-		if tok, ok := releaseTokenAt(pass, call, pr); ok && tok == s.token {
+// callReleases reports whether call releases s's resource.
+func (c *checker) callReleases(call *ast.CallExpr, s *site) bool {
+	for _, k := range c.releases(call) {
+		if k.spec == s.spec.Name && k.token == s.token {
 			return true
 		}
 	}

@@ -30,3 +30,9 @@ func TestAlloc(t *testing.T) {
 func TestFileVol(t *testing.T) {
 	analyzertest.Run(t, "../testdata", pairs.Analyzer, "pairs_filevol_bad", "pairs_filevol_clean")
 }
+
+// TestLeaksIP runs the wrapper fixtures: resources acquired by one
+// function and left for its caller to release.
+func TestLeaksIP(t *testing.T) {
+	analyzertest.Run(t, "../testdata", pairs.Analyzer, "leaksip_bad", "leaksip_clean")
+}

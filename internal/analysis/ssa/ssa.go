@@ -17,8 +17,8 @@
 // slice of it the whole-program passes need natively: it does not
 // insert φ-nodes or rename every local, but it gives each pass the
 // same dominance, ordering, and call-resolution queries the go/ssa +
-// go/callgraph pair would.  The interprocedural passes (lockorder,
-// walfirst, leaksip, forcedom) each layer their own per-function
+// go/callgraph pair would.  The interprocedural passes (pairs,
+// lockorder, walfirst, forcedom) each layer their own per-function
 // summaries — propagated across packages through go/analysis object
 // facts — on top of this IR.
 //
@@ -51,7 +51,7 @@ import (
 // nothing itself.
 var Analyzer = &analysis.Analyzer{
 	Name:       "eosssa",
-	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to lockorder, walfirst, leaksip, forcedom, and racecheck.",
+	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to pairs, lockorder, walfirst, forcedom, and racecheck.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:        run,
 	ResultType: reflect.TypeOf((*Program)(nil)),

@@ -1,9 +1,8 @@
 // Package leaksip_bad holds leaks that only a whole-program view can
 // see: resources acquired by wrapper helpers (latches two calls down,
 // pins behind a fixer, transactions produced by an opener) that the
-// caller never releases.  The literal acquire calls inside the
-// wrappers are the pairs analyzer's territory and get no want comments
-// here.
+// caller never releases.  A wrapper's own literal acquire is reported
+// too, as for any function that returns holding the resource.
 package leaksip_bad
 
 import (
@@ -17,7 +16,7 @@ type shard struct{ mu sync.Mutex }
 
 // lockShard acquires the shard latch on behalf of its caller.
 func lockShard(sh *shard) {
-	sh.mu.Lock()
+	sh.mu.Lock() // want "latch leak: Lock\\(sh.mu\\) can reach a function exit without Unlock\\(sh.mu\\)"
 }
 
 // lockShardIndirect adds a hop: the acquisition is two calls away from
@@ -49,7 +48,7 @@ func (p *Pool) LeakOnBranch(i int, fast bool) {
 // pinPage fixes a page on behalf of its caller; the caller owns the
 // unpin.
 func pinPage(p *buffer.Pool, pg buffer.PageID) error {
-	_, err := p.Fix(pg)
+	_, err := p.Fix(pg) // want "pin leak: Fix\\(pg\\) can reach a function exit without Unpin/Discard\\(pg\\)"
 	return err
 }
 
@@ -63,6 +62,23 @@ func ReadNoUnpin(p *buffer.Pool, vol, page uint32) error {
 		return err
 	}
 	return nil
+}
+
+func other() error { return nil }
+
+// ReuseErr reuses err for a second call: only the first test of err
+// guards the pin, so the second test's return leaks it.
+func ReuseErr(p *buffer.Pool, vol, page uint32) error {
+	pg := buffer.PageID{Vol: vol, Page: page}
+	err := pinPage(p, pg) // want "interprocedural pin leak: call chain pinPage acquires pg"
+	if err != nil {
+		return err
+	}
+	err = other()
+	if err != nil {
+		return err
+	}
+	return p.Unpin(pg)
 }
 
 // openTxn produces a transaction the caller must finish.

@@ -21,6 +21,20 @@ func closesOnSetupError(path string, ready bool) (*disk.FileVolume, error) {
 	return v, nil
 }
 
+// retriesWithoutDirect reopens a volume whose direct open failed.  The
+// second test of err is the first open's guard on the path that skipped
+// the retry, which never wrote err.
+func retriesWithoutDirect(path string, direct bool) (*disk.FileVolume, error) {
+	v, err := disk.OpenFileVolume(path, disk.FileOptions{Direct: direct})
+	if err != nil && direct {
+		v, err = disk.OpenFileVolume(path, disk.FileOptions{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // closesFirstOnSecondFailure is the two-volume constructor done
 // right: the data volume is closed when the log volume fails.
 func closesFirstOnSecondFailure(dataPath, logPath string) (*disk.FileVolume, *disk.FileVolume, error) {

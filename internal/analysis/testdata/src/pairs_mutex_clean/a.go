@@ -42,6 +42,22 @@ func viaHelper(sh *shard) int {
 	return n
 }
 
+// viaDeepHelper releases through a helper five calls deep, each helper
+// declared before the one it calls: the release summary must reach the
+// top of the chain whatever the declaration order.
+func viaDeepHelper(sh *shard) int {
+	sh.mu.Lock()
+	n := sh.n
+	unlock5(sh)
+	return n
+}
+
+func unlock5(sh *shard) { unlock4(sh) }
+func unlock4(sh *shard) { unlock3(sh) }
+func unlock3(sh *shard) { unlock2(sh) }
+func unlock2(sh *shard) { unlock1(sh) }
+func unlock1(sh *shard) { sh.mu.Unlock() }
+
 type Log struct {
 	mu   sync.RWMutex
 	tail []byte

@@ -25,7 +25,6 @@ import (
 	"github.com/eosdb/eos/internal/analysis/forcedom"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
 	"github.com/eosdb/eos/internal/analysis/ignore"
-	"github.com/eosdb/eos/internal/analysis/leaksip"
 	"github.com/eosdb/eos/internal/analysis/lockorder"
 	"github.com/eosdb/eos/internal/analysis/pairs"
 	"github.com/eosdb/eos/internal/analysis/racecheck"
@@ -53,7 +52,6 @@ var Analyzer = &analysis.Analyzer{
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,
-		leaksip.Analyzer,
 		forcedom.Analyzer,
 		racecheck.Analyzer,
 	},

@@ -4,7 +4,7 @@
 #   scripts/lint.sh            run every available linter
 #   scripts/lint.sh eoslint    run only the eoslint suite
 #   scripts/lint.sh --ssa      run only the whole-program passes
-#                              (lockorder, walfirst, leaksip,
+#                              (pairs, lockorder, walfirst,
 #                              forcedom, racecheck)
 #   scripts/lint.sh --fixtures smoke-check the analyzers against their
 #                              bad fixtures: every pass must still
