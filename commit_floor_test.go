@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // The commit path's request floor, executable, in the manner of
@@ -18,8 +19,9 @@ import (
 // a commit is durable at its log force, and redo recovers it until the next
 // barrier.  Log volume: ONE write, of ceil(record bytes / page) pages, that
 // continues where the previous commit's force ended — no reposition, and no
-// page an earlier force wrote — and carries no catalog record.  A request
-// more on either volume fails here before it reaches the benchmark.
+// page an earlier force wrote — and carries no catalog record; the records
+// carry the bytes redo needs and nothing more.  A request or a logged byte
+// more fails here before it reaches the benchmark.
 
 // gatedLog is a simulated log volume whose writes can be held: while armed,
 // a write announces itself on entered and waits for release.
@@ -165,6 +167,12 @@ func TestCommitFloor(t *testing.T) {
 		t.Fatalf("%d log writes for one commit, want 1: %+v", len(pages)-warm, (*log)[warm:])
 	}
 	recBytes := st.WAL.FlushedBytes - st0.WAL.FlushedBytes
+	// Begin, replace, append, commit: four headers and the bytes redo
+	// needs.  The replace is written home behind the commit record, so its
+	// record carries no pre-image and no extents.
+	if want := int64(4*wal.HeaderSize + 200 + 700); recBytes != want {
+		t.Errorf("the commit logged %d bytes of records, want %d: four headers, the replace's 200 bytes and the append's 700", recBytes, want)
+	}
 	if want := (recBytes + ps - 1) / ps; int64(pages[warm]) != want {
 		t.Errorf("the commit wrote %d log pages for %d bytes of records, want %d", pages[warm], recBytes, want)
 	}
@@ -179,13 +187,40 @@ func TestCommitFloor(t *testing.T) {
 	}
 }
 
-// TestCommitFloorLeavesIndexPagesInThePool: an insert into an object whose
-// tree has an index level shadows the index node above the leaf it splits.
-// The commit writes none of the new index pages — they stay dirty in the
-// pool — and the next checkpoint writes every one of them.
-func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
-	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
-	s, err := Format(vol, disk.MustNewVolume(512, 1024, disk.DefaultCostModel()), Options{MaxRootEntries: 4})
+// indexPages returns the pages of the named object's index nodes below its
+// root.
+func indexPages(t *testing.T, s *Store, name string) map[disk.PageNum]bool {
+	t.Helper()
+	s.mu.Lock()
+	e := s.catalog[name]
+	s.mu.Unlock()
+	runs, err := e.obj.ReachablePages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := e.obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[disk.PageNum]bool{}
+	for _, r := range runs {
+		for i := 0; i < r.Pages; i++ {
+			out[r.Start+disk.PageNum(i)] = true
+		}
+	}
+	for _, sg := range segs {
+		for i := 0; i < sg.Pages; i++ {
+			delete(out, sg.StartPage+disk.PageNum(i))
+		}
+	}
+	return out
+}
+
+// indexedStore formats a store whose object "x" has a root over index
+// pages, checkpointed, and returns it with the object's content.
+func indexedStore(t *testing.T, vol, logVol disk.Device) (*Store, []byte) {
+	t.Helper()
+	s, err := Format(vol, logVol, Options{MaxRootEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,32 +242,17 @@ func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
 	if u, err := o.Usage(); err != nil || u.TreeHeight != 2 {
 		t.Fatalf("tree height %d (err %v), want 2: a root over index pages", u.TreeHeight, err)
 	}
-	indexPages := func() map[disk.PageNum]bool {
-		s.mu.Lock()
-		e := s.catalog["x"]
-		s.mu.Unlock()
-		runs, err := e.obj.ReachablePages()
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs, err := e.obj.Segments()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[disk.PageNum]bool{}
-		for _, r := range runs {
-			for i := 0; i < r.Pages; i++ {
-				out[r.Start+disk.PageNum(i)] = true
-			}
-		}
-		for _, sg := range segs {
-			for i := 0; i < sg.Pages; i++ {
-				delete(out, sg.StartPage+disk.PageNum(i))
-			}
-		}
-		return out
-	}
-	before := indexPages()
+	return s, want
+}
+
+// TestCommitFloorLeavesIndexPagesInThePool: an insert into an object whose
+// tree has an index level shadows the index node above the leaf it splits.
+// The commit writes none of the new index pages — they stay dirty in the
+// pool — and the next checkpoint writes every one of them.
+func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
+	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
+	s, want := indexedStore(t, vol, disk.MustNewVolume(512, 1024, disk.DefaultCostModel()))
+	before := indexPages(t, s, "x")
 	var writes []disk.TraceEvent
 	vol.SetTracer(func(ev disk.TraceEvent) {
 		if ev.Write {
@@ -258,7 +278,7 @@ func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
 	}
 	want = append(want[:3000:3000], append(append([]byte{}, ins...), want[3000:]...)...)
 	var shadowed []disk.PageNum
-	for p := range indexPages() {
+	for p := range indexPages(t, s, "x") {
 		if !before[p] {
 			shadowed = append(shadowed, p)
 		}
@@ -282,6 +302,60 @@ func TestCommitFloorLeavesIndexPagesInThePool(t *testing.T) {
 	}
 	if !bytes.Equal(readObject(t, s, "x"), want) {
 		t.Fatal("content wrong after commit")
+	}
+}
+
+// TestCheckpointWritesReaderPinnedPages: a reader — a snapshot, or another
+// transaction's Read — that holds a committed transaction's new index page
+// pinned while a checkpoint runs does not keep the page off the device.  The
+// image the checkpoint logs names the page, and the log behind it is
+// truncated, so a crash right after must find the page written.
+func TestCheckpointWritesReaderPinnedPages(t *testing.T) {
+	vol, logVol := newTestDevice(t, 512, 4096), newTestDevice(t, 512, 1024)
+	s, want := indexedStore(t, vol, logVol)
+	before := indexPages(t, s, "x")
+	tx, _ := s.Begin()
+	ins := pat(99, 300)
+	if err := tx.Insert("x", 3000, ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want[:3000:3000], append(append([]byte{}, ins...), want[3000:]...)...)
+	var pinned []disk.PageNum
+	for p := range indexPages(t, s, "x") {
+		if before[p] {
+			continue
+		}
+		if _, err := s.pool.Fix(p); err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, p)
+	}
+	if len(pinned) == 0 {
+		t.Fatal("the insert shadowed no index page")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pinned {
+		if err := s.pool.Unpin(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := vol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := logVol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(vol, logVol, Options{MaxRootEntries: 4})
+	if err != nil {
+		t.Fatalf("Open after crash: %v", err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("content wrong after crash and recovery")
 	}
 }
 

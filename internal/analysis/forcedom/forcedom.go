@@ -10,9 +10,10 @@
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
 //     (lob Object.Replace, or ReplacePlan.Apply for a replace whose
-//     write was deferred) is dominated by a WAL force — the pre-image
-//     record must be durable before it is the only copy of the old
-//     bytes.
+//     write was deferred) is dominated by a WAL force of the record that
+//     covers the write — one carrying its pre-image, or its transaction's
+//     commit record — which must be durable before the write can be the
+//     only copy of the old bytes.
 //  2. Two-phase checkpoint: the catalog image's append to the log and
 //     the master record's write ((*Store).appendImage / writeMaster) are
 //     dominated by a device force of the data pages they index, and the
@@ -128,7 +129,7 @@ var domRules = [nDomRules]struct {
 }{
 	rReplace: {dWALForce, true,
 		"in-place overwrite", "overwrite previously-forced object state in place",
-		"a WAL force of its pre-image record", "§8.1 force-ahead rule"},
+		"a WAL force of the record that covers the write", "§8.1 force-ahead rule"},
 	rMeta: {dDevForce, false,
 		"checkpoint metadata write", "write checkpoint metadata",
 		"a device force of the data pages it indexes", "§8.1 two-phase checkpoint"},

@@ -6,7 +6,7 @@
 //
 // The table covers the disciplines the storage engine depends on:
 //
-//	pin      buffer.Pool.Fix/FixNew        → Unpin/Discard   (all paths)
+//	pin      buffer.Pool.Fix/FixWrite/FixNew → Unpin/Discard (all paths)
 //	latch    ranked mutex Lock/RLock       → Unlock/RUnlock  (all paths)
 //	txn      eos.Store.Begin               → Commit/Abort
 //	epoch    txn.EpochManager.Enter        → EpochGuard.Exit (all paths)
@@ -170,7 +170,7 @@ var rankedMutexes = func() map[string]bool {
 var specs = []*spec{
 	{
 		Name:       "pin",
-		Acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixNew"}}},
+		Acquire:    []matcher{{"buffer", "Pool", []string{"Fix", "FixWrite", "FixNew"}}},
 		Release:    []matcher{{"buffer", "Pool", []string{"Unpin", "Discard"}}},
 		AcquireKey: keyArg0,
 		ReleaseKey: keyArg0,

@@ -3,7 +3,12 @@
 // pinpair checker).
 package pairs_pin_bad
 
-import "buffer"
+import (
+	"buffer"
+	"errors"
+)
+
+var errEmpty = errors.New("empty page")
 
 // leak never unpins on the success path.
 func leak(pool *buffer.Pool, pg buffer.PageID) error {
@@ -37,6 +42,20 @@ func leakFixNew(pool *buffer.Pool, pg buffer.PageID) {
 	}
 	_ = pool.MarkDirty(pg)
 	_ = img
+}
+
+// leakFixWrite leaks a write pin when the mutation fails.
+func leakFixWrite(pool *buffer.Pool, pg buffer.PageID) error {
+	img, err := pool.FixWrite(pg) // want "pin leak: FixWrite\\(pg\\) can reach a function exit without Unpin/Discard\\(pg\\)"
+	if err != nil {
+		return err
+	}
+	if len(img) == 0 {
+		return errEmpty
+	}
+	img[0] = 1
+	_ = pool.MarkDirty(pg)
+	return pool.Unpin(pg)
 }
 
 // leakInLoop leaks when break exits before the unpin.

@@ -1,7 +1,7 @@
 // Package useafterunpin defines an Analyzer that reports uses of a
 // pinned page image after the pin is released.
 //
-// buffer.Pool.Fix and FixNew return the frame's byte slice directly —
+// buffer.Pool.Fix, FixWrite and FixNew return the frame's byte slice directly —
 // a pointer into the buffer pool, valid only while the frame's pin
 // count holds it in memory.  After Unpin or Discard the frame may be
 // evicted, reused for another page, or concurrently rewritten by the
@@ -11,7 +11,7 @@
 // (write-back racing a mutator) was fixed by hand once, and this
 // analyzer keeps the pattern out of the tree.
 //
-// The analyzer tracks the slice variable assigned from each Fix/FixNew
+// The analyzer tracks the slice variable assigned from each Fix/FixWrite/FixNew
 // call through the function's control-flow graph.  From every
 // non-deferred Unpin/Discard of the same page expression, any
 // reachable use of the variable is reported: a read or write, a
@@ -44,7 +44,7 @@ import (
 
 const doc = `report uses of a pinned page image after Unpin/Discard
 
-Fix and FixNew return a slice aliasing the buffer frame; once the page
+Fix, FixWrite and FixNew return a slice aliasing the buffer frame; once the page
 is unpinned the frame may be evicted or handed to another page, so any
 later read, write, return, or closure capture of the slice touches
 memory the pool no longer guarantees.  Tracking is per control-flow
@@ -115,7 +115,7 @@ func collectSites(pass *analysis.Pass, body *ast.BlockStmt) []*pinSite {
 		if !ok || len(call.Args) < 1 {
 			return true
 		}
-		method, ok := eosutil.IsMethodCall(pass.TypesInfo, call, "buffer", "Pool", "Fix", "FixNew")
+		method, ok := eosutil.IsMethodCall(pass.TypesInfo, call, "buffer", "Pool", "Fix", "FixWrite", "FixNew")
 		if !ok {
 			return true
 		}

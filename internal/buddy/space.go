@@ -132,12 +132,19 @@ func (s *Space) Stats() SpaceStats {
 	return s.stats
 }
 
-// withDir runs f with the directory page pinned; if mutate is set the page
-// is marked dirty.  Exactly one directory page access per operation.
+// withDir runs f with the directory page pinned — for writing if mutate
+// is set, and then the page is marked dirty.  Exactly one directory page
+// access per operation.
 func (s *Space) withDir(mutate bool, f func(d dir) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	img, err := s.pool.Fix(s.dirPage)
+	var img []byte
+	var err error
+	if mutate {
+		img, err = s.pool.FixWrite(s.dirPage)
+	} else {
+		img, err = s.pool.Fix(s.dirPage)
+	}
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ type Stats struct {
 	Misses     int64 // fix requests that read from disk
 	Evictions  int64 // frames recycled
 	Flushes    int64 // dirty frames written back
-	FlushSkips int64 // flush requests that issued no write: frame already clean, or pinned mid-mutation
+	FlushSkips int64 // flush requests that issued no write: frame already clean, or write-pinned
 }
 
 // HitRate returns the fraction of fix requests satisfied from memory
@@ -70,13 +70,16 @@ func (s Stats) Add(o Stats) Stats {
 
 // frame is one buffer slot.  Frames are owned by exactly one shard and
 // every field transition happens under that shard's mutex; the data
-// *contents* are additionally mutated by pin holders, which is safe
-// because flushers skip pinned frames and pin transitions are also
+// *contents* are additionally mutated by write-pin holders, which is safe
+// because flushers skip write-pinned frames and pin transitions are also
 // under the shard mutex.
 type frame struct {
 	page disk.PageNum // eos:guardedby shard.mu
 	data []byte
 	pins int // eos:guardedby shard.mu
+	// writing marks a frame some pin holder may be mutating: set by FixNew
+	// and FixWrite, cleared when the last pin goes.
+	writing bool // eos:guardedby shard.mu
 	// dirty marks the frame as needing write-back before eviction.
 	dirty bool // eos:guardedby shard.mu
 	// doomed marks a frame Discarded while pinned: its content is
@@ -224,10 +227,17 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Fix pins page pg and returns its in-memory image.  The caller may read
-// the returned slice, and may modify it if it marks the page dirty before
-// unpinning.  The slice remains valid until Unpin.
-func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) {
+// Fix pins page pg for reading and returns its in-memory image.  The
+// slice remains valid until Unpin; the caller must not modify it (FixWrite
+// pins for that).  A flush may write a frame that only read pins hold.
+func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) { return p.fix(pg, false) }
+
+// FixWrite is Fix for a caller that may modify the image: it must mark the
+// page dirty before unpinning.  No flush writes the frame until its last
+// pin is gone, so no write carries a half-made change.
+func (p *Pool) FixWrite(pg disk.PageNum) ([]byte, error) { return p.fix(pg, true) }
+
+func (p *Pool) fix(pg disk.PageNum, write bool) ([]byte, error) {
 	sh := p.shardFor(pg)
 	sh.mu.Lock()
 	if f, ok := sh.frames[pg]; ok {
@@ -237,6 +247,7 @@ func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) {
 			f.lruElem = nil
 		}
 		f.pins++
+		f.writing = f.writing || write
 		data := f.data
 		sh.mu.Unlock()
 		return data, nil
@@ -261,6 +272,7 @@ func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) {
 			rf.lruElem = nil
 		}
 		rf.pins++
+		rf.writing = rf.writing || write
 		data := rf.data
 		sh.mu.Unlock()
 		return data, nil
@@ -271,6 +283,7 @@ func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) {
 	}
 	f.page = pg
 	f.pins = 1
+	f.writing = write
 	f.dirty = false
 	sh.frames[pg] = f
 	data := f.data
@@ -278,9 +291,9 @@ func (p *Pool) Fix(pg disk.PageNum) ([]byte, error) {
 	return data, nil
 }
 
-// FixNew pins page pg without reading it from disk, returning a zeroed
-// image.  Used when a page is about to be fully initialized (fresh index
-// nodes, fresh directory pages); it saves the pointless read.
+// FixNew pins page pg for writing without reading it from disk, returning
+// a zeroed image.  Used when a page is about to be fully initialized
+// (fresh index nodes, fresh directory pages); it saves the pointless read.
 func (p *Pool) FixNew(pg disk.PageNum) ([]byte, error) {
 	sh := p.shardFor(pg)
 	sh.mu.Lock()
@@ -299,6 +312,7 @@ func (p *Pool) FixNew(pg disk.PageNum) ([]byte, error) {
 			f.data[i] = 0
 		}
 		f.dirty = true
+		f.writing = true
 		f.doomed = false // the page is being reinitialized for reuse
 		return f.data, nil
 	}
@@ -319,6 +333,7 @@ func (p *Pool) FixNew(pg disk.PageNum) ([]byte, error) {
 			rf.data[i] = 0
 		}
 		rf.dirty = true
+		rf.writing = true
 		rf.doomed = false
 		return rf.data, nil
 	}
@@ -328,6 +343,7 @@ func (p *Pool) FixNew(pg disk.PageNum) ([]byte, error) {
 	f.page = pg
 	f.pins = 1
 	f.dirty = true
+	f.writing = true
 	sh.frames[pg] = f
 	return f.data, nil
 }
@@ -410,6 +426,7 @@ func (p *Pool) Unpin(pg disk.PageNum) error {
 	}
 	f.pins--
 	if f.pins == 0 {
+		f.writing = false
 		if f.doomed {
 			delete(sh.frames, pg)
 			return nil
@@ -419,17 +436,20 @@ func (p *Pool) Unpin(pg disk.PageNum) error {
 	return nil
 }
 
-// FlushAll writes every dirty unpinned frame back to disk.  Shards flush
-// in parallel — one goroutine per shard, each holding only its own shard
-// mutex — and within a shard the dirty pages are written in ascending
-// page order with physically adjacent pages coalesced into a single
-// vectored WriteRun, so the simulated disk sees a few sequential sweeps
-// instead of one random seek per page.
+// FlushAll writes every dirty frame back to disk, except those under a
+// write pin.  Shards flush in parallel — one goroutine per shard, each
+// holding only its own shard mutex — and within a shard the dirty pages
+// are written in ascending page order with physically adjacent pages
+// coalesced into a single vectored WriteRun, so the simulated disk sees a
+// few sequential sweeps instead of one random seek per page.
 //
-// Pinned dirty frames are skipped (counted in Stats.FlushSkips): their
-// holders may be mutating the image, and every mutation a skip leaves
-// volatile is still covered by the write-ahead log, which a checkpoint
-// never truncates past a live transaction's first record.
+// A frame pinned only by readers is written: a snapshot reader or a
+// transaction's read may hold a page a committed root names, and a
+// checkpoint that logs that root must find the page on the device.  A
+// write-pinned dirty frame is skipped (counted in Stats.FlushSkips): its
+// holder may be mutating the image.  No committed root names such a page:
+// index nodes are written only to pages fresh to their transaction, and
+// the buddy directories are soft state that every open rebuilds.
 func (p *Pool) FlushAll() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
@@ -454,14 +474,15 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// flushShard writes back every dirty unpinned frame of one shard, in page
-// order, coalescing adjacent pages into vectored runs.  The shard mutex is
-// held for the duration: concurrent fixes of this shard's pages wait out
-// the flush, which is what makes reading the frame images safe — a frame's
-// image is only ever mutated while pinned, pinned frames are skipped, and
-// pin transitions happen under this same mutex.  Dirty bits are cleared
-// only after their run's write succeeds, so a failed write-back leaves the
-// frame dirty for the next attempt.
+// flushShard writes back every dirty frame of one shard that no write pin
+// holds, in page order, coalescing adjacent pages into vectored runs.  The
+// shard mutex is held for the duration: concurrent fixes of this shard's
+// pages wait out the flush, which is what makes reading the frame images
+// safe — a frame's image is only ever mutated under a write pin,
+// write-pinned frames are skipped, and pin transitions happen under this
+// same mutex.  Dirty bits are cleared only after their run's write
+// succeeds, so a failed write-back leaves the frame dirty for the next
+// attempt.
 func (p *Pool) flushShard(sh *shard) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -469,7 +490,7 @@ func (p *Pool) flushShard(sh *shard) error {
 	for _, f := range sh.frames {
 		switch {
 		case !f.dirty:
-		case f.pins > 0:
+		case f.writing:
 			sh.flushSkips.Add(1)
 		default:
 			dirty = append(dirty, f)

@@ -323,6 +323,18 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	return p, nil
 }
 
+// Off returns the logical offset of the first byte the replace writes.
+func (p *ReplacePlan) Off() int64 { return p.end - int64(len(p.old)) }
+
+// New returns a copy of the bytes the replace writes, in logical order.
+func (p *ReplacePlan) New() []byte {
+	out := make([]byte, 0, len(p.old))
+	for _, run := range p.runs {
+		out = append(out, run.raw[run.in:run.in+run.n]...)
+	}
+	return out
+}
+
 // Old returns the bytes the replace overwrites.
 func (p *ReplacePlan) Old() []byte { return p.old }
 

@@ -65,7 +65,11 @@ const (
 	RecAppend  // Data appended at the end
 	RecInsert  // Data inserted at Off
 	RecDelete  // N bytes deleted at Off; structural, so shadowed: no bytes logged
-	RecReplace // Data written at Off; OldData holds the previous bytes
+	// RecReplace says Data was written at Off.  A write that can reach the
+	// device before its transaction's commit record is durable also
+	// carries OldData, the bytes it overwrote, and their Extents; one
+	// written home only behind the commit record carries neither.
+	RecReplace
 	// RecCheckpoint carries a checkpoint's image of the client's catalog in
 	// Data.  It may use half the room ordinary records leave free (Reserve).
 	RecCheckpoint
@@ -104,10 +108,10 @@ func (t RecType) String() string {
 }
 
 // Extent is a physical byte range on the data volume: Len bytes starting
-// Off bytes into page Page.  Replace records carry the extents they
-// overwrote so that recovery can physically undo a loser transaction's
-// in-place writes — the other operations never overwrite live pages and
-// need no undo (§4.5).
+// Off bytes into page Page.  A replace record whose write may precede its
+// commit record carries the extents it overwrote, so that recovery can
+// physically undo a loser transaction's in-place writes — the other
+// operations never overwrite live pages and need no undo (§4.5).
 type Extent struct {
 	Page int64
 	Off  int32
@@ -116,8 +120,11 @@ type Extent struct {
 
 // Record is one log entry.  Data and OldData carry the operation's bytes:
 // Data is what redo needs, OldData what the undo pass needs — which is the
-// pre-image of a replace, the one update written in place (§4.5); an abort
-// undoes everything else from the transaction's journal in memory.
+// pre-image of a replace, the one update written in place (§4.5), and only
+// of one whose write may reach the device before its commit record is
+// durable: undo information is needed only where a write can precede its
+// commit.  An abort undoes everything else from the transaction's journal
+// in memory.
 type Record struct {
 	LSN     uint64 // assigned by Append: the record's position + 1
 	Txn     uint64
@@ -127,7 +134,7 @@ type Record struct {
 	N       int64
 	Data    []byte
 	OldData []byte
-	Extents []Extent // physical locations of OldData (replace only)
+	Extents []Extent // physical locations of OldData (replace only, and only with OldData)
 }
 
 // Errors returned by the log.
@@ -138,6 +145,9 @@ var (
 	// scans; scanning stops at the first such record.
 	ErrCorruptRecord = errors.New("wal: corrupt record")
 )
+
+// HeaderSize is the encoded size of a record that carries no bytes.
+const HeaderSize = recHeaderSize
 
 const (
 	recHeaderSize  = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 2 // crc,len,lsn,txn,type,obj,off,n,dlen,olen,extents

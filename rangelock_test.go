@@ -191,7 +191,9 @@ func TestRangeLockWritersLatchTheTree(t *testing.T) {
 			readErr := make(chan error, 1)
 			go func() {
 				defer close(readErr)
-				for {
+				// At most 1000 transactions: the log keeps their records
+				// until a checkpoint, and there is none.
+				for i := 0; i < 1000; i++ {
 					select {
 					case <-done:
 						return

@@ -30,11 +30,15 @@ import (
 //     it; the master copy carries the log position the checkpoint took
 //     before its data force: an abort record at or below the stamp belongs
 //     to a rollback the force made durable.
-//   - An in-place write reaches the device only behind a force of the
-//     log record holding its pre-image.  A replace whose write is
-//     deferred to commit is written behind the commit record's force, so
-//     it can be durable only for a committed transaction; a crash before
-//     the write leaves a committed record redo applies.  An uncommitted
+//   - An in-place write reaches the device only behind a force of a
+//     record that can undo it, or of its commit record.  A replace whose
+//     write is deferred to commit is written behind the commit record's
+//     force, so it can be durable only for a committed transaction, and
+//     its record carries no pre-image; a crash before the write leaves a
+//     committed record redo applies.  A replace written before its commit
+//     record — settled ahead of a later operation of its transaction, or
+//     under range locking — is written behind a record that carries its
+//     pre-image and physical extents.  An uncommitted
 //     replace a checkpoint made durable belongs to a transaction that is
 //     still in flight at the crash — its locks never released, its logged
 //     physical extents still accurate —, committed since, or aborted: an
@@ -62,7 +66,9 @@ import (
 //     master's stamp — in reverse log order, restore the logged pre-image
 //     at each physical extent where the post-image is present (replace is
 //     the only in-place update; §4.5 makes it the logged one for exactly
-//     this reason).
+//     this reason).  A record without extents is a write that waited for
+//     its commit record: it never reached the device, and there is
+//     nothing to undo.
 //  4. Rebuild the buddy directories from scratch: reformat every space,
 //     then reserve exactly the pages reachable from the catalog's
 //     descriptors.  This both reclaims pages leaked by half-finished

@@ -105,7 +105,7 @@ type txnOp struct {
 // descriptors, the data volume's force — to the next checkpoint; until
 // then recovery redoes it from its log records.  An abort is durable at
 // its log force too: its compensations wait for the next checkpoint, and
-// until then recovery undoes the transaction's replaces from their logged
+// until then recovery undoes the replaces it wrote home from their logged
 // pre-images.
 type Txn struct {
 	s        *Store
@@ -490,22 +490,24 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 	return t.Delete(name, newSize, size-newSize)
 }
 
-// Replace overwrites bytes of the named object in place; the old and new
-// values are logged (§4.5: replace is the logged update, the other three
-// shadow).  The record carries the physical extents with the pre-image:
-// an uncommitted replace page may reach the disk when a checkpoint forces
-// the volume, and an aborted one may stay there when a crash loses its
-// compensation, so recovery must be able to physically undo it.
+// Replace overwrites bytes of the named object in place; the operation is
+// logged (§4.5: replace is the logged update, the other three shadow).
 //
 // Under whole-object locking the in-place write is deferred: nobody else
 // can see the object before the transaction ends, so the write waits for
-// the commit force to cover its pre-image (one log force per transaction)
-// and an abort simply drops it.  A later operation of the same
-// transaction that could read or move the covered pages settles it first
-// (settleReplace).  Under Options.RangeLocking another transaction may
-// restructure the suffix behind this range as soon as the latch drops,
-// which would leave the plan's page images stale, so there the write
-// stays immediate.
+// the commit record's force (one log force per transaction) and an abort
+// simply drops it.  A write that can reach the device only behind its
+// commit record needs no undo, so the record carries what redo needs, Off
+// and Data, and no pre-image.  A later operation of the same transaction
+// that could read or move the covered pages settles the write first
+// (settleReplace), behind a record that can undo it.  Under
+// Options.RangeLocking another transaction may restructure the suffix
+// behind this range as soon as the latch drops, which would leave the
+// plan's page images stale, so there the write stays immediate and the
+// record carries the pre-image and its physical extents: the write may
+// reach the disk before a commit, through this call or a checkpoint's
+// force, and stay there when a crash loses an abort's compensation, so
+// recovery must be able to physically undo it.
 func (t *Txn) Replace(name string, off int64, data []byte) error {
 	defer func() { t.kept = keptRead{} }() // used below or not, it does not outlive this call
 	if err := t.check(); err != nil {
@@ -529,12 +531,11 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 		return err
 	}
 	t.s.replaceReadsSaved.Add(int64(plan.ReadsSaved()))
-	exts := plan.Extents()
-	wexts := make([]wal.Extent, len(exts))
-	for i, x := range exts {
-		wexts[i] = wal.Extent{Page: int64(x.Page), Off: int32(x.Off), Len: int32(x.Len)}
+	rec := &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data}
+	if t.s.opts.RangeLocking {
+		rec = t.undoableReplace(e, plan)
 	}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts})
+	lsn, err := t.s.log.Append(rec)
 	if err != nil {
 		return err
 	}
@@ -549,15 +550,29 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	return nil
 }
 
-// applyReplace writes to's pending replace home.  WAL rule: the pre-image
-// record must be durable BEFORE the in-place write reaches the device
-// (data pages are write-through, so the overwrite happens inside Apply,
-// not at some later flush) — otherwise a crash could find the old bytes
-// gone from the disk while the record that could restore them still sat
-// in the volatile log tail.  The force lives here, next to the write, so
-// every path to the write passes it; at commit the commit record's force
-// has already covered the LSN and this one returns without I/O.  Caller
-// holds the object's latch (shared).
+// undoableReplace is the replace record for plan's write when the write may
+// reach the device before its transaction's commit record: beside Off and
+// Data it carries the pre-image and the physical extents the undo pass
+// puts it back at.
+func (t *Txn) undoableReplace(e *catEntry, plan *lob.ReplacePlan) *wal.Record {
+	exts := plan.Extents()
+	wexts := make([]wal.Extent, len(exts))
+	for i, x := range exts {
+		wexts[i] = wal.Extent{Page: int64(x.Page), Off: int32(x.Off), Len: int32(x.Len)}
+	}
+	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: plan.Off(), Data: plan.New(), OldData: plan.Old(), Extents: wexts}
+}
+
+// applyReplace writes to's pending replace home.  WAL rule: the record at
+// pendingLSN — one that can undo the write, or, at commit, one the commit
+// record follows — must be durable BEFORE the in-place write reaches the
+// device (data pages are write-through, so the overwrite happens inside
+// Apply, not at some later flush) — otherwise a crash could find the old
+// bytes gone from the disk while nothing durable could restore them or
+// says the transaction committed.  The force lives here, next to the
+// write, so every path to the write passes it; at commit the commit
+// record's force has already covered the LSN and this one returns without
+// I/O.  Caller holds the object's latch (shared).
 func (t *Txn) applyReplace(to *txnObj) error {
 	if err := t.s.log.ForceLSN(to.pendingLSN); err != nil {
 		return err
@@ -576,7 +591,12 @@ func (t *Txn) applyReplace(to *txnObj) error {
 
 // settleReplace writes e's deferred replace home, if it has one, ahead of
 // an operation of this transaction that could read or move the pages it
-// covers.
+// covers.  The write now precedes the commit record, so it goes behind a
+// record that can undo it: the replace is logged again, pre-image and
+// extents included.  Redo of a committed transaction applies both
+// records; they write the same bytes at the same offset, and nothing
+// logged between them moves those bytes (any operation that could settles
+// first).
 func (t *Txn) settleReplace(e *catEntry) error {
 	to := t.touched[e.id]
 	if to == nil || to.pending == nil {
@@ -586,6 +606,12 @@ func (t *Txn) settleReplace(e *catEntry) error {
 	t.kept = keptRead{} // the write below changes pages it may hold
 	e.latch.RLock()
 	defer e.latch.RUnlock()
+	lsn, err := t.s.log.Append(t.undoableReplace(e, to.pending))
+	if err != nil {
+		return err
+	}
+	to.pendingLSN = lsn
+	e.obj.SetLSN(lsn)
 	return t.applyReplace(to)
 }
 
@@ -685,9 +711,9 @@ func (t *Txn) commitLog() error {
 			return err
 		}
 	}
-	// That force covered every pre-image record too: write the deferred
-	// replaces home, in log order.  A crash from here on redoes whichever
-	// of them the device lost.
+	// The transaction is committed: write the deferred replaces home, in
+	// log order.  They need no undo, and a crash from here on redoes
+	// whichever of them the device lost.
 	for _, op := range t.journal {
 		if to := t.touched[op.entry.id]; op.plan != nil && to.pending == op.plan {
 			op.entry.latch.RLock()
@@ -771,13 +797,14 @@ func (t *Txn) publishTouched() {
 
 // Abort rolls the transaction back: operations are undone logically in
 // reverse order (delete undoes insert, re-insertion undoes delete, the
-// logged pre-image undoes replace, truncation undoes append, the
-// descriptor snapshot resurrects a destroyed object), the abort record is
-// appended and forced, surviving deferred frees are applied, and locks
-// are released.  Like a commit, an abort is durable at its log force and
-// forces no data: the compensations reach the disk with the next
-// checkpoint, and a crash before it leaves recovery to undo the
-// transaction's replaces from their logged pre-images.
+// plan's pre-image undoes a replace written home — one never written home
+// is simply dropped —, truncation undoes append, the descriptor snapshot
+// resurrects a destroyed object), the abort record is appended and forced,
+// surviving deferred frees are applied, and locks are released.  Like a
+// commit, an abort is durable at its log force and forces no data: the
+// compensations reach the disk with the next checkpoint, and a crash
+// before it leaves recovery to undo the replaces written home from their
+// logged pre-images.
 //
 // Each compensation runs under the object's write latch, which a reader
 // of another byte range under range locking shares; the latch is dropped
@@ -867,10 +894,12 @@ func (t *Txn) Abort() error {
 	// replaces until a checkpoint stamps its master copy above the record; the
 	// frees reach the quarantine only after the record, so the checkpoint
 	// that lets their pages be reused is such a checkpoint.  And nobody
-	// else can touch these objects before the record is durable.
+	// else can touch these objects before the record is durable.  As with
+	// a commit, a transaction that performed no mutating operation has
+	// nothing to make durable, and its record waits for the next force.
 	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
 	_, err := t.s.log.Append(rec)
-	if err == nil {
+	if err == nil && len(t.journal) > 0 {
 		err = t.s.log.ForceLSN(rec.LSN)
 	}
 	if ferr := t.alloc.apply(); err == nil {

@@ -1069,6 +1069,121 @@ func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 	}
 }
 
+// TestReplaceRecordCarriesNoPreImage: a replace written home behind its
+// commit record needs no undo, so its record carries Off and Data and
+// nothing more; one written home before — settled by a later Read of the
+// same transaction — is logged again, with its pre-image and extents.  Each
+// crash recovers what those records call for.
+func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
+	repl := pat(73, 600)
+	// replaces returns the replace records tx logged, every one of them
+	// forced by now.
+	replaces := func(t *testing.T, s *Store, tx *Txn) (out []*wal.Record) {
+		t.Helper()
+		err := s.log.Scan(tx.firstLSN, func(r *wal.Record) error {
+			if r.Txn == tx.id && r.Type == wal.RecReplace {
+				out = append(out, r)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	bare := func(r *wal.Record) bool {
+		return r.Off == 2000 && bytes.Equal(r.Data, repl) && r.OldData == nil && r.Extents == nil
+	}
+	shape := func(recs []*wal.Record) (out []string) {
+		for _, r := range recs {
+			out = append(out, fmt.Sprintf("{Off %d, %d data bytes, %d old, %d extents}", r.Off, len(r.Data), len(r.OldData), len(r.Extents)))
+		}
+		return out
+	}
+
+	t.Run("committed", func(t *testing.T) {
+		s, vol, logVol, base := replaceStore(t, Options{})
+		tx, _ := s.Begin()
+		if err := tx.Replace("x", 2000, repl); err != nil {
+			t.Fatal(err)
+		}
+		// The commit record's force succeeds; the home write behind it fails.
+		boom := errors.New("boom")
+		vol.FailAfter(0, boom)
+		err := tx.Commit()
+		vol.ClearFault()
+		if !errors.Is(err, boom) {
+			t.Fatalf("commit over a dead data volume: %v", err)
+		}
+		if recs := replaces(t, s, tx); len(recs) != 1 || !bare(recs[0]) {
+			t.Fatalf("replace records %v, want one with Off and Data only", shape(recs))
+		}
+		s = crashReopen(t, vol, logVol)
+		want := append([]byte{}, base...)
+		copy(want[2000:], repl)
+		if !bytes.Equal(readObject(t, s, "x"), want) {
+			t.Fatal("the committed replace was not redone")
+		}
+		if s.Stats().Recovery.Redone == 0 {
+			t.Fatal("recovery redid nothing")
+		}
+	})
+
+	t.Run("settled", func(t *testing.T) {
+		s, vol, logVol, base := replaceStore(t, Options{})
+		tx, _ := s.Begin()
+		if err := tx.Replace("x", 2000, repl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read("x", 2000, 600); err != nil { // settles it: written home
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil { // soft: tx is live; the write is durable
+			t.Fatal(err)
+		}
+		recs := replaces(t, s, tx)
+		if len(recs) != 2 || !bare(recs[0]) {
+			t.Fatalf("replace records %v, want the deferred one with Off and Data only, then the settled one", shape(recs))
+		}
+		if r := recs[1]; r.Off != 2000 || !bytes.Equal(r.Data, repl) || !bytes.Equal(r.OldData, base[2000:2600]) || len(r.Extents) == 0 {
+			t.Fatalf("the settled replace's record %v carries no pre-image to undo it by", shape(recs[1:]))
+		}
+		s = crashReopen(t, vol, logVol)
+		if !bytes.Equal(readObject(t, s, "x"), base) {
+			t.Fatal("the in-flight replace survived the crash")
+		}
+	})
+
+	t.Run("deferred", func(t *testing.T) {
+		s, vol, logVol, base := replaceStore(t, Options{})
+		tx, _ := s.Begin()
+		if err := tx.Replace("x", 2000, repl); err != nil {
+			t.Fatal(err)
+		}
+		// In flight, but on the log device: another commit's force.
+		w, _ := s.Begin()
+		if err := w.Create("y", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil { // soft: tx is live
+			t.Fatal(err)
+		}
+		if recs := replaces(t, s, tx); len(recs) != 1 || !bare(recs[0]) {
+			t.Fatalf("replace records %v, want one with Off and Data only", shape(recs))
+		}
+		s = crashReopen(t, vol, logVol)
+		if !bytes.Equal(readObject(t, s, "x"), base) {
+			t.Fatal("content wrong after crash and recovery")
+		}
+		if err := s.CheckNoLeaks(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestLogFullBehindASealedForce: every log force ends on a page boundary,
 // and room is counted from there.  A record that an unpadded log would
 // still have held is refused whole — ErrLogFull, nothing of the operation
@@ -1132,8 +1247,20 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if !bytes.Equal(readObject(t, s, "x"), model) {
 		t.Fatal("the refused append left a trace in the object")
 	}
-	if _, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
-		t.Fatalf("Begin on the full log: %v, want ErrLogFull", err)
+	// The abort had nothing to make durable, so it sealed no page: the
+	// records of the next transaction still fit, the long one still not.
+	forces := s.Stats().WAL.LeaderForces
+	if tx, err = s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", big); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("append on the full log: %v, want ErrLogFull", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().WAL.LeaderForces - forces; got != 0 {
+		t.Fatalf("a transaction that logged no operation forced the log %d times on abort", got)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
