@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/eosdb/eos/internal/disk"
-	"github.com/eosdb/eos/internal/wal"
 )
 
 // The commit path's request floor, executable, in the manner of
@@ -169,9 +168,20 @@ func TestCommitFloor(t *testing.T) {
 	recBytes := st.WAL.FlushedBytes - st0.WAL.FlushedBytes
 	// Begin, replace, append, commit: four headers and the bytes redo
 	// needs.  The replace is written home behind the commit record, so its
-	// record carries no pre-image and no extents.
-	if want := int64(4*wal.HeaderSize + 200 + 700); recBytes != want {
-		t.Errorf("the commit logged %d bytes of records, want %d: four headers, the replace's 200 bytes and the append's 700", recBytes, want)
+	// record carries no pre-image and no extents.  A header is measured as
+	// the begin record of a transaction that logs nothing else; its abort
+	// forces nothing.
+	tail := s.LogTail()
+	ro, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := s.LogTail() - tail
+	if err := ro.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 4*hdr + 200 + 700; recBytes != want {
+		t.Errorf("the commit logged %d bytes of records, want %d: four %d-byte headers, the replace's 200 bytes and the append's 700", recBytes, want, hdr)
 	}
 	if want := (recBytes + ps - 1) / ps; int64(pages[warm]) != want {
 		t.Errorf("the commit wrote %d log pages for %d bytes of records, want %d", pages[warm], recBytes, want)

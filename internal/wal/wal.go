@@ -146,9 +146,6 @@ var (
 	ErrCorruptRecord = errors.New("wal: corrupt record")
 )
 
-// HeaderSize is the encoded size of a record that carries no bytes.
-const HeaderSize = recHeaderSize
-
 const (
 	recHeaderSize  = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 2 // crc,len,lsn,txn,type,obj,off,n,dlen,olen,extents
 	extentEncBytes = 8 + 4 + 4

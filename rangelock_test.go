@@ -191,13 +191,19 @@ func TestRangeLockWritersLatchTheTree(t *testing.T) {
 			readErr := make(chan error, 1)
 			go func() {
 				defer close(readErr)
-				// At most 1000 transactions: the log keeps their records
-				// until a checkpoint, and there is none.
-				for i := 0; i < 1000; i++ {
+				for i := 1; ; i++ {
 					select {
 					case <-done:
 						return
 					default:
+					}
+					// The log keeps every transaction's records until a
+					// checkpoint, the reader's too.
+					if i%100 == 0 {
+						if err := s.Checkpoint(); err != nil {
+							readErr <- err
+							return
+						}
 					}
 					tx, err := s.Begin()
 					if err != nil {

@@ -533,7 +533,7 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	t.s.replaceReadsSaved.Add(int64(plan.ReadsSaved()))
 	rec := &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data}
 	if t.s.opts.RangeLocking {
-		rec = t.undoableReplace(e, plan)
+		rec = t.undoableReplace(e, off, data, plan)
 	}
 	lsn, err := t.s.log.Append(rec)
 	if err != nil {
@@ -550,17 +550,17 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	return nil
 }
 
-// undoableReplace is the replace record for plan's write when the write may
-// reach the device before its transaction's commit record: beside Off and
-// Data it carries the pre-image and the physical extents the undo pass
-// puts it back at.
-func (t *Txn) undoableReplace(e *catEntry, plan *lob.ReplacePlan) *wal.Record {
+// undoableReplace is the replace record for plan's write of data at off
+// when the write may reach the device before its transaction's commit
+// record: beside Off and Data it carries the pre-image and the physical
+// extents the undo pass puts it back at.
+func (t *Txn) undoableReplace(e *catEntry, off int64, data []byte, plan *lob.ReplacePlan) *wal.Record {
 	exts := plan.Extents()
 	wexts := make([]wal.Extent, len(exts))
 	for i, x := range exts {
 		wexts[i] = wal.Extent{Page: int64(x.Page), Off: int32(x.Off), Len: int32(x.Len)}
 	}
-	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: plan.Off(), Data: plan.New(), OldData: plan.Old(), Extents: wexts}
+	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts}
 }
 
 // applyReplace writes to's pending replace home.  WAL rule: the record at
@@ -606,7 +606,9 @@ func (t *Txn) settleReplace(e *catEntry) error {
 	t.kept = keptRead{} // the write below changes pages it may hold
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	lsn, err := t.s.log.Append(t.undoableReplace(e, to.pending))
+	// The caller's buffer is gone; the plan still holds the bytes.
+	plan := to.pending
+	lsn, err := t.s.log.Append(t.undoableReplace(e, plan.Off(), plan.New(), plan))
 	if err != nil {
 		return err
 	}

@@ -1241,26 +1241,34 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if s.LogTail() != before {
 		t.Fatalf("the refused record moved the log tail from %d to %d", before, s.LogTail())
 	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readObject(t, s, "x"), model) {
-		t.Fatal("the refused append left a trace in the object")
-	}
-	// The abort had nothing to make durable, so it sealed no page: the
-	// records of the next transaction still fit, the long one still not.
+	// The transaction logged no operation: its abort has nothing to make
+	// durable, forces nothing and so seals no page.
 	forces := s.Stats().WAL.LeaderForces
-	if tx, err = s.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Append("x", big); !errors.Is(err, wal.ErrLogFull) {
-		t.Fatalf("append on the full log: %v, want ErrLogFull", err)
-	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().WAL.LeaderForces - forces; got != 0 {
 		t.Fatalf("a transaction that logged no operation forced the log %d times on abort", got)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("the refused append left a trace in the object")
+	}
+	// One that appends a few bytes forces its abort record, and the force
+	// seals the last page: not even a record without payload fits now.
+	if tx, err = s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", pat(91, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LogTail() != 5*512 {
+		t.Fatalf("%d bytes of log in use after the abort's force, want %d: the last page sealed", s.LogTail(), 5*512)
+	}
+	if _, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("Begin on the full log: %v, want ErrLogFull", err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
