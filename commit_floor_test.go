@@ -12,10 +12,11 @@ import (
 // The commit path's request floor, executable, in the manner of
 // internal/lob/floor_test.go: the small transaction of commit_small — read,
 // replace those bytes, append, commit — on a warmed object must issue
-// exactly the device requests recovery can use.  Data volume: the read, the
-// append's one write into the open tail, the replace's in-place write —
-// no index page from the pool, nothing in the catalog region and no force:
-// a commit is durable at its log force, and redo recovers it until the next
+// exactly the device requests recovery can use.  Data volume: the read and
+// the replace's in-place write — the append fits the open tail, whose pages
+// stay pending until the segment fills or a checkpoint writes them; no index
+// page from the pool, nothing in the catalog region and no force: a commit
+// is durable at its log force, and redo recovers it until the next
 // barrier.  Log volume: ONE write, of ceil(record bytes / page) pages, that
 // continues where the previous commit's force ended — no reposition, and no
 // page an earlier force wrote — and carries no catalog record; the records
@@ -40,8 +41,8 @@ func (g *gatedLog) WritePages(start disk.PageNum, n int, buf []byte) error {
 
 // floorStore formats a store on traced simulated volumes, creates the named
 // objects (6000 bytes each) and runs one small transaction on each, so that
-// every tail is open and remembered and the log's last request is a commit's
-// force.  The returned slices collect every later request.
+// every tail is open, its pages pending, and the log's last request is a
+// commit's force.  The returned slices collect every later request.
 func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data, log *[]disk.TraceEvent, model map[string][]byte) {
 	t.Helper()
 	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
@@ -126,23 +127,24 @@ func TestCommitFloor(t *testing.T) {
 	ps := int64(s.PageSize())
 	warm := len(*log)
 	st0 := s.Stats()
-	tailBytes := int64(len(model["x"])) % ps
+	tailBytes := int64(len(model["x"])) - 6000 // the warm-up append opened a tail segment behind the first 6000 bytes
 	if err := smallTxn(t, s, "x", model, 70).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 
-	// Data volume: read, append, in-place replace — in that order, none of
-	// them on a master copy, and no force.
+	// Data volume: read and in-place replace — in that order, neither on a
+	// master copy, and no force.  The append writes nothing: its pages join
+	// the tail's pending run, which now holds the whole open tail.
 	d := *data
-	if len(d) != 3 || d[0].Write || !d[1].Write || !d[2].Write {
-		t.Fatalf("data requests %+v, want one read and two writes", d)
+	if len(d) != 2 || d[0].Write || !d[1].Write {
+		t.Fatalf("data requests %+v, want one read and one write", d)
 	}
-	if d[0].Pages != 1 || d[2].Start != d[0].Start || d[2].Pages != 1 {
-		t.Errorf("read %+v and in-place write %+v, want the one page that holds bytes 1100..1299", d[0], d[2])
+	if d[0].Pages != 1 || d[1].Start != d[0].Start || d[1].Pages != 1 {
+		t.Errorf("read %+v and in-place write %+v, want the one page that holds bytes 1100..1299", d[0], d[1])
 	}
-	if want := (tailBytes + 700 + ps - 1) / ps; int64(d[1].Pages) != want {
-		t.Errorf("append wrote %d pages, want %d: the open tail's partial page of %d bytes on, 700 more", d[1].Pages, want, tailBytes)
+	if want := (tailBytes + 700 + ps - 1) / ps; st.LOB.TailPages != want {
+		t.Errorf("%d pages pending, want %d: the open tail's %d bytes and 700 more", st.LOB.TailPages, want, tailBytes)
 	}
 	for _, ev := range d {
 		if ev.Start < masterPages {

@@ -248,10 +248,13 @@ type Store struct {
 	pool     *buffer.Pool
 	buddy    *buddy.Manager
 	lm       *lob.Manager
-	log      *wal.Log
-	locks    *txn.LockTable
-	epochs   *txn.EpochManager
-	opts     Options
+	// tails holds the pending runs of open tails (lob.Tails), shared by the
+	// store's manager and every transaction's; nil under RangeLocking.
+	tails  *lob.Tails
+	log    *wal.Log
+	locks  *txn.LockTable
+	epochs *txn.EpochManager
+	opts   Options
 
 	mu       sync.Mutex
 	catalog  map[string]*catEntry
@@ -384,6 +387,9 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
+	if !opts.RangeLocking {
+		s.tails = lob.NewTails(vol, pool)
+	}
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	return s, err
 }
@@ -400,8 +406,9 @@ func (s *Store) lobConfig() lob.Config {
 		// snapshot root may still name them.
 		RetainFreedPages: true,
 		// Under byte-range locking other transactions write into a tail's
-		// last page under the shared latch, where nothing tells the object.
-		NoTailImage: s.opts.RangeLocking,
+		// last page under the shared latch, where nothing tells the object:
+		// there is no write-behind set, and plain appends write through.
+		Tails: s.tails,
 	}
 }
 
@@ -801,17 +808,6 @@ func (s *Store) checkpointLocked() error {
 	if err := s.epochs.Drain(); err != nil {
 		return err
 	}
-	// A checkpoint is also where the page images open tails keep for their
-	// next append (lob.Object.Append) are let go, so that they never add up
-	// to more than the appends since the last one left.  An object whose
-	// latch is taken is skipped, not waited for: its holder may be stalled
-	// in allocation backpressure waiting for this very barrier.
-	for _, e := range s.byID {
-		if e.latch.TryLock() {
-			e.obj.ForgetTailImage()
-			e.latch.Unlock()
-		}
-	}
 	// 1. WAL-first: the data force below may make live transactions'
 	// in-place writes durable, so the records recovery needs to undo them —
 	// their pre-images — must reach the log device first.
@@ -833,7 +829,15 @@ func (s *Store) checkpointLocked() error {
 	// from here on recovers from the previous master copy by replaying the
 	// intact log; the object roots carry their true LSNs, so redo of an
 	// already-durable update is skipped by the idempotence guard rather
-	// than applied twice.
+	// than applied twice.  The pending runs of open tails go first: the
+	// image may name their bytes, which until now were durable only in the
+	// log.  They are written under their own lock, not the object latches,
+	// since a latch holder may be stalled in allocation backpressure waiting
+	// for this very checkpoint; a run it installs later holds only bytes no
+	// descriptor this image takes names (those were handed over under s.mu).
+	if err := s.tails.Flush(); err != nil {
+		return err
+	}
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}

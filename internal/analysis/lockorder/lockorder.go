@@ -9,6 +9,7 @@
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
 //	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
+//	rank 28  Tails.mu           (write-behind tails: pending runs and their writes)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
 //	rank 30  Store.quarMu       (durability quarantine; a leaf)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
@@ -160,6 +161,7 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 var singletonKeys = map[string]bool{
 	"Store.mu":        true,
 	"Store.quarMu":    true,
+	"Tails.mu":        true,
 	"LockTable.mu":    true,
 	"EpochManager.mu": true,
 	"Manager.mu":      true,

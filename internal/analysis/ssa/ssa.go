@@ -69,6 +69,7 @@ func LockRanks() map[string]int {
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,
 		"catEntry.inPlace": 25, // one in-place read-modify-write, under the shared latch
+		"Tails.mu":         28, // write-behind tails: pending runs and their writes
 		"deferredAlloc.mu": 30,
 		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
 		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it

@@ -198,6 +198,9 @@ func MustNewPool(vol disk.Device, capacity int) *Pool {
 // Shards reports the number of lock shards.
 func (p *Pool) Shards() int { return len(p.shards) }
 
+// Capacity reports the number of frames.
+func (p *Pool) Capacity() int { return p.capacity }
+
 // SetPinWait bounds how long a Fix blocks waiting for a transiently
 // pinned frame before returning ErrNoFrames (default 250ms; 0 fails
 // immediately, restoring the historical behavior).

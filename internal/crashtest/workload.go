@@ -97,6 +97,7 @@ const (
 	traceBegin  = "seq %d: txn %d begins"
 	traceOp     = "        txn %d: %s on %s (len was %d)"
 	traceFill   = "        txn %d: the append on %s continued its tail in place"
+	traceBehind = "        txn %d: the append on %s left its pages pending"
 	traceCommit = "seq %d-%d: txn %d committed"
 	traceAbort  = "seq %d: txn %d aborted"
 )
@@ -107,6 +108,12 @@ var errStaleRead = errors.New("crashtest: transaction read does not see its own 
 
 // loserTxn is the number the trace gives the transaction left in flight.
 const loserTxn = -1
+
+// The directed prefix: prefixTxns transactions, each appending to every one
+// of prefixObjects, committed with no checkpoint between them.
+const prefixTxns = 14
+
+var prefixObjects = []string{"w0", "w1", "w2", "w3"}
 
 // WorkloadConfig tunes the seeded churn the sweep traces.
 type WorkloadConfig struct {
@@ -152,6 +159,9 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	oracle := &Oracle{P0: clock.Seq()}
 	model := map[string][]byte{} // committed content
+	if err := directedPrefix(st, clock, cfg, oracle, model); err != nil {
+		return nil, err
+	}
 
 	for i := 0; i < cfg.Txns; i++ {
 		if i > 0 && i%cfg.CheckEvery == 0 {
@@ -196,24 +206,7 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			if err := tx.Commit(); err != nil {
 				return nil, fmt.Errorf("commit txn %d: %w", i, err)
 			}
-			retSeq := clock.Seq()
-			cfg.Trace(traceCommit, beginSeq, retSeq, i)
-			applyStaged(model, staged)
-			sizes := make(map[string]int, len(model))
-			for n, c := range model {
-				sizes[n] = len(c)
-			}
-			contents := make(map[string][]byte, len(model))
-			for n, c := range model {
-				contents[n] = append([]byte{}, c...)
-			}
-			oracle.Commits = append(oracle.Commits, Commit{
-				BeginSeq: beginSeq,
-				RetSeq:   retSeq,
-				State:    snapshotHashes(model),
-				Sizes:    sizes,
-				Contents: contents,
-			})
+			oracle.mark(cfg, beginSeq, clock.Seq(), i, model, staged)
 		}
 	}
 
@@ -289,6 +282,67 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 		return nil, fmt.Errorf("soft checkpoint with loser in flight: %w", err)
 	}
 	return oracle, nil
+}
+
+// directedPrefix runs transactions that commit plain appends, and no
+// checkpoint between them.  Every crash inside it finds committed bytes that
+// live only in the log — their pages pending in memory — or, once a segment
+// fills, some of them on the device and some not; recovery must redo them
+// from the log alone.  Its objects' names sort behind the random workload's,
+// whose operations and loser never pick them.
+func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a11))
+	for i := 0; i < prefixTxns; i++ {
+		txn := -2 - i // the trace numbers the prefix's transactions below the loser's
+		tx, err := st.Begin()
+		if err != nil {
+			return fmt.Errorf("begin prefix txn %d: %w", i, err)
+		}
+		cfg.Trace(traceBegin, clock.Seq(), txn)
+		staged := map[string]*[]byte{}
+		for _, name := range prefixObjects {
+			cur, exists := stagedValue(model, staged, name)
+			if !exists {
+				err = tx.Create(name, 0)
+			}
+			if err == nil {
+				err = appendOp(st, tx, txn, name, cur, randBytes(rng, 100+rng.Intn(300)), cfg, staged)
+			}
+			if err != nil {
+				_ = tx.Abort() // the append's error is the one to report
+				return fmt.Errorf("prefix txn %d on %s: %w", i, name, err)
+			}
+		}
+		beginSeq := clock.Seq()
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("commit prefix txn %d: %w", i, err)
+		}
+		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
+	}
+	return nil
+}
+
+// mark records the commit of transaction txn, whose Commit call entered at
+// beginSeq and returned at retSeq with the changes staged holds, in the
+// model and as the oracle's next commit.
+func (o *Oracle) mark(cfg WorkloadConfig, beginSeq, retSeq, txn int, model map[string][]byte, staged map[string]*[]byte) {
+	cfg.Trace(traceCommit, beginSeq, retSeq, txn)
+	applyStaged(model, staged)
+	sizes := make(map[string]int, len(model))
+	for n, c := range model {
+		sizes[n] = len(c)
+	}
+	contents := make(map[string][]byte, len(model))
+	for n, c := range model {
+		contents[n] = append([]byte{}, c...)
+	}
+	o.Commits = append(o.Commits, Commit{
+		BeginSeq: beginSeq,
+		RetSeq:   retSeq,
+		State:    snapshotHashes(model),
+		Sizes:    sizes,
+		Contents: contents,
+	})
 }
 
 // randomOp performs one operation on tx, keeping model/staged
@@ -427,16 +481,21 @@ func randBytes(rng *rand.Rand, n int) []byte {
 }
 
 // appendOp appends d to name, whose content in tx is cur, and tells the
-// trace when the append made no new segment: it went on in the tail the
-// append before it had left open.
+// trace when the append made no new segment — it went on in the tail the
+// append before it had left open — and when it wrote nothing: its pages are
+// pending.
 func appendOp(st *eos.Store, tx *eos.Txn, txn int, name string, cur, d []byte, cfg WorkloadConfig, staged map[string]*[]byte) error {
 	cfg.Trace(traceOp, txn, "append", name, len(cur))
 	before, _ := layout(st, name)
+	writes := st.Volume().Stats().Writes
 	if err := tx.Append(name, d); err != nil {
 		return err
 	}
 	if after, _ := layout(st, name); before > 0 && after == before {
 		cfg.Trace(traceFill, txn, name)
+	}
+	if st.Volume().Stats().Writes == writes {
+		cfg.Trace(traceBehind, txn, name)
 	}
 	nv := append(append([]byte{}, cur...), d...)
 	staged[name] = &nv

@@ -118,7 +118,10 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 // rule a prototype tried and this sweep refuted); and a loser that does
 // both, the continuation written before the data volume is forced for the
 // last time, so that crash states hold its bytes in the slack of a page the
-// committed root names.
+// committed root names.  And appends that write nothing — their pages stay
+// pending — committed, aborted and in the loser; the directed prefix commits
+// such appends with no checkpoint behind them, so that every sweep has crash
+// states whose committed appends live only in the log.
 func TestWorkloadCoversAppendShapes(t *testing.T) {
 	cfg := sweepConfig(t)
 	clock := &Clock{}
@@ -130,12 +133,19 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 	}
 	type op struct{ kind, obj string }
 	ops := map[int][]op{}
-	fills := map[int]int{} // continuations in place, by transaction
+	fills := map[int]int{}  // continuations in place, by transaction
+	behind := map[int]int{} // appends that left their pages pending, by transaction
 	shapes := map[string]int{}
 	loserFillSeq := -1
 	end := func(txn int, how string) {
 		if fills[txn] > 0 {
 			shapes["append continued in place, "+how] += fills[txn]
+		}
+		if txn < loserTxn {
+			how = "prefix " + how // the directed prefix numbers its transactions below the loser
+		}
+		if behind[txn] > 0 {
+			shapes["append left pending, "+how] += behind[txn]
 		}
 		for i, o := range ops[txn][1:] {
 			if before := ops[txn][i]; o.kind == "append" && before.kind == "truncate" && before.obj == o.obj {
@@ -154,6 +164,8 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 			if args[0].(int) == loserTxn {
 				loserFillSeq = clock.Seq()
 			}
+		case traceBehind:
+			behind[args[0].(int)]++
 		case traceCommit:
 			end(args[2].(int), "commit")
 		case traceAbort:
@@ -168,6 +180,8 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 	for _, want := range []string{
 		"append continued in place, commit", "append continued in place, abort", "append continued in place, loser",
 		"truncate then append, commit", "truncate then append, loser",
+		"append left pending, commit", "append left pending, abort", "append left pending, loser",
+		"append left pending, prefix commit",
 	} {
 		if shapes[want] == 0 {
 			t.Errorf("workload never produces %q", want)

@@ -21,13 +21,20 @@ import (
 //   - A plain Append holds all its bytes, so it allocates what it writes —
 //     but never less than T pages, and it trims the tail segment only down
 //     to T pages while it holds fewer: the calls on one object are a stream
-//     too, and the next one fills the room this one left.
+//     too, and the next one fills the room this one left.  What it puts in
+//     that open tail stays in memory, as the object's pending run, until the
+//     segment fills (tails.go): the bytes are durable in the log, and the
+//     pages reach the device once, as one request.
 //
 // What may be written in place is room no root has ever named.  The pages
 // of an untrimmed tail beyond its bytes are that by construction; so is the
 // slack of its partial last page, because every operation that could leave
 // named bytes there (a delete, truncate, insert or compaction that touches
-// the tail segment) trims first, and a trimmed tail is never filled.
+// the tail segment) trims first, and a trimmed tail is never filled.  The
+// pages of a pending run may hold bytes a committed root names that the
+// device does not: the run is written before anything reads those pages
+// from the device, before they can be freed, and before a checkpoint's image
+// can name them.
 
 // Appender streams bytes onto the end of an object.  Close trims the
 // tail segment.  It implements io.Writer.
@@ -69,9 +76,9 @@ func (a *Appender) Close() error {
 // hand — unless SetGrowthHint has fixed the next segment's size, which
 // then wins.  A sequence of Append calls on one object is itself a stream
 // of unknown length, so the call leaves the tail segment open: allocated to
-// T pages while it holds fewer, its last partial page remembered, and the
-// next Append continues in that room (one write, nothing read, no new
-// segment).  A tail that has reached T pages is trimmed like any other.
+// T pages while it holds fewer, the pages it filled pending in memory, and
+// the next Append continues in that room (nothing read, nothing written, no
+// new segment).  A tail that has reached T pages is written and trimmed.
 func (o *Object) Append(data []byte) error {
 	if o.growFixed {
 		return o.AppendWithHint(data, 0)
@@ -121,7 +128,8 @@ func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished, 0) }
 
 // trim gives the tail segment's unused pages to free, all of them when
 // open is 0.  Otherwise a tail holding less than open pages of bytes stays
-// open: it keeps up to open pages, and the image of its partial page.
+// open: it keeps up to open pages, and its pending run.  A tail that closes
+// writes its run first.
 func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 	if o.tailAlloc == 0 {
 		return nil
@@ -135,6 +143,8 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 	stayOpen := tailLen < int64(open)*int64(ps)
 	if stayOpen {
 		keep = max(keep, min(open, o.tailAlloc))
+	} else if err := o.m.cfg.Tails.write(&o.tail); err != nil {
+		return err
 	}
 	if keep < o.tailAlloc {
 		if err := free(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep); err != nil {
@@ -154,25 +164,47 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 // descriptor may say the tail segment is allocated beyond its bytes, but
 // that room is soft state — a Trim gives it back unpublished, to anyone, at
 // once, and journals nothing — so only what the entries name still belongs
-// to the object, and its next append starts a fresh tail.
-func (o *Object) ForgetTail() { o.tailStart, o.tailAlloc, o.tailImg = 0, 0, nil }
+// to the object, and its next append starts a fresh tail.  An object with a
+// pending run is never forgotten: trim writes the run first.
+func (o *Object) ForgetTail() { o.tailStart, o.tailAlloc = 0, 0 }
 
-// ForgetTailImage drops the remembered partial page and keeps the room: the
-// next append into it reads that page back.  It bounds the memory the
-// images take (a checkpoint calls it on every object).
-func (o *Object) ForgetTailImage() { o.tailImg = nil }
-
-// replacedTo tells the object that bytes up to logical offset end have
-// been overwritten in place: the image is stale if they reach its page.
-func (o *Object) replacedTo(end int64) {
-	if end > o.size-int64(len(o.tailImg)) {
-		o.tailImg = nil
+// settle writes the pending run ahead of an operation that reads pages
+// [first, first+n) from the device to rewrite them, or writes them, when the
+// run holds any of them.
+func (o *Object) settle(first disk.PageNum, n int) error {
+	r := o.tail.load()
+	if r == nil || first >= r.end(o.m.vol.PageSize()) || first+disk.PageNum(n) <= r.start {
+		return nil
 	}
+	return o.m.cfg.Tails.write(&o.tail)
+}
+
+// UndoAppend truncates the object back to size bytes, undoing appends no
+// root but the caller's has named: the pending pages that hold only bytes
+// past size are dropped, not written, and the rest of the run is written as
+// the tail closes.  A transaction's abort undoes its appends with it.
+func (o *Object) UndoAppend(size int64) error {
+	if r := o.tail.load(); r != nil && size < o.size {
+		_, tailLen, err := o.tailEntry()
+		if err != nil {
+			return err
+		}
+		ps := o.m.vol.PageSize()
+		// The run ends with the object: its first page starts this many
+		// bytes into the tail segment.
+		from := int64(r.start-o.tailStart) * int64(ps)
+		var cut *pendingRun
+		if n := size - (o.size - tailLen) - from; n > 0 {
+			cut = &pendingRun{start: r.start, raw: r.raw[:pagesFor(n, ps)*ps]}
+		}
+		o.m.cfg.Tails.install(&o.tail, cut)
+	}
+	return o.Truncate(size)
 }
 
 // trimTail trims when seg is the untrimmed tail segment, ahead of an
 // operation that cuts or moves seg's bytes.  Operations elsewhere in the
-// object leave the tail's room and image alone.
+// object leave the tail's room and pending run alone.
 func (o *Object) trimTail(seg entry) error {
 	if o.tailAlloc == 0 || seg.ptr != o.tailStart {
 		return nil
@@ -194,10 +226,12 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 // room, allocating and writing new tail segments — happens on pages the
 // tree does not name yet; one splice then publishes the lot.  A failure
 // gives back what this call allocated and leaves the object, its tail, the
-// image of its partial page and its growth schedule as they were.
+// bytes of its pending run — pending still, or written — and its growth
+// schedule as they were.
 //
 // open > 0 is a plain Append: a new tail segment is asked at least open
-// pages, and the partial last page is remembered for the next call.
+// pages, and the last segment, while it stays open, keeps the pages this
+// call filled pending in memory — unless the manager writes through.
 func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	if len(data) == 0 {
 		return nil
@@ -207,12 +241,14 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	m := o.m
 	ps := m.vol.PageSize()
 	maxSeg := m.alloc.MaxSegmentPages()
+	// behind: a last segment holding n bytes stays open, its pages pending.
+	behind := func(n int64) bool { return open > 0 && m.cfg.Tails != nil && n < int64(open)*int64(ps) }
 
 	// repl replaces the last leaf entry: itself, grown by what fits in its
 	// untrimmed room, followed by the new segments.
 	repl := make([]entry, 0, 2)
 	var tailStartByte int64
-	var written []byte // the last page run written: it ends with the new last page
+	var last *pendingRun // the pending run the object is left with
 	remaining := data
 	hasTail := len(o.root.entries) > 0
 	if hasTail {
@@ -221,12 +257,28 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 			return err
 		}
 		tailStartByte = start
+		var fill *pendingRun // the room's pages this call fills, from the pending run's first on
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
-			if written, err = o.writeTail(tail.bytes, data[:w]); err != nil {
+			if fill, err = o.continueTail(tail.bytes, data[:w]); err != nil {
 				return err
 			}
 			tail.bytes += w
 			remaining = data[w:]
+		}
+		// The old tail's pages stay pending while it is still the open last
+		// segment.  Otherwise they are written now, the pending ones with
+		// them, in one request: it fills, or this append writes through.  A
+		// failure from here on leaves them written and the object as it was.
+		switch {
+		case fill != nil && len(remaining) == 0 && behind(tail.bytes):
+			last = fill
+		case fill != nil:
+			err = o.writeOver(fill)
+		default:
+			err = m.cfg.Tails.write(&o.tail) // full already: the allocator gave it less than open pages
+		}
+		if err != nil {
+			return err
 		}
 		repl = append(repl, tail)
 	}
@@ -250,8 +302,10 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		runs = append(runs, PageRun{Start: start, Pages: got})
 		grow = min(got*2, maxSeg)
 		w := min(int64(got)*int64(ps), int64(len(remaining)))
-		written = m.pageImage(remaining[:w])
-		if err := m.writeImage(start, written); err != nil {
+		img := m.pageImage(remaining[:w])
+		if w == int64(len(remaining)) && behind(w) {
+			last = &pendingRun{start: start, raw: img}
+		} else if err := m.writeImage(start, img); err != nil {
 			return m.giveBack(runs, err)
 		}
 		repl = append(repl, entry{bytes: w, ptr: start})
@@ -268,6 +322,9 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		if o.root.size() == o.size {
 			return m.giveBack(runs, err) // the root never came to name the new segments
 		}
+		if last != nil {
+			_ = o.writeOver(last) // it did: the bytes must not stay only in memory; err is the failure to report
+		}
 		return err
 	}
 	if n := len(runs); n > 0 {
@@ -275,34 +332,43 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		o.nextGrow, o.growFixed = grow, false
 		o.tailStart, o.tailAlloc = runs[n-1].Start, runs[n-1].Pages
 	}
-	if partial := repl[len(repl)-1].bytes % int64(ps); open > 0 && partial > 0 && !m.cfg.NoTailImage {
-		o.tailImg = append(o.tailImg[:0], written[len(written)-ps:][:partial]...)
-	} else {
-		o.tailImg = nil
+	if last != nil {
+		m.cfg.Tails.install(&o.tail, last)
 	}
 	return nil
 }
 
-// writeTail appends data at byte offset tailLen of the tail segment and
-// returns the page run it wrote.  The bytes the partial last page (if any)
-// already holds come from the image the last append left, or else are read
-// back; the affected page run is written in one contiguous request.
-func (o *Object) writeTail(tailLen int64, data []byte) ([]byte, error) {
+// continueTail returns the page run that appending data at byte tailLen of
+// the tail segment makes: from the pending run's first page — or, with none,
+// from the page data starts in — to the page it ends in.  The bytes those
+// pages already hold come from the pending run, or else the partial page is
+// read back.
+func (o *Object) continueTail(tailLen int64, data []byte) (*pendingRun, error) {
 	m := o.m
 	ps := m.vol.PageSize()
+	if r := o.tail.load(); r != nil {
+		from := int64(r.start-o.tailStart) * int64(ps) // the run ends with the object
+		raw := make([]byte, pagesFor(tailLen+int64(len(data))-from, ps)*ps)
+		copy(raw, r.raw)
+		copy(raw[tailLen-from:], data)
+		return &pendingRun{start: r.start, raw: raw}, nil
+	}
 	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), ps)
-	var raw []byte
-	if int64(len(o.tailImg)) == head.N {
-		raw = make([]byte, pagesFor(head.N+int64(len(data)), ps)*ps)
-		copy(raw, o.tailImg)
-	} else {
-		var err error
-		if raw, err = m.gather(head, int64(len(data)), disk.ByteRange{}); err != nil {
-			return nil, err
-		}
+	raw, err := m.gather(head, int64(len(data)), disk.ByteRange{})
+	if err != nil {
+		return nil, err
 	}
 	copy(raw[head.N:], data)
-	return raw, m.writeImage(o.tailStart+first, raw)
+	return &pendingRun{start: o.tailStart + first, raw: raw}, nil
+}
+
+// writeOver writes img, a page run of the tail that holds the pending run's
+// bytes too, in one request, and drops the pending run.
+func (o *Object) writeOver(img *pendingRun) error {
+	if o.m.cfg.Tails == nil {
+		return o.m.writeImage(img.start, img.raw)
+	}
+	return o.m.cfg.Tails.writeOver(&o.tail, img)
 }
 
 // AppendRewrites reports whether the next Append may rewrite a page p has

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/eosdb/eos/internal/buddy"
 	"github.com/eosdb/eos/internal/disk"
@@ -217,9 +219,11 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 	}
 
 	// The same for a plain Append into the tail the one before left open
-	// (T = 4: 130 bytes in a 4-page segment, the last 30 remembered): the
-	// failure leaves size, tail, room and image alone, and the next append
-	// still continues the page without reading it.
+	// (T = 4: 130 bytes in a 4-page segment, both their pages pending): the
+	// failure leaves size, tail and room alone, and the run's bytes — still
+	// pending, or written with the filled room before the failure (written).
+	// The next append continues the run, reading and writing nothing, or
+	// reads the partial page back.
 	reserved := func(t *testing.T) (*env, *Object, []byte) {
 		e := newEnv(t, 100, 1, 64, Config{Threshold: 4})
 		o := e.m.NewObject(0)
@@ -233,25 +237,34 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 		size        int64
 		start       disk.PageNum
 		alloc, grow int
-		img         string
 	}
 	state := func(o *Object) tailState {
-		return tailState{o.size, o.tailStart, o.tailAlloc, o.nextGrow, string(o.tailImg)}
+		return tailState{o.size, o.tailStart, o.tailAlloc, o.nextGrow}
 	}
-	checkReserved := func(t *testing.T, e *env, o *Object, model []byte, before tailState, pages int) {
+	checkReserved := func(t *testing.T, e *env, o *Object, model []byte, before tailState, pages int, written bool) {
 		t.Helper()
 		mustContent(t, o, model)
 		mustCheck(t, o)
 		if got := state(o); got != before {
 			t.Errorf("after the failed append the tail is %+v, was %+v", got, before)
 		}
+		if pending := o.tail.load() != nil; pending == written {
+			t.Errorf("after the failed append the run is pending: %v, want %v", pending, !written)
+		}
 		if got := reachablePlusFree(t, e, o); got != pages {
 			t.Errorf("reachable + free = %d pages, %d before the failed append", got, pages)
 		}
 		more := pattern(65, 50)
 		evs := traced(t, e, func() error { return o.Append(more) })
-		if len(evs) != 1 || !evs[0].Write || evs[0].Start != before.start+1 || evs[0].Pages != 1 {
-			t.Errorf("the next append issued %+v, want one write of the remembered page", evs)
+		from, want := before.start, 0 // continuing the pending run
+		if written {
+			from, want = before.start+1, 1 // the partial page read back
+		}
+		if n, _ := reads(evs); len(evs) != want || n != want {
+			t.Errorf("the next append issued %+v, want %d reads and nothing else", evs, want)
+		}
+		if r := o.tail.load(); r == nil || r.start != from || r.end(100) != before.start+2 {
+			t.Errorf("pending run %+v after the next append, want pages %d..%d", r, from, before.start+1)
 		}
 		mustContent(t, o, append(model, more...))
 		if got := reachablePlusFree(t, e, o); got != pages {
@@ -264,21 +277,22 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 		if err := o.Append(pattern(66, 9000)); !errors.Is(err, buddy.ErrNoSpace) {
 			t.Fatalf("err = %v, want ErrNoSpace", err)
 		}
-		checkReserved(t, e, o, model, before, pages)
+		checkReserved(t, e, o, model, before, pages, true)
 	})
 	for after := int64(0); after < 2; after++ {
 		t.Run(fmt.Sprintf("reserved tail, device error after %d requests", after), func(t *testing.T) {
 			e, o, model := reserved(t)
 			before, pages := state(o), reachablePlusFree(t, e, o)
-			// Requests: write the room (nothing is read: the image), write
-			// the new 4-page segment.
+			// Requests: write the filled 4-page segment, pending pages and
+			// all, then the new 6-page one (520 bytes: it does not stay
+			// open).  Nothing is read: the bytes already there are pending.
 			e.vol.FailAfter(after, boom)
-			err := o.Append(pattern(67, 270+120))
+			err := o.Append(pattern(67, 270+520))
 			e.vol.ClearFault()
 			if !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want the injected error", err)
 			}
-			checkReserved(t, e, o, model, before, pages)
+			checkReserved(t, e, o, model, before, pages, after > 0)
 		})
 	}
 }
@@ -307,61 +321,79 @@ func reads(evs []disk.TraceEvent) (n, pages int) {
 }
 
 // TestAppendContinuesItsTail: a plain Append leaves its tail segment open
-// to T pages, and the next one goes on in that room — one write covering
-// the partial page and the pages behind it, nothing read, no new segment.
-// One that needs more than the room fills it and starts the next T-page run.
+// to T pages, and the next one goes on in that room — nothing read, nothing
+// written, no new segment: the pages stay pending.  One that needs more than
+// the room fills it, writes the whole segment in one request, and starts the
+// next T-page run.
 func TestAppendContinuesItsTail(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	base := e.freePages(t)
 	o := e.m.NewObject(0)
-	model := pattern(70, 130)
-	evs := traced(t, e, func() error { return o.Append(model) })
-	if len(evs) != 1 || !evs[0].Write || evs[0].Pages != 2 {
-		t.Fatalf("first append issued %+v, want one write of 2 pages", evs)
+	pending := func() (disk.PageNum, int) {
+		if r := o.tail.load(); r != nil {
+			return r.start, r.pages(100)
+		}
+		return 0, 0
 	}
-	tail := evs[0].Start
+	model := pattern(70, 130)
+	if evs := traced(t, e, func() error { return o.Append(model) }); len(evs) != 0 {
+		t.Fatalf("first append issued %+v, want nothing: its 2 pages pending", evs)
+	}
+	tail := o.tailStart
 	if u, _ := o.Usage(); u.SegmentCount != 1 || u.SegmentPages != 4 {
 		t.Fatalf("after the first append: %d segments, %d pages; want 1 segment allocated to T = 4 pages", u.SegmentCount, u.SegmentPages)
 	}
+	if start, n := pending(); start != tail || n != 2 {
+		t.Fatalf("pending pages %d..+%d, want %d..+2", start, n, tail)
+	}
 
 	more := pattern(71, 150) // 30 + 150 bytes: pages 1 and 2
-	evs = traced(t, e, func() error { return o.Append(more) })
-	if len(evs) != 1 || !evs[0].Write || evs[0].Start != tail+1 || evs[0].Pages != 2 {
-		t.Fatalf("second append issued %+v, want one write of pages %d..%d", evs, tail+1, tail+2)
+	if evs := traced(t, e, func() error { return o.Append(more) }); len(evs) != 0 {
+		t.Fatalf("second append issued %+v, want nothing", evs)
 	}
 	model = append(model, more...)
 	if u, _ := o.Usage(); u.SegmentCount != 1 || u.SegmentPages != 4 {
 		t.Fatalf("after the second append: %d segments, %d pages; want 1, 4", u.SegmentCount, u.SegmentPages)
 	}
+	if start, n := pending(); start != tail || n != 3 {
+		t.Fatalf("pending pages %d..+%d, want %d..+3", start, n, tail)
+	}
+	mustContent(t, o, model) // from memory
 
-	// 280 bytes in, 120 of room: 200 more fill it in place (pages 2 and 3)
-	// and put 80 in a new run of T pages.
+	// 280 bytes in, 120 of room: 200 more fill it in place and put 80 in a
+	// new segment of T pages.  The full segment is written in one request of
+	// T pages, nothing read; the new one's page is pending.
 	more = pattern(72, 200)
-	evs = traced(t, e, func() error { return o.Append(more) })
-	if len(evs) != 2 || !evs[0].Write || evs[0].Start != tail+2 || evs[0].Pages != 2 ||
-		!evs[1].Write || evs[1].Pages != 1 || (evs[1].Start >= tail && evs[1].Start < tail+4) {
-		t.Fatalf("third append issued %+v, want a write of pages %d..%d and one page of a new segment", evs, tail+2, tail+3)
+	evs := traced(t, e, func() error { return o.Append(more) })
+	if len(evs) != 1 || !evs[0].Write || evs[0].Start != tail || evs[0].Pages != 4 {
+		t.Fatalf("third append issued %+v, want one write of pages %d..%d", evs, tail, tail+3)
 	}
 	model = append(model, more...)
 	u, _ := o.Usage()
 	if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[4 1]" || u.SegmentPages != 8 {
 		t.Fatalf("segments %v on %d pages, want [4 1] on 8: the new tail is open to T pages too", got, u.SegmentPages)
 	}
+	if start, n := pending(); start != o.tailStart || start == tail || n != 1 {
+		t.Fatalf("pending pages %d..+%d, want the new tail's first page %d", start, n, o.tailStart)
+	}
 	mustContent(t, o, model)
 	mustCheck(t, o)
 
 	// A segment that holds T pages of bytes or more is closed like any
 	// other: 320 bytes fill the room, the 840 behind them get 9 pages and
-	// nothing stays reserved or remembered.
+	// nothing stays reserved or pending.
 	more = pattern(73, 320+840)
 	if err := o.Append(more); err != nil {
 		t.Fatal(err)
 	}
 	model = append(model, more...)
 	u, _ = o.Usage()
-	if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[4 4 9]" || u.WastedBytes >= 100 || o.tailAlloc != 0 || o.tailImg != nil {
-		t.Fatalf("after growing past T: segments %v, %d bytes unused, tail %d pages, image %d bytes; want [4 4 9], trimmed",
-			got, u.WastedBytes, o.tailAlloc, len(o.tailImg))
+	if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[4 4 9]" || u.WastedBytes >= 100 || o.tailAlloc != 0 || o.tail.load() != nil {
+		t.Fatalf("after growing past T: segments %v, %d bytes unused, tail %d pages, run %+v; want [4 4 9], trimmed",
+			got, u.WastedBytes, o.tailAlloc, o.tail.load())
+	}
+	if n := e.m.cfg.Tails.pages.Load(); n != 0 {
+		t.Fatalf("%d pages pending in the set, want 0", n)
 	}
 	mustContent(t, o, model)
 	if err := o.Destroy(); err != nil {
@@ -372,50 +404,61 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	}
 }
 
-// TestTailImageFollowsThePage: the image stands for the device's bytes of
-// the partial page only until something else writes that page.  A replace
-// elsewhere leaves it; a replace into the page drops it, and the next
-// append reads that one page once.
+// TestTailImageFollowsThePage: the pending run stands in for the device's
+// bytes of its pages until something else reads or writes one of them.  A
+// replace elsewhere leaves it; a replace into it writes it first, and the
+// next append reads the partial page back once.
 func TestTailImageFollowsThePage(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	o := e.m.NewObject(0)
-	model := pattern(74, 130)
-	if err := o.Append(model); err != nil {
+	model := pattern(74, 100) // a written segment of its own, then an open tail
+	if err := o.AppendWithHint(model, 100); err != nil {
 		t.Fatal(err)
 	}
+	more := pattern(74, 130)
+	if err := o.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	model = append(model, more...)
 	repl := pattern(75, 20)
-	if err := o.Replace(40, repl); err != nil { // page 0
+	if err := o.Replace(40, repl); err != nil { // the written segment
 		t.Fatal(err)
 	}
 	copy(model[40:], repl)
-	more := pattern(76, 20)
-	if n, _ := reads(traced(t, e, func() error { return o.Append(more) })); n != 0 {
-		t.Fatalf("append after a replace elsewhere read %d times, want 0", n)
+	more = pattern(76, 20)
+	if evs := traced(t, e, func() error { return o.Append(more) }); len(evs) != 0 {
+		t.Fatalf("append after a replace elsewhere issued %+v, want nothing", evs)
 	}
 	model = append(model, more...)
 
-	if err := o.Replace(120, repl); err != nil { // page 1, the partial one
-		t.Fatal(err)
+	// Bytes 220..239: the tail's partial page, pending.  The replace writes
+	// the run (2 pages) before it reads the page to rewrite it.
+	evs := traced(t, e, func() error { return o.Replace(220, repl) })
+	if len(evs) != 3 || !evs[0].Write || evs[0].Pages != 2 || evs[1].Write || !evs[2].Write {
+		t.Fatalf("replace into the pending run issued %+v, want the run written, then its page read and written", evs)
 	}
-	copy(model[120:], repl)
-	evs := traced(t, e, func() error { return o.Append(more) })
-	if n, pages := reads(evs); n != 1 || pages != 1 || len(evs) != 2 {
-		t.Fatalf("append after a replace into the last page issued %+v, want one read of one page and one write", evs)
+	copy(model[220:], repl)
+	evs = traced(t, e, func() error { return o.Append(more) })
+	if n, pages := reads(evs); n != 1 || pages != 1 || len(evs) != 1 {
+		t.Fatalf("append after a replace into the last page issued %+v, want one read of one page", evs)
 	}
 	model = append(model, more...)
 	// The same through a prepared plan, applied after the append that
 	// followed its preparation would have been settled by the caller.
-	plan, err := o.PrepareReplace(150, repl, nil)
+	plan, err := o.PrepareReplace(250, repl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !o.AppendRewrites(plan) {
 		t.Fatal("AppendRewrites: a plan over the partial last page is not reported")
 	}
+	if o.tail.load() != nil {
+		t.Fatal("the plan over the pending run left it pending")
+	}
 	if err := plan.Apply(); err != nil {
 		t.Fatal(err)
 	}
-	copy(model[150:], repl)
+	copy(model[250:], repl)
 	if n, _ := reads(traced(t, e, func() error { return o.Append(more) })); n != 1 {
 		t.Fatalf("append after an applied plan over the last page read %d times, want 1", n)
 	}
@@ -428,14 +471,20 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	}
 	mustContent(t, o, model)
 
-	// Without images (byte-range locking) every continuation reads.
-	e = newEnv(t, 100, 2, 256, Config{Threshold: 4, NoTailImage: true})
-	o = e.m.NewObject(0)
+	// Writing through — no write-behind set, as under byte-range locking —
+	// every continuation reads the partial page and writes.
+	e = newEnv(t, 100, 2, 256, Config{Threshold: 4})
+	m, err := NewManager(e.vol, e.pool, e.bm, Config{Threshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = m.NewObject(0)
 	if err := o.Append(pattern(77, 130)); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := reads(traced(t, e, func() error { return o.Append(more) })); n != 1 {
-		t.Fatalf("NoTailImage: append into the open tail read %d times, want 1", n)
+	evs = traced(t, e, func() error { return o.Append(more) })
+	if n, _ := reads(evs); n != 1 || len(evs) != 2 {
+		t.Fatalf("writing through, the append into the open tail issued %+v, want one read and one write", evs)
 	}
 }
 
@@ -452,7 +501,7 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 	}{
 		{"delete inside the tail", func(e *env, o *Object) (*Object, error) { return o, o.Delete(840, 20) }, 910},
 		{"truncate", func(e *env, o *Object) (*Object, error) { return o, o.Truncate(850) }, 850},
-		{"abort of the last append", func(e *env, o *Object) (*Object, error) { return o, o.Truncate(800) }, 800},
+		{"abort of the last append", func(e *env, o *Object) (*Object, error) { return o, o.UndoAppend(800) }, 800},
 		{"reopen", func(e *env, o *Object) (*Object, error) {
 			re, err := e.m.OpenDescriptor(o.EncodeDescriptor())
 			if err == nil {
@@ -480,8 +529,8 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 			if o.Size() != tc.size {
 				t.Fatalf("size %d after the cut, want %d", o.Size(), tc.size)
 			}
-			if o.tailAlloc != 0 || o.tailImg != nil {
-				t.Fatalf("after the cut the tail is still open: %d pages, image of %d bytes", o.tailAlloc, len(o.tailImg))
+			if o.tailAlloc != 0 || o.tail.load() != nil {
+				t.Fatalf("after the cut the tail is still open: %d pages, run %+v", o.tailAlloc, o.tail.load())
 			}
 			named := map[disk.PageNum]bool{}
 			segs, _ := o.Segments()
@@ -613,5 +662,86 @@ func TestRebindSwitchesManager(t *testing.T) {
 	got, _ := o.Read(0, o.Size())
 	if !bytes.Equal(got, want) {
 		t.Error("content wrong after rebind")
+	}
+}
+
+// TestWrittenRunIsNotPinnedByVersions: a published version reads the
+// object's pending run through the holder they share; once the run is
+// written, the version reads the device, and nothing it holds keeps the
+// run's memory alive.
+func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
+	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
+	o := e.m.NewObject(0)
+	model := pattern(1, 130)
+	if err := o.Append(model); err != nil {
+		t.Fatal(err)
+	}
+	o.Publish(4)
+	v := o.Published()
+	if err := o.Append(pattern(2, 50)); err != nil {
+		t.Fatal(err)
+	}
+	o.Publish(4)
+	r := o.tail.load()
+	if r == nil || v.tail.load() != r {
+		t.Fatal("the version does not share the object's pending run")
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(r, func(*pendingRun) { close(freed) })
+	r = nil
+	if got, err := v.Read(0, 130); err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("version read from the pending run: %v", err)
+	}
+	if err := e.m.cfg.Tails.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if o.tail.load() != nil || v.tail.load() != nil {
+		t.Fatal("the run is still pending after the flush")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().Before(deadline) {
+				continue
+			}
+			t.Fatal("a published version keeps the written run's memory alive")
+		}
+		break
+	}
+	if got, err := v.Read(0, 130); err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("version read from the device: %v", err)
+	}
+	runtime.KeepAlive(v)
+}
+
+// TestTailsBound: the pending runs of all objects together stay within the
+// bound; the run that pushes them over has the largest written back, in one
+// request, and its object goes on from the device.
+func TestTailsBound(t *testing.T) {
+	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a 4-frame pool: 8 pages pending at most
+	objs := []*Object{e.m.NewObject(0), e.m.NewObject(0), e.m.NewObject(0)}
+	models := make([][]byte, len(objs))
+	for i, o := range objs {
+		models[i] = pattern(10+i, 250) // 3 pages pending each
+		evs := traced(t, e, func() error { return o.Append(models[i]) })
+		if i < 2 && len(evs) != 0 {
+			t.Fatalf("append %d issued %+v, want nothing", i, evs)
+		}
+		if i == 2 && (len(evs) != 1 || !evs[0].Write || evs[0].Start != objs[0].tailStart || evs[0].Pages != 3) {
+			t.Fatalf("the append over the bound issued %+v, want the first object's 3 pages written in one request", evs)
+		}
+	}
+	if st := e.m.Stats(); st.TailPages != 6 || st.TailPagesHigh != 9 || st.TailEvictions != 1 {
+		t.Fatalf("%d pages pending (at most %d), %d runs written early; want 6 (9), 1", st.TailPages, st.TailPagesHigh, st.TailEvictions)
+	}
+	more := pattern(20, 30)
+	if n, _ := reads(traced(t, e, func() error { return objs[0].Append(more) })); n != 1 {
+		t.Fatalf("the written-back object's next append read %d times, want its partial page once", n)
+	}
+	models[0] = append(models[0], more...)
+	for i, o := range objs {
+		mustContent(t, o, models[i])
 	}
 }

@@ -101,17 +101,59 @@ type floorGeom struct {
 	bridge int
 	// read-replace only: the byte range read before the replace.
 	keepOff, keepN int64
-	// append only: the pages the last segment is allocated while a plain
-	// Append has left it open (0 once trimmed), and whether the object
-	// remembers the bytes of its partial last page.
+	// The pages the last segment is allocated while a plain Append has left
+	// it open (0 once trimmed), and its pending run — pages run.lo..run.hi of
+	// the last segment — when pending is set.
 	tailPages int
-	tailImage bool
+	pending   bool
+	run       pageRun
 }
 
-// withTail adds what an append's floor depends on beyond the layout.
+// withTail adds what the floor depends on beyond the layout: the open tail.
 func (g floorGeom) withTail(o *Object) floorGeom {
-	g.tailPages, g.tailImage = o.tailAlloc, len(o.tailImg) > 0
+	g.tailPages = o.tailAlloc
+	if r := o.tail.load(); r != nil {
+		last := len(g.segs) - 1
+		lo := int64(r.start - g.segs[last].StartPage)
+		g.pending, g.run = true, pageRun{last, lo, lo + int64(r.pages(int(g.ps))) - 1}
+	}
 	return g
+}
+
+// writeRun is the request that writes the pending run when one of runs
+// reaches it — what an operation that reads those pages from the device to
+// rewrite them, or writes them, pays first — and drops the run.
+func (g *floorGeom) writeRun(runs ...pageRun) []floorReq {
+	for _, r := range runs {
+		if g.pending && r.seg == g.run.seg && r.lo <= g.run.hi && g.run.lo <= r.hi {
+			g.pending = false
+			return []floorReq{{write: true, start: g.segs[r.seg].StartPage + disk.PageNum(g.run.lo), pages: int(g.run.hi - g.run.lo + 1)}}
+		}
+	}
+	return nil
+}
+
+// trimTail is writeRun for an operation that cuts or moves the bytes of
+// segment seg: if that is the open tail, it closes, and its run is written.
+func (g *floorGeom) trimTail(seg int) []floorReq {
+	if seg != len(g.segs)-1 || g.tailPages == 0 {
+		return nil
+	}
+	return g.writeRun(pageRun{seg, 0, int64(g.segs[seg].Pages)})
+}
+
+// fromDevice drops from runs the pages a read takes from the pending run.
+func (g floorGeom) fromDevice(runs []pageRun) []pageRun {
+	var out []pageRun
+	for _, r := range runs {
+		if g.pending && r.seg == g.run.seg {
+			r.hi = min(r.hi, g.run.lo-1)
+		}
+		if r.lo <= r.hi {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
@@ -185,37 +227,49 @@ func (g floorGeom) newSegment(n int64) floorReq {
 func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 	switch op {
 	case "read":
-		// §4.2: one multi-page request per segment touched.
-		return g.reads(g.runs(off, n))
+		// §4.2: one multi-page request per segment touched, for the pages
+		// the pending run does not hold.
+		return g.reads(g.fromDevice(g.runs(off, n)))
 
 	case "append", "append-plain":
 		// §4.1.  On a trimmed tail the bytes go to a segment of their own,
 		// written once, nothing read.  The room of a tail a plain Append left
-		// open is filled first, in place, by one write from its partial page
-		// on — that page's old bytes come from the image the last append
-		// left, or are read back.
+		// open is filled first, in place, from its pending run's first page —
+		// or, with none, from its partial page, which is read back.  A plain
+		// Append leaves the last segment's pages pending while it holds fewer
+		// than T pages of bytes; anything else is written in one request per
+		// segment, the old tail's first.
+		plain := op == "append-plain"
+		open := func(bytes int64) bool { return plain && bytes < int64(g.t)*g.ps }
 		var out []floorReq
 		if last := g.segs[len(g.segs)-1]; g.tailPages > 0 {
 			if w := min(int64(g.tailPages)*g.ps-last.Bytes, n); w > 0 {
 				lo, hi := last.Bytes/g.ps, (last.Bytes+w-1)/g.ps
-				at := last.StartPage + disk.PageNum(lo)
-				if last.Bytes%g.ps != 0 && !g.tailImage {
-					out = append(out, floorReq{start: at, pages: 1})
+				if g.pending {
+					lo = g.run.lo
+				} else if last.Bytes%g.ps != 0 {
+					out = append(out, floorReq{start: last.StartPage + disk.PageNum(lo), pages: 1})
 				}
-				out = append(out, floorReq{write: true, start: at, pages: int(hi - lo + 1)})
+				if w < n || !open(last.Bytes+w) {
+					out = append(out, floorReq{write: true, start: last.StartPage + disk.PageNum(lo), pages: int(hi - lo + 1)})
+				}
 				n -= w
+			} else if g.pending {
+				out = append(out, g.writeRun(g.run)...)
 			}
 		}
-		if n > 0 {
+		if n > 0 && !open(n) {
 			out = append(out, g.newSegment(n))
 		}
 		return out
 
 	case "replace":
 		// §4.5: per segment piece, the bytes the piece's first and last
-		// page keep are read, then the piece's page run is written in place.
+		// page keep are read, then the piece's page run is written in place
+		// — behind the pending run, when the piece reaches it.
 		var out []floorReq
 		for _, r := range g.runs(off, n) {
+			out = append(out, g.writeRun(r)...)
 			s := g.segs[r.seg]
 			lo, hi := max(off, s.LogicalOff), min(off+n, s.LogicalOff+s.Bytes)
 			var need []pageRun
@@ -232,8 +286,13 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 
 	case "replace-shared":
 		// Byte-range locking (§4.5): PrepareReplace reads each piece's page
-		// run whole for the pre-image; ApplyShared then is a replace.
-		return append(g.floorRequests("read", off, n), g.floorRequests("replace", off, n)...)
+		// run whole for the pre-image, behind the pending run when the piece
+		// reaches it; ApplyShared then is a replace.
+		var out []floorReq
+		for _, r := range g.runs(off, n) {
+			out = append(append(out, g.writeRun(r)...), g.reads([]pageRun{r})...)
+		}
+		return append(out, g.floorRequests("replace", off, n)...)
 
 	case "read-replace":
 		// A transaction's read-modify-write: the read of [keepOff,
@@ -242,9 +301,10 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// those the read did not already transfer whole; Apply then writes
 		// each run in place without reading.
 		kept := g.runs(g.keepOff, g.keepN)
-		out := g.reads(kept)
+		out := g.reads(g.fromDevice(kept))
 		pieces := g.runs(off, n)
 		for _, r := range pieces {
+			out = append(out, g.writeRun(r)...) // the plan writes those pages home
 			covered := false
 			for _, k := range kept {
 				covered = covered || (k.seg == r.seg && k.lo <= r.lo && r.hi <= k.hi)
@@ -262,13 +322,14 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// §4.3.1: S splits at page P into L | N | R; N takes the new bytes
 		// and P's suffix, reshuffling adds L's tail and R's head.  Those
 		// old bytes are contiguous in S: one read.  N is written once.
+		out := g.trimTail(g.segAt(off))
 		s := g.segs[g.segAt(off)]
 		rel := off - s.LogicalOff
 		p := min(rel/g.ps, int64(s.Pages)-1)
 		suffix := g.pageBytes(s, p) - (rel - p*g.ps)
 		rc := max(0, s.Bytes-(p+1)*g.ps)
 		res := reshuffle(rel, n+suffix, rc, g.t, int(g.ps), g.maxSeg)
-		out := g.reads(g.runs(off-res.moveL, res.moveL+suffix+res.moveR))
+		out = append(out, g.reads(g.runs(off-res.moveL, res.moveL+suffix+res.moveR))...)
 		return append(out, g.newSegment(res.nc))
 
 	case "delete":
@@ -276,18 +337,19 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// unread.  Of S' (holding the last deleted byte, in its page Q)
 		// N takes Q's suffix, then reshuffling adds L's tail (in S) and
 		// R's head.  A cut that leaves Q no suffix reads and writes nothing.
+		out := g.trimTail(g.segAt(off + n - 1))
 		sl, sr := g.segs[g.segAt(off)], g.segs[g.segAt(off+n-1)]
 		lc := off - sl.LogicalOff
 		relR := off + n - sr.LogicalOff
 		q := (relR - 1) / g.ps
 		suffix := g.pageBytes(sr, q) - (relR - q*g.ps)
 		if suffix == 0 {
-			return nil
+			return out
 		}
 		rc := max(0, sr.Bytes-(q+1)*g.ps)
 		res := reshuffle(lc, suffix, rc, g.t, int(g.ps), g.maxSeg)
 		need := append(g.runs(off-res.moveL, res.moveL), g.runs(off+n, suffix+res.moveR)...)
-		return append(g.reads(need), g.newSegment(res.nc))
+		return append(append(out, g.reads(need)...), g.newSegment(res.nc))
 	}
 	panic("floor: unknown op " + op)
 }
@@ -372,11 +434,22 @@ type tailRow struct {
 
 // §4.1, a stream of Append calls on one object.
 var tailTable = []tailRow{
-	{floorRow{"append into reserved tail", []int64{800}, 4, "append-plain", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 0},
-	{floorRow{"append into reserved tail, within the partial page", []int64{800}, 4, "append-plain", 0, 50, ioCount{0, 0, 1, 1, 1}}, 130, 0},
-	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{0, 0, 2, 4, 2}}, 130, 0},
-	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 0},
-	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{0, 0, 1, 2, 1}}, 130, 850},
+	// Into the room a plain Append left open: nothing read, nothing written —
+	// the pages join the pending run — until the segment fills, and then it
+	// is written whole, in one request, still nothing read.
+	{floorRow{"append into reserved tail", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 0},
+	{floorRow{"append into reserved tail, within the partial page", []int64{800}, 4, "append-plain", 0, 50, ioCount{}}, 130, 0},
+	{floorRow{"append filling the reserved tail: T pages in one request", []int64{800}, 4, "append-plain", 0, 270, ioCount{0, 0, 1, 4, 1}}, 130, 0},
+	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{0, 0, 1, 4, 1}}, 130, 0},
+	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 3, 1}}, 130, 0},
+	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 850},
+	// What else meets the pending run: a read takes its pages from memory; an
+	// operation that reads pages of it to rewrite them, or writes them, or
+	// closes the tail, writes it first.
+	{floorRow{"read reaching into the pending run", []int64{800}, 4, "read", 750, 130, ioCount{1, 1, 0, 0, 1}}, 130, 0},
+	{floorRow{"replace into the pending run", []int64{800}, 4, "replace", 850, 20, ioCount{1, 1, 2, 3, 3}}, 130, 0},
+	{floorRow{"insert into the open tail", []int64{800}, 4, "insert", 850, 250, ioCount{1, 2, 2, 6, 3}}, 130, 0},
+	{floorRow{"delete cutting the open tail", []int64{800}, 4, "delete", 850, 80, ioCount{0, 0, 1, 2, 1}}, 130, 0},
 }
 
 // The page size is 100 bytes, so byte offsets read as page.byte; the

@@ -38,6 +38,9 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 	if err != nil {
 		t.Fatalf("FormatVolume: %v", err)
 	}
+	if cfg.Tails == nil {
+		cfg.Tails = NewTails(vol, pool) // plain appends write behind, as in a store
+	}
 	m, err := NewManager(vol, pool, bm, cfg)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -934,7 +937,7 @@ func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
 	var off int64
 	for _, en := range nd.entries {
 		buf := make([]byte, en.bytes)
-		if _, err := m.readSegRange(en.ptr, 0, buf); err != nil {
+		if _, err := m.readSegRange(en.ptr, 0, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, buf...)
@@ -1072,6 +1075,11 @@ func TestQuickDescriptorRoundTrip(t *testing.T) {
 				return false
 			}
 			total += n
+		}
+		// A descriptor names pages: the pending run goes to them first, as
+		// a checkpoint's does before its image.
+		if err := e.m.cfg.Tails.Flush(); err != nil {
+			return false
 		}
 		desc := o.EncodeDescriptor()
 		o2, err := e.m.OpenDescriptor(desc)

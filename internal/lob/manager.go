@@ -67,11 +67,13 @@ type Config struct {
 	// performs the eventual free is then responsible for discarding the
 	// frames.
 	RetainFreedPages bool
-	// NoTailImage makes a plain Append read the partial last page of an
-	// open tail back instead of remembering it.  Set when writers that
-	// share the object latch (in-place replaces under byte-range locking)
-	// may change that page without the object noticing.
-	NoTailImage bool
+	// Tails is the write-behind set plain Appends keep their pending runs in
+	// (tails.go); managers over one volume share one.  nil: plain Appends
+	// write the pages they fill at once, reading the partial last page of
+	// an open tail back — for when writers that share the object latch
+	// (in-place replaces under byte-range locking) may change those pages
+	// without the object noticing.
+	Tails *Tails
 }
 
 // Stats counts manager activity for the experiments.
@@ -93,6 +95,12 @@ type Stats struct {
 	SnapshotReads      int64 // reads served through published snapshot roots
 	BridgedReads       int64 // requests that fetched two separate byte ranges of a segment at once (one request saved each)
 	BridgedGapPages    int64 // unwanted pages between the two ranges those requests transferred
+	// Write-behind tails (shared by the managers over one volume): pages
+	// pending now, the most ever pending at once, and the runs written
+	// early because together they exceeded their bound.
+	TailPages     int64
+	TailPagesHigh int64
+	TailEvictions int64
 }
 
 // stats is the manager's live counter set.  Every counter is atomic so
@@ -165,7 +173,14 @@ func (m *Manager) PageSize() int { return m.vol.PageSize() }
 
 // Stats returns a snapshot of activity counters without taking any lock.
 func (m *Manager) Stats() Stats {
+	var tp, th, te int64
+	if t := m.cfg.Tails; t != nil {
+		tp, th, te = t.pages.Load(), t.high.Load(), t.evictions.Load()
+	}
 	return Stats{
+		TailPages:          tp,
+		TailPagesHigh:      th,
+		TailEvictions:      te,
 		Appends:            m.st.appends.Load(),
 		Reads:              m.st.reads.Load(),
 		Replaces:           m.st.replaces.Load(),
@@ -246,17 +261,27 @@ func (m *Manager) freeNodePage(p disk.PageNum) error {
 // ---- segment I/O ----
 
 // readSegRange reads bytes [off, off+n) of the segment whose data pages
-// start at page start, in a single multi-page request, and returns the
-// page run it transferred.
-func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte) (pageImage, error) {
+// start at page start and returns the page run it transferred.  The pages
+// tail's pending run holds come from memory, the others from the device in a
+// single multi-page request: a run holds the last pages of the object's
+// bytes, so a read that reaches it ends in it.
+func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *tailBuf) (pageImage, error) {
 	if len(buf) == 0 {
 		return pageImage{}, nil
 	}
 	ps := m.vol.PageSize()
 	first, npages, in := disk.PageSpan(off, int64(len(buf)), ps)
 	img := pageImage{start: start + first, raw: make([]byte, npages*ps)}
-	if err := m.vol.ReadPages(img.start, npages, img.raw); err != nil {
-		return pageImage{}, err
+	dev := npages // pages from the device, from img.start on
+	if r := tail.load(); r != nil && r.start < img.start+disk.PageNum(npages) && img.start < r.end(ps) {
+		lo := max(img.start, r.start)
+		dev = int(lo - img.start)
+		copy(img.raw[dev*ps:], r.raw[int(lo-r.start)*ps:])
+	}
+	if dev > 0 {
+		if err := m.vol.ReadPages(img.start, dev, img.raw[:dev*ps]); err != nil {
+			return pageImage{}, err
+		}
 	}
 	copy(buf, img.raw[in:])
 	return img, nil

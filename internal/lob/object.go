@@ -30,14 +30,12 @@ type Object struct {
 	// an append sequence is in progress.
 	tailStart disk.PageNum // eos:guardedby catEntry.latch
 	tailAlloc int          // eos:guardedby catEntry.latch -- pages allocated to the tail segment; 0 = trimmed
-	// tailImg is the bytes of the untrimmed tail's partial last page as
-	// this process's last plain Append wrote them (at most one page; empty
-	// when there are none or they are not known), so that the next one
-	// continues the page without reading it.  Soft state like the tail's
-	// room: whatever else writes that page, or trims the tail, drops it.
-	// In-place writers drop it under the shared latch; the latch keeps
-	// them apart from the appends that read it.
-	tailImg []byte // eos:guardedby catEntry.latch
+	// tail holds the open tail's pending run: the pages plain Appends filled
+	// that are not on the device yet (tails.go).  Published versions share
+	// it.  Only the object's own appends install a run, under the write
+	// latch; a checkpoint or another object's append may write it and drop
+	// it at any time, under Tails.mu.
+	tail tailBuf
 
 	// lsn is the log sequence number of the last logged update, stored in
 	// the root so updates can be undone/redone idempotently (§4.5).
@@ -120,7 +118,8 @@ func (o *Object) Destroy() error {
 	o.bumpVersion()
 	// The tail's unused pages go the way of the rest: a transaction that
 	// destroys the object restores it on abort from a descriptor that says
-	// they are the object's, so they must not be reusable before then.
+	// they are the object's, so they must not be reusable before then.  And
+	// that descriptor names the bytes of the pending run, which trim writes.
 	if err := o.trim(o.m.alloc.Free, 0); err != nil {
 		return err
 	}

@@ -104,21 +104,22 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 		return err
 	}
 	o.m.st.reads.Add(1)
-	return o.m.readRange(o.root, buf, off, nil)
+	return o.m.readRange(o.root, buf, off, nil, &o.tail)
 }
 
 // readRange reads len(buf) bytes starting at byte off of root's subtree,
-// reporting the page runs it transferred to keep when that is not nil.
-// It is shared by the live read path (under the object latch) and the
-// snapshot read path (over an immutable published root, no locks): the
-// walk itself only ever descends committed index pages.
-func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages) error {
+// reporting the page runs it transferred to keep when that is not nil;
+// the pages tail's pending run holds come from memory.  It is shared by the
+// live read path (under the object latch) and the snapshot read path (over
+// an immutable published root, no locks): the walk itself only ever
+// descends committed index pages.
+func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages, tail *tailBuf) error {
 	if m.readSem != nil {
-		return m.readRangeFanOut(root, buf, off, keep)
+		return m.readRangeFanOut(root, buf, off, keep, tail)
 	}
 	pos := 0
 	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
-		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)])
+		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], tail)
 		if err != nil {
 			return err
 		}
@@ -148,7 +149,7 @@ type segSpan struct {
 // the whole manager.  Each worker writes a disjoint slice of buf and its
 // own span, so the workers need no coordination beyond the first-error
 // capture.
-func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageImages) error {
+func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageImages, tail *tailBuf) error {
 	var spans []segSpan
 	pos := 0
 	if err := m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
@@ -159,7 +160,7 @@ func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageI
 		return err
 	}
 	read := func(s *segSpan) (err error) {
-		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n])
+		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n], tail)
 		return err
 	}
 	var firstErr error
@@ -221,7 +222,7 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 	}
 	o.m.st.reads.Add(1)
 	buf := make([]byte, n)
-	if err := o.m.readRange(o.root, buf, off, keep); err != nil {
+	if err := o.m.readRange(o.root, buf, off, keep, &o.tail); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -236,9 +237,13 @@ func (o *Object) Replace(off int64, data []byte) error {
 	}
 	o.bumpVersion()
 	o.m.st.replaces.Add(1)
-	o.replacedTo(off + int64(len(data)))
+	ps := o.m.vol.PageSize()
 	pos := int64(0)
 	return o.m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
+		first, npages, _ := disk.PageSpan(segOff, n, ps)
+		if err := o.settle(seg.ptr+first, npages); err != nil {
+			return err
+		}
 		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
 		pos += n
 		return err
@@ -283,7 +288,8 @@ type planRun struct {
 // piece touches (the non-transactional Replace reads only the boundary
 // pages, but it needs no pre-image).  A piece whose page run have holds —
 // have may be nil — is taken from there instead of the device; the plan
-// then owns those images and writes into them, so have is spent.
+// then owns those images and writes into them, so have is spent.  Pages of
+// the pending run the plan covers are written first: Apply writes them.
 func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
@@ -294,6 +300,9 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, int(ps))
+		if err := o.settle(seg.ptr+first, npages); err != nil {
+			return err
+		}
 		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, int(ps)), in: in, n: n}
 		if run.raw != nil {
 			p.saved++
@@ -384,7 +393,6 @@ func (p *ReplacePlan) begin() *Manager {
 	p.applied = true
 	p.o.bumpVersion()
 	p.o.m.st.replaces.Add(1)
-	p.o.replacedTo(p.end)
 	return p.o.m
 }
 

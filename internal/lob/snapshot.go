@@ -14,9 +14,13 @@ import "fmt"
 // one atomic load and read through it without the object latch.
 //
 // The entries are copied because the live root node is spliced in
-// place by updates; everything BELOW the root is an on-disk page that
-// shadowing never overwrites.  Reclamation of the superseded pages is
-// the caller's business: EOS retires freed runs into an epoch manager
+// place by updates; everything BELOW the root is a page that shadowing
+// never overwrites — on the device, or, for the last pages of an open
+// tail, in the object's pending run (tails.go) until it is written.  The
+// version shares the object's tailBuf rather than the run: a reader finds
+// the run while it is pending and the device once it is written, and the
+// version keeps no written run alive.  Reclamation of the superseded pages
+// is the caller's business: EOS retires freed runs into an epoch manager
 // and returns them to the buddy system only when no published root
 // that names them can still be held by a reader.
 
@@ -24,11 +28,12 @@ import "fmt"
 // immutable and safe for concurrent use by any number of readers.
 type RootVersion struct {
 	m    *Manager
-	root *node
+	root node // held by value: one allocation a version
 	size int64
 	lsn  uint64
 	seq  uint64
 	prev *RootVersion // next-older retained version, nil at the tail
+	tail *tailBuf     // the object's: where its pending run, if any, is found
 }
 
 // Publish atomically installs the object's current state as its newest
@@ -40,9 +45,10 @@ type RootVersion struct {
 func (o *Object) Publish(keep int) {
 	v := &RootVersion{
 		m:    o.m,
-		root: &node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
+		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
 		size: o.size,
 		lsn:  o.lsn.Load(),
+		tail: &o.tail,
 	}
 	if old := o.published.Load(); old != nil {
 		v.seq = old.seq + 1
@@ -82,7 +88,7 @@ func (v *RootVersion) ReadAt(buf []byte, off int64) error {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(buf)), v.size)
 	}
 	v.m.st.snapshotReads.Add(1)
-	return v.m.readRange(v.root, buf, off, nil)
+	return v.m.readRange(&v.root, buf, off, nil, v.tail)
 }
 
 // Read returns n bytes starting at off of the version.
@@ -101,7 +107,7 @@ func (v *RootVersion) SegmentRangeAt(off int64) (start, n int64, err error) {
 	if off < 0 || off >= v.size {
 		return 0, 0, fmt.Errorf("%w: byte %d of %d", ErrOutOfBounds, off, v.size)
 	}
-	nd := v.root
+	nd := &v.root
 	var base int64
 	for {
 		i, childStart := nd.childIndex(off - base)

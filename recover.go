@@ -24,9 +24,10 @@ import (
 //     abort's replaces undone, from the older roots until a checkpoint
 //     persists the roots that followed, and the durability quarantine
 //     keeps the older roots' pages intact until then.
-//   - Only the checkpoint writes the catalog.  It forces the whole data
-//     volume first, so the durable image never names a page the device
-//     does not hold, then forces the image, then the master copy naming
+//   - Only the checkpoint writes the catalog.  It writes the open tails'
+//     pending runs and forces the whole data volume first, so the durable
+//     image never names a page the device does not hold, then forces the
+//     image, then the master copy naming
 //     it; the master copy carries the log position the checkpoint took
 //     before its data force: an abort record at or below the stamp belongs
 //     to a rollback the force made durable.
@@ -50,6 +51,10 @@ import (
 //     first record — after the master copy naming that start is durable.
 //     So the scan from the master's start sees every record of every
 //     transaction the image does not account for.
+//   - A committed plain append's pages may be on no device: they wait in
+//     the object's pending run until its tail segment closes or a
+//     checkpoint runs.  Its record carries its bytes, and until an image
+//     names the grown tail, redo re-executes it into a fresh tail.
 //   - The buddy directories carry no durable information: step 4 below
 //     rebuilds them on every open.
 //
@@ -78,7 +83,8 @@ import (
 //     makes this idempotent, exactly as the paper requires.  (LSNs never
 //     restart, so a root's LSN ranks correctly against every record.)
 //  6. Trim the tails redo's appends left open: nothing continues them
-//     (every open forgets tails), so their room would only sit reserved.
+//     (every open forgets tails), so their room would only sit reserved;
+//     the trim writes the pending runs redo's appends left.
 //  7. Take a checkpoint: a new image, a new master copy, and a log
 //     truncated behind them.  Ordinary records left room for it (see
 //     Store.measure), and it may take all the room there is; only then does

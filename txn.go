@@ -826,7 +826,7 @@ func (t *Txn) Abort() error {
 		e.latch.Lock()
 		switch op.typ {
 		case wal.RecAppend:
-			err = o.Truncate(op.oldSize)
+			err = o.UndoAppend(op.oldSize)
 		case wal.RecInsert:
 			err = o.Delete(op.off, op.n)
 		case wal.RecDelete:

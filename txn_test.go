@@ -815,7 +815,7 @@ func TestKeptReadLimits(t *testing.T) {
 
 // openTailStore returns replaceStore's object "x" with a committed plain
 // append of 700 bytes behind it: its tail segment is open (8 pages, 188
-// bytes in the second one) and remembered.
+// bytes in the second one) and both its pages are pending.
 func openTailStore(t *testing.T, opts Options) (*Store, disk.Device, disk.Device, []byte) {
 	t.Helper()
 	s, vol, logVol, base := replaceStore(t, opts)
@@ -832,19 +832,22 @@ func openTailStore(t *testing.T, opts Options) (*Store, disk.Device, disk.Device
 
 // TestSmallTxnContinuesTheTail is the small transaction of commit_small —
 // read, replace those bytes, append — on an object whose tail the last
-// append left open.  The append goes on in that tail with one write and no
-// read, and it leaves the deferred replace alone: one log force, no early
-// apply.  Only a replace that covers the very page the append writes again
-// is settled first, and then the append reads that page back.
+// append left open.  The append goes on in that tail with no write and no
+// read — its pages join the pending run — and it leaves the deferred replace
+// alone: one log force, no early apply.  A replace into the pending run
+// writes the run first (the plan is written home over those pages), so the
+// append after it reads the partial page back; one that covers the very page
+// the append continues is settled first, too.
 func TestSmallTxnContinuesTheTail(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
 		off                 int64
 		early, forces, read int64
+		runWrites           int64 // requests writing the pending run, before the append
 	}{
-		{"replace elsewhere", 1000, 0, 1, 0},
-		{"replace in the tail segment, another page", 6100, 0, 1, 0},
-		{"replace covering the partial last page", 6400, 1, 2, 1},
+		{"replace elsewhere", 1000, 0, 1, 0, 0},
+		{"replace in the tail segment, another page", 6100, 0, 1, 1, 1},
+		{"replace covering the partial last page", 6400, 1, 2, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, vol, logVol, model := openTailStore(t, Options{})
@@ -856,10 +859,14 @@ func TestSmallTxnContinuesTheTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			repl, more := pat(71, 200), pat(72, 900)
+			r0 := vol.Stats()
 			if err := tx.Replace("x", tc.off, repl); err != nil {
 				t.Fatal(err)
 			}
 			d0 := vol.Stats()
+			if got := d0.Writes - r0.Writes; got != tc.runWrites {
+				t.Errorf("the replace wrote %d times, want %d", got, tc.runWrites)
+			}
 			if err := tx.Append("x", more); err != nil {
 				t.Fatal(err)
 			}
@@ -876,10 +883,15 @@ func TestSmallTxnContinuesTheTail(t *testing.T) {
 			if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != tc.forces {
 				t.Errorf("%d leader forces, want %d", got, tc.forces)
 			}
-			// The append: one write from the partial page on (188 + 900 bytes:
-			// 3 pages), plus the settled replace's page when there was one.
-			if reads, writes := d1.Reads-d0.Reads, d1.Writes-d0.Writes; reads != tc.read || writes != 1+tc.early {
-				t.Errorf("the append issued %d reads and %d writes, want %d and %d", reads, writes, tc.read, 1+tc.early)
+			// The append writes nothing: the settled replace's page when there
+			// was one.  Its 900 bytes and the 700 before them stay pending (4
+			// pages) unless the replace wrote the run, which then starts again
+			// at the partial page (188 + 900 bytes: 3 pages).
+			if reads, writes := d1.Reads-d0.Reads, d1.Writes-d0.Writes; reads != tc.read || writes != tc.early {
+				t.Errorf("the append issued %d reads and %d writes, want %d and %d", reads, writes, tc.read, tc.early)
+			}
+			if got, want := st.LOB.TailPages, 4-tc.runWrites; got != want {
+				t.Errorf("%d pages pending after the commit, want %d", got, want)
 			}
 			if u, _ := x.Usage(); u.SegmentCount != u0.SegmentCount || u.SegmentPages != u0.SegmentPages {
 				t.Errorf("the append changed the layout: %d segments on %d pages, were %d on %d", u.SegmentCount, u.SegmentPages, u0.SegmentCount, u0.SegmentPages)
@@ -910,7 +922,9 @@ func TestSmallTxnContinuesTheTail(t *testing.T) {
 // place and aborts.  The bytes it put into the slack of the partial page
 // are outside every root; the pages it grew into go back to the free space;
 // and the next append does not trust what is on that page any more — it
-// starts a tail of its own.
+// starts a tail of its own.  The abort closes the tail, so the pending run
+// is written — in one request, without the page that holds only the
+// aborted bytes.
 func TestAbortedFillLeavesNoTrace(t *testing.T) {
 	s, vol, logVol, model := openTailStore(t, Options{})
 	x, _ := s.Open("x")
@@ -918,8 +932,18 @@ func TestAbortedFillLeavesNoTrace(t *testing.T) {
 	if err := tx.Append("x", pat(73, 900)); err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Stats().LOB.TailPages; got != 4 {
+		t.Fatalf("%d pages pending, want 4: 700 committed bytes and 900 more", got)
+	}
+	d0 := vol.Stats()
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	if d := vol.Stats().Sub(d0); d.Writes != 1 || d.PagesWritten != 2 || d.Reads != 0 {
+		t.Fatalf("the abort wrote %d pages in %d requests and read %d times, want the committed 2 pages in 1 request and no read", d.PagesWritten, d.Writes, d.Reads)
+	}
+	if got := s.Stats().LOB.TailPages; got != 0 {
+		t.Fatalf("%d pages pending after the abort, want 0", got)
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model) {
 		t.Fatal("content wrong after abort")
@@ -948,10 +972,11 @@ func TestAbortedFillLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestCheckpointDropsTailImages: the page images open tails keep are
-// bounded by the appends since the last checkpoint.  After one, every
-// object's next append reads its partial page back — once — and remembers
-// it again.
+// TestCheckpointDropsTailImages: the pages open tails keep pending are
+// bounded by the appends since the last checkpoint, which writes each
+// object's run in one request and lets it go.  After one, every object's
+// next append reads its partial page back — once — and keeps it pending
+// again.
 func TestCheckpointDropsTailImages(t *testing.T) {
 	s, vol, _ := newStore(t, Options{})
 	const n = 12
@@ -961,25 +986,52 @@ func TestCheckpointDropsTailImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := o.Append(pat(i, 300)); err != nil {
+		if err := o.Append(pat(i, 700)); err != nil {
 			t.Fatal(err)
 		}
 		objs[i] = o
 	}
 	appendAll := func() int64 {
-		r0 := vol.Stats().Reads
+		d0 := vol.Stats()
 		for i, o := range objs {
 			if err := o.Append(pat(100+i, 50)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return vol.Stats().Reads - r0
+		d := vol.Stats().Sub(d0)
+		if d.Writes != 0 {
+			t.Fatalf("the appends wrote %d times, want never: their pages are pending", d.Writes)
+		}
+		return d.Reads
 	}
 	if got := appendAll(); got != 0 {
-		t.Fatalf("%d reads while the images are held, want 0", got)
+		t.Fatalf("%d reads while the runs are pending, want 0", got)
 	}
+	// Each run is two pages from the first of its tail segment (750 bytes);
+	// the checkpoint writes each in one request of its own.
+	runs := map[disk.PageNum]bool{}
+	for _, o := range objs {
+		segs, err := o.e.obj.Segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[segs[len(segs)-1].StartPage] = true
+	}
+	var runWrites int
+	vol.(interface{ SetTracer(func(disk.TraceEvent)) }).SetTracer(func(ev disk.TraceEvent) {
+		if ev.Write && runs[ev.Start] && ev.Pages == 2 {
+			runWrites++
+		}
+	})
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	vol.(interface{ SetTracer(func(disk.TraceEvent)) }).SetTracer(nil)
+	if st := s.Stats().LOB; st.TailPages != 0 || st.TailPagesHigh != 2*n {
+		t.Fatalf("%d pages pending after the checkpoint (at most %d), want 0 (%d)", st.TailPages, st.TailPagesHigh, 2*n)
+	}
+	if runWrites != n {
+		t.Fatalf("the checkpoint wrote %d of the %d pending runs as a request of their own, want all", runWrites, n)
 	}
 	if got := appendAll(); got != n {
 		t.Fatalf("%d reads after the checkpoint, want %d: one partial page an object", got, n)
