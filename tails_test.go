@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/eosdb/eos/internal/disk"
 )
 
 // tailsStore formats a store with three objects, checkpointed, then commits
 // rounds small transactions that each append 300 bytes to every object:
 // their pages stay pending, and the log alone holds the appended bytes.
-func tailsStore(t *testing.T, opts Options, rounds int) (*Store, []string, map[string][]byte, func() (*Store, error)) {
+func tailsStore(t *testing.T, rounds int) (s *Store, vol, logVol disk.Device, names []string, model map[string][]byte) {
 	t.Helper()
-	s, vol, logVol := newStore(t, opts)
-	names := []string{"a", "b", "c"}
-	model := map[string][]byte{}
+	s, vol, logVol = newStore(t, Options{})
+	names = []string{"a", "b", "c"}
+	model = map[string][]byte{}
 	for i, name := range names {
 		o, err := s.Create(name, 0)
 		if err != nil {
@@ -48,30 +50,13 @@ func tailsStore(t *testing.T, opts Options, rounds int) (*Store, []string, map[s
 	if got := vol.Stats().Writes - w0; got != 0 {
 		t.Fatalf("the committed appends wrote the data volume %d times, want never", got)
 	}
-	crash := func() (*Store, error) {
-		if err := vol.Crash(); err != nil {
-			return nil, err
-		}
-		if err := logVol.Crash(); err != nil {
-			return nil, err
-		}
-		return Open(vol, logVol, opts)
-	}
-	return s, names, model, crash
+	return s, vol, logVol, names, model
 }
 
-// expectRecovered checks the recovered store against the model, then its
-// structures and its page accounting.
+// expectRecovered is expectObjects, and the page accounting.
 func expectRecovered(t *testing.T, s *Store, model map[string][]byte) {
 	t.Helper()
-	for name, want := range model {
-		if got := readObject(t, s, name); !bytes.Equal(got, want) {
-			t.Fatalf("%s: %d bytes recovered, want %d (or the bytes differ)", name, len(got), len(want))
-		}
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
+	expectObjects(t, s, model)
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,23 +70,20 @@ func expectRecovered(t *testing.T, s *Store, model map[string][]byte) {
 // names the pages of the run the destroy found pending.
 func TestCommittedAppendsLiveInTheLogAlone(t *testing.T) {
 	t.Run("every run unwritten", func(t *testing.T) {
-		s, names, model, crash := tailsStore(t, Options{}, 4)
+		s, vol, logVol, names, model := tailsStore(t, 4)
 		// 1 000 bytes fill a segment of their own; the four rounds' 1 200
 		// bytes are an open tail of 3 pages for each object.
 		if got, want := s.Stats().LOB.TailPages, int64(3*len(names)); got != want {
 			t.Fatalf("%d pages pending, want %d", got, want)
 		}
-		re, err := crash()
-		if err != nil {
-			t.Fatalf("Open after crash: %v", err)
-		}
+		re := crashReopen(t, vol, logVol)
 		if re.Stats().Recovery.Redone < int64(4*len(names)) {
 			t.Fatalf("recovery redid %d operations, want the %d appends", re.Stats().Recovery.Redone, 4*len(names))
 		}
 		expectRecovered(t, re, model)
 	})
 	t.Run("one run written, the others not", func(t *testing.T) {
-		s, _, model, crash := tailsStore(t, Options{}, 4)
+		s, vol, logVol, _, model := tailsStore(t, 4)
 		// A replace into a's open tail writes a's run first: the plan is
 		// written home over those pages.
 		tx, _ := s.Begin()
@@ -116,14 +98,10 @@ func TestCommittedAppendsLiveInTheLogAlone(t *testing.T) {
 		if got := s.Stats().LOB.TailPages; got != 6 {
 			t.Fatalf("%d pages pending, want 6: b's and c's runs", got)
 		}
-		re, err := crash()
-		if err != nil {
-			t.Fatalf("Open after crash: %v", err)
-		}
-		expectRecovered(t, re, model)
+		expectRecovered(t, crashReopen(t, vol, logVol), model)
 	})
 	t.Run("aborted destroy", func(t *testing.T) {
-		s, _, model, crash := tailsStore(t, Options{}, 4)
+		s, vol, logVol, _, model := tailsStore(t, 4)
 		tx, _ := s.Begin()
 		if err := tx.Destroy("b"); err != nil {
 			t.Fatal(err)
@@ -148,11 +126,7 @@ func TestCommittedAppendsLiveInTheLogAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		model["b"] = append(model["b"], more...)
-		re, err := crash()
-		if err != nil {
-			t.Fatalf("Open after crash: %v", err)
-		}
-		expectRecovered(t, re, model)
+		expectRecovered(t, crashReopen(t, vol, logVol), model)
 	})
 }
 
@@ -228,11 +202,7 @@ func TestSnapshotsReadPendingPages(t *testing.T) {
 // log is truncated behind it, so a crash right after must find them on the
 // device: recovery has nothing to redo them from.
 func TestCheckpointWritesTailOfLatchedObject(t *testing.T) {
-	vol, logVol := newTestDevice(t, 512, 4096), newTestDevice(t, 512, 1024)
-	s, err := Format(vol, logVol, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, vol, logVol := newStore(t, Options{})
 	o, err := s.Create("x", 0)
 	if err != nil {
 		t.Fatal(err)
