@@ -27,6 +27,10 @@ import (
 // differs — modelled time on the simulator, measured wall-clock time on
 // the file backend — and Stats.Syncs, which only real barriers issue.
 //
+// ReadPages, WritePages and WriteRun never keep the memory they are
+// handed after they return: the engine reads into and writes from its
+// own callers' buffers, which those callers reuse at once.
+//
 // Both implementations are safe for concurrent use.  Code written
 // against Device (the buffer pool, the WAL, the buddy allocator, the
 // LOB manager, the store) runs unmodified on either backend.

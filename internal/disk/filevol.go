@@ -60,8 +60,9 @@ type FileVolume struct {
 // FileOptions configures a FileVolume.
 type FileOptions struct {
 	// Direct opens the file with O_DIRECT, bypassing the OS page cache.
-	// Transfers then go through a bounce buffer aligned to
-	// directAlign; the page size must be a multiple of 512.  Not every
+	// Transfers from or into a buffer that does not start on a
+	// directAlign boundary then go through an aligned bounce buffer; the
+	// page size must be a multiple of 512.  Not every
 	// filesystem supports it — Create/Open fail cleanly where the
 	// kernel refuses.  Unsupported off Linux.
 	Direct bool
@@ -272,6 +273,14 @@ func alignedBlock(n int) []byte {
 	return raw[off : off+n : off+n]
 }
 
+// aligned reports whether buf starts on a directAlign boundary, as an
+// O_DIRECT transfer needs; Go's large allocations usually do, and a
+// transfer through such a buffer needs no bounce.  The length is whole
+// pages, which direct mode keeps to multiples of 512.
+func aligned(buf []byte) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%directAlign == 0
+}
+
 // ReadPages reads n physically contiguous pages starting at page start
 // into buf (exactly n*PageSize bytes) with one pread.
 func (v *FileVolume) ReadPages(start PageNum, n int, buf []byte) error {
@@ -282,7 +291,7 @@ func (v *FileVolume) ReadPages(start PageNum, n int, buf []byte) error {
 		return err
 	}
 	defer v.measured(time.Now(), false)
-	if v.direct {
+	if v.direct && !aligned(buf) {
 		bounce := alignedBlock(len(buf))
 		if _, err := v.f.ReadAt(bounce, v.off(start)); err != nil {
 			return fmt.Errorf("disk: pread %s: %w", v.path, err)
@@ -334,7 +343,7 @@ func (v *FileVolume) WritePages(start PageNum, n int, buf []byte) error {
 		return err
 	}
 	defer v.measured(time.Now(), false)
-	if v.direct {
+	if v.direct && !aligned(buf) {
 		bounce := alignedBlock(len(buf))
 		copy(bounce, buf)
 		buf = bounce

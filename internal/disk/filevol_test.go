@@ -432,6 +432,50 @@ func TestFileVolumeDirect(t *testing.T) {
 	}
 }
 
+// TestFileVolumeDirectBuffers: in direct mode a buffer that starts on a
+// directAlign boundary is transferred in place, one that does not goes
+// through a bounce buffer; both round-trip, and an aligned read allocates
+// nothing.
+func TestFileVolumeDirectBuffers(t *testing.T) {
+	const ps, n = 4096, 3
+	v, err := CreateFileVolume(filepath.Join(t.TempDir(), "direct.eos"), ps, 32, FileOptions{Direct: true})
+	if err != nil {
+		t.Skipf("O_DIRECT unavailable here: %v", err)
+	}
+	defer v.Close()
+	for i, c := range []struct {
+		name string
+		buf  func() []byte
+	}{
+		{"aligned", func() []byte { return alignedBlock(n * ps) }},
+		{"unaligned", func() []byte { return alignedBlock(n*ps + 1)[1:] }},
+	} {
+		want := c.buf()
+		for k := range want {
+			want[k] = byte(k*7 + i)
+		}
+		start := PageNum(4 + i*n)
+		if err := v.WritePages(start, n, want); err != nil {
+			t.Fatalf("%s: WritePages: %v", c.name, err)
+		}
+		got := c.buf()
+		if err := v.ReadPages(start, n, got); err != nil {
+			t.Fatalf("%s: ReadPages: %v", c.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: round-trip differs", c.name)
+		}
+	}
+	buf := alignedBlock(n * ps)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := v.ReadPages(4, n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("an aligned direct ReadPages made %.0f allocations, want 0", allocs)
+	}
+}
+
 func TestAlignedBlock(t *testing.T) {
 	for _, n := range []int{1, 511, 512, 4096, 65536} {
 		b := alignedBlock(n)

@@ -258,8 +258,10 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		}
 		tailStartByte = start
 		var fill *pendingRun // the room's pages this call fills, from the pending run's first on
+		pend := false
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
-			if fill, err = o.continueTail(tail.bytes, data[:w]); err != nil {
+			pend = w == int64(len(data)) && behind(tail.bytes+w)
+			if fill, err = o.continueTail(tail.bytes, data[:w], pend); err != nil {
 				return err
 			}
 			tail.bytes += w
@@ -270,7 +272,7 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		// them, in one request: it fills, or this append writes through.  A
 		// failure from here on leaves them written and the object as it was.
 		switch {
-		case fill != nil && len(remaining) == 0 && behind(tail.bytes):
+		case pend:
 			last = fill
 		case fill != nil:
 			err = o.writeOver(fill)
@@ -302,8 +304,9 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		runs = append(runs, PageRun{Start: start, Pages: got})
 		grow = min(got*2, maxSeg)
 		w := min(int64(got)*int64(ps), int64(len(remaining)))
-		img := m.pageImage(remaining[:w])
-		if w == int64(len(remaining)) && behind(w) {
+		pend := w == int64(len(remaining)) && behind(w)
+		img := m.pageImage(remaining[:w], pend)
+		if pend {
 			last = &pendingRun{start: start, raw: img}
 		} else if err := m.writeImage(start, img); err != nil {
 			return m.giveBack(runs, err)
@@ -342,8 +345,9 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 // the tail segment makes: from the pending run's first page — or, with none,
 // from the page data starts in — to the page it ends in.  The bytes those
 // pages already hold come from the pending run, or else the partial page is
-// read back.
-func (o *Object) continueTail(tailLen int64, data []byte) (*pendingRun, error) {
+// read back.  keep says the run will be the object's pending run; one that is
+// only written may be data itself (Manager.pageImage).
+func (o *Object) continueTail(tailLen int64, data []byte, keep bool) (*pendingRun, error) {
 	m := o.m
 	ps := m.vol.PageSize()
 	if r := o.tail.load(); r != nil {
@@ -354,6 +358,9 @@ func (o *Object) continueTail(tailLen int64, data []byte) (*pendingRun, error) {
 		return &pendingRun{start: r.start, raw: raw}, nil
 	}
 	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), ps)
+	if head.N == 0 {
+		return &pendingRun{start: o.tailStart + first, raw: m.pageImage(data, keep)}, nil
+	}
 	raw, err := m.gather(head, int64(len(data)), disk.ByteRange{})
 	if err != nil {
 		return nil, err

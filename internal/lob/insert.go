@@ -35,7 +35,7 @@ func (o *Object) Insert(off int64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := o.writeNewSegments(segs, m.pageImage(data)); err != nil {
+		if err := o.writeNewSegments(segs, m.pageImage(data, false)); err != nil {
 			return err
 		}
 		return o.spliceLeafRange(0, 0, segs, false, false)

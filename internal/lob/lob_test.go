@@ -937,7 +937,7 @@ func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
 	var off int64
 	for _, en := range nd.entries {
 		buf := make([]byte, en.bytes)
-		if _, err := m.readSegRange(en.ptr, 0, buf, nil); err != nil {
+		if _, err := m.readSegRange(en.ptr, 0, buf, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, buf...)

@@ -261,17 +261,24 @@ func (m *Manager) freeNodePage(p disk.PageNum) error {
 // ---- segment I/O ----
 
 // readSegRange reads bytes [off, off+n) of the segment whose data pages
-// start at page start and returns the page run it transferred.  The pages
-// tail's pending run holds come from memory, the others from the device in a
-// single multi-page request: a run holds the last pages of the object's
-// bytes, so a read that reaches it ends in it.
-func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *tailBuf) (pageImage, error) {
+// start at page start into buf and returns the page run it transferred.  The
+// pages tail's pending run holds come from memory, the others from the device
+// in a single multi-page request: a run holds the last pages of the object's
+// bytes, so a read that reaches it ends in it.  A piece of whole pages whose
+// run is not kept is transferred into buf itself, and the run returned is
+// buf; a kept run (PageImages, which PrepareReplace writes into) or one with
+// edge bytes buf does not take is a page image of its own, copied into buf.
+func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *tailBuf, keep bool) (pageImage, error) {
 	if len(buf) == 0 {
 		return pageImage{}, nil
 	}
 	ps := m.vol.PageSize()
 	first, npages, in := disk.PageSpan(off, int64(len(buf)), ps)
-	img := pageImage{start: start + first, raw: make([]byte, npages*ps)}
+	img := pageImage{start: start + first, raw: buf}
+	own := keep || len(buf) != npages*ps // the run cannot be buf itself
+	if own {
+		img.raw = make([]byte, npages*ps)
+	}
 	dev := npages // pages from the device, from img.start on
 	if r := tail.load(); r != nil && r.start < img.start+disk.PageNum(npages) && img.start < r.end(ps) {
 		lo := max(img.start, r.start)
@@ -283,7 +290,9 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *
 			return pageImage{}, err
 		}
 	}
-	copy(buf, img.raw[in:])
+	if own {
+		copy(buf, img.raw[in:])
+	}
 	return img, nil
 }
 
@@ -313,12 +322,18 @@ func (m *Manager) writeImage(start disk.PageNum, img []byte) error {
 // zero-padding the final partial page.  Fresh segments are written whole,
 // never read first.
 func (m *Manager) writeSegment(start disk.PageNum, data []byte) error {
-	return m.writeImage(start, m.pageImage(data))
+	return m.writeImage(start, m.pageImage(data, false))
 }
 
-// pageImage copies data into a fresh zero-padded whole-page buffer.
-func (m *Manager) pageImage(data []byte) []byte {
+// pageImage returns data as whole-page images: data itself when it is whole
+// pages and the image is only written — a device keeps no buffer past a
+// request — else a zero-padded copy, which is what a caller that keeps the
+// image (a pending run) must have: never memory its own caller may reuse.
+func (m *Manager) pageImage(data []byte, keep bool) []byte {
 	ps := m.vol.PageSize()
+	if !keep && len(data)%ps == 0 {
+		return data
+	}
 	img := make([]byte, pagesFor(int64(len(data)), ps)*ps)
 	copy(img, data)
 	return img

@@ -119,7 +119,7 @@ func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages,
 	}
 	pos := 0
 	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
-		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], tail)
+		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], tail, keep != nil)
 		if err != nil {
 			return err
 		}
@@ -160,7 +160,7 @@ func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageI
 		return err
 	}
 	read := func(s *segSpan) (err error) {
-		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n], tail)
+		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n], tail, keep != nil)
 		return err
 	}
 	var firstErr error
