@@ -188,15 +188,14 @@ func TestAppendsDoNotRetainTheCallersSlice(t *testing.T) {
 // TestReadsLandInTheCallersBuffer: a page-aligned read of whole pages over a
 // multi-segment object transfers each segment piece into the caller's
 // buffer and allocates less than a page; every other read — unaligned, ending
-// in a pending run, fanned out, or keeping its page images for a replace —
-// returns the object's bytes, and a replace that takes a read's images
-// leaves the bytes that read returned alone.  With ReadConcurrency several
-// goroutines read live and through snapshots at once, each into its own
-// buffer.
+// in a pending run, or keeping its page images for a replace — returns the
+// object's bytes, and a replace that takes a read's images leaves the bytes
+// that read returned alone.  With ReadConcurrency=n, 1+n goroutines read
+// live and 1+n through a snapshot at once, each into its own buffer.
 func TestReadsLandInTheCallersBuffer(t *testing.T) {
 	for _, rc := range []int{0, 4} {
 		t.Run(fmt.Sprintf("ReadConcurrency=%d", rc), func(t *testing.T) {
-			s, vol, _ := newStore(t, Options{ReadConcurrency: rc})
+			s, vol, _ := newStore(t, Options{})
 			ps := vol.PageSize()
 			o, err := s.Create("x", 0)
 			if err != nil {
@@ -262,20 +261,18 @@ func TestReadsLandInTheCallersBuffer(t *testing.T) {
 			}
 			wg.Wait()
 
-			if rc == 0 {
-				buf := make([]byte, 256<<10)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				allocs := testing.AllocsPerRun(20, func() {
-					if err := o.ReadAt(buf, 64<<10); err != nil {
-						t.Fatal(err)
-					}
-				})
-				runtime.ReadMemStats(&after)
-				perRead := (after.TotalAlloc - before.TotalAlloc) / 21 // AllocsPerRun runs once more to warm up
-				if perRead >= uint64(ps) {
-					t.Errorf("a page-aligned 256 KB read allocated %d bytes in %.0f allocations, want under one page (%d bytes)", perRead, allocs, ps)
+			buf := make([]byte, 256<<10)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := o.ReadAt(buf, 64<<10); err != nil {
+					t.Fatal(err)
 				}
+			})
+			runtime.ReadMemStats(&after)
+			perRead := (after.TotalAlloc - before.TotalAlloc) / 21 // AllocsPerRun runs once more to warm up
+			if perRead >= uint64(ps) {
+				t.Errorf("a page-aligned 256 KB read allocated %d bytes in %.0f allocations, want under one page (%d bytes)", perRead, allocs, ps)
 			}
 
 			// A transaction reads whole pages of one segment and replaces

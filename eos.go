@@ -87,16 +87,6 @@ type Options struct {
 	// makes eviction order (and therefore re-read seek counts) fully
 	// deterministic for the experiment harness.
 	PoolShards int
-	// ReadConcurrency bounds the worker pool that overlaps one read's
-	// per-segment transfers when the range spans several segments.  0 or
-	// 1 keeps reads strictly sequential (the deterministic default).
-	ReadConcurrency int
-	// SequentialPrefetch makes readers obtained from Object.NewReader
-	// detect sequential access and stage the next segment with an async
-	// readahead, overlapping the transfer with the caller's processing of
-	// the current one.  Readers can override per instance with
-	// Reader.SetPrefetch.
-	SequentialPrefetch bool
 	// Threshold is the default segment size threshold T in pages
 	// (default 8); objects may override it individually.
 	Threshold int
@@ -118,12 +108,6 @@ type Options struct {
 	// reads and replaces on one object then run concurrently; a short
 	// per-object latch keeps index traversals physically safe.
 	RangeLocking bool
-	// SerialWAL disables the buffered log tail and leader/follower group
-	// commit, reproducing the original serial write path: every log
-	// append issues its own positional write and every commit forces the
-	// log itself.  The write-path benchmarks use it as their baseline;
-	// durability semantics are identical either way.
-	SerialWAL bool
 	// PageSize, DataPages and LogPages set the geometry of the page
 	// files CreateAt formats (defaults 512 bytes, 4096 data pages, 1024
 	// log pages).  OpenAt reads the geometry from the files instead, and
@@ -339,7 +323,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// every store would share.
 	lap := uint64(logVol.NumPages()) * uint64(logVol.PageSize())
 	s.log = wal.New(logVol, rand.Uint64N(1<<62/lap)*lap)
-	s.log.SetGroupCommit(!opts.SerialWAL)
 	s.log.Reserve(catCount) // the image of an empty catalog
 	// A data volume that held a store before still holds its master copies,
 	// and the higher seq would win over this store's.  They start out blank.
@@ -400,7 +383,6 @@ func (s *Store) lobConfig() lob.Config {
 		MaxRootEntries:    s.opts.MaxRootEntries,
 		ShadowIndexPages:  true,
 		AdaptiveThreshold: s.opts.AdaptiveThreshold,
-		ReadWorkers:       s.opts.ReadConcurrency,
 		// Freed index pages stay readable (including their pool frames)
 		// until the epoch manager actually releases them — a published
 		// snapshot root may still name them.

@@ -236,7 +236,6 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	if len(data) == 0 {
 		return nil
 	}
-	o.bumpVersion()
 	o.m.st.appends.Add(1)
 	m := o.m
 	ps := m.vol.PageSize()

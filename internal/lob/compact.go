@@ -12,7 +12,6 @@ func (o *Object) Compact() error {
 	if o.size == 0 {
 		return nil
 	}
-	o.bumpVersion()
 	if err := o.Trim(); err != nil {
 		return err
 	}

@@ -23,7 +23,6 @@ func (o *Object) Delete(off, n int64) error {
 	if n == 0 {
 		return nil
 	}
-	o.bumpVersion()
 	o.m.st.deletes.Add(1)
 	m := o.m
 	ps := int64(m.vol.PageSize())

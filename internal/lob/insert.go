@@ -23,7 +23,6 @@ func (o *Object) Insert(off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	o.bumpVersion()
 	o.m.st.inserts.Add(1)
 	m := o.m
 	ps := int64(m.vol.PageSize())

@@ -50,13 +50,6 @@ type Config struct {
 	// a nearly full parent compacts its unsafe adjacent segments instead
 	// of splitting.
 	AdaptiveThreshold bool
-	// ReadWorkers bounds the worker pool that fans out multi-segment
-	// reads: a read spanning K segments dispatches its K multi-page
-	// transfers concurrently (at most ReadWorkers in flight across the
-	// whole manager).  0 or 1 keeps reads fully sequential, which also
-	// keeps the volume's seek accounting deterministic for the
-	// experiment harness.
-	ReadWorkers int
 	// RetainFreedPages keeps the buffer-pool frames of freed index pages
 	// resident instead of discarding them at free time.  Set when the
 	// allocator defers or retires frees (the transaction layer's
@@ -135,10 +128,6 @@ type Manager struct {
 	alloc Allocator
 	cfg   Config
 	st    stats
-
-	// readSem bounds concurrent segment transfers for fanned-out reads
-	// (nil when Config.ReadWorkers <= 1).
-	readSem chan struct{}
 }
 
 // NewManager validates cfg and creates a manager.
@@ -158,11 +147,7 @@ func NewManager(vol disk.Device, pool *buffer.Pool, alloc Allocator, cfg Config)
 	if cfg.MaxRootEntries < 2 {
 		return nil, fmt.Errorf("%w: max root entries %d < 2", ErrBadConfig, cfg.MaxRootEntries)
 	}
-	m := &Manager{vol: vol, pool: pool, alloc: alloc, cfg: cfg}
-	if cfg.ReadWorkers > 1 {
-		m.readSem = make(chan struct{}, cfg.ReadWorkers)
-	}
-	return m, nil
+	return &Manager{vol: vol, pool: pool, alloc: alloc, cfg: cfg}, nil
 }
 
 // Config returns the manager's configuration.

@@ -43,11 +43,6 @@ type Object struct {
 	// concurrently with other transactions' pre-LSN snapshots.
 	lsn atomic.Uint64
 
-	// ver counts mutations.  Readers that stage data outside the object
-	// latch (the sequential prefetcher) record the version before reading
-	// and discard the staged bytes if any mutation intervened.
-	ver atomic.Int64
-
 	// published is the newest committed RootVersion (plus a short chain
 	// of retained older ones).  Snapshot readers load it with no locks;
 	// mutators store it via Publish after completing (or committing) an
@@ -74,15 +69,6 @@ func (m *Manager) NewObject(threshold int) *Object {
 
 // Size returns the object's length in bytes.
 func (o *Object) Size() int64 { return o.size }
-
-// Version returns the object's mutation counter.  It increases on every
-// update (append, insert, delete, replace, truncate, compact, destroy);
-// two equal readings with no mutator admitted in between guarantee the
-// object's bytes did not change.
-func (o *Object) Version() int64 { return o.ver.Load() }
-
-// bumpVersion records that a mutation is taking place.
-func (o *Object) bumpVersion() { o.ver.Add(1) }
 
 // Threshold returns the object's current segment size threshold T.
 func (o *Object) Threshold() int { return o.threshold }
@@ -115,7 +101,6 @@ func (o *Object) SetLSN(lsn uint64) { o.lsn.Store(lsn) }
 // Destroy deletes the entire object, returning every segment and index
 // page to the free space without reading a single data page.
 func (o *Object) Destroy() error {
-	o.bumpVersion()
 	// The tail's unused pages go the way of the rest: a transaction that
 	// destroys the object restores it on abort from a descriptor that says
 	// they are the object's, so they must not be reusable before then.  And

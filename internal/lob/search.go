@@ -1,10 +1,6 @@
 package lob
 
-import (
-	"sync"
-
-	"github.com/eosdb/eos/internal/disk"
-)
+import "github.com/eosdb/eos/internal/disk"
 
 // The search operation (§4.2) locates byte B by binary-searching the
 // counts on the path from the root; at the leaf, byte B within segment S
@@ -92,13 +88,9 @@ func (p *PageImages) take(start disk.PageNum, npages, pageSize int) []byte {
 	return nil
 }
 
-// ReadAt reads len(buf) bytes starting at byte off into buf.
-//
-// With Config.ReadWorkers > 1 a range spanning several segments fans its
-// per-segment multi-page transfers out to the manager's bounded worker
-// pool so they overlap; otherwise the segments are transferred strictly
-// in logical order, which also keeps the volume's seek accounting
-// deterministic for the experiment harness.
+// ReadAt reads len(buf) bytes starting at byte off into buf.  The
+// segments are transferred strictly in logical order, one request per
+// segment piece (§4.2).
 func (o *Object) ReadAt(buf []byte, off int64) error {
 	if err := o.checkRange(off, int64(len(buf))); err != nil {
 		return err
@@ -114,9 +106,6 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 // an immutable published root, no locks): the walk itself only ever
 // descends committed index pages.
 func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages, tail *tailBuf) error {
-	if m.readSem != nil {
-		return m.readRangeFanOut(root, buf, off, keep, tail)
-	}
 	pos := 0
 	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
 		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], tail, keep != nil)
@@ -129,85 +118,6 @@ func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages,
 		pos += int(n)
 		return nil
 	})
-}
-
-// segSpan is one segment's share of a read: n bytes starting segOff
-// bytes into the segment whose data pages begin at ptr, destined for
-// buf[pos:pos+n]; img is the page run its transfer filled.
-type segSpan struct {
-	ptr    disk.PageNum
-	segOff int64
-	pos    int
-	n      int
-	img    pageImage
-}
-
-// readRangeFanOut overlaps a multi-segment read's data transfers.  The
-// index walk stays sequential — node reads go through the buffer pool
-// and are usually hits — collecting the segment spans; the spans are
-// then dispatched concurrently, at most ReadWorkers in flight across
-// the whole manager.  Each worker writes a disjoint slice of buf and its
-// own span, so the workers need no coordination beyond the first-error
-// capture.
-func (m *Manager) readRangeFanOut(root *node, buf []byte, off int64, keep *PageImages, tail *tailBuf) error {
-	var spans []segSpan
-	pos := 0
-	if err := m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
-		spans = append(spans, segSpan{ptr: seg.ptr, segOff: segOff, pos: pos, n: int(n)})
-		pos += int(n)
-		return nil
-	}); err != nil {
-		return err
-	}
-	read := func(s *segSpan) (err error) {
-		s.img, err = m.readSegRange(s.ptr, s.segOff, buf[s.pos:s.pos+s.n], tail, keep != nil)
-		return err
-	}
-	var firstErr error
-	if len(spans) == 1 {
-		firstErr = read(&spans[0])
-	} else {
-		var (
-			wg      sync.WaitGroup
-			errOnce sync.Once
-		)
-		for i := range spans {
-			m.readSem <- struct{}{}
-			wg.Add(1)
-			go func(s *segSpan) {
-				defer func() {
-					<-m.readSem
-					wg.Done()
-				}()
-				if err := read(s); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
-			}(&spans[i])
-		}
-		wg.Wait()
-	}
-	if firstErr != nil || keep == nil {
-		return firstErr
-	}
-	for _, s := range spans {
-		keep.runs = append(keep.runs, s.img)
-	}
-	return nil
-}
-
-// SegmentRangeAt reports the logical byte range [start, start+n) of the
-// leaf segment containing byte off.  The sequential prefetcher uses it
-// to size its readahead to exactly one segment, preserving the paper's
-// one-request-per-segment transfer discipline.
-func (o *Object) SegmentRangeAt(off int64) (start, n int64, err error) {
-	if err := o.checkRange(off, 1); err != nil {
-		return 0, 0, err
-	}
-	e, entryStart, _, err := o.findSegment(off)
-	if err != nil {
-		return 0, 0, err
-	}
-	return entryStart, e.bytes, nil
 }
 
 // Read returns n bytes starting at off.
@@ -235,7 +145,6 @@ func (o *Object) Replace(off int64, data []byte) error {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return err
 	}
-	o.bumpVersion()
 	o.m.st.replaces.Add(1)
 	ps := o.m.vol.PageSize()
 	pos := int64(0)
@@ -391,7 +300,6 @@ func (p *ReplacePlan) ApplyShared() error {
 // begin marks the plan applied and counts the replace.
 func (p *ReplacePlan) begin() *Manager {
 	p.applied = true
-	p.o.bumpVersion()
 	p.o.m.st.replaces.Add(1)
 	return p.o.m
 }

@@ -190,11 +190,10 @@ type Log struct {
 	// they acquire it.  Acquired before mu (rank 45 in the lattice).
 	forceMu sync.Mutex
 
-	mu      sync.Mutex
-	vol     disk.Device
-	ps      uint64
-	size    uint64 // capacity in bytes: the volume's pages × page size
-	grouped bool   // eos:guardedby mu -- buffered appends + group commit (default); false = serial baseline
+	mu   sync.Mutex
+	vol  disk.Device
+	ps   uint64
+	size uint64 // capacity in bytes: the volume's pages × page size
 	// buf holds the log's bytes that are not on the volume yet, up to the
 	// tail: records, and the padding of forces sealed but not written.  It
 	// begins on a page boundary; a flush drops what it wrote, all of it.
@@ -217,18 +216,8 @@ type Log struct {
 // byte offset base mod the volume's capacity.  base must be page-aligned.
 func New(vol disk.Device, base uint64) *Log {
 	ps := uint64(vol.PageSize())
-	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps, grouped: true,
+	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps,
 		start: base, tail: base, forced: base}
-}
-
-// SetGroupCommit enables (the default) or disables the buffered tail
-// and group commit.  Disabled, every Append is a flush of its own — one
-// page-aligned write per record — and every force leads, which the
-// write-path benchmarks use as their baseline.
-func (l *Log) SetGroupCommit(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.grouped = on
 }
 
 // Stats returns a snapshot of the log activity counters.
@@ -316,29 +305,15 @@ func decode(buf []byte) (*Record, int, error) {
 }
 
 // Append places r at the tail of the log, assigns its LSN, and returns
-// it.  The record is not durable until a force covers it; in grouped
-// mode (the default) it is not even written to the volume until then —
-// the bytes land in the in-memory tail buffer, so Append does no I/O.
-// A record that does not fit behind the tail — which every flush moves to
-// a page boundary — gets ErrLogFull and leaves nothing.  A write error of
-// the serial baseline leaves the record buffered for the next flush, LSN and
-// all, as a failed force leaves a commit record.
+// it.  The record is not durable until a force covers it, nor even
+// written to the volume until then: the bytes land in the in-memory tail
+// buffer, so Append does no I/O.  A record that does not fit behind the
+// tail — which every flush moves to a page boundary — gets ErrLogFull and
+// leaves nothing.
 func (l *Log) Append(r *Record) (uint64, error) {
 	l.mu.Lock()
-	lsn, err := l.put(r)
-	serial := !l.grouped
-	l.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if serial {
-		l.forceMu.Lock()
-		defer l.forceMu.Unlock()
-		if _, err := l.flush(); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
+	defer l.mu.Unlock()
+	return l.put(r)
 }
 
 // put buffers r at the tail.  A record that would straddle the volume's end
@@ -517,7 +492,7 @@ func (l *Log) ForceLSN(lsn uint64) error { return l.forceTo(lsn) }
 func (l *Log) forceTo(target uint64) error {
 	l.mu.Lock()
 	l.stats.Forces++
-	if l.grouped && l.forced >= target {
+	if l.forced >= target {
 		l.stats.ForceNoops++
 		l.mu.Unlock()
 		return nil
@@ -527,7 +502,7 @@ func (l *Log) forceTo(target uint64) error {
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()
 	l.mu.Lock()
-	if l.grouped && l.forced >= target {
+	if l.forced >= target {
 		// A leader force covered us while we queued: piggyback.
 		l.stats.Piggybacks++
 		l.mu.Unlock()

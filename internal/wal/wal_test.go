@@ -364,37 +364,6 @@ func TestForceNoopWhenNothingAppended(t *testing.T) {
 	}
 }
 
-func TestSerialModeAppendsWriteThrough(t *testing.T) {
-	l, vol := newLog(t, 64)
-	l.SetGroupCommit(false)
-	if _, err := l.Append(&Record{Txn: 1, Type: RecBegin}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(&Record{Txn: 1, Type: RecCommit}); err != nil {
-		t.Fatal(err)
-	}
-	if w := vol.Stats().Writes; w != 2 {
-		t.Fatalf("serial appends issued %d writes, want 2", w)
-	}
-	// Every serial force leads, even back to back.
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.LeaderForces != 2 || st.ForceNoops != 0 || st.Piggybacks != 0 {
-		t.Fatalf("serial force stats: %+v", st)
-	}
-	var count int
-	if err := l.Scan(1, func(*Record) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("scanned %d records, want 2", count)
-	}
-}
-
 func TestGroupCommitPiggyback(t *testing.T) {
 	vol := disk.MustNewVolume(256, 1024,
 		disk.CostModel{SeekMicros: 80, TransferMicrosPerPage: 5})

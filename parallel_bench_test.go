@@ -2,16 +2,18 @@ package eos_test
 
 // Parallel read-path benchmarks.  Two store configurations are compared:
 //
-//   - serialized: single pool shard, sequential segment reads, no
-//     prefetch, volume queue depth 1 — the original design, in which one
-//     global mutex kept at most one transfer in flight at any moment.
-//   - parallel: sharded pool, fanned-out segment reads, prefetching
-//     readers, queue depth 16 — the concurrent read path.
+//   - serialized: single pool shard, volume queue depth 1 — the original
+//     design, in which one global mutex kept at most one transfer in
+//     flight at any moment.
+//   - parallel: sharded pool, queue depth 16 — concurrent readers each
+//     keep their own transfer in flight.
 //
-// The *Lat benchmarks run the volume in latency-simulation mode (a
-// modern-flash cost model, each request sleeping its modelled duration)
-// so the benchmark measures what the software concurrency actually buys:
-// overlapping outstanding transfers.  The *Mem benchmarks run against
+// Both read each range's segments in logical order, one request per
+// segment piece.  The *Lat benchmarks run the volume in
+// latency-simulation mode (a modern-flash cost model, each request
+// sleeping its modelled duration) so the benchmark measures what the
+// software concurrency actually buys: overlapping the transfers of
+// concurrent readers.  The *Mem benchmarks run against
 // the raw in-memory volume and bound the locking overhead itself.
 //
 // Run with: go test -bench ParallelRead -cpu=1,8 -benchtime=200x
@@ -50,7 +52,7 @@ var parStoresMu sync.Mutex
 
 // parStoreFor builds (once per configuration) a store holding parObjects
 // objects of parObjSize bytes, appended in chunks so each object spans
-// several segments and multi-segment reads exercise the fan-out path.
+// several segments and reads cross segment boundaries.
 func parStoreFor(b *testing.B, name string, opts eos.Options) *parStore {
 	b.Helper()
 	parStoresMu.Lock()
@@ -87,7 +89,7 @@ func parStoreFor(b *testing.B, name string, opts eos.Options) *parStore {
 }
 
 var serializedOpts = eos.Options{Threshold: 8, PoolShards: 1}
-var parallelOpts = eos.Options{Threshold: 8, PoolShards: 8, ReadConcurrency: 4}
+var parallelOpts = eos.Options{Threshold: 8, PoolShards: 8}
 
 // benchRead64KB measures aggregate throughput of concurrent 64 KB reads
 // at random offsets across the object set.
@@ -132,11 +134,9 @@ func BenchmarkParallelRead64KBMem(b *testing.B) {
 	})
 }
 
-// benchScan measures full sequential scans through prefetching (or not)
-// readers, with per-byte consumer work on every chunk — the workload
-// readahead exists for: the next transfer's latency hides behind the
-// processing of the current chunk.
-func benchScan(b *testing.B, st *parStore, prefetch bool) {
+// benchScan measures full sequential scans through readers, with
+// per-byte consumer work on every chunk.
+func benchScan(b *testing.B, st *parStore) {
 	b.SetBytes(parObjSize)
 	var seq atomic.Int64
 	var sink atomic.Int64
@@ -147,7 +147,6 @@ func benchScan(b *testing.B, st *parStore, prefetch bool) {
 		for pb.Next() {
 			o := st.objs[rng.Intn(len(st.objs))]
 			r := o.NewReader()
-			r.SetPrefetch(prefetch)
 			var acc byte
 			for {
 				n, err := r.Read(buf)
@@ -168,21 +167,21 @@ func BenchmarkParallelScanLat(b *testing.B) {
 		st := parStoreFor(b, "serialized", serializedOpts)
 		st.vol.SetLatency(true, 1)
 		defer st.vol.SetLatency(false, 0)
-		benchScan(b, st, false)
+		benchScan(b, st)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		st := parStoreFor(b, "parallel", parallelOpts)
 		st.vol.SetLatency(true, 16)
 		defer st.vol.SetLatency(false, 0)
-		benchScan(b, st, true)
+		benchScan(b, st)
 	})
 }
 
 func BenchmarkParallelScanMem(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		benchScan(b, parStoreFor(b, "serialized", serializedOpts), false)
+		benchScan(b, parStoreFor(b, "serialized", serializedOpts))
 	})
 	b.Run("parallel", func(b *testing.B) {
-		benchScan(b, parStoreFor(b, "parallel", parallelOpts), true)
+		benchScan(b, parStoreFor(b, "parallel", parallelOpts))
 	})
 }

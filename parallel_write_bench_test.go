@@ -1,26 +1,19 @@
 package eos_test
 
-// Parallel write-path benchmarks.  Two store configurations are compared:
-//
-//   - serialized: SerialWAL (one positional log write per append, every
-//     commit forces the log itself), single pool shard, volume queue
-//     depth 1 — the original write path, in which every committer paid
-//     its own seek+force.
-//   - group: buffered log tail + leader/follower group commit, sharded
-//     pool with parallel coalescing write-back, queue depth 16.
+// Parallel write-path benchmarks on the group configuration: buffered
+// log tail + leader/follower group commit, sharded pool with parallel
+// coalescing write-back, queue depth 16.
 //
 // Each benchmark iteration is one transaction: Begin, Replace a 512-byte
 // stripe of the worker's own object, Commit.  Under -cpu=8 eight
-// committers run concurrently and the group configuration amortizes one
-// batched log flush+force across the whole batch; the serialized
-// configuration pays per-record writes and per-commit forces.
+// committers run concurrently and one batched log flush+force is
+// amortized across the whole batch.
 //
 // The *Lat benchmarks run both volumes in latency-simulation mode, so
 // they measure what batching buys in device time; the *Mem benchmarks
-// bound the locking/alloc overhead.  The commit-throughput acceptance
-// numbers in BENCH_write_group_commit.json come from:
+// bound the locking/alloc overhead.  Run with:
 //
-//	go test -bench ParallelCommitLat -cpu=1,8 -benchtime=100x
+//	go test -bench ParallelCommit -cpu=1,8 -benchtime=100x
 //
 // Keep -benchtime bounded (≤2000x): each committed transaction appends
 // ~1 KB of log records, each run starts from a fresh checkpoint that
@@ -89,7 +82,6 @@ func wparStoreFor(b *testing.B, name string, opts eos.Options) *wparStore {
 	return st
 }
 
-var serialWriteOpts = eos.Options{Threshold: 8, PoolShards: 1, SerialWAL: true}
 var groupWriteOpts = eos.Options{Threshold: 8, PoolShards: 8}
 
 // benchCommit measures committed-transactions-per-second: every
@@ -130,14 +122,6 @@ func benchCommit(b *testing.B, st *wparStore) {
 }
 
 func BenchmarkParallelCommitLat(b *testing.B) {
-	b.Run("serialized", func(b *testing.B) {
-		st := wparStoreFor(b, "serialized", serialWriteOpts)
-		st.vol.SetLatency(true, 1)
-		st.logVol.SetLatency(true, 1)
-		defer st.vol.SetLatency(false, 0)
-		defer st.logVol.SetLatency(false, 0)
-		benchCommit(b, st)
-	})
 	b.Run("group", func(b *testing.B) {
 		st := wparStoreFor(b, "group", groupWriteOpts)
 		st.vol.SetLatency(true, 16)
@@ -149,9 +133,6 @@ func BenchmarkParallelCommitLat(b *testing.B) {
 }
 
 func BenchmarkParallelCommitMem(b *testing.B) {
-	b.Run("serialized", func(b *testing.B) {
-		benchCommit(b, wparStoreFor(b, "serialized", serialWriteOpts))
-	})
 	b.Run("group", func(b *testing.B) {
 		benchCommit(b, wparStoreFor(b, "group", groupWriteOpts))
 	})

@@ -14,181 +14,55 @@ import (
 // over a stored document, and so on).  A Reader tracks its own position;
 // multiple Readers over one object are independent.
 //
-// Reads observe the object's current content.  WriterTo streams in
-// segment-size pieces, preserving the multi-page contiguous transfers
-// that make EOS sequential reads fast.
-//
-// With sequential prefetch enabled (Options.SequentialPrefetch or
-// SetPrefetch), a Reader that observes consecutive forward reads issues
-// an asynchronous readahead of the bytes up to the end of the next
-// segment into a private staging buffer, overlapping the next transfer
-// with the caller's processing of the current one.  The readahead never
-// spans a segment boundary, preserving the paper's one-request-per-
-// segment transfer discipline, and staged bytes are served only if the
-// object's mutation counter is unchanged since before the readahead
-// started — any concurrent update invalidates the staging conservatively.
+// Reads observe the object's current content: each Read and ReadAt takes
+// the object's size and reads under one latch hold, so a concurrent
+// shrink shortens the read rather than failing it.  WriteTo streams the
+// rest of the object in 1 MB chunks through Read.
 type Reader struct {
 	o   *Object
 	pos int64
-
-	prefetch bool  // readahead enabled
-	expect   int64 // position that would continue the current run
-	seqRuns  int   // consecutive sequential Read calls observed
-
-	staged   prefetched      // validated readahead bytes not yet consumed
-	inflight chan prefetched // outstanding readahead, capacity 1
 }
 
-// prefetched is one readahead result: data staged from byte off, read at
-// object version ver.
-type prefetched struct {
-	off  int64
-	data []byte
-	ver  int64
-	err  error
-}
-
-// seqRunThreshold is how many consecutive sequential reads arm the
-// prefetcher; the first read of a run never pays for speculation.
-const seqRunThreshold = 2
-
-// maxPrefetchBytes caps one readahead, bounding per-reader memory even
-// when segments are huge.
-const maxPrefetchBytes = 1 << 20
-
-// NewReader returns a Reader positioned at byte 0.  Prefetch starts in
-// the store-wide default (Options.SequentialPrefetch).
+// NewReader returns a Reader positioned at byte 0.
 func (o *Object) NewReader() *Reader {
-	return &Reader{o: o, prefetch: o.s.opts.SequentialPrefetch}
+	return &Reader{o: o}
 }
 
-// SetPrefetch enables or disables sequential readahead for this Reader,
-// overriding the store default.  Disabling drops any staged bytes.
-func (r *Reader) SetPrefetch(on bool) {
-	r.prefetch = on
-	if !on {
-		r.collect()
-		r.staged = prefetched{}
+// readAt fills p from byte off as far as the object's end allows and
+// returns how many bytes it read, or 0 and io.EOF when off is at or past
+// the end.
+func (r *Reader) readAt(p []byte, off int64) (int, error) {
+	e := r.o.e
+	e.latch.RLock()
+	defer e.latch.RUnlock()
+	size := e.obj.Size()
+	if off >= size {
+		return 0, io.EOF
 	}
-}
-
-// collect waits for an outstanding readahead, if any, and stages its
-// result.
-func (r *Reader) collect() {
-	if r.inflight == nil {
-		return
+	n := min(int64(len(p)), size-off)
+	if err := e.obj.ReadAt(p[:n], off); err != nil {
+		return 0, err
 	}
-	r.staged = <-r.inflight
-	r.inflight = nil
-}
-
-// stagedValid reports whether the staged bytes can serve position pos:
-// they begin exactly there, the readahead succeeded, and no mutation has
-// been admitted since before the readahead read the object.
-func (r *Reader) stagedValid(pos int64) bool {
-	return r.staged.data != nil &&
-		r.staged.err == nil &&
-		r.staged.off == pos &&
-		r.staged.ver == r.o.e.obj.Version()
-}
-
-// issueReadahead starts an asynchronous read of [from, end of the
-// segment containing from), capped at maxPrefetchBytes, unless a
-// readahead is already outstanding.
-func (r *Reader) issueReadahead(from, size int64) {
-	if r.inflight != nil || from >= size {
-		return
-	}
-	r.o.e.latch.RLock()
-	ver := r.o.e.obj.Version()
-	segStart, segLen, err := r.o.e.obj.SegmentRangeAt(from)
-	r.o.e.latch.RUnlock()
-	if err != nil {
-		return
-	}
-	n := segStart + segLen - from
-	if n > maxPrefetchBytes {
-		n = maxPrefetchBytes
-	}
-	if n <= 0 {
-		return
-	}
-	ch := make(chan prefetched, 1)
-	r.inflight = ch
-	o := r.o
-	go func() {
-		buf := make([]byte, n)
-		err := o.ReadAt(buf, from)
-		ch <- prefetched{off: from, data: buf, ver: ver, err: err}
-	}()
+	return int(n), nil
 }
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
-	size := r.o.Size()
-	if r.pos >= size {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if n > size-r.pos {
-		n = size - r.pos
-	}
-	if r.pos == r.expect {
-		r.seqRuns++
-	} else {
-		r.seqRuns = 1
-	}
-	if r.prefetch {
-		r.collect()
-		if r.stagedValid(r.pos) {
-			// Serve from the staging buffer; a short read at a segment
-			// boundary is fine for io.Reader.
-			served := copy(p[:n], r.staged.data)
-			r.staged.off += int64(served)
-			r.staged.data = r.staged.data[served:]
-			if len(r.staged.data) == 0 {
-				r.staged = prefetched{}
-			}
-			r.pos += int64(served)
-			r.expect = r.pos
-			r.issueReadahead(r.pos, size)
-			return served, nil
-		}
-		r.staged = prefetched{}
-	}
-	if err := r.o.ReadAt(p[:n], r.pos); err != nil {
-		return 0, err
-	}
-	r.pos += n
-	r.expect = r.pos
-	if r.prefetch && r.seqRuns >= seqRunThreshold {
-		r.issueReadahead(r.pos, size)
-	}
-	return int(n), nil
+	n, err := r.readAt(p, r.pos)
+	r.pos += int64(n)
+	return n, err
 }
 
 // ReadAt implements io.ReaderAt; it does not move the position.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
-	size := r.o.Size()
 	if off < 0 {
 		return 0, fmt.Errorf("eos: negative offset %d", off)
 	}
-	if off >= size {
-		return 0, io.EOF
+	n, err := r.readAt(p, off)
+	if err == nil && n < len(p) {
+		err = io.EOF
 	}
-	n := int64(len(p))
-	short := false
-	if n > size-off {
-		n = size - off
-		short = true
-	}
-	if err := r.o.ReadAt(p[:n], off); err != nil {
-		return 0, err
-	}
-	if short {
-		return int(n), io.EOF
-	}
-	return int(n), nil
+	return n, err
 }
 
 // Seek implements io.Seeker.
@@ -213,7 +87,7 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 }
 
 // WriteTo implements io.WriterTo, streaming the rest of the object in
-// large chunks through Read so sequential prefetch applies.
+// 1 MB chunks through Read.
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 	const chunk = 1 << 20
 	buf := make([]byte, chunk)

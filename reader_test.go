@@ -129,6 +129,66 @@ func TestReaderReadAt(t *testing.T) {
 	}
 }
 
+// TestReaderConcurrentShrink: Read and ReadAt beside a writer that deletes
+// the object's second half and appends it back return a short read or
+// io.EOF, never an out-of-bounds error: each takes the size and reads under
+// one latch hold.
+func TestReaderConcurrentShrink(t *testing.T) {
+	content := pat(105, 20000)
+	o := readerObject(t, content)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := o.Delete(10000, 10000); err != nil {
+				done <- err
+				return
+			}
+			if err := o.Append(content[10000:]); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("writer: %v", err)
+		}
+	}()
+	buf := make([]byte, 4096)
+	for pass := 0; pass < 1000; pass++ {
+		r := o.NewReader()
+		var off int
+		for {
+			n, err := r.Read(buf)
+			if !bytes.Equal(buf[:n], content[off:off+n]) {
+				t.Fatalf("pass %d: Read at %d returned the wrong bytes", pass, off)
+			}
+			off += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("pass %d: Read at %d: %v", pass, off, err)
+			}
+		}
+		n, err := r.ReadAt(buf, 10000)
+		if err != nil && err != io.EOF {
+			t.Fatalf("pass %d: ReadAt: %v", pass, err)
+		}
+		if !bytes.Equal(buf[:n], content[10000:10000+n]) {
+			t.Fatalf("pass %d: ReadAt returned the wrong bytes", pass)
+		}
+	}
+}
+
 func TestReaderWriteTo(t *testing.T) {
 	content := pat(104, 30000)
 	o := readerObject(t, content)

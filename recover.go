@@ -96,7 +96,6 @@ func (s *Store) recover(m master) error {
 	if err != nil {
 		return err
 	}
-	log.SetGroupCommit(!s.opts.SerialWAL)
 	s.log = log
 	loaded := false
 	for _, r := range recs {

@@ -3,6 +3,9 @@
 # BenchmarkParallelScan*) and write-path (BenchmarkParallelCommit*)
 # benchmarks against the checked-in baseline and fail on >10%
 # regressions, and gate the snapshot read mode's intra-run ratios.
+# The read-path benchmarks compare a one-shard pool at queue depth 1
+# (serialized) with an eight-shard pool at depth 16 (parallel); the
+# write-path ones run group commit alone (group), the only log path.
 #
 # Usage: scripts/bench_regress.sh [baseline-file]
 #

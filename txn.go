@@ -846,7 +846,6 @@ func (t *Txn) Abort() error {
 			var obj *lob.Object
 			obj, err = t.lm.OpenDescriptor(op.snapshot)
 			if err == nil {
-				//eoslint:ignore racecheck -- the aborting txn still holds this object's exclusive lock-table lock, so no other txn can reach entry.obj; snapshot readers swap roots under epoch protection
 				e.obj = obj
 			}
 		}

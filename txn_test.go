@@ -735,8 +735,8 @@ func TestReplaceReadReplace(t *testing.T) {
 
 // TestKeptReadLimits: byte-range locks cover bytes, not the pages around
 // them, so under Options.RangeLocking a read keeps nothing; a read of more
-// than keptReadMaxPages pages is not held on to; a read whose segment
-// transfers were fanned out is kept like any other.
+// than keptReadMaxPages pages is not held on to; a read across three
+// segments is kept like any other.
 func TestKeptReadLimits(t *testing.T) {
 	t.Run("range locking", func(t *testing.T) {
 		s, vol, _, model, _ := handoffStore(t, Options{RangeLocking: true})
@@ -756,10 +756,8 @@ func TestKeptReadLimits(t *testing.T) {
 			t.Fatal("committed content wrong")
 		}
 	})
-	// Options.ReadConcurrency: the segments' transfers run in parallel
-	// and are still kept in order.
-	t.Run("fanned-out read", func(t *testing.T) {
-		s, vol, _, model, _ := handoffStore(t, Options{ReadConcurrency: 4})
+	t.Run("three segments", func(t *testing.T) {
+		s, vol, _, model, _ := handoffStore(t, Options{})
 		tx, _ := s.Begin()
 		if got, err := tx.Read("m", 4000, 7000); err != nil || !bytes.Equal(got, model[4000:11000]) {
 			t.Fatalf("read across three segments wrong (err %v)", err)
