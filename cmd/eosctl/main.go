@@ -255,6 +255,11 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 			st.DeferredReplaces, st.EarlyReplaceApplies, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
+		l := st.LOB
+		fmt.Printf("write-behind: %d pages pending (%d of them replaced), at most %d, %d runs written over the budget, %d page reads taken from memory\n",
+			l.PendingPages, l.ReplacedPending, l.PendingPagesHigh, l.PendingEvictions, l.PendingReads)
+		fmt.Printf("replaced pages: %d left pending by commits, %d of them over a pending page, %d written by a checkpoint, %d over the budget\n",
+			l.ReplacedPages, l.ReplacedAbsorbed, l.ReplacedCheckpointed, l.ReplacedEvicted)
 		return nil
 
 	case "cp":

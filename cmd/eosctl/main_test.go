@@ -101,7 +101,8 @@ func testCtlEndToEnd(t *testing.T) {
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
 		!strings.Contains(out, "undid 0 aborts") || !strings.Contains(out, "applied early") ||
-		!strings.Contains(out, "bridged reads:") {
+		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "write-behind: 0 pages pending") ||
+		!strings.Contains(out, "replaced pages:") {
 		t.Errorf("store stat: %q", out)
 	}
 	if out := must("fsck"); !strings.Contains(out, "OK") {

@@ -12,12 +12,12 @@ import (
 // The commit path's request floor, executable, in the manner of
 // internal/lob/floor_test.go: the small transaction of commit_small — read,
 // replace those bytes, append, commit — on a warmed object must issue
-// exactly the device requests recovery can use.  Data volume: the read and
-// the replace's in-place write — the append fits the open tail, whose pages
-// stay pending until the segment fills or a checkpoint writes them; no index
-// page from the pool, nothing in the catalog region and no force: a commit
-// is durable at its log force, and redo recovers it until the next
-// barrier.  Log volume: ONE write, of ceil(record bytes / page) pages, that
+// exactly the device requests recovery can use.  Data volume: the read, and
+// nothing else — the replaced page and the append's pages wait in the
+// write-behind set until a checkpoint (or the set's budget, or the tail
+// filling) writes them; no index page from the pool, nothing in the catalog
+// region and no force: a commit is durable at its log force, and redo
+// recovers it until the next barrier.  Log volume: ONE write, of ceil(record bytes / page) pages, that
 // continues where the previous commit's force ended — no reposition, and no
 // page an earlier force wrote — and carries no catalog record; the records
 // carry the bytes redo needs and nothing more.  A request or a logged byte
@@ -41,8 +41,9 @@ func (g *gatedLog) WritePages(start disk.PageNum, n int, buf []byte) error {
 
 // floorStore formats a store on traced simulated volumes, creates the named
 // objects (6000 bytes each) and runs one small transaction on each, so that
-// every tail is open, its pages pending, and the log's last request is a
-// commit's force.  The returned slices collect every later request.
+// every tail is open, its pages pending, the page holding bytes 1100..1299
+// pending too, and the log's last request is a commit's force.  The returned
+// slices collect every later request.
 func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data, log *[]disk.TraceEvent, model map[string][]byte) {
 	t.Helper()
 	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
@@ -71,7 +72,7 @@ func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data
 	data, log = new([]disk.TraceEvent), new([]disk.TraceEvent)
 	logVol.SetTracer(func(ev disk.TraceEvent) { *log = append(*log, ev) })
 	for i, name := range names {
-		if err := smallTxn(t, s, name, model, 60+i).Commit(); err != nil {
+		if err := smallTxn(t, s, name, model, 60+i, 1100).Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,19 +81,19 @@ func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data
 }
 
 // smallTxn runs commit_small's transaction on the named object up to, not
-// including, its commit: read 200 bytes of one page, replace them with
-// themselves, append 700.
-func smallTxn(t *testing.T, s *Store, name string, model map[string][]byte, seed int) *Txn {
+// including, its commit: read 200 bytes of one page at off, replace them
+// with themselves, append 700.
+func smallTxn(t *testing.T, s *Store, name string, model map[string][]byte, seed int, off int64) *Txn {
 	t.Helper()
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tx.Read(name, 1100, 200)
+	got, err := tx.Read(name, off, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Replace(name, 1100, got); err != nil {
+	if err := tx.Replace(name, off, got); err != nil {
 		t.Fatal(err)
 	}
 	more := pat(seed, 700)
@@ -128,23 +129,22 @@ func TestCommitFloor(t *testing.T) {
 	warm := len(*log)
 	st0 := s.Stats()
 	tailBytes := int64(len(model["x"])) - 6000 // the warm-up append opened a tail segment behind the first 6000 bytes
-	if err := smallTxn(t, s, "x", model, 70).Commit(); err != nil {
+	if err := smallTxn(t, s, "x", model, 70, 3100).Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 
-	// Data volume: read and in-place replace — in that order, neither on a
-	// master copy, and no force.  The append writes nothing: its pages join
-	// the tail's pending run, which now holds the whole open tail.
+	// Data volume: the read, not on a master copy, and nothing else.  The
+	// replaced page and the append's pages wait in the write-behind set,
+	// which now holds the whole open tail and the two replaced pages, the
+	// warm-up's and this one.
 	d := *data
-	if len(d) != 2 || d[0].Write || !d[1].Write {
-		t.Fatalf("data requests %+v, want one read and one write", d)
+	if len(d) != 1 || d[0].Write || d[0].Pages != 1 {
+		t.Fatalf("data requests %+v, want one read of the page that holds bytes 3100..3299, and no write", d)
 	}
-	if d[0].Pages != 1 || d[1].Start != d[0].Start || d[1].Pages != 1 {
-		t.Errorf("read %+v and in-place write %+v, want the one page that holds bytes 1100..1299", d[0], d[1])
-	}
-	if want := (tailBytes + 700 + ps - 1) / ps; st.LOB.TailPages != want {
-		t.Errorf("%d pages pending, want %d: the open tail's %d bytes and 700 more", st.LOB.TailPages, want, tailBytes)
+	if want := (tailBytes + 700 + ps - 1) / ps; st.LOB.PendingPages-st.LOB.ReplacedPending != want || st.LOB.ReplacedPending != 2 {
+		t.Errorf("%d pages pending, %d of them replaced; want %d tail pages — the open tail's %d bytes and 700 more — and 2 replaced",
+			st.LOB.PendingPages, st.LOB.ReplacedPending, want, tailBytes)
 	}
 	for _, ev := range d {
 		if ev.Start < masterPages {
@@ -196,6 +196,62 @@ func TestCommitFloor(t *testing.T) {
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
 		t.Fatal("content wrong after commit")
+	}
+}
+
+// TestCommitFloorCoalescesAdjacentReplaces: two commits replace adjacent
+// pages of one object and write nothing; the checkpoint writes the two pages
+// in one request, and the write-behind set's requests go out in address
+// order ahead of the pool's.
+func TestCommitFloorCoalescesAdjacentReplaces(t *testing.T) {
+	s, _, data, _, model := floorStore(t, "x")
+	for i, off := range []int64{3100, 3600} { // pages 6 and 7 of the first segment
+		if err := smallTxn(t, s, "x", model, 80+i, off).Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range *data {
+		if ev.Write {
+			t.Fatalf("data requests %+v before the checkpoint, want reads only", *data)
+		}
+	}
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	six := segs[0].StartPage + 6
+	pending := s.Stats().LOB.PendingPages
+	*data = nil
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var covering []disk.TraceEvent
+	for _, ev := range *data {
+		if ev.Write && ev.Start <= six+1 && six <= ev.Start+disk.PageNum(ev.Pages)-1 {
+			covering = append(covering, ev)
+		}
+	}
+	if len(covering) != 1 || covering[0].Start != six || covering[0].Pages != 2 {
+		t.Fatalf("the checkpoint wrote pages %d and %d in %+v, want one request of both", six, six+1, covering)
+	}
+	var written int64
+	for i, ev := range *data {
+		if written >= pending {
+			break
+		}
+		if !ev.Write || (i > 0 && ev.Start < (*data)[i-1].Start) {
+			t.Fatalf("the checkpoint's first requests %+v are not the pending pages' writes in address order", (*data)[:i+1])
+		}
+		written += int64(ev.Pages)
+	}
+	if written != pending {
+		t.Fatalf("the checkpoint's first writes hold %d pages, %d were pending", written, pending)
+	}
+	if st := s.Stats().LOB; st.PendingPages != 0 || st.ReplacedCheckpointed != 3 {
+		t.Fatalf("%d pages pending and %d replaced pages written by the checkpoint, want 0 and 3", st.PendingPages, st.ReplacedCheckpointed)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+		t.Fatal("content wrong after the checkpoint")
 	}
 }
 
@@ -376,7 +432,7 @@ func TestCheckpointWritesReaderPinnedPages(t *testing.T) {
 // write, and it begins on the page behind the force they waited for.
 func TestCommitFloorGrouped(t *testing.T) {
 	s, logVol, _, log, model := floorStore(t, "a", "b", "c")
-	txs := []*Txn{smallTxn(t, s, "a", model, 70), smallTxn(t, s, "b", model, 71), smallTxn(t, s, "c", model, 72)}
+	txs := []*Txn{smallTxn(t, s, "a", model, 70, 1100), smallTxn(t, s, "b", model, 71, 1100), smallTxn(t, s, "c", model, 72, 1100)}
 	warm := len(*log)
 	st0 := s.Stats()
 	done := make(chan error, len(txs))

@@ -178,7 +178,7 @@ func TestAppendsDoNotRetainTheCallersSlice(t *testing.T) {
 			appended(name, i, r)
 		}
 	}
-	if s.Stats().LOB.TailPages == 0 {
+	if s.Stats().LOB.PendingPages == 0 {
 		t.Fatal("no committed append left its pages pending")
 	}
 	expectPrefixes("after the committed appends")
@@ -215,7 +215,7 @@ func TestReadsLandInTheCallersBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			model = append(model, more...)
-			if got := s.Stats().LOB.TailPages; got != 2 {
+			if got := s.Stats().LOB.PendingPages; got != 2 {
 				t.Fatalf("%d pages pending, want 2", got)
 			}
 			size := int64(len(model))

@@ -232,13 +232,14 @@ type Store struct {
 	pool     *buffer.Pool
 	buddy    *buddy.Manager
 	lm       *lob.Manager
-	// tails holds the pending runs of open tails (lob.Tails), shared by the
-	// store's manager and every transaction's; nil under RangeLocking.
-	tails  *lob.Tails
-	log    *wal.Log
-	locks  *txn.LockTable
-	epochs *txn.EpochManager
-	opts   Options
+	// pending is the write-behind set (lob.Pending): open tails' pages and
+	// committed replaces' pages not on the device yet, shared by the store's
+	// manager and every transaction's; nil under RangeLocking.
+	pending *lob.Pending
+	log     *wal.Log
+	locks   *txn.LockTable
+	epochs  *txn.EpochManager
+	opts    Options
 
 	mu       sync.Mutex
 	catalog  map[string]*catEntry
@@ -371,7 +372,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
 	if !opts.RangeLocking {
-		s.tails = lob.NewTails(vol, pool)
+		s.pending = lob.NewPending(vol, pool)
 	}
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	return s, err
@@ -388,9 +389,10 @@ func (s *Store) lobConfig() lob.Config {
 		// snapshot root may still name them.
 		RetainFreedPages: true,
 		// Under byte-range locking other transactions write into a tail's
-		// last page under the shared latch, where nothing tells the object:
-		// there is no write-behind set, and plain appends write through.
-		Tails: s.tails,
+		// last page, and around each other's replaced bytes, under the
+		// shared latch, where nothing tells the object: there is no
+		// write-behind set, and every page is written through.
+		Pending: s.pending,
 	}
 }
 
@@ -811,13 +813,14 @@ func (s *Store) checkpointLocked() error {
 	// from here on recovers from the previous master copy by replaying the
 	// intact log; the object roots carry their true LSNs, so redo of an
 	// already-durable update is skipped by the idempotence guard rather
-	// than applied twice.  The pending runs of open tails go first: the
-	// image may name their bytes, which until now were durable only in the
-	// log.  They are written under their own lock, not the object latches,
-	// since a latch holder may be stalled in allocation backpressure waiting
-	// for this very checkpoint; a run it installs later holds only bytes no
-	// descriptor this image takes names (those were handed over under s.mu).
-	if err := s.tails.Flush(); err != nil {
+	// than applied twice.  The write-behind set's pages go first: the image
+	// may name their bytes — open tails' and committed replaces' — which
+	// until now were durable only in the log.  They are written under the
+	// set's own lock, not the object latches, since a latch holder may be
+	// stalled in allocation backpressure waiting for this very checkpoint; a
+	// page installed later holds only bytes no descriptor this image takes
+	// names (a commit hands its roots over under s.mu, after its install).
+	if err := s.pending.Flush(); err != nil {
 		return err
 	}
 	if err := s.pool.FlushAll(); err != nil {

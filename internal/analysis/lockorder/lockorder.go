@@ -9,7 +9,7 @@
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
 //	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
-//	rank 28  Tails.mu           (write-behind tails: pending runs and their writes)
+//	rank 28  Pending.mu         (the write-behind set: pending pages and their writes)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
 //	rank 30  Store.quarMu       (durability quarantine; a leaf)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
@@ -161,7 +161,7 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 var singletonKeys = map[string]bool{
 	"Store.mu":        true,
 	"Store.quarMu":    true,
-	"Tails.mu":        true,
+	"Pending.mu":      true,
 	"LockTable.mu":    true,
 	"EpochManager.mu": true,
 	"Manager.mu":      true,

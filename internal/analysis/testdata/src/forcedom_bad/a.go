@@ -88,6 +88,20 @@ func (t *Txn) settle() error {
 	return plan.Apply()
 }
 
+// Commit is shape 1 for a committed replace: its page images enter the
+// write-behind set before the commit record is forced, so a checkpoint may
+// write them home while nothing durable says the transaction committed.
+func (t *Txn) Commit() error {
+	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
+	if err != nil {
+		return err
+	}
+	if err := t.pending.Pend(); err != nil { // want "in-place overwrite ReplacePlan.Pend is not dominated by a WAL force"
+		return err
+	}
+	return t.log.ForceLSN(lsn)
+}
+
 // Checkpoint is shape 2 (checkpoint ordering): the image and the
 // master record go out before the data pages they index are forced.
 func (s *Store) Checkpoint() error {

@@ -68,8 +68,9 @@ func (t *Txn) applyReplace(off int64, p []byte) error {
 }
 
 // ReplaceDeferred logs the replace and leaves the home write pending;
-// Read and Commit reach it only through applyPending, which keeps the
-// force next to the write, so every path to Apply passes a force.
+// Read reaches it only through applyPending, which keeps the force next to
+// the write, so every path to Apply passes a force; Commit hands the plan
+// to the write-behind set behind the commit record's force.
 func (t *Txn) ReplaceDeferred(off int64, p []byte) error {
 	plan, err := t.obj.PrepareReplace(off, p, nil)
 	if err != nil {
@@ -98,7 +99,12 @@ func (t *Txn) Commit() error {
 	if err := t.log.ForceLSN(lsn); err != nil {
 		return err
 	}
-	return t.applyPending()
+	if t.pending == nil {
+		return nil
+	}
+	plan := t.pending
+	t.pending = nil
+	return plan.Pend()
 }
 
 func (t *Txn) applyPending() error {

@@ -17,7 +17,8 @@ func (o *Object) Read(off int64, b []byte) (int, error) { return 0, nil }
 func (o *Object) Size() int64                           { return 0 }
 
 // ReplacePlan is the stand-in prepared replace: Apply is the in-place
-// home write forcedom's force-ahead rule anchors on.
+// home write, and Pend the committed replace's entry into the write-behind
+// set, that forcedom's force-ahead rule anchors on.
 type ReplacePlan struct{}
 
 func (o *Object) PrepareReplace(off int64, b []byte, have *PageImages) (*ReplacePlan, error) {
@@ -28,6 +29,7 @@ func (o *Object) PrepareReplace(off int64, b []byte, have *PageImages) (*Replace
 type PageImages struct{}
 
 func (p *ReplacePlan) Apply() error { return nil }
+func (p *ReplacePlan) Pend() error  { return nil }
 
 // PageNum numbers a page.
 type PageNum int64

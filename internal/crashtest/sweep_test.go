@@ -12,7 +12,7 @@ func sweepConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Seed:           42,
-		Workload:       WorkloadConfig{Seed: 42, Txns: 216},
+		Workload:       WorkloadConfig{Seed: 42, Txns: 224},
 		Opts:           eos.Options{Threshold: 4},
 		SubsetEvery:    6,
 		SubsetSamples:  2,
@@ -81,7 +81,12 @@ func TestCrashSweep(t *testing.T) {
 			// replace settled by an insert).  The workload runs 216
 			// (1989 / 1987).  Since an abort forces only its record, the
 			// writes an abort barrier used to force stay outstanding longer
-			// and the same workload gives 2016 / 2014.
+			// and the same workload gives 2016 / 2014.  Since a committed
+			// replace's pages wait in the write-behind set, a commit writes
+			// nothing on the data volume, and crash positions between a
+			// commit's force and its home write are gone: with the directed
+			// prefix's read-replace-append transactions the 216 gave
+			// 1998 / 1955, and the workload runs 224 (2082 / 2024).
 			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}

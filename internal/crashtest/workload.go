@@ -98,8 +98,10 @@ const (
 	traceOp     = "        txn %d: %s on %s (len was %d)"
 	traceFill   = "        txn %d: the append on %s continued its tail in place"
 	traceBehind = "        txn %d: the append on %s left its pages pending"
-	traceCommit = "seq %d-%d: txn %d committed"
-	traceAbort  = "seq %d: txn %d aborted"
+	// traceReplaced: the commit of txn left its replaces' pages pending.
+	traceReplaced = "        txn %d: the commit left its replaced pages pending"
+	traceCommit   = "seq %d-%d: txn %d committed"
+	traceAbort    = "seq %d: txn %d aborted"
 )
 
 // errStaleRead fails the workload: a transaction's read did not return
@@ -109,9 +111,13 @@ var errStaleRead = errors.New("crashtest: transaction read does not see its own 
 // loserTxn is the number the trace gives the transaction left in flight.
 const loserTxn = -1
 
-// The directed prefix: prefixTxns transactions, each appending to every one
-// of prefixObjects, committed with no checkpoint between them.
-const prefixTxns = 14
+// The directed prefix: appendTxns transactions, each appending to every one
+// of prefixObjects, then replaceTxns that read and replace a range of each
+// before they append, committed with no checkpoint between them.
+const (
+	appendTxns  = 6
+	replaceTxns = 10
+)
 
 var prefixObjects = []string{"w0", "w1", "w2", "w3"}
 
@@ -284,15 +290,17 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	return oracle, nil
 }
 
-// directedPrefix runs transactions that commit plain appends, and no
-// checkpoint between them.  Every crash inside it finds committed bytes that
-// live only in the log — their pages pending in memory — or, once a segment
-// fills, some of them on the device and some not; recovery must redo them
-// from the log alone.  Its objects' names sort behind the random workload's,
-// whose operations and loser never pick them.
+// directedPrefix runs transactions that commit plain appends, the last ones
+// behind a read and a replace of the same range (commit_small's
+// transaction), and no checkpoint between them.  Every crash inside it finds
+// committed bytes that live only in the log — appended and replaced pages
+// pending in memory — or, once a segment fills, some of them on the device
+// and some not; recovery must redo them from the log alone.  Its objects'
+// names sort behind the random workload's, whose operations and loser never
+// pick them.
 func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a11))
-	for i := 0; i < prefixTxns; i++ {
+	for i := 0; i < appendTxns+replaceTxns; i++ {
 		txn := -2 - i // the trace numbers the prefix's transactions below the loser's
 		tx, err := st.Begin()
 		if err != nil {
@@ -305,6 +313,9 @@ func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Ora
 			if !exists {
 				err = tx.Create(name, 0)
 			}
+			if err == nil && i >= appendTxns {
+				cur, err = readReplaceOp(tx, txn, name, cur, rng, cfg, staged)
+			}
 			if err == nil {
 				err = appendOp(st, tx, txn, name, cur, randBytes(rng, 100+rng.Intn(300)), cfg, staged)
 			}
@@ -314,12 +325,39 @@ func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Ora
 			}
 		}
 		beginSeq := clock.Seq()
+		replaced := st.Stats().LOB.ReplacedPages
 		if err := tx.Commit(); err != nil {
 			return fmt.Errorf("commit prefix txn %d: %w", i, err)
+		}
+		if st.Stats().LOB.ReplacedPages > replaced {
+			cfg.Trace(traceReplaced, txn)
 		}
 		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
 	}
 	return nil
+}
+
+// readReplaceOp reads a range of name, whose content in tx is cur, checks
+// it, and replaces it with fresh bytes; it returns the new content.
+func readReplaceOp(tx *eos.Txn, txn int, name string, cur []byte, rng *rand.Rand, cfg WorkloadConfig, staged map[string]*[]byte) ([]byte, error) {
+	n := 1 + rng.Intn(min(len(cur), 200))
+	off := rng.Intn(len(cur) - n + 1)
+	cfg.Trace(traceOp, txn, "read-replace", name, len(cur))
+	got, err := tx.Read(name, int64(off), int64(n))
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, cur[off:off+n]) {
+		return nil, errStaleRead
+	}
+	d := randBytes(rng, n)
+	if err := tx.Replace(name, int64(off), d); err != nil {
+		return nil, err
+	}
+	nv := append([]byte{}, cur...)
+	copy(nv[off:], d)
+	staged[name] = &nv
+	return nv, nil
 }
 
 // mark records the commit of transaction txn, whose Commit call entered at

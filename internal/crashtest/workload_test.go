@@ -120,8 +120,9 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 // last time, so that crash states hold its bytes in the slack of a page the
 // committed root names.  And appends that write nothing — their pages stay
 // pending — committed, aborted and in the loser; the directed prefix commits
-// such appends with no checkpoint behind them, so that every sweep has crash
-// states whose committed appends live only in the log.
+// such appends, and replaces whose pages its commits leave pending, with no
+// checkpoint behind them, so that every sweep has crash states whose
+// committed appends and replaces live only in the log.
 func TestWorkloadCoversAppendShapes(t *testing.T) {
 	cfg := sweepConfig(t)
 	clock := &Clock{}
@@ -133,8 +134,9 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 	}
 	type op struct{ kind, obj string }
 	ops := map[int][]op{}
-	fills := map[int]int{}  // continuations in place, by transaction
-	behind := map[int]int{} // appends that left their pages pending, by transaction
+	fills := map[int]int{}    // continuations in place, by transaction
+	behind := map[int]int{}   // appends that left their pages pending, by transaction
+	replaced := map[int]int{} // commits that left replaced pages pending, by transaction
 	shapes := map[string]int{}
 	loserFillSeq := -1
 	end := func(txn int, how string) {
@@ -146,6 +148,9 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 		}
 		if behind[txn] > 0 {
 			shapes["append left pending, "+how] += behind[txn]
+		}
+		if replaced[txn] > 0 {
+			shapes["replace left pending, "+how] += replaced[txn]
 		}
 		for i, o := range ops[txn][1:] {
 			if before := ops[txn][i]; o.kind == "append" && before.kind == "truncate" && before.obj == o.obj {
@@ -166,6 +171,8 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 			}
 		case traceBehind:
 			behind[args[0].(int)]++
+		case traceReplaced:
+			replaced[args[0].(int)]++
 		case traceCommit:
 			end(args[2].(int), "commit")
 		case traceAbort:
@@ -181,7 +188,7 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 		"append continued in place, commit", "append continued in place, abort", "append continued in place, loser",
 		"truncate then append, commit", "truncate then append, loser",
 		"append left pending, commit", "append left pending, abort", "append left pending, loser",
-		"append left pending, prefix commit",
+		"append left pending, prefix commit", "replace left pending, prefix commit",
 	} {
 		if shapes[want] == 0 {
 			t.Errorf("workload never produces %q", want)

@@ -57,6 +57,13 @@ func Around(start PageNum, off, n int64, pageSize int) (head, tail ByteRange, fi
 	return head, tail, first
 }
 
+// PageReader is what Gather reads from: a Device, or a view of one that
+// serves some pages from memory.
+type PageReader interface {
+	PageSize() int
+	ReadPages(start PageNum, n int, buf []byte) error
+}
+
 // Gather builds a page image out of old bytes and room for new ones: a's
 // bytes, then hole bytes for the caller to fill, then b's bytes, then
 // zeros up to the page boundary.  The sources are read into the returned
@@ -68,7 +75,7 @@ func Around(start PageNum, off, n int64, pageSize int) (head, tail ByteRange, fi
 // each non-empty range is one request, a's first.  bridged is -1 unless
 // one request served two ranges that are not byte-adjacent, and then the
 // number of whole pages between them that it transferred for nothing.
-func Gather(d Device, a ByteRange, hole int64, b ByteRange) (img []byte, bridged int, err error) {
+func Gather(d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bridged int, err error) {
 	ps := d.PageSize()
 	total := a.N + hole + b.N
 	imgLen := int((total + int64(ps) - 1) / int64(ps) * int64(ps))

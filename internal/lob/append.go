@@ -22,19 +22,18 @@ import (
 //     but never less than T pages, and it trims the tail segment only down
 //     to T pages while it holds fewer: the calls on one object are a stream
 //     too, and the next one fills the room this one left.  What it puts in
-//     that open tail stays in memory, as the object's pending run, until the
-//     segment fills (tails.go): the bytes are durable in the log, and the
-//     pages reach the device once, as one request.
+//     that open tail stays in memory, pending in the write-behind set, until
+//     the segment fills (pending.go): the bytes are durable in the log, and
+//     the pages reach the device once, as one request.
 //
 // What may be written in place is room no root has ever named.  The pages
 // of an untrimmed tail beyond its bytes are that by construction; so is the
 // slack of its partial last page, because every operation that could leave
 // named bytes there (a delete, truncate, insert or compaction that touches
-// the tail segment) trims first, and a trimmed tail is never filled.  The
-// pages of a pending run may hold bytes a committed root names that the
-// device does not: the run is written before anything reads those pages
-// from the device, before they can be freed, and before a checkpoint's image
-// can name them.
+// the tail segment) trims first, and a trimmed tail is never filled.  A
+// pending page may hold bytes a committed root names that the device does
+// not: every read takes it from the set, and it is written before it can be
+// freed and before a checkpoint's image can name it.
 
 // Appender streams bytes onto the end of an object.  Close trims the
 // tail segment.  It implements io.Writer.
@@ -128,8 +127,8 @@ func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished, 0) }
 
 // trim gives the tail segment's unused pages to free, all of them when
 // open is 0.  Otherwise a tail holding less than open pages of bytes stays
-// open: it keeps up to open pages, and its pending run.  A tail that closes
-// writes its run first.
+// open: it keeps up to open pages, and its pending pages.  A tail that closes
+// writes them first.
 func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 	if o.tailAlloc == 0 {
 		return nil
@@ -143,7 +142,7 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 	stayOpen := tailLen < int64(open)*int64(ps)
 	if stayOpen {
 		keep = max(keep, min(open, o.tailAlloc))
-	} else if err := o.m.cfg.Tails.write(&o.tail); err != nil {
+	} else if err := o.m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc); err != nil {
 		return err
 	}
 	if keep < o.tailAlloc {
@@ -164,40 +163,25 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 // descriptor may say the tail segment is allocated beyond its bytes, but
 // that room is soft state — a Trim gives it back unpublished, to anyone, at
 // once, and journals nothing — so only what the entries name still belongs
-// to the object, and its next append starts a fresh tail.  An object with a
-// pending run is never forgotten: trim writes the run first.
+// to the object, and its next append starts a fresh tail.  An object with
+// pending tail pages is never forgotten: trim writes them first.
 func (o *Object) ForgetTail() { o.tailStart, o.tailAlloc = 0, 0 }
 
-// settle writes the pending run ahead of an operation that reads pages
-// [first, first+n) from the device to rewrite them, or writes them, when the
-// run holds any of them.
-func (o *Object) settle(first disk.PageNum, n int) error {
-	r := o.tail.load()
-	if r == nil || first >= r.end(o.m.vol.PageSize()) || first+disk.PageNum(n) <= r.start {
-		return nil
-	}
-	return o.m.cfg.Tails.write(&o.tail)
-}
-
 // UndoAppend truncates the object back to size bytes, undoing appends no
-// root but the caller's has named: the pending pages that hold only bytes
-// past size are dropped, not written, and the rest of the run is written as
+// root but the caller's has named: the open tail's pending pages that hold
+// only bytes past size are dropped, not written, and the rest are written as
 // the tail closes.  A transaction's abort undoes its appends with it.
 func (o *Object) UndoAppend(size int64) error {
-	if r := o.tail.load(); r != nil && size < o.size {
+	if o.tailAlloc > 0 && size < o.size {
 		_, tailLen, err := o.tailEntry()
 		if err != nil {
 			return err
 		}
-		ps := o.m.vol.PageSize()
-		// The run ends with the object: its first page starts this many
-		// bytes into the tail segment.
-		from := int64(r.start-o.tailStart) * int64(ps)
-		var cut *pendingRun
-		if n := size - (o.size - tailLen) - from; n > 0 {
-			cut = &pendingRun{start: r.start, raw: r.raw[:pagesFor(n, ps)*ps]}
+		keep := 0 // tail pages holding bytes below size
+		if n := size - (o.size - tailLen); n > 0 {
+			keep = pagesFor(n, o.m.vol.PageSize())
 		}
-		o.m.cfg.Tails.install(&o.tail, cut)
+		o.m.cfg.Pending.drop(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep)
 	}
 	return o.Truncate(size)
 }
@@ -226,7 +210,7 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 // room, allocating and writing new tail segments — happens on pages the
 // tree does not name yet; one splice then publishes the lot.  A failure
 // gives back what this call allocated and leaves the object, its tail, the
-// bytes of its pending run — pending still, or written — and its growth
+// bytes of its pending pages — pending still, or written — and its growth
 // schedule as they were.
 //
 // open > 0 is a plain Append: a new tail segment is asked at least open
@@ -241,13 +225,14 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	ps := m.vol.PageSize()
 	maxSeg := m.alloc.MaxSegmentPages()
 	// behind: a last segment holding n bytes stays open, its pages pending.
-	behind := func(n int64) bool { return open > 0 && m.cfg.Tails != nil && n < int64(open)*int64(ps) }
+	behind := func(n int64) bool { return open > 0 && m.cfg.Pending != nil && n < int64(open)*int64(ps) }
 
 	// repl replaces the last leaf entry: itself, grown by what fits in its
 	// untrimmed room, followed by the new segments.
 	repl := make([]entry, 0, 2)
 	var tailStartByte int64
-	var last *pendingRun // the pending run the object is left with
+	var lastStart disk.PageNum // the pages from here on, last, stay pending
+	var last []byte
 	remaining := data
 	hasTail := len(o.root.entries) > 0
 	if hasTail {
@@ -256,11 +241,12 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 			return err
 		}
 		tailStartByte = start
-		var fill *pendingRun // the room's pages this call fills, from the pending run's first on
+		var fillStart disk.PageNum
+		var fill []byte // the room's pages this call fills, from the page it starts in on
 		pend := false
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
 			pend = w == int64(len(data)) && behind(tail.bytes+w)
-			if fill, err = o.continueTail(tail.bytes, data[:w], pend); err != nil {
+			if fillStart, fill, err = o.continueTail(tail.bytes, data[:w], pend); err != nil {
 				return err
 			}
 			tail.bytes += w
@@ -272,11 +258,11 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		// failure from here on leaves them written and the object as it was.
 		switch {
 		case pend:
-			last = fill
+			lastStart, last = fillStart, fill
 		case fill != nil:
-			err = o.writeOver(fill)
+			err = m.writeHome(fillStart, fill)
 		default:
-			err = m.cfg.Tails.write(&o.tail) // full already: the allocator gave it less than open pages
+			err = m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc) // full already: the allocator gave it less than open pages
 		}
 		if err != nil {
 			return err
@@ -306,7 +292,7 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		pend := w == int64(len(remaining)) && behind(w)
 		img := m.pageImage(remaining[:w], pend)
 		if pend {
-			last = &pendingRun{start: start, raw: img}
+			lastStart, last = start, img
 		} else if err := m.writeImage(start, img); err != nil {
 			return m.giveBack(runs, err)
 		}
@@ -325,7 +311,7 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 			return m.giveBack(runs, err) // the root never came to name the new segments
 		}
 		if last != nil {
-			_ = o.writeOver(last) // it did: the bytes must not stay only in memory; err is the failure to report
+			_ = m.writeHome(lastStart, last) // it did: the bytes must not stay only in memory; err is the failure to report
 		}
 		return err
 	}
@@ -335,46 +321,29 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		o.tailStart, o.tailAlloc = runs[n-1].Start, runs[n-1].Pages
 	}
 	if last != nil {
-		m.cfg.Tails.install(&o.tail, last)
+		m.cfg.Pending.install(pageImages(lastStart, last, ps, true))
 	}
 	return nil
 }
 
 // continueTail returns the page run that appending data at byte tailLen of
-// the tail segment makes: from the pending run's first page — or, with none,
-// from the page data starts in — to the page it ends in.  The bytes those
-// pages already hold come from the pending run, or else the partial page is
-// read back.  keep says the run will be the object's pending run; one that is
-// only written may be data itself (Manager.pageImage).
-func (o *Object) continueTail(tailLen int64, data []byte, keep bool) (*pendingRun, error) {
+// the tail segment makes, from the page data starts in to the page it ends
+// in, and that run's first page.  The bytes the first page already holds are
+// read back — from the write-behind set while it is pending.  keep says the
+// run will stay pending; one that is only written may be data itself
+// (Manager.pageImage).
+func (o *Object) continueTail(tailLen int64, data []byte, keep bool) (disk.PageNum, []byte, error) {
 	m := o.m
-	ps := m.vol.PageSize()
-	if r := o.tail.load(); r != nil {
-		from := int64(r.start-o.tailStart) * int64(ps) // the run ends with the object
-		raw := make([]byte, pagesFor(tailLen+int64(len(data))-from, ps)*ps)
-		copy(raw, r.raw)
-		copy(raw[tailLen-from:], data)
-		return &pendingRun{start: r.start, raw: raw}, nil
-	}
-	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), ps)
+	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), m.vol.PageSize())
 	if head.N == 0 {
-		return &pendingRun{start: o.tailStart + first, raw: m.pageImage(data, keep)}, nil
+		return o.tailStart + first, m.pageImage(data, keep), nil
 	}
 	raw, err := m.gather(head, int64(len(data)), disk.ByteRange{})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	copy(raw[head.N:], data)
-	return &pendingRun{start: o.tailStart + first, raw: raw}, nil
-}
-
-// writeOver writes img, a page run of the tail that holds the pending run's
-// bytes too, in one request, and drops the pending run.
-func (o *Object) writeOver(img *pendingRun) error {
-	if o.m.cfg.Tails == nil {
-		return o.m.writeImage(img.start, img.raw)
-	}
-	return o.m.cfg.Tails.writeOver(&o.tail, img)
+	return o.tailStart + first, raw, nil
 }
 
 // AppendRewrites reports whether the next Append may rewrite a page p has

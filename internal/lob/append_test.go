@@ -248,8 +248,8 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 		if got := state(o); got != before {
 			t.Errorf("after the failed append the tail is %+v, was %+v", got, before)
 		}
-		if pending := o.tail.load() != nil; pending == written {
-			t.Errorf("after the failed append the run is pending: %v, want %v", pending, !written)
+		if _, n := tailRun(o); (n > 0) == written {
+			t.Errorf("after the failed append %d tail pages are pending, want some: %v", n, !written)
 		}
 		if got := reachablePlusFree(t, e, o); got != pages {
 			t.Errorf("reachable + free = %d pages, %d before the failed append", got, pages)
@@ -263,8 +263,8 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 		if n, _ := reads(evs); len(evs) != want || n != want {
 			t.Errorf("the next append issued %+v, want %d reads and nothing else", evs, want)
 		}
-		if r := o.tail.load(); r == nil || r.start != from || r.end(100) != before.start+2 {
-			t.Errorf("pending run %+v after the next append, want pages %d..%d", r, from, before.start+1)
+		if first, n := tailRun(o); n == 0 || first != from || first+disk.PageNum(n) != before.start+2 {
+			t.Errorf("%d pages pending from %d after the next append, want pages %d..%d", n, first, from, before.start+1)
 		}
 		mustContent(t, o, append(model, more...))
 		if got := reachablePlusFree(t, e, o); got != pages {
@@ -329,12 +329,7 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	base := e.freePages(t)
 	o := e.m.NewObject(0)
-	pending := func() (disk.PageNum, int) {
-		if r := o.tail.load(); r != nil {
-			return r.start, r.pages(100)
-		}
-		return 0, 0
-	}
+	pending := func() (disk.PageNum, int) { return tailRun(o) }
 	model := pattern(70, 130)
 	if evs := traced(t, e, func() error { return o.Append(model) }); len(evs) != 0 {
 		t.Fatalf("first append issued %+v, want nothing: its 2 pages pending", evs)
@@ -388,11 +383,11 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	}
 	model = append(model, more...)
 	u, _ = o.Usage()
-	if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[4 4 9]" || u.WastedBytes >= 100 || o.tailAlloc != 0 || o.tail.load() != nil {
-		t.Fatalf("after growing past T: segments %v, %d bytes unused, tail %d pages, run %+v; want [4 4 9], trimmed",
-			got, u.WastedBytes, o.tailAlloc, o.tail.load())
+	if got, _ := o.SegmentPageCounts(); fmt.Sprint(got) != "[4 4 9]" || u.WastedBytes >= 100 || o.tailAlloc != 0 {
+		t.Fatalf("after growing past T: segments %v, %d bytes unused, tail %d pages; want [4 4 9], trimmed",
+			got, u.WastedBytes, o.tailAlloc)
 	}
-	if n := e.m.cfg.Tails.pages.Load(); n != 0 {
+	if n := len(e.m.cfg.Pending.load()); n != 0 {
 		t.Fatalf("%d pages pending in the set, want 0", n)
 	}
 	mustContent(t, o, model)
@@ -404,10 +399,11 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	}
 }
 
-// TestTailImageFollowsThePage: the pending run stands in for the device's
-// bytes of its pages until something else reads or writes one of them.  A
-// replace elsewhere leaves it; a replace into it writes it first, and the
-// next append reads the partial page back once.
+// TestTailImageFollowsThePage: the pending pages stand in for the device's
+// bytes until something writes one of them.  A replace elsewhere leaves them;
+// a replace into them reads nothing and writes its page with the pending one
+// beside it, in one request, and the next append reads the partial page back
+// once.  A plan over them reads and writes nothing until it is applied.
 func TestTailImageFollowsThePage(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	o := e.m.NewObject(0)
@@ -431,11 +427,14 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	}
 	model = append(model, more...)
 
-	// Bytes 220..239: the tail's partial page, pending.  The replace writes
-	// the run (2 pages) before it reads the page to rewrite it.
+	// Bytes 220..239: the tail's partial page, pending.  The replace takes
+	// it from the set and writes it with the tail's other pending page.
 	evs := traced(t, e, func() error { return o.Replace(220, repl) })
-	if len(evs) != 3 || !evs[0].Write || evs[0].Pages != 2 || evs[1].Write || !evs[2].Write {
-		t.Fatalf("replace into the pending run issued %+v, want the run written, then its page read and written", evs)
+	if len(evs) != 1 || !evs[0].Write || evs[0].Pages != 2 {
+		t.Fatalf("replace into the pending pages issued %+v, want both written in one request", evs)
+	}
+	if _, n := tailRun(o); n != 0 {
+		t.Fatalf("%d tail pages pending after the replace wrote them", n)
 	}
 	copy(model[220:], repl)
 	evs = traced(t, e, func() error { return o.Append(more) })
@@ -445,15 +444,12 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	model = append(model, more...)
 	// The same through a prepared plan, applied after the append that
 	// followed its preparation would have been settled by the caller.
-	plan, err := o.PrepareReplace(250, repl, nil)
-	if err != nil {
-		t.Fatal(err)
+	var plan *ReplacePlan
+	if evs := traced(t, e, func() (err error) { plan, err = o.PrepareReplace(250, repl, nil); return err }); len(evs) != 0 {
+		t.Fatalf("a plan over the pending pages issued %+v, want nothing", evs)
 	}
 	if !o.AppendRewrites(plan) {
 		t.Fatal("AppendRewrites: a plan over the partial last page is not reported")
-	}
-	if o.tail.load() != nil {
-		t.Fatal("the plan over the pending run left it pending")
 	}
 	if err := plan.Apply(); err != nil {
 		t.Fatal(err)
@@ -463,7 +459,8 @@ func TestTailImageFollowsThePage(t *testing.T) {
 		t.Fatalf("append after an applied plan over the last page read %d times, want 1", n)
 	}
 	model = append(model, more...)
-	if plan, err = o.PrepareReplace(0, repl, nil); err != nil {
+	plan, err := o.PrepareReplace(0, repl, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if o.AppendRewrites(plan) || o.AppendRewrites(nil) {
@@ -503,6 +500,10 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 		{"truncate", func(e *env, o *Object) (*Object, error) { return o, o.Truncate(850) }, 850},
 		{"abort of the last append", func(e *env, o *Object) (*Object, error) { return o, o.UndoAppend(800) }, 800},
 		{"reopen", func(e *env, o *Object) (*Object, error) {
+			// A durable descriptor names no page only the set holds.
+			if err := e.m.cfg.Pending.Flush(); err != nil {
+				return nil, err
+			}
 			re, err := e.m.OpenDescriptor(o.EncodeDescriptor())
 			if err == nil {
 				re.ForgetTail()
@@ -529,8 +530,8 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 			if o.Size() != tc.size {
 				t.Fatalf("size %d after the cut, want %d", o.Size(), tc.size)
 			}
-			if o.tailAlloc != 0 || o.tail.load() != nil {
-				t.Fatalf("after the cut the tail is still open: %d pages, run %+v", o.tailAlloc, o.tail.load())
+			if _, n := pendingIn(o.m, 0, int(e.vol.NumPages())); o.tailAlloc != 0 || n != 0 {
+				t.Fatalf("after the cut the tail is still open: %d pages, %d pending", o.tailAlloc, n)
 			}
 			named := map[disk.PageNum]bool{}
 			segs, _ := o.Segments()
@@ -665,10 +666,9 @@ func TestRebindSwitchesManager(t *testing.T) {
 	}
 }
 
-// TestWrittenRunIsNotPinnedByVersions: a published version reads the
-// object's pending run through the holder they share; once the run is
-// written, the version reads the device, and nothing it holds keeps the
-// run's memory alive.
+// TestWrittenRunIsNotPinnedByVersions: a published version reads pending
+// pages from the write-behind set; once they are written, the version reads
+// the device, and nothing it holds keeps their memory alive.
 func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	o := e.m.NewObject(0)
@@ -682,21 +682,27 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Publish(4)
-	r := o.tail.load()
-	if r == nil || v.tail.load() != r {
-		t.Fatal("the version does not share the object's pending run")
+	set := e.m.cfg.Pending.set.Load()
+	if set == nil {
+		t.Fatal("nothing pending after two appends")
 	}
 	freed := make(chan struct{})
-	runtime.SetFinalizer(r, func(*pendingRun) { close(freed) })
-	r = nil
-	if got, err := v.Read(0, 130); err != nil || !bytes.Equal(got, model) {
-		t.Fatalf("version read from the pending run: %v", err)
+	runtime.SetFinalizer(set, func(*[]pendingPage) { close(freed) })
+	set = nil
+	if evs := traced(t, e, func() error {
+		got, err := v.Read(0, 130)
+		if err == nil && !bytes.Equal(got, model) {
+			err = fmt.Errorf("version read %q", got)
+		}
+		return err
+	}); len(evs) != 0 {
+		t.Fatalf("version read of pending pages issued %+v, want nothing", evs)
 	}
-	if err := e.m.cfg.Tails.Flush(); err != nil {
+	if err := e.m.cfg.Pending.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if o.tail.load() != nil || v.tail.load() != nil {
-		t.Fatal("the run is still pending after the flush")
+	if _, n := tailRun(o); n != 0 {
+		t.Fatal("the pages are still pending after the flush")
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		runtime.GC()
@@ -706,7 +712,7 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 			if time.Now().Before(deadline) {
 				continue
 			}
-			t.Fatal("a published version keeps the written run's memory alive")
+			t.Fatal("a published version keeps the written pages' memory alive")
 		}
 		break
 	}
@@ -716,31 +722,67 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 	runtime.KeepAlive(v)
 }
 
-// TestTailsBound: the pending runs of all objects together stay within the
-// bound; the run that pushes them over has the largest written back, in one
-// request, and its object goes on from the device.
-func TestTailsBound(t *testing.T) {
-	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a 4-frame pool: 8 pages pending at most
-	objs := []*Object{e.m.NewObject(0), e.m.NewObject(0), e.m.NewObject(0)}
-	models := make([][]byte, len(objs))
-	for i, o := range objs {
-		models[i] = pattern(10+i, 250) // 3 pages pending each
-		evs := traced(t, e, func() error { return o.Append(models[i]) })
-		if i < 2 && len(evs) != 0 {
-			t.Fatalf("append %d issued %+v, want nothing", i, evs)
-		}
-		if i == 2 && (len(evs) != 1 || !evs[0].Write || evs[0].Start != objs[0].tailStart || evs[0].Pages != 3) {
-			t.Fatalf("the append over the bound issued %+v, want the first object's 3 pages written in one request", evs)
+// TestPendingBudget: after every install the pending pages and the pool's
+// resident frames together stay within three times the pool's frames.  The
+// install that goes over writes back a committed replace's pages before any
+// open tail's, though the tails' runs are longer; then the largest tail run,
+// the lowest on a tie, in one request; and the object whose tail was
+// written goes on from the device.
+func TestPendingBudget(t *testing.T) {
+	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a 4-frame pool: 12 pages and frames at most
+	within := func() {
+		t.Helper()
+		if n, f := len(e.m.cfg.Pending.load()), e.pool.Frames(); n+f > 3*e.pool.Capacity() {
+			t.Fatalf("%d pages pending beside %d resident frames, over the budget of %d", n, f, 3*e.pool.Capacity())
 		}
 	}
-	if st := e.m.Stats(); st.TailPages != 6 || st.TailPagesHigh != 9 || st.TailEvictions != 1 {
-		t.Fatalf("%d pages pending (at most %d), %d runs written early; want 6 (9), 1", st.TailPages, st.TailPagesHigh, st.TailEvictions)
+	w := e.m.NewObject(0)
+	wm := pattern(9, 800)
+	if err := w.AppendWithHint(wm, 800); err != nil { // 8 pages, written
+		t.Fatal(err)
+	}
+	repl := pattern(8, 100)
+	plan, err := w.PrepareReplace(50, repl, nil) // pages 0 and 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs := traced(t, e, plan.Pend); len(evs) != 0 {
+		t.Fatalf("the committed replace issued %+v, want nothing: its pages pending", evs)
+	}
+	copy(wm[50:], repl)
+	within()
+	wStart := w.root.entries[0].ptr
+	var objs []*Object
+	var models [][]byte
+	var evictions [][]disk.TraceEvent
+	for len(evictions) < 2 && len(objs) < 8 {
+		o := e.m.NewObject(0)
+		objs, models = append(objs, o), append(models, pattern(10+len(objs), 250)) // 3 pages pending each
+		if evs := traced(t, e, func() error { return o.Append(models[len(models)-1]) }); len(evs) > 0 {
+			evictions = append(evictions, evs)
+		}
+		within()
+	}
+	if len(evictions) < 2 {
+		t.Fatalf("%d tails pending and %d installs went over the budget, want 2", len(objs), len(evictions))
+	}
+	if evs := evictions[0]; len(evs) != 1 || !evs[0].Write || evs[0].Start != wStart || evs[0].Pages != 2 {
+		t.Fatalf("the first install over the budget issued %+v, want the replaced pages %d..%d written in one request", evs, wStart, wStart+1)
+	}
+	if evs := evictions[1]; len(evs) != 1 || !evs[0].Write || evs[0].Start != objs[0].tailStart || evs[0].Pages != 3 {
+		t.Fatalf("the second install over the budget issued %+v, want the first object's 3 tail pages written in one request", evs)
+	}
+	if st := e.m.Stats(); st.PendingEvictions != 2 || st.ReplacedPages != 2 || st.ReplacedEvicted != 2 || st.ReplacedPending != 0 {
+		t.Fatalf("%d runs written early, %d replaced pages in, %d evicted, %d pending; want 2, 2, 2, 0",
+			st.PendingEvictions, st.ReplacedPages, st.ReplacedEvicted, st.ReplacedPending)
 	}
 	more := pattern(20, 30)
 	if n, _ := reads(traced(t, e, func() error { return objs[0].Append(more) })); n != 1 {
 		t.Fatalf("the written-back object's next append read %d times, want its partial page once", n)
 	}
+	within()
 	models[0] = append(models[0], more...)
+	mustContent(t, w, wm)
 	for i, o := range objs {
 		mustContent(t, o, models[i])
 	}

@@ -120,7 +120,7 @@ func (o *Object) Delete(off, n int64) error {
 		kept := res.lc > 0 || res.nc > 0 || res.rc > 0
 		if kept {
 			if keepL < rKeep {
-				if err := m.alloc.Free(sl.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
+				if err := m.freeData(sl.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
 					return err
 				}
 			}
@@ -134,14 +134,14 @@ func (o *Object) Delete(off, n int64) error {
 	if skipFirst {
 		pagesSL := pagesFor(sl.bytes, int(ps))
 		if keepL < pagesSL {
-			if err := m.alloc.Free(sl.ptr+disk.PageNum(keepL), pagesSL-keepL); err != nil {
+			if err := m.freeData(sl.ptr+disk.PageNum(keepL), pagesSL-keepL); err != nil {
 				return err
 			}
 		}
 	}
 	skipLast := res.rc > 0
 	if skipLast {
-		if err := m.alloc.Free(sr.ptr, rKeep); err != nil {
+		if err := m.freeData(sr.ptr, rKeep); err != nil {
 			return err
 		}
 	}

@@ -102,8 +102,9 @@ type floorGeom struct {
 	// read-replace only: the byte range read before the replace.
 	keepOff, keepN int64
 	// The pages the last segment is allocated while a plain Append has left
-	// it open (0 once trimmed), and its pending run — pages run.lo..run.hi of
-	// the last segment — when pending is set.
+	// it open (0 once trimmed), and its pending pages — pages run.lo..run.hi
+	// of the last segment, the write-behind set's only ones here — when
+	// pending is set.
 	tailPages int
 	pending   bool
 	run       pageRun
@@ -112,25 +113,45 @@ type floorGeom struct {
 // withTail adds what the floor depends on beyond the layout: the open tail.
 func (g floorGeom) withTail(o *Object) floorGeom {
 	g.tailPages = o.tailAlloc
-	if r := o.tail.load(); r != nil {
+	if first, n := tailRun(o); n > 0 {
 		last := len(g.segs) - 1
-		lo := int64(r.start - g.segs[last].StartPage)
-		g.pending, g.run = true, pageRun{last, lo, lo + int64(r.pages(int(g.ps))) - 1}
+		lo := int64(first - g.segs[last].StartPage)
+		g.pending, g.run = true, pageRun{last, lo, lo + int64(n) - 1}
 	}
 	return g
 }
 
-// writeRun is the request that writes the pending run when one of runs
-// reaches it — what an operation that reads those pages from the device to
-// rewrite them, or writes them, pays first — and drops the run.
-func (g *floorGeom) writeRun(runs ...pageRun) []floorReq {
-	for _, r := range runs {
-		if g.pending && r.seg == g.run.seg && r.lo <= g.run.hi && g.run.lo <= r.hi {
-			g.pending = false
-			return []floorReq{{write: true, start: g.segs[r.seg].StartPage + disk.PageNum(g.run.lo), pages: int(g.run.hi - g.run.lo + 1)}}
-		}
+// pendingPages returns the volume pages the pending run holds, first and
+// last, when there is one.
+func (g floorGeom) pendingPages() (lo, hi disk.PageNum, ok bool) {
+	if !g.pending {
+		return 0, 0, false
 	}
-	return nil
+	s := g.segs[g.run.seg]
+	return s.StartPage + disk.PageNum(g.run.lo), s.StartPage + disk.PageNum(g.run.hi), true
+}
+
+// writeRun is the request that writes the pending run, if there is one, and
+// drops it.
+func (g *floorGeom) writeRun() []floorReq {
+	lo, hi, ok := g.pendingPages()
+	if !ok {
+		return nil
+	}
+	g.pending = false
+	return []floorReq{{write: true, start: lo, pages: int(hi - lo + 1)}}
+}
+
+// writeHome is the request that writes pages lo..hi of segment seg in place:
+// the pending pages right before or after them go along, and are pending no
+// more.
+func (g *floorGeom) writeHome(seg int, lo, hi int64) floorReq {
+	start, end := g.segs[seg].StartPage+disk.PageNum(lo), g.segs[seg].StartPage+disk.PageNum(hi)
+	if plo, phi, ok := g.pendingPages(); ok && plo <= end+1 && start <= phi+1 {
+		start, end = min(start, plo), max(end, phi)
+		g.pending = false
+	}
+	return floorReq{write: true, start: start, pages: int(end - start + 1)}
 }
 
 // trimTail is writeRun for an operation that cuts or moves the bytes of
@@ -139,21 +160,7 @@ func (g *floorGeom) trimTail(seg int) []floorReq {
 	if seg != len(g.segs)-1 || g.tailPages == 0 {
 		return nil
 	}
-	return g.writeRun(pageRun{seg, 0, int64(g.segs[seg].Pages)})
-}
-
-// fromDevice drops from runs the pages a read takes from the pending run.
-func (g floorGeom) fromDevice(runs []pageRun) []pageRun {
-	var out []pageRun
-	for _, r := range runs {
-		if g.pending && r.seg == g.run.seg {
-			r.hi = min(r.hi, g.run.lo-1)
-		}
-		if r.lo <= r.hi {
-			out = append(out, r)
-		}
-	}
-	return out
+	return g.writeRun()
 }
 
 func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
@@ -185,7 +192,9 @@ func (g floorGeom) runs(off, n int64) []pageRun {
 }
 
 // reads turns the page runs an operation needs into read requests: runs of
-// one segment with at most bridge pages between them become one request.
+// one segment with at most bridge pages between them become one request,
+// which leaves out the pending pages at either end, and is not made when it
+// has no others.
 func (g floorGeom) reads(runs []pageRun) []floorReq {
 	var merged []pageRun
 	for _, r := range runs {
@@ -197,7 +206,18 @@ func (g floorGeom) reads(runs []pageRun) []floorReq {
 	}
 	var out []floorReq
 	for _, r := range merged {
-		out = append(out, floorReq{start: g.segs[r.seg].StartPage + disk.PageNum(r.lo), pages: int(r.hi - r.lo + 1)})
+		start, end := g.segs[r.seg].StartPage+disk.PageNum(r.lo), g.segs[r.seg].StartPage+disk.PageNum(r.hi)
+		if plo, phi, ok := g.pendingPages(); ok {
+			if plo <= start && start <= phi {
+				start = phi + 1
+			}
+			if plo <= end && end <= phi {
+				end = plo - 1
+			}
+		}
+		if start <= end {
+			out = append(out, floorReq{start: start, pages: int(end - start + 1)})
+		}
 	}
 	return out
 }
@@ -229,7 +249,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 	case "read":
 		// §4.2: one multi-page request per segment touched, for the pages
 		// the pending run does not hold.
-		return g.reads(g.fromDevice(g.runs(off, n)))
+		return g.reads(g.runs(off, n))
 
 	case "append", "append-plain":
 		// §4.1.  On a trimmed tail the bytes go to a segment of their own,
@@ -254,8 +274,8 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 					out = append(out, floorReq{write: true, start: last.StartPage + disk.PageNum(lo), pages: int(hi - lo + 1)})
 				}
 				n -= w
-			} else if g.pending {
-				out = append(out, g.writeRun(g.run)...)
+			} else {
+				out = append(out, g.writeRun()...)
 			}
 		}
 		if n > 0 && !open(n) {
@@ -265,11 +285,10 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 
 	case "replace":
 		// §4.5: per segment piece, the bytes the piece's first and last
-		// page keep are read, then the piece's page run is written in place
-		// — behind the pending run, when the piece reaches it.
+		// page keep are read — unless they are pending —, then the piece's
+		// page run is written in place, with the pending pages around it.
 		var out []floorReq
 		for _, r := range g.runs(off, n) {
-			out = append(out, g.writeRun(r)...)
 			s := g.segs[r.seg]
 			lo, hi := max(off, s.LogicalOff), min(off+n, s.LogicalOff+s.Bytes)
 			var need []pageRun
@@ -280,17 +299,16 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 				need = append(need, pageRun{r.seg, r.hi, r.hi})
 			}
 			out = append(out, g.reads(need)...)
-			out = append(out, floorReq{write: true, start: s.StartPage + disk.PageNum(r.lo), pages: int(r.hi - r.lo + 1)})
+			out = append(out, g.writeHome(r.seg, r.lo, r.hi))
 		}
 		return out
 
 	case "replace-shared":
 		// Byte-range locking (§4.5): PrepareReplace reads each piece's page
-		// run whole for the pre-image, behind the pending run when the piece
-		// reaches it; ApplyShared then is a replace.
+		// run whole for the pre-image; ApplyShared then is a replace.
 		var out []floorReq
 		for _, r := range g.runs(off, n) {
-			out = append(append(out, g.writeRun(r)...), g.reads([]pageRun{r})...)
+			out = append(out, g.reads([]pageRun{r})...)
 		}
 		return append(out, g.floorRequests("replace", off, n)...)
 
@@ -301,10 +319,9 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// those the read did not already transfer whole; Apply then writes
 		// each run in place without reading.
 		kept := g.runs(g.keepOff, g.keepN)
-		out := g.reads(g.fromDevice(kept))
+		out := g.reads(kept)
 		pieces := g.runs(off, n)
 		for _, r := range pieces {
-			out = append(out, g.writeRun(r)...) // the plan writes those pages home
 			covered := false
 			for _, k := range kept {
 				covered = covered || (k.seg == r.seg && k.lo <= r.lo && r.hi <= k.hi)
@@ -314,7 +331,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 			}
 		}
 		for _, r := range pieces {
-			out = append(out, floorReq{write: true, start: g.segs[r.seg].StartPage + disk.PageNum(r.lo), pages: int(r.hi - r.lo + 1)})
+			out = append(out, g.writeHome(r.seg, r.lo, r.hi))
 		}
 		return out
 
@@ -443,11 +460,12 @@ var tailTable = []tailRow{
 	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{0, 0, 1, 4, 1}}, 130, 0},
 	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 3, 1}}, 130, 0},
 	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 850},
-	// What else meets the pending run: a read takes its pages from memory; an
-	// operation that reads pages of it to rewrite them, or writes them, or
-	// closes the tail, writes it first.
+	// What else meets the pending run: a read, or a replace's read of the
+	// bytes around its own, takes its pages from memory; a replace writes
+	// them with its own, in one request; an operation that closes the tail
+	// writes it first.
 	{floorRow{"read reaching into the pending run", []int64{800}, 4, "read", 750, 130, ioCount{1, 1, 0, 0, 1}}, 130, 0},
-	{floorRow{"replace into the pending run", []int64{800}, 4, "replace", 850, 20, ioCount{1, 1, 2, 3, 3}}, 130, 0},
+	{floorRow{"replace into the pending run", []int64{800}, 4, "replace", 850, 20, ioCount{0, 0, 1, 2, 1}}, 130, 0},
 	{floorRow{"insert into the open tail", []int64{800}, 4, "insert", 850, 250, ioCount{1, 2, 2, 6, 3}}, 130, 0},
 	{floorRow{"delete cutting the open tail", []int64{800}, 4, "delete", 850, 80, ioCount{0, 0, 1, 2, 1}}, 130, 0},
 }

@@ -106,7 +106,7 @@ func (o *Object) Insert(off int64, data []byte) error {
 		rKeep = int(p) + 1 + int(res.moveR/ps)
 	}
 	if keepL < rKeep {
-		if err := m.alloc.Free(S.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
+		if err := m.freeData(S.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
 			return err
 		}
 	}

@@ -38,8 +38,8 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 	if err != nil {
 		t.Fatalf("FormatVolume: %v", err)
 	}
-	if cfg.Tails == nil {
-		cfg.Tails = NewTails(vol, pool) // plain appends write behind, as in a store
+	if cfg.Pending == nil {
+		cfg.Pending = NewPending(vol, pool) // plain appends write behind, as in a store
 	}
 	m, err := NewManager(vol, pool, bm, cfg)
 	if err != nil {
@@ -47,6 +47,21 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 	}
 	return &env{vol: vol, pool: pool, bm: bm, m: m}
 }
+
+// pendingIn returns the first pending page among [start, start+n) and how
+// many pages of the range are pending.
+func pendingIn(m *Manager, start disk.PageNum, n int) (disk.PageNum, int) {
+	pages := m.cfg.Pending.load()
+	lo, hi := span(pages, start, n)
+	if lo == hi {
+		return 0, 0
+	}
+	return pages[lo].page, hi - lo
+}
+
+// tailRun returns the first pending page of o's open tail segment and how
+// many of its pages are pending.
+func tailRun(o *Object) (disk.PageNum, int) { return pendingIn(o.m, o.tailStart, o.tailAlloc) }
 
 func (e *env) freePages(t testing.TB) int {
 	t.Helper()
@@ -937,7 +952,7 @@ func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
 	var off int64
 	for _, en := range nd.entries {
 		buf := make([]byte, en.bytes)
-		if _, err := m.readSegRange(en.ptr, 0, buf, nil, false); err != nil {
+		if _, err := m.readSegRange(en.ptr, 0, buf, false); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, buf...)
@@ -1078,7 +1093,7 @@ func TestQuickDescriptorRoundTrip(t *testing.T) {
 		}
 		// A descriptor names pages: the pending run goes to them first, as
 		// a checkpoint's does before its image.
-		if err := e.m.cfg.Tails.Flush(); err != nil {
+		if err := e.m.cfg.Pending.Flush(); err != nil {
 			return false
 		}
 		desc := o.EncodeDescriptor()

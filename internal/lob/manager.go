@@ -60,13 +60,14 @@ type Config struct {
 	// performs the eventual free is then responsible for discarding the
 	// frames.
 	RetainFreedPages bool
-	// Tails is the write-behind set plain Appends keep their pending runs in
-	// (tails.go); managers over one volume share one.  nil: plain Appends
-	// write the pages they fill at once, reading the partial last page of
-	// an open tail back — for when writers that share the object latch
-	// (in-place replaces under byte-range locking) may change those pages
-	// without the object noticing.
-	Tails *Tails
+	// Pending is the write-behind set plain Appends leave their open tails'
+	// pages in, and committed replaces their pages (pending.go); managers
+	// over one volume share one.  nil: every page is written at once, and
+	// an append reads the partial last page of an open tail back — for
+	// when writers that share the object latch (in-place replaces under
+	// byte-range locking) may change those pages without the object
+	// noticing.
+	Pending *Pending
 }
 
 // Stats counts manager activity for the experiments.
@@ -88,12 +89,22 @@ type Stats struct {
 	SnapshotReads      int64 // reads served through published snapshot roots
 	BridgedReads       int64 // requests that fetched two separate byte ranges of a segment at once (one request saved each)
 	BridgedGapPages    int64 // unwanted pages between the two ranges those requests transferred
-	// Write-behind tails (shared by the managers over one volume): pages
-	// pending now, the most ever pending at once, and the runs written
-	// early because together they exceeded their bound.
-	TailPages     int64
-	TailPagesHigh int64
-	TailEvictions int64
+	// The write-behind set (shared by the managers over one volume): pages
+	// pending now, of either kind, and the most ever pending at once; the
+	// runs written early because the set was over its budget; and the
+	// pages reads took from the set instead of the device.
+	PendingPages     int64
+	PendingPagesHigh int64
+	PendingEvictions int64
+	PendingReads     int64
+	// Committed replaces' pages: pending now; left in the set, in all; of
+	// those, pages that were pending already, whose images they overwrote;
+	// and replaced pages written by a checkpoint and under budget pressure.
+	ReplacedPending      int64
+	ReplacedPages        int64
+	ReplacedAbsorbed     int64
+	ReplacedCheckpointed int64
+	ReplacedEvicted      int64
 }
 
 // stats is the manager's live counter set.  Every counter is atomic so
@@ -158,14 +169,7 @@ func (m *Manager) PageSize() int { return m.vol.PageSize() }
 
 // Stats returns a snapshot of activity counters without taking any lock.
 func (m *Manager) Stats() Stats {
-	var tp, th, te int64
-	if t := m.cfg.Tails; t != nil {
-		tp, th, te = t.pages.Load(), t.high.Load(), t.evictions.Load()
-	}
-	return Stats{
-		TailPages:          tp,
-		TailPagesHigh:      th,
-		TailEvictions:      te,
+	st := Stats{
 		Appends:            m.st.appends.Load(),
 		Reads:              m.st.reads.Load(),
 		Replaces:           m.st.replaces.Load(),
@@ -184,6 +188,14 @@ func (m *Manager) Stats() Stats {
 		BridgedReads:       m.st.bridgedReads.Load(),
 		BridgedGapPages:    m.st.bridgedGapPages.Load(),
 	}
+	if t := m.cfg.Pending; t != nil {
+		pages := t.load()
+		st.PendingPages, st.ReplacedPending = int64(len(pages)), int64(replacedIn(pages))
+		st.PendingPagesHigh, st.PendingEvictions, st.PendingReads = t.high.Load(), t.evictions.Load(), t.reads.Load()
+		st.ReplacedPages, st.ReplacedAbsorbed = t.replaced.Load(), t.absorbed.Load()
+		st.ReplacedCheckpointed, st.ReplacedEvicted = t.checkpointed.Load(), t.evicted.Load()
+	}
+	return st
 }
 
 // ---- node I/O ----
@@ -246,14 +258,13 @@ func (m *Manager) freeNodePage(p disk.PageNum) error {
 // ---- segment I/O ----
 
 // readSegRange reads bytes [off, off+n) of the segment whose data pages
-// start at page start into buf and returns the page run it transferred.  The
-// pages tail's pending run holds come from memory, the others from the device
-// in a single multi-page request: a run holds the last pages of the object's
-// bytes, so a read that reaches it ends in it.  A piece of whole pages whose
-// run is not kept is transferred into buf itself, and the run returned is
-// buf; a kept run (PageImages, which PrepareReplace writes into) or one with
-// edge bytes buf does not take is a page image of its own, copied into buf.
-func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *tailBuf, keep bool) (pageImage, error) {
+// start at page start into buf and returns the page run it transferred, in a
+// single multi-page request for the pages the write-behind set does not hold
+// (readPages).  A piece of whole pages whose run is not kept is transferred
+// into buf itself, and the run returned is buf; a kept run (PageImages, which
+// PrepareReplace writes into) or one with edge bytes buf does not take is a
+// page image of its own, copied into buf.
+func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep bool) (pageImage, error) {
 	if len(buf) == 0 {
 		return pageImage{}, nil
 	}
@@ -264,16 +275,8 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *
 	if own {
 		img.raw = make([]byte, npages*ps)
 	}
-	dev := npages // pages from the device, from img.start on
-	if r := tail.load(); r != nil && r.start < img.start+disk.PageNum(npages) && img.start < r.end(ps) {
-		lo := max(img.start, r.start)
-		dev = int(lo - img.start)
-		copy(img.raw[dev*ps:], r.raw[int(lo-r.start)*ps:])
-	}
-	if dev > 0 {
-		if err := m.vol.ReadPages(img.start, dev, img.raw[:dev*ps]); err != nil {
-			return pageImage{}, err
-		}
+	if err := m.readPages(img.start, npages, img.raw); err != nil {
+		return pageImage{}, err
 	}
 	if own {
 		copy(buf, img.raw[in:])
@@ -281,11 +284,50 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, tail *
 	return img, nil
 }
 
-// gather is disk.Gather on the manager's volume — the one way an update
-// reads old bytes it is about to rewrite, in as few requests as the cost
-// model allows — with the bridged requests counted.
+// readPages reads data pages [start, start+n) into buf, the pending ones from
+// the write-behind set: the device is asked only for the pages from the first
+// to the last that are not pending, and not at all when every one is.
+func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
+	pages := m.cfg.Pending.load()
+	lo, hi := span(pages, start, n)
+	if lo == hi {
+		return m.vol.ReadPages(start, n, buf)
+	}
+	ps := m.vol.PageSize()
+	first, end := start, start+disk.PageNum(n) // what the device holds
+	for i := lo; i < hi && pages[i].page == first; i++ {
+		first++
+	}
+	for i := hi - 1; i >= lo && end > first && pages[i].page == end-1; i-- {
+		end--
+	}
+	if first < end {
+		if err := m.vol.ReadPages(first, int(end-first), buf[int(first-start)*ps:int(end-start)*ps]); err != nil {
+			return err
+		}
+	}
+	for _, p := range pages[lo:hi] {
+		copy(buf[int(p.page-start)*ps:], p.img)
+	}
+	m.cfg.Pending.reads.Add(int64(hi - lo))
+	return nil
+}
+
+// setReader is the data volume as the write-behind set shows it, for
+// disk.Gather.
+type setReader struct{ m *Manager }
+
+func (r setReader) PageSize() int { return r.m.vol.PageSize() }
+func (r setReader) ReadPages(start disk.PageNum, n int, buf []byte) error {
+	return r.m.readPages(start, n, buf)
+}
+
+// gather is disk.Gather on the manager's volume as the write-behind set
+// shows it — the one way an update reads old bytes it is about to rewrite,
+// in as few requests as the cost model allows — with the bridged requests
+// counted.
 func (m *Manager) gather(a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte, error) {
-	img, gap, err := disk.Gather(m.vol, a, hole, b)
+	img, gap, err := disk.Gather(setReader{m}, a, hole, b)
 	if gap >= 0 {
 		m.st.bridgedReads.Add(1)
 		m.st.bridgedGapPages.Add(int64(gap))
@@ -293,14 +335,34 @@ func (m *Manager) gather(a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte
 	return img, err
 }
 
-// writeImage writes whole-page images to the pages from start on, in one
-// request.
+// writeImage writes whole-page images to fresh pages from start on — pages
+// no root names yet, so none is pending — in one request.
 func (m *Manager) writeImage(start disk.PageNum, img []byte) error {
 	npages := len(img) / m.vol.PageSize()
 	if npages == 0 {
 		return nil
 	}
 	return m.vol.WritePages(start, npages, img)
+}
+
+// writeHome writes whole-page images of pages a root names from start on, in
+// one request that also takes the pending pages around them, and drops the
+// images the write-behind set held of them: img has their newest bytes.
+func (m *Manager) writeHome(start disk.PageNum, img []byte) error {
+	if m.cfg.Pending == nil {
+		return m.writeImage(start, img)
+	}
+	return m.cfg.Pending.writeOver(start, img)
+}
+
+// freeData frees n data pages from start on, writing the pending ones first:
+// a snapshot may read them until the free is reclaimed, and no image may
+// outlive its page's owner.
+func (m *Manager) freeData(start disk.PageNum, n int) error {
+	if err := m.cfg.Pending.writeRange(start, n); err != nil {
+		return err
+	}
+	return m.alloc.Free(start, n)
 }
 
 // writeSegment writes data as a fresh segment starting at page start,
@@ -378,7 +440,7 @@ func (m *Manager) freeSegment(start disk.PageNum, bytes int64) error {
 		return nil
 	}
 	m.st.segmentsFreed.Add(1)
-	return m.alloc.Free(start, n)
+	return m.freeData(start, n)
 }
 
 // freeSubtree releases every page below an entry at the given level:

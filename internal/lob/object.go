@@ -30,12 +30,6 @@ type Object struct {
 	// an append sequence is in progress.
 	tailStart disk.PageNum // eos:guardedby catEntry.latch
 	tailAlloc int          // eos:guardedby catEntry.latch -- pages allocated to the tail segment; 0 = trimmed
-	// tail holds the open tail's pending run: the pages plain Appends filled
-	// that are not on the device yet (tails.go).  Published versions share
-	// it.  Only the object's own appends install a run, under the write
-	// latch; a checkpoint or another object's append may write it and drop
-	// it at any time, under Tails.mu.
-	tail tailBuf
 
 	// lsn is the log sequence number of the last logged update, stored in
 	// the root so updates can be undone/redone idempotently (§4.5).
@@ -104,7 +98,8 @@ func (o *Object) Destroy() error {
 	// The tail's unused pages go the way of the rest: a transaction that
 	// destroys the object restores it on abort from a descriptor that says
 	// they are the object's, so they must not be reusable before then.  And
-	// that descriptor names the bytes of the pending run, which trim writes.
+	// that descriptor names the bytes of the pending pages, which trim and
+	// the frees write.
 	if err := o.trim(o.m.alloc.Free, 0); err != nil {
 		return err
 	}

@@ -96,19 +96,19 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 		return err
 	}
 	o.m.st.reads.Add(1)
-	return o.m.readRange(o.root, buf, off, nil, &o.tail)
+	return o.m.readRange(o.root, buf, off, nil)
 }
 
 // readRange reads len(buf) bytes starting at byte off of root's subtree,
 // reporting the page runs it transferred to keep when that is not nil;
-// the pages tail's pending run holds come from memory.  It is shared by the
-// live read path (under the object latch) and the snapshot read path (over
-// an immutable published root, no locks): the walk itself only ever
-// descends committed index pages.
-func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages, tail *tailBuf) error {
+// pending pages come from the write-behind set.  It is shared by the live
+// read path (under the object latch) and the snapshot read path (over an
+// immutable published root, no locks): the walk itself only ever descends
+// committed index pages.
+func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages) error {
 	pos := 0
 	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
-		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], tail, keep != nil)
+		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], keep != nil)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 	}
 	o.m.st.reads.Add(1)
 	buf := make([]byte, n)
-	if err := o.m.readRange(o.root, buf, off, keep, &o.tail); err != nil {
+	if err := o.m.readRange(o.root, buf, off, keep); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -140,19 +140,15 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 
 // Replace overwrites len(data) bytes starting at off with data.  Replace
 // modifies leaf pages in place without touching any index node — the one
-// EOS update that is logged rather than shadowed (§4.5).
+// EOS update that is logged rather than shadowed (§4.5).  It writes through:
+// the images the write-behind set held of the pages are dropped.
 func (o *Object) Replace(off int64, data []byte) error {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return err
 	}
 	o.m.st.replaces.Add(1)
-	ps := o.m.vol.PageSize()
 	pos := int64(0)
 	return o.m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
-		first, npages, _ := disk.PageSpan(segOff, n, ps)
-		if err := o.settle(seg.ptr+first, npages); err != nil {
-			return err
-		}
 		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
 		pos += n
 		return err
@@ -170,8 +166,8 @@ type Extent struct {
 // ReplacePlan is an in-place replace prepared but not yet written: the
 // pre-image and physical extents the transaction layer logs, and the
 // post-image of every page the replace touches.  PrepareReplace reads
-// each touched page run once; Apply reads nothing, so the write can wait
-// for the log force that covers the pre-image.  A plan stays correct only
+// each touched page run once; Apply and Pend read nothing, so the write can
+// wait for the log force that covers the pre-image or the commit.  A plan stays correct only
 // while nothing else reads, rewrites or moves the pages it covers — the
 // caller applies it before any such operation.
 type ReplacePlan struct {
@@ -197,8 +193,8 @@ type planRun struct {
 // piece touches (the non-transactional Replace reads only the boundary
 // pages, but it needs no pre-image).  A piece whose page run have holds —
 // have may be nil — is taken from there instead of the device; the plan
-// then owns those images and writes into them, so have is spent.  Pages of
-// the pending run the plan covers are written first: Apply writes them.
+// then owns those images and writes into them, so have is spent.  Pending
+// pages come from the write-behind set.
 func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
@@ -209,15 +205,12 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, int(ps))
-		if err := o.settle(seg.ptr+first, npages); err != nil {
-			return err
-		}
 		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, int(ps)), in: in, n: n}
 		if run.raw != nil {
 			p.saved++
 		} else {
 			run.raw = make([]byte, npages*int(ps))
-			if err := m.vol.ReadPages(run.start, npages, run.raw); err != nil {
+			if err := m.readPages(run.start, npages, run.raw); err != nil {
 				return err
 			}
 		}
@@ -268,17 +261,37 @@ func (p *ReplacePlan) ReadsSaved() int { return p.saved }
 func (p *ReplacePlan) Applied() bool { return p.applied }
 
 // Apply writes the planned page images home, one contiguous request per
-// segment piece.  Like Replace it touches no index node.  It is for a
-// caller that has kept every other writer off the object since
-// PrepareReplace: the images include the bytes around the range in its
-// first and last page as they were then.
+// segment piece, and drops the images the write-behind set held of those
+// pages.  Like Replace it touches no index node.  It is for a caller that has
+// kept every other writer off the object since PrepareReplace: the images
+// include the bytes around the range in its first and last page as they
+// were then.
 func (p *ReplacePlan) Apply() error {
 	m := p.begin()
 	for _, run := range p.runs {
-		if err := m.writeImage(run.start, run.raw); err != nil {
+		if err := m.writeHome(run.start, run.raw); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// Pend is Apply for a replace whose transaction has committed: the planned
+// page images go into the write-behind set, over the images it holds of
+// those pages, and reach the device with the set's next write — the log
+// record that carries the bytes keeps them until then.  With no set
+// (Config.Pending nil) it is Apply.  The same caller contract holds.
+func (p *ReplacePlan) Pend() error {
+	t := p.o.m.cfg.Pending
+	if t == nil {
+		return p.Apply()
+	}
+	m := p.begin()
+	var pages []pendingPage
+	for _, run := range p.runs {
+		pages = append(pages, pageImages(run.start, run.raw, m.vol.PageSize(), false)...)
+	}
+	t.install(pages)
 	return nil
 }
 
@@ -317,5 +330,5 @@ func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
 		return err
 	}
 	copy(raw[head.N:], data)
-	return m.writeImage(seg.ptr+first, raw)
+	return m.writeHome(seg.ptr+first, raw)
 }

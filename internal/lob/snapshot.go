@@ -15,11 +15,10 @@ import "fmt"
 //
 // The entries are copied because the live root node is spliced in
 // place by updates; everything BELOW the root is a page that shadowing
-// never overwrites — on the device, or, for the last pages of an open
-// tail, in the object's pending run (tails.go) until it is written.  The
-// version shares the object's tailBuf rather than the run: a reader finds
-// the run while it is pending and the device once it is written, and the
-// version keeps no written run alive.  Reclamation of the superseded pages
+// never overwrites — on the device, or in the write-behind set
+// (pending.go) until it is written, which every manager over the volume
+// shares: a reader finds a page there while it is pending and on the device
+// once it is written.  Reclamation of the superseded pages
 // is the caller's business: EOS retires freed runs into an epoch manager
 // and returns them to the buddy system only when no published root
 // that names them can still be held by a reader.
@@ -33,7 +32,6 @@ type RootVersion struct {
 	lsn  uint64
 	seq  uint64
 	prev *RootVersion // next-older retained version, nil at the tail
-	tail *tailBuf     // the object's: where its pending run, if any, is found
 }
 
 // Publish atomically installs the object's current state as its newest
@@ -48,7 +46,6 @@ func (o *Object) Publish(keep int) {
 		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
 		size: o.size,
 		lsn:  o.lsn.Load(),
-		tail: &o.tail,
 	}
 	if old := o.published.Load(); old != nil {
 		v.seq = old.seq + 1
@@ -88,7 +85,7 @@ func (v *RootVersion) ReadAt(buf []byte, off int64) error {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(buf)), v.size)
 	}
 	v.m.st.snapshotReads.Add(1)
-	return v.m.readRange(&v.root, buf, off, nil, v.tail)
+	return v.m.readRange(&v.root, buf, off, nil)
 }
 
 // Read returns n bytes starting at off of the version.

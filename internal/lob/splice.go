@@ -398,7 +398,7 @@ func (m *Manager) compactLeafNode(nd *node, threshold int) error {
 		buf := make([]byte, 0, runBytes)
 		for k := i; k < j; k++ {
 			part := make([]byte, nd.entries[k].bytes)
-			if _, err := m.readSegRange(nd.entries[k].ptr, 0, part, nil, false); err != nil { // no pending run: the adaptive threshold writes through
+			if _, err := m.readSegRange(nd.entries[k].ptr, 0, part, false); err != nil {
 				return err
 			}
 			buf = append(buf, part...)

@@ -24,8 +24,8 @@ import (
 //     abort's replaces undone, from the older roots until a checkpoint
 //     persists the roots that followed, and the durability quarantine
 //     keeps the older roots' pages intact until then.
-//   - Only the checkpoint writes the catalog.  It writes the open tails'
-//     pending runs and forces the whole data volume first, so the durable
+//   - Only the checkpoint writes the catalog.  It writes the write-behind
+//     set's pages and forces the whole data volume first, so the durable
 //     image never names a page the device does not hold, then forces the
 //     image, then the master copy naming
 //     it; the master copy carries the log position the checkpoint took
@@ -33,10 +33,11 @@ import (
 //     to a rollback the force made durable.
 //   - An in-place write reaches the device only behind a force of a
 //     record that can undo it, or of its commit record.  A replace whose
-//     write is deferred to commit is written behind the commit record's
-//     force, so it can be durable only for a committed transaction, and
-//     its record carries no pre-image; a crash before the write leaves a
-//     committed record redo applies.  A replace written before its commit
+//     write is deferred to commit enters the write-behind set behind the
+//     commit record's force, and reaches the device from there, so it can
+//     be durable only for a committed transaction, and its record carries
+//     no pre-image; a crash before the write leaves a committed record redo
+//     applies.  A replace written before its commit
 //     record — settled ahead of a later operation of its transaction, or
 //     under range locking — is written behind a record that carries its
 //     pre-image and physical extents.  An uncommitted

@@ -100,13 +100,13 @@ type txnOp struct {
 // write-ahead logging, shadowed index updates with deferred frees, and
 // logical undo on abort.
 //
-// A commit is durable at its log force: it writes its deferred replaces
-// home and leaves everything else — index pages in the pool, the new
-// descriptors, the data volume's force — to the next checkpoint; until
-// then recovery redoes it from its log records.  An abort is durable at
-// its log force too: its compensations wait for the next checkpoint, and
-// until then recovery undoes the replaces it wrote home from their logged
-// pre-images.
+// A commit is durable at its log force: it leaves its deferred replaces'
+// pages in the write-behind set, and everything else — index pages in the
+// pool, the new descriptors, the data volume's force — to the next
+// checkpoint; until then recovery redoes it from its log records.  An
+// abort is durable at its log force too: its compensations wait for the
+// next checkpoint, and until then recovery undoes the replaces it wrote
+// home from their logged pre-images.
 type Txn struct {
 	s        *Store
 	id       uint64
@@ -148,8 +148,9 @@ type txnObj struct {
 	prevLSN uint64
 	created bool
 	// pending is the object's deferred replace, logged at pendingLSN but
-	// not yet written home (at most one: the next operation that could
-	// read or move its pages settles it first); nil when there is none.
+	// neither written home nor in the write-behind set (at most one: the
+	// next operation that could read or move its pages settles it first);
+	// nil when there is none.
 	pending    *lob.ReplacePlan
 	pendingLSN uint64
 }
@@ -495,10 +496,11 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 //
 // Under whole-object locking the in-place write is deferred: nobody else
 // can see the object before the transaction ends, so the write waits for
-// the commit record's force (one log force per transaction) and an abort
-// simply drops it.  A write that can reach the device only behind its
-// commit record needs no undo, so the record carries what redo needs, Off
-// and Data, and no pre-image.  A later operation of the same transaction
+// the commit record's force (one log force per transaction), behind which
+// the page images enter the write-behind set, and an abort simply drops
+// it.  A write that can reach the device only behind its commit record
+// needs no undo, so the record carries what redo needs, Off and Data, and
+// no pre-image.  A later operation of the same transaction
 // that could read or move the covered pages settles the write first
 // (settleReplace), behind a record that can undo it.  Under
 // Options.RangeLocking another transaction may restructure the suffix
@@ -563,16 +565,16 @@ func (t *Txn) undoableReplace(e *catEntry, off int64, data []byte, plan *lob.Rep
 	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts}
 }
 
-// applyReplace writes to's pending replace home.  WAL rule: the record at
-// pendingLSN — one that can undo the write, or, at commit, one the commit
-// record follows — must be durable BEFORE the in-place write reaches the
-// device (data pages are write-through, so the overwrite happens inside
-// Apply, not at some later flush) — otherwise a crash could find the old
-// bytes gone from the disk while nothing durable could restore them or
-// says the transaction committed.  The force lives here, next to the
-// write, so every path to the write passes it; at commit the commit
-// record's force has already covered the LSN and this one returns without
-// I/O.  Caller holds the object's latch (shared).
+// applyReplace writes to's pending replace home ahead of its commit: a
+// settled replace, or any replace under range locking.  WAL rule: the
+// record at pendingLSN, one that can undo the write, must be durable BEFORE
+// the in-place write reaches the device (Apply writes through, so the
+// overwrite happens inside it, not at some later flush) — otherwise a crash
+// could find the old bytes gone from the disk while nothing durable could
+// restore them.  The force lives here, next to the write, so every path to
+// the write passes it.  A committed replace is not written here: its pages
+// enter the write-behind set behind the commit record's force (commitLog).
+// Caller holds the object's latch (shared).
 func (t *Txn) applyReplace(to *txnObj) error {
 	if err := t.s.log.ForceLSN(to.pendingLSN); err != nil {
 		return err
@@ -666,13 +668,13 @@ func (t *Txn) Size(name string) (int64, error) {
 // record is appended to the group-commit buffer and made durable by a
 // force covering its LSN — usually another committer's batch (the
 // piggyback case) or, with no concurrent commit traffic, a force this
-// call leads itself.  The deferred replaces are written home behind that
-// force and the deferred frees are applied.  Nothing else reaches the
-// data volume: index pages stay in the pool until eviction or a checkpoint
-// writes them, and the new descriptors reach the catalog at the next
-// checkpoint.  Until then a crash recovers the transaction by redoing its
-// log records from the older roots, which the durability quarantine keeps
-// intact.
+// call leads itself.  Behind that force the deferred replaces' page images
+// enter the write-behind set, and the deferred frees are applied.  Nothing
+// reaches the data volume: the replaced pages and index pages stay in
+// memory until the set's budget, the pool's eviction or a checkpoint writes
+// them, and the new descriptors reach the catalog at the next checkpoint.
+// Until then a crash recovers the transaction by redoing its log records
+// from the older roots, which the durability quarantine keeps intact.
 func (t *Txn) Commit() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -685,8 +687,8 @@ func (t *Txn) Commit() error {
 
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
-// in-place writes are on the device, and any checkpoint forces its pages
-// and then logs its new roots in its catalog image.
+// in-place writes wait in the write-behind set, and any checkpoint writes
+// and forces its pages and then logs its new roots in its catalog image.
 func (t *Txn) commitLog() error {
 	// The roots this commit hands the catalog go into the next checkpoint's
 	// image: the log must keep room for them before it takes the commit
@@ -712,17 +714,17 @@ func (t *Txn) commitLog() error {
 		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
 			return err
 		}
-	}
-	// The transaction is committed: write the deferred replaces home, in
-	// log order.  They need no undo, and a crash from here on redoes
-	// whichever of them the device lost.
-	for _, op := range t.journal {
-		if to := t.touched[op.entry.id]; op.plan != nil && to.pending == op.plan {
-			op.entry.latch.RLock()
-			err := t.applyReplace(to)
-			op.entry.latch.RUnlock()
-			if err != nil {
-				return err
+		// The transaction is committed: its deferred replaces' pages enter
+		// the write-behind set, which writes them home at its leisure.
+		// They need no undo, and a crash before the write redoes them from
+		// their records.  The object locks keep every other writer off the
+		// pages.
+		for _, op := range t.journal {
+			if to := t.touched[op.entry.id]; op.plan != nil && to.pending == op.plan {
+				to.pending = nil
+				if err := op.plan.Pend(); err != nil {
+					return err
+				}
 			}
 		}
 	}
