@@ -631,6 +631,71 @@ func TestCatalogFull(t *testing.T) {
 	})
 }
 
+// TestCatalogImageCliff pins where the whole-image checkpoint stops: on a
+// 64-page log, one-page objects and a checkpoint every few creates, the
+// image outgrows the log at some object count, and from there the store
+// takes no transaction either.  A crash then keeps what the last image
+// held.  A catalog whose checkpoint logs only what changed moves the cliff
+// past the loop's bound, and this test has to be turned around.
+func TestCatalogImageCliff(t *testing.T) {
+	const every = 4
+	s, vol, logVol := newJournalStore(t, 64, Options{})
+	want := map[string][]byte{}
+	var durable map[string][]byte
+	for i := 0; ; i++ {
+		if i == 2000 {
+			t.Fatal("no checkpoint failed: the image never outgrew the log")
+		}
+		name := fmt.Sprintf("obj-%04d", i)
+		o, err := s.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = pat(i, s.PageSize())
+		if err := o.Append(want[name]); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%every != 0 {
+			continue
+		}
+		err = s.Checkpoint()
+		if err == nil {
+			durable = clone(want)
+			continue
+		}
+		if !errors.Is(err, wal.ErrLogFull) {
+			t.Fatalf("checkpoint at %d objects: %v, want a wal.ErrLogFull", len(want), err)
+		}
+		t.Logf("the checkpoint at %d objects fails (the last image held %d)", len(want), len(durable))
+		break
+	}
+	if tx, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
+		if err == nil {
+			tx.Abort()
+		}
+		t.Fatalf("Begin past the cliff: %v, want a wal.ErrLogFull", err)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	s = crashReopen(t, vol, logVol)
+	for name, data := range durable {
+		o, err := s.Open(name)
+		if err != nil {
+			t.Fatalf("%s, in the last image, is gone after the crash: %v", name, err)
+		}
+		if got, err := o.Read(0, o.Size()); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s reads back wrong after the crash (err %v)", name, err)
+		}
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCatalogGrownByTransactionsStillCheckpoints: transactions that create
 // objects between checkpoints grow the image the next checkpoint logs, and
 // the log keeps room for that image as it grows, not for the one the last

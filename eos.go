@@ -19,7 +19,7 @@
 // The segment size threshold T (§4.4) bounds fragmentation from repeated
 // updates; byte and page reshuffling keep storage utilization near 100%.
 //
-// Transactions (Store.Begin) provide object and byte-range locking,
+// Transactions (Store.Begin) provide object (root) locking,
 // write-ahead logging, shadowed index pages, deferred frees (the effect
 // of Starburst's release locks), logical undo on abort, and redo recovery
 // on reopen after a crash (§4.5).
@@ -100,14 +100,6 @@ type Options struct {
 	LockTimeout time.Duration
 	// MaxRootEntries bounds the root held in each descriptor.
 	MaxRootEntries int
-	// RangeLocking selects the finer §4.5 granularity: instead of
-	// locking the object root, transactional reads lock the byte range
-	// they touch (shared), replace locks its range exclusively, and the
-	// length-changing operations — insert, delete, append — lock the
-	// suffix from their offset (every byte after it shifts).  Disjoint
-	// reads and replaces on one object then run concurrently; a short
-	// per-object latch keeps index traversals physically safe.
-	RangeLocking bool
 	// PageSize, DataPages and LogPages set the geometry of the page
 	// files CreateAt formats (defaults 512 bytes, 4096 data pages, 1024
 	// log pages).  OpenAt reads the geometry from the files instead, and
@@ -183,18 +175,13 @@ type catEntry struct {
 	// read in appendImage safe.
 	stableDesc atomic.Pointer[[]byte]
 
-	// latch serializes physical access to the object's in-memory root
-	// and index pages under range locking: structural updates write-
-	// latch, reads and in-place replaces read-latch.  Held only for the
-	// duration of one operation, never to transaction end (§3.3's
-	// short-duration lock).
+	// latch serializes physical access to the object's in-memory root,
+	// index pages and data pages between the store's callers: every
+	// operation that writes the object takes it exclusively, every read
+	// shared.  Held only for the duration of one operation, never to
+	// transaction end (§3.3's short-duration lock); the transaction's
+	// object lock is what keeps other transactions out until it ends.
 	latch sync.RWMutex
-
-	// inPlace serializes the in-place writers that share the read latch
-	// — non-transactional replaces, and transactional ones under range
-	// locking: two of them may own different bytes of one page, and each
-	// rewrites that page whole.  Held for one read-modify-write.
-	inPlace sync.Mutex
 }
 
 // setStableDesc records desc as the last committed descriptor.  Callers
@@ -203,9 +190,8 @@ type catEntry struct {
 func (e *catEntry) setStableDesc(desc []byte) { e.stableDesc.Store(&desc) }
 
 // rebind points the object's allocation at m under the write latch: a
-// transaction reading another byte range under range locking may be
-// walking the tree.  The latch ranks below Store.mu, so callers must not
-// hold s.mu.
+// non-transactional reader may be walking the tree.  The latch ranks below
+// Store.mu, so callers must not hold s.mu.
 func (e *catEntry) rebind(m *lob.Manager) {
 	e.latch.Lock()
 	e.obj.Rebind(m)
@@ -234,7 +220,7 @@ type Store struct {
 	lm       *lob.Manager
 	// pending is the write-behind set (lob.Pending): open tails' pages and
 	// committed replaces' pages not on the device yet, shared by the store's
-	// manager and every transaction's; nil under RangeLocking.
+	// manager and every transaction's.
 	pending *lob.Pending
 	log     *wal.Log
 	locks   *txn.LockTable
@@ -371,9 +357,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	if !opts.RangeLocking {
-		s.pending = lob.NewPending(vol, pool)
-	}
+	s.pending = lob.NewPending(vol, pool)
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	return s, err
 }
@@ -388,11 +372,7 @@ func (s *Store) lobConfig() lob.Config {
 		// until the epoch manager actually releases them — a published
 		// snapshot root may still name them.
 		RetainFreedPages: true,
-		// Under byte-range locking other transactions write into a tail's
-		// last page, and around each other's replaced bytes, under the
-		// shared latch, where nothing tells the object: there is no
-		// write-behind set, and every page is written through.
-		Pending: s.pending,
+		Pending:          s.pending,
 	}
 }
 
@@ -1258,13 +1238,12 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 	return o.e.obj.ReadAt(buf, off)
 }
 
-// Replace overwrites bytes in place (§4.2).  Replace never restructures
-// the index, so it shares the latch with readers.
+// Replace overwrites bytes in place (§4.2).  It leaves the index alone but
+// rewrites whole pages, the bytes around the range in its first and last
+// page included, so it takes the latch exclusively like every writer.
 func (o *Object) Replace(off int64, data []byte) error {
-	o.e.latch.RLock()
-	defer o.e.latch.RUnlock()
-	o.e.inPlace.Lock()
-	defer o.e.inPlace.Unlock()
+	o.e.latch.Lock()
+	defer o.e.latch.Unlock()
 	return o.e.obj.Replace(off, data)
 }
 

@@ -8,7 +8,6 @@
 //	rank 10  Store.mu           (store manager: catalog, txn table)
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
-//	rank 25  catEntry.inPlace   (one in-place read-modify-write under the shared latch)
 //	rank 28  Pending.mu         (the write-behind set: pending pages and their writes)
 //	rank 30  deferredAlloc.mu   (transaction deferred-free list)
 //	rank 30  Store.quarMu       (durability quarantine; a leaf)

@@ -68,7 +68,6 @@ func LockRanks() map[string]int {
 		"Store.mu":         10,
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,
-		"catEntry.inPlace": 25, // one in-place read-modify-write, under the shared latch
 		"Pending.mu":       28, // the write-behind set: pending pages and their writes
 		"deferredAlloc.mu": 30,
 		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
@@ -179,7 +178,7 @@ const (
 	// (Load/Store on a field named barrierDurable).
 	KBarrierStamp
 	// KHomeWrite writes a prepared in-place replace to its home pages
-	// ((*lob.ReplacePlan).Apply or ApplyShared), or hands a committed one
+	// ((*lob.ReplacePlan).Apply), or hands a committed one
 	// to the write-behind set, which writes it home later (Pend): the
 	// deferred forms of Object.Replace's overwrite, and like it subject to
 	// the §8.1 force-ahead rule.  Not a KMutate: the record was appended when the
@@ -386,7 +385,7 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	if ok := isBarrierStamp(call); ok {
 		return KBarrierStamp, "barrierDurable", true
 	}
-	if m, ok := eosutil.IsMethodCall(info, call, "lob", "ReplacePlan", "Apply", "ApplyShared", "Pend"); ok {
+	if m, ok := eosutil.IsMethodCall(info, call, "lob", "ReplacePlan", "Apply", "Pend"); ok {
 		return KHomeWrite, "ReplacePlan." + m, true
 	}
 	return 0, "", false

@@ -468,7 +468,7 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	}
 	mustContent(t, o, model)
 
-	// Writing through — no write-behind set, as under byte-range locking —
+	// Writing through — no write-behind set, as in the eosbench stacks —
 	// every continuation reads the partial page and writes.
 	e = newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	m, err := NewManager(e.vol, e.pool, e.bm, Config{Threshold: 4})

@@ -303,15 +303,6 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		}
 		return out
 
-	case "replace-shared":
-		// Byte-range locking (§4.5): PrepareReplace reads each piece's page
-		// run whole for the pre-image; ApplyShared then is a replace.
-		var out []floorReq
-		for _, r := range g.runs(off, n) {
-			out = append(out, g.reads([]pageRun{r})...)
-		}
-		return append(out, g.floorRequests("replace", off, n)...)
-
 	case "read-replace":
 		// A transaction's read-modify-write: the read of [keepOff,
 		// keepOff+keepN) is §4.2's; the replace that follows needs the whole
@@ -395,12 +386,6 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 	case "replace":
 		err = o.Replace(off, data)
 		copy(model[off:], data)
-	case "replace-shared":
-		var plan *ReplacePlan
-		if plan, err = o.PrepareReplace(off, data, nil); err == nil {
-			err = plan.ApplyShared()
-		}
-		copy(model[off:], data)
 	case "read-replace":
 		var kept PageImages
 		var got []byte
@@ -436,7 +421,7 @@ type floorRow struct {
 	name   string
 	segs   []int64 // layout: bytes per segment, each laid down by one sized append
 	t      int     // segment size threshold T, pages
-	op     string  // read, append, append-plain, replace, replace-shared, read-replace, insert, delete
+	op     string  // read, append, append-plain, replace, read-replace, insert, delete
 	off, n int64
 	want   ioCount
 }
@@ -491,7 +476,6 @@ var floorTable = []floorRow{
 	{"replace 17 pages: interior = bridge + 1", []int64{6400}, 1, "replace", 350, 1600, ioCount{2, 2, 1, 17, 3}},
 	{"replace 40 pages", []int64{6400}, 1, "replace", 350, 3900, ioCount{2, 2, 1, 40, 3}},
 	{"replace crossing two segments", []int64{800, 330, 800}, 1, "replace", 750, 200, ioCount{2, 2, 2, 3, 4}},
-	{"range-locked replace, 5 pages", []int64{6400}, 1, "replace-shared", 350, 400, ioCount{2, 10, 1, 5, 3}},
 
 	// §4.3.1 insert: one read of S, one write of N.
 	{"insert mid-page, T=1", []int64{6400}, 1, "insert", 3250, 120, ioCount{1, 1, 1, 2, 2}},

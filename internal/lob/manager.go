@@ -63,10 +63,8 @@ type Config struct {
 	// Pending is the write-behind set plain Appends leave their open tails'
 	// pages in, and committed replaces their pages (pending.go); managers
 	// over one volume share one.  nil: every page is written at once, and
-	// an append reads the partial last page of an open tail back — for
-	// when writers that share the object latch (in-place replaces under
-	// byte-range locking) may change those pages without the object
-	// noticing.
+	// an append reads the partial last page of an open tail back — the
+	// write-through stacks eosbench compares and perf's lob-layer probe.
 	Pending *Pending
 }
 

@@ -12,7 +12,7 @@ import (
 // object's segment size threshold, and append growth bookkeeping.
 //
 // An Object is not safe for concurrent use; EOS locks at the object root
-// (or byte-range) granularity above this layer (§4.5).
+// granularity above this layer (§4.5).
 type Object struct {
 	m    *Manager
 	root *node // eos:guardedby catEntry.latch -- the caller's per-object latch

@@ -295,21 +295,6 @@ func (p *ReplacePlan) Pend() error {
 	return nil
 }
 
-// ApplyShared is Apply for a caller that owns only the replaced range
-// (byte-range locking): another writer may since have changed the bytes
-// around it in its boundary pages, so those pages are read again and only
-// the new bytes laid over them.  The caller serializes the in-place
-// writers of one object for the duration.
-func (p *ReplacePlan) ApplyShared() error {
-	m := p.begin()
-	for _, run := range p.runs {
-		if err := m.replaceInSegment(entry{ptr: run.start}, run.in, run.raw[run.in:run.in+run.n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // begin marks the plan applied and counts the replace.
 func (p *ReplacePlan) begin() *Manager {
 	p.applied = true

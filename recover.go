@@ -38,8 +38,8 @@ import (
 //     be durable only for a committed transaction, and its record carries
 //     no pre-image; a crash before the write leaves a committed record redo
 //     applies.  A replace written before its commit
-//     record — settled ahead of a later operation of its transaction, or
-//     under range locking — is written behind a record that carries its
+//     record — settled ahead of a later operation of its transaction — is
+//     written behind a record that carries its
 //     pre-image and physical extents.  An uncommitted
 //     replace a checkpoint made durable belongs to a transaction that is
 //     still in flight at the crash — its locks never released, its logged

@@ -31,9 +31,6 @@ func TestSoakCrashRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			soakRun(t, seed, Options{Threshold: 4})
 		})
-		t.Run(fmt.Sprintf("seed%d-rangelock", seed), func(t *testing.T) {
-			soakRun(t, seed, Options{Threshold: 4, RangeLocking: true})
-		})
 	}
 }
 

@@ -130,9 +130,7 @@ type Txn struct {
 // cannot: the Read's object lock is held to the end.  This transaction's
 // own writes clear the slot: every operation but Replace forgets it on
 // entry (begin), settleReplace forgets it when it writes a deferred
-// replace home, and Replace forgets it whether or not it used it.  Under
-// Options.RangeLocking a read lock covers bytes, not the pages around
-// them, so nothing is kept.
+// replace home, and Replace forgets it whether or not it used it.
 type keptRead struct {
 	entry *catEntry
 	imgs  lob.PageImages
@@ -147,12 +145,11 @@ type txnObj struct {
 	entry   *catEntry
 	prevLSN uint64
 	created bool
-	// pending is the object's deferred replace, logged at pendingLSN but
-	// neither written home nor in the write-behind set (at most one: the
-	// next operation that could read or move its pages settles it first);
-	// nil when there is none.
-	pending    *lob.ReplacePlan
-	pendingLSN uint64
+	// pending is the object's deferred replace, logged but neither written
+	// home nor in the write-behind set (at most one: the next operation that
+	// could read or move its pages settles it first); nil when there is
+	// none.
+	pending *lob.ReplacePlan
 }
 
 // Begin starts a transaction.  It is live before it logs anything: a
@@ -205,67 +202,27 @@ func (t *Txn) begin() error {
 	return t.check()
 }
 
-// lockKind classifies an operation for lock granularity purposes.
-type lockKind int
-
-const (
-	lockRead       lockKind = iota // shared on the touched range
-	lockReplace                    // exclusive on the touched range
-	lockStructural                 // exclusive on the suffix from off
-)
-
-// touch acquires the transaction-duration lock for an operation on the
-// named object and, for operations that restructure the object, reroutes
-// its allocation through the transaction's deferred allocator.
-//
-// With whole-object locking (the default) every access locks the root.
-// With Options.RangeLocking, reads share their byte range, replaces
-// exclude theirs, and the length-changing operations exclude [off, ∞) —
-// every byte after the operation's offset shifts, so the suffix is
-// exactly the range affected (§4.5).
-func (t *Txn) touch(name string, kind lockKind, off, n int64) (*catEntry, error) {
+// touch acquires the transaction-duration lock on the named object's root
+// (§4.5: "locking the root of the large object") — shared for a read,
+// exclusive for anything that writes — and, for a writer, reroutes the
+// object's allocation through the transaction's deferred allocator.
+func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	t.s.mu.Lock()
 	e, ok := t.s.catalog[name]
 	t.s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	var err error
-	if t.s.opts.RangeLocking {
-		hi := off + n
-		if hi <= off {
-			hi = off + 1
-		}
-		switch kind {
-		case lockRead:
-			err = t.s.locks.LockRange(t.id, e.id, txn.Shared, off, hi)
-		case lockReplace:
-			err = t.s.locks.LockRange(t.id, e.id, txn.Exclusive, off, hi)
-		case lockStructural:
-			err = t.s.locks.LockRange(t.id, e.id, txn.Exclusive, off, txn.MaxRange)
-		}
-	} else {
-		mode := txn.Exclusive
-		if kind == lockRead {
-			mode = txn.Shared
-		}
-		err = t.s.locks.LockObject(t.id, e.id, mode)
-	}
-	if err != nil {
+	if err := t.s.locks.LockObject(t.id, e.id, mode); err != nil {
 		return nil, err
 	}
-	if kind == lockRead {
+	if mode == txn.Shared {
 		return e, nil
 	}
-	// Under range locking only structural operations restructure the
-	// tree (replace allocates nothing and leaves the descriptor alone).
-	needsRebind := kind == lockStructural || !t.s.opts.RangeLocking
 	if _, seen := t.touched[e.id]; !seen {
 		t.touched[e.id] = &txnObj{entry: e, prevLSN: e.obj.LSN()}
-		if needsRebind {
-			t.markDirty(e)
-		}
-	} else if needsRebind && e.txnDirty != t.id {
+	}
+	if e.txnDirty != t.id {
 		t.markDirty(e)
 	}
 	return e, nil
@@ -334,7 +291,7 @@ func (t *Txn) Destroy(name string) error {
 	if err := t.begin(); err != nil {
 		return err
 	}
-	e, err := t.touch(name, lockStructural, 0, 0)
+	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -368,13 +325,7 @@ func (t *Txn) Append(name string, data []byte) error {
 	if err := t.begin(); err != nil {
 		return err
 	}
-	t.s.mu.Lock()
-	var curSize int64
-	if e, ok := t.s.catalog[name]; ok {
-		curSize = e.obj.Size()
-	}
-	t.s.mu.Unlock()
-	e, err := t.touch(name, lockStructural, curSize, 0)
+	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -412,7 +363,7 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	if err := t.begin(); err != nil {
 		return err
 	}
-	e, err := t.touch(name, lockStructural, off, 0)
+	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -441,7 +392,7 @@ func (t *Txn) Delete(name string, off, n int64) error {
 	if err := t.begin(); err != nil {
 		return err
 	}
-	e, err := t.touch(name, lockStructural, off, 0)
+	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -494,28 +445,21 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 // Replace overwrites bytes of the named object in place; the operation is
 // logged (§4.5: replace is the logged update, the other three shadow).
 //
-// Under whole-object locking the in-place write is deferred: nobody else
-// can see the object before the transaction ends, so the write waits for
-// the commit record's force (one log force per transaction), behind which
-// the page images enter the write-behind set, and an abort simply drops
-// it.  A write that can reach the device only behind its commit record
-// needs no undo, so the record carries what redo needs, Off and Data, and
-// no pre-image.  A later operation of the same transaction
-// that could read or move the covered pages settles the write first
-// (settleReplace), behind a record that can undo it.  Under
-// Options.RangeLocking another transaction may restructure the suffix
-// behind this range as soon as the latch drops, which would leave the
-// plan's page images stale, so there the write stays immediate and the
-// record carries the pre-image and its physical extents: the write may
-// reach the disk before a commit, through this call or a checkpoint's
-// force, and stay there when a crash loses an abort's compensation, so
-// recovery must be able to physically undo it.
+// The in-place write is deferred: no other transaction can see the object
+// before this one ends, so the write waits for the commit record's force
+// (one log force per transaction), behind which the page images enter the
+// write-behind set, and an abort simply drops it.  A write that can reach
+// the device only behind its commit record needs no undo, so the record
+// carries what redo needs, Off and Data, and no pre-image.  A later
+// operation of the same transaction that could read or move the covered
+// pages settles the write first (settleReplace), behind a record that can
+// undo it.
 func (t *Txn) Replace(name string, off int64, data []byte) error {
 	defer func() { t.kept = keptRead{} }() // used below or not, it does not outlive this call
 	if err := t.check(); err != nil {
 		return err
 	}
-	e, err := t.touch(name, lockReplace, off, int64(len(data)))
+	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -533,29 +477,22 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 		return err
 	}
 	t.s.replaceReadsSaved.Add(int64(plan.ReadsSaved()))
-	rec := &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data}
-	if t.s.opts.RangeLocking {
-		rec = t.undoableReplace(e, off, data, plan)
-	}
-	lsn, err := t.s.log.Append(rec)
+	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data})
 	if err != nil {
 		return err
 	}
 	to := t.touched[e.id]
-	to.pending, to.pendingLSN = plan, lsn
+	to.pending = plan
 	e.obj.SetLSN(lsn)
 	t.journal = append(t.journal, txnOp{typ: wal.RecReplace, entry: e, off: off, n: int64(len(data)), plan: plan})
-	if t.s.opts.RangeLocking {
-		return t.applyReplace(to)
-	}
 	t.s.deferredReplaces.Add(1)
 	return nil
 }
 
 // undoableReplace is the replace record for plan's write of data at off
-// when the write may reach the device before its transaction's commit
-// record: beside Off and Data it carries the pre-image and the physical
-// extents the undo pass puts it back at.
+// when the write reaches the device before its transaction's commit record
+// (settleReplace): beside Off and Data it carries the pre-image and the
+// physical extents the undo pass puts it back at.
 func (t *Txn) undoableReplace(e *catEntry, off int64, data []byte, plan *lob.ReplacePlan) *wal.Record {
 	exts := plan.Extents()
 	wexts := make([]wal.Extent, len(exts))
@@ -565,40 +502,19 @@ func (t *Txn) undoableReplace(e *catEntry, off int64, data []byte, plan *lob.Rep
 	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts}
 }
 
-// applyReplace writes to's pending replace home ahead of its commit: a
-// settled replace, or any replace under range locking.  WAL rule: the
-// record at pendingLSN, one that can undo the write, must be durable BEFORE
-// the in-place write reaches the device (Apply writes through, so the
-// overwrite happens inside it, not at some later flush) — otherwise a crash
-// could find the old bytes gone from the disk while nothing durable could
-// restore them.  The force lives here, next to the write, so every path to
-// the write passes it.  A committed replace is not written here: its pages
-// enter the write-behind set behind the commit record's force (commitLog).
-// Caller holds the object's latch (shared).
-func (t *Txn) applyReplace(to *txnObj) error {
-	if err := t.s.log.ForceLSN(to.pendingLSN); err != nil {
-		return err
-	}
-	plan := to.pending
-	to.pending = nil
-	if t.s.opts.RangeLocking {
-		// Other transactions may own the bytes around this range in its
-		// boundary pages, and share the latch.
-		to.entry.inPlace.Lock()
-		defer to.entry.inPlace.Unlock()
-		return plan.ApplyShared()
-	}
-	return plan.Apply()
-}
-
 // settleReplace writes e's deferred replace home, if it has one, ahead of
 // an operation of this transaction that could read or move the pages it
 // covers.  The write now precedes the commit record, so it goes behind a
 // record that can undo it: the replace is logged again, pre-image and
-// extents included.  Redo of a committed transaction applies both
-// records; they write the same bytes at the same offset, and nothing
-// logged between them moves those bytes (any operation that could settles
-// first).
+// extents included.  WAL rule: that record must be durable BEFORE the
+// in-place write reaches the device (Apply writes through, so the overwrite
+// happens inside it, not at some later flush) — otherwise a crash could find
+// the old bytes gone from the disk while nothing durable could restore them.
+// Redo of a committed transaction applies both records; they write the same
+// bytes at the same offset, and nothing logged between them moves those
+// bytes (any operation that could settles first).  A committed replace is
+// not written here: its pages enter the write-behind set behind the commit
+// record's force (commitLog).
 func (t *Txn) settleReplace(e *catEntry) error {
 	to := t.touched[e.id]
 	if to == nil || to.pending == nil {
@@ -606,21 +522,24 @@ func (t *Txn) settleReplace(e *catEntry) error {
 	}
 	t.s.earlyReplaceApplies.Add(1)
 	t.kept = keptRead{} // the write below changes pages it may hold
-	e.latch.RLock()
-	defer e.latch.RUnlock()
+	e.latch.Lock()
+	defer e.latch.Unlock()
 	// The caller's buffer is gone; the plan still holds the bytes.
 	plan := to.pending
 	lsn, err := t.s.log.Append(t.undoableReplace(e, plan.Off(), plan.New(), plan))
 	if err != nil {
 		return err
 	}
-	to.pendingLSN = lsn
 	e.obj.SetLSN(lsn)
-	return t.applyReplace(to)
+	if err := t.s.log.ForceLSN(lsn); err != nil {
+		return err
+	}
+	to.pending = nil
+	return plan.Apply()
 }
 
 // Read returns n bytes at byte off of the named object under a shared
-// lock (whole-object by default, byte-range with Options.RangeLocking).
+// lock on the object.
 //
 // The page runs a read of at most keptReadMaxPages pages transferred stay
 // with the transaction until its next operation: a Replace of the same
@@ -629,7 +548,7 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	if err := t.begin(); err != nil {
 		return nil, err
 	}
-	e, err := t.touch(name, lockRead, off, n)
+	e, err := t.touch(name, txn.Shared)
 	if err != nil {
 		return nil, err
 	}
@@ -638,9 +557,6 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	}
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	if t.s.opts.RangeLocking {
-		return e.obj.Read(off, n)
-	}
 	data, err := e.obj.ReadKeeping(off, n, &t.kept.imgs)
 	if err == nil && t.kept.imgs.Pages(t.s.vol.PageSize()) <= keptReadMaxPages {
 		t.kept.entry = e
@@ -810,9 +726,9 @@ func (t *Txn) publishTouched() {
 // before it leaves recovery to undo the replaces written home from their
 // logged pre-images.
 //
-// Each compensation runs under the object's write latch, which a reader
-// of another byte range under range locking shares; the latch is dropped
-// before the catalog edits under Store.mu, which ranks above it.
+// Each compensation runs under the object's write latch, which a
+// non-transactional reader shares; the latch is dropped before the catalog
+// edits under Store.mu, which ranks above it.
 //
 //eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and the undo pass re-derives the compensation of a replace from that record, so the forward records provide write-ahead coverage
 func (t *Txn) Abort() error {

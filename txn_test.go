@@ -227,35 +227,6 @@ func TestDeferredReplaceOneLogForce(t *testing.T) {
 	}
 }
 
-// TestRangeLockingReplaceStaysImmediate: with byte-range locks another
-// transaction may restructure the object behind the replaced range, so
-// the replace forces its pre-image and writes home before it returns.
-func TestRangeLockingReplaceStaysImmediate(t *testing.T) {
-	s, vol, _, base := replaceStore(t, Options{RangeLocking: true})
-	writes, forces := vol.Stats().Writes, s.Stats().WAL.LeaderForces
-	tx, _ := s.Begin()
-	repl := pat(48, 700)
-	if err := tx.Replace("x", 300, repl); err != nil {
-		t.Fatal(err)
-	}
-	if vol.Stats().Writes == writes {
-		t.Fatal("replace under range locking did not write home")
-	}
-	if got := s.Stats().WAL.LeaderForces - forces; got != 1 {
-		t.Fatalf("%d leader forces before the home write, want 1", got)
-	}
-	if st := s.Stats(); st.DeferredReplaces != 0 || st.EarlyReplaceApplies != 0 {
-		t.Fatalf("%d deferred, %d early applies under range locking; want 0, 0", st.DeferredReplaces, st.EarlyReplaceApplies)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	copy(base[300:], repl)
-	if !bytes.Equal(readObject(t, s, "x"), base) {
-		t.Fatal("committed content wrong")
-	}
-}
-
 // TestCommitPathCounters covers the counters that make the commit path's
 // savings visible: a replace right behind a read of its bytes plans on the
 // read's page images, a replace that waits for the commit force counts as
@@ -733,29 +704,9 @@ func TestReplaceReadReplace(t *testing.T) {
 	}
 }
 
-// TestKeptReadLimits: byte-range locks cover bytes, not the pages around
-// them, so under Options.RangeLocking a read keeps nothing; a read of more
-// than keptReadMaxPages pages is not held on to; a read across three
-// segments is kept like any other.
+// TestKeptReadLimits: a read of more than keptReadMaxPages pages is not
+// held on to; a read across three segments is kept like any other.
 func TestKeptReadLimits(t *testing.T) {
-	t.Run("range locking", func(t *testing.T) {
-		s, vol, _, model, _ := handoffStore(t, Options{RangeLocking: true})
-		tx, _ := s.Begin()
-		if _, err := tx.Read("m", 4600, 1800); err != nil {
-			t.Fatal(err)
-		}
-		repl := pat(97, 1800)
-		if reads, saved := replaceCost(t, s, vol, tx, "m", 4600, repl); reads < 2 || saved != 0 {
-			t.Fatalf("%d data reads, %d runs taken; want at least 2, and 0", reads, saved)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		copy(model[4600:], repl)
-		if !bytes.Equal(readObject(t, s, "m"), model) {
-			t.Fatal("committed content wrong")
-		}
-	})
 	t.Run("three segments", func(t *testing.T) {
 		s, vol, _, model, _ := handoffStore(t, Options{})
 		tx, _ := s.Begin()
@@ -1043,37 +994,6 @@ func TestCheckpointDropsTailImages(t *testing.T) {
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRangeLockingKeepsNoTailImage: under byte-range locking another
-// transaction may replace bytes of the tail's last page while sharing the
-// latch, so the continuation reads the page it rewrites.
-func TestRangeLockingKeepsNoTailImage(t *testing.T) {
-	s, vol, _, model := openTailStore(t, Options{RangeLocking: true})
-	other, _ := s.Begin()
-	repl := pat(75, 50)
-	if err := other.Replace("x", 6600, repl); err != nil { // the partial last page
-		t.Fatal(err)
-	}
-	tx, _ := s.Begin()
-	more := pat(76, 100)
-	r0 := vol.Stats().Reads
-	if err := tx.Append("x", more); err != nil {
-		t.Fatal(err)
-	}
-	if got := vol.Stats().Reads - r0; got != 1 {
-		t.Fatalf("the append read %d times, want 1", got)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	copy(model[6600:], repl)
-	if !bytes.Equal(readObject(t, s, "x"), append(model, more...)) {
-		t.Fatal("content wrong")
 	}
 }
 
