@@ -20,9 +20,10 @@ import (
 //
 // A barrier must make the roots that CHANGED durable behind their data
 // (§4.5), not every root.  Commits and aborts are no barriers: each is
-// durable at its log force, and recovery redoes a commit, or undoes an
-// abort's replaces, from the log until a checkpoint has persisted the
-// roots that followed it.  The checkpoint is the catalog's only writer.
+// durable at its log force, and recovery redoes a commit from the log
+// until a checkpoint has persisted the roots that followed it (an abort
+// leaves the roots from before its transaction, which recovery finds
+// intact).  The checkpoint is the catalog's only writer.
 //
 // It appends the full image — every committed descriptor — to the log as
 // one RecCheckpoint record, forces it, and then points the MASTER RECORD at
@@ -30,11 +31,8 @@ import (
 // number and a CRC, written alternately, so that the copy being written is
 // never the one recovery would otherwise load.  A master copy names the
 // image's LSN, the LSN recovery's scan starts from (the image, or the
-// first record of a transaction live at the checkpoint), the log position
-// the checkpoint took right after its log force and before its data force
-// (an abort record at or below it belongs to a rollback that force made
-// durable, so recovery leaves that transaction's replaces alone), nextID
-// and the geometry.  Recovery loads the valid copy with the higher seq.
+// first record of a transaction live at the checkpoint), nextID and the
+// geometry.  Recovery loads the valid copy with the higher seq.
 //
 // A power cut preserves an arbitrary subset of outstanding page writes;
 // every crash state stays loadable because each step waits for the one
@@ -47,13 +45,13 @@ import (
 //
 // Master copy layout: magic u32, version u8, 3 reserved bytes, seq u64,
 // spaces u32, space capacity u32, nextID u64, start LSN u64, image LSN
-// u64, stamp u64, crc u32 over everything before it.  Image layout:
+// u64, crc u32 over everything before it.  Image layout:
 // entries u32, then per entry id u64, nameLen u16, descLen u32, name,
 // descriptor bytes, in id order.
 
 const (
 	masterPages = 2  // the two master copies: data pages 0 and 1
-	masterCRC   = 56 // the master copy's CRC, over the bytes in front of it
+	masterCRC   = 48 // the master copy's CRC, over the bytes in front of it
 	catCount    = 4  // the image's entry count
 	catEntHdr   = 8 + 2 + 4
 )
@@ -61,7 +59,7 @@ const (
 // master is one copy of the master record.
 type master struct {
 	seq, nextID           uint64
-	start, image, stamp   uint64
+	start, image          uint64
 	spaces, spaceCapacity int
 }
 
@@ -75,7 +73,6 @@ func (m master) encode(pageSize int) []byte {
 	binary.BigEndian.PutUint64(b[24:], m.nextID)
 	binary.BigEndian.PutUint64(b[32:], m.start)
 	binary.BigEndian.PutUint64(b[40:], m.image)
-	binary.BigEndian.PutUint64(b[48:], m.stamp)
 	binary.BigEndian.PutUint32(b[masterCRC:], crc32.ChecksumIEEE(b[:masterCRC]))
 	return b
 }
@@ -109,7 +106,6 @@ func readMaster(vol disk.Device) (master, error) {
 			nextID:        binary.BigEndian.Uint64(b[24:]),
 			start:         binary.BigEndian.Uint64(b[32:]),
 			image:         binary.BigEndian.Uint64(b[40:]),
-			stamp:         binary.BigEndian.Uint64(b[48:]),
 		}
 		if !found || m.seq > best.seq {
 			best, found = m, true

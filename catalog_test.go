@@ -229,7 +229,7 @@ func TestCatalogImageReplaysAcrossReopen(t *testing.T) {
 			t.Errorf("round %d: %d master writes, want 1", i, got)
 		}
 		image := after.Barrier.ImageBytes - before.Barrier.ImageBytes
-		pages := (image + 511 + 59) / 512 // the record's header, then padding to the page
+		pages := (image + 511 + 53) / 512 // the record's header, then padding to the page
 		writes, forces := logAfter.Writes-logBefore.Writes, after.WAL.LeaderForces-before.WAL.LeaderForces
 		if writes != 1 || forces != 1 || logAfter.PagesWritten-logBefore.PagesWritten != pages {
 			t.Errorf("round %d: the checkpoint wrote %d pages in %d log writes and %d forces, want the %d-byte image's %d pages in one of each",
@@ -537,10 +537,11 @@ func TestCatalogDurableRecordPagesNeverRewritten(t *testing.T) {
 // TestOpenRejectsOldFormatVersion: a store of an earlier format
 // generation is refused by name, not misread and not called corrupt.
 func TestOpenRejectsOldFormatVersion(t *testing.T) {
-	// v5 kept its catalog in slots this build no longer reads, v4 logs may
-	// hold catalog records, and v3 slot records carry no stamp: all must be
-	// refused, not misread.
-	for _, old := range []byte{storeVersion - 3, storeVersion - 2, storeVersion - 1} {
+	// v6 logs may hold replace records with pre-images and its master copy
+	// a stamp, v5 kept its catalog in slots this build no longer reads, v4
+	// logs may hold catalog records, and v3 slot records carry no stamp: all
+	// must be refused, not misread.
+	for _, old := range []byte{storeVersion - 4, storeVersion - 3, storeVersion - 2, storeVersion - 1} {
 		s, vol, logVol := newJournalStore(t, 1024, Options{})
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

@@ -249,10 +249,10 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 			s.PageSize(), len(s.List()), free, s.LogTail(), st.WAL.PadBytes)
 		b := st.Barrier
 		r := st.Recovery
-		fmt.Printf("checkpoints: %d master writes, %d bytes of catalog image logged; open redid %d operations, undid %d aborts\n",
-			b.MasterWrites, b.ImageBytes, r.Redone, r.UndoneAborts)
-		fmt.Printf("replaces: %d deferred to a later log force, %d of them applied early, %d page runs taken from the read before\n",
-			st.DeferredReplaces, st.EarlyReplaceApplies, st.ReplaceReadsSaved)
+		fmt.Printf("checkpoints: %d master writes, %d bytes of catalog image logged; open redid %d operations\n",
+			b.MasterWrites, b.ImageBytes, r.Redone)
+		fmt.Printf("replaces: %d deferred to their commit, %d page runs taken from the read before\n",
+			st.DeferredReplaces, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
 		l := st.LOB

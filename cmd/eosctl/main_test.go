@@ -100,7 +100,7 @@ func testCtlEndToEnd(t *testing.T) {
 		t.Errorf("stat: %q", out)
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
-		!strings.Contains(out, "undid 0 aborts") || !strings.Contains(out, "applied early") ||
+		!strings.Contains(out, "redid 0 operations\n") || !strings.Contains(out, "deferred to their commit") ||
 		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "write-behind: 0 pages pending") ||
 		!strings.Contains(out, "replaced pages:") {
 		t.Errorf("store stat: %q", out)

@@ -170,7 +170,7 @@ func TestCommitFloor(t *testing.T) {
 	recBytes := st.WAL.FlushedBytes - st0.WAL.FlushedBytes
 	// Begin, replace, append, commit: four headers and the bytes redo
 	// needs.  The replace is written home behind the commit record, so its
-	// record carries no pre-image and no extents.  A header is measured as
+	// record carries no pre-image.  A header is measured as
 	// the begin record of a transaction that logs nothing else; its abort
 	// forces nothing.
 	tail := s.LogTail()

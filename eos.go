@@ -60,7 +60,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 6 // v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 7 // v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding
@@ -150,9 +150,8 @@ func (o Options) withDefaults(vol disk.Device) (Options, error) {
 // catEntry is one live catalog entry.  While a transaction has the
 // object dirty, catalog images use the last committed descriptor
 // (stableDesc) so that uncommitted structural state never becomes
-// durable; uncommitted in-place replaces can still reach the disk when a
-// checkpoint forces the volume, which is why replace records log their
-// physical extents for recovery-time undo.
+// durable; uncommitted replaces never reach the disk at all (they wait in
+// the transaction's held set until its commit record is forced).
 type catEntry struct {
 	id       uint64
 	name     string
@@ -261,9 +260,8 @@ type Store struct {
 	recovered RecoveryStats
 
 	// Deferred-replace counters (see Stats).
-	deferredReplaces    atomic.Int64
-	earlyReplaceApplies atomic.Int64
-	replaceReadsSaved   atomic.Int64
+	deferredReplaces  atomic.Int64
+	replaceReadsSaved atomic.Int64
 
 	// quarMu guards quar, the durability quarantine (never acquired while
 	// holding another store lock's critical section beyond s.mu; a run
@@ -772,24 +770,12 @@ func (s *Store) checkpointLocked() error {
 	if err := s.epochs.Drain(); err != nil {
 		return err
 	}
-	// 1. WAL-first: the data force below may make live transactions'
-	// in-place writes durable, so the records recovery needs to undo them —
-	// their pre-images — must reach the log device first.
-	if err := s.log.Force(); err != nil {
-		return err
-	}
-	// The barrier starts here, before the data force, and so does the log
-	// position its master copy will carry.  An abort appends its record
-	// outside Store.mu but after the Store.mu section that follows its
-	// compensations, so a record at or below the stamp belongs to a
-	// rollback the force below covers: recovery must not undo that
-	// transaction's replaces, whose bytes a later commit may have written
-	// again.  A record appended from here on lies above the stamp; the
-	// abort's frees enter the quarantine behind it, so the barrier that
-	// lets them out starts, and takes its stamp, later still.
+	// The barrier starts here, before the data force: frees that enter the
+	// quarantine from now on wait for the next one.
 	barrier := s.barrierStarted.Add(1)
-	stamp := s.log.Tail()
-	// 2. Data: the image names no page the device does not hold.  A crash
+	// 1. Data: the image names no page the device does not hold.  Nothing
+	// it writes needs a log record forced first: no transaction writes a
+	// page a committed root names before its commit record is durable.  A crash
 	// from here on recovers from the previous master copy by replaying the
 	// intact log; the object roots carry their true LSNs, so redo of an
 	// already-durable update is skipped by the idempotence guard rather
@@ -809,7 +795,7 @@ func (s *Store) checkpointLocked() error {
 	if err := s.vol.ForceAll(); err != nil {
 		return err
 	}
-	// 3. The image, forced.  An image the log has no room for fails here,
+	// 2. The image, forced.  An image the log has no room for fails here,
 	// with nothing named: the store stays usable, and the previous master
 	// copy still names an image the log holds.
 	image, err := s.appendImage()
@@ -819,15 +805,15 @@ func (s *Store) checkpointLocked() error {
 	if err := s.log.ForceLSN(image); err != nil {
 		return err
 	}
-	// 4. The master copy, over the older one, forced.  Recovery's scan
+	// 3. The master copy, over the older one, forced.  Recovery's scan
 	// starts at the image, or at the first record of a transaction still
-	// live — it may commit, and it may need its replaces undone.  Its
-	// first LSN is a lower bound taken before it logged anything.
+	// live — it may commit.  Its first LSN is a lower bound taken before it
+	// logged anything.
 	start := image
 	for _, t := range s.liveTxns {
 		start = min(start, t.firstLSN)
 	}
-	m := master{seq: s.masterSeq + 1, nextID: s.nextID, start: start, image: image, stamp: stamp,
+	m := master{seq: s.masterSeq + 1, nextID: s.nextID, start: start, image: image,
 		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
 	if err := s.writeMaster(m); err != nil {
 		return err
@@ -837,7 +823,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	s.masterSeq = m.seq
 	s.barrierDurable.Store(barrier)
-	// 5. Only now may the log go round over what lies in front of the new
+	// 4. Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
 	// it reach the quarantined pages.
 	s.log.Truncate(start)
@@ -983,9 +969,6 @@ type BarrierStats struct {
 
 // RecoveryStats describes what recovery did when Open built the Store.
 type RecoveryStats struct {
-	// UndoneAborts counts the aborted transactions whose replace recovery
-	// undid: a crash lost the compensation, which no checkpoint had forced.
-	UndoneAborts int64
 	// Redone counts the committed operations redo re-executed: those
 	// whose effect the recovered catalog's roots did not show.
 	Redone int64
@@ -1004,12 +987,9 @@ type Stats struct {
 	// Recovery is what the Open that built the Store recovered (zero after
 	// Format).
 	Recovery RecoveryStats
-	// DeferredReplaces counts transactional replaces whose in-place write
-	// waited for a later log force; EarlyReplaceApplies counts those of
-	// them a later operation of the same transaction on the same object
-	// made pay a force of their own after all.
-	DeferredReplaces    int64
-	EarlyReplaceApplies int64
+	// DeferredReplaces counts transactional replaces, whose in-place write
+	// waits for their transaction's commit record to be forced.
+	DeferredReplaces int64
 	// ReplaceReadsSaved counts the page runs transactional replaces took
 	// from the images their transaction's preceding Read had transferred,
 	// instead of reading them from the device again.
@@ -1037,10 +1017,9 @@ func (s *Store) Stats() Stats {
 			ImageBytes:   s.imageBytes.Load(),
 			MasterWrites: s.masterWrites.Load(),
 		},
-		Recovery:            s.recovered,
-		DeferredReplaces:    s.deferredReplaces.Load(),
-		EarlyReplaceApplies: s.earlyReplaceApplies.Load(),
-		ReplaceReadsSaved:   s.replaceReadsSaved.Load(),
+		Recovery:          s.recovered,
+		DeferredReplaces:  s.deferredReplaces.Load(),
+		ReplaceReadsSaved: s.replaceReadsSaved.Load(),
 		Snap: SnapshotStats{
 			SnapshotReads:  lobStats.SnapshotReads,
 			EpochAdvances:  s.epochs.Advances(),

@@ -9,13 +9,12 @@
 // sweep.  Four contracts are checked:
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
-//     (lob Object.Replace, ReplacePlan.Apply for a replace whose write was
-//     deferred, or ReplacePlan.Pend, a committed replace's entry into the
-//     write-behind set, which may write it home at any time after) is
-//     dominated by a WAL force of the record that covers the write — one
-//     carrying its pre-image, or its transaction's commit record — which
-//     must be durable before the write can be the only copy of the old
-//     bytes.
+//     (lob Object.Replace, or Manager.PendHeld, a committed transaction's
+//     held replaced pages entering the write-behind set, which may write
+//     them home at any time after) is dominated by a WAL force of the
+//     record that covers the write — its transaction's commit record —
+//     which must be durable before the write can be the only copy of the
+//     old bytes.
 //  2. Two-phase checkpoint: the catalog image's append to the log and
 //     the master record's write ((*Store).appendImage / writeMaster) are
 //     dominated by a device force of the data pages they index, and the
@@ -111,7 +110,7 @@ const (
 
 // Dominance-rule indices.
 const (
-	rReplace = iota // force-ahead: WAL force before Object.Replace / ReplacePlan.Apply / ReplacePlan.Pend
+	rReplace = iota // force-ahead: WAL force before Object.Replace / Manager.PendHeld
 	rMeta           // two-phase checkpoint: device force before meta write
 	rMaster         // two-phase checkpoint: WAL force of the image before the master write
 	rFree           // quarantine: barrier stamp before Manager.Free

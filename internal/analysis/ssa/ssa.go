@@ -177,13 +177,12 @@ const (
 	// KBarrierStamp reads or publishes the quarantine barrier stamp
 	// (Load/Store on a field named barrierDurable).
 	KBarrierStamp
-	// KHomeWrite writes a prepared in-place replace to its home pages
-	// ((*lob.ReplacePlan).Apply), or hands a committed one
-	// to the write-behind set, which writes it home later (Pend): the
-	// deferred forms of Object.Replace's overwrite, and like it subject to
-	// the §8.1 force-ahead rule.  Not a KMutate: the record was appended when the
-	// plan was prepared, in an earlier call, so log-before-mutate is not
-	// checkable at the write.
+	// KHomeWrite hands a committed transaction's held replaced pages to the
+	// write-behind set, which writes them home later
+	// ((*lob.Manager).PendHeld): the deferred form of Object.Replace's
+	// overwrite, and like it subject to the §8.1 force-ahead rule.  Not a
+	// KMutate: the records were appended when the replaces were prepared,
+	// in earlier calls, so log-before-mutate is not checkable at the write.
 	KHomeWrite
 )
 
@@ -212,7 +211,7 @@ type Instr struct {
 
 	// KMutate: the "Object.Method" label for diagnostics.  Also set for
 	// KMetaWrite ("Store.writeMaster"), KDevForce ("Volume.ForceAll") and
-	// KHomeWrite ("ReplacePlan.Apply") so the forcedom pass can name the
+	// KHomeWrite ("Manager.PendHeld") so the forcedom pass can name the
 	// event without re-resolving.
 	MutName string
 }
@@ -385,8 +384,8 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 	if ok := isBarrierStamp(call); ok {
 		return KBarrierStamp, "barrierDurable", true
 	}
-	if m, ok := eosutil.IsMethodCall(info, call, "lob", "ReplacePlan", "Apply", "Pend"); ok {
-		return KHomeWrite, "ReplacePlan." + m, true
+	if m, ok := eosutil.IsMethodCall(info, call, "lob", "Manager", "PendHeld"); ok {
+		return KHomeWrite, "Manager." + m, true
 	}
 	return 0, "", false
 }

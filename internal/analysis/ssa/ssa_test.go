@@ -137,7 +137,7 @@ func TestProgramIR(t *testing.T) {
 			}
 			for _, lbl := range []string{"Log.Force", "Log.ForceLSN", "FileVolume.ForceAll",
 				"Device.Force", "Store.appendImage", "Store.writeMaster", "Manager.Free",
-				"ReplacePlan.Apply"} {
+				"Manager.PendHeld"} {
 				found := false
 				for _, ls := range labels {
 					for _, l := range ls {

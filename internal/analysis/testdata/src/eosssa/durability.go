@@ -22,7 +22,7 @@ func (s *Store) writeMaster() error          { return nil }
 
 // durability exercises every v4 durability-event kind in one function;
 // the ssa probe asserts each classification.
-func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *Store, plan *lob.ReplacePlan) {
+func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *Store, lm *lob.Manager) {
 	t.log.Force()
 	t.log.ForceLSN(7)
 	v.ForceAll()
@@ -35,5 +35,5 @@ func durability(t *Txn, v *disk.FileVolume, d disk.Device, m *buddy.Manager, s *
 	s.barrierDurable.Store(1)
 	_ = s.barrierDurable.Load()
 	t.log.Append(wal.Record{Type: wal.RecCommit})
-	plan.Apply()
+	lm.PendHeld()
 }

@@ -32,8 +32,7 @@ type Txn struct {
 	obj *lob.Object
 	s   *Store
 
-	pending    *lob.ReplacePlan
-	pendingLSN int64
+	lm *lob.Manager
 }
 
 // Replace is shape 1 (PR 8: unforced pre-images): the update record is
@@ -72,35 +71,34 @@ func (t *Txn) ReplaceMaybe(off int64, p []byte, fast bool) error {
 	return t.obj.Replace(off, p) // want "in-place overwrite Object.Replace is not dominated by a WAL force"
 }
 
-// Read is shape 1 for a deferred replace: the operation that settles
-// the pending plan reaches its home write through a helper that lost its
-// force, so nothing guarantees the pre-image record is durable yet.
-func (t *Txn) Read(off int64, p []byte) (int, error) {
-	if err := t.settle(); err != nil { // want "call can overwrite previously-forced object state in place before a WAL force .*settle → ReplacePlan.Apply"
-		return 0, err
-	}
-	return t.obj.Read(off, p)
-}
-
-func (t *Txn) settle() error {
-	plan := t.pending
-	t.pending = nil
-	return plan.Apply()
-}
-
-// Commit is shape 1 for a committed replace: its page images enter the
-// write-behind set before the commit record is forced, so a checkpoint may
-// write them home while nothing durable says the transaction committed.
+// Commit is shape 1 for a committed replace: its held page images enter
+// the write-behind set before the commit record is forced, so a checkpoint
+// may write them home while nothing durable says the transaction committed.
 func (t *Txn) Commit() error {
 	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
 	if err != nil {
 		return err
 	}
-	if err := t.pending.Pend(); err != nil { // want "in-place overwrite ReplacePlan.Pend is not dominated by a WAL force"
+	if err := t.lm.PendHeld(); err != nil { // want "in-place overwrite Manager.PendHeld is not dominated by a WAL force"
 		return err
 	}
 	return t.log.ForceLSN(lsn)
 }
+
+// CommitVia is the same shape across a call: the pages enter the set in a
+// helper, ahead of the force.
+func (t *Txn) CommitVia() error {
+	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
+	if err != nil {
+		return err
+	}
+	if err := t.pend(); err != nil { // want "call can overwrite previously-forced object state in place before a WAL force .*pend → Manager.PendHeld"
+		return err
+	}
+	return t.log.ForceLSN(lsn)
+}
+
+func (t *Txn) pend() error { return t.lm.PendHeld() }
 
 // Checkpoint is shape 2 (checkpoint ordering): the image and the
 // master record go out before the data pages they index are forced.

@@ -31,8 +31,7 @@ type Txn struct {
 	obj *lob.Object
 	s   *Store
 
-	pending    *lob.ReplacePlan
-	pendingLSN int64
+	lm *lob.Manager
 }
 
 // Replace forces the pre-image record before the in-place overwrite
@@ -67,27 +66,22 @@ func (t *Txn) applyReplace(off int64, p []byte) error {
 	return t.obj.Replace(off, p)
 }
 
-// ReplaceDeferred logs the replace and leaves the home write pending;
-// Read reaches it only through applyPending, which keeps the force next to
-// the write, so every path to Apply passes a force; Commit hands the plan
-// to the write-behind set behind the commit record's force.
+// ReplaceDeferred logs the replace and holds its page images, writing
+// nothing; Read sees them without a write; Commit hands them to the
+// write-behind set behind the commit record's force.
 func (t *Txn) ReplaceDeferred(off int64, p []byte) error {
 	plan, err := t.obj.PrepareReplace(off, p, nil)
 	if err != nil {
 		return err
 	}
-	lsn, err := t.log.Append(wal.Record{Type: wal.RecUpdate})
-	if err != nil {
+	if _, err := t.log.Append(wal.Record{Type: wal.RecUpdate}); err != nil {
 		return err
 	}
-	t.pending, t.pendingLSN = plan, lsn
+	plan.Hold()
 	return nil
 }
 
 func (t *Txn) Read(off int64, p []byte) (int, error) {
-	if err := t.applyPending(); err != nil {
-		return 0, err
-	}
 	return t.obj.Read(off, p)
 }
 
@@ -99,24 +93,7 @@ func (t *Txn) Commit() error {
 	if err := t.log.ForceLSN(lsn); err != nil {
 		return err
 	}
-	if t.pending == nil {
-		return nil
-	}
-	plan := t.pending
-	t.pending = nil
-	return plan.Pend()
-}
-
-func (t *Txn) applyPending() error {
-	if t.pending == nil {
-		return nil
-	}
-	if err := t.log.ForceLSN(t.pendingLSN); err != nil {
-		return err
-	}
-	plan := t.pending
-	t.pending = nil
-	return plan.Apply()
+	return t.lm.PendHeld()
 }
 
 // Checkpoint is the two-phase barrier: force data pages, log the image

@@ -16,9 +16,8 @@ func (o *Object) Compact() error                        { return nil }
 func (o *Object) Read(off int64, b []byte) (int, error) { return 0, nil }
 func (o *Object) Size() int64                           { return 0 }
 
-// ReplacePlan is the stand-in prepared replace: Apply is the in-place
-// home write, and Pend the committed replace's entry into the write-behind
-// set, that forcedom's force-ahead rule anchors on.
+// ReplacePlan is the stand-in prepared replace: Hold keeps its page images
+// in the manager, and writes nothing.
 type ReplacePlan struct{}
 
 func (o *Object) PrepareReplace(off int64, b []byte, have *PageImages) (*ReplacePlan, error) {
@@ -28,8 +27,14 @@ func (o *Object) PrepareReplace(off int64, b []byte, have *PageImages) (*Replace
 // PageImages is the stand-in for what a read transferred.
 type PageImages struct{}
 
-func (p *ReplacePlan) Apply() error { return nil }
-func (p *ReplacePlan) Pend() error  { return nil }
+func (p *ReplacePlan) Hold() {}
+
+// Manager is the stand-in large-object manager: PendHeld is a committed
+// transaction's held pages entering the write-behind set, that forcedom's
+// force-ahead rule anchors on.
+type Manager struct{}
+
+func (m *Manager) PendHeld() error { return nil }
 
 // PageNum numbers a page.
 type PageNum int64

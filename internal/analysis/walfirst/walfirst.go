@@ -9,7 +9,8 @@
 // updates are shadowed (§4.5: "the other three operations shadow"), so
 // internal/lob and internal/buddy never overwrite committed state in
 // place; the one in-place update, Replace, is exactly the one whose
-// pre-image and extents the Txn method logs first.
+// record the Txn method logs first (and whose pages wait for the commit
+// record's force).
 //
 // The analyzer computes, bottom-up over the ssa call graph (with
 // cross-package propagation through WalFact object facts), two bits
@@ -45,9 +46,9 @@
 //
 // Txn.Abort legitimately violates the letter of the rule — logical
 // undo replays pre-images that the forward operations already logged,
-// and the abort record is forced before any freed page becomes
-// reusable — and carries an //eoslint:ignore walfirst directive with
-// that justification.
+// writes only pages no committed root names, and the abort record is
+// forced before any freed page becomes reusable — and carries an
+// //eoslint:ignore walfirst directive with that justification.
 package walfirst
 
 import (

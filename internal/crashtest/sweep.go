@@ -3,6 +3,7 @@ package crashtest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -87,13 +88,14 @@ type Result struct {
 	Candidates int // states considered before deduplication
 	States     int // distinct states recovered on the simulator
 	FileStates int // states additionally recovered on the file backend
-	// UndoneAborts counts the states whose recovery undid an aborted
-	// transaction's replace — the crash kept the forward write and lost
-	// the compensation; Redone those whose recovery re-executed committed
-	// operations the recovered roots did not show — a commit no checkpoint
-	// followed.
-	UndoneAborts int
-	Redone       int
+	// ReplaceFollowedStates counts the states whose crash falls while a
+	// transaction that followed its own replace with another operation on
+	// the object runs, or after it ended and before the next one began —
+	// the operation read the replaced bytes from the transaction's held
+	// pages; Redone those whose recovery re-executed committed operations
+	// the recovered roots did not show — a commit no checkpoint followed.
+	ReplaceFollowedStates int
+	Redone                int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -111,7 +113,11 @@ type sweeper struct {
 	// inImage and inMaster mark the trace positions inside a checkpoint's
 	// image write and master-copy write (see windows).
 	inImage, inMaster map[int]bool
-	seen              map[uint64]bool
+	// followed holds the trace intervals [from, to) from the first
+	// operation of a transaction on an object it replaced before to the
+	// next transaction's begin (see traceFollowed).
+	followed [][2]int
+	seen     map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -143,6 +149,7 @@ func Sweep(cfg Config) (*Result, error) {
 	if wl.Seed == 0 {
 		wl.Seed = cfg.Seed
 	}
+	wl.Trace = sw.traceFollowed(clock, wl.Trace)
 	oracle, err := RunWorkload(st, clock, wl)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
@@ -197,6 +204,47 @@ func Sweep(cfg Config) (*Result, error) {
 		models[ev.Dev].apply(ev)
 	}
 	return sw.res, nil
+}
+
+// traceFollowed wraps the workload's trace function next, which may be nil,
+// to record in sw.followed where a transaction follows its own replace with
+// another operation on the same object.
+func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(string, ...any) {
+	replaced := map[string]bool{} // the objects the running transaction replaced
+	open := false                 // the last interval runs until the next begin
+	return func(format string, args ...any) {
+		if next != nil {
+			next(format, args...)
+		}
+		switch format {
+		case traceBegin:
+			if open {
+				sw.followed[len(sw.followed)-1][1] = clock.Seq()
+			}
+			open = false
+			clear(replaced)
+		case traceOp:
+			kind, obj := args[1].(string), args[2].(string)
+			if replaced[obj] && !open {
+				sw.followed = append(sw.followed, [2]int{clock.Seq(), math.MaxInt})
+				open = true
+			}
+			if kind == "replace" || kind == "read-replace" {
+				replaced[obj] = true
+			}
+		}
+	}
+}
+
+// inFollowed reports whether trace position p lies in an interval of
+// sw.followed.
+func (sw *sweeper) inFollowed(p int) bool {
+	for _, iv := range sw.followed {
+		if iv[0] <= p && p < iv[1] {
+			return true
+		}
+	}
+	return false
 }
 
 // windows finds each checkpoint's master-copy write — a one-page write to
@@ -288,6 +336,9 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	if sw.inMaster[p] {
 		sw.res.MasterStates++
 	}
+	if sw.inFollowed(p) {
+		sw.res.ReplaceFollowedStates++
+	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)
 	logImg := materialize(scratch[1], sw.cfg.PageSize)
@@ -358,9 +409,6 @@ func (sw *sweeper) verifySim(dataImg, logImg []byte, p int, label string) (map[s
 		return nil, false
 	}
 	rs := st.Stats().Recovery
-	if rs.UndoneAborts > 0 {
-		sw.res.UndoneAborts++
-	}
 	if rs.Redone > 0 {
 		sw.res.Redone++
 	}

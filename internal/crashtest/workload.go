@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"github.com/eosdb/eos"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // Commit is one oracle mark: a transaction whose Commit call entered at
@@ -156,7 +157,8 @@ func (c *WorkloadConfig) defaults() {
 // RunWorkload drives the mixed churn against st (built over traced
 // devices sharing clock) and returns the oracle.  It deliberately ends
 // with an uncommitted transaction still in flight, so the trace tail
-// exercises in-flight undo; the store is NOT closed.
+// exercises a loser recovery must leave no trace of; the store is NOT
+// closed.
 func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, error) {
 	cfg.defaults()
 	if cfg.Trace == nil {
@@ -209,7 +211,21 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 			cfg.Trace(traceAbort, clock.Seq(), i)
 		default:
 			beginSeq := clock.Seq()
-			if err := tx.Commit(); err != nil {
+			err := tx.Commit()
+			if errors.Is(err, wal.ErrLogFull) {
+				// The log has no room for the roots the commit would hand
+				// the next checkpoint: the commit is refused, nothing of it
+				// logged, and the transaction is left to abort — log
+				// pressure like an operation's.
+				if aerr := tx.Abort(); aerr != nil {
+					return nil, fmt.Errorf("abort after refused commit of txn %d: %w", i, aerr)
+				}
+				if cerr := st.Checkpoint(); cerr != nil {
+					return nil, fmt.Errorf("checkpoint after refused commit of txn %d: %w", i, cerr)
+				}
+				continue
+			}
+			if err != nil {
 				return nil, fmt.Errorf("commit txn %d: %w", i, err)
 			}
 			oracle.mark(cfg, beginSeq, clock.Seq(), i, model, staged)
@@ -219,14 +235,15 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	if cfg.NoLoser {
 		return oracle, nil
 	}
-	// Leave a loser in flight: its records sit in the log tail and its
-	// in-place replaces may be partially durable — recovery must erase
-	// every trace of it.
+	// Leave a loser in flight: its records sit in the log tail and the
+	// pages its structural operations wrote may be durable — recovery must
+	// erase every trace of it.
 	//eoslint:ignore pairs -- the loser is deliberately left open: the sweep crashes with it in flight so recovery must erase it
 	loser, err := st.Begin()
 	if err != nil {
 		return nil, fmt.Errorf("begin loser: %w", err)
 	}
+	cfg.Trace(traceBegin, clock.Seq(), loserTxn)
 	staged := map[string]*[]byte{}
 	prev := ""
 	for j := 0; j < 2; j++ {

@@ -43,11 +43,11 @@ func TestWorkloadModelMatchesStore(t *testing.T) {
 }
 
 // TestWorkloadCoversReplaceShapes checks that the sweep's workload drives
-// every fate a transactional replace can meet: written home by the commit
-// force, settled early by a read or by a structural operation on the same
-// object, dropped by an abort — each also for a replace planned on the page
-// images of the read just before it (read-replace) — and that the loser
-// destroys an object.
+// every fate a transactional replace can meet: pended by the commit force,
+// read back or copied by a structural operation on the same object from
+// the transaction's held pages, dropped by an abort — each also for a
+// replace planned on the page images of the read just before it
+// (read-replace) — and that the loser destroys an object.
 func TestWorkloadCoversReplaceShapes(t *testing.T) {
 	cfg := sweepConfig(t)
 	clock := &Clock{}

@@ -223,6 +223,7 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	o.m.st.appends.Add(1)
 	m := o.m
 	ps := m.vol.PageSize()
+	held := o.tailHeld()
 	maxSeg := m.alloc.MaxSegmentPages()
 	// behind: a last segment holding n bytes stays open, its pages pending.
 	behind := func(n int64) bool { return open > 0 && m.cfg.Pending != nil && n < int64(open)*int64(ps) }
@@ -248,6 +249,17 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 			pend = w == int64(len(data)) && behind(tail.bytes+w)
 			if fillStart, fill, err = o.continueTail(tail.bytes, data[:w], pend); err != nil {
 				return err
+			}
+			if held {
+				// A transaction's replace holds the partial page the fill
+				// starts in (held.go).  Its new image — the replaced bytes,
+				// and these behind them — is held too, not written in place:
+				// uncommitted bytes over bytes a committed root names.  Only
+				// the pages behind it are written or left pending.
+				m.held.hold(heldImages(fillStart, fill[:ps], ps))
+				if fillStart, fill = fillStart+1, fill[ps:]; len(fill) == 0 {
+					fill = nil
+				}
 			}
 			tail.bytes += w
 			remaining = data[w:]
@@ -346,24 +358,17 @@ func (o *Object) continueTail(tailLen int64, data []byte, keep bool) (disk.PageN
 	return o.tailStart + first, raw, nil
 }
 
-// AppendRewrites reports whether the next Append may rewrite a page p has
-// prepared an image of: an untrimmed tail is continued in place, which
-// writes its partial last page again, and the adaptive threshold may compact
-// any existing segment.  Otherwise an append writes only pages no replace
-// can cover.  A nil p covers nothing.
-func (o *Object) AppendRewrites(p *ReplacePlan) bool {
-	if p == nil {
-		return false
-	}
-	if o.m.cfg.AdaptiveThreshold {
-		return true
-	}
-	if o.tailAlloc == 0 {
+// tailHeld reports whether the manager holds the partial last page of the
+// untrimmed tail: the one page that continuing the tail in place rewrites.
+func (o *Object) tailHeld() bool {
+	held := o.m.held.load()
+	if o.tailAlloc == 0 || len(held) == 0 {
 		return false
 	}
 	_, tailLen, err := o.tailEntry()
 	if err != nil {
-		return true // the append will report it
+		return false // the append will report it
 	}
-	return p.end > o.size-tailLen%int64(o.m.vol.PageSize())
+	ps := int64(o.m.vol.PageSize())
+	return tailLen%ps != 0 && has(held, o.tailStart+disk.PageNum(tailLen/ps))
 }

@@ -403,7 +403,8 @@ func TestAppendContinuesItsTail(t *testing.T) {
 // bytes until something writes one of them.  A replace elsewhere leaves them;
 // a replace into them reads nothing and writes its page with the pending one
 // beside it, in one request, and the next append reads the partial page back
-// once.  A plan over them reads and writes nothing until it is applied.
+// once.  A held plan over them reads and writes nothing, and the next append
+// keeps the continued page held rather than pending.
 func TestTailImageFollowsThePage(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	o := e.m.NewObject(0)
@@ -442,30 +443,52 @@ func TestTailImageFollowsThePage(t *testing.T) {
 		t.Fatalf("append after a replace into the last page issued %+v, want one read of one page", evs)
 	}
 	model = append(model, more...)
-	// The same through a prepared plan, applied after the append that
-	// followed its preparation would have been settled by the caller.
+	// The same through a held plan, as a transaction replaces: the plan
+	// reads and writes nothing, and the append that continues the tail over
+	// the held partial page leaves that page's new image held, not pending:
+	// a checkpoint's flush must not write it before PendHeld.
 	var plan *ReplacePlan
 	if evs := traced(t, e, func() (err error) { plan, err = o.PrepareReplace(250, repl, nil); return err }); len(evs) != 0 {
 		t.Fatalf("a plan over the pending pages issued %+v, want nothing", evs)
 	}
-	if !o.AppendRewrites(plan) {
-		t.Fatal("AppendRewrites: a plan over the partial last page is not reported")
+	plan.Hold()
+	if !o.tailHeld() {
+		t.Fatal("tailHeld: a plan over the partial last page is not reported")
 	}
-	if err := plan.Apply(); err != nil {
-		t.Fatal(err)
+	committed := append([]byte{}, model...)
+	if evs := traced(t, e, func() error { return o.Append(more) }); len(evs) != 0 {
+		t.Fatalf("append after a held plan over the last page issued %+v, want nothing", evs)
 	}
 	copy(model[250:], repl)
-	if n, _ := reads(traced(t, e, func() error { return o.Append(more) })); n != 1 {
-		t.Fatalf("append after an applied plan over the last page read %d times, want 1", n)
-	}
 	model = append(model, more...)
-	plan, err := o.PrepareReplace(0, repl, nil)
+	mustContent(t, o, model)
+	if err := e.m.cfg.Pending.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.AppendRewrites(plan) || o.AppendRewrites(nil) {
-		t.Fatal("AppendRewrites: a plan over page 0 does not cover the page an append rewrites")
+	seen, err := other.OpenDescriptor(o.EncodeDescriptor())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got, err := seen.Read(0, int64(len(committed))); err != nil || !bytes.Equal(got, committed) {
+		t.Fatalf("the device holds the held replace's bytes before PendHeld (err %v)", err)
+	}
+	if err := e.m.PendHeld(); err != nil {
+		t.Fatal(err)
+	}
+	mustContent(t, o, model)
+	plan, err = o.PrepareReplace(0, repl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Hold()
+	if o.tailHeld() {
+		t.Fatal("tailHeld: a plan over page 0 does not hold the page an append rewrites")
+	}
+	e.m.DropHeld()
 	mustContent(t, o, model)
 
 	// Writing through — no write-behind set, as in the eosbench stacks —
@@ -746,7 +769,8 @@ func TestPendingBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evs := traced(t, e, plan.Pend); len(evs) != 0 {
+	plan.Hold()
+	if evs := traced(t, e, e.m.PendHeld); len(evs) != 0 {
 		t.Fatalf("the committed replace issued %+v, want nothing: its pages pending", evs)
 	}
 	copy(wm[50:], repl)

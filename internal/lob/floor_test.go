@@ -307,8 +307,8 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// A transaction's read-modify-write: the read of [keepOff,
 		// keepOff+keepN) is §4.2's; the replace that follows needs the whole
 		// page run of each of its pieces for the pre-image, and reads only
-		// those the read did not already transfer whole; Apply then writes
-		// each run in place without reading.
+		// those the read did not already transfer whole; each run is then
+		// written in place without reading.
 		kept := g.runs(g.keepOff, g.keepN)
 		out := g.reads(kept)
 		pieces := g.runs(off, n)
@@ -400,7 +400,7 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 			if !bytes.Equal(plan.Old(), model[off:off+n]) {
 				t.Errorf("replace(%d,%d) after read(%d,%d): wrong pre-image", off, n, keep[0], keep[1])
 			}
-			err = plan.Apply()
+			err = writePlan(plan)
 		}
 		copy(model[off:], data)
 	case "insert":
@@ -685,4 +685,16 @@ func TestBridgeCounters(t *testing.T) {
 	if st := e.m.Stats(); st.BridgedReads != 2 || st.BridgedGapPages != 4 {
 		t.Errorf("%d bridged reads, %d gap pages; want 2, 4", st.BridgedReads, st.BridgedGapPages)
 	}
+}
+
+// writePlan writes a plan's page runs home, one request per segment piece,
+// without reading: what the pages of a committed replace cost the device
+// once the write-behind set writes them with nothing pending around them.
+func writePlan(p *ReplacePlan) error {
+	for _, run := range p.runs {
+		if err := p.o.m.writeHome(run.start, run.raw); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -302,10 +302,16 @@ func TestReplaceInPlace(t *testing.T) {
 }
 
 // TestReplacePlan: a plan reads each touched page run exactly once and
-// yields the pre-image and its physical extents; nothing is written
-// until Apply, which reads nothing and leaves what Replace would have.
+// yields the pre-image; nothing is written by Hold, which reads nothing and
+// makes the manager's reads see the new bytes — but not another manager's
+// over the same volume and write-behind set, the store's, until PendHeld
+// hands the images to the set.
 func TestReplacePlan(t *testing.T) {
 	e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
+	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := e.m.NewObject(0)
 	model := pattern(4, 1337)
 	a := o.OpenAppender(0) // size unknown: segments of 1, 2, 4 and 7 pages
@@ -349,35 +355,33 @@ func TestReplacePlan(t *testing.T) {
 		if !bytes.Equal(plan.Old(), model[c.off:c.off+int64(c.n)]) {
 			t.Errorf("PrepareReplace(%d,%d): wrong pre-image", c.off, c.n)
 		}
-		// The extents locate the pre-image on the volume, in order.
-		var at []byte
-		for _, x := range plan.Extents() {
-			page, err := e.vol.Read(x.Page, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at = append(at, page[x.Off:x.Off+x.Len]...)
-		}
-		if !bytes.Equal(at, plan.Old()) {
-			t.Errorf("PrepareReplace(%d,%d): extents do not hold the pre-image", c.off, c.n)
-		}
 		mustContent(t, o, model)
-		if plan.Applied() {
-			t.Error("plan applied before Apply")
-		}
+		committed := append([]byte{}, model...)
 
 		before = e.vol.Stats()
-		if err := plan.Apply(); err != nil {
-			t.Fatal(err)
-		}
-		if after := e.vol.Stats(); after.Reads != before.Reads || after.Writes-before.Writes != pieces {
-			t.Errorf("Apply(%d,%d): %d reads, %d writes; want 0, %d",
-				c.off, c.n, after.Reads-before.Reads, after.Writes-before.Writes, pieces)
+		plan.Hold()
+		if after := e.vol.Stats(); after.Reads != before.Reads || after.Writes != before.Writes {
+			t.Errorf("Hold(%d,%d): %d reads, %d writes; want 0, 0",
+				c.off, c.n, after.Reads-before.Reads, after.Writes-before.Writes)
 		}
 		copy(model[c.off:], repl)
 		mustContent(t, o, model)
-		if !plan.Applied() {
-			t.Error("plan not marked applied")
+		seen, err := other.OpenDescriptor(o.EncodeDescriptor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustContent(t, seen, committed)
+		before = e.vol.Stats()
+		if err := e.m.PendHeld(); err != nil {
+			t.Fatal(err)
+		}
+		if after := e.vol.Stats(); after.Writes != before.Writes {
+			t.Errorf("PendHeld(%d,%d): %d writes, want 0: the pages wait in the write-behind set", c.off, c.n, after.Writes-before.Writes)
+		}
+		mustContent(t, seen, model)
+		mustContent(t, o, model)
+		if err := e.m.cfg.Pending.Flush(); err != nil { // the next plan reads its pages from the device
+			t.Fatal(err)
 		}
 	}
 	if _, err := o.PrepareReplace(1330, pattern(0, 8), nil); !errors.Is(err, ErrOutOfBounds) {

@@ -137,6 +137,7 @@ type Manager struct {
 	alloc Allocator
 	cfg   Config
 	st    stats
+	held  held // a transaction's uncommitted replaced pages (held.go)
 }
 
 // NewManager validates cfg and creates a manager.
@@ -282,21 +283,25 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep b
 	return img, nil
 }
 
-// readPages reads data pages [start, start+n) into buf, the pending ones from
-// the write-behind set: the device is asked only for the pages from the first
-// to the last that are not pending, and not at all when every one is.
+// readPages reads data pages [start, start+n) into buf, the held ones from the
+// held set and the pending ones from the write-behind set: the device is asked
+// only for the pages from the first to the last that neither set holds, and
+// not at all when they hold every one.
 func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
-	pages := m.cfg.Pending.load()
-	lo, hi := span(pages, start, n)
-	if lo == hi {
+	pend, held := m.cfg.Pending.load(), m.held.load()
+	plo, phi := span(pend, start, n)
+	hlo, hhi := span(held, start, n)
+	if plo == phi && hlo == hhi {
 		return m.vol.ReadPages(start, n, buf)
 	}
+	pend, held = pend[plo:phi], held[hlo:hhi]
+	inSet := func(p disk.PageNum) bool { return has(pend, p) || has(held, p) }
 	ps := m.vol.PageSize()
 	first, end := start, start+disk.PageNum(n) // what the device holds
-	for i := lo; i < hi && pages[i].page == first; i++ {
+	for first < end && inSet(first) {
 		first++
 	}
-	for i := hi - 1; i >= lo && end > first && pages[i].page == end-1; i-- {
+	for end > first && inSet(end-1) {
 		end--
 	}
 	if first < end {
@@ -304,10 +309,15 @@ func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
 			return err
 		}
 	}
-	for _, p := range pages[lo:hi] {
+	for _, p := range pend {
 		copy(buf[int(p.page-start)*ps:], p.img)
 	}
-	m.cfg.Pending.reads.Add(int64(hi - lo))
+	for _, p := range held {
+		copy(buf[int(p.page-start)*ps:], p.img)
+	}
+	if len(pend) > 0 {
+		m.cfg.Pending.reads.Add(int64(len(pend)))
+	}
 	return nil
 }
 
@@ -355,8 +365,9 @@ func (m *Manager) writeHome(start disk.PageNum, img []byte) error {
 
 // freeData frees n data pages from start on, writing the pending ones first:
 // a snapshot may read them until the free is reclaimed, and no image may
-// outlive its page's owner.
+// outlive its page's owner.  Held ones are marked freed (held.go).
 func (m *Manager) freeData(start disk.PageNum, n int) error {
+	m.held.free(start, n)
 	if err := m.cfg.Pending.writeRange(start, n); err != nil {
 		return err
 	}

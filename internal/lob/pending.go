@@ -17,19 +17,20 @@ import (
 //   - the pages of an open tail that plain Appends filled (append.go): the
 //     tail segment stays open for the next append, which continues in the
 //     pages it left;
-//   - the pages a committed transactional replace rewrote
-//     (ReplacePlan.Pend): they wait here instead of being written home
+//   - the pages a committed transaction's replaces rewrote
+//     (Manager.PendHeld): they wait here instead of being written home
 //     behind the commit force, and a later replace of a pending page only
 //     overwrites its image.
 //
 // Nothing on the device needs them yet: a transactional append or replace is
 // durable in the log, whose record carries its bytes, and recovery redoes it
 // from the roots the last checkpoint image names — recovery forgets open
-// tails, so redo never continues one.  Every read of a data page looks here
-// first (Manager.readPages): object and snapshot reads, PrepareReplace, and
-// the old bytes an insert, delete, replace or tail fill gathers.  A request
-// to the device covers only the pages from the first to the last one of its
-// range that is not pending, and none when all are.
+// tails, so redo never continues one.  Every read of a data page looks here,
+// after its manager's held set (Manager.readPages): object and snapshot
+// reads, PrepareReplace, and the old bytes an insert, delete, replace or tail
+// fill gathers.  A request to the device covers only the pages from the first
+// to the last one of its range that neither set holds, and none when they
+// hold all.
 //
 // The pages reach the device through one sorted pass — each maximal run of
 // contiguous pending pages is one WriteRun — when
@@ -44,13 +45,15 @@ import (
 //   - their pages are freed (Manager.freeData): a snapshot may still read
 //     them, and they must not outlive their owner.
 //
-// Invariant: every page a root names holds its newest bytes in the set if it
-// is pending, else on the device.  So whoever drops a page writes it first —
-// unless no root but an aborted one names its bytes (UndoAppend) — and
-// whoever writes a pending page from outside the set (a replace settled
-// before its commit, an abort's compensation, a non-transactional replace,
-// a tail that fills) drops its image in the same critical section under
-// Pending.mu, so that the image is never written over the newer page later.
+// Invariant: every page a committed root names holds its newest committed
+// bytes in the set if it is pending, else on the device.  So whoever drops a
+// page writes it first — unless no root but an aborted one names its bytes
+// (UndoAppend) — and whoever writes a pending page from outside the set (an
+// abort's compensation, a non-transactional replace, a tail that fills)
+// drops its image in the same critical section under Pending.mu, so that the
+// image is never written over the newer page later.  A transaction's
+// uncommitted replaced pages are not here: they wait in its held set
+// (held.go) until its commit record is forced.
 
 // Pending is the write-behind set of one volume: its pending pages, the
 // budget they share with the buffer pool, and their writes.  Managers over
@@ -102,11 +105,23 @@ func (t *Pending) load() []pendingPage {
 	return nil
 }
 
-// span returns the index range [lo, hi) of pages that holds [start, start+n).
-func span(pages []pendingPage, start disk.PageNum, n int) (lo, hi int) {
-	lo = sort.Search(len(pages), func(i int) bool { return pages[i].page >= start })
-	hi = lo + sort.Search(len(pages)-lo, func(i int) bool { return pages[lo+i].page >= start+disk.PageNum(n) })
+func (p pendingPage) pageNum() disk.PageNum { return p.page }
+
+// paged is a page image of the write-behind set or of a held set.
+type paged interface{ pageNum() disk.PageNum }
+
+// span returns the index range [lo, hi) of sorted pages that holds [start,
+// start+n).
+func span[P paged](pages []P, start disk.PageNum, n int) (lo, hi int) {
+	lo = sort.Search(len(pages), func(i int) bool { return pages[i].pageNum() >= start })
+	hi = lo + sort.Search(len(pages)-lo, func(i int) bool { return pages[lo+i].pageNum() >= start+disk.PageNum(n) })
 	return lo, hi
+}
+
+// has reports whether sorted pages holds page p.
+func has[P paged](pages []P, p disk.PageNum) bool {
+	lo, hi := span(pages, p, 1)
+	return lo < hi
 }
 
 // runEnd returns the end of the run of contiguous pages that starts at

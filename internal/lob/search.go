@@ -155,29 +155,17 @@ func (o *Object) Replace(off int64, data []byte) error {
 	})
 }
 
-// Extent is a physical location of object bytes: Len bytes starting Off
-// bytes into volume page Page.
-type Extent struct {
-	Page disk.PageNum
-	Off  int
-	Len  int
-}
-
 // ReplacePlan is an in-place replace prepared but not yet written: the
-// pre-image and physical extents the transaction layer logs, and the
-// post-image of every page the replace touches.  PrepareReplace reads
-// each touched page run once; Apply and Pend read nothing, so the write can
-// wait for the log force that covers the pre-image or the commit.  A plan stays correct only
-// while nothing else reads, rewrites or moves the pages it covers — the
-// caller applies it before any such operation.
+// pre-image the transaction layer keeps for its abort, and the post-image of
+// every page the replace touches.  PrepareReplace reads each touched page run
+// once; Hold reads nothing.  A plan stays correct only while nothing else
+// rewrites or moves the pages it covers — the transaction layer's object
+// lock keeps every other writer off them.
 type ReplacePlan struct {
-	o       *Object
-	old     []byte
-	exts    []Extent
-	runs    []planRun
-	saved   int
-	applied bool
-	end     int64 // logical offset one past the last byte replaced
+	o     *Object
+	old   []byte
+	runs  []planRun
+	saved int
 }
 
 // planRun is one segment's share of a plan: whole-page images to be
@@ -193,23 +181,23 @@ type planRun struct {
 // piece touches (the non-transactional Replace reads only the boundary
 // pages, but it needs no pre-image).  A piece whose page run have holds —
 // have may be nil — is taken from there instead of the device; the plan
-// then owns those images and writes into them, so have is spent.  Pending
-// pages come from the write-behind set.
+// then owns those images and writes into them, so have is spent.  Held and
+// pending pages come from their sets.
 func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
 	}
 	m := o.m
-	ps := int64(m.vol.PageSize())
-	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data)), end: off + int64(len(data))}
+	ps := m.vol.PageSize()
+	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data))}
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
-		first, npages, in := disk.PageSpan(segOff, n, int(ps))
-		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, int(ps)), in: in, n: n}
+		first, npages, in := disk.PageSpan(segOff, n, ps)
+		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, ps), in: in, n: n}
 		if run.raw != nil {
 			p.saved++
 		} else {
-			run.raw = make([]byte, npages*int(ps))
+			run.raw = make([]byte, npages*ps)
 			if err := m.readPages(run.start, npages, run.raw); err != nil {
 				return err
 			}
@@ -218,14 +206,6 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 		copy(run.raw[in:], data[pos:pos+n])
 		pos += n
 		p.runs = append(p.runs, run)
-		for page := run.start; n > 0; page++ {
-			l := ps - in
-			if l > n {
-				l = n
-			}
-			p.exts = append(p.exts, Extent{Page: page, Off: int(in), Len: int(l)})
-			in, n = 0, n-l
-		}
 		return nil
 	})
 	if err != nil {
@@ -234,72 +214,60 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	return p, nil
 }
 
-// Off returns the logical offset of the first byte the replace writes.
-func (p *ReplacePlan) Off() int64 { return p.end - int64(len(p.old)) }
-
-// New returns a copy of the bytes the replace writes, in logical order.
-func (p *ReplacePlan) New() []byte {
-	out := make([]byte, 0, len(p.old))
-	for _, run := range p.runs {
-		out = append(out, run.raw[run.in:run.in+run.n]...)
-	}
-	return out
-}
-
 // Old returns the bytes the replace overwrites.
 func (p *ReplacePlan) Old() []byte { return p.old }
-
-// Extents returns the physical location of Old, page by page in logical
-// order: what recovery needs to undo the write if its transaction loses.
-func (p *ReplacePlan) Extents() []Extent { return p.exts }
 
 // ReadsSaved is the number of segment pieces whose page run came from the
 // images PrepareReplace was handed rather than from the device.
 func (p *ReplacePlan) ReadsSaved() int { return p.saved }
 
-// Applied reports whether Apply has started writing.
-func (p *ReplacePlan) Applied() bool { return p.applied }
-
-// Apply writes the planned page images home, one contiguous request per
-// segment piece, and drops the images the write-behind set held of those
-// pages.  Like Replace it touches no index node.  It is for a caller that has
-// kept every other writer off the object since PrepareReplace: the images
-// include the bytes around the range in its first and last page as they
-// were then.
-func (p *ReplacePlan) Apply() error {
-	m := p.begin()
+// Hold makes the planned page images the manager's held images of those
+// pages (held.go): nothing is written, and the manager's reads see the new
+// bytes from now on.  Like Replace it touches no index node.
+func (p *ReplacePlan) Hold() {
+	m := p.o.m
+	var add []heldPage
 	for _, run := range p.runs {
-		if err := m.writeHome(run.start, run.raw); err != nil {
-			return err
+		add = append(add, heldImages(run.start, run.raw, m.vol.PageSize())...)
+	}
+	m.held.hold(add)
+	m.st.replaces.Add(1)
+}
+
+// Restore writes old over [off, off+len(old)) for a transaction that aborts
+// the replace which overwrote it: into the held images of the pages the
+// manager holds — the abort then drops them, and the device or the
+// write-behind set still has the bytes from before the transaction — and
+// home for the others.  Those are pages the transaction's own operations
+// wrote after the replace, copying its bytes: no committed root names them.
+func (o *Object) Restore(off int64, old []byte) error {
+	p, err := o.PrepareReplace(off, old, nil)
+	if err != nil {
+		return err
+	}
+	m := o.m
+	ps := m.vol.PageSize()
+	held := m.held.load()
+	var keep []heldPage
+	for _, run := range p.runs {
+		n := len(run.raw) / ps
+		for i := 0; i < n; {
+			h := has(held, run.start+disk.PageNum(i))
+			j := i + 1
+			for j < n && has(held, run.start+disk.PageNum(j)) == h {
+				j++
+			}
+			img := run.raw[i*ps : j*ps]
+			if h {
+				keep = append(keep, heldImages(run.start+disk.PageNum(i), img, ps)...)
+			} else if err := m.writeHome(run.start+disk.PageNum(i), img); err != nil {
+				return err
+			}
+			i = j
 		}
 	}
+	m.held.hold(keep)
 	return nil
-}
-
-// Pend is Apply for a replace whose transaction has committed: the planned
-// page images go into the write-behind set, over the images it holds of
-// those pages, and reach the device with the set's next write — the log
-// record that carries the bytes keeps them until then.  With no set
-// (Config.Pending nil) it is Apply.  The same caller contract holds.
-func (p *ReplacePlan) Pend() error {
-	t := p.o.m.cfg.Pending
-	if t == nil {
-		return p.Apply()
-	}
-	m := p.begin()
-	var pages []pendingPage
-	for _, run := range p.runs {
-		pages = append(pages, pageImages(run.start, run.raw, m.vol.PageSize(), false)...)
-	}
-	t.install(pages)
-	return nil
-}
-
-// begin marks the plan applied and counts the replace.
-func (p *ReplacePlan) begin() *Manager {
-	p.applied = true
-	p.o.m.st.replaces.Add(1)
-	return p.o.m
 }
 
 // replaceInSegment rewrites bytes [segOff, segOff+len(data)) of one

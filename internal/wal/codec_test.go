@@ -8,16 +8,15 @@ import (
 
 // TestQuickEncodeDecodeRoundTrip: any record survives the codec.
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(txn, obj uint64, typ8 uint8, off, n int64, data, old []byte) bool {
+	f := func(txn, obj uint64, typ8 uint8, off, n int64, data []byte) bool {
 		r := &Record{
-			LSN:     1,
-			Txn:     txn,
-			Type:    RecType(typ8%11 + 1),
-			Object:  obj,
-			Off:     off,
-			N:       n,
-			Data:    data,
-			OldData: old,
+			LSN:    1,
+			Txn:    txn,
+			Type:   RecType(typ8%11 + 1),
+			Object: obj,
+			Off:    off,
+			N:      n,
+			Data:   data,
 		}
 		buf := encode(r)
 		got, size, err := decode(buf)
@@ -26,7 +25,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		return got.Txn == r.Txn && got.Type == r.Type && got.Object == r.Object &&
 			got.Off == r.Off && got.N == r.N &&
-			bytes.Equal(got.Data, r.Data) && bytes.Equal(got.OldData, r.OldData)
+			bytes.Equal(got.Data, r.Data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

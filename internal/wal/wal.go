@@ -65,10 +65,9 @@ const (
 	RecAppend  // Data appended at the end
 	RecInsert  // Data inserted at Off
 	RecDelete  // N bytes deleted at Off; structural, so shadowed: no bytes logged
-	// RecReplace says Data was written at Off.  A write that can reach the
-	// device before its transaction's commit record is durable also
-	// carries OldData, the bytes it overwrote, and their Extents; one
-	// written home only behind the commit record carries neither.
+	// RecReplace says Data was written at Off.  The write reaches the
+	// device only behind its transaction's commit record, so the record
+	// carries no pre-image: recovery only redoes.
 	RecReplace
 	// RecCheckpoint carries a checkpoint's image of the client's catalog in
 	// Data.  It may use half the room ordinary records leave free (Reserve).
@@ -107,34 +106,18 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
 
-// Extent is a physical byte range on the data volume: Len bytes starting
-// Off bytes into page Page.  A replace record whose write may precede its
-// commit record carries the extents it overwrote, so that recovery can
-// physically undo a loser transaction's in-place writes — the other
-// operations never overwrite live pages and need no undo (§4.5).
-type Extent struct {
-	Page int64
-	Off  int32
-	Len  int32
-}
-
-// Record is one log entry.  Data and OldData carry the operation's bytes:
-// Data is what redo needs, OldData what the undo pass needs — which is the
-// pre-image of a replace, the one update written in place (§4.5), and only
-// of one whose write may reach the device before its commit record is
-// durable: undo information is needed only where a write can precede its
-// commit.  An abort undoes everything else from the transaction's journal
-// in memory.
+// Record is one log entry.  Data carries the bytes redo needs; nothing is
+// logged for undo: an abort undoes its transaction from the journal in
+// memory, and no uncommitted write ever reaches the device over committed
+// bytes (§4.5's replace included: it waits for its commit record).
 type Record struct {
-	LSN     uint64 // assigned by Append: the record's position + 1
-	Txn     uint64
-	Type    RecType
-	Object  uint64
-	Off     int64
-	N       int64
-	Data    []byte
-	OldData []byte
-	Extents []Extent // physical locations of OldData (replace only, and only with OldData)
+	LSN    uint64 // assigned by Append: the record's position + 1
+	Txn    uint64
+	Type   RecType
+	Object uint64
+	Off    int64
+	N      int64
+	Data   []byte
 }
 
 // Errors returned by the log.
@@ -147,8 +130,7 @@ var (
 )
 
 const (
-	recHeaderSize  = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 2 // crc,len,lsn,txn,type,obj,off,n,dlen,olen,extents
-	extentEncBytes = 8 + 4 + 4
+	recHeaderSize = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 // crc,len,lsn,txn,type,obj,off,n,dlen
 	// padByte fills a force's last page behind its records.  Not zero: a
 	// header read that begins in padding and runs into the next page must
 	// never carry the LSN of its offset, and an LSN's high bytes are zero.
@@ -229,7 +211,7 @@ func (l *Log) Stats() Stats {
 
 // encodedSize is the size of r's encoding.
 func encodedSize(r *Record) int {
-	return recHeaderSize + len(r.Data) + len(r.OldData) + len(r.Extents)*extentEncBytes
+	return recHeaderSize + len(r.Data)
 }
 
 // encode serializes r (LSN must already be set).
@@ -243,17 +225,7 @@ func encode(r *Record) []byte {
 	binary.BigEndian.PutUint64(buf[33:], uint64(r.Off))
 	binary.BigEndian.PutUint64(buf[41:], uint64(r.N))
 	binary.BigEndian.PutUint32(buf[49:], uint32(len(r.Data)))
-	binary.BigEndian.PutUint32(buf[53:], uint32(len(r.OldData)))
-	binary.BigEndian.PutUint16(buf[57:], uint16(len(r.Extents)))
-	off := recHeaderSize
-	off += copy(buf[off:], r.Data)
-	off += copy(buf[off:], r.OldData)
-	for _, e := range r.Extents {
-		binary.BigEndian.PutUint64(buf[off:], uint64(e.Page))
-		binary.BigEndian.PutUint32(buf[off+8:], uint32(e.Off))
-		binary.BigEndian.PutUint32(buf[off+12:], uint32(e.Len))
-		off += extentEncBytes
-	}
+	copy(buf[recHeaderSize:], r.Data)
 	binary.BigEndian.PutUint32(buf[0:], crc32.ChecksumIEEE(buf[4:]))
 	return buf
 }
@@ -279,27 +251,11 @@ func decode(buf []byte) (*Record, int, error) {
 		N:      int64(binary.BigEndian.Uint64(buf[41:])),
 	}
 	dlen := int(binary.BigEndian.Uint32(buf[49:]))
-	olen := int(binary.BigEndian.Uint32(buf[53:]))
-	next := int(binary.BigEndian.Uint16(buf[57:]))
-	if dlen < 0 || olen < 0 || recHeaderSize+dlen+olen+next*extentEncBytes != size {
+	if dlen < 0 || recHeaderSize+dlen != size {
 		return nil, 0, ErrCorruptRecord
 	}
-	off := recHeaderSize
 	if dlen > 0 {
-		r.Data = append([]byte{}, buf[off:off+dlen]...)
-	}
-	off += dlen
-	if olen > 0 {
-		r.OldData = append([]byte{}, buf[off:off+olen]...)
-	}
-	off += olen
-	for i := 0; i < next; i++ {
-		r.Extents = append(r.Extents, Extent{
-			Page: int64(binary.BigEndian.Uint64(buf[off:])),
-			Off:  int32(binary.BigEndian.Uint32(buf[off+8:])),
-			Len:  int32(binary.BigEndian.Uint32(buf[off+12:])),
-		})
-		off += extentEncBytes
+		r.Data = append([]byte{}, buf[recHeaderSize:size]...)
 	}
 	return r, size, nil
 }

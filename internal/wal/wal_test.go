@@ -19,7 +19,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	recs := []*Record{
 		{Txn: 1, Type: RecBegin},
 		{Txn: 1, Type: RecInsert, Object: 7, Off: 100, Data: []byte("hello world")},
-		{Txn: 1, Type: RecDelete, Object: 7, Off: 5, N: 3, OldData: []byte("llo")},
+		{Txn: 1, Type: RecDelete, Object: 7, Off: 5, N: 3},
 		{Txn: 1, Type: RecCommit},
 	}
 	var lsns []uint64
@@ -49,7 +49,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 		w := recs[i]
 		if r.Txn != w.Txn || r.Type != w.Type || r.Object != w.Object ||
 			r.Off != w.Off || r.N != w.N ||
-			!bytes.Equal(r.Data, w.Data) || !bytes.Equal(r.OldData, w.OldData) {
+			!bytes.Equal(r.Data, w.Data) {
 			t.Errorf("record %d: got %+v want %+v", i, r, w)
 		}
 	}

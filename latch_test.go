@@ -74,7 +74,10 @@ func TestStripeCommitsShareBoundaryPages(t *testing.T) {
 // non-transactional reader of the object's prefix, by abort and by commit.
 // The reader holds the object's shared latch only, so the abort's
 // compensations and every rebind of the tree's allocator must take the
-// write latch; under -race a missing latch shows as a report.
+// write latch; under -race a missing latch shows as a report.  Each
+// transaction also replaces inserted bytes and reads them back, so the
+// reader, which reads through the transaction's manager while it holds the
+// object, loads the held set the writer changes.
 func TestWritersLatchTheTree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -129,6 +132,12 @@ func TestWritersLatchTheTree(t *testing.T) {
 					break
 				}
 				if werr = tx.Insert("doc", 100000, pat(95+i, 3000)); werr != nil {
+					break
+				}
+				if werr = tx.Replace("doc", 100500, pat(96+i, 1000)); werr != nil {
+					break
+				}
+				if _, werr = tx.Read("doc", 100000, 3000); werr != nil {
 					break
 				}
 				werr = tc.end(tx)

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestLoserReplaceUndoneAfterCrash exercises the steal hazard: an
-// uncommitted transaction's in-place replace reaches the disk because a
-// soft checkpoint (the loser is live, so the log stays) forces the whole
-// volume; after a crash, recovery must physically restore the pre-image
-// from the log.
-func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
+// TestLoserReplaceNeverReachesTheDisk exercises the steal hazard: a soft
+// checkpoint (the loser is live, so the log stays) forces the whole volume
+// while an uncommitted transaction has replaced bytes and read them back.
+// Its replace is held in memory, not on a page, so the forced volume holds
+// the committed bytes, and recovery, which only redoes, finds them.
+func TestLoserReplaceNeverReachesTheDisk(t *testing.T) {
 	s, vol, logVol := newStore(t, Options{})
 	a, _ := s.Create("victim", 0)
 	base := pat(60, 8000)
@@ -25,8 +25,7 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Loser: replaces in place — the read-back makes it write home
-	// instead of waiting for a commit — and never commits.
+	// Loser: replaces, reads its bytes back, and never commits.
 	loser, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +33,12 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	if err := loser.Replace("victim", 3000, pat(62, 500)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loser.Read("victim", 3000, 500); err != nil {
-		t.Fatal(err)
+	if got, err := loser.Read("victim", 3000, 500); err != nil || !bytes.Equal(got, pat(62, 500)) {
+		t.Fatalf("the loser does not read its replace back (err %v)", err)
 	}
 
 	// Winner: commits on another object, and a checkpoint behind it forces
-	// the volume — including the loser's dirtied page.
+	// the volume while the loser holds its replace.
 	winner, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +52,7 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	expectHomeBytes(t, s, "victim", base)
 
 	vol.Crash()
 	logVol.Crash()
@@ -87,12 +87,12 @@ func TestLoserReplaceUndoneAfterCrash(t *testing.T) {
 	}
 }
 
-// TestLoserReplaceAfterStructuralOpUndone covers the tricky variant: the
-// loser replaced bytes whose logical offset only existed in its own
-// uncommitted tree.  Physical undo restores whatever committed pages it
-// dirtied; shadowed pages the committed tree never references are
-// irrelevant.
-func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
+// TestLoserReplaceAfterStructuralOpNeverReachesTheDisk covers the tricky
+// variant: the loser replaced bytes whose logical offset only existed in
+// its own uncommitted tree.  The replace is held like any other: the
+// committed pages the checkpoint forces hold the committed bytes, and
+// shadowed pages the committed tree never references are irrelevant.
+func TestLoserReplaceAfterStructuralOpNeverReachesTheDisk(t *testing.T) {
 	s, vol, logVol := newStore(t, Options{})
 	a, _ := s.Create("victim", 0)
 	base := pat(64, 8000)
@@ -110,7 +110,7 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 	loser, _ := s.Begin()
 	// Shift the world by an uncommitted insert, then replace: the
 	// replace's logical offset (5000) addresses different committed
-	// bytes, but the extents pin the physical pages.
+	// bytes.
 	if err := loser.Insert("victim", 1000, pat(66, 700)); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +131,7 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	expectHomeBytes(t, s, "victim", base)
 
 	vol.Crash()
 	logVol.Crash()
@@ -151,8 +152,8 @@ func TestLoserReplaceAfterStructuralOpUndone(t *testing.T) {
 	}
 }
 
-// TestCommittedReplaceStillRedone: the undo pass must not disturb
-// committed replaces.
+// TestCommittedReplaceStillRedone: a committed replace whose pages never
+// left the write-behind set is redone from its record.
 func TestCommittedReplaceStillRedone(t *testing.T) {
 	s, vol, logVol := newStore(t, Options{})
 	a, _ := s.Create("v", 0)
@@ -181,27 +182,28 @@ func TestCommittedReplaceStillRedone(t *testing.T) {
 	v, _ := s2.Open("v")
 	got, _ := v.Read(0, v.Size())
 	if !bytes.Equal(got, want) {
-		t.Error("committed replace lost or mangled by undo pass")
+		t.Error("committed replace lost or mangled by recovery")
 	}
 }
 
 // TestAbortIsDurableAtItsLogForce: an abort forces its record and nothing
-// else.  A settled replace is made durable by a soft checkpoint, the
-// transaction aborts, and the crash drops the compensation the data volume
-// never forced: recovery must put the committed bytes back from the
-// replace record's pre-image, and say it undid the abort.
+// else.  A replace read back is held across a soft checkpoint, the
+// transaction aborts, and the crash drops whatever the data volume never
+// forced: the replace never reached a page, so recovery redoes nothing and
+// finds the committed bytes.
 func TestAbortIsDurableAtItsLogForce(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	tx, _ := s.Begin()
 	if err := tx.Replace("x", 2000, pat(71, 600)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Read("x", 2000, 600); err != nil { // settles it: written home
+	if _, err := tx.Read("x", 2000, 600); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil { // soft: tx is live
 		t.Fatal(err)
 	}
+	expectHomeBytes(t, s, "x", base)
 	syncs := vol.Stats().Syncs
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
@@ -213,22 +215,21 @@ func TestAbortIsDurableAtItsLogForce(t *testing.T) {
 	if !bytes.Equal(readObject(t, s, "x"), base) {
 		t.Fatal("the aborted replace survived the crash")
 	}
-	if rs := s.Stats().Recovery; rs.UndoneAborts != 1 {
-		t.Fatalf("recovery undid %d aborts, want 1", rs.UndoneAborts)
+	if rs := s.Stats().Recovery; rs.Redone != 0 {
+		t.Fatalf("recovery redid %d operations, want none", rs.Redone)
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAbortBelowTheSlotStampIsNotUndone: A aborts a settled replace, then
-// B commits the same bytes at the same offset, and a soft checkpoint
-// (another transaction is live since before A, so the log keeps A's
-// records) persists B's root.  A's abort record lies below the master
-// record's stamp: the checkpoint forced the rollback, and undoing A's
-// replace now would find its post-image — B's bytes — and put the old bytes
-// back where the image's root LSN keeps redo from restoring B's.
-func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
+// TestAbortThenCommitOfTheSameBytesSurvivesACrash: A aborts a replace it
+// read back, then B commits the same bytes at the same offset, and a soft
+// checkpoint (another transaction is live since before A, so the log keeps
+// A's records) persists B's root.  Recovery scans A's records and must
+// leave B's bytes alone: it redoes only committed transactions, and A never
+// wrote a page.
+func TestAbortThenCommitOfTheSameBytesSurvivesACrash(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	repl := pat(72, 600)
 	if _, err := s.Begin(); err != nil { // live, so the log stays
@@ -238,7 +239,7 @@ func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
 	if err := a.Replace("x", 2000, repl); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Read("x", 2000, 600); err != nil { // settles it: written home
+	if _, err := a.Read("x", 2000, 600); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Abort(); err != nil {
@@ -258,12 +259,48 @@ func TestAbortBelowTheSlotStampIsNotUndone(t *testing.T) {
 	want := append([]byte{}, base...)
 	copy(want[2000:], repl)
 	if !bytes.Equal(readObject(t, s, "x"), want) {
-		t.Fatal("B's committed replace was lost to the undo of A's")
+		t.Fatal("B's committed replace was lost")
 	}
-	if rs := s.Stats().Recovery; rs.UndoneAborts != 0 || rs.Redone != 0 {
-		t.Fatalf("recovery undid %d aborts and redid %d operations, want 0 and 0", rs.UndoneAborts, rs.Redone)
+	if rs := s.Stats().Recovery; rs.Redone != 0 {
+		t.Fatalf("recovery redid %d operations, want 0", rs.Redone)
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// expectHomeBytes fails unless the data volume's pages that the named
+// object's committed root names hold want, its committed content: no
+// uncommitted byte was written over them, whatever is pending in memory.
+func expectHomeBytes(t *testing.T, s *Store, name string, want []byte) {
+	t.Helper()
+	s.mu.Lock()
+	e := s.catalog[name]
+	s.mu.Unlock()
+	if got := homeBytes(t, s, e.loadStableDesc()); !bytes.Equal(got, want) {
+		t.Fatalf("the data volume's pages of %q do not hold its committed bytes", name)
+	}
+}
+
+// homeBytes returns what the data volume itself holds of the content of
+// the object whose descriptor desc is, read from the pages its root names.
+func homeBytes(t *testing.T, s *Store, desc []byte) []byte {
+	t.Helper()
+	obj, err := s.lm.OpenDescriptor(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, sg := range segs {
+		raw, err := s.vol.Read(sg.StartPage, sg.Pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, raw[:sg.Bytes]...)
+	}
+	return out
 }

@@ -83,20 +83,17 @@ func TestCommittedAppendsLiveInTheLogAlone(t *testing.T) {
 	})
 	t.Run("one run written, the others not", func(t *testing.T) {
 		s, vol, logVol, _, model := tailsStore(t, 4)
-		// A replace into a's open tail that a read settles writes a's
-		// pending pages with its own: the plan is written home over them.
+		// An insert into a's open tail closes it: a's pending pages are
+		// written before the insert moves their bytes.
 		tx, _ := s.Begin()
-		repl := pat(90, 100)
-		if err := tx.Replace("a", 1400, repl); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Read("a", 0, 10); err != nil {
+		ins := pat(90, 100)
+		if err := tx.Insert("a", 1400, ins); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		copy(model["a"][1400:], repl)
+		model["a"] = append(append(append([]byte{}, model["a"][:1400]...), ins...), model["a"][1400:]...)
 		if got := s.Stats().LOB.PendingPages; got != 6 {
 			t.Fatalf("%d pages pending, want 6: b's and c's runs", got)
 		}
@@ -176,9 +173,9 @@ func commitReplace(t *testing.T, s *Store, model map[string][]byte, name string,
 // pending page only overwrites its image — until a checkpoint writes them.
 // Until then a transaction's read and a snapshot take them from the set, and
 // a power cut loses them: recovery redoes the replaces from the log.  A
-// replace settled over a pending page, and the abort that compensates it,
-// write through and drop the page's image, so that a checkpoint never
-// writes it over their bytes; and a checkpoint leaves nothing to redo.
+// replace over a pending page that its transaction reads back is held over
+// the page's image until the commit, and one the transaction aborts leaves
+// the image as it was; and a checkpoint leaves nothing to redo.
 func TestCommittedReplacesLiveInTheLogAlone(t *testing.T) {
 	t.Run("pages pending", func(t *testing.T) {
 		s, vol, logVol, model := replaceStoreOf(t, "a", "b")
@@ -228,7 +225,7 @@ func TestCommittedReplacesLiveInTheLogAlone(t *testing.T) {
 		}
 		copy(model["a"][700:], repl)
 		if got, err := tx.Read("a", 600, 600); err != nil || !bytes.Equal(got, model["a"][600:1200]) {
-			t.Fatalf("the read that settles the replace: err %v, equal %v", err, bytes.Equal(got, model["a"][600:1200]))
+			t.Fatalf("the read back of the replace: err %v, equal %v", err, bytes.Equal(got, model["a"][600:1200]))
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -245,7 +242,7 @@ func TestCommittedReplacesLiveInTheLogAlone(t *testing.T) {
 		if err := tx.Replace("a", 700, pat(44, 100)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.Read("a", 0, 10); err != nil { // settles: the replace is written home
+		if _, err := tx.Read("a", 0, 10); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Abort(); err != nil {

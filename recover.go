@@ -1,7 +1,6 @@
 package eos
 
 import (
-	"bytes"
 	"fmt"
 
 	"github.com/eosdb/eos/internal/buddy"
@@ -20,32 +19,23 @@ import (
 //     any transaction-dirty object — and keep the record of an object a
 //     live transaction has destroyed.
 //   - A commit or an abort is durable at its log force and writes no
-//     catalog image.  The catalog lags them: a commit is redone, and an
-//     abort's replaces undone, from the older roots until a checkpoint
-//     persists the roots that followed, and the durability quarantine
-//     keeps the older roots' pages intact until then.
+//     catalog image.  The catalog lags them: a commit is redone from the
+//     older roots until a checkpoint persists the roots that followed, and
+//     the durability quarantine keeps the older roots' pages intact until
+//     then; an aborted transaction left those roots' bytes as they were.
 //   - Only the checkpoint writes the catalog.  It writes the write-behind
 //     set's pages and forces the whole data volume first, so the durable
 //     image never names a page the device does not hold, then forces the
-//     image, then the master copy naming
-//     it; the master copy carries the log position the checkpoint took
-//     before its data force: an abort record at or below the stamp belongs
-//     to a rollback the force made durable.
-//   - An in-place write reaches the device only behind a force of a
-//     record that can undo it, or of its commit record.  A replace whose
-//     write is deferred to commit enters the write-behind set behind the
-//     commit record's force, and reaches the device from there, so it can
-//     be durable only for a committed transaction, and its record carries
-//     no pre-image; a crash before the write leaves a committed record redo
-//     applies.  A replace written before its commit
-//     record — settled ahead of a later operation of its transaction — is
-//     written behind a record that carries its
-//     pre-image and physical extents.  An uncommitted
-//     replace a checkpoint made durable belongs to a transaction that is
-//     still in flight at the crash — its locks never released, its logged
-//     physical extents still accurate —, committed since, or aborted: an
-//     abort's compensations are forced by no one but a checkpoint, so a
-//     crash may keep the forward write and lose its compensation.
+//     image, then the master copy naming it.
+//   - No uncommitted byte is ever written over bytes a committed root
+//     names.  Replace, the one in-place update, keeps its page images in
+//     its transaction's held set until the commit record is forced, and
+//     only then hands them to the write-behind set, which reaches the
+//     device from there; its record carries no pre-image, and a crash
+//     before the write leaves a committed record redo applies.  A
+//     transaction's other writes go to pages no committed root names.  So
+//     recovery has nothing to undo: a transaction without a commit record
+//     left no trace the durable roots can reach.
 //   - A transaction is live from before its first record until the
 //     critical section that hands its new roots to the catalog, and the
 //     log is truncated only behind the image and every live transaction's
@@ -67,26 +57,18 @@ import (
 //  2. Move the log onto a new lap before anything is written: whatever lies
 //     past the recovered tail carries the old lap's LSNs, which no later
 //     scan accepts there (the log is never erased).
-//  3. UNDO pass: for the replace records of every transaction without a
-//     commit record — bar those whose abort record lies at or below the
-//     master's stamp — in reverse log order, restore the logged pre-image
-//     at each physical extent where the post-image is present (replace is
-//     the only in-place update; §4.5 makes it the logged one for exactly
-//     this reason).  A record without extents is a write that waited for
-//     its commit record: it never reached the device, and there is
-//     nothing to undo.
-//  4. Rebuild the buddy directories from scratch: reformat every space,
+//  3. Rebuild the buddy directories from scratch: reformat every space,
 //     then reserve exactly the pages reachable from the catalog's
 //     descriptors.  This both reclaims pages leaked by half-finished
 //     commits and protects every live page before redo allocates.
-//  5. REDO pass: re-execute, in log order, each committed operation the
+//  4. REDO pass: re-execute, in log order, each committed operation the
 //     catalog state has not seen — the LSN each object root carries
 //     makes this idempotent, exactly as the paper requires.  (LSNs never
 //     restart, so a root's LSN ranks correctly against every record.)
-//  6. Trim the tails redo's appends left open: nothing continues them
+//  5. Trim the tails redo's appends left open: nothing continues them
 //     (every open forgets tails), so their room would only sit reserved;
 //     the trim writes the pending runs redo's appends left.
-//  7. Take a checkpoint: a new image, a new master copy, and a log
+//  6. Take a checkpoint: a new image, a new master copy, and a log
 //     truncated behind them.  Ordinary records left room for it (see
 //     Store.measure), and it may take all the room there is; only then does
 //     the log keep room for the catalog's next checkpoint again.
@@ -114,56 +96,17 @@ func (s *Store) recover(m master) error {
 		return err
 	}
 
-	// An abort record at or below the stamp belongs to a rollback the
-	// checkpoint forced; aborted holds the others.
 	committed := make(map[uint64]bool)
-	forcedAbort := make(map[uint64]bool)
-	aborted := make(map[uint64]bool)
 	maxTxn := uint64(0)
 	for _, r := range recs {
-		switch {
-		case r.Type == wal.RecCommit:
+		if r.Type == wal.RecCommit {
 			committed[r.Txn] = true
-		case r.Type == wal.RecAbort && r.LSN <= m.stamp:
-			forcedAbort[r.Txn] = true
-		case r.Type == wal.RecAbort:
-			aborted[r.Txn] = true
 		}
 		if r.Txn > maxTxn {
 			maxTxn = r.Txn
 		}
 	}
 	s.nextTxn = maxTxn + 1
-
-	// Undo pass: physically restore the pre-images of replaces by every
-	// transaction that did not commit, in reverse log order.  Replace is
-	// the only in-place update.  A checkpoint may have forced an in-flight
-	// transaction's page, and an abort forces nothing but its record, so a
-	// crash can keep an aborted replace's write and lose the compensation
-	// that followed it; the logged extents point at exactly the bytes to
-	// put back.  (The extents are still accurate: an in-flight transaction
-	// never released its locks or applied its deferred frees, so its pages
-	// cannot have been restructured or reused, and an aborted transaction
-	// applies its deferred frees only behind its abort record, so they
-	// return to the free space only through a checkpoint whose stamp lies
-	// above that record.  Below the stamp the undo is wrong, not just
-	// unneeded: the checkpoint forced the rollback, and a later commit may
-	// have written the post-image's bytes again where no redo will restore
-	// them.)
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Type != wal.RecReplace || committed[r.Txn] || forcedAbort[r.Txn] {
-			continue
-		}
-		undone, err := s.undoReplace(r)
-		if err != nil {
-			return fmt.Errorf("eos: undo of replace (lsn %d): %w", r.LSN, err)
-		}
-		if undone && aborted[r.Txn] {
-			s.recovered.UndoneAborts++
-			delete(aborted, r.Txn) // count each transaction once
-		}
-	}
 
 	if err := s.rebuildFreeSpace(); err != nil {
 		return err
@@ -206,36 +149,6 @@ func (s *Store) recover(m master) error {
 	}
 	s.log.Reserve(s.catBytes)
 	return nil
-}
-
-// undoReplace writes a replace record's pre-image back to its physical
-// extents — but only where the record's post-image is actually present,
-// i.e. where the loser's in-place write reached the disk and nothing
-// since put other bytes there.  Extents whose durable content is
-// something else (the write was never forced, or its compensation was)
-// are left alone.  It reports whether it wrote anything.  Idempotent:
-// re-running finds the pre-image in place and skips.
-func (s *Store) undoReplace(r *wal.Record) (bool, error) {
-	ps := int64(s.vol.PageSize())
-	pos, undone := 0, false
-	for _, x := range r.Extents {
-		if int64(x.Off)+int64(x.Len) > ps || pos+int(x.Len) > len(r.OldData) || pos+int(x.Len) > len(r.Data) {
-			return undone, fmt.Errorf("%w: bad extent in replace record", ErrCorruptStore)
-		}
-		raw := make([]byte, ps)
-		if err := s.vol.ReadPages(disk.PageNum(x.Page), 1, raw); err != nil {
-			return undone, err
-		}
-		if bytes.Equal(raw[x.Off:int(x.Off)+int(x.Len)], r.Data[pos:pos+int(x.Len)]) {
-			copy(raw[x.Off:], r.OldData[pos:pos+int(x.Len)])
-			if err := s.vol.WritePages(disk.PageNum(x.Page), 1, raw); err != nil {
-				return undone, err
-			}
-			undone = true
-		}
-		pos += int(x.Len)
-	}
-	return undone, nil
 }
 
 // redo re-executes one committed operation if the object has not seen it,

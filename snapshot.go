@@ -19,10 +19,14 @@ import (
 //
 // Structural updates (insert, delete, append, truncate, compact,
 // destroy) committed after the capture are invisible.  Replace is the
-// one in-place update in EOS; a concurrent Replace over a snapshotted
-// range is visible read-committed and page-atomic (a read never sees a
-// torn page, but a multi-page replace may be observed partially
-// applied).
+// one in-place update in EOS, and a snapshot reads it read-committed: a
+// transaction's replace stays in the transaction's memory until its
+// commit record is forced, whatever the transaction does with the bytes
+// meanwhile, and an aborted one is never seen.  Once committed, a
+// replace over a snapshotted range is visible, page-atomic (a read never
+// sees a torn page, but a multi-page replace may be observed partially
+// applied).  The non-transactional Object.Replace has no commit: it is
+// visible as it writes.
 //
 // A Snapshot is safe for concurrent use by multiple goroutines except
 // for the Read/Seek cursor, which is single-user; use ReadAt for

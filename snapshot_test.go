@@ -146,6 +146,56 @@ func TestSnapshotIgnoresUncommitted(t *testing.T) {
 	}
 }
 
+// TestSnapshotNeverSeesAnUncommittedReplace: a snapshot opened before a
+// transaction that replaces bytes and reads them back reads the committed
+// bytes, and the data volume's pages hold them, until the transaction
+// commits — and after it aborts.  Once committed, the replace is what the
+// snapshot reads.
+func TestSnapshotNeverSeesAnUncommittedReplace(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		t.Run(map[bool]string{true: "commit", false: "abort"}[commit], func(t *testing.T) {
+			s, _, _, base := replaceStore(t, Options{})
+			sn, err := s.OpenSnapshot("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sn.Close()
+			// committedBytes checks what the snapshot reads.
+			committedBytes := func(what string, want []byte) {
+				t.Helper()
+				buf := make([]byte, len(want))
+				if n, err := sn.ReadAt(buf, 0); err != nil || n != len(buf) || !bytes.Equal(buf, want) {
+					t.Fatalf("%s: the snapshot read %d bytes (err %v), not the committed ones", what, n, err)
+				}
+			}
+			repl := pat(74, 600)
+			tx, _ := s.Begin()
+			if err := tx.Replace("x", 2000, repl); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tx.Read("x", 2000, 600); err != nil || !bytes.Equal(got, repl) {
+				t.Fatalf("the transaction does not read its replace back (err %v)", err)
+			}
+			committedBytes("after the read back", base)
+			expectHomeBytes(t, s, "x", base)
+			want := base
+			if commit {
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				want = append([]byte{}, base...)
+				copy(want[2000:], repl)
+			} else if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			committedBytes("after the transaction ended", want)
+			if !commit {
+				expectHomeBytes(t, s, "x", base)
+			}
+		})
+	}
+}
+
 // TestDestroyUnderSnapshot is the regression test for the
 // destroy-vs-snapshot race: destroying an object while a snapshot of it
 // is open must fence the page frees behind the snapshot's epoch pin,

@@ -88,25 +88,27 @@ type txnOp struct {
 	entry    *catEntry
 	off      int64
 	n        int64
-	old      []byte // pre-image for delete undo
+	old      []byte // pre-image for delete and replace undo
 	oldSize  int64  // for append undo
 	freeLo   int
 	freeHi   int
-	snapshot []byte           // descriptor snapshot for destroy undo
-	plan     *lob.ReplacePlan // replace: its pre-image, and whether it was written home
+	snapshot []byte // descriptor snapshot for destroy undo
 }
 
 // Txn is one transaction over the store: strict two-phase object locks,
 // write-ahead logging, shadowed index updates with deferred frees, and
 // logical undo on abort.
 //
-// A commit is durable at its log force: it leaves its deferred replaces'
-// pages in the write-behind set, and everything else — index pages in the
-// pool, the new descriptors, the data volume's force — to the next
-// checkpoint; until then recovery redoes it from its log records.  An
-// abort is durable at its log force too: its compensations wait for the
-// next checkpoint, and until then recovery undoes the replaces it wrote
-// home from their logged pre-images.
+// A transaction's replaces write nothing before its commit record is
+// forced: their page images wait in its manager's held set (lob/held.go),
+// where its own later operations read them.  A commit is durable at its log
+// force: it leaves the replaced pages in the write-behind set, and
+// everything else — index pages in the pool, the new descriptors, the data
+// volume's force — to the next checkpoint; until then recovery redoes it
+// from its log records.  An abort is durable at its log force too: its
+// compensations wait for the next checkpoint, and until then the roots from
+// before the transaction, whose pages it never wrote, are what recovery
+// finds.
 type Txn struct {
 	s        *Store
 	id       uint64
@@ -125,12 +127,12 @@ type Txn struct {
 // for, and leaf pages are in no pool: without this the device is paid
 // twice).  entry is nil when nothing is kept.
 //
-// The images are the device's bytes for as long as nobody writes those
-// pages — the argument ReplacePlan already rests on.  Other transactions
-// cannot: the Read's object lock is held to the end.  This transaction's
-// own writes clear the slot: every operation but Replace forgets it on
-// entry (begin), settleReplace forgets it when it writes a deferred
-// replace home, and Replace forgets it whether or not it used it.
+// The images are the pages' bytes as the transaction sees them for as long
+// as nobody writes those pages — the argument ReplacePlan already rests on.
+// Other transactions cannot: the Read's object lock is held to the end.
+// This transaction's own writes clear the slot: every operation but Replace
+// forgets it on entry (begin), and Replace forgets it whether or not it used
+// it.
 type keptRead struct {
 	entry *catEntry
 	imgs  lob.PageImages
@@ -145,11 +147,6 @@ type txnObj struct {
 	entry   *catEntry
 	prevLSN uint64
 	created bool
-	// pending is the object's deferred replace, logged but neither written
-	// home nor in the write-behind set (at most one: the next operation that
-	// could read or move its pages settles it first); nil when there is
-	// none.
-	pending *lob.ReplacePlan
 }
 
 // Begin starts a transaction.  It is live before it logs anything: a
@@ -295,9 +292,6 @@ func (t *Txn) Destroy(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.settleReplace(e); err != nil {
-		return err
-	}
 	op := txnOp{typ: wal.RecDestroy, entry: e, snapshot: e.obj.EncodeDescriptor(), freeLo: t.alloc.mark()}
 	if _, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDestroy, Object: e.id}); err != nil {
 		return err
@@ -329,17 +323,6 @@ func (t *Txn) Append(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	// An append leaves a deferred replace where it is, unless it is about
-	// to write — continuing the tail in place — a page the replace has an
-	// image of.
-	e.latch.RLock()
-	rewrites := e.obj.AppendRewrites(t.touched[e.id].pending)
-	e.latch.RUnlock()
-	if rewrites {
-		if err := t.settleReplace(e); err != nil {
-			return err
-		}
-	}
 	oldSize := e.obj.Size()
 	op := txnOp{typ: wal.RecAppend, entry: e, oldSize: oldSize, freeLo: t.alloc.mark()}
 	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAppend, Object: e.id, Off: oldSize, Data: data})
@@ -365,9 +348,6 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	}
 	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
-		return err
-	}
-	if err := t.settleReplace(e); err != nil {
 		return err
 	}
 	op := txnOp{typ: wal.RecInsert, entry: e, off: off, n: int64(len(data)), freeLo: t.alloc.mark()}
@@ -396,17 +376,14 @@ func (t *Txn) Delete(name string, off, n int64) error {
 	if err != nil {
 		return err
 	}
-	if err := t.settleReplace(e); err != nil {
-		return err
-	}
 	old, err := e.obj.Read(off, n)
 	if err != nil {
 		return err
 	}
 	op := txnOp{typ: wal.RecDelete, entry: e, off: off, n: n, old: old, freeLo: t.alloc.mark()}
 	// The deleted bytes stay in the journal for abort; nothing reads them
-	// from the log (redo deletes by Off and N, the undo pass handles only
-	// replaces), so the record does not carry them.
+	// from the log (redo deletes by Off and N), so the record does not carry
+	// them.
 	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDelete, Object: e.id, Off: off, N: n})
 	if err != nil {
 		return err
@@ -445,15 +422,12 @@ func (t *Txn) Truncate(name string, newSize int64) error {
 // Replace overwrites bytes of the named object in place; the operation is
 // logged (§4.5: replace is the logged update, the other three shadow).
 //
-// The in-place write is deferred: no other transaction can see the object
-// before this one ends, so the write waits for the commit record's force
-// (one log force per transaction), behind which the page images enter the
-// write-behind set, and an abort simply drops it.  A write that can reach
+// The in-place write waits for the commit record's force (one log force per
+// transaction): the page images stay in the transaction's held set, where its
+// own later operations on the object read them, and enter the write-behind
+// set behind that force; an abort simply drops them.  A write that can reach
 // the device only behind its commit record needs no undo, so the record
-// carries what redo needs, Off and Data, and no pre-image.  A later
-// operation of the same transaction that could read or move the covered
-// pages settles the write first (settleReplace), behind a record that can
-// undo it.
+// carries what redo needs, Off and Data, and no pre-image.
 func (t *Txn) Replace(name string, off int64, data []byte) error {
 	defer func() { t.kept = keptRead{} }() // used below or not, it does not outlive this call
 	if err := t.check(); err != nil {
@@ -461,9 +435,6 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	}
 	e, err := t.touch(name, txn.Exclusive)
 	if err != nil {
-		return err
-	}
-	if err := t.settleReplace(e); err != nil {
 		return err
 	}
 	e.latch.RLock()
@@ -481,61 +452,11 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	to := t.touched[e.id]
-	to.pending = plan
+	plan.Hold()
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, txnOp{typ: wal.RecReplace, entry: e, off: off, n: int64(len(data)), plan: plan})
+	t.journal = append(t.journal, txnOp{typ: wal.RecReplace, entry: e, off: off, old: plan.Old()})
 	t.s.deferredReplaces.Add(1)
 	return nil
-}
-
-// undoableReplace is the replace record for plan's write of data at off
-// when the write reaches the device before its transaction's commit record
-// (settleReplace): beside Off and Data it carries the pre-image and the
-// physical extents the undo pass puts it back at.
-func (t *Txn) undoableReplace(e *catEntry, off int64, data []byte, plan *lob.ReplacePlan) *wal.Record {
-	exts := plan.Extents()
-	wexts := make([]wal.Extent, len(exts))
-	for i, x := range exts {
-		wexts[i] = wal.Extent{Page: int64(x.Page), Off: int32(x.Off), Len: int32(x.Len)}
-	}
-	return &wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data, OldData: plan.Old(), Extents: wexts}
-}
-
-// settleReplace writes e's deferred replace home, if it has one, ahead of
-// an operation of this transaction that could read or move the pages it
-// covers.  The write now precedes the commit record, so it goes behind a
-// record that can undo it: the replace is logged again, pre-image and
-// extents included.  WAL rule: that record must be durable BEFORE the
-// in-place write reaches the device (Apply writes through, so the overwrite
-// happens inside it, not at some later flush) — otherwise a crash could find
-// the old bytes gone from the disk while nothing durable could restore them.
-// Redo of a committed transaction applies both records; they write the same
-// bytes at the same offset, and nothing logged between them moves those
-// bytes (any operation that could settles first).  A committed replace is
-// not written here: its pages enter the write-behind set behind the commit
-// record's force (commitLog).
-func (t *Txn) settleReplace(e *catEntry) error {
-	to := t.touched[e.id]
-	if to == nil || to.pending == nil {
-		return nil
-	}
-	t.s.earlyReplaceApplies.Add(1)
-	t.kept = keptRead{} // the write below changes pages it may hold
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	// The caller's buffer is gone; the plan still holds the bytes.
-	plan := to.pending
-	lsn, err := t.s.log.Append(t.undoableReplace(e, plan.Off(), plan.New(), plan))
-	if err != nil {
-		return err
-	}
-	e.obj.SetLSN(lsn)
-	if err := t.s.log.ForceLSN(lsn); err != nil {
-		return err
-	}
-	to.pending = nil
-	return plan.Apply()
 }
 
 // Read returns n bytes at byte off of the named object under a shared
@@ -550,9 +471,6 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	}
 	e, err := t.touch(name, txn.Shared)
 	if err != nil {
-		return nil, err
-	}
-	if err := t.settleReplace(e); err != nil {
 		return nil, err
 	}
 	e.latch.RLock()
@@ -584,8 +502,8 @@ func (t *Txn) Size(name string) (int64, error) {
 // record is appended to the group-commit buffer and made durable by a
 // force covering its LSN — usually another committer's batch (the
 // piggyback case) or, with no concurrent commit traffic, a force this
-// call leads itself.  Behind that force the deferred replaces' page images
-// enter the write-behind set, and the deferred frees are applied.  Nothing
+// call leads itself.  Behind that force the held replaced pages enter the
+// write-behind set, and the deferred frees are applied.  Nothing
 // reaches the data volume: the replaced pages and index pages stay in
 // memory until the set's budget, the pool's eviction or a checkpoint writes
 // them, and the new descriptors reach the catalog at the next checkpoint.
@@ -603,7 +521,7 @@ func (t *Txn) Commit() error {
 
 // commitLog is the first half of a commit: from the moment it returns,
 // the transaction is committed — its commit record is durable, its
-// in-place writes wait in the write-behind set, and any checkpoint writes
+// replaced pages wait in the write-behind set, and any checkpoint writes
 // and forces its pages and then logs its new roots in its catalog image.
 func (t *Txn) commitLog() error {
 	// The roots this commit hands the catalog go into the next checkpoint's
@@ -630,18 +548,12 @@ func (t *Txn) commitLog() error {
 		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
 			return err
 		}
-		// The transaction is committed: its deferred replaces' pages enter
-		// the write-behind set, which writes them home at its leisure.
-		// They need no undo, and a crash before the write redoes them from
-		// their records.  The object locks keep every other writer off the
-		// pages.
-		for _, op := range t.journal {
-			if to := t.touched[op.entry.id]; op.plan != nil && to.pending == op.plan {
-				to.pending = nil
-				if err := op.plan.Pend(); err != nil {
-					return err
-				}
-			}
+		// The transaction is committed: its replaced pages enter the
+		// write-behind set, which writes them home at its leisure.  A crash
+		// before the write redoes them from their records.  The object locks
+		// keep every other writer off the pages.
+		if err := t.lm.PendHeld(); err != nil {
+			return err
 		}
 	}
 	t.unbindTouched()
@@ -717,20 +629,22 @@ func (t *Txn) publishTouched() {
 
 // Abort rolls the transaction back: operations are undone logically in
 // reverse order (delete undoes insert, re-insertion undoes delete, the
-// plan's pre-image undoes a replace written home — one never written home
-// is simply dropped —, truncation undoes append, the descriptor snapshot
-// resurrects a destroyed object), the abort record is appended and forced,
-// surviving deferred frees are applied, and locks are released.  Like a
-// commit, an abort is durable at its log force and forces no data: the
-// compensations reach the disk with the next checkpoint, and a crash
-// before it leaves recovery to undo the replaces written home from their
-// logged pre-images.
+// pre-image undoes a replace, truncation undoes append, the descriptor
+// snapshot resurrects a destroyed object), the held replaced pages are
+// dropped, the abort record is appended and forced, surviving deferred
+// frees are applied, and locks are released.  A replace's compensation
+// writes the held images, which the drop then discards, and at home only
+// the pages a later operation of the transaction copied its bytes into:
+// nothing of the transaction ever reached a page a committed root names.
+// Like a commit, an abort is durable at its log force and forces no data:
+// the compensations reach the disk with the next checkpoint, and a crash
+// before it recovers the roots from before the transaction.
 //
 // Each compensation runs under the object's write latch, which a
 // non-transactional reader shares; the latch is dropped before the catalog
 // edits under Store.mu, which ranks above it.
 //
-//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and the undo pass re-derives the compensation of a replace from that record, so the forward records provide write-ahead coverage
+//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and writes only pages no committed root names, so the forward records provide write-ahead coverage
 func (t *Txn) Abort() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -750,11 +664,7 @@ func (t *Txn) Abort() error {
 		case wal.RecDelete:
 			err = o.Insert(op.off, op.old)
 		case wal.RecReplace:
-			if !op.plan.Applied() {
-				break // never written home: nothing to compensate
-			}
-			//eoslint:ignore forcedom -- undo replays the pre-image the forward Replace already logged and forced; if a crash loses this write, recovery's undo pass writes the same pre-image from that record
-			err = o.Replace(op.off, op.plan.Old())
+			err = o.Restore(op.off, op.old)
 		case wal.RecCreate:
 			err = o.Destroy()
 		case wal.RecDestroy:
@@ -783,6 +693,7 @@ func (t *Txn) Abort() error {
 			t.s.mu.Unlock()
 		}
 	}
+	t.lm.DropHeld()
 	t.unbindTouched()
 	t.s.mu.Lock()
 	for _, to := range t.touched {
@@ -809,13 +720,10 @@ func (t *Txn) Abort() error {
 	t.publishTouched()
 	// The abort record goes to the log before the frees and the lock
 	// release, and is forced like a commit record: Abort returns nil only
-	// once the outcome is durable.  Recovery undoes this transaction's
-	// replaces until a checkpoint stamps its master copy above the record; the
-	// frees reach the quarantine only after the record, so the checkpoint
-	// that lets their pages be reused is such a checkpoint.  And nobody
-	// else can touch these objects before the record is durable.  As with
-	// a commit, a transaction that performed no mutating operation has
-	// nothing to make durable, and its record waits for the next force.
+	// once the outcome is durable, and nobody else can touch these objects
+	// before it is.  As with a commit, a transaction that performed no
+	// mutating operation has nothing to make durable, and its record waits
+	// for the next force.
 	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
 	_, err := t.s.log.Append(rec)
 	if err == nil && len(t.journal) > 0 {

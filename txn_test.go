@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -44,17 +45,19 @@ func readObject(t *testing.T, s *Store, name string) []byte {
 }
 
 // TestDeferredReplaceReadYourOwn: a transaction reads back the bytes it
-// replaced although their home write was deferred — the read settles it.
+// replaced although their home write was deferred — from its held pages,
+// writing nothing and forcing nothing.
 func TestDeferredReplaceReadYourOwn(t *testing.T) {
-	s, _, _, base := replaceStore(t, Options{})
+	s, vol, _, base := replaceStore(t, Options{})
 	tx, _ := s.Begin()
 	repl := pat(41, 900)
 	if err := tx.Replace("x", 700, repl); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.DeferredReplaces != 1 || st.EarlyReplaceApplies != 0 {
-		t.Fatalf("after Replace: %d deferred, %d early applies; want 1, 0", st.DeferredReplaces, st.EarlyReplaceApplies)
+	if st := s.Stats(); st.DeferredReplaces != 1 {
+		t.Fatalf("after Replace: %d deferred, want 1", st.DeferredReplaces)
 	}
+	w0, f0 := vol.Stats().Writes, s.Stats().WAL.Forces
 	got, err := tx.Read("x", 600, 1100)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +67,8 @@ func TestDeferredReplaceReadYourOwn(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("transaction does not see its own replace")
 	}
-	if st := s.Stats(); st.EarlyReplaceApplies != 1 {
-		t.Fatalf("the read settled %d replaces, want 1", st.EarlyReplaceApplies)
+	if w, f := vol.Stats().Writes-w0, s.Stats().WAL.Forces-f0; w != 0 || f != 0 {
+		t.Fatalf("the read wrote the data volume %d times and forced the log %d times, want neither", w, f)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -79,9 +82,10 @@ func TestDeferredReplaceReadYourOwn(t *testing.T) {
 // TestDeferredReplaceThenStructuralOp runs replace → insert / delete /
 // truncate / second replace on the same object and range.  The
 // structural operation moves or copies the replaced pages, so it must
-// find the new bytes there; and an abort must then compensate a replace
-// that did reach the device.  Each shape is committed (and checked after
-// a crash) and aborted (likewise).
+// find the new bytes there — in the held pages, with no log force before
+// the commit's; and an abort must then put the old bytes back into the
+// fresh pages that copied them.  Each shape is committed (and checked
+// after a crash) and aborted (likewise).
 func TestDeferredReplaceThenStructuralOp(t *testing.T) {
 	repl := pat(42, 1500)
 	shapes := []struct {
@@ -115,14 +119,15 @@ func TestDeferredReplaceThenStructuralOp(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				s, vol, logVol, base := replaceStore(t, Options{})
 				tx, _ := s.Begin()
+				forces := s.Stats().WAL.Forces
 				if err := tx.Replace("x", 500, repl); err != nil {
 					t.Fatal(err)
 				}
 				if err := sh.op(tx); err != nil {
 					t.Fatal(err)
 				}
-				if s.Stats().EarlyReplaceApplies != 1 {
-					t.Fatal("the second operation did not settle the deferred replace")
+				if s.Stats().WAL.Forces != forces {
+					t.Fatal("the second operation forced the log")
 				}
 				want := append([]byte{}, base...)
 				copy(want[500:], repl)
@@ -156,8 +161,155 @@ func TestDeferredReplaceThenStructuralOp(t *testing.T) {
 	}
 }
 
-// TestDeferredReplaceAbortTouchesNoDataPage: a replace nothing settled is
-// simply dropped by Abort — no page of the data volume is written by the
+// TestReplaceReadYourWrites: a transaction's replace followed by another
+// operation on the same object.  The transaction sees its own bytes; until
+// the commit's force no log force is issued and the pages the committed root
+// names keep their committed bytes on the data volume — a read or a second
+// replace writes nothing at all —; the content is right after Commit and
+// after Abort, where pages a structural operation filled with the replaced
+// bytes get the old ones back; and a crash at each step recovers the
+// committed state: in flight (behind a checkpoint that forces the volume),
+// committed, aborted, and either end behind a checkpoint.
+func TestReplaceReadYourWrites(t *testing.T) {
+	tailStore := func(t *testing.T) (*Store, disk.Device, disk.Device, []byte) {
+		s, vol, logVol, base := openTailStore(t, Options{})
+		if err := s.Checkpoint(); err != nil { // the open tail's pages, on the device
+			t.Fatal(err)
+		}
+		return s, vol, logVol, base
+	}
+	plain := func(t *testing.T) (*Store, disk.Device, disk.Device, []byte) { return replaceStore(t, Options{}) }
+	splice := func(b []byte, off int, cut int, ins []byte) []byte {
+		return append(append(append([]byte{}, b[:off]...), ins...), b[off+cut:]...)
+	}
+	rows := []struct {
+		name  string
+		store func(t *testing.T) (*Store, disk.Device, disk.Device, []byte)
+		off   int64 // the replace's, of 600 bytes
+		op    func(tx *Txn) error
+		model func(b []byte) []byte // nil: the object is gone
+		quiet bool                  // the operation writes nothing on the data volume
+	}{
+		{"read", plain, 2000, func(tx *Txn) error {
+			_, err := tx.Read("x", 1900, 800)
+			return err
+		}, func(b []byte) []byte { return b }, true},
+		{"overlapping replace", plain, 2000, func(tx *Txn) error { return tx.Replace("x", 2300, pat(81, 600)) },
+			func(b []byte) []byte { return splice(b, 2300, 600, pat(81, 600)) }, true},
+		{"insert", plain, 2000, func(tx *Txn) error { return tx.Insert("x", 2200, pat(82, 700)) },
+			func(b []byte) []byte { return splice(b, 2200, 0, pat(82, 700)) }, false},
+		{"delete", plain, 2000, func(tx *Txn) error { return tx.Delete("x", 1800, 500) },
+			func(b []byte) []byte { return splice(b, 1800, 500, nil) }, false},
+		{"truncate", plain, 2000, func(tx *Txn) error { return tx.Truncate("x", 2400) },
+			func(b []byte) []byte { return b[:2400] }, false},
+		{"destroy", plain, 2000, func(tx *Txn) error { return tx.Destroy("x") }, nil, false},
+		{"append over the tail page", tailStore, 6100, func(tx *Txn) error { return tx.Append("x", pat(83, 900)) },
+			func(b []byte) []byte { return append(append([]byte{}, b...), pat(83, 900)...) }, false},
+	}
+	for _, row := range rows {
+		for _, end := range []string{"in flight after the replace", "in flight after the operation", "commit", "commit, checkpoint", "abort", "abort, checkpoint"} {
+			t.Run(row.name+"/"+end, func(t *testing.T) {
+				s, vol, logVol, base := row.store(t)
+				s.mu.Lock()
+				committed := s.catalog["x"].loadStableDesc()
+				s.mu.Unlock()
+				repl := pat(80, 600)
+				want := splice(base, int(row.off), len(repl), repl)
+				// sees checks what the transaction reads, and that nothing of
+				// it reached the committed root's pages or forced the log.
+				forces, writes := s.Stats().WAL.Forces, vol.Stats().Writes
+				sees := func(what string, tx *Txn, want []byte) {
+					t.Helper()
+					if want == nil {
+						if _, err := tx.Size("x"); !errors.Is(err, ErrNotFound) {
+							t.Fatalf("%s: the transaction still finds the object it destroyed (err %v)", what, err)
+						}
+					} else if got, err := tx.Read("x", 0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: the transaction does not see its own bytes (err %v)", what, err)
+					}
+					if got := s.Stats().WAL.Forces - forces; got != 0 {
+						t.Fatalf("%s: %d log forces before the commit's", what, got)
+					}
+					if !bytes.Equal(homeBytes(t, s, committed), base) {
+						t.Fatalf("%s: an uncommitted byte reached a page the committed root names", what)
+					}
+					if row.quiet && vol.Stats().Writes != writes {
+						t.Fatalf("%s: %d data-volume writes", what, vol.Stats().Writes-writes)
+					}
+				}
+				recovers := func(want []byte) {
+					t.Helper()
+					re := crashReopen(t, vol, logVol)
+					if want == nil {
+						if _, err := re.Open("x"); !errors.Is(err, ErrNotFound) {
+							t.Fatalf("after crash and recovery the destroyed object is there (err %v)", err)
+						}
+					} else if !bytes.Equal(readObject(t, re, "x"), want) {
+						t.Fatal("content wrong after crash and recovery")
+					}
+					if err := re.CheckNoLeaks(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkpoint := func() {
+					t.Helper()
+					if err := s.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				tx, _ := s.Begin()
+				if err := tx.Replace("x", row.off, repl); err != nil {
+					t.Fatal(err)
+				}
+				sees("after the replace", tx, want)
+				if end == "in flight after the replace" {
+					checkpoint()
+					recovers(base)
+					return
+				}
+				if err := row.op(tx); err != nil {
+					t.Fatal(err)
+				}
+				if row.model == nil {
+					want = nil
+				} else {
+					want = row.model(want)
+				}
+				sees("after the operation", tx, want)
+				switch end {
+				case "in flight after the operation":
+					checkpoint()
+					recovers(base)
+					return
+				case "commit", "commit, checkpoint":
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := tx.Abort(); err != nil {
+						t.Fatal(err)
+					}
+					want = base
+				}
+				if want == nil {
+					if _, err := s.Open("x"); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("the committed destroy left the object (err %v)", err)
+					}
+				} else if !bytes.Equal(readObject(t, s, "x"), want) {
+					t.Fatal("content wrong after the transaction ended")
+				}
+				if strings.HasSuffix(end, "checkpoint") {
+					checkpoint()
+				}
+				recovers(want)
+			})
+		}
+	}
+}
+
+// TestDeferredReplaceAbortTouchesNoDataPage: a held replace is simply
+// dropped by Abort — no page of the data volume is written by the
 // transaction, and the abort itself issues no data-volume request at all.
 func TestDeferredReplaceAbortTouchesNoDataPage(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
@@ -186,9 +338,9 @@ func TestDeferredReplaceAbortTouchesNoDataPage(t *testing.T) {
 	}
 }
 
-// TestDeferredReplaceOneLogForce: a transaction whose replaces stay
-// deferred forces the log once, at commit; one that reads its replace
-// back pays the pre-image force as well.
+// TestDeferredReplaceOneLogForce: a transaction forces the log once, at
+// commit, whatever it does after its replace: reading it back costs no
+// force of its own.
 func TestDeferredReplaceOneLogForce(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -208,7 +360,7 @@ func TestDeferredReplaceOneLogForce(t *testing.T) {
 			}
 			_, err := tx.Read("x", 0, 10)
 			return err
-		}, 2},
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _, _, _ := replaceStore(t, Options{})
@@ -229,9 +381,8 @@ func TestDeferredReplaceOneLogForce(t *testing.T) {
 
 // TestCommitPathCounters covers the counters that make the commit path's
 // savings visible: a replace right behind a read of its bytes plans on the
-// read's page images, a replace that waits for the commit force counts as
-// deferred, and one a later operation settles counts as an early apply
-// too.  The commit itself is no barrier: it writes no catalog page and
+// read's page images, and every transactional replace waits for the commit
+// force and counts as deferred.  The commit itself is no barrier: it writes no catalog page and
 // leaves the space directory its append dirtied in the pool, whose device
 // image moves only at the next checkpoint.
 func TestCommitPathCounters(t *testing.T) {
@@ -267,8 +418,8 @@ func TestCommitPathCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.DeferredReplaces != 2 || st.EarlyReplaceApplies != 1 {
-		t.Fatalf("%d deferred, %d early applies; want 2, 1", st.DeferredReplaces, st.EarlyReplaceApplies)
+	if st.DeferredReplaces != 2 {
+		t.Fatalf("%d deferred, want 2", st.DeferredReplaces)
 	}
 	if st.ReplaceReadsSaved != 1 {
 		t.Fatalf("%d page runs taken from a kept read, want 1: the first replace follows a read of its bytes, the second an append", st.ReplaceReadsSaved)
@@ -469,9 +620,9 @@ func replaceCost(t *testing.T, s *Store, vol disk.Device, tx *Txn, name string, 
 
 // TestReadHandsPagesToReplace: a Replace right behind a Read of the same
 // bytes issues no data read — it plans on the page runs the Read
-// transferred — and the bytes it logs as pre-image are the device's: the
-// content is right after commit, after abort, and after a crash that
-// finds the transaction in flight with its write already on the device.
+// transferred — and the bytes it keeps as pre-image are the device's: the
+// content is right after commit, after abort, and after a crash that finds
+// the transaction in flight, its replace held across a checkpoint.
 func TestReadHandsPagesToReplace(t *testing.T) {
 	// [4600, 6400) crosses the first segment boundary: two pieces.
 	const off, n = 4600, 1800
@@ -503,9 +654,9 @@ func TestReadHandsPagesToReplace(t *testing.T) {
 				}
 				want = model
 			case "crash in flight":
-				// Reading it back forces the pre-image record and writes the
-				// replace home; the soft checkpoint makes that write durable.
-				// Recovery can only restore the old bytes from the record.
+				// Reading it back writes nothing; the soft checkpoint forces
+				// the volume with the replace held, and recovery redoes
+				// nothing of an uncommitted transaction.
 				if got, err := tx.Read("m", 0, int64(len(want))); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("transaction does not see its own replace (err %v)", err)
 				}
@@ -646,9 +797,10 @@ func TestKeptReadDoesNotOutliveTheNextOperation(t *testing.T) {
 }
 
 // TestReplaceReadReplace: the read between two replaces of overlapping
-// bytes settles the first, returns its bytes, and keeps page images that
-// hold them; the second replace is planned on those.  Commit leaves both,
-// abort neither, and so does a crash that finds both written home.
+// bytes returns the first one's bytes from the held pages and keeps page
+// images that hold them; the second replace is planned on those.  Commit
+// leaves both, abort neither, and so does a crash after a checkpoint taken
+// with both held.
 func TestReplaceReadReplace(t *testing.T) {
 	first, second := pat(95, 1000), pat(96, 1000)
 	for _, end := range []string{"commit", "abort", "crash in flight"} {
@@ -666,9 +818,6 @@ func TestReplaceReadReplace(t *testing.T) {
 			}
 			if !bytes.Equal(got, want[900:2600]) {
 				t.Fatal("the read does not see the first replace")
-			}
-			if s.Stats().EarlyReplaceApplies != 1 {
-				t.Fatal("the read did not settle the first replace")
 			}
 			if reads, saved := replaceCost(t, s, vol, tx, "m", 1500, second); reads != 0 || saved != 1 {
 				t.Fatalf("second replace: %d data reads, %d runs taken; want 0, 1", reads, saved)
@@ -783,22 +932,21 @@ func openTailStore(t *testing.T, opts Options) (*Store, disk.Device, disk.Device
 // read, replace those bytes, append — on an object whose tail the last
 // append left open.  The append goes on in that tail with no write and no
 // read — its pages join the pending ones — and it leaves the deferred
-// replace alone: one log force, no early apply, and the replaced pages join
-// the write-behind set at the commit.  A replace into the pending tail pages
-// reads and writes nothing either: at the commit its images take their
-// place.  One that covers the very page the append continues is settled
-// first, written home with the pending pages it covers, so the append reads
-// the partial page back.
+// replace alone: one log force, and the replaced pages join the write-behind
+// set at the commit.  A replace into the pending tail pages reads and writes
+// nothing either: at the commit its images take their place.  So does one
+// that covers the very page the append continues: the continued page stays
+// held with the replace, and the replace's uncommitted bytes never reach the
+// page or the set before the commit.
 func TestSmallTxnContinuesTheTail(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		off                 int64
-		early, forces, read int64
-		tail, replaced      int64 // pages pending after the commit
+		name           string
+		off            int64
+		tail, replaced int64 // pages pending after the commit
 	}{
-		{"replace elsewhere", 1000, 0, 1, 0, 4, 2},
-		{"replace in the tail segment, another page", 6100, 0, 1, 0, 4, 0},
-		{"replace covering the partial last page", 6400, 1, 2, 1, 3, 0},
+		{"replace elsewhere", 1000, 4, 2},
+		{"replace in the tail segment, another page", 6100, 4, 0},
+		{"replace covering the partial last page", 6400, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, vol, logVol, model := openTailStore(t, Options{})
@@ -828,20 +976,15 @@ func TestSmallTxnContinuesTheTail(t *testing.T) {
 			copy(model[tc.off:], repl)
 			model = append(model, more...)
 			st := s.Stats()
-			if got := st.EarlyReplaceApplies - st0.EarlyReplaceApplies; got != tc.early {
-				t.Errorf("%d early applies, want %d", got, tc.early)
+			if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != 1 {
+				t.Errorf("%d leader forces, want 1", got)
 			}
-			if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != tc.forces {
-				t.Errorf("%d leader forces, want %d", got, tc.forces)
-			}
-			// The append writes nothing but the settled replace's pages when
-			// there was one.  Its 900 bytes and the 700 before them stay
-			// pending (4 pages) unless the settled replace wrote them, and the
-			// pending pages then start again at the partial page (188 + 900
-			// bytes: 3 pages).  A replace elsewhere leaves its 2 pages
-			// pending; one into the tail's pages overwrites theirs.
-			if reads, writes := d1.Reads-d0.Reads, d1.Writes-d0.Writes; reads != tc.read || writes != tc.early {
-				t.Errorf("the append issued %d reads and %d writes, want %d and %d", reads, writes, tc.read, tc.early)
+			// The append reads and writes nothing.  Its 900 bytes and the 700
+			// before them stay pending (4 pages).  A replace elsewhere leaves
+			// its 2 pages pending; one into the tail's pages overwrites
+			// theirs.
+			if reads, writes := d1.Reads-d0.Reads, d1.Writes-d0.Writes; reads != 0 || writes != 0 {
+				t.Errorf("the append issued %d reads and %d writes, want neither", reads, writes)
 			}
 			if got, replaced := st.LOB.PendingPages-st.LOB.ReplacedPending, st.LOB.ReplacedPending; got != tc.tail || replaced != tc.replaced {
 				t.Errorf("%d tail pages and %d replaced pages pending after the commit, want %d and %d", got, replaced, tc.tail, tc.replaced)
@@ -1043,11 +1186,11 @@ func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 	}
 }
 
-// TestReplaceRecordCarriesNoPreImage: a replace written home behind its
-// commit record needs no undo, so its record carries Off and Data and
-// nothing more; one written home before — settled by a later Read of the
-// same transaction — is logged again, with its pre-image and extents.  Each
-// crash recovers what those records call for.
+// TestReplaceRecordCarriesNoPreImage: a replace is written home only behind
+// its commit record and needs no undo, so its record carries Off and Data
+// and nothing more — also when its transaction reads the bytes back, or
+// stays in flight across a checkpoint.  Each crash recovers what those
+// records call for.
 func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 	repl := pat(73, 600)
 	// replaces returns the replace records tx logged, every one of them
@@ -1066,11 +1209,11 @@ func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 		return out
 	}
 	bare := func(r *wal.Record) bool {
-		return r.Off == 2000 && bytes.Equal(r.Data, repl) && r.OldData == nil && r.Extents == nil
+		return r.Off == 2000 && bytes.Equal(r.Data, repl) && r.N == 0
 	}
 	shape := func(recs []*wal.Record) (out []string) {
 		for _, r := range recs {
-			out = append(out, fmt.Sprintf("{Off %d, %d data bytes, %d old, %d extents}", r.Off, len(r.Data), len(r.OldData), len(r.Extents)))
+			out = append(out, fmt.Sprintf("{Off %d, N %d, %d data bytes}", r.Off, r.N, len(r.Data)))
 		}
 		return out
 	}
@@ -1103,24 +1246,20 @@ func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 		}
 	})
 
-	t.Run("settled", func(t *testing.T) {
+	t.Run("read back", func(t *testing.T) {
 		s, vol, logVol, base := replaceStore(t, Options{})
 		tx, _ := s.Begin()
 		if err := tx.Replace("x", 2000, repl); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.Read("x", 2000, 600); err != nil { // settles it: written home
+		if got, err := tx.Read("x", 2000, 600); err != nil || !bytes.Equal(got, repl) {
+			t.Fatalf("the transaction does not read its replace back (err %v)", err)
+		}
+		if err := s.Checkpoint(); err != nil { // soft: tx is live, its replace held
 			t.Fatal(err)
 		}
-		if err := s.Checkpoint(); err != nil { // soft: tx is live; the write is durable
-			t.Fatal(err)
-		}
-		recs := replaces(t, s, tx)
-		if len(recs) != 2 || !bare(recs[0]) {
-			t.Fatalf("replace records %v, want the deferred one with Off and Data only, then the settled one", shape(recs))
-		}
-		if r := recs[1]; r.Off != 2000 || !bytes.Equal(r.Data, repl) || !bytes.Equal(r.OldData, base[2000:2600]) || len(r.Extents) == 0 {
-			t.Fatalf("the settled replace's record %v carries no pre-image to undo it by", shape(recs[1:]))
+		if recs := replaces(t, s, tx); len(recs) != 1 || !bare(recs[0]) {
+			t.Fatalf("replace records %v, want one with Off and Data only", shape(recs))
 		}
 		s = crashReopen(t, vol, logVol)
 		if !bytes.Equal(readObject(t, s, "x"), base) {
@@ -1330,8 +1469,8 @@ func TestBoundedLogUnderOverlappingTransactions(t *testing.T) {
 			t.Fatalf("round %d: checkpoint with transaction %d live: %v", i, live[k].ID(), err)
 		}
 		checkpoints++
-		image = s.Stats().Barrier.ImageBytes - image + 59
-		kept := int64(59 + 59 + len(staged[k])) // the live transaction's begin and append
+		image = s.Stats().Barrier.ImageBytes - image + 53
+		kept := int64(53 + 53 + len(staged[k])) // the live transaction's begin and append
 		if used := s.LogTail(); used > 4*(image+kept) && over == nil {
 			over = fmt.Errorf("round %d: %d bytes of log in use, want at most 4 × (%d bytes of image + %d of the live transaction's records)", i, used, image, kept)
 		}
