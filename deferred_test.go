@@ -1,23 +1,36 @@
 package eos
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
 )
 
-// fakeAlloc counts frees for deferredAlloc tests.
+// fakeAlloc hands out consecutive pages and records what is freed, and
+// how, for deferredAlloc tests.
 type fakeAlloc struct {
-	freed []pageRun
+	next        disk.PageNum
+	freed       []pageRun
+	unpublished []pageRun
 }
 
-func (f *fakeAlloc) FreeUnpublished(p disk.PageNum, n int) error { return f.Free(p, n) }
-
-func (f *fakeAlloc) Alloc(n int) (disk.PageNum, error)          { return 1, nil }
-func (f *fakeAlloc) AllocUpTo(n int) (disk.PageNum, int, error) { return 1, n, nil }
-func (f *fakeAlloc) MaxSegmentPages() int                       { return 1 << 12 }
+func (f *fakeAlloc) Alloc(n int) (disk.PageNum, error) {
+	p, _, err := f.AllocUpTo(n)
+	return p, err
+}
+func (f *fakeAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
+	p := 1000 + f.next
+	f.next += disk.PageNum(n)
+	return p, n, nil
+}
+func (f *fakeAlloc) MaxSegmentPages() int { return 1 << 12 }
 func (f *fakeAlloc) Free(p disk.PageNum, n int) error {
-	f.freed = append(f.freed, pageRun{p, n})
+	f.freed = append(f.freed, pageRun{start: p, n: n})
+	return nil
+}
+func (f *fakeAlloc) FreeUnpublished(p disk.PageNum, n int) error {
+	f.unpublished = append(f.unpublished, pageRun{start: p, n: n})
 	return nil
 }
 
@@ -30,47 +43,67 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 	if err := d.Free(20, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 0 {
-		t.Fatal("free applied eagerly")
-	}
-	// Pages no descriptor ever named have nothing to wait for.
+	// Room the transaction did not allocate: an abort's root claims it.
 	if err := d.FreeUnpublished(30, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 1 || inner.freed[0] != (pageRun{30, 3}) {
-		t.Fatalf("unpublished free not passed on at once: %v", inner.freed)
+	if len(inner.freed)+len(inner.unpublished) != 0 {
+		t.Fatal("free applied eagerly")
 	}
-	inner.freed = nil
+	// Pages the transaction allocated have nothing to wait for.
+	p, _ := d.Alloc(8)
+	if err := d.FreeUnpublished(p+6, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(inner.unpublished) != 1 || inner.unpublished[0] != (pageRun{start: p + 6, n: 2}) {
+		t.Fatalf("unpublished free of its own pages not passed on at once: %v", inner.unpublished)
+	}
+	inner.unpublished = nil
 	if err := d.apply(); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 2 || inner.freed[0] != (pageRun{10, 4}) {
+	if len(inner.freed) != 2 || inner.freed[0] != (pageRun{start: 10, n: 4}) {
 		t.Fatalf("applied = %v", inner.freed)
+	}
+	if len(inner.unpublished) != 1 || inner.unpublished[0] != (pageRun{start: 30, n: 3}) {
+		t.Fatalf("applied unpublished = %v", inner.unpublished)
 	}
 	// apply drains: a second apply is a no-op.
 	if err := d.apply(); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 2 {
+	if len(inner.freed) != 2 || len(inner.unpublished) != 1 {
 		t.Error("second apply re-freed")
 	}
 }
 
-func TestDeferredAllocCancelRange(t *testing.T) {
+// TestDeferredAllocGivesBackWhatItAllocated: an abort drops every deferred
+// free and returns exactly the pages the transaction allocated and still
+// holds — its own frees of them, deferred or not, counted once.
+func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 	inner := &fakeAlloc{}
 	d := &deferredAlloc{inner: inner}
-	d.Free(1, 1)
-	lo := d.mark()
-	d.Free(2, 1)
-	d.Free(3, 1)
-	hi := d.mark()
-	d.Free(4, 1)
-	d.cancel(lo, hi) // drop frees of pages 2 and 3
-	if err := d.apply(); err != nil {
+	a, _ := d.Alloc(1)         // shadowed index page, shadowed again below
+	b, _, _ := d.AllocUpTo(16) // a tail segment, trimmed below
+	d.Free(5, 1)               // a page of the root from before
+	d.Free(a, 1)
+	if err := d.FreeUnpublished(b+4, 12); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 2 || inner.freed[0].start != 1 || inner.freed[1].start != 4 {
-		t.Fatalf("applied = %v", inner.freed)
+	if err := d.FreeUnpublished(40, 4); err != nil { // room from before: deferred
+		t.Fatal(err)
+	}
+	inner.unpublished = nil
+	var forgot []pageRun
+	if err := d.giveBack(func(p disk.PageNum, n int) { forgot = append(forgot, pageRun{start: p, n: n}) }); err != nil {
+		t.Fatal(err)
+	}
+	want := []pageRun{{start: a, n: 1}, {start: b, n: 4}}
+	if !slices.Equal(inner.unpublished, want) || !slices.Equal(forgot, want) || len(inner.freed) != 0 {
+		t.Fatalf("gave back %v (images dropped %v, freed %v), want %v only", inner.unpublished, forgot, inner.freed, want)
+	}
+	if err := d.apply(); err != nil || len(inner.freed) != 0 {
+		t.Fatalf("frees survived the abort: %v (%v)", inner.freed, err)
 	}
 }
 

@@ -21,8 +21,8 @@
 //
 // Transactions (Store.Begin) provide object (root) locking,
 // write-ahead logging, shadowed index pages, deferred frees (the effect
-// of Starburst's release locks), logical undo on abort, and redo recovery
-// on reopen after a crash (§4.5).
+// of Starburst's release locks), an abort that reinstates the roots from
+// before the transaction, and redo recovery on reopen after a crash (§4.5).
 package eos
 
 import (
@@ -56,6 +56,9 @@ var (
 	ErrCorruptStore = errors.New("eos: corrupt store")
 	// ErrTxnDone is returned when a finished transaction is reused.
 	ErrTxnDone = errors.New("eos: transaction already committed or aborted")
+	// ErrInUse is returned when Rename or a non-transactional change meets
+	// an object a live transaction has written: it may still abort.
+	ErrInUse = errors.New("eos: object in use by a transaction")
 )
 
 const (
@@ -156,8 +159,7 @@ type catEntry struct {
 	id       uint64
 	name     string
 	obj      *lob.Object
-	txnDirty uint64 // id of the transaction holding it dirty, or 0
-	catBytes int    // what it adds to the next checkpoint's image, as measured (Store.measure); under Store.mu
+	catBytes int // what it adds to the next checkpoint's image, as measured (Store.measure); under Store.mu
 
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
@@ -187,15 +189,6 @@ type catEntry struct {
 // hold the object's write latch or the owning transaction's exclusive
 // lock, which serializes stores per object.
 func (e *catEntry) setStableDesc(desc []byte) { e.stableDesc.Store(&desc) }
-
-// rebind points the object's allocation at m under the write latch: a
-// non-transactional reader may be walking the tree.  The latch ranks below
-// Store.mu, so callers must not hold s.mu.
-func (e *catEntry) rebind(m *lob.Manager) {
-	e.latch.Lock()
-	e.obj.Rebind(m)
-	e.latch.Unlock()
-}
 
 // loadStableDesc returns the last committed descriptor, or nil if the
 // object has never committed.  Safe without the object latch.
@@ -875,8 +868,10 @@ func (s *Store) Destroy(name string) error {
 	}
 	scope := s.epochs.BeginMutation()
 	e.latch.Lock()
-	err := e.obj.Destroy()
-	if err == nil {
+	var err error
+	if s.txnHolds(e) {
+		err = fmt.Errorf("%w: %q", ErrInUse, name)
+	} else if err = e.obj.Destroy(); err == nil {
 		e.obj.Publish(snapshotHistory)
 	}
 	e.latch.Unlock()
@@ -927,8 +922,10 @@ func (s *Store) Rename(oldName, newName string) error {
 	if _, ok := s.catalog[newName]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, newName)
 	}
-	if e.txnDirty != 0 {
-		return fmt.Errorf("eos: %q is in use by transaction %d", oldName, e.txnDirty)
+	e.latch.RLock()
+	defer e.latch.RUnlock()
+	if s.txnHolds(e) {
+		return fmt.Errorf("%w: %q", ErrInUse, oldName)
 	}
 	delete(s.catalog, oldName)
 	e.name = newName
@@ -1136,6 +1133,11 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	}
 	scope := o.s.epochs.BeginMutation()
 	o.e.latch.Lock()
+	if o.s.txnHolds(o.e) {
+		o.e.latch.Unlock()
+		o.s.epochs.EndMutation(scope)
+		return o.inUse()
+	}
 	err := op(o.e.obj)
 	o.e.obj.Publish(snapshotHistory)
 	// Publish is this mode's commit point: refresh the catalog-visible
@@ -1154,6 +1156,18 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	}
 	return err
 }
+
+// txnHolds reports whether a live transaction holds e dirty, which refuses
+// every non-transactional change of it: the transaction's uncommitted root
+// must neither be published nor become stableDesc, and the root from before
+// it must stay whole for its abort.  The test is that the object's manager
+// is not the store's: a transaction switches it under the object latch, so
+// a caller that holds the latch has no window between test and change, and
+// needs no Store.mu under it.
+func (s *Store) txnHolds(e *catEntry) bool { return e.obj.Manager() != s.lm }
+
+// inUse is the error of a change txnHolds refused.  Callers hold no latch.
+func (o *Object) inUse() error { return fmt.Errorf("%w: %q", ErrInUse, o.Name()) }
 
 // Size returns the object's length in bytes.
 func (o *Object) Size() int64 {
@@ -1222,8 +1236,13 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 // page included, so it takes the latch exclusively like every writer.
 func (o *Object) Replace(off int64, data []byte) error {
 	o.e.latch.Lock()
-	defer o.e.latch.Unlock()
-	return o.e.obj.Replace(off, data)
+	if o.s.txnHolds(o.e) {
+		o.e.latch.Unlock()
+		return o.inUse()
+	}
+	err := o.e.obj.Replace(off, data)
+	o.e.latch.Unlock()
+	return err
 }
 
 // Insert inserts data at byte off (§4.3.1).
@@ -1249,11 +1268,16 @@ func (o *Object) Compact() error {
 }
 
 // SetThreshold changes the object's segment size threshold T (§4.4).
-func (o *Object) SetThreshold(t int) {
+func (o *Object) SetThreshold(t int) error {
 	o.e.latch.Lock()
-	defer o.e.latch.Unlock()
+	if o.s.txnHolds(o.e) {
+		o.e.latch.Unlock()
+		return o.inUse()
+	}
 	o.e.obj.SetThreshold(t)
 	o.e.setStableDesc(o.e.obj.EncodeDescriptor())
+	o.e.latch.Unlock()
+	return nil
 }
 
 // Threshold returns the object's T.

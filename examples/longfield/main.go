@@ -51,7 +51,8 @@ func main() {
 	}
 	fmt.Printf("editorial pass committed: %d KB\n", sizeOf(store, "articles/eos-review")>>10)
 
-	// A vandal's edits are rolled back: logical undo restores content.
+	// A vandal's edits are rolled back: the abort reinstates the root from
+	// before them.
 	before, _ := article.Read(0, 200)
 	vandal, _ := store.Begin()
 	mustTx(vandal.Replace("articles/eos-review", 0, bytes.Repeat([]byte("X"), 200)))

@@ -80,7 +80,9 @@ func main() {
 
 	// Raise the threshold for future edits, and compact to repair the
 	// damage already done.
-	obj.SetThreshold(16)
+	if err := obj.SetThreshold(16); err != nil {
+		log.Fatal(err)
+	}
 	if err := obj.Compact(); err != nil {
 		log.Fatal(err)
 	}

@@ -167,25 +167,6 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 // pending tail pages is never forgotten: trim writes them first.
 func (o *Object) ForgetTail() { o.tailStart, o.tailAlloc = 0, 0 }
 
-// UndoAppend truncates the object back to size bytes, undoing appends no
-// root but the caller's has named: the open tail's pending pages that hold
-// only bytes past size are dropped, not written, and the rest are written as
-// the tail closes.  A transaction's abort undoes its appends with it.
-func (o *Object) UndoAppend(size int64) error {
-	if o.tailAlloc > 0 && size < o.size {
-		_, tailLen, err := o.tailEntry()
-		if err != nil {
-			return err
-		}
-		keep := 0 // tail pages holding bytes below size
-		if n := size - (o.size - tailLen); n > 0 {
-			keep = pagesFor(n, o.m.vol.PageSize())
-		}
-		o.m.cfg.Pending.drop(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep)
-	}
-	return o.Truncate(size)
-}
-
 // trimTail trims when seg is the untrimmed tail segment, ahead of an
 // operation that cuts or moves seg's bytes.  Operations elsewhere in the
 // object leave the tail's room and pending run alone.

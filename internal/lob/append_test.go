@@ -510,9 +510,9 @@ func TestTailImageFollowsThePage(t *testing.T) {
 
 // TestNoInPlaceWriteAfterTheTailWasCut: only room no root has ever named is
 // written in place.  Once a delete or truncate has cut the tail segment
-// (its old bytes may still be named by a durable or snapshot root), after
-// an abort's truncate, and after a reopen (the room is soft state), the
-// next append writes nothing but pages it has just allocated.
+// (its old bytes may still be named by a durable or snapshot root), and
+// after a reopen (the room is soft state), the next append writes nothing
+// but pages it has just allocated.
 func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -521,7 +521,6 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 	}{
 		{"delete inside the tail", func(e *env, o *Object) (*Object, error) { return o, o.Delete(840, 20) }, 910},
 		{"truncate", func(e *env, o *Object) (*Object, error) { return o, o.Truncate(850) }, 850},
-		{"abort of the last append", func(e *env, o *Object) (*Object, error) { return o, o.UndoAppend(800) }, 800},
 		{"reopen", func(e *env, o *Object) (*Object, error) {
 			// A durable descriptor names no page only the set holds.
 			if err := e.m.cfg.Pending.Flush(); err != nil {

@@ -20,19 +20,15 @@ import (
 // a committed root names, on the device or in the write-behind set, so
 // recovery has nothing to undo.
 //
-// Two other writers keep to that: an append that continues a tail whose
+// One other writer keeps to that: an append that continues a tail whose
 // partial last page is held puts that page's new image in the held set, not
-// in place (appendBytes), and an abort's compensation writes held pages into
-// their images and only pages the transaction wrote itself at home
-// (Restore).  A held page a later operation frees stays held, marked:
-// an abort that brings a destroyed object back reads it again, and a commit
-// does not pend it, since no image may outlive its page's owner.
+// in place (appendBytes).  A held page a later operation of the transaction
+// frees leaves the set: no image may outlive its page's owner.
 
 // heldPage is the image of one held page.
 type heldPage struct {
-	page  disk.PageNum
-	img   []byte // one page; nobody writes to it once it is held
-	freed bool   // an operation of the transaction freed the page
+	page disk.PageNum
+	img  []byte // one page; nobody writes to it once it is held
 }
 
 func (p heldPage) pageNum() disk.PageNum { return p.page }
@@ -67,7 +63,6 @@ func (h *held) hold(add []heldPage) {
 			i++
 		}
 		if i < len(old) && old[i].page == a.page {
-			a.freed = old[i].freed
 			i++
 		}
 		out = append(out, a)
@@ -76,17 +71,14 @@ func (h *held) hold(add []heldPage) {
 	h.set.Store(&out)
 }
 
-// free marks the held pages among [start, start+n) freed.
+// free drops the held pages among [start, start+n).
 func (h *held) free(start disk.PageNum, n int) {
 	pages := h.load()
 	lo, hi := span(pages, start, n)
 	if lo == hi {
 		return
 	}
-	out := append([]heldPage(nil), pages...)
-	for i := lo; i < hi; i++ {
-		out[i].freed = true
-	}
+	out := append(append(make([]heldPage, 0, len(pages)-(hi-lo)), pages[:lo]...), pages[hi:]...)
 	h.set.Store(&out)
 }
 
@@ -100,18 +92,17 @@ func heldImages(start disk.PageNum, raw []byte, ps int) []heldPage {
 	return out
 }
 
-// PendHeld hands the held pages to the write-behind set — those no
-// operation of the transaction freed — and empties the held set: the
-// transaction's commit record is durable, and the images may reach the
-// device from now on.  With no set (Config.Pending nil) they are written.
+// PendHeld hands the held pages to the write-behind set and empties the
+// held set: the transaction's commit record is durable, and the images may
+// reach the device from now on.  With no set (Config.Pending nil) they are
+// written.
 func (m *Manager) PendHeld() error {
-	var pages []pendingPage
-	for _, h := range m.held.load() {
-		if !h.freed {
-			pages = append(pages, pendingPage{page: h.page, img: h.img})
-		}
-	}
+	held := m.held.load()
 	m.DropHeld()
+	pages := make([]pendingPage, len(held))
+	for i, h := range held {
+		pages[i] = pendingPage{page: h.page, img: h.img}
+	}
 	if t := m.cfg.Pending; t != nil && len(pages) > 0 {
 		t.install(pages)
 		return nil

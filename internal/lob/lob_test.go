@@ -352,9 +352,6 @@ func TestReplacePlan(t *testing.T) {
 			t.Errorf("PrepareReplace(%d,%d): %d reads, %d writes; want %d, 0",
 				c.off, c.n, got, mid.Writes-before.Writes, pieces)
 		}
-		if !bytes.Equal(plan.Old(), model[c.off:c.off+int64(c.n)]) {
-			t.Errorf("PrepareReplace(%d,%d): wrong pre-image", c.off, c.n)
-		}
 		mustContent(t, o, model)
 		committed := append([]byte{}, model...)
 

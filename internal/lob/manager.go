@@ -363,9 +363,19 @@ func (m *Manager) writeHome(start disk.PageNum, img []byte) error {
 	return m.cfg.Pending.writeOver(start, img)
 }
 
+// Forget drops the images of pages [start, start+n) unwritten — pending
+// ones, and index pages' pool frames — before the pages go back to the free
+// space: an aborted transaction allocated them, and no root names them.
+func (m *Manager) Forget(start disk.PageNum, n int) {
+	m.cfg.Pending.drop(start, n)
+	for i := 0; i < n; i++ {
+		m.pool.Discard(start + disk.PageNum(i))
+	}
+}
+
 // freeData frees n data pages from start on, writing the pending ones first:
 // a snapshot may read them until the free is reclaimed, and no image may
-// outlive its page's owner.  Held ones are marked freed (held.go).
+// outlive its page's owner.  Held ones leave the held set (held.go).
 func (m *Manager) freeData(start disk.PageNum, n int) error {
 	m.held.free(start, n)
 	if err := m.cfg.Pending.writeRange(start, n); err != nil {

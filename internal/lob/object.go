@@ -86,6 +86,37 @@ func (o *Object) SetThreshold(t int) {
 // of a transaction.
 func (o *Object) Rebind(m *Manager) { o.m = m }
 
+// Manager returns the manager the object is bound to.
+func (o *Object) Manager() *Manager { return o.m }
+
+// Reinstate makes o again the object desc describes — an EncodeDescriptor of
+// o from before the operations it rolls back — in place: every handle on o,
+// and the versions it published, stay.  It is a transaction's abort.  The
+// operations shadowed every index page and wrote no page desc names outside
+// its tail's room, so desc's tree is whole; whatever they allocated is the
+// caller's to give back.  An aborted append may have left room pages
+// pending: those images are dropped, as no root names their bytes; finding
+// the room walks desc's tree to its tail, through the pool.
+func (o *Object) Reinstate(desc []byte) error {
+	r, err := o.m.OpenDescriptor(desc)
+	if err != nil {
+		return err
+	}
+	o.root, o.size, o.threshold, o.nextGrow = r.root, r.size, r.threshold, r.nextGrow
+	o.tailStart, o.tailAlloc = r.tailStart, r.tailAlloc
+	o.lsn.Store(r.lsn.Load())
+	if o.tailAlloc == 0 {
+		return nil
+	}
+	_, tailLen, err := o.tailEntry()
+	if err != nil {
+		return err
+	}
+	keep := pagesFor(tailLen, o.m.vol.PageSize())
+	o.m.cfg.Pending.drop(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep)
+	return nil
+}
+
 // LSN returns the log sequence number stored in the object root.
 func (o *Object) LSN() uint64 { return o.lsn.Load() }
 
@@ -95,11 +126,8 @@ func (o *Object) SetLSN(lsn uint64) { o.lsn.Store(lsn) }
 // Destroy deletes the entire object, returning every segment and index
 // page to the free space without reading a single data page.
 func (o *Object) Destroy() error {
-	// The tail's unused pages go the way of the rest: a transaction that
-	// destroys the object restores it on abort from a descriptor that says
-	// they are the object's, so they must not be reusable before then.  And
-	// that descriptor names the bytes of the pending pages, which trim and
-	// the frees write.
+	// The tail's unused pages go the way of the rest, through Free; its
+	// pending pages are written first, by trim and the frees.
 	if err := o.trim(o.m.alloc.Free, 0); err != nil {
 		return err
 	}

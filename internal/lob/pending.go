@@ -47,11 +47,12 @@ import (
 //
 // Invariant: every page a committed root names holds its newest committed
 // bytes in the set if it is pending, else on the device.  So whoever drops a
-// page writes it first — unless no root but an aborted one names its bytes
-// (UndoAppend) — and whoever writes a pending page from outside the set (an
-// abort's compensation, a non-transactional replace, a tail that fills)
-// drops its image in the same critical section under Pending.mu, so that the
-// image is never written over the newer page later.  A transaction's
+// page writes it first — unless no root but an aborted one names its bytes:
+// pages an aborted transaction allocated (Manager.Forget), and the room of a
+// tail its abort reinstates (Object.Reinstate) — and whoever writes a
+// pending page from outside the set (a non-transactional replace, a tail
+// that fills) drops its image in the same critical section under
+// Pending.mu, so that the image is never written over the newer page later.  A transaction's
 // uncommitted replaced pages are not here: they wait in its held set
 // (held.go) until its commit record is forced.
 

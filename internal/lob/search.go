@@ -156,44 +156,41 @@ func (o *Object) Replace(off int64, data []byte) error {
 }
 
 // ReplacePlan is an in-place replace prepared but not yet written: the
-// pre-image the transaction layer keeps for its abort, and the post-image of
-// every page the replace touches.  PrepareReplace reads each touched page run
-// once; Hold reads nothing.  A plan stays correct only while nothing else
-// rewrites or moves the pages it covers — the transaction layer's object
-// lock keeps every other writer off them.
+// post-image of every page the replace touches.  PrepareReplace reads each
+// touched page run once; Hold reads nothing.  A plan stays correct only
+// while nothing else rewrites or moves the pages it covers — the
+// transaction layer's object lock keeps every other writer off them.
 type ReplacePlan struct {
 	o     *Object
-	old   []byte
 	runs  []planRun
 	saved int
 }
 
 // planRun is one segment's share of a plan: whole-page images to be
-// written from page start on, of which raw[in:in+n] are the new bytes.
+// written from page start on.
 type planRun struct {
 	start disk.PageNum
 	raw   []byte
-	in, n int64
 }
 
 // PrepareReplace plans overwriting len(data) bytes at off with data: one
 // tree walk, and per segment piece one read of the whole page run the
 // piece touches (the non-transactional Replace reads only the boundary
-// pages, but it needs no pre-image).  A piece whose page run have holds —
-// have may be nil — is taken from there instead of the device; the plan
-// then owns those images and writes into them, so have is spent.  Held and
-// pending pages come from their sets.
+// pages).  A piece whose page run have holds — have may be nil — is taken
+// from there instead of the device; the plan then owns those images and
+// writes into them, so have is spent.  Held and pending pages come from
+// their sets.
 func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
 	}
 	m := o.m
 	ps := m.vol.PageSize()
-	p := &ReplacePlan{o: o, old: make([]byte, 0, len(data))}
+	p := &ReplacePlan{o: o}
 	pos := int64(0)
 	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, ps)
-		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, ps), in: in, n: n}
+		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, ps)}
 		if run.raw != nil {
 			p.saved++
 		} else {
@@ -202,7 +199,6 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 				return err
 			}
 		}
-		p.old = append(p.old, run.raw[in:in+n]...)
 		copy(run.raw[in:], data[pos:pos+n])
 		pos += n
 		p.runs = append(p.runs, run)
@@ -213,9 +209,6 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	}
 	return p, nil
 }
-
-// Old returns the bytes the replace overwrites.
-func (p *ReplacePlan) Old() []byte { return p.old }
 
 // ReadsSaved is the number of segment pieces whose page run came from the
 // images PrepareReplace was handed rather than from the device.
@@ -232,42 +225,6 @@ func (p *ReplacePlan) Hold() {
 	}
 	m.held.hold(add)
 	m.st.replaces.Add(1)
-}
-
-// Restore writes old over [off, off+len(old)) for a transaction that aborts
-// the replace which overwrote it: into the held images of the pages the
-// manager holds — the abort then drops them, and the device or the
-// write-behind set still has the bytes from before the transaction — and
-// home for the others.  Those are pages the transaction's own operations
-// wrote after the replace, copying its bytes: no committed root names them.
-func (o *Object) Restore(off int64, old []byte) error {
-	p, err := o.PrepareReplace(off, old, nil)
-	if err != nil {
-		return err
-	}
-	m := o.m
-	ps := m.vol.PageSize()
-	held := m.held.load()
-	var keep []heldPage
-	for _, run := range p.runs {
-		n := len(run.raw) / ps
-		for i := 0; i < n; {
-			h := has(held, run.start+disk.PageNum(i))
-			j := i + 1
-			for j < n && has(held, run.start+disk.PageNum(j)) == h {
-				j++
-			}
-			img := run.raw[i*ps : j*ps]
-			if h {
-				keep = append(keep, heldImages(run.start+disk.PageNum(i), img, ps)...)
-			} else if err := m.writeHome(run.start+disk.PageNum(i), img); err != nil {
-				return err
-			}
-			i = j
-		}
-	}
-	m.held.hold(keep)
-	return nil
 }
 
 // replaceInSegment rewrites bytes [segOff, segOff+len(data)) of one

@@ -107,9 +107,9 @@ func (t RecType) String() string {
 }
 
 // Record is one log entry.  Data carries the bytes redo needs; nothing is
-// logged for undo: an abort undoes its transaction from the journal in
-// memory, and no uncommitted write ever reaches the device over committed
-// bytes (§4.5's replace included: it waits for its commit record).
+// logged for undo: an abort reinstates the roots from before its
+// transaction, and no uncommitted write ever reaches the device over
+// committed bytes (§4.5's replace included: it waits for its commit record).
 type Record struct {
 	LSN    uint64 // assigned by Append: the record's position + 1
 	Txn    uint64

@@ -73,8 +73,8 @@ func TestStripeCommitsShareBoundaryPages(t *testing.T) {
 // TestWritersLatchTheTree ends structural transactions beside a
 // non-transactional reader of the object's prefix, by abort and by commit.
 // The reader holds the object's shared latch only, so the abort's
-// compensations and every rebind of the tree's allocator must take the
-// write latch; under -race a missing latch shows as a report.  Each
+// reinstatement of the root and every rebind of the tree's allocator must
+// take the write latch; under -race a missing latch shows as a report.  Each
 // transaction also replaces inserted bytes and reads them back, so the
 // reader, which reads through the transaction's manager while it holds the
 // object, loads the held set the writer changes.

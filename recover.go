@@ -22,7 +22,8 @@ import (
 //     catalog image.  The catalog lags them: a commit is redone from the
 //     older roots until a checkpoint persists the roots that followed, and
 //     the durability quarantine keeps the older roots' pages intact until
-//     then; an aborted transaction left those roots' bytes as they were.
+//     then; an abort reinstated the roots from before its transaction,
+//     whose bytes it left as they were.
 //   - Only the checkpoint writes the catalog.  It writes the write-behind
 //     set's pages and forces the whole data volume first, so the durable
 //     image never names a page the device does not hold, then forces the
@@ -35,7 +36,8 @@ import (
 //     before the write leaves a committed record redo applies.  A
 //     transaction's other writes go to pages no committed root names.  So
 //     recovery has nothing to undo: a transaction without a commit record
-//     left no trace the durable roots can reach.
+//     left no trace the durable roots can reach.  An abort has nothing to
+//     undo either, for the same reason: it goes back to those roots.
 //   - A transaction is live from before its first record until the
 //     critical section that hands its new roots to the catalog, and the
 //     log is truncated only behind the image and every live transaction's

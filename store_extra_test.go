@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -218,12 +219,13 @@ func TestRecoveryTrimsTheTailsRedoOpened(t *testing.T) {
 }
 
 // TestTxnChurnWithoutCheckpoints: transactional inserts and deletes on a
-// small volume, with no Checkpoint call, free more pages over the run than
-// the volume holds — committed, or aborted (the abort frees what its undo
-// superseded).  Neither a commit nor an abort is a barrier, so the pages
-// wait in the durability quarantine until a failed allocation asks for a
-// checkpoint (spaceWaiter, requestBarrier); no operation may fail for want
-// of space.
+// small volume, with no Checkpoint call, allocate more pages over the run
+// than the volume holds, and no operation may fail for want of space.
+// Committed, they free as many: a commit is no barrier, so those pages wait
+// in the durability quarantine until a failed allocation asks for a
+// checkpoint (spaceWaiter, requestBarrier).  Aborted, they free nothing the
+// root from before names, and what they allocated goes back at once: no
+// page waits for a checkpoint, and none runs.
 func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 	for _, abort := range []bool{false, true} {
 		t.Run(fmt.Sprintf("abort=%v", abort), func(t *testing.T) {
@@ -253,9 +255,15 @@ func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before := barriers()
+			before, free := barriers(), freePages(t, s)
+			done := func(i int) bool {
+				if abort {
+					return i == 200 // allocating more pages than the volume holds
+				}
+				return s.Stats().Snap.RetiredPages >= 2*total
+			}
 			rng := rand.New(rand.NewSource(7))
-			for i := 0; s.Stats().Snap.RetiredPages < 2*total; i++ {
+			for i := 0; !done(i); i++ {
 				if i == 2000 {
 					t.Fatalf("%d pages freed after %d rounds, want %d", s.Stats().Snap.RetiredPages, i, 2*total)
 				}
@@ -279,7 +287,10 @@ func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 					model = append(model[:off:off], model[off+int64(len(data)):]...)
 				}
 			}
-			if barriers() == before {
+			switch {
+			case abort && (barriers() != before || s.Stats().Snap.RetiredPages != 0 || freePages(t, s) != free):
+				t.Fatalf("the aborts left %d free pages of %d, retired %d and ran %d checkpoints, want all back at once", freePages(t, s), free, s.Stats().Snap.RetiredPages, barriers()-before)
+			case !abort && barriers() == before:
 				t.Fatal("no checkpoint ran: the churn never ran short of space")
 			}
 			if !bytes.Equal(readObject(t, s, "x"), model) {
@@ -613,5 +624,72 @@ func TestStoreClose(t *testing.T) {
 	o2, _ := s2.Open("c")
 	if o2.Size() != 1010 {
 		t.Errorf("size after close+reopen = %d", o2.Size())
+	}
+}
+
+// TestNonTransactionalWritersRefuseATransactionsObject: while a live
+// transaction holds an object dirty, every non-transactional change of it is
+// refused, as Rename is: it would publish the transaction's uncommitted root
+// to snapshots, make it the catalog's, or take the root from before the
+// transaction away from its abort.  The abort then finds that root whole, and
+// once it is done the writers work again.
+func TestNonTransactionalWritersRefuseATransactionsObject(t *testing.T) {
+	s, _, _ := newStore(t, Options{})
+	x, _ := s.Create("x", 0)
+	committed := pat(5, 3000)
+	if err := x.Append(committed); err != nil {
+		t.Fatal(err)
+	}
+	desc := x.e.obj.EncodeDescriptor()
+	tx, _ := s.Begin()
+	if err := tx.Insert("x", 1000, pat(6, 500)); err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func() error{
+		"Append":         func() error { return x.Append(pat(7, 100)) },
+		"AppendWithHint": func() error { return x.AppendWithHint(pat(7, 100), 100) },
+		"Appender": func() error {
+			_, err := x.OpenAppender(0).Write(pat(7, 100))
+			return err
+		},
+		"Insert":       func() error { return x.Insert(0, pat(7, 100)) },
+		"Delete":       func() error { return x.Delete(0, 100) },
+		"Truncate":     func() error { return x.Truncate(100) },
+		"Replace":      func() error { return x.Replace(0, pat(7, 100)) },
+		"Compact":      func() error { return x.Compact() },
+		"SetThreshold": func() error { return x.SetThreshold(2) },
+		"Destroy":      func() error { return s.Destroy("x") },
+		"Rename":       func() error { return s.Rename("x", "z") },
+	} {
+		if err := write(); !errors.Is(err, ErrInUse) {
+			t.Errorf("%s of an object a live transaction holds: %v, want ErrInUse", name, err)
+		}
+	}
+	snap, err := s.OpenSnapshot("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]byte, snap.Size())
+	if _, err := snap.ReadAt(seen, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	snap.Close()
+	if !bytes.Equal(seen, committed) {
+		t.Fatalf("a snapshot sees %d bytes, want the committed %d", len(seen), len(committed))
+	}
+	if !bytes.Equal(x.e.loadStableDesc(), desc) {
+		t.Fatal("the catalog's descriptor is no longer the committed one")
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), committed) {
+		t.Fatal("content wrong after the abort")
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Append(pat(8, 100)); err != nil {
+		t.Fatalf("append after the transaction ended: %v", err)
 	}
 }

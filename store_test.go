@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -54,6 +55,15 @@ func newStore(t testing.TB, opts Options) (*Store, disk.Device, disk.Device) {
 		t.Fatalf("Format: %v", err)
 	}
 	return s, vol, logVol
+}
+
+func freePages(t testing.TB, s *Store) int {
+	t.Helper()
+	n, err := s.FreePages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func pat(seed, n int) []byte {
@@ -534,6 +544,8 @@ func TestTxnRandomWorkloadWithAborts(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 25; round++ {
+		segs, _ := o.e.obj.Segments()
+		desc := o.e.obj.EncodeDescriptor()
 		tx, err := s.Begin()
 		if err != nil {
 			t.Fatal(err)
@@ -579,6 +591,11 @@ func TestTxnRandomWorkloadWithAborts(t *testing.T) {
 		} else {
 			if err := tx.Abort(); err != nil {
 				t.Fatal(err)
+			}
+			// The abort reinstates the root from before Begin: the same
+			// layout, not merely the same bytes.
+			if got, _ := o.e.obj.Segments(); !slices.Equal(got, segs) || !bytes.Equal(o.e.obj.EncodeDescriptor(), desc) {
+				t.Fatalf("round %d: the abort left %d segments and another descriptor, were %d", round, len(got), len(segs))
 			}
 		}
 		got, err := o.Read(0, o.Size())

@@ -2,6 +2,7 @@ package eos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -10,105 +11,138 @@ import (
 	"github.com/eosdb/eos/internal/wal"
 )
 
-// deferredAlloc wraps the buddy manager so that pages freed by a
-// transaction stay allocated until the transaction ends — the effect of
-// the hierarchical release locks §4.5 cites from Starburst: "segments
-// that are descendants of a locked segment are also locked, and thus
-// they remain unallocated until the holding transaction releases the
-// locks".  Because freed pages are never reused mid-transaction and
-// index updates are shadowed, an abort can restore a destroyed object
-// from its descriptor alone.
+// deferredAlloc is one transaction's allocator over the store's.  Pages the
+// transaction frees stay allocated until it ends — the effect of the
+// hierarchical release locks §4.5 cites from Starburst: "segments that are
+// descendants of a locked segment are also locked, and thus they remain
+// unallocated until the holding transaction releases the locks" — and it
+// records the runs it hands out.  Index updates are shadowed and segments
+// never overwritten, so the roots from before the transaction stay whole:
+// a commit applies the frees, an abort reinstates those roots and gives
+// back what the transaction allocated.
 type deferredAlloc struct {
-	inner lob.Allocator
-	mu    sync.Mutex
-	frees []pageRun
+	inner  lob.Allocator
+	mu     sync.Mutex
+	frees  []pageRun // eos:guardedby mu
+	allocs []pageRun // eos:guardedby mu -- allocated by the transaction and not given back
 }
 
 type pageRun struct {
 	start disk.PageNum
 	n     int
+	// unpublished: a FreeUnpublished of pages the transaction did not
+	// allocate, which its commit passes on as one.
+	unpublished bool
 }
 
-func (d *deferredAlloc) Alloc(n int) (disk.PageNum, error) { return d.inner.Alloc(n) }
-func (d *deferredAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
-	return d.inner.AllocUpTo(n)
+func (r pageRun) end() disk.PageNum { return r.start + disk.PageNum(r.n) }
+
+func (d *deferredAlloc) Alloc(n int) (disk.PageNum, error) {
+	p, err := d.inner.Alloc(n)
+	if err == nil {
+		d.record(p, n)
+	}
+	return p, err
 }
+
+func (d *deferredAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
+	p, got, err := d.inner.AllocUpTo(n)
+	if err == nil {
+		d.record(p, got)
+	}
+	return p, got, err
+}
+
+func (d *deferredAlloc) record(p disk.PageNum, n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.allocs = append(d.allocs, pageRun{start: p, n: n})
+}
+
 func (d *deferredAlloc) MaxSegmentPages() int { return d.inner.MaxSegmentPages() }
 
 func (d *deferredAlloc) Free(p disk.PageNum, n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.frees = append(d.frees, pageRun{p, n})
+	d.frees = append(d.frees, pageRun{start: p, n: n})
 	return nil
 }
 
-// FreeUnpublished is not deferred: no descriptor an abort could restore
-// names the pages.
+// FreeUnpublished passes on at once pages the transaction allocated: no
+// root an abort could reinstate names them.  Other pages — the room of an
+// open tail the transaction found — wait like Free: the root from before
+// the transaction claims them.  The pages are always part of one run
+// (lob.Allocator.FreeUnpublished).
 func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
+	d.mu.Lock()
+	i := slices.IndexFunc(d.allocs, func(r pageRun) bool { return r.start <= p && p < r.end() })
+	if i < 0 {
+		d.frees = append(d.frees, pageRun{start: p, n: n, unpublished: true})
+		d.mu.Unlock()
+		return nil
+	}
+	r, end := d.allocs[i], p+disk.PageNum(n)
+	d.allocs = slices.Delete(d.allocs, i, i+1)
+	if r.start < p {
+		d.allocs = append(d.allocs, pageRun{start: r.start, n: int(p - r.start)})
+	}
+	if end < r.end() {
+		d.allocs = append(d.allocs, pageRun{start: end, n: int(r.end() - end)})
+	}
+	d.mu.Unlock()
 	return d.inner.FreeUnpublished(p, n)
 }
 
-// mark returns the current length of the deferred list, so an operation's
-// frees can be identified (and cancelled when undoing a destroy).
-func (d *deferredAlloc) mark() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.frees)
-}
-
-// cancel drops the frees recorded in [lo, hi).
-func (d *deferredAlloc) cancel(lo, hi int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := lo; i < hi && i < len(d.frees); i++ {
-		d.frees[i] = pageRun{}
-	}
-}
-
-// apply performs every surviving deferred free.
+// apply is a commit's: every deferred free is performed.
 func (d *deferredAlloc) apply() error {
 	d.mu.Lock()
 	frees := d.frees
-	d.frees = nil
+	d.frees, d.allocs = nil, nil
 	d.mu.Unlock()
 	for _, r := range frees {
-		if r.n == 0 {
-			continue
+		free := d.inner.Free
+		if r.unpublished {
+			free = d.inner.FreeUnpublished
 		}
-		if err := d.inner.Free(r.start, r.n); err != nil {
+		if err := free(r.start, r.n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// txnOp is one journal entry for logical undo.
-type txnOp struct {
-	typ      wal.RecType
-	entry    *catEntry
-	off      int64
-	n        int64
-	old      []byte // pre-image for delete and replace undo
-	oldSize  int64  // for append undo
-	freeLo   int
-	freeHi   int
-	snapshot []byte // descriptor snapshot for destroy undo
+// giveBack is an abort's: the deferred frees are dropped — the reinstated
+// roots name those pages — and every page the transaction allocated goes
+// back to the free space at once, after forget has dropped its images.
+func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
+	d.mu.Lock()
+	allocs := d.allocs
+	d.frees, d.allocs = nil, nil
+	d.mu.Unlock()
+	var err error
+	for _, r := range allocs {
+		forget(r.start, r.n)
+		if ferr := d.inner.FreeUnpublished(r.start, r.n); err == nil {
+			err = ferr
+		}
+	}
+	return err
 }
 
 // Txn is one transaction over the store: strict two-phase object locks,
-// write-ahead logging, shadowed index updates with deferred frees, and
-// logical undo on abort.
+// write-ahead logging, shadowed index updates with deferred frees, and an
+// abort that reinstates the roots from before the transaction.
 //
 // A transaction's replaces write nothing before its commit record is
 // forced: their page images wait in its manager's held set (lob/held.go),
-// where its own later operations read them.  A commit is durable at its log
-// force: it leaves the replaced pages in the write-behind set, and
-// everything else — index pages in the pool, the new descriptors, the data
-// volume's force — to the next checkpoint; until then recovery redoes it
-// from its log records.  An abort is durable at its log force too: its
-// compensations wait for the next checkpoint, and until then the roots from
-// before the transaction, whose pages it never wrote, are what recovery
-// finds.
+// where its own later operations read them.  Its other operations write only
+// pages it allocated, and the room of an open tail.  So the roots it found
+// stay whole until it ends, and no operation needs undoing: an abort, like
+// recovery for a transaction without a commit record, just goes back to
+// them.  A commit is durable at its log force: it leaves the replaced pages
+// in the write-behind set, and everything else — index pages in the pool,
+// the new descriptors, the data volume's force — to the next checkpoint;
+// until then recovery redoes it from its log records.
 type Txn struct {
 	s        *Store
 	id       uint64
@@ -116,8 +150,8 @@ type Txn struct {
 	alloc    *deferredAlloc
 	lm       *lob.Manager
 	touched  map[uint64]*txnObj
-	journal  []txnOp
 	kept     keptRead
+	wrote    bool // an operation record is logged
 	done     bool
 }
 
@@ -143,10 +177,12 @@ type keptRead struct {
 // 16 MB for that minute.
 const keptReadMaxPages = 256
 
+// txnObj is an object the transaction holds exclusively.
 type txnObj struct {
-	entry   *catEntry
-	prevLSN uint64
-	created bool
+	entry *catEntry
+	// desc is the object's descriptor when the transaction took it, the
+	// root an abort reinstates; nil for an object the transaction created.
+	desc []byte
 }
 
 // Begin starts a transaction.  It is live before it logs anything: a
@@ -175,6 +211,14 @@ func (s *Store) Begin() (*Txn, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// logOp appends the record of one of the transaction's operations.
+func (t *Txn) logOp(r *wal.Record) (uint64, error) {
+	r.Txn = t.id
+	lsn, err := t.s.log.Append(r)
+	t.wrote = t.wrote || err == nil
+	return lsn, err
 }
 
 // ID returns the transaction identifier.
@@ -217,31 +261,34 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 		return e, nil
 	}
 	if _, seen := t.touched[e.id]; !seen {
-		t.touched[e.id] = &txnObj{entry: e, prevLSN: e.obj.LSN()}
-	}
-	if e.txnDirty != t.id {
-		t.markDirty(e)
+		t.touched[e.id] = &txnObj{entry: e, desc: t.take(e)}
 	}
 	return e, nil
 }
 
-// unbindTouched routes the allocation of every object t holds dirty back
-// to the store's allocator.  Caller does not hold s.mu.
-func (t *Txn) unbindTouched() {
-	for _, to := range t.touched {
-		if to.entry.txnDirty == t.id {
-			to.entry.rebind(t.s.lm)
-		}
-	}
+// take routes e's allocation through the transaction's deferred allocator —
+// which marks e as held by a transaction (Store.txnHolds) — and returns its
+// descriptor as the transaction found it.  Under the write latch: a
+// non-transactional reader may be walking the tree.
+func (t *Txn) take(e *catEntry) []byte {
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	desc := e.obj.EncodeDescriptor()
+	e.obj.Rebind(t.lm)
+	return desc
 }
 
-// markDirty routes e's allocation through the transaction's deferred
-// allocator and records t as the transaction holding it dirty.
-func (t *Txn) markDirty(e *catEntry) {
-	e.rebind(t.lm)
-	t.s.mu.Lock()
-	e.txnDirty = t.id
-	t.s.mu.Unlock()
+// unbindTouched routes the allocation of every object t holds back to the
+// store's allocator, which lets non-transactional writers at it again.
+// Under the write latch, as take; it ranks below Store.mu, so the caller
+// does not hold s.mu.
+func (t *Txn) unbindTouched() {
+	for _, to := range t.touched {
+		e := to.entry
+		e.latch.Lock()
+		e.obj.Rebind(t.s.lm)
+		e.latch.Unlock()
+	}
 }
 
 // Create makes a new object inside the transaction.
@@ -254,7 +301,7 @@ func (t *Txn) Create(name string, threshold int) error {
 		t.s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	e := &catEntry{id: t.s.nextID, name: name, obj: t.lm.NewObject(threshold), txnDirty: t.id}
+	e := &catEntry{id: t.s.nextID, name: name, obj: t.lm.NewObject(threshold)}
 	t.s.nextID++
 	t.s.catalog[name] = e
 	t.s.byID[e.id] = e
@@ -263,11 +310,11 @@ func (t *Txn) Create(name string, threshold int) error {
 	err := t.s.locks.LockObject(t.id, e.id, txn.Exclusive)
 	var lsn uint64
 	if err == nil {
-		t.touched[e.id] = &txnObj{entry: e, created: true}
-		lsn, err = t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
+		t.touched[e.id] = &txnObj{entry: e}
+		lsn, err = t.logOp(&wal.Record{Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
 	}
 	if err != nil {
-		// Nothing logged, nothing journaled: the name is free again.
+		// Nothing logged: the name is free again.
 		delete(t.touched, e.id)
 		t.s.mu.Lock()
 		delete(t.s.catalog, name)
@@ -277,13 +324,11 @@ func (t *Txn) Create(name string, threshold int) error {
 		return err
 	}
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, txnOp{typ: wal.RecCreate, entry: e})
 	return nil
 }
 
 // Destroy removes an object inside the transaction.  Its pages stay
-// intact (frees are deferred), so an abort restores it from the
-// descriptor snapshot.
+// intact (frees are deferred), so an abort reinstates its root.
 func (t *Txn) Destroy(name string) error {
 	if err := t.begin(); err != nil {
 		return err
@@ -292,8 +337,7 @@ func (t *Txn) Destroy(name string) error {
 	if err != nil {
 		return err
 	}
-	op := txnOp{typ: wal.RecDestroy, entry: e, snapshot: e.obj.EncodeDescriptor(), freeLo: t.alloc.mark()}
-	if _, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDestroy, Object: e.id}); err != nil {
+	if _, err := t.logOp(&wal.Record{Type: wal.RecDestroy, Object: e.id}); err != nil {
 		return err
 	}
 	e.latch.Lock()
@@ -302,7 +346,6 @@ func (t *Txn) Destroy(name string) error {
 	if err != nil {
 		return err
 	}
-	op.freeHi = t.alloc.mark()
 	// Only the name goes now.  The entry stays in byID, and so in every
 	// checkpoint with its last committed descriptor, until the destroy
 	// commits: a checkpoint's image must not drop an object whose destroy
@@ -310,7 +353,6 @@ func (t *Txn) Destroy(name string) error {
 	t.s.mu.Lock()
 	delete(t.s.catalog, e.name)
 	t.s.mu.Unlock()
-	t.journal = append(t.journal, op)
 	return nil
 }
 
@@ -323,9 +365,7 @@ func (t *Txn) Append(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	oldSize := e.obj.Size()
-	op := txnOp{typ: wal.RecAppend, entry: e, oldSize: oldSize, freeLo: t.alloc.mark()}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAppend, Object: e.id, Off: oldSize, Data: data})
+	lsn, err := t.logOp(&wal.Record{Type: wal.RecAppend, Object: e.id, Off: e.obj.Size(), Data: data})
 	if err != nil {
 		return err
 	}
@@ -335,9 +375,7 @@ func (t *Txn) Append(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	op.freeHi = t.alloc.mark()
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, op)
 	return nil
 }
 
@@ -350,8 +388,7 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	op := txnOp{typ: wal.RecInsert, entry: e, off: off, n: int64(len(data)), freeLo: t.alloc.mark()}
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecInsert, Object: e.id, Off: off, Data: data})
+	lsn, err := t.logOp(&wal.Record{Type: wal.RecInsert, Object: e.id, Off: off, Data: data})
 	if err != nil {
 		return err
 	}
@@ -361,9 +398,7 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	op.freeHi = t.alloc.mark()
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, op)
 	return nil
 }
 
@@ -376,15 +411,9 @@ func (t *Txn) Delete(name string, off, n int64) error {
 	if err != nil {
 		return err
 	}
-	old, err := e.obj.Read(off, n)
-	if err != nil {
-		return err
-	}
-	op := txnOp{typ: wal.RecDelete, entry: e, off: off, n: n, old: old, freeLo: t.alloc.mark()}
-	// The deleted bytes stay in the journal for abort; nothing reads them
-	// from the log (redo deletes by Off and N), so the record does not carry
-	// them.
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecDelete, Object: e.id, Off: off, N: n})
+	// Redo deletes by Off and N, and an abort needs no bytes back: the
+	// record carries none.
+	lsn, err := t.logOp(&wal.Record{Type: wal.RecDelete, Object: e.id, Off: off, N: n})
 	if err != nil {
 		return err
 	}
@@ -394,9 +423,7 @@ func (t *Txn) Delete(name string, off, n int64) error {
 	if err != nil {
 		return err
 	}
-	op.freeHi = t.alloc.mark()
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, op)
 	return nil
 }
 
@@ -448,13 +475,12 @@ func (t *Txn) Replace(name string, off int64, data []byte) error {
 		return err
 	}
 	t.s.replaceReadsSaved.Add(int64(plan.ReadsSaved()))
-	lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecReplace, Object: e.id, Off: off, Data: data})
+	lsn, err := t.logOp(&wal.Record{Type: wal.RecReplace, Object: e.id, Off: off, Data: data})
 	if err != nil {
 		return err
 	}
 	plan.Hold()
 	e.obj.SetLSN(lsn)
-	t.journal = append(t.journal, txnOp{typ: wal.RecReplace, entry: e, off: off, old: plan.Old()})
 	t.s.deferredReplaces.Add(1)
 	return nil
 }
@@ -529,9 +555,8 @@ func (t *Txn) commitLog() error {
 	// record.  A commit the full log refuses leaves the transaction to abort.
 	t.s.mu.Lock()
 	for _, to := range t.touched {
-		if e := to.entry; e.txnDirty == t.id {
-			t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
-		}
+		e := to.entry
+		t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
 	}
 	t.s.mu.Unlock()
 	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
@@ -544,7 +569,7 @@ func (t *Txn) commitLog() error {
 	// next leader force or checkpoint.  Any other blocks until some
 	// leader's force covers its commit record — one batched log write per
 	// concurrent batch of committers instead of one force per transaction.
-	if len(t.journal) > 0 {
+	if t.wrote {
 		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
 			return err
 		}
@@ -556,22 +581,19 @@ func (t *Txn) commitLog() error {
 			return err
 		}
 	}
-	t.unbindTouched()
 	t.s.mu.Lock()
 	for _, to := range t.touched {
 		e := to.entry
-		if e.txnDirty == t.id {
-			e.txnDirty = 0
-			// Refresh the fallback descriptor NOW: a catalog barrier
-			// that runs while the next transaction holds this object
-			// dirty persists stableDesc, and the durability quarantine
-			// reasons that any barrier started after a commit writes
-			// roots at least as new as that commit.  Leaving the
-			// pre-commit image here would break that — a freed run
-			// could be released while the durable catalog still held a
-			// root that references it.
-			e.setStableDesc(e.obj.EncodeDescriptor())
-		}
+		// Refresh the fallback descriptor NOW: a catalog barrier that runs
+		// while the next transaction holds this object dirty persists
+		// stableDesc, and the durability quarantine reasons that any
+		// barrier started after a commit writes roots at least as new as
+		// that commit.  Leaving the pre-commit image here would break that
+		// — a freed run could be released while the durable catalog still
+		// held a root that references it.  No non-transactional writer can
+		// change the root under this read: the object is still bound to
+		// the transaction's manager.
+		e.setStableDesc(e.obj.EncodeDescriptor())
 		if t.s.catalog[e.name] != e {
 			delete(t.s.byID, e.id) // destroyed by this transaction
 		}
@@ -584,6 +606,7 @@ func (t *Txn) commitLog() error {
 	// before it.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
+	t.unbindTouched()
 	return nil
 }
 
@@ -627,114 +650,68 @@ func (t *Txn) publishTouched() {
 	}
 }
 
-// Abort rolls the transaction back: operations are undone logically in
-// reverse order (delete undoes insert, re-insertion undoes delete, the
-// pre-image undoes a replace, truncation undoes append, the descriptor
-// snapshot resurrects a destroyed object), the held replaced pages are
-// dropped, the abort record is appended and forced, surviving deferred
-// frees are applied, and locks are released.  A replace's compensation
-// writes the held images, which the drop then discards, and at home only
-// the pages a later operation of the transaction copied its bytes into:
-// nothing of the transaction ever reached a page a committed root names.
-// Like a commit, an abort is durable at its log force and forces no data:
-// the compensations reach the disk with the next checkpoint, and a crash
-// before it recovers the roots from before the transaction.
+// Abort rolls the transaction back the way recovery treats a transaction
+// without a commit record: every object it holds gets back the root it had
+// when the transaction took it, an object it created leaves the catalog and
+// one it destroyed gets its name back; its held replaced pages and its
+// deferred frees are dropped, and every page it allocated goes back to the
+// free space.  So an abort allocates nothing and writes nothing but its
+// record: like a commit it is durable at its log force, made when the
+// transaction wrote anything.  The one data-volume request it can make is
+// a read of an index page on the path to an open tail that the pool has
+// let go (lob.Object.Reinstate).
 //
-// Each compensation runs under the object's write latch, which a
+// Each root is reinstated under the object's write latch, which a
 // non-transactional reader shares; the latch is dropped before the catalog
 // edits under Store.mu, which ranks above it.
-//
-//eoslint:ignore walfirst -- logical undo: every compensation replays a pre-image the forward operation already logged, and writes only pages no committed root names, so the forward records provide write-ahead coverage
 func (t *Txn) Abort() error {
 	if err := t.begin(); err != nil {
 		return err
 	}
 	t.done = true
-	for i := len(t.journal) - 1; i >= 0; i-- {
-		op := t.journal[i]
-		e := op.entry
-		o := e.obj
-		var err error
-		e.latch.Lock()
-		switch op.typ {
-		case wal.RecAppend:
-			err = o.UndoAppend(op.oldSize)
-		case wal.RecInsert:
-			err = o.Delete(op.off, op.n)
-		case wal.RecDelete:
-			err = o.Insert(op.off, op.old)
-		case wal.RecReplace:
-			err = o.Restore(op.off, op.old)
-		case wal.RecCreate:
-			err = o.Destroy()
-		case wal.RecDestroy:
-			// The destroyed object's pages are intact: its frees were
-			// deferred.  Cancel them and restore the descriptor.
-			t.alloc.cancel(op.freeLo, op.freeHi)
-			var obj *lob.Object
-			obj, err = t.lm.OpenDescriptor(op.snapshot)
-			if err == nil {
-				e.obj = obj
-			}
-		}
-		e.latch.Unlock()
-		if err != nil {
-			return fmt.Errorf("eos: abort undo failed: %w", err)
-		}
-		switch op.typ {
-		case wal.RecCreate:
-			t.s.mu.Lock()
-			delete(t.s.catalog, e.name)
-			delete(t.s.byID, e.id)
-			t.s.mu.Unlock()
-		case wal.RecDestroy:
-			t.s.mu.Lock()
-			t.s.catalog[e.name] = e
-			t.s.mu.Unlock()
-		}
-	}
 	t.lm.DropHeld()
-	t.unbindTouched()
+	var err error
+	for _, to := range t.touched {
+		if to.desc == nil {
+			continue // created: it leaves the catalog, and stays refused to stale handles
+		}
+		e := to.entry
+		e.latch.Lock()
+		if rerr := e.obj.Reinstate(to.desc); err == nil {
+			err = rerr
+		}
+		e.obj.Rebind(t.s.lm)
+		e.latch.Unlock()
+	}
 	t.s.mu.Lock()
 	for _, to := range t.touched {
-		if to.entry.txnDirty == t.id {
-			to.entry.txnDirty = 0
+		e := to.entry
+		if to.desc == nil {
+			if t.s.catalog[e.name] == e {
+				delete(t.s.catalog, e.name)
+			}
+			delete(t.s.byID, e.id)
+		} else {
+			t.s.catalog[e.name] = e // back if the transaction destroyed it
 		}
-		to.entry.obj.SetLSN(to.prevLSN)
-		// The compensations may have rebuilt the tree into a different
-		// (logically equal) shape whose old nodes are now retired, so
-		// the restored root — not the pre-transaction stableDesc image
-		// — must be what the next checkpoint persists.
-		desc := to.entry.obj.EncodeDescriptor()
-		to.entry.setStableDesc(desc)
-		t.s.measure(to.entry, len(desc)) // before the abort record
+		t.s.measure(e, len(e.loadStableDesc()))
 	}
-	// Same critical section as the stableDesc refresh, as in commitLog: a
-	// checkpoint that finds the transaction gone persists these roots.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
-	// The logical undos rebuilt the touched trees out of fresh pages, so
-	// the surviving deferred frees include pages the last published
-	// (pre-transaction) roots still name.  Republish the restored roots
-	// before applying the frees — same invariant as commit.
-	t.publishTouched()
-	// The abort record goes to the log before the frees and the lock
-	// release, and is forced like a commit record: Abort returns nil only
-	// once the outcome is durable, and nobody else can touch these objects
-	// before it is.  As with a commit, a transaction that performed no
-	// mutating operation has nothing to make durable, and its record waits
-	// for the next force.
+	// The abort record goes to the log before the lock release, and is
+	// forced like a commit record: Abort returns nil only once the outcome
+	// is durable, and nobody else can touch these objects before it is.
 	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
-	_, err := t.s.log.Append(rec)
-	if err == nil && len(t.journal) > 0 {
-		err = t.s.log.ForceLSN(rec.LSN)
+	_, lerr := t.s.log.Append(rec)
+	if lerr == nil && t.wrote {
+		lerr = t.s.log.ForceLSN(rec.LSN)
 	}
-	if ferr := t.alloc.apply(); err == nil {
-		err = ferr
+	if err == nil {
+		err = lerr
+	}
+	if gerr := t.alloc.giveBack(t.lm.Forget); err == nil {
+		err = gerr
 	}
 	t.s.locks.ReleaseAll(t.id)
-	if rerr := t.s.epochs.Reclaim(); err == nil {
-		err = rerr
-	}
 	return err
 }

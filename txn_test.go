@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/eosdb/eos/internal/buddy"
 	"github.com/eosdb/eos/internal/disk"
 	"github.com/eosdb/eos/internal/wal"
 )
@@ -308,33 +311,198 @@ func TestReplaceReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestDeferredReplaceAbortTouchesNoDataPage: a held replace is simply
-// dropped by Abort — no page of the data volume is written by the
-// transaction, and the abort itself issues no data-volume request at all.
-func TestDeferredReplaceAbortTouchesNoDataPage(t *testing.T) {
-	s, vol, logVol, base := replaceStore(t, Options{})
-	start := vol.Stats()
-	tx, _ := s.Begin()
-	if err := tx.Replace("x", 2000, pat(45, 1200)); err != nil {
+// TestAbortTouchesNoDataPage: whatever the transaction did — the paper's
+// operations, appends inside the open tail's room and past it, creates and
+// destroys — its abort asks the data volume for nothing, and leaves the
+// object's layout, open tail included, its descriptor, its bytes and the
+// free space as they were before Begin.  A crash after the abort recovers
+// the same.
+func TestAbortTouchesNoDataPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  func(tx *Txn) error
+	}{
+		{"insert", func(tx *Txn) error { return tx.Insert("x", 3000, pat(60, 2000)) }},
+		{"delete", func(tx *Txn) error { return tx.Delete("x", 1000, 3000) }},
+		{"truncate", func(tx *Txn) error { return tx.Truncate("x", 6500) }},
+		{"replace", func(tx *Txn) error { return tx.Replace("x", 2000, pat(45, 1200)) }},
+		{"append inside the open tail's room", func(tx *Txn) error { return tx.Append("x", pat(61, 100)) }},
+		{"append past the open tail's room", func(tx *Txn) error { return tx.Append("x", pat(62, 5000)) }},
+		{"create", func(tx *Txn) error {
+			if err := tx.Create("y", 0); err != nil {
+				return err
+			}
+			return tx.Append("y", pat(63, 3000))
+		}},
+		{"destroy", func(tx *Txn) error { return tx.Destroy("x") }},
+		{"destroy x, create x", func(tx *Txn) error {
+			if err := tx.Destroy("x"); err != nil {
+				return err
+			}
+			if err := tx.Create("x", 0); err != nil {
+				return err
+			}
+			return tx.Append("x", pat(64, 3000))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, model := openTailStore(t, Options{})
+			x, _ := s.Open("x")
+			segs, _ := x.e.obj.Segments()
+			desc, free := x.e.obj.EncodeDescriptor(), freePages(t, s)
+			tx, _ := s.Begin()
+			if err := tc.ops(tx); err != nil {
+				t.Fatal(err)
+			}
+			d0 := vol.Stats()
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if d := vol.Stats().Sub(d0); d.Accesses() != 0 || d.Syncs != 0 {
+				t.Fatalf("the abort made %d data-volume requests and %d forces, want none", d.Accesses(), d.Syncs)
+			}
+			if s.List()[0] != "x" || len(s.List()) != 1 {
+				t.Fatalf("objects %v after the abort, want [x]", s.List())
+			}
+			x, _ = s.Open("x")
+			if got, _ := x.e.obj.Segments(); !slices.Equal(got, segs) {
+				t.Fatalf("segments %+v after the abort, were %+v", got, segs)
+			}
+			if got := x.e.obj.EncodeDescriptor(); !bytes.Equal(got, desc) {
+				t.Fatal("the abort left another descriptor than the one from before Begin")
+			}
+			if got := freePages(t, s); got != free {
+				t.Fatalf("%d free pages after the abort, were %d", got, free)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("content wrong after the abort")
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+			re := crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, re, "x"), model) || len(re.List()) != 1 {
+				t.Fatalf("after crash and recovery: objects %v, content of x right: %v", re.List(), bytes.Equal(readObject(t, re, "x"), model))
+			}
+			if err := re.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAbortNeedsNoSpace: a transaction deletes most of an object and then
+// appends until the volume is full.  Its abort allocates nothing — no bytes
+// go back in, the root from before the transaction is whole — so it
+// succeeds, gives every page the transaction took back to the free space,
+// and releases the lock: the next transaction takes the object at once.
+func TestAbortNeedsNoSpace(t *testing.T) {
+	vol := newTestDevice(t, 512, 1024)
+	logVol := newTestDevice(t, 512, 2048)
+	s, err := Format(vol, logVol, Options{LockTimeout: 100 * time.Millisecond})
+	if err != nil {
 		t.Fatal(err)
 	}
-	mid := vol.Stats()
+	x, _ := s.Create("x", 0)
+	committed := pat(80, 200*512)
+	if err := x.AppendWithHint(committed, int64(len(committed))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	free := freePages(t, s)
+	tx, _ := s.Begin()
+	if err := tx.Delete("x", 25*512, 150*512); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		err := tx.Append("x", pat(81+i, 16*512))
+		if errors.Is(err, buddy.ErrNoSpace) {
+			break
+		}
+		if err != nil || i == 1000 {
+			t.Fatalf("append %d: %v, want to run out of space", i, err)
+		}
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	if got := x.Size(); got != int64(len(committed)) || !bytes.Equal(readObject(t, s, "x"), committed) {
+		t.Fatalf("%d bytes after the abort, want the committed %d", got, len(committed))
+	}
+	if got := freePages(t, s); got != free {
+		t.Fatalf("%d free pages after the abort, want the %d from before Begin", got, free)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := s.Begin()
+	if _, err := next.Read("x", 0, 10); err != nil {
+		t.Fatalf("the next transaction cannot take x: %v", err)
+	}
+	if err := next.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	re := crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, re, "x"), committed) {
+		t.Fatal("content wrong after crash and recovery")
+	}
+	if err := re.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbortForgetsTheIndexPagesItWrote: the index pages a transaction
+// shadowed into are dirty in the pool when it aborts, and go back to the
+// free space.  Their frames must go with them: a later owner of the pages
+// writes data there past the pool, and a flush of a stale frame would
+// overwrite it.
+func TestAbortForgetsTheIndexPagesItWrote(t *testing.T) {
+	vol := newTestDevice(t, 512, 1024)
+	logVol := newTestDevice(t, 512, 1024)
+	s, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := s.Create("x", 1)
+	for i := 0; i < 80; i++ { // one-page segments: a root over index pages
+		if err := x.AppendWithHint(pat(i, 512), 512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u, _ := x.Usage(); u.IndexPages == 0 {
+		t.Fatal("the object has no index page; the test proves nothing")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := s.Begin()
+	if err := tx.Insert("x", 20*512+100, pat(90, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if tx.LOBStats().ShadowedIndexPages == 0 {
+		t.Fatal("the insert shadowed no index page; the test proves nothing")
+	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	end := vol.Stats()
-	if end.Writes != start.Writes {
-		t.Fatalf("replace + abort wrote the data volume %d times", end.Writes-start.Writes)
+	// Fill the free space with data, the aborted index pages included, and
+	// flush the pool over it.
+	y, _ := s.Create("y", 0)
+	var model []byte
+	for freePages(t, s) > 16 {
+		more := pat(len(model), 512)
+		if err := y.AppendWithHint(more, 512); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model, more...)
 	}
-	if end.Reads != mid.Reads {
-		t.Fatalf("abort read the data volume %d times", end.Reads-mid.Reads)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(readObject(t, s, "x"), base) {
-		t.Fatal("aborted replace visible")
-	}
-	s = crashReopen(t, vol, logVol)
-	if !bytes.Equal(readObject(t, s, "x"), base) {
-		t.Fatal("aborted replace visible after recovery")
+	if !bytes.Equal(readObject(t, s, "y"), model) {
+		t.Fatal("a flush wrote an aborted transaction's index page over data")
 	}
 }
 
@@ -1016,14 +1184,15 @@ func TestSmallTxnContinuesTheTail(t *testing.T) {
 
 // TestAbortedFillLeavesNoTrace: a transaction continues the open tail in
 // place and aborts.  The bytes it put into the slack of the partial page
-// are outside every root; the pages it grew into go back to the free space;
-// and the next append does not trust what is on that page any more — it
-// starts a tail of its own.  The abort closes the tail, so the pending run
-// is written — in one request, without the page that holds only the
-// aborted bytes.
+// and the room behind it are outside every root.  The abort writes and reads
+// nothing: it drops the pending images of the room's pages, keeps the
+// committed ones, and reinstates the open tail, which the next append
+// continues — no new segment, no request.
 func TestAbortedFillLeavesNoTrace(t *testing.T) {
 	s, vol, logVol, model := openTailStore(t, Options{})
 	x, _ := s.Open("x")
+	u0, _ := x.Usage()
+	free := freePages(t, s)
 	tx, _ := s.Begin()
 	if err := tx.Append("x", pat(73, 900)); err != nil {
 		t.Fatal(err)
@@ -1035,26 +1204,35 @@ func TestAbortedFillLeavesNoTrace(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if d := vol.Stats().Sub(d0); d.Writes != 1 || d.PagesWritten != 2 || d.Reads != 0 {
-		t.Fatalf("the abort wrote %d pages in %d requests and read %d times, want the committed 2 pages in 1 request and no read", d.PagesWritten, d.Writes, d.Reads)
+	if d := vol.Stats().Sub(d0); d.Writes != 0 || d.Reads != 0 {
+		t.Fatalf("the abort wrote %d times and read %d times, want neither", d.Writes, d.Reads)
 	}
-	if got := s.Stats().LOB.PendingPages; got != 0 {
-		t.Fatalf("%d pages pending after the abort, want 0", got)
+	if got := s.Stats().LOB.PendingPages; got != 2 {
+		t.Fatalf("%d pages pending after the abort, want the committed 2", got)
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model) {
 		t.Fatal("content wrong after abort")
 	}
+	if u, _ := x.Usage(); u != u0 || freePages(t, s) != free {
+		t.Fatalf("the abort left %+v and %d free pages, want %+v and %d", u, freePages(t, s), u0, free)
+	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
-	u0, _ := x.Usage()
 	more := pat(74, 100)
+	d0 = vol.Stats()
 	if err := x.Append(more); err != nil {
 		t.Fatal(err)
 	}
 	model = append(model, more...)
-	if u, _ := x.Usage(); u.SegmentCount != u0.SegmentCount+1 {
-		t.Fatalf("the append after the abort made %d segments of %d, want a new one", u.SegmentCount, u0.SegmentCount)
+	if d := vol.Stats().Sub(d0); d.Writes != 0 || d.Reads != 0 {
+		t.Fatalf("the append after the abort wrote %d times and read %d times, want neither", d.Writes, d.Reads)
+	}
+	if u, _ := x.Usage(); u.SegmentCount != u0.SegmentCount || u.SegmentPages != u0.SegmentPages {
+		t.Fatalf("the append after the abort made %d segments on %d pages, want the %d on %d it continues", u.SegmentCount, u.SegmentPages, u0.SegmentCount, u0.SegmentPages)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("content wrong after the append")
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -1141,8 +1319,8 @@ func TestCheckpointDropsTailImages(t *testing.T) {
 }
 
 // TestDeleteRecordCarriesNoBytes: a delete is shadowed, not logged — redo
-// deletes by offset and length and an abort re-inserts from the journal in
-// memory — so its record is a header, and a crash that finds the deleter
+// deletes by offset and length and an abort reinstates the root from before
+// the transaction — so its record is a header, and a crash that finds the deleter
 // committed or in flight recovers either way.
 func TestDeleteRecordCarriesNoBytes(t *testing.T) {
 	for _, commit := range []bool{true, false} {
