@@ -670,11 +670,15 @@ func TestCatalogImageCliff(t *testing.T) {
 		t.Logf("the checkpoint at %d objects fails (the last image held %d)", len(want), len(durable))
 		break
 	}
-	if tx, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
-		if err == nil {
-			tx.Abort()
-		}
-		t.Fatalf("Begin past the cliff: %v, want a wal.ErrLogFull", err)
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Create("past-the-cliff", 0); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("a transaction's first record past the cliff: %v, want a wal.ErrLogFull", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)

@@ -31,6 +31,10 @@ type gatedLog struct {
 	entered, release chan struct{}
 }
 
+// extentBytes is what one leaf entry adds to a structural record: its first
+// page, an open tail's pages and its bytes.
+const extentBytes = 8 + 4 + 8
+
 func (g *gatedLog) WritePages(start disk.PageNum, n int, buf []byte) error {
 	if g.armed.Load() {
 		g.entered <- struct{}{}
@@ -168,22 +172,26 @@ func TestCommitFloor(t *testing.T) {
 		t.Fatalf("%d log writes for one commit, want 1: %+v", len(pages)-warm, (*log)[warm:])
 	}
 	recBytes := st.WAL.FlushedBytes - st0.WAL.FlushedBytes
-	// Begin, replace, append, commit: four headers and the bytes redo
-	// needs.  The replace is written home behind the commit record, so its
-	// record carries no pre-image.  A header is measured as
-	// the begin record of a transaction that logs nothing else; its abort
-	// forces nothing.
+	// Replace, append, commit: three headers — no record begins a
+	// transaction — and the bytes redo needs.  The replace is written home
+	// behind the commit record, so its record carries no pre-image.  The
+	// append stays in the open tail: its record carries its bytes and the
+	// one leaf entry it grew.  A header is measured as the create record of
+	// a one-byte name, in a transaction that then aborts.
 	tail := s.LogTail()
 	ro, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := s.LogTail() - tail
+	if err := ro.Create("h", 0); err != nil {
+		t.Fatal(err)
+	}
+	hdr := s.LogTail() - tail - 1
 	if err := ro.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if want := 4*hdr + 200 + 700; recBytes != want {
-		t.Errorf("the commit logged %d bytes of records, want %d: four %d-byte headers, the replace's 200 bytes and the append's 700", recBytes, want, hdr)
+	if want := 3*hdr + 200 + 700 + extentBytes; recBytes != want {
+		t.Errorf("the commit logged %d bytes of records, want %d: three %d-byte headers, the replace's 200 bytes, the append's 700 and its entry's %d", recBytes, want, hdr, extentBytes)
 	}
 	if want := (recBytes + ps - 1) / ps; int64(pages[warm]) != want {
 		t.Errorf("the commit wrote %d log pages for %d bytes of records, want %d", pages[warm], recBytes, want)

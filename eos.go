@@ -63,7 +63,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 7 // v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 8 // v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding
@@ -231,6 +231,10 @@ type Store struct {
 	// catBytes is the size of the image the next checkpoint logs, or more:
 	// the sum of the entries' measures (eos:guardedby mu; see measure).
 	catBytes int
+	// unlogged holds the objects a write that logs nothing (the Object API,
+	// Create) changed since the last checkpoint captured them; the next
+	// checkpoint empties it (see checkpointUnlogged).
+	unlogged map[*catEntry]bool // eos:guardedby mu
 
 	// barrierStarted counts checkpoints begun; barrierDurable is the index
 	// of the last one whose master copy is forced.  Checkpoints are
@@ -338,6 +342,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		unlogged: make(map[*catEntry]bool),
 		catBytes: catCount,
 	}
 	s.epochs = txn.NewEpochManager(s.releaseRuns)
@@ -510,8 +515,8 @@ func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 // garbage now) and moved into the durability quarantine.  They do NOT
 // return to the buddy system yet: the on-disk catalog may still hold a
 // root that references them (a checkpointed pre-update descriptor),
-// and recovery's redo re-executes logged operations by READING the
-// object state those roots describe.  Reusing such a page before a
+// and recovery's redo splices logged operations into the trees those
+// roots describe, keeping their pages.  Reusing such a page before a
 // catalog barrier has durably superseded every such root would let a
 // crash rebuild committed objects from whatever the new owner wrote
 // over it.
@@ -816,6 +821,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	s.masterSeq = m.seq
 	s.barrierDurable.Store(barrier)
+	clear(s.unlogged)
 	// 4. Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
 	// it reach the quarantined pages.
@@ -838,7 +844,24 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	desc := e.obj.EncodeDescriptor()
 	e.setStableDesc(desc)
 	s.measure(e, len(desc))
+	s.unlogged[e] = true
 	return &Object{s: s, e: e}, nil
+}
+
+// checkpointUnlogged runs a checkpoint when a write that logs nothing has
+// changed e since the last checkpoint captured it.  A transaction calls it
+// at its first exclusive touch of e, once take has bound e to it: recovery
+// splices the transaction's records into the root the image names, which
+// must be the root the transaction found.  No such write can follow before
+// the transaction ends, and a checkpoint that cleared the mark finished
+// under s.mu: its master copy is durable.
+func (s *Store) checkpointUnlogged(e *catEntry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.unlogged[e] {
+		return nil
+	}
+	return s.checkpointLocked()
 }
 
 // Open returns a handle on an existing object.
@@ -856,7 +879,16 @@ func (s *Store) Open(name string) (*Object, error) {
 // The frees are retired through the epoch manager, so a snapshot opened
 // before the destroy keeps reading its captured root undisturbed; the
 // pages return to the buddy system when the last such reader exits.
+//
+// An object a transaction has written has records in the log, which a
+// transaction live across the next checkpoint keeps there; recovery would
+// splice them into the object again, onto pages it no longer owns.  Such an
+// object is destroyed by a transaction of its own, whose committed destroy
+// record tells recovery the object's history is over.
 func (s *Store) Destroy(name string) error {
+	if logged, err := s.destroyLogged(name); logged {
+		return err
+	}
 	if err := s.epochs.Admit(); err != nil {
 		return err
 	}
@@ -882,9 +914,36 @@ func (s *Store) Destroy(name string) error {
 	}
 	delete(s.catalog, name)
 	delete(s.byID, e.id)
+	delete(s.unlogged, e)
 	s.measure(e, 0)
 	s.mu.Unlock()
 	return s.epochs.Reclaim()
+}
+
+// destroyLogged destroys name in a transaction of its own if a transaction
+// has written it (its root carries an LSN) and none holds it now, and
+// reports whether it did.
+func (s *Store) destroyLogged(name string) (bool, error) {
+	s.mu.Lock()
+	e, ok := s.catalog[name]
+	s.mu.Unlock()
+	if !ok || e.obj.LSN() == 0 {
+		return false, nil
+	}
+	e.latch.RLock()
+	held := s.txnHolds(e)
+	e.latch.RUnlock()
+	if held {
+		return false, nil // refused as in use
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		return true, err
+	}
+	if err := tx.Destroy(name); err != nil {
+		return true, errors.Join(err, tx.Abort())
+	}
+	return true, tx.Commit()
 }
 
 // CopyObject duplicates src's content into a new object named dst,
@@ -966,9 +1025,13 @@ type BarrierStats struct {
 
 // RecoveryStats describes what recovery did when Open built the Store.
 type RecoveryStats struct {
-	// Redone counts the committed operations redo re-executed: those
-	// whose effect the recovered catalog's roots did not show.
+	// Redone counts the committed operations redo applied: those whose
+	// effect the recovered catalog's roots did not show.
 	Redone int64
+	// IndexPages counts the pages redo allocated for the index nodes of the
+	// trees it spliced; DataPages the others, which stays 0: redo splices
+	// the segments the log names and allocates none.
+	IndexPages, DataPages int64
 }
 
 // Stats aggregates the store's activity counters across layers.
@@ -1150,6 +1213,7 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.s.epochs.EndMutation(scope)
 	o.s.mu.Lock()
 	o.s.measure(o.e, len(o.e.loadStableDesc()))
+	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that
 	o.s.mu.Unlock()
 	if rerr := o.s.epochs.Reclaim(); err == nil {
 		err = rerr

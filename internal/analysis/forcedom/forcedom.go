@@ -6,7 +6,7 @@
 // PR 8's crash-point sweep found these orderings dynamically, by
 // enumerating crash states; this analyzer proves them statically, so a
 // reordering regression fails the build instead of (maybe) a nightly
-// sweep.  Four contracts are checked:
+// sweep.  Five contracts are checked:
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
 //     (lob Object.Replace, or Manager.PendHeld, a committed transaction's
@@ -32,8 +32,15 @@
 //  4. Rename atomicity: every os.Rename is followed on all success
 //     paths by a disk.SyncDir of the owning directory, else the new
 //     name may not survive a crash.
+//  5. Data before commit: a transaction's commit record — the log append
+//     of a record literal whose Type is RecCommit — is dominated by a
+//     device force.  Its structural records name by reference pages it
+//     wrote through, and once the record is in the log buffer any
+//     committer's force may make it durable.  The force is the engine's
+//     Txn.forceData, which forces when the transaction wrote through; as
+//     everywhere, a call that may force discharges the rule.
 //
-// Rules 1–3 are backward (dominance) properties: a forward all-paths
+// Rules 1–3 and 5 are backward (dominance) properties: a forward all-paths
 // dataflow tracks "discharged on every path reaching here" per rule,
 // exactly like walfirst's logged-state analysis.  Rule 4 is a
 // forward may-property: pending renames accumulate (union at joins)
@@ -51,7 +58,7 @@
 // the orderings checked here and avoids error-path false positives.
 // Within a single function the check is exact dominance.
 //
-// Rule 1 roots are the exported methods of the transaction type
+// Rule 1 and 5 roots are the exported methods of the transaction type
 // (-recv, default "Txn"), where the force-ahead obligation starts;
 // rules 2–4 root at every exported function.  Unexported helpers are
 // summarized, not reported.  Where a report fires, the dominator tree
@@ -114,6 +121,7 @@ const (
 	rMeta           // two-phase checkpoint: device force before meta write
 	rMaster         // two-phase checkpoint: WAL force of the image before the master write
 	rFree           // quarantine: barrier stamp before Manager.Free
+	rCommit         // data before commit: device force before the commit record's append
 	nDomRules
 )
 
@@ -140,6 +148,9 @@ var domRules = [nDomRules]struct {
 	rFree: {dStamp, false,
 		"freed-extent release", "return freed extents to the allocator",
 		"a barrierDurable quarantine stamp", "§8.1 durability quarantine"},
+	rCommit: {dDevForce, true,
+		"commit record append", "append a commit record",
+		"a device force of the pages its records name by reference", "§8.1 data-before-commit rule"},
 }
 
 // ForceFact is the exported per-function force-ordering summary.
@@ -168,7 +179,7 @@ func (f *ForceFact) String() string {
 			parts = append(parts, "may-"+names)
 		}
 	}
-	for i, names := range [nDomRules]string{"replace", "meta", "master", "free"} {
+	for i, names := range [nDomRules]string{"replace", "meta", "master", "free", "commit"} {
 		if f.Exposed[i] {
 			parts = append(parts, "exposed-"+names)
 		}
@@ -362,6 +373,10 @@ func (c *checker) eventRules(in *ssa.Instr) []int {
 		}
 	case ssa.KHomeWrite:
 		return []int{rReplace}
+	case ssa.KWALAppend:
+		if in.Commit {
+			return []int{rCommit}
+		}
 	case ssa.KMetaWrite:
 		if in.MutName == "Store.writeMaster" {
 			return []int{rMeta, rMaster}

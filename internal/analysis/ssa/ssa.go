@@ -83,12 +83,14 @@ func LockRanks() map[string]int {
 	}
 }
 
-// mutators lists the lob.Object methods that change object state —
-// the mutation events of the §4.5 write-ahead rule.
-var mutators = []string{
-	"Append", "AppendWithHint", "Insert", "Delete", "Replace",
-	"Destroy", "Truncate", "Compact",
-}
+// mutators lists the lob.Object methods that change a tree a root names —
+// the apply steps, and so the mutation events, of the §4.5 write-ahead
+// rule: a structural update's Apply (its prepare writes only pages no root
+// names, and runs before the record), Destroy, and the in-place Replace.
+// The Object methods that run a whole update (Append, Insert, ...) reach
+// Apply inside lob and are exposed through their facts.  A transactional
+// replace's apply step is ReplacePlan.Hold.
+var mutators = []string{"Apply", "Destroy", "Replace"}
 
 // Program is the package-level IR: one Func per function declaration
 // with a body, plus the call graph over them.
@@ -145,7 +147,8 @@ const (
 	KUnlock
 	// KWALAppend appends a write-ahead log record ((*wal.Log).Append).
 	KWALAppend
-	// KMutate calls a lob.Object mutator — a §4.5 mutation event.
+	// KMutate calls a lob apply step (see mutators) — a §4.5 mutation
+	// event.
 	KMutate
 
 	// Durability events (eoslint v4).  These are the vocabulary of the
@@ -208,6 +211,11 @@ type Instr struct {
 	LockRank  int
 	Shared    bool
 	LockToken string
+
+	// KWALAppend: the record is a commit record, written as a composite
+	// literal whose Type is RecCommit — the event of forcedom's
+	// data-before-commit rule.
+	Commit bool
 
 	// KMutate: the "Object.Method" label for diagnostics.  Also set for
 	// KMetaWrite ("Store.writeMaster"), KDevForce ("Volume.ForceAll") and
@@ -326,12 +334,21 @@ func (pr *Program) classify(call *ast.CallExpr, deferred bool, out *[]Instr) {
 	info := pr.Pass.TypesInfo
 	if _, ok := eosutil.IsMethodCall(info, call, "wal", "Log", "Append"); ok {
 		in.Kind = KWALAppend
+		if in.Commit = len(call.Args) == 1 && isCommitRecord(call.Args[0]); in.Commit {
+			in.MutName = "Log.Append"
+		}
 		*out = append(*out, in)
 		return
 	}
 	if m, ok := eosutil.IsMethodCallAny(info, call, "lob", "Object", mutators...); ok {
 		in.Kind = KMutate
 		in.MutName = "Object." + m
+		*out = append(*out, in)
+		return
+	}
+	if _, ok := eosutil.IsMethodCall(info, call, "lob", "ReplacePlan", "Hold"); ok {
+		in.Kind = KMutate
+		in.MutName = "ReplacePlan.Hold"
 		*out = append(*out, in)
 		return
 	}
@@ -388,6 +405,30 @@ func (pr *Program) durabilityEvent(call *ast.CallExpr) (Kind, string, bool) {
 		return KHomeWrite, "Manager." + m, true
 	}
 	return 0, "", false
+}
+
+// isCommitRecord reports whether e is a record composite literal (or its
+// address) whose Type field is RecCommit.
+func isCommitRecord(e ast.Expr) bool {
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Type" {
+			if sel, ok := kv.Value.(*ast.SelectorExpr); ok && sel.Sel.Name == "RecCommit" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isBarrierStamp matches Load/Store on a field named barrierDurable —

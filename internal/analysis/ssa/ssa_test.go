@@ -47,8 +47,8 @@ func TestProgramIR(t *testing.T) {
 						appendB = b
 					case ssa.KMutate:
 						mutateB = b
-						if in.MutName != "Object.Append" {
-							t.Errorf("mutator = %q, want Object.Append", in.MutName)
+						if in.MutName != "Object.Apply" {
+							t.Errorf("mutator = %q, want Object.Apply", in.MutName)
 						}
 					case ssa.KCall:
 						for _, callee := range in.Callees {
@@ -128,6 +128,13 @@ func TestProgramIR(t *testing.T) {
 				ssa.KBarrierStamp: 2, // Store + Load
 				ssa.KWALAppend:    1,
 				ssa.KHomeWrite:    1,
+			}
+			for _, b := range dur.Blocks {
+				for i := range b.Instrs {
+					if in := &b.Instrs[i]; in.Kind == ssa.KWALAppend && !in.Commit {
+						t.Errorf("durability: the RecCommit append is not marked a commit")
+					}
+				}
 			}
 			for k, n := range want {
 				if counts[k] != n {

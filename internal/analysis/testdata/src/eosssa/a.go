@@ -35,7 +35,7 @@ func top(t *Txn, l *Log, cond bool) int {
 	}
 	l.mu.Unlock()
 	t.log.Append(wal.Record{Type: 1})
-	t.obj.Append(nil)
+	t.obj.Apply(nil)
 	return x
 }
 

@@ -33,6 +33,16 @@ type Txn struct {
 	s   *Store
 
 	lm *lob.Manager
+	// through: the transaction wrote pages its records name by reference.
+	through bool
+}
+
+// forceData forces the pages the transaction wrote through, if any.
+func (t *Txn) forceData() error {
+	if !t.through {
+		return nil
+	}
+	return t.s.vol.ForceAll()
 }
 
 // Replace is shape 1 (PR 8: unforced pre-images): the update record is
@@ -75,6 +85,9 @@ func (t *Txn) ReplaceMaybe(off int64, p []byte, fast bool) error {
 // the write-behind set before the commit record is forced, so a checkpoint
 // may write them home while nothing durable says the transaction committed.
 func (t *Txn) Commit() error {
+	if err := t.forceData(); err != nil {
+		return err
+	}
 	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
 	if err != nil {
 		return err
@@ -88,6 +101,9 @@ func (t *Txn) Commit() error {
 // CommitVia is the same shape across a call: the pages enter the set in a
 // helper, ahead of the force.
 func (t *Txn) CommitVia() error {
+	if err := t.forceData(); err != nil {
+		return err
+	}
 	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
 	if err != nil {
 		return err
@@ -99,6 +115,37 @@ func (t *Txn) CommitVia() error {
 }
 
 func (t *Txn) pend() error { return t.lm.PendHeld() }
+
+// CommitBeforeData is shape 5 (data before commit): the commit record
+// enters the log buffer before the pages its records name by reference are
+// forced, and another committer's log force may make it durable first.
+func (t *Txn) CommitBeforeData() error {
+	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit}) // want "commit record append Log.Append is not dominated by a device force"
+	if err != nil {
+		return err
+	}
+	if err := t.forceData(); err != nil {
+		return err
+	}
+	return t.log.ForceLSN(lsn)
+}
+
+// CommitRecordVia is shape 5 across a call: the commit record is appended
+// in a helper, and the data force comes behind it.
+func (t *Txn) CommitRecordVia() error {
+	lsn, err := t.appendCommit() // want "call can append a commit record before a device force .*appendCommit"
+	if err != nil {
+		return err
+	}
+	if err := t.forceData(); err != nil {
+		return err
+	}
+	return t.log.ForceLSN(lsn)
+}
+
+func (t *Txn) appendCommit() (int64, error) {
+	return t.log.Append(wal.Record{Type: wal.RecCommit})
+}
 
 // Checkpoint is shape 2 (checkpoint ordering): the image and the
 // master record go out before the data pages they index are forced.

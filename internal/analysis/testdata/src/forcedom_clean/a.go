@@ -32,6 +32,18 @@ type Txn struct {
 	s   *Store
 
 	lm *lob.Manager
+	// through: the transaction wrote pages its records name by reference.
+	through bool
+}
+
+// forceData forces the data volume when the transaction wrote through:
+// the force is conditional inside, but the call dominates the commit
+// record, which is what the data-before-commit rule checks.
+func (t *Txn) forceData() error {
+	if !t.through {
+		return nil
+	}
+	return t.s.vol.ForceAll()
 }
 
 // Replace forces the pre-image record before the in-place overwrite
@@ -85,7 +97,13 @@ func (t *Txn) Read(off int64, p []byte) (int, error) {
 	return t.obj.Read(off, p)
 }
 
+// Commit forces the pages its records name by reference — when it wrote
+// any through —, then appends its record and forces it, and only then hands
+// its held pages to the write-behind set.
 func (t *Txn) Commit() error {
+	if err := t.forceData(); err != nil {
+		return err
+	}
 	lsn, err := t.log.Append(wal.Record{Type: wal.RecCommit})
 	if err != nil {
 		return err

@@ -1,9 +1,17 @@
 // Package lob is a stand-in for the engine's large-object layer with
-// the mutator set walfirst matches on.
+// the mutator set walfirst matches on: the apply steps Apply, Destroy and
+// Replace, and ReplacePlan.Hold.
 package lob
 
 // Object is the stand-in large object.
 type Object struct{}
+
+// Splice is the stand-in prepared structural update: PrepareAppend writes
+// only pages no root names, Apply splices it into the tree.
+type Splice struct{}
+
+func (o *Object) PrepareAppend(b []byte) (*Splice, error) { return &Splice{}, nil }
+func (o *Object) Apply(sp *Splice) error                  { return nil }
 
 func (o *Object) Append(b []byte) error                 { return nil }
 func (o *Object) AppendWithHint(b []byte, h int) error  { return nil }

@@ -14,7 +14,11 @@ type Txn struct {
 
 // AppendUnlogged mutates with no log record at all.
 func (t *Txn) AppendUnlogged(b []byte) error {
-	return t.obj.Append(b) // want "mutation Object.Append can execute before its WAL record"
+	sp, err := t.obj.PrepareAppend(b)
+	if err != nil {
+		return err
+	}
+	return t.obj.Apply(sp) // want "mutation Object.Apply can execute before its WAL record"
 }
 
 // MutateThenLog has the order backwards.
@@ -34,5 +38,5 @@ func (t *Txn) LogOnOnePath(b []byte, durable bool) error {
 			return err
 		}
 	}
-	return t.obj.Append(b) // want "mutation Object.Append can execute before its WAL record"
+	return t.obj.Apply(&lob.Splice{}) // want "mutation Object.Apply can execute before its WAL record"
 }

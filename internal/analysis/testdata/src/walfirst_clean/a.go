@@ -12,12 +12,17 @@ type Txn struct {
 	obj *lob.Object
 }
 
-// AppendLogged is the canonical order: append the record, then mutate.
+// AppendLogged is the canonical order: prepare — which writes only pages no
+// root names and so may run first —, append the record, then apply.
 func (t *Txn) AppendLogged(b []byte) error {
+	sp, err := t.obj.PrepareAppend(b)
+	if err != nil {
+		return err
+	}
 	if _, err := t.log.Append(wal.Record{Type: 1, Payload: b}); err != nil {
 		return err
 	}
-	return t.obj.Append(b)
+	return t.obj.Apply(sp)
 }
 
 // BranchesBothLogged logs on every path that reaches the mutation.
@@ -34,7 +39,7 @@ func (t *Txn) BranchesBothLogged(off int64, b []byte, replace bool) error {
 	if replace {
 		return t.obj.Replace(off, b)
 	}
-	return t.obj.Append(b)
+	return t.obj.Apply(&lob.Splice{})
 }
 
 // logRecord appends the operation's record on every path through it.
@@ -49,7 +54,7 @@ func (t *Txn) LogViaHelper(b []byte) error {
 	if err := t.logRecord(b); err != nil {
 		return err
 	}
-	return t.obj.Append(b)
+	return t.obj.Apply(&lob.Splice{})
 }
 
 // ReadOnly never mutates, so nothing needs logging.
@@ -57,13 +62,11 @@ func (t *Txn) ReadOnly(off int64, b []byte) (int, error) {
 	return t.obj.Read(off, b)
 }
 
-// Abort-style logical undo: the forward operations already logged
-// every pre-image this replays, so the write-ahead rule is satisfied
-// by the forward records.
-//
-//eoslint:ignore walfirst -- logical undo replays pre-images the forward ops logged
+// Abort reinstates the roots from before the transaction: it applies
+// nothing, so it needs no record first — its own record follows.
 func (t *Txn) Abort() error {
-	return t.obj.Truncate(0)
+	_, err := t.log.Append(wal.Record{Type: 4})
+	return err
 }
 
 // helper has a different receiver type; walfirst only constrains the
@@ -71,5 +74,5 @@ func (t *Txn) Abort() error {
 type helper struct{ obj *lob.Object }
 
 func (h *helper) rewrite(b []byte) error {
-	return h.obj.Append(b)
+	return h.obj.Apply(&lob.Splice{})
 }

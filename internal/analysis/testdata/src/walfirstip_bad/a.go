@@ -17,7 +17,7 @@ type Txn struct {
 
 // applyAppend mutates directly: walfirst's report, not walfirstip's.
 func (t *Txn) applyAppend(b []byte) error {
-	return t.obj.Append(b)
+	return t.obj.Apply(&lob.Splice{})
 }
 
 // applyViaHelper is exposed one hop further down.  Unexported methods
@@ -30,7 +30,7 @@ func (t *Txn) applyViaHelper(b []byte) error {
 // AppendUnlogged reaches the mutation through a two-deep chain with no
 // log record anywhere above it.
 func (t *Txn) AppendUnlogged(b []byte) error {
-	return t.applyViaHelper(b) // want "call can mutate Object.Append before this transaction's WAL record is appended"
+	return t.applyViaHelper(b) // want "call can mutate Object.Apply before this transaction's WAL record is appended"
 }
 
 // replaceAt mutates directly on behalf of its callers.

@@ -15,7 +15,7 @@ type Txn struct {
 
 // applyAppend mutates for its callers; every caller below logs first.
 func (t *Txn) applyAppend(b []byte) error {
-	return t.obj.Append(b)
+	return t.obj.Apply(&lob.Splice{})
 }
 
 func (t *Txn) applyViaHelper(b []byte) error {
@@ -36,7 +36,7 @@ func (t *Txn) logAndApply(b []byte) error {
 	if _, err := t.log.Append(wal.Record{Type: 2, Payload: b}); err != nil {
 		return err
 	}
-	return t.obj.Append(b)
+	return t.obj.Apply(&lob.Splice{})
 }
 
 // Apply delegates to the self-logging helper.

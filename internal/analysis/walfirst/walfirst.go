@@ -4,13 +4,15 @@
 //
 // In this engine the WAL boundary lives in the Txn methods (txn.go):
 // each operation appends its log record via (*wal.Log).Append and only
-// then calls the mutating lob.Object method, directly or through a
-// helper.  The layers below are safe by construction — index-page
-// updates are shadowed (§4.5: "the other three operations shadow"), so
-// internal/lob and internal/buddy never overwrite committed state in
-// place; the one in-place update, Replace, is exactly the one whose
-// record the Txn method logs first (and whose pages wait for the commit
-// record's force).
+// then runs its apply step, directly or through a helper.  The apply
+// steps are the mutation events (ssa's mutator set): a structural
+// update's lob Object.Apply, Object.Destroy, the in-place Object.Replace,
+// and a transactional replace's ReplacePlan.Hold.  What runs before the
+// record is a prepare step — PrepareAppend, PrepareInsert, PrepareDelete,
+// PrepareReplace — which writes only pages no root names (§4.5: "the other
+// three operations shadow"), and is no mutation.  The Object methods that
+// run a whole update (Append, Insert, ...) reach Apply inside lob, and the
+// facts carry that exposure to their callers.
 //
 // The analyzer computes, bottom-up over the ssa call graph (with
 // cross-package propagation through WalFact object facts), two bits
@@ -44,11 +46,9 @@
 // candidate is, and AppendsAll only if every candidate is.  Calls that
 // resolve to nothing (func values, closures) are treated as neither.
 //
-// Txn.Abort legitimately violates the letter of the rule — logical
-// undo replays pre-images that the forward operations already logged,
-// writes only pages no committed root names, and the abort record is
-// forced before any freed page becomes reusable — and carries an
-// //eoslint:ignore walfirst directive with that justification.
+// Txn.Abort applies nothing: it reinstates the roots from before the
+// transaction (lob Object.Reinstate, no mutation event), whose pages the
+// transaction never wrote, and logs its record behind that.
 package walfirst
 
 import (

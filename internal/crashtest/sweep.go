@@ -96,6 +96,12 @@ type Result struct {
 	// the recovered roots did not show — a commit no checkpoint followed.
 	ReplaceFollowedStates int
 	Redone                int
+	// ByRefUnforced and ByRefForced count the states whose crash falls while
+	// a directed-prefix transaction's segments, which its records name by
+	// reference, are written and not yet forced — from its first operation
+	// to its commit's data force —, and once that force is done, until the
+	// next data-volume force.
+	ByRefUnforced, ByRefForced int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -117,7 +123,12 @@ type sweeper struct {
 	// operation of a transaction on an object it replaced before to the
 	// next transaction's begin (see traceFollowed).
 	followed [][2]int
-	seen     map[uint64]bool
+	// byRef holds, per traceByRef line, its first operation's seq and the
+	// seqs its Commit call entered and returned at; unforced and forced
+	// are the trace intervals [from, to) they give (see ByRefUnforced).
+	byRef            [][3]int
+	unforced, forced [][2]int
+	seen             map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -159,6 +170,7 @@ func Sweep(cfg Config) (*Result, error) {
 	sw.res.Events = len(sw.events)
 	sw.res.Wraps = st.Stats().WAL.Wraps
 	sw.inImage, sw.inMaster = windows(sw.events)
+	sw.unforced, sw.forced = byRefWindows(sw.events, sw.byRef)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
@@ -217,6 +229,8 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 			next(format, args...)
 		}
 		switch format {
+		case traceByRef:
+			sw.byRef = append(sw.byRef, [3]int{args[0].(int), args[1].(int), args[2].(int)})
 		case traceBegin:
 			if open {
 				sw.followed[len(sw.followed)-1][1] = clock.Seq()
@@ -238,13 +252,46 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 
 // inFollowed reports whether trace position p lies in an interval of
 // sw.followed.
-func (sw *sweeper) inFollowed(p int) bool {
-	for _, iv := range sw.followed {
+func (sw *sweeper) inFollowed(p int) bool { return within(sw.followed, p) }
+
+// within reports whether trace position p lies in one of the intervals.
+func within(intervals [][2]int, p int) bool {
+	for _, iv := range intervals {
 		if iv[0] <= p && p < iv[1] {
 			return true
 		}
 	}
 	return false
+}
+
+// byRefWindows turns each by-reference transaction — its first operation's
+// seq and its Commit call's entry and return — into the positions whose
+// crash finds its segments written and not forced: from behind its first
+// operation through its commit's data force (a crash at a position comes
+// before the event there); and those that find them forced: behind that
+// force through the next data-volume force.
+func byRefWindows(events []Event, byRef [][3]int) (unforced, forced [][2]int) {
+	dataForce := func(from, to int) int {
+		for i := from; i < to; i++ {
+			if events[i].Dev == 0 && events[i].Kind == KindForceAll {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, t := range byRef {
+		f := dataForce(t[1], t[2])
+		if f < 0 {
+			continue
+		}
+		unforced = append(unforced, [2]int{t[0] + 1, f + 1})
+		next := dataForce(f+1, len(events))
+		if next < 0 {
+			next = len(events)
+		}
+		forced = append(forced, [2]int{f + 1, next + 1})
+	}
+	return unforced, forced
 }
 
 // windows finds each checkpoint's master-copy write — a one-page write to
@@ -338,6 +385,12 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	if sw.inFollowed(p) {
 		sw.res.ReplaceFollowedStates++
+	}
+	if within(sw.unforced, p) {
+		sw.res.ByRefUnforced++
+	}
+	if within(sw.forced, p) {
+		sw.res.ByRefForced++
 	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)

@@ -101,8 +101,12 @@ const (
 	traceBehind = "        txn %d: the append on %s left its pages pending"
 	// traceReplaced: the commit of txn left its replaces' pages pending.
 	traceReplaced = "        txn %d: the commit left its replaced pages pending"
-	traceCommit   = "seq %d-%d: txn %d committed"
-	traceAbort    = "seq %d: txn %d aborted"
+	// traceByRef: txn's first operation entered at the first seq, its
+	// Commit call at the second and returned at the third; its records name
+	// segments it wrote through, which its commit forced.
+	traceByRef  = "seq %d-%d-%d: txn %d committed segments it wrote through"
+	traceCommit = "seq %d-%d: txn %d committed"
+	traceAbort  = "seq %d: txn %d aborted"
 )
 
 // errStaleRead fails the workload: a transaction's read did not return
@@ -114,10 +118,13 @@ const loserTxn = -1
 
 // The directed prefix: appendTxns transactions, each appending to every one
 // of prefixObjects, then replaceTxns that read and replace a range of each
-// before they append, committed with no checkpoint between them.
+// before they append, then byRefTxns that insert into the middle of each and
+// append more than its tail holds — segments written through, which their
+// records name by reference —, committed with no checkpoint between them.
 const (
 	appendTxns  = 6
 	replaceTxns = 10
+	byRefTxns   = 2
 )
 
 var prefixObjects = []string{"w0", "w1", "w2", "w3"}
@@ -307,34 +314,43 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	return oracle, nil
 }
 
-// directedPrefix runs transactions that commit plain appends, the last ones
+// directedPrefix runs transactions that commit plain appends, the next ones
 // behind a read and a replace of the same range (commit_small's
-// transaction), and no checkpoint between them.  Every crash inside it finds
+// transaction), the last ones an insert and an append that write segments
+// through, and no checkpoint between them.  Every crash inside it finds
 // committed bytes that live only in the log — appended and replaced pages
 // pending in memory — or, once a segment fills, some of them on the device
-// and some not; recovery must redo them from the log alone.  Its objects'
-// names sort behind the random workload's, whose operations and loser never
-// pick them.
+// and some not; recovery must redo them from the log alone.  And it finds
+// segments a record names by reference written and not yet forced, or
+// forced behind a commit that only the log holds.  Its objects' names sort
+// behind the random workload's, whose operations and loser never pick them.
 func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a11))
-	for i := 0; i < appendTxns+replaceTxns; i++ {
+	for i := 0; i < appendTxns+replaceTxns+byRefTxns; i++ {
 		txn := -2 - i // the trace numbers the prefix's transactions below the loser's
+		byRef := i >= appendTxns+replaceTxns
 		tx, err := st.Begin()
 		if err != nil {
 			return fmt.Errorf("begin prefix txn %d: %w", i, err)
 		}
 		cfg.Trace(traceBegin, clock.Seq(), txn)
+		opSeq := clock.Seq()
 		staged := map[string]*[]byte{}
 		for _, name := range prefixObjects {
 			cur, exists := stagedValue(model, staged, name)
 			if !exists {
 				err = tx.Create(name, 0)
 			}
-			if err == nil && i >= appendTxns {
+			if err == nil && i >= appendTxns && !byRef {
 				cur, err = readReplaceOp(tx, txn, name, cur, rng, cfg, staged)
 			}
+			n := 100 + rng.Intn(300)
+			if err == nil && byRef {
+				cur, err = insertOp(tx, txn, name, cur, len(cur)/2, randBytes(rng, 600), cfg, staged)
+				n = 3000 // more than the open tail holds: a new segment, written through
+			}
 			if err == nil {
-				err = appendOp(st, tx, txn, name, cur, randBytes(rng, 100+rng.Intn(300)), cfg, staged)
+				err = appendOp(st, tx, txn, name, cur, randBytes(rng, n), cfg, staged)
 			}
 			if err != nil {
 				_ = tx.Abort() // the append's error is the one to report
@@ -349,9 +365,24 @@ func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Ora
 		if st.Stats().LOB.ReplacedPages > replaced {
 			cfg.Trace(traceReplaced, txn)
 		}
+		if byRef {
+			cfg.Trace(traceByRef, opSeq, beginSeq, clock.Seq(), txn)
+		}
 		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
 	}
 	return nil
+}
+
+// insertOp inserts d at byte off of name, whose content in tx is cur, and
+// returns the new content.
+func insertOp(tx *eos.Txn, txn int, name string, cur []byte, off int, d []byte, cfg WorkloadConfig, staged map[string]*[]byte) ([]byte, error) {
+	cfg.Trace(traceOp, txn, "insert", name, len(cur))
+	if err := tx.Insert(name, int64(off), d); err != nil {
+		return nil, err
+	}
+	nv := append(append(append([]byte{}, cur[:off]...), d...), cur[off:]...)
+	staged[name] = &nv
+	return nv, nil
 }
 
 // readReplaceOp reads a range of name, whose content in tx is cur, checks

@@ -55,7 +55,7 @@ func (a *Appender) Write(p []byte) (int, error) {
 	if a.closed {
 		return 0, fmt.Errorf("lob: appender closed")
 	}
-	if err := a.o.appendBytes(p, a.hint, 0); err != nil {
+	if err := a.o.appendBytes(p, a.hint, 0, false); err != nil {
 		return 0, err
 	}
 	a.hint -= int64(len(p))
@@ -79,29 +79,18 @@ func (a *Appender) Close() error {
 // the next Append continues in that room (nothing read, nothing written, no
 // new segment).  A tail that has reached T pages is written and trimmed.
 func (o *Object) Append(data []byte) error {
-	if o.growFixed {
-		return o.AppendWithHint(data, 0)
-	}
-	open := o.threshold
-	if o.m.cfg.AdaptiveThreshold {
-		// Any splice may move small segments — the tail among them — into
-		// a compacted one; no room is kept behind a segment that can move.
-		open = 0
-	}
-	if err := o.appendBytes(data, int64(len(data)), open); err != nil {
+	sp, err := o.PrepareAppend(data)
+	if err != nil || sp == nil {
 		return err
 	}
-	return o.trim(o.m.alloc.FreeUnpublished, open)
+	return o.apply(sp)
 }
 
 // AppendWithHint appends data, using sizeHint (total bytes expected to
 // follow, including data) to size the allocation when positive, and trims
 // the tail: the caller has said how much is coming.
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
-	if err := o.appendBytes(data, sizeHint, 0); err != nil {
-		return err
-	}
-	return o.Trim()
+	return o.appendBytes(data, sizeHint, 0, true)
 }
 
 // SetGrowthHint overrides the doubling schedule: the next segment
@@ -123,13 +112,11 @@ func (o *Object) SetGrowthHint(pages int) {
 // Trim frees the unused pages at the right end of the tail segment.  An
 // entry names a segment's first page and its byte count, nothing beyond,
 // so no root has ever named those pages and they go back unpublished.
-func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished, 0) }
+func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished) }
 
-// trim gives the tail segment's unused pages to free, all of them when
-// open is 0.  Otherwise a tail holding less than open pages of bytes stays
-// open: it keeps up to open pages, and its pending pages.  A tail that closes
-// writes them first.
-func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
+// trim writes the tail segment's pending pages, gives its unused pages to
+// free and closes it.
+func (o *Object) trim(free func(disk.PageNum, int) error) error {
 	if o.tailAlloc == 0 {
 		return nil
 	}
@@ -137,24 +124,15 @@ func (o *Object) trim(free func(disk.PageNum, int) error, open int) error {
 	if err != nil {
 		return err
 	}
-	ps := o.m.vol.PageSize()
-	keep := pagesFor(tailLen, ps)
-	stayOpen := tailLen < int64(open)*int64(ps)
-	if stayOpen {
-		keep = max(keep, min(open, o.tailAlloc))
-	} else if err := o.m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc); err != nil {
+	if err := o.m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc); err != nil {
 		return err
 	}
-	if keep < o.tailAlloc {
+	if keep := pagesFor(tailLen, o.m.vol.PageSize()); keep < o.tailAlloc {
 		if err := free(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep); err != nil {
 			return err
 		}
 	}
-	if stayOpen {
-		o.tailAlloc = keep
-	} else {
-		o.ForgetTail()
-	}
+	o.ForgetTail()
 	return nil
 }
 
@@ -186,20 +164,68 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 	return start, e.bytes, nil
 }
 
-// appendBytes appends data, all of it or none.  Everything that can run
-// out of space or fail on the device — filling the untrimmed tail's free
-// room, allocating and writing new tail segments — happens on pages the
-// tree does not name yet; one splice then publishes the lot.  A failure
-// gives back what this call allocated and leaves the object, its tail, the
-// bytes of its pending pages — pending still, or written — and its growth
-// schedule as they were.
+// appendBytes appends data, all of it or none: prepareAppend, then Apply.
+func (o *Object) appendBytes(data []byte, sizeHint int64, open int, trim bool) error {
+	sp, err := o.prepareAppend(data, sizeHint, open, trim)
+	if err != nil || sp == nil {
+		return err
+	}
+	return o.apply(sp)
+}
+
+// apply is Apply of a Splice o prepared itself.  A failure gives back what
+// the prepare allocated if the root never came to name it; if it did, the
+// pages the update meant to leave pending are written, since nothing else
+// would make their bytes durable.
+func (o *Object) apply(sp *Splice) error {
+	size := o.size
+	err := o.Apply(sp)
+	if err == nil {
+		return nil
+	}
+	if o.root.size() == size {
+		sp.Cancel()
+	} else if sp.pend != nil {
+		_ = o.m.writeHome(sp.pendStart, sp.pend) // err is the failure to report
+	}
+	return err
+}
+
+// PrepareAppend is the prepare step of Append (splice.go); nil when data is
+// empty.  The Splice puts the new segments behind the last leaf entry — and
+// replaces that entry, grown, when some of data fits in the open tail's room
+// — and leaves the tail as Append does.
+func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
+	if o.growFixed {
+		return o.prepareAppend(data, 0, 0, true)
+	}
+	open := o.threshold
+	if o.m.cfg.AdaptiveThreshold {
+		// Any splice may move small segments — the tail among them — into
+		// a compacted one; no room is kept behind a segment that can move.
+		open = 0
+	}
+	return o.prepareAppend(data, int64(len(data)), open, true)
+}
+
+// prepareAppend prepares appending data.  Everything that can run out of
+// space or fail on the device — filling the untrimmed tail's free room,
+// allocating and writing new tail segments — happens on pages the tree does
+// not name yet; Apply then publishes the lot.  A failure gives back what
+// this call allocated and leaves the object, its tail, the bytes of its
+// pending pages — pending still, or written — and its growth schedule as
+// they were.
 //
 // open > 0 is a plain Append: a new tail segment is asked at least open
 // pages, and the last segment, while it stays open, keeps the pages this
-// call filled pending in memory — unless the manager writes through.
-func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
+// call filled pending in memory — unless the manager writes through; their
+// bytes are the Splice's Data.  With trim the last segment is then trimmed:
+// down to open pages while it holds less than open pages of bytes and stays
+// open, else to its bytes, closed.  Without, it keeps its whole allocation
+// (an Appender's stream).
+func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool) (*Splice, error) {
 	if len(data) == 0 {
-		return nil
+		return nil, nil
 	}
 	o.m.st.appends.Add(1)
 	m := o.m
@@ -209,27 +235,22 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 	// behind: a last segment holding n bytes stays open, its pages pending.
 	behind := func(n int64) bool { return open > 0 && m.cfg.Pending != nil && n < int64(open)*int64(ps) }
 
-	// repl replaces the last leaf entry: itself, grown by what fits in its
-	// untrimmed room, followed by the new segments.
-	repl := make([]entry, 0, 2)
-	var tailStartByte int64
-	var lastStart disk.PageNum // the pages from here on, last, stay pending
-	var last []byte
+	sp := m.newSplice(o.size, o.size)
+	byValue := 0         // the last bytes of data that stay in memory
+	alloc := o.tailAlloc // pages allocated to the last segment
 	remaining := data
-	hasTail := len(o.root.entries) > 0
-	if hasTail {
+	if len(o.root.entries) > 0 {
 		tail, start, _, err := o.findSegment(o.size)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		tailStartByte = start
 		var fillStart disk.PageNum
 		var fill []byte // the room's pages this call fills, from the page it starts in on
 		pend := false
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
 			pend = w == int64(len(data)) && behind(tail.bytes+w)
-			if fillStart, fill, err = o.continueTail(tail.bytes, data[:w], pend); err != nil {
-				return err
+			if fillStart, fill, err = m.extend(o.tailStart, tail.bytes, data[:w], pend); err != nil {
+				return nil, err
 			}
 			if held {
 				// A transaction's replace holds the partial page the fill
@@ -237,7 +258,8 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 				// and these behind them — is held too, not written in place:
 				// uncommitted bytes over bytes a committed root names.  Only
 				// the pages behind it are written or left pending.
-				m.held.hold(heldImages(fillStart, fill[:ps], ps))
+				sp.hold = heldImages(fillStart, fill[:ps], ps)
+				byValue = len(data)
 				if fillStart, fill = fillStart+1, fill[ps:]; len(fill) == 0 {
 					fill = nil
 				}
@@ -251,23 +273,27 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		// failure from here on leaves them written and the object as it was.
 		switch {
 		case pend:
-			lastStart, last = fillStart, fill
+			sp.pendStart, sp.pend = fillStart, fill
+			byValue = len(data)
 		case fill != nil:
 			err = m.writeHome(fillStart, fill)
+			sp.wrote = true
 		default:
 			err = m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc) // full already: the allocator gave it less than open pages
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		repl = append(repl, tail)
+		if len(remaining) < len(data) {
+			// The tail grew: the splice replaces it.
+			sp.Lo = start
+			sp.Entries = append(sp.Entries, Extent{Start: tail.ptr, Bytes: tail.bytes})
+		}
 	}
 
 	// New tail segments: hint-sized when the size is known, else the
 	// doubling schedule.
 	grow := o.nextGrow
-	var runBuf [2]PageRun
-	runs := runBuf[:0] // what this call allocates, whole
 	for len(remaining) > 0 {
 		want := grow
 		if sizeHint > 0 {
@@ -277,66 +303,66 @@ func (o *Object) appendBytes(data []byte, sizeHint int64, open int) error {
 		}
 		start, got, err := m.alloc.AllocUpTo(max(1, min(max(want, open), maxSeg)))
 		if err != nil {
-			return m.giveBack(runs, err)
+			return nil, m.giveBack(sp.runs, err)
 		}
-		runs = append(runs, PageRun{Start: start, Pages: got})
+		sp.runs = append(sp.runs, PageRun{Start: start, Pages: got})
 		grow = min(got*2, maxSeg)
 		w := min(int64(got)*int64(ps), int64(len(remaining)))
 		pend := w == int64(len(remaining)) && behind(w)
 		img := m.pageImage(remaining[:w], pend)
 		if pend {
-			lastStart, last = start, img
+			sp.pendStart, sp.pend = start, img
+			byValue = max(byValue, int(w))
 		} else if err := m.writeImage(start, img); err != nil {
-			return m.giveBack(runs, err)
+			return nil, m.giveBack(sp.runs, err)
 		}
-		repl = append(repl, entry{bytes: w, ptr: start})
+		sp.wrote = sp.wrote || !pend
+		sp.Entries = append(sp.Entries, Extent{Start: start, Bytes: w})
 		remaining = remaining[w:]
+		alloc = got
+		sp.grow = grow
 	}
+	sp.Data = data[len(data)-byValue:]
 
-	var err error
-	if hasTail {
-		err = o.spliceLeafRange(tailStartByte, o.size, repl, true, true)
-	} else {
-		err = o.spliceLeafRange(0, 0, repl, false, false)
-	}
-	if err != nil {
-		if o.root.size() == o.size {
-			return m.giveBack(runs, err) // the root never came to name the new segments
+	// The tail the update leaves.  Room a new segment's trim cuts goes back
+	// now — no root has named it —; an old tail's, when Apply frees it.
+	last := &sp.Entries[len(sp.Entries)-1]
+	last.Pages = alloc
+	if trim && alloc > 0 {
+		last.Pages = 0
+		if last.Bytes < int64(open)*int64(ps) {
+			last.Pages = max(pagesFor(last.Bytes, ps), min(open, alloc))
 		}
-		if last != nil {
-			_ = m.writeHome(lastStart, last) // it did: the bytes must not stay only in memory; err is the failure to report
+	}
+	if n := len(sp.runs); n > 0 {
+		r := &sp.runs[n-1]
+		if keep := last.Run(ps).Pages; keep < r.Pages {
+			if err := m.alloc.FreeUnpublished(r.Start+disk.PageNum(keep), r.Pages-keep); err != nil {
+				return nil, m.giveBack(sp.runs, err)
+			}
+			r.Pages = keep
 		}
-		return err
 	}
-	if n := len(runs); n > 0 {
-		m.st.segmentsAllocated.Add(int64(n))
-		o.nextGrow, o.growFixed = grow, false
-		o.tailStart, o.tailAlloc = runs[n-1].Start, runs[n-1].Pages
-	}
-	if last != nil {
-		m.cfg.Pending.install(pageImages(lastStart, last, ps, true))
-	}
-	return nil
+	return sp, nil
 }
 
-// continueTail returns the page run that appending data at byte tailLen of
-// the tail segment makes, from the page data starts in to the page it ends
-// in, and that run's first page.  The bytes the first page already holds are
-// read back — from the write-behind set while it is pending.  keep says the
-// run will stay pending; one that is only written may be data itself
-// (Manager.pageImage).
-func (o *Object) continueTail(tailLen int64, data []byte, keep bool) (disk.PageNum, []byte, error) {
-	m := o.m
-	head, _, first := disk.Around(o.tailStart, tailLen, int64(len(data)), m.vol.PageSize())
+// extend returns the page run that writing data at byte have of the segment
+// whose first page is start makes, from the page data starts in to the page
+// it ends in, and that run's first page.  The bytes the first page already
+// holds are read back — from the write-behind set while it is pending.  keep
+// says the run will stay in memory; one that is only written may be data
+// itself (Manager.pageImage).
+func (m *Manager) extend(start disk.PageNum, have int64, data []byte, keep bool) (disk.PageNum, []byte, error) {
+	head, _, first := disk.Around(start, have, int64(len(data)), m.vol.PageSize())
 	if head.N == 0 {
-		return o.tailStart + first, m.pageImage(data, keep), nil
+		return start + first, m.pageImage(data, keep), nil
 	}
 	raw, err := m.gather(head, int64(len(data)), disk.ByteRange{})
 	if err != nil {
 		return 0, nil, err
 	}
 	copy(raw[head.N:], data)
-	return o.tailStart + first, raw, nil
+	return start + first, raw, nil
 }
 
 // tailHeld reports whether the manager holds the partial last page of the

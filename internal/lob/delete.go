@@ -17,11 +17,22 @@ import (
 // reshuffling may migrate bytes into N, and — unlike B-trees or EXODUS —
 // a partial segment delete may create new entries for the parents.
 func (o *Object) Delete(off, n int64) error {
-	if err := o.checkRange(off, n); err != nil {
+	sp, err := o.PrepareDelete(off, n)
+	if err != nil || sp == nil {
 		return err
 	}
+	return o.apply(sp)
+}
+
+// PrepareDelete is the prepare step of Delete (splice.go); nil when n is 0.
+// N is written through; the Splice replaces the segments from S to S' with
+// L, N and R.
+func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
+	if err := o.checkRange(off, n); err != nil {
+		return nil, err
+	}
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	o.m.st.deletes.Add(1)
 	m := o.m
@@ -32,16 +43,15 @@ func (o *Object) Delete(off, n int64) error {
 	// Step 1: locate the boundary segments.
 	sl, startL, parentN, err := o.findSegment(lo)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sr, startR, _, err := o.findSegment(hi - 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := o.trimTail(sr); err != nil {
-		return err
+		return nil, err
 	}
-	same := startL == startR
 	t := o.effectiveThreshold(parentN)
 
 	// Step 2: geometry.  L keeps S's bytes left of the first deleted
@@ -77,75 +87,31 @@ func (o *Object) Delete(off, n int64) error {
 	// plus R's migrated prefix (contiguous, in S').  When S = S' and the
 	// deleted pages between the two cost less to transfer than a
 	// reposition, one request fetches both; otherwise each is one read.
-	var newSegs []entry
+	var img []byte
 	if res.nc > 0 {
 		tail := qc - (qb + 1) + res.moveR
-		img, err := m.gather(
+		img, err = m.gather(
 			disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}, 0,
 			disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if res.moveL+tail != res.nc {
-			return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", res.moveL+tail, res.nc)
+			return nil, fmt.Errorf("lob: internal error: N has %d bytes, expected %d", res.moveL+tail, res.nc)
 		}
-		newSegs, err = m.allocSegments(res.nc)
-		if err != nil {
-			return err
-		}
-		if err := o.writeNewSegments(newSegs, img); err != nil {
-			return err
-		}
-	}
-	if res.rc > 0 && res.moveR%ps != 0 {
-		return fmt.Errorf("lob: internal error: partial-page move from surviving R")
 	}
 
-	// Free boundary pages and build the replacement entries.
-	keepL := pagesFor(res.lc, int(ps))
-	rKeep := pagesSR
+	// The replacement entries: L keeps S's first pages, R the last pages of
+	// S'; Apply frees what lies between.
+	l := Extent{Start: sl.ptr, Bytes: res.lc}
+	var r Extent
 	if res.rc > 0 {
-		rKeep = int(q) + 1 + int(res.moveR/ps)
-	}
-	var repl []entry
-	if res.lc > 0 {
-		repl = append(repl, entry{bytes: res.lc, ptr: sl.ptr})
-	}
-	repl = append(repl, newSegs...)
-	if res.rc > 0 {
-		repl = append(repl, entry{bytes: res.rc, ptr: sr.ptr + disk.PageNum(rKeep)})
-	}
-
-	if same {
-		kept := res.lc > 0 || res.nc > 0 || res.rc > 0
-		if kept {
-			if keepL < rKeep {
-				if err := m.freeData(sl.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
-					return err
-				}
-			}
+		if res.moveR%ps != 0 {
+			return nil, fmt.Errorf("lob: internal error: partial-page move from surviving R")
 		}
-		return o.spliceLeafRange(startL, startL+sl.bytes, repl, kept, kept)
+		r = Extent{Start: sr.ptr + disk.PageNum(int(q)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-
-	// Distinct boundary segments: free S's tail if L survives (else the
-	// splice frees S whole), and S''s head if R or N keeps part of S'.
-	skipFirst := res.lc > 0
-	if skipFirst {
-		pagesSL := pagesFor(sl.bytes, int(ps))
-		if keepL < pagesSL {
-			if err := m.freeData(sl.ptr+disk.PageNum(keepL), pagesSL-keepL); err != nil {
-				return err
-			}
-		}
-	}
-	skipLast := res.rc > 0
-	if skipLast {
-		if err := m.freeData(sr.ptr, rKeep); err != nil {
-			return err
-		}
-	}
-	return o.spliceLeafRange(startL, startR+scr, repl, skipFirst, skipLast)
+	return o.newSegments(startL, startR+scr, res.nc, img, l, r)
 }
 
 // Truncate shortens the object to newSize bytes.  Truncation to zero is

@@ -17,11 +17,21 @@ import (
 // never overwritten — migrated bytes are copied into N and their source
 // pages freed.
 func (o *Object) Insert(off int64, data []byte) error {
+	sp, err := o.PrepareInsert(off, data)
+	if err != nil || sp == nil {
+		return err
+	}
+	return o.apply(sp)
+}
+
+// PrepareInsert is the prepare step of Insert (splice.go); nil when data is
+// empty.  N is written through; the Splice replaces S with L, N and R.
+func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	if off < 0 || off > o.size {
-		return fmt.Errorf("%w: insert at %d of %d", ErrOutOfBounds, off, o.size)
+		return nil, fmt.Errorf("%w: insert at %d of %d", ErrOutOfBounds, off, o.size)
 	}
 	if len(data) == 0 {
-		return nil
+		return nil, nil
 	}
 	o.m.st.inserts.Add(1)
 	m := o.m
@@ -30,23 +40,16 @@ func (o *Object) Insert(off int64, data []byte) error {
 
 	// Empty object: insertion is creation.
 	if o.size == 0 {
-		segs, err := m.allocSegments(int64(len(data)))
-		if err != nil {
-			return err
-		}
-		if err := o.writeNewSegments(segs, m.pageImage(data, false)); err != nil {
-			return err
-		}
-		return o.spliceLeafRange(0, 0, segs, false, false)
+		return o.newSegments(0, 0, int64(len(data)), m.pageImage(data, false), Extent{}, Extent{})
 	}
 
 	// Step 1-2: locate S and compute the split geometry.
 	S, segStart, parentN, err := o.findSegment(off)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := o.trimTail(S); err != nil {
-		return err
+		return nil, err
 	}
 	t := o.effectiveThreshold(parentN)
 	rel := off - segStart
@@ -82,57 +85,57 @@ func (o *Object) Insert(off int64, data []byte) error {
 		disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}, int64(len(data)),
 		disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n := res.moveL + int64(len(data)) + pc - pb + res.moveR; n != res.nc {
-		return fmt.Errorf("lob: internal error: N has %d bytes, expected %d", n, res.nc)
+		return nil, fmt.Errorf("lob: internal error: N has %d bytes, expected %d", n, res.nc)
 	}
 	copy(img[res.moveL:], data)
-	newSegs, err := m.allocSegments(res.nc)
-	if err != nil {
-		return err
-	}
-	if err := o.writeNewSegments(newSegs, img); err != nil {
-		return err
-	}
 
-	// Free the pages of S that neither L nor R keeps.
-	keepL := pagesFor(res.lc, int(ps))
-	rKeep := pagesS
+	// Step 5: fix the parents — L keeps S's first pages, R its last ones;
+	// Apply frees the pages of S between them.
+	l := Extent{Start: S.ptr, Bytes: res.lc}
+	var r Extent
 	if res.rc > 0 {
 		if res.moveR%ps != 0 {
-			return fmt.Errorf("lob: internal error: partial-page move from surviving R")
+			return nil, fmt.Errorf("lob: internal error: partial-page move from surviving R")
 		}
-		rKeep = int(p) + 1 + int(res.moveR/ps)
+		r = Extent{Start: S.ptr + disk.PageNum(int(p)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-	if keepL < rKeep {
-		if err := m.freeData(S.ptr+disk.PageNum(keepL), rKeep-keepL); err != nil {
-			return err
-		}
-	}
-
-	// Step 5: fix the parents.
-	repl := make([]entry, 0, len(newSegs)+2)
-	if res.lc > 0 {
-		repl = append(repl, entry{bytes: res.lc, ptr: S.ptr})
-	}
-	repl = append(repl, newSegs...)
-	if res.rc > 0 {
-		repl = append(repl, entry{bytes: res.rc, ptr: S.ptr + disk.PageNum(rKeep)})
-	}
-	return o.spliceLeafRange(segStart, segStart+sc, repl, true, true)
+	return o.newSegments(segStart, segStart+sc, res.nc, img, l, r)
 }
 
-// writeNewSegments distributes the whole-page image img across freshly
-// allocated segments; every segment but the last fills its pages.
-func (o *Object) writeNewSegments(segs []entry, img []byte) error {
-	ps := o.m.vol.PageSize()
-	for _, se := range segs {
-		n := pagesFor(se.bytes, ps) * ps
-		if err := o.m.writeImage(se.ptr, img[:n]); err != nil {
-			return err
-		}
-		img = img[n:]
+// newSegments allocates segments for the nc bytes of the whole-page image
+// img and writes it across them, every segment but the last filling its
+// pages, and returns the Splice that puts l, them and r in the place of
+// [lo, hi); an l or r of no bytes is left out.
+func (o *Object) newSegments(lo, hi, nc int64, img []byte, l, r Extent) (*Splice, error) {
+	m := o.m
+	sp := m.newSplice(lo, hi)
+	if l.Bytes > 0 {
+		sp.Entries = append(sp.Entries, l)
 	}
-	return nil
+	if nc > 0 {
+		segs, err := m.allocSegments(nc)
+		if err != nil {
+			return nil, err
+		}
+		ps := m.vol.PageSize()
+		for _, se := range segs {
+			sp.runs = append(sp.runs, PageRun{Start: se.ptr, Pages: pagesFor(se.bytes, ps)})
+			sp.Entries = append(sp.Entries, Extent{Start: se.ptr, Bytes: se.bytes})
+		}
+		for _, run := range sp.runs {
+			n := run.Pages * ps
+			if err := m.writeImage(run.Start, img[:n]); err != nil {
+				return nil, m.giveBack(sp.runs, err)
+			}
+			img = img[n:]
+		}
+		sp.wrote = true
+	}
+	if r.Bytes > 0 {
+		sp.Entries = append(sp.Entries, r)
+	}
+	return sp, nil
 }

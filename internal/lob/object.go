@@ -128,7 +128,7 @@ func (o *Object) SetLSN(lsn uint64) { o.lsn.Store(lsn) }
 func (o *Object) Destroy() error {
 	// The tail's unused pages go the way of the rest, through Free; its
 	// pending pages are written first, by trim and the frees.
-	if err := o.trim(o.m.alloc.Free, 0); err != nil {
+	if err := o.trim(o.m.alloc.Free); err != nil {
 		return err
 	}
 	for _, e := range o.root.entries {

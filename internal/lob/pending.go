@@ -22,10 +22,10 @@ import (
 //     behind the commit force, and a later replace of a pending page only
 //     overwrites its image.
 //
-// Nothing on the device needs them yet: a transactional append or replace is
-// durable in the log, whose record carries its bytes, and recovery redoes it
-// from the roots the last checkpoint image names — recovery forgets open
-// tails, so redo never continues one.  Every read of a data page looks here,
+// Nothing on the device needs them yet: a transactional append's record
+// carries the bytes it left here by value, a replace's its bytes, and recovery
+// rebuilds the pages from them on the roots the last checkpoint image names.
+// Every read of a data page looks here,
 // after its manager's held set (Manager.readPages): object and snapshot
 // reads, PrepareReplace, and the old bytes an insert, delete, replace or tail
 // fill gathers.  A request to the device covers only the pages from the first

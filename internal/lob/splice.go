@@ -1,7 +1,9 @@
 package lob
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/eosdb/eos/internal/disk"
 )
@@ -16,6 +18,256 @@ import (
 // The two boundary segments may have had their pages partially kept by
 // the caller (byte/page reshuffling); skipFirst/skipLast tell splice not
 // to free them.
+//
+// Each of the three runs in two steps, so that a transaction can log
+// between them (§4.5: "the other three shadow"):
+//
+//  1. Prepare (PrepareAppend, PrepareInsert, PrepareDelete) gathers the old
+//     bytes it moves, allocates the new segments and writes them through.
+//     No root names those pages yet, so it may run before anything is
+//     logged; nothing a root names changes, except that an open tail the
+//     update cuts is closed first.
+//  2. Apply splices the Splice prepare returned into the tree: the new leaf
+//     entries take the range's place, and the old pages no entry keeps are
+//     freed.  Recovery applies a Splice rebuilt from the log the same way,
+//     and so rebuilds the tree the update made without allocating a data
+//     page or reading one, apart from the first page of logged bytes.
+
+// Extent is one leaf entry of a Splice: a segment's first page and its
+// bytes, and Pages, the pages allocated to it when it is the object's open
+// tail (append.go) — 0 for every other segment.
+type Extent struct {
+	Start disk.PageNum
+	Pages int
+	Bytes int64
+}
+
+// Run returns the page run the extent names: its bytes' pages, or an open
+// tail's.
+func (x Extent) Run(ps int) PageRun {
+	return PageRun{Start: x.Start, Pages: max(pagesFor(x.Bytes, ps), x.Pages)}
+}
+
+// Splice is one structural update as the log carries it: Entries replace
+// the leaf entries covering the entry-aligned byte range [Lo, Hi) of the
+// object.  Entries name segments by reference — pages the update wrote
+// through, or old pages it kept — except the last len(Data) bytes of the
+// new range, which the update left in memory (an open tail's pending pages,
+// or a page a replace of its transaction holds) and which Data carries by
+// value.
+type Splice struct {
+	Lo, Hi  int64
+	Entries []Extent
+	Data    []byte
+
+	// What Prepare did, for Apply and Cancel; zero in a Splice rebuilt from
+	// the log.
+	m         *Manager
+	runs      []PageRun    // allocated by the prepare, whole
+	wrote     bool         // the prepare wrote pages the entries name through
+	grow      int          // the append schedule's next segment size, 0 = unchanged
+	pendStart disk.PageNum // pend: images of the pages from pendStart on, left pending
+	pend      []byte
+	hold      []heldPage // images of held pages the update rewrote
+	// Room for a typical update's entries and runs: preparing one allocates
+	// the Splice and nothing more for them.
+	entryBuf [3]Extent
+	runBuf   [1]PageRun
+
+	// Newer, set by recovery on a Splice rebuilt from the log, reports the
+	// pages whose device bytes are newer than the by-value bytes: a later
+	// update wrote them through.  Their images are not built, and reads of
+	// them go to the device.
+	Newer func(disk.PageNum) bool
+}
+
+// newSplice starts the Splice of an update of [lo, hi) that m prepares.
+func (m *Manager) newSplice(lo, hi int64) *Splice {
+	sp := &Splice{m: m, Lo: lo, Hi: hi}
+	sp.Entries, sp.runs = sp.entryBuf[:0], sp.runBuf[:0]
+	return sp
+}
+
+// WroteThrough reports whether the prepare wrote pages the entries name to
+// the device: a transaction must force them before its commit record.
+func (sp *Splice) WroteThrough() bool { return sp.wrote }
+
+// Cancel gives back what the prepare allocated, when the Splice will not be
+// applied: no root names those pages.
+func (sp *Splice) Cancel() { _ = sp.m.giveBack(sp.runs, nil) }
+
+// Apply splices sp into the tree: its entries replace the leaf entries of
+// [Lo, Hi), the old boundary segments' pages no entry keeps are freed — an
+// open tail's room unpublished, since no root named it —, and the tail is
+// open after it when its last entry says so.  Its by-value bytes enter the
+// write-behind set (a page a replace holds stays held); a Splice rebuilt
+// from the log builds their pages over what the device or the set holds
+// before them.
+func (o *Object) Apply(sp *Splice) error {
+	m := o.m
+	ps := m.vol.PageSize()
+	repl := make([]entry, len(sp.Entries))
+	for i, x := range sp.Entries {
+		repl[i] = entry{bytes: x.Bytes, ptr: x.Start}
+	}
+	atEnd := sp.Hi == o.size
+	skip := false
+	if sp.Hi > sp.Lo {
+		first, start, _, err := o.findSegment(sp.Lo)
+		if err != nil {
+			return err
+		}
+		last, lastStart := first, start
+		if start+first.bytes < sp.Hi {
+			if last, lastStart, _, err = o.findSegment(sp.Hi - 1); err != nil {
+				return err
+			}
+		}
+		if start != sp.Lo || lastStart+last.bytes != sp.Hi {
+			return fmt.Errorf("%w: splice [%d,%d) not entry-aligned", ErrOutOfBounds, sp.Lo, sp.Hi)
+		}
+		if err := o.freeUnkept(first, sp.Entries); err != nil {
+			return err
+		}
+		if lastStart != start {
+			if err := o.freeUnkept(last, sp.Entries); err != nil {
+				return err
+			}
+		}
+		skip = true
+	}
+	if err := o.spliceLeafRange(sp.Lo, sp.Hi, repl, skip, skip); err != nil {
+		return err
+	}
+	if atEnd {
+		var tail Extent
+		if n := len(sp.Entries); n > 0 {
+			tail = sp.Entries[n-1]
+		}
+		if o.tailAlloc > 0 && (tail.Pages == 0 || tail.Start != o.tailStart) {
+			// The tail closed or moved: its pending pages go now.
+			if err := m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc); err != nil {
+				return err
+			}
+		}
+		o.tailStart, o.tailAlloc = tail.Start, tail.Pages
+	}
+	if sp.grow > 0 {
+		m.st.segmentsAllocated.Add(int64(len(sp.runs)))
+		o.nextGrow, o.growFixed = sp.grow, false
+	}
+	m.held.hold(sp.hold)
+	switch {
+	case sp.pend != nil:
+		m.cfg.Pending.install(pageImages(sp.pendStart, sp.pend, ps, true))
+	case len(sp.Data) > 0 && sp.hold == nil:
+		return o.pendData(sp)
+	}
+	return nil
+}
+
+// Continued returns the pages an append's Splice wrote through in the tail
+// it grew — its range is the old tail, its first entry the tail grown: from
+// the page the old bytes end in up to the by-value bytes.  A write from the
+// page's start carries the bytes before it too, so whatever the device
+// shows of these pages from then on is newer than any image rebuilt from
+// earlier by-value bytes.
+func (sp *Splice) Continued(ps int) PageRun {
+	if len(sp.Entries) == 0 || sp.Hi == sp.Lo || sp.Entries[0].Bytes <= sp.Hi-sp.Lo {
+		return PageRun{}
+	}
+	grown := sp.Entries[0]
+	var total int64
+	for _, x := range sp.Entries {
+		total += x.Bytes
+	}
+	to := pagesFor(grown.Bytes, ps)
+	if from := total - int64(len(sp.Data)); from < grown.Bytes {
+		to = int(from / int64(ps))
+	}
+	from := int((sp.Hi - sp.Lo) / int64(ps))
+	if from >= to {
+		return PageRun{}
+	}
+	return PageRun{Start: grown.Start + disk.PageNum(from), Pages: to - from}
+}
+
+// freeUnkept frees the pages of the old leaf entry seg that no entry of the
+// splice keeps, which names them otherwise whole: an open tail's room beyond
+// its bytes unpublished, the rest as data.
+func (o *Object) freeUnkept(seg entry, keep []Extent) error {
+	m := o.m
+	ps := m.vol.PageSize()
+	used := pagesFor(seg.bytes, ps)
+	alloc := used
+	if o.tailAlloc > 0 && seg.ptr == o.tailStart {
+		alloc = max(used, o.tailAlloc)
+	}
+	end := seg.ptr + disk.PageNum(alloc)
+	var buf [2]PageRun
+	kept := buf[:0]
+	for _, x := range keep {
+		if x.Start >= seg.ptr && x.Start < end {
+			kept = append(kept, x.Run(ps))
+		}
+	}
+	if len(kept) == 0 {
+		m.st.segmentsFreed.Add(1)
+	}
+	slices.SortFunc(kept, func(a, b PageRun) int { return cmp.Compare(a.Start, b.Start) })
+	room := seg.ptr + disk.PageNum(used)
+	free := func(from, to disk.PageNum) error {
+		if named := min(to, room); from < named {
+			if err := m.freeData(from, int(named-from)); err != nil {
+				return err
+			}
+		}
+		if from = max(from, room); from < to {
+			return m.alloc.FreeUnpublished(from, int(to-from))
+		}
+		return nil
+	}
+	at := seg.ptr
+	for _, r := range kept {
+		if r.Start > at {
+			if err := free(at, r.Start); err != nil {
+				return err
+			}
+		}
+		at = max(at, r.Start+disk.PageNum(r.Pages))
+	}
+	if at < end {
+		return free(at, end)
+	}
+	return nil
+}
+
+// pendData builds the pages of a logged splice's by-value bytes — the last
+// len(sp.Data) bytes of its entries — over what the pages hold before them,
+// and leaves them pending.  Recovery runs on a store's managers, which
+// always have a write-behind set.
+func (o *Object) pendData(sp *Splice) error {
+	m := o.m
+	ps := m.vol.PageSize()
+	data := sp.Data
+	var pages []pendingPage
+	for i := len(sp.Entries) - 1; i >= 0 && len(data) > 0; i-- {
+		x := sp.Entries[i]
+		n := min(x.Bytes, int64(len(data)))
+		start, raw, err := m.extend(x.Start, x.Bytes-n, data[int64(len(data))-n:], true)
+		if err != nil {
+			return err
+		}
+		for _, p := range pageImages(start, raw, ps, true) {
+			if sp.Newer == nil || !sp.Newer(p.page) {
+				pages = append(pages, p)
+			}
+		}
+		data = data[:int64(len(data))-n]
+	}
+	m.cfg.Pending.install(pages)
+	return nil
+}
 
 // spliceLeafRange applies the edit to the object and renormalizes the
 // root (push-down on overflow, pull-up per the paper's delete step 6).

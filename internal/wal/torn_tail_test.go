@@ -151,7 +151,7 @@ func buildTornLog(t *testing.T, base uint64, victim *Record) (vol *disk.Volume, 
 	t.Helper()
 	l, v := newLogAt(t, 64, base)
 	prefixLSNs = appendAll(t, l,
-		&Record{Txn: 1, Type: RecBegin},
+		&Record{Txn: 1, Type: RecCreate},
 		&Record{Txn: 1, Type: RecInsert, Object: 3, Off: 0, Data: bytes.Repeat([]byte("durable payload "), 10)},
 		&Record{Txn: 1, Type: RecCommit})
 	size := l.size
@@ -280,7 +280,7 @@ func TestPaddingOfEveryLengthIsSteppedOver(t *testing.T) {
 		if got := l.Stats().PadBytes; got != int64(pad) {
 			t.Fatalf("pad %d: PadBytes = %d", pad, got)
 		}
-		want = append(want, appendAll(t, l, &Record{Txn: 2, Type: RecBegin}, &Record{Txn: 2, Type: RecCommit})...)
+		want = append(want, appendAll(t, l, &Record{Txn: 2, Type: RecCreate}, &Record{Txn: 2, Type: RecCommit})...)
 		if want[1] != uint64(ps)+1 {
 			t.Fatalf("pad %d: second force begins at LSN %d, want %d", pad, want[1], ps+1)
 		}
@@ -310,7 +310,7 @@ func TestLostFirstPageHidesTheWholeForce(t *testing.T) {
 			ps := 256
 			base := lapBase(lap.wrap, 16*256, 2) // the first force's page, then the lost one
 			l, vol := newLogAt(t, 16, base)
-			want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
+			want := appendAll(t, l, &Record{Txn: 1, Type: RecCreate}, &Record{Txn: 1, Type: RecCommit})
 			if err := l.Force(); err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +355,7 @@ func TestForgedHeaderBehindTornRecordNeverSurfaces(t *testing.T) {
 		t.Run(lap.name, func(t *testing.T) {
 			l, vol := newLogAt(t, 16, lapBase(lap.wrap, 16*256, 1))
 			ps := uint64(vol.PageSize())
-			want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
+			want := appendAll(t, l, &Record{Txn: 1, Type: RecCreate})
 			payload := bytes.Repeat([]byte{0x11}, int(3*ps))
 			victim := l.Tail()
 			if victim%l.size+uint64(encodedSize(&Record{Data: payload})) > l.size {
@@ -754,12 +754,12 @@ func TestAppendsDuringAFlushLandBehindIt(t *testing.T) {
 			writes = append(writes, ev)
 		}
 	})
-	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin}, &Record{Txn: 1, Type: RecCommit})
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecCreate}, &Record{Txn: 1, Type: RecCommit})
 	led := make(chan error, 1)
 	go func() { led <- l.ForceLSN(want[1]) }()
 	<-g.entered
 	ps := vol.PageSize()
-	racing := appendAll(t, l, &Record{Txn: 2, Type: RecBegin}, &Record{Txn: 2, Type: RecCommit})
+	racing := appendAll(t, l, &Record{Txn: 2, Type: RecCreate}, &Record{Txn: 2, Type: RecCommit})
 	if racing[0] != uint64(ps)+1 {
 		t.Errorf("record appended during the leader's write has LSN %d, want %d: the first byte of the next page", racing[0], ps+1)
 	}

@@ -54,17 +54,26 @@ import (
 // RecType identifies a log record.
 type RecType uint8
 
-// Log record types: transaction control, one per logical operation, the
-// client's checkpoint image, and the log's own skip record.
+// Log record types: transaction control, one per operation, the client's
+// checkpoint image, and the log's own skip record.  A transaction has no
+// begin record: its first operation's record begins it, and one that logs
+// no operation logs nothing at all.
 const (
-	RecBegin RecType = iota + 1
-	RecCommit
+	RecCommit RecType = iota + 1
 	RecAbort
 	RecCreate  // object created
 	RecDestroy // object destroyed
-	RecAppend  // Data appended at the end
-	RecInsert  // Data inserted at Off
-	RecDelete  // N bytes deleted at Off; structural, so shadowed: no bytes logged
+	// RecAppend, RecInsert and RecDelete are the three structural updates,
+	// which shadow (§4.5), and log the splice they made rather than their
+	// bytes: Extents are the leaf entries that replaced the byte range
+	// [Off, Off+N) of the object, and name by reference the segments the
+	// update wrote through — forced before its commit record — or kept.
+	// Data carries the last len(Data) bytes of the new range by value: the
+	// ones the update left in memory (an open tail's pending pages).  Redo
+	// splices the same entries and allocates nothing.
+	RecAppend
+	RecInsert
+	RecDelete
 	// RecReplace says Data was written at Off.  The write reaches the
 	// device only behind its transaction's commit record, so the record
 	// carries no pre-image: recovery only redoes.
@@ -80,8 +89,6 @@ const (
 
 func (t RecType) String() string {
 	switch t {
-	case RecBegin:
-		return "begin"
 	case RecCommit:
 		return "commit"
 	case RecAbort:
@@ -106,18 +113,28 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
 
-// Record is one log entry.  Data carries the bytes redo needs; nothing is
-// logged for undo: an abort reinstates the roots from before its
+// Record is one log entry.  Data and Extents carry what redo needs; nothing
+// is logged for undo: an abort reinstates the roots from before its
 // transaction, and no uncommitted write ever reaches the device over
 // committed bytes (§4.5's replace included: it waits for its commit record).
 type Record struct {
-	LSN    uint64 // assigned by Append: the record's position + 1
-	Txn    uint64
-	Type   RecType
-	Object uint64
-	Off    int64
-	N      int64
-	Data   []byte
+	LSN     uint64 // assigned by Append: the record's position + 1
+	Txn     uint64
+	Type    RecType
+	Object  uint64
+	Off     int64
+	N       int64
+	Data    []byte
+	Extents []Extent // a structural record's leaf entries, encoded behind Data
+}
+
+// Extent is one leaf entry of a structural record: a segment's first page,
+// the pages allocated to it when it is the object's open tail (else 0), and
+// its bytes.
+type Extent struct {
+	Start uint64
+	Pages uint32
+	Bytes int64
 }
 
 // Errors returned by the log.
@@ -131,6 +148,7 @@ var (
 
 const (
 	recHeaderSize = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8 + 4 // crc,len,lsn,txn,type,obj,off,n,dlen
+	extentSize    = 8 + 4 + 8                         // start,pages,bytes
 	// padByte fills a force's last page behind its records.  Not zero: a
 	// header read that begins in padding and runs into the next page must
 	// never carry the LSN of its offset, and an LSN's high bytes are zero.
@@ -211,7 +229,7 @@ func (l *Log) Stats() Stats {
 
 // encodedSize is the size of r's encoding.
 func encodedSize(r *Record) int {
-	return recHeaderSize + len(r.Data)
+	return recHeaderSize + len(r.Data) + len(r.Extents)*extentSize
 }
 
 // encode serializes r (LSN must already be set).
@@ -225,7 +243,13 @@ func encode(r *Record) []byte {
 	binary.BigEndian.PutUint64(buf[33:], uint64(r.Off))
 	binary.BigEndian.PutUint64(buf[41:], uint64(r.N))
 	binary.BigEndian.PutUint32(buf[49:], uint32(len(r.Data)))
-	copy(buf[recHeaderSize:], r.Data)
+	off := recHeaderSize + copy(buf[recHeaderSize:], r.Data)
+	for _, x := range r.Extents {
+		binary.BigEndian.PutUint64(buf[off:], x.Start)
+		binary.BigEndian.PutUint32(buf[off+8:], x.Pages)
+		binary.BigEndian.PutUint64(buf[off+12:], uint64(x.Bytes))
+		off += extentSize
+	}
 	binary.BigEndian.PutUint32(buf[0:], crc32.ChecksumIEEE(buf[4:]))
 	return buf
 }
@@ -251,11 +275,19 @@ func decode(buf []byte) (*Record, int, error) {
 		N:      int64(binary.BigEndian.Uint64(buf[41:])),
 	}
 	dlen := int(binary.BigEndian.Uint32(buf[49:]))
-	if dlen < 0 || recHeaderSize+dlen != size {
+	if dlen < 0 || recHeaderSize+dlen > size || (size-recHeaderSize-dlen)%extentSize != 0 {
 		return nil, 0, ErrCorruptRecord
 	}
+	off := recHeaderSize + dlen
 	if dlen > 0 {
-		r.Data = append([]byte{}, buf[recHeaderSize:size]...)
+		r.Data = append([]byte{}, buf[recHeaderSize:off]...)
+	}
+	for ; off < size; off += extentSize {
+		r.Extents = append(r.Extents, Extent{
+			Start: binary.BigEndian.Uint64(buf[off:]),
+			Pages: binary.BigEndian.Uint32(buf[off+8:]),
+			Bytes: int64(binary.BigEndian.Uint64(buf[off+12:])),
+		})
 	}
 	return r, size, nil
 }

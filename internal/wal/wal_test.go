@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -17,9 +18,11 @@ func newLog(t testing.TB, pages disk.PageNum) (*Log, *disk.Volume) {
 func TestAppendScanRoundTrip(t *testing.T) {
 	l, _ := newLog(t, 64)
 	recs := []*Record{
-		{Txn: 1, Type: RecBegin},
+		{Txn: 1, Type: RecCreate},
 		{Txn: 1, Type: RecInsert, Object: 7, Off: 100, Data: []byte("hello world")},
 		{Txn: 1, Type: RecDelete, Object: 7, Off: 5, N: 3},
+		{Txn: 1, Type: RecInsert, Object: 7, Off: 0, N: 900, Extents: []Extent{{Start: 40, Bytes: 600}, {Start: 99, Bytes: 1 << 40}}},
+		{Txn: 1, Type: RecAppend, Object: 7, Off: 900, N: 300, Data: []byte("tail"), Extents: []Extent{{Start: 41, Pages: 8, Bytes: 304}}},
 		{Txn: 1, Type: RecCommit},
 	}
 	var lsns []uint64
@@ -49,7 +52,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 		w := recs[i]
 		if r.Txn != w.Txn || r.Type != w.Type || r.Object != w.Object ||
 			r.Off != w.Off || r.N != w.N ||
-			!bytes.Equal(r.Data, w.Data) {
+			!bytes.Equal(r.Data, w.Data) || !slices.Equal(r.Extents, w.Extents) {
 			t.Errorf("record %d: got %+v want %+v", i, r, w)
 		}
 	}
@@ -57,7 +60,7 @@ func TestAppendScanRoundTrip(t *testing.T) {
 
 func TestCrashDropsUnforcedRecords(t *testing.T) {
 	l, vol := newLog(t, 64)
-	if _, err := l.Append(&Record{Txn: 1, Type: RecBegin}); err != nil {
+	if _, err := l.Append(&Record{Txn: 1, Type: RecCreate}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(&Record{Txn: 1, Type: RecInsert, Data: []byte("durable")}); err != nil {
@@ -83,7 +86,7 @@ func TestCrashDropsUnforcedRecords(t *testing.T) {
 		t.Errorf("recovered record = %+v", recs[1])
 	}
 	// Appends continue at the recovered tail.
-	if _, err := l2.Append(&Record{Txn: 2, Type: RecBegin}); err != nil {
+	if _, err := l2.Append(&Record{Txn: 2, Type: RecCreate}); err != nil {
 		t.Fatal(err)
 	}
 	var count int
@@ -136,7 +139,7 @@ func TestLogFull(t *testing.T) {
 func TestLogFullBehindASealedPage(t *testing.T) {
 	l, vol := newLog(t, 2)
 	ps := vol.PageSize()
-	want := appendAll(t, l, &Record{Txn: 1, Type: RecBegin})
+	want := appendAll(t, l, &Record{Txn: 1, Type: RecCreate})
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestLogFullBehindASealedPage(t *testing.T) {
 func TestTruncateKeepsNothingInFront(t *testing.T) {
 	l, vol := newLog(t, 16)
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append(&Record{Txn: uint64(i), Type: RecBegin}); err != nil {
+		if _, err := l.Append(&Record{Txn: uint64(i), Type: RecCreate}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +187,7 @@ func TestTruncateKeepsNothingInFront(t *testing.T) {
 	if l.Used() != 0 {
 		t.Errorf("%d bytes in use after the truncation", l.Used())
 	}
-	if _, err := l.Append(&Record{Txn: 9, Type: RecBegin}); err != nil {
+	if _, err := l.Append(&Record{Txn: 9, Type: RecCreate}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Force(); err != nil {
@@ -201,7 +204,7 @@ func TestTruncateKeepsNothingInFront(t *testing.T) {
 }
 
 func TestRecTypeStrings(t *testing.T) {
-	for _, rt := range []RecType{RecBegin, RecCommit, RecAbort, RecCreate, RecDestroy,
+	for _, rt := range []RecType{RecCommit, RecAbort, RecCreate, RecDestroy,
 		RecAppend, RecInsert, RecDelete, RecReplace, RecCheckpoint, RecSkip} {
 		if rt.String() == "" || rt.String()[0] == 'r' && rt.String() != "replace" {
 			t.Errorf("missing String for %d", rt)
@@ -214,7 +217,7 @@ func TestRecTypeStrings(t *testing.T) {
 
 func TestCorruptRecordStopsScan(t *testing.T) {
 	l, vol := newLog(t, 16)
-	if _, err := l.Append(&Record{Txn: 1, Type: RecBegin}); err != nil {
+	if _, err := l.Append(&Record{Txn: 1, Type: RecCreate}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(&Record{Txn: 1, Type: RecCommit}); err != nil {
@@ -247,7 +250,7 @@ func TestConcurrentAppends(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			for i := 0; i < perG; i++ {
-				if _, err := l.Append(&Record{Txn: uint64(g), Type: RecBegin, Off: int64(i)}); err != nil {
+				if _, err := l.Append(&Record{Txn: uint64(g), Type: RecCreate, Off: int64(i)}); err != nil {
 					done <- err
 					return
 				}

@@ -96,7 +96,7 @@ func TestReserveKeepsRoomForACheckpointAndItsRecovery(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(c)))
 		image := make([]byte, 100+rng.Intn(400))
 		// Start the log somewhere else on the volume each time.
-		if _, err := l.Append(&Record{Type: RecBegin, Data: make([]byte, rng.Intn(int(l.size)/2))}); err != nil {
+		if _, err := l.Append(&Record{Type: RecCreate, Data: make([]byte, rng.Intn(int(l.size)/2))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Force(); err != nil {

@@ -1,7 +1,9 @@
 package eos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/eosdb/eos/internal/buddy"
 	"github.com/eosdb/eos/internal/disk"
@@ -44,32 +46,47 @@ import (
 //     first record — after the master copy naming that start is durable.
 //     So the scan from the master's start sees every record of every
 //     transaction the image does not account for.
-//   - A committed plain append's pages may be on no device: they wait in
-//     the object's pending run until its tail segment closes or a
-//     checkpoint runs.  Its record carries its bytes, and until an image
-//     names the grown tail, redo re-executes it into a fresh tail.
-//   - The buddy directories carry no durable information: step 4 below
+//   - A structural update (insert, append, delete) writes its new segments
+//     through to pages no root names before it logs anything, and its
+//     record names them by reference: the leaf entries that replaced a byte
+//     range.  A commit forces the data volume before it appends its record
+//     when any of them was written through, so a durable commit record's
+//     segments are on the device.  Only the bytes an update leaves in
+//     memory — an open tail's pending pages, which wait there until the
+//     segment closes or a checkpoint runs — travel in the record by value.
+//   - Every write that logs nothing (the Object API, Create) is captured by
+//     a checkpoint before a transaction first takes the object, so the root
+//     the image names for it is the root its records were spliced into.
+//   - The buddy directories carry no durable information: step 3 below
 //     rebuilds them on every open.
 //
 // The recovery procedure:
 //
 //  1. Load the master copy with the higher seq (Open).  Scan the log from
 //     its start; load the image at its image LSN; classify transactions as
-//     committed, aborted, or in flight.
+//     committed or not.
 //  2. Move the log onto a new lap before anything is written: whatever lies
 //     past the recovered tail carries the old lap's LSNs, which no later
 //     scan accepts there (the log is never erased).
 //  3. Rebuild the buddy directories from scratch: reformat every space,
 //     then reserve exactly the pages reachable from the catalog's
-//     descriptors.  This both reclaims pages leaked by half-finished
-//     commits and protects every live page before redo allocates.
-//  4. REDO pass: re-execute, in log order, each committed operation the
-//     catalog state has not seen — the LSN each object root carries
-//     makes this idempotent, exactly as the paper requires.  (LSNs never
-//     restart, so a root's LSN ranks correctly against every record.)
+//     descriptors and the pages every record to redo names — a committed
+//     record on an object whose root in the image is older than it — the
+//     room of the open tails they filled included.  This reclaims pages
+//     leaked by half-finished commits and losers, and keeps every page redo
+//     splices in from the index pages it allocates.
+//  4. REDO pass: in log order, splice each committed structural record the
+//     catalog state has not seen into its object's tree, rebuild the pages
+//     of its by-value bytes, and re-apply each replace — the LSN each
+//     object root carries makes this idempotent, exactly as the paper
+//     requires.  (LSNs never restart, so a root's LSN ranks correctly
+//     against every record.)  Nothing is re-executed: redo allocates only
+//     index pages and frees nothing as it goes.
 //  5. Trim the tails redo's appends left open: nothing continues them
 //     (every open forgets tails), so their room would only sit reserved;
-//     the trim writes the pending runs redo's appends left.
+//     the trim writes the pending runs redo left.  Then free what the
+//     redone updates freed: every page reserved or allocated before that
+//     no object reaches any more.
 //  6. Take a checkpoint: a new image, a new master copy, and a log
 //     truncated behind them.  Ordinary records left room for it (see
 //     Store.measure), and it may take all the room there is; only then does
@@ -99,39 +116,76 @@ func (s *Store) recover(m master) error {
 	}
 
 	committed := make(map[uint64]bool)
+	destroyed := make(map[uint64]bool) // objects a committed transaction destroyed
 	maxTxn := uint64(0)
 	for _, r := range recs {
 		if r.Type == wal.RecCommit {
 			committed[r.Txn] = true
 		}
-		if r.Txn > maxTxn {
-			maxTxn = r.Txn
+		maxTxn = max(maxTxn, r.Txn)
+	}
+	for _, r := range recs {
+		if r.Type == wal.RecDestroy && committed[r.Txn] {
+			destroyed[r.Object] = true
 		}
 	}
 	s.nextTxn = maxTxn + 1
 
-	if err := s.rebuildFreeSpace(); err != nil {
-		return err
-	}
-
+	// The records to redo, and the pages they name.  An object the image
+	// does not show whose destroy committed lived and died behind the image:
+	// its pages may be another object's now.  through maps each page of a
+	// grown tail to the last of those records that wrote it through: the
+	// device holds its bytes from then on, newer than any image redo could
+	// build from the records before.
+	var redo []*wal.Record
+	var named []lob.PageRun
+	through := make(map[disk.PageNum]uint64)
+	ps := s.vol.PageSize()
 	for _, r := range recs {
-		if !committed[r.Txn] {
+		e := s.byID[r.Object]
+		if !committed[r.Txn] || r.Type == wal.RecCommit || e == nil && destroyed[r.Object] || e != nil && e.obj.LSN() >= r.LSN {
 			continue
 		}
-		redone, err := s.redo(r)
+		redo = append(redo, r)
+		sp := recordSplice(r)
+		for _, x := range sp.Entries {
+			named = append(named, x.Run(ps))
+		}
+		if r.Type == wal.RecAppend {
+			run := sp.Continued(ps)
+			for i := 0; i < run.Pages; i++ {
+				through[run.Start+disk.PageNum(i)] = r.LSN
+			}
+		}
+	}
+	before, err := s.rebuildFreeSpace(named)
+	if err != nil {
+		return err
+	}
+	rm, ra, err := s.redoManager()
+	if err != nil {
+		return err
+	}
+	for _, e := range s.byID {
+		e.obj.Rebind(rm)
+	}
+
+	touched := make(map[uint64]bool)
+	for _, r := range redo {
+		redone, err := s.redo(rm, r, func(p disk.PageNum) bool { return through[p] > r.LSN })
 		if err != nil {
 			return fmt.Errorf("eos: redo of %s (lsn %d): %w", r.Type, r.LSN, err)
 		}
 		if redone {
 			s.recovered.Redone++
+			touched[r.Object] = true
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.catalog {
-		// No root has named the room (lob.Object.Trim), so it goes back
-		// through FreeUnpublished, at once.
+		// No root has named the room (lob.Object.Trim).
 		e.latch.Lock()
 		err := e.obj.Trim()
 		e.setStableDesc(e.obj.EncodeDescriptor())
@@ -139,6 +193,12 @@ func (s *Store) recover(m master) error {
 		if err != nil {
 			return err
 		}
+	}
+	if err := s.freeRedone(rm, ra, before, named, touched); err != nil {
+		return err
+	}
+	for _, e := range s.byID {
+		e.obj.Rebind(s.lm)
 	}
 	// The recovered log keeps no room yet, so this checkpoint may take all
 	// there is: it is the recovery the room is kept for.  From here on the
@@ -153,9 +213,60 @@ func (s *Store) recover(m master) error {
 	return nil
 }
 
-// redo re-executes one committed operation if the object has not seen it,
-// and reports whether it did.
-func (s *Store) redo(r *wal.Record) (bool, error) {
+// redoAlloc is redo's allocator.  Redo splices the segments its records
+// name, so it allocates only index pages — one at a time, for the trees it
+// shadows; anything else is counted as data.  It frees nothing: the pages
+// the redone updates freed are found at the end (Store.freeRedone).
+type redoAlloc struct {
+	s    *Store
+	runs []lob.PageRun // every run handed out
+}
+
+func (a *redoAlloc) Alloc(n int) (disk.PageNum, error) {
+	p, err := a.s.buddy.Alloc(n)
+	if err == nil {
+		a.note(p, n, n > 1)
+	}
+	return p, err
+}
+
+func (a *redoAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
+	p, got, err := a.s.buddy.AllocUpTo(n)
+	if err == nil {
+		a.note(p, got, true)
+	}
+	return p, got, err
+}
+
+func (a *redoAlloc) note(p disk.PageNum, n int, data bool) {
+	a.runs = append(a.runs, lob.PageRun{Start: p, Pages: n})
+	if data {
+		a.s.recovered.DataPages += int64(n)
+	} else {
+		a.s.recovered.IndexPages += int64(n)
+	}
+}
+
+func (a *redoAlloc) Free(disk.PageNum, int) error            { return nil }
+func (a *redoAlloc) FreeUnpublished(disk.PageNum, int) error { return nil }
+func (a *redoAlloc) MaxSegmentPages() int                    { return a.s.buddy.MaxSegmentPages() }
+
+// redoManager is the manager redo runs the recovered objects on: the
+// store's, over redoAlloc, and without the [Bili91a] compaction, which
+// would allocate segments.  The leaf entries it leaves are the logged
+// ones; a compaction the original made only merged some of them.
+func (s *Store) redoManager() (*lob.Manager, *redoAlloc, error) {
+	ra := &redoAlloc{s: s}
+	cfg := s.lobConfig()
+	cfg.AdaptiveThreshold = false
+	rm, err := lob.NewManager(s.vol, s.pool, ra, cfg)
+	return rm, ra, err
+}
+
+// redo applies one committed operation if the object has not seen it,
+// and reports whether it did.  newer reports the pages a later record
+// wrote through (lob.Splice.Newer).
+func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bool) (bool, error) {
 	s.mu.Lock()
 	e := s.byID[r.Object]
 	s.mu.Unlock()
@@ -176,7 +287,7 @@ func (s *Store) redo(r *wal.Record) (bool, error) {
 			s.mu.Unlock()
 			return false, nil
 		}
-		e = &catEntry{id: r.Object, name: string(r.Data), obj: s.lm.NewObject(int(r.N))}
+		e = &catEntry{id: r.Object, name: string(r.Data), obj: rm.NewObject(int(r.N))}
 		s.catalog[e.name] = e
 		s.byID[e.id] = e
 		if r.Object >= s.nextID {
@@ -208,22 +319,19 @@ func (s *Store) redo(r *wal.Record) (bool, error) {
 			return false, nil // effect already durable: idempotent skip
 		}
 		var err error
-		switch r.Type {
-		case wal.RecAppend:
-			err = e.obj.Append(r.Data)
-		case wal.RecInsert:
-			err = e.obj.Insert(r.Off, r.Data)
-		case wal.RecDelete:
-			err = e.obj.Delete(r.Off, r.N)
-		case wal.RecReplace:
+		if r.Type == wal.RecReplace {
 			err = e.obj.Replace(r.Off, r.Data)
+		} else {
+			sp := recordSplice(r)
+			sp.Newer = newer
+			err = e.obj.Apply(sp)
 		}
 		if err != nil {
 			return false, err
 		}
 		e.obj.SetLSN(r.LSN)
-		// The re-executed operation is committed state: the checkpoint
-		// that ends recovery persists stableDesc, so it must carry the
+		// The redone operation is committed state: the checkpoint that
+		// ends recovery persists stableDesc, so it must carry the
 		// post-redo root or the redone update would be lost when the
 		// log truncates.
 		e.setStableDesc(e.obj.EncodeDescriptor())
@@ -232,9 +340,86 @@ func (s *Store) redo(r *wal.Record) (bool, error) {
 	return false, nil // control records
 }
 
+// freeRedone frees what the redone updates freed: every page that was
+// reserved before redo — reachable from the image (before) or named by a
+// record to redo — or that redo allocated, and that no object reaches now.
+// An object no record changed still reaches what it did.  Recovery runs
+// alone, and the checkpoint that ends it names the new roots before
+// anything allocates; a crash before that rebuilds the free space from the
+// old image.  So the pages go straight back, their frames and images
+// dropped.
+//
+// eos:requires s.mu
+func (s *Store) freeRedone(rm *lob.Manager, ra *redoAlloc, before map[*catEntry][]lob.PageRun, named []lob.PageRun, touched map[uint64]bool) error {
+	if len(touched) == 0 && len(named) == 0 && len(ra.runs) == 0 {
+		return nil
+	}
+	old := append(append([]lob.PageRun{}, named...), ra.runs...)
+	for _, runs := range before {
+		old = append(old, runs...)
+	}
+	var now []lob.PageRun
+	for _, e := range s.byID {
+		if runs, ok := before[e]; ok && !touched[e.id] {
+			now = append(now, runs...)
+			continue
+		}
+		runs, err := e.obj.ReachablePages()
+		if err != nil {
+			return err
+		}
+		now = append(now, runs...)
+	}
+	for _, r := range subtractRuns(mergeRuns(old), mergeRuns(now)) {
+		rm.Forget(r.Start, r.Pages)
+		if err := s.buddy.FreeUnpublished(r.Start, r.Pages); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeRuns sorts runs and merges the overlapping ones.
+func mergeRuns(runs []lob.PageRun) []lob.PageRun {
+	slices.SortFunc(runs, func(a, b lob.PageRun) int { return cmp.Compare(a.Start, b.Start) })
+	var out []lob.PageRun
+	for _, r := range runs {
+		if n := len(out); n > 0 && r.Start < out[n-1].Start+disk.PageNum(out[n-1].Pages) {
+			end := max(out[n-1].Start+disk.PageNum(out[n-1].Pages), r.Start+disk.PageNum(r.Pages))
+			out[n-1].Pages = int(end - out[n-1].Start)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// subtractRuns returns the pages of the merged runs a that the merged runs b
+// do not hold.
+func subtractRuns(a, b []lob.PageRun) []lob.PageRun {
+	var out []lob.PageRun
+	j := 0
+	for _, r := range a {
+		at, end := r.Start, r.Start+disk.PageNum(r.Pages)
+		for ; j < len(b) && b[j].Start+disk.PageNum(b[j].Pages) <= at; j++ {
+		}
+		for k := j; k < len(b) && b[k].Start < end; k++ {
+			if b[k].Start > at {
+				out = append(out, lob.PageRun{Start: at, Pages: int(b[k].Start - at)})
+			}
+			at = max(at, b[k].Start+disk.PageNum(b[k].Pages))
+		}
+		if at < end {
+			out = append(out, lob.PageRun{Start: at, Pages: int(end - at)})
+		}
+	}
+	return out
+}
+
 // rebuildFreeSpace reformats every buddy space and reserves the pages
-// reachable from the catalog.
-func (s *Store) rebuildFreeSpace() error {
+// reachable from the catalog and the pages named, which redo splices in.
+// It returns each object's reachable runs.
+func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageRun, error) {
 	// The directories are rebuilt from catalog reachability alone, so
 	// any quarantined runs (only possible if recovery ever becomes
 	// callable on a live store) are subsumed: unreachable pages come
@@ -247,42 +432,45 @@ func (s *Store) rebuildFreeSpace() error {
 	for i := 0; i < s.opts.NumSpaces; i++ {
 		sp, err := buddy.FormatSpace(s.pool, page, page+1, s.opts.SpaceCapacity, s.vol)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bm.AddSpace(sp)
 		page += disk.PageNum(s.opts.SpaceCapacity + 1)
 	}
 	s.buddy = bm
 	var err error
-	prevObjs := make(map[string]*catEntry, len(s.catalog))
-	s.mu.Lock()
-	for n, e := range s.catalog {
-		prevObjs[n] = e
-	}
-	s.mu.Unlock()
 	s.lm, err = lob.NewManager(s.vol, s.pool, &epochAlloc{s: s}, s.lobConfig())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, e := range prevObjs {
-		// Reattach the loaded descriptor to the new manager and reserve
-		// its pages.
+	s.mu.Lock()
+	entries := make([]*catEntry, 0, len(s.byID))
+	for _, e := range s.byID {
+		entries = append(entries, e)
+	}
+	s.mu.Unlock()
+	before := make(map[*catEntry][]lob.PageRun, len(entries))
+	reserve := append([]lob.PageRun{}, named...)
+	for _, e := range entries {
+		// Reattach the loaded descriptor to the new manager.
 		desc := e.obj.EncodeDescriptor()
 		obj, err := s.lm.OpenDescriptor(desc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.obj = obj
 		e.setStableDesc(desc)
 		runs, err := obj.ReachablePages()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, run := range runs {
-			if err := bm.Reserve(run.Start, run.Pages); err != nil {
-				return fmt.Errorf("eos: reserving %d+%d for %q: %w", run.Start, run.Pages, e.name, err)
-			}
+		before[e] = runs
+		reserve = append(reserve, runs...)
+	}
+	for _, run := range mergeRuns(reserve) {
+		if err := bm.Reserve(run.Start, run.Pages); err != nil {
+			return nil, fmt.Errorf("eos: reserving %d+%d: %w", run.Start, run.Pages, err)
 		}
 	}
-	return nil
+	return before, nil
 }

@@ -318,7 +318,7 @@ func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o, _ := s.Create("x", 0)
+				o, _ := s.Create("x", 16) // room for both appends in its open tail: they log their bytes
 				base := pat(72, 3000)
 				if err := o.Append(base); err != nil {
 					t.Fatal(err)
@@ -334,12 +334,14 @@ func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// One force of four pages: begin and a first append fill the
-				// first, a second append the next two, and the commit begins the
-				// fourth.  Records never straddle the volume's end, and these
-				// end on page boundaries, so the layout is the same across it.
+				// One force of four pages: a first append fills the first, a
+				// second append the next two, and the commit begins the
+				// fourth.  Each append stays in the open tail, so its record is
+				// a header, one extent and its bytes.  Records never straddle
+				// the volume's end, and these end on page boundaries, so the
+				// layout is the same across it.
 				tx, _ := s.Begin()
-				for _, n := range []int{512 - 2*53, 1024 - 53} {
+				for _, n := range []int{512 - 53 - extentBytes, 1024 - 53 - extentBytes} {
 					if err := tx.Append("x", pat(73, n)); err != nil {
 						t.Fatal(err)
 					}
@@ -375,14 +377,14 @@ func TestSameEpochRecordBehindTornHeadNeverSurfaces(t *testing.T) {
 				}
 
 				// Same shape again, never committed, numbered as the first: a
-				// log force pushes its two records to the device, right up to
-				// the leftover commit.
+				// log force pushes its record to the device, right up to the
+				// leftover commit.
 				dist := int((leftover%size + size - s.log.Tail()%size) % size)
 				tx, _ = s.Begin()
 				if tx.ID() != 1 || dist > 1024 {
 					t.Fatalf("txn %d, %d bytes to the leftover: not the shape the test needs", tx.ID(), dist)
 				}
-				if err := tx.Append("x", pat(74, dist-tc.short-2*53)); err != nil {
+				if err := tx.Append("x", pat(74, dist-tc.short-53-extentBytes)); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.log.Force(); err != nil {

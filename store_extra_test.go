@@ -243,6 +243,11 @@ func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 			if err := o.Append(model); err != nil {
 				t.Fatal(err)
 			}
+			// The append logged nothing: the first transaction to take x
+			// would checkpoint it (Store.checkpointUnlogged).
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 			total := uint64(s.opts.NumSpaces * s.opts.SpaceCapacity)
 			barriers := func() int64 { return s.Stats().Barrier.MasterWrites }
 			end := func(tx *Txn) {

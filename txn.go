@@ -152,7 +152,10 @@ type Txn struct {
 	touched  map[uint64]*txnObj
 	kept     keptRead
 	wrote    bool // an operation record is logged
-	done     bool
+	// through: a logged splice names pages the transaction wrote through,
+	// which its commit forces before its record (forceData).
+	through bool
+	done    bool
 }
 
 // keptRead is the transaction's one-slot memory of what its last Read
@@ -185,9 +188,10 @@ type txnObj struct {
 	desc []byte
 }
 
-// Begin starts a transaction.  It is live before it logs anything: a
-// checkpoint keeps the log from the transaction's firstLSN on, and no
-// record of it can have a lower LSN.
+// Begin starts a transaction.  It logs nothing: its first operation's
+// record begins it in the log.  It is live from here on: a checkpoint keeps
+// the log from the transaction's firstLSN on, and no record of it can have a
+// lower LSN.
 func (s *Store) Begin() (*Txn, error) {
 	t := &Txn{
 		s:       s,
@@ -204,12 +208,6 @@ func (s *Store) Begin() (*Txn, error) {
 	s.nextTxn++
 	s.liveTxns[t.id] = t
 	s.mu.Unlock()
-	if _, err := s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecBegin}); err != nil {
-		s.mu.Lock()
-		delete(s.liveTxns, t.id)
-		s.mu.Unlock()
-		return nil, err
-	}
 	return t, nil
 }
 
@@ -262,6 +260,9 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	}
 	if _, seen := t.touched[e.id]; !seen {
 		t.touched[e.id] = &txnObj{entry: e, desc: t.take(e)}
+		if err := t.s.checkpointUnlogged(e); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -358,29 +359,26 @@ func (t *Txn) Destroy(name string) error {
 
 // Append appends data at the end of the named object.
 func (t *Txn) Append(name string, data []byte) error {
-	if err := t.begin(); err != nil {
-		return err
-	}
-	e, err := t.touch(name, txn.Exclusive)
-	if err != nil {
-		return err
-	}
-	lsn, err := t.logOp(&wal.Record{Type: wal.RecAppend, Object: e.id, Off: e.obj.Size(), Data: data})
-	if err != nil {
-		return err
-	}
-	e.latch.Lock()
-	err = e.obj.Append(data)
-	e.latch.Unlock()
-	if err != nil {
-		return err
-	}
-	e.obj.SetLSN(lsn)
-	return nil
+	return t.splice(name, wal.RecAppend, func(o *lob.Object) (*lob.Splice, error) { return o.PrepareAppend(data) })
 }
 
 // Insert inserts data at byte off of the named object.
 func (t *Txn) Insert(name string, off int64, data []byte) error {
+	return t.splice(name, wal.RecInsert, func(o *lob.Object) (*lob.Splice, error) { return o.PrepareInsert(off, data) })
+}
+
+// Delete removes n bytes at byte off of the named object.
+func (t *Txn) Delete(name string, off, n int64) error {
+	return t.splice(name, wal.RecDelete, func(o *lob.Object) (*lob.Splice, error) { return o.PrepareDelete(off, n) })
+}
+
+// splice runs one structural update in the three steps of §4.5's shadowing
+// (lob/splice.go), under the object's write latch: prepare writes the new
+// segments through to pages no root names, the record logs the splice the
+// update makes — its segments by reference, the bytes it leaves in memory by
+// value —, and Apply makes it.  The commit forces what the prepare wrote
+// before its record (forceData).
+func (t *Txn) splice(name string, typ wal.RecType, prepare func(*lob.Object) (*lob.Splice, error)) error {
 	if err := t.begin(); err != nil {
 		return err
 	}
@@ -388,43 +386,42 @@ func (t *Txn) Insert(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	lsn, err := t.logOp(&wal.Record{Type: wal.RecInsert, Object: e.id, Off: off, Data: data})
-	if err != nil {
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	sp, err := prepare(e.obj)
+	if err != nil || sp == nil {
 		return err
 	}
-	e.latch.Lock()
-	err = e.obj.Insert(off, data)
-	e.latch.Unlock()
+	lsn, err := t.logOp(spliceRecord(typ, e.id, sp))
 	if err != nil {
+		sp.Cancel()
+		return err
+	}
+	// A compaction ([Bili91a]) inside the splice writes segments through too.
+	t.through = t.through || sp.WroteThrough() || t.s.opts.AdaptiveThreshold
+	if err := e.obj.Apply(sp); err != nil {
 		return err
 	}
 	e.obj.SetLSN(lsn)
 	return nil
 }
 
-// Delete removes n bytes at byte off of the named object.
-func (t *Txn) Delete(name string, off, n int64) error {
-	if err := t.begin(); err != nil {
-		return err
+// spliceRecord is the log record of a structural update of object id.
+func spliceRecord(typ wal.RecType, id uint64, sp *lob.Splice) *wal.Record {
+	r := &wal.Record{Type: typ, Object: id, Off: sp.Lo, N: sp.Hi - sp.Lo, Data: sp.Data, Extents: make([]wal.Extent, len(sp.Entries))}
+	for i, x := range sp.Entries {
+		r.Extents[i] = wal.Extent{Start: uint64(x.Start), Pages: uint32(x.Pages), Bytes: x.Bytes}
 	}
-	e, err := t.touch(name, txn.Exclusive)
-	if err != nil {
-		return err
+	return r
+}
+
+// recordSplice is the splice a structural record logged.
+func recordSplice(r *wal.Record) *lob.Splice {
+	sp := &lob.Splice{Lo: r.Off, Hi: r.Off + r.N, Data: r.Data, Entries: make([]lob.Extent, len(r.Extents))}
+	for i, x := range r.Extents {
+		sp.Entries[i] = lob.Extent{Start: disk.PageNum(x.Start), Pages: int(x.Pages), Bytes: x.Bytes}
 	}
-	// Redo deletes by Off and N, and an abort needs no bytes back: the
-	// record carries none.
-	lsn, err := t.logOp(&wal.Record{Type: wal.RecDelete, Object: e.id, Off: off, N: n})
-	if err != nil {
-		return err
-	}
-	e.latch.Lock()
-	err = e.obj.Delete(off, n)
-	e.latch.Unlock()
-	if err != nil {
-		return err
-	}
-	e.obj.SetLSN(lsn)
-	return nil
+	return sp
 }
 
 // Truncate shortens the named object to newSize bytes (a tail delete;
@@ -559,18 +556,22 @@ func (t *Txn) commitLog() error {
 		t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
 	}
 	t.s.mu.Unlock()
-	rec := &wal.Record{Txn: t.id, Type: wal.RecCommit}
-	if _, err := t.s.log.Append(rec); err != nil {
-		return err
-	}
-	t.done = true
-	// A transaction that performed no mutating operation has nothing to
-	// make durable: its commit record can stay in the log buffer for the
-	// next leader force or checkpoint.  Any other blocks until some
-	// leader's force covers its commit record — one batched log write per
-	// concurrent batch of committers instead of one force per transaction.
+	// A transaction that logged no operation has nothing to make durable,
+	// and logs nothing.  Any other blocks until some leader's force covers
+	// its commit record — one batched log write per concurrent batch of
+	// committers instead of one force per transaction.  The pages its
+	// records name by reference are forced first: once the record is in the
+	// log buffer, any committer's force may make it durable.
 	if t.wrote {
-		if err := t.s.log.ForceLSN(rec.LSN); err != nil {
+		if err := t.forceData(); err != nil {
+			return err
+		}
+		lsn, err := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecCommit})
+		if err != nil {
+			return err
+		}
+		t.done = true
+		if err := t.s.log.ForceLSN(lsn); err != nil {
 			return err
 		}
 		// The transaction is committed: its replaced pages enter the
@@ -581,6 +582,7 @@ func (t *Txn) commitLog() error {
 			return err
 		}
 	}
+	t.done = true
 	t.s.mu.Lock()
 	for _, to := range t.touched {
 		e := to.entry
@@ -608,6 +610,16 @@ func (t *Txn) commitLog() error {
 	t.s.mu.Unlock()
 	t.unbindTouched()
 	return nil
+}
+
+// forceData forces the data volume when a logged splice of the
+// transaction names pages it wrote through (Txn.splice): they must be on the
+// device before its commit record can be.
+func (t *Txn) forceData() error {
+	if !t.through {
+		return nil
+	}
+	return t.s.vol.ForceAll()
 }
 
 // commitBarrier is the second half of a commit: publish to snapshot
@@ -698,16 +710,18 @@ func (t *Txn) Abort() error {
 	}
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
-	// The abort record goes to the log before the lock release, and is
-	// forced like a commit record: Abort returns nil only once the outcome
-	// is durable, and nobody else can touch these objects before it is.
-	rec := &wal.Record{Txn: t.id, Type: wal.RecAbort}
-	_, lerr := t.s.log.Append(rec)
-	if lerr == nil && t.wrote {
-		lerr = t.s.log.ForceLSN(rec.LSN)
-	}
-	if err == nil {
-		err = lerr
+	// The abort record of a transaction that logged anything goes to the
+	// log before the lock release, and is forced like a commit record: Abort
+	// returns nil only once the outcome is durable, and nobody else can
+	// touch these objects before it is.
+	if t.wrote {
+		lsn, lerr := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAbort})
+		if lerr == nil {
+			lerr = t.s.log.ForceLSN(lsn)
+		}
+		if err == nil {
+			err = lerr
+		}
 	}
 	if gerr := t.alloc.giveBack(t.lm.Forget); err == nil {
 		err = gerr

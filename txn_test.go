@@ -1479,7 +1479,8 @@ func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 // and room is counted from there.  A record that an unpadded log would
 // still have held is refused whole — ErrLogFull, nothing of the operation
 // done or logged — the store stays readable, and a checkpoint gives the log
-// back: the log always keeps the room for one.
+// back: the log always keeps the room for one.  Begin logs nothing, so a full
+// log surfaces at a transaction's first logged operation.
 func TestLogFullBehindASealedForce(t *testing.T) {
 	vol := newTestDevice(t, 512, 4096)
 	// Thirteen pages: the image's, four for transactions, and the eight
@@ -1519,7 +1520,10 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := int(s.LogTail()) - 4*512  // a record without payload: the begin record
+	if s.LogTail() != 4*512 {
+		t.Fatalf("Begin moved the log tail to %d: it logs nothing", s.LogTail())
+	}
+	hdr := 53 + extentBytes          // an append's record without its bytes: a header, and the entry of the tail it grows
 	room := 5*512 - int(s.LogTail()) // what is left of the last page
 	big := pat(90, room-hdr+1)       // its record is one byte longer than that
 	if pad := s.Stats().WAL.PadBytes - st0.WAL.PadBytes; pad < int64(1+hdr) {
@@ -1558,8 +1562,15 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if s.LogTail() != 5*512 {
 		t.Fatalf("%d bytes of log in use after the abort's force, want %d: the last page sealed", s.LogTail(), 5*512)
 	}
-	if _, err := s.Begin(); !errors.Is(err, wal.ErrLogFull) {
-		t.Fatalf("Begin on the full log: %v, want ErrLogFull", err)
+	// Begin logs nothing, so the full log refuses the first operation.
+	if tx, err = s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("x", pat(92, 1)); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("the first operation on the full log: %v, want ErrLogFull", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,140 @@
+package eos
+
+import (
+	"bytes"
+	"testing"
+)
+
+// A write that logs nothing — the Object API, Create — reaches the log's
+// view of an object only through a checkpoint's image.  Recovery redoes a
+// transaction's records on the root that image names, so a transaction's
+// first exclusive touch of an object such a write changed since the last
+// checkpoint checkpoints first (Store.checkpointUnlogged).  The two tests
+// below start where replaceStore leaves x: 6 000 bytes, checkpointed.
+
+// TestTxnAfterAnUnloggedAppend: an unlogged append grows x to 9 000 bytes,
+// and a transaction then inserts at byte 8 000 — beyond what the last image
+// shows — and commits.  After a crash, x must hold both.
+func TestTxnAfterAnUnloggedAppend(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	o, err := s.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := pat(41, 3000)
+	if err := o.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := pat(42, 500)
+	if err := tx.Insert("x", 8000, ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte{}, base...), more...)
+	want = append(want[:8000:8000], append(append([]byte{}, ins...), want[8000:]...)...)
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("x after the crash is not the committed bytes")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnOnAnUnloggedCreate: Create logs nothing, and a transaction then
+// appends to the new object and commits.  After a crash the acknowledged
+// commit must be there.
+func TestTxnOnAnUnloggedCreate(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	if _, err := s.Create("y", 0); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pat(43, 5000)
+	if err := tx.Append("y", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s = crashReopen(t, vol, logVol)
+	o, err := s.Open("y")
+	if err != nil {
+		t.Fatalf("the committed append's object is gone after the crash: %v", err)
+	}
+	if got, err := o.Read(0, o.Size()); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("y after the crash: %d bytes, err %v; want the 5 000 committed", len(got), err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), base) {
+		t.Fatal("x changed")
+	}
+}
+
+// TestDestroyOfAnObjectWithLoggedHistory: a transaction creates z and
+// appends to it, and Store.Destroy removes it.  A transaction live since
+// before keeps z's records in the log across the checkpoints that follow,
+// while x grows onto free space z gave back.  After a crash, recovery must
+// not create z again from its records.
+func TestDestroyOfAnObjectWithLoggedHistory(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	long, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Create("z", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("z", pat(50, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Destroy("z"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := pat(51, 8000)
+	if err := o.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_ = long // live at the crash: the log keeps everything from its begin
+	s = crashReopen(t, vol, logVol)
+	if _, err := s.Open("z"); err == nil {
+		t.Fatal("the destroyed z is back after the crash")
+	}
+	if !bytes.Equal(readObject(t, s, "x"), append(append([]byte{}, base...), more...)) {
+		t.Fatal("x after the crash is not its checkpointed bytes")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
