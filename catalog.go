@@ -30,9 +30,10 @@ import (
 // it, ARIES-style: two copies on data pages 0 and 1, each with a sequence
 // number and a CRC, written alternately, so that the copy being written is
 // never the one recovery would otherwise load.  A master copy names the
-// image's LSN, the LSN recovery's scan starts from (the image, or the
-// first record of a transaction live at the checkpoint), nextID and the
-// geometry.  Recovery loads the valid copy with the higher seq.
+// image's LSN, the LSN recovery's scan starts from (where the log ended
+// when the checkpoint took the image, or the first record of a transaction
+// then live), nextID and the geometry.  Recovery loads the valid copy with
+// the higher seq.
 //
 // A power cut preserves an arbitrary subset of outstanding page writes;
 // every crash state stays loadable because each step waits for the one
@@ -138,7 +139,7 @@ type catRec struct {
 	desc []byte
 }
 
-// appendImage appends the catalog image to the log and returns its LSN.
+// imageLocked returns the catalog image: every committed descriptor.
 //
 // What the catalog should hold for an object is its last committed state —
 // refreshed at every commit point, so for a clean entry it IS the current
@@ -151,7 +152,7 @@ type catRec struct {
 // latches here would deadlock.
 //
 // eos:requires s.mu
-func (s *Store) appendImage() (uint64, error) {
+func (s *Store) imageLocked() []byte {
 	var recs []catRec
 	n := catCount
 	for _, e := range s.byID {
@@ -169,6 +170,13 @@ func (s *Store) appendImage() (uint64, error) {
 		img = append(img, r.name...)
 		img = append(img, r.desc...)
 	}
+	return img
+}
+
+// appendImage appends a catalog image to the log and returns its LSN.
+//
+// eos:requires s.mu
+func (s *Store) appendImage(img []byte) (uint64, error) {
 	lsn, err := s.log.Append(&wal.Record{Type: wal.RecCheckpoint, Data: img})
 	if err == nil {
 		s.imageBytes.Add(int64(len(img)))
@@ -182,7 +190,8 @@ func (s *Store) appendImage() (uint64, error) {
 // measured before the log takes any record that follows it: a transaction
 // measures the object it creates before its create record, and the roots it
 // commits before its commit record, so the log never holds more than leaves
-// room for the image.
+// room for the image.  While a checkpoint runs, the room kept also covers
+// the image it captured, which a catalog that shrinks meanwhile would not.
 //
 // eos:requires s.mu
 func (s *Store) measure(e *catEntry, n int) {
@@ -192,7 +201,7 @@ func (s *Store) measure(e *catEntry, n int) {
 	}
 	s.catBytes += size - e.catBytes
 	e.catBytes = size
-	s.log.Reserve(s.catBytes)
+	s.log.Reserve(max(s.catBytes, s.ckptImage))
 }
 
 // loadCatalog makes the image the store's catalog.  The record passed

@@ -251,14 +251,16 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 		r := st.Recovery
 		fmt.Printf("checkpoints: %d master writes, %d bytes of catalog image logged; open redid %d operations\n",
 			b.MasterWrites, b.ImageBytes, r.Redone)
+		fmt.Printf("checkpoint time: %v in all, %v of it holding the store lock; %d Begin or commit sections waited on one, for %v\n",
+			b.Time, b.Locked, b.Stalls, b.StallTime)
 		fmt.Printf("replaces: %d deferred to their commit, %d page runs taken from the read before\n",
 			st.DeferredReplaces, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
 		l := st.LOB
-		fmt.Printf("write-behind: %d pages pending (%d of them replaced), at most %d, %d runs written over the budget, %d page reads taken from memory\n",
+		fmt.Printf("write-behind: %d pages pending (%d of them replaced), at most %d, %d runs written over the limit, %d page reads taken from memory\n",
 			l.PendingPages, l.ReplacedPending, l.PendingPagesHigh, l.PendingEvictions, l.PendingReads)
-		fmt.Printf("replaced pages: %d left pending by commits, %d of them over a pending page, %d written by a checkpoint, %d over the budget\n",
+		fmt.Printf("replaced pages: %d left pending by commits, %d of them over a pending page, %d written by a checkpoint, %d over the limit\n",
 			l.ReplacedPages, l.ReplacedAbsorbed, l.ReplacedCheckpointed, l.ReplacedEvicted)
 		return nil
 

@@ -2,6 +2,7 @@ package eos
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,60 +208,119 @@ func TestCommitFloor(t *testing.T) {
 	}
 }
 
-// TestCommitFloorCoalescesAdjacentReplaces: two commits replace adjacent
-// pages of one object and write nothing; the checkpoint writes the two pages
-// in one request, and the write-behind set's requests go out in address
-// order ahead of the pool's.
+// TestCommitFloorCoalescesAdjacentReplaces: commits of replaces write
+// nothing, and the checkpoint writes their pages in address order, one
+// request per maximal run of pending pages, ahead of the pool's writes.
+//   - adjacent: two commits replace adjacent pages of one object; the
+//     checkpoint writes the two pages in one request.
+//   - scattered: twelve commits replace pages scattered over three objects,
+//     some adjacent, some far apart; the checkpoint's first requests are the
+//     pending pages' maximal runs, each once, in address order.
 func TestCommitFloorCoalescesAdjacentReplaces(t *testing.T) {
-	s, _, data, _, model := floorStore(t, "x")
-	for i, off := range []int64{3100, 3600} { // pages 6 and 7 of the first segment
-		if err := smallTxn(t, s, "x", model, 80+i, off).Commit(); err != nil {
+	t.Run("adjacent", func(t *testing.T) {
+		s, _, data, _, model := floorStore(t, "x")
+		for i, off := range []int64{3100, 3600} { // pages 6 and 7 of the first segment
+			if err := smallTxn(t, s, "x", model, 80+i, off).Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		noDataWrites(t, *data)
+		segs, err := s.catalog["x"].obj.Segments()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, ev := range *data {
+		six := segs[0].StartPage + 6
+		pending := s.Stats().LOB.PendingPages
+		*data = nil
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		var covering []disk.TraceEvent
+		for _, ev := range *data {
+			if ev.Write && ev.Start <= six+1 && six <= ev.Start+disk.PageNum(ev.Pages)-1 {
+				covering = append(covering, ev)
+			}
+		}
+		if len(covering) != 1 || covering[0].Start != six || covering[0].Pages != 2 {
+			t.Fatalf("the checkpoint wrote pages %d and %d in %+v, want one request of both", six, six+1, covering)
+		}
+		pendingRuns(t, *data, pending)
+		if st := s.Stats().LOB; st.PendingPages != 0 || st.ReplacedCheckpointed != 3 {
+			t.Fatalf("%d pages pending and %d replaced pages written by the checkpoint, want 0 and 3", st.PendingPages, st.ReplacedCheckpointed)
+		}
+		if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+			t.Fatal("content wrong after the checkpoint")
+		}
+	})
+	t.Run("scattered", func(t *testing.T) {
+		names := []string{"x", "y", "z"}
+		s, _, data, _, model := floorStore(t, names...)
+		offs := []int64{100, 5000, 2600, 3100, 600, 4100} // pages 0, 9, 5, 6, 1, 8
+		replaced := map[disk.PageNum]bool{}
+		for i := 0; i < 12; i++ {
+			name, off := names[i%3], offs[i%len(offs)]
+			d := pat(90+i, 50)
+			ckptCommit(t, s, func(tx *Txn) error { return tx.Replace(name, off, d) })
+			copy(model[name][off:], d)
+			segs, err := s.catalog[name].obj.Segments()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replaced[segs[0].StartPage+disk.PageNum(off/512)] = true
+		}
+		noDataWrites(t, *data)
+		pending := s.Stats().LOB.PendingPages
+		*data = nil
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runs := pendingRuns(t, *data, pending)
+		for p := range replaced {
+			if !slices.ContainsFunc(runs, func(ev disk.TraceEvent) bool { return ev.Start <= p && p < ev.Start+disk.PageNum(ev.Pages) }) {
+				t.Fatalf("replaced page %d is in none of the checkpoint's runs %+v", p, runs)
+			}
+		}
+		if st := s.Stats().LOB; st.PendingPages != 0 {
+			t.Fatalf("%d pages pending after the checkpoint", st.PendingPages)
+		}
+		for _, name := range names {
+			if !bytes.Equal(readObject(t, s, name), model[name]) {
+				t.Fatalf("%s wrong after the checkpoint", name)
+			}
+		}
+	})
+}
+
+// noDataWrites fails the test if the traced data requests hold a write.
+func noDataWrites(t *testing.T, data []disk.TraceEvent) {
+	t.Helper()
+	for _, ev := range data {
 		if ev.Write {
-			t.Fatalf("data requests %+v before the checkpoint, want reads only", *data)
+			t.Fatalf("data requests %+v before the checkpoint, want reads only", data)
 		}
 	}
-	segs, err := s.catalog["x"].obj.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	six := segs[0].StartPage + 6
-	pending := s.Stats().LOB.PendingPages
-	*data = nil
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	var covering []disk.TraceEvent
-	for _, ev := range *data {
-		if ev.Write && ev.Start <= six+1 && six <= ev.Start+disk.PageNum(ev.Pages)-1 {
-			covering = append(covering, ev)
-		}
-	}
-	if len(covering) != 1 || covering[0].Start != six || covering[0].Pages != 2 {
-		t.Fatalf("the checkpoint wrote pages %d and %d in %+v, want one request of both", six, six+1, covering)
-	}
+}
+
+// pendingRuns checks that a checkpoint's first data requests write the
+// pending pages — pending of them — in address order, one request per
+// maximal run: no request begins where the one before it ended.  It returns
+// those requests.
+func pendingRuns(t *testing.T, data []disk.TraceEvent, pending int64) []disk.TraceEvent {
+	t.Helper()
 	var written int64
-	for i, ev := range *data {
+	for i, ev := range data {
 		if written >= pending {
-			break
+			return data[:i]
 		}
-		if !ev.Write || (i > 0 && ev.Start < (*data)[i-1].Start) {
-			t.Fatalf("the checkpoint's first requests %+v are not the pending pages' writes in address order", (*data)[:i+1])
+		if !ev.Write || (i > 0 && ev.Start <= data[i-1].Start+disk.PageNum(data[i-1].Pages)) {
+			t.Fatalf("the checkpoint's first requests %+v are not the pending pages' maximal runs in address order", data[:i+1])
 		}
 		written += int64(ev.Pages)
 	}
 	if written != pending {
 		t.Fatalf("the checkpoint's first writes hold %d pages, %d were pending", written, pending)
 	}
-	if st := s.Stats().LOB; st.PendingPages != 0 || st.ReplacedCheckpointed != 3 {
-		t.Fatalf("%d pages pending and %d replaced pages written by the checkpoint, want 0 and 3", st.PendingPages, st.ReplacedCheckpointed)
-	}
-	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
-		t.Fatal("content wrong after the checkpoint")
-	}
+	return data
 }
 
 // indexPages returns the pages of the named object's index nodes below its

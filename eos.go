@@ -173,7 +173,7 @@ type catEntry struct {
 	// its latch while WAITING for a barrier to release quarantined
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
-	// read in appendImage safe.
+	// read in imageLocked safe.
 	stableDesc atomic.Pointer[[]byte]
 
 	// latch serializes physical access to the object's in-memory root,
@@ -231,17 +231,36 @@ type Store struct {
 	// catBytes is the size of the image the next checkpoint logs, or more:
 	// the sum of the entries' measures (eos:guardedby mu; see measure).
 	catBytes int
+	// ckptImage is the size of the image a running checkpoint captured and
+	// has not logged yet: the log keeps room for it too (measure), though
+	// the catalog may shrink meanwhile (eos:guardedby mu).
+	ckptImage int
 	// unlogged holds the objects a write that logs nothing (the Object API,
 	// Create) changed since the last checkpoint captured them; the next
 	// checkpoint empties it (see checkpointUnlogged).
 	unlogged map[*catEntry]bool // eos:guardedby mu
+	// capturing holds the marks the running checkpoint took from unlogged:
+	// they count until its master copy is durable.
+	capturing map[*catEntry]bool // eos:guardedby mu
+
+	// ckptMu lets one checkpoint run at a time; it holds s.mu only for its
+	// capture and its completion (Checkpoint).
+	ckptMu sync.Mutex
 
 	// barrierStarted counts checkpoints begun; barrierDurable is the index
 	// of the last one whose master copy is forced.  Checkpoints are
-	// serialized under s.mu, but releaseRuns stamps quarantine entries
+	// serialized by ckptMu, but releaseRuns stamps quarantine entries
 	// without holding it, hence atomics.
 	barrierStarted atomic.Uint64
 	barrierDurable atomic.Uint64
+
+	// Checkpoint timing (see BarrierStats): ckptHolds is set while a
+	// checkpoint holds s.mu; the durations are in nanoseconds.
+	ckptHolds  atomic.Bool
+	ckptTime   atomic.Int64
+	ckptLocked atomic.Int64
+	stalls     atomic.Int64
+	stallTime  atomic.Int64
 
 	// barrierReq is set while a backpressure-requested checkpoint (see
 	// requestBarrier) is in flight, so concurrent stalled allocators
@@ -275,6 +294,13 @@ type Store struct {
 	// rebuild objects from garbage.
 	quarMu sync.Mutex
 	quar   []quarRun // eos:guardedby quarMu
+	// flushing is set from a checkpoint's capture until its pool flush
+	// ends.  The index pages of the roots it captured may be in the pool
+	// alone, as dirty frames, and a commit meanwhile can release them: the
+	// runs releaseRuns frees go to held instead of losing their frames, and
+	// the checkpoint discards them once it has flushed (endFlush).
+	flushing bool      // eos:guardedby quarMu
+	held     []txn.Run // eos:guardedby quarMu
 }
 
 // quarRun is one quarantined run: stamp is the barrierStarted value at
@@ -353,7 +379,9 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	s.pending = lob.NewPending(vol, pool)
+	// The write-behind set holds at most what the log can: every pending
+	// byte is redo logged since the last checkpoint.
+	s.pending = lob.NewPending(vol, int(logVol.NumPages())*logVol.PageSize()/vol.PageSize())
 	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
 	return s, err
 }
@@ -478,7 +506,7 @@ func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
 // mid-operation) can get a catalog barrier — and with it the release of
 // quarantined free space — without acquiring s.mu out of rank order; a
 // checkpoint is the only catalog barrier there is.
-// appendImage reads committed descriptors latch-free (see
+// imageLocked reads committed descriptors latch-free (see
 // catEntry.stableDesc), so the checkpoint cannot block on the stalled
 // operation's latch.  At most one request runs at a time; the error is
 // dropped because the requester retries its allocation regardless and
@@ -489,9 +517,7 @@ func (s *Store) requestBarrier() {
 	}
 	go func() {
 		defer s.barrierReq.Store(false)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_ = s.checkpointLocked()
+		_ = s.Checkpoint()
 	}()
 }
 func (a *epochAlloc) MaxSegmentPages() int { return a.s.buddy.MaxSegmentPages() }
@@ -521,10 +547,17 @@ func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 // crash rebuild committed objects from whatever the new owner wrote
 // over it.
 func (s *Store) releaseRuns(runs []txn.Run) error {
-	for _, r := range runs {
-		for i := 0; i < r.Pages; i++ {
-			s.pool.Discard(r.Start + disk.PageNum(i))
-		}
+	// A running checkpoint's image may name the runs, and its pool flush
+	// must find their frames; it discards them itself (endFlush).  Either
+	// way the frames are gone before the runs can leave the quarantine.
+	s.quarMu.Lock()
+	held := s.flushing
+	if held {
+		s.held = append(s.held, runs...)
+	}
+	s.quarMu.Unlock()
+	if !held {
+		s.discardRuns(runs)
 	}
 	// Stamp with the latest barrier already begun: its catalog image may
 	// predate the roots that stopped referencing these runs, so only a
@@ -537,6 +570,15 @@ func (s *Store) releaseRuns(runs []txn.Run) error {
 	}
 	s.quarMu.Unlock()
 	return nil
+}
+
+// discardRuns drops the runs' pages from the buffer pool unwritten.
+func (s *Store) discardRuns(runs []txn.Run) {
+	for _, r := range runs {
+		for i := 0; i < r.Pages; i++ {
+			s.pool.Discard(r.Start + disk.PageNum(i))
+		}
+	}
 }
 
 // releaseQuarantined returns to the buddy system every quarantined run
@@ -739,94 +781,210 @@ func OpenAt(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Checkpoint makes the current state durable: every dirty page is flushed
-// and forced, the catalog image is logged and the master record pointed at
-// it, and the log is truncated behind the image and every live
-// transaction's first record.
+// Checkpoint makes the current state durable: the pages the committed
+// roots name that only memory holds are written and the data volume forced,
+// the catalog image is logged and the master record pointed at it, and the
+// log is truncated behind the capture and every transaction then live.
 //
-// It yields the processor before it starts.  A checkpoint holds s.mu
-// through a whole flush, and on an in-memory volume nothing in it blocks,
-// so a goroutine its caller has just started (a snapshot reader, say)
-// would otherwise wait for another OS thread to be scheduled before it
-// ran at all.
+// One checkpoint runs at a time.  It holds s.mu only at its two ends, so
+// that commits and snapshot opens go on while it writes: the capture, and
+// then the image, the master copy and the truncation.  The writes between
+// them run without it.
+//
+// It yields the processor before it starts.  On an in-memory volume nothing
+// in a checkpoint blocks, so a goroutine its caller has just started (a
+// snapshot reader, say) would otherwise wait for another OS thread to be
+// scheduled before it ran at all.
 func (s *Store) Checkpoint() error {
 	runtime.Gosched()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-// eos:requires s.mu
-func (s *Store) checkpointLocked() error {
-	// Reclaim every retired page no snapshot still pins before the flush
-	// below, so the checkpointed free-space directories account for them.
-	// Pages pinned by open snapshots stay allocated — a checkpoint fences
-	// snapshots rather than draining them: the pages a pinned root
-	// references are unreachable from the catalog, so a crash reclaims
-	// them at recovery, and a clean continuation frees them when the last
-	// reader exits.
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	begun := time.Now()
+	defer func() { s.ckptTime.Add(int64(time.Since(begun))) }()
+	// Reclaim every retired page no snapshot still pins, so that the
+	// checkpointed free-space directories account for them.  Pages pinned by
+	// open snapshots stay allocated — a checkpoint fences snapshots rather
+	// than draining them: the pages a pinned root references are unreachable
+	// from the catalog, so a crash reclaims them at recovery, and a clean
+	// continuation frees them when the last reader exits.
 	if err := s.epochs.Drain(); err != nil {
 		return err
 	}
-	// The barrier starts here, before the data force: frees that enter the
-	// quarantine from now on wait for the next one.
-	barrier := s.barrierStarted.Add(1)
-	// 1. Data: the image names no page the device does not hold.  Nothing
-	// it writes needs a log record forced first: no transaction writes a
-	// page a committed root names before its commit record is durable.  A crash
-	// from here on recovers from the previous master copy by replaying the
-	// intact log; the object roots carry their true LSNs, so redo of an
-	// already-durable update is skipped by the idempotence guard rather
-	// than applied twice.  The write-behind set's pages go first: the image
-	// may name their bytes — open tails' and committed replaces' — which
-	// until now were durable only in the log.  They are written under the
-	// set's own lock, not the object latches, since a latch holder may be
-	// stalled in allocation backpressure waiting for this very checkpoint; a
-	// page installed later holds only bytes no descriptor this image takes
-	// names (a commit hands its roots over under s.mu, after its install).
-	if err := s.pending.Flush(); err != nil {
+	s.mu.Lock()
+	held := s.holdForCheckpoint()
+	ck := s.captureLocked()
+	s.releaseForCheckpoint(held)
+	s.mu.Unlock()
+	err := s.writeCaptured(ck)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held = s.holdForCheckpoint()
+	defer s.releaseForCheckpoint(held)
+	if err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
-	if err := s.pool.FlushAll(); err != nil {
-		return err
+	return s.completeLocked(ck)
+}
+
+// capture is what a checkpoint takes in one critical section under s.mu,
+// which no commitLog hand-off of roots can split, and completes from.
+type capture struct {
+	barrier uint64 // the barrier this checkpoint is (barrierStarted)
+	image   []byte // the catalog image: the descriptors committed at the capture
+	nextID  uint64
+	// start is where recovery's scan starts: the log's tail at the capture,
+	// or the first record of a transaction then live — it may commit, and
+	// the image does not hold its roots.  Every record the log takes while
+	// the checkpoint writes lies behind it too.
+	start   uint64
+	pending lob.Captured // the write-behind set, taken behind the descriptors
+	// unlogged is the objects whose unlogged writes the image captures.
+	unlogged map[*catEntry]bool
+}
+
+// captureLocked starts a checkpoint: the barrier, the image, the log
+// position and the write-behind set, together.
+//
+// eos:requires s.mu
+func (s *Store) captureLocked() *capture {
+	// The barrier starts before the descriptors are read: frees that enter
+	// the quarantine from now on wait for the next checkpoint.
+	ck := &capture{barrier: s.barrierStarted.Add(1), nextID: s.nextID, start: s.log.Tail() + 1, unlogged: s.unlogged}
+	// So do the frames of pages the descriptors name, until the pool flush.
+	s.quarMu.Lock()
+	s.flushing = true
+	s.quarMu.Unlock()
+	for _, t := range s.liveTxns {
+		ck.start = min(ck.start, t.firstLSN)
 	}
-	if err := s.vol.ForceAll(); err != nil {
-		return err
+	ck.image = s.imageLocked()
+	s.ckptImage = len(ck.image)
+	// The set is taken after the descriptors: every page a descriptor names
+	// was installed before the descriptor was stored — a commit installs
+	// its replaced pages before it hands its roots over, an append its tail
+	// pages before it publishes — so each is in the set taken here, or on
+	// the device.
+	ck.pending = s.pending.Capture()
+	s.unlogged, s.capturing = make(map[*catEntry]bool), ck.unlogged
+	return ck
+}
+
+// writeCaptured writes what the image names that memory alone holds — the
+// captured write-behind set's pages, then the pool's dirty index frames —
+// and forces the data volume.  It needs no s.mu, and takes none: the set's
+// lock per run, the pool's per shard.  Nothing it writes needs a log record
+// forced first: no transaction writes a page a committed root names before
+// its commit record is durable.  A crash from here on recovers from the
+// previous master copy by replaying the intact log; the object roots carry
+// their true LSNs, so redo of an already-durable update is skipped by the
+// idempotence guard rather than applied twice.  No object latch is taken
+// either: a latch holder may be stalled in allocation backpressure waiting
+// for this very checkpoint.
+func (s *Store) writeCaptured(ck *capture) error {
+	err := s.pending.Write(ck.pending)
+	if err == nil {
+		err = s.pool.FlushAll()
 	}
-	// 2. The image, forced.  An image the log has no room for fails here,
-	// with nothing named: the store stays usable, and the previous master
-	// copy still names an image the log holds.
-	image, err := s.appendImage()
+	s.endFlush()
 	if err != nil {
 		return err
 	}
-	if err := s.log.ForceLSN(image); err != nil {
+	return s.vol.ForceAll()
+}
+
+// endFlush discards the frames of the runs released since the capture.  The
+// pool flush has written them, or it failed, and recovery starts from the
+// previous master copy, whose pages the checkpoint that wrote it flushed.
+func (s *Store) endFlush() {
+	s.quarMu.Lock()
+	held := s.held
+	s.flushing, s.held = false, nil
+	s.quarMu.Unlock()
+	s.discardRuns(held)
+}
+
+// completeLocked ends a checkpoint whose captured pages are durable.
+//
+// eos:requires s.mu
+func (s *Store) completeLocked(ck *capture) error {
+	// The image, forced.  An image the log has no room for fails here, with
+	// nothing named: the store stays usable, and the previous master copy
+	// still names an image the log holds.
+	image, err := s.appendImage(ck.image)
+	if err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
-	// 3. The master copy, over the older one, forced.  Recovery's scan
-	// starts at the image, or at the first record of a transaction still
-	// live — it may commit.  Its first LSN is a lower bound taken before it
-	// logged anything.
-	start := image
-	for _, t := range s.liveTxns {
-		start = min(start, t.firstLSN)
+	s.ckptImage = 0
+	s.log.Reserve(s.catBytes)
+	if err := s.log.ForceLSN(image); err != nil {
+		s.abandonLocked(ck)
+		return err
 	}
-	m := master{seq: s.masterSeq + 1, nextID: s.nextID, start: start, image: image,
+	// The master copy, over the older one, forced.
+	m := master{seq: s.masterSeq + 1, nextID: ck.nextID, start: ck.start, image: image,
 		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
 	if err := s.writeMaster(m); err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	if err := s.vol.Force(disk.PageNum(m.seq%masterPages), 1); err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	s.masterSeq = m.seq
-	s.barrierDurable.Store(barrier)
-	clear(s.unlogged)
-	// 4. Only now may the log go round over what lies in front of the new
+	s.barrierDurable.Store(ck.barrier)
+	s.capturing = nil
+	// Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
 	// it reach the quarantined pages.
-	s.log.Truncate(start)
+	s.log.Truncate(ck.start)
 	return s.releaseQuarantined()
+}
+
+// abandonLocked gives a failed checkpoint's unlogged marks back — no image
+// captured those writes — and its image's room in the log.
+//
+// eos:requires s.mu
+func (s *Store) abandonLocked(ck *capture) {
+	s.ckptImage = 0
+	s.log.Reserve(s.catBytes)
+	for e := range ck.unlogged {
+		s.unlogged[e] = true
+	}
+	s.capturing = nil
+}
+
+// holdForCheckpoint notes that a checkpoint has taken s.mu, and when;
+// releaseForCheckpoint, called before it lets go, counts the time it held
+// it.
+func (s *Store) holdForCheckpoint() time.Time {
+	s.ckptHolds.Store(true)
+	return time.Now()
+}
+
+func (s *Store) releaseForCheckpoint(since time.Time) {
+	s.ckptLocked.Add(int64(time.Since(since)))
+	s.ckptHolds.Store(false)
+}
+
+// stallStart is called by a Begin or commit critical section before it takes
+// s.mu; stallEnd, once it has it, counts its wait when a checkpoint held
+// s.mu as it began.
+func (s *Store) stallStart() time.Time {
+	if !s.ckptHolds.Load() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (s *Store) stallEnd(begun time.Time) {
+	if begun.IsZero() {
+		return
+	}
+	s.stalls.Add(1)
+	s.stallTime.Add(int64(time.Since(begun)))
 }
 
 // Create makes a new empty object; threshold <= 0 uses the store default.
@@ -853,15 +1011,17 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 // at its first exclusive touch of e, once take has bound e to it: recovery
 // splices the transaction's records into the root the image names, which
 // must be the root the transaction found.  No such write can follow before
-// the transaction ends, and a checkpoint that cleared the mark finished
-// under s.mu: its master copy is durable.
+// the transaction ends.  A mark a running checkpoint has captured is not
+// cleared before its master copy is durable; this waits for that one and
+// runs another.
 func (s *Store) checkpointUnlogged(e *catEntry) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.unlogged[e] {
+	marked := s.unlogged[e] || s.capturing[e]
+	s.mu.Unlock()
+	if !marked {
 		return nil
 	}
-	return s.checkpointLocked()
+	return s.Checkpoint()
 }
 
 // Open returns a handle on an existing object.
@@ -1021,6 +1181,14 @@ type BarrierStats struct {
 	ImageBytes int64
 	// MasterWrites counts the master copies written, one per checkpoint.
 	MasterWrites int64
+	// Time is what the checkpoints took in all, and Locked the part of it
+	// they held the store's lock: the capture, then the image, the master
+	// copy and the truncation.
+	Time, Locked time.Duration
+	// Stalls counts the Begin and commit critical sections that waited on a
+	// checkpoint holding the store's lock, and StallTime is their wait.
+	Stalls    int64
+	StallTime time.Duration
 }
 
 // RecoveryStats describes what recovery did when Open built the Store.
@@ -1076,6 +1244,10 @@ func (s *Store) Stats() Stats {
 		Barrier: BarrierStats{
 			ImageBytes:   s.imageBytes.Load(),
 			MasterWrites: s.masterWrites.Load(),
+			Time:         time.Duration(s.ckptTime.Load()),
+			Locked:       time.Duration(s.ckptLocked.Load()),
+			Stalls:       s.stalls.Load(),
+			StallTime:    time.Duration(s.stallTime.Load()),
 		},
 		Recovery:          s.recovered,
 		DeferredReplaces:  s.deferredReplaces.Load(),

@@ -52,7 +52,7 @@
 // exposure bits with witness chains — computed bottom-up in SCC order
 // and exported as object facts.  Discharge through a callee is a MAY
 // property (the callee forces on some path): the engine's force
-// helpers (checkpointLocked) return early on I/O
+// helpers (the checkpoint's writeCaptured) return early on I/O
 // errors, and on those paths the caller's subsequent writes never
 // execute either, so treating the call as discharging is sound for
 // the orderings checked here and avoids error-path false positives.

@@ -154,19 +154,25 @@ type checker struct {
 	pass   *analysis.Pass
 	ig     *ignore.Reporter
 	fields map[*types.Var]*fieldInfo
+	// requires maps each method of the package that declares eos:requires
+	// on its receiver's locks to them, keyed by the path below the
+	// receiver ("mu" for "s.mu").
+	requires map[*types.Func]LockState
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	c := &checker{
-		pass:   pass,
-		ig:     ignore.For(pass),
-		fields: make(map[*types.Var]*fieldInfo),
+		pass:     pass,
+		ig:       ignore.For(pass),
+		fields:   make(map[*types.Var]*fieldInfo),
+		requires: make(map[*types.Func]LockState),
 	}
 
 	c.collectAnnotations(insp)
-	if len(c.fields) == 0 {
+	c.collectRequires(insp)
+	if len(c.fields) == 0 && len(c.requires) == 0 {
 		return nil, nil
 	}
 
@@ -239,6 +245,31 @@ func (c *checker) collectAnnotations(insp *inspector.Inspector) {
 					exempt:     IsAtomicType(obj.Type()),
 				}
 			}
+		}
+	})
+}
+
+// collectRequires records the receiver locks every method declares with
+// eos:requires: a call of the method must hold them.
+func (c *checker) collectRequires(insp *inspector.Inspector) {
+	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
+		fn := n.(*ast.FuncDecl)
+		if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
+			return
+		}
+		obj, ok := c.pass.TypesInfo.Defs[fn.Name].(*types.Func)
+		if !ok {
+			return
+		}
+		recv := fn.Recv.List[0].Names[0].Name + "."
+		locks := LockState{}
+		for tok, m := range ParseRequires(fn.Doc) {
+			if strings.HasPrefix(tok, recv) {
+				locks[strings.TrimPrefix(tok, recv)] = m
+			}
+		}
+		if len(locks) > 0 {
+			c.requires[obj] = locks
 		}
 	})
 }
@@ -332,9 +363,17 @@ func IsMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// checkAccess reports sel if it touches an annotated field without the
-// required lock strength.
+// checkAccess reports sel if it touches an annotated field, or names a
+// method that declares eos:requires, without the required lock strength.
 func (c *checker) checkAccess(sel *ast.SelectorExpr, st LockState, write bool) {
+	if fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok {
+		for path, m := range c.requires[fn] {
+			if tok := types.ExprString(sel.X) + "." + path; st[tok] < m {
+				c.ig.Report(sel.Pos(), "call of %s without holding %s (eos:requires)", fn.Name(), tok)
+			}
+		}
+		return
+	}
 	fieldObj, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
 	if !ok {
 		return

@@ -5,6 +5,7 @@
 // The engine's locks form a lattice, acquired strictly downward (the
 // table is ssa.LockRanks):
 //
+//	rank 5   Store.ckptMu       (one checkpoint at a time)
 //	rank 10  Store.mu           (store manager: catalog, txn table)
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
@@ -158,6 +159,7 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 // self-deadlock.  Per-instance locks (object latches, pool shards,
 // per-transaction mutexes) may nest across instances and are excluded.
 var singletonKeys = map[string]bool{
+	"Store.ckptMu":    true,
 	"Store.mu":        true,
 	"Store.quarMu":    true,
 	"Pending.mu":      true,

@@ -65,6 +65,7 @@ var Analyzer = &analysis.Analyzer{
 // stand-in types.
 func LockRanks() map[string]int {
 	return map[string]int{
+		"Store.ckptMu":     5, // one checkpoint at a time; it takes Store.mu twice inside
 		"Store.mu":         10,
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,

@@ -82,3 +82,16 @@ func suppressedWithoutReason(c *counter) int {
 	//eoslint:ignore guardedby
 	return c.n // want "eoslint:ignore guardedby without a '-- reason' clause"
 }
+
+// bumpLocked runs with the counter's lock held by its caller.
+//
+// eos:requires c.mu
+func (c *counter) bumpLocked() { c.n++ }
+
+// callsRequiresUnlocked calls a method that requires the lock after
+// dropping it.
+func callsRequiresUnlocked(c *counter) {
+	c.mu.Lock()
+	c.mu.Unlock()
+	c.bumpLocked() // want "call of bumpLocked without holding c.mu"
+}

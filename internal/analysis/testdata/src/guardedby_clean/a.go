@@ -97,3 +97,24 @@ func suppressedWithReason(c *counter) int {
 	//eoslint:ignore guardedby -- racy stats read is advisory; consistency is not required here
 	return c.n
 }
+
+// bumpLocked runs with the counter's lock held by its caller.
+//
+// eos:requires c.mu
+func (c *counter) bumpLocked() { c.n++ }
+
+// callsRequiresLocked calls it with the lock held, and so does a method
+// that requires the lock itself.
+func callsRequiresLocked(c *counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bumpLocked()
+}
+
+// bumpTwiceLocked requires the lock and passes it on.
+//
+// eos:requires c.mu
+func (c *counter) bumpTwiceLocked() {
+	c.bumpLocked()
+	c.bumpLocked()
+}

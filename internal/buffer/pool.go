@@ -577,17 +577,6 @@ func (p *Pool) PinnedFrames() int {
 	return n
 }
 
-// Frames reports how many frames hold a page now.
-func (p *Pool) Frames() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += len(sh.frames)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Resident reports whether pg currently occupies a frame.
 func (p *Pool) Resident(pg disk.PageNum) bool {
 	sh := p.shardFor(pg)

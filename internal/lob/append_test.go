@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -387,7 +388,7 @@ func TestAppendContinuesItsTail(t *testing.T) {
 		t.Fatalf("after growing past T: segments %v, %d bytes unused, tail %d pages; want [4 4 9], trimmed",
 			got, u.WastedBytes, o.tailAlloc)
 	}
-	if n := len(e.m.cfg.Pending.load()); n != 0 {
+	if n := e.m.cfg.Pending.load().len(); n != 0 {
 		t.Fatalf("%d pages pending in the set, want 0", n)
 	}
 	mustContent(t, o, model)
@@ -462,7 +463,7 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	copy(model[250:], repl)
 	model = append(model, more...)
 	mustContent(t, o, model)
-	if err := e.m.cfg.Pending.Flush(); err != nil {
+	if err := flush(e.m.cfg.Pending); err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
@@ -523,7 +524,7 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 		{"truncate", func(e *env, o *Object) (*Object, error) { return o, o.Truncate(850) }, 850},
 		{"reopen", func(e *env, o *Object) (*Object, error) {
 			// A durable descriptor names no page only the set holds.
-			if err := e.m.cfg.Pending.Flush(); err != nil {
+			if err := flush(e.m.cfg.Pending); err != nil {
 				return nil, err
 			}
 			re, err := e.m.OpenDescriptor(o.EncodeDescriptor())
@@ -709,7 +710,7 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 		t.Fatal("nothing pending after two appends")
 	}
 	freed := make(chan struct{})
-	runtime.SetFinalizer(set, func(*[]pendingPage) { close(freed) })
+	runtime.SetFinalizer(set, func(*pendingSet) { close(freed) })
 	set = nil
 	if evs := traced(t, e, func() error {
 		got, err := v.Read(0, 130)
@@ -720,7 +721,7 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 	}); len(evs) != 0 {
 		t.Fatalf("version read of pending pages issued %+v, want nothing", evs)
 	}
-	if err := e.m.cfg.Pending.Flush(); err != nil {
+	if err := flush(e.m.cfg.Pending); err != nil {
 		t.Fatal(err)
 	}
 	if _, n := tailRun(o); n != 0 {
@@ -744,18 +745,18 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 	runtime.KeepAlive(v)
 }
 
-// TestPendingBudget: after every install the pending pages and the pool's
-// resident frames together stay within three times the pool's frames.  The
-// install that goes over writes back a committed replace's pages before any
-// open tail's, though the tails' runs are longer; then the largest tail run,
-// the lowest on a tie, in one request; and the object whose tail was
-// written goes on from the device.
+// TestPendingBudget: after every install the pending pages stay within the
+// set's limit — what a store derives from its log's capacity, here 12 pages
+// — whatever the pool holds.  The install that goes over writes back a
+// committed replace's pages before any open tail's, though the tails' runs
+// are longer; then the largest tail run, the lowest on a tie, in one
+// request; and the object whose tail was written goes on from the device.
 func TestPendingBudget(t *testing.T) {
-	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a 4-frame pool: 12 pages and frames at most
+	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a limit of 3 × 4 pages
 	within := func() {
 		t.Helper()
-		if n, f := len(e.m.cfg.Pending.load()), e.pool.Frames(); n+f > 3*e.pool.Capacity() {
-			t.Fatalf("%d pages pending beside %d resident frames, over the budget of %d", n, f, 3*e.pool.Capacity())
+		if n := e.m.cfg.Pending.load().len(); n > e.m.cfg.Pending.limit || e.m.cfg.Pending.limit != 12 {
+			t.Fatalf("%d pages pending, over the limit of %d (want 12)", n, e.m.cfg.Pending.limit)
 		}
 	}
 	w := e.m.NewObject(0)
@@ -808,5 +809,92 @@ func TestPendingBudget(t *testing.T) {
 	mustContent(t, w, wm)
 	for i, o := range objs {
 		mustContent(t, o, models[i])
+	}
+}
+
+// TestPendingSetMatchesAMap drives the write-behind set's chunked versions
+// with random installs and drops over a few hundred pages — runs that cross
+// chunk boundaries, replaces over tail pages and tail pages over replaced
+// ones — against a map, and checks every version's shape: chunks sorted,
+// non-empty and at most chunkPages long, and its counts right.  Every range
+// read and every single page agree with the map.
+func TestPendingSetMatchesAMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var set *pendingSet
+	model := map[disk.PageNum]pendingPage{}
+	check := func(step int) {
+		t.Helper()
+		n, replaced, last := 0, 0, disk.PageNum(0)
+		if set != nil {
+			for ci, c := range set.chunks {
+				if len(c) == 0 || len(c) > chunkPages {
+					t.Fatalf("step %d: chunk %d holds %d pages", step, ci, len(c))
+				}
+				for _, p := range c {
+					if n > 0 && p.page <= last {
+						t.Fatalf("step %d: page %d after %d", step, p.page, last)
+					}
+					if m, ok := model[p.page]; !ok || !sameImage(m.img, p.img) || m.tail != p.tail {
+						t.Fatalf("step %d: page %d is not the model's", step, p.page)
+					}
+					n, last = n+1, p.page
+					if !p.tail {
+						replaced++
+					}
+				}
+			}
+		}
+		if n != len(model) || set.len() != n || (set != nil && set.replaced != replaced) {
+			t.Fatalf("step %d: %d pages (%d replaced) counted %d, model %d", step, n, replaced, set.len(), len(model))
+		}
+		start, k := disk.PageNum(rng.Intn(400)), 1+rng.Intn(150)
+		got := set.between(start, k)
+		want := 0
+		for p := start; p < start+disk.PageNum(k); p++ {
+			if _, ok := model[p]; ok {
+				want++
+			}
+			if m, ok := model[p]; ok {
+				if g, gok := set.get(p); !gok || !sameImage(g.img, m.img) {
+					t.Fatalf("step %d: get(%d) is not the model's", step, p)
+				}
+			} else if _, gok := set.get(p); gok {
+				t.Fatalf("step %d: get(%d) found a page the model lacks", step, p)
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("step %d: between(%d, %d) holds %d pages, want %d", step, start, k, len(got), want)
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		start, k := disk.PageNum(rng.Intn(400)), 1+rng.Intn(100)
+		if rng.Intn(3) > 0 {
+			tail := rng.Intn(2) == 0
+			var add []pendingPage
+			for p := start; p < start+disk.PageNum(k); p++ {
+				if rng.Intn(3) > 0 {
+					add = append(add, pendingPage{page: p, img: make([]byte, 1), tail: tail})
+				}
+			}
+			for _, a := range add {
+				if old, ok := model[a.page]; ok && !a.tail {
+					a.tail = old.tail
+				}
+				model[a.page] = a
+			}
+			set, _ = set.with(add)
+		} else {
+			keepTails := rng.Intn(2) == 0
+			set, _ = set.without(start, k, func(p pendingPage) bool { return !(keepTails && p.tail) })
+			for p := start; p < start+disk.PageNum(k); p++ {
+				if m, ok := model[p]; ok && !(keepTails && m.tail) {
+					delete(model, p)
+				}
+			}
+			if len(model) == 0 && set != nil {
+				t.Fatalf("step %d: an emptied set is not nil", step)
+			}
+		}
+		check(step)
 	}
 }

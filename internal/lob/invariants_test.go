@@ -1,6 +1,7 @@
 package lob
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -170,4 +171,92 @@ func TestSingleByteObject(t *testing.T) {
 		t.Errorf("size = %d", o.Size())
 	}
 	mustCheck(t, o)
+}
+
+// TestSeededSplicesKeepTheTreeValid: random inserts, appends and deletes on
+// an object whose root holds at most 8 entries — fewer than the 15 a node of
+// a 512-byte page holds at least — with Check after every one.  A root that
+// outgrows its 8 entries moves them into one child (normalizeRoot): no split
+// of at most a node's worth of entries could give two children at the floor.
+// That sole child is the tree's real root, and Check takes it as one.
+func TestSeededSplicesKeepTheTreeValid(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		e := newEnv(t, 512, 8, 1024, Config{Threshold: 4, MaxRootEntries: 8})
+		o := e.m.NewObject(0)
+		model := pattern(int(seed), 3000)
+		if err := o.AppendWithHint(model, 3000); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 300; i++ {
+			var err error
+			switch k := rng.Intn(3); {
+			case k == 0 || len(model) < 4000:
+				d := pattern(i, 100+rng.Intn(4000))
+				off := rng.Intn(len(model) + 1)
+				err = o.Insert(int64(off), d)
+				model = append(model[:off:off], append(d, model[off:]...)...)
+			case k == 1:
+				d := pattern(i, 50+rng.Intn(3000))
+				err = o.Append(d)
+				model = append(model, d...)
+			default:
+				n := 1 + rng.Intn(3000)
+				off := rng.Intn(len(model) - n + 1)
+				err = o.Delete(int64(off), int64(n))
+				model = append(model[:off:off], model[off+n:]...)
+			}
+			if err != nil {
+				t.Fatalf("seed %d, op %d: %v", seed, i, err)
+			}
+			if err := o.Check(); err != nil {
+				t.Fatalf("seed %d, after op %d: %v", seed, i, err)
+			}
+		}
+		mustContent(t, o, model)
+	}
+}
+
+// TestCheckExemptsOnlyASoleChild: a child below the floor passes Check when
+// it is its root's only one, and fails it beside a sibling.
+func TestCheckExemptsOnlyASoleChild(t *testing.T) {
+	e := newEnv(t, 512, 8, 1024, Config{Threshold: 1, MaxRootEntries: 8})
+	o := e.m.NewObject(0)
+	for i := 0; i < 40; i++ { // 40 one-page segments: a root over two children
+		if err := o.AppendWithHint(pattern(i, 512), 512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.root.level != 2 || len(o.root.entries) < 2 {
+		t.Fatalf("root at level %d with %d entries, want level 2 with two or more", o.root.level, len(o.root.entries))
+	}
+	if err := o.Check(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the first child to one entry less than the floor.
+	under := func() entry {
+		t.Helper()
+		child, err := e.m.readNode(o.root.entries[0].ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child = &node{level: child.level, entries: child.entries[:minFanout(512)-1]}
+		p, err := e.m.writeNode(0, child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entry{bytes: child.size(), ptr: p}
+	}
+	short := under()
+	siblings := append([]entry{short}, o.root.entries[1:]...)
+	o.root = &node{level: 2, entries: siblings}
+	o.size = o.root.size()
+	if err := o.Check(); err == nil || !errors.Is(err, ErrCorruptNode) {
+		t.Fatalf("Check of a root over an underfull child and %d siblings: %v, want it refused", len(siblings)-1, err)
+	}
+	o.root = &node{level: 2, entries: []entry{short}}
+	o.size = o.root.size()
+	if err := o.Check(); err != nil {
+		t.Fatalf("Check of a root over one underfull child: %v, want it taken as the real root", err)
+	}
 }

@@ -39,7 +39,9 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 		t.Fatalf("FormatVolume: %v", err)
 	}
 	if cfg.Pending == nil {
-		cfg.Pending = NewPending(vol, pool) // plain appends write behind, as in a store
+		// Plain appends write behind, as in a store, which bounds the set by
+		// its log; here the bound is three times the pool's frames.
+		cfg.Pending = NewPending(vol, 3*frames)
 	}
 	m, err := NewManager(vol, pool, bm, cfg)
 	if err != nil {
@@ -51,13 +53,15 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 // pendingIn returns the first pending page among [start, start+n) and how
 // many pages of the range are pending.
 func pendingIn(m *Manager, start disk.PageNum, n int) (disk.PageNum, int) {
-	pages := m.cfg.Pending.load()
-	lo, hi := span(pages, start, n)
-	if lo == hi {
+	pages := m.cfg.Pending.load().between(start, n)
+	if len(pages) == 0 {
 		return 0, 0
 	}
-	return pages[lo].page, hi - lo
+	return pages[0].page, len(pages)
 }
+
+// flush writes every pending page, as a checkpoint does.
+func flush(t *Pending) error { return t.Write(t.Capture()) }
 
 // tailRun returns the first pending page of o's open tail segment and how
 // many of its pages are pending.
@@ -377,7 +381,7 @@ func TestReplacePlan(t *testing.T) {
 		}
 		mustContent(t, seen, model)
 		mustContent(t, o, model)
-		if err := e.m.cfg.Pending.Flush(); err != nil { // the next plan reads its pages from the device
+		if err := flush(e.m.cfg.Pending); err != nil { // the next plan reads its pages from the device
 			t.Fatal(err)
 		}
 	}
@@ -1078,7 +1082,7 @@ func TestQuickDescriptorRoundTrip(t *testing.T) {
 		}
 		// A descriptor names pages: the pending run goes to them first, as
 		// a checkpoint's does before its image.
-		if err := e.m.cfg.Pending.Flush(); err != nil {
+		if err := flush(e.m.cfg.Pending); err != nil {
 			return false
 		}
 		desc := o.EncodeDescriptor()

@@ -89,7 +89,7 @@ type Stats struct {
 	BridgedGapPages    int64 // unwanted pages between the two ranges those requests transferred
 	// The write-behind set (shared by the managers over one volume): pages
 	// pending now, of either kind, and the most ever pending at once; the
-	// runs written early because the set was over its budget; and the
+	// runs written early because the set was over its limit; and the
 	// pages reads took from the set instead of the device.
 	PendingPages     int64
 	PendingPagesHigh int64
@@ -97,7 +97,8 @@ type Stats struct {
 	PendingReads     int64
 	// Committed replaces' pages: pending now; left in the set, in all; of
 	// those, pages that were pending already, whose images they overwrote;
-	// and replaced pages written by a checkpoint and under budget pressure.
+	// and replaced pages a checkpoint wrote and dropped, and ones written
+	// because the set was over its limit.
 	ReplacedPending      int64
 	ReplacedPages        int64
 	ReplacedAbsorbed     int64
@@ -188,8 +189,9 @@ func (m *Manager) Stats() Stats {
 		BridgedGapPages:    m.st.bridgedGapPages.Load(),
 	}
 	if t := m.cfg.Pending; t != nil {
-		pages := t.load()
-		st.PendingPages, st.ReplacedPending = int64(len(pages)), int64(replacedIn(pages))
+		if set := t.load(); set != nil {
+			st.PendingPages, st.ReplacedPending = int64(set.n), int64(set.replaced)
+		}
 		st.PendingPagesHigh, st.PendingEvictions, st.PendingReads = t.high.Load(), t.evictions.Load(), t.reads.Load()
 		st.ReplacedPages, st.ReplacedAbsorbed = t.replaced.Load(), t.absorbed.Load()
 		st.ReplacedCheckpointed, st.ReplacedEvicted = t.checkpointed.Load(), t.evicted.Load()
@@ -288,13 +290,12 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep b
 // only for the pages from the first to the last that neither set holds, and
 // not at all when they hold every one.
 func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
-	pend, held := m.cfg.Pending.load(), m.held.load()
-	plo, phi := span(pend, start, n)
+	pend, held := m.cfg.Pending.load().between(start, n), m.held.load()
 	hlo, hhi := span(held, start, n)
-	if plo == phi && hlo == hhi {
+	if len(pend) == 0 && hlo == hhi {
 		return m.vol.ReadPages(start, n, buf)
 	}
-	pend, held = pend[plo:phi], held[hlo:hhi]
+	held = held[hlo:hhi]
 	inSet := func(p disk.PageNum) bool { return has(pend, p) || has(held, p) }
 	ps := m.vol.PageSize()
 	first, end := start, start+disk.PageNum(n) // what the device holds

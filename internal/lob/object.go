@@ -269,10 +269,13 @@ func (o *Object) Usage() (UsageInfo, error) {
 func (o *Object) Check() error {
 	ps := o.m.vol.PageSize()
 	min := minFanout(ps)
-	var walk func(nd *node, isRoot bool) (int64, error)
-	walk = func(nd *node, isRoot bool) (int64, error) {
+	// A root's sole child may be below the floor: a root that outgrows its
+	// MaxRootEntries moves its entries into one child (normalizeRoot), which
+	// is then the tree's real root.  Beside a sibling a child may not.
+	var walk func(nd *node, isRoot, sole bool) (int64, error)
+	walk = func(nd *node, isRoot, sole bool) (int64, error) {
 		if !isRoot {
-			if len(nd.entries) < min {
+			if len(nd.entries) < min && !sole {
 				return 0, fmt.Errorf("%w: node with %d entries below minimum %d", ErrCorruptNode, len(nd.entries), min)
 			}
 			if len(nd.entries) > maxFanout(ps) {
@@ -292,7 +295,7 @@ func (o *Object) Check() error {
 				if child.level != nd.level-1 {
 					return 0, fmt.Errorf("%w: child level %d under level %d", ErrCorruptNode, child.level, nd.level)
 				}
-				sub, err := walk(child, false)
+				sub, err := walk(child, false, isRoot && len(nd.entries) == 1)
 				if err != nil {
 					return 0, err
 				}
@@ -304,7 +307,7 @@ func (o *Object) Check() error {
 		}
 		return total, nil
 	}
-	total, err := walk(o.root, true)
+	total, err := walk(o.root, true, false)
 	if err != nil {
 		return err
 	}

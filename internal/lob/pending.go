@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/eosdb/eos/internal/buffer"
 	"github.com/eosdb/eos/internal/disk"
 )
 
@@ -32,14 +31,17 @@ import (
 // to the last one of its range that neither set holds, and none when they
 // hold all.
 //
-// The pages reach the device through one sorted pass — each maximal run of
+// The pages reach the device in address order — each maximal run of
 // contiguous pending pages is one WriteRun — when
 //
-//   - the store takes a checkpoint (Pending.Flush), whose image may name
-//     their bytes;
-//   - the set is over its budget after an install (replaced pages go before
+//   - the store takes a checkpoint, whose image may name their bytes: it
+//     captures the set (Capture) with the image's descriptors and writes
+//     what it captured (Write) without holding the store's lock;
+//   - the set is over its limit after an install (replaced pages go before
 //     open tails: a tail written early costs the append that continues it a
-//     read);
+//     read).  The store sets the limit to its log's capacity in data pages:
+//     every pending byte is redo the log has carried since the last
+//     checkpoint, so the log, not the buffer pool, is what bounds them;
 //   - a tail closes (trim, Destroy, a delete, insert or compaction that
 //     reaches the tail segment) or fills;
 //   - their pages are freed (Manager.freeData): a snapshot may still read
@@ -52,39 +54,42 @@ import (
 // tail its abort reinstates (Object.Reinstate) — and whoever writes a
 // pending page from outside the set (a non-transactional replace, a tail
 // that fills) drops its image in the same critical section under
-// Pending.mu, so that the image is never written over the newer page later.  A transaction's
-// uncommitted replaced pages are not here: they wait in its held set
-// (held.go) until its commit record is forced.
+// Pending.mu, so that the image is never written over the newer page later.
+// The one write made outside Pending.mu, a captured run's, marks its pages
+// in flight first: nobody else writes or drops them until it is done, and
+// it drops only the pages whose image is still the one it captured.  A
+// transaction's uncommitted replaced pages are not here: they wait in its
+// held set (held.go) until its commit record is forced.
 
-// Pending is the write-behind set of one volume: its pending pages, the
-// budget they share with the buffer pool, and their writes.  Managers over
-// one volume share one (Config.Pending).  It is safe for concurrent use;
-// readers take no lock.
+// Pending is the write-behind set of one volume: its pending pages, their
+// limit, and their writes.  Managers over one volume share one
+// (Config.Pending).  It is safe for concurrent use; readers take no lock.
 type Pending struct {
-	vol    disk.Device
-	pool   *buffer.Pool
-	budget int // pages: pending pages plus resident pool frames, after every install
+	vol   disk.Device
+	limit int // pages pending at most after every install
 
 	mu  sync.Mutex
-	set atomic.Pointer[[]pendingPage] // sorted by page; replaced whole under mu, never changed in place; nil when empty
+	set atomic.Pointer[pendingSet] // replaced whole under mu, never changed in place; nil when empty
+	// flying is the run a captured write (Write) has in flight without mu;
+	// done is signalled when it lands.
+	flying pageRange // eos:guardedby mu
+	done   sync.Cond
 
 	high         atomic.Int64 // most pages ever pending at once
-	evictions    atomic.Int64 // runs written because the set was over its budget
+	evictions    atomic.Int64 // runs written because the set was over its limit
 	reads        atomic.Int64 // pages reads took from the set
 	replaced     atomic.Int64 // pages committed replaces left in the set
 	absorbed     atomic.Int64 // of those, pages that were pending already
-	checkpointed atomic.Int64 // replaced pages a checkpoint wrote
-	evicted      atomic.Int64 // replaced pages written because the set was over its budget
+	checkpointed atomic.Int64 // replaced pages a captured write wrote and dropped
+	evicted      atomic.Int64 // replaced pages written because the set was over its limit
 }
 
-// NewPending makes an empty write-behind set over vol, sharing one memory
-// budget with pool: after every install its pages and the pool's resident
-// frames together number at most three times the pool's frames — the most
-// a full pool and the tails' bound of twice its frames could hold before.
-// The pool never gives up an index frame for a pending page; the set writes
-// its own pages back instead.
-func NewPending(vol disk.Device, pool *buffer.Pool) *Pending {
-	return &Pending{vol: vol, pool: pool, budget: 3 * pool.Capacity()}
+// NewPending makes an empty write-behind set over vol that holds at most
+// limit pages after every install.
+func NewPending(vol disk.Device, limit int) *Pending {
+	t := &Pending{vol: vol, limit: limit}
+	t.done.L = &t.mu
+	return t
 }
 
 // pendingPage is the image of one pending page.
@@ -92,18 +97,6 @@ type pendingPage struct {
 	page disk.PageNum
 	img  []byte // one page; nobody writes to it once it is in the set
 	tail bool   // an open tail's page, else a committed replace's
-}
-
-// load returns the pages pending now, sorted; a nil set has none.  The slice
-// is never changed: it is the set as it was, whatever happens to it later.
-func (t *Pending) load() []pendingPage {
-	if t == nil {
-		return nil
-	}
-	if p := t.set.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 func (p pendingPage) pageNum() disk.PageNum { return p.page }
@@ -126,80 +119,394 @@ func has[P paged](pages []P, p disk.PageNum) bool {
 }
 
 // runEnd returns the end of the run of contiguous pages that starts at
-// pages[i]; sameKind stops it where the kind changes.
-func runEnd(pages []pendingPage, i int, sameKind bool) int {
+// pages[i].
+func runEnd(pages []pendingPage, i int) int {
 	j := i + 1
-	for j < len(pages) && pages[j].page == pages[j-1].page+1 && (!sameKind || pages[j].tail == pages[i].tail) {
+	for j < len(pages) && pages[j].page == pages[j-1].page+1 {
 		j++
 	}
 	return j
 }
 
-// Flush writes every pending page, one request per run of contiguous pages
-// in address order, and empties the set.  A checkpoint calls it before it
-// forces the data volume, so that its image names no byte that is only in
-// memory.  A nil set has nothing to write.
-func (t *Pending) Flush() error {
+// sameImage reports whether a and b are one image, not equal bytes: an
+// install always brings new memory.
+func sameImage(a, b []byte) bool { return &a[0] == &b[0] }
+
+// pageRange is the pages [start, end).
+type pageRange struct{ start, end disk.PageNum }
+
+func (r pageRange) overlaps(start disk.PageNum, n int) bool {
+	return start < r.end && r.start < start+disk.PageNum(n)
+}
+
+// chunkPages is the most pages one chunk of a version holds.
+const chunkPages = 64
+
+// pendingSet is one version of the write-behind set: its pages sorted by
+// page number, in chunks of at most chunkPages.  A version is never changed
+// once it is stored: a change builds a new one that shares every chunk it
+// does not touch, so that it costs the chunks it changes and a copy of the
+// chunk list, not a copy of the set.  A nil version is an empty set.
+type pendingSet struct {
+	chunks   [][]pendingPage // each sorted and non-empty; a chunk's pages all below the next one's
+	n        int             // pages
+	replaced int             // of them, a committed replace's
+}
+
+func (s *pendingSet) len() int {
+	if s == nil {
+		return 0
+	}
+	return s.n
+}
+
+// chunk returns the index of the first chunk whose last page is p or above:
+// the chunk p is in or would go in, len(s.chunks) above them all.
+func (s *pendingSet) chunk(p disk.PageNum) int {
+	return sort.Search(len(s.chunks), func(i int) bool {
+		c := s.chunks[i]
+		return c[len(c)-1].page >= p
+	})
+}
+
+// between returns the pages among [start, start+n), sorted: part of one
+// chunk when they are in one, else a copy.
+func (s *pendingSet) between(start disk.PageNum, n int) []pendingPage {
+	if s == nil || n <= 0 {
+		return nil
+	}
+	end := start + disk.PageNum(n)
+	ci := s.chunk(start)
+	if ci == len(s.chunks) {
+		return nil
+	}
+	c := s.chunks[ci]
+	lo, hi := span(c, start, n)
+	if hi < len(c) || ci+1 == len(s.chunks) || s.chunks[ci+1][0].page >= end {
+		return c[lo:hi]
+	}
+	out := append([]pendingPage(nil), c[lo:hi]...)
+	for _, c := range s.chunks[ci+1:] {
+		_, hi := span(c, start, n)
+		out = append(out, c[:hi]...)
+		if hi < len(c) {
+			break
+		}
+	}
+	return out
+}
+
+// get returns the image of page p, if it is pending.
+func (s *pendingSet) get(p disk.PageNum) (pendingPage, bool) {
+	if pages := s.between(p, 1); len(pages) == 1 {
+		return pages[0], true
+	}
+	return pendingPage{}, false
+}
+
+// each calls f on every page in address order until f returns false.
+func (s *pendingSet) each(f func(pendingPage) bool) {
+	if s == nil {
+		return
+	}
+	for _, c := range s.chunks {
+		for _, p := range c {
+			if !f(p) {
+				return
+			}
+		}
+	}
+}
+
+// with returns s with add's images over the ones it holds of their pages
+// (add is sorted, one image per page), and how many of add's replaced pages
+// were pending already.  An open tail's page is a tail page; a replace
+// leaves a page it finds pending of the kind it was.  Only the chunks add
+// falls in are copied.
+func (s *pendingSet) with(add []pendingPage) (*pendingSet, int) {
+	out := &pendingSet{n: s.len()}
+	var old [][]pendingPage
+	if s != nil {
+		old, out.replaced = s.chunks, s.replaced
+	}
+	chunks := make([][]pendingPage, 0, len(old)+len(add)/chunkPages+2)
+	absorbed, i := 0, 0
+	for ci, c := range old {
+		j := i
+		for j < len(add) && (ci == len(old)-1 || add[j].page <= c[len(c)-1].page) {
+			j++
+		}
+		if j == i {
+			chunks = append(chunks, c)
+			continue
+		}
+		merged := make([]pendingPage, 0, len(c)+j-i)
+		k := 0
+		for _, a := range add[i:j] {
+			for k < len(c) && c[k].page < a.page {
+				merged = append(merged, c[k])
+				k++
+			}
+			if k < len(c) && c[k].page == a.page {
+				if !a.tail {
+					a.tail = c[k].tail
+					absorbed++
+				}
+				out.n--
+				if !c[k].tail {
+					out.replaced--
+				}
+				k++
+			}
+			out.n++
+			if !a.tail {
+				out.replaced++
+			}
+			merged = append(merged, a)
+		}
+		chunks = appendChunks(chunks, append(merged, c[k:]...))
+		i = j
+	}
+	chunks = appendChunks(chunks, add[i:]) // the whole of add into an empty set
+	out.n += len(add) - i
+	out.replaced += replacedIn(add[i:])
+	out.chunks = chunks
+	return out, absorbed
+}
+
+// without returns s without the pages among [start, start+n) that drop
+// reports, and how many of a committed replace's it dropped.  Only the
+// chunks the range falls in are copied — with the next one when what is
+// left of them is small enough to share it.
+func (s *pendingSet) without(start disk.PageNum, n int, drop func(pendingPage) bool) (*pendingSet, int) {
+	if s.len() == 0 || n <= 0 {
+		return s, 0
+	}
+	end := start + disk.PageNum(n)
+	ci := s.chunk(start)
+	cj := ci
+	for cj < len(s.chunks) && s.chunks[cj][0].page < end {
+		cj++
+	}
+	var kept []pendingPage
+	dropped, replaced := 0, 0
+	for _, c := range s.chunks[ci:cj] {
+		for _, p := range c {
+			if p.page >= start && p.page < end && drop(p) {
+				dropped++
+				if !p.tail {
+					replaced++
+				}
+				continue
+			}
+			kept = append(kept, p)
+		}
+	}
+	if dropped == 0 {
+		return s, 0
+	}
+	if s.n == dropped {
+		return nil, replaced
+	}
+	if cj < len(s.chunks) && len(kept)+len(s.chunks[cj]) <= chunkPages {
+		kept = append(kept, s.chunks[cj]...)
+		cj++
+	}
+	chunks := make([][]pendingPage, 0, len(s.chunks)+1)
+	chunks = append(chunks, s.chunks[:ci]...)
+	chunks = appendChunks(chunks, kept)
+	chunks = append(chunks, s.chunks[cj:]...)
+	return &pendingSet{chunks: chunks, n: s.n - dropped, replaced: s.replaced - replaced}, replaced
+}
+
+// appendChunks appends sorted pages to chunks, cut into as few chunks of
+// near-equal size as hold them.
+func appendChunks(chunks [][]pendingPage, pages []pendingPage) [][]pendingPage {
+	k := (len(pages) + chunkPages - 1) / chunkPages
+	for i := 0; i < k; i++ {
+		chunks = append(chunks, pages[i*len(pages)/k:(i+1)*len(pages)/k:(i+1)*len(pages)/k])
+	}
+	return chunks
+}
+
+// largestRun returns the largest run of contiguous pending pages of one kind
+// — a tail's or a replace's — the lowest on a tie.
+func (s *pendingSet) largestRun(tail bool) (best pageRange) {
+	var cur pageRange
+	s.each(func(p pendingPage) bool {
+		if p.tail != tail {
+			cur = pageRange{}
+			return true
+		}
+		if cur.end != p.page || cur.end == cur.start {
+			cur = pageRange{start: p.page}
+		}
+		cur.end = p.page + 1
+		if cur.end-cur.start > best.end-best.start {
+			best = cur
+		}
+		return true
+	})
+	return best
+}
+
+// load returns the pages pending now; a nil set has none.  The version is
+// never changed: it is the set as it was, whatever happens to it later.
+func (t *Pending) load() *pendingSet {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	replaced, err := t.writeRunsLocked(0, len(t.load()))
-	t.checkpointed.Add(int64(replaced))
+	return t.set.Load()
+}
+
+// Captured is the write-behind set as it was at one moment (Capture).
+type Captured struct{ set *pendingSet }
+
+// Capture returns the set as it is now, for Write.
+func (t *Pending) Capture() Captured { return Captured{t.load()} }
+
+// Write writes the pages c holds that are still pending, one request per
+// run of contiguous ones in address order, with each page's image as it is
+// when its run goes out — the newest committed bytes.  It takes the set's
+// lock per run, and not over the request: commits install, and readers
+// read, while a run is written; nobody writes or drops a page of it
+// meanwhile.  Behind the request it drops the pages whose image is still
+// the one c holds: a page a later install gave a newer image stays pending
+// with it, and a page another writer wrote and dropped since c was taken is
+// not written again.  A checkpoint calls it before it forces the data
+// volume, so that its image, whose descriptors were taken with c, names no
+// byte that is only in memory.  One Write runs at a time, as checkpoints
+// do: flying holds a single run.
+func (t *Pending) Write(c Captured) error {
+	if t == nil {
+		return nil
+	}
+	var run []pendingPage
+	var err error
+	c.set.each(func(p pendingPage) bool {
+		if len(run) > 0 && p.page != run[len(run)-1].page+1 {
+			if err = t.writeCaptured(run); err != nil {
+				return false
+			}
+			run = run[:0]
+		}
+		run = append(run, p)
+		return true
+	})
+	if err == nil && len(run) > 0 {
+		err = t.writeCaptured(run)
+	}
 	return err
 }
 
+// writeCaptured writes one run of contiguous captured pages: the ones still
+// pending, with their images now, in one request per run of them.
+func (t *Pending) writeCaptured(run []pendingPage) error {
+	r := pageRange{start: run[0].page, end: run[len(run)-1].page + 1}
+	n := int(r.end - r.start)
+	t.mu.Lock()
+	cur := t.load().between(r.start, n)
+	if len(cur) == 0 {
+		t.mu.Unlock()
+		return nil
+	}
+	t.flying = r
+	t.mu.Unlock()
+	var err error
+	for i := 0; i < len(cur) && err == nil; {
+		j := runEnd(cur, i)
+		err = t.writeRun(cur[i:j])
+		i = j
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flying = pageRange{}
+	t.done.Broadcast()
+	if err != nil {
+		return err // the pages stay pending: writing one again is harmless
+	}
+	next, replaced := t.load().without(r.start, n, func(p pendingPage) bool {
+		return sameImage(p.img, run[p.page-r.start].img)
+	})
+	t.storeLocked(next)
+	t.checkpointed.Add(int64(replaced))
+	return nil
+}
+
+// awaitLocked waits until no captured write has a page among [start,
+// start+n) in flight.
+//
+// eos:requires t.mu
+func (t *Pending) awaitLocked(start disk.PageNum, n int) {
+	for t.flying.overlaps(start, n) {
+		t.done.Wait()
+	}
+}
+
 // writeRange writes the pending pages among [start, start+n), one request per
-// run of contiguous ones, and drops them.  A nil set has none.
+// run of contiguous ones, and drops them.  A nil set has none.  After a
+// failed write the set still holds them all.
 func (t *Pending) writeRange(start disk.PageNum, n int) error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, err := t.writeRunsLocked(span(t.load(), start, n))
-	return err
+	t.awaitLocked(start, n)
+	pages := t.load().between(start, n)
+	for i := 0; i < len(pages); {
+		j := runEnd(pages, i)
+		if err := t.writeRun(pages[i:j]); err != nil {
+			return err
+		}
+		i = j
+	}
+	t.cutLocked(start, n)
+	return nil
 }
 
 // writeOver writes raw, whole-page images of the pages from start on, and
 // drops the images of the pages it covers: raw holds their newest bytes.
-// Pending pages right before and after it go in the same request.
+// Pending pages right before and after it go in the same request, unless a
+// captured write has them in flight.
 func (t *Pending) writeOver(start disk.PageNum, raw []byte) error {
 	ps := t.vol.PageSize()
 	n := len(raw) / ps
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pages := t.load()
-	lo, hi := span(pages, start, n)
+	t.awaitLocked(start, n)
+	set, flying := t.load(), t.flying
+	adjacent := func(p disk.PageNum) bool {
+		_, ok := set.get(p)
+		return ok && !flying.overlaps(p, 1)
+	}
 	first, end := start, start+disk.PageNum(n)
-	l, h := lo, hi
-	for l > 0 && pages[l-1].page == first-1 {
-		l, first = l-1, first-1
+	for first > 0 && adjacent(first-1) {
+		first--
 	}
-	for h < len(pages) && pages[h].page == end {
-		h, end = h+1, end+1
+	for adjacent(end) {
+		end++
 	}
-	if l == lo && h == hi {
+	if first == start && end == start+disk.PageNum(n) {
 		if err := t.vol.WritePages(start, n, raw); err != nil {
 			return err
 		}
 	} else {
 		imgs := make([][]byte, 0, int(end-first))
-		for _, p := range pages[l:lo] {
+		for _, p := range set.between(first, int(start-first)) {
 			imgs = append(imgs, p.img)
 		}
 		for i := 0; i < n; i++ {
 			imgs = append(imgs, raw[i*ps:(i+1)*ps])
 		}
-		for _, p := range pages[hi:h] {
+		for _, p := range set.between(start+disk.PageNum(n), int(end-start)-n) {
 			imgs = append(imgs, p.img)
 		}
 		if err := t.vol.WriteRun(first, imgs); err != nil {
 			return err
 		}
 	}
-	t.cutLocked(l, h)
+	t.cutLocked(first, int(end-first))
 	return nil
 }
 
@@ -211,46 +518,24 @@ func (t *Pending) drop(start disk.PageNum, n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cutLocked(span(t.load(), start, n))
+	t.awaitLocked(start, n)
+	t.cutLocked(start, n)
 }
 
-// install puts pages into the set over the images it holds of them,
-// then writes runs back until the set is within its budget.  An open tail's
-// pages become tail pages; a replace leaves a page it finds pending of the
-// kind it was.  A failed write-back leaves its run pending: the budget is on
-// memory, and the next flush meets the error again.
+// install puts pages into the set over the images it holds of them, then
+// writes runs back until the set is within its limit.  A failed write-back
+// leaves its run pending: the limit is on memory, and the next flush meets
+// the error again.
 func (t *Pending) install(add []pendingPage) {
 	sort.Slice(add, func(i, j int) bool { return add[i].page < add[j].page })
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.load()
-	out := make([]pendingPage, 0, len(old)+len(add))
-	i := 0
-	for _, a := range add {
-		for i < len(old) && old[i].page < a.page {
-			out = append(out, old[i])
-			i++
-		}
-		found := i < len(old) && old[i].page == a.page
-		if !a.tail {
-			t.replaced.Add(1)
-			if found {
-				a.tail = old[i].tail
-				t.absorbed.Add(1)
-			}
-		}
-		if found {
-			i++
-		}
-		out = append(out, a)
-	}
-	t.storeLocked(append(out, old[i:]...))
-	for {
-		pages := t.load()
-		if len(pages) == 0 || len(pages)+t.pool.Frames() <= t.budget {
-			return
-		}
-		if t.evictLocked(pages) != nil {
+	next, absorbed := t.load().with(add)
+	t.storeLocked(next)
+	t.replaced.Add(int64(replacedIn(add)))
+	t.absorbed.Add(int64(absorbed))
+	for t.load().len() > t.limit {
+		if t.evictLocked() != nil {
 			return
 		}
 	}
@@ -258,55 +543,33 @@ func (t *Pending) install(add []pendingPage) {
 
 // evictLocked writes the largest run of contiguous pending pages of one
 // kind, the lowest on a tie — a committed replace's pages before an open
-// tail's — and drops it.
+// tail's — and drops it.  A run a captured write has in flight is waited
+// for, and the choice made again.
 //
 // eos:requires t.mu
-func (t *Pending) evictLocked(pages []pendingPage) error {
-	lo, hi := 0, 0
-	for _, tail := range []bool{false, true} {
-		for i := 0; i < len(pages); {
-			j := runEnd(pages, i, true)
-			if pages[i].tail == tail && j-i > hi-lo {
-				lo, hi = i, j
-			}
-			i = j
-		}
-		if hi > lo {
-			break
-		}
+func (t *Pending) evictLocked() error {
+	set := t.load()
+	r := set.largestRun(false)
+	if r.end == r.start {
+		r = set.largestRun(true)
 	}
-	if err := t.writeRunLocked(pages[lo:hi]); err != nil {
+	n := int(r.end - r.start)
+	if t.flying.overlaps(r.start, n) {
+		t.done.Wait()
+		return nil
+	}
+	run := set.between(r.start, n)
+	if err := t.writeRun(run); err != nil {
 		return err
 	}
 	t.evictions.Add(1)
-	t.evicted.Add(int64(replacedIn(pages[lo:hi])))
-	t.cutLocked(lo, hi)
+	t.evicted.Add(int64(replacedIn(run)))
+	t.cutLocked(r.start, n)
 	return nil
 }
 
-// writeRunsLocked writes the pages at indices [lo, hi) of the set, one
-// request per run of contiguous ones in address order, and drops them; it
-// returns how many of them a committed replace left.  After a failed write
-// the set still holds them all: writing a page again is harmless.
-//
-// eos:requires t.mu
-func (t *Pending) writeRunsLocked(lo, hi int) (replaced int, err error) {
-	pages := t.load()
-	for i := lo; i < hi; {
-		j := runEnd(pages[:hi], i, false)
-		if err := t.writeRunLocked(pages[i:j]); err != nil {
-			return 0, err
-		}
-		i = j
-	}
-	t.cutLocked(lo, hi)
-	return replacedIn(pages[lo:hi]), nil
-}
-
-// writeRunLocked writes a run of contiguous pending pages in one request.
-//
-// eos:requires t.mu
-func (t *Pending) writeRunLocked(run []pendingPage) error {
+// writeRun writes a run of contiguous pending pages in one request.
+func (t *Pending) writeRun(run []pendingPage) error {
 	imgs := make([][]byte, len(run))
 	for i, p := range run {
 		imgs[i] = p.img
@@ -314,27 +577,24 @@ func (t *Pending) writeRunLocked(run []pendingPage) error {
 	return t.vol.WriteRun(run[0].page, imgs)
 }
 
-// cutLocked drops the pages at indices [lo, hi) of the set.
+// cutLocked drops the pending pages among [start, start+n).
 //
 // eos:requires t.mu
-func (t *Pending) cutLocked(lo, hi int) {
-	if lo == hi {
-		return
-	}
-	pages := t.load()
-	t.storeLocked(append(append(make([]pendingPage, 0, len(pages)-(hi-lo)), pages[:lo]...), pages[hi:]...))
+func (t *Pending) cutLocked(start disk.PageNum, n int) {
+	next, _ := t.load().without(start, n, func(pendingPage) bool { return true })
+	t.storeLocked(next)
 }
 
-// storeLocked makes pages the set.  An emptied set holds no memory.
+// storeLocked makes s the set.  An emptied set holds no memory.
 //
 // eos:requires t.mu
-func (t *Pending) storeLocked(pages []pendingPage) {
-	if len(pages) == 0 {
+func (t *Pending) storeLocked(s *pendingSet) {
+	if s.len() == 0 {
 		t.set.Store(nil)
 		return
 	}
-	t.set.Store(&pages)
-	if n := int64(len(pages)); n > t.high.Load() {
+	t.set.Store(s)
+	if n := int64(s.n); n > t.high.Load() {
 		t.high.Store(n)
 	}
 }

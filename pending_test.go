@@ -417,3 +417,73 @@ func TestCheckpointWritesTailOfLatchedObject(t *testing.T) {
 	}
 	expectRecovered(t, re, map[string][]byte{"x": model})
 }
+
+// TestPendingLimitIsTheLogs: the write-behind set holds at most as many
+// pages as the log volume holds data pages, whatever the pool's size.  Two
+// commits leave 25 replaced pages each pending: beside a pool of 8 frames
+// and a log of 1024 pages none is written before the checkpoint; with a log
+// of 40 pages the second commit writes a run back.
+func TestPendingLimitIsTheLogs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		logPages disk.PageNum
+		frames   int
+		evicted  bool
+	}{
+		{"a small pool", 1024, 8, false},
+		{"a small log", 40, 256, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vol, logVol := newTestDevice(t, 512, 4096), newTestDevice(t, 512, tc.logPages)
+			s, err := Format(vol, logVol, Options{PoolFrames: tc.frames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := s.Create("x", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := pat(1, 100*512)
+			if err := o.AppendWithHint(model, int64(len(model))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for _, first := range []int{0, 50} {
+				ckptCommit(t, s, func(tx *Txn) error {
+					for p := first; p < first+25; p++ {
+						if err := tx.Replace("x", int64(p*512+7), []byte{byte(p)}); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				for p := first; p < first+25; p++ {
+					model[p*512+7] = byte(p)
+				}
+				if n := s.Stats().LOB.PendingPages; n > int64(tc.logPages) {
+					t.Fatalf("%d pages pending after a commit, over the log's %d", n, tc.logPages)
+				}
+			}
+			if st := s.Stats().LOB; (st.PendingEvictions > 0) != tc.evicted {
+				t.Fatalf("%d runs written back, want some: %v", st.PendingEvictions, tc.evicted)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("x is not the committed bytes")
+			}
+			if err := vol.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if err := logVol.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(vol, logVol, Options{PoolFrames: tc.frames}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("x after a crash is not the committed bytes")
+			}
+		})
+	}
+}

@@ -26,10 +26,13 @@ import (
 //     the durability quarantine keeps the older roots' pages intact until
 //     then; an abort reinstated the roots from before its transaction,
 //     whose bytes it left as they were.
-//   - Only the checkpoint writes the catalog.  It writes the write-behind
-//     set's pages and forces the whole data volume first, so the durable
-//     image never names a page the device does not hold, then forces the
-//     image, then the master copy naming it.
+//   - Only the checkpoint writes the catalog.  It captures the committed
+//     descriptors, the live transactions, the log's tail and the
+//     write-behind set in one critical section under Store.mu; writes the
+//     captured set's pages and forces the whole data volume without it, so
+//     the durable image never names a page the device does not hold; then,
+//     under Store.mu again, forces the image, then the master copy naming
+//     it, and truncates the log to the capture's start.
 //   - No uncommitted byte is ever written over bytes a committed root
 //     names.  Replace, the one in-place update, keeps its page images in
 //     its transaction's held set until the commit record is forced, and
@@ -44,8 +47,10 @@ import (
 //     critical section that hands its new roots to the catalog, and the
 //     log is truncated only behind the image and every live transaction's
 //     first record — after the master copy naming that start is durable.
-//     So the scan from the master's start sees every record of every
-//     transaction the image does not account for.
+//     A checkpoint's start is where the log ended when it captured the
+//     image, not the image's own LSN: the commits made while it wrote lie
+//     between the two.  So the scan from the master's start sees every
+//     record of every transaction the image does not account for.
 //   - A structural update (insert, append, delete) writes its new segments
 //     through to pages no root names before it logs anything, and its
 //     record names them by reference: the leaf entries that replaced a byte
@@ -182,6 +187,28 @@ func (s *Store) recover(m master) error {
 		}
 	}
 
+	if err := s.closeRedo(rm, ra, before, named, touched); err != nil {
+		return err
+	}
+	// The recovered log keeps no room yet, so this checkpoint may take all
+	// there is: it is the recovery the room is kept for.  From here on the
+	// log keeps room for the catalog's.
+	if err := s.Checkpoint(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.byID {
+		s.measure(e, len(e.loadStableDesc()))
+	}
+	s.log.Reserve(s.catBytes)
+	return nil
+}
+
+// closeRedo is step 5: it trims the tails redo's appends left open, frees
+// what the redone updates freed, and gives the objects back to the store's
+// manager.
+func (s *Store) closeRedo(rm *lob.Manager, ra *redoAlloc, before map[*catEntry][]lob.PageRun, named []lob.PageRun, touched map[uint64]bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.catalog {
@@ -200,16 +227,6 @@ func (s *Store) recover(m master) error {
 	for _, e := range s.byID {
 		e.obj.Rebind(s.lm)
 	}
-	// The recovered log keeps no room yet, so this checkpoint may take all
-	// there is: it is the recovery the room is kept for.  From here on the
-	// log keeps room for the catalog's.
-	if err := s.checkpointLocked(); err != nil {
-		return err
-	}
-	for _, e := range s.byID {
-		s.measure(e, len(e.loadStableDesc()))
-	}
-	s.log.Reserve(s.catBytes)
 	return nil
 }
 

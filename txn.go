@@ -203,7 +203,9 @@ func (s *Store) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
+	stalled := s.stallStart()
 	s.mu.Lock()
+	s.stallEnd(stalled)
 	t.id, t.firstLSN = s.nextTxn, s.log.Tail()+1
 	s.nextTxn++
 	s.liveTxns[t.id] = t
@@ -528,8 +530,9 @@ func (t *Txn) Size(name string) (int64, error) {
 // call leads itself.  Behind that force the held replaced pages enter the
 // write-behind set, and the deferred frees are applied.  Nothing
 // reaches the data volume: the replaced pages and index pages stay in
-// memory until the set's budget, the pool's eviction or a checkpoint writes
-// them, and the new descriptors reach the catalog at the next checkpoint.
+// memory until a checkpoint writes them in address order (or the set's
+// limit, or the pool's eviction, does first), and the new descriptors reach
+// the catalog at the next checkpoint.
 // Until then a crash recovers the transaction by redoing its log records
 // from the older roots, which the durability quarantine keeps intact.
 func (t *Txn) Commit() error {
@@ -550,7 +553,9 @@ func (t *Txn) commitLog() error {
 	// The roots this commit hands the catalog go into the next checkpoint's
 	// image: the log must keep room for them before it takes the commit
 	// record.  A commit the full log refuses leaves the transaction to abort.
+	stalled := t.s.stallStart()
 	t.s.mu.Lock()
+	t.s.stallEnd(stalled)
 	for _, to := range t.touched {
 		e := to.entry
 		t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
@@ -575,15 +580,20 @@ func (t *Txn) commitLog() error {
 			return err
 		}
 		// The transaction is committed: its replaced pages enter the
-		// write-behind set, which writes them home at its leisure.  A crash
-		// before the write redoes them from their records.  The object locks
-		// keep every other writer off the pages.
+		// write-behind set, which keeps them until a checkpoint writes them
+		// (or the set's limit does).  A crash before the write redoes them
+		// from their records.  The object locks keep every other writer off
+		// the pages.  They go in before the roots are handed over below: a
+		// checkpoint that captures these roots captures the set after them,
+		// with the pages in it.
 		if err := t.lm.PendHeld(); err != nil {
 			return err
 		}
 	}
 	t.done = true
+	stalled = t.s.stallStart()
 	t.s.mu.Lock()
+	t.s.stallEnd(stalled)
 	for _, to := range t.touched {
 		e := to.entry
 		// Refresh the fallback descriptor NOW: a catalog barrier that runs
@@ -602,10 +612,10 @@ func (t *Txn) commitLog() error {
 		t.s.measure(e, len(e.loadStableDesc()))
 	}
 	// Leave liveTxns in the SAME critical section that refreshes
-	// stableDesc.  A checkpoint that finds no live transaction persists
-	// stableDesc and truncates the log, so a window between the two would
-	// let it drop this commit's records while persisting the roots from
-	// before it.
+	// stableDesc.  A checkpoint captures the descriptors and the live
+	// transactions in one critical section and truncates the log behind
+	// them, so a window between the two would let it drop this commit's
+	// records while persisting the roots from before it.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
 	t.unbindTouched()
