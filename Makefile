@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint eoslint lint-ssa lint-fixtures bench perf-counts
+.PHONY: build test race lint eoslint lint-fixtures bench perf-counts
 
 build:
 	$(GO) build ./...
@@ -11,21 +11,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full static analysis: eoslint (per-package and -ssa whole-program
-# suites), a go vet self-check over the linter's own packages, plus
-# golangci-lint and govulncheck when installed (scripts/lint.sh skips
-# missing external tools).
+# Full static analysis: eoslint (every analyzer, per-package and
+# whole-program, in one run), a go vet self-check over the linter's own
+# packages, plus golangci-lint and govulncheck when installed
+# (scripts/lint.sh skips missing external tools).
 lint:
 	scripts/lint.sh
 
 # Just the repo's own invariant analyzers.
 eoslint:
 	scripts/lint.sh eoslint
-
-# Just the whole-program passes (pairs, lockorder, walfirst,
-# forcedom, racecheck).
-lint-ssa:
-	scripts/lint.sh --ssa
 
 # Smoke-check that every bad fixture still trips its analyzer.
 lint-fixtures:

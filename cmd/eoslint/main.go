@@ -1,14 +1,13 @@
 // Command eoslint runs the storage engine's custom static analyzers
 // (atomicfield, errwrap, useafterunpin, guardedby, the whole-program
-// passes pairs, lockorder, walfirst, forcedom and racecheck, and the
-// unusedignore audit) over Go packages.
+// passes pairs, lockorder, forcedom and racecheck, and the unusedignore
+// audit) over Go packages.
 //
 // Usage:
 //
 //	go run ./cmd/eoslint ./...         # analyze packages (drives go vet)
 //	go run ./cmd/eoslint -json ./...   # machine-readable diagnostics
 //	go run ./cmd/eoslint -sarif ./...  # SARIF 2.1.0 on stdout
-//	go run ./cmd/eoslint -ssa ./...    # interprocedural passes only
 //	eoslint help [analyzer]            # describe analyzers and flags
 //
 // The binary speaks the `go vet -vettool` unitchecker protocol
@@ -29,12 +28,6 @@
 // log on stdout (rule metadata taken from the analyzers' docs) for
 // GitHub code-scanning upload; the exit code is 1 when any result is
 // present, as with -json.
-//
-// With -ssa, only the SSA-based whole-program passes (pairs, lockorder,
-// walfirst, forcedom, racecheck) report: the flag forwards
-// the corresponding analyzer-selection flags to go vet.  Useful for
-// iterating on the interprocedural suite without the noise (or cost)
-// of re-verifying the per-function invariants.
 package main
 
 import (
@@ -58,7 +51,6 @@ func main() {
 
 	jsonMode := false
 	sarifMode := false
-	ssaOnly := false
 	patterns := make([]string, 0, len(os.Args)-1)
 	for _, a := range os.Args[1:] {
 		switch a {
@@ -66,8 +58,6 @@ func main() {
 			jsonMode = true
 		case "-sarif", "--sarif":
 			sarifMode = true
-		case "-ssa", "--ssa":
-			ssaOnly = true
 		default:
 			patterns = append(patterns, a)
 		}
@@ -83,11 +73,6 @@ func main() {
 	args := []string{"vet", "-vettool=" + exe}
 	if jsonMode || sarifMode {
 		args = append(args, "-json")
-	}
-	if ssaOnly {
-		// Analyzer-selection flags: with any set, only the named
-		// analyzers report (their prerequisites still run for facts).
-		args = append(args, "-pairs", "-lockorder", "-walfirst", "-forcedom", "-racecheck")
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

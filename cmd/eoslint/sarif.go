@@ -28,8 +28,8 @@ type diag struct {
 }
 
 // related is a secondary position attached to a diagnostic — for
-// forcedom, the failed dominating-force candidate; for racecheck, the
-// lockset-disjoint conflicting access.
+// forcedom, the discharge that exists but fails to dominate the event;
+// for racecheck, the lockset-disjoint conflicting access.
 type related struct {
 	File    string
 	Line    int

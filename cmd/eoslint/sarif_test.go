@@ -142,13 +142,13 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("rule %s shortDescription = %q", r.ID, r.ShortDesc.Text)
 		}
 	}
-	for _, want := range []string{"pairs", "lockorder", "walfirst", "forcedom", "racecheck", "unusedignore"} {
+	for _, want := range []string{"pairs", "lockorder", "forcedom", "racecheck", "unusedignore"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule inventory missing %q (have %v)", want, ruleIDs)
 		}
 	}
-	if len(run.Tool.Driver.Rules) != 10 {
-		t.Errorf("rule inventory has %d rules, want 10", len(run.Tool.Driver.Rules))
+	if len(run.Tool.Driver.Rules) != 9 {
+		t.Errorf("rule inventory has %d rules, want 9", len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(run.Results))

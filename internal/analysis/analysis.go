@@ -3,11 +3,14 @@
 // concurrency and recovery invariants (guarded-field locking, pin
 // lifetimes, atomics discipline, and error wrapping), the
 // whole-program passes built on the internal ssa facility (pairs,
-// lockorder, walfirst, forcedom, racecheck — acquire/release pairing
-// through helpers and wrappers, the latch lattice across call chains,
-// §4.5 write-ahead dominance across helpers, §8.1 force-ordering
-// dominance, and the Eraser lockset rule), plus the audit that keeps
-// the //eoslint:ignore exception inventory honest.
+// lockorder, forcedom, racecheck — acquire/release pairing through
+// helpers and wrappers, the latch lattice across call chains, §4.5
+// write-ahead and §8.1 force-ordering dominance across helpers, and the
+// Eraser lockset rule), plus the audit that keeps the //eoslint:ignore
+// exception inventory honest.  The
+// whole-program passes share one summary solver and callee lookup
+// (ssa.Program.Solve, ssa.Summary).  EXPERIMENTS.md §P43 records a
+// seeded bug that each analyzer alone catches.
 //
 // The suite runs under `go vet` via cmd/eoslint and in CI via
 // scripts/lint.sh; see the "Static analysis" section of README.md and
@@ -26,7 +29,6 @@ import (
 	"github.com/eosdb/eos/internal/analysis/racecheck"
 	"github.com/eosdb/eos/internal/analysis/unusedignore"
 	"github.com/eosdb/eos/internal/analysis/useafterunpin"
-	"github.com/eosdb/eos/internal/analysis/walfirst"
 )
 
 // Analyzers returns the eoslint suite.  unusedignore must come after
@@ -37,7 +39,6 @@ func Analyzers() []*goanalysis.Analyzer {
 		pairs.Analyzer,
 		lockorder.Analyzer,
 		atomicfield.Analyzer,
-		walfirst.Analyzer,
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,

@@ -11,8 +11,8 @@ import (
 // documented, runnable, and one registry entry per analyzer package.
 func TestRegistry(t *testing.T) {
 	as := eosanalysis.Analyzers()
-	if len(as) != 10 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 10", len(as))
+	if len(as) != 9 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 9", len(as))
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {
@@ -28,7 +28,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"pairs", "lockorder", "atomicfield", "walfirst", "errwrap",
+		"pairs", "lockorder", "atomicfield", "errwrap",
 		"useafterunpin", "guardedby", "forcedom", "racecheck",
 		"unusedignore",
 	} {

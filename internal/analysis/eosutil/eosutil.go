@@ -1,6 +1,7 @@
 // Package eosutil provides the small shared vocabulary of the eoslint
 // analyzers: type-aware matching of method and function calls against
-// the storage engine's API surface.
+// the storage engine's API surface, and the type and position queries
+// several analyzers ask.
 //
 // Matching is by package *name* and type name rather than full import
 // path, so the analyzers work unchanged against both the real engine
@@ -10,8 +11,11 @@ package eosutil
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 
+	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/types/typeutil"
 )
 
@@ -41,6 +45,25 @@ func ReceiverType(fn *types.Func) *types.TypeName {
 		return nil
 	}
 	return named.Obj()
+}
+
+// OwnerTypeName returns the name of the named type t denotes
+// (unwrapping one pointer), or "".
+func OwnerTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// InTestFile reports whether pos lies in a _test.go file.  go vet
+// analyzes a package's test variant too, and the invariants bind the
+// engine, not its tests.
+func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
+	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
 // IsMethod reports whether fn is the method pkgName.typeName.method

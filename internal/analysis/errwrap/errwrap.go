@@ -43,7 +43,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	nodeFilter := []ast.Node{(*ast.CallExpr)(nil), (*ast.BinaryExpr)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if inTestFile(pass, n.Pos()) {
+		if eosutil.InTestFile(pass, n.Pos()) {
 			return
 		}
 		switch n := n.(type) {
@@ -54,10 +54,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	})
 	return nil, nil
-}
-
-func inTestFile(pass *analysis.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
 // checkErrorf reports fmt.Errorf calls that format an error operand

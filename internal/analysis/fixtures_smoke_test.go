@@ -24,11 +24,10 @@ var badFixtures = map[string][]string{
 	},
 	"lockorder":     {"lockorder_bad", "deadlock_bad"},
 	"atomicfield":   {"atomicfield_bad"},
-	"walfirst":      {"walfirst_bad", "walfirstip_bad"},
 	"errwrap":       {"errwrap_bad"},
 	"useafterunpin": {"useafterunpin_bad"},
 	"guardedby":     {"guardedby_bad"},
-	"forcedom":      {"forcedom_bad"},
+	"forcedom":      {"forcedom_bad", "walfirst_bad", "walfirstip_bad"},
 	"racecheck":     {"racecheck_bad"},
 	"unusedignore":  {"unusedignore_bad"},
 }

@@ -1,12 +1,13 @@
 // Package forcedom defines the whole-program crash-consistency check:
-// the DESIGN.md §8.1 force-ordering contracts verified as dominance
-// properties over the ssa IR, lifted across function boundaries the
-// same way walfirst lifts the §4.5 write-ahead rule.
+// the paper's §4.5 write-ahead rule and the DESIGN.md §8.1
+// force-ordering contracts, each verified as a dominance property over
+// the ssa IR and lifted across function boundaries by per-function
+// summaries.
 //
-// PR 8's crash-point sweep found these orderings dynamically, by
-// enumerating crash states; this analyzer proves them statically, so a
-// reordering regression fails the build instead of (maybe) a nightly
-// sweep.  Five contracts are checked:
+// The crash-point sweep (internal/crashtest) finds these orderings
+// dynamically, by enumerating crash states; this analyzer proves them
+// statically, so a reordering regression fails the build instead of
+// (maybe) a sweep.  Six contracts are checked:
 //
 //  1. Force-ahead: every in-place overwrite of previously-forced state
 //     (lob Object.Replace, or Manager.PendHeld, a committed transaction's
@@ -39,32 +40,49 @@
 //     committer's force may make it durable.  The force is the engine's
 //     Txn.forceData, which forces when the transaction wrote through; as
 //     everywhere, a call that may force discharges the rule.
+//  6. Write-ahead (§4.5): every object mutation — a lob apply step: a
+//     structural update's Object.Apply, Object.Destroy, the in-place
+//     Object.Replace, and a transactional replace's ReplacePlan.Hold — is
+//     dominated by a WAL append of its record.  What runs before the
+//     record is a prepare step (PrepareAppend, PrepareInsert,
+//     PrepareDelete, PrepareReplace), which writes only pages no root
+//     names (§4.5: "the other three operations shadow"), and is no
+//     mutation.  The Object methods that run a whole update (Append,
+//     Insert, ...) reach Apply inside lob, and the facts carry that
+//     exposure to their callers.  Txn.Abort applies nothing: it reinstates
+//     the roots from before the transaction (Object.Reinstate, no event).
 //
-// Rules 1–3 and 5 are backward (dominance) properties: a forward all-paths
+// Rules 1–3, 5 and 6 are dominance properties: a forward all-paths
 // dataflow tracks "discharged on every path reaching here" per rule,
-// exactly like walfirst's logged-state analysis.  Rule 4 is a
-// forward may-property: pending renames accumulate (union at joins)
-// and must be cleared by a directory sync before any success exit;
-// error exits (the rename itself failed) are exempt.
+// greatest fixed point.  Rule 4 is a forward may-property: pending
+// renames accumulate (union at joins) and must be cleared by a directory
+// sync before any success exit; error exits (the rename itself failed)
+// are exempt.
 //
-// Interprocedural propagation follows the walfirst pattern:
-// per-function ForceFact summaries — may-discharge bits and per-rule
-// exposure bits with witness chains — computed bottom-up in SCC order
-// and exported as object facts.  Discharge through a callee is a MAY
-// property (the callee forces on some path): the engine's force
-// helpers (the checkpoint's writeCaptured) return early on I/O
+// Interprocedural propagation: per-function ForceFact summaries —
+// may-discharge bits, a must-append bit, and per-rule exposure bits with
+// witness chains — are computed bottom-up in SCC order (ssa's Solve) and
+// exported as object facts.  Discharge of rules 1–3 and 5 through a
+// callee is a MAY property (the callee forces on some path): the engine's
+// force helpers (the checkpoint's writeCaptured) return early on I/O
 // errors, and on those paths the caller's subsequent writes never
 // execute either, so treating the call as discharging is sound for
-// the orderings checked here and avoids error-path false positives.
-// Within a single function the check is exact dominance.
+// those orderings and avoids error-path false positives.  Rule 6 asks
+// more: a callee discharges it only if it appends on every path to
+// return (AppendsAll), since a helper that logs on one path leaves the
+// caller's mutation unlogged on the other.  Interface calls use the CHA
+// resolution: a call is exposed or may discharge if any candidate is or
+// does, and appends on every path only if every candidate does.  Within
+// a single function the check is exact dominance.
 //
-// Rule 1 and 5 roots are the exported methods of the transaction type
-// (-recv, default "Txn"), where the force-ahead obligation starts;
-// rules 2–4 root at every exported function.  Unexported helpers are
-// summarized, not reported.  Where a report fires, the dominator tree
-// supplies evidence: if a discharging instruction exists but fails to
-// dominate the event, the diagnostic carries a related position
-// naming it (surfaced as SARIF relatedLocations).
+// Rules 1, 5 and 6 root at the exported methods of the transaction type
+// (-recv, default "Txn"), where the obligations start; rules 2–4 root at
+// every exported function.  Unexported helpers are summarized, not
+// reported, so a helper whose every caller discharges first stays
+// silent.  Where a report fires, the dominator tree supplies evidence: if
+// a discharging instruction exists but fails to dominate the event, the
+// diagnostic names its line and carries it as a related position
+// (surfaced as SARIF relatedLocations).
 package forcedom
 
 import (
@@ -79,16 +97,16 @@ import (
 	"github.com/eosdb/eos/internal/analysis/ssa"
 )
 
-const doc = `check §8.1 force-ordering contracts by dominance (whole-program)
+const doc = `check §4.5 write-ahead and §8.1 force-ordering contracts by dominance (whole-program)
 
 Crash consistency is an ordering property: the WAL record before the
-in-place write it protects, the data force and the image's log force
-before the checkpoint's master record, the quarantine stamp before
-freed-extent reuse, the directory sync after the rename.
-Each is verified on the dominator tree with interprocedural
-may-force/exposure summaries propagated via analysis facts, so the
-orderings PR 8's crash sweep found dynamically are machine-checked on
-every build.`
+mutation it describes, its force before the in-place write it protects,
+the data force and the image's log force before the checkpoint's master
+record, the quarantine stamp before freed-extent reuse, the directory
+sync after the rename.  Each is verified on the dominator tree with
+interprocedural discharge/exposure summaries propagated via analysis
+facts, so a helper that logs or forces counts as the discharge and a
+helper that mutates counts as the event.`
 
 // Analyzer is the forcedom analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -103,17 +121,30 @@ var recvFlag string
 
 func init() {
 	Analyzer.Flags.StringVar(&recvFlag, "recv", "Txn",
-		"comma-separated receiver type names whose methods must force before overwriting")
+		"comma-separated receiver type names whose methods must log before mutating and force before overwriting")
 }
 
-// Discharge indices: the three event classes that satisfy an ordering
+// Discharge indices: the event classes that satisfy an ordering
 // obligation.
 const (
-	dWALForce = iota // (*wal.Log).Force / ForceLSN
+	dAppend   = iota // (*wal.Log).Append
+	dWALForce        // (*wal.Log).Force / ForceLSN
 	dDevForce        // device Force / ForceAll / ForceAllExcept
 	dStamp           // Load/Store on a barrierDurable field
 	nDischarge
 )
+
+// discharges names each discharge class: the instruction kind that
+// performs it, and what a report calls it.
+var discharges = [nDischarge]struct {
+	kind ssa.Kind
+	noun string
+}{
+	dAppend:   {ssa.KWALAppend, "append"},
+	dWALForce: {ssa.KWALForce, "WAL force"},
+	dDevForce: {ssa.KDevForce, "device force"},
+	dStamp:    {ssa.KBarrierStamp, "barrierDurable stamp"},
+}
 
 // Dominance-rule indices.
 const (
@@ -122,41 +153,47 @@ const (
 	rMaster         // two-phase checkpoint: WAL force of the image before the master write
 	rFree           // quarantine: barrier stamp before Manager.Free
 	rCommit         // data before commit: device force before the commit record's append
+	rWAL            // write-ahead: WAL append before an object mutation
 	nDomRules
 )
 
-// domRules declares the dominance rules of contracts 1–3.  txnOnly restricts
-// roots to the -recv transaction methods; the others root at every
-// exported function.
+// domRules declares the dominance rules.  txnOnly restricts roots to the
+// -recv transaction methods; the others root at every exported function.
+// A report of an event in the root itself formats direct with the
+// event's label; one of a call that reaches an event formats call with
+// the event's label and the call chain.
 var domRules = [nDomRules]struct {
 	discharge int
 	txnOnly   bool
-	evDesc    string // direct-event description prefix ("" to use only the label)
-	callDesc  string // what the callee can reach, for call-site reports
-	dischDesc string // the missing dominator
-	contract  string // the §8.1 clause
+	direct    string
+	call      string
 }{
 	rReplace: {dWALForce, true,
-		"in-place overwrite", "overwrite previously-forced object state in place",
-		"a WAL force of the record that covers the write", "§8.1 force-ahead rule"},
+		"in-place overwrite %[1]s is not dominated by a WAL force of the record that covers the write (§8.1 force-ahead rule)",
+		"call can overwrite previously-forced object state in place before a WAL force of the record that covers the write (call chain %[2]s) (§8.1 force-ahead rule)"},
 	rMeta: {dDevForce, false,
-		"checkpoint metadata write", "write checkpoint metadata",
-		"a device force of the data pages it indexes", "§8.1 two-phase checkpoint"},
+		"checkpoint metadata write %[1]s is not dominated by a device force of the data pages it indexes (§8.1 two-phase checkpoint)",
+		"call can write checkpoint metadata before a device force of the data pages it indexes (call chain %[2]s) (§8.1 two-phase checkpoint)"},
 	rMaster: {dWALForce, false,
-		"master record write", "write the master record",
-		"a WAL force behind the image append", "§8.1 two-phase checkpoint"},
+		"master record write %[1]s is not dominated by a WAL force behind the image append (§8.1 two-phase checkpoint)",
+		"call can write the master record before a WAL force behind the image append (call chain %[2]s) (§8.1 two-phase checkpoint)"},
 	rFree: {dStamp, false,
-		"freed-extent release", "return freed extents to the allocator",
-		"a barrierDurable quarantine stamp", "§8.1 durability quarantine"},
+		"freed-extent release %[1]s is not dominated by a barrierDurable quarantine stamp (§8.1 durability quarantine)",
+		"call can return freed extents to the allocator before a barrierDurable quarantine stamp (call chain %[2]s) (§8.1 durability quarantine)"},
 	rCommit: {dDevForce, true,
-		"commit record append", "append a commit record",
-		"a device force of the pages its records name by reference", "§8.1 data-before-commit rule"},
+		"commit record append %[1]s is not dominated by a device force of the pages its records name by reference (§8.1 data-before-commit rule)",
+		"call can append a commit record before a device force of the pages its records name by reference (call chain %[2]s) (§8.1 data-before-commit rule)"},
+	rWAL: {dAppend, true,
+		"mutation %[1]s can execute before its WAL record is appended; log first (§4.5 write-ahead rule)",
+		"call can mutate %[1]s before this transaction's WAL record is appended (call chain %[2]s); log first (§4.5 write-ahead rule)"},
 }
 
-// ForceFact is the exported per-function force-ordering summary.
+// ForceFact is the exported per-function summary.
 type ForceFact struct {
 	// May: the function performs the indexed discharge on some path.
 	May [nDischarge]bool
+	// AppendsAll: every path to return appends a WAL record.
+	AppendsAll bool
 	// Exposed: some path reaches the indexed rule's event before this
 	// function has discharged it on that path.
 	Exposed [nDomRules]bool
@@ -174,12 +211,15 @@ func (*ForceFact) AFact() {}
 
 func (f *ForceFact) String() string {
 	var parts []string
-	for i, names := range [nDischarge]string{"walforce", "devforce", "stamp"} {
-		if f.May[i] {
-			parts = append(parts, "may-"+names)
+	for d, name := range [nDischarge]string{"append", "walforce", "devforce", "stamp"} {
+		if f.May[d] {
+			parts = append(parts, "may-"+name)
 		}
 	}
-	for i, names := range [nDomRules]string{"replace", "meta", "master", "free", "commit"} {
+	if f.AppendsAll {
+		parts = append(parts, "appends-all")
+	}
+	for i, names := range [nDomRules]string{"replace", "meta", "master", "free", "commit", "wal"} {
 		if f.Exposed[i] {
 			parts = append(parts, "exposed-"+names)
 		}
@@ -191,21 +231,19 @@ func (f *ForceFact) String() string {
 }
 
 func (f *ForceFact) empty() bool {
-	for _, b := range f.May {
-		if b {
-			return false
-		}
-	}
-	for _, b := range f.Exposed {
-		if b {
-			return false
-		}
-	}
-	return !f.RenameOpen
+	return f.May == [nDischarge]bool{} && !f.AppendsAll &&
+		f.Exposed == [nDomRules]bool{} && !f.RenameOpen
 }
 
-// maxChain bounds recorded witness chains.
-const maxChain = 8
+// dischargesRule reports whether a call whose merged callee summary is f
+// discharges rule r: through an append on every path for the
+// write-ahead rule, through a discharge on some path for the others.
+func (f *ForceFact) dischargesRule(r int) bool {
+	if r == rWAL {
+		return f.AppendsAll
+	}
+	return f.May[domRules[r].discharge]
+}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	pr := pass.ResultOf[ssa.Analyzer].(*ssa.Program)
@@ -213,7 +251,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	c := &checker{pass: pass, pr: pr, ig: ig, summaries: make(map[*ssa.Func]*ForceFact)}
 	c.quarantined = c.packageStamps()
-	c.summarize()
+	// Every bit but AppendsAll only turns on; AppendsAll starts
+	// optimistic and only turns off.
+	pr.Solve(func(f *ssa.Func) { c.summaries[f] = &ForceFact{AppendsAll: true} }, c.updateSummary)
 	for f, sum := range c.summaries {
 		if !sum.empty() {
 			pass.ExportObjectFact(f.Obj, sum)
@@ -227,10 +267,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	for _, f := range pr.Funcs {
-		if !f.Obj.Exported() || c.inTestFile(f) {
+		if !f.Obj.Exported() || eosutil.InTestFile(pass, f.Decl.Pos()) {
 			continue
 		}
-		c.checkRoot(f, recvs[recvTypeName(f.Decl)])
+		tn := eosutil.ReceiverType(f.Obj)
+		c.checkRoot(f, tn != nil && recvs[tn.Name()])
 	}
 	return nil, nil
 }
@@ -260,40 +301,21 @@ func (c *checker) packageStamps() bool {
 	return false
 }
 
-func (c *checker) inTestFile(f *ssa.Func) bool {
-	return strings.HasSuffix(c.pass.Fset.Position(f.Decl.Pos()).Filename, "_test.go")
-}
-
-// summarize computes per-function summaries bottom-up, iterating each
-// SCC to a fixed point.  Every bit is monotone (May and Exposed only
-// turn on), so the iteration converges.
-func (c *checker) summarize() {
-	for _, scc := range c.pr.SCCs {
-		for _, f := range scc {
-			c.summaries[f] = &ForceFact{}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, f := range scc {
-				if c.updateSummary(f) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 func (c *checker) updateSummary(f *ssa.Func) bool {
 	sum := c.summaries[f]
 	fresh := c.analyze(f, nil)
 	changed := false
-	for i := 0; i < nDischarge; i++ {
-		if fresh.May[i] && !sum.May[i] {
-			sum.May[i] = true
+	for d := range discharges {
+		if fresh.May[d] && !sum.May[d] {
+			sum.May[d] = true
 			changed = true
 		}
 	}
-	for r := 0; r < nDomRules; r++ {
+	if !fresh.AppendsAll && sum.AppendsAll {
+		sum.AppendsAll = false
+		changed = true
+	}
+	for r := range domRules {
 		if fresh.Exposed[r] && !sum.Exposed[r] {
 			sum.Exposed[r] = true
 			sum.Witness[r] = fresh.Witness[r]
@@ -308,49 +330,34 @@ func (c *checker) updateSummary(f *ssa.Func) bool {
 	return changed
 }
 
-// calleeSummary merges the summaries of a call's CHA candidates:
-// exposed/may bits turn on if any candidate has them (may semantics
-// throughout; see the package comment for why may-discharge is sound
-// here).
+// calleeSummary merges the summaries of a call's CHA candidates: a bit
+// turns on if any candidate has it, except AppendsAll, which needs
+// every candidate (and at least one).
 func (c *checker) calleeSummary(in *ssa.Instr) *ForceFact {
-	var merged ForceFact
+	merged := ForceFact{AppendsAll: len(in.Callees) > 0}
 	for _, callee := range in.Callees {
-		var cf *ForceFact
-		if f, ok := c.pr.ByObj[callee]; ok {
-			cf = c.summaries[f]
-		} else {
-			var imported ForceFact
-			if c.pass.ImportObjectFact(callee, &imported) {
-				cf = &imported
-			}
-		}
+		cf := ssa.Summary(c.pr, c.summaries, callee)
 		if cf == nil {
+			merged.AppendsAll = false
 			continue
 		}
 		label := ssa.FuncLabel(c.pass.Pkg, callee)
-		for i := 0; i < nDischarge; i++ {
-			merged.May[i] = merged.May[i] || cf.May[i]
+		for d := range discharges {
+			merged.May[d] = merged.May[d] || cf.May[d]
 		}
-		for r := 0; r < nDomRules; r++ {
+		merged.AppendsAll = merged.AppendsAll && cf.AppendsAll
+		for r := range domRules {
 			if cf.Exposed[r] && !merged.Exposed[r] {
 				merged.Exposed[r] = true
-				merged.Witness[r] = chain(label, cf.Witness[r])
+				merged.Witness[r] = ssa.Chain(label, cf.Witness[r])
 			}
 		}
 		if cf.RenameOpen && !merged.RenameOpen {
 			merged.RenameOpen = true
-			merged.RenameWitness = chain(label, cf.RenameWitness)
+			merged.RenameWitness = ssa.Chain(label, cf.RenameWitness)
 		}
 	}
 	return &merged
-}
-
-func chain(head string, rest []string) []string {
-	out := append([]string{head}, rest...)
-	if len(out) > maxChain {
-		out = out[:maxChain]
-	}
-	return out
 }
 
 // finding is one violation found by the dataflow.
@@ -369,8 +376,9 @@ func (c *checker) eventRules(in *ssa.Instr) []int {
 	switch in.Kind {
 	case ssa.KMutate:
 		if in.MutName == "Object.Replace" {
-			return []int{rReplace}
+			return []int{rWAL, rReplace}
 		}
+		return []int{rWAL}
 	case ssa.KHomeWrite:
 		return []int{rReplace}
 	case ssa.KWALAppend:
@@ -390,24 +398,42 @@ func (c *checker) eventRules(in *ssa.Instr) []int {
 	return nil
 }
 
-// imageAppend reports whether in appends the catalog image: the WAL
-// forces before it no longer cover what the master record will name.
-func imageAppend(in *ssa.Instr) bool {
-	return in.Kind == ssa.KMetaWrite && in.MutName == "Store.appendImage"
-}
-
 // dischargeOf maps an instruction kind to the discharge class it
-// satisfies, or -1.
+// performs, or -1.
 func dischargeOf(k ssa.Kind) int {
-	switch k {
-	case ssa.KWALForce:
-		return dWALForce
-	case ssa.KDevForce:
-		return dDevForce
-	case ssa.KBarrierStamp:
-		return dStamp
+	for d := range discharges {
+		if discharges[d].kind == k {
+			return d
+		}
 	}
 	return -1
+}
+
+type domState [nDomRules]bool
+
+// step applies in's effect on the discharged state: a discharging
+// instruction discharges its rules, the catalog image's append reopens
+// the master rule (the WAL forces before it no longer cover what the
+// master record will name), and a call discharges what its callees do.
+// cs is the call's merged callee summary, nil for other instructions.
+func step(in *ssa.Instr, cs *ForceFact, st *domState) {
+	if d := dischargeOf(in.Kind); d >= 0 {
+		for r := range domRules {
+			if domRules[r].discharge == d {
+				st[r] = true
+			}
+		}
+	}
+	if in.Kind == ssa.KMetaWrite && in.MutName == "Store.appendImage" {
+		st[rMaster] = false
+	}
+	if cs != nil {
+		for r := range domRules {
+			if cs.dischargesRule(r) {
+				st[r] = true
+			}
+		}
+	}
 }
 
 // analyze runs both dataflows over f and returns its summary.  When
@@ -418,14 +444,19 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 		return sum
 	}
 	n := len(f.Blocks)
+	callees := func(in *ssa.Instr) *ForceFact {
+		if in.Kind == ssa.KCall {
+			return c.calleeSummary(in)
+		}
+		return nil
+	}
 
 	// --- Dominance rules: all-paths "discharged" state per rule,
 	// greatest fixed point (optimistic init, entry pessimistic).
-	type domState [nDomRules]bool
 	inState := make([]domState, n)
 	outState := make([]domState, n)
 	for i := range inState {
-		for r := 0; r < nDomRules; r++ {
+		for r := range domRules {
 			inState[i][r] = true
 			outState[i][r] = true
 		}
@@ -446,32 +477,6 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 		}
 	}
 
-	transfer := func(b *ssa.Block, st domState) domState {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if d := dischargeOf(in.Kind); d >= 0 {
-				for r := 0; r < nDomRules; r++ {
-					if domRules[r].discharge == d {
-						st[r] = true
-					}
-				}
-				continue
-			}
-			if imageAppend(in) {
-				st[rMaster] = false
-			}
-			if in.Kind == ssa.KCall {
-				cs := c.calleeSummary(in)
-				for r := 0; r < nDomRules; r++ {
-					if cs.May[domRules[r].discharge] {
-						st[r] = true
-					}
-				}
-			}
-		}
-		return st
-	}
-
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
@@ -480,16 +485,19 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 			}
 			var in domState
 			if b != f.Entry {
-				for r := 0; r < nDomRules; r++ {
+				for r := range domRules {
 					in[r] = true
 				}
 				for _, p := range preds[b.Index] {
-					for r := 0; r < nDomRules; r++ {
+					for r := range domRules {
 						in[r] = in[r] && outState[p.Index][r]
 					}
 				}
 			}
-			out := transfer(b, in)
+			out := in
+			for i := range b.Instrs {
+				step(&b.Instrs[i], callees(&b.Instrs[i]), &out)
+			}
 			if in != inState[b.Index] || out != outState[b.Index] {
 				inState[b.Index] = in
 				outState[b.Index] = out
@@ -506,15 +514,6 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 		st := inState[b.Index]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if d := dischargeOf(in.Kind); d >= 0 {
-				sum.May[d] = true
-				for r := 0; r < nDomRules; r++ {
-					if domRules[r].discharge == d {
-						st[r] = true
-					}
-				}
-				continue
-			}
 			for _, r := range c.eventRules(in) {
 				if st[r] {
 					continue
@@ -531,31 +530,34 @@ func (c *checker) analyze(f *ssa.Func, report *[]finding) *ForceFact {
 						witness: []string{eventLabel(in)}})
 				}
 			}
-			if imageAppend(in) {
-				st[rMaster] = false
+			if d := dischargeOf(in.Kind); d >= 0 {
+				sum.May[d] = true
 			}
-			if in.Kind == ssa.KCall {
-				cs := c.calleeSummary(in)
-				for d := 0; d < nDischarge; d++ {
+			cs := callees(in)
+			if cs != nil {
+				for d := range discharges {
 					sum.May[d] = sum.May[d] || cs.May[d]
 				}
-				for r := 0; r < nDomRules; r++ {
-					if cs.Exposed[r] && !st[r] {
-						if !sum.Exposed[r] {
-							sum.Exposed[r] = true
-							sum.Witness[r] = cs.Witness[r]
-						}
-						if report != nil {
-							*report = append(*report, finding{rule: r, in: in, block: b,
-								witness: cs.Witness[r]})
-						}
+				for r := range domRules {
+					if !cs.Exposed[r] || st[r] {
+						continue
 					}
-					if cs.May[domRules[r].discharge] {
-						st[r] = true
+					if !sum.Exposed[r] {
+						sum.Exposed[r] = true
+						sum.Witness[r] = cs.Witness[r]
+					}
+					if report != nil {
+						*report = append(*report, finding{rule: r, in: in, block: b,
+							witness: cs.Witness[r]})
 					}
 				}
 			}
+			step(in, cs, &st)
 		}
+	}
+	sum.AppendsAll = len(exits) > 0
+	for _, b := range exits {
+		sum.AppendsAll = sum.AppendsAll && outState[b.Index][rWAL]
 	}
 
 	c.renameFlow(f, preds, exits, sum, report)
@@ -675,92 +677,64 @@ func eventLabel(in *ssa.Instr) string {
 }
 
 // checkRoot reports every violation in a root function.  txnRoot
-// additionally activates rule 1, whose obligation starts at the
+// additionally activates the rules whose obligation starts at the
 // transaction API surface.
 func (c *checker) checkRoot(f *ssa.Func, txnRoot bool) {
 	var findings []finding
 	c.analyze(f, &findings)
+	// An overwrite with no record appended before it has no record to
+	// force either: the write-ahead report covers it.
+	unlogged := make(map[*ssa.Instr]bool)
 	for _, fd := range findings {
-		if fd.rule < nDomRules && domRules[fd.rule].txnOnly && !txnRoot {
+		if fd.rule == rWAL {
+			unlogged[fd.in] = true
+		}
+	}
+	for _, fd := range findings {
+		if fd.rule < nDomRules && domRules[fd.rule].txnOnly && !txnRoot ||
+			fd.rule == rReplace && unlogged[fd.in] {
 			continue
 		}
-		pos := fd.in.Pos()
-		related := c.evidence(f, fd)
 		var msg string
-		if fd.rule == rRename {
-			if fd.direct {
-				msg = "renamed file can vanish on crash: no disk.SyncDir of the owning directory reaches a success exit (§8.1 rename atomicity)"
-			} else {
-				msg = fmt.Sprintf(
-					"call leaves a renamed file with no owning-directory sync on a success exit (call chain %s → %s) (§8.1 rename atomicity)",
-					ssa.FuncLabel(c.pass.Pkg, f.Obj), strings.Join(fd.witness, " → "))
-			}
-		} else {
-			rule := &domRules[fd.rule]
-			if fd.direct {
-				msg = fmt.Sprintf("%s %s is not dominated by %s (%s)",
-					rule.evDesc, eventLabel(fd.in), rule.dischDesc, rule.contract)
-			} else {
-				msg = fmt.Sprintf("call can %s before %s (call chain %s → %s) (%s)",
-					rule.callDesc, rule.dischDesc,
-					ssa.FuncLabel(c.pass.Pkg, f.Obj), strings.Join(fd.witness, " → "),
-					rule.contract)
-			}
+		chain := ssa.FuncLabel(c.pass.Pkg, f.Obj) + " → " + strings.Join(fd.witness, " → ")
+		switch {
+		case fd.rule == rRename && fd.direct:
+			msg = "renamed file can vanish on crash: no disk.SyncDir of the owning directory reaches a success exit (§8.1 rename atomicity)"
+		case fd.rule == rRename:
+			msg = fmt.Sprintf(
+				"call leaves a renamed file with no owning-directory sync on a success exit (call chain %s) (§8.1 rename atomicity)", chain)
+		case fd.direct:
+			msg = fmt.Sprintf(domRules[fd.rule].direct, eventLabel(fd.in))
+		default:
+			msg = fmt.Sprintf(domRules[fd.rule].call, fd.witness[len(fd.witness)-1], chain)
 		}
-		c.ig.ReportRelated(pos, related, "%s", msg)
+		var related []analysis.RelatedInformation
+		if in, subject, claim := c.evidence(f, fd); in != nil {
+			msg += fmt.Sprintf("; %s at line %d %s", subject, c.pass.Fset.Position(in.Pos()).Line, claim)
+			related = []analysis.RelatedInformation{{Pos: in.Pos(), Message: subject + " here " + claim}}
+		}
+		c.ig.ReportRelated(fd.in.Pos(), related, "%s", msg)
 	}
 }
 
 // evidence finds a discharging instruction in f that exists but fails
-// to dominate the finding — the "force is there, but a path skips it"
-// case — and returns it as a related position.
-func (c *checker) evidence(f *ssa.Func, fd finding) []analysis.RelatedInformation {
-	var wantKind ssa.Kind
-	var what string
-	if fd.rule == rRename {
-		wantKind, what = ssa.KSyncDir, "directory sync here does not cover every success path"
-	} else {
-		switch domRules[fd.rule].discharge {
-		case dWALForce:
-			wantKind, what = ssa.KWALForce, "candidate WAL force here does not dominate the overwrite"
-		case dDevForce:
-			wantKind, what = ssa.KDevForce, "candidate device force here does not dominate the event"
-		case dStamp:
-			wantKind, what = ssa.KBarrierStamp, "candidate barrier stamp here does not dominate the release"
-		}
+// to dominate the finding — the "the discharge is there, but a path
+// skips it" case — and returns it with the words that say so.
+func (c *checker) evidence(f *ssa.Func, fd finding) (in *ssa.Instr, subject, claim string) {
+	kind, subject, claim := ssa.KSyncDir, "the directory sync", "does not cover every success path"
+	if fd.rule != rRename {
+		d := discharges[domRules[fd.rule].discharge]
+		kind, subject, claim = d.kind, "the "+d.noun, "does not dominate this call"
 	}
 	for _, b := range f.Blocks {
 		if !f.Reachable(b) {
 			continue
 		}
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Kind != wantKind {
-				continue
-			}
-			if fd.rule == rRename || !f.Dominates(b, fd.block) {
-				return []analysis.RelatedInformation{{Pos: in.Pos(), Message: what}}
+			if b.Instrs[i].Kind == kind && (fd.rule == rRename || !f.Dominates(b, fd.block)) {
+				return &b.Instrs[i], subject, claim
 			}
 		}
 	}
-	return nil
-}
-
-// recvTypeName returns the receiver type name of decl ("" for
-// functions).
-func recvTypeName(decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return ""
-	}
-	t := decl.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if idx, ok := t.(*ast.IndexExpr); ok {
-		t = idx.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	return nil, "", ""
 }

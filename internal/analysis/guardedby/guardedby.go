@@ -70,6 +70,7 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/cfg"
 
+	"github.com/eosdb/eos/internal/analysis/eosutil"
 	"github.com/eosdb/eos/internal/analysis/ignore"
 )
 
@@ -183,7 +184,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
+		if eosutil.InTestFile(pass, n.Pos()) {
 			return
 		}
 		var g *cfg.CFG

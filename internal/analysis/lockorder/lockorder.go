@@ -99,10 +99,6 @@ var Analyzer = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{new(LockFact), new(GraphFact)},
 }
 
-// maxChain bounds the call chain recorded per acquisition; deeper
-// chains are truncated in diagnostics.
-const maxChain = 8
-
 // lattice is the order diagnostics quote.
 const lattice = "the lattice order is manager → lock-table → object → txn → pool-shard → wal → disk"
 
@@ -179,7 +175,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	ig := ignore.For(pass)
 
 	c := &checker{pass: pass, pr: pr, ig: ig, summaries: make(map[*ssa.Func]*LockFact)}
-	c.summarize()
+	pr.Solve(func(f *ssa.Func) { c.summaries[f] = &LockFact{} }, c.updateSummary)
 	for _, f := range pr.Funcs {
 		c.checkFunc(f)
 	}
@@ -198,28 +194,9 @@ type checker struct {
 	merged    *GraphFact  // this package's edges merged with imports'
 }
 
-// summarize computes Acquires bottom-up over the SCC condensation,
-// iterating each component to a fixed point (the sets grow
-// monotonically toward the finite lattice key set, so this
-// terminates).
-func (c *checker) summarize() {
-	for _, scc := range c.pr.SCCs {
-		for _, f := range scc {
-			c.summaries[f] = &LockFact{}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, f := range scc {
-				if c.updateSummary(f) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 // updateSummary recomputes f's summary from its instructions and its
-// callees' current summaries, reporting whether it grew.
+// callees' current summaries, reporting whether it grew.  The sets grow
+// toward the finite lattice key set, so Solve terminates.
 func (c *checker) updateSummary(f *ssa.Func) bool {
 	sum := c.summaries[f]
 	have := make(map[string]bool, len(sum.Acquires))
@@ -245,10 +222,7 @@ func (c *checker) updateSummary(f *ssa.Func) bool {
 			}
 			for _, callee := range in.Callees {
 				for _, a := range c.calleeAcquires(callee) {
-					via := append([]string{ssa.FuncLabel(c.pass.Pkg, callee)}, a.Via...)
-					if len(via) > maxChain {
-						via = via[:maxChain]
-					}
+					via := ssa.Chain(ssa.FuncLabel(c.pass.Pkg, callee), a.Via)
 					add(Acq{Key: a.Key, Rank: a.Rank, Shared: a.Shared, Via: via, Pos: a.Pos})
 				}
 			}
@@ -257,16 +231,10 @@ func (c *checker) updateSummary(f *ssa.Func) bool {
 	return grew
 }
 
-// calleeAcquires returns the summary of a callee: the in-progress
-// package-local summary, or the imported fact for a function from
-// another package.
+// calleeAcquires returns the Acquires of callee's summary.
 func (c *checker) calleeAcquires(callee *types.Func) []Acq {
-	if f, ok := c.pr.ByObj[callee]; ok {
-		return c.summaries[f].Acquires
-	}
-	var fact LockFact
-	if c.pass.ImportObjectFact(callee, &fact) {
-		return fact.Acquires
+	if sum := ssa.Summary(c.pr, c.summaries, callee); sum != nil {
+		return sum.Acquires
 	}
 	return nil
 }

@@ -270,9 +270,6 @@ type Res struct {
 // AFact marks ResFact as an analysis fact.
 func (*ResFact) AFact() {}
 
-// maxChain bounds recorded acquisition chains.
-const maxChain = 8
-
 type checker struct {
 	pass *analysis.Pass
 	pr   *ssa.Program
@@ -295,16 +292,9 @@ type site struct {
 func run(pass *analysis.Pass) (interface{}, error) {
 	pr := pass.ResultOf[ssa.Analyzer].(*ssa.Program)
 	c := &checker{pass: pass, pr: pr, sums: make(map[*ssa.Func]*ResFact, len(pr.Funcs))}
-	for _, f := range pr.Funcs {
-		c.sums[f] = new(ResFact)
-	}
 	// Releases feed the Acquires computation (a resource released in
-	// the body is not held on return), so each SCC converges them first;
-	// callee SCCs come earlier and are final by then.
-	for _, scc := range pr.SCCs {
-		converge(scc, c.updateReleases)
-		converge(scc, c.updateAcquires)
-	}
+	// the body is not held on return), so each SCC converges them first.
+	pr.Solve(func(f *ssa.Func) { c.sums[f] = new(ResFact) }, c.updateReleases, c.updateAcquires)
 	for f, sum := range c.sums {
 		if len(sum.Releases) > 0 || len(sum.Acquires) > 0 || len(sum.Returns) > 0 {
 			pass.ExportObjectFact(f.Obj, sum)
@@ -316,7 +306,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	ig := ignore.For(pass)
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
+		if eosutil.InTestFile(pass, n.Pos()) {
 			return
 		}
 		switch fn := n.(type) {
@@ -331,19 +321,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// converge reruns update over one SCC until nothing changes.  Summary
-// entries only accumulate, so it terminates.
-func converge(scc []*ssa.Func, update func(*ssa.Func) bool) {
-	for changed := true; changed; {
-		changed = false
-		for _, f := range scc {
-			if update(f) {
-				changed = true
-			}
-		}
-	}
-}
-
 // summaryOf returns the summary of call's callee — the in-package one
 // (possibly still converging) or the fact its own package exported —
 // and the callee, or nil.
@@ -352,12 +329,8 @@ func (c *checker) summaryOf(call *ast.CallExpr) (*ResFact, *types.Func) {
 	if fn == nil {
 		return nil, nil
 	}
-	if f, ok := c.pr.ByObj[fn]; ok {
-		return c.sums[f], fn
-	}
-	var imported ResFact
-	if c.pass.ImportObjectFact(fn, &imported) {
-		return &imported, fn
+	if sum := ssa.Summary(c.pr, c.sums, fn); sum != nil {
+		return sum, fn
 	}
 	return nil, nil
 }
@@ -610,11 +583,11 @@ func (c *checker) collectSites(body *ast.BlockStmt, derived bool) []*site {
 		label := ssa.FuncLabel(c.pass.Pkg, fn)
 		for _, r := range sum.Acquires {
 			if tok, ok := argToken(call, r); ok {
-				sites = append(sites, &site{spec: specNamed(r.Spec), call: call, token: tok, chain: capChain(label, r.Chain)})
+				sites = append(sites, &site{spec: specNamed(r.Spec), call: call, token: tok, chain: ssa.Chain(label, r.Chain)})
 			}
 		}
 		for _, r := range sum.Returns {
-			sites = append(sites, &site{spec: specNamed(r.Spec), call: call, chain: capChain(label, r.Chain)})
+			sites = append(sites, &site{spec: specNamed(r.Spec), call: call, chain: ssa.Chain(label, r.Chain)})
 		}
 		return true
 	})
@@ -655,16 +628,6 @@ func (c *checker) collectSites(body *ast.BlockStmt, derived bool) []*site {
 		return true
 	})
 	return sites
-}
-
-// capChain prefixes a callee's acquisition chain with its label,
-// bounded to maxChain entries.
-func capChain(label string, below []string) []string {
-	chain := append([]string{label}, below...)
-	if len(chain) > maxChain {
-		return chain[:maxChain]
-	}
-	return chain
 }
 
 // acquireCall reports whether call is one of sp's acquire calls.  The
@@ -801,7 +764,7 @@ func mutexEvent(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (key, method,
 	if !isVar || !field.IsField() {
 		return "", "", "", false
 	}
-	owner := ownerTypeName(selection.Recv())
+	owner := eosutil.OwnerTypeName(selection.Recv())
 	if owner == "" {
 		return "", "", "", false
 	}
@@ -810,18 +773,6 @@ func mutexEvent(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (key, method,
 		return "", "", "", false
 	}
 	return key, method, types.ExprString(fieldSel), true
-}
-
-// ownerTypeName returns the name of the named type t denotes
-// (unwrapping pointers), or "".
-func ownerTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 // releaseToken reports whether call is a release call of sp, and the

@@ -66,6 +66,7 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/cfg"
 
+	"github.com/eosdb/eos/internal/analysis/eosutil"
 	"github.com/eosdb/eos/internal/analysis/guardedby"
 	"github.com/eosdb/eos/internal/analysis/ignore"
 	"github.com/eosdb/eos/internal/analysis/ssa"
@@ -190,8 +191,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil ||
-			strings.HasSuffix(pass.Fset.Position(decl.Pos()).Filename, "_test.go") {
+		if decl.Body == nil || eosutil.InTestFile(pass, decl.Pos()) {
 			return
 		}
 		obj, _ := pass.TypesInfo.Defs[decl.Name].(*types.Func)
@@ -320,7 +320,7 @@ func (c *checker) collectRoots(insp *inspector.Inspector) {
 	}
 	insp.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
 		g := n.(*ast.GoStmt)
-		if c.inTestFile(g.Pos()) {
+		if eosutil.InTestFile(c.pass, g.Pos()) {
 			return
 		}
 		if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
@@ -367,7 +367,7 @@ func (c *checker) collectShared(insp *inspector.Inspector) {
 	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
 		obj, ok := c.pass.TypesInfo.Defs[decl.Name].(*types.Func)
-		if !ok || !decl.Name.IsExported() || c.inTestFile(decl.Pos()) {
+		if !ok || !decl.Name.IsExported() || eosutil.InTestFile(c.pass, decl.Pos()) {
 			return
 		}
 		if decl.Recv == nil && c.isConstructor(obj) {
@@ -396,13 +396,6 @@ func (c *checker) collectShared(insp *inspector.Inspector) {
 			}
 		}
 	}
-}
-
-// inTestFile reports whether pos lies in a _test.go file: tests drive
-// the engine from their own goroutine with their own synchronization
-// and are outside the lockset discipline.
-func (c *checker) inTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(c.pass.Fset.Position(pos).Filename, "_test.go")
 }
 
 // isConstructor reports whether fn returns a candidate-owning struct
@@ -466,7 +459,7 @@ func (c *checker) seed(decl *ast.FuncDecl) guardedby.LockState {
 	for tok, m := range raw {
 		if base, field, ok := strings.Cut(tok, "."); ok {
 			if t, found := byName[base]; found {
-				if owner := ownerTypeName(t); owner != "" {
+				if owner := eosutil.OwnerTypeName(t); owner != "" {
 					out[owner+"."+field] = m
 					continue
 				}
@@ -504,7 +497,7 @@ func canonicalLock(info *types.Info, mutexExpr ast.Expr) string {
 	if sel, ok := mutexExpr.(*ast.SelectorExpr); ok {
 		if selection, found := info.Selections[sel]; found {
 			if field, ok := selection.Obj().(*types.Var); ok && field.IsField() {
-				if owner := ownerTypeName(selection.Recv()); owner != "" {
+				if owner := eosutil.OwnerTypeName(selection.Recv()); owner != "" {
 					return owner + "." + field.Name()
 				}
 			}
@@ -529,7 +522,7 @@ func (c *checker) recordAccess(sel *ast.SelectorExpr, st guardedby.LockState, ui
 		}
 		owner := ""
 		if selection, found := c.pass.TypesInfo.Selections[sel]; found {
-			owner = ownerTypeName(selection.Recv())
+			owner = eosutil.OwnerTypeName(selection.Recv())
 		}
 		c.fields[fieldObj] = &candidate{structName: owner, fieldName: fieldObj.Name()}
 	}
@@ -731,16 +724,6 @@ func isSyncType(t types.Type) bool {
 	}
 	pkg := named.Obj().Pkg()
 	return pkg != nil && pkg.Path() == "sync"
-}
-
-func ownerTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 // writeTarget strips index positions off a store target: m[k] = v

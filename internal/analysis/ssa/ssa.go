@@ -1,15 +1,15 @@
 // Package ssa builds the shared whole-program analysis facility of the
-// eoslint v3 passes: a pruned SSA-style intermediate representation of
+// eoslint passes: a pruned SSA-style intermediate representation of
 // every function in the package — basic blocks lifted from the
 // toolchain-vendored go/cfg, a dominator tree per function, and a
 // classified instruction stream (ranked-latch acquire/release, WAL
 // appends and forces, device forces and directory syncs, large-object
 // mutations, checkpoint meta writes, quarantine stamps, resolved call
-// sites) — plus a call
-// graph that resolves static calls directly and dynamic calls through
-// class-hierarchy analysis (CHA) over the package and its imports, and
-// a strongly-connected-component condensation in bottom-up (callees
-// first) order for interprocedural summary computation.
+// sites) — plus a call graph that resolves static calls directly and
+// dynamic calls through class-hierarchy analysis (CHA) over the package
+// and its imports, a strongly-connected-component condensation in
+// bottom-up (callees first) order, and the one summary solver over it
+// (Program.Solve, Summary).
 //
 // golang.org/x/tools/go/ssa is not part of the toolchain-vendored
 // subset of x/tools this repository builds against (vendoring pulls
@@ -18,9 +18,9 @@
 // insert φ-nodes or rename every local, but it gives each pass the
 // same dominance, ordering, and call-resolution queries the go/ssa +
 // go/callgraph pair would.  The interprocedural passes (pairs,
-// lockorder, walfirst, forcedom) each layer their own per-function
-// summaries — propagated across packages through go/analysis object
-// facts — on top of this IR.
+// lockorder, forcedom) each define their own per-function summary —
+// propagated across packages through go/analysis object facts — and
+// compute it with the shared solver (summary.go).
 //
 // Function literals are deliberately not modeled as separate functions:
 // a closure may run on another goroutine (where the enclosing lock and
@@ -51,7 +51,7 @@ import (
 // nothing itself.
 var Analyzer = &analysis.Analyzer{
 	Name:       "eosssa",
-	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to pairs, lockorder, walfirst, forcedom, and racecheck.",
+	Doc:        "build the pruned-SSA IR and call graph shared by the whole-program passes (internal prerequisite)\n\nNot a checker: it feeds basic blocks, dominators, and the CHA call graph to pairs, lockorder, forcedom, and racecheck.",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:        run,
 	ResultType: reflect.TypeOf((*Program)(nil)),
@@ -85,8 +85,8 @@ func LockRanks() map[string]int {
 }
 
 // mutators lists the lob.Object methods that change a tree a root names —
-// the apply steps, and so the mutation events, of the §4.5 write-ahead
-// rule: a structural update's Apply (its prepare writes only pages no root
+// the apply steps, and so the mutation events, of forcedom's §4.5
+// write-ahead rule: a structural update's Apply (its prepare writes only pages no root
 // names, and runs before the record), Destroy, and the in-place Replace.
 // The Object methods that run a whole update (Append, Insert, ...) reach
 // Apply inside lob and are exposed through their facts.  A transactional
@@ -148,13 +148,15 @@ const (
 	KUnlock
 	// KWALAppend appends a write-ahead log record ((*wal.Log).Append).
 	KWALAppend
-	// KMutate calls a lob apply step (see mutators) — a §4.5 mutation
-	// event.
+	// KMutate calls a lob apply step (see mutators, and
+	// ReplacePlan.Hold) — the event of forcedom's §4.5 write-ahead rule,
+	// which a KWALAppend must dominate.
 	KMutate
 
-	// Durability events (eoslint v4).  These are the vocabulary of the
-	// forcedom crash-consistency pass: each marks a point where state
-	// ordering against stable storage is established or consumed.
+	// Durability events.  With KWALAppend and KMutate these are the
+	// vocabulary of the forcedom crash-consistency pass: each marks a
+	// point where state ordering against stable storage is established
+	// or consumed.
 
 	// KWALForce forces the write-ahead log ((*wal.Log).Force or
 	// ForceLSN): every record at or below the target LSN is durable
@@ -184,9 +186,10 @@ const (
 	// KHomeWrite hands a committed transaction's held replaced pages to the
 	// write-behind set, which writes them home later
 	// ((*lob.Manager).PendHeld): the deferred form of Object.Replace's
-	// overwrite, and like it subject to the §8.1 force-ahead rule.  Not a
-	// KMutate: the records were appended when the replaces were prepared,
-	// in earlier calls, so log-before-mutate is not checkable at the write.
+	// overwrite, and like it subject to forcedom's §8.1 force-ahead rule.
+	// Not a KMutate: the records were appended when the replaces were
+	// prepared, in earlier calls, so the write-ahead rule cannot be
+	// checked at the write.
 	KHomeWrite
 )
 
@@ -487,7 +490,7 @@ func (pr *Program) lockEvent(call *ast.CallExpr) (key, method, token string, ok 
 	if !isVar || !field.IsField() {
 		return "", "", "", false
 	}
-	owner := ownerTypeName(selection.Recv())
+	owner := eosutil.OwnerTypeName(selection.Recv())
 	if owner == "" {
 		return "", "", "", false
 	}
@@ -496,18 +499,6 @@ func (pr *Program) lockEvent(call *ast.CallExpr) (key, method, token string, ok 
 		return "", "", "", false
 	}
 	return key, method, types.ExprString(fieldSel), true
-}
-
-// ownerTypeName returns the name of the named type t denotes
-// (unwrapping one pointer), or "".
-func ownerTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 // FuncLabel renders fn for call-chain diagnostics: "(*Txn).Append" for
@@ -519,10 +510,10 @@ func FuncLabel(from *types.Package, fn *types.Func) string {
 		t := sig.Recv().Type()
 		if p, isPtr := t.(*types.Pointer); isPtr {
 			b.WriteString("(*")
-			b.WriteString(ownerTypeName(p.Elem()))
+			b.WriteString(eosutil.OwnerTypeName(p.Elem()))
 			b.WriteString(")")
 		} else {
-			b.WriteString(ownerTypeName(t))
+			b.WriteString(eosutil.OwnerTypeName(t))
 		}
 		b.WriteString(".")
 		b.WriteString(fn.Name())

@@ -1,6 +1,6 @@
 // Package lob is a stand-in for the engine's large-object layer with
-// the mutator set walfirst matches on: the apply steps Apply, Destroy and
-// Replace, and ReplacePlan.Hold.
+// the mutator set forcedom's write-ahead rule matches on: the apply steps
+// Apply, Destroy and Replace, and ReplacePlan.Hold.
 package lob
 
 // Object is the stand-in large object.

@@ -1,5 +1,5 @@
 // Package wal is a stand-in for the engine's write-ahead log with the
-// method shape walfirst matches on.
+// method shape the analyzers match on.
 package wal
 
 // Record is one log record.

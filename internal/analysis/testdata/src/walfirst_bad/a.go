@@ -1,5 +1,6 @@
 // Package walfirst_bad holds transaction methods that mutate before
-// logging; walfirst must report each unlogged mutation.
+// logging; forcedom's write-ahead rule must report each unlogged mutation,
+// and only that: an overwrite with no record before it has none to force.
 package walfirst_bad
 
 import (

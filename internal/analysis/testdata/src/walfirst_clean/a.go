@@ -1,5 +1,6 @@
 // Package walfirst_clean holds transaction methods that log before
-// mutating; walfirst must accept them without diagnostics.
+// mutating; forcedom's write-ahead rule must accept them without
+// diagnostics.
 package walfirst_clean
 
 import (
@@ -25,7 +26,9 @@ func (t *Txn) AppendLogged(b []byte) error {
 	return t.obj.Apply(sp)
 }
 
-// BranchesBothLogged logs on every path that reaches the mutation.
+// BranchesBothLogged logs on every path that reaches the mutation.  The
+// in-place Replace also overwrites forced state, so its record is forced
+// first too (the force-ahead rule).
 func (t *Txn) BranchesBothLogged(off int64, b []byte, replace bool) error {
 	var rec wal.Record
 	if replace {
@@ -33,10 +36,14 @@ func (t *Txn) BranchesBothLogged(off int64, b []byte, replace bool) error {
 	} else {
 		rec = wal.Record{Type: 1, Payload: b}
 	}
-	if _, err := t.log.Append(rec); err != nil {
+	lsn, err := t.log.Append(rec)
+	if err != nil {
 		return err
 	}
 	if replace {
+		if err := t.log.ForceLSN(lsn); err != nil {
+			return err
+		}
 		return t.obj.Replace(off, b)
 	}
 	return t.obj.Apply(&lob.Splice{})
@@ -69,8 +76,8 @@ func (t *Txn) Abort() error {
 	return err
 }
 
-// helper has a different receiver type; walfirst only constrains the
-// transaction layer (-recv=Txn).
+// helper has a different receiver type; the write-ahead rule only
+// constrains the transaction layer (-recv=Txn).
 type helper struct{ obj *lob.Object }
 
 func (h *helper) rewrite(b []byte) error {

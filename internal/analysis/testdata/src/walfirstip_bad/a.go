@@ -1,8 +1,8 @@
 // Package walfirstip_bad holds transaction methods that reach a
-// mutation through helper calls before logging; walfirstip must report
-// each exposed call with the chain.  Direct unlogged mutations (inside
-// the helpers) belong to the intraprocedural walfirst analyzer and
-// must not be re-reported here.
+// mutation through helper calls before logging; forcedom's write-ahead
+// rule must report each exposed call with the chain.  Unexported helpers
+// are not roots: the direct unlogged mutations inside them are not
+// reported.
 package walfirstip_bad
 
 import (
@@ -15,7 +15,7 @@ type Txn struct {
 	obj *lob.Object
 }
 
-// applyAppend mutates directly: walfirst's report, not walfirstip's.
+// applyAppend mutates directly; its callers are judged by its summary.
 func (t *Txn) applyAppend(b []byte) error {
 	return t.obj.Apply(&lob.Splice{})
 }

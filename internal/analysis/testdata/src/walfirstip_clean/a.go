@@ -1,6 +1,6 @@
 // Package walfirstip_clean holds transaction methods whose helper
-// calls are always covered by a WAL append; walfirstip must stay
-// silent.
+// calls are always covered by a WAL append; forcedom's write-ahead rule
+// must stay silent.
 package walfirstip_clean
 
 import (

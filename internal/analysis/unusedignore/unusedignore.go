@@ -29,7 +29,6 @@ import (
 	"github.com/eosdb/eos/internal/analysis/pairs"
 	"github.com/eosdb/eos/internal/analysis/racecheck"
 	"github.com/eosdb/eos/internal/analysis/useafterunpin"
-	"github.com/eosdb/eos/internal/analysis/walfirst"
 )
 
 const doc = `report //eoslint:ignore directives that suppress nothing
@@ -48,7 +47,6 @@ var Analyzer = &analysis.Analyzer{
 		pairs.Analyzer,
 		lockorder.Analyzer,
 		atomicfield.Analyzer,
-		walfirst.Analyzer,
 		errwrap.Analyzer,
 		useafterunpin.Analyzer,
 		guardedby.Analyzer,

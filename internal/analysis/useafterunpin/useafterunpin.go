@@ -30,7 +30,6 @@ package useafterunpin
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -73,7 +72,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
 	insp.Preorder(nodeFilter, func(n ast.Node) {
-		if strings.HasSuffix(pass.Fset.Position(n.Pos()).Filename, "_test.go") {
+		if eosutil.InTestFile(pass, n.Pos()) {
 			return
 		}
 		var body *ast.BlockStmt

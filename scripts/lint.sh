@@ -3,9 +3,6 @@
 #
 #   scripts/lint.sh            run every available linter
 #   scripts/lint.sh eoslint    run only the eoslint suite
-#   scripts/lint.sh --ssa      run only the whole-program passes
-#                              (pairs, lockorder, walfirst,
-#                              forcedom, racecheck)
 #   scripts/lint.sh --fixtures smoke-check the analyzers against their
 #                              bad fixtures: every pass must still
 #                              produce diagnostics there (guards
@@ -25,30 +22,19 @@ step() {
     echo "==> $1"
 }
 
-if [ "$only" = "--ssa" ] || [ "$only" = "ssa" ]; then
-    step "eoslint -ssa (deadlock/WAL-dominance/leak/force-ordering/lockset passes)"
-    go run ./cmd/eoslint -ssa ./...
-    exit $?
-fi
-
 if [ "$only" = "--fixtures" ] || [ "$only" = "fixtures" ]; then
     step "analyzer fixture smoke (every bad fixture must still trip its pass)"
     go test -count=1 -run TestBadFixturesProduceDiagnostics ./internal/analysis/
     exit $?
 fi
 
-step "eoslint (pin/latch/atomic/WAL/error invariants)"
+step "eoslint (pin/latch/atomic/error invariants, and the whole-program leak/deadlock/WAL-and-force-ordering/lockset passes)"
 if ! go run ./cmd/eoslint ./...; then
     failed=1
 fi
 
 if [ "$only" = "eoslint" ]; then
     exit "$failed"
-fi
-
-step "eoslint -ssa (deadlock/WAL-dominance/leak/force-ordering/lockset passes)"
-if ! go run ./cmd/eoslint -ssa ./...; then
-    failed=1
 fi
 
 step "go vet self-check (the linter codebase itself stays clean)"

@@ -1599,6 +1599,89 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	}
 }
 
+// TestRefusedSpliceLeavesNoTraceInACommit: a structural operation whose
+// record the log refuses applies nothing, so the transaction can go on and
+// commit what it did log.  The object holds exactly the logged operations,
+// before a crash and after recovery, and no page the refused operation
+// prepared stays allocated.  An abort would hide an operation that applied
+// before it logged (the abort reinstates the roots from before the
+// transaction); a commit keeps it, unlogged, in the tree.
+func TestRefusedSpliceLeavesNoTraceInACommit(t *testing.T) {
+	for _, op := range []string{"append", "insert"} {
+		t.Run(op, func(t *testing.T) {
+			vol := newTestDevice(t, 512, 4096)
+			logVol := newTestDevice(t, 512, 13) // as in TestLogFullBehindASealedForce
+			s, err := Format(vol, logVol, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Create("x", 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var model []byte
+			for i := 0; i < 3; i++ {
+				tx, _ := s.Begin()
+				more := pat(80+i, 100)
+				if err := tx.Append("x", more); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, more...)
+			}
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged := pat(93, 8)
+			if err := tx.Append("x", logged); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model, logged...)
+			hdr := 53 + extentBytes // an append's record without its bytes
+			room := 5*512 - int(s.LogTail())
+			switch op {
+			case "append":
+				// A record one byte longer than the last log page has room for.
+				err = tx.Append("x", pat(94, room-hdr+1))
+			case "insert":
+				// An insert logs its segments by reference: fill the page up
+				// to one byte short of an insert's record first.  The commit
+				// record, a bare header, still fits.
+				fill := pat(95, room-hdr-(hdr-1))
+				if err := tx.Append("x", fill); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, fill...)
+				err = tx.Insert("x", 50, pat(96, 10))
+			}
+			if !errors.Is(err, wal.ErrLogFull) {
+				t.Fatalf("%s of a record longer than the last log page has room: %v, want ErrLogFull", op, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatalf("the refused %s left a trace in the committed object", op)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), model) {
+				t.Fatal("content wrong after crash and recovery")
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestBoundedLogUnderOverlappingTransactions: two clients whose
 // transactions overlap, so that every checkpoint finds one of them live,
 // write ten times the log's capacity in records.  Each checkpoint truncates
