@@ -231,8 +231,9 @@ func TestCommitsRunWhileACheckpointWrites(t *testing.T) {
 // TestUnlockedCheckpointSurvivesCommitsAndCrashes pauses a checkpoint's
 // unlocked write after its first run, with the second run's request held.
 // Meanwhile transactions commit (a) a replace over a page of that run and
-// (b) an append that fills an open tail the checkpoint captured, and a
-// replace over a page the first run wrote.  Then the store is cut off at
+// (b) an append that fills an open tail the checkpoint captured — the tail
+// stays pending, closed, its partial page with a newer image than the
+// captured one —, and a replace over a page the first run wrote.  Then the store is cut off at
 // each later device request in turn — and once the checkpoint has finished
 // — and every recovery must show the committed bytes exactly, with no page
 // leaked.  A live store must show them too once the checkpoint is done.
@@ -297,7 +298,7 @@ func unlockedCheckpointCrash(t *testing.T, k int64) bool {
 		t.Fatalf("the held run starts at page %d, outside b's segment at %d", at, segs[0].StartPage)
 	}
 	replace("b", 1100, pat(23, 50)) // (a) over the run in flight
-	appendTo("c", pat(24, 4000))    // (b) fills the captured tail
+	appendTo("c", pat(24, 4000))    // (b) fills the captured tail, writing nothing
 	replace("a", 150, pat(25, 20))  // over a page the first run wrote
 	cut.left.Store(k)
 	cut.armed.Store(true)

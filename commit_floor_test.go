@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/lob"
 )
 
 // The commit path's request floor, executable, in the manner of
@@ -36,6 +37,22 @@ type gatedLog struct {
 // page, an open tail's pages and its bytes.
 const extentBytes = 8 + 4 + 8
 
+// forcedVolume is a simulated data volume that counts its forces, which the
+// simulator's Stats leave out.
+type forcedVolume struct {
+	*disk.Volume
+	forces atomic.Int64
+}
+
+func (v *forcedVolume) ForceAll() error {
+	v.forces.Add(1)
+	return v.Volume.ForceAll()
+}
+
+// dataForces returns how many times s has forced its data volume, which
+// floorStore made a forcedVolume.
+func dataForces(s *Store) int64 { return s.vol.(*forcedVolume).forces.Load() }
+
 func (g *gatedLog) WritePages(start disk.PageNum, n int, buf []byte) error {
 	if g.armed.Load() {
 		g.entered <- struct{}{}
@@ -51,12 +68,18 @@ func (g *gatedLog) WritePages(start disk.PageNum, n int, buf []byte) error {
 // slices collect every later request.
 func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data, log *[]disk.TraceEvent, model map[string][]byte) {
 	t.Helper()
-	vol := disk.MustNewVolume(512, 4096, disk.DefaultCostModel())
+	return floorStoreWith(t, Options{}, names...)
+}
+
+// floorStoreWith is floorStore on a store made with opts.
+func floorStoreWith(t *testing.T, opts Options, names ...string) (s *Store, logVol *gatedLog, data, log *[]disk.TraceEvent, model map[string][]byte) {
+	t.Helper()
+	vol := &forcedVolume{Volume: disk.MustNewVolume(512, 4096, disk.DefaultCostModel())}
 	logVol = &gatedLog{
 		Volume:  disk.MustNewVolume(512, 1024, disk.DefaultCostModel()),
 		entered: make(chan struct{}), release: make(chan struct{}),
 	}
-	s, err := Format(vol, logVol, Options{})
+	s, err := Format(vol, logVol, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +113,12 @@ func floorStore(t *testing.T, names ...string) (s *Store, logVol *gatedLog, data
 // with themselves, append 700.
 func smallTxn(t *testing.T, s *Store, name string, model map[string][]byte, seed int, off int64) *Txn {
 	t.Helper()
+	return appendTxn(t, s, name, model, seed, off, 700)
+}
+
+// appendTxn is smallTxn with an append of n bytes.
+func appendTxn(t *testing.T, s *Store, name string, model map[string][]byte, seed int, off int64, n int) *Txn {
+	t.Helper()
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +130,7 @@ func smallTxn(t *testing.T, s *Store, name string, model map[string][]byte, seed
 	if err := tx.Replace(name, off, got); err != nil {
 		t.Fatal(err)
 	}
-	more := pat(seed, 700)
+	more := pat(seed, n)
 	if err := tx.Append(name, more); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +161,7 @@ func TestCommitFloor(t *testing.T) {
 	s, _, data, log, model := floorStore(t, "x")
 	ps := int64(s.PageSize())
 	warm := len(*log)
-	st0 := s.Stats()
+	st0, f0 := s.Stats(), dataForces(s)
 	tailBytes := int64(len(model["x"])) - 6000 // the warm-up append opened a tail segment behind the first 6000 bytes
 	if err := smallTxn(t, s, "x", model, 70, 3100).Commit(); err != nil {
 		t.Fatal(err)
@@ -159,7 +188,7 @@ func TestCommitFloor(t *testing.T) {
 	if got := st.Pool.Flushes - st0.Pool.Flushes; got != 0 {
 		t.Errorf("the commit wrote %d pages from the pool, want none", got)
 	}
-	if got := st.Disk.Syncs - st0.Disk.Syncs; got != 0 {
+	if got := dataForces(s) - f0; got != 0 {
 		t.Errorf("the commit forced the data volume %d times, want never", got)
 	}
 	if st.Barrier != st0.Barrier {
@@ -177,20 +206,8 @@ func TestCommitFloor(t *testing.T) {
 	// transaction — and the bytes redo needs.  The replace is written home
 	// behind the commit record, so its record carries no pre-image.  The
 	// append stays in the open tail: its record carries its bytes and the
-	// one leaf entry it grew.  A header is measured as the create record of
-	// a one-byte name, in a transaction that then aborts.
-	tail := s.LogTail()
-	ro, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.Create("h", 0); err != nil {
-		t.Fatal(err)
-	}
-	hdr := s.LogTail() - tail - 1
-	if err := ro.Abort(); err != nil {
-		t.Fatal(err)
-	}
+	// one leaf entry it grew.
+	hdr := recordHeader(t, s)
 	if want := 3*hdr + 200 + 700 + extentBytes; recBytes != want {
 		t.Errorf("the commit logged %d bytes of records, want %d: three %d-byte headers, the replace's 200 bytes, the append's 700 and its entry's %d", recBytes, want, hdr, extentBytes)
 	}
@@ -206,6 +223,283 @@ func TestCommitFloor(t *testing.T) {
 	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
 		t.Fatal("content wrong after commit")
 	}
+}
+
+// fillRoom returns the bytes of room behind x's open tail, a segment of
+// T = 8 pages.
+func fillRoom(t *testing.T, s *Store) int {
+	t.Helper()
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 8*s.PageSize() - int(segs[len(segs)-1].Bytes)
+}
+
+// besideTail arranges that the allocator's next run is the 8 pages right
+// behind x's open tail: it takes all the free space but those pages, and
+// returns a func that gives it back.
+func besideTail(t *testing.T, s *Store) func() {
+	t.Helper()
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind := segs[len(segs)-1].StartPage + 8
+	var taken []lob.PageRun
+	for {
+		p, n, err := s.buddy.AllocUpTo(s.buddy.MaxSegmentPages())
+		if err != nil {
+			break
+		}
+		if p <= behind && behind+8 <= p+disk.PageNum(n) {
+			taken = append(taken, lob.PageRun{Start: p, Pages: int(behind - p)}, lob.PageRun{Start: behind + 8, Pages: int(p + disk.PageNum(n) - behind - 8)})
+			continue
+		}
+		taken = append(taken, lob.PageRun{Start: p, Pages: n})
+	}
+	if err := s.buddy.Free(behind, 8); err != nil {
+		t.Fatalf("the 8 pages behind the tail at %d were not free: %v", behind-8, err)
+	}
+	return func() {
+		for _, r := range taken {
+			if r.Pages > 0 {
+				if err := s.buddy.Free(r.Start, r.Pages); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// filledSegments returns x's last two segments, which must be a closed tail
+// that filled its 8 pages and an open tail right behind it on the volume.
+func filledSegments(t *testing.T, s *Store) (closed, open lob.SegmentInfo) {
+	t.Helper()
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, open = segs[len(segs)-2], segs[len(segs)-1]
+	if closed.Pages != 8 || open.StartPage != closed.StartPage+8 {
+		t.Fatalf("segments %+v, want a full 8-page tail and a new one right behind it", segs)
+	}
+	return closed, open
+}
+
+// TestCommitFloorFilledTail: commit_small's transaction whose append fills
+// its tail's room and puts 700 bytes in a new tail writes nothing on the data
+// volume and forces nothing there: the filled tail waits in the write-behind
+// set, closed, beside the new one, and the append's record carries every
+// byte it appended by value, with the two leaf entries.  The next checkpoint
+// writes the two tails as one run; a crash before it recovers the bytes from
+// the log alone; an abort leaves the object, its open tail and the pending
+// images of its committed bytes as they were.
+func TestCommitFloorFilledTail(t *testing.T) {
+	// fill commits the transaction on s, made by floorStore, replacing bytes
+	// at off, on a page no other replace has left pending; want is the pages
+	// of tails pending behind it.
+	fill := func(t *testing.T, s *Store, data *[]disk.TraceEvent, model map[string][]byte, off int64, want int64) {
+		t.Helper()
+		hdr := recordHeader(t, s)
+		*data = nil
+		st0, f0 := s.Stats(), dataForces(s)
+		n := fillRoom(t, s) + 700
+		if err := appendTxn(t, s, "x", model, 70, off, n).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if d := *data; len(d) != 1 || d[0].Write {
+			t.Fatalf("data requests %+v, want the read alone", d)
+		}
+		if got := dataForces(s) - f0; got != 0 {
+			t.Fatalf("the commit forced the data volume %d times, want never", got)
+		}
+		if want := 3*hdr + 200 + int64(n) + 2*extentBytes; st.WAL.FlushedBytes-st0.WAL.FlushedBytes != want {
+			t.Fatalf("the commit logged %d bytes of records, want %d: three %d-byte headers, the replace's 200 bytes, the append's %d and its two entries'",
+				st.WAL.FlushedBytes-st0.WAL.FlushedBytes, want, hdr, n)
+		}
+		if tails := st.LOB.PendingPages - st.LOB.ReplacedPending; tails != want {
+			t.Fatalf("%d pages pending, %d of them replaced; want %d of tails", st.LOB.PendingPages, st.LOB.ReplacedPending, want)
+		}
+		if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+			t.Fatal("content wrong after the commit")
+		}
+	}
+
+	t.Run("nothing written, the bytes by value", func(t *testing.T) {
+		s, _, data, _, model := floorStore(t, "x")
+		fill(t, s, data, model, 3100, 8+2) // the closed tail's 8, the new one's 2
+		if st := s.Stats().LOB; st.ReplacedPending != 2 {
+			t.Fatalf("%d replaced pages pending, want 2", st.ReplacedPending)
+		}
+	})
+
+	// The allocator put the warm-up's tail at the volume's end; the next
+	// one, the first fill's, goes where the second fill's new tail can
+	// follow it.
+	t.Run("the checkpoint writes both tails in one run", func(t *testing.T) {
+		s, _, data, _, model := floorStore(t, "x")
+		fill(t, s, data, model, 3100, 8+2)
+		giveBack := besideTail(t, s)
+		defer giveBack()
+		fill(t, s, data, model, 4100, 8+8+2)
+		closed, open := filledSegments(t, s)
+		pending := s.Stats().LOB.PendingPages
+		*data = nil
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runs := pendingRuns(t, *data, pending)
+		if !slices.ContainsFunc(runs, func(ev disk.TraceEvent) bool {
+			return ev.Start <= closed.StartPage && open.StartPage+2 <= ev.Start+disk.PageNum(ev.Pages)
+		}) {
+			t.Fatalf("the checkpoint's runs %+v hold pages %d..%d in no one request", runs, closed.StartPage, open.StartPage+1)
+		}
+		if st := s.Stats().LOB; st.PendingPages != 0 {
+			t.Fatalf("%d pages pending after the checkpoint", st.PendingPages)
+		}
+		if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+			t.Fatal("content wrong after the checkpoint")
+		}
+	})
+
+	t.Run("a crash before the checkpoint", func(t *testing.T) {
+		s, _, data, _, model := floorStore(t, "x")
+		fill(t, s, data, model, 3100, 8+2)
+		s = crashReopen(t, s.vol, s.logVol)
+		if got := readObject(t, s, "x"); !bytes.Equal(got, model["x"]) {
+			t.Fatalf("after the crash x holds %d bytes, not the %d committed", len(got), len(model["x"]))
+		}
+		if err := s.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("an abort", func(t *testing.T) {
+		s, _, data, _, model := floorStore(t, "x")
+		e := s.catalog["x"]
+		want, desc := bytes.Clone(model["x"]), e.obj.EncodeDescriptor()
+		st0 := s.Stats()
+		free, err := s.FreePages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := appendTxn(t, s, "x", model, 70, 3100, fillRoom(t, s)+700)
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if d := *data; len(d) != 1 || d[0].Write {
+			t.Fatalf("data requests %+v, want the read alone", d)
+		}
+		if !bytes.Equal(e.obj.EncodeDescriptor(), desc) {
+			t.Fatal("the abort left x another descriptor than before the transaction")
+		}
+		if !bytes.Equal(readObject(t, s, "x"), want) {
+			t.Fatal("content wrong after the abort")
+		}
+		if st := s.Stats().LOB; st.PendingPages != st0.LOB.PendingPages || st.ReplacedPending != st0.LOB.ReplacedPending {
+			t.Fatalf("%d pages pending, %d replaced, after the abort; %d and %d before the transaction",
+				st.PendingPages, st.ReplacedPending, st0.LOB.PendingPages, st0.LOB.ReplacedPending)
+		}
+		if got, err := s.FreePages(); err != nil || got != free {
+			t.Fatalf("%d pages free after the abort, %d before (err %v)", got, free, err)
+		}
+		// The tail is open again, its pages pending: the next append
+		// continues it without a request.
+		o, err := s.Open("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		*data = nil
+		more := pat(71, 100)
+		if err := o.Append(more); err != nil {
+			t.Fatal(err)
+		}
+		if len(*data) != 0 {
+			t.Fatalf("the append behind the abort issued %+v, want nothing", *data)
+		}
+		if !bytes.Equal(readObject(t, s, "x"), append(want, more...)) {
+			t.Fatal("content wrong after the append")
+		}
+	})
+}
+
+// TestCommitFloorFilledTailPastTheLogShare: with the log past logBusyShare
+// of its capacity, the same transaction writes the filled tail through — the
+// pending pages before the room with it, one request — forces the data volume
+// before its commit record, and logs by value only the 700 bytes the new tail
+// keeps.
+func TestCommitFloorFilledTailPastTheLogShare(t *testing.T) {
+	s, _, data, _, model := floorStore(t, "x")
+	hdr := recordHeader(t, s)
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !s.logBusy() {
+		if err := tx.Replace("x", 0, model["x"][:6000]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := segs[1].StartPage
+	*data = nil
+	st0, f0 := s.Stats(), dataForces(s)
+	n := fillRoom(t, s) + 700
+	if err := appendTxn(t, s, "x", model, 70, 3100, n).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	var writes []disk.TraceEvent
+	for _, ev := range *data {
+		if ev.Write {
+			writes = append(writes, ev)
+		}
+	}
+	if len(writes) != 1 || writes[0].Start != tail || writes[0].Pages != 8 {
+		t.Fatalf("data writes %+v, want one of the tail's 8 pages from %d", writes, tail)
+	}
+	if got := dataForces(s) - f0; got != 1 {
+		t.Fatalf("the commit forced the data volume %d times, want once", got)
+	}
+	if want := 3*hdr + 200 + 700 + 2*extentBytes; st.WAL.FlushedBytes-st0.WAL.FlushedBytes != want {
+		t.Fatalf("the commit logged %d bytes of records, want %d: three %d-byte headers, the replace's 200 bytes, the new tail's 700 and two entries",
+			st.WAL.FlushedBytes-st0.WAL.FlushedBytes, want, hdr)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+		t.Fatal("content wrong after the commit")
+	}
+	s = crashReopen(t, s.vol, s.logVol)
+	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+		t.Fatal("content wrong after a crash")
+	}
+}
+
+// recordHeader returns the bytes a log record takes beyond its payload,
+// measured as the create record of a one-byte name, in a transaction that
+// then aborts.
+func recordHeader(t *testing.T, s *Store) int64 {
+	t.Helper()
+	tail := s.LogTail()
+	ro, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Create("h", 0); err != nil {
+		t.Fatal(err)
+	}
+	hdr := s.LogTail() - tail - 1
+	if err := ro.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	return hdr
 }
 
 // TestCommitFloorCoalescesAdjacentReplaces: commits of replaces write

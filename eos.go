@@ -397,7 +397,21 @@ func (s *Store) lobConfig() lob.Config {
 		// snapshot root may still name them.
 		RetainFreedPages: true,
 		Pending:          s.pending,
+		LogBusy:          s.logBusy,
 	}
+}
+
+// logBusyShare is the share of the log's capacity in use from which the log
+// is busy: an append that fills its tail then writes the tail through and
+// names it by reference, rather than log its bytes (lob.Config.LogBusy).
+// Below it the log keeps room for the by-value bytes a checkpoint would
+// free.
+const logBusyShare = 0.5
+
+// logBusy reports whether the log's bytes in use have reached logBusyShare
+// of its capacity.
+func (s *Store) logBusy() bool {
+	return float64(s.log.Used()) >= logBusyShare*float64(int64(s.logVol.NumPages())*int64(s.logVol.PageSize()))
 }
 
 // epochAlloc is the store-wide allocator: allocations go straight to

@@ -102,6 +102,12 @@ type Result struct {
 	// to its commit's data force —, and once that force is done, until the
 	// next data-volume force.
 	ByRefUnforced, ByRefForced int
+	// FilledStates counts the states whose crash falls behind the commit of
+	// a transaction whose append filled its tail and left it pending — its
+	// record's by-value bytes span two leaf entries, the closed tail and the
+	// new one — and before the next checkpoint's master copy, which ends
+	// recovery's need of that record.
+	FilledStates int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -128,7 +134,12 @@ type sweeper struct {
 	// are the trace intervals [from, to) they give (see ByRefUnforced).
 	byRef            [][3]int
 	unforced, forced [][2]int
-	seen             map[uint64]bool
+	// filledAt holds the seqs at which the Commit calls of transactions
+	// whose append filled a tail returned, and filled the trace intervals
+	// [from, to) they give (see FilledStates).
+	filledAt []int
+	filled   [][2]int
+	seen     map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -171,6 +182,7 @@ func Sweep(cfg Config) (*Result, error) {
 	sw.res.Wraps = st.Stats().WAL.Wraps
 	sw.inImage, sw.inMaster = windows(sw.events)
 	sw.unforced, sw.forced = byRefWindows(sw.events, sw.byRef)
+	sw.filled = filledWindows(sw.events, sw.filledAt)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
@@ -220,9 +232,11 @@ func Sweep(cfg Config) (*Result, error) {
 
 // traceFollowed wraps the workload's trace function next, which may be nil,
 // to record in sw.followed where a transaction follows its own replace with
-// another operation on the same object.
+// another operation on the same object — and in sw.byRef and sw.filledAt the
+// transactions the other classes start from.
 func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(string, ...any) {
 	replaced := map[string]bool{} // the objects the running transaction replaced
+	filled := map[int]bool{}      // the transactions an append of which filled a tail
 	open := false                 // the last interval runs until the next begin
 	return func(format string, args ...any) {
 		if next != nil {
@@ -231,6 +245,12 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 		switch format {
 		case traceByRef:
 			sw.byRef = append(sw.byRef, [3]int{args[0].(int), args[1].(int), args[2].(int)})
+		case traceFilled:
+			filled[args[0].(int)] = true
+		case traceCommit:
+			if filled[args[2].(int)] {
+				sw.filledAt = append(sw.filledAt, args[1].(int))
+			}
 		case traceBegin:
 			if open {
 				sw.followed[len(sw.followed)-1][1] = clock.Seq()
@@ -292,6 +312,25 @@ func byRefWindows(events []Event, byRef [][3]int) (unforced, forced [][2]int) {
 		forced = append(forced, [2]int{f + 1, next + 1})
 	}
 	return unforced, forced
+}
+
+// filledWindows turns the seq each filled tail's commit returned at into
+// the positions whose crash finds the commit durable and the tail pending:
+// from there through the next master-copy write — a one-page write to data
+// page 0 or 1 —, the end of the checkpoint that writes the tail.
+func filledWindows(events []Event, commits []int) [][2]int {
+	var out [][2]int
+	for _, c := range commits {
+		end := len(events)
+		for i := c; i < len(events); i++ {
+			if ev := events[i]; ev.Dev == 0 && (ev.Kind == KindWrite || ev.Kind == KindWriteRun) && ev.N == 1 && ev.Start < 2 {
+				end = i
+				break
+			}
+		}
+		out = append(out, [2]int{c, end + 1})
+	}
+	return out
 }
 
 // windows finds each checkpoint's master-copy write — a one-page write to
@@ -391,6 +430,9 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	if within(sw.forced, p) {
 		sw.res.ByRefForced++
+	}
+	if within(sw.filled, p) {
+		sw.res.FilledStates++
 	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)

@@ -108,6 +108,12 @@ func TestCrashSweep(t *testing.T) {
 			if res.ByRefUnforced == 0 || res.ByRefForced == 0 {
 				t.Fatalf("%d states fell while a by-reference record's segments were unforced and %d once they were forced, want both > 0", res.ByRefUnforced, res.ByRefForced)
 			}
+			// An append that fills its tail writes nothing and logs its bytes
+			// by value across the closed tail and the new one: crashes must
+			// land while the closed tail waits for the checkpoint.
+			if res.FilledStates == 0 {
+				t.Fatalf("no state fell while a committed append's filled tail was pending, want > 0")
+			}
 			// A checkpoint's two durable writes: the image in the log, then
 			// the master copy naming it.  Crashes must land inside both.
 			if !testing.Short() && (res.ImageStates == 0 || res.MasterStates == 0) {
@@ -147,8 +153,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d with a filled tail pending; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.FilledStates, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

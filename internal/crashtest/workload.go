@@ -99,6 +99,10 @@ const (
 	traceOp     = "        txn %d: %s on %s (len was %d)"
 	traceFill   = "        txn %d: the append on %s continued its tail in place"
 	traceBehind = "        txn %d: the append on %s left its pages pending"
+	// traceFilled: the append filled the room of name's open tail and put
+	// the rest in a new tail, and wrote neither: its record carries its bytes
+	// by value across the two leaf entries.
+	traceFilled = "        txn %d: the append on %s filled its tail and left it pending"
 	// traceReplaced: the commit of txn left its replaces' pages pending.
 	traceReplaced = "        txn %d: the commit left its replaced pages pending"
 	// traceByRef: txn's first operation entered at the first seq, its
@@ -319,8 +323,9 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 // transaction), the last ones an insert and an append that write segments
 // through, and no checkpoint between them.  Every crash inside it finds
 // committed bytes that live only in the log — appended and replaced pages
-// pending in memory — or, once a segment fills, some of them on the device
-// and some not; recovery must redo them from the log alone.  And it finds
+// pending in memory, a filled tail among them, its append's bytes by value
+// across two leaf entries —; recovery must redo them from the log alone.  And
+// it finds
 // segments a record names by reference written and not yet forced, or
 // forced behind a commit that only the log holds.  Its objects' names sort
 // behind the random workload's, whose operations and loser never pick them.
@@ -573,15 +578,20 @@ func randBytes(rng *rand.Rand, n int) []byte {
 func appendOp(st *eos.Store, tx *eos.Txn, txn int, name string, cur, d []byte, cfg WorkloadConfig, staged map[string]*[]byte) error {
 	cfg.Trace(traceOp, txn, "append", name, len(cur))
 	before, _ := layout(st, name)
+	open := hasOpenTail(st, name)
 	writes := st.Volume().Stats().Writes
 	if err := tx.Append(name, d); err != nil {
 		return err
 	}
-	if after, _ := layout(st, name); before > 0 && after == before {
+	after, _ := layout(st, name)
+	if before > 0 && after == before {
 		cfg.Trace(traceFill, txn, name)
 	}
 	if st.Volume().Stats().Writes == writes {
 		cfg.Trace(traceBehind, txn, name)
+		if open && after == before+1 {
+			cfg.Trace(traceFilled, txn, name)
+		}
 	}
 	nv := append(append([]byte{}, cur...), d...)
 	staged[name] = &nv

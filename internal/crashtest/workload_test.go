@@ -122,7 +122,9 @@ func TestWorkloadCoversReplaceShapes(t *testing.T) {
 // pending — committed, aborted and in the loser; the directed prefix commits
 // such appends, and replaces whose pages its commits leave pending, with no
 // checkpoint behind them, so that every sweep has crash states whose
-// committed appends and replaces live only in the log.
+// committed appends and replaces live only in the log.  Among them, appends
+// that fill their tail's room and leave the closed tail pending beside the
+// new one, committed by the prefix and the churn, and aborted.
 func TestWorkloadCoversAppendShapes(t *testing.T) {
 	cfg := sweepConfig(t)
 	clock := &Clock{}
@@ -137,6 +139,7 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 	fills := map[int]int{}    // continuations in place, by transaction
 	behind := map[int]int{}   // appends that left their pages pending, by transaction
 	replaced := map[int]int{} // commits that left replaced pages pending, by transaction
+	filled := map[int]int{}   // appends that filled a tail and left it pending, by transaction
 	shapes := map[string]int{}
 	loserFillSeq := -1
 	end := func(txn int, how string) {
@@ -151,6 +154,9 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 		}
 		if replaced[txn] > 0 {
 			shapes["replace left pending, "+how] += replaced[txn]
+		}
+		if filled[txn] > 0 {
+			shapes["filled tail left pending, "+how] += filled[txn]
 		}
 		for i, o := range ops[txn][1:] {
 			if before := ops[txn][i]; o.kind == "append" && before.kind == "truncate" && before.obj == o.obj {
@@ -171,6 +177,8 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 			}
 		case traceBehind:
 			behind[args[0].(int)]++
+		case traceFilled:
+			filled[args[0].(int)]++
 		case traceReplaced:
 			replaced[args[0].(int)]++
 		case traceCommit:
@@ -189,6 +197,7 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 		"truncate then append, commit", "truncate then append, loser",
 		"append left pending, commit", "append left pending, abort", "append left pending, loser",
 		"append left pending, prefix commit", "replace left pending, prefix commit",
+		"filled tail left pending, prefix commit", "filled tail left pending, commit", "filled tail left pending, abort",
 	} {
 		if shapes[want] == 0 {
 			t.Errorf("workload never produces %q", want)

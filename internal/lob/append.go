@@ -22,9 +22,10 @@ import (
 //     but never less than T pages, and it trims the tail segment only down
 //     to T pages while it holds fewer: the calls on one object are a stream
 //     too, and the next one fills the room this one left.  What it puts in
-//     that open tail stays in memory, pending in the write-behind set, until
-//     the segment fills (pending.go): the bytes are durable in the log, and
-//     the pages reach the device once, as one request.
+//     that tail stays in memory, pending in the write-behind set, while the
+//     tail is open and after the append that fills it has closed it, until a
+//     checkpoint (pending.go): the bytes are durable in the log, and the
+//     pages reach the device once, in the checkpoint's address-order pass.
 //
 // What may be written in place is room no root has ever named.  The pages
 // of an untrimmed tail beyond its bytes are that by construction; so is the
@@ -77,7 +78,8 @@ func (a *Appender) Close() error {
 // of unknown length, so the call leaves the tail segment open: allocated to
 // T pages while it holds fewer, the pages it filled pending in memory, and
 // the next Append continues in that room (nothing read, nothing written, no
-// new segment).  A tail that has reached T pages is written and trimmed.
+// new segment).  A tail that has reached T pages is trimmed and closed, its
+// pages still pending unless bytes behind it were written through.
 func (o *Object) Append(data []byte) error {
 	sp, err := o.PrepareAppend(data)
 	if err != nil || sp == nil {
@@ -185,8 +187,10 @@ func (o *Object) apply(sp *Splice) error {
 	}
 	if o.root.size() == size {
 		sp.Cancel()
-	} else if sp.pend != nil {
-		_ = o.m.writeHome(sp.pendStart, sp.pend) // err is the failure to report
+		return err
+	}
+	for _, run := range sp.pend {
+		_ = o.m.writeHome(run.start, run.raw) // err is the failure to report
 	}
 	return err
 }
@@ -219,7 +223,9 @@ func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 // open > 0 is a plain Append: a new tail segment is asked at least open
 // pages, and the last segment, while it stays open, keeps the pages this
 // call filled pending in memory — unless the manager writes through; their
-// bytes are the Splice's Data.  With trim the last segment is then trimmed:
+// bytes are the Splice's Data.  So does the room of the old tail when this
+// call fills it, while everything behind it stays in memory too and the log
+// is not busy (Config.LogBusy).  With trim the last segment is then trimmed:
 // down to open pages while it holds less than open pages of bytes and stays
 // open, else to its bytes, closed.  Without, it keeps its whole allocation
 // (an Appender's stream).
@@ -239,17 +245,22 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 	byValue := 0         // the last bytes of data that stay in memory
 	alloc := o.tailAlloc // pages allocated to the last segment
 	remaining := data
+	var fill pageImage // the room's pages this call fills, from the page it starts in on, but a held one
+	later := false     // fill waits for the new segments: it stays in memory unless one goes through
 	if len(o.root.entries) > 0 {
 		tail, start, _, err := o.findSegment(o.size)
 		if err != nil {
 			return nil, err
 		}
-		var fillStart disk.PageNum
-		var fill []byte // the room's pages this call fills, from the page it starts in on
-		pend := false
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
-			pend = w == int64(len(data)) && behind(tail.bytes+w)
-			if fillStart, fill, err = m.extend(o.tailStart, tail.bytes, data[:w], pend); err != nil {
+			// The fill stays in memory while the tail stays open.  One that
+			// fills the tail stays too, a closed tail's, when the bytes behind
+			// it do — the record's by-value bytes are a suffix of the update's
+			// —, no replace holds the page it starts in, and the log has room
+			// for them.
+			rest := int64(len(data)) - w
+			later = rest == 0 && behind(tail.bytes+w) || !held && behind(rest) && !m.logBusy()
+			if fill.start, fill.raw, err = m.extend(o.tailStart, tail.bytes, data[:w], later); err != nil {
 				return nil, err
 			}
 			if held {
@@ -258,34 +269,22 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 				// and these behind them — is held too, not written in place:
 				// uncommitted bytes over bytes a committed root names.  Only
 				// the pages behind it are written or left pending.
-				sp.hold = heldImages(fillStart, fill[:ps], ps)
+				sp.hold = heldImages(fill.start, fill.raw[:ps], ps)
 				byValue = len(data)
-				if fillStart, fill = fillStart+1, fill[ps:]; len(fill) == 0 {
-					fill = nil
-				}
+				fill.start, fill.raw = fill.start+1, fill.raw[ps:]
 			}
+			if !later && len(fill.raw) > 0 {
+				// Written now, the pending pages around it with it, in one
+				// request.  A failure from here on leaves them written and
+				// the object as it was.
+				if err := m.writeHome(fill.start, fill.raw); err != nil {
+					return nil, err
+				}
+				sp.wrote = true
+			}
+			// The tail grew: the splice replaces it.
 			tail.bytes += w
 			remaining = data[w:]
-		}
-		// The old tail's pages stay pending while it is still the open last
-		// segment.  Otherwise they are written now, the pending ones with
-		// them, in one request: it fills, or this append writes through.  A
-		// failure from here on leaves them written and the object as it was.
-		switch {
-		case pend:
-			sp.pendStart, sp.pend = fillStart, fill
-			byValue = len(data)
-		case fill != nil:
-			err = m.writeHome(fillStart, fill)
-			sp.wrote = true
-		default:
-			err = m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc) // full already: the allocator gave it less than open pages
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(remaining) < len(data) {
-			// The tail grew: the splice replaces it.
 			sp.Lo = start
 			sp.Entries = append(sp.Entries, Extent{Start: tail.ptr, Bytes: tail.bytes})
 		}
@@ -311,7 +310,7 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 		pend := w == int64(len(remaining)) && behind(w)
 		img := m.pageImage(remaining[:w], pend)
 		if pend {
-			sp.pendStart, sp.pend = start, img
+			sp.pend = append(sp.pend, pageImage{start: start, raw: img})
 			byValue = max(byValue, int(w))
 		} else if err := m.writeImage(start, img); err != nil {
 			return nil, m.giveBack(sp.runs, err)
@@ -321,6 +320,17 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 		remaining = remaining[w:]
 		alloc = got
 		sp.grow = grow
+	}
+	if later && len(fill.raw) > 0 {
+		if sp.wrote {
+			// A new segment went through: so does the fill.
+			if err := m.writeHome(fill.start, fill.raw); err != nil {
+				return nil, m.giveBack(sp.runs, err)
+			}
+		} else {
+			sp.pend = append(sp.pend, fill)
+			byValue = len(data)
+		}
 	}
 	sp.Data = data[len(data)-byValue:]
 

@@ -222,9 +222,10 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 	// The same for a plain Append into the tail the one before left open
 	// (T = 4: 130 bytes in a 4-page segment, both their pages pending): the
 	// failure leaves size, tail and room alone, and the run's bytes — still
-	// pending, or written with the filled room before the failure (written).
-	// The next append continues the run, reading and writing nothing, or
-	// reads the partial page back.
+	// pending, or written with the filled room before the failure (written),
+	// which happens only when the bytes behind the room go through.  The
+	// next append continues the run, reading and writing nothing, or reads
+	// the partial page back.
 	reserved := func(t *testing.T) (*env, *Object, []byte) {
 		e := newEnv(t, 100, 1, 64, Config{Threshold: 4})
 		o := e.m.NewObject(0)
@@ -280,6 +281,38 @@ func TestFailedAppendIsAtomic(t *testing.T) {
 		}
 		checkReserved(t, e, o, model, before, pages, true)
 	})
+	t.Run("reserved tail, out of space behind a pending fill", func(t *testing.T) {
+		e, o, model := reserved(t)
+		before, pages := state(o), reachablePlusFree(t, e, o)
+		set := e.m.cfg.Pending.load()
+		// With every free page taken, 350 bytes fill the room — 270, kept in
+		// memory, as the 80 behind them would be — and find no page for the
+		// rest.  Nothing was written, and the set is the version it was.
+		var hog []PageRun
+		for {
+			p, n, err := e.bm.AllocUpTo(64)
+			if err != nil {
+				break
+			}
+			hog = append(hog, PageRun{Start: p, Pages: n})
+		}
+		var evs []disk.TraceEvent
+		e.vol.SetTracer(func(ev disk.TraceEvent) { evs = append(evs, ev) })
+		err := o.Append(pattern(66, 350))
+		e.vol.SetTracer(nil)
+		if !errors.Is(err, buddy.ErrNoSpace) {
+			t.Fatalf("err = %v, want ErrNoSpace", err)
+		}
+		if len(evs) != 0 || e.m.cfg.Pending.load() != set {
+			t.Fatalf("the failed append issued %+v and changed the pending set: want neither", evs)
+		}
+		for _, r := range hog {
+			if err := e.bm.Free(r.Start, r.Pages); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkReserved(t, e, o, model, before, pages, false)
+	})
 	for after := int64(0); after < 2; after++ {
 		t.Run(fmt.Sprintf("reserved tail, device error after %d requests", after), func(t *testing.T) {
 			e, o, model := reserved(t)
@@ -324,8 +357,11 @@ func reads(evs []disk.TraceEvent) (n, pages int) {
 // TestAppendContinuesItsTail: a plain Append leaves its tail segment open
 // to T pages, and the next one goes on in that room — nothing read, nothing
 // written, no new segment: the pages stay pending.  One that needs more than
-// the room fills it, writes the whole segment in one request, and starts the
-// next T-page run.
+// the room fills it and starts the next T-page run, and writes nothing
+// either while that run stays open: the filled segment waits in the set, a
+// closed tail's, for a checkpoint.  One whose bytes behind the room go
+// through — more than T pages of them — writes the filled room with the
+// pending pages around it in one request, then its new segment.
 func TestAppendContinuesItsTail(t *testing.T) {
 	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
 	base := e.freePages(t)
@@ -357,12 +393,12 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	mustContent(t, o, model) // from memory
 
 	// 280 bytes in, 120 of room: 200 more fill it in place and put 80 in a
-	// new segment of T pages.  The full segment is written in one request of
-	// T pages, nothing read; the new one's page is pending.
+	// new segment of T pages.  Nothing is read or written: the full segment's
+	// 4 pages stay pending, no longer an open tail's, and the new one's page
+	// beside them.
 	more = pattern(72, 200)
-	evs := traced(t, e, func() error { return o.Append(more) })
-	if len(evs) != 1 || !evs[0].Write || evs[0].Start != tail || evs[0].Pages != 4 {
-		t.Fatalf("third append issued %+v, want one write of pages %d..%d", evs, tail, tail+3)
+	if evs := traced(t, e, func() error { return o.Append(more) }); len(evs) != 0 {
+		t.Fatalf("third append issued %+v, want nothing: the filled segment stays pending", evs)
 	}
 	model = append(model, more...)
 	u, _ := o.Usage()
@@ -372,15 +408,30 @@ func TestAppendContinuesItsTail(t *testing.T) {
 	if start, n := pending(); start != o.tailStart || start == tail || n != 1 {
 		t.Fatalf("pending pages %d..+%d, want the new tail's first page %d", start, n, o.tailStart)
 	}
+	closed := e.m.cfg.Pending.load().between(tail, 4)
+	if len(closed) != 4 || closed[0].page != tail {
+		t.Fatalf("%d of the filled segment's pages pending, want its 4", len(closed))
+	}
+	for _, p := range closed {
+		if p.kind != closedTail {
+			t.Fatalf("page %d pending as kind %d, want a closed tail's", p.page, p.kind)
+		}
+	}
+	if o.tailStart != tail+4 {
+		t.Fatalf("the new tail starts at page %d, want %d: right behind the filled one", o.tailStart, tail+4)
+	}
 	mustContent(t, o, model)
 	mustCheck(t, o)
 
 	// A segment that holds T pages of bytes or more is closed like any
-	// other: 320 bytes fill the room, the 840 behind them get 9 pages and
-	// nothing stays reserved or pending.
+	// other: 320 bytes fill the room, the 840 behind them get 9 pages,
+	// written through, and nothing stays reserved or pending.  The filled
+	// room goes first, in one request with the pending pages before it —
+	// both segments, 8 pages —, then the new segment.
 	more = pattern(73, 320+840)
-	if err := o.Append(more); err != nil {
-		t.Fatal(err)
+	evs := traced(t, e, func() error { return o.Append(more) })
+	if len(evs) != 2 || !evs[0].Write || evs[0].Start != tail || evs[0].Pages != 8 || !evs[1].Write || evs[1].Pages != 9 {
+		t.Fatalf("fourth append issued %+v, want one write of pages %d..%d, then the new 9-page segment", evs, tail, tail+7)
 	}
 	model = append(model, more...)
 	u, _ = o.Usage()
@@ -812,6 +863,85 @@ func TestPendingBudget(t *testing.T) {
 	}
 }
 
+// TestPendingBudgetClosedTailsFirst: a tail an append filled stays pending,
+// but no append continues it any more, so over the limit its pages go before
+// any open tail's, though an open tail's run is as long: all 4 of them — the
+// ones the earlier append left and the ones the fill rewrote — in one
+// request.  The open tails stay.
+func TestPendingBudgetClosedTailsFirst(t *testing.T) {
+	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a limit of 12 pages
+	a := e.m.NewObject(0)
+	am := append(pattern(30, 130), pattern(31, 300)...)
+	if err := a.Append(am[:130]); err != nil {
+		t.Fatal(err)
+	}
+	closed := a.tailStart
+	if evs := traced(t, e, func() error { return a.Append(am[130:]) }); len(evs) != 0 { // 270 fill the room, 30 open the next tail
+		t.Fatalf("the fill issued %+v, want nothing", evs)
+	}
+	var objs []*Object
+	var models [][]byte
+	var evs []disk.TraceEvent
+	for len(evs) == 0 && len(objs) < 4 {
+		o := e.m.NewObject(0)
+		objs, models = append(objs, o), append(models, pattern(40+len(objs), 350)) // 4 pages pending each, open
+		evs = traced(t, e, func() error { return o.Append(models[len(models)-1]) })
+	}
+	if len(evs) != 1 || !evs[0].Write || evs[0].Start != closed || evs[0].Pages != 4 {
+		t.Fatalf("the install over the budget issued %+v, want the closed tail's 4 pages from %d written in one request", evs, closed)
+	}
+	for i, o := range objs {
+		if _, n := tailRun(o); n != 4 {
+			t.Fatalf("object %d has %d tail pages pending, want its 4", i, n)
+		}
+		mustContent(t, o, models[i])
+	}
+	if _, n := tailRun(a); n != 1 {
+		t.Fatalf("a's new tail has %d pages pending, want 1", n)
+	}
+	mustContent(t, a, am)
+}
+
+// TestReinstateReopensAFilledTail: an abort of an append that filled the
+// tail reinstates the tail open, and its pages in the set with it: the room
+// the append filled leaves the set, and the pages before it are an open
+// tail's again, whose images hold the committed bytes.
+func TestReinstateReopensAFilledTail(t *testing.T) {
+	e := newEnv(t, 100, 2, 256, Config{Threshold: 4})
+	o := e.m.NewObject(0)
+	model := pattern(32, 130)
+	if err := o.Append(model); err != nil {
+		t.Fatal(err)
+	}
+	desc, tail := o.EncodeDescriptor(), o.tailStart
+	if err := o.Append(pattern(33, 300)); err != nil { // fills the room, opens a new tail
+		t.Fatal(err)
+	}
+	next := o.tailStart
+	if err := o.Reinstate(desc); err != nil {
+		t.Fatal(err)
+	}
+	e.m.Forget(next, 4) // what the aborted append allocated, as the abort's caller does
+	if err := e.m.alloc.FreeUnpublished(next, 4); err != nil {
+		t.Fatal(err)
+	}
+	pages := e.m.cfg.Pending.load().between(tail, 4)
+	if len(pages) != 2 || pages[0].page != tail {
+		t.Fatalf("%d of the tail's pages pending after the abort, want its first 2", len(pages))
+	}
+	for _, p := range pages {
+		if p.kind != openTail {
+			t.Fatalf("page %d pending as kind %d after the abort, want an open tail's", p.page, p.kind)
+		}
+	}
+	mustContent(t, o, model)
+	more := pattern(34, 50)
+	if evs := traced(t, e, func() error { return o.Append(more) }); len(evs) != 0 {
+		t.Fatalf("the append behind the abort issued %+v, want nothing", evs)
+	}
+	mustContent(t, o, append(model, more...))
+}
+
 // TestPendingSetMatchesAMap drives the write-behind set's chunked versions
 // with random installs and drops over a few hundred pages — runs that cross
 // chunk boundaries, replaces over tail pages and tail pages over replaced
@@ -834,11 +964,11 @@ func TestPendingSetMatchesAMap(t *testing.T) {
 					if n > 0 && p.page <= last {
 						t.Fatalf("step %d: page %d after %d", step, p.page, last)
 					}
-					if m, ok := model[p.page]; !ok || !sameImage(m.img, p.img) || m.tail != p.tail {
+					if m, ok := model[p.page]; !ok || !sameImage(m.img, p.img) || m.kind != p.kind {
 						t.Fatalf("step %d: page %d is not the model's", step, p.page)
 					}
 					n, last = n+1, p.page
-					if !p.tail {
+					if p.kind == replacedPage {
 						replaced++
 					}
 				}
@@ -869,25 +999,25 @@ func TestPendingSetMatchesAMap(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		start, k := disk.PageNum(rng.Intn(400)), 1+rng.Intn(100)
 		if rng.Intn(3) > 0 {
-			tail := rng.Intn(2) == 0
+			kind := pageKind(rng.Intn(3))
 			var add []pendingPage
 			for p := start; p < start+disk.PageNum(k); p++ {
 				if rng.Intn(3) > 0 {
-					add = append(add, pendingPage{page: p, img: make([]byte, 1), tail: tail})
+					add = append(add, pendingPage{page: p, img: make([]byte, 1), kind: kind})
 				}
 			}
 			for _, a := range add {
-				if old, ok := model[a.page]; ok && !a.tail {
-					a.tail = old.tail
+				if old, ok := model[a.page]; ok && a.kind == replacedPage {
+					a.kind = old.kind
 				}
 				model[a.page] = a
 			}
 			set, _ = set.with(add)
 		} else {
 			keepTails := rng.Intn(2) == 0
-			set, _ = set.without(start, k, func(p pendingPage) bool { return !(keepTails && p.tail) })
+			set, _ = set.without(start, k, func(p pendingPage) bool { return !(keepTails && p.kind != replacedPage) })
 			for p := start; p < start+disk.PageNum(k); p++ {
-				if m, ok := model[p]; ok && !(keepTails && m.tail) {
+				if m, ok := model[p]; ok && !(keepTails && m.kind != replacedPage) {
 					delete(model, p)
 				}
 			}

@@ -257,8 +257,9 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// open is filled first, in place, from its pending run's first page —
 		// or, with none, from its partial page, which is read back.  A plain
 		// Append leaves the last segment's pages pending while it holds fewer
-		// than T pages of bytes; anything else is written in one request per
-		// segment, the old tail's first.
+		// than T pages of bytes, and the room it fills with them; anything
+		// else is written in one request per segment, the old tail's first.
+		// A tail already full stays pending as it is.
 		plain := op == "append-plain"
 		open := func(bytes int64) bool { return plain && bytes < int64(g.t)*g.ps }
 		var out []floorReq
@@ -270,12 +271,10 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 				} else if last.Bytes%g.ps != 0 {
 					out = append(out, floorReq{start: last.StartPage + disk.PageNum(lo), pages: 1})
 				}
-				if w < n || !open(last.Bytes+w) {
+				if !open(n - w) {
 					out = append(out, floorReq{write: true, start: last.StartPage + disk.PageNum(lo), pages: int(hi - lo + 1)})
 				}
 				n -= w
-			} else {
-				out = append(out, g.writeRun()...)
 			}
 		}
 		if n > 0 && !open(n) {
@@ -434,12 +433,16 @@ type tailRow struct {
 // §4.1, a stream of Append calls on one object.
 var tailTable = []tailRow{
 	// Into the room a plain Append left open: nothing read, nothing written —
-	// the pages join the pending run — until the segment fills, and then it
-	// is written whole, in one request, still nothing read.
+	// the pages join the pending run.  Nor when the segment fills: it waits in
+	// the set, closed, for a checkpoint, and so does the next tail's first
+	// page when the bytes cross into it.  Only bytes behind the room that go
+	// through — T pages or more — make the filled segment go too, whole, in
+	// one request, still nothing read, ahead of its successor.
 	{floorRow{"append into reserved tail", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 0},
 	{floorRow{"append into reserved tail, within the partial page", []int64{800}, 4, "append-plain", 0, 50, ioCount{}}, 130, 0},
-	{floorRow{"append filling the reserved tail: T pages in one request", []int64{800}, 4, "append-plain", 0, 270, ioCount{0, 0, 1, 4, 1}}, 130, 0},
-	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{0, 0, 1, 4, 1}}, 130, 0},
+	{floorRow{"append filling the reserved tail: nothing written", []int64{800}, 4, "append-plain", 0, 270, ioCount{}}, 130, 0},
+	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{}}, 130, 0},
+	{floorRow{"append crossing out of a full reservation with T pages behind it", []int64{800}, 4, "append-plain", 0, 270 + 400, ioCount{0, 0, 2, 8, 2}}, 130, 0},
 	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 3, 1}}, 130, 0},
 	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 850},
 	// What else meets the pending run: a read, or a replace's read of the
@@ -583,7 +586,10 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 // insert, 20 % delete, 10 % replace, 10 % append, half of those plain Append
 // calls that leave the tail open; lengths on both sides of the bridge) to the same formula on whatever layout the churn has
 // produced: every operation's traced requests are its floor, so
-// measured ÷ floor is 1 for each operation kind over the whole run.
+// measured ÷ floor is 1 for each operation kind over the whole run.  A
+// plain append that fills its tail leaves the closed tail pending, and a
+// checkpoint writes it between that operation and the next (writeClosed),
+// outside both.
 func TestOpFloorRandomMix(t *testing.T) {
 	const ps = 100
 	const threshold = 8
@@ -602,6 +608,7 @@ func TestOpFloorRandomMix(t *testing.T) {
 	}
 	var measured, floored ioCount
 	var splits int64
+	closed := 0
 	for i := 0; i < ops; i++ {
 		segs, err := o.Segments()
 		if err != nil {
@@ -635,6 +642,11 @@ func TestOpFloorRandomMix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: %s(%d,%d): %v", i, op, off, n, err)
 		}
+		if k := writeClosed(t, e.m); k > 0 && op != "append-plain" {
+			t.Fatalf("op %d: %s(%d,%d) left %d pages of a closed tail pending", i, op, off, n, k)
+		} else {
+			closed += k
+		}
 		splits += int64(split)
 		measured.reads += st.Reads
 		measured.pagesRead += st.PagesRead
@@ -653,10 +665,36 @@ func TestOpFloorRandomMix(t *testing.T) {
 	if measured != floored {
 		t.Errorf("measured %v, floor %v (with %d split segment writes)", measured, floored, splits)
 	}
-	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages",
-		ops, measured, splits, e.m.Stats().BridgedReads, e.m.Stats().BridgedGapPages)
+	if closed == 0 {
+		t.Error("no plain append filled its tail and left it pending")
+	}
+	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages; %d pages of filled tails left to the checkpoint",
+		ops, measured, splits, e.m.Stats().BridgedReads, e.m.Stats().BridgedGapPages, closed)
 	mustContent(t, o, model)
 	mustCheck(t, o)
+}
+
+// writeClosed writes the pending pages no open tail holds — the tails plain
+// appends filled — as the store's next checkpoint would, one request per run
+// of contiguous ones, and returns how many it wrote.  What an operation then
+// meets pending is the open tail's run alone, which the floor knows.
+func writeClosed(t *testing.T, m *Manager) int {
+	t.Helper()
+	var closed []pendingPage
+	m.cfg.Pending.load().each(func(p pendingPage) bool {
+		if p.kind != openTail {
+			closed = append(closed, p)
+		}
+		return true
+	})
+	for i := 0; i < len(closed); {
+		j := runEnd(closed, i)
+		if err := m.cfg.Pending.writeRange(closed[i].page, j-i); err != nil {
+			t.Fatal(err)
+		}
+		i = j
+	}
+	return len(closed)
 }
 
 // TestBridgeCounters: the two counters report what the rule saved and what

@@ -66,6 +66,11 @@ type Config struct {
 	// an append reads the partial last page of an open tail back — the
 	// write-through stacks eosbench compares and perf's lob-layer probe.
 	Pending *Pending
+	// LogBusy reports whether the log that carries the set's bytes is too
+	// full to take more of them by value: a plain Append that fills its
+	// tail's room then writes the tail through and names it by reference
+	// (append.go).  nil: never.
+	LogBusy func() bool
 }
 
 // Stats counts manager activity for the experiments.
@@ -363,6 +368,10 @@ func (m *Manager) writeHome(start disk.PageNum, img []byte) error {
 	}
 	return m.cfg.Pending.writeOver(start, img)
 }
+
+// logBusy reports whether the log is too full to carry a filled tail's
+// bytes by value (Config.LogBusy).
+func (m *Manager) logBusy() bool { return m.cfg.LogBusy != nil && m.cfg.LogBusy() }
 
 // Forget drops the images of pages [start, start+n) unwritten — pending
 // ones, and index pages' pool frames — before the pages go back to the free

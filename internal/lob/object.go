@@ -95,8 +95,9 @@ func (o *Object) Manager() *Manager { return o.m }
 // operations shadowed every index page and wrote no page desc names outside
 // its tail's room, so desc's tree is whole; whatever they allocated is the
 // caller's to give back.  An aborted append may have left room pages
-// pending: those images are dropped, as no root names their bytes; finding
-// the room walks desc's tree to its tail, through the pool.
+// pending: those images are dropped, as no root names their bytes, and the
+// tail's pages before them are an open tail's again if the append filled
+// it; finding the room walks desc's tree to its tail, through the pool.
 func (o *Object) Reinstate(desc []byte) error {
 	r, err := o.m.OpenDescriptor(desc)
 	if err != nil {
@@ -114,6 +115,7 @@ func (o *Object) Reinstate(desc []byte) error {
 	}
 	keep := pagesFor(tailLen, o.m.vol.PageSize())
 	o.m.cfg.Pending.drop(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep)
+	o.m.cfg.Pending.mark(o.tailStart, keep, openTail) // an append may have closed it
 	return nil
 }
 

@@ -13,9 +13,10 @@ import (
 // Two kinds of data page wait in memory, keyed by page number, with bytes a
 // committed root names that the device does not hold yet:
 //
-//   - the pages of an open tail that plain Appends filled (append.go): the
-//     tail segment stays open for the next append, which continues in the
-//     pages it left;
+//   - the pages plain Appends filled in a tail segment (append.go): while
+//     the tail is open the next append continues in the pages it left, and
+//     once an append has filled its room they stay, a closed tail's, for
+//     the checkpoint;
 //   - the pages a committed transaction's replaces rewrote
 //     (Manager.PendHeld): they wait here instead of being written home
 //     behind the commit force, and a later replace of a pending page only
@@ -37,13 +38,16 @@ import (
 //   - the store takes a checkpoint, whose image may name their bytes: it
 //     captures the set (Capture) with the image's descriptors and writes
 //     what it captured (Write) without holding the store's lock;
-//   - the set is over its limit after an install (replaced pages go before
-//     open tails: a tail written early costs the append that continues it a
-//     read).  The store sets the limit to its log's capacity in data pages:
-//     every pending byte is redo the log has carried since the last
-//     checkpoint, so the log, not the buffer pool, is what bounds them;
-//   - a tail closes (trim, Destroy, a delete, insert or compaction that
-//     reaches the tail segment) or fills;
+//   - the set is over its limit after an install (replaced pages and closed
+//     tails' go before open tails: a closed tail's pages are no longer an
+//     open tail's, which no append continues, and an open tail written early
+//     costs the append that continues it a read).  The store sets the limit
+//     to its log's capacity in data pages: every pending byte is redo the
+//     log has carried since the last checkpoint, so the log, not the buffer
+//     pool, is what bounds them;
+//   - a tail is trimmed (Trim, Destroy, a delete, insert or compaction that
+//     reaches the tail segment), or an append that fills it writes it
+//     through (append.go says when);
 //   - their pages are freed (Manager.freeData): a snapshot may still read
 //     them, and they must not outlive their owner.
 //
@@ -52,8 +56,8 @@ import (
 // page writes it first — unless no root but an aborted one names its bytes:
 // pages an aborted transaction allocated (Manager.Forget), and the room of a
 // tail its abort reinstates (Object.Reinstate) — and whoever writes a
-// pending page from outside the set (a non-transactional replace, a tail
-// that fills) drops its image in the same critical section under
+// pending page from outside the set (a non-transactional replace, a fill
+// that writes through) drops its image in the same critical section under
 // Pending.mu, so that the image is never written over the newer page later.
 // The one write made outside Pending.mu, a captured run's, marks its pages
 // in flight first: nobody else writes or drops them until it is done, and
@@ -96,8 +100,17 @@ func NewPending(vol disk.Device, limit int) *Pending {
 type pendingPage struct {
 	page disk.PageNum
 	img  []byte // one page; nobody writes to it once it is in the set
-	tail bool   // an open tail's page, else a committed replace's
+	kind pageKind
 }
+
+// pageKind says what left a page in the set.
+type pageKind uint8
+
+const (
+	replacedPage pageKind = iota // a committed replace
+	openTail                     // an append into the tail an append continues next
+	closedTail                   // an append into a tail that has closed since
+)
 
 func (p pendingPage) pageNum() disk.PageNum { return p.page }
 
@@ -220,9 +233,9 @@ func (s *pendingSet) each(f func(pendingPage) bool) {
 
 // with returns s with add's images over the ones it holds of their pages
 // (add is sorted, one image per page), and how many of add's replaced pages
-// were pending already.  An open tail's page is a tail page; a replace
-// leaves a page it finds pending of the kind it was.  Only the chunks add
-// falls in are copied.
+// were pending already.  A tail's page is of the kind add gives it; a
+// replace leaves a page it finds pending of the kind it was.  Only the
+// chunks add falls in are copied.
 func (s *pendingSet) with(add []pendingPage) (*pendingSet, int) {
 	out := &pendingSet{n: s.len()}
 	var old [][]pendingPage
@@ -248,18 +261,18 @@ func (s *pendingSet) with(add []pendingPage) (*pendingSet, int) {
 				k++
 			}
 			if k < len(c) && c[k].page == a.page {
-				if !a.tail {
-					a.tail = c[k].tail
+				if a.kind == replacedPage {
+					a.kind = c[k].kind
 					absorbed++
 				}
 				out.n--
-				if !c[k].tail {
+				if c[k].kind == replacedPage {
 					out.replaced--
 				}
 				k++
 			}
 			out.n++
-			if !a.tail {
+			if a.kind == replacedPage {
 				out.replaced++
 			}
 			merged = append(merged, a)
@@ -294,7 +307,7 @@ func (s *pendingSet) without(start disk.PageNum, n int, drop func(pendingPage) b
 		for _, p := range c {
 			if p.page >= start && p.page < end && drop(p) {
 				dropped++
-				if !p.tail {
+				if p.kind == replacedPage {
 					replaced++
 				}
 				continue
@@ -329,12 +342,12 @@ func appendChunks(chunks [][]pendingPage, pages []pendingPage) [][]pendingPage {
 	return chunks
 }
 
-// largestRun returns the largest run of contiguous pending pages of one kind
-// — a tail's or a replace's — the lowest on a tie.
-func (s *pendingSet) largestRun(tail bool) (best pageRange) {
+// largestRun returns the largest run of contiguous pending pages that are
+// all an open tail's, or all not, the lowest on a tie.
+func (s *pendingSet) largestRun(open bool) (best pageRange) {
 	var cur pageRange
 	s.each(func(p pendingPage) bool {
-		if p.tail != tail {
+		if (p.kind == openTail) != open {
 			cur = pageRange{}
 			return true
 		}
@@ -522,6 +535,27 @@ func (t *Pending) drop(start disk.PageNum, n int) {
 	t.cutLocked(start, n)
 }
 
+// mark makes the tail pages pending among [start, start+n) the given kind of
+// tail page: a tail that closes or is reinstated open.  The images stay.
+func (t *Pending) mark(start disk.PageNum, n int, kind pageKind) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var add []pendingPage
+	for _, p := range t.load().between(start, n) {
+		if p.kind != replacedPage && p.kind != kind {
+			p.kind = kind
+			add = append(add, p)
+		}
+	}
+	if len(add) > 0 {
+		next, _ := t.load().with(add)
+		t.storeLocked(next)
+	}
+}
+
 // install puts pages into the set over the images it holds of them, then
 // writes runs back until the set is within its limit.  A failed write-back
 // leaves its run pending: the limit is on memory, and the next flush meets
@@ -541,10 +575,10 @@ func (t *Pending) install(add []pendingPage) {
 	}
 }
 
-// evictLocked writes the largest run of contiguous pending pages of one
-// kind, the lowest on a tie — a committed replace's pages before an open
-// tail's — and drops it.  A run a captured write has in flight is waited
-// for, and the choice made again.
+// evictLocked writes the largest run of contiguous pending pages that no
+// open tail holds — a committed replace's or a closed tail's —, else the
+// largest open tail's, the lowest on a tie, and drops it.  A run a captured
+// write has in flight is waited for, and the choice made again.
 //
 // eos:requires t.mu
 func (t *Pending) evictLocked() error {
@@ -603,7 +637,7 @@ func (t *Pending) storeLocked(s *pendingSet) {
 func replacedIn(pages []pendingPage) int {
 	n := 0
 	for _, p := range pages {
-		if !p.tail {
+		if p.kind == replacedPage {
 			n++
 		}
 	}
@@ -612,10 +646,10 @@ func replacedIn(pages []pendingPage) int {
 
 // pageImages splits raw, whole-page images of the pages from start on, into
 // pending pages of the given kind.  They share raw's memory.
-func pageImages(start disk.PageNum, raw []byte, ps int, tail bool) []pendingPage {
+func pageImages(start disk.PageNum, raw []byte, ps int, kind pageKind) []pendingPage {
 	out := make([]pendingPage, len(raw)/ps)
 	for i := range out {
-		out[i] = pendingPage{page: start + disk.PageNum(i), img: raw[i*ps : (i+1)*ps], tail: tail}
+		out[i] = pendingPage{page: start + disk.PageNum(i), img: raw[i*ps : (i+1)*ps], kind: kind}
 	}
 	return out
 }

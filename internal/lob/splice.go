@@ -52,9 +52,9 @@ func (x Extent) Run(ps int) PageRun {
 // the leaf entries covering the entry-aligned byte range [Lo, Hi) of the
 // object.  Entries name segments by reference — pages the update wrote
 // through, or old pages it kept — except the last len(Data) bytes of the
-// new range, which the update left in memory (an open tail's pending pages,
-// or a page a replace of its transaction holds) and which Data carries by
-// value.
+// new range, which the update left in memory (pending pages of the tail it
+// grew and of the one it started, or a page a replace of its transaction
+// holds) and which Data carries by value, across one entry or more.
 type Splice struct {
 	Lo, Hi  int64
 	Entries []Extent
@@ -62,13 +62,12 @@ type Splice struct {
 
 	// What Prepare did, for Apply and Cancel; zero in a Splice rebuilt from
 	// the log.
-	m         *Manager
-	runs      []PageRun    // allocated by the prepare, whole
-	wrote     bool         // the prepare wrote pages the entries name through
-	grow      int          // the append schedule's next segment size, 0 = unchanged
-	pendStart disk.PageNum // pend: images of the pages from pendStart on, left pending
-	pend      []byte
-	hold      []heldPage // images of held pages the update rewrote
+	m     *Manager
+	runs  []PageRun   // allocated by the prepare, whole
+	wrote bool        // the prepare wrote pages the entries name through
+	grow  int         // the append schedule's next segment size, 0 = unchanged
+	pend  []pageImage // runs of pages the update left pending, at most one per entry
+	hold  []heldPage  // images of held pages the update rewrote
 	// Room for a typical update's entries and runs: preparing one allocates
 	// the Splice and nothing more for them.
 	entryBuf [3]Extent
@@ -145,10 +144,9 @@ func (o *Object) Apply(sp *Splice) error {
 			tail = sp.Entries[n-1]
 		}
 		if o.tailAlloc > 0 && (tail.Pages == 0 || tail.Start != o.tailStart) {
-			// The tail closed or moved: its pending pages go now.
-			if err := m.cfg.Pending.writeRange(o.tailStart, o.tailAlloc); err != nil {
-				return err
-			}
+			// The tail closed or moved: its pending pages wait for the
+			// checkpoint as a closed tail's.
+			m.cfg.Pending.mark(o.tailStart, o.tailAlloc, closedTail)
 		}
 		o.tailStart, o.tailAlloc = tail.Start, tail.Pages
 	}
@@ -159,11 +157,24 @@ func (o *Object) Apply(sp *Splice) error {
 	m.held.hold(sp.hold)
 	switch {
 	case sp.pend != nil:
-		m.cfg.Pending.install(pageImages(sp.pendStart, sp.pend, ps, true))
+		var pages []pendingPage
+		for _, run := range sp.pend {
+			pages = append(pages, pageImages(run.start, run.raw, ps, o.tailKind(run.start))...)
+		}
+		m.cfg.Pending.install(pages)
 	case len(sp.Data) > 0 && sp.hold == nil:
 		return o.pendData(sp)
 	}
 	return nil
+}
+
+// tailKind is the kind of a pending page of the tail segment p lies in: the
+// open tail's, or one that has closed.
+func (o *Object) tailKind(p disk.PageNum) pageKind {
+	if o.tailAlloc > 0 && p >= o.tailStart && p < o.tailStart+disk.PageNum(o.tailAlloc) {
+		return openTail
+	}
+	return closedTail
 }
 
 // Continued returns the pages an append's Splice wrote through in the tail
@@ -258,7 +269,7 @@ func (o *Object) pendData(sp *Splice) error {
 		if err != nil {
 			return err
 		}
-		for _, p := range pageImages(start, raw, ps, true) {
+		for _, p := range pageImages(start, raw, ps, o.tailKind(start)) {
 			if sp.Newer == nil || !sp.Newer(p.page) {
 				pages = append(pages, p)
 			}

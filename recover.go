@@ -57,8 +57,9 @@ import (
 //     range.  A commit forces the data volume before it appends its record
 //     when any of them was written through, so a durable commit record's
 //     segments are on the device.  Only the bytes an update leaves in
-//     memory — an open tail's pending pages, which wait there until the
-//     segment closes or a checkpoint runs — travel in the record by value.
+//     memory — a tail's pending pages, which wait there until a checkpoint
+//     runs or the segment is trimmed, the open tail's and a filled one's
+//     alike — travel in the record by value.
 //   - Every write that logs nothing (the Object API, Create) is captured by
 //     a checkpoint before a transaction first takes the object, so the root
 //     the image names for it is the root its records were spliced into.

@@ -13,9 +13,9 @@ import (
 // Snapshot never touch the object latch or the transaction lock table:
 // shadowing makes the captured root the name of an immutable tree, and
 // the snapshot's epoch pin keeps the pages that tree references from
-// being reused until Close.  The last pages of an open tail may not be on
-// the device yet: the version reads them from the object's pending run
-// until a checkpoint, or the tail filling, writes them.
+// being reused until Close.  The last pages of a tail may not be on the
+// device yet: the version reads them from the write-behind set until a
+// checkpoint writes them.
 //
 // Structural updates (insert, delete, append, truncate, compact,
 // destroy) committed after the capture are invisible.  Replace is the
