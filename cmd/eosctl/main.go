@@ -233,6 +233,12 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 			fmt.Printf("  segments:      %d (min %d, max %d pages)\n", u.SegmentCount, u.MinSegmentPgs, u.MaxSegmentPgs)
 			fmt.Printf("  data pages:    %d\n", u.SegmentPages)
 			fmt.Printf("  index pages:   %d (tree height %d)\n", u.IndexPages, u.TreeHeight)
+			if u.IndexPages > 0 {
+				fmt.Printf("  index fill:    %d entries in %d node pages of %d (%.1f%%)\n",
+					u.IndexEntries, u.IndexPages, u.NodeCapacity, u.IndexFill()*100)
+			} else {
+				fmt.Printf("  index fill:    no node pages (the root holds every entry)\n")
+			}
 			fmt.Printf("  utilization:   %.1f%%\n", u.Utilization(s.PageSize())*100)
 			fmt.Printf("  threshold T:   %d pages\n", o.Threshold())
 			return nil

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/eosdb/eos"
 )
 
 // withStdin temporarily wires os.Stdin to the given bytes.
@@ -96,7 +98,7 @@ func testCtlEndToEnd(t *testing.T) {
 	if out := must("ls"); !strings.Contains(out, "doc") {
 		t.Errorf("ls: %q", out)
 	}
-	if out := must("stat", "doc"); !strings.Contains(out, "size:") {
+	if out := must("stat", "doc"); !strings.Contains(out, "size:") || !strings.Contains(out, "index fill:    no node pages") {
 		t.Errorf("stat: %q", out)
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
@@ -115,6 +117,47 @@ func testCtlEndToEnd(t *testing.T) {
 	}
 	if out := must("fsck"); !strings.Contains(out, "OK") {
 		t.Errorf("fsck after rm: %q", out)
+	}
+}
+
+// TestCtlStatIndexFill pins stat's index fill: an object of 53 leaf entries
+// at 512-byte pages, whose root the 51st pushed down over two node pages of
+// 50 entries each.
+func TestCtlStatIndexFill(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(dir, "init", nil, 1024, 512, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	s, err := eos.OpenAt(dir, eos.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := s.Create("frag", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ps = 512
+	if err := o.Insert(0, make([]byte, 60*ps)); err != nil {
+		t.Fatal(err)
+	}
+	// One page in front of every other page, right to left: each insert
+	// splits a segment into three.
+	for page := 56; page >= 6; page -= 2 {
+		if err := o.Insert(int64(page*ps), bytes.Repeat([]byte{1}, ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out string
+	out = captureStdout(t, func() {
+		if err := run(dir, "stat", []string{"frag"}, 0, 0, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := "index fill:    53 entries in 2 node pages of 50 (53.0%)"; !strings.Contains(out, want) {
+		t.Errorf("stat frag: %q, want a line %q", out, want)
 	}
 }
 

@@ -63,7 +63,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 8 // v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 9 // v9: index entries and descriptor roots hold 10-byte (48-bit count, 32-bit page) pairs; v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
 
 	// snapshotHistory is how many superseded committed root versions each
 	// object retains alongside the newest one.  A snapshot reader holding

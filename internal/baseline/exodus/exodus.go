@@ -32,10 +32,12 @@ var (
 	ErrCorrupt = errors.New("exodus: corrupt index node")
 )
 
+// Node page layout: magic, level, entry count, then (cumulative count,
+// child page) pairs in EOS's entry layout (lob.PutEntry), so a comparison
+// with EOS measures the two designs and not their encodings.
 const (
 	nodeMagic      = 0xE30D
 	nodeHeaderSize = 6
-	entrySize      = 16
 )
 
 type entry struct {
@@ -82,7 +84,7 @@ func New(vol disk.Device, pool *buffer.Pool, alloc lob.Allocator, leafPages int)
 	if leafPages < 1 {
 		return nil, fmt.Errorf("exodus: invalid leaf block size %d", leafPages)
 	}
-	if (vol.PageSize()-nodeHeaderSize)/entrySize < 4 {
+	if (vol.PageSize()-nodeHeaderSize)/lob.EntrySize < 4 {
 		return nil, fmt.Errorf("exodus: page size %d too small", vol.PageSize())
 	}
 	return &Object{vol: vol, pool: pool, alloc: alloc, leafPages: leafPages, root: &node{level: 1}}, nil
@@ -96,7 +98,7 @@ func (o *Object) LeafPages() int { return o.leafPages }
 
 func (o *Object) leafCap() int64 { return int64(o.leafPages) * int64(o.vol.PageSize()) }
 
-func (o *Object) maxFanout() int { return (o.vol.PageSize() - nodeHeaderSize) / entrySize }
+func (o *Object) maxFanout() int { return (o.vol.PageSize() - nodeHeaderSize) / lob.EntrySize }
 func (o *Object) minFanout() int { return o.maxFanout() / 2 }
 
 func (o *Object) checkRange(off, n int64) error {
@@ -122,14 +124,13 @@ func (o *Object) readNode(p disk.PageNum) (*node, error) {
 	var prev int64
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
-		cum := int64(binary.BigEndian.Uint64(img[off:]))
-		ptr := disk.PageNum(binary.BigEndian.Uint64(img[off+8:]))
+		cum, ptr := lob.GetEntry(img[off:])
 		if cum <= prev {
 			return nil, fmt.Errorf("%w: non-increasing counts", ErrCorrupt)
 		}
 		n.entries = append(n.entries, entry{cum - prev, ptr})
 		prev = cum
-		off += entrySize
+		off += lob.EntrySize
 	}
 	return n, nil
 }
@@ -154,9 +155,10 @@ func (o *Object) writeNode(p disk.PageNum, n *node) (disk.PageNum, error) {
 	off := nodeHeaderSize
 	for _, e := range n.entries {
 		cum += e.bytes
-		binary.BigEndian.PutUint64(img[off:], uint64(cum))
-		binary.BigEndian.PutUint64(img[off+8:], uint64(e.ptr))
-		off += entrySize
+		if err := lob.PutEntry(img[off:], cum, e.ptr); err != nil {
+			return 0, err
+		}
+		off += lob.EntrySize
 	}
 	return p, nil
 }

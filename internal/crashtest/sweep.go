@@ -108,6 +108,11 @@ type Result struct {
 	// new one — and before the next checkpoint's master copy, which ends
 	// recovery's need of that record.
 	FilledStates int
+	// SplitStates counts the states whose crash falls behind the commit of
+	// a directed-prefix transaction that split an index node — or pushed
+	// its root down into new ones — and before the next checkpoint's master
+	// copy: recovery must redo the split from the log.
+	SplitStates int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -139,7 +144,11 @@ type sweeper struct {
 	// [from, to) they give (see FilledStates).
 	filledAt []int
 	filled   [][2]int
-	seen     map[uint64]bool
+	// splitAt and split are the same for the commits traceSplit names (see
+	// SplitStates).
+	splitAt []int
+	split   [][2]int
+	seen    map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -182,7 +191,8 @@ func Sweep(cfg Config) (*Result, error) {
 	sw.res.Wraps = st.Stats().WAL.Wraps
 	sw.inImage, sw.inMaster = windows(sw.events)
 	sw.unforced, sw.forced = byRefWindows(sw.events, sw.byRef)
-	sw.filled = filledWindows(sw.events, sw.filledAt)
+	sw.filled = untilMaster(sw.events, sw.filledAt)
+	sw.split = untilMaster(sw.events, sw.splitAt)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
@@ -232,11 +242,12 @@ func Sweep(cfg Config) (*Result, error) {
 
 // traceFollowed wraps the workload's trace function next, which may be nil,
 // to record in sw.followed where a transaction follows its own replace with
-// another operation on the same object — and in sw.byRef and sw.filledAt the
-// transactions the other classes start from.
+// another operation on the same object — and in sw.byRef, sw.filledAt and
+// sw.splitAt the transactions the other classes start from.
 func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(string, ...any) {
 	replaced := map[string]bool{} // the objects the running transaction replaced
 	filled := map[int]bool{}      // the transactions an append of which filled a tail
+	split := map[int]bool{}       // the transactions whose commit split an index node
 	open := false                 // the last interval runs until the next begin
 	return func(format string, args ...any) {
 		if next != nil {
@@ -247,9 +258,14 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 			sw.byRef = append(sw.byRef, [3]int{args[0].(int), args[1].(int), args[2].(int)})
 		case traceFilled:
 			filled[args[0].(int)] = true
+		case traceSplit:
+			split[args[0].(int)] = true
 		case traceCommit:
 			if filled[args[2].(int)] {
 				sw.filledAt = append(sw.filledAt, args[1].(int))
+			}
+			if split[args[2].(int)] {
+				sw.splitAt = append(sw.splitAt, args[1].(int))
 			}
 		case traceBegin:
 			if open {
@@ -314,11 +330,12 @@ func byRefWindows(events []Event, byRef [][3]int) (unforced, forced [][2]int) {
 	return unforced, forced
 }
 
-// filledWindows turns the seq each filled tail's commit returned at into
-// the positions whose crash finds the commit durable and the tail pending:
+// untilMaster turns the seq each commit returned at into the positions
+// whose crash finds the commit durable and recovery in need of its record
+// (a filled tail still pending, a split node page not yet checkpointed):
 // from there through the next master-copy write — a one-page write to data
-// page 0 or 1 —, the end of the checkpoint that writes the tail.
-func filledWindows(events []Event, commits []int) [][2]int {
+// page 0 or 1 —, the end of the checkpoint that makes the record moot.
+func untilMaster(events []Event, commits []int) [][2]int {
 	var out [][2]int
 	for _, c := range commits {
 		end := len(events)
@@ -433,6 +450,9 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	if within(sw.filled, p) {
 		sw.res.FilledStates++
+	}
+	if within(sw.split, p) {
+		sw.res.SplitStates++
 	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)

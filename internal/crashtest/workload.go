@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"github.com/eosdb/eos"
+	"github.com/eosdb/eos/internal/lob"
 	"github.com/eosdb/eos/internal/wal"
 )
 
@@ -105,6 +106,9 @@ const (
 	traceFilled = "        txn %d: the append on %s filled its tail and left it pending"
 	// traceReplaced: the commit of txn left its replaces' pages pending.
 	traceReplaced = "        txn %d: the commit left its replaced pages pending"
+	// traceSplit: the commit of txn grew name's index, from the first count
+	// of node pages to the second: a node split, or the root pushed down.
+	traceSplit = "        txn %d: the commit grew %s's index from %d to %d node pages"
 	// traceByRef: txn's first operation entered at the first seq, its
 	// Commit call at the second and returned at the third; its records name
 	// segments it wrote through, which its commit forced.
@@ -125,13 +129,26 @@ const loserTxn = -1
 // before they append, then byRefTxns that insert into the middle of each and
 // append more than its tail holds — segments written through, which their
 // records name by reference —, committed with no checkpoint between them.
+// Then, behind a checkpoint, splitTxns transactions build splitObject, at
+// threshold 1, of splitPages pages in one segment, and insert one page at
+// every other page boundary of it, right to left, splitInserts a
+// transaction: each insert splits the segment it lands in into three — the
+// pages to its left, the inserted page with the one it lands on, and the
+// page behind them.  With 512-byte pages (50 entries a node) the 25th
+// insert pushes the root down over two nodes, and the 38th splits the left
+// one, which takes every insert behind the push-down.
 const (
-	appendTxns  = 6
-	replaceTxns = 10
-	byRefTxns   = 2
+	appendTxns   = 6
+	replaceTxns  = 10
+	byRefTxns    = 2
+	splitTxns    = 7
+	splitInserts = 6
+	splitPages   = 2*splitTxns*splitInserts + 2
 )
 
 var prefixObjects = []string{"w0", "w1", "w2", "w3"}
+
+const splitObject = "w4"
 
 // WorkloadConfig tunes the seeded churn the sweep traces.
 type WorkloadConfig struct {
@@ -327,8 +344,10 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 // across two leaf entries —; recovery must redo them from the log alone.  And
 // it finds
 // segments a record names by reference written and not yet forced, or
-// forced behind a commit that only the log holds.  Its objects' names sort
-// behind the random workload's, whose operations and loser never pick them.
+// forced behind a commit that only the log holds.  Behind a checkpoint, its
+// last transactions split an index node (splitPrefix).  Its objects' names
+// sort behind the random workload's, whose operations and loser never pick
+// them.
 func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a11))
 	for i := 0; i < appendTxns+replaceTxns+byRefTxns; i++ {
@@ -372,6 +391,51 @@ func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Ora
 		}
 		if byRef {
 			cfg.Trace(traceByRef, opSeq, beginSeq, clock.Seq(), txn)
+		}
+		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
+	}
+	return splitPrefix(st, clock, cfg, oracle, model, rng)
+}
+
+// splitPrefix runs the directed prefix's splitTxns transactions on
+// splitObject and traces each commit that grew the object's index.  Its
+// checkpoint leaves the wrapping log room for them.
+func splitPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte, rng *rand.Rand) error {
+	if err := st.Checkpoint(); err != nil {
+		return fmt.Errorf("checkpoint before the split txns: %w", err)
+	}
+	ps := st.PageSize()
+	page := splitPages // the last insert went in front of this page of the first segment
+	for i := 0; i < splitTxns; i++ {
+		txn := -2 - appendTxns - replaceTxns - byRefTxns - i
+		tx, err := st.Begin()
+		if err != nil {
+			return fmt.Errorf("begin split txn %d: %w", i, err)
+		}
+		cfg.Trace(traceBegin, clock.Seq(), txn)
+		staged := map[string]*[]byte{}
+		cur, exists := model[splitObject]
+		if !exists {
+			err = tx.Create(splitObject, 1)
+			if err == nil {
+				cur, err = insertOp(tx, txn, splitObject, cur, 0, randBytes(rng, splitPages*ps), cfg, staged)
+			}
+		}
+		indexBefore := usage(st, splitObject).IndexPages
+		for n := 0; err == nil && n < splitInserts; n++ {
+			page -= 2
+			cur, err = insertOp(tx, txn, splitObject, cur, page*ps, randBytes(rng, ps), cfg, staged)
+		}
+		if err != nil {
+			_ = tx.Abort() // the insert's error is the one to report
+			return fmt.Errorf("split txn %d: %w", i, err)
+		}
+		beginSeq := clock.Seq()
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("commit split txn %d: %w", i, err)
+		}
+		if after := usage(st, splitObject).IndexPages; after > indexBefore {
+			cfg.Trace(traceSplit, txn, splitObject, indexBefore, after)
 		}
 		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
 	}
@@ -577,13 +641,13 @@ func randBytes(rng *rand.Rand, n int) []byte {
 // pending.
 func appendOp(st *eos.Store, tx *eos.Txn, txn int, name string, cur, d []byte, cfg WorkloadConfig, staged map[string]*[]byte) error {
 	cfg.Trace(traceOp, txn, "append", name, len(cur))
-	before, _ := layout(st, name)
+	before := usage(st, name).SegmentCount
 	open := hasOpenTail(st, name)
 	writes := st.Volume().Stats().Writes
 	if err := tx.Append(name, d); err != nil {
 		return err
 	}
-	after, _ := layout(st, name)
+	after := usage(st, name).SegmentCount
 	if before > 0 && after == before {
 		cfg.Trace(traceFill, txn, name)
 	}
@@ -598,25 +662,23 @@ func appendOp(st *eos.Store, tx *eos.Txn, txn int, name string, cur, d []byte, c
 	return nil
 }
 
-// layout is name's segment count and the allocated bytes of its segments
-// that hold no data; zeros when they cannot be had.
-func layout(st *eos.Store, name string) (segments int, unused int64) {
+// usage is name's storage footprint; zero when it cannot be had.
+func usage(st *eos.Store, name string) lob.UsageInfo {
 	o, err := st.Open(name)
 	if err != nil {
-		return 0, 0
+		return lob.UsageInfo{}
 	}
 	u, err := o.Usage()
 	if err != nil {
-		return 0, 0
+		return lob.UsageInfo{}
 	}
-	return u.SegmentCount, u.WastedBytes
+	return u
 }
 
 // hasOpenTail reports whether name's last segment has whole pages of room
 // behind its bytes: a plain append left it open.
 func hasOpenTail(st *eos.Store, name string) bool {
-	_, unused := layout(st, name)
-	return unused >= int64(st.PageSize())
+	return usage(st, name).WastedBytes >= int64(st.PageSize())
 }
 
 func sortedNames(model map[string][]byte) []string {

@@ -213,3 +213,29 @@ func TestWorkloadCoversAppendShapes(t *testing.T) {
 		t.Errorf("no force of the data volume follows the loser's in-place append (at seq %d)", loserFillSeq)
 	}
 }
+
+// TestDirectedPrefixSplitsAnIndexNode checks that the directed prefix drives
+// its split object through a root push-down (no node page to two) and then
+// a leaf split (one node page more), each in a commit of its own.
+func TestDirectedPrefixSplitsAnIndexNode(t *testing.T) {
+	cfg := sweepConfig(t)
+	clock := &Clock{}
+	dataDev := NewDevice(disk.MustNewVolume(512, 4096, disk.DefaultCostModel()), clock, 0)
+	logDev := NewDevice(disk.MustNewVolume(512, 96, disk.DefaultCostModel()), clock, 1)
+	st, err := eos.Format(dataDev, logDev, cfg.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grew [][2]int
+	wl := WorkloadConfig{Seed: 42, Txns: 1, NoLoser: true, Trace: func(format string, args ...any) {
+		if format == traceSplit {
+			grew = append(grew, [2]int{args[2].(int), args[3].(int)})
+		}
+	}}
+	if _, err := RunWorkload(st, clock, wl); err != nil {
+		t.Fatal(err)
+	}
+	if len(grew) != 2 || grew[0] != [2]int{0, 2} || grew[1] != [2]int{2, 3} {
+		t.Errorf("the split txns grew the index %v, want [[0 2] [2 3]]: a push-down, then a leaf split", grew)
+	}
+}

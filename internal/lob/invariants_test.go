@@ -222,13 +222,15 @@ func TestSeededSplicesKeepTheTreeValid(t *testing.T) {
 func TestCheckExemptsOnlyASoleChild(t *testing.T) {
 	e := newEnv(t, 512, 8, 1024, Config{Threshold: 1, MaxRootEntries: 8})
 	o := e.m.NewObject(0)
-	for i := 0; i < 40; i++ { // 40 one-page segments: a root over two children
+	// One one-page segment more than a 512-byte node holds: the node
+	// splits, and the root is over two children.
+	for i := 0; i <= maxFanout(512); i++ {
 		if err := o.AppendWithHint(pattern(i, 512), 512); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if o.root.level != 2 || len(o.root.entries) < 2 {
-		t.Fatalf("root at level %d with %d entries, want level 2 with two or more", o.root.level, len(o.root.entries))
+	if o.root.level != 2 || len(o.root.entries) != 2 {
+		t.Fatalf("root at level %d with %d entries, want level 2 with two", o.root.level, len(o.root.entries))
 	}
 	if err := o.Check(); err != nil {
 		t.Fatal(err)

@@ -186,7 +186,10 @@ func TestSearchFigure5Cost(t *testing.T) {
 	m := e.m
 
 	// Build Figure 5.c explicitly: root -> [child(1020), child(800)],
-	// right child -> segments of 280, 430, 90 bytes.
+	// right child -> segments of 280, 430, 90 bytes.  A 100-byte node
+	// holds 9 entries, so a non-root node holds at least 4: the left
+	// child takes four segments, and the right child's first 280 bytes,
+	// which the read does not reach, are two segments of 140.
 	mkSeg := func(n int64, seed int) entry {
 		segs, err := m.allocSegments(n)
 		if err != nil || len(segs) != 1 {
@@ -197,10 +200,12 @@ func TestSearchFigure5Cost(t *testing.T) {
 		}
 		return segs[0]
 	}
-	// The left child holds 1020 bytes (two segments to satisfy the
-	// occupancy floor; it is never read in this example).
-	leftChild := &node{level: 1, entries: []entry{mkSeg(520, 9), mkSeg(500, 10)}}
-	rightChild := &node{level: 1, entries: []entry{mkSeg(280, 11), mkSeg(430, 12), mkSeg(90, 13)}}
+	if maxFanout(100) != 9 || minFanout(100) != 4 {
+		t.Fatalf("100-byte node: fanout %d, floor %d, want 9 and 4", maxFanout(100), minFanout(100))
+	}
+	// The left child holds 1020 bytes; it is never read in this example.
+	leftChild := &node{level: 1, entries: []entry{mkSeg(255, 9), mkSeg(255, 10), mkSeg(255, 15), mkSeg(255, 16)}}
+	rightChild := &node{level: 1, entries: []entry{mkSeg(140, 11), mkSeg(140, 17), mkSeg(430, 12), mkSeg(90, 13)}}
 	lp, err := m.writeNode(0, leftChild)
 	if err != nil {
 		t.Fatal(err)
@@ -1001,8 +1006,11 @@ func TestSequentialReadSeeksReflectSegments(t *testing.T) {
 }
 
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
+	// The last entry reaches both widths' limits: a cumulative count of
+	// 2^48-1 and page 2^32-1.
 	n := &node{level: 3, entries: []entry{
 		{bytes: 100, ptr: 7}, {bytes: 1, ptr: 9}, {bytes: 1 << 40, ptr: 12345},
+		{bytes: maxEntryCount - 101 - 1<<40, ptr: maxEntryPage},
 	}}
 	img := make([]byte, 256)
 	if err := encodeNode(n, img); err != nil {
@@ -1012,8 +1020,11 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.level != 3 || len(got.entries) != 3 {
+	if got.level != 3 || len(got.entries) != len(n.entries) {
 		t.Fatalf("decoded %+v", got)
+	}
+	if cum, p := GetEntry(img[nodeHeaderSize+3*EntrySize:]); cum != 1<<48-1 || p != 1<<32-1 {
+		t.Errorf("last entry decodes as (%d, %d), want (2^48-1, 2^32-1)", cum, p)
 	}
 	for i := range n.entries {
 		if got.entries[i] != n.entries[i] {
@@ -1027,6 +1038,100 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeNode([]byte{1}); err == nil {
 		t.Error("short page decoded")
+	}
+}
+
+// TestEntryCodecRefusesWhatItCannotHold: a count of 2^48 or a page of 2^32
+// is an error, not a truncated entry, from the codec and from the node and
+// descriptor encoders above it.
+func TestEntryCodecRefusesWhatItCannotHold(t *testing.T) {
+	b := make([]byte, EntrySize)
+	for _, c := range []struct {
+		cum int64
+		p   disk.PageNum
+	}{{1 << 48, 1}, {1, 1 << 32}, {-1, 1}, {1, -1}} {
+		if err := PutEntry(b, c.cum, c.p); !errors.Is(err, errEntryRange) {
+			t.Errorf("PutEntry(%d, %d) = %v, want errEntryRange", c.cum, c.p, err)
+		}
+	}
+	img := make([]byte, 512)
+	for _, n := range []*node{
+		{level: 1, entries: []entry{{bytes: 1 << 47, ptr: 1}, {bytes: 1 << 47, ptr: 2}}},
+		{level: 1, entries: []entry{{bytes: 1, ptr: 1 << 32}}},
+	} {
+		if err := encodeNode(n, img); !errors.Is(err, errEntryRange) {
+			t.Errorf("encodeNode(%+v) = %v, want errEntryRange", n.entries, err)
+		}
+	}
+	e := newEnv(t, 512, 1, 16, Config{})
+	o := e.m.NewObject(1)
+	o.root = &node{level: 1, entries: []entry{{bytes: 1, ptr: 1 << 32}}}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("EncodeDescriptor of a root naming page 2^32 returned")
+			}
+		}()
+		o.EncodeDescriptor()
+	}()
+}
+
+// bigDevice reports a geometry larger than the volume behind it; NewManager
+// reads nothing else of it.
+type bigDevice struct {
+	disk.Device
+	pages    disk.PageNum
+	pageSize int
+}
+
+func (d bigDevice) NumPages() disk.PageNum { return d.pages }
+func (d bigDevice) PageSize() int          { return d.pageSize }
+
+// TestNewManagerRefusesAVolumeEntriesCannotAddress: 2^32 pages and 2^48
+// bytes are the most an entry names.
+func TestNewManagerRefusesAVolumeEntriesCannotAddress(t *testing.T) {
+	e := newEnv(t, 512, 1, 16, Config{})
+	for _, c := range []struct {
+		pages    disk.PageNum
+		pageSize int
+		ok       bool
+	}{
+		{1 << 32, 512, true},
+		{1<<32 + 1, 512, false}, // a page number past 32 bits
+		{1 << 32, 1 << 16, true},
+		{1 << 31, 1 << 17, true},
+		{1<<31 + 1, 1 << 17, false}, // a byte count past 48 bits
+	} {
+		_, err := NewManager(bigDevice{e.vol, c.pages, c.pageSize}, e.pool, e.bm, Config{Threshold: 1})
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrBadConfig) {
+			t.Errorf("NewManager over %d pages of %d bytes: %v, want ok=%v", c.pages, c.pageSize, err, c.ok)
+		}
+	}
+}
+
+// TestIndexDensity pins what ten-byte entries buy: the node capacity at
+// 4 KB and 512-byte pages, and the index pages of a fixed sequence of
+// appends: 500 one-page segments, which the rightmost node's splits leave
+// in 19 half-full leaf nodes (with 16-byte entries a 512-byte node holds
+// 31, and the same sequence needs 31 pages).
+func TestIndexDensity(t *testing.T) {
+	if maxFanout(4096) != 409 || maxFanout(512) != 50 {
+		t.Fatalf("maxFanout: %d at 4 KB, %d at 512 B, want 409 and 50", maxFanout(4096), maxFanout(512))
+	}
+	e := newEnv(t, 512, 4, 256, Config{Threshold: 1})
+	o := e.m.NewObject(1)
+	for i := 0; i < 500; i++ {
+		if err := o.AppendWithHint(pattern(i, 512), 512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCheck(t, o)
+	u, err := o.Usage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.SegmentCount != 500 || u.IndexPages != 19 || u.TreeHeight != 2 {
+		t.Errorf("500 appends: %d segments, %d index pages, height %d, want 500, 19 and 2", u.SegmentCount, u.IndexPages, u.TreeHeight)
 	}
 }
 

@@ -157,6 +157,9 @@ func NewManager(vol disk.Device, pool *buffer.Pool, alloc Allocator, cfg Config)
 	if maxFanout(vol.PageSize()) < 4 {
 		return nil, fmt.Errorf("%w: page size %d holds fewer than 4 index entries", ErrBadConfig, vol.PageSize())
 	}
+	if pages := int64(vol.NumPages()); pages > maxEntryPage+1 || pages > (maxEntryCount+1)/int64(vol.PageSize()) {
+		return nil, fmt.Errorf("%w: %d pages of %d bytes exceed an index entry's 2^32 pages or 2^48 bytes", ErrBadConfig, pages, vol.PageSize())
+	}
 	if cfg.MaxRootEntries == 0 {
 		cfg.MaxRootEntries = maxFanout(vol.PageSize())
 	}
@@ -505,7 +508,7 @@ const (
 
 // EncodeDescriptor serializes an object's root and growth state.
 func (o *Object) EncodeDescriptor() []byte {
-	buf := make([]byte, descHeaderSize+len(o.root.entries)*entrySize)
+	buf := make([]byte, o.DescriptorSize())
 	binary.BigEndian.PutUint32(buf[0:], descMagic)
 	buf[4] = 1 // version
 	buf[5] = uint8(o.root.level)
@@ -515,19 +518,16 @@ func (o *Object) EncodeDescriptor() []byte {
 	binary.BigEndian.PutUint32(buf[24:], uint32(o.tailAlloc))
 	binary.BigEndian.PutUint64(buf[28:], o.lsn.Load())
 	binary.BigEndian.PutUint32(buf[36:], uint32(len(o.root.entries)))
-	var cum int64
-	off := descHeaderSize
-	for _, e := range o.root.entries {
-		cum += e.bytes
-		binary.BigEndian.PutUint64(buf[off:], uint64(cum))
-		binary.BigEndian.PutUint64(buf[off+8:], uint64(e.ptr))
-		off += entrySize
+	if err := putEntries(buf[descHeaderSize:], o.root.entries); err != nil {
+		// NewManager refused every volume with a page or a byte count
+		// an entry cannot hold, so only a bug gets here.
+		panic(err)
 	}
 	return buf
 }
 
 // DescriptorSize is the length of the descriptor EncodeDescriptor returns.
-func (o *Object) DescriptorSize() int { return descHeaderSize + len(o.root.entries)*entrySize }
+func (o *Object) DescriptorSize() int { return descHeaderSize + len(o.root.entries)*EntrySize }
 
 // OpenDescriptor reconstructs an object handle from a descriptor.
 func (m *Manager) OpenDescriptor(data []byte) (*Object, error) {
@@ -535,30 +535,22 @@ func (m *Manager) OpenDescriptor(data []byte) (*Object, error) {
 		return nil, fmt.Errorf("%w: bad descriptor", ErrCorruptNode)
 	}
 	count := int(binary.BigEndian.Uint32(data[36:]))
-	if descHeaderSize+count*entrySize > len(data) {
+	if descHeaderSize+count*EntrySize > len(data) {
 		return nil, fmt.Errorf("%w: truncated descriptor", ErrCorruptNode)
+	}
+	es, size, err := getEntries(data[descHeaderSize:], count)
+	if err != nil {
+		return nil, fmt.Errorf("descriptor: %w", err)
 	}
 	o := &Object{
 		m:         m,
-		root:      &node{level: int(data[5])},
+		root:      &node{level: int(data[5]), entries: es},
+		size:      size,
 		threshold: int(binary.BigEndian.Uint32(data[8:])),
 		nextGrow:  int(binary.BigEndian.Uint32(data[12:])),
 		tailStart: disk.PageNum(binary.BigEndian.Uint64(data[16:])),
 		tailAlloc: int(binary.BigEndian.Uint32(data[24:])),
 	}
 	o.lsn.Store(binary.BigEndian.Uint64(data[28:]))
-	var prev int64
-	off := descHeaderSize
-	for i := 0; i < count; i++ {
-		cum := int64(binary.BigEndian.Uint64(data[off:]))
-		ptr := disk.PageNum(binary.BigEndian.Uint64(data[off+8:]))
-		if cum <= prev {
-			return nil, fmt.Errorf("%w: non-increasing descriptor counts", ErrCorruptNode)
-		}
-		o.root.entries = append(o.root.entries, entry{bytes: cum - prev, ptr: ptr})
-		prev = cum
-		off += entrySize
-	}
-	o.size = prev
 	return o, nil
 }

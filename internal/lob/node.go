@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/eosdb/eos/internal/disk"
 )
@@ -33,15 +34,78 @@ var (
 )
 
 // Node page layout: a 2-byte magic, 1-byte level, 1-byte pad, 2-byte entry
-// count, then (cumulative count uint64, child page uint64) pairs exactly
-// as in the paper's Figure 5 — each node N contains (c[i], p[i]) pairs
-// where c[i]-c[i-1] is the number of bytes stored in the subtree rooted
-// at p[i].
+// count, then (cumulative count, child page) pairs exactly as in the
+// paper's Figure 5 — each node N contains (c[i], p[i]) pairs where
+// c[i]-c[i-1] is the number of bytes stored in the subtree rooted at p[i].
+// An object descriptor holds its root's pairs in the same form.
 const (
 	nodeMagic      = 0xE051
 	nodeHeaderSize = 6
-	entrySize      = 16
 )
+
+// Entry layout: a pair is a 48-bit cumulative byte count and a 32-bit page
+// number, big-endian, in EntrySize bytes.  NewManager refuses a volume of
+// more than 2^32 pages or 2^48 bytes, so no entry of an object on it can
+// exceed either width.
+const (
+	EntrySize     = 10
+	maxEntryCount = 1<<48 - 1
+	maxEntryPage  = 1<<32 - 1
+)
+
+// errEntryRange is returned when a pair does not fit its entry.
+var errEntryRange = errors.New("lob: index entry out of range")
+
+// PutEntry encodes the pair (cum, p) into b[:EntrySize].  It refuses a
+// count or page the entry cannot hold rather than truncate it.
+func PutEntry(b []byte, cum int64, p disk.PageNum) error {
+	if cum < 0 || cum > maxEntryCount {
+		return fmt.Errorf("%w: count %d needs more than 48 bits", errEntryRange, cum)
+	}
+	if p < 0 || p > maxEntryPage {
+		return fmt.Errorf("%w: page %d needs more than 32 bits", errEntryRange, p)
+	}
+	binary.BigEndian.PutUint16(b[0:], uint16(cum>>32))
+	binary.BigEndian.PutUint32(b[2:], uint32(cum))
+	binary.BigEndian.PutUint32(b[6:], uint32(p))
+	return nil
+}
+
+// GetEntry decodes the pair PutEntry encoded into b[:EntrySize].
+func GetEntry(b []byte) (cum int64, p disk.PageNum) {
+	cum = int64(binary.BigEndian.Uint16(b[0:]))<<32 | int64(binary.BigEndian.Uint32(b[2:]))
+	return cum, disk.PageNum(binary.BigEndian.Uint32(b[6:]))
+}
+
+// putEntries encodes es at the start of b, converting lengths to the
+// on-disk cumulative counts.
+func putEntries(b []byte, es []entry) error {
+	var cum int64
+	for i, e := range es {
+		cum += e.bytes
+		if err := PutEntry(b[i*EntrySize:], cum, e.ptr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// getEntries decodes count pairs from the start of b and returns them with
+// the bytes they hold in all.  Counts must increase: every subtree holds
+// at least one byte.
+func getEntries(b []byte, count int) ([]entry, int64, error) {
+	es := make([]entry, count)
+	var prev int64
+	for i := range es {
+		cum, ptr := GetEntry(b[i*EntrySize:])
+		if cum <= prev {
+			return nil, 0, fmt.Errorf("%w: non-increasing count at entry %d", ErrCorruptNode, i)
+		}
+		es[i] = entry{bytes: cum - prev, ptr: ptr}
+		prev = cum
+	}
+	return es, prev, nil
+}
 
 // entry is one (byte count, child pointer) pair of an index node, held in
 // memory with the subtree *length* rather than the on-disk cumulative
@@ -69,9 +133,10 @@ func (n *node) size() int64 {
 	return total
 }
 
-// maxFanout returns the entry capacity of a node page.
+// maxFanout returns the entry capacity of a node page, which the header's
+// 16-bit entry count also bounds.
 func maxFanout(pageSize int) int {
-	return (pageSize - nodeHeaderSize) / entrySize
+	return min((pageSize-nodeHeaderSize)/EntrySize, math.MaxUint16)
 }
 
 // minFanout is the B-tree occupancy floor for non-root nodes: half full.
@@ -79,27 +144,16 @@ func minFanout(pageSize int) int {
 	return maxFanout(pageSize) / 2
 }
 
-// encodeNode serializes n into a page image, converting lengths to the
-// on-disk cumulative counts.
+// encodeNode serializes n into a page image.
 func encodeNode(n *node, img []byte) error {
-	if nodeHeaderSize+len(n.entries)*entrySize > len(img) {
+	if nodeHeaderSize+len(n.entries)*EntrySize > len(img) {
 		return fmt.Errorf("%w: %d entries exceed page", ErrCorruptNode, len(n.entries))
 	}
-	for i := range img {
-		img[i] = 0
-	}
+	clear(img)
 	binary.BigEndian.PutUint16(img[0:], nodeMagic)
 	img[2] = uint8(n.level)
 	binary.BigEndian.PutUint16(img[4:], uint16(len(n.entries)))
-	var cum int64
-	off := nodeHeaderSize
-	for _, e := range n.entries {
-		cum += e.bytes
-		binary.BigEndian.PutUint64(img[off:], uint64(cum))
-		binary.BigEndian.PutUint64(img[off+8:], uint64(e.ptr))
-		off += entrySize
-	}
-	return nil
+	return putEntries(img[nodeHeaderSize:], n.entries)
 }
 
 // decodeNode parses a page image into a node.
@@ -112,23 +166,14 @@ func decodeNode(img []byte) (*node, error) {
 	}
 	level := int(img[2])
 	count := int(binary.BigEndian.Uint16(img[4:]))
-	if level < 1 || nodeHeaderSize+count*entrySize > len(img) {
+	if level < 1 || nodeHeaderSize+count*EntrySize > len(img) {
 		return nil, fmt.Errorf("%w: level %d, %d entries", ErrCorruptNode, level, count)
 	}
-	n := &node{level: level, entries: make([]entry, count)}
-	var prev int64
-	off := nodeHeaderSize
-	for i := 0; i < count; i++ {
-		cum := int64(binary.BigEndian.Uint64(img[off:]))
-		ptr := disk.PageNum(binary.BigEndian.Uint64(img[off+8:]))
-		if cum <= prev {
-			return nil, fmt.Errorf("%w: non-increasing count at entry %d", ErrCorruptNode, i)
-		}
-		n.entries[i] = entry{bytes: cum - prev, ptr: ptr}
-		prev = cum
-		off += entrySize
+	es, _, err := getEntries(img[nodeHeaderSize:], count)
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	return &node{level: level, entries: es}, nil
 }
 
 // childIndex returns the index of the child whose subtree contains byte

@@ -207,6 +207,8 @@ type UsageInfo struct {
 	SegmentCount  int   // leaf segments
 	SegmentPages  int   // pages holding object bytes (incl. untrimmed tail)
 	IndexPages    int   // index node pages below the root
+	IndexEntries  int   // entries those pages hold
+	NodeCapacity  int   // entries one index node page holds
 	TreeHeight    int   // 1 = root points directly at segments
 	WastedBytes   int64 // allocated segment bytes not holding data
 	MinSegmentPgs int   // smallest segment, pages
@@ -222,10 +224,19 @@ func (u UsageInfo) Utilization(pageSize int) float64 {
 	return float64(u.DataBytes) / float64(total)
 }
 
+// IndexFill is IndexEntries over the entries IndexPages could hold: how
+// full the node pages below the root are (0 when there are none).
+func (u UsageInfo) IndexFill() float64 {
+	if u.IndexPages == 0 {
+		return 0
+	}
+	return float64(u.IndexEntries) / float64(u.IndexPages*u.NodeCapacity)
+}
+
 // Usage walks the tree and reports the object's storage footprint.
 func (o *Object) Usage() (UsageInfo, error) {
-	u := UsageInfo{DataBytes: o.size, TreeHeight: o.root.level, MinSegmentPgs: 1 << 30}
 	ps := o.m.vol.PageSize()
+	u := UsageInfo{DataBytes: o.size, TreeHeight: o.root.level, NodeCapacity: maxFanout(ps), MinSegmentPgs: 1 << 30}
 	var walk func(nd *node) error
 	walk = func(nd *node) error {
 		for _, e := range nd.entries {
@@ -250,6 +261,7 @@ func (o *Object) Usage() (UsageInfo, error) {
 				return err
 			}
 			u.IndexPages++
+			u.IndexEntries += len(child.entries)
 			if err := walk(child); err != nil {
 				return err
 			}
