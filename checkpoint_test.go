@@ -3,11 +3,15 @@ package eos
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/wal"
 )
 
 // The checkpoint writes what it captured without holding Store.mu: these
@@ -225,6 +229,76 @@ func TestCommitsRunWhileACheckpointWrites(t *testing.T) {
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model) {
 		t.Fatal("x after a crash is not the committed bytes")
+	}
+}
+
+// TestCommitsLeaveTheCapturedImageItsRoom: while a checkpoint writes, the
+// log keeps room for the image it captured, however far the catalog shrinks
+// meanwhile.  With the checkpoint's first data WriteRun held at a gate, a
+// transaction destroys all but one of thirty objects, and commits then fill
+// the log until it refuses one.  Released, the checkpoint must still log
+// its image.
+func TestCommitsLeaveTheCapturedImageItsRoom(t *testing.T) {
+	vol := newCkptDevice(t, 4096, nil)
+	s, err := Format(vol, newTestDevice(t, 512, 128), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 30)
+	for i := range names {
+		names[i] = fmt.Sprintf("%02d-%s", i, strings.Repeat("n", 100))
+		o, err := s.Create(names[i], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.AppendWithHint(pat(i, 600), 600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A committed replace leaves a page pending: the checkpoint writes it
+	// in the WriteRun the gate holds.
+	ckptCommit(t, s, func(tx *Txn) error { return tx.Replace(names[0], 10, pat(50, 20)) })
+
+	vol.hold(1)
+	release := sync.OnceFunc(func() { close(vol.release) })
+	defer release()
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- s.Checkpoint() }()
+	vol.awaitGate(t)
+	ckptCommit(t, s, func(tx *Txn) error {
+		for _, name := range names[1:] {
+			if err := tx.Destroy(name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	refused := false
+	for i := 0; i < 1000 && !refused; i++ {
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tx.Replace(names[0], int64(i%500), pat(i, 100))
+		if err == nil {
+			err = tx.Commit()
+		}
+		if refused = errors.Is(err, wal.ErrLogFull); refused {
+			err = tx.Abort()
+		}
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	if !refused {
+		t.Fatal("the log took 1000 commits without filling")
+	}
+	release()
+	if err := <-ckpt; err != nil {
+		t.Fatalf("the checkpoint found no room for the image it captured: %v", err)
 	}
 }
 

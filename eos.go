@@ -83,12 +83,10 @@ type Options struct {
 	SpaceCapacity int
 	// PoolFrames sizes the buffer pool (default 256).
 	PoolFrames int
-	// PoolShards splits the buffer pool into lock-sharded sub-pools keyed
-	// by page number, so concurrent fixes of distinct index pages never
-	// contend on one mutex.  0 sizes the shard count automatically from
-	// PoolFrames; 1 pins the original single-lock pool, whose global LRU
-	// makes eviction order (and therefore re-read seek counts) fully
-	// deterministic for the experiment harness.
+	// PoolShards is read nowhere: the buffer pool is one lock over one
+	// LRU list.
+	//
+	// Deprecated: ignored; the pool is not sharded.
 	PoolShards int
 	// Threshold is the default segment size threshold T in pages
 	// (default 8); objects may override it individually.
@@ -348,7 +346,7 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 // assemble builds the parts Format and Open share over the buddy spaces
 // spaces lays out; they attach the log.
 func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (*buddy.Manager, error)) (*Store, error) {
-	pool, err := buffer.NewPoolShards(vol, opts.PoolFrames, opts.PoolShards)
+	pool, err := buffer.NewPool(vol, opts.PoolFrames)
 	if err != nil {
 		return nil, err
 	}
@@ -887,7 +885,7 @@ func (s *Store) captureLocked() *capture {
 // writeCaptured writes what the image names that memory alone holds — the
 // captured write-behind set's pages, then the pool's dirty index frames —
 // and forces the data volume.  It needs no s.mu, and takes none: the set's
-// lock per run, the pool's per shard.  Nothing it writes needs a log record
+// lock per run, then the pool's.  Nothing it writes needs a log record
 // forced first: no transaction writes a page a committed root names before
 // its commit record is durable.  A crash from here on recovers from the
 // previous master copy by replaying the intact log; the object roots carry

@@ -13,9 +13,9 @@ import (
 // distinct objects while a checkpointer repeatedly flushes and forces
 // the store.  It is the write-path counterpart of the read-path stress
 // test: correctness is asserted on final content, and the -race CI job
-// runs it to prove the group-commit and parallel-flush paths are clean.
+// runs it to prove the group-commit and checkpoint-flush paths are clean.
 func TestConcurrentCommittersAndCheckpointerStress(t *testing.T) {
-	s, _, _ := newStore(t, Options{Threshold: 4, PoolShards: 8, PoolFrames: 256})
+	s, _, _ := newStore(t, Options{Threshold: 4, PoolFrames: 256})
 	const committers = 8
 	const rounds = 12
 	const blockLen = 96

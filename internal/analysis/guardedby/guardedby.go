@@ -6,7 +6,7 @@
 //
 // A struct field is annotated in its doc or line comment:
 //
-//	type shard struct {
+//	type Pool struct {
 //		mu     sync.Mutex
 //		frames map[disk.PageNum]*frame // eos:guardedby mu
 //	}
@@ -18,7 +18,7 @@
 //	root *segdir // eos:guardedby catEntry.latch
 //
 // declares that the guard lives outside the struct (the catalog entry
-// latch of the object's owner, the pool that embeds the shard, ...).
+// latch of the object's owner, the pool that holds the frame, ...).
 // External guards are inventory: they document the locking contract
 // for readers and reviewers but are not flow-checked, because the
 // guard is not reachable from the accessing expression.
@@ -26,8 +26,8 @@
 // A function that is documented to run with a lock already held
 // declares it, in terms of its own parameter or receiver names:
 //
-//	// eos:requires sh.mu
-//	func (p *Pool) allocFrameLocked(sh *shard, ...) ...
+//	// eos:requires p.mu
+//	func (p *Pool) frameLocked(pg disk.PageNum) ...
 //
 // An optional "(shared)" suffix seeds a read lock instead of an
 // exclusive one.
@@ -36,7 +36,7 @@
 //
 // For every function the analyzer runs a must-hold dataflow over the
 // control-flow graph: the set of lock tokens (expression strings such
-// as "sh.mu") certainly held at each point, starting from the
+// as "p.mu") certainly held at each point, starting from the
 // eos:requires seed, adding at Lock/RLock, removing at
 // Unlock/RUnlock, and intersecting at join points.  A deferred unlock
 // removes nothing — it runs at function exit.  Each load of an
@@ -113,7 +113,7 @@ const (
 	HeldExcl Mode = 2 // exclusive (Lock)
 )
 
-// LockState maps held lock tokens ("sh.mu") to their mode.  A nil map
+// LockState maps held lock tokens ("p.mu") to their mode.  A nil map
 // is the dataflow top (point not yet reached).
 type LockState map[string]Mode
 
@@ -313,7 +313,7 @@ func directive(text, prefix string) []string {
 }
 
 // ParseRequires builds the entry lock set from the eos:requires lines
-// in a function's doc comment, keyed by the tokens as written ("sh.mu").
+// in a function's doc comment, keyed by the tokens as written ("p.mu").
 func ParseRequires(doc *ast.CommentGroup) LockState {
 	seed := LockState{}
 	if doc == nil {

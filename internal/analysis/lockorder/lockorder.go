@@ -14,8 +14,7 @@
 //	rank 30  Store.quarMu       (durability quarantine; a leaf)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
 //	rank 35  Manager.mu         (buddy superdirectory latch)
-//	rank 38  Pool.flushMu       (buffer pool whole-pool write-back)
-//	rank 40  shard.mu           (buffer pool shard)
+//	rank 40  Pool.mu            (buffer pool: frames, LRU list, write-back)
 //	rank 45  Log.forceMu        (group-commit leader force)
 //	rank 50  Log.mu             (write-ahead log buffer + tail state)
 //	rank 60  Volume.mu          (disk volume image)
@@ -53,15 +52,15 @@
 //     cycle among same-rank locks (which the rank check alone admits)
 //     is reported with the full edge list.
 //
-// Per-instance locks (catEntry.latch, shard.mu, deferredAlloc.mu) are
-// exempt from the self-deadlock check: two instances of the same field
-// (the source and destination latches of a copy, two pool shards) may
-// legitimately nest, and summaries track lock identity by lattice key,
-// not by instance.  Function literals are
-// not analyzed (a goroutine body is its own acquisition context, and
-// the ssa IR does not model closures), and dynamic calls that resolve
-// to nothing (func values) are ignored — the conservative direction
-// for a linter that must stay quiet on clean code.
+// Per-instance locks (catEntry.latch, deferredAlloc.mu) are exempt from
+// the self-deadlock check: two instances of the same field (the source
+// and destination latches of a copy) may legitimately nest, and
+// summaries track lock identity by lattice key, not by instance.
+// Function literals are not analyzed (a goroutine body is its own
+// acquisition context, and the ssa IR does not model closures), and
+// dynamic calls that resolve to nothing (func values) are ignored — the
+// conservative direction for a linter that must stay quiet on clean
+// code.
 package lockorder
 
 import (
@@ -79,8 +78,8 @@ import (
 
 const doc = `check that latches are acquired in the lattice order, across calls (whole-program)
 
-Locks rank manager → lock-table → object → txn → pool-shard → wal →
-disk.  Taking a lower-ranked lock while holding a higher-ranked one —
+Locks rank manager → lock-table → object → txn → pool → wal → disk.
+Taking a lower-ranked lock while holding a higher-ranked one —
 directly, or in any function reachable from the call site — is an
 inversion: the opposite nesting exists somewhere else in the engine,
 and the pair deadlocks under concurrent load.  A lock held on any path
@@ -100,7 +99,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // lattice is the order diagnostics quote.
-const lattice = "the lattice order is manager → lock-table → object → txn → pool-shard → wal → disk"
+const lattice = "the lattice order is manager → lock-table → object → txn → pool → wal → disk"
 
 // Acq is one transitive lock acquisition of a function.
 type Acq struct {
@@ -152,8 +151,10 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 
 // singletonKeys are the lattice keys whose owner exists once per
 // store: re-acquiring one of these while it is held is a guaranteed
-// self-deadlock.  Per-instance locks (object latches, pool shards,
-// per-transaction mutexes) may nest across instances and are excluded.
+// self-deadlock.  Per-instance locks (object latches, per-transaction
+// mutexes) may nest across instances and are excluded.  So is Pool.mu:
+// the pool's pin wait drops and retakes it inside its caller's hold,
+// which a summary cannot tell from a re-acquisition.
 var singletonKeys = map[string]bool{
 	"Store.ckptMu":    true,
 	"Store.mu":        true,
@@ -162,7 +163,6 @@ var singletonKeys = map[string]bool{
 	"LockTable.mu":    true,
 	"EpochManager.mu": true,
 	"Manager.mu":      true,
-	"Pool.flushMu":    true,
 	"Log.forceMu":     true,
 	"Log.mu":          true,
 	"Volume.mu":       true,

@@ -43,7 +43,7 @@
 //     releases only on some of its own paths is still a releaser at call
 //     sites; the helper's own body is where the partial release shows.
 //   - Acquires: parameters whose resource the function acquires and
-//     never releases (lockShard(sh) leaves sh.mu held).
+//     never releases (lockPool(p) leaves p.mu held).
 //   - Returns: a freshly acquired resource carried by the first result
 //     (openTxn(s) hands its caller a transaction to finish).
 //
@@ -740,7 +740,7 @@ func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkg string, funcs []str
 
 // mutexEvent classifies call as Lock/RLock/Unlock/RUnlock on one of
 // the spec's ranked mutex fields, returning the "Type.field" key, the
-// method, and the owner token ("sh.mu").
+// method, and the owner token ("p.mu").
 func mutexEvent(pass *analysis.Pass, sp *spec, call *ast.CallExpr) (key, method, token string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
@@ -844,7 +844,7 @@ func paramIndex(decl *ast.FuncDecl) map[string]int {
 	return params
 }
 
-// splitSuffix splits a mutex token ("sh.mu") into its base and field
+// splitSuffix splits a mutex token ("p.mu") into its base and field
 // suffix; other tokens pass through whole.
 func splitSuffix(sp *spec, token string) (base, suffix string) {
 	if sp.MutexFields != nil {

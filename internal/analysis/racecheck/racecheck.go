@@ -17,7 +17,7 @@
 // entry state; joins intersect; deferred unlocks release nothing).
 // Lock tokens are canonicalized to "Type.field" — the vocabulary of
 // the ssa LockRanks lattice — so locksets taken through different
-// receiver expressions ("sh.mu", "p.shards[i].mu") intersect by
+// receiver expressions ("p.mu", "s.pool.mu") intersect by
 // identity of the lock field, and so the summary can cross package
 // boundaries as a RaceFact.
 //
@@ -46,9 +46,9 @@
 // A field is reported only when the evidence is complete: at least
 // two distinct functions access it, at least one access is a write,
 // at least one access is reachable from a concurrency root — a go
-// statement in the package (the buffer pool's shard flushers, the
-// checkpoint barrier goroutine), traversed through the ssa CHA call graph — and
-// the intersection of all access locksets is empty.  The diagnostic
+// statement in the package (the checkpoint barrier goroutine),
+// traversed through the ssa CHA call graph — and the intersection of
+// all access locksets is empty.  The diagnostic
 // carries a related position naming a second, lockset-disjoint access
 // (surfaced as SARIF relatedLocations).
 package racecheck
@@ -431,8 +431,8 @@ func (c *checker) inSharedPhase(u *unit) bool {
 	return u.parent != nil && c.shared[u.parent]
 }
 
-// seed canonicalizes a declaration's eos:requires tokens: "sh.mu"
-// resolves sh against the receiver and parameters to "shard.mu".
+// seed canonicalizes a declaration's eos:requires tokens: "p.mu"
+// resolves p against the receiver and parameters to "Pool.mu".
 func (c *checker) seed(decl *ast.FuncDecl) guardedby.LockState {
 	raw := guardedby.ParseRequires(decl.Doc)
 	if len(raw) == 0 {
@@ -491,7 +491,7 @@ func (u *unit) body() *ast.BlockStmt {
 }
 
 // canonicalLock names a mutex expression by its owner type and field
-// ("shard.mu"), falling back to the expression text for package-level
+// ("Pool.mu"), falling back to the expression text for package-level
 // or local mutexes.
 func canonicalLock(info *types.Info, mutexExpr ast.Expr) string {
 	if sel, ok := mutexExpr.(*ast.SelectorExpr); ok {

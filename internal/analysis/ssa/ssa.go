@@ -74,8 +74,7 @@ func LockRanks() map[string]int {
 		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
 		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it
 		"Manager.mu":       35, // buddy superdirectory latch
-		"Pool.flushMu":     38, // whole-pool write-back; before any shard.mu
-		"shard.mu":         40,
+		"Pool.mu":          40, // buffer pool: frame map, LRU list, write-back
 		"Log.forceMu":      45, // group-commit leader force; before Log.mu
 		"Log.mu":           50,
 		"Volume.mu":        60,
@@ -208,9 +207,9 @@ type Instr struct {
 	// (a mutator call is also an edge to the mutator's body).
 	Callees []*types.Func
 
-	// KLock/KUnlock: the lattice key ("shard.mu" owner type + field),
+	// KLock/KUnlock: the lattice key ("Pool.mu" owner type + field),
 	// its rank, whether the acquisition is shared (RLock/RUnlock), and
-	// the receiver expression text ("sh.mu") identifying the instance.
+	// the receiver expression text ("p.mu") identifying the instance.
 	LockKey   string
 	LockRank  int
 	Shared    bool
@@ -539,7 +538,7 @@ func RankName(r int) string {
 	case r < 40:
 		return "txn"
 	case r < 50:
-		return "pool-shard"
+		return "pool"
 	case r < 60:
 		return "wal"
 	default:

@@ -11,7 +11,7 @@ type Store struct{ mu, quarMu sync.Mutex }
 
 type deferredAlloc struct{ mu sync.Mutex }
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
 type Log struct{ mu sync.Mutex }
 
@@ -27,22 +27,22 @@ func lockManager(s *Store) {
 	lockStore(s)
 }
 
-// invertViaChain holds a pool-shard latch (rank 40) and calls a chain
+// invertViaChain holds a pool latch (rank 40) and calls a chain
 // that reaches down to the store manager latch (rank 10).
-func invertViaChain(s *Store, sh *shard) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+func invertViaChain(s *Store, p *Pool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
 }
 
-// invertOnElsePath holds the shard latch to function exit on the else
+// invertOnElsePath holds the pool latch to function exit on the else
 // branch only, then calls the chain that takes the store latch.
-func invertOnElsePath(s *Store, sh *shard, c bool) {
+func invertOnElsePath(s *Store, p *Pool, c bool) {
 	if c {
 		lockStore(s)
 	} else {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
 	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
 }

@@ -10,34 +10,34 @@ type Store struct{ mu sync.Mutex }
 
 type catEntry struct{ latch sync.RWMutex }
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
 type Log struct{ mu sync.Mutex }
 
-// lockShard takes a pool-shard latch (rank 40) for its caller.
-func lockShard(sh *shard) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
+// lockPool takes a pool latch (rank 40) for its caller.
+func lockPool(p *Pool) {
+	p.mu.Lock()
+	p.mu.Unlock()
 }
 
-// lockShardIndirect adds a hop.
-func lockShardIndirect(sh *shard) {
-	lockShard(sh)
+// lockPoolIndirect adds a hop.
+func lockPoolIndirect(p *Pool) {
+	lockPool(p)
 }
 
 // downwardChain holds the store manager latch (rank 10) and reaches a
-// pool-shard latch (rank 40) through a chain: strictly downward, fine.
-func downwardChain(s *Store, sh *shard) {
+// pool latch (rank 40) through a chain: strictly downward, fine.
+func downwardChain(s *Store, p *Pool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lockShardIndirect(sh)
+	lockPoolIndirect(p)
 }
 
-// releasedBeforeCall drops the shard latch before the chain that takes
+// releasedBeforeCall drops the pool latch before the chain that takes
 // the manager latch: nothing is held at the call site.
-func releasedBeforeCall(s *Store, sh *shard) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
+func releasedBeforeCall(s *Store, p *Pool) {
+	p.mu.Lock()
+	p.mu.Unlock()
 	lockStore(s)
 }
 
@@ -64,7 +64,7 @@ func copyEntries(src, dst *catEntry) {
 
 // readTail holds the WAL latch shared and calls a read-only helper
 // that acquires nothing.
-func readTail(l *Log, sh *shard) {
+func readTail(l *Log, p *Pool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tailSize(l)

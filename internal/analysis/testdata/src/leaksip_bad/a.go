@@ -12,35 +12,36 @@ import (
 	"eos"
 )
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
-// lockShard acquires the shard latch on behalf of its caller.
-func lockShard(sh *shard) {
-	sh.mu.Lock() // want "latch leak: Lock\\(sh.mu\\) can reach a function exit without Unlock\\(sh.mu\\)"
+// lockPool acquires the pool latch on behalf of its caller.
+func lockPool(p *Pool) {
+	p.mu.Lock() // want "latch leak: Lock\\(p.mu\\) can reach a function exit without Unlock\\(p.mu\\)"
 }
 
-// lockShardIndirect adds a hop: the acquisition is two calls away from
+// lockPoolIndirect adds a hop: the acquisition is two calls away from
 // the leaking site.
-func lockShardIndirect(sh *shard) {
-	lockShard(sh)
+func lockPoolIndirect(p *Pool) {
+	lockPool(p)
 }
 
-type Pool struct{ shards [4]shard }
+// Store owns the pool, as the engine's store does.
+type Store struct{ pool Pool }
 
-// LeakViaChain locks a shard through the two-deep chain and returns
+// LeakViaChain locks the pool through the two-deep chain and returns
 // without unlocking.
-func (p *Pool) LeakViaChain(i int) {
-	sh := &p.shards[i]
-	lockShardIndirect(sh) // want "interprocedural latch leak: call chain lockShardIndirect → lockShard acquires sh.mu"
+func (s *Store) LeakViaChain() {
+	p := &s.pool
+	lockPoolIndirect(p) // want "interprocedural latch leak: call chain lockPoolIndirect → lockPool acquires p.mu"
 }
 
 // LeakOnBranch unlocks on the fast path only; the slow path exits with
 // the latch held.
-func (p *Pool) LeakOnBranch(i int, fast bool) {
-	sh := &p.shards[i]
-	lockShard(sh) // want "interprocedural latch leak: call chain lockShard acquires sh.mu"
+func (s *Store) LeakOnBranch(fast bool) {
+	p := &s.pool
+	lockPool(p) // want "interprocedural latch leak: call chain lockPool acquires p.mu"
 	if fast {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 }

@@ -13,42 +13,43 @@ import (
 	"eos"
 )
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
-func lockShard(sh *shard) {
+func lockPool(p *Pool) {
 	//eoslint:ignore pairs -- acquired for the caller, which unlocks
-	sh.mu.Lock()
+	p.mu.Lock()
 }
 
-func lockShardIndirect(sh *shard) {
-	lockShard(sh)
+func lockPoolIndirect(p *Pool) {
+	lockPool(p)
 }
 
-// unlockShard releases the latch its caller acquired through the
+// unlockPool releases the latch its caller acquired through the
 // wrappers: release recognition is propagated too.
-func unlockShard(sh *shard) {
-	sh.mu.Unlock()
+func unlockPool(p *Pool) {
+	p.mu.Unlock()
 }
 
-type Pool struct{ shards [4]shard }
+// Store owns the pool, as the engine's store does.
+type Store struct{ pool Pool }
 
 // BalancedChain pairs the two-deep acquire with a deferred releaser
 // helper.
-func (p *Pool) BalancedChain(i int) {
-	sh := &p.shards[i]
-	lockShardIndirect(sh)
-	defer unlockShard(sh)
+func (s *Store) BalancedChain() {
+	p := &s.pool
+	lockPoolIndirect(p)
+	defer unlockPool(p)
 }
 
 // BalancedBranches unlocks on both paths.
-func (p *Pool) BalancedBranches(i int, fast bool) {
-	sh := &p.shards[i]
-	lockShard(sh)
+func (s *Store) BalancedBranches(fast bool) {
+	p := &s.pool
+	lockPool(p)
 	if fast {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
-	unlockShard(sh)
+	unlockPool(p)
 }
 
 func pinPage(p *buffer.Pool, pg buffer.PageID) error {

@@ -9,14 +9,12 @@ type Store struct{ mu sync.Mutex }
 
 type catEntry struct{ latch sync.RWMutex }
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
 type Log struct {
 	forceMu sync.Mutex
 	mu      sync.Mutex
 }
-
-type Pool struct{ flushMu sync.Mutex }
 
 type account struct{ mu sync.Mutex }
 
@@ -25,25 +23,25 @@ type Volume struct {
 	mu sync.Mutex
 }
 
-// invertedPair takes the pool shard before the store manager.
-func invertedPair(s *Store, sh *shard) {
-	sh.mu.Lock()
-	s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding shard.mu"
+// invertedPair takes the pool latch before the store manager.
+func invertedPair(s *Store, p *Pool) {
+	p.mu.Lock()
+	s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding Pool.mu"
 	s.mu.Unlock()
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
-// heldOnElsePath holds the shard latch to function exit on the else
+// heldOnElsePath holds the pool latch to function exit on the else
 // branch only; that path reaches the store latch with it held.
-func heldOnElsePath(s *Store, sh *shard, c bool) {
+func heldOnElsePath(s *Store, p *Pool, c bool) {
 	if c {
 		s.mu.Lock()
 		s.mu.Unlock()
 	} else {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
-	s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding shard.mu"
+	s.mu.Lock() // want "lock order inversion: acquiring Store.mu \\(rank 10, manager\\) while holding Pool.mu"
 	s.mu.Unlock()
 }
 
@@ -64,14 +62,6 @@ func invertedGroupCommit(l *Log) {
 	defer l.mu.Unlock()
 	l.forceMu.Lock() // want "lock order inversion: acquiring Log.forceMu"
 	l.forceMu.Unlock()
-}
-
-// invertedFlush takes a shard mutex before the whole-pool flush mutex.
-func invertedFlush(p *Pool, sh *shard) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p.flushMu.Lock() // want "lock order inversion: acquiring Pool.flushMu"
-	p.flushMu.Unlock()
 }
 
 // invertedWithinVolume takes the accounting core's lock before the

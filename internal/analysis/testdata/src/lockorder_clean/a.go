@@ -8,23 +8,21 @@ type Store struct{ mu sync.Mutex }
 
 type catEntry struct{ latch sync.RWMutex }
 
-type shard struct{ mu sync.Mutex }
+type Pool struct{ mu sync.Mutex }
 
 type Log struct {
 	forceMu sync.Mutex
 	mu      sync.Mutex
 }
 
-type Pool struct{ flushMu sync.Mutex }
-
 // nestedDownward acquires strictly down the lattice.
-func nestedDownward(s *Store, e *catEntry, sh *shard) {
+func nestedDownward(s *Store, e *catEntry, p *Pool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 }
 
 // sequential never holds two ranked locks at once, so rank order
@@ -37,20 +35,20 @@ func sequential(l *Log, s *Store) {
 }
 
 // releasedBeforeDescent drops the higher lock before going back up.
-func releasedBeforeDescent(e *catEntry, sh *shard) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
+func releasedBeforeDescent(e *catEntry, p *Pool) {
+	p.mu.Lock()
+	p.mu.Unlock()
 	e.latch.Lock()
 	e.latch.Unlock()
 }
 
-// deferredOnOtherPath holds the shard latch to function exit only on a
+// deferredOnOtherPath holds the pool latch to function exit only on a
 // branch that returns: the path that reaches the store latch holds
 // nothing.
-func deferredOnOtherPath(s *Store, sh *shard, c bool) {
+func deferredOnOtherPath(s *Store, p *Pool, c bool) {
 	if c {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		return
 	}
 	s.mu.Lock()
@@ -75,15 +73,6 @@ func groupCommitDescent(l *Log) {
 	defer l.forceMu.Unlock()
 	l.mu.Lock()
 	l.mu.Unlock()
-}
-
-// flushDescent mirrors the pool write-back path: the whole-pool flush
-// mutex (rank 38) is taken before a shard mutex (rank 40).
-func flushDescent(p *Pool, sh *shard) {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
-	sh.mu.Lock()
-	sh.mu.Unlock()
 }
 
 // unranked locks are outside the lattice and never constrained.

@@ -5,21 +5,21 @@ package pairs_mutex_bad
 
 import "sync"
 
-// shard mirrors the buffer pool's shard: its mu is in the ranked
+// Pool mirrors the buffer pool: its mu is in the ranked
 // lattice, so Lock must pair with Unlock on every path.
-type shard struct {
+type Pool struct {
 	mu sync.Mutex
 	n  int
 }
 
 // leakOnEarlyReturn forgets the unlock on the early return.
-func leakOnEarlyReturn(sh *shard, cond bool) int {
-	sh.mu.Lock() // want "latch leak: Lock\\(sh.mu\\) can reach a function exit without Unlock\\(sh.mu\\)"
+func leakOnEarlyReturn(p *Pool, cond bool) int {
+	p.mu.Lock() // want "latch leak: Lock\\(p.mu\\) can reach a function exit without Unlock\\(p.mu\\)"
 	if cond {
 		return 0
 	}
-	n := sh.n
-	sh.mu.Unlock()
+	n := p.n
+	p.mu.Unlock()
 	return n
 }
 
@@ -43,10 +43,10 @@ func rlockLeak(l *Log) int {
 
 // panicPathLeak holds the latch into a branch that falls off the end
 // of the function.
-func panicPathLeak(sh *shard, xs []int) {
-	sh.mu.Lock() // want "latch leak: Lock\\(sh.mu\\) can reach a function exit without Unlock\\(sh.mu\\)"
+func panicPathLeak(p *Pool, xs []int) {
+	p.mu.Lock() // want "latch leak: Lock\\(p.mu\\) can reach a function exit without Unlock\\(p.mu\\)"
 	for _, x := range xs {
-		sh.n += x
+		p.n += x
 	}
-	// missing sh.mu.Unlock()
+	// missing p.mu.Unlock()
 }

@@ -4,59 +4,59 @@ package pairs_mutex_clean
 
 import "sync"
 
-type shard struct {
+type Pool struct {
 	mu sync.Mutex
 	n  int
 }
 
 // deferUnlock is the canonical pattern.
-func deferUnlock(sh *shard) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.n
+func deferUnlock(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.n
 }
 
 // pairedBothPaths unlocks explicitly before each return.
-func pairedBothPaths(sh *shard, cond bool) int {
-	sh.mu.Lock()
+func pairedBothPaths(p *Pool, cond bool) int {
+	p.mu.Lock()
 	if cond {
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return 0
 	}
-	n := sh.n
-	sh.mu.Unlock()
+	n := p.n
+	p.mu.Unlock()
 	return n
 }
 
-// unlockShard is a helper that releases the latch it is handed; pairs
+// unlockPool is a helper that releases the latch it is handed; pairs
 // exports a release fact for it, so calls count as the Unlock.
-func unlockShard(sh *shard) {
-	sh.mu.Unlock()
+func unlockPool(p *Pool) {
+	p.mu.Unlock()
 }
 
 // viaHelper releases through the helper.
-func viaHelper(sh *shard) int {
-	sh.mu.Lock()
-	n := sh.n
-	unlockShard(sh)
+func viaHelper(p *Pool) int {
+	p.mu.Lock()
+	n := p.n
+	unlockPool(p)
 	return n
 }
 
 // viaDeepHelper releases through a helper five calls deep, each helper
 // declared before the one it calls: the release summary must reach the
 // top of the chain whatever the declaration order.
-func viaDeepHelper(sh *shard) int {
-	sh.mu.Lock()
-	n := sh.n
-	unlock5(sh)
+func viaDeepHelper(p *Pool) int {
+	p.mu.Lock()
+	n := p.n
+	unlock5(p)
 	return n
 }
 
-func unlock5(sh *shard) { unlock4(sh) }
-func unlock4(sh *shard) { unlock3(sh) }
-func unlock3(sh *shard) { unlock2(sh) }
-func unlock2(sh *shard) { unlock1(sh) }
-func unlock1(sh *shard) { sh.mu.Unlock() }
+func unlock5(p *Pool) { unlock4(p) }
+func unlock4(p *Pool) { unlock3(p) }
+func unlock3(p *Pool) { unlock2(p) }
+func unlock2(p *Pool) { unlock1(p) }
+func unlock1(p *Pool) { p.mu.Unlock() }
 
 type Log struct {
 	mu   sync.RWMutex

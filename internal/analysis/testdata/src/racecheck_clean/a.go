@@ -14,7 +14,7 @@ type gauge struct {
 	n  int          // guarded everywhere (directly or via eos:requires)
 	a  atomic.Int64 // hardware-ordered: exempt
 	// lo is covered by an external guard the guardedby analyzer owns.
-	lo int // eos:guardedby Pool.flushMu
+	lo int      // eos:guardedby Pool.mu
 	ch chan int // channels synchronize themselves
 }
 

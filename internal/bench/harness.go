@@ -225,9 +225,7 @@ func NewStackGeometry(pageSize, numSpaces, capacity int, cfg lob.Config, superdi
 	if err != nil {
 		return nil, err
 	}
-	// A single shard pins the global-LRU eviction order so every
-	// experiment's seek and page counts stay run-to-run deterministic.
-	pool, err := buffer.NewPoolShards(vol, 256, 1)
+	pool, err := buffer.NewPool(vol, 256)
 	if err != nil {
 		return nil, err
 	}

@@ -195,42 +195,40 @@ func TestFlushPageAndAll(t *testing.T) {
 	}
 }
 
-// TestFlushAllWritesEveryShard: one FlushAll persists every dirty frame,
-// counts one flush per page, and leaves nothing dirty behind — on a
-// single-shard and on a sharded pool.
-func TestFlushAllWritesEveryShard(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		vol := disk.MustNewVolume(64, 32, disk.DefaultCostModel())
-		pool, err := NewPoolShards(vol, 16, shards)
+// TestFlushAllWritesEveryDirtyFrame: one FlushAll persists every dirty
+// frame in one coalesced run, counts one flush per page, and leaves
+// nothing dirty behind.
+func TestFlushAllWritesEveryDirtyFrame(t *testing.T) {
+	pool, vol := newPoolT(t, 64, 32, 16)
+	for pg := disk.PageNum(0); pg < 6; pg++ {
+		img, err := pool.Fix(pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pg := disk.PageNum(0); pg < 6; pg++ {
-			img, err := pool.Fix(pg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img[0] = byte(10 + pg)
-			pool.MarkDirty(pg)
-			pool.Unpin(pg)
+		img[0] = byte(10 + pg)
+		pool.MarkDirty(pg)
+		pool.Unpin(pg)
+	}
+	before := vol.Stats().RunWrites
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := vol.Stats().RunWrites - before; got != 1 {
+		t.Errorf("FlushAll of 6 adjacent pages issued %d runs, want 1", got)
+	}
+	for pg := disk.PageNum(0); pg < 6; pg++ {
+		if got, _ := vol.Read(pg, 1); got[0] != byte(10+pg) {
+			t.Errorf("FlushAll did not persist page %d", pg)
 		}
-		if err := pool.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		for pg := disk.PageNum(0); pg < 6; pg++ {
-			if got, _ := vol.Read(pg, 1); got[0] != byte(10+pg) {
-				t.Errorf("%d shards: FlushAll did not persist page %d", shards, pg)
-			}
-		}
-		if got := pool.Stats().Flushes; got != 6 {
-			t.Errorf("%d shards: %d flushes, want 6", shards, got)
-		}
-		if err := pool.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		if got := pool.Stats().Flushes; got != 6 {
-			t.Errorf("%d shards: a second FlushAll flushed %d more pages", shards, got-6)
-		}
+	}
+	if got := pool.Stats().Flushes; got != 6 {
+		t.Errorf("%d flushes, want 6", got)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Stats().Flushes; got != 6 {
+		t.Errorf("a second FlushAll flushed %d more pages", got-6)
 	}
 }
 
@@ -420,40 +418,11 @@ func BenchmarkFixMissEvict(b *testing.B) {
 	}
 }
 
-func TestShardCounts(t *testing.T) {
-	vol := disk.MustNewVolume(64, 2048, disk.CostModel{})
-	cases := []struct {
-		capacity, shards, want int
-	}{
-		{64, 0, 1},  // small pools stay single-sharded
-		{256, 0, 8}, // auto-sharding kicks in at 128 frames
-		{16, 3, 2},  // explicit counts round down to a power of two
-		{16, 8, 8},  //
-		{4, 16, 1},  // never more shards than frames
-		{256, 1, 1}, // explicit single shard for determinism
-	}
-	for _, c := range cases {
-		p, err := NewPoolShards(vol, c.capacity, c.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Shards() != c.want {
-			t.Errorf("NewPoolShards(cap=%d, shards=%d): got %d shards, want %d",
-				c.capacity, c.shards, p.Shards(), c.want)
-		}
-	}
-	if _, err := NewPoolShards(vol, 16, -1); err == nil {
-		t.Error("negative shard count accepted")
-	}
-}
-
-func TestShardedPoolReadsAndStats(t *testing.T) {
-	vol := disk.MustNewVolume(64, 2048, disk.CostModel{})
-	pool, err := NewPoolShards(vol, 256, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pg := disk.PageNum(0); pg < 128; pg++ {
+// TestPoolHoldsFullCapacity: a pool of 256 frames holds 256 pages, whatever
+// their numbers — a second pass over them is all hits and evicts nothing.
+func TestPoolHoldsFullCapacity(t *testing.T) {
+	pool, vol := newPoolT(t, 64, 2048, 256)
+	for pg := disk.PageNum(0); pg < 256; pg++ {
 		want := byte(pg + 1)
 		if err := vol.WritePages(pg, 1, bytes.Repeat([]byte{want}, 64)); err != nil {
 			t.Fatal(err)
@@ -467,16 +436,16 @@ func TestShardedPoolReadsAndStats(t *testing.T) {
 		}
 		pool.Unpin(pg)
 	}
-	// Re-fix: all resident, all hits, aggregated across shards.
-	for pg := disk.PageNum(0); pg < 128; pg++ {
+	// Re-fix: all resident, all hits.
+	for pg := disk.PageNum(0); pg < 256; pg++ {
 		if _, err := pool.Fix(pg); err != nil {
 			t.Fatal(err)
 		}
 		pool.Unpin(pg)
 	}
 	s := pool.Stats()
-	if s.Misses != 128 || s.Hits != 128 {
-		t.Errorf("stats = %+v, want 128 misses 128 hits", s)
+	if s.Misses != 256 || s.Hits != 256 || s.Evictions != 0 {
+		t.Errorf("stats = %+v, want 256 misses 256 hits 0 evictions", s)
 	}
 	if got := s.HitRate(); got != 0.5 {
 		t.Errorf("HitRate = %v, want 0.5", got)
@@ -572,12 +541,8 @@ func TestPinWaitFindsPageFixedMeanwhile(t *testing.T) {
 	pool.Unpin(1)
 }
 
-func TestConcurrentShardedMixed(t *testing.T) {
-	vol := disk.MustNewVolume(64, 512, disk.CostModel{})
-	pool, err := NewPoolShards(vol, 128, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestConcurrentMixed(t *testing.T) {
+	pool, _ := newPoolT(t, 64, 512, 128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -92,65 +92,49 @@ func (c *Clock) record(ev Event) {
 
 // Device wraps a disk.Device and records every write and force into the
 // shared Clock.  Reads, stats, fault injection and crash calls pass
-// through untouched, so the engine runs unmodified.
+// through untouched by embedding, so the engine runs unmodified.
 type Device struct {
-	inner disk.Device
+	disk.Device
 	clock *Clock
 	id    int
 }
 
 // NewDevice wraps inner; id distinguishes the device in the trace.
 func NewDevice(inner disk.Device, clock *Clock, id int) *Device {
-	return &Device{inner: inner, clock: clock, id: id}
+	return &Device{Device: inner, clock: clock, id: id}
 }
 
 var _ disk.Device = (*Device)(nil)
-
-// PageSize reports the wrapped device's page size.
-func (d *Device) PageSize() int { return d.inner.PageSize() }
-
-// NumPages reports the wrapped device's capacity.
-func (d *Device) NumPages() disk.PageNum { return d.inner.NumPages() }
-
-// ReadPages passes through to the wrapped device.
-func (d *Device) ReadPages(start disk.PageNum, n int, buf []byte) error {
-	return d.inner.ReadPages(start, n, buf)
-}
-
-// Read passes through to the wrapped device.
-func (d *Device) Read(start disk.PageNum, n int) ([]byte, error) {
-	return d.inner.Read(start, n)
-}
 
 // WritePages records a copy of the written pages, then forwards.
 func (d *Device) WritePages(start disk.PageNum, n int, buf []byte) error {
 	cp := make([]byte, len(buf))
 	copy(cp, buf)
 	d.clock.record(Event{Dev: d.id, Kind: KindWrite, Start: start, N: n, Data: cp})
-	return d.inner.WritePages(start, n, buf)
+	return d.Device.WritePages(start, n, buf)
 }
 
 // WriteRun records the gathered pages as one event, then forwards.
 func (d *Device) WriteRun(start disk.PageNum, pages [][]byte) error {
-	ps := d.inner.PageSize()
+	ps := d.PageSize()
 	cp := make([]byte, len(pages)*ps)
 	for i, p := range pages {
 		copy(cp[i*ps:], p)
 	}
 	d.clock.record(Event{Dev: d.id, Kind: KindWriteRun, Start: start, N: len(pages), Data: cp})
-	return d.inner.WriteRun(start, pages)
+	return d.Device.WriteRun(start, pages)
 }
 
 // Force records the barrier and its coverage, then forwards.
 func (d *Device) Force(start disk.PageNum, n int) error {
 	d.clock.record(Event{Dev: d.id, Kind: KindForce, Start: start, N: n})
-	return d.inner.Force(start, n)
+	return d.Device.Force(start, n)
 }
 
 // ForceAll records the barrier, then forwards.
 func (d *Device) ForceAll() error {
 	d.clock.record(Event{Dev: d.id, Kind: KindForceAll})
-	return d.inner.ForceAll()
+	return d.Device.ForceAll()
 }
 
 // ForceAllExcept records the barrier with a copy of skip, then forwards.
@@ -163,23 +147,5 @@ func (d *Device) ForceAllExcept(skip map[disk.PageNum]bool) error {
 		}
 	}
 	d.clock.record(Event{Dev: d.id, Kind: KindForceAllExcept, Skip: cp})
-	return d.inner.ForceAllExcept(skip)
+	return d.Device.ForceAllExcept(skip)
 }
-
-// Stats passes through to the wrapped device.
-func (d *Device) Stats() disk.Stats { return d.inner.Stats() }
-
-// ResetStats passes through to the wrapped device.
-func (d *Device) ResetStats() { d.inner.ResetStats() }
-
-// FailAfter passes through to the wrapped device.
-func (d *Device) FailAfter(n int64, err error) { d.inner.FailAfter(n, err) }
-
-// ClearFault passes through to the wrapped device.
-func (d *Device) ClearFault() { d.inner.ClearFault() }
-
-// Crash passes through to the wrapped device.
-func (d *Device) Crash() error { return d.inner.Crash() }
-
-// Close passes through to the wrapped device.
-func (d *Device) Close() error { return d.inner.Close() }

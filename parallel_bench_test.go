@@ -2,11 +2,10 @@ package eos_test
 
 // Parallel read-path benchmarks.  Two store configurations are compared:
 //
-//   - serialized: single pool shard, volume queue depth 1 — the original
-//     design, in which one global mutex kept at most one transfer in
-//     flight at any moment.
-//   - parallel: sharded pool, queue depth 16 — concurrent readers each
-//     keep their own transfer in flight.
+//   - serialized: volume queue depth 1 — the original design, in which
+//     one global mutex kept at most one transfer in flight at any moment.
+//   - parallel: queue depth 16 — concurrent readers each keep their own
+//     transfer in flight.
 //
 // Both read each range's segments in logical order, one request per
 // segment piece.  The *Lat benchmarks run the volume in
@@ -14,7 +13,9 @@ package eos_test
 // sleeping its modelled duration) so the benchmark measures what the
 // software concurrency actually buys: overlapping the transfers of
 // concurrent readers.  The *Mem benchmarks run against
-// the raw in-memory volume and bound the locking overhead itself.
+// the raw in-memory volume and bound the locking overhead itself; there
+// the two stores are configured alike, so their two rows show the
+// run-to-run spread.
 //
 // Run with: go test -bench ParallelRead -cpu=1,8 -benchtime=200x
 
@@ -88,8 +89,7 @@ func parStoreFor(b *testing.B, name string, opts eos.Options) *parStore {
 	return st
 }
 
-var serializedOpts = eos.Options{Threshold: 8, PoolShards: 1}
-var parallelOpts = eos.Options{Threshold: 8, PoolShards: 8}
+var parOpts = eos.Options{Threshold: 8}
 
 // benchRead64KB measures aggregate throughput of concurrent 64 KB reads
 // at random offsets across the object set.
@@ -112,13 +112,13 @@ func benchRead64KB(b *testing.B, st *parStore) {
 
 func BenchmarkParallelRead64KBLat(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		st := parStoreFor(b, "serialized", serializedOpts)
+		st := parStoreFor(b, "serialized", parOpts)
 		st.vol.SetLatency(true, 1)
 		defer st.vol.SetLatency(false, 0)
 		benchRead64KB(b, st)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		st := parStoreFor(b, "parallel", parallelOpts)
+		st := parStoreFor(b, "parallel", parOpts)
 		st.vol.SetLatency(true, 16)
 		defer st.vol.SetLatency(false, 0)
 		benchRead64KB(b, st)
@@ -127,10 +127,10 @@ func BenchmarkParallelRead64KBLat(b *testing.B) {
 
 func BenchmarkParallelRead64KBMem(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		benchRead64KB(b, parStoreFor(b, "serialized", serializedOpts))
+		benchRead64KB(b, parStoreFor(b, "serialized", parOpts))
 	})
 	b.Run("parallel", func(b *testing.B) {
-		benchRead64KB(b, parStoreFor(b, "parallel", parallelOpts))
+		benchRead64KB(b, parStoreFor(b, "parallel", parOpts))
 	})
 }
 
@@ -164,13 +164,13 @@ func benchScan(b *testing.B, st *parStore) {
 
 func BenchmarkParallelScanLat(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		st := parStoreFor(b, "serialized", serializedOpts)
+		st := parStoreFor(b, "serialized", parOpts)
 		st.vol.SetLatency(true, 1)
 		defer st.vol.SetLatency(false, 0)
 		benchScan(b, st)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		st := parStoreFor(b, "parallel", parallelOpts)
+		st := parStoreFor(b, "parallel", parOpts)
 		st.vol.SetLatency(true, 16)
 		defer st.vol.SetLatency(false, 0)
 		benchScan(b, st)
@@ -179,9 +179,9 @@ func BenchmarkParallelScanLat(b *testing.B) {
 
 func BenchmarkParallelScanMem(b *testing.B) {
 	b.Run("serialized", func(b *testing.B) {
-		benchScan(b, parStoreFor(b, "serialized", serializedOpts))
+		benchScan(b, parStoreFor(b, "serialized", parOpts))
 	})
 	b.Run("parallel", func(b *testing.B) {
-		benchScan(b, parStoreFor(b, "parallel", parallelOpts))
+		benchScan(b, parStoreFor(b, "parallel", parOpts))
 	})
 }

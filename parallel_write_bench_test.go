@@ -1,8 +1,8 @@
 package eos_test
 
 // Parallel write-path benchmarks on the group configuration: buffered
-// log tail + leader/follower group commit, sharded pool with parallel
-// coalescing write-back, queue depth 16.
+// log tail + leader/follower group commit, coalescing pool write-back,
+// queue depth 16.
 //
 // Each benchmark iteration is one transaction: Begin, Replace a 512-byte
 // stripe of the worker's own object, Commit.  Under -cpu=8 eight
@@ -82,7 +82,7 @@ func wparStoreFor(b *testing.B, name string, opts eos.Options) *wparStore {
 	return st
 }
 
-var groupWriteOpts = eos.Options{Threshold: 8, PoolShards: 8}
+var groupWriteOpts = eos.Options{Threshold: 8}
 
 // benchCommit measures committed-transactions-per-second: every
 // iteration Replaces one stripe of the calling worker's object and

@@ -139,7 +139,7 @@ func BenchmarkRealIOCommit4KB(b *testing.B) {
 // buffer pool's fixed frames.
 func BenchmarkRealIORead64KB(b *testing.B) {
 	const objSize = 4 << 20
-	s := realStore(b, eos.Options{Threshold: 8, PoolShards: 8})
+	s := realStore(b, eos.Options{Threshold: 8})
 	o, err := s.Create("obj", 0)
 	if err != nil {
 		b.Fatal(err)

@@ -29,13 +29,11 @@
 #           WITHIN the run, which cancels machine drift: lock-free
 #           snapshot scans must sustain >=3x the locked-scan
 #           throughput under the storm, and >=90% of the idle-store
-#           scan throughput (BENCH_snapshot_scan.json records the
-#           accepted numbers).
+#           scan throughput.
 #   realio — BenchmarkRealIO* (file-backed volumes: pwritev runs,
 #           durable commits, pool reads on real page files).  allocs/op rows gate like the *Mem
 #           pass; ns/op depends on the runner's filesystem and is
-#           informational (BENCH_real_io.json records accepted
-#           numbers and the vectored-vs-pagewise ratio).
+#           informational.
 #
 # Regenerate the baseline after intentional read- or write-path
 # changes:

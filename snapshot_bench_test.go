@@ -108,7 +108,7 @@ func snapStoreFor(b *testing.B) *snapBenchStore {
 	}
 	vol := disk.MustNewVolume(parPage, 16384, snapDiskModel())
 	logVol := disk.MustNewVolume(parPage, 1024, snapDiskModel())
-	s, err := eos.Format(vol, logVol, eos.Options{Threshold: 8, PoolShards: 8})
+	s, err := eos.Format(vol, logVol, eos.Options{Threshold: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -348,7 +348,7 @@ func TestSnapshotScanStress(t *testing.T) {
 	// pins, so peak footprint far exceeds the live data.
 	vol := disk.MustNewVolume(2048, 49152, disk.CostModel{})
 	logVol := disk.MustNewVolume(2048, 1024, disk.CostModel{})
-	s, err := Format(vol, logVol, Options{Threshold: 4, PoolShards: 8})
+	s, err := Format(vol, logVol, Options{Threshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,10 +268,7 @@ func TestConcurrentReadersOneWriterPerObject(t *testing.T) {
 	)
 	vol := disk.MustNewVolume(2048, 24576, disk.CostModel{})
 	logVol := disk.MustNewVolume(2048, 1024, disk.CostModel{})
-	s, err := Format(vol, logVol, Options{
-		Threshold:  4,
-		PoolShards: 8,
-	})
+	s, err := Format(vol, logVol, Options{Threshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

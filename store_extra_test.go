@@ -424,8 +424,9 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	// Readers under shared locks, a fixed number of transactions each: the
-	// log keeps their records until a checkpoint, and there is none.
+	// Readers under shared locks, a fixed number of transactions each.  A
+	// transaction that only reads logs nothing, so they leave the log as
+	// the writer alone fills it.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
