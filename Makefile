@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint eoslint lint-fixtures bench perf-counts
+.PHONY: build test race lint eoslint lint-fixtures perf-counts
 
 build:
 	$(GO) build ./...
@@ -25,9 +25,6 @@ eoslint:
 # Smoke-check that every bad fixture still trips its analyzer.
 lint-fixtures:
 	scripts/lint.sh --fixtures
-
-bench:
-	scripts/bench_regress.sh
 
 # Count gate: the end-to-end benchmark at the merge base against the
 # working tree, failing on any metric worse than its BENCHMARK.json bound.

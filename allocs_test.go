@@ -1,0 +1,152 @@
+package eos
+
+import (
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"github.com/eosdb/eos/internal/disk"
+)
+
+// TestAllocsPerOp pins the heap allocations of the read, scan and commit
+// paths on both volume kinds.  An allocation count does not depend on the
+// machine, so each row is exact: a change that adds an allocation fails
+// here, and one that removes an allocation must lower its row, so the
+// figure never drifts above what the code does.  The race detector adds
+// an allocation to each commit, so the commit rows do not run under it.
+func TestAllocsPerOp(t *testing.T) {
+	const ps = 4096
+	pages := make([][]byte, 64)
+	for i := range pages {
+		pages[i] = pat(i+1, ps)
+	}
+	simStore := func(t *testing.T) *Store {
+		vol := disk.MustNewVolume(ps, 8192, disk.DefaultCostModel())
+		logVol := disk.MustNewVolume(ps, 8192, disk.DefaultCostModel())
+		s, err := Format(vol, logVol, Options{Threshold: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	fileStore := func(t *testing.T) *Store {
+		s, err := CreateAt(t.TempDir(), Options{PageSize: ps, DataPages: 8192, LogPages: 2048, Threshold: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+	fileVolume := func(t *testing.T) *disk.FileVolume {
+		v, err := disk.CreateFileVolume(filepath.Join(t.TempDir(), "vol.eos"), ps, 4096, disk.FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = v.Close() })
+		return v
+	}
+	// object creates an object of size bytes on s, appended in chunk-sized
+	// pieces so that it spans several segments.
+	object := func(t *testing.T, s *Store, size, chunk int) *Object {
+		o, err := s.Create("x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < size; off += chunk {
+			if err := o.Append(pat(off+1, chunk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return o
+	}
+	read64KB := func(t *testing.T, o *Object) func() {
+		rng := rand.New(rand.NewSource(1))
+		buf := make([]byte, 64<<10)
+		return func() {
+			if err := o.ReadAt(buf, rng.Int63n(o.Size()-int64(len(buf)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// commit replaces n bytes of o in one transaction, each call at the
+	// next offset.
+	commit := func(t *testing.T, o *Object, n int) func() {
+		data := pat(7, n)
+		off := int64(0)
+		return func() {
+			tx, err := o.s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Replace("x", off, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			off = (off + int64(n)) % o.Size()
+		}
+	}
+	for _, row := range []struct {
+		name   string
+		allocs float64
+		racy   bool // the race detector changes the count
+		op     func(t *testing.T) func()
+	}{
+		{"sim/read 64KB", 2, false, func(t *testing.T) func() {
+			return read64KB(t, object(t, simStore(t), 256<<10, 32<<10))
+		}},
+		{"sim/scan 256KB", 0, false, func(t *testing.T) func() {
+			o := object(t, simStore(t), 256<<10, 32<<10)
+			buf := make([]byte, 64<<10)
+			return func() {
+				r := o.NewReader()
+				for {
+					if n, err := r.Read(buf); n == 0 || err != nil {
+						break
+					}
+				}
+			}
+		}},
+		{"sim/commit 512B replace", 34, true, func(t *testing.T) func() {
+			return commit(t, object(t, simStore(t), 64<<10, 64<<10), 512)
+		}},
+		{"file/WriteRun", 1, false, func(t *testing.T) func() {
+			v := fileVolume(t)
+			return func() {
+				if err := v.WriteRun(0, pages); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"file/WritePages", 0, false, func(t *testing.T) func() {
+			v := fileVolume(t)
+			return func() {
+				for p, page := range pages {
+					if err := v.WritePages(disk.PageNum(p), 1, page); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}},
+		{"file/commit 4KB replace", 33, true, func(t *testing.T) func() {
+			return commit(t, object(t, fileStore(t), ps, ps), ps)
+		}},
+		{"file/read 64KB", 1, false, func(t *testing.T) func() {
+			o := object(t, fileStore(t), 4<<20, 256<<10)
+			if err := o.s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			return read64KB(t, o)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.racy && raceEnabled {
+				t.Skip("the race detector allocates on this path")
+			}
+			if got := testing.AllocsPerRun(50, row.op(t)); got != row.allocs {
+				t.Errorf("%.0f allocations per operation, want %.0f", got, row.allocs)
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
-// Benchmarks regenerating every experiment of the reproduction (one
-// testing.B target per experiment; see DESIGN.md §3 for the index and
-// EXPERIMENTS.md for paper-vs-measured results), plus micro-benchmarks
-// for the primitive operations.
+// Micro-benchmarks for the primitive operations of the public API.  The
+// experiments of the reproduction run through cmd/eosbench (eosbench -exp
+// eN) and internal/bench's tests; see DESIGN.md §3 for the index.
 package eos_test
 
 import (
@@ -9,44 +8,8 @@ import (
 	"testing"
 
 	"github.com/eosdb/eos"
-	"github.com/eosdb/eos/internal/bench"
 	"github.com/eosdb/eos/internal/disk"
 )
-
-func runExperiment(b *testing.B, id string) {
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tab, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkE1AmapLocate(b *testing.B)              { runExperiment(b, "e1") }
-func BenchmarkE2AllocDirectoryIO(b *testing.B)        { runExperiment(b, "e2") }
-func BenchmarkE3Figure4(b *testing.B)                 { runExperiment(b, "e3") }
-func BenchmarkE4SearchFigure5Cost(b *testing.B)       { runExperiment(b, "e4") }
-func BenchmarkE5UtilizationVsT(b *testing.B)          { runExperiment(b, "e5") }
-func BenchmarkE6SeqReadAfterUpdates(b *testing.B)     { runExperiment(b, "e6") }
-func BenchmarkE7Comparison(b *testing.B)              { runExperiment(b, "e7") }
-func BenchmarkE8Fragmentation(b *testing.B)           { runExperiment(b, "e8") }
-func BenchmarkE9Superdirectory(b *testing.B)          { runExperiment(b, "e9") }
-func BenchmarkE10AdaptiveT(b *testing.B)              { runExperiment(b, "e10") }
-func BenchmarkE11AppendGrowth(b *testing.B)           { runExperiment(b, "e11") }
-func BenchmarkE12RecoveryOverhead(b *testing.B)       { runExperiment(b, "e12") }
-func BenchmarkE13UpdateCostVsObjectSize(b *testing.B) { runExperiment(b, "e13") }
-func BenchmarkE14ExodusLeafSizeTension(b *testing.B)  { runExperiment(b, "e14") }
-func BenchmarkE15Compaction(b *testing.B)             { runExperiment(b, "e15") }
-func BenchmarkE16ApplicationWorkloads(b *testing.B)   { runExperiment(b, "e16") }
-
-// ---- micro-benchmarks on the public API ----
 
 func benchStore(b *testing.B) *eos.Store {
 	b.Helper()

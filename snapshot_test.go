@@ -89,6 +89,68 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadsPassAHeldWriteLatch: a snapshot reads its captured
+// version without the object's latch, so a writer holding the latch — a
+// shadowing write waiting out its I/O, or one stalled in allocation
+// backpressure — does not hold the snapshot read up.  A live read of the
+// same object waits for the latch, which shows the test tells the two
+// paths apart.
+func TestSnapshotReadsPassAHeldWriteLatch(t *testing.T) {
+	s, _, _ := newStore(t, Options{})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := pat(1, 20000)
+	if err := o.Append(model); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.OpenSnapshot("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	s.mu.Lock()
+	e := s.catalog["x"]
+	s.mu.Unlock()
+	e.latch.Lock() // the writer
+	unlock := sync.OnceFunc(e.latch.Unlock)
+	defer unlock()
+
+	live := make(chan error, 1)
+	liveBuf := make([]byte, len(model))
+	go func() { live <- o.ReadAt(liveBuf, 0) }()
+	snap := make(chan error, 1)
+	snapBuf := make([]byte, len(model))
+	go func() {
+		_, err := sn.ReadAt(snapBuf, 0)
+		snap <- err
+	}()
+	select {
+	case err := <-snap:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the snapshot read waits for the object latch")
+	}
+	if !bytes.Equal(snapBuf, model) {
+		t.Fatal("the snapshot read differs from the committed bytes")
+	}
+	select {
+	case <-live:
+		t.Fatal("a live read returned while a writer held the object latch")
+	case <-time.After(100 * time.Millisecond):
+	}
+	unlock()
+	if err := <-live; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveBuf, model) {
+		t.Fatal("the live read differs from the committed bytes")
+	}
+}
+
 // TestSnapshotIgnoresUncommitted checks that a snapshot never sees
 // in-flight transactional state: the published root moves only at
 // commit, and an abort restores the pre-transaction version.
