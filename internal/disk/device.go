@@ -74,8 +74,10 @@ type Device interface {
 	ClearFault()
 	// Crash simulates a power failure: every page reverts to its last
 	// forced image (when the backend tracks one) and volatile state is
-	// lost.  Statistics reset, as a restarted system observes a cold
-	// device.
+	// lost — the simulator swaps each dirty page's pre-image slot back,
+	// in O(dirty pages), and a shadowed file volume writes its saved
+	// pre-images back.  Statistics reset, as a restarted system
+	// observes a cold device.
 	Crash() error
 
 	// Close releases the backend's resources (a no-op for the

@@ -13,12 +13,13 @@
 //
 // Data is held in memory; the simulation is about cost accounting, not
 // persistence.  Durability semantics needed by the recovery experiments
-// (which writes survive a crash) are provided by CrashPoint support: a
-// Volume distinguishes pages that have been "forced" (survive a simulated
-// crash) from pages written but not yet forced.
+// (which writes survive a crash) come from shadow slots: a page written
+// since its last force keeps its forced image in a second slot, a force
+// frees that slot, and a crash swaps it back.  Neither moves page bytes,
+// and a crash costs O(dirty pages) rather than O(capacity).
 //
 // A Volume is safe for concurrent use, and reads proceed in parallel:
-// the page array is guarded by an RWMutex (reads share, writes exclude)
+// the slots are guarded by an RWMutex (reads share, writes exclude)
 // while the seek/transfer accounting sits under its own short-lived
 // mutex, so concurrent multi-page transfers overlap their copies.  For
 // concurrency experiments, SetLatency additionally makes every request
@@ -31,6 +32,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -119,6 +121,17 @@ type PageNum int64
 // Volume is a simulated disk: a linear array of fixed-size pages with
 // seek/transfer cost accounting and crash semantics.
 //
+// Page images live in shadow slots, as §4.5's recovery keeps a page it
+// may need again: one arena holds twice the capacity in slots, and a
+// table maps each page to the slot holding its current image.  The
+// first write to a page since its last force takes a free slot and
+// keeps the old one as the page's pre-image — writes are whole pages,
+// so nothing is copied but the new bytes.  A force returns pre-image
+// slots to the free stack, and a crash swaps them back in, so neither
+// moves a byte, and a crash costs O(dirty pages), not O(capacity).
+// Every page holds one current slot and at most one pre-image, so the
+// free stack never runs dry.
+//
 // A Volume is safe for concurrent use; each request is atomic, and read
 // requests overlap each other.
 type Volume struct {
@@ -127,10 +140,13 @@ type Volume struct {
 	// on it briefly but overlap their copies.
 	account
 
-	mu      sync.RWMutex     // guards data, durable, dirty
-	data    []byte           // eos:guardedby mu -- numPages * pageSize
-	durable []byte           // eos:guardedby mu -- last forced image of every page (crash survivors)
-	dirty   map[PageNum]bool // eos:guardedby mu
+	mu      sync.RWMutex // guards the slot state below
+	arena   []byte       // eos:guardedby mu -- 2 * numPages slots of pageSize bytes
+	slot    []int32      // eos:guardedby mu -- page -> slot of its current image
+	pre     []int32      // eos:guardedby mu -- page -> slot of its last forced image; -1 while the page is clean
+	dirtyAt []int32      // eos:guardedby mu -- page -> its index in dirty, while pre[page] >= 0
+	dirty   []int32      // eos:guardedby mu -- pages written since their last force
+	free    []int32      // eos:guardedby mu -- stack of slots holding no image
 
 	// Latency simulation (SetLatency): every request sleeps its modelled
 	// duration; latSem bounds the number of outstanding requests.
@@ -138,18 +154,38 @@ type Volume struct {
 	latSem chan struct{}
 }
 
+// maxVolumePages is the largest simulated volume: its slots must be
+// numbered by an int32.
+const maxVolumePages = math.MaxInt32 / 2
+
 // NewVolume creates a volume of numPages pages of pageSize bytes each,
 // using the supplied cost model.  pageSize must be positive; numPages must
-// be positive.
+// be positive and at most 2^30 - 1.  Every page reads as zeros until it
+// is written.
 func NewVolume(pageSize int, numPages PageNum, model CostModel) (*Volume, error) {
 	if err := checkGeometry(pageSize, numPages); err != nil {
 		return nil, err
 	}
+	if numPages > maxVolumePages {
+		return nil, fmt.Errorf("disk: simulated volume of %d pages exceeds %d", numPages, maxVolumePages)
+	}
+	// Page p starts in slot p; the stack pops the other half in
+	// ascending order, so on a fresh volume a run written to clean
+	// pages lands in consecutive slots and reads back in one copy.
+	n := int(numPages)
+	slot, pre, free := make([]int32, n), make([]int32, n), make([]int32, n)
+	for p := range slot {
+		slot[p] = int32(p)
+		pre[p] = -1
+		free[p] = int32(2*n - 1 - p)
+	}
 	v := &Volume{
 		account: account{pageSize: pageSize, numPages: numPages, model: model, headPos: -1},
-		data:    make([]byte, int64(numPages)*int64(pageSize)),
-		durable: make([]byte, int64(numPages)*int64(pageSize)),
-		dirty:   make(map[PageNum]bool),
+		arena:   make([]byte, 2*int64(numPages)*int64(pageSize)),
+		slot:    slot,
+		pre:     pre,
+		dirtyAt: make([]int32, n),
+		free:    free,
 	}
 	v.readPages = v.ReadPages
 	return v, nil
@@ -213,8 +249,17 @@ func (v *Volume) ReadPages(start PageNum, n int, buf []byte) error {
 	v.mu.RLock()
 	micros, err := v.begin(start, n, false, false)
 	if err == nil {
-		off := int64(start) * int64(v.pageSize)
-		copy(buf, v.data[off:off+int64(n)*int64(v.pageSize)])
+		// One copy per run of pages whose slots are consecutive.
+		ps := v.pageSize
+		for i := 0; i < n; {
+			s := v.slot[start+PageNum(i)]
+			k := 1
+			for i+k < n && v.slot[start+PageNum(i+k)] == s+int32(k) {
+				k++
+			}
+			copy(buf[i*ps:(i+k)*ps], v.image(s, k))
+			i += k
+		}
 	}
 	v.mu.RUnlock()
 	if done != nil {
@@ -247,19 +292,20 @@ func (v *Volume) WriteRun(start PageNum, pages [][]byte) error {
 }
 
 // write accounts one write request of n pages at start and copies buf,
-// then each of pages, into the image behind it.
+// then each of pages, into the pages' current slots.
 func (v *Volume) write(start PageNum, n int, run bool, buf []byte, pages [][]byte) error {
 	done := v.admit()
 	v.mu.Lock()
 	micros, err := v.begin(start, n, true, run)
 	if err == nil {
-		off := int64(start) * int64(v.pageSize)
-		off += int64(copy(v.data[off:], buf))
-		for _, p := range pages {
-			off += int64(copy(v.data[off:], p))
-		}
+		ps := v.pageSize
 		for i := 0; i < n; i++ {
-			v.dirty[start+PageNum(i)] = true
+			dst := v.image(v.writable(start+PageNum(i)), 1)
+			if pages != nil {
+				copy(dst, pages[i])
+			} else {
+				copy(dst, buf[i*ps:])
+			}
 		}
 	}
 	v.mu.Unlock()
@@ -269,21 +315,56 @@ func (v *Volume) write(start PageNum, n int, run bool, buf []byte, pages [][]byt
 	return err
 }
 
+// image returns the bytes of k consecutive slots from slot s.
+//
+// eos:requires v.mu (shared)
+func (v *Volume) image(s int32, k int) []byte {
+	off := int64(s) * int64(v.pageSize)
+	return v.arena[off : off+int64(k)*int64(v.pageSize)]
+}
+
+// writable returns the slot page p's next write goes to.  A page
+// written since its last force is written in place; a clean one moves
+// to a free slot, and its old slot becomes its pre-image.
+//
+// eos:requires v.mu
+func (v *Volume) writable(p PageNum) int32 {
+	if v.pre[p] < 0 {
+		top := len(v.free) - 1
+		v.pre[p], v.slot[p] = v.slot[p], v.free[top]
+		v.free = v.free[:top]
+		v.dirtyAt[p] = int32(len(v.dirty))
+		v.dirty = append(v.dirty, int32(p))
+	}
+	return v.slot[p]
+}
+
+// settle makes dirty page p durable: its pre-image slot goes back on
+// the free stack, and p leaves the dirty list, whose last entry takes
+// its place.
+//
+// eos:requires v.mu
+func (v *Volume) settle(p int32) {
+	v.free = append(v.free, v.pre[p])
+	v.pre[p] = -1
+	i, last := v.dirtyAt[p], v.dirty[len(v.dirty)-1]
+	v.dirty[i], v.dirtyAt[last] = last, i
+	v.dirty = v.dirty[:len(v.dirty)-1]
+}
+
 // Force makes the current contents of n pages starting at start durable:
 // they will survive a simulated crash.  Forcing already-durable pages is a
 // no-op for accounting purposes (the write itself was already charged).
+// The cost is O(n), whatever else is dirty.
 func (v *Volume) Force(start PageNum, n int) error {
 	if err := v.checkRange(start, n); err != nil {
 		return err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i := 0; i < n; i++ {
-		p := start + PageNum(i)
-		if v.dirty[p] {
-			off := int64(p) * int64(v.pageSize)
-			copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
-			delete(v.dirty, p)
+	for p := int32(start); p < int32(start)+int32(n); p++ {
+		if v.pre[p] >= 0 {
+			v.settle(p)
 		}
 	}
 	return nil
@@ -295,11 +376,11 @@ func (v *Volume) Force(start PageNum, n int) error {
 func (v *Volume) ForceAll() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for p := range v.dirty {
-		off := int64(p) * int64(v.pageSize)
-		copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
+	for _, p := range v.dirty {
+		v.free = append(v.free, v.pre[p])
+		v.pre[p] = -1
 	}
-	v.dirty = make(map[PageNum]bool)
+	v.dirty = v.dirty[:0]
 	return nil
 }
 
@@ -308,25 +389,28 @@ func (v *Volume) ForceAll() error {
 func (v *Volume) ForceAllExcept(skip map[PageNum]bool) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for p := range v.dirty {
-		if skip[p] {
-			continue
+	// Backwards, so the entry settle moves into place was already seen.
+	for i := len(v.dirty) - 1; i >= 0; i-- {
+		if p := v.dirty[i]; !skip[PageNum(p)] {
+			v.settle(p)
 		}
-		off := int64(p) * int64(v.pageSize)
-		copy(v.durable[off:off+int64(v.pageSize)], v.data[off:off+int64(v.pageSize)])
-		delete(v.dirty, p)
 	}
 	return nil
 }
 
-// Crash simulates a power failure: every page reverts to its last forced
-// image.  Statistics and head position are reset, as a restarted system
-// observes a cold device.
+// Crash simulates a power failure: every page written since its last
+// force gets its pre-image slot back, so it reverts to its last forced
+// image, in time proportional to the dirty pages alone.  Statistics and
+// head position are reset, as a restarted system observes a cold
+// device.
 func (v *Volume) Crash() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	copy(v.data, v.durable)
-	v.dirty = make(map[PageNum]bool)
+	for _, p := range v.dirty {
+		v.free = append(v.free, v.slot[p])
+		v.slot[p], v.pre[p] = v.pre[p], -1
+	}
+	v.dirty = v.dirty[:0]
 	v.ResetStats()
 	return nil
 }

@@ -29,6 +29,10 @@ func TestNewVolumeValidation(t *testing.T) {
 	if _, err := NewVolume(512, -1, DefaultCostModel()); err == nil {
 		t.Error("negative pages accepted")
 	}
+	// Refused before anything is allocated: slots are numbered by int32.
+	if _, err := NewVolume(1, maxVolumePages+1, DefaultCostModel()); err == nil {
+		t.Error("more pages than int32 slot numbers accepted")
+	}
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {

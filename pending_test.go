@@ -280,8 +280,9 @@ func TestCommittedReplacesLiveInTheLogAlone(t *testing.T) {
 // the same bytes from the device after it: an open tail's pages, and a
 // committed replace's.
 func TestSnapshotsReadPendingPages(t *testing.T) {
-	// One reader at a time, so each read's device requests can be counted.
-	t.Run("ReadConcurrency=0", func(t *testing.T) {
+	// An open tail's pages, read by one reader at a time, so each read's
+	// device requests can be counted.
+	t.Run("open tail pages", func(t *testing.T) {
 		s, vol, _ := newStore(t, Options{})
 		o, err := s.Create("x", 0)
 		if err != nil {
