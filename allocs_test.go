@@ -3,17 +3,20 @@ package eos
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
 )
 
-// TestAllocsPerOp pins the heap allocations of the read, scan and commit
-// paths on both volume kinds.  An allocation count does not depend on the
-// machine, so each row is exact: a change that adds an allocation fails
-// here, and one that removes an allocation must lower its row, so the
-// figure never drifts above what the code does.  The race detector adds
-// an allocation to each commit, so the commit rows do not run under it.
+// TestAllocsPerOp pins the heap allocations of the read, scan, insert,
+// delete and commit paths on both volume kinds.  An allocation count does
+// not depend on the machine, so each row is exact: a change that adds an
+// allocation fails here, and one that removes an allocation must lower its
+// row, so the figure never drifts above what the code does.  The race
+// detector adds an allocation to each commit, and drops some of the memory
+// an insert or a delete hands back for reuse, so those rows do not run
+// under it.
 func TestAllocsPerOp(t *testing.T) {
 	const ps = 4096
 	pages := make([][]byte, 64)
@@ -87,16 +90,37 @@ func TestAllocsPerOp(t *testing.T) {
 			off = (off + int64(n)) % o.Size()
 		}
 	}
+	// edit inserts or deletes 4 KB at a random offset of a 512 KB object of
+	// 32 KB segments: with T = 8 every edit reshuffles bytes of its
+	// neighbours into the segment it writes.
+	edit := func(t *testing.T, insert bool) func() {
+		o := object(t, simStore(t), 512<<10, 32<<10)
+		rng := rand.New(rand.NewSource(3))
+		data := pat(9, ps)
+		return func() {
+			var err error
+			if insert {
+				err = o.Insert(rng.Int63n(o.Size()+1), data)
+			} else {
+				err = o.Delete(rng.Int63n(o.Size()-ps+1), ps)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, row := range []struct {
 		name   string
 		allocs float64
 		racy   bool // the race detector changes the count
-		op     func(t *testing.T) func()
+		// bytesBelow, when not 0, bounds the bytes an operation allocates.
+		bytesBelow uint64
+		op         func(t *testing.T) func()
 	}{
-		{"sim/read 64KB", 2, false, func(t *testing.T) func() {
+		{"sim/read 64KB", 2, false, 0, func(t *testing.T) func() {
 			return read64KB(t, object(t, simStore(t), 256<<10, 32<<10))
 		}},
-		{"sim/scan 256KB", 0, false, func(t *testing.T) func() {
+		{"sim/scan 256KB", 0, false, 0, func(t *testing.T) func() {
 			o := object(t, simStore(t), 256<<10, 32<<10)
 			buf := make([]byte, 64<<10)
 			return func() {
@@ -108,10 +132,14 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"sim/commit 512B replace", 34, true, func(t *testing.T) func() {
+		{"sim/commit 512B replace", 34, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, simStore(t), 64<<10, 64<<10), 512)
 		}},
-		{"file/WriteRun", 1, false, func(t *testing.T) func() {
+		// An insert writes a new segment of at least T = 8 pages, built in
+		// memory the manager reuses: it allocates less than that image.
+		{"sim/insert 4KB", 16, true, 8 * ps, func(t *testing.T) func() { return edit(t, true) }},
+		{"sim/delete 4KB", 15, true, 0, func(t *testing.T) func() { return edit(t, false) }},
+		{"file/WriteRun", 1, false, 0, func(t *testing.T) func() {
 			v := fileVolume(t)
 			return func() {
 				if err := v.WriteRun(0, pages); err != nil {
@@ -119,7 +147,7 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"file/WritePages", 0, false, func(t *testing.T) func() {
+		{"file/WritePages", 0, false, 0, func(t *testing.T) func() {
 			v := fileVolume(t)
 			return func() {
 				for p, page := range pages {
@@ -129,10 +157,10 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"file/commit 4KB replace", 33, true, func(t *testing.T) func() {
+		{"file/commit 4KB replace", 33, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, fileStore(t), ps, ps), ps)
 		}},
-		{"file/read 64KB", 1, false, func(t *testing.T) func() {
+		{"file/read 64KB", 1, false, 0, func(t *testing.T) func() {
 			o := object(t, fileStore(t), 4<<20, 256<<10)
 			if err := o.s.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -144,8 +172,21 @@ func TestAllocsPerOp(t *testing.T) {
 			if row.racy && raceEnabled {
 				t.Skip("the race detector allocates on this path")
 			}
-			if got := testing.AllocsPerRun(50, row.op(t)); got != row.allocs {
+			op := row.op(t)
+			if got := testing.AllocsPerRun(50, op); got != row.allocs {
 				t.Errorf("%.0f allocations per operation, want %.0f", got, row.allocs)
+			}
+			if row.bytesBelow == 0 {
+				return
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			if got := (after.TotalAlloc - before.TotalAlloc) / 50; got >= row.bytesBelow {
+				t.Errorf("%d bytes allocated per operation, want fewer than %d", got, row.bytesBelow)
 			}
 		})
 	}

@@ -68,7 +68,8 @@ type PageReader interface {
 // bytes, then hole bytes for the caller to fill, then b's bytes, then
 // zeros up to the page boundary.  The sources are read into the returned
 // buffer and moved into place there, so the caller can fill the hole and
-// write the image from the same memory.
+// write the image from the same memory.  The image is memory of its own;
+// GatherInto builds it in memory the caller reuses.
 //
 // When a and b lie in the same extent (a first) and at most BridgePages
 // pages separate their page runs, one request fetches both; otherwise
@@ -76,6 +77,15 @@ type PageReader interface {
 // one request served two ranges that are not byte-adjacent, and then the
 // number of whole pages between them that it transferred for nothing.
 func Gather(d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bridged int, err error) {
+	return GatherInto(nil, d, a, hole, b)
+}
+
+// GatherInto is Gather building the image in buf when buf's capacity holds
+// what the requests transfer — a bridged request's gap pages too — and in
+// fresh memory otherwise.  Whatever buf held is overwritten: the image is
+// the same as Gather's, except that the hole's bytes, which are the
+// caller's to fill, are unspecified either way.
+func GatherInto(buf []byte, d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bridged int, err error) {
 	ps := d.PageSize()
 	total := a.N + hole + b.N
 	imgLen := int((total + int64(ps) - 1) / int64(ps) * int64(ps))
@@ -85,11 +95,18 @@ func Gather(d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bri
 	srcA, srcB := ina, int64(na*ps)+inb
 	bridged = -1
 
-	var buf []byte
-	if na > 0 && nb > 0 && a.Start == b.Start && gap <= bridgePages {
-		n := int(fb) + nb - int(fa)
-		buf = make([]byte, max(imgLen, n*ps))
-		if err := d.ReadPages(a.Start+fa, n, buf[:n*ps]); err != nil {
+	together := na > 0 && nb > 0 && a.Start == b.Start && gap <= bridgePages
+	read := na + nb
+	if together {
+		read = int(fb) + nb - int(fa)
+	}
+	if n := max(imgLen, read*ps); cap(buf) >= n {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
+	if together {
+		if err := d.ReadPages(a.Start+fa, read, buf[:read*ps]); err != nil {
 			return nil, -1, err
 		}
 		srcB = int64(int(fb-fa)*ps) + inb
@@ -97,7 +114,6 @@ func Gather(d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bri
 			bridged = max(gap, 0)
 		}
 	} else {
-		buf = make([]byte, max(imgLen, (na+nb)*ps))
 		if na > 0 {
 			if err := d.ReadPages(a.Start+fa, na, buf[:na*ps]); err != nil {
 				return nil, -1, err

@@ -106,6 +106,83 @@ func TestGather(t *testing.T) {
 				t.Fatalf("Gather(%+v, %d, %+v): padding not zero", a, hole, b)
 			}
 		}
+		gatherIntoDirty(t, v, img, wantReads, a, hole, b)
+	}
+}
+
+// gatherIntoDirty checks that GatherInto, given memory full of 0xFF, builds
+// want — Gather's image of the same ranges — in that memory, with the same
+// requests: no byte the memory held before survives outside the hole, which
+// both images get filled with the same bytes first, as a caller would.
+func gatherIntoDirty(t *testing.T, v *Volume, want []byte, wantReads int64, a ByteRange, hole int64, b ByteRange) {
+	t.Helper()
+	scratch := bytes.Repeat([]byte{0xFF}, 128*v.PageSize())
+	before := v.Stats()
+	got, _, err := GatherInto(scratch[:0], v, a, hole, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads := v.Stats().Reads - before.Reads; reads != wantReads {
+		t.Fatalf("GatherInto(%+v, %d, %+v): %d reads, want %d", a, hole, b, reads, wantReads)
+	}
+	if len(got) > 0 && &got[0] != &scratch[0] {
+		t.Fatalf("GatherInto(%+v, %d, %+v): image not built in the memory given", a, hole, b)
+	}
+	fill := bytes.Repeat([]byte{0x5A}, int(hole))
+	copy(got[a.N:], fill)
+	want = append([]byte(nil), want...)
+	copy(want[a.N:], fill)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("GatherInto(%+v, %d, %+v) into dirty memory differs from Gather's image", a, hole, b)
+	}
+}
+
+// TestGatherIntoDirtyScratch: the geometries an update gathers, each built
+// in memory a previous image left dirty, give Gather's image and requests.
+func TestGatherIntoDirtyScratch(t *testing.T) {
+	const ps = 64
+	v := MustNewVolume(ps, 256, DefaultCostModel())
+	content := make([]byte, 256*ps)
+	rand.New(rand.NewSource(7)).Read(content)
+	if err := v.WritePages(0, 256, content); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name        string
+		a           ByteRange
+		hole        int64
+		b           ByteRange
+		reads       int64
+		wantBridged int
+	}{
+		{"bridged", ByteRange{Start: 4, Off: 10, N: 100}, 30, ByteRange{Start: 4, Off: 10*ps + 5, N: 70}, 1, 8},
+		{"byte-adjacent", ByteRange{Start: 4, Off: 30, N: 50}, 20, ByteRange{Start: 4, Off: 80, N: 90}, 1, -1},
+		{"other extent", ByteRange{Start: 4, Off: 30, N: 50}, 20, ByteRange{Start: 100, Off: 80, N: 90}, 2, -1},
+		{"empty a", ByteRange{Start: 4}, 40, ByteRange{Start: 4, Off: 3*ps + 7, N: 100}, 1, -1},
+		{"empty b", ByteRange{Start: 4, Off: 5, N: 100}, 10, ByteRange{}, 1, -1},
+		{"hole ends mid-page", ByteRange{Start: 4, Off: 0, N: ps / 2}, ps + ps/4, ByteRange{}, 1, -1},
+		{"hole only", ByteRange{}, 2*ps + 3, ByteRange{}, 0, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := v.Stats()
+			want, bridged, err := Gather(v, c.a, c.hole, c.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reads := v.Stats().Reads - before.Reads; reads != c.reads || bridged != c.wantBridged {
+				t.Fatalf("Gather: %d reads, bridged %d; want %d, %d", reads, bridged, c.reads, c.wantBridged)
+			}
+			gatherIntoDirty(t, v, want, c.reads, c.a, c.hole, c.b)
+		})
+	}
+	// Memory too small for the requests is not written: the image is fresh.
+	small := bytes.Repeat([]byte{0xFF}, ps)
+	img, _, err := GatherInto(small, v, ByteRange{Start: 4, Off: 0, N: 2 * ps}, 0, ByteRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, content[4*ps:6*ps]) || !bytes.Equal(small, bytes.Repeat([]byte{0xFF}, ps)) {
+		t.Fatal("GatherInto into memory too small for the image wrote into it or built the wrong image")
 	}
 }
 

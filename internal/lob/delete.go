@@ -87,10 +87,13 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 	// plus R's migrated prefix (contiguous, in S').  When S = S' and the
 	// deleted pages between the two cost less to transfer than a
 	// reposition, one request fetches both; otherwise each is one read.
+	// The image is only written: it is built in scratch memory.
 	var img []byte
 	if res.nc > 0 {
+		tmp := m.getScratch()
+		defer m.scratch.Put(tmp)
 		tail := qc - (qb + 1) + res.moveR
-		img, err = m.gather(
+		img, err = m.gather(tmp,
 			disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}, 0,
 			disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail})
 		if err != nil {

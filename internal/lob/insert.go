@@ -80,8 +80,11 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	// the inserted bytes, the split page's suffix and R's migrated prefix.
 	// The old bytes are physically contiguous in S, so one multi-page read
 	// fetches them (the paper's "one or two pages" plus reshuffled pages,
-	// with no extra seeks).
-	img, err := m.gather(
+	// with no extra seeks).  The image is only written: it is built in
+	// scratch memory.
+	tmp := m.getScratch()
+	defer m.scratch.Put(tmp)
+	img, err := m.gather(tmp,
 		disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}, int64(len(data)),
 		disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR})
 	if err != nil {

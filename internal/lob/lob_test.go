@@ -1041,6 +1041,120 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNodeViewRejectsWhatDecodeRejects: the in-place scan a look-only
+// descent reads an index page with refuses exactly the pages decodeNode
+// refuses, with the same ErrCorruptNode error, and reads the entries of the
+// pages it accepts as decodeNode decodes them.
+func TestNodeViewRejectsWhatDecodeRejects(t *testing.T) {
+	const ps = 256
+	const hdr = nodeHeaderSize
+	valid := func() []byte {
+		img := bytes.Repeat([]byte{0xA5}, ps) // a dirty frame
+		n := &node{level: 2, entries: []entry{{bytes: 10, ptr: 3}, {bytes: 20, ptr: 4}, {bytes: 5, ptr: 9}}}
+		if err := encodeNode(n, img); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	// encodeNode writes the same page over a dirty frame as over a zeroed one.
+	clean := make([]byte, ps)
+	if err := encodeNode(&node{level: 2, entries: []entry{{bytes: 10, ptr: 3}, {bytes: 20, ptr: 4}, {bytes: 5, ptr: 9}}}, clean); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(valid(), clean) {
+		t.Fatal("encodeNode left bytes of a dirty frame behind")
+	}
+	put := func(b []byte, cum int64, p disk.PageNum) {
+		if err := PutEntry(b, cum, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(img []byte) []byte
+		ok      bool
+	}{
+		{"valid", func(b []byte) []byte { return b }, true},
+		{"no entries", func(b []byte) []byte { b[4], b[5] = 0, 0; return b }, true},
+		{"short page", func(b []byte) []byte { return b[:hdr-1] }, false},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 1; return b }, false},
+		{"level 0", func(b []byte) []byte { b[2] = 0; return b }, false},
+		{"count past the page", func(b []byte) []byte { b[4], b[5] = 0, (ps-hdr)/EntrySize+1; return b }, false},
+		{"zero first count", func(b []byte) []byte { put(b[hdr:], 0, 3); return b }, false},
+		{"equal counts", func(b []byte) []byte { put(b[hdr+EntrySize:], 10, 4); return b }, false},
+		{"decreasing counts", func(b []byte) []byte { put(b[hdr+2*EntrySize:], 29, 9); return b }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			img := c.corrupt(valid())
+			v, verr := viewNode(img)
+			nd, derr := decodeNode(img)
+			if !c.ok {
+				if !errors.Is(verr, ErrCorruptNode) || !errors.Is(derr, ErrCorruptNode) || verr.Error() != derr.Error() {
+					t.Fatalf("viewNode: %v; decodeNode: %v; want the same ErrCorruptNode", verr, derr)
+				}
+				return
+			}
+			if verr != nil || derr != nil {
+				t.Fatalf("viewNode: %v; decodeNode: %v", verr, derr)
+			}
+			if v.level != nd.level || v.count() != len(nd.entries) {
+				t.Fatalf("view of level %d with %d entries, decoded level %d with %d", v.level, v.count(), nd.level, len(nd.entries))
+			}
+			var before int64
+			for i, want := range nd.entries {
+				if got := v.entry(i, before); got != want {
+					t.Fatalf("entry %d: view %+v, decoded %+v", i, got, want)
+				}
+				if got, start := v.child(before); got != want || start != before {
+					t.Fatalf("child(%d) = %+v at %d, want %+v at %d", before, got, start, want, before)
+				}
+				before += want.bytes
+			}
+		})
+	}
+}
+
+// TestDescentsCheckTheNodesTheyRead: every look-only descent — a live
+// read's walk, the search an update starts with, and a snapshot's — meets
+// a corrupt index page with ErrCorruptNode, as the decode it replaced did.
+func TestDescentsCheckTheNodesTheyRead(t *testing.T) {
+	e := newEnv(t, 256, 8, 256, Config{Threshold: 1, MaxRootEntries: 2})
+	o := e.m.NewObject(1)
+	for i := 0; i < 12; i++ {
+		if err := o.Append(bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Trim(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.root.level < 2 {
+		t.Fatalf("tree of height %d, want an index page below the root", o.root.level)
+	}
+	o.Publish(0)
+	v := o.Published()
+	page := o.root.entries[0].ptr
+	img, err := e.pool.Fix(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[0] ^= 1 // bad magic
+	e.pool.Unpin(page)
+	_, err = o.Read(0, 10)
+	if !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("read: %v, want ErrCorruptNode", err)
+	}
+	if err := o.Insert(5, []byte("x")); !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("insert: %v, want ErrCorruptNode", err)
+	}
+	if _, _, err := v.SegmentRangeAt(0); !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("snapshot descent: %v, want ErrCorruptNode", err)
+	}
+	if err := v.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrCorruptNode) {
+		t.Errorf("snapshot read: %v, want ErrCorruptNode", err)
+	}
+}
+
 // TestEntryCodecRefusesWhatItCannotHold: a count of 2^48 or a page of 2^32
 // is an error, not a truncated entry, from the codec and from the node and
 // descriptor encoders above it.

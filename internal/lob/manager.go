@@ -3,6 +3,7 @@ package lob
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/eosdb/eos/internal/buffer"
@@ -144,6 +145,10 @@ type Manager struct {
 	cfg   Config
 	st    stats
 	held  held // a transaction's uncommitted replaced pages (held.go)
+	// scratch is memory for page images that do not outlive the operation
+	// building them: the new segment an insert or a delete writes and
+	// drops.  It holds *[]byte, so handing memory back allocates nothing.
+	scratch sync.Pool
 }
 
 // NewManager validates cfg and creates a manager.
@@ -217,6 +222,21 @@ func (m *Manager) readNode(p disk.PageNum) (*node, error) {
 	}
 	defer m.pool.Unpin(p)
 	return decodeNode(img)
+}
+
+// viewPage runs f on the index node on page p read in place (viewNode):
+// the view is valid while f runs, with the page's frame pinned.
+func (m *Manager) viewPage(p disk.PageNum, f func(nodeView) error) error {
+	img, err := m.pool.Fix(p)
+	if err != nil {
+		return err
+	}
+	defer m.pool.Unpin(p)
+	v, err := viewNode(img)
+	if err != nil {
+		return err
+	}
+	return f(v)
 }
 
 // writeNode persists n.  With shadowing enabled an update of an existing
@@ -293,6 +313,15 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep b
 	return img, nil
 }
 
+// getScratch returns scratch memory for a page image that does not outlive
+// the operation building it, which puts it back in m.scratch when done.
+func (m *Manager) getScratch() *[]byte {
+	if b, ok := m.scratch.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
 // readPages reads data pages [start, start+n) into buf, the held ones from the
 // held set and the pending ones from the write-behind set: the device is asked
 // only for the pages from the first to the last that neither set holds, and
@@ -342,12 +371,21 @@ func (r setReader) ReadPages(start disk.PageNum, n int, buf []byte) error {
 // gather is disk.Gather on the manager's volume as the write-behind set
 // shows it — the one way an update reads old bytes it is about to rewrite,
 // in as few requests as the cost model allows — with the bridged requests
-// counted.
-func (m *Manager) gather(a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte, error) {
-	img, gap, err := disk.Gather(setReader{m}, a, hole, b)
+// counted.  The image is built in *buf, which keeps the memory it grew to,
+// when buf is not nil (scratch memory, for an image only written), and in
+// memory of its own otherwise.
+func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte, error) {
+	var into []byte
+	if buf != nil {
+		into = *buf
+	}
+	img, gap, err := disk.GatherInto(into, setReader{m}, a, hole, b)
 	if gap >= 0 {
 		m.st.bridgedReads.Add(1)
 		m.st.bridgedGapPages.Add(int64(gap))
+	}
+	if buf != nil && err == nil {
+		*buf = img
 	}
 	return img, err
 }

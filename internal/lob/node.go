@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/eosdb/eos/internal/disk"
 )
@@ -92,19 +93,41 @@ func putEntries(b []byte, es []entry) error {
 
 // getEntries decodes count pairs from the start of b and returns them with
 // the bytes they hold in all.  Counts must increase: every subtree holds
-// at least one byte.
+// at least one byte.  The entries have no room to spare: a descriptor's
+// are a root that an object keeps.
 func getEntries(b []byte, count int) ([]entry, int64, error) {
-	es := make([]entry, count)
+	total, err := checkCounts(b, count)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeEntries(b, count, count), total, nil
+}
+
+// checkCounts returns the last of the count cumulative counts at the start
+// of b, or ErrCorruptNode unless they increase.
+func checkCounts(b []byte, count int) (int64, error) {
+	var prev int64
+	for i := 0; i < count; i++ {
+		cum, _ := GetEntry(b[i*EntrySize:])
+		if cum <= prev {
+			return 0, fmt.Errorf("%w: non-increasing count at entry %d", ErrCorruptNode, i)
+		}
+		prev = cum
+	}
+	return prev, nil
+}
+
+// decodeEntries decodes count pairs checkCounts accepted into entries of
+// capacity capacity.
+func decodeEntries(b []byte, count, capacity int) []entry {
+	es := make([]entry, count, capacity)
 	var prev int64
 	for i := range es {
 		cum, ptr := GetEntry(b[i*EntrySize:])
-		if cum <= prev {
-			return nil, 0, fmt.Errorf("%w: non-increasing count at entry %d", ErrCorruptNode, i)
-		}
 		es[i] = entry{bytes: cum - prev, ptr: ptr}
 		prev = cum
 	}
-	return es, prev, nil
+	return es
 }
 
 // entry is one (byte count, child pointer) pair of an index node, held in
@@ -144,36 +167,87 @@ func minFanout(pageSize int) int {
 	return maxFanout(pageSize) / 2
 }
 
-// encodeNode serializes n into a page image.
+// encodeNode serializes n into the page image img, whatever img held: it
+// clears only the bytes past the entries, so a frame FixNew has just
+// zeroed is not zeroed twice.
 func encodeNode(n *node, img []byte) error {
-	if nodeHeaderSize+len(n.entries)*EntrySize > len(img) {
+	end := nodeHeaderSize + len(n.entries)*EntrySize
+	if end > len(img) {
 		return fmt.Errorf("%w: %d entries exceed page", ErrCorruptNode, len(n.entries))
 	}
-	clear(img)
 	binary.BigEndian.PutUint16(img[0:], nodeMagic)
-	img[2] = uint8(n.level)
+	img[2], img[3] = uint8(n.level), 0
 	binary.BigEndian.PutUint16(img[4:], uint16(len(n.entries)))
+	clear(img[end:])
 	return putEntries(img[nodeHeaderSize:], n.entries)
 }
 
-// decodeNode parses a page image into a node.
-func decodeNode(img []byte) (*node, error) {
+// nodeView is an index node page read in place, in its pinned pool frame:
+// what a descent that only looks needs, with no entry decoded but the ones
+// it reads.  A view is valid while the frame stays pinned.
+type nodeView struct {
+	level int
+	raw   []byte // the entries, EntrySize bytes each
+}
+
+// viewNode checks a page image as an index node — the checks decodeNode
+// applies, with the same errors — and returns it as a view.
+func viewNode(img []byte) (nodeView, error) {
 	if len(img) < nodeHeaderSize {
-		return nil, fmt.Errorf("%w: short page", ErrCorruptNode)
+		return nodeView{}, fmt.Errorf("%w: short page", ErrCorruptNode)
 	}
 	if binary.BigEndian.Uint16(img[0:]) != nodeMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptNode)
+		return nodeView{}, fmt.Errorf("%w: bad magic", ErrCorruptNode)
 	}
 	level := int(img[2])
 	count := int(binary.BigEndian.Uint16(img[4:]))
 	if level < 1 || nodeHeaderSize+count*EntrySize > len(img) {
-		return nil, fmt.Errorf("%w: level %d, %d entries", ErrCorruptNode, level, count)
+		return nodeView{}, fmt.Errorf("%w: level %d, %d entries", ErrCorruptNode, level, count)
 	}
-	es, _, err := getEntries(img[nodeHeaderSize:], count)
+	raw := img[nodeHeaderSize : nodeHeaderSize+count*EntrySize]
+	if _, err := checkCounts(raw, count); err != nil {
+		return nodeView{}, err
+	}
+	return nodeView{level: level, raw: raw}, nil
+}
+
+// decodeNode parses a page image into a node.
+func decodeNode(img []byte) (*node, error) {
+	v, err := viewNode(img)
 	if err != nil {
 		return nil, err
 	}
-	return &node{level: level, entries: es}, nil
+	return v.decode(), nil
+}
+
+// decode returns the viewed node as a node of its own, with room for the
+// two entries more that an insert's splice leaves (L, N and R for S), so
+// splicing it in place does not move it.
+func (v nodeView) decode() *node {
+	return &node{level: v.level, entries: decodeEntries(v.raw, v.count(), v.count()+2)}
+}
+
+// count is the number of entries in the view.
+func (v nodeView) count() int { return len(v.raw) / EntrySize }
+
+// entry returns entry i, given the bytes the entries before it hold.
+func (v nodeView) entry(i int, before int64) entry {
+	cum, ptr := GetEntry(v.raw[i*EntrySize:])
+	return entry{bytes: cum - before, ptr: ptr}
+}
+
+// child is node.childIndex read off the page: the entry of the child whose
+// subtree contains byte offset off, and that subtree's offset.  The view
+// has at least one entry.
+func (v nodeView) child(off int64) (e entry, childStart int64) {
+	last := v.count() - 1
+	for i := 0; i < last; i++ {
+		if e = v.entry(i, childStart); off < childStart+e.bytes {
+			return e, childStart
+		}
+		childStart += e.bytes
+	}
+	return v.entry(last, childStart), childStart
 }
 
 // childIndex returns the index of the child whose subtree contains byte
@@ -191,13 +265,22 @@ func (n *node) childIndex(off int64) (i int, childStart int64) {
 	return len(n.entries) - 1, cum
 }
 
-// splice replaces entries [i, j) with repl.
+// splice replaces entries [i, j) with repl: in place when the entries'
+// capacity holds the result — a node's entries are its own, decoded from
+// its page, or the root's, which Publish copies and an abort rebuilds from
+// a descriptor, so nothing else sees them move —, else in a slice of
+// exactly the result's length, so a root an object keeps holds no room it
+// does not use.
 func (n *node) splice(i, j int, repl []entry) {
-	out := make([]entry, 0, len(n.entries)-(j-i)+len(repl))
+	size := len(n.entries) - (j - i) + len(repl)
+	if size <= cap(n.entries) {
+		n.entries = slices.Replace(n.entries, i, j, repl...)
+		return
+	}
+	out := make([]entry, 0, size)
 	out = append(out, n.entries[:i]...)
 	out = append(out, repl...)
-	out = append(out, n.entries[j:]...)
-	n.entries = out
+	n.entries = append(out, n.entries[j:]...)
 }
 
 // pagesFor returns the number of pages a segment of b bytes occupies:

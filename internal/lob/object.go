@@ -174,23 +174,7 @@ func (o *Object) effectiveThreshold(parentEntries int) int {
 // byte offset where it starts, and the entry count of its parent node
 // (for the adaptive threshold).
 func (o *Object) findSegment(off int64) (e entry, entryStart int64, parentEntries int, err error) {
-	if len(o.root.entries) == 0 {
-		return entry{}, 0, 0, fmt.Errorf("%w: empty object", ErrOutOfBounds)
-	}
-	nd := o.root
-	var base int64
-	for {
-		i, childStart := nd.childIndex(off - base)
-		e = nd.entries[i]
-		if nd.level == 1 {
-			return e, base + childStart, len(nd.entries), nil
-		}
-		base += childStart
-		nd, err = o.m.readNode(e.ptr)
-		if err != nil {
-			return entry{}, 0, 0, err
-		}
-	}
+	return o.m.find(o.root, off)
 }
 
 // checkRange validates [off, off+n) against the object bounds.

@@ -1,6 +1,10 @@
 package lob
 
-import "github.com/eosdb/eos/internal/disk"
+import (
+	"fmt"
+
+	"github.com/eosdb/eos/internal/disk"
+)
 
 // The search operation (§4.2) locates byte B by binary-searching the
 // counts on the path from the root; at the leaf, byte B within segment S
@@ -12,7 +16,8 @@ import "github.com/eosdb/eos/internal/disk"
 // triple covering a byte range, in logical order.
 type segmentVisitor func(seg entry, segOff int64, n int64) error
 
-// walkRange visits the segments covering [off, off+n) of nd's subtree.
+// walkRange visits the segments covering [off, off+n) of nd's subtree.  The
+// index pages below nd are read in place (walkPage).
 func (m *Manager) walkRange(nd *node, off, n int64, visit segmentVisitor) error {
 	var cum int64
 	for _, e := range nd.entries {
@@ -32,19 +37,76 @@ func (m *Manager) walkRange(nd *node, off, n int64, visit segmentVisitor) error 
 			if err := visit(e, off-start, take); err != nil {
 				return err
 			}
-		} else {
-			child, err := m.readNode(e.ptr)
-			if err != nil {
-				return err
-			}
-			if err := m.walkRange(child, off-start, take, visit); err != nil {
-				return err
-			}
+		} else if err := m.walkPage(e.ptr, off-start, take, visit); err != nil {
+			return err
 		}
 		off += take
 		n -= take
 	}
 	return nil
+}
+
+// walkPage is walkRange over the index node on page p.  It reads the page
+// in place and takes out only the entries the range covers, so the frame is
+// unpinned before the walk goes below it: no frame stays pinned across a
+// segment's I/O.
+func (m *Manager) walkPage(p disk.PageNum, off, n int64, visit segmentVisitor) error {
+	var buf [16]entry
+	covered := node{entries: buf[:0]}
+	var first int64 // where covered's first entry starts in the page's subtree
+	err := m.viewPage(p, func(v nodeView) error {
+		covered.level = v.level
+		var at int64
+		for i := 0; i < v.count() && at < off+n; i++ {
+			e := v.entry(i, at)
+			if at+e.bytes > off {
+				if len(covered.entries) == 0 {
+					first = at
+				}
+				covered.entries = append(covered.entries, e)
+			}
+			at += e.bytes
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return m.walkRange(&covered, off-first, n, visit)
+}
+
+// find descends from root to the leaf entry containing byte off of its
+// subtree (off == its size resolves to the last entry) and returns the
+// entry, the byte offset where it starts, and the entry count of its
+// parent node.  The index pages below root are read in place.
+func (m *Manager) find(root *node, off int64) (e entry, start int64, parentEntries int, err error) {
+	if len(root.entries) == 0 {
+		return entry{}, 0, 0, fmt.Errorf("%w: empty object", ErrOutOfBounds)
+	}
+	i, start := root.childIndex(off)
+	e, level, parentEntries := root.entries[i], root.level, len(root.entries)
+	for level > 1 {
+		if e, start, level, parentEntries, err = m.childAt(e.ptr, off, start); err != nil {
+			return entry{}, 0, 0, err
+		}
+	}
+	return e, start, parentEntries, nil
+}
+
+// childAt reads the index node on page p, whose subtree starts at byte base,
+// in place, and returns the entry of its child holding byte off, the byte
+// offset where that child's subtree starts, and the node's level and entry
+// count.
+func (m *Manager) childAt(p disk.PageNum, off, base int64) (e entry, start int64, level, count int, err error) {
+	err = m.viewPage(p, func(v nodeView) error {
+		if v.count() == 0 {
+			return fmt.Errorf("%w: empty node below the root", ErrCorruptNode)
+		}
+		e, start = v.child(off - base)
+		level, count = v.level, v.count()
+		return nil
+	})
+	return e, base + start, level, count, err
 }
 
 // PageImages is what one read transferred from the data volume: the
@@ -235,7 +297,7 @@ func (p *ReplacePlan) Hold() {
 // request.
 func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
 	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), m.vol.PageSize())
-	raw, err := m.gather(head, int64(len(data)), tail)
+	raw, err := m.gather(nil, head, int64(len(data)), tail)
 	if err != nil {
 		return err
 	}

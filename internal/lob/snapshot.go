@@ -104,18 +104,6 @@ func (v *RootVersion) SegmentRangeAt(off int64) (start, n int64, err error) {
 	if off < 0 || off >= v.size {
 		return 0, 0, fmt.Errorf("%w: byte %d of %d", ErrOutOfBounds, off, v.size)
 	}
-	nd := &v.root
-	var base int64
-	for {
-		i, childStart := nd.childIndex(off - base)
-		e := nd.entries[i]
-		if nd.level == 1 {
-			return base + childStart, e.bytes, nil
-		}
-		base += childStart
-		nd, err = v.m.readNode(e.ptr)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
+	e, start, _, err := v.m.find(&v.root, off)
+	return start, e.bytes, err
 }

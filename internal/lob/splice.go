@@ -548,13 +548,18 @@ func (m *Manager) spliceLeafNode(nd *node, lo, hi int64, repl []entry, skipFirst
 // fixUnderflow merges or redistributes the child at idx with an adjacent
 // sibling if it has fallen below the occupancy floor.
 func (m *Manager) fixUnderflow(nd *node, idx int) error {
-	child, err := m.readNode(nd.entries[idx].ptr)
-	if err != nil {
-		return err
-	}
+	// The child is decoded only when it is below the floor: the check
+	// reads its page in place.
 	min := minFanout(m.vol.PageSize())
-	if len(child.entries) >= min || len(nd.entries) < 2 {
+	var child *node
+	err := m.viewPage(nd.entries[idx].ptr, func(v nodeView) error {
+		if v.count() < min && len(nd.entries) >= 2 {
+			child = v.decode()
+		}
 		return nil
+	})
+	if err != nil || child == nil {
+		return err
 	}
 	sibIdx := idx + 1
 	if idx > 0 {

@@ -929,3 +929,122 @@ func TestSnapshotUseAfterStoreClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplicesShareTheManagersScratch: four goroutines insert into and delete
+// from one object each, all through the store's one manager, whose scratch
+// memory every insert and delete builds its new segment in, beside snapshot
+// readers.  A snapshot reads the same bytes however it is chunked, and each
+// object ends holding exactly what its writer's model holds: no image was
+// built in memory another update was using.
+func TestSplicesShareTheManagersScratch(t *testing.T) {
+	const (
+		writers    = 4
+		readers    = 2
+		iterations = 120
+	)
+	s := snapStore(t, Options{Threshold: 4})
+	models := make([][]byte, writers)
+	for i := range models {
+		models[i] = make([]byte, 48<<10)
+		rand.New(rand.NewSource(int64(i))).Read(models[i])
+		o, err := s.Create(fmt.Sprintf("edit-%d", i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Append(models[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		wg, rg sync.WaitGroup
+		stop   atomic.Bool
+		fail   atomic.Value
+	)
+	report := func(format string, args ...any) {
+		fail.CompareAndSwap(nil, fmt.Sprintf(format, args...))
+		stop.Store(true)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			o, err := s.Open(fmt.Sprintf("edit-%d", w))
+			if err != nil {
+				report("writer %d: %v", w, err)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(50 + w)))
+			for it := 0; it < iterations && !stop.Load(); it++ {
+				m := models[w]
+				if n := int64(1 + rng.Intn(6<<10)); rng.Intn(2) == 0 || int64(len(m)) < 24<<10 {
+					off := rng.Int63n(int64(len(m)) + 1)
+					data := make([]byte, n)
+					rng.Read(data)
+					if err := o.Insert(off, data); err != nil {
+						report("writer %d insert: %v", w, err)
+						return
+					}
+					models[w] = append(m[:off:off], append(data, m[off:]...)...)
+				} else {
+					off := rng.Int63n(int64(len(m)) - n + 1)
+					if err := o.Delete(off, n); err != nil {
+						report("writer %d delete: %v", w, err)
+						return
+					}
+					models[w] = append(m[:off:off], m[off+n:]...)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			for i := r; !stop.Load(); i = (i + 1) % writers {
+				sn, err := s.OpenSnapshot(fmt.Sprintf("edit-%d", i))
+				if err != nil {
+					report("reader %d open: %v", r, err)
+					return
+				}
+				whole := make([]byte, sn.Size())
+				if _, err := sn.ReadAt(whole, 0); err != nil && err != io.EOF {
+					report("reader %d: %v", r, err)
+				}
+				piece := make([]byte, 5000)
+				for pos := int64(0); pos < sn.Size() && !stop.Load(); pos += int64(len(piece)) {
+					n, err := sn.ReadAt(piece, pos)
+					if err != nil && err != io.EOF {
+						report("reader %d: %v", r, err)
+						break
+					}
+					if !bytes.Equal(piece[:n], whole[pos:pos+int64(n)]) {
+						report("reader %d: snapshot of edit-%d reads other bytes at %d", r, i, pos)
+						break
+					}
+				}
+				if err := sn.Close(); err != nil {
+					report("reader %d close: %v", r, err)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
+	if msg := fail.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	for i, want := range models {
+		o, err := s.Open(fmt.Sprintf("edit-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.Read(0, o.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("edit-%d: %d bytes, not the %d its writer's model holds", i, len(got), len(want))
+		}
+	}
+}
