@@ -132,13 +132,13 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"sim/commit 512B replace", 34, true, 0, func(t *testing.T) func() {
+		{"sim/commit 512B replace", 33, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, simStore(t), 64<<10, 64<<10), 512)
 		}},
 		// An insert writes a new segment of at least T = 8 pages, built in
 		// memory the manager reuses: it allocates less than that image.
-		{"sim/insert 4KB", 16, true, 8 * ps, func(t *testing.T) func() { return edit(t, true) }},
-		{"sim/delete 4KB", 15, true, 0, func(t *testing.T) func() { return edit(t, false) }},
+		{"sim/insert 4KB", 15, true, 8 * ps, func(t *testing.T) func() { return edit(t, true) }},
+		{"sim/delete 4KB", 14, true, 0, func(t *testing.T) func() { return edit(t, false) }},
 		{"file/WriteRun", 1, false, 0, func(t *testing.T) func() {
 			v := fileVolume(t)
 			return func() {
@@ -157,7 +157,7 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"file/commit 4KB replace", 33, true, 0, func(t *testing.T) func() {
+		{"file/commit 4KB replace", 32, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, fileStore(t), ps, ps), ps)
 		}},
 		{"file/read 64KB", 1, false, 0, func(t *testing.T) func() {

@@ -819,7 +819,7 @@ func (s *Store) Checkpoint() error {
 	// than draining them: the pages a pinned root references are unreachable
 	// from the catalog, so a crash reclaims them at recovery, and a clean
 	// continuation frees them when the last reader exits.
-	if err := s.epochs.Drain(); err != nil {
+	if err := s.epochs.Reclaim(); err != nil {
 		return err
 	}
 	s.mu.Lock()

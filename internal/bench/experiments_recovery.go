@@ -71,6 +71,7 @@ func E12Recovery() (*Table, error) {
 		// Record bytes, not log length: the length also counts the padding
 		// each force ends its last page with.
 		logBefore := s.Stats().WAL.FlushedBytes
+		shadowedBefore := s.Stats().LOB.ShadowedIndexPages
 		tx, err := s.Begin()
 		if err != nil {
 			return nil, err
@@ -79,7 +80,7 @@ func E12Recovery() (*Table, error) {
 			_ = tx.Abort()
 			return nil, err
 		}
-		shadowed := tx.LOBStats().ShadowedIndexPages
+		shadowed := s.Stats().LOB.ShadowedIndexPages - shadowedBefore
 		vol.ResetStats()
 		if err := tx.Commit(); err != nil {
 			return nil, err

@@ -14,7 +14,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -71,8 +70,10 @@ type frame struct {
 	// abandoned — never written back — but remains readable to the pin
 	// holders; the frame leaves the pool at the last Unpin.
 	doomed bool // eos:guardedby Pool.mu
-	// lruElem is non-nil iff pins == 0.
-	lruElem *list.Element // eos:guardedby Pool.mu
+	// prev and next link the frame into the pool's LRU ring; next is
+	// non-nil iff pins == 0.  The frame is its own list element, so an
+	// unpin allocates nothing.
+	prev, next *frame // eos:guardedby Pool.mu
 }
 
 // Pool is a fixed-capacity page cache.  It is safe for concurrent use.
@@ -82,7 +83,9 @@ type Pool struct {
 	capacity int
 	pinWait  time.Duration
 	frames   map[disk.PageNum]*frame // eos:guardedby mu
-	lru      *list.List              // eos:guardedby mu -- of disk.PageNum, front = most recently unpinned
+	// lru heads the ring of unpinned frames: lru.next is the most recently
+	// unpinned, lru.prev the least.
+	lru *frame // eos:guardedby mu
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -100,12 +103,14 @@ func NewPool(vol disk.Device, capacity int) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: invalid capacity %d", capacity)
 	}
+	lru := &frame{}
+	lru.prev, lru.next = lru, lru
 	return &Pool{
 		vol:      vol,
 		capacity: capacity,
 		pinWait:  defaultPinWait,
 		frames:   make(map[disk.PageNum]*frame, capacity),
-		lru:      list.New(),
+		lru:      lru,
 	}, nil
 }
 
@@ -205,27 +210,21 @@ func (p *Pool) frameLocked(pg disk.PageNum) (*frame, bool, error) {
 	for {
 		if f, ok := p.frames[pg]; ok {
 			p.hits.Add(1)
-			if f.lruElem != nil {
-				p.lru.Remove(f.lruElem)
-				f.lruElem = nil
-			}
+			unlink(f)
 			return f, true, nil
 		}
 		if len(p.frames) < p.capacity {
 			return &frame{data: make([]byte, p.vol.PageSize())}, false, nil
 		}
-		if back := p.lru.Back(); back != nil {
-			victimPage := back.Value.(disk.PageNum)
-			victim := p.frames[victimPage]
-			p.lru.Remove(back)
-			victim.lruElem = nil
+		if victim := p.lru.prev; victim != p.lru {
+			unlink(victim)
 			if victim.dirty {
 				if err := p.vol.WritePages(victim.page, 1, victim.data); err != nil {
 					return nil, false, err
 				}
 				p.flushes.Add(1)
 			}
-			delete(p.frames, victimPage)
+			delete(p.frames, victim.page)
 			p.evictions.Add(1)
 			return victim, false, nil
 		}
@@ -277,9 +276,19 @@ func (p *Pool) Unpin(pg disk.PageNum) error {
 			delete(p.frames, pg)
 			return nil
 		}
-		f.lruElem = p.lru.PushFront(f.page)
+		f.prev, f.next = p.lru, p.lru.next
+		p.lru.next.prev, p.lru.next = f, f
 	}
 	return nil
+}
+
+// unlink takes f off the LRU ring if it is on it.  The caller holds the
+// pool's mu.
+func unlink(f *frame) {
+	if f.next != nil {
+		f.prev.next, f.next.prev = f.next, f.prev
+		f.prev, f.next = nil, nil
+	}
 }
 
 // FlushAll writes every dirty frame back to disk, except those under a
@@ -356,9 +365,7 @@ func (p *Pool) Discard(pg disk.PageNum) {
 		f.dirty = false
 		return
 	}
-	if f.lruElem != nil {
-		p.lru.Remove(f.lruElem)
-	}
+	unlink(f)
 	delete(p.frames, pg)
 }
 
@@ -368,7 +375,7 @@ func (p *Pool) DiscardAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.frames = make(map[disk.PageNum]*frame, p.capacity)
-	p.lru.Init()
+	p.lru.prev, p.lru.next = p.lru, p.lru
 }
 
 // PinnedFrames reports how many frames are currently pinned — zero at

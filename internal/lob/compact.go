@@ -39,11 +39,8 @@ func (o *Object) Compact() error {
 
 	// Free the old tree (segments and index pages) and install the new
 	// leaf entries under a fresh root.
-	oldRoot := o.root
-	for _, e := range oldRoot.entries {
-		if err := m.freeSubtree(e, oldRoot.level); err != nil {
-			return err
-		}
+	if err := o.walkAll(m.freeing()); err != nil {
+		return err
 	}
 	o.root = &node{level: 1, entries: newSegs}
 	if err := o.normalizeRoot(); err != nil {

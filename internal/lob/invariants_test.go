@@ -76,7 +76,7 @@ func TestInsertAddsAtMostTwoEntries(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 30; i++ {
-		before, err := o.segmentList()
+		before, err := o.Segments()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestInsertAddsAtMostTwoEntries(t *testing.T) {
 		if err := o.Insert(off, pattern(i, 50)); err != nil {
 			t.Fatal(err)
 		}
-		after, err := o.segmentList()
+		after, err := o.Segments()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestDeleteCanAddEntries(t *testing.T) {
 	if err := o.AppendWithHint(pattern(2, 2000), 2000); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := o.segmentList()
+	before, _ := o.Segments()
 	if len(before) != 1 {
 		t.Fatalf("setup: %d segments", len(before))
 	}
@@ -112,7 +112,7 @@ func TestDeleteCanAddEntries(t *testing.T) {
 	if err := o.Delete(550, 433); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := o.segmentList()
+	after, _ := o.Segments()
 	if len(after) < 2 || len(after) > 3 {
 		t.Errorf("segments after interior delete = %d, want 2..3", len(after))
 	}

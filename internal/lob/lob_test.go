@@ -600,6 +600,64 @@ func TestTruncateAndDestroyFreeEverything(t *testing.T) {
 	}
 }
 
+// freeRecorder is an allocator that notes the first page of every run it
+// is asked to free.
+type freeRecorder struct {
+	Allocator
+	freed []disk.PageNum
+}
+
+func (r *freeRecorder) Free(p disk.PageNum, n int) error {
+	r.freed = append(r.freed, p)
+	return r.Allocator.Free(p, n)
+}
+
+// TestDestroyFreesEachPageAfterItsSubtree: Destroy frees every segment from
+// its parent's entry and every index page after the pages below it — the
+// order of a post-order recursion over the decoded tree — and reads no
+// data page.
+func TestDestroyFreesEachPageAfterItsSubtree(t *testing.T) {
+	e := newEnv(t, 512, 8, 1024, Config{Threshold: 1, MaxRootEntries: 2})
+	o := e.m.NewObject(1)
+	for i := 0; i < 120; i++ {
+		if err := o.AppendWithHint(pattern(i, 512), 512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.root.level != 3 {
+		t.Fatalf("tree of height %d, want 3", o.root.level)
+	}
+	var want []disk.PageNum
+	var post func(en entry, level int)
+	post = func(en entry, level int) {
+		if level > 1 {
+			nd, err := e.m.readNode(en.ptr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range nd.entries {
+				post(c, nd.level)
+			}
+		}
+		want = append(want, en.ptr)
+	}
+	for _, en := range o.root.entries {
+		post(en, o.root.level)
+	}
+	rec := &freeRecorder{Allocator: e.bm}
+	o.Rebind(e.m.Derive(rec))
+	e.vol.ResetStats()
+	if err := o.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rec.freed) != fmt.Sprint(want) {
+		t.Errorf("Destroy freed runs at %v, want %v", rec.freed, want)
+	}
+	if s := e.vol.Stats(); s.PagesRead > 5 { // the index pages, at most
+		t.Errorf("Destroy read %d pages, want only index pages", s.PagesRead)
+	}
+}
+
 func TestDeleteWholeObjectViaRange(t *testing.T) {
 	e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
 	base := e.freePages(t)
@@ -1105,8 +1163,8 @@ func TestNodeViewRejectsWhatDecodeRejects(t *testing.T) {
 				if got := v.entry(i, before); got != want {
 					t.Fatalf("entry %d: view %+v, decoded %+v", i, got, want)
 				}
-				if got, start := v.child(before); got != want || start != before {
-					t.Fatalf("child(%d) = %+v at %d, want %+v at %d", before, got, start, want, before)
+				if j, k, start := v.cover(before, 1); j != i || k != i+1 || start != before {
+					t.Fatalf("cover(%d, 1) = [%d, %d) at %d, want [%d, %d) at %d", before, j, k, start, i, i+1, before)
 				}
 				before += want.bytes
 			}
@@ -1115,43 +1173,127 @@ func TestNodeViewRejectsWhatDecodeRejects(t *testing.T) {
 }
 
 // TestDescentsCheckTheNodesTheyRead: every look-only descent — a live
-// read's walk, the search an update starts with, and a snapshot's — meets
-// a corrupt index page with ErrCorruptNode, as the decode it replaced did.
+// read's walk, the search an update starts with, a snapshot's, and the
+// whole-object walks of Usage, Check, ReachablePages, Segments and Destroy —
+// meets a corrupt index page with ErrCorruptNode: one that fails the checks
+// decodeNode applies, one a level off its parent's, and one that holds more
+// bytes than its parent's entry says.
 func TestDescentsCheckTheNodesTheyRead(t *testing.T) {
-	e := newEnv(t, 256, 8, 256, Config{Threshold: 1, MaxRootEntries: 2})
-	o := e.m.NewObject(1)
-	for i := 0; i < 12; i++ {
-		if err := o.Append(bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+	for _, c := range []struct {
+		name    string
+		corrupt func(img []byte)
+	}{
+		{"bad magic", func(img []byte) { img[0] ^= 1 }},
+		{"wrong level", func(img []byte) { img[2]++ }},
+		{"count past its parent's", func(img []byte) {
+			v, err := viewNode(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := v.raw[len(v.raw)-EntrySize:]
+			cum, p := GetEntry(last)
+			if err := PutEntry(last, cum+1, p); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(t, 256, 8, 256, Config{Threshold: 1, MaxRootEntries: 2})
+			o := e.m.NewObject(1)
+			for i := 0; i < 12; i++ {
+				if err := o.Append(bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Trim(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if o.root.level < 2 {
+				t.Fatalf("tree of height %d, want an index page below the root", o.root.level)
+			}
+			o.Publish(0)
+			v := o.Published()
+			page := o.root.entries[0].ptr
+			img, err := e.pool.Fix(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(img)
+			e.pool.Unpin(page)
+			if _, err := o.Read(0, 10); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("read: %v, want ErrCorruptNode", err)
+			}
+			if err := o.Insert(5, []byte("x")); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("insert: %v, want ErrCorruptNode", err)
+			}
+			if _, _, err := v.SegmentRangeAt(0); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("snapshot descent: %v, want ErrCorruptNode", err)
+			}
+			if err := v.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("snapshot read: %v, want ErrCorruptNode", err)
+			}
+			if _, err := o.Usage(); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("usage: %v, want ErrCorruptNode", err)
+			}
+			if err := o.Check(); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("check: %v, want ErrCorruptNode", err)
+			}
+			if _, err := o.ReachablePages(); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("reachable pages: %v, want ErrCorruptNode", err)
+			}
+			if _, err := o.Segments(); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("segments: %v, want ErrCorruptNode", err)
+			}
+			if err := o.Destroy(); !errors.Is(err, ErrCorruptNode) {
+				t.Errorf("destroy: %v, want ErrCorruptNode", err)
+			}
+		})
+	}
+}
+
+// TestWholeWalkAllocatesOnce: a walk of a whole object allocates as much on
+// a tree of height 3 as on one of height 2 — room for the entries of one
+// page a level, once a walk — not a slice for every index page it reads.
+// Every page below the root covers more entries than a walk keeps on its
+// stack, so each level's entries sit in the room the walk allocated, and
+// the object still reads back whole.
+func TestWholeWalkAllocatesOnce(t *testing.T) {
+	allocs := map[int]float64{}
+	// One-page segments on 512 B pages: index pages of 25 to 50 entries,
+	// under a root of at most 50 entries or of at most 2.
+	for _, c := range []struct{ height, segments, rootEntries int }{{2, 1000, 0}, {3, 2000, 2}} {
+		e := newEnv(t, 512, 8, 1024, Config{Threshold: 1, MaxRootEntries: c.rootEntries})
+		o := e.m.NewObject(1)
+		var model []byte
+		for i := 0; i < c.segments; i++ {
+			p := pattern(i, 512)
+			if err := o.AppendWithHint(p, 512); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model, p...)
+		}
+		mustCheck(t, o)
+		u, err := o.Usage()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := o.Trim(); err != nil {
-			t.Fatal(err)
+		if u.TreeHeight != c.height || u.SegmentCount != c.segments {
+			t.Fatalf("a tree of height %d over %d segments, want height %d over %d", u.TreeHeight, u.SegmentCount, c.height, c.segments)
 		}
+		segs := 0
+		allocs[c.height] = testing.AllocsPerRun(20, func() {
+			if err := o.walkAll(&walk{seg: func(entry, int64, int64) error { segs++; return nil }}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if segs != 21*c.segments {
+			t.Fatalf("height %d: 21 walks met %d segments, want %d each", c.height, segs, c.segments)
+		}
+		mustContent(t, o, model)
+		t.Logf("height %d: %d index pages, %.0f allocations a walk", c.height, u.IndexPages, allocs[c.height])
 	}
-	if o.root.level < 2 {
-		t.Fatalf("tree of height %d, want an index page below the root", o.root.level)
-	}
-	o.Publish(0)
-	v := o.Published()
-	page := o.root.entries[0].ptr
-	img, err := e.pool.Fix(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img[0] ^= 1 // bad magic
-	e.pool.Unpin(page)
-	_, err = o.Read(0, 10)
-	if !errors.Is(err, ErrCorruptNode) {
-		t.Errorf("read: %v, want ErrCorruptNode", err)
-	}
-	if err := o.Insert(5, []byte("x")); !errors.Is(err, ErrCorruptNode) {
-		t.Errorf("insert: %v, want ErrCorruptNode", err)
-	}
-	if _, _, err := v.SegmentRangeAt(0); !errors.Is(err, ErrCorruptNode) {
-		t.Errorf("snapshot descent: %v, want ErrCorruptNode", err)
-	}
-	if err := v.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrCorruptNode) {
-		t.Errorf("snapshot read: %v, want ErrCorruptNode", err)
+	if allocs[2] != allocs[3] {
+		t.Errorf("a whole walk allocates %.0f times on a tree of height 2 and %.0f on one of height 3", allocs[2], allocs[3])
 	}
 }
 

@@ -143,12 +143,12 @@ type Manager struct {
 	pool  *buffer.Pool
 	alloc Allocator
 	cfg   Config
-	st    stats
+	st    *stats
 	held  held // a transaction's uncommitted replaced pages (held.go)
 	// scratch is memory for page images that do not outlive the operation
 	// building them: the new segment an insert or a delete writes and
 	// drops.  It holds *[]byte, so handing memory back allocates nothing.
-	scratch sync.Pool
+	scratch *sync.Pool
 }
 
 // NewManager validates cfg and creates a manager.
@@ -171,7 +171,14 @@ func NewManager(vol disk.Device, pool *buffer.Pool, alloc Allocator, cfg Config)
 	if cfg.MaxRootEntries < 2 {
 		return nil, fmt.Errorf("%w: max root entries %d < 2", ErrBadConfig, cfg.MaxRootEntries)
 	}
-	return &Manager{vol: vol, pool: pool, alloc: alloc, cfg: cfg}, nil
+	return &Manager{vol: vol, pool: pool, alloc: alloc, cfg: cfg, st: new(stats), scratch: new(sync.Pool)}, nil
+}
+
+// Derive returns a manager like m that allocates from alloc and holds
+// replaced pages of its own (held.go) — a transaction's — but counts into
+// m's counters and builds page images in m's scratch memory.
+func (m *Manager) Derive(alloc Allocator) *Manager {
+	return &Manager{vol: m.vol, pool: m.pool, alloc: alloc, cfg: m.cfg, st: m.st, scratch: m.scratch}
 }
 
 // Config returns the manager's configuration.
@@ -513,24 +520,15 @@ func (m *Manager) freeSegment(start disk.PageNum, bytes int64) error {
 	return m.freeData(start, n)
 }
 
-// freeSubtree releases every page below an entry at the given level:
-// leaf segments directly from their parent entries — the paper's
-// observation that subtree deletion never touches a data page — and index
-// pages recursively.
-func (m *Manager) freeSubtree(e entry, level int) error {
-	if level == 1 {
-		return m.freeSegment(e.ptr, e.bytes)
+// freeing is the walk that frees every page it visits: each leaf segment
+// straight from its parent's entry — the paper's observation that subtree
+// deletion never touches a data page — and each index page once the pages
+// below it are free.
+func (m *Manager) freeing() *walk {
+	return &walk{
+		seg:   func(seg entry, _, _ int64) error { return m.freeSegment(seg.ptr, seg.bytes) },
+		leave: func(e entry) error { return m.freeNodePage(e.ptr) },
 	}
-	child, err := m.readNode(e.ptr)
-	if err != nil {
-		return err
-	}
-	for _, ce := range child.entries {
-		if err := m.freeSubtree(ce, child.level); err != nil {
-			return err
-		}
-	}
-	return m.freeNodePage(e.ptr)
 }
 
 // ---- descriptor ----

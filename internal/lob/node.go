@@ -236,18 +236,26 @@ func (v nodeView) entry(i int, before int64) entry {
 	return entry{bytes: cum - before, ptr: ptr}
 }
 
-// child is node.childIndex read off the page: the entry of the child whose
-// subtree contains byte offset off, and that subtree's offset.  The view
-// has at least one entry.
-func (v nodeView) child(off int64) (e entry, childStart int64) {
-	last := v.count() - 1
-	for i := 0; i < last; i++ {
-		if e = v.entry(i, childStart); off < childStart+e.bytes {
-			return e, childStart
+// cover returns the entries [i, j) that cover bytes [off, off+n) of the
+// view's subtree, and where entry i starts.
+func (v nodeView) cover(off, n int64) (i, j int, start int64) {
+	var at int64
+	for ; j < v.count() && at < off+n; j++ {
+		e := v.entry(j, at)
+		if at += e.bytes; at <= off {
+			i, start = j+1, at
 		}
-		childStart += e.bytes
 	}
-	return v.entry(last, childStart), childStart
+	return i, j, start
+}
+
+// total is the bytes the view's subtree holds: its last cumulative count.
+func (v nodeView) total() int64 {
+	if v.count() == 0 {
+		return 0
+	}
+	cum, _ := GetEntry(v.raw[len(v.raw)-EntrySize:])
+	return cum
 }
 
 // childIndex returns the index of the child whose subtree contains byte

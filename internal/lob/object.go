@@ -133,10 +133,8 @@ func (o *Object) Destroy() error {
 	if err := o.trim(o.m.alloc.Free); err != nil {
 		return err
 	}
-	for _, e := range o.root.entries {
-		if err := o.m.freeSubtree(e, o.root.level); err != nil {
-			return err
-		}
+	if err := o.walkAll(o.m.freeing()); err != nil {
+		return err
 	}
 	o.root = &node{level: 1}
 	o.size = 0
@@ -221,38 +219,24 @@ func (u UsageInfo) IndexFill() float64 {
 func (o *Object) Usage() (UsageInfo, error) {
 	ps := o.m.vol.PageSize()
 	u := UsageInfo{DataBytes: o.size, TreeHeight: o.root.level, NodeCapacity: maxFanout(ps), MinSegmentPgs: 1 << 30}
-	var walk func(nd *node) error
-	walk = func(nd *node) error {
-		for _, e := range nd.entries {
-			if nd.level == 1 {
-				pages := pagesFor(e.bytes, ps)
-				if o.tailAlloc > 0 && e.ptr == o.tailStart {
-					pages = o.tailAlloc
-				}
-				u.SegmentCount++
-				u.SegmentPages += pages
-				u.WastedBytes += int64(pages)*int64(ps) - e.bytes
-				if p := pagesFor(e.bytes, ps); p < u.MinSegmentPgs {
-					u.MinSegmentPgs = p
-				}
-				if p := pagesFor(e.bytes, ps); p > u.MaxSegmentPgs {
-					u.MaxSegmentPgs = p
-				}
-				continue
-			}
-			child, err := o.m.readNode(e.ptr)
-			if err != nil {
-				return err
-			}
+	err := o.walkAll(&walk{
+		seg: func(seg entry, _, _ int64) error {
+			pages := o.segmentPages(seg)
+			u.SegmentCount++
+			u.SegmentPages += pages
+			u.WastedBytes += int64(pages)*int64(ps) - seg.bytes
+			p := pagesFor(seg.bytes, ps)
+			u.MinSegmentPgs = min(u.MinSegmentPgs, p)
+			u.MaxSegmentPgs = max(u.MaxSegmentPgs, p)
+			return nil
+		},
+		enter: func(_ entry, v nodeView) error {
 			u.IndexPages++
-			u.IndexEntries += len(child.entries)
-			if err := walk(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(o.root); err != nil {
+			u.IndexEntries += v.count()
+			return nil
+		},
+	})
+	if err != nil {
 		return UsageInfo{}, err
 	}
 	if u.SegmentCount == 0 {
@@ -261,86 +245,49 @@ func (o *Object) Usage() (UsageInfo, error) {
 	return u, nil
 }
 
+// segmentPages is the pages a segment holds: the untrimmed tail's room
+// counts.
+func (o *Object) segmentPages(seg entry) int {
+	pages := pagesFor(seg.bytes, o.m.vol.PageSize())
+	if o.tailAlloc > pages && seg.ptr == o.tailStart {
+		return o.tailAlloc
+	}
+	return pages
+}
+
 // Check validates the object's tree structure: levels descend by one,
 // byte counts are positive and consistent, and non-root nodes respect the
 // B-tree occupancy floor.
 func (o *Object) Check() error {
-	ps := o.m.vol.PageSize()
-	min := minFanout(ps)
-	// A root's sole child may be below the floor: a root that outgrows its
-	// MaxRootEntries moves its entries into one child (normalizeRoot), which
-	// is then the tree's real root.  Beside a sibling a child may not.
-	var walk func(nd *node, isRoot, sole bool) (int64, error)
-	walk = func(nd *node, isRoot, sole bool) (int64, error) {
-		if !isRoot {
-			if len(nd.entries) < min && !sole {
-				return 0, fmt.Errorf("%w: node with %d entries below minimum %d", ErrCorruptNode, len(nd.entries), min)
-			}
-			if len(nd.entries) > maxFanout(ps) {
-				return 0, fmt.Errorf("%w: node with %d entries above maximum %d", ErrCorruptNode, len(nd.entries), maxFanout(ps))
-			}
+	var total int64
+	for _, e := range o.root.entries {
+		if e.bytes <= 0 {
+			return fmt.Errorf("%w: non-positive entry length %d", ErrCorruptNode, e.bytes)
 		}
-		var total int64
-		for _, e := range nd.entries {
-			if e.bytes <= 0 {
-				return 0, fmt.Errorf("%w: non-positive entry length %d", ErrCorruptNode, e.bytes)
-			}
-			if nd.level > 1 {
-				child, err := o.m.readNode(e.ptr)
-				if err != nil {
-					return 0, err
-				}
-				if child.level != nd.level-1 {
-					return 0, fmt.Errorf("%w: child level %d under level %d", ErrCorruptNode, child.level, nd.level)
-				}
-				sub, err := walk(child, false, isRoot && len(nd.entries) == 1)
-				if err != nil {
-					return 0, err
-				}
-				if sub != e.bytes {
-					return 0, fmt.Errorf("%w: entry says %d bytes, subtree has %d", ErrCorruptNode, e.bytes, sub)
-				}
-			}
-			total += e.bytes
-		}
-		return total, nil
-	}
-	total, err := walk(o.root, true, false)
-	if err != nil {
-		return err
+		total += e.bytes
 	}
 	if total != o.size {
 		return fmt.Errorf("%w: root total %d != size %d", ErrCorruptNode, total, o.size)
 	}
-	return nil
-}
-
-// segmentList returns (start page, byte length) of every leaf segment in
-// order; used by tests and the fragmentation experiments.
-func (o *Object) segmentList() ([]entry, error) {
-	var out []entry
-	var walk func(nd *node) error
-	walk = func(nd *node) error {
-		for _, e := range nd.entries {
-			if nd.level == 1 {
-				out = append(out, e)
-				continue
-			}
-			child, err := o.m.readNode(e.ptr)
-			if err != nil {
-				return err
-			}
-			if err := walk(child); err != nil {
-				return err
-			}
+	// The walk checks each page as it reads it — its magic, its increasing
+	// counts, that it fits its page, that its level is one below its
+	// parent's and that it holds the bytes its parent's entry says — and
+	// this the occupancy floor.  A root's sole child may be below it: a root
+	// that outgrows its MaxRootEntries moves its entries into one child
+	// (normalizeRoot), which is then the tree's real root.  Beside a sibling
+	// a child may not.
+	min := minFanout(o.m.vol.PageSize())
+	sole := len(o.root.entries) == 1
+	return o.walkAll(&walk{enter: func(_ entry, v nodeView) error {
+		if v.count() < min && !(sole && v.level == o.root.level-1) {
+			return fmt.Errorf("%w: node with %d entries below minimum %d", ErrCorruptNode, v.count(), min)
 		}
 		return nil
-	}
-	if err := walk(o.root); err != nil {
-		return nil, err
-	}
-	return out, nil
+	}})
 }
+
+// walkAll walks the object's whole tree (walkRange).
+func (o *Object) walkAll(w *walk) error { return o.m.walkRange(o.root, 0, o.root.size(), w) }
 
 // PageRun is a contiguous run of pages owned by an object.
 type PageRun struct {
@@ -350,34 +297,21 @@ type PageRun struct {
 
 // ReachablePages lists every page run the object owns — its leaf
 // segments (including any untrimmed tail pages) and its index node
-// pages.  Recovery reserves exactly these runs when rebuilding the free
-// space map from the catalog.
+// pages, each page before the pages below it.  Recovery reserves exactly
+// these runs when rebuilding the free space map from the catalog.
 func (o *Object) ReachablePages() ([]PageRun, error) {
 	var runs []PageRun
-	ps := o.m.vol.PageSize()
-	var walk func(nd *node) error
-	walk = func(nd *node) error {
-		for _, e := range nd.entries {
-			if nd.level == 1 {
-				pages := pagesFor(e.bytes, ps)
-				if o.tailAlloc > 0 && e.ptr == o.tailStart && o.tailAlloc > pages {
-					pages = o.tailAlloc
-				}
-				runs = append(runs, PageRun{Start: e.ptr, Pages: pages})
-				continue
-			}
+	err := o.walkAll(&walk{
+		seg: func(seg entry, _, _ int64) error {
+			runs = append(runs, PageRun{Start: seg.ptr, Pages: o.segmentPages(seg)})
+			return nil
+		},
+		enter: func(e entry, _ nodeView) error {
 			runs = append(runs, PageRun{Start: e.ptr, Pages: 1})
-			child, err := o.m.readNode(e.ptr)
-			if err != nil {
-				return err
-			}
-			if err := walk(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(o.root); err != nil {
+			return nil
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 	return runs, nil
@@ -386,13 +320,13 @@ func (o *Object) ReachablePages() ([]PageRun, error) {
 // SegmentPageCounts returns the page count of every segment in logical
 // order, for the clustering experiments.
 func (o *Object) SegmentPageCounts() ([]int, error) {
-	segs, err := o.segmentList()
+	var out []int
+	err := o.walkAll(&walk{seg: func(seg entry, _, _ int64) error {
+		out = append(out, pagesFor(seg.bytes, o.m.vol.PageSize()))
+		return nil
+	}})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]int, len(segs))
-	for i, e := range segs {
-		out[i] = pagesFor(e.bytes, o.m.vol.PageSize())
 	}
 	return out, nil
 }
@@ -408,20 +342,20 @@ type SegmentInfo struct {
 // Segments lists the object's leaf segments in logical order — the
 // physical layout tooling (eosctl dump) displays.
 func (o *Object) Segments() ([]SegmentInfo, error) {
-	segs, err := o.segmentList()
+	var out []SegmentInfo
+	var off int64
+	err := o.walkAll(&walk{seg: func(seg entry, _, _ int64) error {
+		out = append(out, SegmentInfo{
+			LogicalOff: off,
+			Bytes:      seg.bytes,
+			StartPage:  seg.ptr,
+			Pages:      pagesFor(seg.bytes, o.m.vol.PageSize()),
+		})
+		off += seg.bytes
+		return nil
+	}})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]SegmentInfo, len(segs))
-	var off int64
-	for i, e := range segs {
-		out[i] = SegmentInfo{
-			LogicalOff: off,
-			Bytes:      e.bytes,
-			StartPage:  e.ptr,
-			Pages:      pagesFor(e.bytes, o.m.vol.PageSize()),
-		}
-		off += e.bytes
 	}
 	return out, nil
 }

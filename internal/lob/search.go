@@ -16,97 +16,129 @@ import (
 // triple covering a byte range, in logical order.
 type segmentVisitor func(seg entry, segOff int64, n int64) error
 
-// walkRange visits the segments covering [off, off+n) of nd's subtree.  The
-// index pages below nd are read in place (walkPage).
-func (m *Manager) walkRange(nd *node, off, n int64, visit segmentVisitor) error {
-	var cum int64
-	for _, e := range nd.entries {
+// walk is what one descent over a byte range (walkRange) does.  seg
+// receives the segment pieces; enter, when set, each index page below the
+// root that the range reaches, read in place with its frame pinned, before
+// the walk goes below it — e is the parent's entry naming the page; leave,
+// when set, each such page's entry once the walk is done below it.  Every
+// node of a tree is read this way but the ones a splice edits (splice.go).
+type walk struct {
+	seg   segmentVisitor
+	enter func(e entry, v nodeView) error
+	leave func(e entry) error
+	// pages holds, for a page that covers more entries than its frame has
+	// room for, the covered entries copied off it: those of a level-L page
+	// at [(L-1)F, LF), F entries a page.  One page a level is on the path,
+	// so the regions are never shared; the walk allocates it once, not once
+	// a page.
+	pages []entry
+}
+
+// walkRange visits the segments covering [off, off+n) of nd's subtree, and
+// the index pages on the way to them, in logical order; walkRange(root, 0,
+// size, w) walks the whole tree.
+func (m *Manager) walkRange(nd *node, off, n int64, w *walk) error {
+	return m.walkEntries(nd.level, nd.entries, off, n, w)
+}
+
+// walkEntries is walkRange over the entries es of a node of the given level.
+func (m *Manager) walkEntries(level int, es []entry, off, n int64, w *walk) error {
+	var start int64
+	for _, e := range es {
 		if n == 0 {
 			return nil
 		}
-		start, end := cum, cum+e.bytes
-		cum = end
-		if off >= end {
-			continue
-		}
-		take := end - off
-		if take > n {
-			take = n
-		}
-		if nd.level == 1 {
-			if err := visit(e, off-start, take); err != nil {
+		end := start + e.bytes
+		if off < end {
+			take := min(end-off, n)
+			if err := m.walkEntry(e, level, off-start, take, w); err != nil {
 				return err
 			}
-		} else if err := m.walkPage(e.ptr, off-start, take, visit); err != nil {
-			return err
+			off += take
+			n -= take
 		}
-		off += take
-		n -= take
+		start = end
 	}
 	return nil
 }
 
-// walkPage is walkRange over the index node on page p.  It reads the page
-// in place and takes out only the entries the range covers, so the frame is
-// unpinned before the walk goes below it: no frame stays pinned across a
-// segment's I/O.
-func (m *Manager) walkPage(p disk.PageNum, off, n int64, visit segmentVisitor) error {
-	var buf [16]entry
-	covered := node{entries: buf[:0]}
-	var first int64 // where covered's first entry starts in the page's subtree
-	err := m.viewPage(p, func(v nodeView) error {
-		covered.level = v.level
-		var at int64
-		for i := 0; i < v.count() && at < off+n; i++ {
-			e := v.entry(i, at)
-			if at+e.bytes > off {
-				if len(covered.entries) == 0 {
-					first = at
-				}
-				covered.entries = append(covered.entries, e)
+// walkEntry visits [off, off+n) of the subtree that e, an entry of a node of
+// the given level, names.  It copies the entries the range covers off the
+// page and unpins the frame before it goes below it: no frame stays pinned
+// across a segment's I/O.  An index page must be one level below its
+// parent, so a walk ends however its pages are corrupted, and hold the
+// bytes its parent's entry says.
+func (m *Manager) walkEntry(e entry, level int, off, n int64, w *walk) error {
+	if level == 1 {
+		if w.seg == nil {
+			return nil
+		}
+		return w.seg(e, off, n)
+	}
+	var room [16]entry
+	covered := room[:0]
+	var first int64 // where covered's first entry starts in e's subtree
+	err := m.viewPage(e.ptr, func(v nodeView) error {
+		if v.level != level-1 {
+			return fmt.Errorf("%w: child level %d under level %d", ErrCorruptNode, v.level, level)
+		}
+		if v.total() != e.bytes {
+			return fmt.Errorf("%w: entry says %d bytes, subtree has %d", ErrCorruptNode, e.bytes, v.total())
+		}
+		if w.enter != nil {
+			if err := w.enter(e, v); err != nil {
+				return err
 			}
-			at += e.bytes
+		}
+		i, j, at := v.cover(off, n)
+		if j-i > len(room) {
+			f := maxFanout(m.vol.PageSize())
+			if len(w.pages) < v.level*f {
+				w.pages = make([]entry, v.level*f)
+			}
+			covered = w.pages[(v.level-1)*f : (v.level-1)*f]
+		}
+		first = at
+		for ; i < j; i++ {
+			ce := v.entry(i, at)
+			covered = append(covered, ce)
+			at += ce.bytes
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = m.walkEntries(level-1, covered, off-first, n, w)
 	}
-	return m.walkRange(&covered, off-first, n, visit)
+	if err == nil && w.leave != nil {
+		err = w.leave(e)
+	}
+	return err
 }
 
-// find descends from root to the leaf entry containing byte off of its
-// subtree (off == its size resolves to the last entry) and returns the
-// entry, the byte offset where it starts, and the entry count of its
-// parent node.  The index pages below root are read in place.
+// find walks from root to the leaf entry containing byte off of its subtree
+// (off == its size resolves to the last entry) and returns the entry, the
+// byte offset where it starts, and the entry count of its parent node.
 func (m *Manager) find(root *node, off int64) (e entry, start int64, parentEntries int, err error) {
-	if len(root.entries) == 0 {
+	size := root.size()
+	if size == 0 {
 		return entry{}, 0, 0, fmt.Errorf("%w: empty object", ErrOutOfBounds)
 	}
-	i, start := root.childIndex(off)
-	e, level, parentEntries := root.entries[i], root.level, len(root.entries)
-	for level > 1 {
-		if e, start, level, parentEntries, err = m.childAt(e.ptr, off, start); err != nil {
-			return entry{}, 0, 0, err
-		}
-	}
-	return e, start, parentEntries, nil
-}
-
-// childAt reads the index node on page p, whose subtree starts at byte base,
-// in place, and returns the entry of its child holding byte off, the byte
-// offset where that child's subtree starts, and the node's level and entry
-// count.
-func (m *Manager) childAt(p disk.PageNum, off, base int64) (e entry, start int64, level, count int, err error) {
-	err = m.viewPage(p, func(v nodeView) error {
-		if v.count() == 0 {
-			return fmt.Errorf("%w: empty node below the root", ErrCorruptNode)
-		}
-		e, start = v.child(off - base)
-		level, count = v.level, v.count()
-		return nil
+	off = min(off, size-1)
+	parentEntries, found := len(root.entries), false
+	err = m.walkRange(root, off, 1, &walk{
+		seg: func(seg entry, segOff, _ int64) error {
+			e, start, found = seg, off-segOff, true
+			return nil
+		},
+		enter: func(_ entry, v nodeView) error {
+			parentEntries = v.count()
+			return nil
+		},
 	})
-	return e, base + start, level, count, err
+	if err == nil && !found {
+		err = fmt.Errorf("%w: no leaf holds byte %d", ErrCorruptNode, off)
+	}
+	return e, start, parentEntries, err
 }
 
 // PageImages is what one read transferred from the data volume: the
@@ -169,7 +201,7 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 // committed index pages.
 func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages) error {
 	pos := 0
-	return m.walkRange(root, off, int64(len(buf)), func(seg entry, segOff, n int64) error {
+	return m.walkRange(root, off, int64(len(buf)), &walk{seg: func(seg entry, segOff, n int64) error {
 		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], keep != nil)
 		if err != nil {
 			return err
@@ -179,7 +211,7 @@ func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages)
 		}
 		pos += int(n)
 		return nil
-	})
+	}})
 }
 
 // Read returns n bytes starting at off.
@@ -210,11 +242,11 @@ func (o *Object) Replace(off int64, data []byte) error {
 	}
 	o.m.st.replaces.Add(1)
 	pos := int64(0)
-	return o.m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
+	return o.m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
 		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
 		pos += n
 		return err
-	})
+	}})
 }
 
 // ReplacePlan is an in-place replace prepared but not yet written: the
@@ -250,7 +282,7 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 	ps := m.vol.PageSize()
 	p := &ReplacePlan{o: o}
 	pos := int64(0)
-	err := m.walkRange(o.root, off, int64(len(data)), func(seg entry, segOff, n int64) error {
+	err := m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
 		first, npages, in := disk.PageSpan(segOff, n, ps)
 		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, ps)}
 		if run.raw != nil {
@@ -265,7 +297,7 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 		pos += n
 		p.runs = append(p.runs, run)
 		return nil
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}

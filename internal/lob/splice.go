@@ -366,8 +366,9 @@ func (m *Manager) spliceTree(nd *node, lo, hi int64, repl []entry, skipFirst, sk
 	}
 
 	// Free strictly interior children without touching any leaf page.
+	free := m.freeing()
 	for k := ci + 1; k < cj; k++ {
-		if err := m.freeSubtree(nd.entries[k], nd.level); err != nil {
+		if err := m.walkEntry(nd.entries[k], nd.level, 0, nd.entries[k].bytes, free); err != nil {
 			return err
 		}
 	}

@@ -66,6 +66,13 @@ type Run struct {
 	Pages int
 }
 
+// retiredRun is a run Retire parked, with its stamp and when it was parked.
+type retiredRun struct {
+	Run
+	stamp uint64
+	at    time.Time
+}
+
 // EpochGuard pins one reader to the epoch it entered.  Every guard
 // returned by Enter must Exit exactly once, on all paths.
 type EpochGuard struct {
@@ -82,13 +89,16 @@ type EpochManager struct {
 	freeFn func([]Run) error
 
 	mu       sync.Mutex
-	current  uint64               // eos:guardedby mu
-	pins     map[uint64]int       // eos:guardedby mu
-	inflight map[uint64]int       // eos:guardedby mu -- open mutation scopes by begin epoch
-	retired  map[uint64][]Run     // eos:guardedby mu
-	since    map[uint64]time.Time // eos:guardedby mu -- first retire into each epoch
-	pending  int64                // eos:guardedby mu -- pages awaiting reclamation
-	budget   int64                // eos:guardedby mu -- Admit throttles above this
+	current  uint64         // eos:guardedby mu
+	pins     map[uint64]int // eos:guardedby mu
+	inflight map[uint64]int // eos:guardedby mu -- open mutation scopes by begin epoch
+	// retired is every run not yet reclaimed, in the order Retire parked
+	// them.  A run is stamped current+1 and current only grows, so the
+	// stamps never decrease along the queue, and the runs that have matured
+	// are always a prefix of it.
+	retired []retiredRun // eos:guardedby mu
+	pending int64        // eos:guardedby mu -- pages awaiting reclamation
+	budget  int64        // eos:guardedby mu -- Admit throttles above this
 
 	advances     atomic.Uint64 // epochs advanced (stat)
 	retiredTotal atomic.Uint64 // pages ever retired (stat)
@@ -100,8 +110,6 @@ func NewEpochManager(free func([]Run) error) *EpochManager {
 		freeFn:   free,
 		pins:     make(map[uint64]int),
 		inflight: make(map[uint64]int),
-		retired:  make(map[uint64][]Run),
-		since:    make(map[uint64]time.Time),
 	}
 }
 
@@ -220,11 +228,10 @@ func (em *EpochManager) Retire(runs []Run) {
 	for _, r := range runs {
 		pages += int64(r.Pages)
 	}
+	now := time.Now()
 	em.mu.Lock()
-	e := em.current + 1
-	em.retired[e] = append(em.retired[e], runs...)
-	if _, ok := em.since[e]; !ok {
-		em.since[e] = time.Now()
+	for _, r := range runs {
+		em.retired = append(em.retired, retiredRun{Run: r, stamp: em.current + 1, at: now})
 	}
 	em.pending += pages
 	em.mu.Unlock()
@@ -233,8 +240,9 @@ func (em *EpochManager) Retire(runs []Run) {
 
 // collectLocked removes and returns every run whose epoch has matured:
 // stamped before the current epoch, with no reader pinned at or before
-// the stamp.  Caller holds mu; the returned runs are released after mu
-// is dropped.
+// the stamp — the queue's prefix up to the first run that has not.  The
+// queue's memory goes when it empties.  Caller holds mu; the returned
+// runs are released after mu is dropped.
 //
 // eos:requires em.mu
 func (em *EpochManager) collectLocked() []Run {
@@ -242,17 +250,22 @@ func (em *EpochManager) collectLocked() []Run {
 		return nil
 	}
 	minPinned, pinned := em.minPinnedLocked()
-	var out []Run
-	for e, runs := range em.retired {
-		if e >= em.current {
-			continue // superseding publish may still be in flight
+	k := 0
+	for ; k < len(em.retired); k++ {
+		e := em.retired[k].stamp
+		if e >= em.current || pinned && minPinned <= e {
+			break // a superseding publish may still be in flight, or a reader pins it
 		}
-		if pinned && minPinned <= e {
-			continue
-		}
-		out = append(out, runs...)
-		delete(em.retired, e)
-		delete(em.since, e)
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]Run, k)
+	for i := range out {
+		out[i] = em.retired[i].Run
+	}
+	if em.retired = em.retired[k:]; len(em.retired) == 0 {
+		em.retired = nil
 	}
 	return out
 }
@@ -313,10 +326,8 @@ func (em *EpochManager) release(runs []Run) error {
 func (em *EpochManager) Reclaim() error {
 	em.mu.Lock()
 	var maxStamp uint64
-	for e := range em.retired {
-		if e > maxStamp {
-			maxStamp = e
-		}
+	if n := len(em.retired); n > 0 {
+		maxStamp = em.retired[n-1].stamp
 	}
 	for em.current <= maxStamp {
 		if !em.advanceLocked() {
@@ -327,12 +338,6 @@ func (em *EpochManager) Reclaim() error {
 	em.mu.Unlock()
 	return em.release(runs)
 }
-
-// Drain reclaims as much as possible; checkpoints call it so a
-// quiescent store's retired pages are all back in the free space map
-// before free-space accounting runs.  It is exactly Reclaim — the
-// separate name records the intent at the call sites.
-func (em *EpochManager) Drain() error { return em.Reclaim() }
 
 // Advances reports how many times the global epoch has advanced.
 func (em *EpochManager) Advances() uint64 { return em.advances.Load() }
@@ -363,14 +368,8 @@ func (em *EpochManager) Pinned() int {
 func (em *EpochManager) OldestAge() time.Duration {
 	em.mu.Lock()
 	defer em.mu.Unlock()
-	var oldest time.Time
-	for _, t := range em.since {
-		if oldest.IsZero() || t.Before(oldest) {
-			oldest = t
-		}
-	}
-	if oldest.IsZero() {
+	if len(em.retired) == 0 {
 		return 0
 	}
-	return time.Since(oldest)
+	return time.Since(em.retired[0].at)
 }

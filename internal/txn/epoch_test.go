@@ -156,3 +156,37 @@ func TestEpochStats(t *testing.T) {
 		t.Fatal("OldestAge != 0 with nothing pending")
 	}
 }
+
+// TestEpochReclaimsTheMaturedPrefix: runs wait in one queue in retire
+// order, and a reader's exit frees the runs that matured — the run an
+// older reader pinned — but not a later one that a younger reader still
+// pins.
+func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
+	free, freed := collectingFree()
+	em := NewEpochManager(free)
+	older := em.Enter()
+	em.Retire([]Run{{Start: disk.PageNum(10), Pages: 1}})
+	if err := em.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	younger := em.Enter()
+	em.Retire([]Run{{Start: disk.PageNum(20), Pages: 2}})
+	if err := older.Exit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := freed(); got != 1 {
+		t.Fatalf("freed %d pages once the older reader left, want the 1 it pinned", got)
+	}
+	if age := em.OldestAge(); age <= 0 {
+		t.Fatalf("OldestAge = %v with a run still pinned", age)
+	}
+	if err := younger.Exit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, pending := freed(), em.PendingPages(); got != 3 || pending != 0 {
+		t.Fatalf("freed %d pages with %d pending once both readers left, want 3 and 0", got, pending)
+	}
+	if em.OldestAge() != 0 {
+		t.Fatal("OldestAge != 0 with nothing pending")
+	}
+}

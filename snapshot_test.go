@@ -931,14 +931,16 @@ func TestSnapshotUseAfterStoreClose(t *testing.T) {
 }
 
 // TestSplicesShareTheManagersScratch: four goroutines insert into and delete
-// from one object each, all through the store's one manager, whose scratch
-// memory every insert and delete builds its new segment in, beside snapshot
-// readers.  A snapshot reads the same bytes however it is chunked, and each
-// object ends holding exactly what its writer's model holds: no image was
-// built in memory another update was using.
+// from one object each through the store's manager, and four more inside
+// transactions, whose managers share that manager's scratch memory: every
+// insert and delete builds its new segment there, beside snapshot readers.
+// A snapshot reads the same bytes however it is chunked, and each object
+// ends holding exactly what its writer's model holds: no image was built in
+// memory another update was using.
 func TestSplicesShareTheManagersScratch(t *testing.T) {
 	const (
-		writers    = 4
+		plain      = 4 // writers 0-3 edit outside transactions, 4-7 inside
+		writers    = 2 * plain
 		readers    = 2
 		iterations = 120
 	)
@@ -973,6 +975,16 @@ func TestSplicesShareTheManagersScratch(t *testing.T) {
 				report("writer %d: %v", w, err)
 				return
 			}
+			name := fmt.Sprintf("edit-%d", w)
+			insert, del := o.Insert, o.Delete
+			if w >= plain {
+				insert = func(off int64, data []byte) error {
+					return inTxn(s, func(tx *Txn) error { return tx.Insert(name, off, data) })
+				}
+				del = func(off, n int64) error {
+					return inTxn(s, func(tx *Txn) error { return tx.Delete(name, off, n) })
+				}
+			}
 			rng := rand.New(rand.NewSource(int64(50 + w)))
 			for it := 0; it < iterations && !stop.Load(); it++ {
 				m := models[w]
@@ -980,14 +992,14 @@ func TestSplicesShareTheManagersScratch(t *testing.T) {
 					off := rng.Int63n(int64(len(m)) + 1)
 					data := make([]byte, n)
 					rng.Read(data)
-					if err := o.Insert(off, data); err != nil {
+					if err := insert(off, data); err != nil {
 						report("writer %d insert: %v", w, err)
 						return
 					}
 					models[w] = append(m[:off:off], append(data, m[off:]...)...)
 				} else {
 					off := rng.Int63n(int64(len(m)) - n + 1)
-					if err := o.Delete(off, n); err != nil {
+					if err := del(off, n); err != nil {
 						report("writer %d delete: %v", w, err)
 						return
 					}
@@ -1047,4 +1059,17 @@ func TestSplicesShareTheManagersScratch(t *testing.T) {
 			t.Fatalf("edit-%d: %d bytes, not the %d its writer's model holds", i, len(got), len(want))
 		}
 	}
+}
+
+// inTxn runs op in a transaction of its own and commits it.
+func inTxn(s *Store, op func(*Txn) error) error {
+	tx, err := s.Begin()
+	if err != nil {
+		return err
+	}
+	if err := op(tx); err != nil {
+		_ = tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }

@@ -198,11 +198,7 @@ func (s *Store) Begin() (*Txn, error) {
 		alloc:   &deferredAlloc{inner: &epochAlloc{s: s}},
 		touched: make(map[uint64]*txnObj),
 	}
-	var err error
-	t.lm, err = lob.NewManager(s.vol, s.pool, t.alloc, s.lobConfig())
-	if err != nil {
-		return nil, err
-	}
+	t.lm = s.lm.Derive(t.alloc)
 	stalled := s.stallStart()
 	s.mu.Lock()
 	s.stallEnd(stalled)
@@ -223,10 +219,6 @@ func (t *Txn) logOp(r *wal.Record) (uint64, error) {
 
 // ID returns the transaction identifier.
 func (t *Txn) ID() uint64 { return t.id }
-
-// LOBStats returns the large-object activity counters of this
-// transaction (shadowed index pages, reshuffled bytes, and so on).
-func (t *Txn) LOBStats() lob.Stats { return t.lm.Stats() }
 
 func (t *Txn) check() error {
 	if t.done {

@@ -477,11 +477,12 @@ func TestAbortForgetsTheIndexPagesItWrote(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	shadowed := s.Stats().LOB.ShadowedIndexPages
 	tx, _ := s.Begin()
 	if err := tx.Insert("x", 20*512+100, pat(90, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if tx.LOBStats().ShadowedIndexPages == 0 {
+	if s.Stats().LOB.ShadowedIndexPages == shadowed {
 		t.Fatal("the insert shadowed no index page; the test proves nothing")
 	}
 	if err := tx.Abort(); err != nil {
@@ -1758,4 +1759,36 @@ func TestBoundedLogUnderOverlappingTransactions(t *testing.T) {
 		t.Fatalf("only %d checkpoints", checkpoints)
 	}
 	expectObjects(t, crashReopen(t, vol, logVol), model)
+}
+
+// TestTransactionsCountIntoTheStoresLOBStats: a transaction's manager counts
+// into the store's large-object counters, so a committed transactional
+// insert shows in Store.Stats().LOB as a non-transactional one does.
+func TestTransactionsCountIntoTheStoresLOBStats(t *testing.T) {
+	s, _, _ := newStore(t, Options{Threshold: 1})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(pat(1, 8<<10)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().LOB
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("x", 1000, pat(2, 700)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats().LOB
+	if after.SegmentsAllocated == before.SegmentsAllocated {
+		t.Errorf("a committed insert left LOB.SegmentsAllocated at %d", after.SegmentsAllocated)
+	}
+	if after.Inserts != before.Inserts+1 {
+		t.Errorf("LOB.Inserts %d -> %d across one committed insert", before.Inserts, after.Inserts)
+	}
 }
