@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/lob"
 	"github.com/eosdb/eos/internal/wal"
 )
 
@@ -132,7 +133,7 @@ func (s *Store) writeMaster(m master) error {
 }
 
 // catRec is one descriptor as the image stores it.  desc is never
-// modified once set (stableDesc slices are replaced, not rewritten).
+// modified once set (a lob.Descriptor's bytes are never rewritten).
 type catRec struct {
 	id   uint64
 	name string
@@ -236,7 +237,7 @@ func (s *Store) loadCatalog(img []byte) error {
 		// (FreeUnpublished), so those pages may be someone else's now.
 		obj.ForgetTail()
 		e := &catEntry{id: id, name: name, obj: obj}
-		e.setStableDesc(desc)
+		e.setStableDesc(lob.EncodedDescriptor(desc))
 		s.catalog[name] = e
 		s.byID[id] = e
 	}

@@ -125,11 +125,23 @@ func expectObjects(t *testing.T, s *Store, want map[string][]byte) {
 // names in the image it names.
 func durableNames(t *testing.T, s *Store) []string {
 	t.Helper()
+	var names []string
+	for _, r := range durableImage(t, s) {
+		names = append(names, r.name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// durableImage reads the master copy recovery would load and returns the
+// records of the image it names, in id order.
+func durableImage(t *testing.T, s *Store) []catRec {
+	t.Helper()
 	m, err := readMaster(s.vol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var recs []catRec
 	found := false
 	if err := s.log.Scan(m.image, func(r *wal.Record) error {
 		if r.LSN != m.image {
@@ -137,19 +149,20 @@ func durableNames(t *testing.T, s *Store) []string {
 		}
 		found = true
 		img := r.Data
-		off := 4
+		off := catCount
 		for i := binary.BigEndian.Uint32(img); i > 0; i-- {
+			id := binary.BigEndian.Uint64(img[off:])
 			nameLen := int(binary.BigEndian.Uint16(img[off+8:]))
 			descLen := int(binary.BigEndian.Uint32(img[off+10:]))
-			names = append(names, string(img[off+catEntHdr:off+catEntHdr+nameLen]))
-			off += catEntHdr + nameLen + descLen
+			off += catEntHdr
+			recs = append(recs, catRec{id: id, name: string(img[off : off+nameLen]), desc: img[off+nameLen : off+nameLen+descLen]})
+			off += nameLen + descLen
 		}
 		return nil
 	}); err != nil || !found {
 		t.Fatalf("the master's image at LSN %d is not in the log (err %v)", m.image, err)
 	}
-	sort.Strings(names)
-	return names
+	return recs
 }
 
 // appendAll adds one segment to every object: the append is hinted, so it

@@ -161,9 +161,11 @@ type catEntry struct {
 
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
-	// is omitted from catalog writes.  It is refreshed synchronously at
+	// is omitted from catalog writes.  It is captured synchronously at
 	// every commit point — non-transactional publish, transaction
-	// commit, and abort — NOT lazily at catalog-write time: the
+	// commit, and abort — and encoded later, when a checkpoint's image
+	// needs the bytes (lob.Descriptor): the capture, not the encoding,
+	// fixes the state.  Not lazily at catalog-write time: the
 	// durability quarantine reasons that any catalog barrier started
 	// after a run is quarantined persists roots that exclude the run,
 	// and catalog writes must be able to proceed while an object's
@@ -171,8 +173,8 @@ type catEntry struct {
 	// its latch while WAITING for a barrier to release quarantined
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
-	// read in imageLocked safe.
-	stableDesc atomic.Pointer[[]byte]
+	// read in imageLocked safe, and Store.mu serializes the encoding.
+	stableDesc atomic.Pointer[lob.Descriptor]
 
 	// latch serializes physical access to the object's in-memory root,
 	// index pages and data pages between the store's callers: every
@@ -183,16 +185,27 @@ type catEntry struct {
 	latch sync.RWMutex
 }
 
-// setStableDesc records desc as the last committed descriptor.  Callers
+// setStableDesc records d as the last committed descriptor.  Callers
 // hold the object's write latch or the owning transaction's exclusive
 // lock, which serializes stores per object.
-func (e *catEntry) setStableDesc(desc []byte) { e.stableDesc.Store(&desc) }
+func (e *catEntry) setStableDesc(d *lob.Descriptor) { e.stableDesc.Store(d) }
 
-// loadStableDesc returns the last committed descriptor, or nil if the
-// object has never committed.  Safe without the object latch.
+// stableSize is the length of the last committed descriptor's encoding,
+// 0 if the object has never committed.  It encodes nothing.
+func (e *catEntry) stableSize() int {
+	if d := e.stableDesc.Load(); d != nil {
+		return d.Size()
+	}
+	return 0
+}
+
+// loadStableDesc returns the last committed descriptor's encoding, or nil
+// if the object has never committed.  Safe without the object latch.
+//
+// eos:requires s.mu
 func (e *catEntry) loadStableDesc() []byte {
-	if p := e.stableDesc.Load(); p != nil {
-		return *p
+	if d := e.stableDesc.Load(); d != nil {
+		return d.Bytes()
 	}
 	return nil
 }
@@ -1010,10 +1023,8 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.nextID++
 	s.catalog[name] = e
 	s.byID[e.id] = e
-	e.obj.Publish(snapshotHistory)
-	desc := e.obj.EncodeDescriptor()
-	e.setStableDesc(desc)
-	s.measure(e, len(desc))
+	e.setStableDesc(e.obj.PublishDescriptor(snapshotHistory))
+	s.measure(e, e.stableSize())
 	s.unlogged[e] = true
 	return &Object{s: s, e: e}, nil
 }
@@ -1161,7 +1172,7 @@ func (s *Store) Rename(oldName, newName string) error {
 	delete(s.catalog, oldName)
 	e.name = newName
 	s.catalog[newName] = e
-	s.measure(e, len(e.loadStableDesc()))
+	s.measure(e, e.stableSize())
 	return nil
 }
 
@@ -1386,17 +1397,16 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 		return o.inUse()
 	}
 	err := op(o.e.obj)
-	o.e.obj.Publish(snapshotHistory)
 	// Publish is this mode's commit point: refresh the catalog-visible
 	// descriptor before the latch drops, while still inside the epoch
 	// scope — pages this op freed cannot mature into the durability
 	// quarantine until EndMutation, so every barrier that could release
 	// them sees the refreshed root.
-	o.e.setStableDesc(o.e.obj.EncodeDescriptor())
+	o.e.setStableDesc(o.e.obj.PublishDescriptor(snapshotHistory))
 	o.e.latch.Unlock()
 	o.s.epochs.EndMutation(scope)
 	o.s.mu.Lock()
-	o.s.measure(o.e, len(o.e.loadStableDesc()))
+	o.s.measure(o.e, o.e.stableSize())
 	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that
 	o.s.mu.Unlock()
 	if rerr := o.s.epochs.Reclaim(); err == nil {
@@ -1523,7 +1533,7 @@ func (o *Object) SetThreshold(t int) error {
 		return o.inUse()
 	}
 	o.e.obj.SetThreshold(t)
-	o.e.setStableDesc(o.e.obj.EncodeDescriptor())
+	o.e.setStableDesc(o.e.obj.Capture())
 	o.e.latch.Unlock()
 	return nil
 }

@@ -14,6 +14,7 @@
 //	rank 30  Store.quarMu       (durability quarantine; a leaf)
 //	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
 //	rank 35  Manager.mu         (buddy superdirectory latch)
+//	rank 38  Space.mu           (one buddy space: directory visits, counters, scan hint)
 //	rank 40  Pool.mu            (buffer pool: frames, LRU list, write-back)
 //	rank 45  Log.forceMu        (group-commit leader force)
 //	rank 50  Log.mu             (write-ahead log buffer + tail state)

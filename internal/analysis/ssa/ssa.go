@@ -74,6 +74,7 @@ func LockRanks() map[string]int {
 		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
 		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it
 		"Manager.mu":       35, // buddy superdirectory latch
+		"Space.mu":         38, // one buddy space: its directory visits, counters and scan hint
 		"Pool.mu":          40, // buffer pool: frame map, LRU list, write-back
 		"Log.forceMu":      45, // group-commit leader force; before Log.mu
 		"Log.mu":           50,

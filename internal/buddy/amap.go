@@ -68,6 +68,10 @@ const (
 // sufficient per request.
 type dir struct {
 	img []byte
+	// st, when set, is the state of the space the directory belongs to:
+	// allocScan resumes its skip-scan from the space's hint and counts its
+	// probes there, and markFree keeps the hint a lower bound.
+	st *dirState
 }
 
 // dirHeaderBytes is the fixed directory header size.
@@ -137,8 +141,9 @@ func initDir(img []byte, maxType, capacity int, base int64) {
 	img[offMaxType] = uint8(maxType)
 	binary.BigEndian.PutUint32(img[offCapacity:], uint32(capacity))
 	binary.BigEndian.PutUint64(img[offBase:], uint64(base))
-	d := dir{img}
-	for _, p := range alignedPieces(0, capacity, maxType) {
+	d := dir{img: img}
+	for ps := alignedPieces(0, capacity, maxType); ps.n > 0; {
+		p := ps.next()
 		d.markFree(p.start, p.typ)
 		d.incCount(p.typ)
 	}
@@ -165,31 +170,35 @@ type piece struct {
 
 func (p piece) size() int { return 1 << p.typ }
 
-// alignedPieces decomposes [start, start+n) into aligned power-of-two
-// pieces no larger than 2^maxType, greedily from the left.  This is the
-// paper's binary-representation carving (§3.2): for a run beginning at an
-// aligned boundary the piece sizes follow the binary representation of n
-// from the most significant bit; for the free tail they follow it in
-// reverse.  Greedy left-to-right produces exactly those patterns.
-func alignedPieces(start, n, maxType int) []piece {
-	var out []piece
-	for n > 0 {
-		// Largest power of two dividing start (unbounded when start is 0).
-		t := maxType
-		if start != 0 {
-			if a := bits.TrailingZeros(uint(start)); a < t {
-				t = a
-			}
+// pieces is the decomposition of [start, start+n) into aligned
+// power-of-two pieces no larger than 2^maxType, greedily from the left,
+// handed out one at a time by next while n > 0.  This is the paper's
+// binary-representation carving (§3.2): for a run beginning at an aligned
+// boundary the piece sizes follow the binary representation of n from the
+// most significant bit; for the free tail they follow it in reverse.
+// Greedy left-to-right produces exactly those patterns.
+type pieces struct{ start, n, maxType int }
+
+func alignedPieces(start, n, maxType int) pieces { return pieces{start, n, maxType} }
+
+// next returns the leftmost piece not yet handed out.  Callers stop when
+// n reaches 0.
+func (ps *pieces) next() piece {
+	// Largest power of two dividing start (unbounded when start is 0).
+	t := ps.maxType
+	if ps.start != 0 {
+		if a := bits.TrailingZeros(uint(ps.start)); a < t {
+			t = a
 		}
-		// No larger than the remaining length.
-		if l := bits.Len(uint(n)) - 1; l < t {
-			t = l
-		}
-		out = append(out, piece{start, t})
-		start += 1 << t
-		n -= 1 << t
 	}
-	return out
+	// No larger than the remaining length.
+	if l := bits.Len(uint(ps.n)) - 1; l < t {
+		t = l
+	}
+	p := piece{ps.start, t}
+	ps.start += 1 << t
+	ps.n -= 1 << t
+	return p
 }
 
 // segStartingAt decodes the segment that starts at page p, which must be a
@@ -265,10 +274,14 @@ func (d dir) markAlloc(p, t int) {
 	d.mark(p, t, true)
 }
 
-// markFree writes the encoding for a free segment of type t at page p.
-// It does not coalesce; callers use freePow2 for canonical frees.
+// markFree writes the encoding for a free segment of type t at page p,
+// and lowers the scan hint of type t to p.  It does not coalesce; callers
+// use freePow2 for canonical frees.
 func (d dir) markFree(p, t int) {
 	d.mark(p, t, false)
+	if d.st != nil && d.st.low != nil && int32(p) < d.st.low[t] {
+		d.st.low[t] = int32(p)
+	}
 }
 
 func (d dir) mark(p, t int, alloc bool) {
@@ -308,11 +321,18 @@ func (d dir) mark(p, t int, alloc bool) {
 // skip-scan: start at segment 0; if the segment there has size m != n,
 // continue at S + max(n, m).  The count array guarantees existence.
 // It returns the segment's start page and the number of segment probes
-// performed (reported by the scan-cost experiment).
-func (d dir) locateFree(t int) (start, probes int, err error) {
+// performed (reported by the scan-cost experiment).  The scan visits
+// n-aligned segment starts only and passes none of the free type-t ones,
+// so it finds the lowest.
+func (d dir) locateFree(t int) (start, probes int, err error) { return d.scanFrom(t, 0) }
+
+// scanFrom is the skip-scan of locateFree begun at page from, which must
+// be a 2^t-aligned segment start at or below every free type-t segment:
+// it then finds what the scan from page 0 finds.
+func (d dir) scanFrom(t, from int) (start, probes int, err error) {
 	n := 1 << t
 	cap := d.capacity()
-	for s := 0; s < cap; {
+	for s := from; s < cap; {
 		probes++
 		typ, alloc, err := d.segStartingAt(s)
 		if err != nil {
@@ -331,6 +351,30 @@ func (d dir) locateFree(t int) (start, probes int, err error) {
 	return 0, probes, fmt.Errorf("%w: count array claims a free type-%d segment but none found", ErrCorrupt, t)
 }
 
+// allocScan finds the lowest free segment of type t for an allocation.
+// With a hint it resumes the skip-scan from the start of the segment that
+// contains low[t]: low[t] is 2^t-aligned (only type-t starts are ever
+// stored), so that segment's start is a 2^t-aligned segment start at or
+// below it, even when coalescing has since swallowed low[t] into a larger
+// segment or a type-1 pair.  The found segment becomes the new hint.
+// The directory is a space's (d.st set).
+func (d dir) allocScan(t int) (int, error) {
+	if d.st.low == nil {
+		d.st.low = make([]int32, d.maxType()+1)
+	}
+	low := d.st.low
+	from, _, _, err := d.segContaining(int(low[t]))
+	if err != nil {
+		return 0, err
+	}
+	s, probes, err := d.scanFrom(t, from)
+	d.st.stats.ScanProbes += int64(probes)
+	if err == nil {
+		low[t] = int32(s)
+	}
+	return s, err
+}
+
 // allocPow2 allocates a segment of exactly 2^t pages, splitting a larger
 // free segment if necessary (§3.2).  It returns the start page.
 func (d dir) allocPow2(t int) (int, error) {
@@ -344,7 +388,7 @@ func (d dir) allocPow2(t int) (int, error) {
 	if j > d.maxType() {
 		return 0, ErrNoSpace
 	}
-	s, _, err := d.locateFree(j)
+	s, err := d.allocScan(j)
 	if err != nil {
 		return 0, err
 	}

@@ -75,3 +75,45 @@ func BenchmarkLocateFreeFragmented(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAllocFragmented allocates 4-page runs from the space
+// BenchmarkLocateFreeFragmented fragments until it is full, and frees them
+// again outside the timer: every allocation scan runs over a fragmented
+// space, resuming from the space's hint.
+func BenchmarkAllocFragmented(b *testing.B) {
+	s := benchSpace(b)
+	var runs []disk.PageNum
+	for {
+		p, err := s.Alloc(4)
+		if err != nil {
+			break
+		}
+		runs = append(runs, p)
+	}
+	for i := 0; i < len(runs); i += 2 {
+		if err := s.Free(runs[i], 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var taken []disk.PageNum
+	probes := s.Stats().ScanProbes
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := s.Alloc(4)
+		if err != nil {
+			b.StopTimer()
+			for _, p := range taken {
+				if err := s.Free(p, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+			taken = taken[:0]
+			b.StartTimer()
+			if p, err = s.Alloc(4); err != nil {
+				b.Fatal(err)
+			}
+		}
+		taken = append(taken, p)
+	}
+	b.ReportMetric(float64(s.Stats().ScanProbes-probes)/float64(b.N), "probes/op")
+}

@@ -72,6 +72,15 @@ func TestLayoutPaperArithmetic(t *testing.T) {
 	}
 }
 
+// pieceList collects the pieces alignedPieces hands out.
+func pieceList(start, n, maxType int) []piece {
+	var out []piece
+	for ps := alignedPieces(start, n, maxType); ps.n > 0; {
+		out = append(out, ps.next())
+	}
+	return out
+}
+
 func TestAlignedPieces(t *testing.T) {
 	cases := []struct {
 		start, n int
@@ -87,7 +96,7 @@ func TestAlignedPieces(t *testing.T) {
 		{6, 10, []piece{{6, 1}, {8, 3}}},
 	}
 	for _, c := range cases {
-		got := alignedPieces(c.start, c.n, 6)
+		got := pieceList(c.start, c.n, 6)
 		if len(got) != len(c.want) {
 			t.Errorf("alignedPieces(%d,%d) = %v, want %v", c.start, c.n, got, c.want)
 			continue
@@ -105,9 +114,8 @@ func TestAlignedPiecesProperty(t *testing.T) {
 		start := int(start16) % 1000
 		n := int(n8)%200 + 1
 		const maxType = 5
-		pieces := alignedPieces(start, n, maxType)
 		pos := start
-		for _, p := range pieces {
+		for _, p := range pieceList(start, n, maxType) {
 			if p.start != pos || p.typ > maxType {
 				return false
 			}

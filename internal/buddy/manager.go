@@ -28,7 +28,7 @@ type Manager struct {
 	mu       sync.Mutex // the latch
 	pool     *buffer.Pool
 	spaces   []*Space // eos:guardedby mu -- append-only; snapshot under mu before probing
-	super    []int    // eos:guardedby mu -- optimistic max free segment size per space, pages
+	super    []int32  // eos:guardedby mu -- optimistic max free segment size per space, pages
 	useSuper bool
 	stats    ManagerStats // eos:guardedby mu
 }
@@ -50,7 +50,7 @@ func (m *Manager) AddSpace(s *Space) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.spaces = append(m.spaces, s)
-	m.super = append(m.super, s.MaxSegmentPages())
+	m.super = append(m.super, int32(s.MaxSegmentPages()))
 }
 
 // Spaces returns the registered spaces.
@@ -90,21 +90,12 @@ func FormatVolume(pool *buffer.Pool, vol disk.Device, firstPage disk.PageNum, nu
 	return m, nil
 }
 
-// candidates returns the indexes of spaces worth visiting for a request
-// that needs a free block of blockPages, most promising first, and counts
-// superdirectory skips.  Caller holds the latch.
+// skipLocked reports whether the superdirectory rules space i out for a
+// request that needs a free block of blockPages.  Caller holds the latch.
 //
 // eos:requires m.mu
-func (m *Manager) candidatesLocked(blockPages int) []int {
-	idx := make([]int, 0, len(m.spaces))
-	for i := range m.spaces {
-		if m.useSuper && m.super[i] < blockPages {
-			m.stats.SpacesSkipped++
-			continue
-		}
-		idx = append(idx, i)
-	}
-	return idx
+func (m *Manager) skipLocked(i, blockPages int) bool {
+	return m.useSuper && int(m.super[i]) < blockPages
 }
 
 // noteVisitLocked records the corrected superdirectory entry after a space
@@ -113,24 +104,32 @@ func (m *Manager) candidatesLocked(blockPages int) []int {
 // eos:requires m.mu
 func (m *Manager) noteVisitLocked(i int) {
 	m.stats.SpacesVisited++
-	m.super[i] = m.spaces[i].LastMaxFree()
+	m.super[i] = int32(m.spaces[i].LastMaxFree())
 }
 
 // Alloc allocates n physically contiguous pages from some space and
-// returns the starting volume page.
+// returns the starting volume page.  It visits, in order, the spaces whose
+// superdirectory entry admits a block of ceil-pow2(n) pages.
 func (m *Manager) Alloc(n int) (disk.PageNum, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: allocation of %d pages", ErrBadRequest, n)
 	}
 	block := 1 << uint(ceilPow2Type(n))
 	m.mu.Lock()
-	cands := m.candidatesLocked(block)
-	// Snapshot: AddSpace may append (and reallocate) m.spaces while the
-	// per-space directory probes below run outside the latch.
-	spaces := append([]*Space(nil), m.spaces...)
-	m.mu.Unlock()
-	for _, i := range cands {
-		p, err := spaces[i].Alloc(n)
+	// m.spaces is append-only, so its header is a snapshot the directory
+	// probes below, made outside the latch, can index.
+	spaces := m.spaces
+	for i := range spaces {
+		if m.skipLocked(i, block) {
+			m.stats.SpacesSkipped++
+		}
+	}
+	for i, sp := range spaces {
+		if m.skipLocked(i, block) {
+			continue
+		}
+		m.mu.Unlock()
+		p, err := sp.Alloc(n)
 		m.mu.Lock()
 		m.noteVisitLocked(i)
 		if err == nil {
@@ -139,11 +138,12 @@ func (m *Manager) Alloc(n int) (disk.PageNum, error) {
 			return p, nil
 		}
 		m.stats.FailedAttempts++
-		m.mu.Unlock()
 		if !errors.Is(err, ErrNoSpace) {
+			m.mu.Unlock()
 			return 0, err
 		}
 	}
+	m.mu.Unlock()
 	return 0, ErrNoSpace
 }
 
@@ -156,36 +156,90 @@ func (m *Manager) AllocUpTo(n int) (disk.PageNum, int, error) {
 		return 0, 0, fmt.Errorf("%w: allocation of %d pages", ErrBadRequest, n)
 	}
 	m.mu.Lock()
-	order := make([]int, 0, len(m.spaces))
-	for i := range m.spaces {
-		order = append(order, i)
-	}
-	if m.useSuper {
-		// Visit larger superdirectory entries first.
-		for a := 1; a < len(order); a++ {
-			for b := a; b > 0 && m.super[order[b]] > m.super[order[b-1]]; b-- {
-				order[b], order[b-1] = order[b-1], order[b]
-			}
+	spaces := m.spaces // a snapshot, as in Alloc
+	// The visiting order is a stable sort of the spaces by descending
+	// entry, stepped through one space at a time.  The visited spaces'
+	// entries are corrected only once the walk ends, so that until then
+	// they are still the order's prefix up to the last one.
+	last, lastKey := -1, 0
+	var (
+		p   disk.PageNum
+		got int
+		err = ErrNoSpace
+	)
+	for {
+		i := m.nextInOrderLocked(len(spaces), last, lastKey)
+		if i < 0 {
+			break
 		}
-	}
-	spaces := append([]*Space(nil), m.spaces...)
-	m.mu.Unlock()
-	for _, i := range order {
-		p, got, err := spaces[i].AllocUpTo(n)
+		last, lastKey = i, m.orderKeyLocked(i)
+		m.mu.Unlock()
+		p, got, err = spaces[i].AllocUpTo(n)
 		m.mu.Lock()
-		m.noteVisitLocked(i)
 		if err == nil {
 			m.stats.Allocs++
-			m.mu.Unlock()
-			return p, got, nil
+			break
 		}
 		m.stats.FailedAttempts++
-		m.mu.Unlock()
 		if !errors.Is(err, ErrNoSpace) {
-			return 0, 0, err
+			break
 		}
 	}
-	return 0, 0, ErrNoSpace
+	m.noteOrderPrefixLocked(len(spaces), last, lastKey)
+	m.mu.Unlock()
+	return p, got, err
+}
+
+// orderKeyLocked is space i's key in AllocUpTo's order: its
+// superdirectory entry when the superdirectory is on, and the same for
+// every space when it is off (index order).
+//
+// eos:requires m.mu
+func (m *Manager) orderKeyLocked(i int) int {
+	if m.useSuper {
+		return int(m.super[i])
+	}
+	return 0
+}
+
+// inOrderPrefixLocked reports whether space i comes no later than space
+// last, of key lastKey, in AllocUpTo's order: a larger key, or the same
+// key at no higher index.
+//
+// eos:requires m.mu
+func (m *Manager) inOrderPrefixLocked(i, last, lastKey int) bool {
+	k := m.orderKeyLocked(i)
+	return last >= 0 && (k > lastKey || k == lastKey && i <= last)
+}
+
+// nextInOrderLocked returns the space after last in AllocUpTo's order
+// among the first n spaces, or -1 when there is none; last < 0 asks for
+// the first.
+//
+// eos:requires m.mu
+func (m *Manager) nextInOrderLocked(n, last, lastKey int) int {
+	next, nextKey := -1, 0
+	for i := 0; i < n; i++ {
+		if m.inOrderPrefixLocked(i, last, lastKey) {
+			continue
+		}
+		if k := m.orderKeyLocked(i); next < 0 || k > nextKey {
+			next, nextKey = i, k
+		}
+	}
+	return next
+}
+
+// noteOrderPrefixLocked notes the visits of AllocUpTo's order up to and
+// including space last.
+//
+// eos:requires m.mu
+func (m *Manager) noteOrderPrefixLocked(n, last, lastKey int) {
+	for i := 0; i < n; i++ {
+		if m.inOrderPrefixLocked(i, last, lastKey) {
+			m.noteVisitLocked(i)
+		}
+	}
 }
 
 // Free returns n pages starting at volume page p to the owning space.

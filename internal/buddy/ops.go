@@ -26,10 +26,12 @@ func (d dir) allocAny(n int) (int, error) {
 	}
 	// Re-encode the allocated prefix, then free the tail.  Prefix first,
 	// so tail coalescing observes allocated buddies.
-	for _, p := range alignedPieces(s, n, d.maxType()) {
+	for ps := alignedPieces(s, n, d.maxType()); ps.n > 0; {
+		p := ps.next()
 		d.markAlloc(p.start, p.typ)
 	}
-	for _, p := range alignedPieces(s+n, (1<<t)-n, d.maxType()) {
+	for ps := alignedPieces(s+n, (1<<t)-n, d.maxType()); ps.n > 0; {
+		p := ps.next()
 		d.freePow2(p.start, p.typ)
 	}
 	return s, nil
@@ -89,16 +91,19 @@ func (d dir) freeRange(start, n int) error {
 	// Re-encode kept parts before freeing so coalescing sees them as
 	// allocated.
 	if leftStart < start {
-		for _, p := range alignedPieces(leftStart, start-leftStart, d.maxType()) {
+		for ps := alignedPieces(leftStart, start-leftStart, d.maxType()); ps.n > 0; {
+			p := ps.next()
 			d.markAlloc(p.start, p.typ)
 		}
 	}
 	if rightEnd > start+n {
-		for _, p := range alignedPieces(start+n, rightEnd-(start+n), d.maxType()) {
+		for ps := alignedPieces(start+n, rightEnd-(start+n), d.maxType()); ps.n > 0; {
+			p := ps.next()
 			d.markAlloc(p.start, p.typ)
 		}
 	}
-	for _, p := range alignedPieces(start, n, d.maxType()) {
+	for ps := alignedPieces(start, n, d.maxType()); ps.n > 0; {
+		p := ps.next()
 		d.freePow2(p.start, p.typ)
 	}
 	return nil

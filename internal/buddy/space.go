@@ -12,17 +12,20 @@ import (
 // SpaceStats counts directory activity for one buddy space.  The paper's
 // performance claim (§3.3) is that every allocation and deallocation is
 // served by examining the directory page only; DirAccesses counts those
-// directory page fixes and Probes the segment probes of the skip-scan.
+// directory page fixes, Probes the segment probes of LocateFree's
+// reference skip-scan, and ScanProbes those of the scans allocations make.
 type SpaceStats struct {
 	DirAccesses int64 // directory page fixes
-	Probes      int64 // amap segment probes during locate scans
+	Probes      int64 // amap segment probes during LocateFree scans
+	ScanProbes  int64 // amap segment probes during allocation scans
 	Allocs      int64
 	Frees       int64
 }
 
 // Space is one buddy segment space: a directory page plus capacity
 // physically adjacent data pages on a volume.  All allocation state lives
-// in the directory page image; a Space holds only immutable geometry.
+// in the directory page image; a Space holds immutable geometry and, as
+// soft state, the hint its allocation scans start from (dirState).
 //
 // A Space serializes its operations internally and is safe for concurrent
 // use.
@@ -31,11 +34,37 @@ type Space struct {
 	pool     *buffer.Pool
 	dirPage  disk.PageNum
 	base     disk.PageNum // volume page of space-relative page 0
-	capacity int
-	maxType  int
+	capacity int32
+	maxType  int32
 
-	stats       SpaceStats
+	st          dirState     // eos:guardedby mu
 	lastMaxFree atomic.Int64 // pages; superdirectory feedback
+}
+
+// dirState is what a Space keeps beside its directory page: its activity
+// counters and the allocation scan's hint.
+type dirState struct {
+	stats SpaceStats
+	// low is the hint, in-memory soft state: low[t] is a lower bound on
+	// the start of every free segment of type t.  markFree lowers it, and
+	// a scan that finds the first free type-t segment raises it to that
+	// segment.  The directory page stays the truth — the hint only tells
+	// the skip-scan where it may start, and the scan from there finds the
+	// segment a scan from page 0 finds — so it is never written anywhere,
+	// and a Space built from its directory page starts it at 0: nil, every
+	// hint at page 0, until the first allocation scan.
+	low []int32
+}
+
+// newSpace is a Space over a directory with the given geometry.
+func newSpace(pool *buffer.Pool, dirPage, base disk.PageNum, capacity, maxType int) *Space {
+	return &Space{
+		pool:     pool,
+		dirPage:  dirPage,
+		base:     base,
+		capacity: int32(capacity),
+		maxType:  int32(maxType),
+	}
 }
 
 // FormatSpace initializes a new buddy space whose directory lives at
@@ -64,13 +93,7 @@ func FormatSpace(pool *buffer.Pool, dirPage, base disk.PageNum, capacity int, vo
 	if err := pool.MarkDirty(dirPage); err != nil {
 		return nil, err
 	}
-	s := &Space{
-		pool:     pool,
-		dirPage:  dirPage,
-		base:     base,
-		capacity: capacity,
-		maxType:  maxType,
-	}
+	s := newSpace(pool, dirPage, base, capacity, maxType)
 	s.lastMaxFree.Store(int64(1) << uint(maxType))
 	return s, nil
 }
@@ -82,17 +105,11 @@ func OpenSpace(pool *buffer.Pool, dirPage disk.PageNum) (*Space, error) {
 		return nil, err
 	}
 	defer pool.Unpin(dirPage)
-	d := dir{img}
+	d := dir{img: img}
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	s := &Space{
-		pool:     pool,
-		dirPage:  dirPage,
-		base:     disk.PageNum(d.base()),
-		capacity: d.capacity(),
-		maxType:  d.maxType(),
-	}
+	s := newSpace(pool, dirPage, disk.PageNum(d.base()), d.capacity(), d.maxType())
 	mf := d.maxFreeType()
 	if mf < 0 {
 		s.lastMaxFree.Store(0)
@@ -103,7 +120,7 @@ func OpenSpace(pool *buffer.Pool, dirPage disk.PageNum) (*Space, error) {
 }
 
 // Capacity reports the number of data pages the space controls.
-func (s *Space) Capacity() int { return s.capacity }
+func (s *Space) Capacity() int { return int(s.capacity) }
 
 // Base reports the volume page of space-relative page 0.
 func (s *Space) Base() disk.PageNum { return s.base }
@@ -129,7 +146,7 @@ func (s *Space) LastMaxFree() int { return int(s.lastMaxFree.Load()) }
 func (s *Space) Stats() SpaceStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	return s.st.stats
 }
 
 // withDir runs f with the directory page pinned — for writing if mutate
@@ -149,8 +166,8 @@ func (s *Space) withDir(mutate bool, f func(d dir) error) error {
 		return err
 	}
 	defer s.pool.Unpin(s.dirPage)
-	s.stats.DirAccesses++
-	d := dir{img}
+	s.st.stats.DirAccesses++
+	d := dir{img: img, st: &s.st}
 	ferr := f(d)
 	if mutate && ferr == nil {
 		if err := s.pool.MarkDirty(s.dirPage); err != nil {
@@ -181,7 +198,7 @@ func (s *Space) Alloc(n int) (disk.PageNum, error) {
 		return 0, err
 	}
 	s.mu.Lock()
-	s.stats.Allocs++
+	s.st.stats.Allocs++
 	s.mu.Unlock()
 	return s.base + disk.PageNum(start), nil
 }
@@ -199,7 +216,7 @@ func (s *Space) AllocUpTo(n int) (disk.PageNum, int, error) {
 		return 0, 0, err
 	}
 	s.mu.Lock()
-	s.stats.Allocs++
+	s.st.stats.Allocs++
 	s.mu.Unlock()
 	return s.base + disk.PageNum(start), got, nil
 }
@@ -217,7 +234,7 @@ func (s *Space) Free(p disk.PageNum, n int) error {
 		return err
 	}
 	s.mu.Lock()
-	s.stats.Frees++
+	s.st.stats.Frees++
 	s.mu.Unlock()
 	return nil
 }
@@ -236,7 +253,7 @@ func (s *Space) Reserve(p disk.PageNum, n int) error {
 		return err
 	}
 	s.mu.Lock()
-	s.stats.Allocs++
+	s.st.stats.Allocs++
 	s.mu.Unlock()
 	return nil
 }
@@ -245,7 +262,9 @@ func (s *Space) Reserve(p disk.PageNum, n int) error {
 // 2^t pages without allocating it, returning the volume page where it
 // starts and the number of segment probes the scan performed.  The probe
 // count is what the allocation-map experiment reports: locating a free
-// segment does not require checking every byte of the map.
+// segment does not require checking every byte of the map.  It is the
+// reference scan: it starts at page 0 and ignores the hint allocations
+// start from, and it finds the segment they would.
 func (s *Space) LocateFree(t int) (disk.PageNum, int, error) {
 	var page int
 	var probes int
@@ -264,7 +283,7 @@ func (s *Space) LocateFree(t int) (disk.PageNum, int, error) {
 		return 0, probes, err
 	}
 	s.mu.Lock()
-	s.stats.Probes += int64(probes)
+	s.st.stats.Probes += int64(probes)
 	s.mu.Unlock()
 	return s.base + disk.PageNum(page), probes, nil
 }

@@ -790,6 +790,49 @@ func TestDescriptorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublishedDescriptorIsFrozen captures a descriptor at a publish and
+// encodes it only after the root changed in place: the bytes are the
+// encoding of the published state, and so are those of an encoded capture.
+func TestPublishedDescriptorIsFrozen(t *testing.T) {
+	e := newEnv(t, 100, 4, 256, Config{Threshold: 2})
+	o := e.m.NewObject(0)
+	for k := 0; k < 8; k++ {
+		if err := o.AppendWithHint(pattern(40+k, 300), 300); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A plain append leaves the tail open: the next one grows the root's
+	// last entry in place.
+	if err := o.Append(pattern(49, 50)); err != nil {
+		t.Fatal(err)
+	}
+	want := o.EncodeDescriptor()
+	published, captured := o.PublishDescriptor(2), o.Capture()
+	if err := o.Append(pattern(51, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Insert(450, pattern(50, 700)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Delete(0, 120); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(o.EncodeDescriptor(), want) {
+		t.Fatal("the edits left the descriptor as it was")
+	}
+	for name, d := range map[string]*Descriptor{"published": published, "captured": captured} {
+		if d.Size() != len(want) {
+			t.Errorf("%s: Size %d before encoding, want %d", name, d.Size(), len(want))
+		}
+		if got := d.Bytes(); !bytes.Equal(got, want) || !bytes.Equal(d.Bytes(), want) {
+			t.Errorf("%s: the bytes are not the encoding of the state it captured", name)
+		}
+	}
+	if d := EncodedDescriptor(want); d.Size() != len(want) || !bytes.Equal(d.Bytes(), want) {
+		t.Error("an encoded descriptor does not keep its bytes")
+	}
+}
+
 func TestDeepTreeGrowsAndShrinks(t *testing.T) {
 	// PS=100 gives fanout 5, so a few hundred segments force a 3+ level
 	// tree; deleting everything must collapse it back.

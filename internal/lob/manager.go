@@ -542,9 +542,22 @@ const (
 	descHeaderSize = 40
 )
 
-// EncodeDescriptor serializes an object's root and growth state.
-func (o *Object) EncodeDescriptor() []byte {
-	buf := make([]byte, o.DescriptorSize())
+// Descriptor is an object's descriptor as captured at one moment — a
+// commit point.  The header is encoded at the capture; the root's entries
+// may follow only when the bytes are first asked for, from the immutable
+// copy Publish made for the version it published, so that capturing the
+// published state makes no encoding pass over the root.  A descriptor
+// that arrived as bytes keeps them.
+type Descriptor struct {
+	enc []byte       // the encoding; its capacity is the whole encoding's length
+	v   *RootVersion // the version whose entries enc still lacks; nil once it has them
+}
+
+// descriptorHeader returns a buffer of room for o's descriptor with n
+// entries, the header written: its length is the header's, its capacity
+// the whole descriptor's.
+func (o *Object) descriptorHeader(n int) []byte {
+	buf := make([]byte, descHeaderSize, descHeaderSize+n*EntrySize)
 	binary.BigEndian.PutUint32(buf[0:], descMagic)
 	buf[4] = 1 // version
 	buf[5] = uint8(o.root.level)
@@ -553,13 +566,51 @@ func (o *Object) EncodeDescriptor() []byte {
 	binary.BigEndian.PutUint64(buf[16:], uint64(o.tailStart))
 	binary.BigEndian.PutUint32(buf[24:], uint32(o.tailAlloc))
 	binary.BigEndian.PutUint64(buf[28:], o.lsn.Load())
-	binary.BigEndian.PutUint32(buf[36:], uint32(len(o.root.entries)))
-	if err := putEntries(buf[descHeaderSize:], o.root.entries); err != nil {
+	binary.BigEndian.PutUint32(buf[36:], uint32(n))
+	return buf
+}
+
+// withEntries completes a descriptorHeader buffer with es.
+func withEntries(buf []byte, es []entry) []byte {
+	buf = buf[:cap(buf)]
+	if err := putEntries(buf[descHeaderSize:], es); err != nil {
 		// NewManager refused every volume with a page or a byte count
 		// an entry cannot hold, so only a bug gets here.
 		panic(err)
 	}
 	return buf
+}
+
+// EncodeDescriptor serializes an object's root and growth state.
+func (o *Object) EncodeDescriptor() []byte {
+	return withEntries(o.descriptorHeader(len(o.root.entries)), o.root.entries)
+}
+
+// Capture returns o's descriptor as it is now, encoded.
+func (o *Object) Capture() *Descriptor { return &Descriptor{enc: o.EncodeDescriptor()} }
+
+// PublishDescriptor is Publish that also returns the descriptor of the
+// state it published, whose entries are encoded from the version's copy
+// of them when Bytes first asks.
+func (o *Object) PublishDescriptor(keep int) *Descriptor {
+	v := o.publish(keep)
+	return &Descriptor{enc: o.descriptorHeader(len(v.root.entries)), v: v}
+}
+
+// EncodedDescriptor is a Descriptor of the bytes b, which it keeps.
+func EncodedDescriptor(b []byte) *Descriptor { return &Descriptor{enc: b[:len(b):len(b)]} }
+
+// Size is the length of the descriptor's encoding.  It encodes nothing.
+func (d *Descriptor) Size() int { return cap(d.enc) }
+
+// Bytes returns the descriptor's encoding, completed at the first call.
+// The caller serializes the calls on one Descriptor, and with Size; the
+// bytes are never modified.
+func (d *Descriptor) Bytes() []byte {
+	if d.v != nil {
+		d.enc, d.v = withEntries(d.enc, d.v.root.entries), nil
+	}
+	return d.enc
 }
 
 // DescriptorSize is the length of the descriptor EncodeDescriptor returns.

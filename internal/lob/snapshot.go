@@ -40,7 +40,10 @@ type RootVersion struct {
 // same exclusion it holds for reading the root (the object latch or a
 // committed transaction's exclusive lock), and must call Publish
 // BEFORE the pages the superseded version referenced can be freed.
-func (o *Object) Publish(keep int) {
+func (o *Object) Publish(keep int) { o.publish(keep) }
+
+// publish is Publish, returning the version it installed.
+func (o *Object) publish(keep int) *RootVersion {
 	v := &RootVersion{
 		m:    o.m,
 		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
@@ -57,6 +60,7 @@ func (o *Object) Publish(keep int) {
 		cut.prev = nil
 	}
 	o.published.Store(v)
+	return v
 }
 
 // Published returns the newest published version, or nil if the object

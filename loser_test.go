@@ -275,9 +275,9 @@ func TestAbortThenCommitOfTheSameBytesSurvivesACrash(t *testing.T) {
 func expectHomeBytes(t *testing.T, s *Store, name string, want []byte) {
 	t.Helper()
 	s.mu.Lock()
-	e := s.catalog[name]
+	desc := s.catalog[name].loadStableDesc()
 	s.mu.Unlock()
-	if got := homeBytes(t, s, e.loadStableDesc()); !bytes.Equal(got, want) {
+	if got := homeBytes(t, s, desc); !bytes.Equal(got, want) {
 		t.Fatalf("the data volume's pages of %q do not hold its committed bytes", name)
 	}
 }

@@ -200,7 +200,7 @@ func (s *Store) recover(m master) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.byID {
-		s.measure(e, len(e.loadStableDesc()))
+		s.measure(e, e.stableSize())
 	}
 	s.log.Reserve(s.catBytes)
 	return nil
@@ -216,7 +216,7 @@ func (s *Store) closeRedo(rm *lob.Manager, ra *redoAlloc, before map[*catEntry][
 		// No root has named the room (lob.Object.Trim).
 		e.latch.Lock()
 		err := e.obj.Trim()
-		e.setStableDesc(e.obj.EncodeDescriptor())
+		e.setStableDesc(e.obj.Capture())
 		e.latch.Unlock()
 		if err != nil {
 			return err
@@ -313,7 +313,7 @@ func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bo
 		}
 		s.mu.Unlock()
 		e.obj.SetLSN(r.LSN)
-		e.setStableDesc(e.obj.EncodeDescriptor())
+		e.setStableDesc(e.obj.Capture())
 		return true, nil
 	case wal.RecDestroy:
 		if e == nil {
@@ -352,7 +352,7 @@ func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bo
 		// ends recovery persists stableDesc, so it must carry the
 		// post-redo root or the redone update would be lost when the
 		// log truncates.
-		e.setStableDesc(e.obj.EncodeDescriptor())
+		e.setStableDesc(e.obj.Capture())
 		return true, nil
 	}
 	return false, nil // control records
@@ -477,7 +477,7 @@ func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageR
 			return nil, err
 		}
 		e.obj = obj
-		e.setStableDesc(desc)
+		e.setStableDesc(lob.EncodedDescriptor(desc))
 		runs, err := obj.ReachablePages()
 		if err != nil {
 			return nil, err

@@ -683,7 +683,10 @@ func TestNonTransactionalWritersRefuseATransactionsObject(t *testing.T) {
 	if !bytes.Equal(seen, committed) {
 		t.Fatalf("a snapshot sees %d bytes, want the committed %d", len(seen), len(committed))
 	}
-	if !bytes.Equal(x.e.loadStableDesc(), desc) {
+	s.mu.Lock()
+	stable := x.e.loadStableDesc()
+	s.mu.Unlock()
+	if !bytes.Equal(stable, desc) {
 		t.Fatal("the catalog's descriptor is no longer the committed one")
 	}
 	if err := tx.Abort(); err != nil {

@@ -550,7 +550,7 @@ func (t *Txn) commitLog() error {
 	t.s.stallEnd(stalled)
 	for _, to := range t.touched {
 		e := to.entry
-		t.s.measure(e, max(len(e.loadStableDesc()), e.obj.DescriptorSize()))
+		t.s.measure(e, max(e.stableSize(), e.obj.DescriptorSize()))
 	}
 	t.s.mu.Unlock()
 	// A transaction that logged no operation has nothing to make durable,
@@ -597,11 +597,11 @@ func (t *Txn) commitLog() error {
 		// held a root that references it.  No non-transactional writer can
 		// change the root under this read: the object is still bound to
 		// the transaction's manager.
-		e.setStableDesc(e.obj.EncodeDescriptor())
+		e.setStableDesc(e.obj.Capture())
 		if t.s.catalog[e.name] != e {
 			delete(t.s.byID, e.id) // destroyed by this transaction
 		}
-		t.s.measure(e, len(e.loadStableDesc()))
+		t.s.measure(e, e.stableSize())
 	}
 	// Leave liveTxns in the SAME critical section that refreshes
 	// stableDesc.  A checkpoint captures the descriptors and the live
@@ -708,7 +708,7 @@ func (t *Txn) Abort() error {
 		} else {
 			t.s.catalog[e.name] = e // back if the transaction destroyed it
 		}
-		t.s.measure(e, len(e.loadStableDesc()))
+		t.s.measure(e, e.stableSize())
 	}
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
