@@ -137,8 +137,8 @@ func TestAllocsPerOp(t *testing.T) {
 		}},
 		// An insert writes a new segment of at least T = 8 pages, built in
 		// memory the manager reuses: it allocates less than that image.
-		{"sim/insert 4KB", 9, true, 8 * ps, func(t *testing.T) func() { return edit(t, true) }},
-		{"sim/delete 4KB", 9, true, 0, func(t *testing.T) func() { return edit(t, false) }},
+		{"sim/insert 4KB", 7, true, 8 * ps, func(t *testing.T) func() { return edit(t, true) }},
+		{"sim/delete 4KB", 7, true, 0, func(t *testing.T) func() { return edit(t, false) }},
 		{"file/WriteRun", 1, false, 0, func(t *testing.T) func() {
 			v := fileVolume(t)
 			return func() {

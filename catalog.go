@@ -42,8 +42,8 @@ import (
 // then the master copy and its force, and only then the truncation of the
 // log in front of the new start.  A torn image is never named; a torn
 // master copy fails its CRC and recovery loads the other, whose image and
-// records the log still holds and whose pages the durability quarantine
-// keeps intact.
+// records the log still holds and whose pages the reclamation queue keeps
+// intact.
 //
 // Master copy layout: magic u32, version u8, 3 reserved bytes, seq u64,
 // spaces u32, space capacity u32, nextID u64, start LSN u64, image LSN

@@ -503,3 +503,73 @@ func TestCheckpointKeepsShadowedIndexPages(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseWaitsForARequestedCheckpoint: an allocation the free space
+// cannot serve while freed runs wait for a checkpoint requests one on a
+// goroutine of its own (Store.requestBarrier).  Close must not return
+// while that checkpoint is still to run: it would run on the closed store,
+// or on volumes the caller is reopening.  Here Close is already waiting to
+// run its own checkpoint when the request comes, so it takes the store
+// first.
+func TestCloseWaitsForARequestedCheckpoint(t *testing.T) {
+	s, err := Format(newTestDevice(t, 512, 1024), newTestDevice(t, 512, 1024), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := s.Create("big", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := s.Create("gone", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gone.Append(pat(1, 300*512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Append(pat(2, (freePages(t, s)-64)*512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Destroy("gone"); err != nil { // its pages wait for a checkpoint
+		t.Fatal(err)
+	}
+	more := pat(3, (freePages(t, s)+100)*512)
+
+	s.ckptMu.Lock() // no checkpoint runs until the request is made
+	type closeResult struct {
+		err          error
+		requested    bool  // a requested checkpoint was still to end when Close returned
+		masterWrites int64 // the master copies written by then
+	}
+	closed := make(chan closeResult, 1)
+	go func() {
+		err := s.Close()
+		closed <- closeResult{err, s.barrierReq.Load(), s.Stats().Barrier.MasterWrites}
+	}()
+	time.Sleep(20 * time.Millisecond) // Close waits for ckptMu
+	appended := make(chan error, 1)
+	go func() { appended <- big.Append(more) }()
+	for deadline := time.Now().Add(5 * time.Second); !s.barrierReq.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.ckptMu.Unlock()
+			t.Fatal("the stalled append requested no checkpoint")
+		}
+	}
+	s.ckptMu.Unlock()
+	res := <-closed
+	if err := <-appended; err != nil {
+		t.Errorf("the stalled append: %v", err)
+	}
+	for s.barrierReq.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.requested {
+		t.Fatal("Close returned while the checkpoint an allocation requested was still to end")
+	}
+	if got := s.Stats().Barrier.MasterWrites; got != res.masterWrites {
+		t.Fatalf("%d master copies written after Close returned", got-res.masterWrites)
+	}
+}

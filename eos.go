@@ -166,11 +166,11 @@ type catEntry struct {
 	// commit, and abort — and encoded later, when a checkpoint's image
 	// needs the bytes (lob.Descriptor): the capture, not the encoding,
 	// fixes the state.  Not lazily at catalog-write time: the
-	// durability quarantine reasons that any catalog barrier started
-	// after a run is quarantined persists roots that exclude the run,
+	// reclamation queue's barrier gate reasons that any checkpoint begun
+	// after a freed run matured persists roots that exclude the run,
 	// and catalog writes must be able to proceed while an object's
 	// latch is held (a writer stalled in allocation backpressure holds
-	// its latch while WAITING for a barrier to release quarantined
+	// its latch while WAITING for a checkpoint to release freed
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
 	// read in imageLocked safe, and Store.mu serializes the encoding.
@@ -258,11 +258,9 @@ type Store struct {
 	// capture and its completion (Checkpoint).
 	ckptMu sync.Mutex
 
-	// barrierStarted counts checkpoints begun; barrierDurable is the index
-	// of the last one whose master copy is forced.  Checkpoints are
-	// serialized by ckptMu, but releaseRuns stamps quarantine entries
-	// without holding it, hence atomics.
-	barrierStarted atomic.Uint64
+	// barrierDurable is the number of the last checkpoint whose master
+	// copy is forced (the epoch manager numbers them, StartBarrier): the
+	// reclamation queue releases the freed runs stamped before it.
 	barrierDurable atomic.Uint64
 
 	// Checkpoint timing (see BarrierStats): ckptHolds is set while a
@@ -275,8 +273,9 @@ type Store struct {
 
 	// barrierReq is set while a backpressure-requested checkpoint (see
 	// requestBarrier) is in flight, so concurrent stalled allocators
-	// spawn at most one.
+	// spawn at most one; Close waits for it on requested.
 	barrierReq atomic.Bool
+	requested  sync.WaitGroup
 
 	// Barrier cost counters (see BarrierStats).
 	imageBytes   atomic.Int64
@@ -289,36 +288,6 @@ type Store struct {
 	// Deferred-replace counters (see Stats).
 	deferredReplaces  atomic.Int64
 	replaceReadsSaved atomic.Int64
-
-	// quarMu guards quar, the durability quarantine (never acquired while
-	// holding another store lock's critical section beyond s.mu; a run
-	// leaves quar only once it is back in the buddy system, which
-	// releaseQuarantined does under it).  Runs whose reader grace period has expired wait
-	// here, still absent from the buddy directories, until a catalog
-	// barrier that STARTED after they arrived completes — only then is
-	// every root the durable catalog can resolve to (the image the newest
-	// intact master copy names; a torn successor falls back no further than
-	// the last completed barrier) guaranteed not to reference them, and only
-	// then do they return to the free space.  Without this gate a freed
-	// page could be reallocated and overwritten while the on-disk
-	// catalog still referenced its old contents — recovery would then
-	// rebuild objects from garbage.
-	quarMu sync.Mutex
-	quar   []quarRun // eos:guardedby quarMu
-	// flushing is set from a checkpoint's capture until its pool flush
-	// ends.  The index pages of the roots it captured may be in the pool
-	// alone, as dirty frames, and a commit meanwhile can release them: the
-	// runs releaseRuns frees go to held instead of losing their frames, and
-	// the checkpoint discards them once it has flushed (endFlush).
-	flushing bool      // eos:guardedby quarMu
-	held     []txn.Run // eos:guardedby quarMu
-}
-
-// quarRun is one quarantined run: stamp is the barrierStarted value at
-// arrival, so the run is releasable once barrierDurable > stamp.
-type quarRun struct {
-	run   txn.Run
-	stamp uint64
 }
 
 // Format initializes a fresh store on vol, logging to logVol.  Either
@@ -382,7 +351,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 		unlogged: make(map[*catEntry]bool),
 		catBytes: catCount,
 	}
-	s.epochs = txn.NewEpochManager(s.releaseRuns)
+	s.epochs = txn.NewEpochManager(pool)
 	// Admission control: throttle mutators once a quarter of the volume
 	// sits retired awaiting reader grace periods.  Shadowing retires far
 	// more pages than stay live (every update supersedes whole runs), so
@@ -436,17 +405,9 @@ func (a *epochAlloc) Alloc(n int) (disk.PageNum, error) {
 	var w spaceWaiter
 	for {
 		p, err := a.s.buddy.Alloc(n)
-		if err != nil {
-			retry, rerr := w.wait(a.s, err)
-			if rerr != nil {
-				return 0, rerr
-			}
-			if retry {
-				continue
-			}
-			return 0, err
+		if err == nil || !w.wait(a.s, err) {
+			return p, err
 		}
-		return p, nil
 	}
 }
 
@@ -454,93 +415,85 @@ func (a *epochAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
 	var w spaceWaiter
 	for {
 		p, got, err := a.s.buddy.AllocUpTo(n)
-		if err != nil {
-			retry, rerr := w.wait(a.s, err)
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			if retry {
-				continue
-			}
-			return 0, 0, err
+		if err == nil || !w.wait(a.s, err) {
+			return p, got, err
 		}
-		return p, got, nil
 	}
 }
 
-// Allocation backpressure bounds.  A retired run matures one full
-// reader grace period after the superseding publish, so when snapshot
-// scans overlap a write storm the steady-state backlog is roughly
-// retire-rate × scan-duration — on a small volume that can transiently
-// exceed the free space even though almost none of it is live data.
-// A failed allocation therefore waits out up to one grace period,
-// reclaiming as pins rotate, before reporting out-of-space.
-const (
-	allocBackpressureWait = 2 * time.Second
-	allocBackpressurePoll = 2 * time.Millisecond
-)
+// allocBackpressureWait bounds a failed allocation's wait.  A retired
+// run matures one full reader grace period after the superseding
+// publish, so when snapshot scans overlap a write storm the steady-state
+// backlog is roughly retire-rate × scan-duration — on a small volume that
+// can transiently exceed the free space even though almost none of it is
+// live data.  A failed allocation therefore waits out up to one grace
+// period, reclaiming as pins rotate, before reporting out-of-space.
+const allocBackpressureWait = 2 * time.Second
 
 // spaceWaiter paces allocation retries under space pressure: wait
-// reports whether the failed allocation should be retried after a
-// reclamation pass.  The first failure reclaims and retries at once
-// (the single-shot fast path); later rounds poll until nothing is
-// left pending or the deadline passes.  Waiting here is safe
-// mid-mutation: Reclaim never blocks (the caller's own scope just
-// caps the epoch advance one past its begin), and snapshot readers
-// take no latches, so the pins being waited out always drain — but
-// see EpochManager.Admit for why this path is the last resort.
+// reports whether the failed allocation should be retried.  The first
+// failure reclaims and retries at once (the single-shot fast path);
+// later rounds wait for the reclamation queue to advance until nothing
+// is left in it or the deadline passes.  Waiting here is safe
+// mid-mutation: Reclaim never blocks (the caller's own scope just caps
+// the epoch advance one past its begin), and snapshot readers take no
+// latches, so the pins being waited out always drain — but see
+// EpochManager.Admit for why this path is the last resort.
 type spaceWaiter struct {
 	deadline time.Time
-	// drained: nothing was left to reclaim before the last retry.  Only a
-	// retry that failed after that is final — a checkpoint running
+	// drained: nothing was left in the queue before the last retry.  Only
+	// a retry that failed after that is final — a checkpoint running
 	// concurrently may have given the pages back since the one before.
 	drained bool
+	seen    uint64 // the queue's advances before the last retry
 }
 
-func (w *spaceWaiter) wait(s *Store, err error) (bool, error) {
+func (w *spaceWaiter) wait(s *Store, err error) bool {
 	if !errors.Is(err, buddy.ErrNoSpace) {
-		return false, nil
+		return false
 	}
-	drained := s.epochs.PendingPages() == 0 && s.quarantinedPages() == 0
+	drained := s.epochs.WaitingPages() == 0
 	switch {
 	case w.deadline.IsZero():
 		w.deadline = time.Now().Add(allocBackpressureWait)
 	case time.Now().After(w.deadline), w.drained:
-		return false, nil
+		return false
 	case !drained:
-		time.Sleep(allocBackpressurePoll)
+		s.epochs.Wait(w.seen, w.deadline)
 	}
 	w.drained = drained
-	if rerr := s.epochs.Reclaim(); rerr != nil {
-		return true, rerr
-	}
-	// Reclaimed runs land in the durability quarantine, not the free
-	// space, and only a completed checkpoint lets them out.  Commits and
-	// aborts are no barriers: with no checkpoint running, none would ever
-	// come — and this caller cannot run one itself (it holds its object's
-	// latch, and checkpoints take s.mu, which ranks before latches) — so
-	// request one from a clean stack and keep polling.
-	if s.quarantinedPages() > 0 {
+	s.epochs.Reclaim()
+	// Matured runs wait for a checkpoint, and only a completed one lets
+	// them into the free space.  Commits and aborts are no barriers: with
+	// no checkpoint running, none would ever come — and this caller cannot
+	// run one itself (it holds its object's latch, and checkpoints take
+	// s.mu, which ranks before latches) — so request one from a clean
+	// stack and wait for the queue to release.
+	if s.epochs.WaitingPages() > s.epochs.PendingPages() {
 		s.requestBarrier()
 	}
-	return true, s.releaseQuarantined()
+	w.seen = s.epochs.Seq()
+	return true
 }
 
 // requestBarrier runs a checkpoint on a fresh goroutine so that a
 // caller holding an object latch (allocation backpressure fires
 // mid-operation) can get a catalog barrier — and with it the release of
-// quarantined free space — without acquiring s.mu out of rank order; a
-// checkpoint is the only catalog barrier there is.
+// the freed runs that wait for one — without acquiring s.mu out of rank
+// order; a checkpoint is the only catalog barrier there is.
 // imageLocked reads committed descriptors latch-free (see
 // catEntry.stableDesc), so the checkpoint cannot block on the stalled
-// operation's latch.  At most one request runs at a time; the error is
-// dropped because the requester retries its allocation regardless and
-// reports its own failure.
+// operation's latch.  At most one request runs at a time, and Close waits
+// for it; the error is dropped because the requester retries its
+// allocation regardless and reports its own failure.
 func (s *Store) requestBarrier() {
+	s.requested.Add(1) // before the flag: whoever sees it set, sees the count
 	if !s.barrierReq.CompareAndSwap(false, true) {
+		s.requested.Done()
 		return
 	}
 	go func() {
+		defer s.requested.Done()
 		defer s.barrierReq.Store(false)
 		_ = s.Checkpoint()
 	}()
@@ -551,95 +504,32 @@ func (a *epochAlloc) Free(p disk.PageNum, n int) error {
 	return nil
 }
 
-// FreeUnpublished skips both waits Free imposes.  The reader grace period
-// and the durability quarantine each protect someone who can still reach
-// the pages through a root — a snapshot, or recovery through the durable
-// catalog — and these were never in one (a catalog load forgets untrimmed
-// tails, see loadCatalog), so they return to the buddy system now.
+// FreeUnpublished skips the reclamation queue.  Its reader grace period
+// and its barrier gate each protect someone who can still reach the pages
+// through a root — a snapshot, or recovery through the durable catalog —
+// and these were never in one (a catalog load forgets untrimmed tails, see
+// loadCatalog), so they return to the buddy system now.
 func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	return a.s.buddy.FreeUnpublished(p, n)
 }
 
-// releaseRuns is the epoch manager's free routine: retired runs whose
-// grace period has passed are dropped from the buffer pool (their
-// frames may hold never-flushed images of superseded index nodes —
-// garbage now) and moved into the durability quarantine.  They do NOT
-// return to the buddy system yet: the on-disk catalog may still hold a
-// root that references them (a checkpointed pre-update descriptor),
-// and recovery's redo splices logged operations into the trees those
-// roots describe, keeping their pages.  Reusing such a page before a
-// catalog barrier has durably superseded every such root would let a
-// crash rebuild committed objects from whatever the new owner wrote
-// over it.
-func (s *Store) releaseRuns(runs []txn.Run) error {
-	// A running checkpoint's image may name the runs, and its pool flush
-	// must find their frames; it discards them itself (endFlush).  Either
-	// way the frames are gone before the runs can leave the quarantine.
-	s.quarMu.Lock()
-	held := s.flushing
-	if held {
-		s.held = append(s.held, runs...)
-	}
-	s.quarMu.Unlock()
-	if !held {
-		s.discardRuns(runs)
-	}
-	// Stamp with the latest barrier already begun: its catalog image may
-	// predate the roots that stopped referencing these runs, so only a
-	// LATER barrier's completion proves the durable catalog is clear of
-	// them.
-	stamp := s.barrierStarted.Load()
-	s.quarMu.Lock()
-	for _, r := range runs {
-		s.quar = append(s.quar, quarRun{run: r, stamp: stamp})
-	}
-	s.quarMu.Unlock()
-	return nil
-}
-
-// discardRuns drops the runs' pages from the buffer pool unwritten.
-func (s *Store) discardRuns(runs []txn.Run) {
-	for _, r := range runs {
-		for i := 0; i < r.Pages; i++ {
-			s.pool.Discard(r.Start + disk.PageNum(i))
-		}
-	}
-}
-
-// releaseQuarantined returns to the buddy system every quarantined run
-// whose stamp precedes the last completed checkpoint.  Every commit point
-// (non-transactional publish, transaction commit and abort) refreshes
-// stableDesc, so any checkpoint started after a run entered quarantine
-// wrote roots that exclude it; once that checkpoint's master copy is
-// durable, no image recovery can load still references the run (a torn
-// later copy falls back exactly one checkpoint, never further).
-func (s *Store) releaseQuarantined() error {
+// releaseDurable returns to the buddy system the head of the reclamation
+// queue: the runs stamped before the last completed checkpoint.  That
+// checkpoint began after they matured, so it wrote roots that exclude them
+// (every commit point refreshes stableDesc first), and no image recovery
+// can load names them any more: a torn later master copy falls back one
+// checkpoint, never further.  Only the checkpoint calls it, under ckptMu.
+func (s *Store) releaseDurable() error {
 	durable := s.barrierDurable.Load()
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	keep := s.quar[:0]
-	var err error
-	for _, q := range s.quar {
-		if err == nil && q.stamp < durable {
-			if err = s.buddy.Free(q.run.Start, q.run.Pages); err == nil {
-				continue
-			}
+	runs := s.epochs.Releasable(durable)
+	for i, r := range runs {
+		if err := s.buddy.Free(r.Start, r.Pages); err != nil {
+			s.epochs.Released(i) // the rest stay queued rather than leak
+			return err
 		}
-		keep = append(keep, q) // not releasable yet, or kept rather than leaked
 	}
-	s.quar = keep
-	return err
-}
-
-// quarantinedPages counts pages awaiting their release barrier.
-func (s *Store) quarantinedPages() int {
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	n := 0
-	for _, q := range s.quar {
-		n += q.run.Pages
-	}
-	return n
+	s.epochs.Released(len(runs))
+	return nil
 }
 
 // PageSize reports the data volume's page size.
@@ -650,9 +540,6 @@ func (s *Store) Volume() disk.Device { return s.vol }
 
 // BuddyManager exposes the space manager (for statistics and fsck).
 func (s *Store) BuddyManager() *buddy.Manager { return s.buddy }
-
-// LOBStats returns the large object manager's activity counters.
-func (s *Store) LOBStats() lob.Stats { return s.lm.Stats() }
 
 // Open loads an existing store and performs crash recovery: the log is
 // scanned, committed operations whose effects were lost are redone
@@ -718,6 +605,8 @@ func (s *Store) Close() error {
 	if err := s.Checkpoint(); err != nil {
 		return err
 	}
+	// A checkpoint a stalled allocation requested may still be running.
+	s.requested.Wait()
 	if s.ownsVols {
 		if err := s.vol.Close(); err != nil {
 			return err
@@ -832,9 +721,7 @@ func (s *Store) Checkpoint() error {
 	// than draining them: the pages a pinned root references are unreachable
 	// from the catalog, so a crash reclaims them at recovery, and a clean
 	// continuation frees them when the last reader exits.
-	if err := s.epochs.Reclaim(); err != nil {
-		return err
-	}
+	s.epochs.Reclaim()
 	s.mu.Lock()
 	held := s.holdForCheckpoint()
 	ck := s.captureLocked()
@@ -855,7 +742,7 @@ func (s *Store) Checkpoint() error {
 // capture is what a checkpoint takes in one critical section under s.mu,
 // which no commitLog hand-off of roots can split, and completes from.
 type capture struct {
-	barrier uint64 // the barrier this checkpoint is (barrierStarted)
+	barrier uint64 // the barrier this checkpoint is (EpochManager.StartBarrier)
 	image   []byte // the catalog image: the descriptors committed at the capture
 	nextID  uint64
 	// start is where recovery's scan starts: the log's tail at the capture,
@@ -873,13 +760,10 @@ type capture struct {
 //
 // eos:requires s.mu
 func (s *Store) captureLocked() *capture {
-	// The barrier starts before the descriptors are read: frees that enter
-	// the quarantine from now on wait for the next checkpoint.
-	ck := &capture{barrier: s.barrierStarted.Add(1), nextID: s.nextID, start: s.log.Tail() + 1, unlogged: s.unlogged}
-	// So do the frames of pages the descriptors name, until the pool flush.
-	s.quarMu.Lock()
-	s.flushing = true
-	s.quarMu.Unlock()
+	// The barrier starts before the descriptors are read: freed runs that
+	// mature from now on wait for the next checkpoint, and their frames for
+	// this one's pool flush — the descriptors may name them.
+	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Tail() + 1, unlogged: s.unlogged}
 	for _, t := range s.liveTxns {
 		ck.start = min(ck.start, t.firstLSN)
 	}
@@ -911,22 +795,15 @@ func (s *Store) writeCaptured(ck *capture) error {
 	if err == nil {
 		err = s.pool.FlushAll()
 	}
-	s.endFlush()
+	// The frames of the runs that matured since the capture can go: the
+	// pool flush has written them, or it failed, and recovery starts from
+	// the previous master copy, whose pages the checkpoint that wrote it
+	// flushed.
+	s.epochs.EndFlush(ck.barrier)
 	if err != nil {
 		return err
 	}
 	return s.vol.ForceAll()
-}
-
-// endFlush discards the frames of the runs released since the capture.  The
-// pool flush has written them, or it failed, and recovery starts from the
-// previous master copy, whose pages the checkpoint that wrote it flushed.
-func (s *Store) endFlush() {
-	s.quarMu.Lock()
-	held := s.held
-	s.flushing, s.held = false, nil
-	s.quarMu.Unlock()
-	s.discardRuns(held)
 }
 
 // completeLocked ends a checkpoint whose captured pages are durable.
@@ -963,9 +840,9 @@ func (s *Store) completeLocked(ck *capture) error {
 	s.capturing = nil
 	// Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
-	// it reach the quarantined pages.
+	// it reach the freed runs stamped before this checkpoint.
 	s.log.Truncate(ck.start)
-	return s.releaseQuarantined()
+	return s.releaseDurable()
 }
 
 // abandonLocked gives a failed checkpoint's unlogged marks back — no image
@@ -1072,9 +949,7 @@ func (s *Store) Destroy(name string) error {
 	if logged, err := s.destroyLogged(name); logged {
 		return err
 	}
-	if err := s.epochs.Admit(); err != nil {
-		return err
-	}
+	s.epochs.Admit()
 	s.mu.Lock()
 	e, ok := s.catalog[name]
 	if !ok {
@@ -1100,7 +975,8 @@ func (s *Store) Destroy(name string) error {
 	delete(s.unlogged, e)
 	s.measure(e, 0)
 	s.mu.Unlock()
-	return s.epochs.Reclaim()
+	s.epochs.Reclaim()
+	return nil
 }
 
 // destroyLogged destroys name in a transaction of its own if a transaction
@@ -1186,9 +1062,9 @@ type SnapshotStats struct {
 	// RetiredPages counts pages ever retired into an epoch instead of
 	// being freed directly.
 	RetiredPages uint64
-	// PendingPages is the number of retired pages currently awaiting
-	// reclamation (held back by open snapshots or a not-yet-advanced
-	// epoch).
+	// PendingPages is the number of retired pages whose reader grace
+	// period has not ended (held back by open snapshots or a
+	// not-yet-advanced epoch).
 	PendingPages int64
 	// OpenSnapshots is the number of epoch pins currently held.
 	OpenSnapshots int
@@ -1327,10 +1203,11 @@ func (s *Store) Check() error {
 }
 
 // CheckNoLeaks verifies page accounting at quiescence: every data page
-// is free, reachable from some object descriptor, or retired into an
-// epoch awaiting reclamation (pages a pinned snapshot root may still
-// reference).  It is not meaningful while transactions are in flight
-// (deferred frees hold pages that no descriptor references).
+// is free, reachable from some object descriptor, or waiting in the
+// reclamation queue (for a pinned snapshot root that may still reference
+// it, or for the checkpoint that lets it into the free space).  It is not
+// meaningful while transactions are in flight (deferred frees hold pages
+// that no descriptor references).
 func (s *Store) CheckNoLeaks() error {
 	s.mu.Lock()
 	reachable := 0
@@ -1349,13 +1226,11 @@ func (s *Store) CheckNoLeaks() error {
 	if err != nil {
 		return err
 	}
-	retired := int(s.epochs.PendingPages())
-	quarantined := s.quarantinedPages()
+	waiting := int(s.epochs.WaitingPages())
 	total := s.opts.NumSpaces * s.opts.SpaceCapacity
-	if free+reachable+retired+quarantined != total {
-		return fmt.Errorf("%w: %d free + %d reachable + %d retired + %d quarantined != %d total data pages (%d leaked)",
-			ErrCorruptStore, free, reachable, retired, quarantined, total,
-			total-free-reachable-retired-quarantined)
+	if free+reachable+waiting != total {
+		return fmt.Errorf("%w: %d free + %d reachable + %d waiting != %d total data pages (%d leaked)",
+			ErrCorruptStore, free, reachable, waiting, total, total-free-reachable-waiting)
 	}
 	return nil
 }
@@ -1386,9 +1261,7 @@ func (o *Object) Name() string {
 // Reclaim runs outside the mutation scope: an open scope would block
 // the epoch advance Reclaim attempts.
 func (o *Object) mutate(op func(obj *lob.Object) error) error {
-	if err := o.s.epochs.Admit(); err != nil {
-		return err
-	}
+	o.s.epochs.Admit()
 	scope := o.s.epochs.BeginMutation()
 	o.e.latch.Lock()
 	if o.s.txnHolds(o.e) {
@@ -1399,8 +1272,8 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	err := op(o.e.obj)
 	// Publish is this mode's commit point: refresh the catalog-visible
 	// descriptor before the latch drops, while still inside the epoch
-	// scope — pages this op freed cannot mature into the durability
-	// quarantine until EndMutation, so every barrier that could release
+	// scope — pages this op freed cannot mature, and take their barrier
+	// stamp, until EndMutation, so every checkpoint that could release
 	// them sees the refreshed root.
 	o.e.setStableDesc(o.e.obj.PublishDescriptor(snapshotHistory))
 	o.e.latch.Unlock()
@@ -1409,9 +1282,7 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.s.measure(o.e, o.e.stableSize())
 	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that
 	o.s.mu.Unlock()
-	if rerr := o.s.epochs.Reclaim(); err == nil {
-		err = rerr
-	}
+	o.s.epochs.Reclaim()
 	return err
 }
 

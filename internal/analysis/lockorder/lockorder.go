@@ -9,10 +9,9 @@
 //	rank 10  Store.mu           (store manager: catalog, txn table)
 //	rank 15  LockTable.mu       (transaction lock manager)
 //	rank 20  catEntry.latch     (per-object RW latch)
-//	rank 28  Pending.mu         (the write-behind set: pending pages and their writes)
-//	rank 30  deferredAlloc.mu   (transaction deferred-free list)
-//	rank 30  Store.quarMu       (durability quarantine; a leaf)
-//	rank 33  EpochManager.mu    (epoch bookkeeping; leaf-like)
+//	rank 30  Pending.mu         (the write-behind set: pending pages and their writes)
+//	rank 30  deferredAlloc.mu   (transaction deferred-free list; a leaf)
+//	rank 33  EpochManager.mu    (reader epochs and the reclamation queue; drops pool frames under it)
 //	rank 35  Manager.mu         (buddy superdirectory latch)
 //	rank 38  Space.mu           (one buddy space: directory visits, counters, scan hint)
 //	rank 40  Pool.mu            (buffer pool: frames, LRU list, write-back)
@@ -159,7 +158,6 @@ func (f *GraphFact) String() string { return fmt.Sprintf("lockgraph(%d edges)", 
 var singletonKeys = map[string]bool{
 	"Store.ckptMu":    true,
 	"Store.mu":        true,
-	"Store.quarMu":    true,
 	"Pending.mu":      true,
 	"LockTable.mu":    true,
 	"EpochManager.mu": true,
@@ -455,7 +453,7 @@ func (c *checker) exportFacts() {
 
 // checkCycles looks for cycles among same-rank edges of the merged
 // graph.  Rank-inverting orderings are already diagnosed pairwise; a
-// same-rank cycle (quarMu → deferredAlloc.mu somewhere, the reverse
+// same-rank cycle (Pending.mu → deferredAlloc.mu somewhere, the reverse
 // elsewhere) is the case the lattice admits silently.
 func (c *checker) checkCycles() {
 	adj := make(map[string][]int)

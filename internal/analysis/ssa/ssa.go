@@ -69,10 +69,9 @@ func LockRanks() map[string]int {
 		"Store.mu":         10,
 		"LockTable.mu":     15,
 		"catEntry.latch":   20,
-		"Pending.mu":       28, // the write-behind set: pending pages and their writes
+		"Pending.mu":       30, // the write-behind set: pending pages and their writes; never nested with deferredAlloc.mu
 		"deferredAlloc.mu": 30,
-		"Store.quarMu":     30, // durability quarantine; a leaf, never nested with deferredAlloc.mu
-		"EpochManager.mu":  33, // epoch bookkeeping; freeFn never runs under it
+		"EpochManager.mu":  33, // reader epochs and the reclamation queue; drops pool frames under it, never frees to the buddy system
 		"Manager.mu":       35, // buddy superdirectory latch
 		"Space.mu":         38, // one buddy space: its directory visits, counters and scan hint
 		"Pool.mu":          40, // buffer pool: frame map, LRU list, write-back

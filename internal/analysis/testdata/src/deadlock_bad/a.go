@@ -7,7 +7,9 @@ package deadlock_bad
 
 import "sync"
 
-type Store struct{ mu, quarMu sync.Mutex }
+type Store struct{ mu sync.Mutex }
+
+type Pending struct{ mu sync.Mutex }
 
 type deferredAlloc struct{ mu sync.Mutex }
 
@@ -47,33 +49,33 @@ func invertOnElsePath(s *Store, p *Pool, c bool) {
 	lockManager(s) // want "interprocedural lock order inversion: call chain lockManager → lockStore acquires Store.mu"
 }
 
-// lockDeferred and lockQuarantine are the two halves of a same-rank
-// cycle: Store.quarMu and deferredAlloc.mu share rank 30, so neither
-// nesting inverts the lattice — but the opposite orders below deadlock
-// against each other.
+// lockDeferred and lockPending are the two halves of a same-rank cycle:
+// Pending.mu and deferredAlloc.mu share rank 30, so neither nesting
+// inverts the lattice — but the opposite orders below deadlock against
+// each other.
 func lockDeferred(d *deferredAlloc) {
 	d.mu.Lock()
 	d.mu.Unlock()
 }
 
-func lockQuarantine(s *Store) {
-	s.quarMu.Lock()
-	s.quarMu.Unlock()
+func lockPending(p *Pending) {
+	p.mu.Lock()
+	p.mu.Unlock()
 }
 
-// quarantineThenDefer nests quarMu → deferredAlloc.mu.
-func quarantineThenDefer(s *Store, d *deferredAlloc) {
-	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
-	lockDeferred(d) // want "deadlock cycle among same-rank locks: Store.quarMu → deferredAlloc.mu"
+// pendingThenDefer nests Pending.mu → deferredAlloc.mu.
+func pendingThenDefer(p *Pending, d *deferredAlloc) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	lockDeferred(d) // want "deadlock cycle among same-rank locks: Pending.mu → deferredAlloc.mu"
 }
 
-// deferThenQuarantine nests deferredAlloc.mu → quarMu: the other half of
+// deferThenPending nests deferredAlloc.mu → Pending.mu: the other half of
 // the cycle.
-func deferThenQuarantine(s *Store, d *deferredAlloc) {
+func deferThenPending(p *Pending, d *deferredAlloc) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	lockQuarantine(s)
+	lockPending(p)
 }
 
 // appendRecord takes the WAL latch directly.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/eosdb/eos/internal/buffer"
 	"github.com/eosdb/eos/internal/disk"
 )
 
@@ -55,9 +56,30 @@ import (
 // serialized the write side (a convoy costing ~40% of mutator wall
 // time).
 //
+// A matured run is not free yet: a running checkpoint's pool flush may
+// need the dirty frame of an index page its image names, and the durable
+// catalog may still name the run (recovery's redo splices into the roots
+// the last master copy names).  So at maturity the run takes the number of
+// the latest checkpoint begun (StartBarrier) as its barrier stamp — every
+// root that stopped naming it was handed to the catalog before that — and
+// three nested prefixes of the queue follow, each monotone:
+//
+//   - matured: no reader can reach the run;
+//   - discarded: its frames are dropped, once its barrier stamp is at most
+//     the last checkpoint whose pool flush has ended (EndFlush);
+//   - released: back in the free space, once its barrier stamp precedes
+//     the last checkpoint whose master copy is durable (Releasable,
+//     Released, which the store calls).
+//
+// Barrier stamps never decrease along the queue either, so runs reach the
+// free space in the order they were retired, and every advance of a
+// prefix wakes the waiters (Wait): an admission over budget, and an
+// allocation the free space could not serve.
+//
 // Lock order: mu is rank 33 — above the object latch (20), so Retire
-// may be called while an operation holds its object's latch; the free
-// routine is never invoked while holding mu.
+// may be called while an operation holds its object's latch, and below
+// the buffer pool's (40), whose frames the discard gate drops under it;
+// the store returns runs to the buddy system without it.
 
 // Run is a contiguous run of pages retired by a mutator and not yet
 // returned to the free space map.
@@ -66,11 +88,13 @@ type Run struct {
 	Pages int
 }
 
-// retiredRun is a run Retire parked, with its stamp and when it was parked.
+// retiredRun is a run in the queue.  stamp is its epoch stamp until the
+// run matures and its barrier stamp from then on; at is when it was
+// retired, in Unix nanoseconds.
 type retiredRun struct {
 	Run
 	stamp uint64
-	at    time.Time
+	at    int64
 }
 
 // EpochGuard pins one reader to the epoch it entered.  Every guard
@@ -81,33 +105,43 @@ type EpochGuard struct {
 	done  bool // eos:guardedby em.mu
 }
 
-// EpochManager tracks reader epochs and retired page runs.  It is safe
-// for concurrent use.
+// EpochManager tracks reader epochs and the queue of retired page runs.
+// It is safe for concurrent use.
 type EpochManager struct {
-	// freeFn returns matured runs to the real free space map (and drops
-	// any cached frames).  Called without mu held.
-	freeFn func([]Run) error
+	// pool holds the frames of the pages the queue's runs name.  Their
+	// frames may hold never-flushed images of superseded index nodes —
+	// garbage once no checkpoint's pool flush needs them.
+	pool *buffer.Pool
 
 	mu       sync.Mutex
 	current  uint64         // eos:guardedby mu
 	pins     map[uint64]int // eos:guardedby mu
 	inflight map[uint64]int // eos:guardedby mu -- open mutation scopes by begin epoch
-	// retired is every run not yet reclaimed, in the order Retire parked
-	// them.  A run is stamped current+1 and current only grows, so the
-	// stamps never decrease along the queue, and the runs that have matured
-	// are always a prefix of it.
-	retired []retiredRun // eos:guardedby mu
-	pending int64        // eos:guardedby mu -- pages awaiting reclamation
-	budget  int64        // eos:guardedby mu -- Admit throttles above this
+	// queue is every retired run not yet back in the free space, in the
+	// order Retire parked them; queue[:matured] have matured and
+	// queue[:discarded] have lost their frames.
+	queue     []retiredRun // eos:guardedby mu
+	matured   int          // eos:guardedby mu
+	discarded int          // eos:guardedby mu
+	started   uint64       // eos:guardedby mu -- checkpoints begun
+	flushed   uint64       // eos:guardedby mu -- the last checkpoint whose pool flush ended
+	pending   int64        // eos:guardedby mu -- pages retired and not matured
+	waiting   int64        // eos:guardedby mu -- pages in the queue
+	budget    int64        // eos:guardedby mu -- Admit throttles above this
+	// seq counts the advances of the queue's prefixes; wake, made by the
+	// first waiter, is closed at the next one.
+	seq  uint64        // eos:guardedby mu
+	wake chan struct{} // eos:guardedby mu
 
 	advances     atomic.Uint64 // epochs advanced (stat)
 	retiredTotal atomic.Uint64 // pages ever retired (stat)
 }
 
-// NewEpochManager creates a manager routing matured runs to free.
-func NewEpochManager(free func([]Run) error) *EpochManager {
+// NewEpochManager creates a manager that drops the frames of the runs
+// leaving its discard gate from pool.
+func NewEpochManager(pool *buffer.Pool) *EpochManager {
 	return &EpochManager{
-		freeFn:   free,
+		pool:     pool,
 		pins:     make(map[uint64]int),
 		inflight: make(map[uint64]int),
 	}
@@ -126,27 +160,23 @@ func (em *EpochManager) Enter() *EpochGuard {
 
 // Exit releases the guard's pin and reclaims any runs that matured.
 // Exiting twice is a no-op.
-func (g *EpochGuard) Exit() error {
+func (g *EpochGuard) Exit() {
 	em := g.em
 	em.mu.Lock()
 	if g.done {
 		em.mu.Unlock()
-		return nil
+		return
 	}
 	g.done = true
 	if em.pins[g.epoch]--; em.pins[g.epoch] == 0 {
 		delete(em.pins, g.epoch)
 	}
-	runs := em.collectLocked()
 	em.mu.Unlock()
-	if err := em.release(runs); err != nil {
-		return err
-	}
-	return em.Reclaim()
+	em.Reclaim()
 }
 
 // SetBudget bounds the retired-page backlog: Admit throttles incoming
-// mutations while more than budget pages await reclamation.  Zero
+// mutations while more than budget pages await their grace period.  Zero
 // (the default) disables admission control.
 func (em *EpochManager) SetBudget(budget int64) {
 	em.mu.Lock()
@@ -154,42 +184,37 @@ func (em *EpochManager) SetBudget(budget int64) {
 	em.mu.Unlock()
 }
 
-// Admission-control bounds: how long one over-budget mutation may be
-// held back, and how often it rechecks.  The wait is a throttle, not a
-// guarantee — when the deadline passes the mutation proceeds anyway
-// and the allocation path deals with whatever pressure remains.
-const (
-	admitWait = 2 * time.Second
-	admitPoll = 2 * time.Millisecond
-)
+// admitWait bounds how long one over-budget mutation may be held back.
+// The wait is a throttle, not a guarantee — when the deadline passes the
+// mutation proceeds anyway and the allocation path deals with whatever
+// pressure remains.
+const admitWait = 2 * time.Second
 
-// Admit throttles a mutator while the retired backlog is over budget.
-// It must be called BEFORE the mutation opens its scope or takes its
-// object latch: a waiter here holds nothing, so reader pins keep
-// rotating, the epoch keeps advancing, and the backlog drains.  (The
-// allocation-failure path cannot give that guarantee — a mutator
-// mid-operation has its scope open, which caps the epoch advance and
-// freezes maturation of everything retired during its wait.  Admission
-// control keeps the backlog bounded so that path stays rare.)
-func (em *EpochManager) Admit() error {
-	em.mu.Lock()
-	over := em.budget > 0 && em.pending > em.budget
-	em.mu.Unlock()
-	if !over {
-		return nil
-	}
-	deadline := time.Now().Add(admitWait)
+// Admit throttles a mutator while the retired backlog is over budget,
+// waking at each advance of the queue.  It must be called BEFORE the
+// mutation opens its scope or takes its object latch: a waiter here holds
+// nothing, so reader pins keep rotating, the epoch keeps advancing, and
+// the backlog drains.  (The allocation-failure path cannot give that
+// guarantee — a mutator mid-operation has its scope open, which caps the
+// epoch advance and freezes maturation of everything retired during its
+// wait.  Admission control keeps the backlog bounded so that path stays
+// rare.)
+func (em *EpochManager) Admit() {
+	var deadline time.Time
 	for {
-		if err := em.Reclaim(); err != nil {
-			return err
-		}
 		em.mu.Lock()
-		over = em.budget > 0 && em.pending > em.budget
+		over, seen := em.budget > 0 && em.pending > em.budget, em.seq
 		em.mu.Unlock()
-		if !over || time.Now().After(deadline) {
-			return nil
+		if !over {
+			return
 		}
-		time.Sleep(admitPoll)
+		if deadline.IsZero() {
+			deadline = time.Now().Add(admitWait)
+		} else if time.Now().After(deadline) {
+			return
+		}
+		em.Reclaim()
+		em.Wait(seen, deadline)
 	}
 }
 
@@ -228,46 +253,39 @@ func (em *EpochManager) Retire(runs []Run) {
 	for _, r := range runs {
 		pages += int64(r.Pages)
 	}
-	now := time.Now()
+	now := time.Now().UnixNano()
 	em.mu.Lock()
 	for _, r := range runs {
-		em.retired = append(em.retired, retiredRun{Run: r, stamp: em.current + 1, at: now})
+		em.queue = append(em.queue, retiredRun{Run: r, stamp: em.current + 1, at: now})
 	}
 	em.pending += pages
+	em.waiting += pages
 	em.mu.Unlock()
 	em.retiredTotal.Add(uint64(pages))
 }
 
-// collectLocked removes and returns every run whose epoch has matured:
-// stamped before the current epoch, with no reader pinned at or before
-// the stamp — the queue's prefix up to the first run that has not.  The
-// queue's memory goes when it empties.  Caller holds mu; the returned
-// runs are released after mu is dropped.
+// matureLocked moves the matured prefix past every run whose epoch has
+// matured — stamped before the current epoch, with no reader pinned at or
+// before the stamp — gives each the barrier stamp of the latest
+// checkpoint begun, and drops the frames the discard gate lets go.
 //
 // eos:requires em.mu
-func (em *EpochManager) collectLocked() []Run {
-	if len(em.retired) == 0 {
-		return nil
-	}
+func (em *EpochManager) matureLocked() {
 	minPinned, pinned := em.minPinnedLocked()
-	k := 0
-	for ; k < len(em.retired); k++ {
-		e := em.retired[k].stamp
-		if e >= em.current || pinned && minPinned <= e {
+	k := em.matured
+	for ; k < len(em.queue); k++ {
+		r := &em.queue[k]
+		if r.stamp >= em.current || pinned && minPinned <= r.stamp {
 			break // a superseding publish may still be in flight, or a reader pins it
 		}
+		r.stamp = em.started
+		em.pending -= int64(r.Pages)
 	}
-	if k == 0 {
-		return nil
+	if k > em.matured {
+		em.matured = k
+		em.discardLocked()
+		em.signalLocked()
 	}
-	out := make([]Run, k)
-	for i := range out {
-		out[i] = em.retired[i].Run
-	}
-	if em.retired = em.retired[k:]; len(em.retired) == 0 {
-		em.retired = nil
-	}
-	return out
 }
 
 // eos:requires em.mu
@@ -299,44 +317,140 @@ func (em *EpochManager) advanceLocked() bool {
 	return true
 }
 
-// release hands matured runs to the free routine and settles the
-// pending counter.  Called without mu held.
-func (em *EpochManager) release(runs []Run) error {
-	if len(runs) == 0 {
-		return nil
+// signalLocked notes an advance of one of the queue's prefixes and wakes
+// every waiter.
+//
+// eos:requires em.mu
+func (em *EpochManager) signalLocked() {
+	em.seq++
+	if em.wake != nil {
+		close(em.wake)
+		em.wake = nil
 	}
-	var pages int64
-	for _, r := range runs {
-		pages += int64(r.Pages)
+}
+
+// discardLocked drops, unwritten, the frames of the matured runs whose
+// barrier stamp the last ended pool flush covers.
+//
+// eos:requires em.mu
+func (em *EpochManager) discardLocked() {
+	for ; em.discarded < em.matured && em.queue[em.discarded].stamp <= em.flushed; em.discarded++ {
+		r := em.queue[em.discarded]
+		for i := 0; i < r.Pages; i++ {
+			em.pool.Discard(r.Start + disk.PageNum(i))
+		}
 	}
-	err := em.freeFn(runs)
-	em.mu.Lock()
-	em.pending -= pages
-	em.mu.Unlock()
-	return err
 }
 
 // Reclaim advances the epoch past every retired stamp (each step can
 // fail harmlessly while an older mutation scope is open — nothing ever
-// blocks) and frees whatever no reader still pins.  With no readers
-// and no mutation in flight that is everything retired, so a quiescent
-// store reclaims promptly; under load the work left behind is picked
-// up at the next reclamation point.  Cheap enough to call after every
-// mutation.
-func (em *EpochManager) Reclaim() error {
+// blocks), matures whatever no reader still pins and drops the frames
+// the discard gate lets go.  With no readers and no mutation in flight
+// that is everything retired, so a quiescent store reclaims promptly;
+// under load the work left behind is picked up at the next reclamation
+// point.  Cheap enough to call after every mutation.
+func (em *EpochManager) Reclaim() {
 	em.mu.Lock()
-	var maxStamp uint64
-	if n := len(em.retired); n > 0 {
-		maxStamp = em.retired[n-1].stamp
-	}
-	for em.current <= maxStamp {
-		if !em.advanceLocked() {
-			break
+	if n := len(em.queue); n > em.matured {
+		for em.current <= em.queue[n-1].stamp && em.advanceLocked() {
 		}
+		em.matureLocked()
 	}
-	runs := em.collectLocked()
 	em.mu.Unlock()
-	return em.release(runs)
+}
+
+// StartBarrier begins a checkpoint and returns its number: the runs that
+// mature from now on take it as their barrier stamp, and keep their
+// frames until its pool flush ends.
+func (em *EpochManager) StartBarrier() uint64 {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	em.started++
+	return em.started
+}
+
+// EndFlush records that checkpoint b's pool flush has ended, written or
+// failed, and drops the frames of the runs it held.
+func (em *EpochManager) EndFlush(b uint64) {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	em.flushed = b
+	em.discardLocked()
+	em.signalLocked()
+}
+
+// Releasable returns the runs at the head of the queue whose frames are
+// dropped and whose barrier stamp precedes durable, the last checkpoint
+// whose master copy is durable.  The caller returns them to the free
+// space, in order, and then reports how many it did to Released; one
+// caller at a time.
+func (em *EpochManager) Releasable(durable uint64) []Run {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	k := 0
+	for k < em.discarded && em.queue[k].stamp < durable {
+		k++
+	}
+	runs := make([]Run, k)
+	for i := range runs {
+		runs[i] = em.queue[i].Run
+	}
+	return runs
+}
+
+// Released removes the first n runs Releasable returned from the queue,
+// whose memory goes when it empties, and wakes every waiter: a checkpoint
+// has ended.
+func (em *EpochManager) Released(n int) {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	for _, r := range em.queue[:n] {
+		em.waiting -= int64(r.Pages)
+	}
+	if em.queue = em.queue[n:]; len(em.queue) == 0 {
+		em.queue = nil
+	}
+	em.matured -= n
+	em.discarded -= n
+	em.signalLocked()
+}
+
+// Reset empties the queue: the free space was rebuilt from what the
+// catalog reaches, which none of its runs is.
+func (em *EpochManager) Reset() {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	em.queue, em.matured, em.discarded = nil, 0, 0
+	em.pending, em.waiting = 0, 0
+	em.signalLocked()
+}
+
+// Seq reports how often a prefix of the queue has advanced; Wait takes it.
+func (em *EpochManager) Seq() uint64 {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	return em.seq
+}
+
+// Wait returns once a prefix of the queue has advanced since Seq reported
+// seen, or when the deadline passes.
+func (em *EpochManager) Wait(seen uint64, deadline time.Time) {
+	em.mu.Lock()
+	if em.seq != seen {
+		em.mu.Unlock()
+		return
+	}
+	if em.wake == nil {
+		em.wake = make(chan struct{})
+	}
+	wake := em.wake
+	em.mu.Unlock()
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-wake:
+	case <-t.C:
+	}
 }
 
 // Advances reports how many times the global epoch has advanced.
@@ -345,11 +459,20 @@ func (em *EpochManager) Advances() uint64 { return em.advances.Load() }
 // RetiredPages reports the cumulative number of pages ever retired.
 func (em *EpochManager) RetiredPages() uint64 { return em.retiredTotal.Load() }
 
-// PendingPages reports the pages currently retired but not yet freed.
+// PendingPages reports the pages retired whose grace period has not
+// ended.
 func (em *EpochManager) PendingPages() int64 {
 	em.mu.Lock()
 	defer em.mu.Unlock()
 	return em.pending
+}
+
+// WaitingPages reports the pages in the queue: retired and not yet back
+// in the free space.
+func (em *EpochManager) WaitingPages() int64 {
+	em.mu.Lock()
+	defer em.mu.Unlock()
+	return em.waiting
 }
 
 // Pinned reports how many readers currently hold epoch guards.
@@ -363,13 +486,13 @@ func (em *EpochManager) Pinned() int {
 	return n
 }
 
-// OldestAge reports how long the oldest unreclaimed epoch has been
-// holding retired pages (zero when nothing is pending).
+// OldestAge reports how long the oldest run whose grace period has not
+// ended has been waiting (zero when there is none).
 func (em *EpochManager) OldestAge() time.Duration {
 	em.mu.Lock()
 	defer em.mu.Unlock()
-	if len(em.retired) == 0 {
+	if em.matured == len(em.queue) {
 		return 0
 	}
-	return time.Since(em.retired[0].at)
+	return time.Duration(time.Now().UnixNano() - em.queue[em.matured].at)
 }

@@ -23,7 +23,7 @@ import (
 //   - A commit or an abort is durable at its log force and writes no
 //     catalog image.  The catalog lags them: a commit is redone from the
 //     older roots until a checkpoint persists the roots that followed, and
-//     the durability quarantine keeps the older roots' pages intact until
+//     the reclamation queue keeps the older roots' pages intact until
 //     then; an abort reinstated the roots from before its transaction,
 //     whose bytes it left as they were.
 //   - Only the checkpoint writes the catalog.  It captures the committed
@@ -439,12 +439,10 @@ func subtractRuns(a, b []lob.PageRun) []lob.PageRun {
 // It returns each object's reachable runs.
 func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageRun, error) {
 	// The directories are rebuilt from catalog reachability alone, so
-	// any quarantined runs (only possible if recovery ever becomes
-	// callable on a live store) are subsumed: unreachable pages come
-	// back as free space directly.
-	s.quarMu.Lock()
-	s.quar = nil
-	s.quarMu.Unlock()
+	// any queued runs (only possible if recovery ever becomes callable on
+	// a live store) are subsumed: unreachable pages come back as free
+	// space directly.
+	s.epochs.Reset()
 	bm := buddy.NewManager(s.pool, true)
 	page := disk.PageNum(masterPages)
 	for i := 0; i < s.opts.NumSpaces; i++ {

@@ -3,9 +3,12 @@ package eos
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/txn"
 	"github.com/eosdb/eos/internal/wal"
 )
 
@@ -718,7 +721,7 @@ func TestSoftCheckpointHidesOlderCommitsFromRedo(t *testing.T) {
 // TestQuarantineWaitsForACheckpoint: a committed Delete frees a segment,
 // and until a checkpoint's master copy naming the new root is durable the
 // durable catalog still names it — so nothing may let it out of the
-// durability quarantine before that.  Neither a commit nor an abort is a
+// reclamation queue before that.  Neither a commit nor an abort is a
 // barrier; the next checkpoint releases the segment.
 func TestQuarantineWaitsForACheckpoint(t *testing.T) {
 	s, _, _, _, _ := handoffStore(t, Options{})
@@ -738,15 +741,16 @@ func TestQuarantineWaitsForACheckpoint(t *testing.T) {
 		}
 		return out
 	}
+	// quarantined: p is in a run of the queue that no reader holds, and
+	// that no checkpoint completed so far may release.
 	quarantined := func(p disk.PageNum) bool {
-		s.quarMu.Lock()
-		defer s.quarMu.Unlock()
-		for _, q := range s.quar {
-			if p >= q.run.Start && p < q.run.Start+disk.PageNum(q.run.Pages) {
-				return true
-			}
+		in := func(runs []txn.Run) bool {
+			return slices.ContainsFunc(runs, func(r txn.Run) bool { return p >= r.Start && p < r.Start+disk.PageNum(r.Pages) })
 		}
-		return false
+		if in(s.epochs.Releasable(s.barrierDurable.Load())) {
+			t.Fatalf("freed page %d is releasable before a checkpoint", p)
+		}
+		return in(s.epochs.Releasable(math.MaxUint64))
 	}
 	before := reachable()
 	tx, _ := s.Begin()

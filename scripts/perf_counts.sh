@@ -13,6 +13,13 @@
 # index pages looks 5 % worse in write_amp where the declared run shows
 # it 12 % better (EXPERIMENTS.md §P23).  About three minutes.
 #
+# Then it runs the two one-client workloads, edit_mix and ingest_scan,
+# traced (-trace 1) on both sides and fails on any difference in a
+# per-layer metric counted in requests, pages or bytes (unit count, pages
+# or B): one seed repeats those exactly there, so a moved disk.*, buddy.*,
+# buffer.* or lob.* count is a changed schedule, not noise.  About one
+# more minute.
+#
 #   scripts/perf_counts.sh [base-ref]
 #
 # base-ref defaults to the merge base with origin/main, or HEAD~1 when
@@ -51,4 +58,29 @@ if [ "$status" -eq 1 ] && ! echo "$table" | grep -w regressed | grep -qv ' setup
     echo "only setup_s (wall-clock) crossed its bound: reported, not gated"
     status=0
 fi
+
+# counts FILE WORKLOAD prints "metric value" for every per-layer metric of
+# WORKLOAD counted in requests, pages or bytes.
+counts() {
+    jq -r --arg w "$2" '.workloads[$w].per_layer // {} | to_entries[]
+        | select(.value.unit == "count" or .value.unit == "pages" or .value.unit == "B")
+        | "\(.key) \(.value.value)"' "$1" | sort
+}
+for w in edit_mix ingest_scan; do
+    echo "==> traced $w at base and at the working tree"
+    "$work/perf-base" -workload "$w" -seed 1 -trace 1 -json "$work/base-$w.json" >/dev/null
+    "$work/perf-head" -workload "$w" -seed 1 -trace 1 -json "$work/head-$w.json" >/dev/null
+    counts "$work/base-$w.json" "$w" >"$work/base-$w.counts"
+    counts "$work/head-$w.json" "$w" >"$work/head-$w.counts"
+    if [ ! -s "$work/base-$w.counts" ]; then
+        echo "$w: the traced base run reported no counts"
+        status=1
+    elif diff "$work/base-$w.counts" "$work/head-$w.counts" >"$work/$w.diff"; then
+        echo "$w: ok, $(wc -l <"$work/base-$w.counts") counts equal"
+    else
+        echo "$w: counts differ (< base, > working tree):"
+        grep '^[<>]' "$work/$w.diff"
+        status=1
+    fi
+done
 exit "$status"

@@ -52,12 +52,12 @@ func (s *Store) OpenSnapshot(name string) (*Snapshot, error) {
 	e, ok := s.catalog[name]
 	s.mu.Unlock()
 	if !ok {
-		_ = g.Exit()
+		g.Exit()
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	v := e.obj.Published()
 	if v == nil {
-		_ = g.Exit()
+		g.Exit()
 		return nil, fmt.Errorf("%w: %q has no committed version", ErrNotFound, name)
 	}
 	return &Snapshot{s: s, name: name, v: v, g: g}, nil
@@ -175,12 +175,12 @@ func (sn *Snapshot) Refresh() error {
 	e, ok := sn.s.catalog[sn.name]
 	sn.s.mu.Unlock()
 	if !ok {
-		_ = g2.Exit()
+		g2.Exit()
 		return fmt.Errorf("%w: %q", ErrNotFound, sn.name)
 	}
 	v := e.obj.Published()
 	if v == nil {
-		_ = g2.Exit()
+		g2.Exit()
 		return fmt.Errorf("%w: %q has no committed version", ErrNotFound, sn.name)
 	}
 	old := sn.g
@@ -188,7 +188,8 @@ func (sn *Snapshot) Refresh() error {
 	if sn.pos > v.Size() {
 		sn.pos = v.Size()
 	}
-	return old.Exit()
+	old.Exit()
+	return nil
 }
 
 // Close releases the snapshot's epoch pin, letting pages retired while
@@ -197,7 +198,7 @@ func (sn *Snapshot) Close() error {
 	if sn.g == nil {
 		return nil
 	}
-	g := sn.g
+	sn.g.Exit()
 	sn.g = nil
-	return g.Exit()
+	return nil
 }

@@ -526,7 +526,8 @@ func (t *Txn) Size(name string) (int64, error) {
 // limit, or the pool's eviction, does first), and the new descriptors reach
 // the catalog at the next checkpoint.
 // Until then a crash recovers the transaction by redoing its log records
-// from the older roots, which the durability quarantine keeps intact.
+// from the older roots, whose freed pages wait in the reclamation queue
+// until a checkpoint has persisted the new roots.
 func (t *Txn) Commit() error {
 	if err := t.begin(); err != nil {
 		return err
@@ -590,9 +591,9 @@ func (t *Txn) commitLog() error {
 		e := to.entry
 		// Refresh the fallback descriptor NOW: a catalog barrier that runs
 		// while the next transaction holds this object dirty persists
-		// stableDesc, and the durability quarantine reasons that any
-		// barrier started after a commit writes roots at least as new as
-		// that commit.  Leaving the pre-commit image here would break that
+		// stableDesc, and the reclamation queue's barrier gate reasons that
+		// any checkpoint begun after a commit writes roots at least as new
+		// as that commit.  Leaving the pre-commit image here would break that
 		// — a freed run could be released while the durable catalog still
 		// held a root that references it.  No non-transactional writer can
 		// change the root under this read: the object is still bound to
@@ -634,15 +635,16 @@ func (t *Txn) commitBarrier() error {
 	// replacement root to be visible to snapshot readers before the
 	// epoch that holds the batch can advance.
 	t.publishTouched()
-	// Apply the deferred frees.  The pages go through the durability
-	// quarantine, which only a later checkpoint lets out: until one has
-	// persisted these roots, recovery redoes this commit from the roots
-	// that still name them.
+	// Apply the deferred frees.  The pages wait in the reclamation queue
+	// for the readers that may hold the older roots, then for a checkpoint
+	// begun after that: until one has persisted these roots, recovery
+	// redoes this commit from the roots that still name them.
 	if err := t.alloc.apply(); err != nil {
 		return err
 	}
 	t.s.locks.ReleaseAll(t.id)
-	return t.s.epochs.Reclaim()
+	t.s.epochs.Reclaim()
+	return nil
 }
 
 // publishTouched installs each touched object's current root as its
