@@ -1,18 +1,20 @@
 package eos
 
 import (
+	"math"
 	"slices"
 	"testing"
 
+	"github.com/eosdb/eos/internal/buffer"
 	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/txn"
 )
 
-// fakeAlloc hands out consecutive pages and records what is freed, and
-// how, for deferredAlloc tests.
+// fakeAlloc hands out consecutive pages and records what is given back,
+// for deferredAlloc tests.
 type fakeAlloc struct {
 	next        disk.PageNum
-	freed       []pageRun
-	unpublished []pageRun
+	unpublished []txn.Run
 }
 
 func (f *fakeAlloc) Alloc(n int) (disk.PageNum, error) {
@@ -25,17 +27,30 @@ func (f *fakeAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
 	return p, n, nil
 }
 func (f *fakeAlloc) MaxSegmentPages() int { return 1 << 12 }
-func (f *fakeAlloc) Free(p disk.PageNum, n int) error {
-	f.freed = append(f.freed, pageRun{start: p, n: n})
-	return nil
-}
 func (f *fakeAlloc) FreeUnpublished(p disk.PageNum, n int) error {
-	f.unpublished = append(f.unpublished, pageRun{start: p, n: n})
+	f.unpublished = append(f.unpublished, txn.Run{Start: p, Pages: n})
 	return nil
 }
 
+// retiredRuns returns, in order, the runs retired into a fresh epoch
+// manager em: with no reader and no checkpoint, every one of them is
+// releasable once reclaimed.
+func retiredRuns(em *txn.EpochManager) []txn.Run {
+	em.Reclaim()
+	return em.Releasable(math.MaxUint64)
+}
+
+func newFakeEpochs(t *testing.T) *txn.EpochManager {
+	t.Helper()
+	pool, err := buffer.NewPool(disk.MustNewVolume(512, 64, disk.DefaultCostModel()), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return txn.NewEpochManager(pool)
+}
+
 func TestDeferredAllocDefersAndApplies(t *testing.T) {
-	inner := &fakeAlloc{}
+	inner, em := &fakeAlloc{}, newFakeEpochs(t)
 	d := &deferredAlloc{inner: inner}
 	if err := d.Free(10, 4); err != nil {
 		t.Fatal(err)
@@ -47,7 +62,7 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 	if err := d.FreeUnpublished(30, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed)+len(inner.unpublished) != 0 {
+	if len(inner.unpublished) != 0 || em.RetiredPages() != 0 {
 		t.Fatal("free applied eagerly")
 	}
 	// Pages the transaction allocated have nothing to wait for.
@@ -55,24 +70,24 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 	if err := d.FreeUnpublished(p+6, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.unpublished) != 1 || inner.unpublished[0] != (pageRun{start: p + 6, n: 2}) {
+	if len(inner.unpublished) != 1 || inner.unpublished[0] != (txn.Run{Start: p + 6, Pages: 2}) {
 		t.Fatalf("unpublished free of its own pages not passed on at once: %v", inner.unpublished)
 	}
 	inner.unpublished = nil
-	if err := d.apply(); err != nil {
+	if err := d.apply(em); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 2 || inner.freed[0] != (pageRun{start: 10, n: 4}) {
-		t.Fatalf("applied = %v", inner.freed)
+	if got := retiredRuns(em); !slices.Equal(got, []txn.Run{{Start: 10, Pages: 4}, {Start: 20, Pages: 2}}) {
+		t.Fatalf("retired = %v", got)
 	}
-	if len(inner.unpublished) != 1 || inner.unpublished[0] != (pageRun{start: 30, n: 3}) {
+	if len(inner.unpublished) != 1 || inner.unpublished[0] != (txn.Run{Start: 30, Pages: 3}) {
 		t.Fatalf("applied unpublished = %v", inner.unpublished)
 	}
 	// apply drains: a second apply is a no-op.
-	if err := d.apply(); err != nil {
+	if err := d.apply(em); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.freed) != 2 || len(inner.unpublished) != 1 {
+	if em.RetiredPages() != 6 || len(inner.unpublished) != 1 {
 		t.Error("second apply re-freed")
 	}
 }
@@ -81,7 +96,7 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 // free and returns exactly the pages the transaction allocated and still
 // holds — its own frees of them, deferred or not, counted once.
 func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
-	inner := &fakeAlloc{}
+	inner, em := &fakeAlloc{}, newFakeEpochs(t)
 	d := &deferredAlloc{inner: inner}
 	a, _ := d.Alloc(1)         // shadowed index page, shadowed again below
 	b, _, _ := d.AllocUpTo(16) // a tail segment, trimmed below
@@ -94,16 +109,16 @@ func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner.unpublished = nil
-	var forgot []pageRun
-	if err := d.giveBack(func(p disk.PageNum, n int) { forgot = append(forgot, pageRun{start: p, n: n}) }); err != nil {
+	var forgot []txn.Run
+	if err := d.giveBack(func(p disk.PageNum, n int) { forgot = append(forgot, txn.Run{Start: p, Pages: n}) }); err != nil {
 		t.Fatal(err)
 	}
-	want := []pageRun{{start: a, n: 1}, {start: b, n: 4}}
-	if !slices.Equal(inner.unpublished, want) || !slices.Equal(forgot, want) || len(inner.freed) != 0 {
-		t.Fatalf("gave back %v (images dropped %v, freed %v), want %v only", inner.unpublished, forgot, inner.freed, want)
+	want := []txn.Run{{Start: a, Pages: 1}, {Start: b, Pages: 4}}
+	if !slices.Equal(inner.unpublished, want) || !slices.Equal(forgot, want) {
+		t.Fatalf("gave back %v (images dropped %v), want %v only", inner.unpublished, forgot, want)
 	}
-	if err := d.apply(); err != nil || len(inner.freed) != 0 {
-		t.Fatalf("frees survived the abort: %v (%v)", inner.freed, err)
+	if err := d.apply(em); err != nil || em.RetiredPages() != 0 || !slices.Equal(inner.unpublished, want) {
+		t.Fatalf("frees survived the abort: %d pages retired, %v given back (%v)", em.RetiredPages(), inner.unpublished, err)
 	}
 }
 

@@ -64,13 +64,6 @@ var (
 const (
 	storeMagic   = 0xE0557011
 	storeVersion = 9 // v9: index entries and descriptor roots hold 10-byte (48-bit count, 32-bit page) pairs; v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
-
-	// snapshotHistory is how many superseded committed root versions each
-	// object retains alongside the newest one.  A snapshot reader holding
-	// an epoch pin can step across the retained versions published since
-	// its pin, so long scans survive multiple overwrites without ever
-	// taking a lock.
-	snapshotHistory = 4
 )
 
 // Options configures a Store.  The zero value selects reasonable
@@ -167,7 +160,7 @@ type catEntry struct {
 	// needs the bytes (lob.Descriptor): the capture, not the encoding,
 	// fixes the state.  Not lazily at catalog-write time: the
 	// reclamation queue's barrier gate reasons that any checkpoint begun
-	// after a freed run matured persists roots that exclude the run,
+	// after a freed run was retired persists roots that exclude the run,
 	// and catalog writes must be able to proceed while an object's
 	// latch is held (a writer stalled in allocation backpressure holds
 	// its latch while WAITING for a checkpoint to release freed
@@ -220,7 +213,11 @@ type Store struct {
 	ownsVols bool
 	pool     *buffer.Pool
 	buddy    *buddy.Manager
-	lm       *lob.Manager
+	// lm is the manager objects are bound to between operations.  An
+	// Object operation runs on a front it borrows from fronts (lend), a
+	// transaction on a manager of its own (Txn.lm).
+	lm     *lob.Manager
+	fronts sync.Pool
 	// pending is the write-behind set (lob.Pending): open tails' pages and
 	// committed replaces' pages not on the device yet, shared by the store's
 	// manager and every transaction's.
@@ -362,7 +359,12 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// The write-behind set holds at most what the log can: every pending
 	// byte is redo logged since the last checkpoint.
 	s.pending = lob.NewPending(vol, int(logVol.NumPages())*logVol.PageSize()/vol.PageSize())
-	s.lm, err = lob.NewManager(vol, pool, &epochAlloc{s: s}, s.lobConfig())
+	s.lm, err = lob.NewManager(vol, pool, &restAlloc{epochAlloc{s: s}}, s.lobConfig())
+	s.fronts.New = func() any {
+		f := &front{epochAlloc: epochAlloc{s: s}}
+		f.lm = s.lm.Derive(f)
+		return f
+	}
 	return s, err
 }
 
@@ -394,11 +396,14 @@ func (s *Store) logBusy() bool {
 	return float64(s.log.Used()) >= logBusyShare*float64(int64(s.logVol.NumPages())*int64(s.logVol.PageSize()))
 }
 
-// epochAlloc is the store-wide allocator: allocations go straight to
-// the buddy system, but frees are RETIRED into the current epoch and
-// reach buddy.Free only once no snapshot reader can still hold a
-// published root that names them.  It delegates through the Store
-// pointer because recovery replaces s.buddy wholesale.
+// epochAlloc is the store-wide allocator behind every writer's own:
+// allocations go to the buddy system, waiting out space pressure
+// (spaceWaiter), and so do the pages no root ever named
+// (FreeUnpublished).  It has no Free: the runs a root named wait with
+// their writer — an Object operation's in its front, a transaction's in
+// its deferredAlloc — until the publish that stops naming them, and then
+// enter the reclamation queue.  It delegates through the Store pointer
+// because recovery replaces s.buddy wholesale.
 type epochAlloc struct{ s *Store }
 
 func (a *epochAlloc) Alloc(n int) (disk.PageNum, error) {
@@ -435,10 +440,11 @@ const allocBackpressureWait = 2 * time.Second
 // failure reclaims and retries at once (the single-shot fast path);
 // later rounds wait for the reclamation queue to advance until nothing
 // is left in it or the deadline passes.  Waiting here is safe
-// mid-mutation: Reclaim never blocks (the caller's own scope just caps
-// the epoch advance one past its begin), and snapshot readers take no
-// latches, so the pins being waited out always drain — but see
-// EpochManager.Admit for why this path is the last resort.
+// mid-mutation: what the caller has freed so far waits with it, outside
+// the queue, and nothing the queue holds waits for the caller — Reclaim
+// never blocks, and snapshot readers take no latches, so the pins being
+// waited out always drain — but see EpochManager.Admit for why this path
+// is the last resort.
 type spaceWaiter struct {
 	deadline time.Time
 	// drained: nothing was left in the queue before the last retry.  Only
@@ -499,10 +505,6 @@ func (s *Store) requestBarrier() {
 	}()
 }
 func (a *epochAlloc) MaxSegmentPages() int { return a.s.buddy.MaxSegmentPages() }
-func (a *epochAlloc) Free(p disk.PageNum, n int) error {
-	a.s.epochs.Retire([]txn.Run{{Start: p, Pages: n}})
-	return nil
-}
 
 // FreeUnpublished skips the reclamation queue.  Its reader grace period
 // and its barrier gate each protect someone who can still reach the pages
@@ -513,9 +515,68 @@ func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	return a.s.buddy.FreeUnpublished(p, n)
 }
 
+// freeList is the front of the reclamation queue: the runs one writer has
+// freed that a published root may still name (§4.5's release locks, see
+// deferredAlloc).  The writer retires them after the publish that stops
+// naming them.
+type freeList []txn.Run
+
+func (l *freeList) Free(p disk.PageNum, n int) error {
+	*l = append(*l, txn.Run{Start: p, Pages: n})
+	return nil
+}
+
+// retire enters the runs in the reclamation queue and empties the list,
+// keeping its memory for the writer's next frees.
+func (l *freeList) retire(em *txn.EpochManager) {
+	em.Retire(*l)
+	*l = (*l)[:0]
+}
+
+// front is what one Object operation allocates and frees through: the
+// store's manager over the store's allocator and a freeList of the
+// operation's own.  Operations borrow fronts from Store.fronts, so one
+// makes no manager and no allocation.
+type front struct {
+	lm *lob.Manager
+	epochAlloc
+	freeList
+}
+
+// lend binds e's object, which the caller has write-latched, to a front for
+// one operation; publish ends it.
+func (s *Store) lend(e *catEntry) *front {
+	f := s.fronts.Get().(*front)
+	e.obj.Rebind(f.lm)
+	return f
+}
+
+// publish ends the operation on front f: e's object goes back to the
+// store's manager, its root is published and becomes the catalog's
+// descriptor, and only then do the runs the operation freed enter the
+// reclamation queue.  So a reader that can still hold the old root is
+// pinned at or below their epoch stamp, and a checkpoint numbered above
+// their barrier stamp captures the new descriptor.
+func (s *Store) publish(e *catEntry, f *front) {
+	e.obj.Rebind(s.lm)
+	e.setStableDesc(e.obj.PublishDescriptor())
+	f.retire(s.epochs)
+	s.fronts.Put(f)
+}
+
+// restAlloc is the allocator of the store's manager, which objects are
+// bound to between operations.  What is done to them there — reads,
+// replaces in place, trims of room no root named — frees no run a root
+// names: every operation that does runs on a front.
+type restAlloc struct{ epochAlloc }
+
+func (*restAlloc) Free(p disk.PageNum, n int) error {
+	return fmt.Errorf("eos: pages %d+%d freed outside an operation", p, n)
+}
+
 // releaseDurable returns to the buddy system the head of the reclamation
 // queue: the runs stamped before the last completed checkpoint.  That
-// checkpoint began after they matured, so it wrote roots that exclude them
+// checkpoint began after they were retired, so it wrote roots that exclude them
 // (every commit point refreshes stableDesc first), and no image recovery
 // can load names them any more: a torn later master copy falls back one
 // checkpoint, never further.  Only the checkpoint calls it, under ckptMu.
@@ -581,7 +642,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	s.mu.Lock()
 	for _, e := range s.catalog {
 		e.latch.Lock()
-		e.obj.Publish(snapshotHistory)
+		e.obj.Publish()
 		e.latch.Unlock()
 	}
 	s.mu.Unlock()
@@ -760,9 +821,9 @@ type capture struct {
 //
 // eos:requires s.mu
 func (s *Store) captureLocked() *capture {
-	// The barrier starts before the descriptors are read: freed runs that
-	// mature from now on wait for the next checkpoint, and their frames for
-	// this one's pool flush — the descriptors may name them.
+	// The barrier starts before the descriptors are read: freed runs
+	// retired from now on wait for the next checkpoint, and their frames
+	// for this one's pool flush — the descriptors may name them.
 	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Tail() + 1, unlogged: s.unlogged}
 	for _, t := range s.liveTxns {
 		ck.start = min(ck.start, t.firstLSN)
@@ -795,8 +856,8 @@ func (s *Store) writeCaptured(ck *capture) error {
 	if err == nil {
 		err = s.pool.FlushAll()
 	}
-	// The frames of the runs that matured since the capture can go: the
-	// pool flush has written them, or it failed, and recovery starts from
+	// The frames of the runs retired since the capture can go: the pool
+	// flush has written them, or it failed, and recovery starts from
 	// the previous master copy, whose pages the checkpoint that wrote it
 	// flushed.
 	s.epochs.EndFlush(ck.barrier)
@@ -900,7 +961,7 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.nextID++
 	s.catalog[name] = e
 	s.byID[e.id] = e
-	e.setStableDesc(e.obj.PublishDescriptor(snapshotHistory))
+	e.setStableDesc(e.obj.PublishDescriptor())
 	s.measure(e, e.stableSize())
 	s.unlogged[e] = true
 	return &Object{s: s, e: e}, nil
@@ -936,9 +997,10 @@ func (s *Store) Open(name string) (*Object, error) {
 }
 
 // Destroy removes an object, returning all its pages to the free space.
-// The frees are retired through the epoch manager, so a snapshot opened
-// before the destroy keeps reading its captured root undisturbed; the
-// pages return to the buddy system when the last such reader exits.
+// The frees are retired once the empty root is published, so a snapshot
+// opened before the destroy keeps reading its captured root undisturbed;
+// the pages return to the buddy system when the last such reader exits,
+// and a checkpoint has dropped the object.
 //
 // An object a transaction has written has records in the log, which a
 // transaction live across the next checkpoint keeps there; recovery would
@@ -956,16 +1018,16 @@ func (s *Store) Destroy(name string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	scope := s.epochs.BeginMutation()
 	e.latch.Lock()
 	var err error
 	if s.txnHolds(e) {
 		err = fmt.Errorf("%w: %q", ErrInUse, name)
-	} else if err = e.obj.Destroy(); err == nil {
-		e.obj.Publish(snapshotHistory)
+	} else {
+		f := s.lend(e)
+		err = e.obj.Destroy()
+		s.publish(e, f)
 	}
 	e.latch.Unlock()
-	s.epochs.EndMutation(scope)
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -1251,33 +1313,23 @@ func (o *Object) Name() string {
 	return o.e.name
 }
 
-// mutate runs one structural update under the object latch and inside
-// an epoch mutation scope: superseded pages the operation frees are
-// retired one past the current epoch, and the new root is published
-// before the scope ends, so those retires cannot mature before this
-// operation's result is visible to snapshot readers.  The root is
-// republished even when op fails — lob operations unwind to a
-// consistent in-memory tree, and that tree is what latched readers see.
-// Reclaim runs outside the mutation scope: an open scope would block
-// the epoch advance Reclaim attempts.
+// mutate runs one structural update under the object latch, on a front:
+// the pages the operation frees wait there while the published root and
+// the catalog's descriptor still name them.  The publish at its end is
+// this mode's commit point.  The root is republished even when op fails —
+// lob operations unwind to a consistent in-memory tree, and that tree is
+// what latched readers see.
 func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.s.epochs.Admit()
-	scope := o.s.epochs.BeginMutation()
 	o.e.latch.Lock()
 	if o.s.txnHolds(o.e) {
 		o.e.latch.Unlock()
-		o.s.epochs.EndMutation(scope)
 		return o.inUse()
 	}
+	f := o.s.lend(o.e)
 	err := op(o.e.obj)
-	// Publish is this mode's commit point: refresh the catalog-visible
-	// descriptor before the latch drops, while still inside the epoch
-	// scope — pages this op freed cannot mature, and take their barrier
-	// stamp, until EndMutation, so every checkpoint that could release
-	// them sees the refreshed root.
-	o.e.setStableDesc(o.e.obj.PublishDescriptor(snapshotHistory))
+	o.s.publish(o.e, f)
 	o.e.latch.Unlock()
-	o.s.epochs.EndMutation(scope)
 	o.s.mu.Lock()
 	o.s.measure(o.e, o.e.stableSize())
 	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that

@@ -69,11 +69,12 @@ func (c *Config) defaults() {
 	}
 }
 
-// Violation is one invariant failure at one reconstructed crash state.
+// Violation is one invariant failure at one reconstructed crash state, or
+// in the traced workload itself.
 type Violation struct {
-	P      int    // trace position of the crash
-	Label  string // which state family produced it (prefix/torn/subset/...)
-	Kind   string // open / oracle / check / leaks / reopen / recrash / file-diff
+	P      int    // trace position of the crash, or of the workload's read
+	Label  string // which state family produced it (prefix/torn/subset/...), or snapshot-coda
+	Kind   string // open / oracle / check / leaks / reopen / recrash / file-diff / snapshot
 	Detail string
 }
 
@@ -186,6 +187,7 @@ func Sweep(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	sw.oracle = oracle
+	sw.res.Violations = append(sw.res.Violations, oracle.Stale...)
 	sw.events = clock.Events()
 	sw.res.Events = len(sw.events)
 	sw.res.Wraps = st.Stats().WAL.Wraps

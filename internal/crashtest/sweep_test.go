@@ -94,7 +94,9 @@ func TestCrashSweep(t *testing.T) {
 			// index entries are 10 bytes a 512-byte node holds 50 of them,
 			// the workload splits fewer nodes, and the wrapping log gave
 			// 1444; the directed prefix's split transactions, behind a
-			// checkpoint, give 1785 / 1783.
+			// checkpoint, give 1785 / 1783.  The snapshot coda, behind the
+			// loser, adds its own states and changes none before it:
+			// 1809 / 1805.
 			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}

@@ -45,6 +45,9 @@ type Oracle struct {
 	P0 int
 	// Commits holds one mark per successful commit, in commit order.
 	Commits []Commit
+	// Stale holds the reads of an open snapshot that did not return what
+	// it captured (snapshotCoda); the sweep reports each as a violation.
+	Stale []Violation
 }
 
 // StateAt returns the committed content after k commits (k = 0 is the
@@ -332,7 +335,74 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	if err := st.Checkpoint(); err != nil {
 		return nil, fmt.Errorf("soft checkpoint with loser in flight: %w", err)
 	}
-	return oracle, nil
+	return oracle, snapshotCoda(st, clock, cfg, oracle, model)
+}
+
+// snapshotCoda keeps a snapshot of splitObject open across two checkpoints
+// while transactions insert into the object, and then reads it back.  The
+// first insert leaves the index pages it shadowed in dirty frames, and the
+// root the snapshot captures names them; each later insert shadows them
+// again.  Those pages must wait for the snapshot in the reclamation queue,
+// frames and all, whatever the checkpoints flush and release.  A read that
+// differs from what the snapshot captured goes to oracle.Stale.  It runs
+// last, beside the loser, so that the states before it are the workload's
+// without it.
+func snapshotCoda(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5a4e))
+	ps := st.PageSize()
+	insert := func(i int) error {
+		txn := -2 - appendTxns - replaceTxns - byRefTxns - splitTxns - i
+		tx, err := st.Begin()
+		if err != nil {
+			return fmt.Errorf("begin snapshot coda txn %d: %w", i, err)
+		}
+		cfg.Trace(traceBegin, clock.Seq(), txn)
+		staged := map[string]*[]byte{}
+		if _, err := insertOp(tx, txn, splitObject, model[splitObject], 2*ps, randBytes(rng, ps), cfg, staged); err != nil {
+			_ = tx.Abort() // the insert's error is the one to report
+			return fmt.Errorf("snapshot coda txn %d: %w", i, err)
+		}
+		beginSeq := clock.Seq()
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("commit snapshot coda txn %d: %w", i, err)
+		}
+		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
+		return nil
+	}
+	if err := insert(0); err != nil {
+		return err
+	}
+	captured := model[splitObject]
+	sn, err := st.OpenSnapshot(splitObject)
+	if err != nil {
+		return err
+	}
+	defer sn.Close()
+	for i := 1; i <= 2; i++ {
+		if err := insert(i); err != nil {
+			return err
+		}
+		if err := st.Checkpoint(); err != nil {
+			return fmt.Errorf("checkpoint %d under the snapshot: %w", i, err)
+		}
+	}
+	got := make([]byte, len(captured))
+	if _, err := sn.ReadAt(got, 0); err != nil || !bytes.Equal(got, captured) {
+		oracle.Stale = append(oracle.Stale, Violation{P: clock.Seq(), Label: "snapshot-coda", Kind: "snapshot",
+			Detail: fmt.Sprintf("a snapshot of %s held across two checkpoints read %d bytes unlike those it captured (%v)", splitObject, diffBytes(got, captured), err)})
+	}
+	return nil
+}
+
+// diffBytes counts the positions where a and b differ, of the shorter's.
+func diffBytes(a, b []byte) int {
+	n := 0
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // directedPrefix runs transactions that commit plain appends, the next ones

@@ -750,12 +750,12 @@ func TestWrittenRunIsNotPinnedByVersions(t *testing.T) {
 	if err := o.Append(model); err != nil {
 		t.Fatal(err)
 	}
-	o.Publish(4)
+	o.Publish()
 	v := o.Published()
 	if err := o.Append(pattern(2, 50)); err != nil {
 		t.Fatal(err)
 	}
-	o.Publish(4)
+	o.Publish()
 	set := e.m.cfg.Pending.set.Load()
 	if set == nil {
 		t.Fatal("nothing pending after two appends")

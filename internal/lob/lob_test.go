@@ -807,7 +807,7 @@ func TestPublishedDescriptorIsFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := o.EncodeDescriptor()
-	published, captured := o.PublishDescriptor(2), o.Capture()
+	published, captured := o.PublishDescriptor(), o.Capture()
 	if err := o.Append(pattern(51, 30)); err != nil {
 		t.Fatal(err)
 	}
@@ -1254,7 +1254,7 @@ func TestDescentsCheckTheNodesTheyRead(t *testing.T) {
 			if o.root.level < 2 {
 				t.Fatalf("tree of height %d, want an index page below the root", o.root.level)
 			}
-			o.Publish(0)
+			o.Publish()
 			v := o.Published()
 			page := o.root.entries[0].ptr
 			img, err := e.pool.Fix(page)

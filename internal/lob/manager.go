@@ -175,8 +175,9 @@ func NewManager(vol disk.Device, pool *buffer.Pool, alloc Allocator, cfg Config)
 }
 
 // Derive returns a manager like m that allocates from alloc and holds
-// replaced pages of its own (held.go) — a transaction's — but counts into
-// m's counters and builds page images in m's scratch memory.
+// replaced pages of its own (held.go) — a transaction's, or an Object
+// operation's front — but counts into m's counters and builds page images
+// in m's scratch memory.
 func (m *Manager) Derive(alloc Allocator) *Manager {
 	return &Manager{vol: m.vol, pool: m.pool, alloc: alloc, cfg: m.cfg, st: m.st, scratch: m.scratch}
 }
@@ -592,8 +593,8 @@ func (o *Object) Capture() *Descriptor { return &Descriptor{enc: o.EncodeDescrip
 // PublishDescriptor is Publish that also returns the descriptor of the
 // state it published, whose entries are encoded from the version's copy
 // of them when Bytes first asks.
-func (o *Object) PublishDescriptor(keep int) *Descriptor {
-	v := o.publish(keep)
+func (o *Object) PublishDescriptor() *Descriptor {
+	v := o.publish()
 	return &Descriptor{enc: o.descriptorHeader(len(v.root.entries)), v: v}
 }
 

@@ -37,10 +37,10 @@ type Object struct {
 	// concurrently with other transactions' pre-LSN snapshots.
 	lsn atomic.Uint64
 
-	// published is the newest committed RootVersion (plus a short chain
-	// of retained older ones).  Snapshot readers load it with no locks;
-	// mutators store it via Publish after completing (or committing) an
-	// update and before the superseded pages can be freed.
+	// published is the newest committed RootVersion.  Snapshot readers
+	// load it with no locks; mutators store it via Publish after
+	// completing (or committing) an update and before the superseded pages
+	// can be freed.
 	published atomic.Pointer[RootVersion]
 }
 
@@ -81,9 +81,9 @@ func (o *Object) SetThreshold(t int) {
 }
 
 // Rebind attaches the object to a different manager sharing the same
-// volume and buffer pool.  The transaction layer uses it to route the
-// object's allocation through a deferred-free wrapper for the duration
-// of a transaction.
+// volume and buffer pool.  The store uses it to route the object's
+// allocation through the allocator of the writer at it — a transaction's,
+// or an Object operation's — which holds the writer's frees.
 func (o *Object) Rebind(m *Manager) { o.m = m }
 
 // Manager returns the manager the object is bound to.

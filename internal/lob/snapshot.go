@@ -31,19 +31,17 @@ type RootVersion struct {
 	size int64
 	lsn  uint64
 	seq  uint64
-	prev *RootVersion // next-older retained version, nil at the tail
 }
 
-// Publish atomically installs the object's current state as its newest
-// committed version, retaining up to keep older versions for readers
-// that want to pin a slightly stale root.  The caller must hold the
-// same exclusion it holds for reading the root (the object latch or a
-// committed transaction's exclusive lock), and must call Publish
-// BEFORE the pages the superseded version referenced can be freed.
-func (o *Object) Publish(keep int) { o.publish(keep) }
+// Publish atomically installs the object's current state as its
+// committed version, the one every reader captures from then on.  The
+// caller must hold the same exclusion it holds for reading the root (the
+// object latch or a committed transaction's exclusive lock), and must call
+// Publish BEFORE the pages the superseded version referenced can be freed.
+func (o *Object) Publish() { o.publish() }
 
 // publish is Publish, returning the version it installed.
-func (o *Object) publish(keep int) *RootVersion {
+func (o *Object) publish() *RootVersion {
 	v := &RootVersion{
 		m:    o.m,
 		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
@@ -52,12 +50,6 @@ func (o *Object) publish(keep int) *RootVersion {
 	}
 	if old := o.published.Load(); old != nil {
 		v.seq = old.seq + 1
-		v.prev = old
-		cut := v
-		for i := 0; i < keep && cut.prev != nil; i++ {
-			cut = cut.prev
-		}
-		cut.prev = nil
 	}
 	o.published.Store(v)
 	return v
@@ -77,9 +69,6 @@ func (v *RootVersion) LSN() uint64 { return v.lsn }
 // Seq returns the version's publish sequence number (monotonic per
 // object).
 func (v *RootVersion) Seq() uint64 { return v.seq }
-
-// Prev returns the next-older retained version, or nil.
-func (v *RootVersion) Prev() *RootVersion { return v.prev }
 
 // ReadAt reads len(buf) bytes starting at byte off of the version.  It
 // takes no locks: the version's tree is immutable, and the caller's

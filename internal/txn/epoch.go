@@ -18,83 +18,57 @@ import (
 // free space map — where they would be reallocated and overwritten —
 // until no reader can still be holding a root that names them.
 //
-// The EpochManager implements that grace period.  Mutators RETIRE page
-// runs instead of freeing them; each run is stamped with current+1, one
-// past the epoch at retire time.  Readers PIN the current epoch on
-// entry.  A run stamped e may flow to the real free routine only once
-// e < current and no reader is pinned at an epoch <= e.
+// A writer keeps the runs it frees until it has published the roots that
+// stop naming them — a transaction until its commit, an Object operation
+// until its end — and only then RETIRES them here.  Retire stamps each run
+// with two numbers at once: the current epoch, and the number of the latest
+// checkpoint begun (StartBarrier), its barrier stamp.  Readers PIN the
+// current epoch on entry and then capture the newest published root.
+// Three gates follow:
 //
-// The subtle case is a non-transactional mutator, which retires the
-// superseded pages of the STILL-PUBLISHED root mid-operation and only
-// publishes the new root at the end.  Those pages must not mature while
-// the old root is still the one a new reader would capture.  Two rules
-// make that window safe without any reader/writer lock:
+//   - matured, no reader can reach the run: its epoch stamp is behind the
+//     current epoch and no reader is pinned at or before it.  The publish
+//     came before the retire, so a reader that can hold the old root
+//     captured it before the retire, and pinned before that: at or below
+//     the stamp.
+//   - discarded, its frames are dropped: its barrier stamp is at most the
+//     last checkpoint whose pool flush has ended (EndFlush).  The checkpoint
+//     numbered by the stamp is the latest that can have captured the old
+//     root, before the publish, so the latest whose flush can need its
+//     frames.
+//   - released, back in the free space: its barrier stamp precedes the last
+//     checkpoint whose master copy is durable (Releasable, Released, which
+//     the store calls).  Any checkpoint numbered above the stamp began after
+//     the retire, so after the publish, and captured the new root: no
+//     master copy recovery can load names the run.
 //
-//   - The pessimistic stamp: a run retired at epoch c is stamped c+1,
-//     so one epoch advance is never enough to mature it.
-//   - The advance guard: the epoch may not advance from e to e+1 while
-//     any mutation that BEGAN before e is still in flight.  Mutation
-//     scopes register their begin epoch in a multiset
-//     (BeginMutation/EndMutation — two map operations under mu, no
-//     blocking); Advance simply fails while an older scope is open and
-//     is retried at the next reclamation point.
+// Neither stamp decreases along the queue, so each gate lets out a prefix
+// of it, released ⊆ discarded ⊆ matured: runs reach the free space in the
+// order they were retired, and every advance of a prefix wakes the waiters
+// (Wait) — an admission over budget, and an allocation the free space could
+// not serve.
 //
-// Together they bound current <= b+1 <= c_r+1 = stamp for every run a
-// still-open scope (begun at b, earliest retire at c_r >= b) has
-// retired, so "stamp < current" cannot hold before the scope publishes
-// and closes.  A reader that enters mid-scope pins c in {c_r, c_r+1}
-// and the stamp c_r+1 >= its pin, so the pin protects every page of
-// whichever root it captures.  Transactional commits are simpler: they
-// publish every touched root BEFORE applying their deferred frees, so
-// their retires never reference a published root at all.
-//
-// Nothing here blocks: mutators never wait for an advance, advances
-// never wait for mutators (they just fail and retry), and readers only
-// ever take mu for two map updates.  An earlier design ordered advances
-// against whole mutations with an RWMutex held for the full operation;
-// under a write storm every reclamation point forced that lock and
-// serialized the write side (a convoy costing ~40% of mutator wall
-// time).
-//
-// A matured run is not free yet: a running checkpoint's pool flush may
-// need the dirty frame of an index page its image names, and the durable
-// catalog may still name the run (recovery's redo splices into the roots
-// the last master copy names).  So at maturity the run takes the number of
-// the latest checkpoint begun (StartBarrier) as its barrier stamp — every
-// root that stopped naming it was handed to the catalog before that — and
-// three nested prefixes of the queue follow, each monotone:
-//
-//   - matured: no reader can reach the run;
-//   - discarded: its frames are dropped, once its barrier stamp is at most
-//     the last checkpoint whose pool flush has ended (EndFlush);
-//   - released: back in the free space, once its barrier stamp precedes
-//     the last checkpoint whose master copy is durable (Releasable,
-//     Released, which the store calls).
-//
-// Barrier stamps never decrease along the queue either, so runs reach the
-// free space in the order they were retired, and every advance of a
-// prefix wakes the waiters (Wait): an admission over budget, and an
-// allocation the free space could not serve.
+// Nothing here blocks: Retire, Enter and Exit take mu for a few slice and
+// map updates, and Reclaim advances the epoch past the newest stamp.
 //
 // Lock order: mu is rank 33 — above the object latch (20), so Retire
 // may be called while an operation holds its object's latch, and below
 // the buffer pool's (40), whose frames the discard gate drops under it;
 // the store returns runs to the buddy system without it.
 
-// Run is a contiguous run of pages retired by a mutator and not yet
+// Run is a contiguous run of pages retired by a writer and not yet
 // returned to the free space map.
 type Run struct {
 	Start disk.PageNum
 	Pages int
 }
 
-// retiredRun is a run in the queue.  stamp is its epoch stamp until the
-// run matures and its barrier stamp from then on; at is when it was
-// retired, in Unix nanoseconds.
+// retiredRun is a run in the queue with its epoch and barrier stamps, and
+// when it was retired, in Unix nanoseconds.
 type retiredRun struct {
 	Run
-	stamp uint64
-	at    int64
+	epoch, barrier uint64
+	at             int64
 }
 
 // EpochGuard pins one reader to the epoch it entered.  Every guard
@@ -113,10 +87,9 @@ type EpochManager struct {
 	// garbage once no checkpoint's pool flush needs them.
 	pool *buffer.Pool
 
-	mu       sync.Mutex
-	current  uint64         // eos:guardedby mu
-	pins     map[uint64]int // eos:guardedby mu
-	inflight map[uint64]int // eos:guardedby mu -- open mutation scopes by begin epoch
+	mu      sync.Mutex
+	current uint64         // eos:guardedby mu
+	pins    map[uint64]int // eos:guardedby mu
 	// queue is every retired run not yet back in the free space, in the
 	// order Retire parked them; queue[:matured] have matured and
 	// queue[:discarded] have lost their frames.
@@ -140,11 +113,7 @@ type EpochManager struct {
 // NewEpochManager creates a manager that drops the frames of the runs
 // leaving its discard gate from pool.
 func NewEpochManager(pool *buffer.Pool) *EpochManager {
-	return &EpochManager{
-		pool:     pool,
-		pins:     make(map[uint64]int),
-		inflight: make(map[uint64]int),
-	}
+	return &EpochManager{pool: pool, pins: make(map[uint64]int)}
 }
 
 // Enter pins the calling reader to the current epoch.  The returned
@@ -191,14 +160,12 @@ func (em *EpochManager) SetBudget(budget int64) {
 const admitWait = 2 * time.Second
 
 // Admit throttles a mutator while the retired backlog is over budget,
-// waking at each advance of the queue.  It must be called BEFORE the
-// mutation opens its scope or takes its object latch: a waiter here holds
-// nothing, so reader pins keep rotating, the epoch keeps advancing, and
-// the backlog drains.  (The allocation-failure path cannot give that
-// guarantee — a mutator mid-operation has its scope open, which caps the
-// epoch advance and freezes maturation of everything retired during its
-// wait.  Admission control keeps the backlog bounded so that path stays
-// rare.)
+// waking at each advance of the queue.  It must be called before the
+// mutation takes its object latch: a waiter here holds nothing, so the
+// writers it waits behind can publish, retire and release.  An allocation
+// that fails mid-operation waits too (the store's spaceWaiter), but it
+// holds its latch while it does; admission control keeps the backlog
+// bounded so that path stays rare.
 func (em *EpochManager) Admit() {
 	var deadline time.Time
 	for {
@@ -218,33 +185,9 @@ func (em *EpochManager) Admit() {
 	}
 }
 
-// BeginMutation opens a mutation scope and returns its begin epoch,
-// which the caller passes back to EndMutation.  While the scope is
-// open the epoch can advance at most once, so the scope's mid-flight
-// retires (stamped one past their retire epoch) cannot mature before
-// the caller publishes its new root and closes the scope.
-func (em *EpochManager) BeginMutation() uint64 {
-	em.mu.Lock()
-	b := em.current
-	em.inflight[b]++
-	em.mu.Unlock()
-	return b
-}
-
-// EndMutation closes the mutation scope opened at begin epoch b.  The
-// caller must have published its new root (or restored the old one)
-// before calling EndMutation.
-func (em *EpochManager) EndMutation(b uint64) {
-	em.mu.Lock()
-	if em.inflight[b]--; em.inflight[b] <= 0 {
-		delete(em.inflight, b)
-	}
-	em.mu.Unlock()
-}
-
-// Retire parks page runs one past the current epoch.  Safe to call with
-// or without a mutation scope open; transactional callers retire only
-// after publishing the superseding roots.
+// Retire enters runs in the queue, stamped with the current epoch and the
+// latest checkpoint begun.  The caller has published every root that
+// named them: see the package comment.
 func (em *EpochManager) Retire(runs []Run) {
 	if len(runs) == 0 {
 		return
@@ -256,7 +199,7 @@ func (em *EpochManager) Retire(runs []Run) {
 	now := time.Now().UnixNano()
 	em.mu.Lock()
 	for _, r := range runs {
-		em.queue = append(em.queue, retiredRun{Run: r, stamp: em.current + 1, at: now})
+		em.queue = append(em.queue, retiredRun{Run: r, epoch: em.current, barrier: em.started, at: now})
 	}
 	em.pending += pages
 	em.waiting += pages
@@ -264,21 +207,19 @@ func (em *EpochManager) Retire(runs []Run) {
 	em.retiredTotal.Add(uint64(pages))
 }
 
-// matureLocked moves the matured prefix past every run whose epoch has
-// matured — stamped before the current epoch, with no reader pinned at or
-// before the stamp — gives each the barrier stamp of the latest
-// checkpoint begun, and drops the frames the discard gate lets go.
+// matureLocked moves the matured prefix past every run whose epoch stamp
+// is behind the current epoch and behind every pinned reader, and drops
+// the frames the discard gate lets go.
 //
 // eos:requires em.mu
 func (em *EpochManager) matureLocked() {
 	minPinned, pinned := em.minPinnedLocked()
 	k := em.matured
 	for ; k < len(em.queue); k++ {
-		r := &em.queue[k]
-		if r.stamp >= em.current || pinned && minPinned <= r.stamp {
-			break // a superseding publish may still be in flight, or a reader pins it
+		r := em.queue[k]
+		if r.epoch >= em.current || pinned && minPinned <= r.epoch {
+			break // a reader may hold a root that names it
 		}
-		r.stamp = em.started
 		em.pending -= int64(r.Pages)
 	}
 	if k > em.matured {
@@ -300,23 +241,6 @@ func (em *EpochManager) minPinnedLocked() (uint64, bool) {
 	return min, found
 }
 
-// advanceLocked bumps the epoch if no mutation scope begun before the
-// current epoch is still open; it reports whether it advanced.  The
-// begin-epoch test is what bounds advances to at most one per open
-// scope — see the package comment's safety argument.
-//
-// eos:requires em.mu
-func (em *EpochManager) advanceLocked() bool {
-	for b := range em.inflight {
-		if b < em.current {
-			return false
-		}
-	}
-	em.current++
-	em.advances.Add(1)
-	return true
-}
-
 // signalLocked notes an advance of one of the queue's prefixes and wakes
 // every waiter.
 //
@@ -334,7 +258,7 @@ func (em *EpochManager) signalLocked() {
 //
 // eos:requires em.mu
 func (em *EpochManager) discardLocked() {
-	for ; em.discarded < em.matured && em.queue[em.discarded].stamp <= em.flushed; em.discarded++ {
+	for ; em.discarded < em.matured && em.queue[em.discarded].barrier <= em.flushed; em.discarded++ {
 		r := em.queue[em.discarded]
 		for i := 0; i < r.Pages; i++ {
 			em.pool.Discard(r.Start + disk.PageNum(i))
@@ -342,25 +266,25 @@ func (em *EpochManager) discardLocked() {
 	}
 }
 
-// Reclaim advances the epoch past every retired stamp (each step can
-// fail harmlessly while an older mutation scope is open — nothing ever
-// blocks), matures whatever no reader still pins and drops the frames
-// the discard gate lets go.  With no readers and no mutation in flight
-// that is everything retired, so a quiescent store reclaims promptly;
-// under load the work left behind is picked up at the next reclamation
-// point.  Cheap enough to call after every mutation.
+// Reclaim advances the epoch past the newest stamp in the queue, matures
+// whatever no reader still pins and drops the frames the discard gate lets
+// go.  With no reader pinned that is everything retired, so a quiescent
+// store reclaims promptly; under load the work left behind is picked up at
+// the next reclamation point.  Cheap enough to call after every mutation.
 func (em *EpochManager) Reclaim() {
 	em.mu.Lock()
 	if n := len(em.queue); n > em.matured {
-		for em.current <= em.queue[n-1].stamp && em.advanceLocked() {
+		if em.current == em.queue[n-1].epoch {
+			em.current++
+			em.advances.Add(1)
 		}
 		em.matureLocked()
 	}
 	em.mu.Unlock()
 }
 
-// StartBarrier begins a checkpoint and returns its number: the runs that
-// mature from now on take it as their barrier stamp, and keep their
+// StartBarrier begins a checkpoint and returns its number: the runs
+// retired from now on take it as their barrier stamp, and keep their
 // frames until its pool flush ends.
 func (em *EpochManager) StartBarrier() uint64 {
 	em.mu.Lock()
@@ -388,7 +312,7 @@ func (em *EpochManager) Releasable(durable uint64) []Run {
 	em.mu.Lock()
 	defer em.mu.Unlock()
 	k := 0
-	for k < em.discarded && em.queue[k].stamp < durable {
+	for k < em.discarded && em.queue[k].barrier < durable {
 		k++
 	}
 	runs := make([]Run, k)
@@ -412,6 +336,14 @@ func (em *EpochManager) Released(n int) {
 	}
 	em.matured -= n
 	em.discarded -= n
+	em.signalLocked()
+}
+
+// Freed wakes every waiter: pages reached the free space without passing
+// through the queue (an abort gave back what its transaction allocated).
+func (em *EpochManager) Freed() {
+	em.mu.Lock()
+	defer em.mu.Unlock()
 	em.signalLocked()
 }
 

@@ -28,11 +28,11 @@ func TestEpochQuiescentReclaim(t *testing.T) {
 	if got := em.PendingPages(); got != 6 {
 		t.Fatalf("PendingPages = %d, want 6", got)
 	}
-	// No readers, no mutation in flight: one Reclaim matures everything
-	// (it advances past the pessimistic +1 stamp on its own).
+	// No readers: one Reclaim matures everything, with one advance past
+	// the epoch the runs were stamped with.
 	em.Reclaim()
-	if got := matured(); got != 6 {
-		t.Fatalf("matured %d pages after quiescent Reclaim, want 6", got)
+	if got, advances := matured(), em.Advances(); got != 6 || advances != 1 {
+		t.Fatalf("matured %d pages after quiescent Reclaim with %d advances, want 6 and 1", got, advances)
 	}
 	if got := em.PendingPages(); got != 0 {
 		t.Fatalf("PendingPages = %d after Reclaim, want 0", got)
@@ -59,24 +59,32 @@ func TestEpochPinBlocksCollection(t *testing.T) {
 	}
 }
 
-func TestEpochMutationScopeCapsAdvance(t *testing.T) {
+// TestEpochRetiredRunMaturesOneAdvancePastEveryPin: a writer retires a
+// run after the publish that stops naming it, stamped with the current
+// epoch.  A reader pinned at that epoch may have captured the old root,
+// so the run waits for it however often the store reclaims; a reader that
+// enters after the retire can only capture the new root, and holds
+// nothing back.  Once the old reader leaves, the run matures with exactly
+// one advance behind it.
+func TestEpochRetiredRunMaturesOneAdvancePastEveryPin(t *testing.T) {
 	em, _, matured := newTestManager(t)
-	scope := em.BeginMutation()
-	// Mid-operation retire of pages the still-published root references:
-	// they must not mature while the scope is open, no matter how many
-	// reclamation points run.
+	em.Retire([]Run{{Start: disk.PageNum(2), Pages: 1}}) // move off epoch 0
+	em.Reclaim()
+	before := em.Advances()
+	old := em.Enter() // captures the root the writer is about to supersede
 	em.Retire([]Run{{Start: disk.PageNum(10), Pages: 4}})
 	for i := 0; i < 3; i++ {
 		em.Reclaim()
 	}
-	if got := matured(); got != 0 {
-		t.Fatalf("matured %d pages inside an open mutation scope, want 0", got)
+	if got := matured(); got != 1 {
+		t.Fatalf("matured %d pages while a reader pinned at the run's epoch is in, want only the 1 retired before", got)
 	}
-	em.EndMutation(scope)
-	em.Reclaim()
-	if got := matured(); got != 4 {
-		t.Fatalf("matured %d pages after scope closed, want 4", got)
+	young := em.Enter() // after the retire: sees the new root only
+	old.Exit()
+	if got, advances := matured(), em.Advances()-before; got != 5 || advances != 1 {
+		t.Fatalf("matured %d pages with %d advances once the old reader left, want 5 and 1", got, advances)
 	}
+	young.Exit()
 }
 
 func TestEpochAdmitThrottlesOverBudget(t *testing.T) {
@@ -130,8 +138,8 @@ func TestEpochStats(t *testing.T) {
 // order, and a reader's exit matures the runs it held — the run an older
 // reader pinned — but not a later one that a younger reader still pins.
 // Behind the matured prefix, a checkpoint's flush window holds the frames
-// of the runs that mature inside it, and only a durable checkpoint begun
-// after a run matured releases it: released ⊆ discarded ⊆ matured, each a
+// of the runs retired inside it, and only a durable checkpoint begun after
+// a run was retired releases it: released ⊆ discarded ⊆ matured, each a
 // prefix of the queue, and runs leave it in the order they were retired.
 func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
 	em, pool, _ := newTestManager(t)
@@ -176,8 +184,8 @@ func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
 		t.Fatal("OldestAge != 0 with nothing pending")
 	}
 
-	// A checkpoint begins: a run that matures now keeps its frames until
-	// the checkpoint's flush ends.
+	// A checkpoint begins: a run retired now keeps its frames until the
+	// checkpoint's flush ends.
 	b := em.StartBarrier()
 	em.Retire([]Run{{Start: disk.PageNum(40), Pages: 4}})
 	em.Reclaim()
@@ -198,7 +206,7 @@ func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
 		t.Fatalf("discarded %d pages once the flush ended, want 7", got)
 	}
 	// The checkpoint is durable: it releases the runs stamped before it,
-	// not the one that matured inside it, nor the pinned one.
+	// not the one retired inside it, nor the pinned one.
 	var released []Run
 	release := func(durable uint64) {
 		t.Helper()
@@ -215,7 +223,7 @@ func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
 	checkPrefixes(t, em)
 	release(b)
 	if len(released) != 2 {
-		t.Fatalf("checkpoint %d released %v, runs that matured after it began", b, released)
+		t.Fatalf("checkpoint %d released %v, runs retired after it began", b, released)
 	}
 	b = em.StartBarrier()
 	em.EndFlush(b)
@@ -232,9 +240,9 @@ func TestEpochReclaimsTheMaturedPrefix(t *testing.T) {
 }
 
 // checkPrefixes holds the queue's invariants: discarded ⊆ matured, each a
-// prefix; barrier stamps over the matured prefix and epoch stamps behind
-// it never decrease; the discarded prefix is everything the last ended
-// flush covers; and the page counters add up.
+// prefix; neither stamp decreases along the queue; the discarded prefix is
+// every matured run the last ended flush covers; and the page counters add
+// up.
 func checkPrefixes(t *testing.T, em *EpochManager) {
 	t.Helper()
 	em.mu.Lock()
@@ -248,14 +256,14 @@ func checkPrefixes(t *testing.T, em *EpochManager) {
 		if i >= em.matured {
 			pending += int64(r.Pages)
 		}
-		if i > 0 && i != em.matured && r.stamp < em.queue[i-1].stamp {
-			t.Fatalf("run %d stamped %d behind a run stamped %d", i, r.stamp, em.queue[i-1].stamp)
+		if i > 0 && (r.epoch < em.queue[i-1].epoch || r.barrier < em.queue[i-1].barrier) {
+			t.Fatalf("run %d stamped %d/%d behind a run stamped %d/%d", i, r.epoch, r.barrier, em.queue[i-1].epoch, em.queue[i-1].barrier)
 		}
-		if i < em.discarded && r.stamp > em.flushed {
-			t.Fatalf("run %d discarded with barrier stamp %d past the last ended flush %d", i, r.stamp, em.flushed)
+		if i < em.discarded && r.barrier > em.flushed {
+			t.Fatalf("run %d discarded with barrier stamp %d past the last ended flush %d", i, r.barrier, em.flushed)
 		}
 	}
-	if em.discarded < em.matured && em.queue[em.discarded].stamp <= em.flushed {
+	if em.discarded < em.matured && em.queue[em.discarded].barrier <= em.flushed {
 		t.Fatalf("run %d matured under the ended flush %d and kept its frames", em.discarded, em.flushed)
 	}
 	if pending != em.pending || waiting != em.waiting {

@@ -454,11 +454,6 @@ func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageR
 		page += disk.PageNum(s.opts.SpaceCapacity + 1)
 	}
 	s.buddy = bm
-	var err error
-	s.lm, err = lob.NewManager(s.vol, s.pool, &epochAlloc{s: s}, s.lobConfig())
-	if err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	entries := make([]*catEntry, 0, len(s.byID))
 	for _, e := range s.byID {
@@ -468,15 +463,8 @@ func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageR
 	before := make(map[*catEntry][]lob.PageRun, len(entries))
 	reserve := append([]lob.PageRun{}, named...)
 	for _, e := range entries {
-		// Reattach the loaded descriptor to the new manager.
-		desc := e.obj.EncodeDescriptor()
-		obj, err := s.lm.OpenDescriptor(desc)
-		if err != nil {
-			return nil, err
-		}
-		e.obj = obj
-		e.setStableDesc(lob.EncodedDescriptor(desc))
-		runs, err := obj.ReachablePages()
+		e.setStableDesc(e.obj.Capture()) // without the tail loadCatalog forgot
+		runs, err := e.obj.ReachablePages()
 		if err != nil {
 			return nil, err
 		}

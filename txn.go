@@ -18,24 +18,25 @@ import (
 // unallocated until the holding transaction releases the locks" — and it
 // records the runs it hands out.  Index updates are shadowed and segments
 // never overwritten, so the roots from before the transaction stay whole:
-// a commit applies the frees, an abort reinstates those roots and gives
-// back what the transaction allocated.
+// a commit retires the frees once it has published, an abort reinstates
+// those roots and gives back what the transaction allocated.
 type deferredAlloc struct {
-	inner  lob.Allocator
+	inner  spaceAllocator
 	mu     sync.Mutex
-	frees  []pageRun // eos:guardedby mu
-	allocs []pageRun // eos:guardedby mu -- allocated by the transaction and not given back
+	frees  freeList  // eos:guardedby mu
+	room   []txn.Run // eos:guardedby mu -- FreeUnpublished of pages the transaction did not allocate
+	allocs []txn.Run // eos:guardedby mu -- allocated by the transaction and not given back
 }
 
-type pageRun struct {
-	start disk.PageNum
-	n     int
-	// unpublished: a FreeUnpublished of pages the transaction did not
-	// allocate, which its commit passes on as one.
-	unpublished bool
+// spaceAllocator is the store's allocator as a writer's own sees it
+// (epochAlloc): it has no Free, as every writer holds its frees until its
+// publish.
+type spaceAllocator interface {
+	Alloc(n int) (disk.PageNum, error)
+	AllocUpTo(n int) (disk.PageNum, int, error)
+	FreeUnpublished(p disk.PageNum, n int) error
+	MaxSegmentPages() int
 }
-
-func (r pageRun) end() disk.PageNum { return r.start + disk.PageNum(r.n) }
 
 func (d *deferredAlloc) Alloc(n int) (disk.PageNum, error) {
 	p, err := d.inner.Alloc(n)
@@ -56,7 +57,7 @@ func (d *deferredAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
 func (d *deferredAlloc) record(p disk.PageNum, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.allocs = append(d.allocs, pageRun{start: p, n: n})
+	d.allocs = append(d.allocs, txn.Run{Start: p, Pages: n})
 }
 
 func (d *deferredAlloc) MaxSegmentPages() int { return d.inner.MaxSegmentPages() }
@@ -64,47 +65,46 @@ func (d *deferredAlloc) MaxSegmentPages() int { return d.inner.MaxSegmentPages()
 func (d *deferredAlloc) Free(p disk.PageNum, n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.frees = append(d.frees, pageRun{start: p, n: n})
-	return nil
+	return d.frees.Free(p, n)
 }
 
 // FreeUnpublished passes on at once pages the transaction allocated: no
 // root an abort could reinstate names them.  Other pages — the room of an
-// open tail the transaction found — wait like Free: the root from before
-// the transaction claims them.  The pages are always part of one run
-// (lob.Allocator.FreeUnpublished).
+// open tail the transaction found — wait for the commit: the root from
+// before the transaction claims them.  The pages are always part of one
+// run (lob.Allocator.FreeUnpublished).
 func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
+	end := func(r txn.Run) disk.PageNum { return r.Start + disk.PageNum(r.Pages) }
 	d.mu.Lock()
-	i := slices.IndexFunc(d.allocs, func(r pageRun) bool { return r.start <= p && p < r.end() })
+	i := slices.IndexFunc(d.allocs, func(r txn.Run) bool { return r.Start <= p && p < end(r) })
 	if i < 0 {
-		d.frees = append(d.frees, pageRun{start: p, n: n, unpublished: true})
+		d.room = append(d.room, txn.Run{Start: p, Pages: n})
 		d.mu.Unlock()
 		return nil
 	}
-	r, end := d.allocs[i], p+disk.PageNum(n)
+	r, e := d.allocs[i], p+disk.PageNum(n)
 	d.allocs = slices.Delete(d.allocs, i, i+1)
-	if r.start < p {
-		d.allocs = append(d.allocs, pageRun{start: r.start, n: int(p - r.start)})
+	if r.Start < p {
+		d.allocs = append(d.allocs, txn.Run{Start: r.Start, Pages: int(p - r.Start)})
 	}
-	if end < r.end() {
-		d.allocs = append(d.allocs, pageRun{start: end, n: int(r.end() - end)})
+	if e < end(r) {
+		d.allocs = append(d.allocs, txn.Run{Start: e, Pages: int(end(r) - e)})
 	}
 	d.mu.Unlock()
 	return d.inner.FreeUnpublished(p, n)
 }
 
-// apply is a commit's: every deferred free is performed.
-func (d *deferredAlloc) apply() error {
+// apply is a commit's, once it has published: the frees enter the
+// reclamation queue em, and the room no root named goes back to the free
+// space.
+func (d *deferredAlloc) apply(em *txn.EpochManager) error {
 	d.mu.Lock()
-	frees := d.frees
-	d.frees, d.allocs = nil, nil
+	frees, room := d.frees, d.room
+	d.frees, d.room, d.allocs = nil, nil, nil
 	d.mu.Unlock()
-	for _, r := range frees {
-		free := d.inner.Free
-		if r.unpublished {
-			free = d.inner.FreeUnpublished
-		}
-		if err := free(r.start, r.n); err != nil {
+	frees.retire(em)
+	for _, r := range room {
+		if err := d.inner.FreeUnpublished(r.Start, r.Pages); err != nil {
 			return err
 		}
 	}
@@ -117,12 +117,12 @@ func (d *deferredAlloc) apply() error {
 func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 	d.mu.Lock()
 	allocs := d.allocs
-	d.frees, d.allocs = nil, nil
+	d.frees, d.room, d.allocs = nil, nil, nil
 	d.mu.Unlock()
 	var err error
 	for _, r := range allocs {
-		forget(r.start, r.n)
-		if ferr := d.inner.FreeUnpublished(r.start, r.n); err == nil {
+		forget(r.Start, r.Pages)
+		if ferr := d.inner.FreeUnpublished(r.Start, r.Pages); err == nil {
 			err = ferr
 		}
 	}
@@ -274,7 +274,7 @@ func (t *Txn) take(e *catEntry) []byte {
 }
 
 // unbindTouched routes the allocation of every object t holds back to the
-// store's allocator, which lets non-transactional writers at it again.
+// store's manager, which lets non-transactional writers at it again.
 // Under the write latch, as take; it ranks below Store.mu, so the caller
 // does not hold s.mu.
 func (t *Txn) unbindTouched() {
@@ -629,17 +629,15 @@ func (t *Txn) forceData() error {
 // readers, hand the superseded pages to epoch reclamation, and release
 // the locks.  It makes nothing durable: the commit record's force did.
 func (t *Txn) commitBarrier() error {
-	// Publish the committed roots BEFORE applying the deferred frees:
-	// the frees retire the superseded pages into the current epoch, and
-	// the epoch-reclamation invariant requires every retired batch's
-	// replacement root to be visible to snapshot readers before the
-	// epoch that holds the batch can advance.
+	// Publish the committed roots BEFORE retiring the deferred frees: a
+	// reader that can still capture an older root must be pinned at or
+	// below their epoch stamp (EpochManager.Retire).
 	t.publishTouched()
-	// Apply the deferred frees.  The pages wait in the reclamation queue
-	// for the readers that may hold the older roots, then for a checkpoint
-	// begun after that: until one has persisted these roots, recovery
+	// Retire the deferred frees.  The pages wait in the reclamation queue
+	// for the readers that may hold the older roots, and for a checkpoint
+	// begun after the retire: until one has persisted these roots, recovery
 	// redoes this commit from the roots that still name them.
-	if err := t.alloc.apply(); err != nil {
+	if err := t.alloc.apply(t.s.epochs); err != nil {
 		return err
 	}
 	t.s.locks.ReleaseAll(t.id)
@@ -661,7 +659,7 @@ func (t *Txn) publishTouched() {
 			continue
 		}
 		to.entry.latch.Lock()
-		to.entry.obj.Publish(snapshotHistory)
+		to.entry.obj.Publish()
 		to.entry.latch.Unlock()
 	}
 }
@@ -730,6 +728,7 @@ func (t *Txn) Abort() error {
 	if gerr := t.alloc.giveBack(t.lm.Forget); err == nil {
 		err = gerr
 	}
+	t.s.epochs.Freed() // an allocation may be waiting for what came back
 	t.s.locks.ReleaseAll(t.id)
 	return err
 }
