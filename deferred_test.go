@@ -90,6 +90,11 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 	if em.RetiredPages() != 6 || len(inner.unpublished) != 1 {
 		t.Error("second apply re-freed")
 	}
+	// Between scopes an object rests on the store's manager, whose
+	// allocator frees nothing.
+	if err := (&restAlloc{}).Free(10, 4); err == nil {
+		t.Error("the store's manager freed a run outside a write scope")
+	}
 }
 
 // TestDeferredAllocGivesBackWhatItAllocated: an abort drops every deferred

@@ -155,10 +155,10 @@ type catEntry struct {
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
 	// is omitted from catalog writes.  It is captured synchronously at
-	// every commit point — non-transactional publish, transaction
-	// commit, and abort — and encoded later, when a checkpoint's image
-	// needs the bytes (lob.Descriptor): the capture, not the encoding,
-	// fixes the state.  Not lazily at catalog-write time: the
+	// every write scope's commit point — an Object operation's, a
+	// transaction's commit — and is the root a failed scope goes back to;
+	// it is encoded later, when the bytes are needed (lob.Descriptor):
+	// the capture, not the encoding, fixes the state.  Not lazily at catalog-write time: the
 	// reclamation queue's barrier gate reasons that any checkpoint begun
 	// after a freed run was retired persists roots that exclude the run,
 	// and catalog writes must be able to proceed while an object's
@@ -166,7 +166,9 @@ type catEntry struct {
 	// its latch while WAITING for a checkpoint to release freed
 	// space).  Writers are serialized per object by the latch or the
 	// transaction's exclusive lock; the atomic makes the latch-free
-	// read in imageLocked safe, and Store.mu serializes the encoding.
+	// read in imageLocked safe, and the encoding is completed once, by
+	// whoever asks first (lob.Descriptor.Bytes): a checkpoint's image, or
+	// a failed write scope going back (Store.goBack).
 	stableDesc atomic.Pointer[lob.Descriptor]
 
 	// latch serializes physical access to the object's in-memory root,
@@ -194,8 +196,6 @@ func (e *catEntry) stableSize() int {
 
 // loadStableDesc returns the last committed descriptor's encoding, or nil
 // if the object has never committed.  Safe without the object latch.
-//
-// eos:requires s.mu
 func (e *catEntry) loadStableDesc() []byte {
 	if d := e.stableDesc.Load(); d != nil {
 		return d.Bytes()
@@ -213,11 +213,11 @@ type Store struct {
 	ownsVols bool
 	pool     *buffer.Pool
 	buddy    *buddy.Manager
-	// lm is the manager objects are bound to between operations.  An
-	// Object operation runs on a front it borrows from fronts (lend), a
-	// transaction on a manager of its own (Txn.lm).
+	// lm is the manager objects are bound to between write scopes.  An
+	// Object operation and a transaction each run as a scope it borrows from
+	// scopes (Store.scope): a deferredAlloc and lm derived over it.
 	lm     *lob.Manager
-	fronts sync.Pool
+	scopes sync.Pool
 	// pending is the write-behind set (lob.Pending): open tails' pages and
 	// committed replaces' pages not on the device yet, shared by the store's
 	// manager and every transaction's.
@@ -360,10 +360,10 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// byte is redo logged since the last checkpoint.
 	s.pending = lob.NewPending(vol, int(logVol.NumPages())*logVol.PageSize()/vol.PageSize())
 	s.lm, err = lob.NewManager(vol, pool, &restAlloc{epochAlloc{s: s}}, s.lobConfig())
-	s.fronts.New = func() any {
-		f := &front{epochAlloc: epochAlloc{s: s}}
-		f.lm = s.lm.Derive(f)
-		return f
+	s.scopes.New = func() any {
+		d := &deferredAlloc{inner: &epochAlloc{s: s}}
+		d.lm = s.lm.Derive(d)
+		return d
 	}
 	return s, err
 }
@@ -396,14 +396,13 @@ func (s *Store) logBusy() bool {
 	return float64(s.log.Used()) >= logBusyShare*float64(int64(s.logVol.NumPages())*int64(s.logVol.PageSize()))
 }
 
-// epochAlloc is the store-wide allocator behind every writer's own:
-// allocations go to the buddy system, waiting out space pressure
-// (spaceWaiter), and so do the pages no root ever named
-// (FreeUnpublished).  It has no Free: the runs a root named wait with
-// their writer — an Object operation's in its front, a transaction's in
-// its deferredAlloc — until the publish that stops naming them, and then
-// enter the reclamation queue.  It delegates through the Store pointer
-// because recovery replaces s.buddy wholesale.
+// epochAlloc is the store-wide allocator behind every write scope's
+// deferredAlloc: allocations go to the buddy system, waiting out space
+// pressure (spaceWaiter), and so do the pages no root ever named
+// (FreeUnpublished).  It has no Free: the runs a root named wait in their
+// scope until the publish that stops naming them, and then enter the
+// reclamation queue.  It delegates through the Store pointer because
+// recovery replaces s.buddy wholesale.
 type epochAlloc struct{ s *Store }
 
 func (a *epochAlloc) Alloc(n int) (disk.PageNum, error) {
@@ -440,8 +439,10 @@ const allocBackpressureWait = 2 * time.Second
 // failure reclaims and retries at once (the single-shot fast path);
 // later rounds wait for the reclamation queue to advance until nothing
 // is left in it or the deadline passes.  Waiting here is safe
-// mid-mutation: what the caller has freed so far waits with it, outside
-// the queue, and nothing the queue holds waits for the caller — Reclaim
+// mid-mutation: what the caller's write scope has freed so far waits in
+// the scope, outside the queue — the scope's last commit point still names
+// it, and a failed scope goes back there —, and nothing the queue holds
+// waits for the caller — Reclaim
 // never blocks, and snapshot readers take no latches, so the pins being
 // waited out always drain — but see EpochManager.Admit for why this path
 // is the last resort.
@@ -515,59 +516,54 @@ func (a *epochAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	return a.s.buddy.FreeUnpublished(p, n)
 }
 
-// freeList is the front of the reclamation queue: the runs one writer has
-// freed that a published root may still name (§4.5's release locks, see
-// deferredAlloc).  The writer retires them after the publish that stops
-// naming them.
-type freeList []txn.Run
+// scope borrows a write scope from the store's pool: a deferredAlloc, with
+// the store's manager derived over it.  Borrowing one makes no manager and
+// no allocation.  An Object operation and a transaction bind the objects
+// they write to its manager, and end it at their commit point or go back
+// (endScope).
+func (s *Store) scope() *deferredAlloc { return s.scopes.Get().(*deferredAlloc) }
 
-func (l *freeList) Free(p disk.PageNum, n int) error {
-	*l = append(*l, txn.Run{Start: p, Pages: n})
-	return nil
-}
-
-// retire enters the runs in the reclamation queue and empties the list,
-// keeping its memory for the writer's next frees.
-func (l *freeList) retire(em *txn.EpochManager) {
-	em.Retire(*l)
-	*l = (*l)[:0]
-}
-
-// front is what one Object operation allocates and frees through: the
-// store's manager over the store's allocator and a freeList of the
-// operation's own.  Operations borrow fronts from Store.fronts, so one
-// makes no manager and no allocation.
-type front struct {
-	lm *lob.Manager
-	epochAlloc
-	freeList
-}
-
-// lend binds e's object, which the caller has write-latched, to a front for
-// one operation; publish ends it.
-func (s *Store) lend(e *catEntry) *front {
-	f := s.fronts.Get().(*front)
-	e.obj.Rebind(f.lm)
-	return f
-}
-
-// publish ends the operation on front f: e's object goes back to the
-// store's manager, its root is published and becomes the catalog's
-// descriptor, and only then do the runs the operation freed enter the
-// reclamation queue.  So a reader that can still hold the old root is
-// pinned at or below their epoch stamp, and a checkpoint numbered above
-// their barrier stamp captures the new descriptor.
-func (s *Store) publish(e *catEntry, f *front) {
+// goBack is a failed write scope's way back for e, an Object operation's
+// and an aborted transaction's alike, under e's write latch, which the
+// caller holds: e gets back its last commit point, stableDesc, in place,
+// and the store's manager.  An object the scope created has none: it stays
+// bound to the scope's manager, which refuses its stale handles every
+// write (txnHolds).  endScope then gives back what the scope allocated.
+func (s *Store) goBack(e *catEntry) error {
+	d := e.stableDesc.Load()
+	if d == nil {
+		return nil
+	}
+	err := e.obj.Reinstate(d)
 	e.obj.Rebind(s.lm)
-	e.setStableDesc(e.obj.PublishDescriptor())
-	f.retire(s.epochs)
-	s.fronts.Put(f)
+	return err
+}
+
+// endScope ends write scope d.  Behind a commit point — every root d
+// changed published and in stableDesc — the runs it freed enter the
+// reclamation queue, so a reader that can still hold an old root is pinned
+// at or below their epoch stamp, and a checkpoint numbered above their
+// barrier stamp captures the new descriptors; then the room of a tail no
+// root named goes back.  Behind goBack, the frees are dropped — the roots
+// gone back to name those pages — and every page d allocated goes back to
+// the free space at once, its images dropped, which may wake a stalled
+// allocation.  d returns to the pool either way.
+func (s *Store) endScope(d *deferredAlloc, committed bool) error {
+	var err error
+	if committed {
+		err = d.apply(s.epochs)
+	} else {
+		err = d.giveBack(d.lm.Forget)
+		s.epochs.Freed()
+	}
+	s.scopes.Put(d)
+	return err
 }
 
 // restAlloc is the allocator of the store's manager, which objects are
-// bound to between operations.  What is done to them there — reads,
+// bound to between write scopes.  What is done to them there — reads,
 // replaces in place, trims of room no root named — frees no run a root
-// names: every operation that does runs on a front.
+// names: every operation that does runs in a scope.
 type restAlloc struct{ epochAlloc }
 
 func (*restAlloc) Free(p disk.PageNum, n int) error {
@@ -1023,9 +1019,7 @@ func (s *Store) Destroy(name string) error {
 	if s.txnHolds(e) {
 		err = fmt.Errorf("%w: %q", ErrInUse, name)
 	} else {
-		f := s.lend(e)
-		err = e.obj.Destroy()
-		s.publish(e, f)
+		err = s.write(e, (*lob.Object).Destroy)
 	}
 	e.latch.Unlock()
 	if err != nil {
@@ -1313,12 +1307,8 @@ func (o *Object) Name() string {
 	return o.e.name
 }
 
-// mutate runs one structural update under the object latch, on a front:
-// the pages the operation frees wait there while the published root and
-// the catalog's descriptor still name them.  The publish at its end is
-// this mode's commit point.  The root is republished even when op fails —
-// lob operations unwind to a consistent in-memory tree, and that tree is
-// what latched readers see.
+// mutate runs one update of o as a write scope of its own (write), under
+// the object latch.
 func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.s.epochs.Admit()
 	o.e.latch.Lock()
@@ -1326,9 +1316,7 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 		o.e.latch.Unlock()
 		return o.inUse()
 	}
-	f := o.s.lend(o.e)
-	err := op(o.e.obj)
-	o.s.publish(o.e, f)
+	err := o.s.write(o.e, op)
 	o.e.latch.Unlock()
 	o.s.mu.Lock()
 	o.s.measure(o.e, o.e.stableSize())
@@ -1336,6 +1324,28 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.s.mu.Unlock()
 	o.s.epochs.Reclaim()
 	return err
+}
+
+// write runs op on e as one write scope, under e's write latch, which the
+// caller holds: the pages op frees wait in the scope while the published
+// root and the catalog's descriptor still name them.  The commit point is
+// a transaction's (Txn.commitBarrier): e's root is published, so every
+// snapshot opened from now on captures it, the descriptor of what was
+// published becomes e's stableDesc, and only then does the scope end.  An
+// op that fails goes back to e's last commit point as an abort does, so a
+// failed write changes nothing.
+func (s *Store) write(e *catEntry, op func(*lob.Object) error) error {
+	d := s.scope()
+	e.obj.Rebind(d.lm)
+	if err := op(e.obj); err != nil {
+		if berr := errors.Join(s.goBack(e), s.endScope(d, false)); berr != nil {
+			err = errors.Join(err, berr)
+		}
+		return err
+	}
+	e.setStableDesc(e.obj.PublishDescriptor())
+	e.obj.Rebind(s.lm)
+	return s.endScope(d, true)
 }
 
 // txnHolds reports whether a live transaction holds e dirty, which refuses
@@ -1448,17 +1458,13 @@ func (o *Object) Compact() error {
 	return o.mutate(func(obj *lob.Object) error { return obj.Compact() })
 }
 
-// SetThreshold changes the object's segment size threshold T (§4.4).
+// SetThreshold changes the object's segment size threshold T (§4.4).  It
+// is a commit point like every other Object write.
 func (o *Object) SetThreshold(t int) error {
-	o.e.latch.Lock()
-	if o.s.txnHolds(o.e) {
-		o.e.latch.Unlock()
-		return o.inUse()
-	}
-	o.e.obj.SetThreshold(t)
-	o.e.setStableDesc(o.e.obj.Capture())
-	o.e.latch.Unlock()
-	return nil
+	return o.mutate(func(obj *lob.Object) error {
+		obj.SetThreshold(t)
+		return nil
+	})
 }
 
 // Threshold returns the object's T.

@@ -217,9 +217,6 @@ func newFileVolume(f *os.File, path string, pageSize int, numPages PageNum, opts
 // Path reports the backing file's path.
 func (v *FileVolume) Path() string { return v.path }
 
-// DirectIO reports whether the volume bypasses the OS page cache.
-func (v *FileVolume) DirectIO() bool { return v.direct }
-
 // ClearFault disarms fault injection, FailWriteRun's included.
 func (v *FileVolume) ClearFault() {
 	v.account.ClearFault()

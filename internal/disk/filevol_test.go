@@ -179,8 +179,8 @@ func TestFileVolumeReopen(t *testing.T) {
 		t.Fatalf("OpenFileVolume: %v", err)
 	}
 	defer re.Close()
-	if re.PageSize() != 256 || re.NumPages() != 16 {
-		t.Fatalf("geometry = %d x %d, want 16 x 256", re.NumPages(), re.PageSize())
+	if re.PageSize() != 256 || re.NumPages() != 16 || re.Path() != path {
+		t.Fatalf("geometry = %d x %d at %s, want 16 x 256 at %s", re.NumPages(), re.PageSize(), re.Path(), path)
 	}
 	got, err := re.Read(7, 1)
 	if err != nil {

@@ -913,7 +913,7 @@ func TestReinstateReopensAFilledTail(t *testing.T) {
 	if err := o.Append(model); err != nil {
 		t.Fatal(err)
 	}
-	desc, tail := o.EncodeDescriptor(), o.tailStart
+	desc, tail := o.PublishDescriptor(), o.tailStart
 	if err := o.Append(pattern(33, 300)); err != nil { // fills the room, opens a new tail
 		t.Fatal(err)
 	}

@@ -831,6 +831,12 @@ func TestPublishedDescriptorIsFrozen(t *testing.T) {
 	if d := EncodedDescriptor(want); d.Size() != len(want) || !bytes.Equal(d.Bytes(), want) {
 		t.Error("an encoded descriptor does not keep its bytes")
 	}
+	// Reinstating either makes the object the state it captured again.
+	for name, d := range map[string]*Descriptor{"published": published, "captured": captured} {
+		if err := o.Reinstate(d); err != nil || !bytes.Equal(o.EncodeDescriptor(), want) {
+			t.Errorf("%s: the reinstated object is not the state the descriptor captured (%v)", name, err)
+		}
+	}
 }
 
 func TestDeepTreeGrowsAndShrinks(t *testing.T) {

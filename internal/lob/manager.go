@@ -145,6 +145,10 @@ type Manager struct {
 	cfg   Config
 	st    *stats
 	held  held // a transaction's uncommitted replaced pages (held.go)
+	// base is the manager m was derived from, nil for one NewManager made:
+	// published versions read through it, never through a writer's held
+	// pages (Object.Publish).
+	base *Manager
 	// scratch is memory for page images that do not outlive the operation
 	// building them: the new segment an insert or a delete writes and
 	// drops.  It holds *[]byte, so handing memory back allocates nothing.
@@ -175,18 +179,12 @@ func NewManager(vol disk.Device, pool *buffer.Pool, alloc Allocator, cfg Config)
 }
 
 // Derive returns a manager like m that allocates from alloc and holds
-// replaced pages of its own (held.go) — a transaction's, or an Object
-// operation's front — but counts into m's counters and builds page images
-// in m's scratch memory.
+// replaced pages of its own (held.go) — a write scope's — but counts into
+// m's counters, builds page images in m's scratch memory, and publishes
+// versions that read through m.
 func (m *Manager) Derive(alloc Allocator) *Manager {
-	return &Manager{vol: m.vol, pool: m.pool, alloc: alloc, cfg: m.cfg, st: m.st, scratch: m.scratch}
+	return &Manager{vol: m.vol, pool: m.pool, alloc: alloc, cfg: m.cfg, st: m.st, scratch: m.scratch, base: m}
 }
-
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
-// PageSize returns the underlying volume page size.
-func (m *Manager) PageSize() int { return m.vol.PageSize() }
 
 // Stats returns a snapshot of activity counters without taking any lock.
 func (m *Manager) Stats() Stats {
@@ -550,8 +548,9 @@ const (
 // published state makes no encoding pass over the root.  A descriptor
 // that arrived as bytes keeps them.
 type Descriptor struct {
-	enc []byte       // the encoding; its capacity is the whole encoding's length
-	v   *RootVersion // the version whose entries enc still lacks; nil once it has them
+	enc    []byte       // the encoding; its capacity is the whole encoding's length
+	v      *RootVersion // the version whose entries complete enc; nil if enc came whole
+	filled sync.Once    // completes enc from v (Bytes)
 }
 
 // descriptorHeader returns a buffer of room for o's descriptor with n
@@ -605,13 +604,14 @@ func EncodedDescriptor(b []byte) *Descriptor { return &Descriptor{enc: b[:len(b)
 func (d *Descriptor) Size() int { return cap(d.enc) }
 
 // Bytes returns the descriptor's encoding, completed at the first call.
-// The caller serializes the calls on one Descriptor, and with Size; the
-// bytes are never modified.
+// It may run beside itself and Size; the bytes are never modified.
 func (d *Descriptor) Bytes() []byte {
-	if d.v != nil {
-		d.enc, d.v = withEntries(d.enc, d.v.root.entries), nil
-	}
-	return d.enc
+	d.filled.Do(func() {
+		if d.v != nil {
+			withEntries(d.enc, d.v.root.entries)
+		}
+	})
+	return d.enc[:cap(d.enc)]
 }
 
 // DescriptorSize is the length of the descriptor EncodeDescriptor returns.

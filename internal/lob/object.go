@@ -82,24 +82,25 @@ func (o *Object) SetThreshold(t int) {
 
 // Rebind attaches the object to a different manager sharing the same
 // volume and buffer pool.  The store uses it to route the object's
-// allocation through the allocator of the writer at it — a transaction's,
-// or an Object operation's — which holds the writer's frees.
+// allocation through the allocator of the write scope at it, which holds
+// the scope's frees.
 func (o *Object) Rebind(m *Manager) { o.m = m }
 
 // Manager returns the manager the object is bound to.
 func (o *Object) Manager() *Manager { return o.m }
 
-// Reinstate makes o again the object desc describes — an EncodeDescriptor of
-// o from before the operations it rolls back — in place: every handle on o,
-// and the versions it published, stay.  It is a transaction's abort.  The
-// operations shadowed every index page and wrote no page desc names outside
-// its tail's room, so desc's tree is whole; whatever they allocated is the
-// caller's to give back.  An aborted append may have left room pages
-// pending: those images are dropped, as no root names their bytes, and the
-// tail's pages before them are an open tail's again if the append filled
-// it; finding the room walks desc's tree to its tail, through the pool.
-func (o *Object) Reinstate(desc []byte) error {
-	r, err := o.m.OpenDescriptor(desc)
+// Reinstate makes o again the object d describes — a descriptor of o from
+// before the operations it rolls back — in place: every handle on o, and
+// the versions it published, stay.  It is a failed write scope's way back,
+// a transaction's abort among them.  The operations shadowed every index
+// page and wrote no page d names outside its tail's room, so d's tree is
+// whole; whatever they allocated is the caller's to give back.  An aborted
+// append may have left room pages pending: those images are dropped, as no
+// root names their bytes, and the tail's pages before them are an open
+// tail's again if the append filled it; finding the room walks d's tree to
+// its tail, through the pool.
+func (o *Object) Reinstate(d *Descriptor) error {
+	r, err := o.m.OpenDescriptor(d.Bytes())
 	if err != nil {
 		return err
 	}

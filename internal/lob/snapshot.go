@@ -40,10 +40,16 @@ type RootVersion struct {
 // Publish BEFORE the pages the superseded version referenced can be freed.
 func (o *Object) Publish() { o.publish() }
 
-// publish is Publish, returning the version it installed.
+// publish is Publish, returning the version it installed.  The version
+// reads through the manager o's was derived from: a write scope's held
+// pages are not committed bytes.
 func (o *Object) publish() *RootVersion {
+	m := o.m
+	if m.base != nil {
+		m = m.base
+	}
 	v := &RootVersion{
-		m:    o.m,
+		m:    m,
 		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
 		size: o.size,
 		lsn:  o.lsn.Load(),

@@ -340,7 +340,8 @@ func (em *EpochManager) Released(n int) {
 }
 
 // Freed wakes every waiter: pages reached the free space without passing
-// through the queue (an abort gave back what its transaction allocated).
+// through the queue (a write scope that went back, an abort's or a failed
+// Object operation's, gave back what it allocated).
 func (em *EpochManager) Freed() {
 	em.mu.Lock()
 	defer em.mu.Unlock()

@@ -24,13 +24,6 @@ const (
 	Exclusive
 )
 
-func (m Mode) String() string {
-	if m == Shared {
-		return "S"
-	}
-	return "X"
-}
-
 // ErrLockTimeout is returned when a lock cannot be granted within the
 // table's timeout — the simple deadlock resolution strategy.
 var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"github.com/eosdb/eos/internal/buddy"
+	"github.com/eosdb/eos/internal/disk"
+	"github.com/eosdb/eos/internal/lob"
+	"github.com/eosdb/eos/internal/txn"
 )
 
 // readSnapshot reads the whole of sn.
@@ -220,16 +223,13 @@ func TestCommitPublishesBeforeItRetires(t *testing.T) {
 	}
 }
 
-// TestWriteCannotPayWithPagesItFreed: an Object write keeps the runs it
-// frees until its publish, as a transaction keeps them until its commit
-// (§4.5's release locks), so it cannot pay for the index pages it shadows
-// with them.  On a full volume, a delete of a whole segment frees the
-// segment and then needs a page for the index node it rewrites: with
-// nothing in the reclamation queue that could come back, it fails for want
-// of space.  It must not wait for a checkpoint to hand it the segment,
-// which the published root and the durable catalog still name.
-func TestWriteCannotPayWithPagesItFreed(t *testing.T) {
-	s, err := Format(newTestDevice(t, 512, 1024), newTestDevice(t, 512, 2048), Options{Threshold: 4, MaxRootEntries: 4})
+// fullVolume builds an object x whose root's four entries point at index
+// pages, checkpoints it — nothing waits in the reclamation queue —, and
+// then takes every free page of the volume.  It returns x, its content,
+// its segments and the runs it took.
+func fullVolume(t *testing.T, vol, logVol disk.Device) (*Store, *Object, []byte, []lob.SegmentInfo, []txn.Run) {
+	t.Helper()
+	s, err := Format(vol, logVol, Options{Threshold: 4, MaxRootEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,23 +248,100 @@ func TestWriteCannotPayWithPagesItFreed(t *testing.T) {
 		}
 		model = append(model[:off:off], append(d, model[off:]...)...)
 	}
-	if err := s.Checkpoint(); err != nil { // nothing waits in the queue
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := x.Segments()
 	if err != nil || len(segs) <= 16 {
 		t.Fatalf("x has %d segments (%v), want more than a root of 4 entries over index pages", len(segs), err)
 	}
-	for { // the volume is full
-		if _, _, err := s.buddy.AllocUpTo(1 << 10); err != nil {
-			break
+	var taken []txn.Run
+	for {
+		p, n, err := s.buddy.AllocUpTo(1 << 10)
+		if err != nil {
+			return s, x, model, segs, taken
 		}
+		taken = append(taken, txn.Run{Start: p, Pages: n})
 	}
+}
+
+// TestWriteCannotPayWithPagesItFreed: an Object write keeps the runs it
+// frees until its publish, as a transaction keeps them until its commit
+// (§4.5's release locks), so it cannot pay for the index pages it shadows
+// with them.  On a full volume, a delete of a whole segment frees the
+// segment and then needs a page for the index node it rewrites: with
+// nothing in the reclamation queue that could come back, it fails for want
+// of space.  It must not wait for a checkpoint to hand it the segment,
+// which the published root and the durable catalog still name.
+func TestWriteCannotPayWithPagesItFreed(t *testing.T) {
+	s, x, model, segs, _ := fullVolume(t, newTestDevice(t, 512, 1024), newTestDevice(t, 512, 2048))
 	seg := segs[len(segs)/2]
 	if err := x.Delete(seg.LogicalOff, seg.Bytes); !errors.Is(err, buddy.ErrNoSpace) {
 		t.Fatalf("a delete on a full volume returned %v, want %v: it paid for its index page with the segment it freed", err, buddy.ErrNoSpace)
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model) {
 		t.Fatal("the failed delete changed x")
+	}
+}
+
+// TestFailedWriteGoesBackToItsCommitPoint: the delete above fails after it
+// freed the segment its root names; it goes back to x's last commit point,
+// and its frees with it, so once the volume's pages are back and a
+// checkpoint has run every page is counted once.
+func TestFailedWriteGoesBackToItsCommitPoint(t *testing.T) {
+	s, x, model, segs, taken := fullVolume(t, newTestDevice(t, 512, 1024), newTestDevice(t, 512, 2048))
+	seg := segs[len(segs)/2]
+	if err := x.Delete(seg.LogicalOff, seg.Bytes); !errors.Is(err, buddy.ErrNoSpace) {
+		t.Fatalf("a delete on a full volume returned %v, want %v", err, buddy.ErrNoSpace)
+	}
+	for _, r := range taken {
+		if err := s.buddy.FreeUnpublished(r.Start, r.Pages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("the failed delete changed x")
+	}
+}
+
+// TestFailedOperationDoomsItsTransaction: a transactional delete that fails
+// behind its logged record dooms its transaction — recovery would redo the
+// record — so Commit aborts and returns the failure, and x reads the same
+// before and after a crash and reopen.
+func TestFailedOperationDoomsItsTransaction(t *testing.T) {
+	vol, logVol := newTestDevice(t, 512, 1024), newTestDevice(t, 512, 2048)
+	s, _, model, segs, _ := fullVolume(t, vol, logVol)
+	seg := segs[len(segs)/2]
+	tx, _ := s.Begin()
+	if err := tx.Delete("x", seg.LogicalOff, seg.Bytes); !errors.Is(err, buddy.ErrNoSpace) {
+		t.Fatalf("a delete on a full volume returned %v, want %v", err, buddy.ErrNoSpace)
+	}
+	if err := tx.Commit(); !errors.Is(err, buddy.ErrNoSpace) {
+		t.Errorf("Commit after the failed delete returned %v, want %v", err, buddy.ErrNoSpace)
+	}
+	if got := readObject(t, s, "x"); !bytes.Equal(got, model) {
+		t.Errorf("x reads %d bytes before the crash, want its %d", len(got), len(model))
+	}
+	if err := vol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := logVol.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(vol, logVol, Options{Threshold: 4, MaxRootEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readObject(t, re, "x"); !bytes.Equal(got, model) {
+		t.Fatalf("x reads %d bytes after the crash, want its %d", len(got), len(model))
 	}
 }

@@ -73,6 +73,16 @@ func TestRedoAllocatesNoDataPage(t *testing.T) {
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
+	// Redo's allocator counts whatever it hands out but a single index page
+	// as data.
+	ra := &redoAlloc{s: s}
+	p, n, err := ra.AllocUpTo(2)
+	if err != nil || s.recovered.DataPages != int64(n) || len(ra.runs) != 1 {
+		t.Fatalf("AllocUpTo(2) = %d pages (%v): %d counted as data, %d runs noted", n, err, s.recovered.DataPages, len(ra.runs))
+	}
+	if err := s.buddy.FreeUnpublished(p, n); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReadOnlyTxnLogsNothing: no record begins a transaction, and one that

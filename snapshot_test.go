@@ -631,6 +631,12 @@ func TestSnapshotRecoveryPublishes(t *testing.T) {
 	if sn.Size() != int64(len(content)+5000) {
 		t.Fatalf("recovered snapshot size %d, want %d", sn.Size(), len(content)+5000)
 	}
+	s.mu.Lock()
+	lsn := s.catalog["rec"].obj.LSN()
+	s.mu.Unlock()
+	if sn.Name() != "rec" || lsn == 0 || sn.LSN() != lsn {
+		t.Fatalf("snapshot %q at LSN %d, want %q at the redone append's %d", sn.Name(), sn.LSN(), "rec", lsn)
+	}
 	got := make([]byte, len(content))
 	if _, err := sn.ReadAt(got, 0); err != nil {
 		t.Fatal(err)

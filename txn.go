@@ -1,6 +1,7 @@
 package eos
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,25 +12,30 @@ import (
 	"github.com/eosdb/eos/internal/wal"
 )
 
-// deferredAlloc is one transaction's allocator over the store's.  Pages the
-// transaction frees stay allocated until it ends — the effect of the
-// hierarchical release locks §4.5 cites from Starburst: "segments that are
-// descendants of a locked segment are also locked, and thus they remain
-// unallocated until the holding transaction releases the locks" — and it
-// records the runs it hands out.  Index updates are shadowed and segments
-// never overwritten, so the roots from before the transaction stay whole:
-// a commit retires the frees once it has published, an abort reinstates
-// those roots and gives back what the transaction allocated.
+// deferredAlloc is one write scope's allocator over the store's — an Object
+// operation's or a transaction's, the only writer allocator there is — and
+// lm the store's manager derived over it, which the scope binds the objects
+// it writes to.  Pages the scope frees stay allocated until it ends — the
+// effect of the hierarchical release locks §4.5 cites from Starburst:
+// "segments that are descendants of a locked segment are also locked, and
+// thus they remain unallocated until the holding transaction releases the
+// locks" —, and so does the room of an open tail it found; it records the
+// runs it hands out.  Index updates are shadowed and segments never
+// overwritten, so the roots of the scope's last commit point stay whole:
+// behind its publish the frees are retired, and a scope that fails goes
+// back to those roots and gives back what it allocated (Store.endScope).
+// Scopes are pooled (Store.scope), and the lists keep their memory.
 type deferredAlloc struct {
+	lm     *lob.Manager
 	inner  spaceAllocator
 	mu     sync.Mutex
-	frees  freeList  // eos:guardedby mu
-	room   []txn.Run // eos:guardedby mu -- FreeUnpublished of pages the transaction did not allocate
-	allocs []txn.Run // eos:guardedby mu -- allocated by the transaction and not given back
+	frees  []txn.Run // eos:guardedby mu
+	room   []txn.Run // eos:guardedby mu -- FreeUnpublished of pages the scope did not allocate
+	allocs []txn.Run // eos:guardedby mu -- allocated by the scope and not given back
 }
 
-// spaceAllocator is the store's allocator as a writer's own sees it
-// (epochAlloc): it has no Free, as every writer holds its frees until its
+// spaceAllocator is the store's allocator as a write scope sees it
+// (epochAlloc): it has no Free, as every scope holds its frees until its
 // publish.
 type spaceAllocator interface {
 	Alloc(n int) (disk.PageNum, error)
@@ -65,13 +71,14 @@ func (d *deferredAlloc) MaxSegmentPages() int { return d.inner.MaxSegmentPages()
 func (d *deferredAlloc) Free(p disk.PageNum, n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.frees.Free(p, n)
+	d.frees = append(d.frees, txn.Run{Start: p, Pages: n})
+	return nil
 }
 
-// FreeUnpublished passes on at once pages the transaction allocated: no
-// root an abort could reinstate names them.  Other pages — the room of an
-// open tail the transaction found — wait for the commit: the root from
-// before the transaction claims them.  The pages are always part of one
+// FreeUnpublished passes on at once pages the scope allocated: no root it
+// could go back to names them.  Other pages — the room of an open tail the
+// scope found — wait for its commit point: the root from before the scope
+// claims them.  The pages are always part of one
 // run (lob.Allocator.FreeUnpublished).
 func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	end := func(r txn.Run) disk.PageNum { return r.Start + disk.PageNum(r.Pages) }
@@ -94,15 +101,17 @@ func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	return d.inner.FreeUnpublished(p, n)
 }
 
-// apply is a commit's, once it has published: the frees enter the
+// apply ends a scope behind its commit point: the frees enter the
 // reclamation queue em, and the room no root named goes back to the free
-// space.
+// space.  The scope's owner is its only user, so the lists keep their
+// memory for the scope's next use: they are reset before the runs are
+// read, and nothing appends meanwhile.
 func (d *deferredAlloc) apply(em *txn.EpochManager) error {
 	d.mu.Lock()
 	frees, room := d.frees, d.room
-	d.frees, d.room, d.allocs = nil, nil, nil
+	d.frees, d.room, d.allocs = d.frees[:0], d.room[:0], d.allocs[:0]
 	d.mu.Unlock()
-	frees.retire(em)
+	em.Retire(frees)
 	for _, r := range room {
 		if err := d.inner.FreeUnpublished(r.Start, r.Pages); err != nil {
 			return err
@@ -111,13 +120,14 @@ func (d *deferredAlloc) apply(em *txn.EpochManager) error {
 	return nil
 }
 
-// giveBack is an abort's: the deferred frees are dropped — the reinstated
-// roots name those pages — and every page the transaction allocated goes
-// back to the free space at once, after forget has dropped its images.
+// giveBack ends a scope that went back: the deferred frees are dropped —
+// the reinstated roots name those pages — and every page the scope
+// allocated goes back to the free space at once, after forget has dropped
+// its images.
 func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 	d.mu.Lock()
 	allocs := d.allocs
-	d.frees, d.room, d.allocs = nil, nil, nil
+	d.frees, d.room, d.allocs = d.frees[:0], d.room[:0], d.allocs[:0]
 	d.mu.Unlock()
 	var err error
 	for _, r := range allocs {
@@ -131,7 +141,9 @@ func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 
 // Txn is one transaction over the store: strict two-phase object locks,
 // write-ahead logging, shadowed index updates with deferred frees, and an
-// abort that reinstates the roots from before the transaction.
+// abort that reinstates the roots from before the transaction.  It runs as
+// one write scope, as an Object operation does: the same allocator, the
+// same commit point and the same way back.
 //
 // A transaction's replaces write nothing before its commit record is
 // forced: their page images wait in its manager's held set (lob/held.go),
@@ -146,16 +158,18 @@ func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 type Txn struct {
 	s        *Store
 	id       uint64
-	firstLSN uint64 // no record of the transaction has a lower LSN
-	alloc    *deferredAlloc
-	lm       *lob.Manager
-	touched  map[uint64]*txnObj
+	firstLSN uint64         // no record of the transaction has a lower LSN
+	scope    *deferredAlloc // the write scope it runs as; its objects are bound to scope.lm
+	touched  []*catEntry    // the objects it holds exclusively
 	kept     keptRead
 	wrote    bool // an operation record is logged
 	// through: a logged splice names pages the transaction wrote through,
 	// which its commit forces before its record (forceData).
 	through bool
-	done    bool
+	// doom is the error of an operation that failed behind its logged
+	// record: the transaction can only abort, and Commit does.
+	doom error
+	done bool
 }
 
 // keptRead is the transaction's one-slot memory of what its last Read
@@ -180,25 +194,12 @@ type keptRead struct {
 // 16 MB for that minute.
 const keptReadMaxPages = 256
 
-// txnObj is an object the transaction holds exclusively.
-type txnObj struct {
-	entry *catEntry
-	// desc is the object's descriptor when the transaction took it, the
-	// root an abort reinstates; nil for an object the transaction created.
-	desc []byte
-}
-
 // Begin starts a transaction.  It logs nothing: its first operation's
 // record begins it in the log.  It is live from here on: a checkpoint keeps
 // the log from the transaction's firstLSN on, and no record of it can have a
 // lower LSN.
 func (s *Store) Begin() (*Txn, error) {
-	t := &Txn{
-		s:       s,
-		alloc:   &deferredAlloc{inner: &epochAlloc{s: s}},
-		touched: make(map[uint64]*txnObj),
-	}
-	t.lm = s.lm.Derive(t.alloc)
+	t := &Txn{s: s, scope: s.scope()}
 	stalled := s.stallStart()
 	s.mu.Lock()
 	s.stallEnd(stalled)
@@ -224,7 +225,7 @@ func (t *Txn) check() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	return nil
+	return t.doom
 }
 
 // begin is check for every operation but Replace: whatever the operation
@@ -237,8 +238,8 @@ func (t *Txn) begin() error {
 
 // touch acquires the transaction-duration lock on the named object's root
 // (§4.5: "locking the root of the large object") — shared for a read,
-// exclusive for anything that writes — and, for a writer, reroutes the
-// object's allocation through the transaction's deferred allocator.
+// exclusive for anything that writes — and, for a writer, binds the object
+// to the transaction's write scope.
 func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	t.s.mu.Lock()
 	e, ok := t.s.catalog[name]
@@ -252,8 +253,9 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	if mode == txn.Shared {
 		return e, nil
 	}
-	if _, seen := t.touched[e.id]; !seen {
-		t.touched[e.id] = &txnObj{entry: e, desc: t.take(e)}
+	if !slices.Contains(t.touched, e) {
+		t.take(e)
+		t.touched = append(t.touched, e)
 		if err := t.s.checkpointUnlogged(e); err != nil {
 			return nil, err
 		}
@@ -261,29 +263,15 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	return e, nil
 }
 
-// take routes e's allocation through the transaction's deferred allocator —
-// which marks e as held by a transaction (Store.txnHolds) — and returns its
-// descriptor as the transaction found it.  Under the write latch: a
-// non-transactional reader may be walking the tree.
-func (t *Txn) take(e *catEntry) []byte {
+// take binds e to the transaction's write scope, which marks e as held by
+// a transaction (Store.txnHolds).  What an abort goes back to is e's last
+// commit point, stableDesc: no other writer can move it from here on.
+// Under the write latch: a non-transactional reader may be walking the
+// tree.
+func (t *Txn) take(e *catEntry) {
 	e.latch.Lock()
 	defer e.latch.Unlock()
-	desc := e.obj.EncodeDescriptor()
-	e.obj.Rebind(t.lm)
-	return desc
-}
-
-// unbindTouched routes the allocation of every object t holds back to the
-// store's manager, which lets non-transactional writers at it again.
-// Under the write latch, as take; it ranks below Store.mu, so the caller
-// does not hold s.mu.
-func (t *Txn) unbindTouched() {
-	for _, to := range t.touched {
-		e := to.entry
-		e.latch.Lock()
-		e.obj.Rebind(t.s.lm)
-		e.latch.Unlock()
-	}
+	e.obj.Rebind(t.scope.lm)
 }
 
 // Create makes a new object inside the transaction.
@@ -296,7 +284,7 @@ func (t *Txn) Create(name string, threshold int) error {
 		t.s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	e := &catEntry{id: t.s.nextID, name: name, obj: t.lm.NewObject(threshold)}
+	e := &catEntry{id: t.s.nextID, name: name, obj: t.scope.lm.NewObject(threshold)}
 	t.s.nextID++
 	t.s.catalog[name] = e
 	t.s.byID[e.id] = e
@@ -305,12 +293,10 @@ func (t *Txn) Create(name string, threshold int) error {
 	err := t.s.locks.LockObject(t.id, e.id, txn.Exclusive)
 	var lsn uint64
 	if err == nil {
-		t.touched[e.id] = &txnObj{entry: e}
 		lsn, err = t.logOp(&wal.Record{Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
 	}
 	if err != nil {
 		// Nothing logged: the name is free again.
-		delete(t.touched, e.id)
 		t.s.mu.Lock()
 		delete(t.s.catalog, name)
 		delete(t.s.byID, e.id)
@@ -319,11 +305,14 @@ func (t *Txn) Create(name string, threshold int) error {
 		return err
 	}
 	e.obj.SetLSN(lsn)
+	t.touched = append(t.touched, e)
 	return nil
 }
 
 // Destroy removes an object inside the transaction.  Its pages stay
-// intact (frees are deferred), so an abort reinstates its root.
+// intact (frees are deferred), so an abort reinstates its root.  A destroy
+// that fails behind its logged record dooms the transaction, as a splice
+// does.
 func (t *Txn) Destroy(name string) error {
 	if err := t.begin(); err != nil {
 		return err
@@ -339,6 +328,7 @@ func (t *Txn) Destroy(name string) error {
 	err = e.obj.Destroy()
 	e.latch.Unlock()
 	if err != nil {
+		t.doom = err
 		return err
 	}
 	// Only the name goes now.  The entry stays in byID, and so in every
@@ -371,7 +361,9 @@ func (t *Txn) Delete(name string, off, n int64) error {
 // segments through to pages no root names, the record logs the splice the
 // update makes — its segments by reference, the bytes it leaves in memory by
 // value —, and Apply makes it.  The commit forces what the prepare wrote
-// before its record (forceData).
+// before its record (forceData).  An Apply that fails dooms the
+// transaction: recovery would redo the logged splice, so it must not
+// commit.
 func (t *Txn) splice(name string, typ wal.RecType, prepare func(*lob.Object) (*lob.Splice, error)) error {
 	if err := t.begin(); err != nil {
 		return err
@@ -394,6 +386,7 @@ func (t *Txn) splice(name string, typ wal.RecType, prepare func(*lob.Object) (*l
 	// A compaction ([Bili91a]) inside the splice writes segments through too.
 	t.through = t.through || sp.WroteThrough() || t.s.opts.AdaptiveThreshold
 	if err := e.obj.Apply(sp); err != nil {
+		t.doom = err
 		return err
 	}
 	e.obj.SetLSN(lsn)
@@ -520,15 +513,24 @@ func (t *Txn) Size(name string) (int64, error) {
 // force covering its LSN — usually another committer's batch (the
 // piggyback case) or, with no concurrent commit traffic, a force this
 // call leads itself.  Behind that force the held replaced pages enter the
-// write-behind set, and the deferred frees are applied.  Nothing
-// reaches the data volume: the replaced pages and index pages stay in
-// memory until a checkpoint writes them in address order (or the set's
-// limit, or the pool's eviction, does first), and the new descriptors reach
-// the catalog at the next checkpoint.
-// Until then a crash recovers the transaction by redoing its log records
-// from the older roots, whose freed pages wait in the reclamation queue
-// until a checkpoint has persisted the new roots.
+// write-behind set, the roots are published and handed to the catalog, and
+// the deferred frees are retired.  Nothing reaches the data volume: the
+// replaced pages and index pages stay in memory until a checkpoint writes
+// them in address order (or the set's limit, or the pool's eviction, does
+// first), and the new descriptors reach the durable catalog at the next
+// checkpoint.  Until then a crash recovers the transaction by redoing its
+// log records from the older roots, whose freed pages wait in the
+// reclamation queue until a checkpoint has persisted the new roots.
+//
+// A transaction an operation doomed (Txn.splice, Txn.Destroy) aborts
+// instead, and Commit returns that operation's error.
 func (t *Txn) Commit() error {
+	if t.doom != nil && !t.done {
+		if err := t.Abort(); err != nil {
+			return errors.Join(t.doom, err)
+		}
+		return t.doom
+	}
 	if err := t.begin(); err != nil {
 		return err
 	}
@@ -539,9 +541,8 @@ func (t *Txn) Commit() error {
 }
 
 // commitLog is the first half of a commit: from the moment it returns,
-// the transaction is committed — its commit record is durable, its
-// replaced pages wait in the write-behind set, and any checkpoint writes
-// and forces its pages and then logs its new roots in its catalog image.
+// the transaction is committed — its commit record is durable and its
+// replaced pages wait in the write-behind set.
 func (t *Txn) commitLog() error {
 	// The roots this commit hands the catalog go into the next checkpoint's
 	// image: the log must keep room for them before it takes the commit
@@ -549,8 +550,7 @@ func (t *Txn) commitLog() error {
 	stalled := t.s.stallStart()
 	t.s.mu.Lock()
 	t.s.stallEnd(stalled)
-	for _, to := range t.touched {
-		e := to.entry
+	for _, e := range t.touched {
 		t.s.measure(e, max(e.stableSize(), e.obj.DescriptorSize()))
 	}
 	t.s.mu.Unlock()
@@ -576,42 +576,14 @@ func (t *Txn) commitLog() error {
 		// write-behind set, which keeps them until a checkpoint writes them
 		// (or the set's limit does).  A crash before the write redoes them
 		// from their records.  The object locks keep every other writer off
-		// the pages.  They go in before the roots are handed over below: a
+		// the pages.  They go in before the roots are handed over: a
 		// checkpoint that captures these roots captures the set after them,
 		// with the pages in it.
-		if err := t.lm.PendHeld(); err != nil {
+		if err := t.scope.lm.PendHeld(); err != nil {
 			return err
 		}
 	}
 	t.done = true
-	stalled = t.s.stallStart()
-	t.s.mu.Lock()
-	t.s.stallEnd(stalled)
-	for _, to := range t.touched {
-		e := to.entry
-		// Refresh the fallback descriptor NOW: a catalog barrier that runs
-		// while the next transaction holds this object dirty persists
-		// stableDesc, and the reclamation queue's barrier gate reasons that
-		// any checkpoint begun after a commit writes roots at least as new
-		// as that commit.  Leaving the pre-commit image here would break that
-		// — a freed run could be released while the durable catalog still
-		// held a root that references it.  No non-transactional writer can
-		// change the root under this read: the object is still bound to
-		// the transaction's manager.
-		e.setStableDesc(e.obj.Capture())
-		if t.s.catalog[e.name] != e {
-			delete(t.s.byID, e.id) // destroyed by this transaction
-		}
-		t.s.measure(e, e.stableSize())
-	}
-	// Leave liveTxns in the SAME critical section that refreshes
-	// stableDesc.  A checkpoint captures the descriptors and the live
-	// transactions in one critical section and truncates the log behind
-	// them, so a window between the two would let it drop this commit's
-	// records while persisting the roots from before it.
-	delete(t.s.liveTxns, t.id)
-	t.s.mu.Unlock()
-	t.unbindTouched()
 	return nil
 }
 
@@ -625,82 +597,88 @@ func (t *Txn) forceData() error {
 	return t.s.vol.ForceAll()
 }
 
-// commitBarrier is the second half of a commit: publish to snapshot
-// readers, hand the superseded pages to epoch reclamation, and release
-// the locks.  It makes nothing durable: the commit record's force did.
+// commitBarrier is the second half of a commit, its commit point, the same
+// as an Object operation's (Store.write): each root the transaction holds
+// is published, and handed to the catalog as its stableDesc; then the
+// objects go back to the store's manager, the write scope ends — its frees
+// enter the reclamation queue, behind the publish — and the locks are
+// released.  It makes nothing durable: the commit record's force did.
 func (t *Txn) commitBarrier() error {
-	// Publish the committed roots BEFORE retiring the deferred frees: a
-	// reader that can still capture an older root must be pinned at or
-	// below their epoch stamp (EpochManager.Retire).
-	t.publishTouched()
-	// Retire the deferred frees.  The pages wait in the reclamation queue
-	// for the readers that may hold the older roots, and for a checkpoint
-	// begun after the retire: until one has persisted these roots, recovery
-	// redoes this commit from the roots that still name them.
-	if err := t.alloc.apply(t.s.epochs); err != nil {
-		return err
+	descs := make([]*lob.Descriptor, len(t.touched))
+	for i, e := range t.touched {
+		e.latch.Lock()
+		descs[i] = e.obj.PublishDescriptor()
+		e.latch.Unlock()
 	}
+	stalled := t.s.stallStart()
+	t.s.mu.Lock()
+	t.s.stallEnd(stalled)
+	for i, e := range t.touched {
+		// A checkpoint that runs while the next transaction holds this
+		// object persists stableDesc, and the reclamation queue's barrier
+		// gate reasons that any checkpoint begun after a commit's retire
+		// writes roots at least as new as that commit.  No
+		// non-transactional writer can change the root meanwhile: the
+		// object is still bound to the transaction's scope.
+		if t.s.catalog[e.name] == e {
+			e.setStableDesc(descs[i])
+		} else {
+			delete(t.s.byID, e.id) // destroyed by this transaction
+		}
+		t.s.measure(e, e.stableSize())
+	}
+	// Leave liveTxns in the SAME critical section that refreshes
+	// stableDesc.  A checkpoint captures the descriptors and the live
+	// transactions in one critical section and truncates the log behind
+	// them, so a window between the two would let it drop this commit's
+	// records while persisting the roots from before it.
+	delete(t.s.liveTxns, t.id)
+	t.s.mu.Unlock()
+	for _, e := range t.touched {
+		e.latch.Lock()
+		e.obj.Rebind(t.s.lm)
+		e.latch.Unlock()
+	}
+	err := t.s.endScope(t.scope, true)
 	t.s.locks.ReleaseAll(t.id)
 	t.s.epochs.Reclaim()
-	return nil
-}
-
-// publishTouched installs each touched object's current root as its
-// newest committed version.  Objects the transaction destroyed (no
-// longer in the catalog) keep their last pre-destroy version for any
-// snapshot still holding it.  The transaction's exclusive locks are
-// still held, so no other committer can be publishing these objects.
-func (t *Txn) publishTouched() {
-	for _, to := range t.touched {
-		t.s.mu.Lock()
-		live := t.s.byID[to.entry.id] == to.entry
-		t.s.mu.Unlock()
-		if !live {
-			continue
-		}
-		to.entry.latch.Lock()
-		to.entry.obj.Publish()
-		to.entry.latch.Unlock()
-	}
+	return err
 }
 
 // Abort rolls the transaction back the way recovery treats a transaction
-// without a commit record: every object it holds gets back the root it had
-// when the transaction took it, an object it created leaves the catalog and
+// without a commit record, and the way a failed Object operation goes back
+// (Store.write): every object it holds gets back its last commit point,
+// stableDesc (Store.goBack), an object it created leaves the catalog and
 // one it destroyed gets its name back; its held replaced pages and its
 // deferred frees are dropped, and every page it allocated goes back to the
-// free space.  So an abort allocates nothing and writes nothing but its
-// record: like a commit it is durable at its log force, made when the
-// transaction wrote anything.  The one data-volume request it can make is
-// a read of an index page on the path to an open tail that the pool has
-// let go (lob.Object.Reinstate).
+// free space (Store.endScope).  So an abort allocates nothing and writes
+// nothing but its record: like a commit it is durable at its log force,
+// made when the transaction wrote anything, and it returns an error when
+// that force fails.  The one data-volume request it can make is a read of
+// an index page on the path to an open tail that the pool has let go
+// (lob.Object.Reinstate).
 //
 // Each root is reinstated under the object's write latch, which a
 // non-transactional reader shares; the latch is dropped before the catalog
 // edits under Store.mu, which ranks above it.
 func (t *Txn) Abort() error {
-	if err := t.begin(); err != nil {
-		return err
+	if t.done {
+		return ErrTxnDone
 	}
+	t.kept = keptRead{}
 	t.done = true
-	t.lm.DropHeld()
+	t.scope.lm.DropHeld()
 	var err error
-	for _, to := range t.touched {
-		if to.desc == nil {
-			continue // created: it leaves the catalog, and stays refused to stale handles
-		}
-		e := to.entry
+	for _, e := range t.touched {
 		e.latch.Lock()
-		if rerr := e.obj.Reinstate(to.desc); err == nil {
-			err = rerr
+		if gerr := t.s.goBack(e); err == nil {
+			err = gerr
 		}
-		e.obj.Rebind(t.s.lm)
 		e.latch.Unlock()
 	}
 	t.s.mu.Lock()
-	for _, to := range t.touched {
-		e := to.entry
-		if to.desc == nil {
+	for _, e := range t.touched {
+		if e.stableDesc.Load() == nil { // created: it leaves the catalog, and stays refused to stale handles
 			if t.s.catalog[e.name] == e {
 				delete(t.s.catalog, e.name)
 			}
@@ -725,10 +703,9 @@ func (t *Txn) Abort() error {
 			err = lerr
 		}
 	}
-	if gerr := t.alloc.giveBack(t.lm.Forget); err == nil {
+	if gerr := t.s.endScope(t.scope, false); err == nil {
 		err = gerr
 	}
-	t.s.epochs.Freed() // an allocation may be waiting for what came back
 	t.s.locks.ReleaseAll(t.id)
 	return err
 }

@@ -1792,3 +1792,41 @@ func TestTransactionsCountIntoTheStoresLOBStats(t *testing.T) {
 		t.Errorf("LOB.Inserts %d -> %d across one committed insert", before.Inserts, after.Inserts)
 	}
 }
+
+// TestSetThresholdIsACommitPoint: an Object's SetThreshold is a commit
+// point like its other writes, so a later transaction that aborts goes back
+// to the new threshold, and a checkpoint persists it across a crash.
+func TestSetThresholdIsACommitPoint(t *testing.T) {
+	s, vol, logVol := newStore(t, Options{})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(pat(1, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.SetThreshold(3); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := s.Begin()
+	if err := tx.Append("x", pat(2, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Threshold(); got != 3 {
+		t.Fatalf("threshold %d after the abort, want 3", got)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re := crashReopen(t, vol, logVol)
+	x, err := re.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.Threshold(); got != 3 {
+		t.Fatalf("threshold %d after a checkpoint and a crash, want 3", got)
+	}
+}
