@@ -177,10 +177,10 @@ func (s *Store) imageLocked() []byte {
 // appendImage appends a catalog image to the log and returns its LSN.
 //
 // eos:requires s.mu
-func (s *Store) appendImage(img []byte) (uint64, error) {
-	lsn, err := s.log.Append(&wal.Record{Type: wal.RecCheckpoint, Data: img})
+func (s *Store) appendImage(ck *capture) (uint64, error) {
+	lsn, err := s.log.Append(&wal.Record{Type: wal.RecCheckpoint, Data: ck.image, N: int64(ck.start)})
 	if err == nil {
-		s.imageBytes.Add(int64(len(img)))
+		s.imageBytes.Add(int64(len(ck.image)))
 	}
 	return lsn, err
 }
@@ -191,8 +191,8 @@ func (s *Store) appendImage(img []byte) (uint64, error) {
 // measured before the log takes any record that follows it: a transaction
 // measures the object it creates before its create record, and the roots it
 // commits before its commit record, so the log never holds more than leaves
-// room for the image.  While a checkpoint runs, the room kept also covers
-// the image it captured, which a catalog that shrinks meanwhile would not.
+// room for the image.  The log goes on keeping room for an image a running
+// checkpoint captured when the catalog shrinks meanwhile (wal.Log.Reserve).
 //
 // eos:requires s.mu
 func (s *Store) measure(e *catEntry, n int) {
@@ -202,7 +202,7 @@ func (s *Store) measure(e *catEntry, n int) {
 	}
 	s.catBytes += size - e.catBytes
 	e.catBytes = size
-	s.log.Reserve(max(s.catBytes, s.ckptImage))
+	s.log.Reserve(s.catBytes)
 }
 
 // loadCatalog makes the image the store's catalog.  The record passed

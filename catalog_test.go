@@ -412,13 +412,13 @@ func TestCatalogTornMasterFallsBackToOlderCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := clone(want)
-	older := s.masterSeq
+	older := s.last.seq
 	appendAll(t, s, want, 1)
 	vol.tearNext(0, masterPages)
 	if err := s.Checkpoint(); !errors.Is(err, errTorn) {
 		t.Fatalf("checkpoint over a torn master copy: %v", err)
 	}
-	if s.masterSeq != older {
+	if s.last.seq != older {
 		t.Fatal("the master seq moved although the write failed")
 	}
 	if page, err := vol.Read(disk.PageNum((older+1)%masterPages), 1); err != nil || binary.BigEndian.Uint32(page) != storeMagic {
@@ -480,7 +480,7 @@ func TestCatalogFirstBarrierAfterOpenSparesLoadedSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded := s.masterSeq
+	loaded := s.last.seq
 	vol.onWrite = func(start disk.PageNum, n int) {
 		if p := disk.PageNum(loaded % masterPages); start <= p && p < start+disk.PageNum(n) {
 			t.Errorf("write of %d pages at %d lands on the loaded master copy, page %d", n, start, p)
@@ -488,8 +488,8 @@ func TestCatalogFirstBarrierAfterOpenSparesLoadedSlot(t *testing.T) {
 	}
 	re := crashReopen(t, vol, logVol)
 	vol.onWrite = nil
-	if re.masterSeq != loaded+1 || re.Stats().Barrier.MasterWrites != 1 {
-		t.Errorf("after Open the master is at seq %d (loaded %d) after %d writes", re.masterSeq, loaded, re.Stats().Barrier.MasterWrites)
+	if re.last.seq != loaded+1 || re.Stats().Barrier.MasterWrites != 1 {
+		t.Errorf("after Open the master is at seq %d (loaded %d) after %d writes", re.last.seq, loaded, re.Stats().Barrier.MasterWrites)
 	}
 	expectObjects(t, re, want)
 }

@@ -573,3 +573,174 @@ func TestCloseWaitsForARequestedCheckpoint(t *testing.T) {
 		t.Fatalf("%d master copies written after Close returned", got-res.masterWrites)
 	}
 }
+
+// TestCheckpointsBesideALiveTransaction: a transaction that has logged and
+// stays open holds the log's start, so a checkpoint behind the first one
+// that reached it can truncate nothing: with nothing to release it logs no
+// image, writes no master copy, and spends no log room.  Five thousand in a
+// row succeed — each used to log an image until the log was full, and then
+// nothing could end the transaction.  The log still admits a second
+// transaction's first record, x's destroy; the next checkpoint logs an image
+// to release the pages it freed, out of the room the log keeps for nobody.
+// Once that room is gone, a checkpoint still succeeds but releases nothing
+// (w's pages): the newest master copy still names them, and recovery would
+// redo the destroy from its image.  The first transaction commits, and the
+// next checkpoint truncates the log to its image.
+func TestCheckpointsBesideALiveTransaction(t *testing.T) {
+	s, _, _ := newStore(t, Options{})
+	for i, name := range []string{"x", "w"} {
+		o, err := s.Create(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Append(pat(3+i, 40*512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Create("y", 0); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Append("y", pat(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tail, masters := s.LogTail(), s.Stats().Barrier.MasterWrites
+	for i := 0; i < 5000; i++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d beside the live transaction: %v", i, err)
+		}
+	}
+	st := s.Stats()
+	if s.LogTail() != tail || st.Barrier.MasterWrites != masters {
+		t.Fatalf("the checkpoints moved the log tail from %d to %d and wrote %d master copies, want neither", tail, s.LogTail(), st.Barrier.MasterWrites-masters)
+	}
+	if st.WAL.LiveTxns != 1 || st.WAL.EndReserve == 0 || st.WAL.Pinned == 0 || st.WAL.Pinned > tail {
+		t.Fatalf("the ledger %+v, want one live transaction pinning some of the %d bytes in use", st.WAL, tail)
+	}
+	destroy := func(name string) {
+		t.Helper()
+		tx2, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx2.Destroy(name); err != nil {
+			t.Fatalf("a second transaction's first record: %v", err)
+		}
+		if err := tx2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	destroy("x")
+	free := freePages(t, s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := freePages(t, s); got < free+40 || s.Stats().Barrier.MasterWrites != masters+1 {
+		t.Fatalf("a checkpoint beside the live transaction released %d pages and wrote %d master copies, want x's and one", got-free, s.Stats().Barrier.MasterWrites-masters)
+	}
+	// The live transaction fills the log up to the room it keeps for ends
+	// and images, with records down to the smallest, so no image fits.
+	destroy("w")
+	for _, n := range []int{400, 1} {
+		for i := 0; ; i++ {
+			if err := tx.Append("y", pat(9, n)); errors.Is(err, wal.ErrLogFull) {
+				break
+			} else if err != nil || i == 1<<14 {
+				t.Fatalf("filling the log with %d-byte appends: %d admitted, then %v", n, i, err)
+			}
+		}
+	}
+	free, masters = freePages(t, s), s.Stats().Barrier.MasterWrites
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("a checkpoint beside the live transaction on a full log: %v", err)
+	}
+	if got := freePages(t, s); got != free || s.Stats().Barrier.MasterWrites != masters {
+		t.Fatalf("a checkpoint that logged no image released %d pages and wrote %d master copies, want none", got-free, s.Stats().Barrier.MasterWrites-masters)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LogTail(); got != int64(s.PageSize()) {
+		t.Fatalf("%d bytes of log in use after the transactions ended and a checkpoint ran, want its image's page", got)
+	}
+	if names := s.List(); len(names) != 1 || names[0] != "y" {
+		t.Fatalf("objects %v after the checkpoints, want y", names)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatalogChangesBesideALiveTransactionReachTheImage: a rename and a
+// destroy log nothing, so only a checkpoint's image persists them.  A
+// checkpoint that a live transaction holds at the log's start takes its
+// image for either all the same, and a crash after it recovers the new name,
+// or no destroyed object.  The destroyed object is empty: it frees no page
+// the checkpoint could log its image to release.
+func TestCatalogChangesBesideALiveTransactionReachTheImage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(s *Store) error
+		want   []string
+	}{
+		{"rename", func(s *Store) error { return s.Rename("a", "b") }, []string{"b", "y", "z"}},
+		{"destroy", func(s *Store) error { return s.Destroy("z") }, []string{"a", "y"}},
+	} {
+		content := func(name string) []byte {
+			if name == "z" {
+				return pat(3, 0)
+			}
+			return pat(3, 3*512)
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol := newStore(t, Options{})
+			for _, name := range []string{"a", "y", "z"} {
+				o, err := s.Create(name, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Append(content(name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Append("y", pat(1, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.change(s); err != nil {
+				t.Fatal(err)
+			}
+			masters := s.Stats().Barrier.MasterWrites
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().Barrier.MasterWrites; got != masters+1 {
+				t.Fatalf("the checkpoint behind the %s wrote %d master copies, want 1", tc.name, got-masters)
+			}
+			s = crashReopen(t, vol, logVol)
+			want := map[string][]byte{}
+			for _, name := range tc.want {
+				want[name] = content(name)
+			}
+			expectObjects(t, s, want)
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -253,6 +253,9 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 		st := s.Stats()
 		fmt.Printf("store: page size %d, %d objects, %d free data pages, log %d bytes in use (%d bytes of padding written)\n",
 			s.PageSize(), len(s.List()), free, s.LogTail(), st.WAL.PadBytes)
+		w := st.WAL
+		fmt.Printf("log room kept: %d bytes for the end records of %d live transactions, %d for checkpoint images; the oldest transaction pins %d bytes\n",
+			w.EndReserve, w.LiveTxns, w.ImageReserve, w.Pinned)
 		b := st.Barrier
 		r := st.Recovery
 		fmt.Printf("checkpoints: %d master writes, %d bytes of catalog image logged; open redid %d operations\n",

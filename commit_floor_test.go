@@ -161,12 +161,12 @@ func TestCommitFloor(t *testing.T) {
 	s, _, data, log, model := floorStore(t, "x")
 	ps := int64(s.PageSize())
 	warm := len(*log)
-	st0, f0 := s.Stats(), dataForces(s)
+	st0, f0, logTail0 := s.Stats(), dataForces(s), s.LogTail()
 	tailBytes := int64(len(model["x"])) - 6000 // the warm-up append opened a tail segment behind the first 6000 bytes
 	if err := smallTxn(t, s, "x", model, 70, 3100).Commit(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, logTail := s.Stats(), s.LogTail()
 
 	// Data volume: the read, not on a master copy, and nothing else.  The
 	// replaced page and the append's pages wait in the write-behind set,
@@ -217,7 +217,7 @@ func TestCommitFloor(t *testing.T) {
 	if got := st.WAL.LeaderForces - st0.WAL.LeaderForces; got != 1 {
 		t.Errorf("%d leader forces, want 1", got)
 	}
-	if grew, wrote := st.LogLen-st0.LogLen, recBytes+st.WAL.PadBytes-st0.WAL.PadBytes; grew != wrote || grew != int64(pages[warm])*ps {
+	if grew, wrote := logTail-logTail0, recBytes+st.WAL.PadBytes-st0.WAL.PadBytes; grew != wrote || grew != int64(pages[warm])*ps {
 		t.Errorf("log tail grew by %d bytes, records and padding written are %d, pages written %d", grew, wrote, pages[warm])
 	}
 	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
@@ -425,8 +425,8 @@ func TestCommitFloorFilledTail(t *testing.T) {
 	})
 }
 
-// TestCommitFloorFilledTailPastTheLogShare: with the log past logBusyShare
-// of its capacity, the same transaction writes the filled tail through — the
+// TestCommitFloorFilledTailPastTheLogShare: with the log busy, half its
+// capacity in use (wal.Log.Busy), the same transaction writes the filled tail through — the
 // pending pages before the room with it, one request — forces the data volume
 // before its commit record, and logs by value only the 700 bytes the new tail
 // keeps.
@@ -437,7 +437,7 @@ func TestCommitFloorFilledTailPastTheLogShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !s.logBusy() {
+	for !s.log.Busy() {
 		if err := tx.Replace("x", 0, model["x"][:6000]); err != nil {
 			t.Fatal(err)
 		}

@@ -233,19 +233,15 @@ type Store struct {
 	nextID   uint64
 	nextTxn  uint64
 	liveTxns map[uint64]*Txn
-	// masterSeq is the seq of the newest master copy (eos:guardedby mu);
-	// the next checkpoint writes masterSeq+1 over the other copy.
-	masterSeq uint64
+	// last is the newest master copy (eos:guardedby mu); the next
+	// checkpoint writes last.seq+1 over the other copy.
+	last master
 	// catBytes is the size of the image the next checkpoint logs, or more:
 	// the sum of the entries' measures (eos:guardedby mu; see measure).
 	catBytes int
-	// ckptImage is the size of the image a running checkpoint captured and
-	// has not logged yet: the log keeps room for it too (measure), though
-	// the catalog may shrink meanwhile (eos:guardedby mu).
-	ckptImage int
 	// unlogged holds the objects a write that logs nothing (the Object API,
-	// Create) changed since the last checkpoint captured them; the next
-	// checkpoint empties it (see checkpointUnlogged).
+	// Create, Rename, Destroy) changed since the last checkpoint captured
+	// them; the next checkpoint empties it (see checkpointUnlogged).
 	unlogged map[*catEntry]bool // eos:guardedby mu
 	// capturing holds the marks the running checkpoint took from unlogged:
 	// they count until its master copy is durable.
@@ -308,7 +304,6 @@ func Format(vol, logVol disk.Device, opts Options) (*Store, error) {
 	// every store would share.
 	lap := uint64(logVol.NumPages()) * uint64(logVol.PageSize())
 	s.log = wal.New(logVol, rand.Uint64N(1<<62/lap)*lap)
-	s.log.Reserve(catCount) // the image of an empty catalog
 	// A data volume that held a store before still holds its master copies,
 	// and the higher seq would win over this store's.  They start out blank.
 	if err := vol.WritePages(0, masterPages, make([]byte, masterPages*vol.PageSize())); err != nil {
@@ -379,21 +374,8 @@ func (s *Store) lobConfig() lob.Config {
 		// snapshot root may still name them.
 		RetainFreedPages: true,
 		Pending:          s.pending,
-		LogBusy:          s.logBusy,
+		LogBusy:          func() bool { return s.log.Busy() },
 	}
-}
-
-// logBusyShare is the share of the log's capacity in use from which the log
-// is busy: an append that fills its tail then writes the tail through and
-// names it by reference, rather than log its bytes (lob.Config.LogBusy).
-// Below it the log keeps room for the by-value bytes a checkpoint would
-// free.
-const logBusyShare = 0.5
-
-// logBusy reports whether the log's bytes in use have reached logBusyShare
-// of its capacity.
-func (s *Store) logBusy() bool {
-	return float64(s.log.Used()) >= logBusyShare*float64(int64(s.logVol.NumPages())*int64(s.logVol.PageSize()))
 }
 
 // epochAlloc is the store-wide allocator behind every write scope's
@@ -628,7 +610,7 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.nextID, s.masterSeq = m.nextID, m.seq
+	s.nextID, s.last = m.nextID, m
 	if err := s.recover(m); err != nil {
 		return nil, err
 	}
@@ -804,8 +786,9 @@ type capture struct {
 	nextID  uint64
 	// start is where recovery's scan starts: the log's tail at the capture,
 	// or the first record of a transaction then live — it may commit, and
-	// the image does not hold its roots.  Every record the log takes while
-	// the checkpoint writes lies behind it too.
+	// the image does not hold its roots (wal.Log.Oldest, Txn.firstLSN).
+	// Every record the log takes while the checkpoint writes lies behind it
+	// too.
 	start   uint64
 	pending lob.Captured // the write-behind set, taken behind the descriptors
 	// unlogged is the objects whose unlogged writes the image captures.
@@ -820,12 +803,13 @@ func (s *Store) captureLocked() *capture {
 	// The barrier starts before the descriptors are read: freed runs
 	// retired from now on wait for the next checkpoint, and their frames
 	// for this one's pool flush — the descriptors may name them.
-	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Tail() + 1, unlogged: s.unlogged}
+	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest(), unlogged: s.unlogged}
 	for _, t := range s.liveTxns {
-		ck.start = min(ck.start, t.firstLSN)
+		if t.firstLSN != 0 { // its end is logged, its roots not yet handed over
+			ck.start = min(ck.start, t.firstLSN)
+		}
 	}
 	ck.image = s.imageLocked()
-	s.ckptImage = len(ck.image)
 	// The set is taken after the descriptors: every page a descriptor names
 	// was installed before the descriptor was stored — a commit installs
 	// its replaced pages before it hands its roots over, an append its tail
@@ -867,22 +851,36 @@ func (s *Store) writeCaptured(ck *capture) error {
 //
 // eos:requires s.mu
 func (s *Store) completeLocked(ck *capture) error {
+	// A checkpoint that cannot move the log's start (a live transaction
+	// holds it) and captured no write that logs nothing names nothing
+	// recovery needs that the newest master copy does not.  It logs its
+	// image only to release the runs retired since, out of the room the log
+	// keeps for nobody.  Without one it writes no master copy and releases
+	// nothing: redo from the newest copy's image still walks the roots it
+	// names.
+	optional := ck.start == s.last.start && len(ck.unlogged) == 0
+	if optional && len(s.epochs.Releasable(ck.barrier)) == 0 {
+		s.capturing = nil
+		return nil
+	}
 	// The image, forced.  An image the log has no room for fails here, with
 	// nothing named: the store stays usable, and the previous master copy
 	// still names an image the log holds.
-	image, err := s.appendImage(ck.image)
+	image, err := s.appendImage(ck)
+	if optional && errors.Is(err, wal.ErrLogFull) {
+		s.capturing = nil
+		return nil
+	}
 	if err != nil {
 		s.abandonLocked(ck)
 		return err
 	}
-	s.ckptImage = 0
-	s.log.Reserve(s.catBytes)
 	if err := s.log.ForceLSN(image); err != nil {
 		s.abandonLocked(ck)
 		return err
 	}
 	// The master copy, over the older one, forced.
-	m := master{seq: s.masterSeq + 1, nextID: ck.nextID, start: ck.start, image: image,
+	m := master{seq: s.last.seq + 1, nextID: ck.nextID, start: ck.start, image: image,
 		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
 	if err := s.writeMaster(m); err != nil {
 		s.abandonLocked(ck)
@@ -892,7 +890,7 @@ func (s *Store) completeLocked(ck *capture) error {
 		s.abandonLocked(ck)
 		return err
 	}
-	s.masterSeq = m.seq
+	s.last = m
 	s.barrierDurable.Store(ck.barrier)
 	s.capturing = nil
 	// Only now may the log go round over what lies in front of the new
@@ -902,13 +900,11 @@ func (s *Store) completeLocked(ck *capture) error {
 	return s.releaseDurable()
 }
 
-// abandonLocked gives a failed checkpoint's unlogged marks back — no image
-// captured those writes — and its image's room in the log.
+// abandonLocked gives a failed checkpoint's unlogged marks back: no image
+// captured those writes.
 //
 // eos:requires s.mu
 func (s *Store) abandonLocked(ck *capture) {
-	s.ckptImage = 0
-	s.log.Reserve(s.catBytes)
 	for e := range ck.unlogged {
 		s.unlogged[e] = true
 	}
@@ -1028,7 +1024,7 @@ func (s *Store) Destroy(name string) error {
 	}
 	delete(s.catalog, name)
 	delete(s.byID, e.id)
-	delete(s.unlogged, e)
+	s.unlogged[e] = true
 	s.measure(e, 0)
 	s.mu.Unlock()
 	s.epochs.Reclaim()
@@ -1105,6 +1101,7 @@ func (s *Store) Rename(oldName, newName string) error {
 	e.name = newName
 	s.catalog[newName] = e
 	s.measure(e, e.stableSize())
+	s.unlogged[e] = true
 	return nil
 }
 
@@ -1177,7 +1174,6 @@ type Stats struct {
 	// from the images their transaction's preceding Read had transferred,
 	// instead of reading them from the device again.
 	ReplaceReadsSaved int64
-	LogLen            int64 // LogTail: log bytes in use, padding included
 	// PoolHitRate is the buffer pool hit fraction in [0, 1] (1 when the
 	// pool has seen no traffic).
 	PoolHitRate float64
@@ -1215,7 +1211,6 @@ func (s *Store) Stats() Stats {
 			OpenSnapshots:  s.epochs.Pinned(),
 			OldestEpochAge: s.epochs.OldestAge(),
 		},
-		LogLen:      s.log.Used(),
 		PoolHitRate: pool.HitRate(),
 	}
 }

@@ -39,8 +39,11 @@ func TestConcurrentCommittersAndCheckpointerStress(t *testing.T) {
 					errCh <- err
 					return
 				}
+				// A failed operation still fails the test.  The abort first
+				// ends its transaction, which would otherwise stay live and
+				// hold the log's start against the checkpointer.
 				if err := tx.Append(objName(w), pat(w*100+i, blockLen)); err != nil {
-					errCh <- err
+					errCh <- errors.Join(err, tx.Abort())
 					return
 				}
 				if err := tx.Commit(); err != nil {

@@ -123,9 +123,6 @@ func MustNewPool(vol disk.Device, capacity int) *Pool {
 	return p
 }
 
-// Capacity reports the number of frames.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // SetPinWait bounds how long a Fix blocks waiting for a transiently
 // pinned frame before returning ErrNoFrames (default 250ms; 0 fails
 // immediately, restoring the historical behavior).

@@ -114,6 +114,11 @@ type Result struct {
 	// its root down into new ones — and before the next checkpoint's master
 	// copy: recovery must redo the split from the log.
 	SplitStates int
+	// LiveAcrossStates counts the states whose crash falls behind the start
+	// of a checkpoint that a transaction which had logged was live across,
+	// and before the next master copy: recovery redoes that transaction from
+	// records on both sides of the checkpoint (liveCoda).
+	LiveAcrossStates int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -149,7 +154,11 @@ type sweeper struct {
 	// SplitStates).
 	splitAt []int
 	split   [][2]int
-	seen    map[uint64]bool
+	// liveAt and live are the same for the checkpoints traceLive names (see
+	// LiveAcrossStates).
+	liveAt []int
+	live   [][2]int
+	seen   map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -195,6 +204,7 @@ func Sweep(cfg Config) (*Result, error) {
 	sw.unforced, sw.forced = byRefWindows(sw.events, sw.byRef)
 	sw.filled = untilMaster(sw.events, sw.filledAt)
 	sw.split = untilMaster(sw.events, sw.splitAt)
+	sw.live = untilMaster(sw.events, sw.liveAt)
 	cfg.Logf("trace: %d events, %d commits, P0=%d", len(sw.events), len(oracle.Commits), oracle.P0)
 
 	// Phase 2: replay the trace, emitting crash states at every
@@ -262,6 +272,8 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 			filled[args[0].(int)] = true
 		case traceSplit:
 			split[args[0].(int)] = true
+		case traceLive:
+			sw.liveAt = append(sw.liveAt, args[0].(int))
 		case traceCommit:
 			if filled[args[2].(int)] {
 				sw.filledAt = append(sw.filledAt, args[1].(int))
@@ -455,6 +467,9 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	if within(sw.split, p) {
 		sw.res.SplitStates++
+	}
+	if within(sw.live, p) {
+		sw.res.LiveAcrossStates++
 	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)

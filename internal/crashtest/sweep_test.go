@@ -125,6 +125,11 @@ func TestCrashSweep(t *testing.T) {
 			if res.SplitStates == 0 {
 				t.Fatalf("no state fell behind a commit that split an index node, want > 0")
 			}
+			// A checkpoint a transaction was live across, which could not
+			// move the log's start: crashes must land behind it.
+			if res.LiveAcrossStates == 0 {
+				t.Fatalf("no state fell behind a checkpoint a transaction was live across, want > 0")
+			}
 			// A checkpoint's two durable writes: the image in the log, then
 			// the master copy naming it.  Crashes must land inside both.
 			if !testing.Short() && (res.ImageStates == 0 || res.MasterStates == 0) {
@@ -164,8 +169,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d with a filled tail pending, %d behind a commit that split an index node; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.FilledStates, res.SplitStates, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d with a filled tail pending, %d behind a commit that split an index node; %d behind a checkpoint a transaction was live across; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.FilledStates, res.SplitStates, res.LiveAcrossStates, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

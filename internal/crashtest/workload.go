@@ -117,7 +117,10 @@ const (
 	// segments it wrote through, which its commit forced.
 	traceByRef  = "seq %d-%d-%d: txn %d committed segments it wrote through"
 	traceCommit = "seq %d-%d: txn %d committed"
-	traceAbort  = "seq %d: txn %d aborted"
+	// traceLive: a checkpoint begins at seq while txn has logged and not
+	// ended.
+	traceLive  = "seq %d: txn %d is live across a checkpoint"
+	traceAbort = "seq %d: txn %d aborted"
 )
 
 // errStaleRead fails the workload: a transaction's read did not return
@@ -335,7 +338,10 @@ func RunWorkload(st *eos.Store, clock *Clock, cfg WorkloadConfig) (*Oracle, erro
 	if err := st.Checkpoint(); err != nil {
 		return nil, fmt.Errorf("soft checkpoint with loser in flight: %w", err)
 	}
-	return oracle, snapshotCoda(st, clock, cfg, oracle, model)
+	if err := snapshotCoda(st, clock, cfg, oracle, model); err != nil {
+		return oracle, err
+	}
+	return oracle, liveCoda(st, clock, cfg, oracle, model)
 }
 
 // snapshotCoda keeps a snapshot of splitObject open across two checkpoints
@@ -390,6 +396,56 @@ func snapshotCoda(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracl
 	if _, err := sn.ReadAt(got, 0); err != nil || !bytes.Equal(got, captured) {
 		oracle.Stale = append(oracle.Stale, Violation{P: clock.Seq(), Label: "snapshot-coda", Kind: "snapshot",
 			Detail: fmt.Sprintf("a snapshot of %s held across two checkpoints read %d bytes unlike those it captured (%v)", splitObject, diffBytes(got, captured), err)})
+	}
+	return nil
+}
+
+// liveCoda is the directed prefix of the class "a transaction live across
+// a checkpoint".  It runs behind the snapshot coda, beside the loser, which
+// holds the log's start: no checkpoint here can move it, so one takes an
+// image only to release what the reclamation queue holds.  One transaction
+// inserts into splitObject and stays live across two checkpoints: the first
+// releases the snapshot coda's runs, the second has nothing to release and
+// takes no image, so recovery starts from the first one's master copy and
+// redoes every commit since.  The transaction commits; the next inserts
+// behind it, and a last checkpoint logs an image for their frees.
+func liveCoda(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte) error {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x11fe))
+	ps := st.PageSize()
+	for i := 0; i < 2; i++ {
+		txn := -5 - appendTxns - replaceTxns - byRefTxns - splitTxns - i
+		tx, err := st.Begin()
+		if err != nil {
+			return fmt.Errorf("begin live coda txn %d: %w", i, err)
+		}
+		cfg.Trace(traceBegin, clock.Seq(), txn)
+		staged := map[string]*[]byte{}
+		cur := model[splitObject]
+		for j := 0; j < 3; j++ {
+			if cur, err = insertOp(tx, txn, splitObject, cur, rng.Intn(len(cur)/ps)*ps, randBytes(rng, ps), cfg, staged); err != nil {
+				_ = tx.Abort() // the insert's error is the one to report
+				return fmt.Errorf("live coda txn %d: %w", i, err)
+			}
+		}
+		if i == 0 {
+			err = st.Checkpoint()
+			cfg.Trace(traceLive, clock.Seq(), txn)
+			if err == nil {
+				err = st.Checkpoint()
+			}
+			if err != nil {
+				_ = tx.Abort() // the checkpoint's error is the one to report
+				return fmt.Errorf("checkpoint beside live coda txn %d: %w", i, err)
+			}
+		}
+		beginSeq := clock.Seq()
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("commit live coda txn %d: %w", i, err)
+		}
+		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
+	}
+	if err := st.Checkpoint(); err != nil {
+		return fmt.Errorf("checkpoint behind the live coda: %w", err)
 	}
 	return nil
 }

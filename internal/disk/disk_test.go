@@ -51,6 +51,9 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("read data differs from written data")
 	}
+	if err := v.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 }
 
 func TestRangeChecks(t *testing.T) {

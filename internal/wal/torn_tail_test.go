@@ -506,9 +506,11 @@ func TestTruncateWritesNothing(t *testing.T) {
 	}
 }
 
-// onePageRecord is a record whose encoding fills exactly one log page.
-func onePageRecord(txn uint64, ps int) *Record {
-	return &Record{Txn: txn, Type: RecAppend, Object: 3, Data: bytes.Repeat([]byte{byte(txn)}, ps-recHeaderSize)}
+// onePageRecord is a record of no transaction whose encoding fills exactly
+// one log page: the log keeps no end record's room for it.  id names it
+// (Object) and fills it.
+func onePageRecord(id uint64, ps int) *Record {
+	return &Record{Type: RecAppend, Object: id, Data: bytes.Repeat([]byte{byte(id)}, ps-recHeaderSize)}
 }
 
 // TestOldRecordAtNewTailNeverSurfaces: a log goes round its volume with
@@ -556,7 +558,7 @@ func TestOldRecordAtNewTailNeverSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].LSN != first || recs[0].Txn != 9 {
+	if len(recs) != 1 || recs[0].LSN != first || recs[0].Object != 9 {
 		t.Fatalf("recovered %d records, want only the second lap's one", len(recs))
 	}
 	if l2.Tail() != first-1+uint64(ps) {
@@ -575,7 +577,7 @@ func TestOldRecordAtNewTailNeverSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].LSN != second || recs[1].Txn != 10 {
+	if len(recs) != 2 || recs[1].LSN != second || recs[1].Object != 10 {
 		t.Fatalf("after the overwrite recovered %d records, want the second lap's two", len(recs))
 	}
 }
@@ -641,8 +643,8 @@ func TestJunkPastRecoveredTailNeverSurfaces(t *testing.T) {
 			t.Fatalf("recovered %d records, want the 2 in front of the tear and the new lap's %d", len(recs), want)
 		}
 		for i, r := range recs[2:] {
-			if r.Txn != uint64(10+i) {
-				t.Fatalf("record %d belongs to txn %d: an old record surfaced", i, r.Txn)
+			if r.Object != uint64(10+i) {
+				t.Fatalf("record %d is record %d's: an old record surfaced", i, r.Object)
 			}
 		}
 	}
@@ -656,7 +658,7 @@ func TestScanTestsLSNBeforeLength(t *testing.T) {
 	l, vol := newLog(t, 4096)
 	ps := int64(vol.PageSize())
 	total := ps * int64(vol.NumPages())
-	if _, err := l.Append(&Record{Txn: 1, Type: RecAppend, Data: bytes.Repeat([]byte{1}, int(total)-2*recHeaderSize)}); err != nil {
+	if _, err := l.Append(&Record{Type: RecAppend, Data: bytes.Repeat([]byte{1}, int(total)-2*recHeaderSize)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Force(); err != nil {

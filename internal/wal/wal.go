@@ -26,10 +26,13 @@
 // still needs) to its tail.  Truncate advances the start and writes
 // nothing; an append that would reach the page holding the start gets
 // ErrLogFull, so that page is never written while the start is on it.
-// The client says how large its checkpoint records (RecCheckpoint) are
-// (Reserve): ordinary records leave room for two, a checkpoint record for
-// one, so that a log full of ordinary records can always be checkpointed,
-// and a crash before the client records the checkpoint still recovered.
+// One ledger keeps room for the end record of every transaction that has
+// logged, and for two checkpoint images of the size Reserve says: the next
+// one, and a recovery's behind it.  A transaction's first record also
+// reserves its end record's room, which the end record spends; a checkpoint
+// record spends image room only as far as the truncation it names gives it
+// back (fits).  So every live transaction can end, a full log can always be
+// checkpointed, and a crash before the client names the image recovers.
 //
 // The unit of layout is the force: the records buffered since the last one,
 // back to back, written once as whole pages that begin behind that one's
@@ -59,6 +62,8 @@ type RecType uint8
 // begin record: its first operation's record begins it, and one that logs
 // no operation logs nothing at all.
 const (
+	// RecCommit and RecAbort end a transaction.  Recovery reads nothing
+	// from RecAbort: a transaction without a RecCommit never happened.
 	RecCommit RecType = iota + 1
 	RecAbort
 	RecCreate  // object created
@@ -79,7 +84,8 @@ const (
 	// carries no pre-image: recovery only redoes.
 	RecReplace
 	// RecCheckpoint carries a checkpoint's image of the client's catalog in
-	// Data.  It may use half the room ordinary records leave free (Reserve).
+	// Data, and in N the LSN the client truncates the log to once the image
+	// is named.
 	RecCheckpoint
 	// RecSkip says the log goes on N positions behind the record's end:
 	// the room in front of the volume's end, or a whole lap (NewLap).  The
@@ -169,6 +175,9 @@ type Stats struct {
 	FlushedBytes int64 // bytes of those records written to the volume
 	PadBytes     int64 // bytes of padding written behind them, to the page boundary each force ends on
 	Wraps        int64 // flushes that reached the volume's end: the log went on at offset 0
+	// The ledger: room kept for end records and images, transactions that
+	// have logged and not ended, log from the oldest one's first record on.
+	EndReserve, ImageReserve, LiveTxns, Pinned int64
 }
 
 // Log is an append-only write-ahead log over a dedicated volume.  It is
@@ -204,8 +213,12 @@ type Log struct {
 	tail  uint64 // eos:guardedby mu -- position the next record gets unless it wraps
 	// forced is the page-aligned position through which the log is durable.
 	forced uint64 // eos:guardedby mu
-	// reserve is the room one of the client's checkpoints takes (Reserve).
-	reserve uint64 // eos:guardedby mu
+	// image is the room one checkpoint image takes (Reserve), want that of
+	// the catalog as last measured; live maps each transaction that has
+	// logged and not ended to its first record's LSN.
+	image uint64            // eos:guardedby mu
+	want  uint64            // eos:guardedby mu
+	live  map[uint64]uint64 // eos:guardedby mu
 	// unforced counts the bytes flushes wrote since the last force, which
 	// begin at the volume offset of forced.
 	unforced uint64 // eos:guardedby mu
@@ -217,14 +230,32 @@ type Log struct {
 func New(vol disk.Device, base uint64) *Log {
 	ps := uint64(vol.PageSize())
 	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps,
-		start: base, tail: base, forced: base}
+		start: base, tail: base, forced: base, live: make(map[uint64]uint64)}
 }
 
 // Stats returns a snapshot of the log activity counters.
 func (l *Log) Stats() Stats {
+	oldest := l.Oldest()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	st := l.stats
+	st.LiveTxns, st.ImageReserve = int64(len(l.live)), 2*int64(l.image)
+	st.EndReserve = st.LiveTxns * int64(l.room(recHeaderSize))
+	st.Pinned = int64(l.tail + 1 - oldest)
+	return st
+}
+
+// Oldest returns the first LSN a recovery must scan to redo every
+// transaction that has logged and not ended: the oldest one's first
+// record, or with none live the next record's.
+func (l *Log) Oldest() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn := l.tail + 1
+	for _, first := range l.live {
+		lsn = min(lsn, first)
+	}
+	return lsn
 }
 
 // encodedSize is the size of r's encoding.
@@ -316,15 +347,13 @@ func (l *Log) put(r *Record) (uint64, error) {
 	if off := l.tail % l.size; off+n > l.size {
 		gap = l.size - off
 	}
-	room := l.start - l.start%l.ps + l.size // no byte at or past this position: it is on the start's page
-	switch r.Type {
-	case RecCheckpoint:
-		room -= min(l.reserve, room)
-	case RecSkip:
-	default:
-		room -= min(2*l.reserve, room)
+	if r.Type == RecCheckpoint {
+		l.image = l.want // the captured image is in hand: its own size counts
 	}
-	if l.tail+gap+n > room {
+	_, live := l.live[r.Txn]
+	end := r.Type == RecCommit || r.Type == RecAbort
+	first := r.Txn != 0 && !live && !end
+	if !l.fits(l.tail+gap+n, r, live && end, first) {
 		return 0, ErrLogFull
 	}
 	if gap >= recHeaderSize {
@@ -338,25 +367,55 @@ func (l *Log) put(r *Record) (uint64, error) {
 	r.LSN = l.tail + 1 // LSN 0 means "never logged"
 	l.buf = append(l.buf, encode(r)...)
 	l.tail += n
-	if r.Type == RecCheckpoint || r.Type == RecSkip {
+	switch {
+	case r.Type == RecCheckpoint || r.Type == RecSkip:
 		l.own += int64(n)
-	} else {
-		l.stats.Appends++
+		return r.LSN, nil
+	case first:
+		l.live[r.Txn] = r.LSN
+	case end:
+		delete(l.live, r.Txn)
 	}
+	l.stats.Appends++
 	return r.LSN, nil
 }
 
-// Reserve says that the client's checkpoints log a RecCheckpoint record
-// carrying n bytes.  From now on ordinary records leave room for two
-// checkpoints, and a checkpoint record for one more: should a crash keep it
-// but not the client's pointer to it, the recovery writes NewLap's skip
-// record and a checkpoint record of its own.  A log that keeps no room (the
-// client has not called Reserve) lets a checkpoint record take all there
-// is, as a recovery's must.
+// fits reports whether r, ending at position to, leaves the ledger's room:
+// an end record per live transaction (with r's own if r is a first record,
+// without it if r ends one) and two images.  An end record leaves one image,
+// as the other may be logged, its truncation to come; a checkpoint record
+// leaves one before its truncation and two after; a new lap's skip, none.
+//
+// eos:requires l.mu
+func (l *Log) fits(to uint64, r *Record, ends, first bool) bool {
+	e, limit := l.room(recHeaderSize), l.limit(l.start)
+	keep := uint64(len(l.live)) * e
+	switch {
+	case r.Type == RecSkip:
+		return to <= limit
+	case r.Type == RecCheckpoint:
+		return to+l.image+keep <= limit && to+2*l.image+keep <= l.limit(l.after(uint64(r.N)))
+	case ends:
+		return to+l.image+keep-e <= limit
+	case first:
+		keep += e
+	}
+	return to+2*l.image+keep <= limit
+}
+
+// limit is the first position a lap on from the page that holds pos.
+func (l *Log) limit(pos uint64) uint64 { return pos - pos%l.ps + l.size }
+
+// Reserve says that the client's next checkpoint image carries at most n
+// bytes.  The room kept grows at once and shrinks at the next checkpoint
+// record, so that a captured image keeps its room however far the catalog
+// shrinks meanwhile.  A log whose client has reserved nothing keeps no
+// image room: a recovery's image may take all there is.
 func (l *Log) Reserve(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.reserve = l.room(recHeaderSize+n) + l.room(recHeaderSize)
+	l.want = l.room(recHeaderSize+n) + l.room(recHeaderSize)
+	l.image = max(l.image, l.want)
 }
 
 // room is the most log a record of n bytes can take, in whole pages: the
@@ -463,7 +522,7 @@ func (l *Log) pages(pos, n uint64, fn func(pn disk.PageNum, from, n uint64) erro
 
 // Force makes every appended record durable.  When nothing has been
 // appended since the last force it returns without touching the volume.
-func (l *Log) Force() error { return l.forceTo(l.Tail()) }
+func (l *Log) Force() error { return l.ForceLSN(l.Tail()) }
 
 // ForceLSN makes the record with the given LSN — and every record
 // before it — durable.  This is the group-commit entry point: the
@@ -471,16 +530,13 @@ func (l *Log) Force() error { return l.forceTo(l.Tail()) }
 // that force itself or piggybacked on a concurrent committer's.  A
 // caller is never released successfully unless a force covering its
 // LSN actually succeeded; when the leader's I/O fails, each queued
-// follower retries as leader and surfaces its own error.
-func (l *Log) ForceLSN(lsn uint64) error { return l.forceTo(lsn) }
-
-// forceTo makes the log durable through position target.  Forces only
-// ever advance `forced` to the sealed end of whole records, so forced >=
-// target (a record's start + 1) implies the whole record is durable.
-func (l *Log) forceTo(target uint64) error {
+// follower retries as leader and surfaces its own error.  Forces only ever
+// advance `forced` to the sealed end of whole records, so forced >= lsn
+// (a record's start + 1) implies the whole record is durable.
+func (l *Log) ForceLSN(lsn uint64) error {
 	l.mu.Lock()
 	l.stats.Forces++
-	if l.forced >= target {
+	if l.forced >= lsn {
 		l.stats.ForceNoops++
 		l.mu.Unlock()
 		return nil
@@ -490,7 +546,7 @@ func (l *Log) forceTo(target uint64) error {
 	l.forceMu.Lock()
 	defer l.forceMu.Unlock()
 	l.mu.Lock()
-	if l.forced >= target {
+	if l.forced >= lsn {
 		// A leader force covered us while we queued: piggyback.
 		l.stats.Piggybacks++
 		l.mu.Unlock()
@@ -533,6 +589,9 @@ func (l *Log) Used() int64 {
 	return int64(l.tail - l.start)
 }
 
+// Busy reports whether half the log's capacity is in use.
+func (l *Log) Busy() bool { return 2*uint64(l.Used()) >= l.size }
+
 // Truncate drops everything in front of the record with LSN lsn: its room
 // may be written again.  It writes nothing — the records stay where they
 // are until the log comes round to them, and no scan accepts them then.
@@ -540,9 +599,17 @@ func (l *Log) Used() int64 {
 func (l *Log) Truncate(lsn uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.start = l.after(lsn)
+}
+
+// after is the start Truncate(lsn) leaves.
+//
+// eos:requires l.mu
+func (l *Log) after(lsn uint64) uint64 {
 	if pos := lsn - 1; pos > l.start && pos <= l.tail {
-		l.start = pos
+		return pos
 	}
+	return l.start
 }
 
 // Scan reads every intact record from the one with LSN from, invoking fn

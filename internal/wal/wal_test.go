@@ -135,16 +135,17 @@ func TestLogFull(t *testing.T) {
 // TestLogFullBehindASealedPage: room is counted from the tail, and a flush
 // leaves the tail on a page boundary.  A record that would fit only by
 // sharing the flushed page is refused whole; one that fits behind it is
-// not, and a truncation gives the refused one its room.
+// not, and a truncation gives the refused one its room.  The records belong
+// to no transaction, so the log keeps no end record's room for them.
 func TestLogFullBehindASealedPage(t *testing.T) {
 	l, vol := newLog(t, 2)
 	ps := vol.PageSize()
-	want := appendAll(t, l, &Record{Txn: 1, Type: RecCreate})
+	want := appendAll(t, l, &Record{Type: RecCreate})
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
 	before := vol.Stats()
-	tooBig := &Record{Txn: 1, Type: RecAppend, Data: make([]byte, ps+1-recHeaderSize)}
+	tooBig := &Record{Type: RecAppend, Data: make([]byte, ps+1-recHeaderSize)}
 	if 2*ps-recHeaderSize < recHeaderSize+len(tooBig.Data) {
 		t.Fatal("the record does not even fit an unpadded log; the test proves nothing")
 	}

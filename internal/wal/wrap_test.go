@@ -24,7 +24,7 @@ func churn(t *testing.T, l *Log, laps int, keep int64, appended func(*Record, ui
 	var kept []uint64
 	for l.Stats().Wraps < int64(laps) {
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			r := &Record{Txn: uint64(len(kept)), Type: RecAppend, Data: bytes.Repeat([]byte{byte(rng.Intn(256))}, rng.Intn(2*int(l.ps)))}
+			r := &Record{Type: RecAppend, Data: bytes.Repeat([]byte{byte(rng.Intn(256))}, rng.Intn(2*int(l.ps)))}
 			lsn, err := l.Append(r)
 			if err != nil {
 				t.Fatal(err)
@@ -89,32 +89,63 @@ func TestNoRecordStraddlesTheEnd(t *testing.T) {
 // forced until the log refuses one leave room for a checkpoint record of
 // the reserved size, and checkpoint records leave a recovery room for
 // NewLap and a checkpoint record of its own, should a crash keep them but
-// nothing naming them — wherever the filling meets the volume's end.
+// nothing naming them — wherever the filling meets the volume's end.  A
+// checkpoint record whose truncation would move nothing spends none of it.
 func TestReserveKeepsRoomForACheckpointAndItsRecovery(t *testing.T) {
 	for c := 0; c < 40; c++ {
-		l, vol := newLog(t, 48)
-		rng := rand.New(rand.NewSource(int64(c)))
-		image := make([]byte, 100+rng.Intn(400))
-		// Start the log somewhere else on the volume each time.
-		if _, err := l.Append(&Record{Type: RecCreate, Data: make([]byte, rng.Intn(int(l.size)/2))}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Force(); err != nil {
-			t.Fatal(err)
-		}
-		l.Reserve(len(image))
-		start, err := l.Append(&Record{Type: RecCheckpoint, Data: image})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Truncate(start)
-		for {
-			_, err := l.Append(&Record{Type: RecAppend, Data: make([]byte, rng.Intn(300))})
-			if errors.Is(err, ErrLogFull) {
-				break
-			}
-			if err != nil {
+		rng := rand.New(rand.NewSource(int64(100 + c)))
+		l, vol, image, start := filledLog(t, c, func(l *Log) {
+			if _, err := l.Append(&Record{Type: RecAppend, Data: make([]byte, rng.Intn(300))}); err != nil && !errors.Is(err, ErrLogFull) {
 				t.Fatal(err)
+			}
+		})
+		if _, err := l.Append(&Record{Type: RecCheckpoint, Data: image}); !errors.Is(err, ErrLogFull) {
+			t.Fatalf("case %d: a checkpoint record that truncates nothing, on a log full of ordinary records: %v, want ErrLogFull", c, err)
+		}
+		checkpointAndRecover(t, c, l, vol, image, start)
+	}
+}
+
+// TestEveryLiveTransactionCanEnd: the log keeps the room of the end record
+// of every transaction that has logged.  Transactions log records until the
+// log refuses any more, a new one's first record before the others'; then
+// each ends, committed or aborted, forced alone or with others, wherever
+// the volume's end falls.  Behind them a checkpoint record still has its
+// room, and a recovery too.
+func TestEveryLiveTransactionCanEnd(t *testing.T) {
+	for c := 0; c < 40; c++ {
+		rng := rand.New(rand.NewSource(int64(100 + c)))
+		live := map[uint64]bool{}
+		l, vol, image, start := filledLog(t, c, func(l *Log) {
+			txn := uint64(len(live) + 1)
+			if len(live) > 0 && rng.Intn(3) > 0 {
+				txn = uint64(1 + rng.Intn(len(live)))
+			}
+			tail, st := l.Tail(), l.Stats()
+			_, err := l.Append(&Record{Txn: txn, Type: RecAppend, Data: make([]byte, rng.Intn(300))})
+			switch {
+			case err == nil:
+				live[txn] = true
+			case !errors.Is(err, ErrLogFull):
+				t.Fatal(err)
+			case l.Tail() != tail || l.Stats().LiveTxns != st.LiveTxns:
+				t.Fatalf("case %d: the refused record of txn %d left a trace", c, txn)
+			}
+		})
+		st := l.Stats()
+		if st.LiveTxns != int64(len(live)) || st.EndReserve == 0 || st.Pinned == 0 {
+			t.Fatalf("case %d: %d transactions live, the ledger says %+v", c, len(live), st)
+		}
+		if room := l.limit(l.start) - l.Tail(); room < uint64(st.ImageReserve+st.EndReserve) {
+			t.Fatalf("case %d: %d bytes of room behind the tail, less than the %d the ledger keeps", c, room, st.ImageReserve+st.EndReserve)
+		}
+		for txn := range live {
+			end := RecCommit
+			if rng.Intn(2) == 0 {
+				end = RecAbort
+			}
+			if _, err := l.Append(&Record{Txn: txn, Type: end}); err != nil {
+				t.Fatalf("case %d: the %s record of txn %d, one of %d live: %v", c, end, txn, len(live), err)
 			}
 			if rng.Intn(2) == 0 {
 				if err := l.Force(); err != nil {
@@ -122,34 +153,83 @@ func TestReserveKeepsRoomForACheckpointAndItsRecovery(t *testing.T) {
 				}
 			}
 		}
-		// Checkpoints while a transaction holds the start truncate nothing:
-		// their records pile up until the log refuses one.
-		for n := 0; ; n++ {
-			_, err := l.Append(&Record{Type: RecCheckpoint, Data: image})
-			if errors.Is(err, ErrLogFull) && n > 0 {
-				break
-			}
-			if err != nil {
-				t.Fatalf("case %d: checkpoint record on a log full of ordinary records: %v", c, err)
-			}
+		if st := l.Stats(); st.LiveTxns != 0 || st.EndReserve != 0 || st.Pinned != 0 {
+			t.Fatalf("case %d: every transaction ended, the ledger says %+v", c, st)
+		}
+		checkpointAndRecover(t, c, l, vol, image, start)
+	}
+}
+
+// filledLog starts a log somewhere on a small volume, at a checkpoint
+// record of a random size, and calls fill — which appends one record or
+// fails to — until 20 calls in a row have left the tail where it was,
+// forcing now and then.  It returns the log, its volume, the image and the
+// checkpoint record's LSN: the start.
+func filledLog(t *testing.T, c int, fill func(*Log)) (*Log, *disk.Volume, []byte, uint64) {
+	t.Helper()
+	l, vol := newLog(t, 48)
+	rng := rand.New(rand.NewSource(int64(c)))
+	image := make([]byte, 100+rng.Intn(400))
+	// Start the log somewhere else on the volume each time.
+	if _, err := l.Append(&Record{Type: RecCreate, Data: make([]byte, rng.Intn(int(l.size)/2))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	l.Reserve(len(image))
+	start, err := l.Append(&Record{Type: RecCheckpoint, Data: image, N: int64(l.Tail() + 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Truncate(start)
+	for still := 0; still < 20; {
+		tail := l.Tail()
+		fill(l)
+		if still++; l.Tail() != tail {
+			still = 0
+		}
+		if rng.Intn(2) == 0 {
 			if err := l.Force(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		vol.Crash()
-		l, _, err = Recover(vol, start)
+	}
+	return l, vol, image, start
+}
+
+// checkpointAndRecover appends checkpoint records that truncate behind
+// themselves — the client's truncation not done, as after a crash before
+// it named them — until the log refuses one; the first must fit.  A
+// recovery from start then writes NewLap's skip record and a checkpoint
+// record of its own.
+func checkpointAndRecover(t *testing.T, c int, l *Log, vol *disk.Volume, image []byte, start uint64) {
+	t.Helper()
+	for n := 0; ; n++ {
+		_, err := l.Append(&Record{Type: RecCheckpoint, Data: image, N: int64(l.Tail() + 1)})
+		if errors.Is(err, ErrLogFull) && n > 0 {
+			break
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.NewLap(); err != nil {
-			t.Fatalf("case %d: recovery's NewLap: %v", c, err)
-		}
-		if _, err := l.Append(&Record{Type: RecCheckpoint, Data: image}); err != nil {
-			t.Fatalf("case %d: recovery's checkpoint record: %v", c, err)
+			t.Fatalf("case %d: checkpoint record on a full log: %v", c, err)
 		}
 		if err := l.Force(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	vol.Crash()
+	l, _, err := Recover(vol, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.NewLap(); err != nil {
+		t.Fatalf("case %d: recovery's NewLap: %v", c, err)
+	}
+	if _, err := l.Append(&Record{Type: RecCheckpoint, Data: image}); err != nil {
+		t.Fatalf("case %d: recovery's checkpoint record: %v", c, err)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -94,9 +94,10 @@ import (
 //     redone updates freed: every page reserved or allocated before that
 //     no object reaches any more.
 //  6. Take a checkpoint: a new image, a new master copy, and a log
-//     truncated behind them.  Ordinary records left room for it (see
-//     Store.measure), and it may take all the room there is; only then does
-//     the log keep room for the catalog's next checkpoint again.
+//     truncated behind them.  The log kept room for this image and NewLap's
+//     skip record (wal's ledger, Store.measure), and no transaction is live
+//     in the recovered log, so the image may take all there is; measuring
+//     the catalog behind it has the log keep the room again.
 
 // recover runs the procedure above from the master copy m.
 func (s *Store) recover(m master) error {
@@ -192,8 +193,8 @@ func (s *Store) recover(m master) error {
 		return err
 	}
 	// The recovered log keeps no room yet, so this checkpoint may take all
-	// there is: it is the recovery the room is kept for.  From here on the
-	// log keeps room for the catalog's.
+	// there is: it is the recovery the room is kept for.  Measuring the
+	// catalog has the log keep room for its next image again.
 	if err := s.Checkpoint(); err != nil {
 		return err
 	}
@@ -202,7 +203,6 @@ func (s *Store) recover(m master) error {
 	for _, e := range s.byID {
 		s.measure(e, e.stableSize())
 	}
-	s.log.Reserve(s.catBytes)
 	return nil
 }
 

@@ -676,14 +676,18 @@ func TestCommitAfterAFailedAbortIsRedone(t *testing.T) {
 
 // TestSoftCheckpointHidesOlderCommitsFromRedo: a non-transactional append
 // follows a commit on the same object, and a soft checkpoint — another
-// transaction is live since before the commit, so the log keeps the
+// transaction has logged since before the commit, so the log keeps the
 // commit's records — logs an image with the append in it.  The commit's
 // records are still in the log, and its root LSN in the image must keep
 // redo from replaying them over the append.
 func TestSoftCheckpointHidesOlderCommitsFromRedo(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	live, _ := s.Begin()
+	if err := live.Create("y", 0); err != nil {
+		t.Fatal(err)
+	}
 	tx, _ := s.Begin()
+	first := s.log.Tail() + 1 // no record of tx lies in front of it
 	repl, more := pat(62, 300), pat(63, 900)
 	if err := tx.Replace("x", 1000, repl); err != nil {
 		t.Fatal(err)
@@ -702,14 +706,11 @@ func TestSoftCheckpointHidesOlderCommitsFromRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, more...)
-	if err := live.Create("y", 0); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := readMaster(vol); err != nil || m.start > tx.firstLSN {
-		t.Fatalf("recovery starts at LSN %d (err %v), behind the commit's first record %d", m.start, err, tx.firstLSN)
+	if m, err := readMaster(vol); err != nil || m.start > first {
+		t.Fatalf("recovery starts at LSN %d (err %v), behind the commit's first record %d", m.start, err, first)
 	}
 	s = crashReopen(t, vol, logVol)
 	expectObjects(t, s, map[string][]byte{"x": want})

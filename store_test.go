@@ -103,6 +103,9 @@ func TestStoreBasicLifecycle(t *testing.T) {
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
+	if err := o.Check(); err != nil {
+		t.Fatal(err)
+	}
 	base, _ := s.FreePages()
 	if err := s.Destroy("movie"); err != nil {
 		t.Fatal(err)

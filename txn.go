@@ -158,7 +158,7 @@ func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 type Txn struct {
 	s        *Store
 	id       uint64
-	firstLSN uint64         // no record of the transaction has a lower LSN
+	firstLSN uint64         // set as the commit logs: a checkpoint keeps the log from it (captureLocked)
 	scope    *deferredAlloc // the write scope it runs as; its objects are bound to scope.lm
 	touched  []*catEntry    // the objects it holds exclusively
 	kept     keptRead
@@ -195,15 +195,14 @@ type keptRead struct {
 const keptReadMaxPages = 256
 
 // Begin starts a transaction.  It logs nothing: its first operation's
-// record begins it in the log.  It is live from here on: a checkpoint keeps
-// the log from the transaction's firstLSN on, and no record of it can have a
-// lower LSN.
+// record begins it in the log, which keeps every record from there on while
+// it is live.
 func (s *Store) Begin() (*Txn, error) {
 	t := &Txn{s: s, scope: s.scope()}
 	stalled := s.stallStart()
 	s.mu.Lock()
 	s.stallEnd(stalled)
-	t.id, t.firstLSN = s.nextTxn, s.log.Tail()+1
+	t.id = s.nextTxn
 	s.nextTxn++
 	s.liveTxns[t.id] = t
 	s.mu.Unlock()
@@ -553,6 +552,7 @@ func (t *Txn) commitLog() error {
 	for _, e := range t.touched {
 		t.s.measure(e, max(e.stableSize(), e.obj.DescriptorSize()))
 	}
+	t.firstLSN = t.s.log.Oldest()
 	t.s.mu.Unlock()
 	// A transaction that logged no operation has nothing to make durable,
 	// and logs nothing.  Any other blocks until some leader's force covers
@@ -628,10 +628,10 @@ func (t *Txn) commitBarrier() error {
 		t.s.measure(e, e.stableSize())
 	}
 	// Leave liveTxns in the SAME critical section that refreshes
-	// stableDesc.  A checkpoint captures the descriptors and the live
-	// transactions in one critical section and truncates the log behind
-	// them, so a window between the two would let it drop this commit's
-	// records while persisting the roots from before it.
+	// stableDesc.  A checkpoint captures the descriptors and the firstLSN
+	// of the transactions live in it in one critical section and truncates
+	// the log behind them, so a window between the two would let it drop
+	// this commit's records while persisting the roots from before it.
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
 	for _, e := range t.touched {
@@ -693,7 +693,8 @@ func (t *Txn) Abort() error {
 	// The abort record of a transaction that logged anything goes to the
 	// log before the lock release, and is forced like a commit record: Abort
 	// returns nil only once the outcome is durable, and nobody else can
-	// touch these objects before it is.
+	// touch these objects before it is.  The log kept its room from the
+	// transaction's first record on: only the force can fail.
 	if t.wrote {
 		lsn, lerr := t.s.log.Append(&wal.Record{Txn: t.id, Type: wal.RecAbort})
 		if lerr == nil {

@@ -675,6 +675,30 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 	}
 }
 
+// TestCheckpointInsideCommitKeepsItsRecords: a checkpoint runs between the
+// two halves of a commit.  The log counts the transaction ended at its
+// commit record, but the image the checkpoint captures still holds x's root
+// from before it: the checkpoint keeps the log from the transaction's first
+// record on (Txn.firstLSN), and recovery redoes the commit.
+func TestCheckpointInsideCommitKeepsItsRecords(t *testing.T) {
+	s, vol, logVol, base := replaceStore(t, Options{})
+	tx, _ := s.Begin()
+	tail := pat(56, 700)
+	if err := tx.Append("x", tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.commitLog(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), append(base, tail...)) {
+		t.Fatal("a checkpoint inside the commit lost it")
+	}
+}
+
 // TestAbortBarrierForcesPagesALiveTxnRewrote: T1 commits a write to a page
 // of x, which no commit forces; live T3 then writes that page again; T2
 // aborts and the power fails.  An abort is no barrier: the catalog still
@@ -1376,7 +1400,7 @@ func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 	// forced by now.
 	replaces := func(t *testing.T, s *Store, tx *Txn) (out []*wal.Record) {
 		t.Helper()
-		err := s.log.Scan(tx.firstLSN, func(r *wal.Record) error {
+		err := s.log.Scan(s.last.start, func(r *wal.Record) error {
 			if r.Txn == tx.id && r.Type == wal.RecReplace {
 				out = append(out, r)
 			}
@@ -1484,10 +1508,13 @@ func TestReplaceRecordCarriesNoPreImage(t *testing.T) {
 // log surfaces at a transaction's first logged operation.
 func TestLogFullBehindASealedForce(t *testing.T) {
 	vol := newTestDevice(t, 512, 4096)
-	// Thirteen pages: the image's, four for transactions, and the eight
-	// the log keeps for the next checkpoint's image (and for a recovery
-	// behind it).
-	logVol := newTestDevice(t, 512, 13)
+	// Fifteen pages: the image's, four for transactions, and the ten the
+	// log keeps in front of a transaction's first record — two for the end
+	// record of that transaction, four for the next checkpoint's image and
+	// four for a recovery's behind it (wal.Log.Reserve; each keeps room for
+	// a record that lands across a page boundary, and the image's for the
+	// skip record in front of the recovery's).
+	logVol := newTestDevice(t, 512, 15)
 	s, err := Format(vol, logVol, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -1611,7 +1638,7 @@ func TestRefusedSpliceLeavesNoTraceInACommit(t *testing.T) {
 	for _, op := range []string{"append", "insert"} {
 		t.Run(op, func(t *testing.T) {
 			vol := newTestDevice(t, 512, 4096)
-			logVol := newTestDevice(t, 512, 13) // as in TestLogFullBehindASealedForce
+			logVol := newTestDevice(t, 512, 15) // as in TestLogFullBehindASealedForce
 			s, err := Format(vol, logVol, Options{})
 			if err != nil {
 				t.Fatal(err)
