@@ -26,6 +26,13 @@ func (f *fakeAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
 	f.next += disk.PageNum(n)
 	return p, n, nil
 }
+func (f *fakeAlloc) AllocAt(p disk.PageNum, n int) bool {
+	if p != 1000+f.next {
+		return false
+	}
+	f.next += disk.PageNum(n)
+	return true
+}
 func (f *fakeAlloc) MaxSegmentPages() int { return 1 << 12 }
 func (f *fakeAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 	f.unpublished = append(f.unpublished, txn.Run{Start: p, Pages: n})
@@ -99,12 +106,17 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 
 // TestDeferredAllocGivesBackWhatItAllocated: an abort drops every deferred
 // free and returns exactly the pages the transaction allocated and still
-// holds — its own frees of them, deferred or not, counted once.
+// holds — placed runs too, and its own frees of them, deferred or not,
+// counted once.
 func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 	inner, em := &fakeAlloc{}, newFakeEpochs(t)
 	d := &deferredAlloc{inner: inner}
 	a, _ := d.Alloc(1)         // shadowed index page, shadowed again below
 	b, _, _ := d.AllocUpTo(16) // a tail segment, trimmed below
+	c := b + 16                // a segment placed right behind it
+	if !d.AllocAt(c, 3) || d.AllocAt(7, 1) {
+		t.Fatal("placement refused where the allocator places, or granted where it does not")
+	}
 	d.Free(5, 1)               // a page of the root from before
 	d.Free(a, 1)
 	if err := d.FreeUnpublished(b+4, 12); err != nil {
@@ -118,7 +130,7 @@ func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 	if err := d.giveBack(func(p disk.PageNum, n int) { forgot = append(forgot, txn.Run{Start: p, Pages: n}) }); err != nil {
 		t.Fatal(err)
 	}
-	want := []txn.Run{{Start: a, Pages: 1}, {Start: b, Pages: 4}}
+	want := []txn.Run{{Start: a, Pages: 1}, {Start: c, Pages: 3}, {Start: b, Pages: 4}}
 	if !slices.Equal(inner.unpublished, want) || !slices.Equal(forgot, want) {
 		t.Fatalf("gave back %v (images dropped %v), want %v only", inner.unpublished, forgot, want)
 	}

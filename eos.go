@@ -487,6 +487,12 @@ func (s *Store) requestBarrier() {
 		_ = s.Checkpoint()
 	}()
 }
+
+// AllocAt never waits: a placement that does not fit at once is not worth
+// a stall (lob.Allocator).  A run the reclamation queue holds is still
+// allocated in the buddy system, so it is never placed over.
+func (a *epochAlloc) AllocAt(p disk.PageNum, n int) bool { return a.s.buddy.AllocAt(p, n) }
+
 func (a *epochAlloc) MaxSegmentPages() int { return a.s.buddy.MaxSegmentPages() }
 
 // FreeUnpublished skips the reclamation queue.  Its reader grace period

@@ -3,6 +3,7 @@ package buddy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/eosdb/eos/internal/buffer"
@@ -306,6 +307,25 @@ func (m *Manager) Reserve(p disk.PageNum, n int) error {
 	}
 	m.mu.Unlock()
 	return nil
+}
+
+// AllocAt allocates exactly the pages [p, p+n) when they are free and lie
+// in one space whose directory page is resident (Space.AllocAt), and
+// reports whether it did.  A probe that fails changes nothing, counts
+// nothing and does not wait.
+func (m *Manager) AllocAt(p disk.PageNum, n int) bool {
+	m.mu.Lock()
+	i := slices.IndexFunc(m.spaces, func(s *Space) bool { return s.Contains(p) })
+	spaces := m.spaces // a snapshot, as in Alloc
+	m.mu.Unlock()
+	if i < 0 || !spaces[i].AllocAt(p, n) {
+		return false
+	}
+	m.mu.Lock()
+	m.stats.Allocs++
+	m.noteVisitLocked(i)
+	m.mu.Unlock()
+	return true
 }
 
 // FreePages totals free pages across all spaces.

@@ -111,21 +111,46 @@ func (d dir) freeRange(start, n int) error {
 
 // reserveRange allocates the exact page range [start, start+n), which
 // must currently be free.  Used by recovery and fsck to rebuild the
-// allocation state from the set of reachable pages: every free segment
-// overlapping the range is flipped to allocated, then the surplus around
-// the range is returned through freeRange, restoring canonical form.
+// allocation state from the set of reachable pages.  The whole range is
+// checked before anything changes, so a reservation that fails leaves the
+// directory as it found it.
 func (d dir) reserveRange(start, n int) error {
 	if n <= 0 || start < 0 || start+n > d.capacity() {
 		return fmt.Errorf("%w: reserve of pages [%d,%d) in capacity %d", ErrBadRequest, start, start+n, d.capacity())
 	}
-	lo, hi := -1, -1
+	if p, err := d.firstAllocated(start, n); err != nil {
+		return err
+	} else if p >= 0 {
+		return fmt.Errorf("%w: page %d already allocated", ErrBadRequest, p)
+	}
+	return d.claim(start, n)
+}
+
+// firstAllocated returns the first allocated page of [start, start+n), or
+// -1 when every page of it is free.
+func (d dir) firstAllocated(start, n int) (int, error) {
 	for p := start; p < start+n; {
 		s0, t0, alloc, err := d.segContaining(p)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if alloc {
-			return fmt.Errorf("%w: page %d already allocated", ErrBadRequest, p)
+			return p, nil
+		}
+		p = s0 + (1 << t0)
+	}
+	return -1, nil
+}
+
+// claim allocates the free page range [start, start+n): every free segment
+// overlapping it is flipped to allocated, then the surplus around the
+// range is returned through freeRange, restoring canonical form.
+func (d dir) claim(start, n int) error {
+	lo, hi := -1, -1
+	for p := start; p < start+n; p = hi {
+		s0, t0, _, err := d.segContaining(p)
+		if err != nil {
+			return err
 		}
 		if lo == -1 {
 			lo = s0
@@ -133,7 +158,6 @@ func (d dir) reserveRange(start, n int) error {
 		hi = s0 + (1 << t0)
 		d.decCount(t0)
 		d.markAlloc(s0, t0)
-		p = hi
 	}
 	if lo < start {
 		if err := d.freeRange(lo, start-lo); err != nil {

@@ -174,13 +174,18 @@ func (s *Space) withDir(mutate bool, f func(d dir) error) error {
 			return err
 		}
 	}
+	s.noteMaxFree(d)
+	return ferr
+}
+
+// noteMaxFree records d's largest free segment for the superdirectory.
+func (s *Space) noteMaxFree(d dir) {
 	mf := d.maxFreeType()
 	if mf < 0 {
 		s.lastMaxFree.Store(0)
 	} else {
 		s.lastMaxFree.Store(int64(1) << uint(mf))
 	}
-	return ferr
 }
 
 // Alloc allocates n physically contiguous pages and returns the volume
@@ -256,6 +261,34 @@ func (s *Space) Reserve(p disk.PageNum, n int) error {
 	s.st.stats.Allocs++
 	s.mu.Unlock()
 	return nil
+}
+
+// AllocAt allocates exactly the pages [p, p+n) when every one of them is
+// free and the directory page is in the buffer pool already, and reports
+// whether it did.  It reads no page, waits for none and leaves the pool's
+// replacement order alone (buffer.Pool.ModifyResident), and a probe that
+// fails changes nothing: a caller that knows where its run would cost no
+// seek (lob's placed segments) asks here before it scans.
+func (s *Space) AllocAt(p disk.PageNum, n int) bool {
+	if n <= 0 || !s.Contains(p) || !s.Contains(p+disk.PageNum(n-1)) {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, rel := &s.st, int(p-s.base) // the probe runs before ModifyResident returns: under s.mu
+	return s.pool.ModifyResident(s.dirPage, func(img []byte) bool {
+		st.stats.DirAccesses++
+		d := dir{img: img, st: st}
+		if at, err := d.firstAllocated(rel, n); err != nil || at >= 0 {
+			return false
+		}
+		if d.claim(rel, n) != nil {
+			return false
+		}
+		st.stats.Allocs++
+		s.noteMaxFree(d)
+		return true
+	})
 }
 
 // LocateFree performs the §3.1 skip-scan for a free segment of exactly

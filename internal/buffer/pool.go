@@ -171,6 +171,27 @@ func (p *Pool) fix(pg disk.PageNum, write bool) ([]byte, error) {
 	return f.data, nil
 }
 
+// ModifyResident runs f on the image of page pg in place, under the pool's
+// lock, when pg occupies a frame nobody has pinned, and marks the frame
+// dirty when f reports that it changed the image.  It reads nothing, evicts
+// nothing, waits for nothing, counts nothing and leaves the replacement
+// order as it was, so a caller may look at a page on the chance that it is
+// resident without disturbing the pool; it reports false when pg is not
+// resident and unpinned, or f changed nothing.  f runs under the pool's
+// lock, which is what keeps the frame from being evicted or flushed
+// without a pin (and a pin would move it in the replacement order): it
+// must be short and must not call the pool.
+func (p *Pool) ModifyResident(pg disk.PageNum, f func(img []byte) bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fr, ok := p.frames[pg]
+	if !ok || fr.pins > 0 || !f(fr.data) {
+		return false
+	}
+	fr.dirty = true
+	return true
+}
+
 // FixNew pins page pg for writing without reading it from disk, returning
 // a zeroed image.  Used when a page is about to be fully initialized
 // (fresh index nodes, fresh directory pages); it saves the pointless read.

@@ -89,11 +89,12 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 	// reposition, one request fetches both; otherwise each is one read.
 	// The image is only written: it is built in scratch memory.
 	var img []byte
+	var next disk.PageNum
 	if res.nc > 0 {
 		tmp := m.getScratch()
 		defer m.scratch.Put(tmp)
 		tail := qc - (qb + 1) + res.moveR
-		img, err = m.gather(tmp,
+		img, next, err = m.gather(tmp,
 			disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}, 0,
 			disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail})
 		if err != nil {
@@ -114,7 +115,7 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 		}
 		r = Extent{Start: sr.ptr + disk.PageNum(int(q)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-	return o.newSegments(startL, startR+scr, res.nc, img, l, r)
+	return o.newSegments(startL, startR+scr, res.nc, img, next, l, r)
 }
 
 // Truncate shortens the object to newSize bytes.  Truncation to zero is

@@ -32,8 +32,10 @@ func (c ioCount) String() string {
 }
 
 // floorReq is one device request the floor allows.  start is -1 for the
-// write of a freshly allocated segment, whose address is the allocator's
-// business; such a write always repositions.
+// write of a freshly allocated segment that §3's scan placed, whose address
+// is the allocator's business; such a write always repositions.  A new
+// segment placed right after the reads before it (newSegment) has its
+// address, and follows them without a seek.
 type floorReq struct {
 	write bool
 	start disk.PageNum
@@ -91,14 +93,17 @@ func matchFloor(traced []disk.TraceEvent, floor []floorReq) (split int, err erro
 	return split, nil
 }
 
-// floorGeom is what the floor may look at: the layout, the page size, T
-// and the largest segment.
+// floorGeom is what the floor may look at: the layout, the page size, T,
+// the largest segment, and the free data pages.
 type floorGeom struct {
 	segs   []SegmentInfo
 	ps     int64
 	t      int
 	maxSeg int64 // bytes
 	bridge int
+	// The data pages free in the buddy directories before the operation,
+	// and then the room an operation's trimTail gives back.
+	free map[disk.PageNum]bool
 	// read-replace only: the byte range read before the replace.
 	keepOff, keepN int64
 	// The pages the last segment is allocated while a plain Append has left
@@ -156,19 +161,37 @@ func (g *floorGeom) writeHome(seg int, lo, hi int64) floorReq {
 
 // trimTail is writeRun for an operation that cuts or moves the bytes of
 // segment seg: if that is the open tail, it closes, and its run is written.
+// The room behind its bytes goes back to the free space.
 func (g *floorGeom) trimTail(seg int) []floorReq {
 	if seg != len(g.segs)-1 || g.tailPages == 0 {
 		return nil
+	}
+	s := g.segs[seg]
+	for p := s.Pages; p < g.tailPages; p++ {
+		g.free[s.StartPage+disk.PageNum(p)] = true
 	}
 	return g.writeRun()
 }
 
 func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
 	ps := int64(e.vol.PageSize())
+	free := make(map[disk.PageNum]bool)
+	for _, sp := range e.bm.Spaces() {
+		infos, err := sp.Snapshot()
+		if err != nil {
+			panic(err)
+		}
+		for _, si := range infos {
+			for p := 0; p < si.Pages && !si.Allocated; p++ {
+				free[si.Start+disk.PageNum(p)] = true
+			}
+		}
+	}
 	return floorGeom{
 		segs: segs, ps: ps, t: t,
 		maxSeg: int64(e.bm.MaxSegmentPages()) * ps,
 		bridge: disk.DefaultCostModel().BridgePages(),
+		free:   free,
 	}
 }
 
@@ -238,9 +261,32 @@ func (g floorGeom) pageBytes(s SegmentInfo, p int64) int64 {
 	return min(g.ps, s.Bytes-p*g.ps)
 }
 
-// newSegment is the one write that creates a segment of n bytes.
-func (g floorGeom) newSegment(n int64) floorReq {
-	return floorReq{write: true, start: -1, pages: pagesFor(n, int(g.ps))}
+// after returns the page after the last of runs, where an update's reads
+// of them leave the head (0 when there are none).  It is the page after the
+// run requested, pending pages at its end included: the placement follows
+// the request, not the device's share of it.
+func (g floorGeom) after(runs []pageRun) disk.PageNum {
+	if len(runs) == 0 {
+		return 0
+	}
+	r := runs[len(runs)-1]
+	return g.segs[r.seg].StartPage + disk.PageNum(r.hi) + 1
+}
+
+// newSegment is the one write that creates a segment of n bytes after reads
+// that left the head at page at: the segment starts there when it is one
+// segment and its pages are all free (DESIGN.md §3's placement), and
+// wherever §3's scan puts it otherwise.
+func (g floorGeom) newSegment(n int64, at disk.PageNum) floorReq {
+	pages := pagesFor(n, int(g.ps))
+	placed := at != 0 && n <= g.maxSeg
+	for p := 0; p < pages && placed; p++ {
+		placed = g.free[at+disk.PageNum(p)]
+	}
+	if !placed {
+		at = -1
+	}
+	return floorReq{write: true, start: at, pages: pages}
 }
 
 // floorRequests is the table's formula column.
@@ -278,7 +324,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 			}
 		}
 		if n > 0 && !open(n) {
-			out = append(out, g.newSegment(n))
+			out = append(out, g.newSegment(n, 0))
 		}
 		return out
 
@@ -328,7 +374,8 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 	case "insert":
 		// §4.3.1: S splits at page P into L | N | R; N takes the new bytes
 		// and P's suffix, reshuffling adds L's tail and R's head.  Those
-		// old bytes are contiguous in S: one read.  N is written once.
+		// old bytes are contiguous in S: one read.  N is written once,
+		// right after them when the pages there are free.
 		out := g.trimTail(g.segAt(off))
 		s := g.segs[g.segAt(off)]
 		rel := off - s.LogicalOff
@@ -336,14 +383,16 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		suffix := g.pageBytes(s, p) - (rel - p*g.ps)
 		rc := max(0, s.Bytes-(p+1)*g.ps)
 		res := reshuffle(rel, n+suffix, rc, g.t, int(g.ps), g.maxSeg)
-		out = append(out, g.reads(g.runs(off-res.moveL, res.moveL+suffix+res.moveR))...)
-		return append(out, g.newSegment(res.nc))
+		need := g.runs(off-res.moveL, res.moveL+suffix+res.moveR)
+		out = append(out, g.reads(need)...)
+		return append(out, g.newSegment(res.nc, g.after(need)))
 
 	case "delete":
 		// §4.3.2: whole segments inside the range go to the free space
 		// unread.  Of S' (holding the last deleted byte, in its page Q)
 		// N takes Q's suffix, then reshuffling adds L's tail (in S) and
 		// R's head.  A cut that leaves Q no suffix reads and writes nothing.
+		// N goes right after the last read when the pages there are free.
 		out := g.trimTail(g.segAt(off + n - 1))
 		sl, sr := g.segs[g.segAt(off)], g.segs[g.segAt(off+n-1)]
 		lc := off - sl.LogicalOff
@@ -356,7 +405,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		rc := max(0, sr.Bytes-(q+1)*g.ps)
 		res := reshuffle(lc, suffix, rc, g.t, int(g.ps), g.maxSeg)
 		need := append(g.runs(off-res.moveL, res.moveL), g.runs(off+n, suffix+res.moveR)...)
-		return append(append(out, g.reads(need)...), g.newSegment(res.nc))
+		return append(append(out, g.reads(need)...), g.newSegment(res.nc, g.after(need)))
 	}
 	panic("floor: unknown op " + op)
 }
@@ -482,7 +531,12 @@ var floorTable = []floorRow{
 	{"insert mid-page, T=4: N pulled up to T pages", []int64{6400}, 4, "insert", 3250, 120, ioCount{1, 3, 1, 4, 2}},
 	{"insert at a page boundary", []int64{6400}, 1, "insert", 3200, 100, ioCount{1, 1, 1, 2, 2}},
 	{"insert at the end of a full last page", []int64{800}, 1, "insert", 800, 100, ioCount{0, 0, 1, 1, 1}},
-	{"insert into a small segment, T=8: S rewritten whole", []int64{500, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 1, 6, 2}},
+	// N is placed right after the pages read when they are free — here the
+	// 3 pages S's run left over and the start of the free 8-page block
+	// behind it — and written without a seek; with a neighbour on them, it
+	// goes where §3's scan finds room, and the write repositions.
+	{"insert into a small segment, T=8: S rewritten whole", []int64{500, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 1, 6, 1}},
+	{"insert into a small segment, T=8: a neighbour behind S", []int64{500, 300, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 1, 6, 2}},
 
 	// §4.3.2 delete: the rule's edges.
 	{"delete whole segments", []int64{800, 330, 800}, 1, "delete", 800, 330, ioCount{}},
@@ -494,6 +548,7 @@ var floorTable = []floorRow{
 	{"delete, nothing kept of L's last page", []int64{6400}, 1, "delete", 300, 160, ioCount{1, 1, 1, 1, 2}},
 	{"delete across two segments, physically consecutive: not bridged", []int64{800, 800}, 1, "delete", 730, 100, ioCount{2, 2, 1, 1, 2}},
 	{"delete, T=4: L falls under T and moves into N whole", []int64{6400}, 4, "delete", 530, 100, ioCount{1, 7, 1, 6, 2}},
+	{"delete from a small segment, T=8: S rewritten whole behind itself", []int64{500, 6400}, 8, "delete", 250, 10, ioCount{1, 5, 1, 5, 1}},
 }
 
 // A transaction's read, then its replace with the read's page images: only

@@ -40,7 +40,7 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 
 	// Empty object: insertion is creation.
 	if o.size == 0 {
-		return o.newSegments(0, 0, int64(len(data)), m.pageImage(data, false), Extent{}, Extent{})
+		return o.newSegments(0, 0, int64(len(data)), m.pageImage(data, false), 0, Extent{}, Extent{})
 	}
 
 	// Step 1-2: locate S and compute the split geometry.
@@ -84,7 +84,7 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	// scratch memory.
 	tmp := m.getScratch()
 	defer m.scratch.Put(tmp)
-	img, err := m.gather(tmp,
+	img, next, err := m.gather(tmp,
 		disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}, int64(len(data)),
 		disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR})
 	if err != nil {
@@ -105,21 +105,24 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 		}
 		r = Extent{Start: S.ptr + disk.PageNum(int(p)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-	return o.newSegments(segStart, segStart+sc, res.nc, img, l, r)
+	return o.newSegments(segStart, segStart+sc, res.nc, img, next, l, r)
 }
 
 // newSegments allocates segments for the nc bytes of the whole-page image
 // img and writes it across them, every segment but the last filling its
 // pages, and returns the Splice that puts l, them and r in the place of
-// [lo, hi); an l or r of no bytes is left out.
-func (o *Object) newSegments(lo, hi, nc int64, img []byte, l, r Extent) (*Splice, error) {
+// [lo, hi); an l or r of no bytes is left out.  The first segment starts at
+// page at, the page after the update's reads, when that page is not 0 and
+// its run is free (Manager.allocRun): the write then follows the reads
+// without a seek.
+func (o *Object) newSegments(lo, hi, nc int64, img []byte, at disk.PageNum, l, r Extent) (*Splice, error) {
 	m := o.m
 	sp := m.newSplice(lo, hi)
 	if l.Bytes > 0 {
 		sp.Entries = append(sp.Entries, l)
 	}
 	if nc > 0 {
-		segs, err := m.allocSegments(nc)
+		segs, err := m.allocSegments(nc, at)
 		if err != nil {
 			return nil, err
 		}

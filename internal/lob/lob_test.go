@@ -191,7 +191,7 @@ func TestSearchFigure5Cost(t *testing.T) {
 	// child takes four segments, and the right child's first 280 bytes,
 	// which the read does not reach, are two segments of 140.
 	mkSeg := func(n int64, seed int) entry {
-		segs, err := m.allocSegments(n)
+		segs, err := m.allocSegments(n, 0)
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("allocSegments(%d): %v (%d segs)", n, err, len(segs))
 		}
@@ -1021,7 +1021,7 @@ func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
 	var model []byte
 	nd := &node{level: 1}
 	mk := func(n int64, seed int) {
-		segs, err := m.allocSegments(n)
+		segs, err := m.allocSegments(n, 0)
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("allocSegments(%d): %v", n, err)
 		}

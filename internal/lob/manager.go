@@ -19,6 +19,10 @@ type Allocator interface {
 	// AllocUpTo allocates between 1 and n contiguous pages, as many as
 	// available in one run.
 	AllocUpTo(n int) (disk.PageNum, int, error)
+	// AllocAt allocates exactly the n pages from p on if it can do so at
+	// no I/O and without waiting, and reports whether it did; a probe
+	// that fails changes nothing.
+	AllocAt(p disk.PageNum, n int) bool
 	// Free returns any sub-range of previously allocated pages.
 	Free(p disk.PageNum, n int) error
 	// FreeUnpublished returns pages no root — durable, published or held
@@ -82,6 +86,7 @@ type Stats struct {
 	Inserts            int64
 	Deletes            int64
 	SegmentsAllocated  int64
+	SegmentsPlaced     int64 // of those, an insert's or a delete's new segment allocated right after the pages it read
 	SegmentsFreed      int64
 	BytesReshuffled    int64 // bytes moved between segments by reshuffling
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
@@ -122,6 +127,7 @@ type stats struct {
 	inserts            atomic.Int64
 	deletes            atomic.Int64
 	segmentsAllocated  atomic.Int64
+	segmentsPlaced     atomic.Int64
 	segmentsFreed      atomic.Int64
 	bytesReshuffled    atomic.Int64
 	pagesReshuffled    atomic.Int64
@@ -195,6 +201,7 @@ func (m *Manager) Stats() Stats {
 		Inserts:            m.st.inserts.Load(),
 		Deletes:            m.st.deletes.Load(),
 		SegmentsAllocated:  m.st.segmentsAllocated.Load(),
+		SegmentsPlaced:     m.st.segmentsPlaced.Load(),
 		SegmentsFreed:      m.st.segmentsFreed.Load(),
 		BytesReshuffled:    m.st.bytesReshuffled.Load(),
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
@@ -379,8 +386,10 @@ func (r setReader) ReadPages(start disk.PageNum, n int, buf []byte) error {
 // in as few requests as the cost model allows — with the bridged requests
 // counted.  The image is built in *buf, which keeps the memory it grew to,
 // when buf is not nil (scratch memory, for an image only written), and in
-// memory of its own otherwise.
-func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteRange) ([]byte, error) {
+// memory of its own otherwise.  next is the page after the last one its
+// requests asked for — where the head is when they are done — or 0 when
+// both ranges are empty.
+func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteRange) (img []byte, next disk.PageNum, err error) {
 	var into []byte
 	if buf != nil {
 		into = *buf
@@ -393,7 +402,13 @@ func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteR
 	if buf != nil && err == nil {
 		*buf = img
 	}
-	return img, err
+	if b.N == 0 {
+		b = a
+	}
+	if first, n, _ := disk.PageSpan(b.Off, b.N, m.vol.PageSize()); n > 0 {
+		next = b.Start + first + disk.PageNum(n)
+	}
+	return img, next, err
 }
 
 // writeImage writes whole-page images to fresh pages from start on — pages
@@ -464,19 +479,23 @@ func (m *Manager) pageImage(data []byte, keep bool) []byte {
 
 // allocSegments allocates segments to hold total bytes, preferring a
 // single run but splitting across runs (and capping at the maximum
-// segment size) as needed.  It returns the segment entries in order.
-func (m *Manager) allocSegments(total int64) ([]entry, error) {
+// segment size) as needed.  It returns the segment entries in order.  The
+// first run starts at page at when that is not 0 and the allocator can
+// place it there (allocRun).
+func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
 	ps := int64(m.vol.PageSize())
 	var out []entry
 	remaining := total
 	for remaining > 0 {
 		wantPages := pagesFor(remaining, int(ps))
-		start, got, err := m.alloc.AllocUpTo(wantPages)
+		start, got, err := m.allocRun(wantPages, at)
+		at = 0
 		if err != nil {
 			// Roll back partial allocations, best-effort: the
-			// allocation failure is the error worth reporting.
+			// allocation failure is the error worth reporting.  No root
+			// named them.
 			for _, e := range out {
-				_ = m.alloc.Free(e.ptr, pagesFor(e.bytes, int(ps)))
+				_ = m.alloc.FreeUnpublished(e.ptr, pagesFor(e.bytes, int(ps)))
 			}
 			return nil, err
 		}
@@ -497,6 +516,21 @@ func (m *Manager) allocSegments(total int64) ([]entry, error) {
 		m.st.segmentsAllocated.Add(1)
 	}
 	return out, nil
+}
+
+// allocRun allocates a run of up to want pages: at page at — where the head
+// stopped after an update's reads, so the run's write costs no seek — when
+// at is not 0 and the allocator can place it there at no I/O
+// (Allocator.AllocAt), and wherever §3's lowest-address scan finds room
+// otherwise.
+func (m *Manager) allocRun(want int, at disk.PageNum) (disk.PageNum, int, error) {
+	if at != 0 {
+		if n := min(want, m.alloc.MaxSegmentPages()); m.alloc.AllocAt(at, n) {
+			m.st.segmentsPlaced.Add(1)
+			return at, n, nil
+		}
+	}
+	return m.alloc.AllocUpTo(want)
 }
 
 // giveBack frees runs an operation allocated and then could not use —

@@ -329,7 +329,7 @@ func (p *ReplacePlan) Hold() {
 // request.
 func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
 	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), m.vol.PageSize())
-	raw, err := m.gather(nil, head, int64(len(data)), tail)
+	raw, _, err := m.gather(nil, head, int64(len(data)), tail)
 	if err != nil {
 		return err
 	}

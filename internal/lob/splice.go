@@ -672,7 +672,7 @@ func (m *Manager) compactLeafNode(nd *node, threshold int) error {
 			}
 			buf = append(buf, part...)
 		}
-		segs, err := m.allocSegments(runBytes)
+		segs, err := m.allocSegments(runBytes, 0)
 		if err != nil {
 			// Out of space: keep the run unmerged.
 			out = append(out, nd.entries[i:j]...)

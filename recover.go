@@ -265,6 +265,9 @@ func (a *redoAlloc) note(p disk.PageNum, n int, data bool) {
 	}
 }
 
+// AllocAt places nothing: redo allocates index pages only, and those by
+// Alloc.
+func (a *redoAlloc) AllocAt(disk.PageNum, int) bool          { return false }
 func (a *redoAlloc) Free(disk.PageNum, int) error            { return nil }
 func (a *redoAlloc) FreeUnpublished(disk.PageNum, int) error { return nil }
 func (a *redoAlloc) MaxSegmentPages() int                    { return a.s.buddy.MaxSegmentPages() }

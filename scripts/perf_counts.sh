@@ -16,15 +16,27 @@
 # Then it runs the two one-client workloads, edit_mix and ingest_scan,
 # traced (-trace 1) on both sides and fails on any difference in a
 # per-layer metric counted in requests, pages or bytes (unit count, pages
-# or B): one seed repeats those exactly there, so a moved disk.*, buddy.*,
-# buffer.* or lob.* count is a changed schedule, not noise.  About one
-# more minute.
+# or B) that the change does not declare: one seed repeats those exactly
+# there, so a moved disk.*, buddy.*, buffer.* or lob.* count is a changed
+# schedule, not noise.  About one more minute.
+#
+# A change that moves such counts on purpose declares each one in
+# scripts/perf_counts.expected, as a line
+#
+#   <base commit> <workload> <metric> up|down
+#
+# and the count must then move that way: an undeclared difference, one in
+# the other direction, and a declared count that does not move all fail.
+# A line applies only when the base compared against is the commit it
+# names (a prefix of 7 or more hex digits), so declarations lapse once
+# their change is merged and becomes the base.
 #
 #   scripts/perf_counts.sh [base-ref]
 #
 # base-ref defaults to the merge base with origin/main, or HEAD~1 when
 # HEAD is on origin/main (or there is no such ref).
 set -euo pipefail
+export LC_ALL=C
 cd "$(dirname "$0")/.."
 
 base="${1:-}"
@@ -35,6 +47,7 @@ if [ -z "$base" ]; then
     fi
 fi
 
+base_sha="$(git rev-parse "$base^{commit}")"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
@@ -66,21 +79,58 @@ counts() {
         | select(.value.unit == "count" or .value.unit == "pages" or .value.unit == "B")
         | "\(.key) \(.value.value)"' "$1" | sort
 }
+# expected WORKLOAD prints "metric up|down" for every difference
+# scripts/perf_counts.expected declares against this base for WORKLOAD.
+expected() {
+    [ -f scripts/perf_counts.expected ] || return 0
+    awk -v sha="$base_sha" -v w="$1" '
+        { sub(/#.*/, "") }
+        NF == 4 && length($1) >= 7 && index(sha, $1) == 1 && $2 == w { print $3, $4 }
+    ' scripts/perf_counts.expected | sort
+}
+# judge EXPECTED JOINED prints a verdict line for every declared or moved
+# count ("metric base head" in JOINED) and exits 1 unless each one moved
+# as declared.
+judge() {
+    awk '
+        FILENAME == ARGV[1] { want[$1] = $2; next }
+        {
+            m = $1; b = $2; h = $3; seen[m] = 1
+            if (b == h) {
+                if (m in want) { print "  declared " want[m] ", unchanged: " m " " b; bad = 1 }
+                next
+            }
+            if (b == "-" || h == "-") { print "  reported on one side only: " m " " b " -> " h; bad = 1; next }
+            dir = (h + 0 > b + 0) ? "up" : "down"
+            if (!(m in want)) { print "  undeclared: " m " " b " -> " h; bad = 1 }
+            else if (want[m] != dir) { print "  declared " want[m] ", went " dir ": " m " " b " -> " h; bad = 1 }
+            else print "  " dir " as declared: " m " " b " -> " h
+        }
+        END {
+            for (m in want) if (!(m in seen)) { print "  declared, not reported: " m; bad = 1 }
+            exit bad
+        }' "$1" "$2"
+}
 for w in edit_mix ingest_scan; do
     echo "==> traced $w at base and at the working tree"
     "$work/perf-base" -workload "$w" -seed 1 -trace 1 -json "$work/base-$w.json" >/dev/null
     "$work/perf-head" -workload "$w" -seed 1 -trace 1 -json "$work/head-$w.json" >/dev/null
     counts "$work/base-$w.json" "$w" >"$work/base-$w.counts"
     counts "$work/head-$w.json" "$w" >"$work/head-$w.counts"
+    expected "$w" >"$work/$w.expected"
     if [ ! -s "$work/base-$w.counts" ]; then
         echo "$w: the traced base run reported no counts"
         status=1
-    elif diff "$work/base-$w.counts" "$work/head-$w.counts" >"$work/$w.diff"; then
-        echo "$w: ok, $(wc -l <"$work/base-$w.counts") counts equal"
+        continue
+    fi
+    join -a 1 -a 2 -e - -o 0,1.2,2.2 "$work/base-$w.counts" "$work/head-$w.counts" >"$work/$w.joined"
+    if judge "$work/$w.expected" "$work/$w.joined" >"$work/$w.verdict"; then
+        moved="$(grep -c 'as declared' "$work/$w.verdict" || true)"
+        echo "$w: ok, $(($(wc -l <"$work/$w.joined") - moved)) counts equal, $moved moved as declared"
     else
-        echo "$w: counts differ (< base, > working tree):"
-        grep '^[<>]' "$work/$w.diff"
+        echo "$w: counts differ from what the change declares:"
         status=1
     fi
+    cat "$work/$w.verdict"
 done
 exit "$status"

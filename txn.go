@@ -40,6 +40,7 @@ type deferredAlloc struct {
 type spaceAllocator interface {
 	Alloc(n int) (disk.PageNum, error)
 	AllocUpTo(n int) (disk.PageNum, int, error)
+	AllocAt(p disk.PageNum, n int) bool
 	FreeUnpublished(p disk.PageNum, n int) error
 	MaxSegmentPages() int
 }
@@ -58,6 +59,14 @@ func (d *deferredAlloc) AllocUpTo(n int) (disk.PageNum, int, error) {
 		d.record(p, got)
 	}
 	return p, got, err
+}
+
+func (d *deferredAlloc) AllocAt(p disk.PageNum, n int) bool {
+	if !d.inner.AllocAt(p, n) {
+		return false
+	}
+	d.record(p, n)
+	return true
 }
 
 func (d *deferredAlloc) record(p disk.PageNum, n int) {
