@@ -132,7 +132,7 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"sim/commit 512B replace", 28, true, 0, func(t *testing.T) func() {
+		{"sim/commit 512B replace", 27, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, simStore(t), 64<<10, 64<<10), 512)
 		}},
 		// An insert writes a new segment of at least T = 8 pages, built in
@@ -157,7 +157,7 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"file/commit 4KB replace", 27, true, 0, func(t *testing.T) func() {
+		{"file/commit 4KB replace", 26, true, 0, func(t *testing.T) func() {
 			return commit(t, object(t, fileStore(t), ps, ps), ps)
 		}},
 		{"file/read 64KB", 1, false, 0, func(t *testing.T) func() {

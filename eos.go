@@ -792,9 +792,9 @@ type capture struct {
 	nextID  uint64
 	// start is where recovery's scan starts: the log's tail at the capture,
 	// or the first record of a transaction then live — it may commit, and
-	// the image does not hold its roots (wal.Log.Oldest, Txn.firstLSN).
-	// Every record the log takes while the checkpoint writes lies behind it
-	// too.
+	// the image does not hold its roots — or committed and not released
+	// (wal.Log.Oldest).  Every record the log takes while the checkpoint
+	// writes lies behind it too.
 	start   uint64
 	pending lob.Captured // the write-behind set, taken behind the descriptors
 	// unlogged is the objects whose unlogged writes the image captures.
@@ -810,11 +810,6 @@ func (s *Store) captureLocked() *capture {
 	// retired from now on wait for the next checkpoint, and their frames
 	// for this one's pool flush — the descriptors may name them.
 	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest(), unlogged: s.unlogged}
-	for _, t := range s.liveTxns {
-		if t.firstLSN != 0 { // its end is logged, its roots not yet handed over
-			ck.start = min(ck.start, t.firstLSN)
-		}
-	}
 	ck.image = s.imageLocked()
 	// The set is taken after the descriptors: every page a descriptor names
 	// was installed before the descriptor was stored — a commit installs
@@ -967,7 +962,7 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 
 // checkpointUnlogged runs a checkpoint when a write that logs nothing has
 // changed e since the last checkpoint captured it.  A transaction calls it
-// at its first exclusive touch of e, once take has bound e to it: recovery
+// at its first exclusive touch of e, once touch has bound e to it: recovery
 // splices the transaction's records into the root the image names, which
 // must be the root the transaction found.  No such write can follow before
 // the transaction ends.  A mark a running checkpoint has captured is not
@@ -1361,11 +1356,25 @@ func (s *Store) txnHolds(e *catEntry) bool { return e.obj.Manager() != s.lm }
 // inUse is the error of a change txnHolds refused.  Callers hold no latch.
 func (o *Object) inUse() error { return fmt.Errorf("%w: %q", ErrInUse, o.Name()) }
 
-// Size returns the object's length in bytes.
+// Size returns the length in bytes of the object's last committed
+// version, the one Read reads; 0 if it has none.
 func (o *Object) Size() int64 {
-	o.e.latch.RLock()
-	defer o.e.latch.RUnlock()
-	return o.e.obj.Size()
+	if v := o.e.obj.Published(); v != nil {
+		return v.Size()
+	}
+	return 0
+}
+
+// version returns the object's newest published version: its last commit
+// point, which an Object operation's and a transaction's commit publish
+// alike.  The caller pins the epoch first (txn.EpochManager.Enter, as read
+// does), so the pages the version names stay put while it reads them.  An
+// object a transaction created and has not committed has none.
+func (o *Object) version() (*lob.RootVersion, error) {
+	if v := o.e.obj.Published(); v != nil {
+		return v, nil
+	}
+	return nil, fmt.Errorf("%w: %q has no committed version", ErrNotFound, o.Name())
 }
 
 // Append appends data at the end of the object (§4.1).
@@ -1409,18 +1418,36 @@ func (o *Object) OpenAppender(sizeHint int64) *Appender {
 	return &Appender{o: o, a: o.e.obj.OpenAppender(sizeHint)}
 }
 
-// Read returns n bytes starting at byte off (§4.2).
-func (o *Object) Read(off, n int64) ([]byte, error) {
-	o.e.latch.RLock()
-	defer o.e.latch.RUnlock()
-	return o.e.obj.Read(off, n)
+// Read returns n bytes starting at byte off (§4.2) of the object's last
+// committed version: what a snapshot opened now would read.  Like a
+// snapshot it takes no latch, so a writer holding the object does not hold
+// it up, and a transaction that holds the object shows none of its bytes
+// before it commits.  A non-transactional Replace has no commit: it is
+// visible as it writes, page by page.
+func (o *Object) Read(off, n int64) (data []byte, err error) {
+	err = o.read(func(v *lob.RootVersion) (err error) {
+		data, err = v.Read(off, n)
+		return err
+	})
+	return data, err
 }
 
-// ReadAt fills buf from byte off.
+// ReadAt fills buf from byte off of the object's last committed version, as
+// Read does.
 func (o *Object) ReadAt(buf []byte, off int64) error {
-	o.e.latch.RLock()
-	defer o.e.latch.RUnlock()
-	return o.e.obj.ReadAt(buf, off)
+	return o.read(func(v *lob.RootVersion) error { return v.ReadAt(buf, off) })
+}
+
+// read runs f on the object's newest published version, whose pages stay
+// pinned while f reads them.
+func (o *Object) read(f func(*lob.RootVersion) error) error {
+	g := o.s.epochs.Enter()
+	defer g.Exit()
+	v, err := o.version()
+	if err != nil {
+		return err
+	}
+	return f(v)
 }
 
 // Replace overwrites bytes in place (§4.2).  It leaves the index alone but

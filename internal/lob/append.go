@@ -378,7 +378,7 @@ func (m *Manager) extend(start disk.PageNum, have int64, data []byte, keep bool)
 // tailHeld reports whether the manager holds the partial last page of the
 // untrimmed tail: the one page that continuing the tail in place rewrites.
 func (o *Object) tailHeld() bool {
-	held := o.m.held.load()
+	held := o.m.held.set
 	if o.tailAlloc == 0 || len(held) == 0 {
 		return false
 	}

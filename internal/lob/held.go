@@ -1,8 +1,8 @@
 package lob
 
 import (
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"github.com/eosdb/eos/internal/disk"
 )
@@ -33,19 +33,11 @@ type heldPage struct {
 
 func (p heldPage) pageNum() disk.PageNum { return p.page }
 
-// held is a manager's held set.  Its transaction changes it, replacing it
-// whole; a non-transactional reader of an object the transaction has bound
-// may load it at any time.
+// held is a manager's held set.  Only the write scope the manager serves
+// reads and changes it: every reader outside the scope reads a published
+// version, which reads through the store's manager.
 type held struct {
-	set atomic.Pointer[[]heldPage] // sorted by page; nil when empty
-}
-
-// load returns the pages held now, sorted.
-func (h *held) load() []heldPage {
-	if p := h.set.Load(); p != nil {
-		return *p
-	}
-	return nil
+	set []heldPage // sorted by page
 }
 
 // hold puts pages into the set over the images it holds of them.
@@ -54,7 +46,7 @@ func (h *held) hold(add []heldPage) {
 		return
 	}
 	sort.Slice(add, func(i, j int) bool { return add[i].page < add[j].page })
-	old := h.load()
+	old := h.set
 	out := make([]heldPage, 0, len(old)+len(add))
 	i := 0
 	for _, a := range add {
@@ -67,19 +59,13 @@ func (h *held) hold(add []heldPage) {
 		}
 		out = append(out, a)
 	}
-	out = append(out, old[i:]...)
-	h.set.Store(&out)
+	h.set = append(out, old[i:]...)
 }
 
 // free drops the held pages among [start, start+n).
 func (h *held) free(start disk.PageNum, n int) {
-	pages := h.load()
-	lo, hi := span(pages, start, n)
-	if lo == hi {
-		return
-	}
-	out := append(append(make([]heldPage, 0, len(pages)-(hi-lo)), pages[:lo]...), pages[hi:]...)
-	h.set.Store(&out)
+	lo, hi := span(h.set, start, n)
+	h.set = slices.Delete(h.set, lo, hi)
 }
 
 // heldImages splits raw, whole-page images of the pages from start on, into
@@ -97,7 +83,7 @@ func heldImages(start disk.PageNum, raw []byte, ps int) []heldPage {
 // reach the device from now on.  With no set (Config.Pending nil) they are
 // written.
 func (m *Manager) PendHeld() error {
-	held := m.held.load()
+	held := m.held.set
 	m.DropHeld()
 	pages := make([]pendingPage, len(held))
 	for i, h := range held {
@@ -116,4 +102,4 @@ func (m *Manager) PendHeld() error {
 }
 
 // DropHeld forgets the held pages unwritten: their transaction aborted.
-func (m *Manager) DropHeld() { m.held.set.Store(nil) }
+func (m *Manager) DropHeld() { m.held.set = nil }

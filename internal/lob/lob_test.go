@@ -1275,9 +1275,6 @@ func TestDescentsCheckTheNodesTheyRead(t *testing.T) {
 			if err := o.Insert(5, []byte("x")); !errors.Is(err, ErrCorruptNode) {
 				t.Errorf("insert: %v, want ErrCorruptNode", err)
 			}
-			if _, _, err := v.SegmentRangeAt(0); !errors.Is(err, ErrCorruptNode) {
-				t.Errorf("snapshot descent: %v, want ErrCorruptNode", err)
-			}
 			if err := v.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrCorruptNode) {
 				t.Errorf("snapshot read: %v, want ErrCorruptNode", err)
 			}

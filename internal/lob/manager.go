@@ -340,7 +340,7 @@ func (m *Manager) getScratch() *[]byte {
 // only for the pages from the first to the last that neither set holds, and
 // not at all when they hold every one.
 func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
-	pend, held := m.cfg.Pending.load().between(start, n), m.held.load()
+	pend, held := m.cfg.Pending.load().between(start, n), m.held.set
 	hlo, hhi := span(held, start, n)
 	if len(pend) == 0 && hlo == hhi {
 		return m.vol.ReadPages(start, n, buf)

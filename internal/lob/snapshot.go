@@ -80,29 +80,30 @@ func (v *RootVersion) Seq() uint64 { return v.seq }
 // takes no locks: the version's tree is immutable, and the caller's
 // epoch pin keeps its pages from being reused.
 func (v *RootVersion) ReadAt(buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > v.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(buf)), v.size)
+	if err := v.checkRange(off, int64(len(buf))); err != nil {
+		return err
 	}
 	v.m.st.snapshotReads.Add(1)
 	return v.m.readRange(&v.root, buf, off, nil)
 }
 
-// Read returns n bytes starting at off of the version.
+// checkRange validates [off, off+n) against the version's bounds.
+func (v *RootVersion) checkRange(off, n int64) error {
+	if off < 0 || n < 0 || off+n > v.size {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+n, v.size)
+	}
+	return nil
+}
+
+// Read returns n bytes starting at off of the version; a range past the
+// version's end fails before anything is allocated.
 func (v *RootVersion) Read(off, n int64) ([]byte, error) {
+	if err := v.checkRange(off, n); err != nil {
+		return nil, err
+	}
 	buf := make([]byte, n)
 	if err := v.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// SegmentRangeAt reports the logical byte range [start, start+n) of the
-// version's leaf segment containing byte off, for segment-at-a-time
-// streaming.
-func (v *RootVersion) SegmentRangeAt(off int64) (start, n int64, err error) {
-	if off < 0 || off >= v.size {
-		return 0, 0, fmt.Errorf("%w: byte %d of %d", ErrOutOfBounds, off, v.size)
-	}
-	e, start, _, err := v.m.find(&v.root, off)
-	return start, e.bytes, err
 }

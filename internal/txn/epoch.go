@@ -118,13 +118,18 @@ func NewEpochManager(pool *buffer.Pool) *EpochManager {
 
 // Enter pins the calling reader to the current epoch.  The returned
 // guard must Exit on all paths; the reader must capture published roots
-// only after Enter returns.
+// only after Enter returns.  Enter is small enough to inline, so a guard
+// that does not outlive its caller's frame costs no allocation.
 func (em *EpochManager) Enter() *EpochGuard {
+	return &EpochGuard{em: em, epoch: em.pin()}
+}
+
+// pin counts one more reader at the current epoch and returns it.
+func (em *EpochManager) pin() uint64 {
 	em.mu.Lock()
-	g := &EpochGuard{em: em, epoch: em.current}
-	em.pins[g.epoch]++
-	em.mu.Unlock()
-	return g
+	defer em.mu.Unlock()
+	em.pins[em.current]++
+	return em.current
 }
 
 // Exit releases the guard's pin and reclaims any runs that matured.

@@ -176,7 +176,7 @@ type Stats struct {
 	PadBytes     int64 // bytes of padding written behind them, to the page boundary each force ends on
 	Wraps        int64 // flushes that reached the volume's end: the log went on at offset 0
 	// The ledger: room kept for end records and images, transactions that
-	// have logged and not ended, log from the oldest one's first record on.
+	// have logged and not ended, log from the oldest first record held on.
 	EndReserve, ImageReserve, LiveTxns, Pinned int64
 }
 
@@ -216,9 +216,10 @@ type Log struct {
 	// image is the room one checkpoint image takes (Reserve), want that of
 	// the catalog as last measured; live maps each transaction that has
 	// logged and not ended to its first record's LSN.
-	image uint64            // eos:guardedby mu
-	want  uint64            // eos:guardedby mu
-	live  map[uint64]uint64 // eos:guardedby mu
+	image     uint64            // eos:guardedby mu
+	want      uint64            // eos:guardedby mu
+	live      map[uint64]uint64 // eos:guardedby mu
+	committed map[uint64]uint64 // eos:guardedby mu -- committed, not released yet (Release)
 	// unforced counts the bytes flushes wrote since the last force, which
 	// begin at the volume offset of forced.
 	unforced uint64 // eos:guardedby mu
@@ -230,7 +231,7 @@ type Log struct {
 func New(vol disk.Device, base uint64) *Log {
 	ps := uint64(vol.PageSize())
 	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps,
-		start: base, tail: base, forced: base, live: make(map[uint64]uint64)}
+		start: base, tail: base, forced: base, live: make(map[uint64]uint64), committed: make(map[uint64]uint64)}
 }
 
 // Stats returns a snapshot of the log activity counters.
@@ -246,16 +247,26 @@ func (l *Log) Stats() Stats {
 }
 
 // Oldest returns the first LSN a recovery must scan to redo every
-// transaction that has logged and not ended: the oldest one's first
-// record, or with none live the next record's.
+// transaction that has logged and not ended, and every committed one not
+// released: the oldest one's first record, or with none the next record's.
 func (l *Log) Oldest() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn := l.tail + 1
-	for _, first := range l.live {
-		lsn = min(lsn, first)
+	for _, held := range [...]map[uint64]uint64{l.live, l.committed} {
+		for _, first := range held {
+			lsn = min(lsn, first)
+		}
 	}
 	return lsn
+}
+
+// Release ends a committed transaction's hold on the log (Oldest): the
+// client's next image holds what it did.  An abort record ends its own.
+func (l *Log) Release(txn uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	delete(l.committed, txn)
 }
 
 // encodedSize is the size of r's encoding.
@@ -374,6 +385,9 @@ func (l *Log) put(r *Record) (uint64, error) {
 	case first:
 		l.live[r.Txn] = r.LSN
 	case end:
+		if live && r.Type == RecCommit {
+			l.committed[r.Txn] = l.live[r.Txn]
+		}
 		delete(l.live, r.Txn)
 	}
 	l.stats.Appends++

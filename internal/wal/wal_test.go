@@ -479,3 +479,39 @@ func TestForcedPrefixSurvivesCrash(t *testing.T) {
 		t.Fatalf("recovered tail %d, want %d", rl.Tail(), want)
 	}
 }
+
+// TestCommitHoldsTheLogUntilReleased: a transaction's first record holds
+// the log's start (Oldest) while the transaction is live and, once its
+// commit record is logged, until the client releases it — the client's
+// image does not hold what it did before then.  An abort record lets go at
+// once.  Neither kind counts as live once its end record is logged.
+func TestCommitHoldsTheLogUntilReleased(t *testing.T) {
+	l, _ := newLog(t, 64)
+	log := func(txn uint64, typ RecType) uint64 {
+		t.Helper()
+		lsn, err := l.Append(&Record{Txn: txn, Type: typ, Data: []byte("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	first := log(1, RecReplace)
+	log(2, RecReplace)
+	log(1, RecCommit)
+	if got := l.Oldest(); got != first {
+		t.Fatalf("Oldest %d after txn 1 committed, want its first record %d", got, first)
+	}
+	log(2, RecAbort)
+	if st := l.Stats(); st.LiveTxns != 0 || st.EndReserve != 0 || l.Oldest() != first {
+		t.Fatalf("both ended, txn 1 unreleased: Oldest %d (want %d), ledger %+v", l.Oldest(), first, st)
+	}
+	third := log(3, RecReplace)
+	l.Release(1)
+	if got := l.Oldest(); got != third {
+		t.Fatalf("Oldest %d after txn 1 was released, want txn 3's first record %d", got, third)
+	}
+	log(3, RecAbort)
+	if got, want := l.Oldest(), l.Tail()+1; got != want {
+		t.Fatalf("Oldest %d with nothing held, want the next record's %d", got, want)
+	}
+}

@@ -110,7 +110,8 @@ func TestReserveKeepsRoomForACheckpointAndItsRecovery(t *testing.T) {
 // of every transaction that has logged.  Transactions log records until the
 // log refuses any more, a new one's first record before the others'; then
 // each ends, committed or aborted, forced alone or with others, wherever
-// the volume's end falls.  Behind them a checkpoint record still has its
+// the volume's end falls.  An abort lets go of the log at once, a commit
+// once it is released.  Behind them a checkpoint record still has its
 // room, and a recovery too.
 func TestEveryLiveTransactionCanEnd(t *testing.T) {
 	for c := 0; c < 40; c++ {
@@ -139,10 +140,13 @@ func TestEveryLiveTransactionCanEnd(t *testing.T) {
 		if room := l.limit(l.start) - l.Tail(); room < uint64(st.ImageReserve+st.EndReserve) {
 			t.Fatalf("case %d: %d bytes of room behind the tail, less than the %d the ledger keeps", c, room, st.ImageReserve+st.EndReserve)
 		}
+		var committed []uint64
 		for txn := range live {
 			end := RecCommit
 			if rng.Intn(2) == 0 {
 				end = RecAbort
+			} else {
+				committed = append(committed, txn)
 			}
 			if _, err := l.Append(&Record{Txn: txn, Type: end}); err != nil {
 				t.Fatalf("case %d: the %s record of txn %d, one of %d live: %v", c, end, txn, len(live), err)
@@ -153,8 +157,14 @@ func TestEveryLiveTransactionCanEnd(t *testing.T) {
 				}
 			}
 		}
-		if st := l.Stats(); st.LiveTxns != 0 || st.EndReserve != 0 || st.Pinned != 0 {
-			t.Fatalf("case %d: every transaction ended, the ledger says %+v", c, st)
+		if st := l.Stats(); st.LiveTxns != 0 || st.EndReserve != 0 || (st.Pinned != 0) != (len(committed) > 0) {
+			t.Fatalf("case %d: every transaction ended, %d committed, the ledger says %+v", c, len(committed), st)
+		}
+		for _, txn := range committed {
+			l.Release(txn)
+		}
+		if st := l.Stats(); st.Pinned != 0 {
+			t.Fatalf("case %d: every commit released, the ledger says %+v", c, st)
 		}
 		checkpointAndRecover(t, c, l, vol, image, start)
 	}

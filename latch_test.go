@@ -72,12 +72,13 @@ func TestStripeCommitsShareBoundaryPages(t *testing.T) {
 
 // TestWritersLatchTheTree ends structural transactions beside a
 // non-transactional reader of the object's prefix, by abort and by commit.
-// The reader holds the object's shared latch only, so the abort's
-// reinstatement of the root and every rebind of the tree's allocator must
-// take the write latch; under -race a missing latch shows as a report.  Each
-// transaction also replaces inserted bytes and reads them back, so the
-// reader, which reads through the transaction's manager while it holds the
-// object, loads the held set the writer changes.
+// The prefix read takes no latch: it reads the last committed version, which
+// no transaction changes before it commits.  Beside it the reader lists the
+// segments, a diagnostic that walks the live tree under the shared latch, so
+// the abort's reinstatement of the root and every rebind of the tree's
+// allocator must take the write latch; under -race a missing latch shows as
+// a report.  Each transaction also replaces inserted bytes and reads them
+// back.
 func TestWritersLatchTheTree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -118,6 +119,9 @@ func TestWritersLatchTheTree(t *testing.T) {
 					got, err := o.Read(0, 4096)
 					if err == nil && !bytes.Equal(got, base[:4096]) {
 						err = errors.New("reader saw a changed prefix")
+					}
+					if err == nil {
+						_, err = o.Segments()
 					}
 					if err != nil {
 						readErr <- err
@@ -161,12 +165,14 @@ func TestWritersLatchTheTree(t *testing.T) {
 
 // TestReplacesOfSharedPagesTakeTheWriteLatch runs non-transactional
 // Replaces of adjacent byte ranges of one object, each writer owning one
-// stripe, beside a reader.  The stripes are not page-aligned, so neighbours
-// share boundary pages, and a Replace rewrites its boundary pages whole:
-// two writers in one page at once would each write back the other's old
-// bytes.  The write latch keeps them apart, and keeps the reader from
-// seeing a stripe half-written.  Every round all writers replace at once,
-// and then the object must hold what each wrote.
+// stripe, beside a transaction's reader.  The stripes are not page-aligned,
+// so neighbours share boundary pages, and a Replace rewrites its boundary
+// pages whole: two writers in one page at once would each write back the
+// other's old bytes.  The write latch keeps them apart, and keeps the
+// reader, which reads the live tree under the shared latch, from seeing a
+// stripe half-written.  (An Object read takes no latch: it may see a Replace
+// page by page, as a snapshot does.)  Every round all writers replace at
+// once, and then the object must hold what each wrote.
 func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 	s, _, _ := newStore(t, Options{})
 	o, _ := s.Create("shared", 0)
@@ -193,7 +199,15 @@ func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 				return
 			default:
 			}
-			got, err := o.Read(0, int64(len(model)))
+			tx, err := s.Begin()
+			if err != nil {
+				readErr <- err
+				return
+			}
+			got, err := tx.Read("shared", 0, int64(len(model)))
+			if aerr := tx.Abort(); err == nil {
+				err = aerr
+			}
 			for i := 0; err == nil && i < stripes; i++ {
 				stripe := got[i*stripeLen : (i+1)*stripeLen]
 				if !bytes.Equal(stripe, bytes.Repeat(stripe[:1], stripeLen)) {

@@ -203,6 +203,7 @@ func TestCommitPublishesBeforeItRetires(t *testing.T) {
 	// ranks before the latch.
 	g := s.epochs.Enter()
 	sn := &Snapshot{s: s, name: "x", v: e.obj.Published(), g: g}
+	sn.src = sn
 	e.latch.Unlock()
 	defer sn.Close()
 	if err := <-committed; err != nil {

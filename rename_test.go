@@ -73,7 +73,7 @@ func TestStoreStats(t *testing.T) {
 	if st.Disk.PagesWritten == 0 {
 		t.Error("no disk writes counted")
 	}
-	if st.LOB.Appends == 0 || st.LOB.Reads == 0 {
+	if st.LOB.Appends == 0 || st.LOB.SnapshotReads == 0 { // an Object read reads the published version
 		t.Errorf("lob stats empty: %+v", st.LOB)
 	}
 	if st.Buddy.Allocs == 0 {

@@ -2,7 +2,6 @@ package eos
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/eosdb/eos/internal/lob"
 	"github.com/eosdb/eos/internal/txn"
@@ -15,7 +14,8 @@ import (
 // the snapshot's epoch pin keeps the pages that tree references from
 // being reused until Close.  The last pages of a tail may not be on the
 // device yet: the version reads them from the write-behind set until a
-// checkpoint writes them.
+// checkpoint writes them.  A Reader and Object.Read read the same way, but
+// each call the newest version: a Snapshot is the one that keeps its own.
 //
 // Structural updates (insert, delete, append, truncate, compact,
 // destroy) committed after the capture are invisible.  Replace is the
@@ -34,11 +34,11 @@ import (
 // snapshot pins its epoch and holds every page retired since it was
 // opened out of the free space.
 type Snapshot struct {
+	stream
 	s    *Store
 	name string
 	v    *lob.RootVersion
 	g    *txn.EpochGuard
-	pos  int64
 }
 
 // OpenSnapshot captures the object's newest committed version and
@@ -48,19 +48,24 @@ type Snapshot struct {
 // stay allocated until the snapshot closes.
 func (s *Store) OpenSnapshot(name string) (*Snapshot, error) {
 	g := s.epochs.Enter()
-	s.mu.Lock()
-	e, ok := s.catalog[name]
-	s.mu.Unlock()
-	if !ok {
+	v, err := s.newestVersion(name)
+	if err != nil {
 		g.Exit()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, err
 	}
-	v := e.obj.Published()
-	if v == nil {
-		g.Exit()
-		return nil, fmt.Errorf("%w: %q has no committed version", ErrNotFound, name)
+	sn := &Snapshot{s: s, name: name, v: v, g: g}
+	sn.src = sn
+	return sn, nil
+}
+
+// newestVersion returns the newest published version of the object named
+// name.  The caller has pinned the epoch.
+func (s *Store) newestVersion(name string) (*lob.RootVersion, error) {
+	o, err := s.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return &Snapshot{s: s, name: name, v: v, g: g}, nil
+	return o.version()
 }
 
 // Name returns the name the snapshot was opened under.
@@ -75,89 +80,12 @@ func (sn *Snapshot) LSN() uint64 { return sn.v.LSN() }
 // Seq returns the captured version's publish sequence number.
 func (sn *Snapshot) Seq() uint64 { return sn.v.Seq() }
 
-// ReadAt fills buf from byte off of the captured version.  It returns
-// io.EOF with a short count when off+len(buf) passes the snapshot's
-// size, matching io.ReaderAt.
-func (sn *Snapshot) ReadAt(buf []byte, off int64) (int, error) {
+// readAt reads the captured version, which the snapshot's pin keeps.
+func (sn *Snapshot) readAt(p []byte, off int64) (int, error) {
 	if sn.g == nil {
 		return 0, fmt.Errorf("eos: snapshot of %q is closed", sn.name)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset %d", lob.ErrOutOfBounds, off)
-	}
-	size := sn.v.Size()
-	if off >= size {
-		return 0, io.EOF
-	}
-	n := len(buf)
-	var eof bool
-	if off+int64(n) > size {
-		n = int(size - off)
-		eof = true
-	}
-	if err := sn.v.ReadAt(buf[:n], off); err != nil {
-		return 0, err
-	}
-	if eof {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Read reads from the snapshot's cursor, implementing io.Reader.
-func (sn *Snapshot) Read(p []byte) (int, error) {
-	n, err := sn.ReadAt(p, sn.pos)
-	sn.pos += int64(n)
-	return n, err
-}
-
-// Seek repositions the cursor, implementing io.Seeker.
-func (sn *Snapshot) Seek(offset int64, whence int) (int64, error) {
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = sn.pos
-	case io.SeekEnd:
-		base = sn.v.Size()
-	default:
-		return 0, fmt.Errorf("eos: bad whence %d", whence)
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, fmt.Errorf("%w: seek to %d", lob.ErrOutOfBounds, pos)
-	}
-	sn.pos = pos
-	return pos, nil
-}
-
-// WriteTo streams the rest of the snapshot (from the cursor) to w,
-// segment by segment, implementing io.WriterTo.
-func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	if sn.g == nil {
-		return 0, fmt.Errorf("eos: snapshot of %q is closed", sn.name)
-	}
-	var written int64
-	size := sn.v.Size()
-	for sn.pos < size {
-		start, segLen, err := sn.v.SegmentRangeAt(sn.pos)
-		if err != nil {
-			return written, err
-		}
-		n := start + segLen - sn.pos
-		buf := make([]byte, n)
-		if err := sn.v.ReadAt(buf, sn.pos); err != nil {
-			return written, err
-		}
-		wn, err := w.Write(buf)
-		written += int64(wn)
-		sn.pos += int64(wn)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
+	return readVersion(sn.v, p, off)
 }
 
 // Refresh re-captures the object's newest committed version without
@@ -171,23 +99,14 @@ func (sn *Snapshot) Refresh() error {
 		return fmt.Errorf("eos: snapshot of %q is closed", sn.name)
 	}
 	g2 := sn.s.epochs.Enter()
-	sn.s.mu.Lock()
-	e, ok := sn.s.catalog[sn.name]
-	sn.s.mu.Unlock()
-	if !ok {
+	v, err := sn.s.newestVersion(sn.name)
+	if err != nil {
 		g2.Exit()
-		return fmt.Errorf("%w: %q", ErrNotFound, sn.name)
-	}
-	v := e.obj.Published()
-	if v == nil {
-		g2.Exit()
-		return fmt.Errorf("%w: %q has no committed version", ErrNotFound, sn.name)
+		return err
 	}
 	old := sn.g
 	sn.v, sn.g = v, g2
-	if sn.pos > v.Size() {
-		sn.pos = v.Size()
-	}
+	sn.pos = min(sn.pos, v.Size())
 	old.Exit()
 	return nil
 }

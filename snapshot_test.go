@@ -90,10 +90,11 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestSnapshotReadsPassAHeldWriteLatch: a snapshot reads its captured
-// version without the object's latch, so a writer holding the latch — a
+// version without the object's latch, and an Object read, Size and a Reader
+// read the newest one the same way, so a writer holding the latch — a
 // shadowing write waiting out its I/O, or one stalled in allocation
-// backpressure — does not hold the snapshot read up.  A live read of the
-// same object waits for the latch, which shows the test tells the two
+// backpressure — holds none of them up.  A diagnostic that walks the live
+// tree (Usage) waits for the latch, which shows the test tells the two
 // paths apart.
 func TestSnapshotReadsPassAHeldWriteLatch(t *testing.T) {
 	s, _, _ := newStore(t, Options{})
@@ -117,37 +118,52 @@ func TestSnapshotReadsPassAHeldWriteLatch(t *testing.T) {
 	unlock := sync.OnceFunc(e.latch.Unlock)
 	defer unlock()
 
-	live := make(chan error, 1)
-	liveBuf := make([]byte, len(model))
-	go func() { live <- o.ReadAt(liveBuf, 0) }()
-	snap := make(chan error, 1)
-	snapBuf := make([]byte, len(model))
+	diag := make(chan error, 1)
 	go func() {
-		_, err := sn.ReadAt(snapBuf, 0)
-		snap <- err
+		_, err := o.Usage()
+		diag <- err
 	}()
-	select {
-	case err := <-snap:
-		if err != nil {
-			t.Fatal(err)
+	reads := map[string]func() ([]byte, error){
+		"snapshot ReadAt": func() ([]byte, error) {
+			buf := make([]byte, len(model))
+			_, err := sn.ReadAt(buf, 0)
+			return buf, err
+		},
+		"Object.ReadAt": func() ([]byte, error) {
+			buf := make([]byte, len(model))
+			return buf, o.ReadAt(buf, 0)
+		},
+		"Object.Read": func() ([]byte, error) { return o.Read(0, o.Size()) },
+		"Reader":      func() ([]byte, error) { return io.ReadAll(o.NewReader()) },
+	}
+	for name, read := range reads {
+		done := make(chan error, 1)
+		var got []byte
+		go func() {
+			var err error
+			got, err = read()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waits for the object latch", name)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the snapshot read waits for the object latch")
-	}
-	if !bytes.Equal(snapBuf, model) {
-		t.Fatal("the snapshot read differs from the committed bytes")
+		if !bytes.Equal(got, model) {
+			t.Fatalf("%s differs from the committed bytes", name)
+		}
 	}
 	select {
-	case <-live:
-		t.Fatal("a live read returned while a writer held the object latch")
+	case <-diag:
+		t.Fatal("Usage returned while a writer held the object latch")
 	case <-time.After(100 * time.Millisecond):
 	}
 	unlock()
-	if err := <-live; err != nil {
+	if err := <-diag; err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(liveBuf, model) {
-		t.Fatal("the live read differs from the committed bytes")
 	}
 }
 
@@ -1078,4 +1094,116 @@ func inTxn(s *Store, op func(*Txn) error) error {
 		return err
 	}
 	return tx.Commit()
+}
+
+// TestObjectReadsSeeOnlyCommittedVersions: every read outside a transaction
+// reads the object's last committed version, as a snapshot opened at the
+// same moment does.  While a live transaction holds the object with a
+// replace and an insert, Object.Read, ReadAt, Size, a Reader and
+// CopyObject show none of its bytes; after it aborts they show the old
+// version again, and after a commit the new one — a Reader opened before
+// the commit too.  An object a live transaction created has no committed
+// version: a handle to it fails to read, as OpenSnapshot fails to open it.
+func TestObjectReadsSeeOnlyCommittedVersions(t *testing.T) {
+	s, _, _ := newStore(t, Options{LockTimeout: 5 * time.Second})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(bytes.Repeat([]byte("A"), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	// check holds every read outside a transaction to a snapshot opened now.
+	check := func(when string) {
+		t.Helper()
+		sn, err := s.OpenSnapshot("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sn.Close()
+		want := readSnapshot(t, sn)
+		if got := o.Size(); got != sn.Size() {
+			t.Errorf("%s: Size %d, the snapshot's %d", when, got, sn.Size())
+		}
+		got, err := o.Read(0, int64(len(want)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: Read differs from the snapshot (%v)", when, err)
+		}
+		got = make([]byte, len(want))
+		if err := o.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: ReadAt differs from the snapshot (%v)", when, err)
+		}
+		if got, err := io.ReadAll(o.NewReader()); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: a Reader differs from the snapshot (%v)", when, err)
+		}
+		copies++
+		name := fmt.Sprintf("copy-%d", copies)
+		if err := s.CopyObject("x", name); err != nil {
+			t.Fatal(err)
+		}
+		if got := readObject(t, s, name); !bytes.Equal(got, want) {
+			t.Errorf("%s: CopyObject differs from the snapshot", when)
+		}
+	}
+	edit := func() *Txn {
+		t.Helper()
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Replace("x", 0, []byte("BBBB")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert("x", 1000, []byte("CCCC")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tx.Read("x", 0, 4); err != nil || string(got) != "BBBB" {
+			t.Fatalf("the transaction reads %q (%v), want its own BBBB", got, err)
+		}
+		return tx
+	}
+	check("before")
+	if got := o.Size(); got != 2000 {
+		t.Fatalf("Size %d before any transaction, want 2000", got)
+	}
+
+	tx := edit()
+	check("beside a live transaction")
+	if got, _ := o.Read(0, 4); string(got) != "AAAA" {
+		t.Errorf("beside a live transaction Read shows %q, want the committed AAAA", got)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the abort")
+
+	tx = edit()
+	r := o.NewReader() // opened before the commit: it reads the newest version at each call
+	if err := tx.Create("new", 0); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.Open("new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Read(0, 0); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Read of an uncommitted create: %v, want ErrNotFound", err)
+	}
+	if _, err := s.OpenSnapshot("new"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("OpenSnapshot of an uncommitted create: %v, want ErrNotFound", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the commit")
+	if got := o.Size(); got != 2004 {
+		t.Fatalf("Size %d after the commit, want 2004", got)
+	}
+	if got, err := io.ReadAll(r); err != nil || len(got) != 2004 || string(got[:4]) != "BBBB" {
+		t.Errorf("a Reader opened before the commit reads %d bytes starting %q (%v), want the committed 2004 from BBBB", len(got), got[:min(4, len(got))], err)
+	}
+	if _, err := n.Read(0, 0); err != nil {
+		t.Errorf("Read of a committed create: %v", err)
+	}
 }

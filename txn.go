@@ -165,13 +165,12 @@ func (d *deferredAlloc) giveBack(forget func(disk.PageNum, int)) error {
 // the new descriptors, the data volume's force — to the next checkpoint;
 // until then recovery redoes it from its log records.
 type Txn struct {
-	s        *Store
-	id       uint64
-	firstLSN uint64         // set as the commit logs: a checkpoint keeps the log from it (captureLocked)
-	scope    *deferredAlloc // the write scope it runs as; its objects are bound to scope.lm
-	touched  []*catEntry    // the objects it holds exclusively
-	kept     keptRead
-	wrote    bool // an operation record is logged
+	s       *Store
+	id      uint64
+	scope   *deferredAlloc // the write scope it runs as; its objects are bound to scope.lm
+	touched []*catEntry    // the objects it holds exclusively
+	kept    keptRead
+	wrote   bool // an operation record is logged
 	// through: a logged splice names pages the transaction wrote through,
 	// which its commit forces before its record (forceData).
 	through bool
@@ -262,24 +261,20 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 		return e, nil
 	}
 	if !slices.Contains(t.touched, e) {
-		t.take(e)
+		// Bind e to the transaction's write scope, which marks it held
+		// (Store.txnHolds): an abort goes back to its last commit point,
+		// stableDesc, which no other writer can move from here on.  Under
+		// the write latch: a diagnostic may be walking the tree, and a
+		// non-transactional writer tests the binding under it.
+		e.latch.Lock()
+		e.obj.Rebind(t.scope.lm)
+		e.latch.Unlock()
 		t.touched = append(t.touched, e)
 		if err := t.s.checkpointUnlogged(e); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
-}
-
-// take binds e to the transaction's write scope, which marks e as held by
-// a transaction (Store.txnHolds).  What an abort goes back to is e's last
-// commit point, stableDesc: no other writer can move it from here on.
-// Under the write latch: a non-transactional reader may be walking the
-// tree.
-func (t *Txn) take(e *catEntry) {
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	e.obj.Rebind(t.scope.lm)
 }
 
 // Create makes a new object inside the transaction.
@@ -421,21 +416,12 @@ func recordSplice(r *wal.Record) *lob.Splice {
 
 // Truncate shortens the named object to newSize bytes (a tail delete;
 // with newSize 0 it empties the object without reading any data page).
+// It reads the size under the exclusive lock and the write latch, where
+// no other writer can move it; a newSize past it is out of bounds.
 func (t *Txn) Truncate(name string, newSize int64) error {
-	if err := t.begin(); err != nil {
-		return err
-	}
-	size, err := t.Size(name)
-	if err != nil {
-		return err
-	}
-	if newSize < 0 || newSize > size {
-		return fmt.Errorf("eos: truncate to %d of %d", newSize, size)
-	}
-	if newSize == size {
-		return nil
-	}
-	return t.Delete(name, newSize, size-newSize)
+	return t.splice(name, wal.RecDelete, func(o *lob.Object) (*lob.Splice, error) {
+		return o.PrepareDelete(newSize, o.Size()-newSize)
+	})
 }
 
 // Replace overwrites bytes of the named object in place; the operation is
@@ -502,17 +488,17 @@ func (t *Txn) Read(name string, off, n int64) ([]byte, error) {
 	return data, err
 }
 
-// Size returns the named object's length.
+// Size returns the named object's length, its own writes included.
 func (t *Txn) Size(name string) (int64, error) {
 	if err := t.begin(); err != nil {
 		return 0, err
 	}
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	e, ok := t.s.catalog[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	e, err := t.touch(name, txn.Shared)
+	if err != nil {
+		return 0, err
 	}
+	e.latch.RLock()
+	defer e.latch.RUnlock()
 	return e.obj.Size(), nil
 }
 
@@ -561,7 +547,6 @@ func (t *Txn) commitLog() error {
 	for _, e := range t.touched {
 		t.s.measure(e, max(e.stableSize(), e.obj.DescriptorSize()))
 	}
-	t.firstLSN = t.s.log.Oldest()
 	t.s.mu.Unlock()
 	// A transaction that logged no operation has nothing to make durable,
 	// and logs nothing.  Any other blocks until some leader's force covers
@@ -636,11 +621,12 @@ func (t *Txn) commitBarrier() error {
 		}
 		t.s.measure(e, e.stableSize())
 	}
-	// Leave liveTxns in the SAME critical section that refreshes
-	// stableDesc.  A checkpoint captures the descriptors and the firstLSN
-	// of the transactions live in it in one critical section and truncates
-	// the log behind them, so a window between the two would let it drop
-	// this commit's records while persisting the roots from before it.
+	// Release the log in the SAME critical section that refreshes
+	// stableDesc.  A checkpoint captures the descriptors and the log's
+	// oldest held record in one critical section and truncates the log
+	// behind it, so a window between the two would let it drop this commit's
+	// records while persisting the roots from before it.
+	t.s.log.Release(t.id)
 	delete(t.s.liveTxns, t.id)
 	t.s.mu.Unlock()
 	for _, e := range t.touched {
@@ -668,7 +654,7 @@ func (t *Txn) commitBarrier() error {
 // (lob.Object.Reinstate).
 //
 // Each root is reinstated under the object's write latch, which a
-// non-transactional reader shares; the latch is dropped before the catalog
+// diagnostic shares; the latch is dropped before the catalog
 // edits under Store.mu, which ranks above it.
 func (t *Txn) Abort() error {
 	if t.done {

@@ -679,7 +679,8 @@ func TestBarrierInsideCommitKeepsItWhole(t *testing.T) {
 // two halves of a commit.  The log counts the transaction ended at its
 // commit record, but the image the checkpoint captures still holds x's root
 // from before it: the checkpoint keeps the log from the transaction's first
-// record on (Txn.firstLSN), and recovery redoes the commit.
+// record on (wal.Log.Oldest holds it until wal.Log.Release), and recovery
+// redoes the commit.
 func TestCheckpointInsideCommitKeepsItsRecords(t *testing.T) {
 	s, vol, logVol, base := replaceStore(t, Options{})
 	tx, _ := s.Begin()
@@ -1855,5 +1856,64 @@ func TestSetThresholdIsACommitPoint(t *testing.T) {
 	}
 	if got := x.Threshold(); got != 3 {
 		t.Fatalf("threshold %d after a checkpoint and a crash, want 3", got)
+	}
+}
+
+// TestTxnSizeAndTruncateBesideAnObjectWriter: a transaction reads an
+// object's size under a shared lock on it and the object's latch, and its
+// Truncate cuts from a size read under the exclusive lock.  A
+// non-transactional writer appends to the object all the while.  Under
+// -race a size read without the latch shows as a report; a Truncate that
+// read the size before it held the object leaves, when an append lands in
+// between, the appended bytes behind the cut.
+func TestTxnSizeAndTruncateBesideAnObjectWriter(t *testing.T) {
+	s, _, _ := newStore(t, Options{LockTimeout: 5 * time.Second})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(pat(1, 4000)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := o.Append(pat(2, 100)); err != nil && !errors.Is(err, ErrInUse) {
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500 && !t.Failed(); i++ {
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Size("x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Truncate("x", 1000); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := tx.Size("x"); err != nil || n != 1000 {
+			t.Errorf("round %d: %d bytes (%v) after the truncate to 1000", i, n, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
