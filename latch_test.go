@@ -251,3 +251,49 @@ func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckBesideAnInsertingTransaction runs Store.Check in a loop beside a
+// transaction that inserts into the object it walks.  Check collects the
+// catalog under the store's lock and walks each tree under its object's
+// shared latch, once that lock is released: the transaction's splice, which
+// holds the write latch, never changes a tree under the walk.
+func TestCheckBesideAnInsertingTransaction(t *testing.T) {
+	s, _, _, base := replaceStore(t, Options{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.Check(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	want := base
+	for i := 0; i < 40; i++ {
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, ins := (i*731)%len(want), pat(90+i, 300)
+		if err := tx.Insert("x", int64(off), ins); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(append([]byte{}, want[:off]...), ins...), want[off:]...)
+	}
+	close(done)
+	wg.Wait()
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("x is not its committed inserts")
+	}
+}
