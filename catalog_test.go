@@ -233,11 +233,6 @@ func TestCatalogImageReplaysAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[name] = append(want[name], extra...)
-		// The append's record is made durable first, so that the checkpoint's
-		// force writes its image alone.
-		if err := s.log.Force(); err != nil {
-			t.Fatal(err)
-		}
 		before, logBefore := s.Stats(), logVol.Stats()
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -373,9 +368,8 @@ func TestCatalogOperationsPersistThroughJournal(t *testing.T) {
 
 // TestCatalogTornImageFallsBackOneBarrier tears a multi-page image after
 // its first page: the checkpoint fails before any master copy names it,
-// and recovery must come back from the barrier before it — its image, and
-// the records logged behind it, which a log force made durable before the
-// tear.
+// and recovery must come back with exactly the state of the barrier
+// before it.
 func TestCatalogTornImageFallsBackOneBarrier(t *testing.T) {
 	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 6)
@@ -392,10 +386,9 @@ func TestCatalogTornImageFallsBackOneBarrier(t *testing.T) {
 	if image := s.Stats().Barrier.ImageBytes - before; image < 512 {
 		t.Fatalf("an image of %d bytes: the tear needs one of several pages", image)
 	}
+	durable := clone(want)
+
 	appendAll(t, s, want, 5)
-	if err := s.log.Force(); err != nil {
-		t.Fatal(err)
-	}
 	masters := s.Stats().Barrier.MasterWrites
 	logVol.tearNext(0, logVol.NumPages())
 	if err := s.Checkpoint(); !errors.Is(err, errTorn) {
@@ -405,23 +398,20 @@ func TestCatalogTornImageFallsBackOneBarrier(t *testing.T) {
 		t.Fatal("a master copy was written over a torn image")
 	}
 	re := crashReopen(t, vol, logVol)
-	if re.Stats().Recovery.Redone == 0 {
-		t.Error("recovery redid nothing: it did not fall back to the image before the torn one")
-	}
-	expectObjects(t, re, want)
+	expectObjects(t, re, durable)
 }
 
 // TestCatalogTornMasterFallsBackToOlderCopy tears the master copy a
 // checkpoint writes: its CRC must disqualify it, and recovery must load the
 // other copy — whose image the log still holds, since the checkpoint that
-// failed truncated nothing — and come back with its state and the records
-// behind it, which the failed checkpoint's image force made durable.
+// failed truncated nothing — and come back with its state.
 func TestCatalogTornMasterFallsBackToOlderCopy(t *testing.T) {
 	s, vol, logVol := newJournalStore(t, 1024, Options{})
 	want := createObjects(t, s, 6)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	durable := clone(want)
 	older := s.last.seq
 	appendAll(t, s, want, 1)
 	vol.tearNext(0, masterPages)
@@ -438,10 +428,7 @@ func TestCatalogTornMasterFallsBackToOlderCopy(t *testing.T) {
 		t.Fatalf("master record read as seq %d (err %v), want the older copy's %d", m.seq, err, older)
 	}
 	re := crashReopen(t, vol, logVol)
-	if re.Stats().Recovery.Redone == 0 {
-		t.Error("recovery redid nothing: it did not fall back to the older copy's image")
-	}
-	expectObjects(t, re, want)
+	expectObjects(t, re, durable)
 }
 
 // TestCatalogStaleRecordsIgnored runs checkpoints until the log has gone
@@ -563,10 +550,10 @@ func TestCatalogDurableRecordPagesNeverRewritten(t *testing.T) {
 // TestOpenRejectsOldFormatVersion: a store of an earlier format
 // generation is refused by name, not misread and not called corrupt.
 func TestOpenRejectsOldFormatVersion(t *testing.T) {
-	// A v9 build ignores the records Object writes log now, v8 indexes
-	// with 16-byte entries, v7 logs whole structural updates, and v6 logs
-	// may hold replace records with pre-images and its master copy a
-	// stamp: all must be refused, not misread.
+	// v6 logs may hold replace records with pre-images and its master copy
+	// a stamp, v5 kept its catalog in slots this build no longer reads, v4
+	// logs may hold catalog records, and v3 slot records carry no stamp: all
+	// must be refused, not misread.
 	for _, old := range []byte{storeVersion - 4, storeVersion - 3, storeVersion - 2, storeVersion - 1} {
 		s, vol, logVol := newJournalStore(t, 1024, Options{})
 		if err := s.Close(); err != nil {
@@ -591,72 +578,66 @@ func TestOpenRejectsOldFormatVersion(t *testing.T) {
 	}
 }
 
-// TestCatalogFull: when the image outgrows what the log can hold, the log
-// refuses every write's record — an Object write's, which commits itself, as
-// a transaction's — with wal.ErrLogFull before anything is written, and a
-// refused write changes nothing; the store stays readable, and a crash keeps
-// what the last checkpoint made durable.  A destroy logs its record too, so
-// past this point nothing shrinks the catalog (ROADMAP item 16).
+// TestCatalogFull: when the image outgrows what the log can hold the
+// checkpoint fails with wal.ErrLogFull before writing anything — the
+// store stays readable and writable outside transactions, the last
+// durable catalog state survives a crash, and destroying an object lets
+// the next checkpoint through.
 func TestCatalogFull(t *testing.T) {
 	fill := func(t *testing.T) (*Store, *tearDevice, *tearDevice, map[string][]byte, map[string][]byte) {
 		s, vol, logVol := newJournalStore(t, 24, Options{})
 		want := map[string][]byte{}
 		var durable map[string][]byte
-		refused := func(err error) bool {
-			if !errors.Is(err, wal.ErrLogFull) || errors.Is(err, ErrCorruptStore) {
-				t.Fatalf("a write or checkpoint of a catalog the log cannot hold: %v", err)
-			}
-			return true
-		}
 		for i := 0; ; i++ {
 			if i > 300 {
 				t.Fatal("the image never outgrew the log")
 			}
 			name := fmt.Sprintf("obj-%03d", i)
 			o, err := s.Create(name, 0)
-			if err != nil && refused(err) {
-				break
+			if err != nil {
+				t.Fatal(err)
 			}
-			want[name] = nil
-			data := pat(i, 300)
-			if err := o.Append(data); err != nil && refused(err) {
-				break
+			want[name] = pat(i, 300)
+			if err := o.Append(want[name]); err != nil {
+				t.Fatal(err)
 			}
-			want[name] = data
 			masters := s.Stats().Barrier.MasterWrites
-			if err := s.Checkpoint(); err != nil && refused(err) {
-				if s.Stats().Barrier.MasterWrites != masters {
-					t.Fatal("a master copy was written despite ErrLogFull")
-				}
-				return s, vol, logVol, want, durable
+			err = s.Checkpoint()
+			if err == nil {
+				durable = clone(want)
+				continue
 			}
-			durable = clone(want)
+			if !errors.Is(err, wal.ErrLogFull) || errors.Is(err, ErrCorruptStore) {
+				t.Fatalf("checkpoint of an image the log cannot hold: %v", err)
+			}
+			if s.Stats().Barrier.MasterWrites != masters {
+				t.Fatal("a master copy was written despite ErrLogFull")
+			}
+			return s, vol, logVol, want, durable
 		}
-		// A write was refused: the checkpoint it ran to make room held the
-		// catalog as it is now.
-		if err := s.Checkpoint(); err == nil {
-			durable = clone(want)
-		}
-		return s, vol, logVol, want, durable
 	}
-	t.Run("readable", func(t *testing.T) {
-		s, vol, logVol, want, durable := fill(t)
+	t.Run("usable-then-destroy", func(t *testing.T) {
+		s, vol, logVol, want, _ := fill(t)
 		expectObjects(t, s, want)
 		o, _ := s.Open("obj-000")
-		if err := o.Append([]byte("past the cliff")); !errors.Is(err, wal.ErrLogFull) {
-			t.Fatalf("append with the image too big: %v, want wal.ErrLogFull", err)
+		if err := o.Append([]byte("still writable")); err != nil {
+			t.Fatalf("append with the image still too big: %v", err)
 		}
-		if err := s.Destroy("obj-001"); !errors.Is(err, wal.ErrLogFull) {
-			t.Fatalf("destroy with the image too big: %v, want wal.ErrLogFull", err)
-		}
+		want["obj-000"] = append(want["obj-000"], "still writable"...)
 		expectObjects(t, s, want)
-		if err := s.Check(); err != nil {
-			t.Fatal(err)
+		if err := s.Checkpoint(); !errors.Is(err, wal.ErrLogFull) {
+			t.Fatalf("checkpoint with the image still too big: %v", err)
 		}
-		if err := s.CheckNoLeaks(); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"obj-001", "obj-002", "obj-003"} {
+			if err := s.Destroy(name); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, name)
 		}
-		expectObjects(t, crashReopen(t, vol, logVol), durable)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint after making room: %v", err)
+		}
+		expectObjects(t, crashReopen(t, vol, logVol), want)
 	})
 	t.Run("crash", func(t *testing.T) {
 		_, vol, logVol, _, durable := fill(t)
@@ -664,48 +645,44 @@ func TestCatalogFull(t *testing.T) {
 	})
 }
 
-// TestCatalogImageCliff pins where the whole-image checkpoint stops the
-// store: on a 64-page log, one-page objects and a checkpoint every few
-// creates, the image outgrows what the log can keep room for at some object
-// count, and from there the log takes no write's record — an Object write's
-// or a transaction's.  A crash then keeps what the last checkpoint made
-// durable.  A catalog whose checkpoint logs only what changed moves the
-// cliff past the loop's bound, and this test has to be turned around.
+// TestCatalogImageCliff pins where the whole-image checkpoint stops: on a
+// 64-page log, one-page objects and a checkpoint every few creates, the
+// image outgrows the log at some object count, and from there the store
+// takes no transaction either.  A crash then keeps what the last image
+// held.  A catalog whose checkpoint logs only what changed moves the cliff
+// past the loop's bound, and this test has to be turned around.
 func TestCatalogImageCliff(t *testing.T) {
 	const every = 4
 	s, vol, logVol := newJournalStore(t, 64, Options{})
 	want := map[string][]byte{}
 	var durable map[string][]byte
-	refused := func(err error) bool {
-		if !errors.Is(err, wal.ErrLogFull) {
-			t.Fatalf("at %d objects: %v, want a wal.ErrLogFull", len(want), err)
-		}
-		return true
-	}
 	for i := 0; ; i++ {
 		if i == 2000 {
-			t.Fatal("no write was refused: the image never outgrew the log")
+			t.Fatal("no checkpoint failed: the image never outgrew the log")
 		}
 		name := fmt.Sprintf("obj-%04d", i)
 		o, err := s.Create(name, 0)
-		if err != nil && refused(err) {
-			break
+		if err != nil {
+			t.Fatal(err)
 		}
-		want[name] = nil
-		data := pat(i, s.PageSize())
-		if err := o.Append(data); err != nil && refused(err) {
-			break
+		want[name] = pat(i, s.PageSize())
+		if err := o.Append(want[name]); err != nil {
+			t.Fatal(err)
 		}
-		want[name] = data
 		if (i+1)%every != 0 {
 			continue
 		}
-		if err := s.Checkpoint(); err != nil && refused(err) {
-			break
+		err = s.Checkpoint()
+		if err == nil {
+			durable = clone(want)
+			continue
 		}
-		durable = clone(want)
+		if !errors.Is(err, wal.ErrLogFull) {
+			t.Fatalf("checkpoint at %d objects: %v, want a wal.ErrLogFull", len(want), err)
+		}
+		t.Logf("the checkpoint at %d objects fails (the last image held %d)", len(want), len(durable))
+		break
 	}
-	t.Logf("the store refuses writes at %d objects (the last image held %d)", len(want), len(durable))
 	tx, err := s.Begin()
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@
 //
 //	obj.Append(data)          // continues the open tail segment, or starts one of T pages or more; streams (OpenAppender) grow by doubling
 //	obj.Read(off, n)          // multi-page contiguous transfers
-//	obj.Replace(off, data)    // in place, logged by reference
+//	obj.Replace(off, data)    // in place, logged
 //	obj.Insert(off, data)     // splits a segment into L, N, R
 //	obj.Delete(off, n)        // subtree deletes never touch data pages
 //
@@ -64,7 +64,7 @@ var (
 
 const (
 	storeMagic   = 0xE0557011
-	storeVersion = 10 // v10: Object writes log records that commit themselves (Txn 0), and RecAttrs; v9: index entries and descriptor roots hold 10-byte (48-bit count, 32-bit page) pairs; v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
+	storeVersion = 9 // v9: index entries and descriptor roots hold 10-byte (48-bit count, 32-bit page) pairs; v8: insert, append and delete log the splice they made, and no record begins a transaction; v7: recovery only redoes, and the master record carries no stamp; v6: the catalog image lives in a circular log under a two-copy master record; v5: the slot stamp is taken before the data force; v4: slot records carry the log LSN they cover; v3: slots are journals
 )
 
 // Options configures a Store.  The zero value selects reasonable
@@ -240,6 +240,13 @@ type Store struct {
 	// catBytes is the size of the image the next checkpoint logs, or more:
 	// the sum of the entries' measures (eos:guardedby mu; see measure).
 	catBytes int
+	// unlogged holds the objects a write that logs nothing (the Object API,
+	// Create, Rename, Destroy) changed since the last checkpoint captured
+	// them; the next checkpoint empties it (see checkpointUnlogged).
+	unlogged map[*catEntry]bool // eos:guardedby mu
+	// capturing holds the marks the running checkpoint took from unlogged:
+	// they count until its master copy is durable.
+	capturing map[*catEntry]bool // eos:guardedby mu
 
 	// ckptMu lets one checkpoint run at a time; it holds s.mu only for its
 	// capture and its completion (Checkpoint).
@@ -334,6 +341,7 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
+		unlogged: make(map[*catEntry]bool),
 		catBytes: catCount,
 	}
 	s.epochs = txn.NewEpochManager(pool)
@@ -613,6 +621,16 @@ func Open(vol, logVol disk.Device, opts Options) (*Store, error) {
 	if err := s.recover(m); err != nil {
 		return nil, err
 	}
+	// Publish every recovered object's root so snapshot readers can
+	// capture it; recovery itself runs single-threaded, so no reader can
+	// have observed the intermediate states.
+	s.mu.Lock()
+	for _, e := range s.catalog {
+		e.latch.Lock()
+		e.obj.Publish()
+		e.latch.Unlock()
+	}
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -761,6 +779,7 @@ func (s *Store) Checkpoint() error {
 	held = s.holdForCheckpoint()
 	defer s.releaseForCheckpoint(held)
 	if err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	return s.completeLocked(ck)
@@ -779,6 +798,8 @@ type capture struct {
 	// writes lies behind it too.
 	start   uint64
 	pending lob.Captured // the write-behind set, taken behind the descriptors
+	// unlogged is the objects whose unlogged writes the image captures.
+	unlogged map[*catEntry]bool
 }
 
 // captureLocked starts a checkpoint: the barrier, the image, the log
@@ -789,7 +810,7 @@ func (s *Store) captureLocked() *capture {
 	// The barrier starts before the descriptors are read: freed runs
 	// retired from now on wait for the next checkpoint, and their frames
 	// for this one's pool flush — the descriptors may name them.
-	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest()}
+	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest(), unlogged: s.unlogged}
 	ck.image = s.imageLocked()
 	// The set is taken after the descriptors: every page a descriptor names
 	// was installed before the descriptor was stored — a commit installs
@@ -797,6 +818,7 @@ func (s *Store) captureLocked() *capture {
 	// pages before it publishes — so each is in the set taken here, or on
 	// the device.
 	ck.pending = s.pending.Capture()
+	s.unlogged, s.capturing = make(map[*catEntry]bool), ck.unlogged
 	return ck
 }
 
@@ -832,45 +854,63 @@ func (s *Store) writeCaptured(ck *capture) error {
 // eos:requires s.mu
 func (s *Store) completeLocked(ck *capture) error {
 	// A checkpoint that cannot move the log's start (a live transaction
-	// holds it) names nothing recovery needs that the newest master copy
-	// does not.  It logs its image only to release the runs retired since,
-	// out of the room the log keeps for nobody.  Without one it writes no
-	// master copy and releases nothing — redo from the newest copy's image
-	// still walks the roots it names —, but forces the log: a checkpoint
-	// makes every write before it durable.
-	optional := ck.start == s.last.start
+	// holds it) and captured no write that logs nothing names nothing
+	// recovery needs that the newest master copy does not.  It logs its
+	// image only to release the runs retired since, out of the room the log
+	// keeps for nobody.  Without one it writes no master copy and releases
+	// nothing: redo from the newest copy's image still walks the roots it
+	// names.
+	optional := ck.start == s.last.start && len(ck.unlogged) == 0
 	if optional && len(s.epochs.Releasable(ck.barrier)) == 0 {
-		return s.log.Force()
+		s.capturing = nil
+		return nil
 	}
 	// The image, forced.  An image the log has no room for fails here, with
 	// nothing named: the store stays usable, and the previous master copy
 	// still names an image the log holds.
 	image, err := s.appendImage(ck)
 	if optional && errors.Is(err, wal.ErrLogFull) {
-		return s.log.Force()
+		s.capturing = nil
+		return nil
 	}
 	if err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	if err := s.log.ForceLSN(image); err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	// The master copy, over the older one, forced.
 	m := master{seq: s.last.seq + 1, nextID: ck.nextID, start: ck.start, image: image,
 		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
 	if err := s.writeMaster(m); err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	if err := s.vol.Force(disk.PageNum(m.seq%masterPages), 1); err != nil {
+		s.abandonLocked(ck)
 		return err
 	}
 	s.last = m
 	s.barrierDurable.Store(ck.barrier)
+	s.capturing = nil
 	// Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
 	// it reach the freed runs stamped before this checkpoint.
 	s.log.Truncate(ck.start)
 	return s.releaseDurable()
+}
+
+// abandonLocked gives a failed checkpoint's unlogged marks back: no image
+// captured those writes.
+//
+// eos:requires s.mu
+func (s *Store) abandonLocked(ck *capture) {
+	for e := range ck.unlogged {
+		s.unlogged[e] = true
+	}
+	s.capturing = nil
 }
 
 // holdForCheckpoint notes that a checkpoint has taken s.mu, and when;
@@ -905,56 +945,38 @@ func (s *Store) stallEnd(begun time.Time) {
 }
 
 // Create makes a new empty object; threshold <= 0 uses the store default.
-// Its record commits itself, as an Object write's does (Store.write).
-func (s *Store) Create(name string, threshold int) (o *Object, err error) {
-	err = s.logged(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, err := s.enter(name, threshold, s.lm, s.log.Append)
-		if err == nil {
-			e.setStableDesc(e.obj.PublishDescriptor())
-			o = &Object{s: s, e: e}
-		}
-		return err
-	})
-	return o, err
-}
-
-// enter adds an object named name, bound to lm, to the catalog and logs
-// its create record with logRec, or leaves nothing.
-//
-// eos:requires s.mu
-func (s *Store) enter(name string, threshold int, lm *lob.Manager, logRec func(*wal.Record) (uint64, error)) (*catEntry, error) {
+func (s *Store) Create(name string, threshold int) (*Object, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.catalog[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	e := &catEntry{id: s.nextID, name: name, obj: lm.NewObject(threshold)}
+	e := &catEntry{id: s.nextID, name: name, obj: s.lm.NewObject(threshold)}
 	s.nextID++
 	s.catalog[name] = e
 	s.byID[e.id] = e
-	s.measure(e, e.obj.DescriptorSize())
-	lsn, err := logRec(&wal.Record{Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
-	if err != nil {
-		delete(s.catalog, name)
-		delete(s.byID, e.id)
-		s.measure(e, 0)
-		return nil, err
-	}
-	e.obj.SetLSN(lsn)
-	return e, nil
+	e.setStableDesc(e.obj.PublishDescriptor())
+	s.measure(e, e.stableSize())
+	s.unlogged[e] = true
+	return &Object{s: s, e: e}, nil
 }
 
-// logged runs try, an Object write, and when the log refused its record —
-// the write has gone back — one checkpoint, holding no lock, and try again.
-func (s *Store) logged(try func() error) error {
-	err := try()
-	if errors.Is(err, wal.ErrLogFull) {
-		if cerr := s.Checkpoint(); cerr != nil {
-			return errors.Join(err, cerr)
-		}
-		err = try()
+// checkpointUnlogged runs a checkpoint when a write that logs nothing has
+// changed e since the last checkpoint captured it.  A transaction calls it
+// at its first exclusive touch of e, once touch has bound e to it: recovery
+// splices the transaction's records into the root the image names, which
+// must be the root the transaction found.  No such write can follow before
+// the transaction ends.  A mark a running checkpoint has captured is not
+// cleared before its master copy is durable; this waits for that one and
+// runs another.
+func (s *Store) checkpointUnlogged(e *catEntry) error {
+	s.mu.Lock()
+	marked := s.unlogged[e] || s.capturing[e]
+	s.mu.Unlock()
+	if !marked {
+		return nil
 	}
-	return err
+	return s.Checkpoint()
 }
 
 // Open returns a handle on an existing object.
@@ -969,37 +991,72 @@ func (s *Store) Open(name string) (*Object, error) {
 }
 
 // Destroy removes an object, returning all its pages to the free space.
-// Its record commits itself, as an Object write's does (Store.write).  The
-// frees are retired once the empty root is published, so a snapshot opened
-// before the destroy keeps reading its captured root undisturbed; the pages
-// return to the buddy system when the last such reader exits, and a
-// checkpoint has dropped the object.
+// The frees are retired once the empty root is published, so a snapshot
+// opened before the destroy keeps reading its captured root undisturbed;
+// the pages return to the buddy system when the last such reader exits,
+// and a checkpoint has dropped the object.
+//
+// An object a transaction has written has records in the log, which a
+// transaction live across the next checkpoint keeps there; recovery would
+// splice them into the object again, onto pages it no longer owns.  Such an
+// object is destroyed by a transaction of its own, whose committed destroy
+// record tells recovery the object's history is over.
 func (s *Store) Destroy(name string) error {
-	s.epochs.Admit()
-	err := s.logged(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, ok := s.catalog[name]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		e.latch.Lock()
-		defer e.latch.Unlock()
-		if s.txnHolds(e) {
-			return fmt.Errorf("%w: %q", ErrInUse, name)
-		}
-		err := s.write(e, func(obj *lob.Object) (*wal.Record, bool, error) {
-			return &wal.Record{Type: wal.RecDestroy, Object: e.id}, false, obj.Destroy()
-		})
-		if err == nil {
-			delete(s.catalog, name)
-			delete(s.byID, e.id)
-			s.measure(e, 0)
-		}
+	if logged, err := s.destroyLogged(name); logged {
 		return err
-	})
+	}
+	s.epochs.Admit()
+	s.mu.Lock()
+	e, ok := s.catalog[name]
+	if !ok {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	e.latch.Lock()
+	var err error
+	if s.txnHolds(e) {
+		err = fmt.Errorf("%w: %q", ErrInUse, name)
+	} else {
+		err = s.write(e, (*lob.Object).Destroy)
+	}
+	e.latch.Unlock()
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	delete(s.catalog, name)
+	delete(s.byID, e.id)
+	s.unlogged[e] = true
+	s.measure(e, 0)
+	s.mu.Unlock()
 	s.epochs.Reclaim()
-	return err
+	return nil
+}
+
+// destroyLogged destroys name in a transaction of its own if a transaction
+// has written it (its root carries an LSN) and none holds it now, and
+// reports whether it did.
+func (s *Store) destroyLogged(name string) (bool, error) {
+	s.mu.Lock()
+	e, ok := s.catalog[name]
+	s.mu.Unlock()
+	if !ok || e.obj.LSN() == 0 {
+		return false, nil
+	}
+	e.latch.RLock()
+	held := s.txnHolds(e)
+	e.latch.RUnlock()
+	if held {
+		return false, nil // refused as in use
+	}
+	tx, err := s.Begin()
+	if err != nil {
+		return true, err
+	}
+	if err := tx.Destroy(name); err != nil {
+		return true, errors.Join(err, tx.Abort())
+	}
+	return true, tx.Commit()
 }
 
 // CopyObject duplicates src's content into a new object named dst,
@@ -1026,45 +1083,28 @@ func (s *Store) CopyObject(src, dst string) error {
 	return nil
 }
 
-// Rename changes an object's name.  Its record commits itself, as an
-// Object write's does (Store.write).
+// Rename changes an object's name.  Persisted at the next checkpoint.
 func (s *Store) Rename(oldName, newName string) error {
-	return s.logged(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		e, ok := s.catalog[oldName]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNotFound, oldName)
-		}
-		if _, ok := s.catalog[newName]; ok {
-			return fmt.Errorf("%w: %q", ErrExists, newName)
-		}
-		e.latch.Lock()
-		defer e.latch.Unlock()
-		if s.txnHolds(e) {
-			return fmt.Errorf("%w: %q", ErrInUse, oldName)
-		}
-		s.setName(e, newName)
-		err := s.write(e, func(obj *lob.Object) (*wal.Record, bool, error) {
-			return &wal.Record{Type: wal.RecAttrs, Object: e.id, Data: []byte(newName), N: int64(obj.Threshold())}, false, nil
-		})
-		if err != nil {
-			s.setName(e, oldName)
-		}
-		return err
-	})
-}
-
-// setName gives e the name name in the catalog, and measures it.
-//
-// eos:requires s.mu
-func (s *Store) setName(e *catEntry, name string) {
-	if s.catalog[e.name] == e {
-		delete(s.catalog, e.name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.catalog[oldName]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, oldName)
 	}
-	e.name = name
-	s.catalog[name] = e
+	if _, ok := s.catalog[newName]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, newName)
+	}
+	e.latch.RLock()
+	defer e.latch.RUnlock()
+	if s.txnHolds(e) {
+		return fmt.Errorf("%w: %q", ErrInUse, oldName)
+	}
+	delete(s.catalog, oldName)
+	e.name = newName
+	s.catalog[newName] = e
 	s.measure(e, e.stableSize())
+	s.unlogged[e] = true
+	return nil
 }
 
 // SnapshotStats reports snapshot-read and epoch-reclamation activity.
@@ -1261,10 +1301,7 @@ func (s *Store) CheckNoLeaks() error {
 // Object is a handle on one named large object, offering the paper's
 // operation set directly (the prototype's non-transactional mode: "EOS
 // and the application run on a single process, with no support for
-// transactions").  A write is durable once any later commit, log force or
-// checkpoint returns, and a crash keeps a prefix of each object's writes
-// (Store.write; a Replace may be kept in part).  For transactional access
-// use Store.Begin.
+// transactions").  For transactional access use Store.Begin.
 type Object struct {
 	s *Store
 	e *catEntry
@@ -1277,75 +1314,43 @@ func (o *Object) Name() string {
 	return o.e.name
 }
 
-// mutate runs one write of o as a write scope of its own (write), under
-// the object latch (logged).
-func (o *Object) mutate(op func(*lob.Object) (*wal.Record, bool, error)) error {
-	return o.s.logged(func() error {
-		o.s.epochs.Admit()
-		o.e.latch.Lock()
-		if o.s.txnHolds(o.e) {
-			o.e.latch.Unlock()
-			return o.inUse()
-		}
-		err := o.s.write(o.e, op)
+// mutate runs one update of o as a write scope of its own (write), under
+// the object latch.
+func (o *Object) mutate(op func(obj *lob.Object) error) error {
+	o.s.epochs.Admit()
+	o.e.latch.Lock()
+	if o.s.txnHolds(o.e) {
 		o.e.latch.Unlock()
-		o.s.mu.Lock()
-		o.s.measure(o.e, o.e.stableSize())
-		o.s.mu.Unlock()
-		o.s.epochs.Reclaim()
-		return err
-	})
+		return o.inUse()
+	}
+	err := o.s.write(o.e, op)
+	o.e.latch.Unlock()
+	o.s.mu.Lock()
+	o.s.measure(o.e, o.e.stableSize())
+	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that
+	o.s.mu.Unlock()
+	o.s.epochs.Reclaim()
+	return err
 }
 
-// splice runs one structural update of o (lob/splice.go), prepared and
-// applied, and logs it as Txn.splice does.  A compaction ([Bili91a])
-// inside the splice writes segments through too.
-func (o *Object) splice(typ wal.RecType, prepare func(*lob.Object) (*lob.Splice, error)) error {
-	return o.mutate(func(obj *lob.Object) (*wal.Record, bool, error) {
-		sp, err := prepare(obj)
-		if err == nil && sp != nil {
-			err = obj.Apply(sp)
-		}
-		if err != nil || sp == nil {
-			return nil, false, err
-		}
-		return spliceRecord(typ, o.e.id, sp), sp.WroteThrough() || o.s.opts.AdaptiveThreshold, nil
-	})
-}
-
-// write runs one Object write on e as a write scope of its own, under e's
-// write latch, which the caller holds.  op makes the change — in memory,
-// but for a replace's pages — and returns its record (nil: no change) and
-// whether the record names pages op wrote through, which are forced first.
-// The record commits itself (Txn 0) and is not forced: a later commit, log
-// force or checkpoint makes it durable with every record before it.  Then
-// the commit point, as a transaction's (Txn.commitBarrier): the root is
-// published and becomes stableDesc, and the log lets the record go — a
-// checkpoint that captured the older descriptor starts at or before it.  A
-// write that fails, its record refused included, goes back to its last
-// commit point as an abort does.
-func (s *Store) write(e *catEntry, op func(*lob.Object) (*wal.Record, bool, error)) error {
+// write runs op on e as one write scope, under e's write latch, which the
+// caller holds: the pages op frees wait in the scope while the published
+// root and the catalog's descriptor still name them.  The commit point is
+// a transaction's (Txn.commitBarrier): e's root is published, so every
+// snapshot opened from now on captures it, the descriptor of what was
+// published becomes e's stableDesc, and only then does the scope end.  An
+// op that fails goes back to e's last commit point as an abort does, so a
+// failed write changes nothing.
+func (s *Store) write(e *catEntry, op func(*lob.Object) error) error {
 	d := s.scope()
 	e.obj.Rebind(d.lm)
-	rec, through, err := op(e.obj)
-	if err == nil && through {
-		err = s.vol.ForceAll()
-	}
-	var lsn uint64
-	if err == nil && rec != nil {
-		lsn, err = s.log.AppendHeld(rec)
-	}
-	if err != nil {
+	if err := op(e.obj); err != nil {
 		if berr := errors.Join(s.goBack(e), s.endScope(d, false)); berr != nil {
 			err = errors.Join(err, berr)
 		}
 		return err
 	}
-	if rec != nil {
-		e.obj.SetLSN(lsn)
-	}
 	e.setStableDesc(e.obj.PublishDescriptor())
-	s.log.ReleaseHeld(lsn)
 	e.obj.Rebind(s.lm)
 	return s.endScope(d, true)
 }
@@ -1385,17 +1390,18 @@ func (o *Object) version() (*lob.RootVersion, error) {
 
 // Append appends data at the end of the object (§4.1).
 func (o *Object) Append(data []byte) error {
-	return o.splice(wal.RecAppend, func(obj *lob.Object) (*lob.Splice, error) { return obj.PrepareAppend(data) })
+	return o.mutate(func(obj *lob.Object) error { return obj.Append(data) })
 }
 
 // AppendWithHint appends data; a positive sizeHint (total expected bytes)
 // lets the manager allocate a segment just large enough (§4.1).
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
-	return o.splice(wal.RecAppend, func(obj *lob.Object) (*lob.Splice, error) { return obj.PrepareAppendWithHint(data, sizeHint) })
+	return o.mutate(func(obj *lob.Object) error { return obj.AppendWithHint(data, sizeHint) })
 }
 
-// Appender streams appends into an object: each Write, and Close, is an
-// Object write of its own.  The appender itself is single-user.
+// Appender streams appends into an object, write-latching the object
+// around each Write so concurrent readers of other ranges stay safe.
+// The appender itself is single-user.
 type Appender struct {
 	o *Object
 	a *lob.Appender
@@ -1403,15 +1409,18 @@ type Appender struct {
 
 // Write appends p to the object.
 func (a *Appender) Write(p []byte) (int, error) {
-	if err := a.o.splice(wal.RecAppend, func(*lob.Object) (*lob.Splice, error) { return a.a.PrepareWrite(p) }); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	var n int
+	err := a.o.mutate(func(*lob.Object) error {
+		var werr error
+		n, werr = a.a.Write(p)
+		return werr
+	})
+	return n, err
 }
 
 // Close ends the append sequence, trimming the tail segment.
 func (a *Appender) Close() error {
-	return a.o.splice(wal.RecAppend, func(*lob.Object) (*lob.Splice, error) { return a.a.PrepareClose() })
+	return a.o.mutate(func(*lob.Object) error { return a.a.Close() })
 }
 
 // OpenAppender streams appends; Close trims the tail segment.  The
@@ -1452,59 +1461,48 @@ func (o *Object) read(f func(*lob.RootVersion) error) error {
 	return f(v)
 }
 
-// Replace overwrites bytes in place (§4.2), whole pages, under the write
-// latch like every writer.  Its record names the pages it wrote by
-// reference — by value they would cost more log than data (EXPERIMENTS.md
-// §P59) — and is appended once they are forced.  First the log is forced
-// through the object's last record, whose by-value bytes a page it writes
-// may hold.  A crash before its record is durable may keep some of its
-// pages and not others (DESIGN.md §8.1).
+// Replace overwrites bytes in place (§4.2).  It leaves the index alone but
+// rewrites whole pages, the bytes around the range in its first and last
+// page included, so it takes the latch exclusively like every writer.
 func (o *Object) Replace(off int64, data []byte) error {
-	return o.mutate(func(obj *lob.Object) (*wal.Record, bool, error) {
-		if err := o.s.log.ForceLSN(obj.LSN()); err != nil {
-			return nil, false, err
-		}
-		runs, err := obj.ReplaceRuns(off, data, nil)
-		if err != nil || len(runs) == 0 {
-			return nil, false, err
-		}
-		r := &wal.Record{Type: wal.RecReplace, Object: o.e.id, Off: off, N: int64(len(data)), Extents: make([]wal.Extent, len(runs))}
-		for i, run := range runs {
-			r.Extents[i] = wal.Extent{Start: uint64(run.Start), Pages: uint32(run.Pages)}
-		}
-		return r, true, nil
-	})
+	o.e.latch.Lock()
+	if o.s.txnHolds(o.e) {
+		o.e.latch.Unlock()
+		return o.inUse()
+	}
+	err := o.e.obj.Replace(off, data)
+	o.e.latch.Unlock()
+	return err
 }
 
 // Insert inserts data at byte off (§4.3.1).
 func (o *Object) Insert(off int64, data []byte) error {
-	return o.splice(wal.RecInsert, func(obj *lob.Object) (*lob.Splice, error) { return obj.PrepareInsert(off, data) })
+	return o.mutate(func(obj *lob.Object) error { return obj.Insert(off, data) })
 }
 
 // Delete removes n bytes starting at byte off (§4.3.2).
 func (o *Object) Delete(off, n int64) error {
-	return o.splice(wal.RecDelete, func(obj *lob.Object) (*lob.Splice, error) { return obj.PrepareDelete(off, n) })
+	return o.mutate(func(obj *lob.Object) error { return obj.Delete(off, n) })
 }
 
 // Truncate shortens the object to newSize bytes.
 func (o *Object) Truncate(newSize int64) error {
-	return o.splice(wal.RecDelete, func(obj *lob.Object) (*lob.Splice, error) { return obj.PrepareTruncate(newSize) })
+	return o.mutate(func(obj *lob.Object) error { return obj.Truncate(newSize) })
 }
 
 // Compact rewrites the object into the fewest, largest contiguous
 // segments the free space allows, restoring sequential-scan performance
 // after heavy editing.
 func (o *Object) Compact() error {
-	return o.splice(wal.RecInsert, (*lob.Object).PrepareCompact)
+	return o.mutate(func(obj *lob.Object) error { return obj.Compact() })
 }
 
 // SetThreshold changes the object's segment size threshold T (§4.4).  It
-// is a commit point like every other Object write, and logs the object's
-// name and T.
+// is a commit point like every other Object write.
 func (o *Object) SetThreshold(t int) error {
-	return o.mutate(func(obj *lob.Object) (*wal.Record, bool, error) {
+	return o.mutate(func(obj *lob.Object) error {
 		obj.SetThreshold(t)
-		return &wal.Record{Type: wal.RecAttrs, Object: o.e.id, Data: []byte(o.e.name), N: int64(obj.Threshold())}, false, nil
+		return nil
 	})
 }
 

@@ -7,7 +7,7 @@ func Example() {
 	// Output: published article: 132 KB
 	// editorial pass committed: 132 KB
 	// vandal aborted: content restored = true
-	// ingested 5 drafts, a commit each (8047 bytes of log in use)
+	// ingested 5 drafts, a commit each (8192 bytes of log in use)
 	// -- simulated power failure --
 	// recovered store: 6 objects
 	//   articles/draft-0           20480 bytes

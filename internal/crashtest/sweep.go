@@ -119,11 +119,6 @@ type Result struct {
 	// and before the next master copy: recovery redoes that transaction from
 	// records on both sides of the checkpoint (liveCoda).
 	LiveAcrossStates int
-	// ObjectUnforcedStates counts the states whose crash falls behind the
-	// return of an Object write of the directed prefix and before the
-	// return of the commit behind it: its record, which commits itself, is
-	// in the log and maybe not durable (objectPrefix).
-	ObjectUnforcedStates int
 	// ImageStates and MasterStates count the states whose crash falls inside
 	// a checkpoint's image write or master-copy write: torn, or issued and
 	// not yet forced.
@@ -163,10 +158,7 @@ type sweeper struct {
 	// LiveAcrossStates).
 	liveAt []int
 	live   [][2]int
-	// objectDue holds the trace intervals [from, to) traceObject names (see
-	// ObjectUnforcedStates).
-	objectDue [][2]int
-	seen      map[uint64]bool
+	seen   map[uint64]bool
 	// pageHash caches per-page fingerprints keyed by the page's backing
 	// array, so repeated states hash in O(pages) map lookups.
 	pageHashes map[*byte]uint64
@@ -282,8 +274,6 @@ func (sw *sweeper) traceFollowed(clock *Clock, next func(string, ...any)) func(s
 			split[args[0].(int)] = true
 		case traceLive:
 			sw.liveAt = append(sw.liveAt, args[0].(int))
-		case traceObject:
-			sw.objectDue = append(sw.objectDue, [2]int{args[0].(int), args[1].(int)})
 		case traceCommit:
 			if filled[args[2].(int)] {
 				sw.filledAt = append(sw.filledAt, args[1].(int))
@@ -480,9 +470,6 @@ func (sw *sweeper) candidate(models [2]*volModel, choose chooser, tr *torn, p in
 	}
 	if within(sw.live, p) {
 		sw.res.LiveAcrossStates++
-	}
-	if within(sw.objectDue, p) {
-		sw.res.ObjectUnforcedStates++
 	}
 
 	dataImg := materialize(scratch[0], sw.cfg.PageSize)

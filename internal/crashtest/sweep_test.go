@@ -96,8 +96,7 @@ func TestCrashSweep(t *testing.T) {
 			// 1444; the directed prefix's split transactions, behind a
 			// checkpoint, give 1785 / 1783.  The snapshot coda, behind the
 			// loser, adds its own states and changes none before it:
-			// 1809 / 1805.  The Object-API prefix, behind a checkpoint of
-			// its own, gives 1862 / 1887.
+			// 1809 / 1805.
 			if !testing.Short() && res.States < 1450 {
 				t.Fatalf("sweep enumerated only %d distinct states, want >= 1450", res.States)
 			}
@@ -130,11 +129,6 @@ func TestCrashSweep(t *testing.T) {
 			// move the log's start: crashes must land behind it.
 			if res.LiveAcrossStates == 0 {
 				t.Fatalf("no state fell behind a checkpoint a transaction was live across, want > 0")
-			}
-			// An Object write's record commits itself and is durable only at
-			// a later force: crashes must land before that force.
-			if res.ObjectUnforcedStates == 0 {
-				t.Fatalf("no state fell behind an Object write before the commit that made its record durable, want > 0")
 			}
 			// A checkpoint's two durable writes: the image in the log, then
 			// the master copy naming it.  Crashes must land inside both.
@@ -175,8 +169,8 @@ func TestCrashSweepFull(t *testing.T) {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d with a filled tail pending, %d behind a commit that split an index node; %d behind a checkpoint a transaction was live across; %d behind an Object write whose record no force had made durable yet; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
-		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.FilledStates, res.SplitStates, res.LiveAcrossStates, res.ObjectUnforcedStates, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
+	t.Logf("crash sweep: %d events, %d positions, %d candidates, %d distinct states recovered (%d on file backend, %d re-crash probes; %d in or right behind a transaction that followed its replace, %d redid commits; %d with by-reference segments unforced, %d with them forced; %d with a filled tail pending, %d behind a commit that split an index node; %d behind a checkpoint a transaction was live across; %d inside an image write, %d inside a master-copy write; the log went round %d times), %d violations",
+		res.Events, res.Positions, res.Candidates, res.States, res.FileStates, res.Recrashes, res.ReplaceFollowedStates, res.Redone, res.ByRefUnforced, res.ByRefForced, res.FilledStates, res.SplitStates, res.LiveAcrossStates, res.ImageStates, res.MasterStates, res.Wraps, len(res.Violations))
 	for i, v := range res.Violations {
 		if i >= 10 {
 			t.Logf("... and %d more violations", len(res.Violations)-10)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -122,10 +121,6 @@ const (
 	// ended.
 	traceLive  = "seq %d: txn %d is live across a checkpoint"
 	traceAbort = "seq %d: txn %d aborted"
-	// traceObject: an Object write returned at the first seq, and the
-	// commit behind it, whose force made its record durable, at the second.
-	traceObject   = "seq %d-%d: an object write was durable at the commit behind it"
-	traceObjectOp = "        %s on %s outside a transaction (len was %d)"
 )
 
 // errStaleRead fails the workload: a transaction's read did not return
@@ -525,146 +520,7 @@ func directedPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Ora
 		}
 		oracle.mark(cfg, beginSeq, clock.Seq(), txn, model, staged)
 	}
-	if err := objectPrefix(st, clock, cfg, oracle, model, rng); err != nil {
-		return err
-	}
 	return splitPrefix(st, clock, cfg, oracle, model, rng)
-}
-
-// The Object-API prefix's objects, behind the directed prefix's: the second
-// is renamed to the third and destroyed.
-var objectNames = [3]string{"w5", "w6", "w7"}
-
-// objectPrefix runs Object-API writes — creates, appends, an insert, a
-// delete, replaces, a rename and a destroy — with a transaction's commit
-// after every few.  Each write's record commits itself and is durable once
-// a later log force returns: each is an oracle mark of its own, due at the
-// return of the commit behind it, so that a crash before that may keep any
-// prefix of the writes.  A replace writes in place before its record; each
-// here stays inside one page and inside the bytes of one earlier write, so
-// that a crash keeps all of it or none.  Its checkpoint leaves the wrapping
-// log room for them.
-func objectPrefix(st *eos.Store, clock *Clock, cfg WorkloadConfig, oracle *Oracle, model map[string][]byte, rng *rand.Rand) error {
-	if err := st.Checkpoint(); err != nil {
-		return fmt.Errorf("checkpoint before the object prefix: %w", err)
-	}
-	x, y, z := objectNames[0], objectNames[1], objectNames[2]
-	var due []int // the marks the next commit makes durable
-	var rets []int
-	// write runs op on name and then next, which makes the same change to
-	// the model.
-	write := func(what, name string, op func(*eos.Object) error, next func()) error {
-		cfg.Trace(traceObjectOp, what, name, len(model[name]))
-		begin := clock.Seq()
-		o, err := st.Open(name)
-		if err == nil {
-			err = op(o)
-		}
-		if err != nil {
-			return fmt.Errorf("object prefix: %s on %s: %w", what, name, err)
-		}
-		next()
-		oracle.add(begin, math.MaxInt, model)
-		due, rets = append(due, len(oracle.Commits)-1), append(rets, clock.Seq())
-		return nil
-	}
-	create := func(name string) error {
-		cfg.Trace(traceObjectOp, "create", name, 0)
-		begin := clock.Seq()
-		if _, err := st.Create(name, 0); err != nil {
-			return fmt.Errorf("object prefix: create %s: %w", name, err)
-		}
-		model[name] = []byte{}
-		oracle.add(begin, math.MaxInt, model)
-		due, rets = append(due, len(oracle.Commits)-1), append(rets, clock.Seq())
-		return nil
-	}
-	commit := func(k int) error {
-		txn := -1000 - k
-		tx, err := st.Begin()
-		if err != nil {
-			return fmt.Errorf("begin object prefix txn %d: %w", k, err)
-		}
-		cfg.Trace(traceBegin, clock.Seq(), txn)
-		staged := map[string]*[]byte{}
-		if err := appendOp(st, tx, txn, prefixObjects[0], model[prefixObjects[0]], randBytes(rng, 50), cfg, staged); err != nil {
-			_ = tx.Abort() // the append's error is the one to report
-			return fmt.Errorf("object prefix txn %d: %w", k, err)
-		}
-		beginSeq := clock.Seq()
-		if err := tx.Commit(); err != nil {
-			return fmt.Errorf("commit object prefix txn %d: %w", k, err)
-		}
-		ret := clock.Seq()
-		for i, m := range due {
-			oracle.Commits[m].RetSeq = ret
-			cfg.Trace(traceObject, rets[i], ret)
-		}
-		due, rets = due[:0], rets[:0]
-		oracle.mark(cfg, beginSeq, ret, txn, model, staged)
-		return nil
-	}
-	replace := func(name string, off, n int) error {
-		d := randBytes(rng, n)
-		return write("replace", name, func(o *eos.Object) error { return o.Replace(int64(off), d) }, func() {
-			cur := model[name]
-			model[name] = append(append(append([]byte{}, cur[:off]...), d...), cur[off+n:]...)
-		})
-	}
-	appendTo := func(name string, n int, hinted bool) error {
-		d := randBytes(rng, n)
-		return write("append", name, func(o *eos.Object) error {
-			if hinted {
-				return o.AppendWithHint(d, int64(n))
-			}
-			return o.Append(d)
-		}, func() { model[name] = append(append([]byte{}, model[name]...), d...) })
-	}
-	ps := st.PageSize()
-	steps := []func() error{
-		func() error { return create(x) },
-		func() error { return appendTo(x, 2*ps, false) }, // left pending in its open tail, by value
-		func() error { return create(y) },
-		func() error { return appendTo(y, 6*ps, true) }, // written through, by reference
-		func() error { return commit(0) },
-		func() error {
-			d := randBytes(rng, ps+ps/2)
-			return write("insert", x, func(o *eos.Object) error { return o.Insert(int64(ps), d) }, func() {
-				cur := model[x]
-				model[x] = append(append(append([]byte{}, cur[:ps]...), d...), cur[ps:]...)
-			})
-		},
-		func() error { return replace(x, ps/8, ps/4) }, // in the first append's first page
-		func() error { return replace(y, ps+ps/4, ps/2) },
-		func() error {
-			return write("rename", y, func(*eos.Object) error { return st.Rename(y, z) }, func() {
-				model[z] = model[y]
-				delete(model, y)
-			})
-		},
-		func() error { return commit(1) },
-		func() error { return appendTo(x, ps/2, false) },
-		func() error {
-			off := len(model[x]) - ps/4 // inside the bytes the append left pending
-			return replace(x, off, ps/8)
-		},
-		func() error {
-			return write("delete", x, func(o *eos.Object) error { return o.Delete(int64(ps/2), int64(ps)) }, func() {
-				cur := model[x]
-				model[x] = append(append([]byte{}, cur[:ps/2]...), cur[ps/2+ps:]...)
-			})
-		},
-		func() error {
-			return write("destroy", z, func(*eos.Object) error { return st.Destroy(z) }, func() { delete(model, z) })
-		},
-		func() error { return commit(2) },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // splitPrefix runs the directed prefix's splitTxns transactions on
@@ -753,11 +609,6 @@ func readReplaceOp(tx *eos.Txn, txn int, name string, cur []byte, rng *rand.Rand
 func (o *Oracle) mark(cfg WorkloadConfig, beginSeq, retSeq, txn int, model map[string][]byte, staged map[string]*[]byte) {
 	cfg.Trace(traceCommit, beginSeq, retSeq, txn)
 	applyStaged(model, staged)
-	o.add(beginSeq, retSeq, model)
-}
-
-// add appends a mark of the committed content model.
-func (o *Oracle) add(beginSeq, retSeq int, model map[string][]byte) {
 	sizes := make(map[string]int, len(model))
 	for n, c := range model {
 		sizes[n] = len(c)

@@ -40,64 +40,36 @@ import (
 // tail segment.  It implements io.Writer.
 type Appender struct {
 	o      *Object
-	end    int64 // the size the sequence is expected to reach; 0 = unknown
+	hint   int64
 	closed bool
 }
 
 // OpenAppender starts an append sequence.  sizeHint, when positive, is
-// the expected number of bytes the whole sequence will add; 0 means
-// unknown.
+// the expected number of bytes the whole sequence will add (plus the
+// current size); 0 means unknown.
 func (o *Object) OpenAppender(sizeHint int64) *Appender {
-	a := &Appender{o: o}
-	if sizeHint > 0 {
-		a.end = o.size + sizeHint
-	}
-	return a
+	return &Appender{o: o, hint: sizeHint}
 }
 
 // Write appends p to the object.
 func (a *Appender) Write(p []byte) (int, error) {
-	sp, err := a.PrepareWrite(p)
-	if err == nil && sp != nil {
-		err = a.o.apply(sp)
+	if a.closed {
+		return 0, fmt.Errorf("lob: appender closed")
 	}
-	if err != nil {
+	if err := a.o.appendBytes(p, a.hint, 0, false); err != nil {
 		return 0, err
 	}
+	a.hint -= int64(len(p))
 	return len(p), nil
-}
-
-// PrepareWrite is the prepare step of Write (splice.go); nil when p is
-// empty.  The tail keeps its room for the stream's next write.  The hint
-// is the bytes still to come: a write that went back counts for nothing.
-func (a *Appender) PrepareWrite(p []byte) (*Splice, error) {
-	if a.closed {
-		return nil, fmt.Errorf("lob: appender closed")
-	}
-	var hint int64
-	if a.end > 0 {
-		hint = a.end - a.o.size
-	}
-	return a.o.prepareAppend(p, hint, 0, false)
 }
 
 // Close ends the sequence and trims the tail segment.
 func (a *Appender) Close() error {
-	sp, err := a.PrepareClose()
-	if err != nil || sp == nil {
-		return err
-	}
-	return a.o.apply(sp)
-}
-
-// PrepareClose is the prepare step of Close (PrepareTrim); nil when the
-// sequence is closed or the tail is.
-func (a *Appender) PrepareClose() (*Splice, error) {
 	if a.closed {
-		return nil, nil
+		return nil
 	}
 	a.closed = true
-	return a.o.PrepareTrim()
+	return a.o.Trim()
 }
 
 // Append appends data in one step, sizing the segment from the bytes in
@@ -120,11 +92,7 @@ func (o *Object) Append(data []byte) error {
 // follow, including data) to size the allocation when positive, and trims
 // the tail: the caller has said how much is coming.
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
-	sp, err := o.PrepareAppendWithHint(data, sizeHint)
-	if err != nil || sp == nil {
-		return err
-	}
-	return o.apply(sp)
+	return o.appendBytes(data, sizeHint, 0, true)
 }
 
 // SetGrowthHint overrides the doubling schedule: the next segment
@@ -148,35 +116,12 @@ func (o *Object) SetGrowthHint(pages int) {
 // so no root has ever named those pages and they go back unpublished.
 func (o *Object) Trim() error { return o.trim(o.m.alloc.FreeUnpublished) }
 
-// PrepareTrim is the prepare step of Trim (splice.go); nil when the tail is
-// closed.  It writes the tail's pending pages and gives back its unused
-// pages; the Splice, of no range and no entries, closes the tail.
-func (o *Object) PrepareTrim() (*Splice, error) {
-	if o.tailAlloc == 0 {
-		return nil, nil
-	}
-	if err := o.releaseRoom(o.m.alloc.FreeUnpublished); err != nil {
-		return nil, err
-	}
-	return o.m.newSplice(o.size, o.size), nil
-}
-
 // trim writes the tail segment's pending pages, gives its unused pages to
 // free and closes it.
 func (o *Object) trim(free func(disk.PageNum, int) error) error {
 	if o.tailAlloc == 0 {
 		return nil
 	}
-	if err := o.releaseRoom(free); err != nil {
-		return err
-	}
-	o.ForgetTail()
-	return nil
-}
-
-// releaseRoom writes the open tail's pending pages and gives its unused
-// pages to free.
-func (o *Object) releaseRoom(free func(disk.PageNum, int) error) error {
 	_, tailLen, err := o.tailEntry()
 	if err != nil {
 		return err
@@ -185,8 +130,11 @@ func (o *Object) releaseRoom(free func(disk.PageNum, int) error) error {
 		return err
 	}
 	if keep := pagesFor(tailLen, o.m.vol.PageSize()); keep < o.tailAlloc {
-		return free(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep)
+		if err := free(o.tailStart+disk.PageNum(keep), o.tailAlloc-keep); err != nil {
+			return err
+		}
 	}
+	o.ForgetTail()
 	return nil
 }
 
@@ -218,6 +166,15 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 	return start, e.bytes, nil
 }
 
+// appendBytes appends data, all of it or none: prepareAppend, then Apply.
+func (o *Object) appendBytes(data []byte, sizeHint int64, open int, trim bool) error {
+	sp, err := o.prepareAppend(data, sizeHint, open, trim)
+	if err != nil || sp == nil {
+		return err
+	}
+	return o.apply(sp)
+}
+
 // apply is Apply of a Splice o prepared itself.  A failure gives back what
 // the prepare allocated if the root never came to name it; if it did, the
 // pages the update meant to leave pending are written, since nothing else
@@ -236,12 +193,6 @@ func (o *Object) apply(sp *Splice) error {
 		_ = o.m.writeHome(run.start, run.raw) // err is the failure to report
 	}
 	return err
-}
-
-// PrepareAppendWithHint is the prepare step of AppendWithHint (splice.go);
-// nil when data is empty.
-func (o *Object) PrepareAppendWithHint(data []byte, sizeHint int64) (*Splice, error) {
-	return o.prepareAppend(data, sizeHint, 0, true)
 }
 
 // PrepareAppend is the prepare step of Append (splice.go); nil when data is

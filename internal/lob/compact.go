@@ -4,61 +4,45 @@ package lob
 // contiguous segments the free space allows — the maintenance analogue
 // of creating the object with a size hint (§4.1).  A heavily edited
 // object regains sequential-scan performance and sheds index pages.
+//
+// The copy is streamed segment group by segment group, so peak memory is
+// bounded by the maximum segment size, and the old pages are freed only
+// after the new image is written (no overwrite, as everywhere in EOS).
 func (o *Object) Compact() error {
-	sp, err := o.PrepareCompact()
-	if err != nil || sp == nil {
-		return err
-	}
-	return o.apply(sp)
-}
-
-// PrepareCompact is the prepare step of Compact (splice.go); nil when the
-// object is empty.  It closes the tail, allocates the new image and writes
-// it through, so that space too fragmented to hold a second copy fails it
-// before anything changes.  The copy is streamed segment by segment, so
-// peak memory is bounded by the maximum segment size; the old pages are
-// freed only when the Splice is applied (no overwrite, as everywhere in
-// EOS).  The Splice replaces the whole range with the new segments.
-func (o *Object) PrepareCompact() (*Splice, error) {
 	if o.size == 0 {
-		return nil, nil
+		return nil
 	}
 	if err := o.Trim(); err != nil {
-		return nil, err
+		return err
 	}
 	m := o.m
-	segs, err := m.allocSegments(o.size, 0)
+
+	// Allocate the new image first: if space is too fragmented to hold a
+	// second copy, fail before touching anything.
+	newSegs, err := m.allocSegments(o.size, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sp := m.newSplice(0, o.size)
-	sp.wrote, sp.whole = true, true
-	ps := m.vol.PageSize()
-	for _, seg := range segs {
-		sp.runs = append(sp.runs, PageRun{Start: seg.ptr, Pages: pagesFor(seg.bytes, ps)})
-		sp.Entries = append(sp.Entries, Extent{Start: seg.ptr, Bytes: seg.bytes})
-	}
+	// Stream the content across, one (max-segment-bounded) segment at a
+	// time.
 	var logical int64
-	for _, seg := range segs {
+	for _, seg := range newSegs {
 		buf := make([]byte, seg.bytes)
 		if err := o.ReadAt(buf, logical); err != nil {
-			return nil, m.giveBack(sp.runs, err)
+			return err
 		}
 		if err := m.writeSegment(seg.ptr, buf); err != nil {
-			return nil, m.giveBack(sp.runs, err)
+			return err
 		}
 		logical += seg.bytes
 	}
-	return sp, nil
-}
 
-// replaceTree frees the old tree (segments and index pages) and installs
-// the leaf entries repl under a fresh root.
-func (o *Object) replaceTree(repl []entry) error {
-	if err := o.walkAll(o.m.freeing()); err != nil {
+	// Free the old tree (segments and index pages) and install the new
+	// leaf entries under a fresh root.
+	if err := o.walkAll(m.freeing()); err != nil {
 		return err
 	}
-	o.root = &node{level: 1, entries: repl}
+	o.root = &node{level: 1, entries: newSegs}
 	if err := o.normalizeRoot(); err != nil {
 		return err
 	}

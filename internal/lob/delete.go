@@ -122,18 +122,11 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 // equivalent to deleting the whole content; like all deletions ending on
 // the object's last byte, it completes without reading any data page.
 func (o *Object) Truncate(newSize int64) error {
-	sp, err := o.PrepareTruncate(newSize)
-	if err != nil || sp == nil {
-		return err
-	}
-	return o.apply(sp)
-}
-
-// PrepareTruncate is the prepare step of Truncate: PrepareDelete of the
-// bytes from newSize on, nil when there are none.
-func (o *Object) PrepareTruncate(newSize int64) (*Splice, error) {
 	if newSize < 0 || newSize > o.size {
-		return nil, fmt.Errorf("%w: truncate to %d of %d", ErrOutOfBounds, newSize, o.size)
+		return fmt.Errorf("%w: truncate to %d of %d", ErrOutOfBounds, newSize, o.size)
 	}
-	return o.PrepareDelete(newSize, o.size-newSize)
+	if newSize == o.size {
+		return nil
+	}
+	return o.Delete(newSize, o.size-newSize)
 }

@@ -22,7 +22,7 @@ import (
 //
 // One other writer keeps to that: an append that continues a tail whose
 // partial last page is held puts that page's new image in the held set, not
-// in place (prepareAppend).  A held page a later operation of the transaction
+// in place (appendBytes).  A held page a later operation of the transaction
 // frees leaves the set: no image may outlive its page's owner.
 
 // heldPage is the image of one held page.

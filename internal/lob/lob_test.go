@@ -1260,7 +1260,7 @@ func TestDescentsCheckTheNodesTheyRead(t *testing.T) {
 			if o.root.level < 2 {
 				t.Fatalf("tree of height %d, want an index page below the root", o.root.level)
 			}
-			o.PublishDescriptor()
+			o.Publish()
 			v := o.Published()
 			page := o.root.entries[0].ptr
 			img, err := e.pool.Fix(page)

@@ -153,7 +153,7 @@ type Manager struct {
 	held  held // a transaction's uncommitted replaced pages (held.go)
 	// base is the manager m was derived from, nil for one NewManager made:
 	// published versions read through it, never through a writer's held
-	// pages (Object.PublishDescriptor).
+	// pages (Object.Publish).
 	base *Manager
 	// scratch is memory for page images that do not outlive the operation
 	// building them: the new segment an insert or a delete writes and
@@ -578,7 +578,7 @@ const (
 // Descriptor is an object's descriptor as captured at one moment — a
 // commit point.  The header is encoded at the capture; the root's entries
 // may follow only when the bytes are first asked for, from the immutable
-// copy publish made for the version it published, so that capturing the
+// copy Publish made for the version it published, so that capturing the
 // published state makes no encoding pass over the root.  A descriptor
 // that arrived as bytes keeps them.
 type Descriptor struct {

@@ -275,10 +275,10 @@ func (n *node) childIndex(off int64) (i int, childStart int64) {
 
 // splice replaces entries [i, j) with repl: in place when the entries'
 // capacity holds the result — a node's entries are its own, decoded from
-// its page, or the root's, which PublishDescriptor copies and an abort
-// rebuilds from a descriptor, so nothing else sees them move —, else in a
-// slice of exactly the result's length, so a root an object keeps holds no
-// room it does not use.
+// its page, or the root's, which Publish copies and an abort rebuilds from
+// a descriptor, so nothing else sees them move —, else in a slice of
+// exactly the result's length, so a root an object keeps holds no room it
+// does not use.
 func (n *node) splice(i, j int, repl []entry) {
 	size := len(n.entries) - (j - i) + len(repl)
 	if size <= cap(n.entries) {

@@ -38,7 +38,7 @@ type Object struct {
 	lsn atomic.Uint64
 
 	// published is the newest committed RootVersion.  Snapshot readers
-	// load it with no locks; mutators store it via PublishDescriptor after
+	// load it with no locks; mutators store it via Publish after
 	// completing (or committing) an update and before the superseded pages
 	// can be freed.
 	published atomic.Pointer[RootVersion]

@@ -237,28 +237,16 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 // EOS update that is logged rather than shadowed (§4.5).  It writes through:
 // the images the write-behind set held of the pages are dropped.
 func (o *Object) Replace(off int64, data []byte) error {
-	_, err := o.ReplaceRuns(off, data, nil)
-	return err
-}
-
-// ReplaceRuns is Replace that reports the page runs it wrote the replaced
-// bytes to, one per segment piece, and leaves alone the pages newer says
-// the device holds newer bytes of (nil: none) — recovery's redo of a
-// replace that a later replace wrote over in place (Splice.Newer).
-func (o *Object) ReplaceRuns(off int64, data []byte, newer func(disk.PageNum) bool) ([]PageRun, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
-		return nil, err
+		return err
 	}
 	o.m.st.replaces.Add(1)
-	var runs []PageRun
 	pos := int64(0)
-	err := o.m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
-		run, err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n], newer)
+	return o.m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
+		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
 		pos += n
-		runs = append(runs, run)
 		return err
 	}})
-	return runs, err
 }
 
 // ReplacePlan is an in-place replace prepared but not yet written: the
@@ -338,34 +326,13 @@ func (p *ReplacePlan) Hold() {
 // request unless the pages between them would cost more to transfer than
 // a second reposition — the pages between are overwritten outright, and
 // the whole affected page run is written back in a single contiguous
-// request — in one per run of pages newer leaves to it, when newer is not
-// nil.  It returns the run.
-func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte, newer func(disk.PageNum) bool) (PageRun, error) {
-	ps := m.vol.PageSize()
-	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), ps)
-	run := PageRun{Start: seg.ptr + first}
+// request.
+func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
+	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), m.vol.PageSize())
 	raw, _, err := m.gather(nil, head, int64(len(data)), tail)
 	if err != nil {
-		return run, err
+		return err
 	}
-	run.Pages = len(raw) / ps
 	copy(raw[head.N:], data)
-	if newer == nil {
-		return run, m.writeHome(run.Start, raw)
-	}
-	for i := 0; i < run.Pages; {
-		if newer(run.Start + disk.PageNum(i)) {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < run.Pages && !newer(run.Start+disk.PageNum(j)) {
-			j++
-		}
-		if err := m.writeHome(run.Start+disk.PageNum(i), raw[i*ps:j*ps]); err != nil {
-			return run, err
-		}
-		i = j
-	}
-	return run, nil
+	return m.writeHome(seg.ptr+first, raw)
 }

@@ -33,13 +33,16 @@ type RootVersion struct {
 	seq  uint64
 }
 
-// publish atomically installs the object's current state as its committed
-// version, the one every reader captures from then on, and returns it.  The
+// Publish atomically installs the object's current state as its
+// committed version, the one every reader captures from then on.  The
 // caller must hold the same exclusion it holds for reading the root (the
-// object latch or a committed transaction's exclusive lock), and must
-// publish BEFORE the pages the superseded version referenced can be freed.
-// The version reads through the manager o's was derived from: a write
-// scope's held pages are not committed bytes.
+// object latch or a committed transaction's exclusive lock), and must call
+// Publish BEFORE the pages the superseded version referenced can be freed.
+func (o *Object) Publish() { o.publish() }
+
+// publish is Publish, returning the version it installed.  The version
+// reads through the manager o's was derived from: a write scope's held
+// pages are not committed bytes.
 func (o *Object) publish() *RootVersion {
 	m := o.m
 	if m.base != nil {

@@ -65,7 +65,6 @@ type Splice struct {
 	m     *Manager
 	runs  []PageRun   // allocated by the prepare, whole
 	wrote bool        // the prepare wrote pages the entries name through
-	whole bool        // a compaction's: the entries take the whole tree's place (PrepareCompact)
 	grow  int         // the append schedule's next segment size, 0 = unchanged
 	pend  []pageImage // runs of pages the update left pending, at most one per entry
 	hold  []heldPage  // images of held pages the update rewrote
@@ -103,20 +102,12 @@ func (sp *Splice) Cancel() { _ = sp.m.giveBack(sp.runs, nil) }
 // write-behind set (a page a replace holds stays held); a Splice rebuilt
 // from the log builds their pages over what the device or the set holds
 // before them.
-//
-// A Splice of no range and no entries — a trim's (PrepareTrim) — edits no
-// entry: it only closes the tail.  A compaction's frees the whole tree and
-// puts its entries under a fresh root; rebuilt from the log it is an
-// ordinary splice of the whole range.
 func (o *Object) Apply(sp *Splice) error {
 	m := o.m
 	ps := m.vol.PageSize()
 	repl := make([]entry, len(sp.Entries))
 	for i, x := range sp.Entries {
 		repl[i] = entry{bytes: x.Bytes, ptr: x.Start}
-	}
-	if sp.whole {
-		return o.replaceTree(repl)
 	}
 	atEnd := sp.Hi == o.size
 	skip := false
@@ -144,10 +135,8 @@ func (o *Object) Apply(sp *Splice) error {
 		}
 		skip = true
 	}
-	if skip || len(repl) > 0 {
-		if err := o.spliceLeafRange(sp.Lo, sp.Hi, repl, skip, skip); err != nil {
-			return err
-		}
+	if err := o.spliceLeafRange(sp.Lo, sp.Hi, repl, skip, skip); err != nil {
+		return err
 	}
 	if atEnd {
 		var tail Extent

@@ -60,8 +60,7 @@ type RecType uint8
 // Log record types: transaction control, one per operation, the client's
 // checkpoint image, and the log's own skip record.  A transaction has no
 // begin record: its first operation's record begins it, and one that logs
-// no operation logs nothing at all.  An operation record of no transaction
-// (Txn 0) commits itself: it is the client's single-operation write.
+// no operation logs nothing at all.
 const (
 	// RecCommit and RecAbort end a transaction.  Recovery reads nothing
 	// from RecAbort: a transaction without a RecCommit never happened.
@@ -82,9 +81,7 @@ const (
 	RecDelete
 	// RecReplace says Data was written at Off.  The write reaches the
 	// device only behind its transaction's commit record, so the record
-	// carries no pre-image: recovery only redoes.  A replace that commits
-	// itself carries no Data: it wrote the N bytes at Off in place, forced,
-	// before its record, and Extents name the page runs it wrote.
+	// carries no pre-image: recovery only redoes.
 	RecReplace
 	// RecCheckpoint carries a checkpoint's image of the client's catalog in
 	// Data, and in N the LSN the client truncates the log to once the image
@@ -94,8 +91,6 @@ const (
 	// the room in front of the volume's end, or a whole lap (NewLap).  The
 	// log writes it itself, and scans do not hand it out.
 	RecSkip
-	// RecAttrs says object Object is now named Data, with threshold N.
-	RecAttrs
 )
 
 func (t RecType) String() string {
@@ -120,8 +115,6 @@ func (t RecType) String() string {
 		return "checkpoint"
 	case RecSkip:
 		return "skip"
-	case RecAttrs:
-		return "attrs"
 	}
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
@@ -227,7 +220,6 @@ type Log struct {
 	want      uint64            // eos:guardedby mu
 	live      map[uint64]uint64 // eos:guardedby mu
 	committed map[uint64]uint64 // eos:guardedby mu -- committed, not released yet (Release)
-	held      map[uint64]bool   // eos:guardedby mu -- LSNs of records appended held, not released yet (AppendHeld)
 	// unforced counts the bytes flushes wrote since the last force, which
 	// begin at the volume offset of forced.
 	unforced uint64 // eos:guardedby mu
@@ -239,8 +231,7 @@ type Log struct {
 func New(vol disk.Device, base uint64) *Log {
 	ps := uint64(vol.PageSize())
 	return &Log{vol: vol, ps: ps, size: uint64(vol.NumPages()) * ps,
-		start: base, tail: base, forced: base, live: make(map[uint64]uint64), committed: make(map[uint64]uint64),
-		held: make(map[uint64]bool)}
+		start: base, tail: base, forced: base, live: make(map[uint64]uint64), committed: make(map[uint64]uint64)}
 }
 
 // Stats returns a snapshot of the log activity counters.
@@ -256,9 +247,8 @@ func (l *Log) Stats() Stats {
 }
 
 // Oldest returns the first LSN a recovery must scan to redo every
-// transaction that has logged and not ended, every committed one not
-// released and every record held and not released: the oldest one's first
-// record, or with none the next record's.
+// transaction that has logged and not ended, and every committed one not
+// released: the oldest one's first record, or with none the next record's.
 func (l *Log) Oldest() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -267,9 +257,6 @@ func (l *Log) Oldest() uint64 {
 		for _, first := range held {
 			lsn = min(lsn, first)
 		}
-	}
-	for held := range l.held {
-		lsn = min(lsn, held)
 	}
 	return lsn
 }
@@ -280,26 +267,6 @@ func (l *Log) Release(txn uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.committed, txn)
-}
-
-// AppendHeld is Append for a record that commits itself (Txn 0): the log
-// holds it (Oldest), as it holds a committed transaction's records, until
-// ReleaseHeld says the client's next image holds what it did.
-func (l *Log) AppendHeld(r *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsn, err := l.put(r)
-	if err == nil {
-		l.held[lsn] = true
-	}
-	return lsn, err
-}
-
-// ReleaseHeld ends the hold AppendHeld took on the record with LSN lsn.
-func (l *Log) ReleaseHeld(lsn uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.held, lsn)
 }
 
 // encodedSize is the size of r's encoding.

@@ -60,11 +60,9 @@ import (
 //     memory — a tail's pending pages, which wait there until a checkpoint
 //     runs or the segment is trimmed, the open tail's and a filled one's
 //     alike — travel in the record by value.
-//   - An Object write — the Object API, Create, Rename, Destroy — logs a
-//     record of no transaction (Txn 0), which commits itself, and which
-//     recovery redoes as a committed transaction's (Store.write).  A
-//     replace outside a transaction writes in place and logs by reference
-//     (Object.Replace).
+//   - Every write that logs nothing (the Object API, Create) is captured by
+//     a checkpoint before a transaction first takes the object, so the root
+//     the image names for it is the root its records were spliced into.
 //   - The buddy directories carry no durable information: step 3 below
 //     rebuilds them on every open.
 //
@@ -90,11 +88,11 @@ import (
 //     requires.  (LSNs never restart, so a root's LSN ranks correctly
 //     against every record.)  Nothing is re-executed: redo allocates only
 //     index pages and frees nothing as it goes.
-//  5. Free what the redone updates freed: every page reserved or allocated
-//     before that no object reaches any more.  Then trim the tails redo's
-//     appends left open: nothing continues them (every open forgets
-//     tails), so their room would only sit reserved; the trim writes the
-//     pending runs redo left.  Publish every root, and make it stableDesc.
+//  5. Trim the tails redo's appends left open: nothing continues them
+//     (every open forgets tails), so their room would only sit reserved;
+//     the trim writes the pending runs redo left.  Then free what the
+//     redone updates freed: every page reserved or allocated before that
+//     no object reaches any more.
 //  6. Take a checkpoint: a new image, a new master copy, and a log
 //     truncated behind them.  The log kept room for this image and NewLap's
 //     skip record (wal's ledger, Store.measure), and no transaction is live
@@ -124,8 +122,8 @@ func (s *Store) recover(m master) error {
 		return err
 	}
 
-	committed := map[uint64]bool{0: true} // the records of no transaction commit themselves
-	destroyed := make(map[uint64]bool)    // objects a committed destroy removed
+	committed := make(map[uint64]bool)
+	destroyed := make(map[uint64]bool) // objects a committed transaction destroyed
 	maxTxn := uint64(0)
 	for _, r := range recs {
 		if r.Type == wal.RecCommit {
@@ -143,8 +141,7 @@ func (s *Store) recover(m master) error {
 	// The records to redo, and the pages they name.  An object the image
 	// does not show whose destroy committed lived and died behind the image:
 	// its pages may be another object's now.  through maps each page of a
-	// grown tail, and each page a replace wrote in place and logged by
-	// reference, to the last of those records that wrote it through: the
+	// grown tail to the last of those records that wrote it through: the
 	// device holds its bytes from then on, newer than any image redo could
 	// build from the records before.
 	var redo []*wal.Record
@@ -153,7 +150,7 @@ func (s *Store) recover(m master) error {
 	ps := s.vol.PageSize()
 	for _, r := range recs {
 		e := s.byID[r.Object]
-		if !committed[r.Txn] || r.Type == wal.RecCommit || r.Type == wal.RecCheckpoint || e == nil && destroyed[r.Object] || e != nil && e.obj.LSN() >= r.LSN {
+		if !committed[r.Txn] || r.Type == wal.RecCommit || e == nil && destroyed[r.Object] || e != nil && e.obj.LSN() >= r.LSN {
 			continue
 		}
 		redo = append(redo, r)
@@ -161,16 +158,10 @@ func (s *Store) recover(m master) error {
 		for _, x := range sp.Entries {
 			named = append(named, x.Run(ps))
 		}
-		wrote := sp.Entries // a replace's are the runs it wrote in place
 		if r.Type == wal.RecAppend {
 			run := sp.Continued(ps)
-			wrote = []lob.Extent{{Start: run.Start, Pages: run.Pages}}
-		} else if r.Type != wal.RecReplace {
-			wrote = nil
-		}
-		for _, x := range wrote {
-			for i := 0; i < x.Pages; i++ {
-				through[x.Start+disk.PageNum(i)] = r.LSN
+			for i := 0; i < run.Pages; i++ {
+				through[run.Start+disk.PageNum(i)] = r.LSN
 			}
 		}
 	}
@@ -215,26 +206,27 @@ func (s *Store) recover(m master) error {
 	return nil
 }
 
-// closeRedo is step 5: it frees what the redone updates freed, and gives
-// the objects back to the store's manager, trimmed and published.
+// closeRedo is step 5: it trims the tails redo's appends left open, frees
+// what the redone updates freed, and gives the objects back to the store's
+// manager.
 func (s *Store) closeRedo(rm *lob.Manager, ra *redoAlloc, before map[*catEntry][]lob.PageRun, named []lob.PageRun, touched map[uint64]bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.freeRedone(rm, ra, before, named, touched); err != nil {
-		return err
-	}
-	// No root has named a tail's room (lob.Object.Trim).  A published root
-	// is what snapshot readers capture — recovery runs alone, so none saw
-	// the states before —, and what the checkpoint behind it persists.
-	for _, e := range s.byID {
+	for _, e := range s.catalog {
+		// No root has named the room (lob.Object.Trim).
 		e.latch.Lock()
-		e.obj.Rebind(s.lm)
 		err := e.obj.Trim()
-		e.setStableDesc(e.obj.PublishDescriptor())
+		e.setStableDesc(e.obj.Capture())
 		e.latch.Unlock()
 		if err != nil {
 			return err
 		}
+	}
+	if err := s.freeRedone(rm, ra, before, named, touched); err != nil {
+		return err
+	}
+	for _, e := range s.byID {
+		e.obj.Rebind(s.lm)
 	}
 	return nil
 }
@@ -294,8 +286,7 @@ func (s *Store) redoManager() (*lob.Manager, *redoAlloc, error) {
 
 // redo applies one committed operation if the object has not seen it,
 // and reports whether it did.  newer reports the pages a later record
-// wrote through (lob.Splice.Newer), which neither a splice's by-value bytes
-// nor a replace's are written over.
+// wrote through (lob.Splice.Newer).
 func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bool) (bool, error) {
 	s.mu.Lock()
 	e := s.byID[r.Object]
@@ -325,16 +316,12 @@ func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bo
 		}
 		s.mu.Unlock()
 		e.obj.SetLSN(r.LSN)
+		e.setStableDesc(e.obj.Capture())
 		return true, nil
-	}
-	if e == nil || e.obj.LSN() >= r.LSN {
-		// Destroyed by a later committed operation, whose redo (or durable
-		// state) governs; or the effect is durable already: idempotent skip.
-		return false, nil
-	}
-	var err error
-	switch r.Type {
 	case wal.RecDestroy:
+		if e == nil {
+			return false, nil // destroy already durable
+		}
 		if err := e.obj.Destroy(); err != nil {
 			return false, err
 		}
@@ -343,29 +330,35 @@ func (s *Store) redo(rm *lob.Manager, r *wal.Record, newer func(disk.PageNum) bo
 		delete(s.byID, e.id)
 		s.mu.Unlock()
 		return true, nil
-	case wal.RecAttrs:
-		s.mu.Lock()
-		s.setName(e, string(r.Data))
-		s.mu.Unlock()
-		e.obj.SetThreshold(int(r.N))
-	case wal.RecReplace:
-		// A replace logged by reference wrote its pages in place before its
-		// record: there is nothing to redo.
-		if len(r.Extents) == 0 {
-			_, err = e.obj.ReplaceRuns(r.Off, r.Data, newer)
+	case wal.RecAppend, wal.RecInsert, wal.RecDelete, wal.RecReplace:
+		if e == nil {
+			// Object destroyed by a later committed operation; the
+			// destroy's redo (or durable state) governs.
+			return false, nil
 		}
-	case wal.RecAppend, wal.RecInsert, wal.RecDelete:
-		sp := recordSplice(r)
-		sp.Newer = newer
-		err = e.obj.Apply(sp)
-	default:
-		return false, nil // control records
+		if e.obj.LSN() >= r.LSN {
+			return false, nil // effect already durable: idempotent skip
+		}
+		var err error
+		if r.Type == wal.RecReplace {
+			err = e.obj.Replace(r.Off, r.Data)
+		} else {
+			sp := recordSplice(r)
+			sp.Newer = newer
+			err = e.obj.Apply(sp)
+		}
+		if err != nil {
+			return false, err
+		}
+		e.obj.SetLSN(r.LSN)
+		// The redone operation is committed state: the checkpoint that
+		// ends recovery persists stableDesc, so it must carry the
+		// post-redo root or the redone update would be lost when the
+		// log truncates.
+		e.setStableDesc(e.obj.Capture())
+		return true, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	e.obj.SetLSN(r.LSN)
-	return true, nil
+	return false, nil // control records
 }
 
 // freeRedone frees what the redone updates freed: every page that was
@@ -473,6 +466,7 @@ func (s *Store) rebuildFreeSpace(named []lob.PageRun) (map[*catEntry][]lob.PageR
 	before := make(map[*catEntry][]lob.PageRun, len(entries))
 	reserve := append([]lob.PageRun{}, named...)
 	for _, e := range entries {
+		e.setStableDesc(e.obj.Capture()) // without the tail loadCatalog forgot
 		runs, err := e.obj.ReachablePages()
 		if err != nil {
 			return nil, err

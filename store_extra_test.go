@@ -243,8 +243,8 @@ func TestTxnChurnWithoutCheckpoints(t *testing.T) {
 			if err := o.Append(model); err != nil {
 				t.Fatal(err)
 			}
-			// The churn starts from a checkpointed store: the checkpoints
-			// it counts are its own.
+			// The append logged nothing: the first transaction to take x
+			// would checkpoint it (Store.checkpointUnlogged).
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}

@@ -173,8 +173,7 @@ func TestUncheckpointedNonTxnChangesLost(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// An Object write that no later commit, log force or checkpoint made
-	// durable: its record is lost in the crash, and the write with it.
+	// Non-transactional update without checkpoint: gone after a crash.
 	if err := o.Append(pat(5, 1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestUncheckpointedNonTxnChangesLost(t *testing.T) {
 	}
 	o2, _ := s2.Open("x")
 	if o2.Size() != 1000 {
-		t.Errorf("size = %d, want 1000 (an unforced update must vanish)", o2.Size())
+		t.Errorf("size = %d, want 1000 (unlogged update must vanish)", o2.Size())
 	}
 	if err := s2.Check(); err != nil {
 		t.Fatal(err)

@@ -270,6 +270,9 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 		e.obj.Rebind(t.scope.lm)
 		e.latch.Unlock()
 		t.touched = append(t.touched, e)
+		if err := t.s.checkpointUnlogged(e); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -280,17 +283,33 @@ func (t *Txn) Create(name string, threshold int) error {
 		return err
 	}
 	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	e, err := t.s.enter(name, threshold, t.scope.lm, func(r *wal.Record) (uint64, error) {
-		if err := t.s.locks.LockObject(t.id, r.Object, txn.Exclusive); err != nil {
-			return 0, err
-		}
-		return t.logOp(r)
-	})
-	if err == nil {
-		t.touched = append(t.touched, e)
+	if _, ok := t.s.catalog[name]; ok {
+		t.s.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	return err
+	e := &catEntry{id: t.s.nextID, name: name, obj: t.scope.lm.NewObject(threshold)}
+	t.s.nextID++
+	t.s.catalog[name] = e
+	t.s.byID[e.id] = e
+	t.s.measure(e, e.obj.DescriptorSize())
+	t.s.mu.Unlock()
+	err := t.s.locks.LockObject(t.id, e.id, txn.Exclusive)
+	var lsn uint64
+	if err == nil {
+		lsn, err = t.logOp(&wal.Record{Type: wal.RecCreate, Object: e.id, Data: []byte(name), N: int64(threshold)})
+	}
+	if err != nil {
+		// Nothing logged: the name is free again.
+		t.s.mu.Lock()
+		delete(t.s.catalog, name)
+		delete(t.s.byID, e.id)
+		t.s.measure(e, 0)
+		t.s.mu.Unlock()
+		return err
+	}
+	e.obj.SetLSN(lsn)
+	t.touched = append(t.touched, e)
+	return nil
 }
 
 // Destroy removes an object inside the transaction.  Its pages stay
@@ -400,7 +419,9 @@ func recordSplice(r *wal.Record) *lob.Splice {
 // It reads the size under the exclusive lock and the write latch, where
 // no other writer can move it; a newSize past it is out of bounds.
 func (t *Txn) Truncate(name string, newSize int64) error {
-	return t.splice(name, wal.RecDelete, func(o *lob.Object) (*lob.Splice, error) { return o.PrepareTruncate(newSize) })
+	return t.splice(name, wal.RecDelete, func(o *lob.Object) (*lob.Splice, error) {
+		return o.PrepareDelete(newSize, o.Size()-newSize)
+	})
 }
 
 // Replace overwrites bytes of the named object in place; the operation is

@@ -1523,11 +1523,6 @@ func TestLogFullBehindASealedForce(t *testing.T) {
 	if _, err := s.Create("x", 0); err != nil {
 		t.Fatal(err)
 	}
-	// The create's record is made durable first, so that the checkpoint's
-	// image begins a page.
-	if err := s.log.Force(); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
