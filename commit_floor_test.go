@@ -225,6 +225,32 @@ func TestCommitFloor(t *testing.T) {
 	}
 }
 
+// TestCommitFloorAlignedReplaceReadsNothing: a transaction's replace of
+// whole pages that no read before it kept keeps no byte of them, so it
+// plans without reading: the commit makes no data request at all.
+func TestCommitFloorAlignedReplaceReadsNothing(t *testing.T) {
+	s, _, data, _, model := floorStore(t, "x")
+	ps := s.PageSize()
+	off, repl := int64(6*ps), pat(71, 2*ps) // pages 6 and 7 of x's first segment
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Replace("x", off, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*data) != 0 {
+		t.Fatalf("data requests %+v, want none: the replace keeps no byte of its pages", *data)
+	}
+	copy(model["x"][off:], repl)
+	if !bytes.Equal(readObject(t, s, "x"), model["x"]) {
+		t.Fatal("content wrong after commit")
+	}
+}
+
 // fillRoom returns the bytes of room behind x's open tail, a segment of
 // T = 8 pages.
 func fillRoom(t *testing.T, s *Store) int {

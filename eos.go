@@ -12,7 +12,7 @@
 //
 //	obj.Append(data)          // continues the open tail segment, or starts one of T pages or more; streams (OpenAppender) grow by doubling
 //	obj.Read(off, n)          // multi-page contiguous transfers
-//	obj.Replace(off, data)    // in place, logged
+//	obj.Replace(off, data)    // in place: the pages wait in memory for the next checkpoint
 //	obj.Insert(off, data)     // splits a segment into L, N, R
 //	obj.Delete(off, n)        // subtree deletes never touch data pages
 //
@@ -151,7 +151,8 @@ type catEntry struct {
 	id       uint64
 	name     string
 	obj      *lob.Object
-	catBytes int // what it adds to the next checkpoint's image, as measured (Store.measure); under Store.mu
+	catBytes int    // what it adds to the next checkpoint's image, as measured (Store.measure); under Store.mu
+	changed  uint64 // Store.changes at its last write that logs nothing (Store.changedLocked); under Store.mu
 
 	// stableDesc is the descriptor of the object's last committed
 	// (published) state; nil means the object has never committed and
@@ -240,13 +241,12 @@ type Store struct {
 	// catBytes is the size of the image the next checkpoint logs, or more:
 	// the sum of the entries' measures (eos:guardedby mu; see measure).
 	catBytes int
-	// unlogged holds the objects a write that logs nothing (the Object API,
-	// Create, Rename, Destroy) changed since the last checkpoint captured
-	// them; the next checkpoint empties it (see checkpointUnlogged).
-	unlogged map[*catEntry]bool // eos:guardedby mu
-	// capturing holds the marks the running checkpoint took from unlogged:
-	// they count until its master copy is durable.
-	capturing map[*catEntry]bool // eos:guardedby mu
+	// changes counts the writes that log nothing (the Object API, Create,
+	// Rename, Destroy), and imaged is what it was when the newest durable
+	// image was captured: the writes past it reach recovery through no
+	// image yet (see checkpointUnlogged).
+	changes uint64 // eos:guardedby mu
+	imaged  uint64 // eos:guardedby mu
 
 	// ckptMu lets one checkpoint run at a time; it holds s.mu only for its
 	// capture and its completion (Checkpoint).
@@ -341,7 +341,6 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 		nextID:   1,
 		nextTxn:  1,
 		liveTxns: make(map[uint64]*Txn),
-		unlogged: make(map[*catEntry]bool),
 		catBytes: catCount,
 	}
 	s.epochs = txn.NewEpochManager(pool)
@@ -534,14 +533,16 @@ func (s *Store) goBack(e *catEntry) error {
 // at or below their epoch stamp, and a checkpoint numbered above their
 // barrier stamp captures the new descriptors; then the room of a tail no
 // root named goes back.  Behind goBack, the frees are dropped — the roots
-// gone back to name those pages — and every page d allocated goes back to
-// the free space at once, its images dropped, which may wake a stalled
-// allocation.  d returns to the pool either way.
+// gone back to name those pages —, so are its held pages, and every page d
+// allocated goes back to the free space at once, its images dropped, which
+// may wake a stalled allocation.  d returns to the pool either way, holding
+// no page.
 func (s *Store) endScope(d *deferredAlloc, committed bool) error {
 	var err error
 	if committed {
 		err = d.apply(s.epochs)
 	} else {
+		d.lm.DropHeld()
 		err = d.giveBack(d.lm.Forget)
 		s.epochs.Freed()
 	}
@@ -550,9 +551,9 @@ func (s *Store) endScope(d *deferredAlloc, committed bool) error {
 }
 
 // restAlloc is the allocator of the store's manager, which objects are
-// bound to between write scopes.  What is done to them there — reads,
-// replaces in place, trims of room no root named — frees no run a root
-// names: every operation that does runs in a scope.
+// bound to between write scopes.  What is done to them there — reads, and
+// recovery's redo — frees no run a root names: every operation that does
+// runs in a scope.
 type restAlloc struct{ epochAlloc }
 
 func (*restAlloc) Free(p disk.PageNum, n int) error {
@@ -779,7 +780,6 @@ func (s *Store) Checkpoint() error {
 	held = s.holdForCheckpoint()
 	defer s.releaseForCheckpoint(held)
 	if err != nil {
-		s.abandonLocked(ck)
 		return err
 	}
 	return s.completeLocked(ck)
@@ -798,8 +798,7 @@ type capture struct {
 	// writes lies behind it too.
 	start   uint64
 	pending lob.Captured // the write-behind set, taken behind the descriptors
-	// unlogged is the objects whose unlogged writes the image captures.
-	unlogged map[*catEntry]bool
+	changes uint64       // the writes that log nothing the image captures (Store.changes)
 }
 
 // captureLocked starts a checkpoint: the barrier, the image, the log
@@ -810,7 +809,7 @@ func (s *Store) captureLocked() *capture {
 	// The barrier starts before the descriptors are read: freed runs
 	// retired from now on wait for the next checkpoint, and their frames
 	// for this one's pool flush — the descriptors may name them.
-	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest(), unlogged: s.unlogged}
+	ck := &capture{barrier: s.epochs.StartBarrier(), nextID: s.nextID, start: s.log.Oldest(), changes: s.changes}
 	ck.image = s.imageLocked()
 	// The set is taken after the descriptors: every page a descriptor names
 	// was installed before the descriptor was stored — a commit installs
@@ -818,7 +817,6 @@ func (s *Store) captureLocked() *capture {
 	// pages before it publishes — so each is in the set taken here, or on
 	// the device.
 	ck.pending = s.pending.Capture()
-	s.unlogged, s.capturing = make(map[*catEntry]bool), ck.unlogged
 	return ck
 }
 
@@ -860,9 +858,8 @@ func (s *Store) completeLocked(ck *capture) error {
 	// keeps for nobody.  Without one it writes no master copy and releases
 	// nothing: redo from the newest copy's image still walks the roots it
 	// names.
-	optional := ck.start == s.last.start && len(ck.unlogged) == 0
+	optional := ck.start == s.last.start && ck.changes == s.imaged
 	if optional && len(s.epochs.Releasable(ck.barrier)) == 0 {
-		s.capturing = nil
 		return nil
 	}
 	// The image, forced.  An image the log has no room for fails here, with
@@ -870,47 +867,31 @@ func (s *Store) completeLocked(ck *capture) error {
 	// still names an image the log holds.
 	image, err := s.appendImage(ck)
 	if optional && errors.Is(err, wal.ErrLogFull) {
-		s.capturing = nil
 		return nil
 	}
 	if err != nil {
-		s.abandonLocked(ck)
 		return err
 	}
 	if err := s.log.ForceLSN(image); err != nil {
-		s.abandonLocked(ck)
 		return err
 	}
 	// The master copy, over the older one, forced.
 	m := master{seq: s.last.seq + 1, nextID: ck.nextID, start: ck.start, image: image,
 		spaces: s.opts.NumSpaces, spaceCapacity: s.opts.SpaceCapacity}
 	if err := s.writeMaster(m); err != nil {
-		s.abandonLocked(ck)
 		return err
 	}
 	if err := s.vol.Force(disk.PageNum(m.seq%masterPages), 1); err != nil {
-		s.abandonLocked(ck)
 		return err
 	}
 	s.last = m
+	s.imaged = ck.changes
 	s.barrierDurable.Store(ck.barrier)
-	s.capturing = nil
 	// Only now may the log go round over what lies in front of the new
 	// start: no master copy recovery can load names it any more.  Nor can
 	// it reach the freed runs stamped before this checkpoint.
 	s.log.Truncate(ck.start)
 	return s.releaseDurable()
-}
-
-// abandonLocked gives a failed checkpoint's unlogged marks back: no image
-// captured those writes.
-//
-// eos:requires s.mu
-func (s *Store) abandonLocked(ck *capture) {
-	for e := range ck.unlogged {
-		s.unlogged[e] = true
-	}
-	s.capturing = nil
 }
 
 // holdForCheckpoint notes that a checkpoint has taken s.mu, and when;
@@ -957,23 +938,33 @@ func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.byID[e.id] = e
 	e.setStableDesc(e.obj.PublishDescriptor())
 	s.measure(e, e.stableSize())
-	s.unlogged[e] = true
+	s.changedLocked(e)
 	return &Object{s: s, e: e}, nil
 }
 
+// changedLocked counts a write of e that logs nothing, once its new
+// stableDesc is stored: an image captured after the count holds it.
+//
+// eos:requires s.mu
+func (s *Store) changedLocked(e *catEntry) {
+	s.changes++
+	e.changed = s.changes
+}
+
 // checkpointUnlogged runs a checkpoint when a write that logs nothing has
-// changed e since the last checkpoint captured it.  A transaction calls it
-// at its first exclusive touch of e, once touch has bound e to it: recovery
-// splices the transaction's records into the root the image names, which
-// must be the root the transaction found.  No such write can follow before
-// the transaction ends.  A mark a running checkpoint has captured is not
-// cleared before its master copy is durable; this waits for that one and
+// changed e since the capture of the newest durable image.  A transaction
+// calls it at its first exclusive touch of e, once touch has bound e to it:
+// recovery splices the transaction's records into the root the image names,
+// which must be the root the transaction found, and a splice may copy bytes
+// that an Object Replace left only in the write-behind set.  No such write
+// can follow before the transaction ends.  A checkpoint that is running
+// counts only once its master copy is durable; this waits for that one and
 // runs another.
 func (s *Store) checkpointUnlogged(e *catEntry) error {
 	s.mu.Lock()
-	marked := s.unlogged[e] || s.capturing[e]
+	changed := e.changed > s.imaged
 	s.mu.Unlock()
-	if !marked {
+	if !changed {
 		return nil
 	}
 	return s.Checkpoint()
@@ -1026,7 +1017,7 @@ func (s *Store) Destroy(name string) error {
 	}
 	delete(s.catalog, name)
 	delete(s.byID, e.id)
-	s.unlogged[e] = true
+	s.changedLocked(e)
 	s.measure(e, 0)
 	s.mu.Unlock()
 	s.epochs.Reclaim()
@@ -1103,7 +1094,7 @@ func (s *Store) Rename(oldName, newName string) error {
 	e.name = newName
 	s.catalog[newName] = e
 	s.measure(e, e.stableSize())
-	s.unlogged[e] = true
+	s.changedLocked(e)
 	return nil
 }
 
@@ -1327,24 +1318,30 @@ func (o *Object) mutate(op func(obj *lob.Object) error) error {
 	o.e.latch.Unlock()
 	o.s.mu.Lock()
 	o.s.measure(o.e, o.e.stableSize())
-	o.s.unlogged[o.e] = true // after the new stableDesc: a checkpoint that clears it captured that
+	o.s.changedLocked(o.e)
 	o.s.mu.Unlock()
 	o.s.epochs.Reclaim()
 	return err
 }
 
 // write runs op on e as one write scope, under e's write latch, which the
-// caller holds: the pages op frees wait in the scope while the published
-// root and the catalog's descriptor still name them.  The commit point is
-// a transaction's (Txn.commitBarrier): e's root is published, so every
-// snapshot opened from now on captures it, the descriptor of what was
-// published becomes e's stableDesc, and only then does the scope end.  An
-// op that fails goes back to e's last commit point as an abort does, so a
-// failed write changes nothing.
+// caller holds: the pages op frees, and the pages a replace rewrote (its
+// held set), wait in the scope while the published root and the catalog's
+// descriptor still name the old ones.  The commit point is a transaction's
+// (the end of Txn.commitLog, then Txn.commitBarrier): the held pages enter
+// the write-behind set, e's root is published, so every snapshot opened
+// from now on captures it, the descriptor of what was published becomes
+// e's stableDesc, and only then does the scope end.  An op that fails goes
+// back to e's last commit point as an abort does, so a failed write changes
+// nothing.
 func (s *Store) write(e *catEntry, op func(*lob.Object) error) error {
 	d := s.scope()
 	e.obj.Rebind(d.lm)
-	if err := op(e.obj); err != nil {
+	err := op(e.obj)
+	if err == nil {
+		err = d.lm.PendHeld()
+	}
+	if err != nil {
 		if berr := errors.Join(s.goBack(e), s.endScope(d, false)); berr != nil {
 			err = errors.Join(err, berr)
 		}
@@ -1432,9 +1429,9 @@ func (o *Object) OpenAppender(sizeHint int64) *Appender {
 // Read returns n bytes starting at byte off (§4.2) of the object's last
 // committed version: what a snapshot opened now would read.  Like a
 // snapshot it takes no latch, so a writer holding the object does not hold
-// it up, and a transaction that holds the object shows none of its bytes
-// before it commits.  A non-transactional Replace has no commit: it is
-// visible as it writes, page by page.
+// it up, and a writer that holds the object — a transaction, or any Object
+// write, Replace included — shows none of its bytes before its commit
+// point.
 func (o *Object) Read(off, n int64) (data []byte, err error) {
 	err = o.read(func(v *lob.RootVersion) (err error) {
 		data, err = v.Read(off, n)
@@ -1463,16 +1460,20 @@ func (o *Object) read(f func(*lob.RootVersion) error) error {
 
 // Replace overwrites bytes in place (§4.2).  It leaves the index alone but
 // rewrites whole pages, the bytes around the range in its first and last
-// page included, so it takes the latch exclusively like every writer.
+// page included, so it runs as a write scope like every writer: it reads the
+// bytes those edge pages keep, holds the new page images in the scope, and
+// hands them to the write-behind set at its commit point.  The pages reach
+// the device at the next checkpoint, as a committed transaction's replaced
+// pages do.
 func (o *Object) Replace(off int64, data []byte) error {
-	o.e.latch.Lock()
-	if o.s.txnHolds(o.e) {
-		o.e.latch.Unlock()
-		return o.inUse()
-	}
-	err := o.e.obj.Replace(off, data)
-	o.e.latch.Unlock()
-	return err
+	return o.mutate(func(obj *lob.Object) error {
+		plan, err := obj.PrepareReplace(off, data, nil)
+		if err != nil {
+			return err
+		}
+		plan.Hold()
+		return nil
+	})
 }
 
 // Insert inserts data at byte off (§4.3.1).

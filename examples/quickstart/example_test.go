@@ -10,7 +10,7 @@ func Example() {
 	// random 4 KB read at 7 MB: reads=1 writes=0 pagesIn=1 pagesOut=0 seeks=1 time=26.00ms
 	// small middle insert:  reads=1 writes=1 pagesIn=7 pagesOut=8 seeks=2 time=74.10ms
 	// 1 MB middle delete:   reads=0 writes=0 pagesIn=0 pagesOut=0 seeks=0 time=0.00ms
-	// in-place replace:     reads=1 writes=1 pagesIn=1 pagesOut=1 seeks=2 time=52.00ms
+	// in-place replace:     reads=1 writes=0 pagesIn=1 pagesOut=0 seeks=1 time=26.00ms
 	// final size: 9437212 bytes
 	// store check: OK
 }

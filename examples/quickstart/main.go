@@ -78,7 +78,9 @@ func main() {
 	}
 	fmt.Printf("1 MB middle delete:   %v\n", vol.Stats())
 
-	// Replace overwrites in place.
+	// Replace overwrites in place: it reads the page whose other bytes it
+	// keeps, and the new page waits in memory until the next checkpoint
+	// writes it home (§4.5's no-force).
 	vol.ResetStats()
 	if err := obj.Replace(100, []byte("REPLACED")); err != nil {
 		log.Fatal(err)

@@ -7,18 +7,19 @@ import (
 	"github.com/eosdb/eos/internal/disk"
 )
 
-// The held set: an open transaction's replaced pages.
+// The held set: an open write scope's replaced pages.
 //
-// A transactional replace writes nothing (ReplacePlan.Hold): the images of
-// the pages it rewrote stay with the transaction's manager, which reads them
-// before the write-behind set and the device (readPages).  So the
+// A replace in a write scope writes nothing (ReplacePlan.Hold): the images of
+// the pages it rewrote stay with the scope's manager, which reads them
+// before the write-behind set and the device (readPages).  So a
 // transaction's own later operations see its bytes — a read, another replace,
 // the old bytes an insert, delete or compaction copies into fresh pages —
-// while snapshots, which read through the store's manager, do not.  Once the
-// commit record is forced the images enter the write-behind set (PendHeld);
-// an abort forgets them (DropHeld).  No uncommitted byte ever reaches a page
-// a committed root names, on the device or in the write-behind set, so
-// recovery has nothing to undo.
+// while snapshots, which read through the store's manager, do not.  At the
+// scope's commit point — a transaction's once its commit record is forced,
+// an Object Replace's at once — the images enter the write-behind set
+// (PendHeld); a scope that goes back forgets them (DropHeld).  No
+// uncommitted byte ever reaches a page a committed root names, on the device
+// or in the write-behind set, so recovery has nothing to undo.
 //
 // One other writer keeps to that: an append that continues a tail whose
 // partial last page is held puts that page's new image in the held set, not
@@ -79,9 +80,9 @@ func heldImages(start disk.PageNum, raw []byte, ps int) []heldPage {
 }
 
 // PendHeld hands the held pages to the write-behind set and empties the
-// held set: the transaction's commit record is durable, and the images may
-// reach the device from now on.  With no set (Config.Pending nil) they are
-// written.
+// held set: the scope is at its commit point — a transaction's commit record
+// is durable —, and the images may reach the device from now on.  With no
+// set (Config.Pending nil) they are written.
 func (m *Manager) PendHeld() error {
 	held := m.held.set
 	m.DropHeld()
@@ -101,5 +102,5 @@ func (m *Manager) PendHeld() error {
 	return nil
 }
 
-// DropHeld forgets the held pages unwritten: their transaction aborted.
+// DropHeld forgets the held pages unwritten: their scope went back.
 func (m *Manager) DropHeld() { m.held.set = nil }

@@ -310,11 +310,12 @@ func TestReplaceInPlace(t *testing.T) {
 	}
 }
 
-// TestReplacePlan: a plan reads each touched page run exactly once and
-// yields the pre-image; nothing is written by Hold, which reads nothing and
-// makes the manager's reads see the new bytes — but not another manager's
-// over the same volume and write-behind set, the store's, until PendHeld
-// hands the images to the set.
+// TestReplacePlan: a plan reads only the bytes the edge pages of each piece
+// keep — one request for both edges of a piece when the pages between are
+// few, none for a page-aligned piece — and yields the pre-image; nothing is
+// written by Hold, which reads nothing and makes the manager's reads see the
+// new bytes — but not another manager's over the same volume and
+// write-behind set, the store's, until PendHeld hands the images to the set.
 func TestReplacePlan(t *testing.T) {
 	e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
 	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
@@ -334,22 +335,24 @@ func TestReplacePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 2 {
-		t.Fatalf("object has %d segments, want several", len(segs))
+	var pages []int
+	for _, sg := range segs {
+		pages = append(pages, sg.Pages)
+	}
+	if fmt.Sprint(pages) != "[1 2 4 7]" {
+		t.Fatalf("segments of %v pages, want [1 2 4 7]", pages)
 	}
 	for _, c := range []struct {
-		off int64
-		n   int
+		off   int64
+		n     int
+		reads int64
 	}{
-		{0, 1}, {50, 200}, {99, 2}, {550, 100}, {0, 1337},
+		{0, 1, 1},     // the first page's last 99 bytes
+		{50, 200, 2},  // the first page's first 50 bytes, and the last 50 of the second segment's page 1
+		{99, 2, 2},    // an edge in each of the first two segments
+		{550, 100, 1}, // both edges of one piece, adjacent pages: one request
+		{0, 1337, 1},  // three page-aligned pieces read nothing; the last page's slack
 	} {
-		// One request per segment the range overlaps.
-		pieces := int64(0)
-		for _, sg := range segs {
-			if sg.LogicalOff < c.off+int64(c.n) && c.off < sg.LogicalOff+sg.Bytes {
-				pieces++
-			}
-		}
 		repl := pattern(int(c.off)+77, c.n)
 		before := e.vol.Stats()
 		plan, err := o.PrepareReplace(c.off, repl, nil)
@@ -357,9 +360,9 @@ func TestReplacePlan(t *testing.T) {
 			t.Fatalf("PrepareReplace(%d,%d): %v", c.off, c.n, err)
 		}
 		mid := e.vol.Stats()
-		if got := mid.Reads - before.Reads; got != pieces || mid.Writes != before.Writes {
+		if got := mid.Reads - before.Reads; got != c.reads || mid.Writes != before.Writes {
 			t.Errorf("PrepareReplace(%d,%d): %d reads, %d writes; want %d, 0",
-				c.off, c.n, got, mid.Writes-before.Writes, pieces)
+				c.off, c.n, got, mid.Writes-before.Writes, c.reads)
 		}
 		mustContent(t, o, model)
 		committed := append([]byte{}, model...)

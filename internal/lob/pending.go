@@ -17,14 +17,16 @@ import (
 //     the tail is open the next append continues in the pages it left, and
 //     once an append has filled its room they stay, a closed tail's, for
 //     the checkpoint;
-//   - the pages a committed transaction's replaces rewrote
-//     (Manager.PendHeld): they wait here instead of being written home
-//     behind the commit force, and a later replace of a pending page only
-//     overwrites its image.
+//   - the pages a replace rewrote, once its write scope is past its commit
+//     point — a committed transaction's, or an Object Replace's
+//     (Manager.PendHeld): they wait here instead of being written home,
+//     and a later replace of a pending page only overwrites its image.
 //
 // Nothing on the device needs them yet: a transactional append's record
 // carries the bytes it left here by value, a replace's its bytes, and recovery
 // rebuilds the pages from them on the roots the last checkpoint image names.
+// An Object Replace logs nothing: its pages reach recovery only through the
+// next checkpoint's image.
 // Every read of a data page looks here,
 // after its manager's held set (Manager.readPages): object and snapshot
 // reads, PrepareReplace, and the old bytes an insert, delete, replace or tail
@@ -56,14 +58,14 @@ import (
 // page writes it first — unless no root but an aborted one names its bytes:
 // pages an aborted transaction allocated (Manager.Forget), and the room of a
 // tail its abort reinstates (Object.Reinstate) — and whoever writes a
-// pending page from outside the set (a non-transactional replace, a fill
+// pending page from outside the set (recovery's redo of a replace, a fill
 // that writes through) drops its image in the same critical section under
 // Pending.mu, so that the image is never written over the newer page later.
 // The one write made outside Pending.mu, a captured run's, marks its pages
 // in flight first: nobody else writes or drops them until it is done, and
 // it drops only the pages whose image is still the one it captured.  A
-// transaction's uncommitted replaced pages are not here: they wait in its
-// held set (held.go) until its commit record is forced.
+// write scope's replaced pages are not here before its commit point: they
+// wait in its held set (held.go).
 
 // Pending is the write-behind set of one volume: its pending pages, their
 // limit, and their writes.  Managers over one volume share one

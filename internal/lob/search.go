@@ -234,26 +234,26 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 
 // Replace overwrites len(data) bytes starting at off with data.  Replace
 // modifies leaf pages in place without touching any index node — the one
-// EOS update that is logged rather than shadowed (§4.5).  It writes through:
-// the images the write-behind set held of the pages are dropped.
+// EOS update that is logged rather than shadowed (§4.5).  Each segment
+// piece is planned as PrepareReplace plans it and written home, with the
+// images the write-behind set held of its pages dropped, before the next
+// is read: recovery's redo and managers without a write scope replace so.
 func (o *Object) Replace(off int64, data []byte) error {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return err
 	}
 	o.m.st.replaces.Add(1)
-	pos := int64(0)
-	return o.m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
-		err := o.m.replaceInSegment(seg, segOff, data[pos:pos+n])
-		pos += n
-		return err
-	}})
+	return (&ReplacePlan{o: o}).plan(off, data, nil, func(run planRun) error {
+		return o.m.writeHome(run.start, run.raw)
+	})
 }
 
 // ReplacePlan is an in-place replace prepared but not yet written: the
-// post-image of every page the replace touches.  PrepareReplace reads each
-// touched page run once; Hold reads nothing.  A plan stays correct only
-// while nothing else rewrites or moves the pages it covers — the
-// transaction layer's object lock keeps every other writer off them.
+// post-image of every page the replace touches.  PrepareReplace reads only
+// the bytes the touched pages keep; Hold reads nothing.  A plan stays
+// correct only while nothing else rewrites or moves the pages it covers —
+// the object's write latch, or a transaction's object lock, keeps every
+// other writer off them.
 type ReplacePlan struct {
 	o     *Object
 	runs  []planRun
@@ -268,40 +268,49 @@ type planRun struct {
 }
 
 // PrepareReplace plans overwriting len(data) bytes at off with data: one
-// tree walk, and per segment piece one read of the whole page run the
-// piece touches (the non-transactional Replace reads only the boundary
-// pages).  A piece whose page run have holds — have may be nil — is taken
-// from there instead of the device; the plan then owns those images and
-// writes into them, so have is spent.  Held and pending pages come from
-// their sets.
+// tree walk, and per segment piece the post-image of its page run.  A piece
+// whose page run have holds — have may be nil — is taken from there; the
+// plan then owns those images and writes into them, so have is spent.  Of
+// any other piece only the bytes its first and last page keep are read, in
+// one request unless the pages between them would cost more to transfer
+// than a second reposition (Manager.gather); a page-aligned piece reads
+// nothing.  Held and pending pages come from their sets.
 func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*ReplacePlan, error) {
 	if err := o.checkRange(off, int64(len(data))); err != nil {
 		return nil, err
 	}
-	m := o.m
-	ps := m.vol.PageSize()
 	p := &ReplacePlan{o: o}
-	pos := int64(0)
-	err := m.walkRange(o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
-		first, npages, in := disk.PageSpan(segOff, n, ps)
-		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, npages, ps)}
-		if run.raw != nil {
-			p.saved++
-		} else {
-			run.raw = make([]byte, npages*ps)
-			if err := m.readPages(run.start, npages, run.raw); err != nil {
-				return err
-			}
-		}
-		copy(run.raw[in:], data[pos:pos+n])
-		pos += n
+	if err := p.plan(off, data, have, func(run planRun) error {
 		p.runs = append(p.runs, run)
 		return nil
-	}})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// plan is the one replace planner: it builds the post-image of each segment
+// piece of a replace inside the object, in logical order, and hands it to
+// each before it reads the next.
+func (p *ReplacePlan) plan(off int64, data []byte, have *PageImages, each func(planRun) error) error {
+	m := p.o.m
+	ps := m.vol.PageSize()
+	pos := int64(0)
+	return m.walkRange(p.o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
+		head, tail, first := disk.Around(seg.ptr, segOff, n, ps)
+		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, int(head.N+n+tail.N)/ps, ps)}
+		if run.raw != nil {
+			p.saved++
+		} else {
+			var err error
+			if run.raw, _, err = m.gather(nil, head, n, tail); err != nil {
+				return err
+			}
+		}
+		copy(run.raw[head.N:], data[pos:pos+n])
+		pos += n
+		return each(run)
+	}})
 }
 
 // ReadsSaved is the number of segment pieces whose page run came from the
@@ -319,20 +328,4 @@ func (p *ReplacePlan) Hold() {
 	}
 	m.held.hold(add)
 	m.st.replaces.Add(1)
-}
-
-// replaceInSegment rewrites bytes [segOff, segOff+len(data)) of one
-// segment: the bytes its first and last page keep are read — in one
-// request unless the pages between them would cost more to transfer than
-// a second reposition — the pages between are overwritten outright, and
-// the whole affected page run is written back in a single contiguous
-// request.
-func (m *Manager) replaceInSegment(seg entry, segOff int64, data []byte) error {
-	head, tail, first := disk.Around(seg.ptr, segOff, int64(len(data)), m.vol.PageSize())
-	raw, _, err := m.gather(nil, head, int64(len(data)), tail)
-	if err != nil {
-		return err
-	}
-	copy(raw[head.N:], data)
-	return m.writeHome(seg.ptr+first, raw)
 }

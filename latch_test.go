@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/eosdb/eos/internal/disk"
 )
 
 // TestStripeCommitsShareBoundaryPages runs eight clients that each commit
@@ -165,14 +167,16 @@ func TestWritersLatchTheTree(t *testing.T) {
 
 // TestReplacesOfSharedPagesTakeTheWriteLatch runs non-transactional
 // Replaces of adjacent byte ranges of one object, each writer owning one
-// stripe, beside a transaction's reader.  The stripes are not page-aligned,
-// so neighbours share boundary pages, and a Replace rewrites its boundary
-// pages whole: two writers in one page at once would each write back the
-// other's old bytes.  The write latch keeps them apart, and keeps the
-// reader, which reads the live tree under the shared latch, from seeing a
-// stripe half-written.  (An Object read takes no latch: it may see a Replace
-// page by page, as a snapshot does.)  Every round all writers replace at
-// once, and then the object must hold what each wrote.
+// stripe, beside two readers: a transaction's, which reads the live tree
+// under the shared latch, and an Object read, which takes no latch and reads
+// the last committed version.  The stripes are not page-aligned, so
+// neighbours share boundary pages, and a Replace rewrites its boundary pages
+// whole: two writers in one page at once would each write back the other's
+// old bytes.  The write latch keeps them apart and keeps the transaction's
+// reader out while a Replace runs; a Replace's pages reach the write-behind
+// set at its commit point, all at once, so neither reader may ever see a
+// stripe half-written.  Every round all writers replace at once, and then
+// the object must hold what each wrote.
 func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 	s, _, _ := newStore(t, Options{})
 	o, _ := s.Create("shared", 0)
@@ -190,24 +194,16 @@ func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(readErr)
+	readErr := make(chan error, 2)
+	reader := func(read func() ([]byte, error)) {
 		for {
 			select {
 			case <-done:
+				readErr <- nil
 				return
 			default:
 			}
-			tx, err := s.Begin()
-			if err != nil {
-				readErr <- err
-				return
-			}
-			got, err := tx.Read("shared", 0, int64(len(model)))
-			if aerr := tx.Abort(); err == nil {
-				err = aerr
-			}
+			got, err := read()
 			for i := 0; err == nil && i < stripes; i++ {
 				stripe := got[i*stripeLen : (i+1)*stripeLen]
 				if !bytes.Equal(stripe, bytes.Repeat(stripe[:1], stripeLen)) {
@@ -219,7 +215,19 @@ func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 				return
 			}
 		}
-	}()
+	}
+	go reader(func() ([]byte, error) {
+		tx, err := s.Begin()
+		if err != nil {
+			return nil, err
+		}
+		got, err := tx.Read("shared", 0, int64(len(model)))
+		if aerr := tx.Abort(); err == nil {
+			err = aerr
+		}
+		return got, err
+	})
+	go reader(func() ([]byte, error) { return o.Read(0, int64(len(model))) })
 	for r := 0; r < rounds && !t.Failed(); r++ {
 		var wg sync.WaitGroup
 		for i := 0; i < stripes; i++ {
@@ -244,11 +252,92 @@ func TestReplacesOfSharedPagesTakeTheWriteLatch(t *testing.T) {
 		}
 	}
 	close(done)
-	if err := <-readErr; err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readingVolume is a data volume that runs onWrite, while it is set, before
+// each write.
+type readingVolume struct {
+	disk.Device
+	onWrite func()
+}
+
+func (v *readingVolume) WritePages(start disk.PageNum, n int, buf []byte) error {
+	if v.onWrite != nil {
+		v.onWrite()
+	}
+	return v.Device.WritePages(start, n, buf)
+}
+
+func (v *readingVolume) WriteRun(start disk.PageNum, pages [][]byte) error {
+	if v.onWrite != nil {
+		v.onWrite()
+	}
+	return v.Device.WriteRun(start, pages)
+}
+
+// TestObjectReadSeesAReplaceWhole replaces a range of x that spans two
+// segments, and reads that range with Object.Read whenever the data volume
+// is about to write — during the Replace, and during the checkpoint behind
+// it.  A Replace is a commit point like every Object
+// write: the read must return all the old bytes or all the new ones, never
+// one segment's new bytes beside the other's old ones.
+func TestObjectReadSeesAReplaceWhole(t *testing.T) {
+	vol := &readingVolume{Device: newTestDevice(t, 512, 4096)}
+	s, err := Format(vol, newTestDevice(t, 512, 1024), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, _ := s.Create("x", 0)
+	old := append(pat(1, 3000), pat(2, 3000)...)
+	for _, part := range [][]byte{old[:3000], old[3000:]} {
+		if err := o.AppendWithHint(part, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := s.catalog["x"].obj.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 {
+		t.Fatalf("x has %d segments, want 2", len(segs))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const off, n = 2500, 1000
+	repl := pat(3, n)
+	reads := 0
+	vol.onWrite = func() {
+		reads++
+		got, err := o.Read(off, n)
+		if err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(got, old[off:off+n]) && !bytes.Equal(got, repl) {
+			t.Errorf("read %d, beside a write, saw the replace in part", reads)
+		}
+	}
+	if err := o.Replace(off, repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	vol.onWrite = nil
+	if reads == 0 {
+		t.Fatal("nothing wrote to the data volume")
+	}
+	want := append([]byte{}, old...)
+	copy(want[off:], repl)
+	if !bytes.Equal(readObject(t, s, "x"), want) {
+		t.Fatal("x does not hold the replace")
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // meanwhile, and an aborted one is never seen.  Once committed, a
 // replace over a snapshotted range is visible, page-atomic (a read never
 // sees a torn page, but a multi-page replace may be observed partially
-// applied).  The non-transactional Object.Replace has no commit: it is
-// visible as it writes.
+// applied).  An Object Replace is visible from its commit point on, as
+// every Object write is.
 //
 // A Snapshot is safe for concurrent use by multiple goroutines except
 // for the Read/Seek cursor, which is single-user; use ReadAt for

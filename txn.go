@@ -662,7 +662,6 @@ func (t *Txn) Abort() error {
 	}
 	t.kept = keptRead{}
 	t.done = true
-	t.scope.lm.DropHeld()
 	var err error
 	for _, e := range t.touched {
 		e.latch.Lock()

@@ -2,6 +2,7 @@ package eos
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -9,8 +10,8 @@ import (
 // view of an object only through a checkpoint's image.  Recovery redoes a
 // transaction's records on the root that image names, so a transaction's
 // first exclusive touch of an object such a write changed since the last
-// checkpoint checkpoints first (Store.checkpointUnlogged).  The two tests
-// below start where replaceStore leaves x: 6 000 bytes, checkpointed.
+// checkpoint checkpoints first (Store.checkpointUnlogged).  Most tests below
+// start where replaceStore leaves x: 6 000 bytes, checkpointed.
 
 // TestTxnAfterAnUnloggedAppend: an unlogged append grows x to 9 000 bytes,
 // and a transaction then inserts at byte 8 000 — beyond what the last image
@@ -47,6 +48,69 @@ func TestTxnAfterAnUnloggedAppend(t *testing.T) {
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTxnAfterAnUnloggedReplace: an Object Replace rewrites pages 2 to 29
+// of a 40-page object, whose new images then wait in the write-behind set,
+// and a transaction inserts in the middle of the replaced range and commits.
+// The insert's splice keeps the pages on either side where they are — each
+// side holds at least T pages — so the replaced bytes on them are still only
+// in memory when its record names them.  After a crash, the object must
+// hold the whole replace and the insert.  In the second case a checkpoint
+// fails between the replace and the transaction: it made no image, so the
+// replace still counts as one no image holds.
+func TestTxnAfterAnUnloggedReplace(t *testing.T) {
+	for _, failed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "replace", true: "replace, then a failed checkpoint"}[failed], func(t *testing.T) {
+			s, vol, logVol := newStore(t, Options{})
+			o, err := s.Create("x", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := s.PageSize()
+			want := pat(44, 40*ps)
+			if err := o.AppendWithHint(want, int64(len(want))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			repl := pat(45, 28*ps)
+			if err := o.Replace(int64(2*ps), repl); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[2*ps:], repl)
+			if failed {
+				vol.FailAfter(0, errors.New("boom"))
+				if err := s.Checkpoint(); err == nil {
+					t.Fatal("the checkpoint on a failing volume succeeded")
+				}
+				vol.ClearFault()
+			}
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, ins := 16*ps+100, pat(46, 300)
+			if err := tx.Insert("x", int64(off), ins); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want[:off:off], append(append([]byte{}, ins...), want[off:]...)...)
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), want) {
+				t.Fatal("x after the crash is not the replace and the committed insert")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
