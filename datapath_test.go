@@ -209,6 +209,10 @@ func TestReadsLandInTheCallersBuffer(t *testing.T) {
 				}
 				model = append(model, seg...)
 			}
+			// The hinted appends' pages wait for a checkpoint; write them.
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 			// A plain append leaves a segment of two pages pending.
 			more := pat(9, 2*ps)
 			if err := o.Append(more); err != nil {

@@ -1391,7 +1391,12 @@ func (o *Object) Append(data []byte) error {
 }
 
 // AppendWithHint appends data; a positive sizeHint (total expected bytes)
-// lets the manager allocate a segment just large enough (§4.1).
+// lets the manager allocate a segment just large enough (§4.1).  It writes
+// nothing: the new segment goes right after the object's last one when
+// those pages are free, and its pages wait in the write-behind set, so the
+// object's appends between two checkpoints reach the device as one run at
+// the next checkpoint — which is when they become durable, as every Object
+// write does.
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
 	return o.mutate(func(obj *lob.Object) error { return obj.AppendWithHint(data, sizeHint) })
 }

@@ -17,7 +17,12 @@ import (
 //     space, which is trivial because the buddy system frees with one-page
 //     precision.
 //   - A hinted append (AppendWithHint with a positive hint) says how much
-//     is coming: segments just large enough, trimmed at once.
+//     is coming: segments just large enough, trimmed at once.  With a
+//     write-behind set its pages wait there, a closed tail's, until a
+//     checkpoint, and its first new segment goes right after the object's
+//     last one when the allocator can place it there: one object's hinted
+//     appends between two checkpoints are one run of pages, which the
+//     checkpoint writes in one request.
 //   - A plain Append holds all its bytes, so it allocates what it writes —
 //     but never less than T pages, and it trims the tail segment only down
 //     to T pages while it holds fewer: the calls on one object are a stream
@@ -56,7 +61,7 @@ func (a *Appender) Write(p []byte) (int, error) {
 	if a.closed {
 		return 0, fmt.Errorf("lob: appender closed")
 	}
-	if err := a.o.appendBytes(p, a.hint, 0, false); err != nil {
+	if err := a.o.appendBytes(p, a.hint, 0, streamed); err != nil {
 		return 0, err
 	}
 	a.hint -= int64(len(p))
@@ -90,9 +95,11 @@ func (o *Object) Append(data []byte) error {
 
 // AppendWithHint appends data, using sizeHint (total bytes expected to
 // follow, including data) to size the allocation when positive, and trims
-// the tail: the caller has said how much is coming.
+// the tail: the caller has said how much is coming.  With a write-behind set
+// it writes nothing: its pages wait in the set, placed right after the
+// object's last segment when they can be (prepareAppend).
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
-	return o.appendBytes(data, sizeHint, 0, true)
+	return o.appendBytes(data, sizeHint, 0, hinted)
 }
 
 // SetGrowthHint overrides the doubling schedule: the next segment
@@ -167,8 +174,8 @@ func (o *Object) tailEntry() (startByte, length int64, err error) {
 }
 
 // appendBytes appends data, all of it or none: prepareAppend, then Apply.
-func (o *Object) appendBytes(data []byte, sizeHint int64, open int, trim bool) error {
-	sp, err := o.prepareAppend(data, sizeHint, open, trim)
+func (o *Object) appendBytes(data []byte, sizeHint int64, open int, mode appendMode) error {
+	sp, err := o.prepareAppend(data, sizeHint, open, mode)
 	if err != nil || sp == nil {
 		return err
 	}
@@ -201,7 +208,7 @@ func (o *Object) apply(sp *Splice) error {
 // — and leaves the tail as Append does.
 func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 	if o.growFixed {
-		return o.prepareAppend(data, 0, 0, true)
+		return o.prepareAppend(data, 0, 0, trimmed)
 	}
 	open := o.threshold
 	if o.m.cfg.AdaptiveThreshold {
@@ -209,7 +216,7 @@ func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 		// a compacted one; no room is kept behind a segment that can move.
 		open = 0
 	}
-	return o.prepareAppend(data, int64(len(data)), open, true)
+	return o.prepareAppend(data, int64(len(data)), open, trimmed)
 }
 
 // prepareAppend prepares appending data.  Everything that can run out of
@@ -225,11 +232,18 @@ func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 // call filled pending in memory — unless the manager writes through; their
 // bytes are the Splice's Data.  So does the room of the old tail when this
 // call fills it, while everything behind it stays in memory too and the log
-// is not busy (Config.LogBusy).  With trim the last segment is then trimmed:
-// down to open pages while it holds less than open pages of bytes and stays
-// open, else to its bytes, closed.  Without, it keeps its whole allocation
-// (an Appender's stream).
-func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool) (*Splice, error) {
+// is not busy (Config.LogBusy).  Unless mode is streamed the last segment is
+// then trimmed: down to open pages while it holds less than open pages of
+// bytes and stays open, else to its bytes, closed.  A streamed one keeps its
+// whole allocation (an Appender's stream).
+//
+// A hinted append on a manager with a write-behind set writes nothing: every
+// page it fills stays pending, a closed tail's, and its first new segment
+// goes to the page right after the object's last one when the allocator can
+// place it there (Manager.allocRun), so that one object's hinted appends
+// between two checkpoints are one run of pages, which the checkpoint's
+// address-order pass writes in one request.
+func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appendMode) (*Splice, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -238,8 +252,11 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 	ps := m.vol.PageSize()
 	held := o.tailHeld()
 	maxSeg := m.alloc.MaxSegmentPages()
-	// behind: a last segment holding n bytes stays open, its pages pending.
+	// behind: a last segment holding n bytes stays open, its pages pending;
+	// waits: every page this call fills stays pending.
 	behind := func(n int64) bool { return open > 0 && m.cfg.Pending != nil && n < int64(open)*int64(ps) }
+	waits := mode == hinted && m.cfg.Pending != nil
+	var at disk.PageNum // where the next new segment goes when it can: 0 anywhere
 
 	sp := m.newSplice(o.size, o.size)
 	byValue := 0         // the last bytes of data that stay in memory
@@ -252,6 +269,9 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 		if err != nil {
 			return nil, err
 		}
+		if waits {
+			at = tail.ptr + disk.PageNum(max(pagesFor(tail.bytes, ps), o.tailAlloc))
+		}
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
 			// The fill stays in memory while the tail stays open.  One that
 			// fills the tail stays too, a closed tail's, when the bytes behind
@@ -259,7 +279,7 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 			// —, no replace holds the page it starts in, and the log has room
 			// for them.
 			rest := int64(len(data)) - w
-			later = rest == 0 && behind(tail.bytes+w) || !held && behind(rest) && !m.logBusy()
+			later = waits || rest == 0 && behind(tail.bytes+w) || !held && behind(rest) && !m.logBusy()
 			if fill.start, fill.raw, err = m.extend(o.tailStart, tail.bytes, data[:w], later); err != nil {
 				return nil, err
 			}
@@ -296,22 +316,25 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 	for len(remaining) > 0 {
 		want := grow
 		if sizeHint > 0 {
-			if hinted := pagesFor(sizeHint-int64(len(data)-len(remaining)), ps); hinted > 0 {
-				want = hinted
+			if exact := pagesFor(sizeHint-int64(len(data)-len(remaining)), ps); exact > 0 {
+				want = exact
 			}
 		}
-		start, got, err := m.alloc.AllocUpTo(max(1, min(max(want, open), maxSeg)))
+		start, got, err := m.allocRun(max(1, min(max(want, open), maxSeg)), at, &m.st.appendsPlaced)
 		if err != nil {
 			return nil, m.giveBack(sp.runs, err)
 		}
 		sp.runs = append(sp.runs, PageRun{Start: start, Pages: got})
 		grow = min(got*2, maxSeg)
 		w := min(int64(got)*int64(ps), int64(len(remaining)))
-		pend := w == int64(len(remaining)) && behind(w)
+		if waits {
+			at = start + disk.PageNum(pagesFor(w, ps))
+		}
+		pend := waits || w == int64(len(remaining)) && behind(w)
 		img := m.pageImage(remaining[:w], pend)
 		if pend {
 			sp.pend = append(sp.pend, pageImage{start: start, raw: img})
-			byValue = max(byValue, int(w))
+			byValue = max(byValue, len(remaining))
 		} else if err := m.writeImage(start, img); err != nil {
 			return nil, m.giveBack(sp.runs, err)
 		}
@@ -338,7 +361,7 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 	// now — no root has named it —; an old tail's, when Apply frees it.
 	last := &sp.Entries[len(sp.Entries)-1]
 	last.Pages = alloc
-	if trim && alloc > 0 {
+	if mode != streamed && alloc > 0 {
 		last.Pages = 0
 		if last.Bytes < int64(open)*int64(ps) {
 			last.Pages = max(pagesFor(last.Bytes, ps), min(open, alloc))
@@ -355,6 +378,16 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, trim bool)
 	}
 	return sp, nil
 }
+
+// appendMode says what an append leaves of the last segment, and where its
+// pages go (prepareAppend).
+type appendMode uint8
+
+const (
+	streamed appendMode = iota // an Appender's: its whole allocation stays
+	trimmed                    // trimmed to its bytes, or to open pages while it holds fewer
+	hinted                     // trimmed to its bytes, placed and left pending when the manager has a write-behind set
+)
 
 // extend returns the page run that writing data at byte have of the segment
 // whose first page is start makes, from the page data starts in to the page

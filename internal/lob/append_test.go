@@ -594,6 +594,9 @@ func TestNoInPlaceWriteAfterTheTailWasCut(t *testing.T) {
 			if err := o.AppendWithHint(pattern(80, 800), 800); err != nil {
 				t.Fatal(err)
 			}
+			if err := flush(e.m.cfg.Pending); err != nil { // the hinted append's pages wait for a checkpoint
+				t.Fatal(err)
+			}
 			if err := o.Append(pattern(81, 130)); err != nil {
 				t.Fatal(err)
 			}
@@ -812,7 +815,10 @@ func TestPendingBudget(t *testing.T) {
 	}
 	w := e.m.NewObject(0)
 	wm := pattern(9, 800)
-	if err := w.AppendWithHint(wm, 800); err != nil { // 8 pages, written
+	if err := w.AppendWithHint(wm, 800); err != nil { // 8 pages, pending
+		t.Fatal(err)
+	}
+	if err := flush(e.m.cfg.Pending); err != nil { // and written, as a checkpoint does
 		t.Fatal(err)
 	}
 	repl := pattern(8, 100)

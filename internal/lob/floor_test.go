@@ -315,15 +315,17 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 
 	case "append", "append-plain":
 		// §4.1.  On a trimmed tail the bytes go to a segment of their own,
-		// written once, nothing read.  The room of a tail a plain Append left
-		// open is filled first, in place, from its pending run's first page —
-		// or, with none, from its partial page, which is read back.  A plain
-		// Append leaves the last segment's pages pending while it holds fewer
-		// than T pages of bytes, and the room it fills with them; anything
-		// else is written in one request per segment, the old tail's first.
-		// A tail already full stays pending as it is.
+		// nothing read.  The room of a tail a plain Append left open is
+		// filled first, in place, from its pending run's first page — or,
+		// with none, from its partial page, which is read back.  A hinted
+		// append ("append") writes nothing: all it fills waits in the
+		// write-behind set for the next flush ("appends").  A plain Append
+		// leaves the last segment's pages pending while it holds fewer than T
+		// pages of bytes, and the room it fills with them; anything else is
+		// written in one request per segment, the old tail's first.  A tail
+		// already full stays pending as it is.
 		plain := op == "append-plain"
-		open := func(bytes int64) bool { return plain && bytes < int64(g.t)*g.ps }
+		through := func(bytes int64) bool { return plain && bytes >= int64(g.t)*g.ps }
 		var out []floorReq
 		if last := g.segs[len(g.segs)-1]; g.tailPages > 0 {
 			if w := min(int64(g.tailPages)*g.ps-last.Bytes, n); w > 0 {
@@ -333,16 +335,24 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 				} else if last.Bytes%g.ps != 0 {
 					out = append(out, floorReq{start: last.StartPage + disk.PageNum(lo), pages: 1})
 				}
-				if !open(n - w) {
+				if through(n - w) {
 					out = append(out, floorReq{write: true, start: last.StartPage + disk.PageNum(lo), pages: int(hi - lo + 1)})
 				}
 				n -= w
 			}
 		}
-		if n > 0 && !open(n) {
+		if n > 0 && through(n) {
 			out = append(out, g.newSegment(n, 0))
 		}
 		return out
+
+	case "appends":
+		// off hinted appends of n bytes each onto a trimmed tail, then the
+		// flush a checkpoint makes: each new segment is placed right after the
+		// object's last one when its pages are free, so the flush writes them
+		// all in one request.
+		last := g.segs[len(g.segs)-1]
+		return []floorReq{g.newSegment(off*int64(pagesFor(n, int(g.ps)))*g.ps, last.StartPage+disk.PageNum(last.Pages))}
 
 	case "replace":
 		// §4.5: per segment piece, the bytes the piece's first and last
@@ -435,6 +445,14 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 	case "append":
 		err = o.AppendWithHint(data, n)
 		model = append(model, data...)
+	case "appends":
+		for i := int64(0); i < off && err == nil; i++ {
+			err = o.AppendWithHint(data, n)
+			model = append(model, data...)
+		}
+		if err == nil {
+			err = flush(o.m.cfg.Pending)
+		}
 	case "append-plain":
 		err = o.Append(data)
 		model = append(model, data...)
@@ -471,10 +489,10 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 
 type floorRow struct {
 	name   string
-	segs   []int64 // layout: bytes per segment, each laid down by one sized append
+	segs   []int64 // layout: bytes per segment, each laid down by one sized append, written through
 	t      int     // segment size threshold T, pages
-	op     string  // read, append, append-plain, replace, read-replace, insert, delete
-	off, n int64
+	op     string  // read, append, appends, append-plain, replace, read-replace, insert, delete
+	off, n int64   // appends: off appends of n bytes
 	want   ioCount
 }
 
@@ -499,7 +517,7 @@ var tailTable = []tailRow{
 	{floorRow{"append filling the reserved tail: nothing written", []int64{800}, 4, "append-plain", 0, 270, ioCount{}}, 130, 0},
 	{floorRow{"append crossing out of a full reservation", []int64{800}, 4, "append-plain", 0, 350, ioCount{}}, 130, 0},
 	{floorRow{"append crossing out of a full reservation with T pages behind it", []int64{800}, 4, "append-plain", 0, 270 + 400, ioCount{0, 0, 2, 8, 2}}, 130, 0},
-	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{0, 0, 1, 3, 1}}, 130, 0},
+	{floorRow{"hinted append into a reserved tail: the same fill", []int64{800}, 4, "append", 0, 150, ioCount{}}, 130, 0},
 	{floorRow{"first append after a tail edit", []int64{800}, 4, "append-plain", 0, 150, ioCount{}}, 130, 850},
 	// What else meets the pending run: a read, or a replace's read of the
 	// bytes around its own, takes its pages from memory; a replace writes
@@ -519,8 +537,12 @@ var floorTable = []floorRow{
 	{"read one byte", []int64{6400}, 1, "read", 6399, 1, ioCount{1, 1, 0, 0, 1}},
 	{"read across three segments, the first two physically consecutive", []int64{800, 330, 800}, 1, "read", 750, 500, ioCount{3, 7, 0, 0, 2}},
 
-	// §4.1 append of a known size on a trimmed tail.
-	{"append 250 bytes", []int64{800}, 1, "append", 0, 250, ioCount{0, 0, 1, 3, 1}},
+	// §4.1 append of a known size on a trimmed tail: nothing written, the
+	// pages wait in the write-behind set, each append's placed right after
+	// the object's last segment, so the flush behind k of them is one write.
+	{"append 250 bytes", []int64{800}, 1, "append", 0, 250, ioCount{}},
+	{"4 appends of 250 bytes, then a flush: one run", []int64{800}, 1, "appends", 4, 250, ioCount{0, 0, 1, 12, 1}},
+	{"8 appends of a page behind two segments, then a flush: one run", []int64{800, 330}, 1, "appends", 8, 100, ioCount{0, 0, 1, 8, 1}},
 
 	// §4.5 replace: boundary pages read, run written in place.
 	{"replace page-aligned, 2 pages", []int64{6400}, 1, "replace", 300, 200, ioCount{0, 0, 1, 2, 1}},
@@ -590,8 +612,10 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 	o := e.m.NewObject(0)
 	var model []byte
 	for i, n := range row.segs {
+		// Each segment where §3's scan puts it, written through: what a
+		// hinted append does without a write-behind set.
 		part := pattern(i+1, int(n))
-		if err := o.AppendWithHint(part, n); err != nil {
+		if err := o.appendBytes(part, n, 0, trimmed); err != nil {
 			t.Fatal(err)
 		}
 		model = append(model, part...)
@@ -649,9 +673,9 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 // calls that leave the tail open; lengths on both sides of the bridge) to the same formula on whatever layout the churn has
 // produced: every operation's traced requests are its floor, so
 // measured ÷ floor is 1 for each operation kind over the whole run.  A
-// plain append that fills its tail leaves the closed tail pending, and a
-// checkpoint writes it between that operation and the next (writeClosed),
-// outside both.
+// hinted append, and a plain one that fills its tail, leave closed tails
+// pending, and a checkpoint writes them between that operation and the next
+// (writeClosed), outside both.
 func TestOpFloorRandomMix(t *testing.T) {
 	const ps = 100
 	const threshold = 8
@@ -661,6 +685,9 @@ func TestOpFloorRandomMix(t *testing.T) {
 	o := e.m.NewObject(0)
 	model := pattern(7, 40000)
 	if err := o.AppendWithHint(model, int64(len(model))); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(e.m.cfg.Pending); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(18))
@@ -704,7 +731,7 @@ func TestOpFloorRandomMix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: %s(%d,%d): %v", i, op, off, n, err)
 		}
-		if k := writeClosed(t, e.m); k > 0 && op != "append-plain" {
+		if k := writeClosed(t, e.m); k > 0 && op != "append-plain" && op != "append" {
 			t.Fatalf("op %d: %s(%d,%d) left %d pages of a closed tail pending", i, op, off, n, k)
 		} else {
 			closed += k
@@ -728,16 +755,16 @@ func TestOpFloorRandomMix(t *testing.T) {
 		t.Errorf("measured %v, floor %v (with %d split segment writes)", measured, floored, splits)
 	}
 	if closed == 0 {
-		t.Error("no plain append filled its tail and left it pending")
+		t.Error("no append left a closed tail pending")
 	}
-	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages; %d pages of filled tails left to the checkpoint",
+	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages; %d pages of closed tails left to the checkpoint",
 		ops, measured, splits, e.m.Stats().BridgedReads, e.m.Stats().BridgedGapPages, closed)
 	mustContent(t, o, model)
 	mustCheck(t, o)
 }
 
-// writeClosed writes the pending pages no open tail holds — the tails plain
-// appends filled — as the store's next checkpoint would, one request per run
+// writeClosed writes the pending pages no open tail holds — the tails
+// hinted appends and filling plain ones closed — as the store's next checkpoint would, one request per run
 // of contiguous ones, and returns how many it wrote.  What an operation then
 // meets pending is the open tail's run alone, which the floor knows.
 func writeClosed(t *testing.T, m *Manager) int {

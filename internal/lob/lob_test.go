@@ -245,6 +245,9 @@ func TestSearchFigure5Cost(t *testing.T) {
 	if err := o2.AppendWithHint(pattern(14, 1820), 1820); err != nil {
 		t.Fatal(err)
 	}
+	if err := flush(e.m.cfg.Pending); err != nil { // its pages wait for a checkpoint
+		t.Fatal(err)
+	}
 	e.vol.ResetStats()
 	if _, err := o2.Read(1470, 320); err != nil {
 		t.Fatal(err)

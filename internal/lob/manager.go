@@ -65,11 +65,13 @@ type Config struct {
 	// performs the eventual free is then responsible for discarding the
 	// frames.
 	RetainFreedPages bool
-	// Pending is the write-behind set plain Appends leave their open tails'
-	// pages in, and committed replaces their pages (pending.go); managers
-	// over one volume share one.  nil: every page is written at once, and
-	// an append reads the partial last page of an open tail back — the
-	// write-through stacks eosbench compares and perf's lob-layer probe.
+	// Pending is the write-behind set appends leave their tails' pages in —
+	// a plain Append while its tail is open, a hinted one always — and
+	// committed replaces their pages (pending.go); managers over one volume
+	// share one.  nil: every page is written at once, a hinted append's
+	// segment goes wherever §3's scan puts it, and an append reads the
+	// partial last page of an open tail back — the write-through stacks
+	// eosbench compares and perf's lob-layer probe.
 	Pending *Pending
 	// LogBusy reports whether the log that carries the set's bytes is too
 	// full to take more of them by value: a plain Append that fills its
@@ -87,6 +89,7 @@ type Stats struct {
 	Deletes            int64
 	SegmentsAllocated  int64
 	SegmentsPlaced     int64 // of those, an insert's or a delete's new segment allocated right after the pages it read
+	AppendsPlaced      int64 // and a hinted append's allocated right after the object's last segment
 	SegmentsFreed      int64
 	BytesReshuffled    int64 // bytes moved between segments by reshuffling
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
@@ -128,6 +131,7 @@ type stats struct {
 	deletes            atomic.Int64
 	segmentsAllocated  atomic.Int64
 	segmentsPlaced     atomic.Int64
+	appendsPlaced      atomic.Int64
 	segmentsFreed      atomic.Int64
 	bytesReshuffled    atomic.Int64
 	pagesReshuffled    atomic.Int64
@@ -202,6 +206,7 @@ func (m *Manager) Stats() Stats {
 		Deletes:            m.st.deletes.Load(),
 		SegmentsAllocated:  m.st.segmentsAllocated.Load(),
 		SegmentsPlaced:     m.st.segmentsPlaced.Load(),
+		AppendsPlaced:      m.st.appendsPlaced.Load(),
 		SegmentsFreed:      m.st.segmentsFreed.Load(),
 		BytesReshuffled:    m.st.bytesReshuffled.Load(),
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
@@ -488,7 +493,7 @@ func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
 	remaining := total
 	for remaining > 0 {
 		wantPages := pagesFor(remaining, int(ps))
-		start, got, err := m.allocRun(wantPages, at)
+		start, got, err := m.allocRun(wantPages, at, &m.st.segmentsPlaced)
 		at = 0
 		if err != nil {
 			// Roll back partial allocations, best-effort: the
@@ -519,14 +524,15 @@ func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
 }
 
 // allocRun allocates a run of up to want pages: at page at — where the head
-// stopped after an update's reads, so the run's write costs no seek — when
-// at is not 0 and the allocator can place it there at no I/O
-// (Allocator.AllocAt), and wherever §3's lowest-address scan finds room
-// otherwise.
-func (m *Manager) allocRun(want int, at disk.PageNum) (disk.PageNum, int, error) {
+// stopped after an update's reads, so the run's write costs no seek, or
+// right after the object's last segment, so that its pages and the run go
+// out in one request — when at is not 0 and the allocator can place it
+// there at no I/O (Allocator.AllocAt), counted in placed, and wherever §3's
+// lowest-address scan finds room otherwise.
+func (m *Manager) allocRun(want int, at disk.PageNum, placed *atomic.Int64) (disk.PageNum, int, error) {
 	if at != 0 {
 		if n := min(want, m.alloc.MaxSegmentPages()); m.alloc.AllocAt(at, n) {
-			m.st.segmentsPlaced.Add(1)
+			placed.Add(1)
 			return at, n, nil
 		}
 	}

@@ -21,6 +21,11 @@ func TestInsertDeleteNeverOverwriteLeafPages(t *testing.T) {
 	if err := o.AppendWithHint(model, 12000); err != nil {
 		t.Fatal(err)
 	}
+	// Its pages wait for a checkpoint; the ones the object owns from here
+	// on are on the device.
+	if err := flush(e.m.cfg.Pending); err != nil {
+		t.Fatal(err)
+	}
 
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 40; i++ {

@@ -13,10 +13,10 @@ import (
 // Two kinds of data page wait in memory, keyed by page number, with bytes a
 // committed root names that the device does not hold yet:
 //
-//   - the pages plain Appends filled in a tail segment (append.go): while
-//     the tail is open the next append continues in the pages it left, and
-//     once an append has filled its room they stay, a closed tail's, for
-//     the checkpoint;
+//   - the pages appends filled in a tail segment (append.go): a plain
+//     Append's while the tail is open, where the next append continues in
+//     the pages it left, and once an append has filled its room; a hinted
+//     append's at once.  A closed tail's pages stay for the checkpoint;
 //   - the pages a replace rewrote, once its write scope is past its commit
 //     point — a committed transaction's, or an Object Replace's
 //     (Manager.PendHeld): they wait here instead of being written home,
@@ -25,8 +25,8 @@ import (
 // Nothing on the device needs them yet: a transactional append's record
 // carries the bytes it left here by value, a replace's its bytes, and recovery
 // rebuilds the pages from them on the roots the last checkpoint image names.
-// An Object Replace logs nothing: its pages reach recovery only through the
-// next checkpoint's image.
+// An Object Replace or append logs nothing: its pages reach recovery only
+// through the next checkpoint's image.
 // Every read of a data page looks here,
 // after its manager's held set (Manager.readPages): object and snapshot
 // reads, PrepareReplace, and the old bytes an insert, delete, replace or tail

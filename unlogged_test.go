@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"github.com/eosdb/eos/internal/disk"
 )
 
 // A write that logs nothing — the Object API, Create — reaches the log's
@@ -200,5 +202,130 @@ func TestDestroyOfAnObjectWithLoggedHistory(t *testing.T) {
 	}
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hintedStore returns a store whose object x holds base, checkpointed, and
+// then the six appends more made by AppendWithHint, which wait in the
+// write-behind set, placed right after x's last segment.  Between the third
+// and the fourth a checkpoint runs when between is "checkpoint", and fails
+// when it is "failed"; durable is how many of more the last checkpoint
+// wrote.  It checks that pages are pending and that the appends were placed.
+func hintedStore(t *testing.T, between string) (s *Store, vol, logVol disk.Device, base []byte, more [][]byte, durable int) {
+	t.Helper()
+	s, vol, logVol = newStore(t, Options{})
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = pat(60, 3000)
+	if err := o.AppendWithHint(base, int64(len(base))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	placed := s.Stats().LOB.AppendsPlaced
+	for i := 0; i < 6; i++ {
+		if i == 3 && between != "" {
+			if between == "failed" {
+				vol.FailAfter(0, errors.New("boom"))
+			}
+			err := s.Checkpoint()
+			if between == "failed" {
+				vol.ClearFault()
+				if err == nil {
+					t.Fatal("the checkpoint on a failing volume succeeded")
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			} else {
+				durable = i
+			}
+		}
+		data := pat(61+i, 1500+300*i)
+		if err := o.AppendWithHint(data, int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		more = append(more, data)
+	}
+	st := s.Stats().LOB
+	if st.PendingPages == 0 || st.AppendsPlaced-placed < 4 {
+		t.Fatalf("%d pages pending, %d of 6 appends placed; want the appends pending, most of them placed", st.PendingPages, st.AppendsPlaced-placed)
+	}
+	return s, vol, logVol, base, more, durable
+}
+
+// TestHintedAppendsAreDurableAtTheCheckpoint: hinted appends log nothing,
+// and their pages wait in the write-behind set, so a crash before the next
+// checkpoint leaves x as the last checkpoint wrote it, whatever the set
+// held, and leaks none of the pages the appends took.  A checkpoint between
+// them makes the ones before it durable; a failed one makes none durable.
+func TestHintedAppendsAreDurableAtTheCheckpoint(t *testing.T) {
+	for _, tc := range []struct{ name, between string }{
+		{"crash before any checkpoint", ""},
+		{"a checkpoint between them", "checkpoint"},
+		{"a failed checkpoint between them", "failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, vol, logVol, want, more, durable := hintedStore(t, tc.between)
+			for _, data := range more[:durable] {
+				want = append(want, data...)
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), want) {
+				t.Fatal("x after the crash is not what the last checkpoint wrote")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTxnSplicesPendingHintedAppends: a transaction inserts into and
+// deletes from bytes hinted appends left pending, and commits.  Its first
+// touch of x checkpoints (Store.checkpointUnlogged), so its records splice
+// the root that checkpoint's image names.  After a crash x holds the
+// appends and the transaction's edits; with a failed checkpoint before the
+// transaction, too.
+func TestTxnSplicesPendingHintedAppends(t *testing.T) {
+	for _, between := range []string{"", "failed"} {
+		t.Run(map[string]string{"": "appends", "failed": "appends and a failed checkpoint"}[between], func(t *testing.T) {
+			s, vol, logVol, want, more, _ := hintedStore(t, between)
+			for _, data := range more {
+				want = append(want, data...)
+			}
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, ins := 5000, pat(80, 700)
+			if err := tx.Insert("x", int64(off), ins); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want[:off:off], append(append([]byte{}, ins...), want[off:]...)...)
+			del, n := 9000, 2500
+			if err := tx.Delete("x", int64(del), int64(n)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want[:del:del], want[del+n:]...)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			s = crashReopen(t, vol, logVol)
+			if !bytes.Equal(readObject(t, s, "x"), want) {
+				t.Fatal("x after the crash is not the appends and the committed edits")
+			}
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckNoLeaks(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
