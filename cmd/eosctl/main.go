@@ -267,8 +267,8 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
 		l := st.LOB
-		fmt.Printf("placement: %d of %d inserts and deletes wrote their new segment right after the pages they read; %d hinted appends put theirs right after their object's last segment\n",
-			l.SegmentsPlaced, l.Inserts+l.Deletes, l.AppendsPlaced)
+		fmt.Printf("placement: %d new segments went right after the pages their update read or their object's last segment, in %d inserts, deletes and appends\n",
+			l.SegmentsPlaced, l.Inserts+l.Deletes+l.Appends)
 		fmt.Printf("write-behind: %d pages pending (%d of them replaced), at most %d, %d runs written over the limit, %d page reads taken from memory\n",
 			l.PendingPages, l.ReplacedPending, l.PendingPagesHigh, l.PendingEvictions, l.PendingReads)
 		fmt.Printf("replaced pages: %d left pending by commits, %d of them over a pending page, %d written by a checkpoint, %d over the limit\n",

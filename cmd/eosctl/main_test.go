@@ -103,8 +103,8 @@ func testCtlEndToEnd(t *testing.T) {
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
 		!strings.Contains(out, "redid 0 operations\n") || !strings.Contains(out, "deferred to their commit") ||
-		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "placement: 0 of 0 inserts and deletes") ||
-		!strings.Contains(out, "; 0 hinted appends put theirs") ||
+		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "placement: 0 new segments") ||
+		!strings.Contains(out, "in 0 inserts, deletes and appends\n") ||
 		!strings.Contains(out, "write-behind: 0 pages pending") ||
 		!strings.Contains(out, "replaced pages:") || !strings.Contains(out, "checkpoint time:") {
 		t.Errorf("store stat: %q", out)

@@ -351,8 +351,9 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 	// grows at retire-rate × scan-duration; unbounded, it can transiently
 	// exhaust a small volume that is almost entirely free space.
 	s.epochs.SetBudget(int64(vol.NumPages()) / 4)
-	// The write-behind set holds at most what the log can: every pending
-	// byte is redo logged since the last checkpoint.
+	// The write-behind set holds at most the log's capacity in data pages.
+	// The limit bounds memory; only a transaction's pending bytes are also
+	// redo the log carries since the last checkpoint, not an Object write's.
 	s.pending = lob.NewPending(vol, int(logVol.NumPages())*logVol.PageSize()/vol.PageSize())
 	s.lm, err = lob.NewManager(vol, pool, &restAlloc{epochAlloc{s: s}}, s.lobConfig())
 	s.scopes.New = func() any {
@@ -1391,12 +1392,12 @@ func (o *Object) Append(data []byte) error {
 }
 
 // AppendWithHint appends data; a positive sizeHint (total expected bytes)
-// lets the manager allocate a segment just large enough (§4.1).  It writes
-// nothing: the new segment goes right after the object's last one when
-// those pages are free, and its pages wait in the write-behind set, so the
-// object's appends between two checkpoints reach the device as one run at
-// the next checkpoint — which is when they become durable, as every Object
-// write does.
+// lets the manager allocate a segment just large enough (§4.1).  The new
+// segment goes right after the object's last one when those pages are free,
+// and its pages wait in the write-behind set, so the object's appends
+// between two checkpoints reach the device as one run at the next
+// checkpoint — which is when they become durable, as every Object write
+// does.  An append too large for the set is written at once.
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
 	return o.mutate(func(obj *lob.Object) error { return obj.AppendWithHint(data, sizeHint) })
 }

@@ -22,7 +22,8 @@ import (
 //     checkpoint, and its first new segment goes right after the object's
 //     last one when the allocator can place it there: one object's hinted
 //     appends between two checkpoints are one run of pages, which the
-//     checkpoint writes in one request.
+//     checkpoint writes in one request.  One too large for the set's limit
+//     is placed the same way and written at once.
 //   - A plain Append holds all its bytes, so it allocates what it writes —
 //     but never less than T pages, and it trims the tail segment only down
 //     to T pages while it holds fewer: the calls on one object are a stream
@@ -96,8 +97,9 @@ func (o *Object) Append(data []byte) error {
 // AppendWithHint appends data, using sizeHint (total bytes expected to
 // follow, including data) to size the allocation when positive, and trims
 // the tail: the caller has said how much is coming.  With a write-behind set
-// it writes nothing: its pages wait in the set, placed right after the
-// object's last segment when they can be (prepareAppend).
+// it writes nothing while its pages fit in the set's limit: they wait in the
+// set, placed right after the object's last segment when they can be
+// (prepareAppend).
 func (o *Object) AppendWithHint(data []byte, sizeHint int64) error {
 	return o.appendBytes(data, sizeHint, 0, hinted)
 }
@@ -242,7 +244,8 @@ func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 // goes to the page right after the object's last one when the allocator can
 // place it there (Manager.allocRun), so that one object's hinted appends
 // between two checkpoints are one run of pages, which the checkpoint's
-// address-order pass writes in one request.
+// address-order pass writes in one request.  One whose pages would not fit
+// in the set's limit is placed the same way but written through.
 func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appendMode) (*Splice, error) {
 	if len(data) == 0 {
 		return nil, nil
@@ -253,9 +256,13 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appen
 	held := o.tailHeld()
 	maxSeg := m.alloc.MaxSegmentPages()
 	// behind: a last segment holding n bytes stays open, its pages pending;
-	// waits: every page this call fills stays pending.
+	// place: new segments go right after the object's last one when they
+	// can; waits: every page this call fills stays pending — while they fit
+	// in the set's limit, the fill's first page and data's (one larger is
+	// written from data, which a pending copy would only double).
 	behind := func(n int64) bool { return open > 0 && m.cfg.Pending != nil && n < int64(open)*int64(ps) }
-	waits := mode == hinted && m.cfg.Pending != nil
+	place := mode == hinted && m.cfg.Pending != nil
+	waits := place && pagesFor(int64(len(data)), ps) < m.cfg.Pending.limit
 	var at disk.PageNum // where the next new segment goes when it can: 0 anywhere
 
 	sp := m.newSplice(o.size, o.size)
@@ -269,7 +276,7 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appen
 		if err != nil {
 			return nil, err
 		}
-		if waits {
+		if place {
 			at = tail.ptr + disk.PageNum(max(pagesFor(tail.bytes, ps), o.tailAlloc))
 		}
 		if w := min(int64(o.tailAlloc)*int64(ps)-tail.bytes, int64(len(data))); w > 0 {
@@ -320,14 +327,14 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appen
 				want = exact
 			}
 		}
-		start, got, err := m.allocRun(max(1, min(max(want, open), maxSeg)), at, &m.st.appendsPlaced)
+		start, got, err := m.allocRun(max(1, min(max(want, open), maxSeg)), at)
 		if err != nil {
 			return nil, m.giveBack(sp.runs, err)
 		}
 		sp.runs = append(sp.runs, PageRun{Start: start, Pages: got})
 		grow = min(got*2, maxSeg)
 		w := min(int64(got)*int64(ps), int64(len(remaining)))
-		if waits {
+		if place {
 			at = start + disk.PageNum(pagesFor(w, ps))
 		}
 		pend := waits || w == int64(len(remaining)) && behind(w)
@@ -386,7 +393,7 @@ type appendMode uint8
 const (
 	streamed appendMode = iota // an Appender's: its whole allocation stays
 	trimmed                    // trimmed to its bytes, or to open pages while it holds fewer
-	hinted                     // trimmed to its bytes, placed and left pending when the manager has a write-behind set
+	hinted                     // trimmed to its bytes, placed and left pending when the manager has a write-behind set that it fits in
 )
 
 // extend returns the page run that writing data at byte have of the segment

@@ -908,6 +908,48 @@ func TestPendingBudgetClosedTailsFirst(t *testing.T) {
 	mustContent(t, a, am)
 }
 
+// TestHintedAppendOverTheLimit: a hinted append waits in the write-behind
+// set only while the pages it fills — its bytes' and one more for a fill —
+// fit in the set's limit.  One of 12 pages against a limit of 12 is written
+// at once from the caller's bytes, in one request, still right after the
+// object's last segment, and leaves nothing pending; one of 11 pages is
+// placed behind it and issues no request.
+func TestHintedAppendOverTheLimit(t *testing.T) {
+	e := newEnvFrames(t, 100, 2, 256, 4, Config{Threshold: 4}) // a limit of 12 pages
+	o := e.m.NewObject(0)
+	model := pattern(35, 300)
+	if err := o.AppendWithHint(model, 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(e.m.cfg.Pending); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := o.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := segs[0].StartPage + 3
+	big := pattern(36, 1200)
+	evs := traced(t, e, func() error { return o.AppendWithHint(big, 1200) })
+	if len(evs) != 1 || !evs[0].Write || evs[0].Start != after || evs[0].Pages != 12 {
+		t.Fatalf("the append over the limit issued %+v, want its 12 pages written at %d in one request", evs, after)
+	}
+	if n := e.m.cfg.Pending.load().len(); n != 0 {
+		t.Fatalf("%d pages pending after the append over the limit, want none", n)
+	}
+	model = append(model, big...)
+	small := pattern(37, 1100)
+	if evs := traced(t, e, func() error { return o.AppendWithHint(small, 1100) }); len(evs) != 0 {
+		t.Fatalf("the append within the limit issued %+v, want nothing", evs)
+	}
+	if p, n := pendingIn(e.m, after+12, 11); p != after+12 || n != 11 {
+		t.Fatalf("%d pages pending from %d, want the 11 from %d", n, p, after+12)
+	}
+	model = append(model, small...)
+	mustContent(t, o, model)
+	mustCheck(t, o)
+}
+
 // TestReinstateReopensAFilledTail: an abort of an append that filled the
 // tail reinstates the tail open, and its pages in the set with it: the room
 // the append filled leaves the set, and the pages before it are an open

@@ -88,8 +88,7 @@ type Stats struct {
 	Inserts            int64
 	Deletes            int64
 	SegmentsAllocated  int64
-	SegmentsPlaced     int64 // of those, an insert's or a delete's new segment allocated right after the pages it read
-	AppendsPlaced      int64 // and a hinted append's allocated right after the object's last segment
+	SegmentsPlaced     int64 // of those, an insert's or a delete's new segment allocated right after the pages it read, or a hinted append's right after the object's last segment
 	SegmentsFreed      int64
 	BytesReshuffled    int64 // bytes moved between segments by reshuffling
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
@@ -131,7 +130,6 @@ type stats struct {
 	deletes            atomic.Int64
 	segmentsAllocated  atomic.Int64
 	segmentsPlaced     atomic.Int64
-	appendsPlaced      atomic.Int64
 	segmentsFreed      atomic.Int64
 	bytesReshuffled    atomic.Int64
 	pagesReshuffled    atomic.Int64
@@ -206,7 +204,6 @@ func (m *Manager) Stats() Stats {
 		Deletes:            m.st.deletes.Load(),
 		SegmentsAllocated:  m.st.segmentsAllocated.Load(),
 		SegmentsPlaced:     m.st.segmentsPlaced.Load(),
-		AppendsPlaced:      m.st.appendsPlaced.Load(),
 		SegmentsFreed:      m.st.segmentsFreed.Load(),
 		BytesReshuffled:    m.st.bytesReshuffled.Load(),
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
@@ -493,7 +490,7 @@ func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
 	remaining := total
 	for remaining > 0 {
 		wantPages := pagesFor(remaining, int(ps))
-		start, got, err := m.allocRun(wantPages, at, &m.st.segmentsPlaced)
+		start, got, err := m.allocRun(wantPages, at)
 		at = 0
 		if err != nil {
 			// Roll back partial allocations, best-effort: the
@@ -527,12 +524,12 @@ func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
 // stopped after an update's reads, so the run's write costs no seek, or
 // right after the object's last segment, so that its pages and the run go
 // out in one request — when at is not 0 and the allocator can place it
-// there at no I/O (Allocator.AllocAt), counted in placed, and wherever §3's
-// lowest-address scan finds room otherwise.
-func (m *Manager) allocRun(want int, at disk.PageNum, placed *atomic.Int64) (disk.PageNum, int, error) {
+// there at no I/O (Allocator.AllocAt), and wherever §3's lowest-address
+// scan finds room otherwise.
+func (m *Manager) allocRun(want int, at disk.PageNum) (disk.PageNum, int, error) {
 	if at != 0 {
 		if n := min(want, m.alloc.MaxSegmentPages()); m.alloc.AllocAt(at, n) {
-			placed.Add(1)
+			m.st.segmentsPlaced.Add(1)
 			return at, n, nil
 		}
 	}

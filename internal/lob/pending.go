@@ -43,10 +43,12 @@ import (
 //   - the set is over its limit after an install (replaced pages and closed
 //     tails' go before open tails: a closed tail's pages are no longer an
 //     open tail's, which no append continues, and an open tail written early
-//     costs the append that continues it a read).  The store sets the limit
-//     to its log's capacity in data pages: every pending byte is redo the
-//     log has carried since the last checkpoint, so the log, not the buffer
-//     pool, is what bounds them;
+//     costs the append that continues it a read).  The limit bounds the
+//     set's memory.  The store sets it to its log's capacity in data pages:
+//     a transaction's pending bytes are also redo the log has carried since
+//     the last checkpoint, while an Object write's are in no record.  A
+//     hinted append whose pages would not fit in the limit writes through
+//     instead (append.go);
 //   - a tail is trimmed (Trim, Destroy, a delete, insert or compaction that
 //     reaches the tail segment), or an append that fills it writes it
 //     through (append.go says when);

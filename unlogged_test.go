@@ -225,7 +225,7 @@ func hintedStore(t *testing.T, between string) (s *Store, vol, logVol disk.Devic
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	placed := s.Stats().LOB.AppendsPlaced
+	placed := s.Stats().LOB.SegmentsPlaced
 	for i := 0; i < 6; i++ {
 		if i == 3 && between != "" {
 			if between == "failed" {
@@ -250,8 +250,8 @@ func hintedStore(t *testing.T, between string) (s *Store, vol, logVol disk.Devic
 		more = append(more, data)
 	}
 	st := s.Stats().LOB
-	if st.PendingPages == 0 || st.AppendsPlaced-placed < 4 {
-		t.Fatalf("%d pages pending, %d of 6 appends placed; want the appends pending, most of them placed", st.PendingPages, st.AppendsPlaced-placed)
+	if st.PendingPages == 0 || st.SegmentsPlaced-placed < 4 {
+		t.Fatalf("%d pages pending, %d of 6 appends placed; want the appends pending, most of them placed", st.PendingPages, st.SegmentsPlaced-placed)
 	}
 	return s, vol, logVol, base, more, durable
 }
