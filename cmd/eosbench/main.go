@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment IDs (e1..e15) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment IDs (e1..e16, see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	backend := flag.String("backend", "sim", "volume backend: sim (modelled costs) or file (real temp-dir page files)")

@@ -85,8 +85,6 @@ type Options struct {
 	// Threshold is the default segment size threshold T in pages
 	// (default 8); objects may override it individually.
 	Threshold int
-	// AdaptiveThreshold enables the [Bili91a] fan-out-driven T.
-	AdaptiveThreshold bool
 	// CatalogPages is read nowhere: the catalog image lives in the log.
 	//
 	// Deprecated: ignored since format v6.
@@ -366,10 +364,9 @@ func assemble(vol, logVol disk.Device, opts Options, spaces func(*buffer.Pool) (
 
 func (s *Store) lobConfig() lob.Config {
 	return lob.Config{
-		Threshold:         s.opts.Threshold,
-		MaxRootEntries:    s.opts.MaxRootEntries,
-		ShadowIndexPages:  true,
-		AdaptiveThreshold: s.opts.AdaptiveThreshold,
+		Threshold:        s.opts.Threshold,
+		MaxRootEntries:   s.opts.MaxRootEntries,
+		ShadowIndexPages: true,
 		// Freed index pages stay readable (including their pool frames)
 		// until the epoch manager actually releases them — a published
 		// snapshot root may still name them.

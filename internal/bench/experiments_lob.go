@@ -174,43 +174,6 @@ func E6SeqReadAfterUpdates() (*Table, error) {
 	return t, nil
 }
 
-// E10AdaptiveT ablates the [Bili91a] adaptive threshold against a static
-// one under a heavy insert storm.
-func E10AdaptiveT() (*Table, error) {
-	t := &Table{
-		ID:      "E10",
-		Title:   "adaptive threshold ablation ([Bili91a], §4.4)",
-		Claim:   "\"the closer we are to splitting an index, the higher the value of T should become\"; a full parent coalesces its unsafe adjacent segments instead of splitting",
-		Headers: []string{"mode", "segments", "index pages", "height", "compactions", "scan seeks", "sim scan time"},
-	}
-	for _, adaptive := range []bool{false, true} {
-		st, err := NewStack(3, lob.Config{Threshold: 4, AdaptiveThreshold: adaptive})
-		if err != nil {
-			return nil, err
-		}
-		o, err := buildUpdatedObject(st, 4, 600, 48, 13)
-		if err != nil {
-			return nil, err
-		}
-		u, _ := o.Usage()
-		if err := st.ColdIO(); err != nil {
-			return nil, err
-		}
-		if _, err := o.Read(0, o.Size()); err != nil {
-			return nil, err
-		}
-		s := st.Vol.Stats()
-		mode := "static T=4"
-		if adaptive {
-			mode = "adaptive T"
-		}
-		st8 := st.LM.Stats()
-		t.AddRow(mode, fmt.Sprint(u.SegmentCount), fmt.Sprint(u.IndexPages), fmt.Sprint(u.TreeHeight),
-			fmtI(st8.LeafCompactions), fmtI(s.Seeks), fmtMS(s.Micros))
-	}
-	return t, nil
-}
-
 // E11AppendGrowth contrasts the §4.1 growth policies: a known final size
 // allocates one right-sized segment; an unknown size — a stream — doubles
 // and trims; and the same bytes as one Append call per chunk, each of which

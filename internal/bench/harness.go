@@ -121,7 +121,6 @@ func All() []Experiment {
 		{"e7", "cross-system comparison (§2, [Bili91b])", E7Comparison},
 		{"e8", "internal fragmentation (§1 obj.5, [Selt91])", E8Fragmentation},
 		{"e9", "superdirectory ablation (§3.3)", E9Superdirectory},
-		{"e10", "adaptive threshold ablation (§4.4, [Bili91a])", E10AdaptiveT},
 		{"e11", "append growth policies (§4.1, Fig 5a-b)", E11AppendGrowth},
 		{"e12", "recovery overhead and correctness (§4.5)", E12Recovery},
 		{"e13", "update cost vs object size (§1 obj.3)", E13UpdateCostVsObjectSize},

@@ -168,7 +168,7 @@ func (o *Object) trimTail(seg entry) error {
 
 // tailEntry returns the last leaf entry's start byte offset and length.
 func (o *Object) tailEntry() (startByte, length int64, err error) {
-	e, start, _, err := o.findSegment(o.size)
+	e, start, err := o.findSegment(o.size)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -212,13 +212,7 @@ func (o *Object) PrepareAppend(data []byte) (*Splice, error) {
 	if o.growFixed {
 		return o.prepareAppend(data, 0, 0, trimmed)
 	}
-	open := o.threshold
-	if o.m.cfg.AdaptiveThreshold {
-		// Any splice may move small segments — the tail among them — into
-		// a compacted one; no room is kept behind a segment that can move.
-		open = 0
-	}
-	return o.prepareAppend(data, int64(len(data)), open, trimmed)
+	return o.prepareAppend(data, int64(len(data)), o.threshold, trimmed)
 }
 
 // prepareAppend prepares appending data.  Everything that can run out of
@@ -272,7 +266,7 @@ func (o *Object) prepareAppend(data []byte, sizeHint int64, open int, mode appen
 	var fill pageImage // the room's pages this call fills, from the page it starts in on, but a held one
 	later := false     // fill waits for the new segments: it stays in memory unless one goes through
 	if len(o.root.entries) > 0 {
-		tail, start, _, err := o.findSegment(o.size)
+		tail, start, err := o.findSegment(o.size)
 		if err != nil {
 			return nil, err
 		}

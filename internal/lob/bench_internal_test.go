@@ -49,7 +49,7 @@ func BenchmarkFindSegment(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64(i*65537) % o.Size()
-		if _, _, _, err := o.findSegment(off); err != nil {
+		if _, _, err := o.findSegment(off); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,18 +41,17 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 	lo, hi := off, off+n
 
 	// Step 1: locate the boundary segments.
-	sl, startL, parentN, err := o.findSegment(lo)
+	sl, startL, err := o.findSegment(lo)
 	if err != nil {
 		return nil, err
 	}
-	sr, startR, _, err := o.findSegment(hi - 1)
+	sr, startR, err := o.findSegment(hi - 1)
 	if err != nil {
 		return nil, err
 	}
 	if err := o.trimTail(sr); err != nil {
 		return nil, err
 	}
-	t := o.effectiveThreshold(parentN)
 
 	// Step 2: geometry.  L keeps S's bytes left of the first deleted
 	// byte; within S', page Q holds the last deleted byte, N receives
@@ -78,7 +77,7 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 	if nc == 0 {
 		res = reshuffleResult{lc: lc, rc: rc}
 	} else {
-		res = reshuffle(lc, nc, rc, t, int(ps), maxSegBytes)
+		res = reshuffle(lc, nc, rc, o.threshold, int(ps), maxSegBytes)
 		m.st.bytesReshuffled.Add(res.moveL + res.moveR)
 		m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
 	}

@@ -44,14 +44,13 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	}
 
 	// Step 1-2: locate S and compute the split geometry.
-	S, segStart, parentN, err := o.findSegment(off)
+	S, segStart, err := o.findSegment(off)
 	if err != nil {
 		return nil, err
 	}
 	if err := o.trimTail(S); err != nil {
 		return nil, err
 	}
-	t := o.effectiveThreshold(parentN)
 	rel := off - segStart
 	sc := S.bytes
 	pagesS := pagesFor(sc, int(ps))
@@ -72,7 +71,7 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	ncBase := int64(len(data)) + (pc - pb)
 
 	// Step 3: reshuffle.
-	res := reshuffle(lc, ncBase, rc, t, int(ps), maxSegBytes)
+	res := reshuffle(lc, ncBase, rc, o.threshold, int(ps), maxSegBytes)
 	m.st.bytesReshuffled.Add(res.moveL + res.moveR)
 	m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
 

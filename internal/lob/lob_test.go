@@ -910,7 +910,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		{"ps100-t1", 100, 24, 256, Config{Threshold: 1}},
 		{"ps100-t4", 100, 24, 256, Config{Threshold: 4}},
 		{"ps100-t8-shadow", 100, 24, 256, Config{Threshold: 8, ShadowIndexPages: true}},
-		{"ps256-t4-adaptive", 256, 8, 512, Config{Threshold: 4, AdaptiveThreshold: true}},
+		{"ps256-t32", 256, 8, 512, Config{Threshold: 32}},
 		{"ps512-t16", 512, 4, 1024, Config{Threshold: 16}},
 	}
 	for _, tc := range configs {
@@ -1012,84 +1012,6 @@ func TestUtilizationFormula(t *testing.T) {
 		if diff := got - want; diff > 0.02 || diff < -0.02 {
 			t.Errorf("T=%d: mean utilization %.3f, want ~%.3f", T, got, want)
 		}
-	}
-}
-
-func TestCompactLeafNodeMergesUnsafeRuns(t *testing.T) {
-	// [Bili91a]: a leaf parent about to split first scans itself and, for
-	// any run of two or more adjacent segments with fewer than T pages,
-	// allocates a single larger segment for the group.
-	e := newEnv(t, 100, 8, 256, Config{Threshold: 4, AdaptiveThreshold: true})
-	m := e.m
-
-	// Build a leaf parent of five small segments (1 page each) around one
-	// large (6-page) segment: runs [0,1] and [3,4] should each coalesce.
-	var model []byte
-	nd := &node{level: 1}
-	mk := func(n int64, seed int) {
-		segs, err := m.allocSegments(n, 0)
-		if err != nil || len(segs) != 1 {
-			t.Fatalf("allocSegments(%d): %v", n, err)
-		}
-		data := pattern(seed, int(n))
-		if err := m.writeSegment(segs[0].ptr, data); err != nil {
-			t.Fatal(err)
-		}
-		model = append(model, data...)
-		nd.entries = append(nd.entries, segs[0])
-	}
-	mk(80, 1)
-	mk(90, 2)
-	mk(600, 3)
-	mk(70, 4)
-	mk(100, 5)
-
-	if err := m.compactLeafNode(nd, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(nd.entries) != 3 {
-		t.Fatalf("entries after compaction = %d, want 3", len(nd.entries))
-	}
-	if st := m.Stats(); st.LeafCompactions != 2 || st.SegmentsCompacted != 4 {
-		t.Errorf("stats = %+v, want 2 compactions of 4 segments", st)
-	}
-
-	// Content must be preserved byte for byte.
-	var got []byte
-	var off int64
-	for _, en := range nd.entries {
-		buf := make([]byte, en.bytes)
-		if _, err := m.readSegRange(en.ptr, 0, buf, false); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, buf...)
-		off += en.bytes
-	}
-	if !bytes.Equal(got, model) {
-		t.Error("compaction corrupted content")
-	}
-
-	// Safe segments are untouched: the 600-byte segment survives as-is.
-	if nd.entries[1].bytes != 600 {
-		t.Errorf("middle entry = %d bytes, want 600", nd.entries[1].bytes)
-	}
-}
-
-func TestAdaptiveThresholdScalesWithOccupancy(t *testing.T) {
-	e := newEnv(t, 100, 8, 256, Config{Threshold: 2, AdaptiveThreshold: true})
-	o := e.m.NewObject(0)
-	fan := maxFanout(100)
-	if got := o.effectiveThreshold(fan / 4); got != 2 {
-		t.Errorf("low occupancy T = %d, want 2", got)
-	}
-	if got := o.effectiveThreshold(fan); got <= 2 {
-		t.Errorf("full-parent T = %d, want > 2", got)
-	}
-	// Without the option the threshold is constant.
-	e2 := newEnv(t, 100, 8, 256, Config{Threshold: 2})
-	o2 := e2.m.NewObject(0)
-	if got := o2.effectiveThreshold(fan); got != 2 {
-		t.Errorf("static T = %d, want 2", got)
 	}
 }
 

@@ -50,11 +50,6 @@ type Config struct {
 	// and free the old one, so insert/delete/append never overwrite
 	// existing pages (§4.5); replace remains the only in-place update.
 	ShadowIndexPages bool
-	// AdaptiveThreshold enables the [Bili91a] extension: the effective T
-	// for an update grows with the fan-out of the leaf's parent node, and
-	// a nearly full parent compacts its unsafe adjacent segments instead
-	// of splitting.
-	AdaptiveThreshold bool
 	// RetainFreedPages keeps the buffer-pool frames of freed index pages
 	// resident instead of discarding them at free time.  Set when the
 	// allocator defers or retires frees (the transaction layer's
@@ -94,8 +89,6 @@ type Stats struct {
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
 	NodeSplits         int64
 	NodeMerges         int64
-	LeafCompactions    int64 // [Bili91a] whole-node compactions
-	SegmentsCompacted  int64
 	ShadowedIndexPages int64
 	SnapshotReads      int64 // reads served through published snapshot roots
 	BridgedReads       int64 // requests that fetched two separate byte ranges of a segment at once (one request saved each)
@@ -135,8 +128,6 @@ type stats struct {
 	pagesReshuffled    atomic.Int64
 	nodeSplits         atomic.Int64
 	nodeMerges         atomic.Int64
-	leafCompactions    atomic.Int64
-	segmentsCompacted  atomic.Int64
 	shadowedIndexPages atomic.Int64
 	snapshotReads      atomic.Int64
 	bridgedReads       atomic.Int64
@@ -209,8 +200,6 @@ func (m *Manager) Stats() Stats {
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
 		NodeSplits:         m.st.nodeSplits.Load(),
 		NodeMerges:         m.st.nodeMerges.Load(),
-		LeafCompactions:    m.st.leafCompactions.Load(),
-		SegmentsCompacted:  m.st.segmentsCompacted.Load(),
 		ShadowedIndexPages: m.st.shadowedIndexPages.Load(),
 		SnapshotReads:      m.st.snapshotReads.Load(),
 		BridgedReads:       m.st.bridgedReads.Load(),

@@ -144,35 +144,10 @@ func (o *Object) Destroy() error {
 	return nil
 }
 
-// effectiveThreshold computes the T used for one update.  With the
-// adaptive extension ([Bili91a], §4.4 last paragraph) the threshold grows
-// with the occupancy of the leaf's parent index node: the closer the
-// parent is to splitting, the larger the segments we maintain.
-func (o *Object) effectiveThreshold(parentEntries int) int {
-	t := o.threshold
-	if !o.m.cfg.AdaptiveThreshold {
-		return t
-	}
-	occ := float64(parentEntries) / float64(maxFanout(o.m.vol.PageSize()))
-	switch {
-	case occ >= 0.9:
-		t *= 8
-	case occ >= 0.75:
-		t *= 4
-	case occ >= 0.5:
-		t *= 2
-	}
-	if max := o.m.alloc.MaxSegmentPages(); t > max {
-		t = max
-	}
-	return t
-}
-
 // findSegment descends the tree to the leaf entry containing byte offset
-// off (off == size resolves to the last entry) and returns the entry, the
-// byte offset where it starts, and the entry count of its parent node
-// (for the adaptive threshold).
-func (o *Object) findSegment(off int64) (e entry, entryStart int64, parentEntries int, err error) {
+// off (off == size resolves to the last entry) and returns the entry and
+// the byte offset where it starts.
+func (o *Object) findSegment(off int64) (e entry, entryStart int64, err error) {
 	return o.m.find(o.root, off)
 }
 

@@ -116,29 +116,25 @@ func (m *Manager) walkEntry(e entry, level int, off, n int64, w *walk) error {
 }
 
 // find walks from root to the leaf entry containing byte off of its subtree
-// (off == its size resolves to the last entry) and returns the entry, the
-// byte offset where it starts, and the entry count of its parent node.
-func (m *Manager) find(root *node, off int64) (e entry, start int64, parentEntries int, err error) {
+// (off == its size resolves to the last entry) and returns the entry and
+// the byte offset where it starts.
+func (m *Manager) find(root *node, off int64) (e entry, start int64, err error) {
 	size := root.size()
 	if size == 0 {
-		return entry{}, 0, 0, fmt.Errorf("%w: empty object", ErrOutOfBounds)
+		return entry{}, 0, fmt.Errorf("%w: empty object", ErrOutOfBounds)
 	}
 	off = min(off, size-1)
-	parentEntries, found := len(root.entries), false
+	found := false
 	err = m.walkRange(root, off, 1, &walk{
 		seg: func(seg entry, segOff, _ int64) error {
 			e, start, found = seg, off-segOff, true
-			return nil
-		},
-		enter: func(_ entry, v nodeView) error {
-			parentEntries = v.count()
 			return nil
 		},
 	})
 	if err == nil && !found {
 		err = fmt.Errorf("%w: no leaf holds byte %d", ErrCorruptNode, off)
 	}
-	return e, start, parentEntries, err
+	return e, start, err
 }
 
 // PageImages is what one read transferred from the data volume: the

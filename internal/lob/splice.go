@@ -112,13 +112,13 @@ func (o *Object) Apply(sp *Splice) error {
 	atEnd := sp.Hi == o.size
 	skip := false
 	if sp.Hi > sp.Lo {
-		first, start, _, err := o.findSegment(sp.Lo)
+		first, start, err := o.findSegment(sp.Lo)
 		if err != nil {
 			return err
 		}
 		last, lastStart := first, start
 		if start+first.bytes < sp.Hi {
-			if last, lastStart, _, err = o.findSegment(sp.Hi - 1); err != nil {
+			if last, lastStart, err = o.findSegment(sp.Hi - 1); err != nil {
 				return err
 			}
 		}
@@ -307,14 +307,6 @@ func (o *Object) normalizeRoot() error {
 	m := o.m
 	max := maxFanout(m.vol.PageSize())
 	for len(o.root.entries) > m.cfg.MaxRootEntries {
-		if m.cfg.AdaptiveThreshold && o.root.level == 1 {
-			if err := o.m.compactLeafNode(o.root, o.threshold); err != nil {
-				return err
-			}
-			if len(o.root.entries) <= m.cfg.MaxRootEntries {
-				break
-			}
-		}
 		parts := splitEntries(o.root.entries, max)
 		parents := make([]entry, 0, len(parts))
 		for _, part := range parts {
@@ -452,13 +444,6 @@ func (m *Manager) writeBackChild(old disk.PageNum, child *node) ([]entry, error)
 		return nil, nil
 	}
 	max := maxFanout(m.vol.PageSize())
-	if len(child.entries) > max && child.level == 1 && m.cfg.AdaptiveThreshold {
-		// [Bili91a]: a leaf parent about to split first coalesces its
-		// adjacent unsafe segments into single larger segments.
-		if err := m.compactLeafNode(child, m.cfg.Threshold); err != nil {
-			return nil, err
-		}
-	}
 	if len(child.entries) <= max {
 		p, err := m.writeNode(old, child)
 		if err != nil {
@@ -633,69 +618,5 @@ func (m *Manager) fixUnderflow(nd *node, idx int) error {
 	}
 	nd.entries[li] = entry{bytes: ln.size(), ptr: lp}
 	nd.entries[ri] = entry{bytes: rn.size(), ptr: rp}
-	return nil
-}
-
-// compactLeafNode implements the [Bili91a] pre-split compaction: scan the
-// leaf-parent and, for every run of two or more logically adjacent
-// segments each smaller than T pages, allocate one segment to hold the
-// whole run.
-func (m *Manager) compactLeafNode(nd *node, threshold int) error {
-	if nd.level != 1 || threshold <= 1 {
-		return nil
-	}
-	ps := m.vol.PageSize()
-	maxSegBytes := int64(m.alloc.MaxSegmentPages()) * int64(ps)
-	var out []entry
-	i := 0
-	for i < len(nd.entries) {
-		// Grow a run of unsafe segments whose total fits one segment.
-		j := i
-		var runBytes int64
-		for j < len(nd.entries) &&
-			pagesFor(nd.entries[j].bytes, ps) < threshold &&
-			runBytes+nd.entries[j].bytes <= maxSegBytes {
-			runBytes += nd.entries[j].bytes
-			j++
-		}
-		if j-i < 2 {
-			out = append(out, nd.entries[i])
-			i++
-			continue
-		}
-		// Coalesce entries [i, j) into one fresh segment.
-		buf := make([]byte, 0, runBytes)
-		for k := i; k < j; k++ {
-			part := make([]byte, nd.entries[k].bytes)
-			if _, err := m.readSegRange(nd.entries[k].ptr, 0, part, false); err != nil {
-				return err
-			}
-			buf = append(buf, part...)
-		}
-		segs, err := m.allocSegments(runBytes, 0)
-		if err != nil {
-			// Out of space: keep the run unmerged.
-			out = append(out, nd.entries[i:j]...)
-			i = j
-			continue
-		}
-		var off int64
-		for _, se := range segs {
-			if err := m.writeSegment(se.ptr, buf[off:off+se.bytes]); err != nil {
-				return err
-			}
-			off += se.bytes
-		}
-		for k := i; k < j; k++ {
-			if err := m.freeSegment(nd.entries[k].ptr, nd.entries[k].bytes); err != nil {
-				return err
-			}
-		}
-		out = append(out, segs...)
-		m.st.leafCompactions.Add(1)
-		m.st.segmentsCompacted.Add(int64(j - i))
-		i = j
-	}
-	nd.entries = out
 	return nil
 }

@@ -273,14 +273,10 @@ func (a *redoAlloc) FreeUnpublished(disk.PageNum, int) error { return nil }
 func (a *redoAlloc) MaxSegmentPages() int                    { return a.s.buddy.MaxSegmentPages() }
 
 // redoManager is the manager redo runs the recovered objects on: the
-// store's, over redoAlloc, and without the [Bili91a] compaction, which
-// would allocate segments.  The leaf entries it leaves are the logged
-// ones; a compaction the original made only merged some of them.
+// store's, over redoAlloc.
 func (s *Store) redoManager() (*lob.Manager, *redoAlloc, error) {
 	ra := &redoAlloc{s: s}
-	cfg := s.lobConfig()
-	cfg.AdaptiveThreshold = false
-	rm, err := lob.NewManager(s.vol, s.pool, ra, cfg)
+	rm, err := lob.NewManager(s.vol, s.pool, ra, s.lobConfig())
 	return rm, ra, err
 }
 

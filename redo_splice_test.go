@@ -114,86 +114,3 @@ func TestReadOnlyTxnLogsNothing(t *testing.T) {
 		t.Fatalf("two read-only transactions moved the log tail from %d to %d and asked for %d forces", tail, s.LogTail(), s.Stats().WAL.Forces-forces)
 	}
 }
-
-// TestRedoAfterCompactingSplices: with AdaptiveThreshold a splice may
-// compact a nearly full leaf parent's small segments into new ones
-// ([Bili91a]), which no record names.  Redo splices without compacting: the
-// later records' ranges stay entry-aligned in a tree whose entries were not
-// merged, the merged segments' pages come back free, and the bytes are the
-// same.
-func TestRedoAfterCompactingSplices(t *testing.T) {
-	opts := Options{Threshold: 4, AdaptiveThreshold: true}
-	for seed := int64(1); seed <= 3; seed++ {
-		vol := newTestDevice(t, 512, 8192)
-		logVol := newTestDevice(t, 512, 2048)
-		s, err := Format(vol, logVol, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := s.Create("x", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := pat(1, 20000)
-		if err := o.Append(model); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		compacted := s.Stats().LOB.LeafCompactions
-		for i := 0; i < 300; i++ {
-			tx, err := s.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch k := rng.Intn(3); {
-			case k == 0 || len(model) < 4000:
-				d := pat(i, 1+rng.Intn(700))
-				off := rng.Intn(len(model) + 1)
-				err = tx.Insert("x", int64(off), d)
-				model = append(model[:off:off], append(d, model[off:]...)...)
-			case k == 1:
-				d := pat(i, 1+rng.Intn(900))
-				err = tx.Append("x", d)
-				model = append(model, d...)
-			default:
-				n := 1 + rng.Intn(700)
-				off := rng.Intn(len(model) - n + 1)
-				err = tx.Delete("x", int64(off), int64(n))
-				model = append(model[:off:off], model[off+n:]...)
-			}
-			if err != nil {
-				t.Fatalf("seed %d, op %d: %v", seed, i, err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s.Stats().LOB.LeafCompactions == compacted {
-			t.Fatalf("seed %d: no splice compacted; the test proves nothing", seed)
-		}
-		if err := vol.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		if err := logVol.Crash(); err != nil {
-			t.Fatal(err)
-		}
-		if s, err = Open(vol, logVol, opts); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rs := s.Stats().Recovery; rs.Redone != 300 || rs.DataPages != 0 {
-			t.Errorf("seed %d: redid %d operations allocating %d data pages, want 300 and none", seed, rs.Redone, rs.DataPages)
-		}
-		if !bytes.Equal(readObject(t, s, "x"), model) {
-			t.Fatalf("seed %d: x after the crash is not the committed bytes", seed)
-		}
-		if err := s.Check(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := s.CheckNoLeaks(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}

@@ -386,8 +386,7 @@ func (t *Txn) splice(name string, typ wal.RecType, prepare func(*lob.Object) (*l
 		sp.Cancel()
 		return err
 	}
-	// A compaction ([Bili91a]) inside the splice writes segments through too.
-	t.through = t.through || sp.WroteThrough() || t.s.opts.AdaptiveThreshold
+	t.through = t.through || sp.WroteThrough()
 	if err := e.obj.Apply(sp); err != nil {
 		t.doom = err
 		return err
