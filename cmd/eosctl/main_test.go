@@ -104,7 +104,7 @@ func testCtlEndToEnd(t *testing.T) {
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
 		!strings.Contains(out, "redid 0 operations\n") || !strings.Contains(out, "deferred to their commit") ||
 		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "placement: 0 new segments") ||
-		!strings.Contains(out, "in 0 inserts, deletes and appends\n") ||
+		!strings.Contains(out, "in 0 inserts, deletes and appends; 0 of the others waited in the write-behind set, 0 of those at its next-fit point\n") ||
 		!strings.Contains(out, "write-behind: 0 pages pending") ||
 		!strings.Contains(out, "replaced pages:") || !strings.Contains(out, "checkpoint time:") {
 		t.Errorf("store stat: %q", out)

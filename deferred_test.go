@@ -81,7 +81,7 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 		t.Fatalf("unpublished free of its own pages not passed on at once: %v", inner.unpublished)
 	}
 	inner.unpublished = nil
-	if err := d.apply(em); err != nil {
+	if err := d.apply(em, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := retiredRuns(em); !slices.Equal(got, []txn.Run{{Start: 10, Pages: 4}, {Start: 20, Pages: 2}}) {
@@ -91,7 +91,7 @@ func TestDeferredAllocDefersAndApplies(t *testing.T) {
 		t.Fatalf("applied unpublished = %v", inner.unpublished)
 	}
 	// apply drains: a second apply is a no-op.
-	if err := d.apply(em); err != nil {
+	if err := d.apply(em, nil); err != nil {
 		t.Fatal(err)
 	}
 	if em.RetiredPages() != 6 || len(inner.unpublished) != 1 {
@@ -117,7 +117,7 @@ func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 	if !d.AllocAt(c, 3) || d.AllocAt(7, 1) {
 		t.Fatal("placement refused where the allocator places, or granted where it does not")
 	}
-	d.Free(5, 1)               // a page of the root from before
+	d.Free(5, 1) // a page of the root from before
 	d.Free(a, 1)
 	if err := d.FreeUnpublished(b+4, 12); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestDeferredAllocGivesBackWhatItAllocated(t *testing.T) {
 	if !slices.Equal(inner.unpublished, want) || !slices.Equal(forgot, want) {
 		t.Fatalf("gave back %v (images dropped %v), want %v only", inner.unpublished, forgot, want)
 	}
-	if err := d.apply(em); err != nil || em.RetiredPages() != 0 || !slices.Equal(inner.unpublished, want) {
+	if err := d.apply(em, nil); err != nil || em.RetiredPages() != 0 || !slices.Equal(inner.unpublished, want) {
 		t.Fatalf("frees survived the abort: %d pages retired, %v given back (%v)", em.RetiredPages(), inner.unpublished, err)
 	}
 }

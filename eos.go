@@ -538,7 +538,7 @@ func (s *Store) goBack(e *catEntry) error {
 func (s *Store) endScope(d *deferredAlloc, committed bool) error {
 	var err error
 	if committed {
-		err = d.apply(s.epochs)
+		err = d.apply(s.epochs, s.pending)
 	} else {
 		d.lm.DropHeld()
 		err = d.giveBack(d.lm.Forget)
@@ -563,11 +563,14 @@ func (*restAlloc) Free(p disk.PageNum, n int) error {
 // checkpoint began after they were retired, so it wrote roots that exclude them
 // (every commit point refreshes stableDesc first), and no image recovery
 // can load names them any more: a torn later master copy falls back one
-// checkpoint, never further.  Only the checkpoint calls it, under ckptMu.
+// checkpoint, never further.  The images the write-behind set kept of their
+// pages go first, before the free space can hand the pages out again.
+// Only the checkpoint calls it, under ckptMu.
 func (s *Store) releaseDurable() error {
 	durable := s.barrierDurable.Load()
 	runs := s.epochs.Releasable(durable)
 	for i, r := range runs {
+		s.pending.Release(r.Start, r.Pages)
 		if err := s.buddy.Free(r.Start, r.Pages); err != nil {
 			s.epochs.Released(i) // the rest stay queued rather than leak
 			return err
@@ -812,9 +815,12 @@ func (s *Store) captureLocked() *capture {
 	// The set is taken after the descriptors: every page a descriptor names
 	// was installed before the descriptor was stored — a commit installs
 	// its replaced pages before it hands its roots over, an append its tail
-	// pages before it publishes — so each is in the set taken here, or on
-	// the device.
-	ck.pending = s.pending.Capture()
+	// pages and an insert or a delete its new segment before it publishes —
+	// so each is in the set taken here, or on the device.  A freed page it
+	// marks dead for this checkpoint was retired behind the publish that
+	// stopped naming it, before the barrier, so no descriptor read here
+	// names it (lob.Pending.Retire).
+	ck.pending = s.pending.Capture(ck.barrier)
 	return ck
 }
 

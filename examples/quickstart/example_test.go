@@ -8,7 +8,7 @@ func Example() {
 	// segments=1 dataPages=2560 indexPages=0 height=1 utilization=100.0%
 	// full sequential read: reads=1 writes=0 pagesIn=2560 pagesOut=0 seeks=1 time=4376.30ms
 	// random 4 KB read at 7 MB: reads=1 writes=0 pagesIn=1 pagesOut=0 seeks=1 time=26.00ms
-	// small middle insert:  reads=1 writes=1 pagesIn=7 pagesOut=8 seeks=2 time=74.10ms
+	// small middle insert:  reads=1 writes=0 pagesIn=7 pagesOut=0 seeks=1 time=36.20ms
 	// 1 MB middle delete:   reads=0 writes=0 pagesIn=0 pagesOut=0 seeks=0 time=0.00ms
 	// in-place replace:     reads=1 writes=0 pagesIn=1 pagesOut=0 seeks=1 time=26.00ms
 	// final size: 9437212 bytes

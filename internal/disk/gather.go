@@ -85,6 +85,8 @@ func Gather(d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bri
 // fresh memory otherwise.  Whatever buf held is overwritten: the image is
 // the same as Gather's, except that the hole's bytes, which are the
 // caller's to fill, are unspecified either way.
+//
+// GatherLen is the capacity that buf needs for that.
 func GatherInto(buf []byte, d PageReader, a ByteRange, hole int64, b ByteRange) (img []byte, bridged int, err error) {
 	ps := d.PageSize()
 	total := a.N + hole + b.N
@@ -95,11 +97,7 @@ func GatherInto(buf []byte, d PageReader, a ByteRange, hole int64, b ByteRange) 
 	srcA, srcB := ina, int64(na*ps)+inb
 	bridged = -1
 
-	together := na > 0 && nb > 0 && a.Start == b.Start && gap <= bridgePages
-	read := na + nb
-	if together {
-		read = int(fb) + nb - int(fa)
-	}
+	read, together := gatherReads(ps, a, b)
 	if n := max(imgLen, read*ps); cap(buf) >= n {
 		buf = buf[:n]
 	} else {
@@ -135,4 +133,23 @@ func GatherInto(buf []byte, d PageReader, a ByteRange, hole int64, b ByteRange) 
 	}
 	clear(buf[total:imgLen])
 	return buf[:imgLen], bridged, nil
+}
+
+// gatherReads returns how many pages Gather's requests for a and b
+// transfer, and whether one request fetches both.
+func gatherReads(ps int, a, b ByteRange) (read int, together bool) {
+	fa, na, _ := PageSpan(a.Off, a.N, ps)
+	fb, nb, _ := PageSpan(b.Off, b.N, ps)
+	if na > 0 && nb > 0 && a.Start == b.Start && int(fb)-(int(fa)+na) <= bridgePages {
+		return int(fb) + nb - int(fa), true
+	}
+	return na + nb, false
+}
+
+// GatherLen returns the bytes of memory GatherInto builds the image of a,
+// hole and b in: the image's whole pages, or the pages its requests
+// transfer when those are more.
+func GatherLen(ps int, a ByteRange, hole int64, b ByteRange) int {
+	read, _ := gatherReads(ps, a, b)
+	return max(int((a.N+hole+b.N+int64(ps)-1)/int64(ps))*ps, read*ps)
 }

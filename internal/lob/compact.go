@@ -19,7 +19,7 @@ func (o *Object) Compact() error {
 
 	// Allocate the new image first: if space is too fragmented to hold a
 	// second copy, fail before touching anything.
-	newSegs, err := m.allocSegments(o.size, 0)
+	newSegs, _, err := m.allocSegments(o.size, 0, false)
 	if err != nil {
 		return err
 	}

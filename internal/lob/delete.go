@@ -16,8 +16,11 @@ import (
 // have holes) and its tail pages survive in place as R.  As in insert,
 // reshuffling may migrate bytes into N, and — unlike B-trees or EXODUS —
 // a partial segment delete may create new entries for the parents.
+//
+// N is written right after the pages the update read when those are free,
+// and waits in the write-behind set otherwise, as an insert's (newSegments).
 func (o *Object) Delete(off, n int64) error {
-	sp, err := o.PrepareDelete(off, n)
+	sp, err := o.prepareDelete(off, n, true)
 	if err != nil || sp == nil {
 		return err
 	}
@@ -25,9 +28,15 @@ func (o *Object) Delete(off, n int64) error {
 }
 
 // PrepareDelete is the prepare step of Delete (splice.go); nil when n is 0.
-// N is written through; the Splice replaces the segments from S to S' with
-// L, N and R.
+// N is written through — a transaction's record names it by reference —;
+// the Splice replaces the segments from S to S' with L, N and R.
 func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
+	return o.prepareDelete(off, n, false)
+}
+
+// prepareDelete is PrepareDelete, whose N may wait in the write-behind set
+// when fit is set (newSegments).
+func (o *Object) prepareDelete(off, n int64, fit bool) (*Splice, error) {
 	if err := o.checkRange(off, n); err != nil {
 		return nil, err
 	}
@@ -86,16 +95,18 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 	// plus R's migrated prefix (contiguous, in S').  When S = S' and the
 	// deleted pages between the two cost less to transfer than a
 	// reposition, one request fetches both; otherwise each is one read.
-	// The image is only written: it is built in scratch memory.
+	// The image is built in scratch memory, or in the write-behind set's
+	// when it may wait there (newSegMem).
 	var img []byte
 	var next disk.PageNum
+	var mem segMem
 	if res.nc > 0 {
-		tmp := m.getScratch()
-		defer m.scratch.Put(tmp)
 		tail := qc - (qb + 1) + res.moveR
-		img, next, err = m.gather(tmp,
-			disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}, 0,
-			disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail})
+		a := disk.ByteRange{Start: sl.ptr, Off: lc - res.moveL, N: res.moveL}
+		b := disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail}
+		mem = m.newSegMem(res.nc, disk.GatherLen(int(ps), a, 0, b), fit)
+		defer m.dropSegMem(&mem)
+		img, next, err = m.gather(mem.buf(), a, 0, b)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +125,7 @@ func (o *Object) PrepareDelete(off, n int64) (*Splice, error) {
 		}
 		r = Extent{Start: sr.ptr + disk.PageNum(int(q)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-	return o.newSegments(startL, startR+scr, res.nc, img, next, l, r)
+	return o.newSegments(startL, startR+scr, res.nc, img, next, l, r, &mem)
 }
 
 // Truncate shortens the object to newSize bytes.  Truncation to zero is

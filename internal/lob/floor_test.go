@@ -35,17 +35,23 @@ func (c ioCount) String() string {
 // write of a freshly allocated segment that §3's scan placed, whose address
 // is the allocator's business; such a write always repositions.  A new
 // segment placed right after the reads before it (newSegment) has its
-// address, and follows them without a seek.
+// address, and follows them without a seek.  One that waits is no request of
+// the operation's: an insert's or a delete's new segment not placed so stays
+// in the write-behind set (waitingSegment), for the next flush to write.
 type floorReq struct {
 	write bool
 	start disk.PageNum
 	pages int
+	waits bool
 }
 
 func countRequests(reqs []floorReq) ioCount {
 	var c ioCount
 	head := disk.PageNum(-1)
 	for _, r := range reqs {
+		if r.waits {
+			continue
+		}
 		if r.write {
 			c.writes++
 			c.pagesWritten += int64(r.pages)
@@ -73,7 +79,7 @@ func countRequests(reqs []floorReq) ioCount {
 func matchFloor(traced []disk.TraceEvent, floor []floorReq) (split int, err error) {
 	k := 0
 	for _, f := range floor {
-		for pages := 0; pages < f.pages; k++ {
+		for pages := 0; pages < f.pages && !f.waits; k++ {
 			if k == len(traced) {
 				return 0, fmt.Errorf("traced %v stops short of floor %v", traced, floor)
 			}
@@ -94,12 +100,13 @@ func matchFloor(traced []disk.TraceEvent, floor []floorReq) (split int, err erro
 }
 
 // floorGeom is what the floor may look at: the layout, the page size, T,
-// the largest segment, and the free data pages.
+// the largest segment, the write-behind set's limit, and the free data pages.
 type floorGeom struct {
 	segs   []SegmentInfo
 	ps     int64
 	t      int
 	maxSeg int64 // bytes
+	limit  int   // pages
 	bridge int
 	// The data pages free in the buddy directories before the operation,
 	// and then the room an operation's trimTail gives back.
@@ -190,6 +197,7 @@ func newFloorGeom(e *env, segs []SegmentInfo, t int) floorGeom {
 	return floorGeom{
 		segs: segs, ps: ps, t: t,
 		maxSeg: int64(e.bm.MaxSegmentPages()) * ps,
+		limit:  e.m.cfg.Pending.limit,
 		bridge: disk.DefaultCostModel().BridgePages(),
 		free:   free,
 	}
@@ -305,6 +313,26 @@ func (g floorGeom) newSegment(n int64, at disk.PageNum) floorReq {
 	return floorReq{write: true, start: at, pages: pages}
 }
 
+// waitingSegment is newSegment for an insert's or a delete's N: one not
+// placed right after the reads waits in the write-behind set while its pages
+// stay under the set's limit, and the operation writes nothing.
+func (g floorGeom) waitingSegment(n int64, at disk.PageNum) floorReq {
+	w := g.newSegment(n, at)
+	w.waits = w.start < 0 && w.pages < g.limit
+	return w
+}
+
+// waiting returns the pages of the requests that wait.
+func waiting(reqs []floorReq) int {
+	n := 0
+	for _, r := range reqs {
+		if r.waits {
+			n += r.pages
+		}
+	}
+	return n
+}
+
 // floorRequests is the table's formula column.
 func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 	switch op {
@@ -393,7 +421,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		// §4.3.1: S splits at page P into L | N | R; N takes the new bytes
 		// and P's suffix, reshuffling adds L's tail and R's head.  Those
 		// old bytes are contiguous in S: one read.  N is written once,
-		// right after them when the pages there are free.
+		// right after them when the pages there are free; else it waits.
 		out := g.trimTail(g.segAt(off))
 		s := g.segs[g.segAt(off)]
 		rel := off - s.LogicalOff
@@ -403,14 +431,23 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		res := reshuffle(rel, n+suffix, rc, g.t, int(g.ps), g.maxSeg)
 		need := g.runs(off-res.moveL, res.moveL+suffix+res.moveR)
 		out = append(out, g.reads(need)...)
-		return append(out, g.newSegment(res.nc, g.after(need)))
+		return append(out, g.waitingSegment(res.nc, g.after(need)))
+
+	case "inserts":
+		// off inserts of n bytes, whole pages, each at the object's end,
+		// whose last page is full, with T = 1: nothing read, so no N is
+		// placed after a read, and each waits, allocated at the next-fit
+		// point behind the one before; then the flush a checkpoint makes
+		// writes them all in one request.
+		return []floorReq{{write: true, start: -1, pages: int(off) * pagesFor(n, int(g.ps))}}
 
 	case "delete":
 		// §4.3.2: whole segments inside the range go to the free space
 		// unread.  Of S' (holding the last deleted byte, in its page Q)
 		// N takes Q's suffix, then reshuffling adds L's tail (in S) and
 		// R's head.  A cut that leaves Q no suffix reads and writes nothing.
-		// N goes right after the last read when the pages there are free.
+		// N goes right after the last read when the pages there are free;
+		// else it waits.
 		out := g.trimTail(g.segAt(off + n - 1))
 		sl, sr := g.segs[g.segAt(off)], g.segs[g.segAt(off+n-1)]
 		lc := off - sl.LogicalOff
@@ -423,7 +460,7 @@ func (g floorGeom) floorRequests(op string, off, n int64) []floorReq {
 		rc := max(0, sr.Bytes-(q+1)*g.ps)
 		res := reshuffle(lc, suffix, rc, g.t, int(g.ps), g.maxSeg)
 		need := append(g.runs(off-res.moveL, res.moveL), g.runs(off+n, suffix+res.moveR)...)
-		return append(append(out, g.reads(need)...), g.newSegment(res.nc, g.after(need)))
+		return append(append(out, g.reads(need)...), g.waitingSegment(res.nc, g.after(need)))
 	}
 	panic("floor: unknown op " + op)
 }
@@ -477,6 +514,14 @@ func runTraced(t *testing.T, e *env, o *Object, model []byte, op string, off int
 	case "insert":
 		err = o.Insert(off, data)
 		model = append(model[:off:off], append(data[:n:n], model[off:]...)...)
+	case "inserts":
+		for i := int64(0); i < off && err == nil; i++ {
+			err = o.Insert(int64(len(model)), data)
+			model = append(model, data...)
+		}
+		if err == nil {
+			err = flush(o.m.cfg.Pending)
+		}
 	case "delete":
 		err = o.Delete(off, n)
 		model = append(model[:off:off], model[off+n:]...)
@@ -492,8 +537,8 @@ type floorRow struct {
 	name   string
 	segs   []int64 // layout: bytes per segment, each laid down by one sized append, written through
 	t      int     // segment size threshold T, pages
-	op     string  // read, append, appends, append-plain, replace, read-replace, insert, delete
-	off, n int64   // appends: off appends of n bytes
+	op     string  // read, append, appends, append-plain, replace, read-replace, insert, inserts, delete
+	off, n int64   // appends, inserts: off appends or inserts of n bytes
 	want   ioCount
 }
 
@@ -526,7 +571,7 @@ var tailTable = []tailRow{
 	// writes it first.
 	{floorRow{"read reaching into the pending run", []int64{800}, 4, "read", 750, 130, ioCount{1, 1, 0, 0, 1}}, 130, 0},
 	{floorRow{"replace into the pending run", []int64{800}, 4, "replace", 850, 20, ioCount{0, 0, 1, 2, 1}}, 130, 0},
-	{floorRow{"insert into the open tail", []int64{800}, 4, "insert", 850, 250, ioCount{1, 2, 2, 6, 3}}, 130, 0},
+	{floorRow{"insert into the open tail", []int64{800}, 4, "insert", 850, 250, ioCount{1, 2, 1, 2, 2}}, 130, 0},
 	{floorRow{"delete cutting the open tail", []int64{800}, 4, "delete", 850, 80, ioCount{0, 0, 1, 2, 1}}, 130, 0},
 }
 
@@ -556,28 +601,35 @@ var floorTable = []floorRow{
 	{"replace 40 pages", []int64{6400}, 1, "replace", 350, 3900, ioCount{2, 2, 1, 40, 3}},
 	{"replace crossing two segments", []int64{800, 330, 800}, 1, "replace", 750, 200, ioCount{2, 2, 2, 3, 4}},
 
-	// §4.3.1 insert: one read of S, one write of N.
-	{"insert mid-page, T=1", []int64{6400}, 1, "insert", 3250, 120, ioCount{1, 1, 1, 2, 2}},
-	{"insert mid-page, T=4: N pulled up to T pages", []int64{6400}, 4, "insert", 3250, 120, ioCount{1, 3, 1, 4, 2}},
-	{"insert at a page boundary", []int64{6400}, 1, "insert", 3200, 100, ioCount{1, 1, 1, 2, 2}},
-	{"insert at the end of a full last page", []int64{800}, 1, "insert", 800, 100, ioCount{0, 0, 1, 1, 1}},
+	// §4.3.1 insert: one read of S, one write of N — none when N cannot go
+	// right after the read: it waits in the write-behind set.
+	{"insert mid-page, T=1", []int64{6400}, 1, "insert", 3250, 120, ioCount{1, 1, 0, 0, 1}},
+	{"insert mid-page, T=4: N pulled up to T pages", []int64{6400}, 4, "insert", 3250, 120, ioCount{1, 3, 0, 0, 1}},
+	{"insert at a page boundary", []int64{6400}, 1, "insert", 3200, 100, ioCount{1, 1, 0, 0, 1}},
+	{"insert at the end of a full last page", []int64{800}, 1, "insert", 800, 100, ioCount{}},
 	// N is placed right after the pages read when they are free — here the
 	// 3 pages S's run left over and the start of the free 8-page block
 	// behind it — and written without a seek; with a neighbour on them, it
-	// goes where §3's scan finds room, and the write repositions.
+	// waits in the write-behind set, and the insert writes nothing.
 	{"insert into a small segment, T=8: S rewritten whole", []int64{500, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 1, 6, 1}},
-	{"insert into a small segment, T=8: a neighbour behind S", []int64{500, 300, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 1, 6, 2}},
+	{"insert into a small segment, T=8: a neighbour behind S", []int64{500, 300, 6400}, 8, "insert", 250, 100, ioCount{1, 5, 0, 0, 1}},
+	// k inserts whose N waits, then a flush: the new segments are
+	// allocated one behind the other at the set's next-fit point, and go
+	// out in one request.
+	{"4 inserts of 3 pages at the end, then a flush: one run", []int64{800}, 1, "inserts", 4, 300, ioCount{0, 0, 1, 12, 1}},
+	{"8 inserts of a page at the end of two segments, then a flush: one run", []int64{800, 330}, 1, "inserts", 8, 100, ioCount{0, 0, 1, 8, 1}},
 
-	// §4.3.2 delete: the rule's edges.
+	// §4.3.2 delete: the rule's edges.  An N that cannot go right after the
+	// reads waits in the write-behind set.
 	{"delete whole segments", []int64{800, 330, 800}, 1, "delete", 800, 330, ioCount{}},
 	{"delete to a page boundary", []int64{6400}, 1, "delete", 300, 500, ioCount{}},
-	{"delete inside one page: that page read once", []int64{6400}, 1, "delete", 310, 20, ioCount{1, 1, 1, 1, 2}},
-	{"delete across adjacent pages", []int64{6400}, 1, "delete", 330, 100, ioCount{1, 2, 1, 1, 2}},
-	{"delete, gap = bridge", []int64{6400}, 1, "delete", 330, 1500, ioCount{1, 16, 1, 1, 2}},
-	{"delete, gap = bridge + 1", []int64{6400}, 1, "delete", 330, 1600, ioCount{2, 2, 1, 1, 3}},
-	{"delete, nothing kept of L's last page", []int64{6400}, 1, "delete", 300, 160, ioCount{1, 1, 1, 1, 2}},
-	{"delete across two segments, physically consecutive: not bridged", []int64{800, 800}, 1, "delete", 730, 100, ioCount{2, 2, 1, 1, 2}},
-	{"delete, T=4: L falls under T and moves into N whole", []int64{6400}, 4, "delete", 530, 100, ioCount{1, 7, 1, 6, 2}},
+	{"delete inside one page: that page read once", []int64{6400}, 1, "delete", 310, 20, ioCount{1, 1, 0, 0, 1}},
+	{"delete across adjacent pages", []int64{6400}, 1, "delete", 330, 100, ioCount{1, 2, 0, 0, 1}},
+	{"delete, gap = bridge", []int64{6400}, 1, "delete", 330, 1500, ioCount{1, 16, 0, 0, 1}},
+	{"delete, gap = bridge + 1", []int64{6400}, 1, "delete", 330, 1600, ioCount{2, 2, 0, 0, 2}},
+	{"delete, nothing kept of L's last page", []int64{6400}, 1, "delete", 300, 160, ioCount{1, 1, 0, 0, 1}},
+	{"delete across two segments, physically consecutive: not bridged", []int64{800, 800}, 1, "delete", 730, 100, ioCount{2, 2, 0, 0, 1}},
+	{"delete, T=4: L falls under T and moves into N whole", []int64{6400}, 4, "delete", 530, 100, ioCount{1, 7, 0, 0, 1}},
 	{"delete from a small segment, T=8: S rewritten whole behind itself", []int64{500, 6400}, 8, "delete", 250, 10, ioCount{1, 5, 1, 5, 1}},
 }
 
@@ -665,6 +717,18 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 	if split, err := matchFloor(traced, floor); err != nil || split != 0 {
 		t.Errorf("%d split segment writes, %v", split, err)
 	}
+	if row.op == "insert" || row.op == "delete" {
+		closed := 0
+		o.m.cfg.Pending.load().each(func(p pendingPage) bool {
+			if p.kind != openTail {
+				closed++
+			}
+			return true
+		})
+		if closed != waiting(floor) {
+			t.Errorf("%d pages left pending, the floor %d", closed, waiting(floor))
+		}
+	}
 	mustContent(t, o, model)
 	mustCheck(t, o)
 }
@@ -675,8 +739,10 @@ func testFloorRow(t *testing.T, row floorRow, keep [2]int64, open, cut int64) {
 // produced: every operation's traced requests are its floor, so
 // measured ÷ floor is 1 for each operation kind over the whole run.  A
 // hinted append, and a plain one that fills its tail, leave closed tails
-// pending, and a checkpoint writes them between that operation and the next
-// (writeClosed), outside both.
+// pending, an insert or a delete the new segment it could not place after
+// its reads — exactly the pages the floor says wait —, and a checkpoint
+// writes them between that operation and the next (writeClosed), outside
+// both.
 func TestOpFloorRandomMix(t *testing.T) {
 	const ps = 100
 	const threshold = 8
@@ -698,7 +764,7 @@ func TestOpFloorRandomMix(t *testing.T) {
 	}
 	var measured, floored ioCount
 	var splits int64
-	closed, hintedClosed := 0, 0
+	closed, hintedClosed, waited := 0, 0, 0
 	for i := 0; i < ops; i++ {
 		segs, err := o.Segments()
 		if err != nil {
@@ -732,12 +798,16 @@ func TestOpFloorRandomMix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: %s(%d,%d): %v", i, op, off, n, err)
 		}
-		if k := writeClosed(t, e.m); k > 0 && op != "append-plain" && op != "append" {
-			t.Fatalf("op %d: %s(%d,%d) left %d pages of a closed tail pending", i, op, off, n, k)
-		} else if op == "append-plain" {
+		switch k := writeClosed(t, e.m); op {
+		case "append-plain":
 			closed += k
-		} else {
+		case "append":
 			hintedClosed += k
+		default:
+			if k != waiting(floor) {
+				t.Fatalf("op %d: %s(%d,%d) left %d pages pending, the floor %d", i, op, off, n, k, waiting(floor))
+			}
+			waited += k
 		}
 		splits += int64(split)
 		measured.reads += st.Reads
@@ -760,14 +830,18 @@ func TestOpFloorRandomMix(t *testing.T) {
 	if closed == 0 {
 		t.Error("no plain append filled its tail and left it pending")
 	}
-	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages; %d pages of filled tails and %d of hinted appends left to the checkpoint",
-		ops, measured, splits, e.m.Stats().BridgedReads, e.m.Stats().BridgedGapPages, closed, hintedClosed)
+	if waited == 0 {
+		t.Error("no insert or delete left its new segment pending")
+	}
+	t.Logf("%d operations: %v, = floor but for %d writes of segments the allocator split; %d bridged reads paid %d gap pages; %d pages of filled tails, %d of hinted appends and %d of new segments left to the checkpoint",
+		ops, measured, splits, e.m.Stats().BridgedReads, e.m.Stats().BridgedGapPages, closed, hintedClosed, waited)
 	mustContent(t, o, model)
 	mustCheck(t, o)
 }
 
 // writeClosed writes the pending pages no open tail holds — the tails
-// hinted appends and filling plain ones closed — as the store's next checkpoint would, one request per run
+// hinted appends and filling plain ones closed, and the new segments of
+// inserts and deletes — as the store's next checkpoint would, one request per run
 // of contiguous ones, and returns how many it wrote.  What an operation then
 // meets pending is the open tail's run alone, which the floor knows.
 func writeClosed(t *testing.T, m *Manager) int {

@@ -91,7 +91,7 @@ func (m *Manager) PendHeld() error {
 		pages[i] = pendingPage{page: h.page, img: h.img}
 	}
 	if t := m.cfg.Pending; t != nil && len(pages) > 0 {
-		t.install(pages)
+		t.install(pages, nil)
 		return nil
 	}
 	for _, p := range pages {

@@ -16,8 +16,12 @@ import (
 // migrate bytes from L's tail and R's head into N; existing pages are
 // never overwritten — migrated bytes are copied into N and their source
 // pages freed.
+//
+// N is written right after the pages the update read when those are free
+// (the write then costs no seek), and waits in the write-behind set
+// otherwise (newSegments).
 func (o *Object) Insert(off int64, data []byte) error {
-	sp, err := o.PrepareInsert(off, data)
+	sp, err := o.prepareInsert(off, data, true)
 	if err != nil || sp == nil {
 		return err
 	}
@@ -25,8 +29,15 @@ func (o *Object) Insert(off int64, data []byte) error {
 }
 
 // PrepareInsert is the prepare step of Insert (splice.go); nil when data is
-// empty.  N is written through; the Splice replaces S with L, N and R.
+// empty.  N is written through — a transaction's record names it by
+// reference —; the Splice replaces S with L, N and R.
 func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
+	return o.prepareInsert(off, data, false)
+}
+
+// prepareInsert is PrepareInsert, whose N may wait in the write-behind set
+// when fit is set (newSegments).
+func (o *Object) prepareInsert(off int64, data []byte, fit bool) (*Splice, error) {
 	if off < 0 || off > o.size {
 		return nil, fmt.Errorf("%w: insert at %d of %d", ErrOutOfBounds, off, o.size)
 	}
@@ -40,7 +51,9 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 
 	// Empty object: insertion is creation.
 	if o.size == 0 {
-		return o.newSegments(0, 0, int64(len(data)), m.pageImage(data, false), 0, Extent{}, Extent{})
+		mem := m.newSegMem(int64(len(data)), pagesFor(int64(len(data)), int(ps))*int(ps), fit)
+		defer m.dropSegMem(&mem)
+		return o.newSegments(0, 0, int64(len(data)), m.pageImage(data, false), 0, Extent{}, Extent{}, &mem)
 	}
 
 	// Step 1-2: locate S and compute the split geometry.
@@ -79,13 +92,13 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 	// the inserted bytes, the split page's suffix and R's migrated prefix.
 	// The old bytes are physically contiguous in S, so one multi-page read
 	// fetches them (the paper's "one or two pages" plus reshuffled pages,
-	// with no extra seeks).  The image is only written: it is built in
-	// scratch memory.
-	tmp := m.getScratch()
-	defer m.scratch.Put(tmp)
-	img, next, err := m.gather(tmp,
-		disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}, int64(len(data)),
-		disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR})
+	// with no extra seeks).  The image is built in scratch memory, or in
+	// the write-behind set's when it may wait there (newSegMem).
+	a := disk.ByteRange{Start: S.ptr, Off: rel - res.moveL, N: res.moveL}
+	b := disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR}
+	mem := m.newSegMem(res.nc, disk.GatherLen(int(ps), a, int64(len(data)), b), fit)
+	defer m.dropSegMem(&mem)
+	img, next, err := m.gather(mem.buf(), a, int64(len(data)), b)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +117,7 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 		}
 		r = Extent{Start: S.ptr + disk.PageNum(int(p)+1+int(res.moveR/ps)), Bytes: res.rc}
 	}
-	return o.newSegments(segStart, segStart+sc, res.nc, img, next, l, r)
+	return o.newSegments(segStart, segStart+sc, res.nc, img, next, l, r, &mem)
 }
 
 // newSegments allocates segments for the nc bytes of the whole-page image
@@ -114,33 +127,98 @@ func (o *Object) PrepareInsert(off int64, data []byte) (*Splice, error) {
 // page at, the page after the update's reads, when that page is not 0 and
 // its run is free (Manager.allocRun): the write then follows the reads
 // without a seek.
-func (o *Object) newSegments(lo, hi, nc int64, img []byte, at disk.PageNum, l, r Extent) (*Splice, error) {
+//
+// When mem says the image may wait in the write-behind set (newSegMem),
+// segments not placed so are not written: their pages wait in the set,
+// allocated at its next-fit point when that run is free
+// (Manager.allocSegments), so that the new segments of consecutive updates
+// are one run of pages, which the set writes in one request.  The image
+// waits in mem's room in the set's fill memory (Pending.keep).
+func (o *Object) newSegments(lo, hi, nc int64, img []byte, at disk.PageNum, l, r Extent, mem *segMem) (*Splice, error) {
 	m := o.m
 	sp := m.newSplice(lo, hi)
 	if l.Bytes > 0 {
 		sp.Entries = append(sp.Entries, l)
 	}
 	if nc > 0 {
-		segs, err := m.allocSegments(nc, at)
+		ps := m.vol.PageSize()
+		segs, waits, err := m.allocSegments(nc, at, mem.fit)
 		if err != nil {
 			return nil, err
 		}
-		ps := m.vol.PageSize()
 		for _, se := range segs {
 			sp.runs = append(sp.runs, PageRun{Start: se.ptr, Pages: pagesFor(se.bytes, ps)})
 			sp.Entries = append(sp.Entries, Extent{Start: se.ptr, Bytes: se.bytes})
 		}
+		if waits {
+			img, sp.fill = m.cfg.Pending.keep(mem.room, img, sp.runs)
+			mem.kept = true
+		}
 		for _, run := range sp.runs {
 			n := run.Pages * ps
-			if err := m.writeImage(run.Start, img[:n]); err != nil {
+			if waits {
+				sp.pend = append(sp.pend, pageImage{start: run.Start, raw: img[:n:n]})
+			} else if err := m.writeImage(run.Start, img[:n]); err != nil {
 				return nil, m.giveBack(sp.runs, err)
 			}
 			img = img[n:]
 		}
-		sp.wrote = true
+		sp.wrote = !waits
 	}
 	if r.Bytes > 0 {
 		sp.Entries = append(sp.Entries, r)
 	}
 	return sp, nil
+}
+
+// segMem is the memory an insert's or a delete's new segment N is built in
+// (newSegMem).
+type segMem struct {
+	fit     bool     // N may wait in the write-behind set
+	room    fillRoom // N's room in the set's fill memory, when it may
+	into    []byte   // the room's memory, which gather builds N in
+	scratch *[]byte  // the manager's scratch, which gather builds N in when the room is too small
+	kept    bool     // N waits with its image in the room (newSegments)
+}
+
+// newSegMem returns the memory to build an nc-byte N in, which takes size
+// bytes (disk.GatherLen).  With fit, on a manager with a write-behind set
+// whose limit N's pages stay under, N may wait in the set (newSegments), and
+// gets room in the set's fill memory (Pending.Hold), where a waiting N's
+// image stays: it is built there when the room holds size bytes, and
+// copied there from the manager's scratch otherwise.  dropSegMem hands the
+// memory back.
+func (m *Manager) newSegMem(nc int64, size int, fit bool) segMem {
+	ps, limit := m.vol.PageSize(), 0
+	if m.cfg.Pending != nil {
+		limit = m.cfg.Pending.limit
+	}
+	s := segMem{fit: fit && pagesFor(nc, ps) < limit}
+	if s.fit {
+		s.room = m.cfg.Pending.Hold(pagesFor(nc, ps) * ps)
+		s.into = s.room.mem
+	}
+	if len(s.into) < size {
+		s.scratch = m.getScratch()
+	}
+	return s
+}
+
+// buf returns the memory gather is to build N in.
+func (s *segMem) buf() *[]byte {
+	if s.scratch != nil {
+		return s.scratch
+	}
+	return &s.into
+}
+
+// dropSegMem hands back what newSegMem returned: the scratch, and the room
+// unless N waits with its image in it.
+func (m *Manager) dropSegMem(s *segMem) {
+	if s.scratch != nil {
+		m.scratch.Put(s.scratch)
+	}
+	if !s.kept {
+		m.cfg.Pending.unhold(s.room)
+	}
 }

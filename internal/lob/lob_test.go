@@ -61,7 +61,7 @@ func pendingIn(m *Manager, start disk.PageNum, n int) (disk.PageNum, int) {
 }
 
 // flush writes every pending page, as a checkpoint does.
-func flush(t *Pending) error { return t.Write(t.Capture()) }
+func flush(t *Pending) error { return t.Write(t.Capture(0)) }
 
 // tailRun returns the first pending page of o's open tail segment and how
 // many of its pages are pending.
@@ -191,7 +191,7 @@ func TestSearchFigure5Cost(t *testing.T) {
 	// child takes four segments, and the right child's first 280 bytes,
 	// which the read does not reach, are two segments of 140.
 	mkSeg := func(n int64, seed int) entry {
-		segs, err := m.allocSegments(n, 0)
+		segs, _, err := m.allocSegments(n, 0, false)
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("allocSegments(%d): %v (%d segs)", n, err, len(segs))
 		}

@@ -61,12 +61,13 @@ type Config struct {
 	// frames.
 	RetainFreedPages bool
 	// Pending is the write-behind set appends leave their tails' pages in —
-	// a plain Append while its tail is open, a hinted one always — and
-	// committed replaces their pages (pending.go); managers over one volume
-	// share one.  nil: every page is written at once, a hinted append's
-	// segment goes wherever §3's scan puts it, and an append reads the
-	// partial last page of an open tail back — the write-through stacks
-	// eosbench compares and perf's lob-layer probe.
+	// a plain Append while its tail is open, a hinted one always —,
+	// committed replaces their pages, and inserts and deletes the new
+	// segments they could not place after their reads (pending.go); managers
+	// over one volume share one.  nil: every page is written at once, a
+	// hinted append's segment goes wherever §3's scan puts it, and an append
+	// reads the partial last page of an open tail back — the write-through
+	// stacks eosbench compares and perf's lob-layer probe.
 	Pending *Pending
 	// LogBusy reports whether the log that carries the set's bytes is too
 	// full to take more of them by value: a plain Append that fills its
@@ -84,6 +85,8 @@ type Stats struct {
 	Deletes            int64
 	SegmentsAllocated  int64
 	SegmentsPlaced     int64 // of those, an insert's or a delete's new segment allocated right after the pages it read, or a hinted append's right after the object's last segment
+	SegmentsWaiting    int64 // an Object insert's or delete's new segments not placed so, left in the write-behind set
+	SegmentsNextFit    int64 // of those, the ones allocated at the set's next-fit point
 	SegmentsFreed      int64
 	BytesReshuffled    int64 // bytes moved between segments by reshuffling
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
@@ -123,6 +126,8 @@ type stats struct {
 	deletes            atomic.Int64
 	segmentsAllocated  atomic.Int64
 	segmentsPlaced     atomic.Int64
+	segmentsWaiting    atomic.Int64
+	segmentsNextFit    atomic.Int64
 	segmentsFreed      atomic.Int64
 	bytesReshuffled    atomic.Int64
 	pagesReshuffled    atomic.Int64
@@ -149,8 +154,9 @@ type Manager struct {
 	// pages (Object.Publish).
 	base *Manager
 	// scratch is memory for page images that do not outlive the operation
-	// building them: the new segment an insert or a delete writes and
-	// drops.  It holds *[]byte, so handing memory back allocates nothing.
+	// building them: the new segment an insert or a delete writes, or
+	// copies into the write-behind set, and drops.  It holds *[]byte, so
+	// handing memory back allocates nothing.
 	scratch *sync.Pool
 }
 
@@ -195,6 +201,8 @@ func (m *Manager) Stats() Stats {
 		Deletes:            m.st.deletes.Load(),
 		SegmentsAllocated:  m.st.segmentsAllocated.Load(),
 		SegmentsPlaced:     m.st.segmentsPlaced.Load(),
+		SegmentsWaiting:    m.st.segmentsWaiting.Load(),
+		SegmentsNextFit:    m.st.segmentsNextFit.Load(),
 		SegmentsFreed:      m.st.segmentsFreed.Load(),
 		BytesReshuffled:    m.st.bytesReshuffled.Load(),
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
@@ -331,6 +339,10 @@ func (m *Manager) getScratch() *[]byte {
 // only for the pages from the first to the last that neither set holds, and
 // not at all when they hold every one.
 func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
+	if t := m.cfg.Pending; t != nil {
+		t.copying.RLock() // no image it copies is built over meanwhile
+		defer t.copying.RUnlock()
+	}
 	pend, held := m.cfg.Pending.load().between(start, n), m.held.set
 	hlo, hhi := span(held, start, n)
 	if len(pend) == 0 && hlo == hhi {
@@ -436,13 +448,17 @@ func (m *Manager) Forget(start disk.PageNum, n int) {
 	}
 }
 
-// freeData frees n data pages from start on, writing the pending ones first:
-// a snapshot may read them until the free is reclaimed, and no image may
-// outlive its page's owner.  Held ones leave the held set (held.go).
+// freeData frees n data pages from start on.  Their pending images stay
+// unwritten, readable by a snapshot until the free is reclaimed: with an
+// allocator that retains frees (Config.RetainFreedPages) its owner marks them
+// dead when it retires the run and drops them when it releases it
+// (Pending.Retire, Pending.Release); one that frees at once takes them with
+// the pages, since no image may outlive its page's owner.  Held ones leave
+// the held set (held.go).
 func (m *Manager) freeData(start disk.PageNum, n int) error {
 	m.held.free(start, n)
-	if err := m.cfg.Pending.writeRange(start, n); err != nil {
-		return err
+	if !m.cfg.RetainFreedPages {
+		m.cfg.Pending.drop(start, n)
 	}
 	return m.alloc.Free(start, n)
 }
@@ -472,57 +488,72 @@ func (m *Manager) pageImage(data []byte, keep bool) []byte {
 // single run but splitting across runs (and capping at the maximum
 // segment size) as needed.  It returns the segment entries in order.  The
 // first run starts at page at when that is not 0 and the allocator can
-// place it there (allocRun).
-func (m *Manager) allocSegments(total int64, at disk.PageNum) ([]entry, error) {
+// place it there (allocRun).  With fit, segments that do not start there
+// wait in the write-behind set (waits): each tries the set's next-fit point
+// first, which then moves behind it.
+func (m *Manager) allocSegments(total int64, at disk.PageNum, fit bool) (out []entry, waits bool, err error) {
 	ps := int64(m.vol.PageSize())
-	var out []entry
 	remaining := total
 	for remaining > 0 {
 		wantPages := pagesFor(remaining, int(ps))
-		start, got, err := m.allocRun(wantPages, at)
+		start, got, placed := m.allocAt(wantPages, at)
+		if placed {
+			m.st.segmentsPlaced.Add(1)
+			fit = false
+		}
 		at = 0
-		if err != nil {
-			// Roll back partial allocations, best-effort: the
-			// allocation failure is the error worth reporting.  No root
-			// named them.
-			for _, e := range out {
-				_ = m.alloc.FreeUnpublished(e.ptr, pagesFor(e.bytes, int(ps)))
+		if !placed && fit {
+			if start, got, placed = m.allocAt(wantPages, disk.PageNum(m.cfg.Pending.next.Load())); placed {
+				m.st.segmentsNextFit.Add(1)
 			}
-			return nil, err
 		}
-		bytes := int64(got) * ps
-		if bytes > remaining {
-			bytes = remaining
+		if !placed {
+			if start, got, err = m.alloc.AllocUpTo(wantPages); err != nil {
+				// Roll back partial allocations, best-effort: the
+				// allocation failure is the error worth reporting.  No
+				// root named them.
+				for _, e := range out {
+					_ = m.alloc.FreeUnpublished(e.ptr, pagesFor(e.bytes, int(ps)))
+				}
+				return nil, false, err
+			}
 		}
+		if fit {
+			m.cfg.Pending.next.Store(uint64(start) + uint64(got))
+			m.st.segmentsWaiting.Add(1)
+		}
+		// AllocAt and AllocUpTo hand out at most wantPages pages: the run
+		// holds no page the bytes do not need.
+		bytes := min(int64(got)*ps, remaining)
 		out = append(out, entry{bytes: bytes, ptr: start})
-		// Trim the run if we got more pages than the bytes need (only
-		// possible on the final run).
-		used := pagesFor(bytes, int(ps))
-		if used < got {
-			if err := m.alloc.Free(start+disk.PageNum(used), got-used); err != nil {
-				return nil, err
-			}
-		}
 		remaining -= bytes
 		m.st.segmentsAllocated.Add(1)
 	}
-	return out, nil
+	return out, fit, nil
 }
 
-// allocRun allocates a run of up to want pages: at page at — where the head
-// stopped after an update's reads, so the run's write costs no seek, or
-// right after the object's last segment, so that its pages and the run go
-// out in one request — when at is not 0 and the allocator can place it
-// there at no I/O (Allocator.AllocAt), and wherever §3's lowest-address
-// scan finds room otherwise.
+// allocRun allocates a run of up to want pages: at page at — right after
+// the object's last segment, so that its pages and the run go out in one
+// request — when at is not 0 and the allocator can place it there at no I/O
+// (allocAt), and wherever §3's lowest-address scan finds room otherwise.
 func (m *Manager) allocRun(want int, at disk.PageNum) (disk.PageNum, int, error) {
-	if at != 0 {
-		if n := min(want, m.alloc.MaxSegmentPages()); m.alloc.AllocAt(at, n) {
-			m.st.segmentsPlaced.Add(1)
-			return at, n, nil
-		}
+	if start, n, ok := m.allocAt(want, at); ok {
+		m.st.segmentsPlaced.Add(1)
+		return start, n, nil
 	}
 	return m.alloc.AllocUpTo(want)
+}
+
+// allocAt allocates a run of up to want pages at page at — where the head
+// stopped after an update's reads, so that the run's write costs no seek, or
+// where its pages join pages pending before it — when at is not 0 and the
+// allocator can place it there at no I/O (Allocator.AllocAt).
+func (m *Manager) allocAt(want int, at disk.PageNum) (disk.PageNum, int, bool) {
+	if at == 0 {
+		return 0, 0, false
+	}
+	n := min(want, m.alloc.MaxSegmentPages())
+	return at, n, m.alloc.AllocAt(at, n)
 }
 
 // giveBack frees runs an operation allocated and then could not use —

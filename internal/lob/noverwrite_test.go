@@ -74,6 +74,11 @@ func TestInsertDeleteNeverOverwriteLeafPages(t *testing.T) {
 			t.Fatalf("op %d overwrote %d pre-existing data pages (e.g. %d)",
 				i, len(overwrites), overwrites[0])
 		}
+		// The new segment may wait in the write-behind set; a checkpoint
+		// puts it on the device before the next operation.
+		if err := flush(e.m.cfg.Pending); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mustCheck(t, o)
 }

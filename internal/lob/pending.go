@@ -1,6 +1,8 @@
 package lob
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +12,7 @@ import (
 
 // The write-behind set.
 //
-// Two kinds of data page wait in memory, keyed by page number, with bytes a
+// Three kinds of data page wait in memory, keyed by page number, with bytes a
 // committed root names that the device does not hold yet:
 //
 //   - the pages appends filled in a tail segment (append.go): a plain
@@ -20,13 +22,20 @@ import (
 //   - the pages a replace rewrote, once its write scope is past its commit
 //     point — a committed transaction's, or an Object Replace's
 //     (Manager.PendHeld): they wait here instead of being written home,
-//     and a later replace of a pending page only overwrites its image.
+//     and a later replace of a pending page only overwrites its image;
+//   - the new segment N an Object insert or delete writes (insert.go), when
+//     it could not go right after the pages the update read: its pages wait
+//     as a closed tail's do, allocated at the set's next-fit point — the
+//     page after the last N that waited — so that consecutive ones are one
+//     run of pages, which one request writes.  Their images are built in
+//     the set's fill memory (Hold).
 //
 // Nothing on the device needs them yet: a transactional append's record
 // carries the bytes it left here by value, a replace's its bytes, and recovery
 // rebuilds the pages from them on the roots the last checkpoint image names.
-// An Object Replace or append logs nothing: its pages reach recovery only
-// through the next checkpoint's image.
+// An Object Replace, append, insert or delete logs nothing: its pages reach
+// recovery only through the next checkpoint's image.  A transaction's insert
+// or delete writes its N through: its record names N by reference.
 // Every read of a data page looks here,
 // after its manager's held set (Manager.readPages): object and snapshot
 // reads, PrepareReplace, and the old bytes an insert, delete, replace or tail
@@ -40,26 +49,37 @@ import (
 //   - the store takes a checkpoint, whose image may name their bytes: it
 //     captures the set (Capture) with the image's descriptors and writes
 //     what it captured (Write) without holding the store's lock;
-//   - the set is over its limit after an install (replaced pages and closed
-//     tails' go before open tails: a closed tail's pages are no longer an
+//   - the set is over its limit after an install (replaced pages, closed
+//     tails' and new segments' go before open tails: they are no longer an
 //     open tail's, which no append continues, and an open tail written early
-//     costs the append that continues it a read).  The limit bounds the
-//     set's memory.  The store sets it to its log's capacity in data pages:
-//     a transaction's pending bytes are also redo the log has carried since
-//     the last checkpoint, while an Object write's are in no record.  A
-//     hinted append whose pages would not fit in the limit writes through
-//     instead (append.go);
+//     costs the append that continues it a read; freed pages go last).  The
+//     limit bounds the set's memory.  The store sets it to its log's
+//     capacity in data pages: a transaction's pending bytes are also redo
+//     the log has carried since the last checkpoint, while an Object write's
+//     are in no record.  A hinted append, insert or delete whose pages would
+//     not fit in the limit writes through instead;
 //   - a tail is trimmed (Trim, Destroy, a delete, insert or compaction that
 //     reaches the tail segment), or an append that fills it writes it
 //     through (append.go says when);
-//   - their pages are freed (Manager.freeData): a snapshot may still read
-//     them, and they must not outlive their owner.
+//   - the fill memory is full: the new segments' pages still pending in it
+//     are written, and the memory takes the next ones while it is fresh in
+//     the processor's caches.
+//
+// Freed pages keep their images (Manager.freeData): a snapshot may still
+// read them, and a checkpoint that captured a root naming them before the
+// free was published still writes them.  With an allocator that retains
+// frees (Config.RetainFreedPages) the store marks them dead when their run
+// is retired, behind the publish (Retire) — no checkpoint begun after that
+// writes them — and drops them when the run is released, before the free
+// space can hand the pages out again (Release).  An allocator that frees at
+// once takes the images with the pages.
 //
 // Invariant: every page a committed root names holds its newest committed
 // bytes in the set if it is pending, else on the device.  So whoever drops a
 // page writes it first — unless no root but an aborted one names its bytes:
-// pages an aborted transaction allocated (Manager.Forget), and the room of a
-// tail its abort reinstates (Object.Reinstate) — and whoever writes a
+// pages an aborted transaction allocated (Manager.Forget), the room of a
+// tail its abort reinstates (Object.Reinstate), and a released run —
+// and whoever writes a
 // pending page from outside the set (recovery's redo of a replace, a fill
 // that writes through) drops its image in the same critical section under
 // Pending.mu, so that the image is never written over the newer page later.
@@ -75,6 +95,16 @@ import (
 type Pending struct {
 	vol   disk.Device
 	limit int // pages pending at most after every install
+	// next is the next-fit point: the page after the last new segment of an
+	// insert or a delete that waits here, 0 before the first.
+	next atomic.Uint64
+	// fill is the memory the images of waiting new segments are built in
+	// (Hold), nil until the first since the last checkpoint began.
+	fill *fillBuf // eos:guardedby mu
+	// copying is held shared by every read that copies images out of a
+	// version of the set (Manager.readPages): fill memory is built in again
+	// only when no read holds it.
+	copying sync.RWMutex
 
 	mu  sync.Mutex
 	set atomic.Pointer[pendingSet] // replaced whole under mu, never changed in place; nil when empty
@@ -105,7 +135,15 @@ type pendingPage struct {
 	page disk.PageNum
 	img  []byte // one page; nobody writes to it once it is in the set
 	kind pageKind
+	// freed is 0 while a published root may name the page, and once the
+	// write that freed it has retired its run, 1 + the barrier stamp of that
+	// retire (Retire): no checkpoint numbered above the stamp names it.
+	freed uint64
 }
+
+// deadFor reports whether the image of checkpoint barrier names p's page
+// nowhere: it was freed, and the free retired before that checkpoint began.
+func (p pendingPage) deadFor(barrier uint64) bool { return p.freed != 0 && p.freed <= barrier }
 
 // pageKind says what left a page in the set.
 type pageKind uint8
@@ -113,7 +151,7 @@ type pageKind uint8
 const (
 	replacedPage pageKind = iota // a committed replace
 	openTail                     // an append into the tail an append continues next
-	closedTail                   // an append into a tail that has closed since
+	closedTail                   // an append into a tail that has closed since, or an insert's or a delete's new segment
 )
 
 func (p pendingPage) pageNum() disk.PageNum { return p.page }
@@ -346,12 +384,31 @@ func appendChunks(chunks [][]pendingPage, pages []pendingPage) [][]pendingPage {
 	return chunks
 }
 
-// largestRun returns the largest run of contiguous pending pages that are
-// all an open tail's, or all not, the lowest on a tie.
-func (s *pendingSet) largestRun(open bool) (best pageRange) {
+// Eviction classes, in the order evictLocked writes them.
+const (
+	evictFirst = iota // a committed replace's page, a closed tail's or a new segment's
+	evictOpen         // an open tail's: the append that continues it reads it back
+	evictDead         // a freed page: a write that nobody needs
+	evictClasses
+)
+
+// evictClass is the eviction class of p.
+func (p pendingPage) evictClass() int {
+	switch {
+	case p.freed != 0:
+		return evictDead
+	case p.kind == openTail:
+		return evictOpen
+	}
+	return evictFirst
+}
+
+// largestRun returns the largest run of contiguous pending pages all of
+// eviction class class, the lowest on a tie.
+func (s *pendingSet) largestRun(class int) (best pageRange) {
 	var cur pageRange
 	s.each(func(p pendingPage) bool {
-		if (p.kind == openTail) != open {
+		if p.evictClass() != class {
 			cur = pageRange{}
 			return true
 		}
@@ -377,13 +434,18 @@ func (t *Pending) load() *pendingSet {
 }
 
 // Captured is the write-behind set as it was at one moment (Capture).
-type Captured struct{ set *pendingSet }
+type Captured struct {
+	set     *pendingSet
+	barrier uint64
+}
 
-// Capture returns the set as it is now, for Write.
-func (t *Pending) Capture() Captured { return Captured{t.load()} }
+// Capture returns the set as it is now, for Write by the checkpoint numbered
+// barrier, whose image was taken before it (0: a write of every page).
+func (t *Pending) Capture(barrier uint64) Captured { return Captured{t.load(), barrier} }
 
-// Write writes the pages c holds that are still pending, one request per
-// run of contiguous ones in address order, with each page's image as it is
+// Write writes the pages c holds that are still pending, but the ones dead
+// for its checkpoint (deadFor), one request per run of contiguous ones in
+// address order, with each page's image as it is
 // when its run goes out — the newest committed bytes.  It takes the set's
 // lock per run, and not over the request: commits install, and readers
 // read, while a run is written; nobody writes or drops a page of it
@@ -398,9 +460,17 @@ func (t *Pending) Write(c Captured) error {
 	if t == nil {
 		return nil
 	}
+	// The images copied from now on go into fresh memory: what the old fill
+	// memory holds goes out with this checkpoint, and the memory with it.
+	t.mu.Lock()
+	t.fill = nil
+	t.mu.Unlock()
 	var run []pendingPage
 	var err error
 	c.set.each(func(p pendingPage) bool {
+		if p.deadFor(c.barrier) {
+			return true
+		}
 		if len(run) > 0 && p.page != run[len(run)-1].page+1 {
 			if err = t.writeCaptured(run); err != nil {
 				return false
@@ -485,7 +555,7 @@ func (t *Pending) writeRange(start disk.PageNum, n int) error {
 // writeOver writes raw, whole-page images of the pages from start on, and
 // drops the images of the pages it covers: raw holds their newest bytes.
 // Pending pages right before and after it go in the same request, unless a
-// captured write has them in flight.
+// captured write has them in flight or they are freed.
 func (t *Pending) writeOver(start disk.PageNum, raw []byte) error {
 	ps := t.vol.PageSize()
 	n := len(raw) / ps
@@ -494,8 +564,8 @@ func (t *Pending) writeOver(start disk.PageNum, raw []byte) error {
 	t.awaitLocked(start, n)
 	set, flying := t.load(), t.flying
 	adjacent := func(p disk.PageNum) bool {
-		_, ok := set.get(p)
-		return ok && !flying.overlaps(p, 1)
+		pp, ok := set.get(p)
+		return ok && pp.freed == 0 && !flying.overlaps(p, 1)
 	}
 	first, end := start, start+disk.PageNum(n)
 	for first > 0 && adjacent(first-1) {
@@ -539,6 +609,36 @@ func (t *Pending) drop(start disk.PageNum, n int) {
 	t.cutLocked(start, n)
 }
 
+// Retire marks the pending pages among [start, start+n) dead for every
+// checkpoint numbered above barrier: the write that freed them has published
+// the roots that stop naming them, and has retired their run with that
+// barrier stamp.  Their images stay readable until Release.
+func (t *Pending) Retire(start disk.PageNum, n int, barrier uint64) {
+	if t == nil || len(t.load().between(start, n)) == 0 {
+		return // nothing installs into a run nobody owns
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pages := t.load().between(start, n)
+	add := make([]pendingPage, len(pages))
+	for i, p := range pages {
+		p.freed = barrier + 1
+		add[i] = p
+	}
+	next, _ := t.load().with(add)
+	t.storeLocked(next)
+}
+
+// Release drops the pending pages among [start, start+n) unwritten: their
+// run leaves the reclamation queue for the free space, and no root can name
+// them any more.
+func (t *Pending) Release(start disk.PageNum, n int) {
+	if t == nil || len(t.load().between(start, n)) == 0 {
+		return
+	}
+	t.drop(start, n)
+}
+
 // mark makes the tail pages pending among [start, start+n) the given kind of
 // tail page: a tail that closes or is reinstated open.  The images stay.
 func (t *Pending) mark(start disk.PageNum, n int, kind pageKind) {
@@ -563,11 +663,15 @@ func (t *Pending) mark(start disk.PageNum, n int, kind pageKind) {
 // install puts pages into the set over the images it holds of them, then
 // writes runs back until the set is within its limit.  A failed write-back
 // leaves its run pending: the limit is on memory, and the next flush meets
-// the error again.
-func (t *Pending) install(add []pendingPage) {
+// the error again.  from is the fill memory the images are in (Hold), if
+// they are a new segment's.
+func (t *Pending) install(add []pendingPage, from *fillBuf) {
 	sort.Slice(add, func(i, j int) bool { return add[i].page < add[j].page })
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if from != nil {
+		from.unplaced--
+	}
 	next, absorbed := t.load().with(add)
 	t.storeLocked(next)
 	t.replaced.Add(int64(replacedIn(add)))
@@ -579,17 +683,18 @@ func (t *Pending) install(add []pendingPage) {
 	}
 }
 
-// evictLocked writes the largest run of contiguous pending pages that no
-// open tail holds — a committed replace's or a closed tail's —, else the
-// largest open tail's, the lowest on a tie, and drops it.  A run a captured
-// write has in flight is waited for, and the choice made again.
+// evictLocked writes the largest run of contiguous pending pages of the
+// first eviction class the set holds — a committed replace's, a closed
+// tail's or a new segment's, else an open tail's, else freed ones —, the
+// lowest on a tie, and drops it.  A run a captured write has in flight is
+// waited for, and the choice made again.
 //
 // eos:requires t.mu
 func (t *Pending) evictLocked() error {
 	set := t.load()
-	r := set.largestRun(false)
-	if r.end == r.start {
-		r = set.largestRun(true)
+	var r pageRange
+	for class := 0; class < evictClasses && r.end == r.start; class++ {
+		r = set.largestRun(class)
 	}
 	n := int(r.end - r.start)
 	if t.flying.overlaps(r.start, n) {
@@ -648,12 +753,145 @@ func replacedIn(pages []pendingPage) int {
 	return n
 }
 
-// pageImages splits raw, whole-page images of the pages from start on, into
-// pending pages of the given kind.  They share raw's memory.
-func pageImages(start disk.PageNum, raw []byte, ps int, kind pageKind) []pendingPage {
-	out := make([]pendingPage, len(raw)/ps)
-	for i := range out {
-		out[i] = pendingPage{page: start + disk.PageNum(i), img: raw[i*ps : (i+1)*ps], kind: kind}
+// appendPageImages splits raw, whole-page images of the pages from start on,
+// into pending pages of the given kind, and appends them to pages.  They
+// share raw's memory.
+func appendPageImages(pages []pendingPage, start disk.PageNum, raw []byte, ps int, kind pageKind) []pendingPage {
+	for i := 0; i < len(raw)/ps; i++ {
+		pages = append(pages, pendingPage{page: start + disk.PageNum(i), img: raw[i*ps : (i+1)*ps], kind: kind})
 	}
-	return out
+	return pages
+}
+
+// fillPages is the most pages of waiting new segments one fill memory holds
+// before they are written: a run that long already spreads its request's
+// repositioning over as many pages, and written while the images are fresh
+// in the processor's caches, the memory takes the next ones.
+const fillPages = chunkPages
+
+// fillBuf is memory that images of waiting new segments are built in, one
+// behind the other, the page runs that hold them, and how much of the room
+// handed out (Hold) no update has installed or given back yet.
+type fillBuf struct {
+	mem      []byte
+	used     int
+	runs     []fillRun
+	unplaced int
+}
+
+// fillRun is a run of pages whose images are at mem[off:].
+type fillRun struct {
+	start disk.PageNum
+	pages int
+	off   int
+}
+
+// fillRoom is room for one image in a fill memory (Hold); none when f is
+// nil.
+type fillRoom struct {
+	f   *fillBuf
+	off int
+	mem []byte
+}
+
+// Hold returns room for the n-byte image of a new segment that may wait in
+// the set, in the set's fill memory behind the images before it, for its
+// update to build the image in.  When the memory is full, the pages still
+// pending with images in it are written first, contiguous ones in one
+// request, and dropped; the memory is then built in again unless room in it
+// is still held or a read is copying from the set (copying), and fresh
+// memory taken if so.  An image larger than the fill memory gets no room.
+// Room is held until its image is kept (keep) and installed, or the room is
+// given back (unhold).
+func (t *Pending) Hold(n int) fillRoom {
+	if n > fillPages*t.vol.PageSize() {
+		return fillRoom{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := t.fill
+	if f != nil && f.used+n > len(f.mem) {
+		t.writeFillLocked(f)
+		if f.unplaced == 0 && t.copying.TryLock() {
+			t.copying.Unlock()
+			f.used, f.runs = 0, f.runs[:0]
+		} else {
+			f = nil
+		}
+	}
+	if f == nil {
+		f = &fillBuf{mem: make([]byte, fillPages*t.vol.PageSize())}
+		t.fill = f
+	}
+	r := fillRoom{f: f, off: f.used, mem: f.mem[f.used : f.used+n : f.used+n]}
+	f.used += n
+	f.unplaced++
+	return r
+}
+
+// keep makes img, whole-page images of the given runs of fresh pages one
+// behind the other, the images the runs wait with: the room r holds them,
+// copied there unless img was built there, and fresh memory when r is none.
+// It returns them and the fill memory they are in, which install is told
+// of.
+func (t *Pending) keep(r fillRoom, img []byte, runs []PageRun) ([]byte, *fillBuf) {
+	if r.f == nil {
+		return append([]byte(nil), img...), nil
+	}
+	if !sameImage(r.mem, img) {
+		copy(r.mem, img)
+	}
+	ps := t.vol.PageSize()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	off := r.off
+	for _, run := range runs {
+		r.f.runs = append(r.f.runs, fillRun{start: run.Start, pages: run.Pages, off: off})
+		off += run.Pages * ps
+	}
+	return r.mem, r.f
+}
+
+// unhold gives back room no image was kept in: the next Hold takes it again
+// when none was handed out behind it.
+func (t *Pending) unhold(r fillRoom) {
+	if r.f == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r.f.used == r.off+len(r.mem) {
+		r.f.used = r.off
+	}
+	r.f.unplaced--
+}
+
+// writeFillLocked writes the pages still pending whose images are in f's
+// memory, one request per run of contiguous ones, and drops them: whoever
+// else wrote and dropped one of them, or installed a newer image, had its
+// reasons.  Freed ones go too: written, a snapshot reads them from the
+// device.  A run a captured write has in flight is waited for.
+//
+// eos:requires t.mu
+func (t *Pending) writeFillLocked(f *fillBuf) {
+	ps := t.vol.PageSize()
+	out := make([]pendingPage, 0, f.used/ps)
+	for _, r := range f.runs {
+		t.awaitLocked(r.start, r.pages)
+		for _, p := range t.load().between(r.start, r.pages) {
+			if sameImage(p.img, f.mem[r.off+int(p.page-r.start)*ps:]) {
+				out = append(out, p)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b pendingPage) int { return cmp.Compare(a.page, b.page) })
+	for i := 0; i < len(out); {
+		j := runEnd(out, i)
+		if t.writeRun(out[i:j]) == nil {
+			t.evictions.Add(1)
+			t.evicted.Add(int64(replacedIn(out[i:j])))
+			t.cutLocked(out[i].page, j-i)
+		}
+		i = j
+	}
 }

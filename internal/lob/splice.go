@@ -67,6 +67,7 @@ type Splice struct {
 	wrote bool        // the prepare wrote pages the entries name through
 	grow  int         // the append schedule's next segment size, 0 = unchanged
 	pend  []pageImage // runs of pages the update left pending, at most one per entry
+	fill  *fillBuf    // the memory pend is in, when it is a new segment's (Pending.Hold)
 	hold  []heldPage  // images of held pages the update rewrote
 	// Room for a typical update's entries and runs: preparing one allocates
 	// the Splice and nothing more for them.
@@ -157,11 +158,15 @@ func (o *Object) Apply(sp *Splice) error {
 	m.held.hold(sp.hold)
 	switch {
 	case sp.pend != nil:
-		var pages []pendingPage
+		n := 0
 		for _, run := range sp.pend {
-			pages = append(pages, pageImages(run.start, run.raw, ps, o.tailKind(run.start))...)
+			n += len(run.raw) / ps
 		}
-		m.cfg.Pending.install(pages)
+		pages := make([]pendingPage, 0, n)
+		for _, run := range sp.pend {
+			pages = appendPageImages(pages, run.start, run.raw, ps, o.tailKind(run.start))
+		}
+		m.cfg.Pending.install(pages, sp.fill)
 	case len(sp.Data) > 0 && sp.hold == nil:
 		return o.pendData(sp)
 	}
@@ -269,14 +274,15 @@ func (o *Object) pendData(sp *Splice) error {
 		if err != nil {
 			return err
 		}
-		for _, p := range pageImages(start, raw, ps, o.tailKind(start)) {
-			if sp.Newer == nil || !sp.Newer(p.page) {
-				pages = append(pages, p)
+		kind := o.tailKind(start)
+		for i := 0; i < len(raw)/ps; i++ {
+			if p := start + disk.PageNum(i); sp.Newer == nil || !sp.Newer(p) {
+				pages = append(pages, pendingPage{page: p, img: raw[i*ps : (i+1)*ps], kind: kind})
 			}
 		}
 		data = data[:int64(len(data))-n]
 	}
-	m.cfg.Pending.install(pages)
+	m.cfg.Pending.install(pages, nil)
 	return nil
 }
 

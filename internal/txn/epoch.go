@@ -191,11 +191,12 @@ func (em *EpochManager) Admit() {
 }
 
 // Retire enters runs in the queue, stamped with the current epoch and the
-// latest checkpoint begun.  The caller has published every root that
-// named them: see the package comment.
-func (em *EpochManager) Retire(runs []Run) {
+// latest checkpoint begun, and returns that barrier stamp: no checkpoint
+// numbered above it can name the runs.  The caller has published every
+// root that named them: see the package comment.
+func (em *EpochManager) Retire(runs []Run) (barrier uint64) {
 	if len(runs) == 0 {
-		return
+		return 0
 	}
 	var pages int64
 	for _, r := range runs {
@@ -203,13 +204,15 @@ func (em *EpochManager) Retire(runs []Run) {
 	}
 	now := time.Now().UnixNano()
 	em.mu.Lock()
+	barrier = em.started
 	for _, r := range runs {
-		em.queue = append(em.queue, retiredRun{Run: r, epoch: em.current, barrier: em.started, at: now})
+		em.queue = append(em.queue, retiredRun{Run: r, epoch: em.current, barrier: barrier, at: now})
 	}
 	em.pending += pages
 	em.waiting += pages
 	em.mu.Unlock()
 	em.retiredTotal.Add(uint64(pages))
+	return barrier
 }
 
 // matureLocked moves the matured prefix past every run whose epoch stamp

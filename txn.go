@@ -111,16 +111,20 @@ func (d *deferredAlloc) FreeUnpublished(p disk.PageNum, n int) error {
 }
 
 // apply ends a scope behind its commit point: the frees enter the
-// reclamation queue em, and the room no root named goes back to the free
-// space.  The scope's owner is its only user, so the lists keep their
-// memory for the scope's next use: they are reset before the runs are
-// read, and nothing appends meanwhile.
-func (d *deferredAlloc) apply(em *txn.EpochManager) error {
+// reclamation queue em, their pages' images in the write-behind set p die
+// for every checkpoint begun from now on, and the room no root named goes
+// back to the free space.  The scope's owner is its only user, so the lists
+// keep their memory for the scope's next use: they are reset before the
+// runs are read, and nothing appends meanwhile.
+func (d *deferredAlloc) apply(em *txn.EpochManager, p *lob.Pending) error {
 	d.mu.Lock()
 	frees, room := d.frees, d.room
 	d.frees, d.room, d.allocs = d.frees[:0], d.room[:0], d.allocs[:0]
 	d.mu.Unlock()
-	em.Retire(frees)
+	barrier := em.Retire(frees)
+	for _, r := range frees {
+		p.Retire(r.Start, r.Pages, barrier)
+	}
 	for _, r := range room {
 		if err := d.inner.FreeUnpublished(r.Start, r.Pages); err != nil {
 			return err
