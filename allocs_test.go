@@ -139,14 +139,14 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"sim/commit 512B replace", 27, true, 0, 0, func(t *testing.T) func() {
+		{"sim/commit 512B replace", 26, true, 0, 0, func(t *testing.T) func() {
 			return commit(t, object(t, simStore(t), 64<<10, 64<<10), 512)
 		}},
 		// An insert leaves a new segment of at least T = 8 pages in the
 		// write-behind set, whose image it allocates; the set's bookkeeping
 		// for it takes less than another four pages.
-		{"sim/insert 4KB", 16, true, 0, 4, func(t *testing.T) func() { return edit(t, true) }},
-		{"sim/delete 4KB", 16, true, 0, 0, func(t *testing.T) func() { return edit(t, false) }},
+		{"sim/insert 4KB", 13, true, 0, 4, func(t *testing.T) func() { return edit(t, true) }},
+		{"sim/delete 4KB", 13, true, 0, 0, func(t *testing.T) func() { return edit(t, false) }},
 		{"file/WriteRun", 1, false, 0, 0, func(t *testing.T) func() {
 			v := fileVolume(t)
 			return func() {
@@ -165,7 +165,7 @@ func TestAllocsPerOp(t *testing.T) {
 				}
 			}
 		}},
-		{"file/commit 4KB replace", 26, true, 0, 0, func(t *testing.T) func() {
+		{"file/commit 4KB replace", 25, true, 0, 0, func(t *testing.T) func() {
 			return commit(t, object(t, fileStore(t), ps, ps), ps)
 		}},
 		{"file/read 64KB", 1, false, 0, 0, func(t *testing.T) func() {

@@ -6,9 +6,9 @@ func Example() {
 	main()
 	// Output: document of 8192 x 256-byte records, 400 random record edits
 	//
-	// T=1   edits:   746 pages moved,  363 seeks | scan:  608 seeks, 18526.30ms | segments  660, util 91.5%
-	// T=8   edits:  6406 pages moved,  418 seeks | scan:  224 seeks, 9033.60ms | segments  232, util 96.2%
-	// T=32  edits: 23875 pages moved,  586 seeks | scan:   87 seeks, 5565.10ms | segments   97, util 98.4%
+	// T=1   edits:   778 pages moved,  367 seeks | scan:  632 seeks, 19146.90ms | segments  660, util 91.5%
+	// T=8   edits:  6374 pages moved,  390 seeks | scan:  226 seeks, 9107.70ms | segments  232, util 96.2%
+	// T=32  edits: 23712 pages moved,  457 seeks | scan:   89 seeks, 5702.10ms | segments   97, util 98.4%
 	//
 	// larger T: edits move more pages, but the document stays clustered and scans stay fast (§4.4)
 }

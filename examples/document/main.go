@@ -72,6 +72,12 @@ func runWithThreshold(T int) {
 			}
 		}
 	}
+	// The edits' new segments may still wait in memory: the checkpoint
+	// writes them, a cost of the edits, and the scan then reads the layout
+	// they left on the volume.
+	if err := store.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
 	edits := vol.Stats()
 
 	// Full-document scan after the storm.

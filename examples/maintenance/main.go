@@ -24,6 +24,11 @@ func report(store *eos.Store, vol *disk.Volume, obj *eos.Object, stage string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The scan reads the layout on the volume: the checkpoint first writes
+	// the new segments that still wait in memory.
+	if err := store.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
 	vol.ResetStats()
 	if _, err := obj.Read(0, obj.Size()); err != nil {
 		log.Fatal(err)

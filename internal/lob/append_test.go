@@ -517,7 +517,7 @@ func TestTailImageFollowsThePage(t *testing.T) {
 	if err := flush(e.m.cfg.Pending); err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
+	other, err := NewManager(e.vol, e.pool, e.m.alloc, e.m.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,24 @@ func newEnvFrames(t testing.TB, pageSize, numSpaces, capacity, frames int, cfg C
 		// its log; here the bound is three times the pool's frames.
 		cfg.Pending = NewPending(vol, 3*frames)
 	}
-	m, err := NewManager(vol, pool, bm, cfg)
+	m, err := NewManager(vol, pool, releasing{bm, cfg.Pending}, cfg)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
 	return &env{vol: vol, pool: pool, bm: bm, m: m}
+}
+
+// releasing is the buddy system as the allocator of a manager with a
+// write-behind set: it frees at once, so it drops the freed pages' images
+// first, as the store does when the reclamation queue releases a run.
+type releasing struct {
+	*buddy.Manager
+	pending *Pending
+}
+
+func (a releasing) Free(start disk.PageNum, n int) error {
+	a.pending.Release(start, n)
+	return a.Manager.Free(start, n)
 }
 
 // pendingIn returns the first pending page among [start, start+n) and how
@@ -321,7 +334,7 @@ func TestReplaceInPlace(t *testing.T) {
 // write-behind set, the store's, until PendHeld hands the images to the set.
 func TestReplacePlan(t *testing.T) {
 	e := newEnv(t, 100, 4, 256, Config{Threshold: 1})
-	other, err := NewManager(e.vol, e.pool, e.bm, e.m.cfg)
+	other, err := NewManager(e.vol, e.pool, e.m.alloc, e.m.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

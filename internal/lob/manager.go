@@ -449,17 +449,11 @@ func (m *Manager) Forget(start disk.PageNum, n int) {
 }
 
 // freeData frees n data pages from start on.  Their pending images stay
-// unwritten, readable by a snapshot until the free is reclaimed: with an
-// allocator that retains frees (Config.RetainFreedPages) its owner marks them
-// dead when it retires the run and drops them when it releases it
-// (Pending.Retire, Pending.Release); one that frees at once takes them with
-// the pages, since no image may outlive its page's owner.  Held ones leave
-// the held set (held.go).
+// unwritten, readable by a snapshot until the free is reclaimed: whoever
+// puts the pages back into the free space drops them first (pending.go).
+// Held ones leave the held set (held.go).
 func (m *Manager) freeData(start disk.PageNum, n int) error {
 	m.held.free(start, n)
-	if !m.cfg.RetainFreedPages {
-		m.cfg.Pending.drop(start, n)
-	}
 	return m.alloc.Free(start, n)
 }
 

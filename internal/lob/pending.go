@@ -53,7 +53,11 @@ import (
 //     tails' and new segments' go before open tails: they are no longer an
 //     open tail's, which no append continues, and an open tail written early
 //     costs the append that continues it a read; freed pages go last).  The
-//     limit bounds the set's memory.  The store sets it to its log's
+//     limit bounds the set's pages, and so its memory — but for a new
+//     segment's page, which keeps its whole fill memory (fillPages pages)
+//     alive: a fill memory that is not built in again (Hold) stays with the
+//     pages that still wait in it, such as freed ones a checkpoint skips or
+//     ones whose write failed.  The store sets the limit to its log's
 //     capacity in data pages: a transaction's pending bytes are also redo
 //     the log has carried since the last checkpoint, while an Object write's
 //     are in no record.  A hinted append, insert or delete whose pages would
@@ -67,12 +71,12 @@ import (
 //
 // Freed pages keep their images (Manager.freeData): a snapshot may still
 // read them, and a checkpoint that captured a root naming them before the
-// free was published still writes them.  With an allocator that retains
-// frees (Config.RetainFreedPages) the store marks them dead when their run
-// is retired, behind the publish (Retire) — no checkpoint begun after that
-// writes them — and drops them when the run is released, before the free
-// space can hand the pages out again (Release).  An allocator that frees at
-// once takes the images with the pages.
+// free was published still writes them.  The allocator's owner, who puts
+// the pages back into the free space, ends them: the store marks them dead
+// when their run is retired, behind the publish (Retire) — no checkpoint
+// begun after that writes them — and drops them when the run is released,
+// before the free space can hand the pages out again (Release); recovery
+// drops them with the pages no recovered root reaches (Manager.Forget).
 //
 // Invariant: every page a committed root names holds its newest committed
 // bytes in the set if it is pending, else on the device.  So whoever drops a
@@ -666,7 +670,7 @@ func (t *Pending) mark(start disk.PageNum, n int, kind pageKind) {
 // the error again.  from is the fill memory the images are in (Hold), if
 // they are a new segment's.
 func (t *Pending) install(add []pendingPage, from *fillBuf) {
-	sort.Slice(add, func(i, j int) bool { return add[i].page < add[j].page })
+	slices.SortFunc(add, func(a, b pendingPage) int { return cmp.Compare(a.page, b.page) })
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if from != nil {
@@ -766,8 +770,10 @@ func appendPageImages(pages []pendingPage, start disk.PageNum, raw []byte, ps in
 // fillPages is the most pages of waiting new segments one fill memory holds
 // before they are written: a run that long already spreads its request's
 // repositioning over as many pages, and written while the images are fresh
-// in the processor's caches, the memory takes the next ones.
-const fillPages = chunkPages
+// in the processor's caches, the memory takes the next ones.  Measured
+// against 16 to 256 (EXPERIMENTS.md §P63): fewer cost edit_mix seeks, more
+// cost read_under_write's set-up time in colder memory.
+const fillPages = 128
 
 // fillBuf is memory that images of waiting new segments are built in, one
 // behind the other, the page runs that hold them, and how much of the room
@@ -798,9 +804,10 @@ type fillRoom struct {
 // the set, in the set's fill memory behind the images before it, for its
 // update to build the image in.  When the memory is full, the pages still
 // pending with images in it are written first, contiguous ones in one
-// request, and dropped; the memory is then built in again unless room in it
-// is still held or a read is copying from the set (copying), and fresh
-// memory taken if so.  An image larger than the fill memory gets no room.
+// request, and dropped; the memory is then built in again unless a write
+// failed — pages still wait with their images in it —, room in it is still
+// held, or a read is copying from the set (copying), and fresh memory taken
+// if so.  An image larger than the fill memory gets no room.
 // Room is held until its image is kept (keep) and installed, or the room is
 // given back (unhold).
 func (t *Pending) Hold(n int) fillRoom {
@@ -811,8 +818,7 @@ func (t *Pending) Hold(n int) fillRoom {
 	defer t.mu.Unlock()
 	f := t.fill
 	if f != nil && f.used+n > len(f.mem) {
-		t.writeFillLocked(f)
-		if f.unplaced == 0 && t.copying.TryLock() {
+		if t.writeFillLocked(f) && f.unplaced == 0 && t.copying.TryLock() {
 			t.copying.Unlock()
 			f.used, f.runs = 0, f.runs[:0]
 		} else {
@@ -870,14 +876,22 @@ func (t *Pending) unhold(r fillRoom) {
 // memory, one request per run of contiguous ones, and drops them: whoever
 // else wrote and dropped one of them, or installed a newer image, had its
 // reasons.  Freed ones go too: written, a snapshot reads them from the
-// device.  A run a captured write has in flight is waited for.
+// device.  It first waits until a captured write has none of f's runs in
+// flight, and then finds and writes the pages without letting go of the
+// lock.  It reports whether every page went out: after a failed write, pages
+// still wait with their images in f's memory.
 //
 // eos:requires t.mu
-func (t *Pending) writeFillLocked(f *fillBuf) {
+func (t *Pending) writeFillLocked(f *fillBuf) bool {
+	for i := 0; i < len(f.runs); i++ {
+		if r := f.runs[i]; t.flying.overlaps(r.start, r.pages) {
+			t.done.Wait()
+			i = -1 // the lock was let go: look at every run again
+		}
+	}
 	ps := t.vol.PageSize()
 	out := make([]pendingPage, 0, f.used/ps)
 	for _, r := range f.runs {
-		t.awaitLocked(r.start, r.pages)
 		for _, p := range t.load().between(r.start, r.pages) {
 			if sameImage(p.img, f.mem[r.off+int(p.page-r.start)*ps:]) {
 				out = append(out, p)
@@ -885,13 +899,17 @@ func (t *Pending) writeFillLocked(f *fillBuf) {
 		}
 	}
 	slices.SortFunc(out, func(a, b pendingPage) int { return cmp.Compare(a.page, b.page) })
+	all := true
 	for i := 0; i < len(out); {
 		j := runEnd(out, i)
-		if t.writeRun(out[i:j]) == nil {
+		if t.writeRun(out[i:j]) != nil {
+			all = false
+		} else {
 			t.evictions.Add(1)
 			t.evicted.Add(int64(replacedIn(out[i:j])))
 			t.cutLocked(out[i].page, j-i)
 		}
 		i = j
 	}
+	return all
 }

@@ -69,10 +69,11 @@ type Splice struct {
 	pend  []pageImage // runs of pages the update left pending, at most one per entry
 	fill  *fillBuf    // the memory pend is in, when it is a new segment's (Pending.Hold)
 	hold  []heldPage  // images of held pages the update rewrote
-	// Room for a typical update's entries and runs: preparing one allocates
-	// the Splice and nothing more for them.
+	// Room for a typical update's entries, runs and pending runs: preparing
+	// one allocates the Splice and nothing more for them.
 	entryBuf [3]Extent
 	runBuf   [1]PageRun
+	pendBuf  [1]pageImage
 
 	// Newer, set by recovery on a Splice rebuilt from the log, reports the
 	// pages whose device bytes are newer than the by-value bytes: a later
@@ -84,7 +85,7 @@ type Splice struct {
 // newSplice starts the Splice of an update of [lo, hi) that m prepares.
 func (m *Manager) newSplice(lo, hi int64) *Splice {
 	sp := &Splice{m: m, Lo: lo, Hi: hi}
-	sp.Entries, sp.runs = sp.entryBuf[:0], sp.runBuf[:0]
+	sp.Entries, sp.runs, sp.pend = sp.entryBuf[:0], sp.runBuf[:0], sp.pendBuf[:0]
 	return sp
 }
 
@@ -157,7 +158,7 @@ func (o *Object) Apply(sp *Splice) error {
 	}
 	m.held.hold(sp.hold)
 	switch {
-	case sp.pend != nil:
+	case len(sp.pend) > 0:
 		n := 0
 		for _, run := range sp.pend {
 			n += len(run.raw) / ps

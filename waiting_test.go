@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/eosdb/eos/internal/disk"
@@ -13,8 +14,9 @@ import (
 // An Object insert or delete whose new segment N cannot go right after the
 // pages it read leaves N in the write-behind set, allocated at the set's
 // next-fit point (lob.Object.Insert, lob.Pending).  Like every Object write
-// it logs nothing: N reaches the device in an eviction, a fill of the set's
-// fill memory, or the next checkpoint, and is durable with that checkpoint.
+// it logs nothing: N reaches the device in an eviction, a write of the
+// set's full fill memory, or the next checkpoint, and is durable with that
+// checkpoint.
 
 // editStore returns a store whose object x holds 12 000 bytes in segments
 // of at most 1 500, checkpointed, and then the edits of x — Object inserts,
@@ -410,4 +412,101 @@ func TestConcurrentInsertsShareTheNextFitPoint(t *testing.T) {
 	if err := s.CheckNoLeaks(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFailedEvictionKeepsWaitingSegments: while every write to the data
+// volume fails, Object inserts go on leaving their new segments in the
+// write-behind set, and the set's write-backs — of a full fill memory, and
+// over its limit — fail.  The set keeps every page it could not write, with
+// its image: a fill memory whose write failed is not built in again.  So x
+// reads its inserts; an insert whose new segment goes through fails and
+// leaves x as it was.  Once the
+// volume works again, a checkpoint writes what the set holds, and x
+// survives a crash whole.
+func TestFailedEvictionKeepsWaitingSegments(t *testing.T) {
+	vol := &writeFailing{Device: newTestDevice(t, 512, 4096)}
+	logVol := newTestDevice(t, 512, 1024)
+	s, err := Format(vol, logVol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The set holds at most the log's capacity in data pages.
+	limit := int64(logVol.NumPages())
+	o, err := s.Create("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := pat(5, 200<<10)
+	if err := o.AppendWithHint(model, int64(len(model))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	vol.on.Store(true)
+	evictions, failed := s.Stats().LOB.PendingEvictions, 0
+	for k := 0; s.Stats().LOB.PendingPages <= limit+64; k++ {
+		if k == 400 {
+			t.Fatalf("%d pages pending after %d inserts; want the set over its limit of %d", s.Stats().LOB.PendingPages, k, limit)
+		}
+		off := (k * 7919) % (len(model) + 1)
+		data := pat(200+k, 1500)
+		if err := o.Insert(int64(off), data); err != nil {
+			if !errors.Is(err, errWriteFailing) {
+				t.Fatalf("insert %d: %v", k, err)
+			}
+			failed++
+			continue
+		}
+		model = insertModel(model, off, data)
+	}
+	if st := s.Stats().LOB; st.PendingEvictions != evictions || failed == 0 {
+		t.Fatalf("%d write-backs and %d failed inserts while every write failed; want none and some", st.PendingEvictions-evictions, failed)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("x does not read its inserts while the volume fails")
+	}
+	vol.on.Store(false)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats().LOB; st.PendingPages > limit {
+		t.Fatalf("%d pages pending after the checkpoint", st.PendingPages)
+	}
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("x is not its inserts after the checkpoint")
+	}
+	s = crashReopen(t, vol, logVol)
+	if !bytes.Equal(readObject(t, s, "x"), model) {
+		t.Fatal("x after the crash is not what the checkpoint wrote")
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckNoLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeFailing fails every write to its device while on; reads and forces
+// go through.
+type writeFailing struct {
+	disk.Device
+	on atomic.Bool
+}
+
+var errWriteFailing = errors.New("injected write failure")
+
+func (d *writeFailing) WritePages(start disk.PageNum, n int, buf []byte) error {
+	if d.on.Load() {
+		return errWriteFailing
+	}
+	return d.Device.WritePages(start, n, buf)
+}
+
+func (d *writeFailing) WriteRun(start disk.PageNum, pages [][]byte) error {
+	if d.on.Load() {
+		return errWriteFailing
+	}
+	return d.Device.WriteRun(start, pages)
 }
