@@ -240,7 +240,13 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 				fmt.Printf("  index fill:    no node pages (the root holds every entry)\n")
 			}
 			fmt.Printf("  utilization:   %.1f%%\n", u.Utilization(s.PageSize())*100)
-			fmt.Printf("  threshold T:   %d pages\n", o.Threshold())
+			pol := o.Policy()
+			how := "adaptive"
+			if pol.Pinned {
+				how = "pinned"
+			}
+			fmt.Printf("  threshold T:   %d pages, %s; this window W %v of reshuffle transfers, R %v of boundary seeks\n",
+				pol.Threshold, how, pol.Reshuffle, pol.Boundary)
 			return nil
 		}
 		free, err := s.FreePages()
@@ -266,6 +272,7 @@ func run(dir, cmd string, args []string, pages, pageSize, threshold int, direct 
 			st.DeferredReplaces, st.ReplaceReadsSaved)
 		fmt.Printf("bridged reads: %d requests saved, %d gap pages transferred for them\n",
 			st.LOB.BridgedReads, st.LOB.BridgedGapPages)
+		fmt.Printf("thresholds: %d one-page moves of adaptive objects' T\n", st.LOB.ThresholdMoves)
 		l := st.LOB
 		fmt.Printf("placement: %d new segments went right after the pages their update read or their object's last segment, in %d inserts, deletes and appends; %d of the others waited in the write-behind set, %d of those at its next-fit point\n",
 			l.SegmentsPlaced, l.Inserts+l.Deletes+l.Appends, l.SegmentsWaiting, l.SegmentsNextFit)

@@ -98,12 +98,13 @@ func testCtlEndToEnd(t *testing.T) {
 	if out := must("ls"); !strings.Contains(out, "doc") {
 		t.Errorf("ls: %q", out)
 	}
-	if out := must("stat", "doc"); !strings.Contains(out, "size:") || !strings.Contains(out, "index fill:    no node pages") {
+	if out := must("stat", "doc"); !strings.Contains(out, "size:") || !strings.Contains(out, "index fill:    no node pages") ||
+		!strings.Contains(out, "threshold T:   8 pages, adaptive; this window W 0s of reshuffle transfers, R 0s of boundary seeks\n") {
 		t.Errorf("stat: %q", out)
 	}
 	if out := must("stat"); !strings.Contains(out, "free data pages") ||
 		!strings.Contains(out, "redid 0 operations\n") || !strings.Contains(out, "deferred to their commit") ||
-		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "placement: 0 new segments") ||
+		!strings.Contains(out, "bridged reads:") || !strings.Contains(out, "thresholds: 0 one-page moves of adaptive objects' T\n") || !strings.Contains(out, "placement: 0 new segments") ||
 		!strings.Contains(out, "in 0 inserts, deletes and appends; 0 of the others waited in the write-behind set, 0 of those at its next-fit point\n") ||
 		!strings.Contains(out, "write-behind: 0 pages pending") ||
 		!strings.Contains(out, "replaced pages:") || !strings.Contains(out, "checkpoint time:") {

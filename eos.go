@@ -821,6 +821,11 @@ func (s *Store) captureLocked() *capture {
 	// stopped naming it, before the barrier, so no descriptor read here
 	// names it (lob.Pending.Retire).
 	ck.pending = s.pending.Capture(ck.barrier)
+	// Each checkpoint starts a new pricing window, which the objects whose
+	// T is not pinned weigh at their next insert or delete, under their own
+	// latches (lob.Manager.NewWindow).  A T that moves changes no content:
+	// neither the edge nor the move marks the entry changed.
+	s.lm.NewWindow()
 	return ck
 }
 
@@ -929,7 +934,9 @@ func (s *Store) stallEnd(begun time.Time) {
 	s.stallTime.Add(int64(time.Since(begun)))
 }
 
-// Create makes a new empty object; threshold <= 0 uses the store default.
+// Create makes a new empty object.  A positive threshold pins its T; with
+// threshold <= 0 it starts at the store default, and its traffic moves it
+// at or below that (lob.Policy).
 func (s *Store) Create(name string, threshold int) (*Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1062,7 +1069,11 @@ func (s *Store) CopyObject(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	to, err := s.Create(dst, from.Threshold())
+	t := from.Policy()
+	if !t.Pinned {
+		t.Threshold = 0 // the copy's T follows its own traffic
+	}
+	to, err := s.Create(dst, t.Threshold)
 	if err != nil {
 		return err
 	}
@@ -1507,8 +1518,9 @@ func (o *Object) Compact() error {
 	return o.mutate(func(obj *lob.Object) error { return obj.Compact() })
 }
 
-// SetThreshold changes the object's segment size threshold T (§4.4).  It
-// is a commit point like every other Object write.
+// SetThreshold changes the object's segment size threshold T (§4.4) and
+// pins it: the object's traffic no longer moves it.  It is a commit point
+// like every other Object write.
 func (o *Object) SetThreshold(t int) error {
 	return o.mutate(func(obj *lob.Object) error {
 		obj.SetThreshold(t)
@@ -1517,10 +1529,15 @@ func (o *Object) SetThreshold(t int) error {
 }
 
 // Threshold returns the object's T.
-func (o *Object) Threshold() int {
+func (o *Object) Threshold() int { return o.Policy().Threshold }
+
+// Policy returns the object's T, whether its creator or SetThreshold pinned
+// it, and the modelled cost of the traffic that moves an unpinned T in the
+// current checkpoint window (lob.Policy).
+func (o *Object) Policy() lob.Policy {
 	o.e.latch.RLock()
 	defer o.e.latch.RUnlock()
-	return o.e.obj.Threshold()
+	return o.e.obj.Policy()
 }
 
 // Usage reports the object's storage footprint.

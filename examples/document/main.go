@@ -40,7 +40,7 @@ func runWithThreshold(T int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc, err := store.Create("report.doc", 0)
+	doc, err := store.Create("report.doc", T) // pinned: the sweep compares fixed T
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -401,7 +401,7 @@ func (m *Manager) extend(start disk.PageNum, have int64, data []byte, keep bool)
 	if head.N == 0 {
 		return start + first, m.pageImage(data, keep), nil
 	}
-	raw, _, err := m.gather(nil, head, int64(len(data)), disk.ByteRange{})
+	raw, _, err := m.gather(nil, head, int64(len(data)), disk.ByteRange{}, nil)
 	if err != nil {
 		return 0, nil, err
 	}

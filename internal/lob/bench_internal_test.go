@@ -3,6 +3,8 @@ package lob
 import (
 	"fmt"
 	"testing"
+
+	"github.com/eosdb/eos/internal/disk"
 )
 
 func benchEnv(b *testing.B, threshold int) (*env, *Object) {
@@ -70,5 +72,37 @@ func BenchmarkSequentialScan(b *testing.B) {
 		if _, err := o.Read(0, o.Size()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPendingInstall installs one page's image over a page already
+// pending in a write-behind set of 64, 1 024 and 8 192 pages: an install
+// copies the chunk it falls in, and the chunk list around it in two bulk
+// copies, so what grows with the set is the list's copy alone.
+func BenchmarkPendingInstall(b *testing.B) {
+	const ps = 512
+	for _, pages := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprint(pages), func(b *testing.B) {
+			vol := disk.MustNewVolume(ps, disk.PageNum(2*pages+1), disk.DefaultCostModel())
+			t := NewPending(vol, 4*pages)
+			img := make([]byte, ps)
+			for p := 0; p < pages; p += chunkPages {
+				var add []pendingPage
+				for q := p; q < min(p+chunkPages, pages); q++ {
+					add = append(add, pendingPage{page: disk.PageNum(2 * q), img: img, kind: closedTail})
+				}
+				t.install(add, nil)
+			}
+			one := []pendingPage{{img: img, kind: closedTail}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				one[0].page = disk.PageNum(2 * (i * 7919 % pages))
+				t.install(one, nil)
+			}
+			if n := t.load().len(); n != pages {
+				b.Fatalf("%d pages pending, want %d", n, pages)
+			}
+		})
 	}
 }

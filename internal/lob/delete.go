@@ -44,6 +44,7 @@ func (o *Object) prepareDelete(off, n int64, fit bool) (*Splice, error) {
 		return nil, nil
 	}
 	o.m.st.deletes.Add(1)
+	o.adapt()
 	m := o.m
 	ps := int64(m.vol.PageSize())
 	maxSegBytes := int64(m.alloc.MaxSegmentPages()) * ps
@@ -87,8 +88,7 @@ func (o *Object) prepareDelete(off, n int64, fit bool) (*Splice, error) {
 		res = reshuffleResult{lc: lc, rc: rc}
 	} else {
 		res = reshuffle(lc, nc, rc, o.threshold, int(ps), maxSegBytes)
-		m.st.bytesReshuffled.Add(res.moveL + res.moveR)
-		m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
+		o.countReshuffle(res, ps)
 	}
 
 	// Step 4: materialize N from L's migrated tail (in S) and Q's suffix
@@ -106,7 +106,12 @@ func (o *Object) prepareDelete(off, n int64, fit bool) (*Splice, error) {
 		b := disk.ByteRange{Start: sr.ptr, Off: q*ps + qb + 1, N: tail}
 		mem = m.newSegMem(res.nc, disk.GatherLen(int(ps), a, 0, b), fit)
 		defer m.dropSegMem(&mem)
-		img, next, err = m.gather(mem.buf(), a, 0, b)
+		var sk *seeks // a's and b's requests, when they are in two segments
+		if sl.ptr != sr.ptr {
+			s := m.seeking(&o.split)
+			sk = &s
+		}
+		img, next, err = m.gather(mem.buf(), a, 0, b, sk)
 		if err != nil {
 			return nil, err
 		}

@@ -45,6 +45,7 @@ func (o *Object) prepareInsert(off int64, data []byte, fit bool) (*Splice, error
 		return nil, nil
 	}
 	o.m.st.inserts.Add(1)
+	o.adapt()
 	m := o.m
 	ps := int64(m.vol.PageSize())
 	maxSegBytes := int64(m.alloc.MaxSegmentPages()) * ps
@@ -85,8 +86,7 @@ func (o *Object) prepareInsert(off int64, data []byte, fit bool) (*Splice, error
 
 	// Step 3: reshuffle.
 	res := reshuffle(lc, ncBase, rc, o.threshold, int(ps), maxSegBytes)
-	m.st.bytesReshuffled.Add(res.moveL + res.moveR)
-	m.st.pagesReshuffled.Add((res.moveL + res.moveR) / ps)
+	o.countReshuffle(res, ps)
 
 	// Step 4: materialize N in one buffer — L's migrated tail, room for
 	// the inserted bytes, the split page's suffix and R's migrated prefix.
@@ -98,7 +98,7 @@ func (o *Object) prepareInsert(off int64, data []byte, fit bool) (*Splice, error
 	b := disk.ByteRange{Start: S.ptr, Off: rel, N: pc - pb + res.moveR}
 	mem := m.newSegMem(res.nc, disk.GatherLen(int(ps), a, int64(len(data)), b), fit)
 	defer m.dropSegMem(&mem)
-	img, next, err := m.gather(mem.buf(), a, int64(len(data)), b)
+	img, next, err := m.gather(mem.buf(), a, int64(len(data)), b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,8 @@ func (s *segMem) buf() *[]byte {
 }
 
 // dropSegMem hands back what newSegMem returned: the scratch, and the room
-// unless N waits with its image in it.
+// unless N waits with its image in it.  The update has read by now: the fill
+// memory its room's Hold found full is written (Pending.writeFull).
 func (m *Manager) dropSegMem(s *segMem) {
 	if s.scratch != nil {
 		m.scratch.Put(s.scratch)
@@ -221,4 +222,5 @@ func (m *Manager) dropSegMem(s *segMem) {
 	if !s.kept {
 		m.cfg.Pending.unhold(s.room)
 	}
+	m.cfg.Pending.writeFull(s.room)
 }

@@ -90,6 +90,7 @@ type Stats struct {
 	SegmentsFreed      int64
 	BytesReshuffled    int64 // bytes moved between segments by reshuffling
 	PagesReshuffled    int64 // whole pages moved by the threshold mechanism
+	ThresholdMoves     int64 // moves of an unpinned object's T by a page, up or down (policy.go)
 	NodeSplits         int64
 	NodeMerges         int64
 	ShadowedIndexPages int64
@@ -131,12 +132,16 @@ type stats struct {
 	segmentsFreed      atomic.Int64
 	bytesReshuffled    atomic.Int64
 	pagesReshuffled    atomic.Int64
+	thresholdMoves     atomic.Int64
 	nodeSplits         atomic.Int64
 	nodeMerges         atomic.Int64
 	shadowedIndexPages atomic.Int64
 	snapshotReads      atomic.Int64
 	bridgedReads       atomic.Int64
 	bridgedGapPages    atomic.Int64
+	// window numbers the pricing windows (Manager.NewWindow); the managers
+	// derived from one share it with their counters.
+	window atomic.Uint64
 }
 
 // Manager provides large object storage over a volume, a buffer pool for
@@ -206,6 +211,7 @@ func (m *Manager) Stats() Stats {
 		SegmentsFreed:      m.st.segmentsFreed.Load(),
 		BytesReshuffled:    m.st.bytesReshuffled.Load(),
 		PagesReshuffled:    m.st.pagesReshuffled.Load(),
+		ThresholdMoves:     m.st.thresholdMoves.Load(),
 		NodeSplits:         m.st.nodeSplits.Load(),
 		NodeMerges:         m.st.nodeMerges.Load(),
 		ShadowedIndexPages: m.st.shadowedIndexPages.Load(),
@@ -301,13 +307,14 @@ func (m *Manager) freeNodePage(p disk.PageNum) error {
 // readSegRange reads bytes [off, off+n) of the segment whose data pages
 // start at page start into buf and returns the page run it transferred, in a
 // single multi-page request for the pages the write-behind set does not hold
-// (readPages).  A piece of whole pages whose run is not kept is transferred
-// into buf itself, and the run returned is buf; a kept run (PageImages, which
-// PrepareReplace writes into) or one with edge bytes buf does not take is a
-// page image of its own, copied into buf.
-func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep bool) (pageImage, error) {
+// (readPages), and the pages it asked the device for.  A piece of whole pages
+// whose run is not kept is transferred into buf itself, and the run returned
+// is buf; a kept run (PageImages, which PrepareReplace writes into) or one
+// with edge bytes buf does not take is a page image of its own, copied into
+// buf.
+func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep bool) (pageImage, pageRange, error) {
 	if len(buf) == 0 {
-		return pageImage{}, nil
+		return pageImage{}, pageRange{}, nil
 	}
 	ps := m.vol.PageSize()
 	first, npages, in := disk.PageSpan(off, int64(len(buf)), ps)
@@ -316,13 +323,14 @@ func (m *Manager) readSegRange(start disk.PageNum, off int64, buf []byte, keep b
 	if own {
 		img.raw = make([]byte, npages*ps)
 	}
-	if err := m.readPages(img.start, npages, img.raw); err != nil {
-		return pageImage{}, err
+	dev, err := m.readPages(img.start, npages, img.raw)
+	if err != nil {
+		return pageImage{}, pageRange{}, err
 	}
 	if own {
 		copy(buf, img.raw[in:])
 	}
-	return img, nil
+	return img, dev, nil
 }
 
 // getScratch returns scratch memory for a page image that does not outlive
@@ -337,8 +345,9 @@ func (m *Manager) getScratch() *[]byte {
 // readPages reads data pages [start, start+n) into buf, the held ones from the
 // held set and the pending ones from the write-behind set: the device is asked
 // only for the pages from the first to the last that neither set holds, and
-// not at all when they hold every one.
-func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
+// not at all when they hold every one.  It returns the pages it asked the
+// device for.
+func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) (dev pageRange, err error) {
 	if t := m.cfg.Pending; t != nil {
 		t.copying.RLock() // no image it copies is built over meanwhile
 		defer t.copying.RUnlock()
@@ -346,7 +355,7 @@ func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
 	pend, held := m.cfg.Pending.load().between(start, n), m.held.set
 	hlo, hhi := span(held, start, n)
 	if len(pend) == 0 && hlo == hhi {
-		return m.vol.ReadPages(start, n, buf)
+		return pageRange{start, start + disk.PageNum(n)}, m.vol.ReadPages(start, n, buf)
 	}
 	held = held[hlo:hhi]
 	inSet := func(p disk.PageNum) bool { return has(pend, p) || has(held, p) }
@@ -360,8 +369,9 @@ func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
 	}
 	if first < end {
 		if err := m.vol.ReadPages(first, int(end-first), buf[int(first-start)*ps:int(end-start)*ps]); err != nil {
-			return err
+			return pageRange{}, err
 		}
+		dev = pageRange{first, end}
 	}
 	for _, p := range pend {
 		copy(buf[int(p.page-start)*ps:], p.img)
@@ -372,7 +382,7 @@ func (m *Manager) readPages(start disk.PageNum, n int, buf []byte) error {
 	if len(pend) > 0 {
 		m.cfg.Pending.reads.Add(int64(len(pend)))
 	}
-	return nil
+	return dev, nil
 }
 
 // setReader is the data volume as the write-behind set shows it, for
@@ -381,23 +391,29 @@ type setReader struct{ m *Manager }
 
 func (r setReader) PageSize() int { return r.m.vol.PageSize() }
 func (r setReader) ReadPages(start disk.PageNum, n int, buf []byte) error {
-	return r.m.readPages(start, n, buf)
+	_, err := r.m.readPages(start, n, buf)
+	return err
 }
 
 // gather is disk.Gather on the manager's volume as the write-behind set
 // shows it — the one way an update reads old bytes it is about to rewrite,
 // in as few requests as the cost model allows — with the bridged requests
-// counted.  The image is built in *buf, which keeps the memory it grew to,
-// when buf is not nil (scratch memory, for an image only written), and in
-// memory of its own otherwise.  next is the page after the last one its
+// counted, and its requests noted in sk when that is not nil.  The image is
+// built in *buf, which keeps the memory it grew to, when buf is not nil
+// (scratch memory, for an image only written), and in memory of its own
+// otherwise.  next is the page after the last one its
 // requests asked for — where the head is when they are done — or 0 when
 // both ranges are empty.
-func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteRange) (img []byte, next disk.PageNum, err error) {
+func (m *Manager) gather(buf *[]byte, a disk.ByteRange, hole int64, b disk.ByteRange, sk *seeks) (img []byte, next disk.PageNum, err error) {
 	var into []byte
 	if buf != nil {
 		into = *buf
 	}
-	img, gap, err := disk.GatherInto(into, setReader{m}, a, hole, b)
+	var d disk.PageReader = setReader{m}
+	if sk != nil {
+		d = sk
+	}
+	img, gap, err := disk.GatherInto(into, d, a, hole, b)
 	if gap >= 0 {
 		m.st.bridgedReads.Add(1)
 		m.st.bridgedGapPages.Add(int64(gap))
@@ -590,6 +606,7 @@ func (m *Manager) freeing() *walk {
 const (
 	descMagic      = 0xE05D0C01
 	descHeaderSize = 40
+	descPinned     = 1 // header byte 6: T is pinned (policy.go)
 )
 
 // Descriptor is an object's descriptor as captured at one moment — a
@@ -612,6 +629,9 @@ func (o *Object) descriptorHeader(n int) []byte {
 	binary.BigEndian.PutUint32(buf[0:], descMagic)
 	buf[4] = 1 // version
 	buf[5] = uint8(o.root.level)
+	if o.pinned {
+		buf[6] = descPinned
+	}
 	binary.BigEndian.PutUint32(buf[8:], uint32(o.threshold))
 	binary.BigEndian.PutUint32(buf[12:], uint32(o.nextGrow))
 	binary.BigEndian.PutUint64(buf[16:], uint64(o.tailStart))
@@ -686,6 +706,8 @@ func (m *Manager) OpenDescriptor(data []byte) (*Object, error) {
 		root:      &node{level: int(data[5]), entries: es},
 		size:      size,
 		threshold: int(binary.BigEndian.Uint32(data[8:])),
+		pinned:    data[6]&descPinned != 0,
+		traffic:   m.newTraffic(),
 		nextGrow:  int(binary.BigEndian.Uint32(data[12:])),
 		tailStart: disk.PageNum(binary.BigEndian.Uint64(data[16:])),
 		tailAlloc: int(binary.BigEndian.Uint32(data[24:])),

@@ -18,7 +18,8 @@ type Object struct {
 	root *node // eos:guardedby catEntry.latch -- the caller's per-object latch
 	size int64 // eos:guardedby catEntry.latch
 
-	threshold int // segment size threshold T, pages; fixed at creation
+	threshold int // eos:guardedby catEntry.latch -- segment size threshold T, pages
+	*traffic      // what the object's operations cost on each side of §4.4's trade (policy.go)
 
 	// Append growth state (§4.1): the next segment to allocate when the
 	// eventual size is unknown doubles until the maximum segment size.
@@ -26,6 +27,9 @@ type Object struct {
 	// growFixed marks nextGrow as set by SetGrowthHint rather than by the
 	// schedule; the next allocation consumes it.
 	growFixed bool // eos:guardedby catEntry.latch
+	// pinned marks a T its creator or SetThreshold chose; an unpinned T
+	// follows the object's traffic (policy.go).
+	pinned bool // eos:guardedby catEntry.latch
 	// The last segment may be allocated beyond its trimmed length while
 	// an append sequence is in progress.
 	tailStart disk.PageNum // eos:guardedby catEntry.latch
@@ -45,9 +49,11 @@ type Object struct {
 }
 
 // NewObject creates an empty large object.  threshold <= 0 selects the
-// manager's default T.
+// manager's default T, which then follows the object's traffic (policy.go);
+// a positive threshold pins T.
 func (m *Manager) NewObject(threshold int) *Object {
-	if threshold <= 0 {
+	pinned := threshold > 0
+	if !pinned {
 		threshold = m.cfg.Threshold
 	}
 	if max := m.alloc.MaxSegmentPages(); threshold > max {
@@ -57,6 +63,8 @@ func (m *Manager) NewObject(threshold int) *Object {
 		m:         m,
 		root:      &node{level: 1},
 		threshold: threshold,
+		pinned:    pinned,
+		traffic:   m.newTraffic(),
 		nextGrow:  1,
 	}
 }
@@ -67,10 +75,11 @@ func (o *Object) Size() int64 { return o.size }
 // Threshold returns the object's current segment size threshold T.
 func (o *Object) Threshold() int { return o.threshold }
 
-// SetThreshold changes T.  "The threshold value does not have to be
-// constant during the lifetime of a large object" (§4.4); it takes effect
-// on subsequent updates.
+// SetThreshold changes T and pins it: the object's traffic no longer moves
+// it.  "The threshold value does not have to be constant during the
+// lifetime of a large object" (§4.4); it takes effect on subsequent updates.
 func (o *Object) SetThreshold(t int) {
+	o.pinned = true
 	if t < 1 {
 		t = 1
 	}
@@ -104,7 +113,7 @@ func (o *Object) Reinstate(d *Descriptor) error {
 	if err != nil {
 		return err
 	}
-	o.root, o.size, o.threshold, o.nextGrow = r.root, r.size, r.threshold, r.nextGrow
+	o.root, o.size, o.threshold, o.pinned, o.nextGrow = r.root, r.size, r.threshold, r.pinned, r.nextGrow
 	o.tailStart, o.tailAlloc = r.tailStart, r.tailAlloc
 	o.lsn.Store(r.lsn.Load())
 	if o.tailAlloc == 0 {

@@ -66,8 +66,9 @@ import (
 //     reaches the tail segment), or an append that fills it writes it
 //     through (append.go says when);
 //   - the fill memory is full: the new segments' pages still pending in it
-//     are written, and the memory takes the next ones while it is fresh in
-//     the processor's caches.
+//     are written once the update that found it full has read, and the
+//     memory is kept as the spare, which takes the images after the next
+//     fill memory's while it is fresh in the processor's caches.
 //
 // Freed pages keep their images (Manager.freeData): a snapshot may still
 // read them, and a checkpoint that captured a root naming them before the
@@ -103,8 +104,11 @@ type Pending struct {
 	// insert or a delete that waits here, 0 before the first.
 	next atomic.Uint64
 	// fill is the memory the images of waiting new segments are built in
-	// (Hold), nil until the first since the last checkpoint began.
-	fill *fillBuf // eos:guardedby mu
+	// (Hold), nil until the first since the last checkpoint began; spare is
+	// a fill memory whose pages all went out, which the next full one gives
+	// way to.
+	fill  *fillBuf // eos:guardedby mu
+	spare *fillBuf // eos:guardedby mu
 	// copying is held shared by every read that copies images out of a
 	// version of the set (Manager.readPages): fill memory is built in again
 	// only when no read holds it.
@@ -281,16 +285,26 @@ func (s *pendingSet) each(f func(pendingPage) bool) {
 // (add is sorted, one image per page), and how many of add's replaced pages
 // were pending already.  A tail's page is of the kind add gives it; a
 // replace leaves a page it finds pending of the kind it was.  Only the
-// chunks add falls in are copied.
+// chunks add falls in are copied: the ones before and after them go to the
+// new chunk list in two bulk copies.
 func (s *pendingSet) with(add []pendingPage) (*pendingSet, int) {
-	out := &pendingSet{n: s.len()}
-	var old [][]pendingPage
-	if s != nil {
-		old, out.replaced = s.chunks, s.replaced
+	if len(add) == 0 {
+		return s, 0
 	}
-	chunks := make([][]pendingPage, 0, len(old)+len(add)/chunkPages+2)
+	if s.len() == 0 {
+		return &pendingSet{chunks: appendChunks(nil, add), n: len(add), replaced: replacedIn(add)}, 0
+	}
+	old := s.chunks
+	out := &pendingSet{n: s.n, replaced: s.replaced}
+	// add falls in chunks first to last: each takes the pages up to its last
+	// one, and the last chunk every page above.
+	first := min(s.chunk(add[0].page), len(old)-1)
+	last := min(s.chunk(add[len(add)-1].page), len(old)-1)
+	chunks := make([][]pendingPage, first, len(old)+len(add)/chunkPages+2)
+	copy(chunks, old[:first])
 	absorbed, i := 0, 0
-	for ci, c := range old {
+	for ci := first; ci <= last; ci++ {
+		c := old[ci]
 		j := i
 		for j < len(add) && (ci == len(old)-1 || add[j].page <= c[len(c)-1].page) {
 			j++
@@ -326,10 +340,7 @@ func (s *pendingSet) with(add []pendingPage) (*pendingSet, int) {
 		chunks = appendChunks(chunks, append(merged, c[k:]...))
 		i = j
 	}
-	chunks = appendChunks(chunks, add[i:]) // the whole of add into an empty set
-	out.n += len(add) - i
-	out.replaced += replacedIn(add[i:])
-	out.chunks = chunks
+	out.chunks = append(chunks, old[last+1:]...)
 	return out, absorbed
 }
 
@@ -467,7 +478,7 @@ func (t *Pending) Write(c Captured) error {
 	// The images copied from now on go into fresh memory: what the old fill
 	// memory holds goes out with this checkpoint, and the memory with it.
 	t.mu.Lock()
-	t.fill = nil
+	t.fill, t.spare = nil, nil
 	t.mu.Unlock()
 	var run []pendingPage
 	var err error
@@ -793,23 +804,24 @@ type fillRun struct {
 }
 
 // fillRoom is room for one image in a fill memory (Hold); none when f is
-// nil.
+// nil.  full is the fill memory the room's Hold found full, which its update
+// writes once it has read (writeFull).
 type fillRoom struct {
-	f   *fillBuf
-	off int
-	mem []byte
+	f    *fillBuf
+	off  int
+	mem  []byte
+	full *fillBuf
 }
 
 // Hold returns room for the n-byte image of a new segment that may wait in
 // the set, in the set's fill memory behind the images before it, for its
-// update to build the image in.  When the memory is full, the pages still
-// pending with images in it are written first, contiguous ones in one
-// request, and dropped; the memory is then built in again unless a write
-// failed — pages still wait with their images in it —, room in it is still
-// held, or a read is copying from the set (copying), and fresh memory taken
-// if so.  An image larger than the fill memory gets no room.
-// Room is held until its image is kept (keep) and installed, or the room is
-// given back (unhold).
+// update to build the image in.  When the memory is full, the room is taken
+// in the spare fill memory instead, or in fresh memory when there is none or
+// a read is copying from the set (copying); the full memory's pending pages
+// are written by the room's update once it has read (writeFull): until then
+// the update reads them from memory.  An image larger than the fill memory
+// gets no room.  Room is held until its image is kept (keep) and installed,
+// or the room is given back (unhold).
 func (t *Pending) Hold(n int) fillRoom {
 	if n > fillPages*t.vol.PageSize() {
 		return fillRoom{}
@@ -817,22 +829,38 @@ func (t *Pending) Hold(n int) fillRoom {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := t.fill
+	var full *fillBuf
 	if f != nil && f.used+n > len(f.mem) {
-		if t.writeFillLocked(f) && f.unplaced == 0 && t.copying.TryLock() {
+		full, f = f, nil
+		if t.spare != nil && t.copying.TryLock() {
 			t.copying.Unlock()
+			f, t.spare = t.spare, nil
 			f.used, f.runs = 0, f.runs[:0]
-		} else {
-			f = nil
 		}
 	}
 	if f == nil {
 		f = &fillBuf{mem: make([]byte, fillPages*t.vol.PageSize())}
-		t.fill = f
 	}
-	r := fillRoom{f: f, off: f.used, mem: f.mem[f.used : f.used+n : f.used+n]}
+	t.fill = f
+	r := fillRoom{f: f, off: f.used, mem: f.mem[f.used : f.used+n : f.used+n], full: full}
 	f.used += n
 	f.unplaced++
 	return r
+}
+
+// writeFull writes the fill memory r's Hold found full, if it did: the pages
+// still pending with images in it, contiguous ones in one request, which it
+// drops.  The memory is then the spare, unless a write failed — pages still
+// wait with their images in it — or room in it is still held.
+func (t *Pending) writeFull(r fillRoom) {
+	if r.full == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.writeFillLocked(r.full) && r.full.unplaced == 0 {
+		t.spare = r.full
+	}
 }
 
 // keep makes img, whole-page images of the given runs of fresh pages one

@@ -72,3 +72,48 @@ func TestPlacedSegmentFallsBack(t *testing.T) {
 		})
 	}
 }
+
+// TestFullFillMemoryIsWrittenAfterTheReads: each insert goes into the
+// middle of the last one's new segment N, which waits in the write-behind
+// set with its image in the fill memory, so its reads are all of pending
+// pages.  The insert that finds the fill memory full builds its N in other
+// memory and writes the full one only once it has read: it reads none of
+// the waiting pages from the device.
+func TestFullFillMemoryIsWrittenAfterTheReads(t *testing.T) {
+	e := newEnv(t, 512, 2, 1024, Config{Threshold: 1})
+	e.m.cfg.Pending.limit = 1 << 20 // no eviction
+	o := e.m.NewObject(0)
+	model := pattern(1, 100*512)
+	if err := o.AppendWithHint(model, int64(len(model))); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(e.m.cfg.Pending); err != nil {
+		t.Fatal(err)
+	}
+	p := e.m.cfg.Pending
+	off, full := int64(20*512), 0
+	for i := 0; i < 60; i++ {
+		data := pattern(10+i, 2000)
+		fill, evictions := p.fill, p.evictions.Load()
+		before := e.vol.Stats()
+		if err := o.Insert(off, data); err != nil {
+			t.Fatal(err)
+		}
+		model = append(model[:off:off], append(data, model[off:]...)...)
+		if reads := e.vol.Stats().Sub(before).PagesRead; i > 0 && reads != 0 {
+			t.Fatalf("insert %d read %d pages from the device, want every one from the set", i, reads)
+		}
+		if fill != nil && p.fill != fill {
+			full++
+			if p.evictions.Load() == evictions {
+				t.Fatalf("insert %d found the fill memory full and wrote none of it", i)
+			}
+		}
+		off += 600
+	}
+	if full == 0 {
+		t.Fatal("no insert found the fill memory full")
+	}
+	mustContent(t, o, model)
+	mustCheck(t, o)
+}

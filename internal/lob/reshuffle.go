@@ -19,6 +19,15 @@ type reshuffleResult struct {
 	lc, nc, rc int64
 }
 
+// countReshuffle counts the bytes and the whole pages res moves, in the
+// manager's counters and in the object's window (policy.go).
+func (o *Object) countReshuffle(res reshuffleResult, ps int64) {
+	pages := (res.moveL + res.moveR) / ps
+	o.m.st.bytesReshuffled.Add(res.moveL + res.moveR)
+	o.m.st.pagesReshuffled.Add(pages)
+	o.moved += pages
+}
+
 // lastPageBytes returns the number of bytes in the final page of a
 // segment holding c bytes, or 0 for an empty segment.
 func lastPageBytes(c int64, ps int) int64 {

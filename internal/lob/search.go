@@ -186,7 +186,7 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 		return err
 	}
 	o.m.st.reads.Add(1)
-	return o.m.readRange(o.root, buf, off, nil)
+	return o.m.readRange(o.root, buf, off, nil, &o.split)
 }
 
 // readRange reads len(buf) bytes starting at byte off of root's subtree,
@@ -194,17 +194,21 @@ func (o *Object) ReadAt(buf []byte, off int64) error {
 // pending pages come from the write-behind set.  It is shared by the live
 // read path (under the object latch) and the snapshot read path (over an
 // immutable published root, no locks): the walk itself only ever descends
-// committed index pages.
-func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages) error {
+// committed index pages.  Each device request past the read's first that
+// repositions — another segment's pages, not the ones right after the last
+// request's — counts in split, the object's for the window (policy.go).
+func (m *Manager) readRange(root *node, buf []byte, off int64, keep *PageImages, split *windowReads) error {
 	pos := 0
+	sk := m.seeking(split)
 	return m.walkRange(root, off, int64(len(buf)), &walk{seg: func(seg entry, segOff, n int64) error {
-		img, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], keep != nil)
+		img, dev, err := m.readSegRange(seg.ptr, segOff, buf[pos:pos+int(n)], keep != nil)
 		if err != nil {
 			return err
 		}
 		if keep != nil {
 			keep.runs = append(keep.runs, img)
 		}
+		sk.add(dev)
 		pos += int(n)
 		return nil
 	}})
@@ -222,7 +226,7 @@ func (o *Object) ReadKeeping(off, n int64, keep *PageImages) ([]byte, error) {
 	}
 	o.m.st.reads.Add(1)
 	buf := make([]byte, n)
-	if err := o.m.readRange(o.root, buf, off, keep); err != nil {
+	if err := o.m.readRange(o.root, buf, off, keep, &o.split); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -254,6 +258,7 @@ type ReplacePlan struct {
 	o     *Object
 	runs  []planRun
 	saved int
+	seeks seeks // the plan's reads (policy.go)
 }
 
 // planRun is one segment's share of a plan: whole-page images to be
@@ -287,11 +292,13 @@ func (o *Object) PrepareReplace(off int64, data []byte, have *PageImages) (*Repl
 
 // plan is the one replace planner: it builds the post-image of each segment
 // piece of a replace inside the object, in logical order, and hands it to
-// each before it reads the next.
+// each before it reads the next.  Its requests past the first that
+// reposition count in the object's split (policy.go).
 func (p *ReplacePlan) plan(off int64, data []byte, have *PageImages, each func(planRun) error) error {
 	m := p.o.m
 	ps := m.vol.PageSize()
 	pos := int64(0)
+	p.seeks = m.seeking(&p.o.split)
 	return m.walkRange(p.o.root, off, int64(len(data)), &walk{seg: func(seg entry, segOff, n int64) error {
 		head, tail, first := disk.Around(seg.ptr, segOff, n, ps)
 		run := planRun{start: seg.ptr + first, raw: have.take(seg.ptr+first, int(head.N+n+tail.N)/ps, ps)}
@@ -299,7 +306,7 @@ func (p *ReplacePlan) plan(off int64, data []byte, have *PageImages, each func(p
 			p.saved++
 		} else {
 			var err error
-			if run.raw, _, err = m.gather(nil, head, n, tail); err != nil {
+			if run.raw, _, err = m.gather(nil, head, n, tail, &p.seeks); err != nil {
 				return err
 			}
 		}

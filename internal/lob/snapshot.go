@@ -26,11 +26,12 @@ import "fmt"
 // RootVersion is one published, committed version of an object.  It is
 // immutable and safe for concurrent use by any number of readers.
 type RootVersion struct {
-	m    *Manager
-	root node // held by value: one allocation a version
-	size int64
-	lsn  uint64
-	seq  uint64
+	m     *Manager
+	root  node // held by value: one allocation a version
+	size  int64
+	lsn   uint64
+	seq   uint64
+	split *windowReads // the object's boundary seeks (policy.go)
 }
 
 // Publish atomically installs the object's current state as its
@@ -49,10 +50,11 @@ func (o *Object) publish() *RootVersion {
 		m = m.base
 	}
 	v := &RootVersion{
-		m:    m,
-		root: node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
-		size: o.size,
-		lsn:  o.lsn.Load(),
+		m:     m,
+		root:  node{level: o.root.level, entries: append([]entry(nil), o.root.entries...)},
+		size:  o.size,
+		lsn:   o.lsn.Load(),
+		split: &o.split,
 	}
 	if old := o.published.Load(); old != nil {
 		v.seq = old.seq + 1
@@ -84,7 +86,7 @@ func (v *RootVersion) ReadAt(buf []byte, off int64) error {
 		return err
 	}
 	v.m.st.snapshotReads.Add(1)
-	return v.m.readRange(&v.root, buf, off, nil)
+	return v.m.readRange(&v.root, buf, off, nil, v.split)
 }
 
 // checkRange validates [off, off+n) against the version's bounds.

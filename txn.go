@@ -281,7 +281,8 @@ func (t *Txn) touch(name string, mode txn.Mode) (*catEntry, error) {
 	return e, nil
 }
 
-// Create makes a new object inside the transaction.
+// Create makes a new object inside the transaction; threshold is as for
+// Store.Create.
 func (t *Txn) Create(name string, threshold int) error {
 	if err := t.begin(); err != nil {
 		return err
